@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check race faults bench bench-parallel bench-json bench-compare bench-smoke-large service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all build vet test check race faults bench bench-parallel bench-json bench-compare bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
 
 all: check
 
@@ -73,10 +73,11 @@ bench:
 
 # Machine-readable perf trajectory: the headline pipeline benchmark,
 # the large-scale feasibility solves (10-cube, 32x32 torus), the
-# Fig. 5/7 panels, the serial sweep, and the CP-simulator replay,
-# rendered to JSON (ns/op, B/op, allocs/op, shape metrics) by
+# Fig. 5/7 panels, the serial sweep, the CP-simulator replay, and the
+# per-layer AssignPaths / interval-scheduling kernels at compile_large
+# scale, rendered to JSON (ns/op, B/op, allocs/op, shape metrics) by
 # cmd/benchjson.
-BENCH_JSON_SUITE = ScheduleComputeSixCube$$|ScheduleTenCube$$|ScheduleTorus32$$|Fig5|Fig7|CPSimPacketReplay|SerialSweepFig5SixCubeB64|ColdVsWarmStartTenCube|ScheduleBatch64|TenantAdmitSixCube$$|ExploreSixCube$$
+BENCH_JSON_SUITE = ScheduleComputeSixCube$$|ScheduleTenCube$$|ScheduleTorus32$$|Fig5|Fig7|CPSimPacketReplay|SerialSweepFig5SixCubeB64|ColdVsWarmStartTenCube|ScheduleBatch64|TenantAdmitSixCube$$|ExploreSixCube$$|AssignPathsTorus32$$|GreedyDecomposeTenCube$$
 
 # The baseline records three runs per benchmark so the compare gate's
 # min-of-3 meets a min-of-3 baseline: a single lucky baseline run would
@@ -100,6 +101,14 @@ bench-compare:
 # benchmark itself fails unless the solve is feasible.
 bench-smoke-large:
 	$(GO) test -run XXX -bench 'ScheduleTenCube$$|ScheduleTorus32$$' -benchmem -benchtime 1x .
+
+# The repository benchmark (BENCHMARK.json, bench/) is a Go module of
+# its own, so `make test` does not reach it: run its tests, then its
+# smoke pass — every workload timed and traced for 0.3 s with the
+# correctness checks on.
+bench-repo-smoke:
+	$(GO) test -C bench ./...
+	bash bench/run.sh -smoke
 
 # Serial-vs-parallel sweep comparison plus the conflict-matrix
 # allocs/op delta recorded in docs/results-latest.txt.

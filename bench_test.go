@@ -543,7 +543,12 @@ func BenchmarkScheduleComputeSixCube(b *testing.B) {
 // the benchmark on the same spec-resolution path the CLIs use.
 func layeredLargeProblem(b *testing.B, topoSpec string, bw float64) schedule.Problem {
 	b.Helper()
-	g, err := cliutil.LoadGraph(cliutil.LayeredLargeTFG)
+	return layeredProblem(b, cliutil.LayeredLargeTFG, topoSpec, bw)
+}
+
+func layeredProblem(b *testing.B, tfgSpec, topoSpec string, bw float64) schedule.Problem {
+	b.Helper()
+	g, err := cliutil.LoadGraph(tfgSpec)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -750,6 +755,72 @@ func BenchmarkShortestPathEnumeration(b *testing.B) {
 			b.Fatalf("got %d paths", len(got))
 		}
 	}
+}
+
+// compileLargeTFG is the repository benchmark's compile_large graph:
+// cliutil.LayeredLargeTFG with 6 inner layers in place of 14 (448 tasks,
+// 1153 messages).
+const compileLargeTFG = "layered:7,32,64*6,32,0.03"
+
+// compileLargeSolve runs the pipeline once on a compile_large problem;
+// the per-layer benchmarks below cut their pre-built inputs out of it.
+func compileLargeSolve(b *testing.B, topoSpec string, bw float64) (schedule.Problem, *schedule.Result) {
+	b.Helper()
+	p := layeredProblem(b, compileLargeTFG, topoSpec, bw)
+	res, err := schedule.Compute(p, schedule.Options{Seed: 1})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !res.Feasible {
+		b.Fatalf("compile_large on %s infeasible at %v", topoSpec, res.FailStage)
+	}
+	return p, res
+}
+
+// BenchmarkAssignPathsTorus32 is the Fig. 4 hill-climb alone on the
+// 32x32 torus, from the LSD baseline with the pipeline's defaults (24
+// candidate paths, 6 restarts of 60 moves).
+func BenchmarkAssignPathsTorus32(b *testing.B) {
+	p, res := compileLargeSolve(b, cliutil.Torus32Topo, cliutil.Torus32BW)
+	lsd, err := schedule.LSDAssignment(p.Graph, p.Topology, p.Assignment, res.Windows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands, err := schedule.BuildCandidates(p.Graph, p.Topology, p.Assignment, res.Windows, 24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ResetTimer()
+	var evals int
+	for i := 0; i < b.N; i++ {
+		ar := schedule.AssignPaths(lsd, cands, p.Topology, res.Windows, res.Activity, 1, 6, 60)
+		if ar.Util.Peak != res.Peak {
+			b.Fatalf("peak %v, the pipeline reached %v", ar.Util.Peak, res.Peak)
+		}
+		evals = ar.Iterations
+	}
+	b.ReportMetric(float64(evals), "evals/op")
+}
+
+// BenchmarkGreedyDecomposeTenCube is Section 5.3 interval scheduling
+// alone on the 10-cube, where every interval holds far more messages
+// than the exact engine takes and the greedy decomposition does the
+// work.
+func BenchmarkGreedyDecomposeTenCube(b *testing.B) {
+	_, res := compileLargeSolve(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
+	b.ResetTimer()
+	var slices int
+	for i := 0; i < b.N; i++ {
+		sls, err := schedule.ScheduleIntervals(res.Allocation, res.Assignment, res.Activity, schedule.EngineAuto, 0)
+		if err != nil {
+			b.Fatal(err)
+		}
+		slices = len(sls)
+	}
+	if slices != len(res.Slices) {
+		b.Fatalf("%d slices, the pipeline emitted %d", slices, len(res.Slices))
+	}
+	b.ReportMetric(float64(slices), "slices/op")
 }
 
 // BenchmarkExploreSixCube is the Pareto-exploration acceptance

@@ -370,11 +370,10 @@ func replayFrame(cfg *Config, om *schedule.Omega, fs *topology.FaultSet) (*frame
 	// at the first such element.
 	lostAt := make([]topology.LinkID, cfg.Graph.NumMessages())
 	lostKind := make([]string, cfg.Graph.NumMessages())
-	linksOf := make([][]topology.LinkID, cfg.Graph.NumMessages())
-	for m := range linksOf {
-		linksOf[m] = om.Linkset(tfg.MessageID(m))
+	linksOf := om.Linksets()
+	for m := range lostAt {
 		lostAt[m] = -1
-		if fs.Empty() {
+		if fs.Empty() || m >= len(linksOf) {
 			continue
 		}
 		for _, l := range linksOf[m] {

@@ -31,9 +31,10 @@ func Render(w io.Writer, om *schedule.Omega, top *topology.Topology, columns int
 		msg        tfg.MessageID
 	}
 	perLink := map[topology.LinkID][]span{}
+	linksets := om.Linksets()
 	for _, sl := range om.Slices {
 		for mi, msg := range sl.Msgs {
-			for _, l := range om.Linkset(msg) {
+			for _, l := range linksets[msg] {
 				perLink[l] = append(perLink[l], span{start: sl.Start, end: sl.Until[mi], msg: msg})
 			}
 		}

@@ -29,6 +29,11 @@ type sparseWork struct {
 	obj   []float64
 	tmpI  []int32
 	tmpV  []float64
+
+	// The entering column as gathered by gatherColumn: its nonzero
+	// coefficients and their rows, ascending.
+	colRow []int32
+	colVal []float64
 }
 
 // lookup returns the coefficient at column j of the sorted support, or
@@ -145,21 +150,32 @@ func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
 	w.val[r], w.tmpV = tv, av[:0]
 }
 
+// gatherColumn collects the nonzero coefficients of column enter in
+// ascending row order — the one binary search per row that both the
+// ratio test and the pivot read.
+func (w *sparseWork) gatherColumn(enter int32) {
+	w.colRow, w.colVal = w.colRow[:0], w.colVal[:0]
+	for i := range w.idx {
+		if c := lookup(w.idx[i], w.val[i], enter); c != 0 {
+			w.colRow = append(w.colRow, int32(i))
+			w.colVal = append(w.colVal, c)
+		}
+	}
+}
+
 // pivotSparse makes column enter basic in row leave: the sparse
-// counterpart of the dense pivot, touching only stored nonzeros.
+// counterpart of the dense pivot, touching only stored nonzeros. The
+// caller has gathered column enter. The gathered coefficients stay
+// current throughout: eliminating row i rewrites row i alone, and the
+// leave row's own coefficient is read before the row is scaled.
 func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 	pv := lookup(w.idx[leave], w.val[leave], enter)
 	inv := 1.0 / pv
 	w.scaleRow(leave, inv, enter)
-	for i := range w.idx {
-		if i == leave {
-			continue
+	for t, i := range w.colRow {
+		if int(i) != leave {
+			w.eliminate(int(i), leave, w.colVal[t], enter)
 		}
-		f := lookup(w.idx[i], w.val[i], enter)
-		if f == 0 {
-			continue
-		}
-		w.eliminate(i, leave, f, enter)
 	}
 	if f := w.obj[enter]; f != 0 {
 		li, lv := w.idx[leave], w.val[leave]
@@ -174,7 +190,9 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 
 // iterateSparse runs primal simplex with Bland's rule over the sparse
 // tableau until optimal; returns false on unboundedness. The entering
-// and leaving scans read exactly the values the dense scans read.
+// and leaving scans read exactly the values the dense scans read (a row
+// absent from the gathered column holds an exact zero there, which the
+// ratio test skips either way).
 func (w *sparseWork) iterateSparse(total, barred int) bool {
 	for {
 		enter := -1
@@ -187,10 +205,11 @@ func (w *sparseWork) iterateSparse(total, barred int) bool {
 		if enter == -1 {
 			return true
 		}
+		w.gatherColumn(int32(enter))
 		leave, best := -1, math.Inf(1)
-		for i := range w.idx {
-			coeff := lookup(w.idx[i], w.val[i], int32(enter))
+		for t, coeff := range w.colVal {
 			if coeff > eps {
+				i := int(w.colRow[t])
 				ratio := w.rhs[i] / coeff
 				if ratio < best-eps || (ratio < best+eps && (leave == -1 || w.basis[i] < w.basis[leave])) {
 					best = ratio
@@ -310,6 +329,7 @@ func (p *Problem) Solve() Solution {
 					break
 				}
 				if math.Abs(w.val[i][t]) > eps {
+					w.gatherColumn(j)
 					w.pivotSparse(i, j, total)
 					pivoted = true
 					break

@@ -32,13 +32,7 @@ func (a *solveArena) loadState(top *topology.Topology, pa *PathAssignment, ws []
 		a.load = NewLoadStateCap(top, pa, ws, act, linkCap)
 		return a.load
 	}
-	ls.ws, ls.act, ls.linkCap = ws, act, linkCap
-	for k := 0; k < ls.K; k++ {
-		ls.lenK[k] = act.Intervals.Length(k)
-	}
-	for i := range ws {
-		ls.noSlack[i] = ws[i].NoSlack()
-	}
+	ls.bind(ws, act, linkCap)
 	ls.Reset(pa)
 	return ls
 }

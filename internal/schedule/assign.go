@@ -21,6 +21,10 @@ type AssignPathsResult struct {
 	Util       *Utilization
 	// Iterations counts utilization evaluations performed.
 	Iterations int
+	// TentativeComputed and TentativeReused split the per-link
+	// tentative scores behind those evaluations into the ones worked
+	// out and the ones the LoadState memo answered.
+	TentativeComputed, TentativeReused int
 }
 
 // assignCrossCheck, when set, makes AssignPaths verify the incremental
@@ -68,6 +72,7 @@ func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top 
 	current := initial.Clone()
 	best := current.Clone()
 	ls := a.loadState(top, current, ws, act, linkCap)
+	computed0, reused0 := ls.tentComputed, ls.tentReused // a pooled state carries earlier solves' counts
 	evals++
 	bestU := ls.Utilization()
 
@@ -145,7 +150,13 @@ func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top 
 		// Random restart (Fig. 4's escape from local minima).
 		randomize(current, cands, rng)
 	}
-	return &AssignPathsResult{Assignment: best, Util: bestU, Iterations: evals}
+	return &AssignPathsResult{
+		Assignment:        best,
+		Util:              bestU,
+		Iterations:        evals,
+		TentativeComputed: ls.tentComputed - computed0,
+		TentativeReused:   ls.tentReused - reused0,
+	}
 }
 
 // reroutable lists the multi-path messages that cross the peak link
@@ -154,7 +165,7 @@ func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top 
 // every message's link list.
 func reroutable(pa *PathAssignment, cands *Candidates, act *Activity, ls *LoadState, pos assignPosition, buf []tfg.MessageID) []tfg.MessageID {
 	out := buf
-	ls.members[pos.link].forEach(func(i int) {
+	ls.memberRow(int(pos.link)).forEach(func(i int) {
 		if len(cands.PathsOf[i]) < 2 {
 			return
 		}

@@ -60,6 +60,19 @@ func TestAssignPathsDeterministic(t *testing.T) {
 			t.Fatalf("message %d paths differ across equal-seed runs", i)
 		}
 	}
+	// The evaluation count is the move sequence's fingerprint (90 since
+	// the LoadState landed); the memo only decides how many of the
+	// per-link scores behind it were worked out.
+	if a.Iterations != 90 || b.Iterations != 90 {
+		t.Errorf("iterations %d and %d, want 90", a.Iterations, b.Iterations)
+	}
+	if a.TentativeComputed == 0 || a.TentativeReused == 0 {
+		t.Errorf("tentative scores: %d computed, %d reused; expected both", a.TentativeComputed, a.TentativeReused)
+	}
+	if a.TentativeComputed != b.TentativeComputed || a.TentativeReused != b.TentativeReused {
+		t.Errorf("tentative counts differ across equal-seed runs: %d/%d vs %d/%d",
+			a.TentativeComputed, a.TentativeReused, b.TentativeComputed, b.TentativeReused)
+	}
 }
 
 func TestAssignPathsImprovesOnLSD(t *testing.T) {

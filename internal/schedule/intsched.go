@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"schedroute/internal/lp"
 	"schedroute/internal/tfg"
@@ -109,6 +110,7 @@ type schedScratch struct {
 
 	// greedy state
 	order     []int32
+	mem, rest []int32 // order-maintenance merge buffers
 	remaining []float64
 	setMask   []uint64
 
@@ -284,6 +286,16 @@ func scheduleOne(a *solveArena, k int, pa *PathAssignment, act *Activity, engine
 // chosen by largest remaining demand; each round fully drains at least
 // one message, so it terminates within n rounds. The emitted sets land
 // in the scratch arenas.
+//
+// Every round scans the live messages in (remaining desc, index asc)
+// order. That order is sorted once and then maintained: a round lowers
+// only the chosen set's members, all by the same d, so members and
+// non-members each stay sorted among themselves and one linear merge
+// restores the order — except where the subtraction rounds two members
+// with different remainders onto the same value and index order must
+// take over, which the closing insertion pass (linear on sorted input)
+// repairs. The key is a strict total order, so the result is the
+// permutation a from-scratch sort of the live messages would give.
 func (sc *schedScratch) greedyDecomposeInto(n int) {
 	w := confWords(n)
 	sc.remaining = append(sc.remaining[:0], sc.dem...)
@@ -294,33 +306,25 @@ func (sc *schedScratch) greedyDecomposeInto(n int) {
 	sc.resFlat = sc.resFlat[:0]
 	sc.resOffs = append(sc.resOffs[:0], 0)
 	sc.resDur = sc.resDur[:0]
-	for {
-		sc.order = sc.order[:0]
-		for i := 0; i < n; i++ {
-			if sc.remaining[i] > timeEps {
-				sc.order = append(sc.order, int32(i))
-			}
+
+	remaining := sc.remaining
+	before := func(a, b int32) bool {
+		return remaining[a] > remaining[b] || (remaining[a] == remaining[b] && a < b)
+	}
+	order := sc.order[:0]
+	for i := 0; i < n; i++ {
+		if remaining[i] > timeEps {
+			order = append(order, int32(i))
 		}
-		if len(sc.order) == 0 {
-			return
+	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if before(a, b) {
+			return -1
 		}
-		// Insertion sort by (remaining desc, index asc): the key is a
-		// strict total order, so the permutation matches any correct
-		// sort of the old sort.Slice comparator.
-		order := sc.order
-		for a := 1; a < len(order); a++ {
-			v := order[a]
-			b := a - 1
-			for b >= 0 && (sc.remaining[order[b]] < sc.remaining[v] ||
-				(sc.remaining[order[b]] == sc.remaining[v] && order[b] > v)) {
-				order[b+1] = order[b]
-				b--
-			}
-			order[b+1] = v
-		}
-		for t := range setMask {
-			setMask[t] = 0
-		}
+		return 1 // never called with a == b: indices are distinct
+	})
+	for len(order) > 0 {
+		clear(setMask)
 		setStart := len(sc.resFlat)
 		for _, i := range order {
 			row := sc.conf[int(i)*w : int(i)*w+w]
@@ -337,18 +341,49 @@ func (sc *schedScratch) greedyDecomposeInto(n int) {
 			}
 		}
 		set := sc.resFlat[setStart:]
-		d := sc.remaining[set[0]]
+		d := remaining[set[0]]
 		for _, i := range set {
-			if sc.remaining[i] < d {
-				d = sc.remaining[i]
+			if remaining[i] < d {
+				d = remaining[i]
 			}
 		}
 		for _, i := range set {
-			sc.remaining[i] -= d
+			remaining[i] -= d
 		}
 		sc.resDur = append(sc.resDur, d)
 		sc.resOffs = append(sc.resOffs, int32(len(sc.resFlat)))
+
+		mem, rest := sc.mem[:0], sc.rest[:0]
+		for _, i := range order {
+			switch {
+			case remaining[i] <= timeEps: // drained
+			case setMask[i/64]&(1<<(uint(i)%64)) != 0:
+				mem = append(mem, i)
+			default:
+				rest = append(rest, i)
+			}
+		}
+		sc.mem, sc.rest = mem, rest
+		order = order[:0]
+		for len(mem) > 0 && len(rest) > 0 {
+			if before(mem[0], rest[0]) {
+				order, mem = append(order, mem[0]), mem[1:]
+			} else {
+				order, rest = append(order, rest[0]), rest[1:]
+			}
+		}
+		order = append(append(order, mem...), rest...)
+		for a := 1; a < len(order); a++ {
+			v := order[a]
+			b := a - 1
+			for b >= 0 && before(v, order[b]) {
+				order[b+1] = order[b]
+				b--
+			}
+			order[b+1] = v
+		}
 	}
+	sc.order = order
 }
 
 // exactDecomposeInto solves the Section 5.3 program: over all maximal

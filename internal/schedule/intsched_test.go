@@ -4,6 +4,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -310,13 +311,71 @@ func BenchmarkConflictMatrixMapReference(b *testing.B) {
 	}
 }
 
-// Property: greedy decomposition always meets demands exactly and every
-// emitted set is independent.
+// greedyDecomposeReference is the decomposition as first written: every
+// round collects the live messages and sorts them from scratch by
+// (remaining desc, index asc). The arena version maintains that order
+// across rounds instead and must reproduce this one exactly.
+func greedyDecomposeReference(msgs []tfg.MessageID, demands map[tfg.MessageID]float64, conf [][]bool) ([][]int, []float64) {
+	remaining := make([]float64, len(msgs))
+	for i, m := range msgs {
+		remaining[i] = demands[m]
+	}
+	var sets [][]int
+	var durations []float64
+	for {
+		var order []int
+		for i := range msgs {
+			if remaining[i] > timeEps {
+				order = append(order, i)
+			}
+		}
+		if len(order) == 0 {
+			return sets, durations
+		}
+		sort.Slice(order, func(a, b int) bool {
+			ra, rb := remaining[order[a]], remaining[order[b]]
+			return ra > rb || (ra == rb && order[a] < order[b])
+		})
+		var set []int
+		for _, i := range order {
+			ok := true
+			for _, j := range set {
+				if conf[i][j] {
+					ok = false
+					break
+				}
+			}
+			if ok {
+				set = append(set, i)
+			}
+		}
+		d := remaining[set[0]]
+		for _, i := range set {
+			d = math.Min(d, remaining[i])
+		}
+		for _, i := range set {
+			remaining[i] -= d
+		}
+		sets = append(sets, set)
+		durations = append(durations, d)
+	}
+}
+
+// Property: greedy decomposition always meets demands exactly, every
+// emitted set is independent, and sets (in emission order) and durations
+// equal the sort-every-round reference bit for bit — on demands chosen
+// to tie: all equal, neighbours one ulp apart, small integers whose
+// differences meet other demands, and pairs one ulp apart that a
+// subtraction rounds onto the same value.
 func TestQuickGreedyDecompose(t *testing.T) {
-	f := func(seedLinks []uint8, seedDemands []uint8) bool {
+	const ulp = 1.0 / (1 << 52) // spacing of float64 in [1, 2)
+	f := func(seedLinks []uint8, seedDemands []uint8, mode uint8) bool {
 		n := len(seedLinks)
-		if n == 0 || n > 8 {
+		if n == 0 {
 			return true
+		}
+		if n > 12 {
+			n = 12
 		}
 		linkSets := make([][]topology.LinkID, n)
 		msgs := make([]tfg.MessageID, n)
@@ -324,15 +383,42 @@ func TestQuickGreedyDecompose(t *testing.T) {
 		for i := 0; i < n; i++ {
 			linkSets[i] = []topology.LinkID{topology.LinkID(seedLinks[i] % 4)}
 			msgs[i] = tfg.MessageID(i)
-			d := 1.0
+			sd := uint8(0)
 			if i < len(seedDemands) {
-				d = float64(seedDemands[i]%10) + 1
+				sd = seedDemands[i]
+			}
+			var d float64
+			switch mode % 5 {
+			case 0:
+				d = float64(sd%10) + 1
+			case 1:
+				d = 2.5
+			case 2:
+				d = 1.5 + float64(sd%2)*ulp
+			case 3:
+				d = float64(sd%3) + 1
+			case 4:
+				// 1.5+2k·ulp and 1.5+(2k+1)·ulp both round to
+				// 1.5-2^-10+2k·ulp when 2^-10+ulp/2 is subtracted
+				// (exact halves, ties to even); every third message
+				// carries that subtrahend and the three share no link.
+				linkSets[i] = []topology.LinkID{topology.LinkID(i%3 + 4*int(seedLinks[i]%2))}
+				if i%3 == 2 {
+					d = 1.0/1024 + ulp/2
+				} else {
+					d = 1.5 + float64(sd%4)*ulp
+				}
 			}
 			demands[msgs[i]] = d
 		}
 		pa := fakeAssignment(linkSets)
 		conf := conflictMatrix(msgs, pa)
 		sets, durations := greedyDecompose(msgs, demands, conf)
+		wantSets, wantDurations := greedyDecomposeReference(msgs, demands, conf)
+		if !reflect.DeepEqual(sets, wantSets) || !reflect.DeepEqual(durations, wantDurations) {
+			t.Logf("mode %d demands %v:\n got %v %v\nwant %v %v", mode%5, demands, sets, durations, wantSets, wantDurations)
+			return false
+		}
 		served := make([]float64, n)
 		for si, set := range sets {
 			for i := 0; i < len(set); i++ {
@@ -351,7 +437,7 @@ func TestQuickGreedyDecompose(t *testing.T) {
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 1000}); err != nil {
 		t.Error(err)
 	}
 }

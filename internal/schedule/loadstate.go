@@ -1,32 +1,26 @@
 package schedule
 
 import (
+	"math"
 	"math/bits"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
 
-// msgSet is a bitset over message IDs, the per-link membership record
-// that lets LoadState recompute a changed link's load exactly: members
-// iterate in ascending message order, so partial sums reproduce the
-// float-summation order of a from-scratch ComputeUtilization bit for
-// bit.
-type msgSet []uint64
+// bitset is a set of small non-negative integers. LoadState keeps one
+// per link over message IDs — the membership record that lets it
+// recompute a changed link's load exactly: members iterate in ascending
+// message order, so partial sums reproduce the float-summation order of a
+// from-scratch ComputeUtilization bit for bit — and one over link IDs for
+// the links in use.
+type bitset []uint64
 
-func newMsgSet(n int) msgSet { return make(msgSet, (n+63)/64) }
-
-func (s msgSet) add(i int)    { s[i/64] |= 1 << (uint(i) % 64) }
-func (s msgSet) remove(i int) { s[i/64] &^= 1 << (uint(i) % 64) }
-
-func (s msgSet) clear() {
-	for i := range s {
-		s[i] = 0
-	}
-}
+func (s bitset) add(i int)    { s[i/64] |= 1 << (uint(i) % 64) }
+func (s bitset) remove(i int) { s[i/64] &^= 1 << (uint(i) % 64) }
 
 // forEach calls fn for every member in ascending order.
-func (s msgSet) forEach(fn func(i int)) {
+func (s bitset) forEach(fn func(i int)) {
 	for wi, w := range s {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
@@ -54,6 +48,7 @@ type LoadState struct {
 	act *Activity
 	nl  int
 	K   int
+	mw  int // words per member row
 
 	lenK    []float64 // lenK[k] = Intervals.Length(k), cached
 	noSlack []bool    // noSlack[i] = ws[i].NoSlack(), cached
@@ -67,8 +62,8 @@ type LoadState struct {
 	// gate both treat as "worse than any finite peak".
 	linkCap []float64
 
-	members []msgSet  // members[j]: messages using link j
-	xmit    []float64 // xmit[j]: Σ Xmit over members[j], ascending message order
+	members []uint64  // row j (mw words): bitset of the messages using link j
+	xmit    []float64 // xmit[j]: Σ Xmit over row j, ascending message order
 	cnt     []int32   // cnt[j*K+k]: active messages on (j, k)
 	spot    []int32   // spot[j*K+k]: no-slack messages on (j, k)
 
@@ -76,20 +71,45 @@ type LoadState struct {
 	score     []float64 // score[j]: max(U_j, max_k spot[j][k])
 	scoreK    []int32   // interval attaining score[j], -1 for U_j
 
-	// Peak cache: the top-k links ordered by (score desc, link asc),
-	// rebuilt O(nl) whenever link scores actually change. EvalReroute
+	// touched is the bitset of links that have carried a message since
+	// the last fill. Every other link holds all-zero accumulators and
+	// score 0, which can never be a peak (peaks improve strictly from
+	// 0), so Reset, the refill and the peak cache visit touched links
+	// only — a fraction of the fabric on the 1024-node machines.
+	touched bitset
+
+	// Peak cache: the top-k touched links ordered by (score desc, link
+	// asc), rebuilt whenever link scores actually change. EvalReroute
 	// touches at most the links of two paths, so as long as fewer links
 	// changed than the cache holds, the first unchanged cache entry
 	// dominates every unchanged link and the peak needs no O(nl) scan.
 	topk []int32
 
-	// Per-link tentative scores of the eval in progress, valid where
-	// stamp matches epoch.
+	// Tentative-score memo. tentScore[l]/tentK[l] hold link l's score as
+	// if message m were added to (or removed from) it, where memo[l]
+	// packs (gen, m, add). The accumulators a tentative reads — link l's
+	// members and counts, the message's window and activity row, lenK,
+	// linkCap — change only in ApplyReroute, fill and the arena re-bind,
+	// each of which bumps gen; so a slot whose key matches was computed
+	// by the same code from the same inputs and reusing it is
+	// bit-identical to recomputing. One slot per link suffices: the
+	// hill-climb evaluates a message's candidates back to back, and they
+	// all remove the same old links and share long new-path prefixes.
 	tentScore []float64
 	tentK     []int32
-	stamp     []int32
-	changed   []int32
-	epoch     int32
+	memo      []uint64
+	gen       uint32
+
+	// Per-eval link marks: stamp[l] is epoch on the links the eval in
+	// progress changes, epoch-1 on links shared by both paths and
+	// epoch-2 on new-path links not yet classified.
+	stamp   []int32
+	changed []int32
+	epoch   int32
+
+	// Tentative scores computed and reused since construction; both are
+	// pure functions of the call sequence.
+	tentComputed, tentReused int
 }
 
 // topkSize bounds the peak cache. Any eval changing at least this many
@@ -108,91 +128,122 @@ func NewLoadState(top *topology.Topology, pa *PathAssignment, ws []Window, act *
 func NewLoadStateCap(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *LoadState {
 	nl := top.Links()
 	K := act.Intervals.K()
+	mw := (len(ws) + 63) / 64
 	ls := &LoadState{
-		ws:        ws,
-		act:       act,
 		nl:        nl,
 		K:         K,
-		members:   make([]msgSet, nl),
+		mw:        mw,
+		members:   make([]uint64, nl*mw),
 		xmit:      make([]float64, nl),
 		cnt:       make([]int32, nl*K),
 		spot:      make([]int32, nl*K),
 		activeLen: make([]float64, nl),
 		score:     make([]float64, nl),
 		scoreK:    make([]int32, nl),
+		touched:   make(bitset, (nl+63)/64),
 		tentScore: make([]float64, nl),
 		tentK:     make([]int32, nl),
+		memo:      make([]uint64, nl),
 		stamp:     make([]int32, nl),
 		lenK:      make([]float64, K),
 		noSlack:   make([]bool, len(ws)),
-		linkCap:   linkCap,
 	}
-	for k := 0; k < K; k++ {
+	ls.bind(ws, act, linkCap)
+	ls.fill(pa)
+	return ls
+}
+
+// bind points the state at a problem of the dimensions it was built for
+// and refreshes the caches derived from it. The accumulators still
+// describe the previous assignment; callers follow up with fill or
+// Reset.
+func (ls *LoadState) bind(ws []Window, act *Activity, linkCap []float64) {
+	ls.ws, ls.act, ls.linkCap = ws, act, linkCap
+	for k := range ls.lenK {
 		ls.lenK[k] = act.Intervals.Length(k)
 	}
 	for i := range ws {
 		ls.noSlack[i] = ws[i].NoSlack()
 	}
-	for j := range ls.members {
-		ls.members[j] = newMsgSet(len(ws))
-	}
-	ls.fill(pa)
-	return ls
+}
+
+// memberRow returns the membership bitset of link l.
+func (ls *LoadState) memberRow(l int) bitset {
+	return ls.members[l*ls.mw : (l+1)*ls.mw]
 }
 
 // Reset rebuilds the accumulators for a new assignment, reusing every
-// backing array — the restart path of AssignPaths' random escapes.
+// backing array — the restart path of AssignPaths' random escapes. Only
+// the links the old assignment touched are cleared.
 func (ls *LoadState) Reset(pa *PathAssignment) {
-	for j := range ls.members {
-		ls.members[j].clear()
-	}
-	for i := range ls.cnt {
-		ls.cnt[i] = 0
-		ls.spot[i] = 0
-	}
+	ls.touched.forEach(func(j int) {
+		clear(ls.memberRow(j))
+		clear(ls.cnt[j*ls.K : (j+1)*ls.K])
+		clear(ls.spot[j*ls.K : (j+1)*ls.K])
+		ls.xmit[j], ls.activeLen[j], ls.score[j], ls.scoreK[j] = 0, 0, 0, -1
+	})
+	clear(ls.touched)
 	ls.fill(pa)
 }
 
+// bumpGen invalidates every memoized tentative score.
+func (ls *LoadState) bumpGen() {
+	ls.gen++
+	if ls.gen == 0 { // wrapped: stale keys could collide
+		clear(ls.memo)
+		ls.gen = 1
+	}
+}
+
+// fill adds pa to all-zero accumulators.
 func (ls *LoadState) fill(pa *PathAssignment) {
+	ls.bumpGen()
 	for i := range ls.ws {
 		if ls.ws[i].Local || len(pa.Links[i]) == 0 {
 			continue
 		}
-		noSlack := ls.ws[i].NoSlack()
-		row := ls.act.Active[i]
 		for _, l := range pa.Links[i] {
-			ls.members[l].add(i)
-			base := int(l) * ls.K
-			for k := 0; k < ls.K; k++ {
-				if row[k] {
-					ls.cnt[base+k]++
-					if noSlack {
-						ls.spot[base+k]++
-					}
-				}
-			}
+			ls.shift(int(l), i, 1)
 		}
 	}
-	for j := 0; j < ls.nl; j++ {
-		ls.recomputeLink(j)
-	}
+	ls.touched.forEach(ls.recomputeLink)
 	ls.rebuildTopK()
 }
 
-// rebuildTopK reselects the top-k links by (score desc, link asc); ties
-// keep the smaller link first because later links insert after equals.
-func (ls *LoadState) rebuildTopK() {
-	k := ls.nl
-	if k > topkSize {
-		k = topkSize
+// shift adds message msg to link l (delta +1) or removes it (delta -1)
+// in the integer accumulators.
+func (ls *LoadState) shift(l, msg int, delta int32) {
+	if delta > 0 {
+		ls.memberRow(l).add(msg)
+		ls.touched.add(l)
+	} else {
+		ls.memberRow(l).remove(msg)
 	}
-	ls.topk = ls.topk[:0]
-	for j := 0; j < ls.nl; j++ {
-		s := ls.score[j]
-		if len(ls.topk) == k && ls.score[ls.topk[k-1]] >= s {
-			continue // can't displace the current k-th entry
+	noSlack := ls.noSlack[msg]
+	row := ls.act.Active[msg]
+	base := l * ls.K
+	for k := 0; k < ls.K; k++ {
+		if row[k] {
+			ls.cnt[base+k] += delta
+			if noSlack {
+				ls.spot[base+k] += delta
+			}
 		}
-		lo, hi := 0, len(ls.topk)
+	}
+}
+
+// rebuildTopK reselects the top-k touched links by (score desc, link
+// asc); ties keep the smaller link first because links arrive ascending
+// and later ones insert after equals.
+func (ls *LoadState) rebuildTopK() {
+	ls.topk = ls.topk[:0]
+	ls.touched.forEach(func(j int) {
+		s := ls.score[j]
+		k := len(ls.topk)
+		if k == topkSize && ls.score[ls.topk[k-1]] >= s {
+			return // can't displace the current k-th entry
+		}
+		lo, hi := 0, k
 		for lo < hi {
 			mid := int(uint(lo+hi) >> 1)
 			if ls.score[ls.topk[mid]] >= s {
@@ -201,15 +252,12 @@ func (ls *LoadState) rebuildTopK() {
 				hi = mid
 			}
 		}
-		if lo >= k {
-			continue
-		}
-		if len(ls.topk) < k {
+		if k < topkSize {
 			ls.topk = append(ls.topk, 0)
 		}
 		copy(ls.topk[lo+1:], ls.topk[lo:])
 		ls.topk[lo] = int32(j)
-	}
+	})
 }
 
 // recomputeLink refreshes link j's derived floats from the exact
@@ -219,7 +267,7 @@ func (ls *LoadState) rebuildTopK() {
 // so the derived values carry no incremental drift.
 func (ls *LoadState) recomputeLink(j int) {
 	sum := 0.0
-	for wi, w := range ls.members[j] {
+	for wi, w := range ls.memberRow(j) {
 		for w != 0 {
 			b := bits.TrailingZeros64(w)
 			w &^= 1 << uint(b)
@@ -261,51 +309,43 @@ func (ls *LoadState) recomputeLink(j int) {
 	ls.scoreK[j] = bestK
 }
 
-func containsLink(links []topology.LinkID, l topology.LinkID) bool {
-	for _, x := range links {
-		if x == l {
-			return true
+// diffLinks classifies the links of a reroute with per-link marks in
+// place of a pairwise path comparison: after it returns, stamp[l] is
+// epoch-1 exactly on the links both paths use (which a reroute leaves
+// alone) and epoch-2 on the links only newLinks uses.
+func (ls *LoadState) diffLinks(oldLinks, newLinks []topology.LinkID) {
+	if ls.epoch > math.MaxInt32-3 { // about to wrap: stale stamps could collide
+		clear(ls.stamp)
+		ls.epoch = 0
+	}
+	ls.epoch += 3
+	for _, l := range newLinks {
+		ls.stamp[l] = ls.epoch - 2
+	}
+	for _, l := range oldLinks {
+		if ls.stamp[l] == ls.epoch-2 {
+			ls.stamp[l] = ls.epoch - 1
 		}
 	}
-	return false
 }
 
 // ApplyReroute moves message msg from oldLinks to newLinks, updating
 // only the links in their symmetric difference.
 func (ls *LoadState) ApplyReroute(msg tfg.MessageID, oldLinks, newLinks []topology.LinkID) {
-	noSlack := ls.ws[msg].NoSlack()
-	row := ls.act.Active[msg]
+	ls.bumpGen()
+	ls.diffLinks(oldLinks, newLinks)
+	shared := ls.epoch - 1
 	for _, l := range oldLinks {
-		if containsLink(newLinks, l) {
-			continue
+		if ls.stamp[l] != shared {
+			ls.shift(int(l), int(msg), -1)
+			ls.recomputeLink(int(l))
 		}
-		ls.members[l].remove(int(msg))
-		base := int(l) * ls.K
-		for k := 0; k < ls.K; k++ {
-			if row[k] {
-				ls.cnt[base+k]--
-				if noSlack {
-					ls.spot[base+k]--
-				}
-			}
-		}
-		ls.recomputeLink(int(l))
 	}
 	for _, l := range newLinks {
-		if containsLink(oldLinks, l) {
-			continue
+		if ls.stamp[l] != shared {
+			ls.shift(int(l), int(msg), 1)
+			ls.recomputeLink(int(l))
 		}
-		ls.members[l].add(int(msg))
-		base := int(l) * ls.K
-		for k := 0; k < ls.K; k++ {
-			if row[k] {
-				ls.cnt[base+k]++
-				if noSlack {
-					ls.spot[base+k]++
-				}
-			}
-		}
-		ls.recomputeLink(int(l))
 	}
 	ls.rebuildTopK()
 }
@@ -320,46 +360,56 @@ func (ls *LoadState) Undo(msg tfg.MessageID, oldLinks, newLinks []topology.LinkI
 // EvalReroute scores the reroute without applying it: each link in the
 // symmetric difference of the two paths gets a tentative score computed
 // read-only in the exact float-summation orders recomputeLink would use
-// after a real apply, and the peak combines those with the cached
-// unchanged maximum. The returned triple is bit-identical to
-// apply-peek-undo, but no state mutates and no O(nl) rescan runs on the
-// cached fast path.
+// after a real apply (or reused from the memo, see LoadState.memo), and
+// the peak combines those with the cached unchanged maximum. The
+// returned triple is bit-identical to apply-peek-undo, but no
+// accumulator mutates and no O(nl) rescan runs on the cached fast path.
 func (ls *LoadState) EvalReroute(msg tfg.MessageID, oldLinks, newLinks []topology.LinkID) (float64, topology.LinkID, int) {
-	ls.epoch++
-	if ls.epoch < 0 { // wrapped: stale stamps could collide
-		for i := range ls.stamp {
-			ls.stamp[i] = 0
-		}
-		ls.epoch = 1
-	}
+	ls.diffLinks(oldLinks, newLinks)
+	shared := ls.epoch - 1
 	ls.changed = ls.changed[:0]
 	for _, l := range oldLinks {
-		if !containsLink(newLinks, l) {
+		if ls.stamp[l] != shared {
 			ls.tentative(int(l), int(msg), false)
 		}
 	}
 	for _, l := range newLinks {
-		if !containsLink(oldLinks, l) {
+		if ls.stamp[l] != shared {
 			ls.tentative(int(l), int(msg), true)
 		}
 	}
 	return ls.peakWithTentative()
 }
 
-// tentative computes link l's score as if msg were added to (or removed
-// from) it, without mutating the accumulators. The transmission sum
-// iterates members ascending with msg spliced in (or skipped) at its
-// sorted position, and the interval scans apply the count delta inline —
-// term-for-term the sums recomputeLink would produce after a real
-// ApplyReroute, hence bit-identical.
+// tentative marks link l as changed by the eval in progress and leaves
+// in tentScore/tentK its score as if msg were added to (or removed from)
+// it — from the memo when the slot holds exactly that question for the
+// current generation, computed otherwise. The computation mutates no
+// accumulator: the transmission sum iterates members ascending with msg
+// spliced in (or skipped) at its sorted position, and the interval scans
+// apply the count delta inline — term-for-term the sums recomputeLink
+// would produce after a real ApplyReroute, hence bit-identical.
 func (ls *LoadState) tentative(l, msg int, add bool) {
+	ls.stamp[l] = ls.epoch
+	ls.changed = append(ls.changed, int32(l))
+	key := uint64(ls.gen)<<32 | uint64(msg)<<1
+	if add {
+		key |= 1
+	}
+	if ls.memo[l] == key {
+		ls.tentReused++
+		return
+	}
+	ls.memo[l] = key
+	ls.tentComputed++
+
 	w := &ls.ws[msg]
 	noSlack := ls.noSlack[msg]
 	row := ls.act.Active[msg]
 	sum := 0.0
 	if add {
 		spliced := false
-		for wi, wv := range ls.members[l] {
+		for wi, wv := range ls.memberRow(l) {
 			for wv != 0 {
 				b := bits.TrailingZeros64(wv)
 				wv &^= 1 << uint(b)
@@ -375,7 +425,7 @@ func (ls *LoadState) tentative(l, msg int, add bool) {
 			sum += w.Xmit
 		}
 	} else {
-		for wi, wv := range ls.members[l] {
+		for wi, wv := range ls.memberRow(l) {
 			for wv != 0 {
 				b := bits.TrailingZeros64(wv)
 				wv &^= 1 << uint(b)
@@ -424,20 +474,18 @@ func (ls *LoadState) tentative(l, msg int, add bool) {
 	}
 	ls.tentScore[l] = best
 	ls.tentK[l] = bestK
-	ls.stamp[l] = ls.epoch
-	ls.changed = append(ls.changed, int32(l))
 }
 
 // peakWithTentative returns the peak over all links with the current
-// tentative overrides in effect, replicating PeakPosition's ascending
-// strict-improvement tie-break. Fast path: merge the changed links with
-// the best unchanged cache entry; that entry dominates every unchanged
-// link (the cache is a top-k order and fewer than k links changed), and
-// among equal-score unchanged links the cache order puts the smallest
-// link first.
+// tentative overrides in effect, with PeakPosition's tie-break: of the
+// links attaining a positive maximum, the smallest. Fast path: only the
+// changed links and the best unchanged cache entry can hold the peak;
+// that entry dominates every unchanged link (the cache is a top-k order
+// and fewer than k links changed), and among equal-score unchanged links
+// the cache order puts the smallest link first.
 func (ls *LoadState) peakWithTentative() (float64, topology.LinkID, int) {
+	peak, link, interval := 0.0, topology.LinkID(0), int32(-1)
 	if len(ls.changed) >= len(ls.topk) {
-		peak, link, interval := 0.0, topology.LinkID(0), int32(-1)
 		for j := 0; j < ls.nl; j++ {
 			s, sk := ls.score[j], ls.scoreK[j]
 			if ls.stamp[j] == ls.epoch {
@@ -449,39 +497,17 @@ func (ls *LoadState) peakWithTentative() (float64, topology.LinkID, int) {
 		}
 		return peak, link, int(interval)
 	}
-	ch := ls.changed
-	for a := 1; a < len(ch); a++ {
-		v := ch[a]
-		b := a - 1
-		for b >= 0 && ch[b] > v {
-			ch[b+1] = ch[b]
-			b--
-		}
-		ch[b+1] = v
-	}
-	bestUn := int32(-1)
 	for _, j := range ls.topk {
 		if ls.stamp[j] != ls.epoch {
-			bestUn = j
+			if s := ls.score[j]; s > 0 {
+				peak, link, interval = s, topology.LinkID(j), ls.scoreK[j]
+			}
 			break
 		}
 	}
-	peak, link, interval := 0.0, topology.LinkID(0), int32(-1)
-	ci := 0
-	for ci < len(ch) || bestUn >= 0 {
-		var j int32
-		var s float64
-		var sk int32
-		if bestUn >= 0 && (ci == len(ch) || bestUn < ch[ci]) {
-			j, s, sk = bestUn, ls.score[bestUn], ls.scoreK[bestUn]
-			bestUn = -1
-		} else {
-			j = ch[ci]
-			s, sk = ls.tentScore[j], ls.tentK[j]
-			ci++
-		}
-		if s > peak {
-			peak, link, interval = s, topology.LinkID(j), sk
+	for _, j := range ls.changed {
+		if s := ls.tentScore[j]; s > peak || (s == peak && s > 0 && topology.LinkID(j) < link) {
+			peak, link, interval = s, topology.LinkID(j), ls.tentK[j]
 		}
 	}
 	return peak, link, int(interval)
@@ -511,7 +537,7 @@ func (ls *LoadState) Peak() float64 {
 // ascending order, appended to buf — the delta-evaluation replacement
 // for scanning every message's link list.
 func (ls *LoadState) MessagesOn(l topology.LinkID, buf []tfg.MessageID) []tfg.MessageID {
-	ls.members[l].forEach(func(i int) {
+	ls.memberRow(int(l)).forEach(func(i int) {
 		buf = append(buf, tfg.MessageID(i))
 	})
 	return buf

@@ -1,9 +1,12 @@
 package schedule
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
+	"schedroute/internal/alloc"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
@@ -23,6 +26,46 @@ func checkLoadState(t *testing.T, ls *LoadState, top *topology.Topology, pa *Pat
 			t.Fatalf("%s: LinkU[%d] = %v, full recompute %v", step, j, got.LinkU[j], want.LinkU[j])
 		}
 	}
+}
+
+// loadStateFixture derives the DVB workload's windows, activity, LSD
+// assignment and candidate paths on top (with link 0 failed when
+// faulted) and lists the messages that have a choice of path.
+func loadStateFixture(t *testing.T, top *topology.Topology, faulted bool) (*PathAssignment, []Window, *Activity, *Candidates, []tfg.MessageID) {
+	t.Helper()
+	p := dvbProblem(t, top, 64, gridTauIn(4))
+	var fs *topology.FaultSet
+	if faulted {
+		fs = topology.NewFaultSet(top.Links(), top.Nodes())
+		fs.FailLink(0)
+	}
+	sameNode := func(m tfg.Message) bool {
+		return p.Assignment.Node(m.Src) == p.Assignment.Node(m.Dst)
+	}
+	ws, err := ComputeWindows(p.Graph, p.Timing, p.TauIn, p.Timing.TauC(), sameNode)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := BuildIntervals(ws, p.TauIn)
+	act := BuildActivity(ws, set)
+	pa, err := FaultRouteAssignment(p.Graph, top, p.Assignment, ws, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cands, err := BuildCandidatesFault(p.Graph, top, p.Assignment, ws, 24, fs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var multi []tfg.MessageID
+	for i, list := range cands.PathsOf {
+		if len(list) >= 2 {
+			multi = append(multi, tfg.MessageID(i))
+		}
+	}
+	if len(multi) == 0 {
+		t.Fatal("no multi-path messages in fixture")
+	}
+	return pa, ws, act, cands, multi
 }
 
 // TestLoadStateMatchesFullRecompute drives randomized reroute /
@@ -49,38 +92,7 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p := dvbProblem(t, top, 64, gridTauIn(4))
-				var fs *topology.FaultSet
-				if faulted {
-					fs = topology.NewFaultSet(top.Links(), top.Nodes())
-					fs.FailLink(0)
-				}
-				sameNode := func(m tfg.Message) bool {
-					return p.Assignment.Node(m.Src) == p.Assignment.Node(m.Dst)
-				}
-				ws, err := ComputeWindows(p.Graph, p.Timing, p.TauIn, p.Timing.TauC(), sameNode)
-				if err != nil {
-					t.Fatal(err)
-				}
-				set := BuildIntervals(ws, p.TauIn)
-				act := BuildActivity(ws, set)
-				pa, err := FaultRouteAssignment(p.Graph, top, p.Assignment, ws, fs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				cands, err := BuildCandidatesFault(p.Graph, top, p.Assignment, ws, 24, fs)
-				if err != nil {
-					t.Fatal(err)
-				}
-				var multi []tfg.MessageID
-				for i, list := range cands.PathsOf {
-					if len(list) >= 2 {
-						multi = append(multi, tfg.MessageID(i))
-					}
-				}
-				if len(multi) == 0 {
-					t.Fatal("no multi-path messages in fixture")
-				}
+				pa, ws, act, cands, multi := loadStateFixture(t, top, faulted)
 
 				ls := NewLoadState(top, pa, ws, act)
 				checkLoadState(t, ls, top, pa, ws, act, "initial")
@@ -116,8 +128,232 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 				randomize(pa, cands, rng)
 				ls.Reset(pa)
 				checkLoadState(t, ls, top, pa, ws, act, "reset")
+
+				checkLoadStateMemo(t, top, pa, ws, act, cands, multi)
 			})
 		}
+	}
+}
+
+// checkLoadStateMemo is the memo property: under random interleavings of
+// evals, applies, undos, resets and arena re-binds, every EvalReroute —
+// whether it computes its tentative scores or finds them memoized —
+// equals apply → PeakPosition → undo on a reference state that never
+// evaluates (so never memoizes) bit for bit. A burst evaluates every
+// candidate of a message twice, the current path included: repeats of
+// one (message, candidate), candidates sharing link prefixes with each
+// other and with the old path, and an empty difference. Halfway through,
+// the generation and stamp counters jump to just below wrap-around.
+func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, cands *Candidates, multi []tfg.MessageID) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(11))
+
+	// A second problem of the same dimensions for the arena re-bind:
+	// other transmission times and no-slack flags, activity rows
+	// rotated by one message, intervals twice as long, uneven link
+	// shares.
+	ws2 := append([]Window(nil), ws...)
+	for i := range ws2 {
+		if i%3 == 0 {
+			ws2[i].Xmit = ws2[i].Length
+		} else {
+			ws2[i].Xmit *= 0.75
+		}
+	}
+	set2 := &IntervalSet{TauIn: 2 * act.Intervals.TauIn}
+	for _, e := range act.Intervals.Endpoints {
+		set2.Endpoints = append(set2.Endpoints, 2*e)
+	}
+	act2 := &Activity{Intervals: set2, Active: make([][]bool, len(ws))}
+	for i := range ws {
+		if !ws[i].Local {
+			act2.Active[i] = act.Active[(i+1)%len(ws)]
+		} else {
+			act2.Active[i] = act.Active[i]
+		}
+	}
+	cap2 := make([]float64, top.Links())
+	for j := range cap2 {
+		cap2[j] = 0.25 + 0.75*rng.Float64()
+	}
+	type binding struct {
+		ws      []Window
+		act     *Activity
+		linkCap []float64
+	}
+	bindings := []binding{{ws, act, nil}, {ws2, act2, cap2}}
+	cur := 0
+
+	var arena solveArena
+	ls := arena.loadState(top, pa, ws, act, nil)
+	ref := NewLoadStateCap(top, pa, ws, act, nil)
+	const genJump, epochJump = math.MaxUint32 - 20, math.MaxInt32 - 100
+
+	samePeak := func(step string) {
+		t.Helper()
+		gp, gl, gk := ls.PeakPosition()
+		wp, wl, wk := ref.PeakPosition()
+		if gp != wp || gl != wl || gk != wk {
+			t.Fatalf("memo/%s: peak (%v, %v, %v) != reference (%v, %v, %v)", step, gp, gl, gk, wp, wl, wk)
+		}
+	}
+	for step := 0; step < 400; step++ {
+		if step == 200 {
+			// Jump to the brink of wrap-around with the memo and the
+			// stamps full of low-numbered entries, the ones a wrapped
+			// counter would meet again.
+			ls.gen, ls.epoch = genJump, epochJump
+		}
+		mi := multi[rng.Intn(len(multi))]
+		list := cands.PathsOf[mi]
+		old := pa.Links[mi]
+		switch op := rng.Intn(10); {
+		case op < 5:
+			for pass := 0; pass < 2; pass++ {
+				for ci, c := range list {
+					gp, gl, gk := ls.EvalReroute(mi, old, c.links)
+					ref.ApplyReroute(mi, old, c.links)
+					wp, wl, wk := ref.PeakPosition()
+					ref.Undo(mi, old, c.links)
+					if gp != wp || gl != wl || gk != wk {
+						t.Fatalf("memo/eval step %d msg %d cand %d pass %d: (%v, %v, %v) != apply-peek-undo (%v, %v, %v)",
+							step, mi, ci, pass, gp, gl, gk, wp, wl, wk)
+					}
+				}
+			}
+		case op < 7:
+			c := list[rng.Intn(len(list))]
+			ls.ApplyReroute(mi, old, c.links)
+			ref.ApplyReroute(mi, old, c.links)
+			pa.SetPath(mi, c.path, c.links)
+			samePeak("apply")
+		case op < 8:
+			c := list[rng.Intn(len(list))]
+			ls.ApplyReroute(mi, old, c.links)
+			ls.Undo(mi, old, c.links)
+			samePeak("undo")
+		case op < 9:
+			randomize(pa, cands, rng)
+			ls.Reset(pa)
+			ref.Reset(pa)
+			samePeak("reset")
+		default:
+			cur = 1 - cur
+			b := bindings[cur]
+			if got := arena.loadState(top, pa, b.ws, b.act, b.linkCap); got != ls {
+				t.Fatal("memo/rebind: arena built a new LoadState for unchanged dimensions")
+			}
+			ref = NewLoadStateCap(top, pa, b.ws, b.act, b.linkCap)
+			samePeak("rebind")
+		}
+	}
+	b := bindings[cur]
+	want := ComputeUtilizationCap(top, pa, b.ws, b.act, b.linkCap)
+	got := ls.Utilization()
+	if got.Peak != want.Peak || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
+		t.Fatalf("memo/final: peak (%v, %v, %v) != full recompute (%v, %v, %v)",
+			got.Peak, got.PeakLink, got.PeakInterval, want.Peak, want.PeakLink, want.PeakInterval)
+	}
+	if ls.tentReused == 0 || ls.tentComputed == 0 {
+		t.Fatalf("memo: %d tentative scores computed, %d reused; the property needs both", ls.tentComputed, ls.tentReused)
+	}
+	if ls.gen >= genJump || ls.epoch >= epochJump {
+		t.Fatalf("memo: counters did not wrap (gen %d, epoch %d)", ls.gen, ls.epoch)
+	}
+}
+
+// TestLoadStateWrapDropsStaleEntries wraps the memo generation and the
+// eval stamp counter at moments when stale entries carrying the very
+// numbers the wrapped counters hand out next are still in place; an
+// eval that trusted one would score against link loads that have since
+// changed.
+func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
+	top, err := topology.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, ws, act, cands, multi := loadStateFixture(t, top, false)
+	ls := NewLoadState(top, pa, ws, act)
+	eval := func(step string, mi tfg.MessageID, c candidate) {
+		t.Helper()
+		gp, gl, gk := ls.EvalReroute(mi, pa.Links[mi], c.links)
+		ref := NewLoadState(top, pa, ws, act)
+		ref.ApplyReroute(mi, pa.Links[mi], c.links)
+		wp, wl, wk := ref.PeakPosition()
+		if gp != wp || gl != wl || gk != wk {
+			t.Fatalf("%s: msg %d onto %v: (%v, %v, %v) != applied (%v, %v, %v)", step, mi, c.links, gp, gl, gk, wp, wl, wk)
+		}
+	}
+	evalAll := func(step string, mi tfg.MessageID) {
+		t.Helper()
+		for _, c := range cands.PathsOf[mi] {
+			eval(step, mi, c)
+		}
+	}
+
+	// The hill-climb's first move: a message crossing the peak link.
+	_, peakLink, peakK := ls.PeakPosition()
+	mi := reroutable(pa, cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
+	evalAll("first generation", mi) // memo slots now carry generation 1
+
+	// Move every other message, then wrap the generation back to 1:
+	// mi's slots match again key for key but describe the old loads.
+	rng := rand.New(rand.NewSource(3))
+	for _, mj := range multi {
+		if mj != mi {
+			c := cands.PathsOf[mj][rng.Intn(len(cands.PathsOf[mj]))]
+			pa.SetPath(mj, c.path, c.links)
+		}
+	}
+	ls.gen = math.MaxUint32
+	ls.Reset(pa)
+	if ls.gen != 1 {
+		t.Fatalf("generation %d after wrap, want 1", ls.gen)
+	}
+	evalAll("wrapped generation", mi)
+
+	// Stamps: on a fresh state the first eval is number 3 and marks the
+	// links it changes with it — the peak link among them, since mi
+	// leaves it. Wrap, and the next eval is number 3 again; scoring a
+	// message that stays clear of the peak link, it must not take that
+	// link for one of its own.
+	ls = NewLoadState(top, pa, ws, act)
+	_, peakLink, peakK = ls.PeakPosition()
+	mi = reroutable(pa, cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
+	away := -1
+	for ci, c := range cands.PathsOf[mi] {
+		if !slices.Contains(c.links, peakLink) {
+			away = ci
+			break
+		}
+	}
+	if away < 0 {
+		t.Fatalf("every candidate of message %d crosses the peak link %d", mi, peakLink)
+	}
+	ls.EvalReroute(mi, pa.Links[mi], cands.PathsOf[mi][away].links)
+	if ls.stamp[peakLink] != 3 {
+		t.Fatalf("peak link stamped %d by the first eval, want 3", ls.stamp[peakLink])
+	}
+	ls.epoch = math.MaxInt32 - 1
+search:
+	for _, mj := range multi {
+		if slices.Contains(pa.Links[mj], peakLink) {
+			continue
+		}
+		for _, c := range cands.PathsOf[mj] {
+			if slices.Contains(c.links, peakLink) || c.path.Equal(pa.Paths[mj]) {
+				continue
+			}
+			ref := NewLoadState(top, pa, ws, act)
+			ref.ApplyReroute(mj, pa.Links[mj], c.links)
+			if _, l, _ := ref.PeakPosition(); l == peakLink { // the stale link decides the answer
+				eval("wrapped stamps", mj, c)
+				break search
+			}
+		}
+	}
+	if ls.epoch >= math.MaxInt32-1 {
+		t.Fatalf("stamp counter %d did not wrap", ls.epoch)
 	}
 }
 
@@ -134,5 +370,35 @@ func TestAssignPathsCrossCheck(t *testing.T) {
 	}
 	if res.Peak > res.PeakLSD {
 		t.Fatalf("AssignPaths peak %v worse than LSD %v", res.Peak, res.PeakLSD)
+	}
+
+	// A layered TFG on the 8x8 torus: many messages per link and up to
+	// 24 equivalent paths each, the shape the tentative-score memo and
+	// the touched-link bookkeeping are built for.
+	top, err := topology.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tfg.RandomLayered(7, []int{8, 16, 16, 16, 8}, 100, 100, 256, 3200, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := tfg.NewUniformTiming(g, 50, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := alloc.Random(g, top, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err = Compute(Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 150}, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Peak > res.PeakLSD {
+		t.Fatalf("layered/torus: AssignPaths peak %v worse than LSD %v", res.Peak, res.PeakLSD)
+	}
+	if res.Stats.AssignIterations < 100 {
+		t.Fatalf("layered/torus: only %d evaluations; the fixture no longer exercises the hill-climb", res.Stats.AssignIterations)
 	}
 }

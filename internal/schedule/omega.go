@@ -126,13 +126,31 @@ func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, 
 		}
 	}
 	for n := range om.Nodes {
-		// No node sees the same (Start, Msg) twice — a path visits a node
-		// once and distinct slices start at distinct times — so the key is
-		// a total order and any correct sort yields the permutation the
-		// old sort.Slice produced.
-		slices.SortFunc(om.Nodes[n].Commands, cmpCommand)
+		sortCommands(om.Nodes[n].Commands)
 	}
 	return om
+}
+
+// sortCommands orders one node's commands by (Start, Msg). No node sees
+// the same (Start, Msg) twice — a path visits a node once and distinct
+// slices start at distinct times — so the key is a strict total order
+// and any correct sort yields the same permutation. Slices arrive in
+// frame order, which leaves a node's list non-decreasing in Start with
+// only the runs of equal Start (one slice's messages) out of order, so
+// one pass sorts those runs; a list that is not in frame order gets the
+// full sort.
+func sortCommands(cmds []Command) {
+	lo := 0
+	for i := 1; i <= len(cmds); i++ {
+		if i < len(cmds) && cmds[i].Start < cmds[i-1].Start {
+			slices.SortFunc(cmds, cmpCommand)
+			return
+		}
+		if i == len(cmds) || cmds[i].Start != cmds[lo].Start {
+			slices.SortFunc(cmds[lo:i], cmpCommand)
+			lo = i
+		}
+	}
 }
 
 // cmpCommand orders commands by (Start, Msg) without the per-node
@@ -160,49 +178,7 @@ func (om *Omega) Validate(top *topology.Topology) error {
 	nw := len(om.Windows)
 	got := make([]float64, nw)
 
-	// Per-message linksets as a flat CSR: port counts bound each
-	// message's window, filled with the same first-occurrence dedup as
-	// the old per-message append lists.
-	portCnt := make([]int32, nw)
-	for _, ns := range om.Nodes {
-		for _, c := range ns.Commands {
-			if !c.In.AP {
-				portCnt[c.Msg]++
-			}
-			if !c.Out.AP {
-				portCnt[c.Msg]++
-			}
-		}
-	}
-	lsOff := make([]int32, nw+1)
-	for i := 0; i < nw; i++ {
-		lsOff[i+1] = lsOff[i] + portCnt[i]
-	}
-	lsFlat := make([]topology.LinkID, lsOff[nw])
-	lsLen := make([]int32, nw)
-	addLink := func(msg tfg.MessageID, l topology.LinkID) {
-		w := lsFlat[lsOff[msg] : lsOff[msg]+lsLen[msg]]
-		for _, x := range w {
-			if x == l {
-				return
-			}
-		}
-		lsFlat[lsOff[msg]+lsLen[msg]] = l
-		lsLen[msg]++
-	}
-	for _, ns := range om.Nodes {
-		for _, c := range ns.Commands {
-			if !c.In.AP {
-				addLink(c.Msg, c.In.Link)
-			}
-			if !c.Out.AP {
-				addLink(c.Msg, c.Out.Link)
-			}
-		}
-	}
-	linkset := func(msg tfg.MessageID) []topology.LinkID {
-		return lsFlat[lsOff[msg] : lsOff[msg]+lsLen[msg]]
-	}
+	linksets := om.Linksets()
 
 	spanCnt := make([]int32, top.Links())
 	for _, sl := range om.Slices {
@@ -220,7 +196,7 @@ func (om *Omega) Validate(top *topology.Topology) error {
 				return fmt.Errorf("schedule: message %d transmission runs %g past its window", msg, off-w.Length)
 			}
 			got[msg] += end - start
-			for _, l := range linkset(msg) {
+			for _, l := range linksets[msg] {
 				spanCnt[l]++
 			}
 		}
@@ -247,7 +223,7 @@ func (om *Omega) Validate(top *topology.Topology) error {
 	}
 	for _, sl := range om.Slices {
 		for mi, msg := range sl.Msgs {
-			for _, l := range linkset(msg) {
+			for _, l := range linksets[msg] {
 				spans[cursor[l]] = valSpan{sl.Start, sl.Until[mi], msg}
 				cursor[l]++
 			}
@@ -278,25 +254,65 @@ type valSpan struct {
 	msg        tfg.MessageID
 }
 
-// linksets are derived from the node schedules so validation checks the
-// emitted Ω, not the intermediate structures.
-func (om *Omega) Linkset(msg tfg.MessageID) []topology.LinkID {
-	var seen topology.LinkSet
+// Linksets returns, for every message, the links its commands connect,
+// in ascending link order; row m has no entries when message m is local
+// or unscheduled. The sets are derived from the node schedules, so
+// validation and replay check the emitted Ω, not the intermediate
+// structures. All rows are filled together — a counting pass and a
+// filling pass over the commands — and share a single backing array.
+func (om *Omega) Linksets() [][]topology.LinkID {
+	// Link-port counts bound each message's row; off grows should a
+	// command name a message past the windows.
+	off := make([]int32, len(om.Windows)+1)
 	for _, ns := range om.Nodes {
 		for _, c := range ns.Commands {
-			if c.Msg != msg {
-				continue
+			if short := int(c.Msg) + 2 - len(off); short > 0 {
+				off = append(off, make([]int32, short)...)
 			}
-			for _, p := range []Port{c.In, c.Out} {
-				if !p.AP {
-					seen.Add(p.Link)
-				}
+			if !c.In.AP {
+				off[c.Msg+1]++
+			}
+			if !c.Out.AP {
+				off[c.Msg+1]++
 			}
 		}
 	}
-	// LinkSet iterates in ascending ID order, preserving the sorted
-	// contract of the old map-plus-sort implementation.
-	return seen.Links()
+	n := len(off) - 1
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	flat := make([]topology.LinkID, off[n])
+	sets := make([][]topology.LinkID, n)
+	for i := range sets {
+		sets[i] = flat[off[i]:off[i]:off[i+1]]
+	}
+	// A link shows up at both of its endpoints and once more per slice;
+	// rows stay path-length short, so a scan dedups them.
+	add := func(msg tfg.MessageID, p Port) {
+		if !p.AP && !slices.Contains(sets[msg], p.Link) {
+			sets[msg] = append(sets[msg], p.Link)
+		}
+	}
+	for _, ns := range om.Nodes {
+		for _, c := range ns.Commands {
+			add(c.Msg, c.In)
+			add(c.Msg, c.Out)
+		}
+	}
+	for _, set := range sets {
+		slices.Sort(set)
+	}
+	return sets
+}
+
+// Linkset returns message msg's row of Linksets; callers that need more
+// than one message should take the table instead.
+func (om *Omega) Linkset(msg tfg.MessageID) []topology.LinkID {
+	sets := om.Linksets()
+	if int(msg) >= len(sets) {
+		return nil
+	}
+	return slices.Clone(sets[msg])
 }
 
 // CommandsAt returns node n's switching schedule.

@@ -1,7 +1,10 @@
 package schedule
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"schedroute/internal/tfg"
@@ -116,6 +119,115 @@ func TestOmegaLinkset(t *testing.T) {
 	ls := om.Linkset(0)
 	if len(ls) != len(pa.Links[0]) {
 		t.Fatalf("linkset = %v", ls)
+	}
+	// A decoded Ω may carry commands for a message it has no window for;
+	// the table still covers it, and asking past the table is no links.
+	om.Windows = nil
+	if got := om.Linkset(0); !slices.Equal(got, ls) {
+		t.Fatalf("linkset without windows = %v, want %v", got, ls)
+	}
+	if got := om.Linkset(99); len(got) != 0 {
+		t.Fatalf("linkset of an unknown message = %v", got)
+	}
+}
+
+// linksetReference is Linkset as first written: one scan of every
+// command per message, the links collected in a set and read back in
+// ascending order.
+func linksetReference(om *Omega, msg tfg.MessageID) []topology.LinkID {
+	var seen topology.LinkSet
+	for _, ns := range om.Nodes {
+		for _, c := range ns.Commands {
+			if c.Msg != msg {
+				continue
+			}
+			for _, p := range []Port{c.In, c.Out} {
+				if !p.AP {
+					seen.Add(p.Link)
+				}
+			}
+		}
+	}
+	return seen.Links()
+}
+
+// TestOmegaLinksetsMatchesPerMessageScan checks the one-pass table
+// against the per-message scan on the standard configurations at their
+// lowest load (the two B=64 tori are infeasible at every load and emit
+// no Ω) and on a faulted one, local messages included.
+func TestOmegaLinksetsMatchesPerMessageScan(t *testing.T) {
+	checked := 0
+	check := func(name string, p Problem) {
+		t.Helper()
+		res, err := Compute(p, Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Feasible {
+			return
+		}
+		checked++
+		sets := res.Omega.Linksets()
+		if len(sets) != len(res.Windows) {
+			t.Fatalf("%s: %d linksets for %d messages", name, len(sets), len(res.Windows))
+		}
+		routed := 0
+		for m := range sets {
+			want := linksetReference(res.Omega, tfg.MessageID(m))
+			if !slices.Equal(sets[m], want) {
+				t.Fatalf("%s: Linksets()[%d] = %v, per-message scan %v", name, m, sets[m], want)
+			}
+			if got := res.Omega.Linkset(tfg.MessageID(m)); !slices.Equal(got, want) {
+				t.Fatalf("%s: Linkset(%d) = %v, per-message scan %v", name, m, got, want)
+			}
+			if len(want) > 0 {
+				routed++
+			}
+		}
+		if routed == 0 {
+			t.Fatalf("%s: no message crosses a link", name)
+		}
+	}
+	for name, top := range solverGoldenTopologies(t) {
+		for _, bw := range []float64{64, 128} {
+			check(fmt.Sprintf("%s-b%g", name, bw), dvbProblem(t, top, bw, gridTauIn(11)))
+		}
+	}
+	top := sixCube(t)
+	p := dvbProblem(t, top, 64, gridTauIn(11))
+	p.Faults = topology.NewFaultSet(top.Links(), top.Nodes())
+	p.Faults.FailLink(0)
+	check("6cube-faulted", p)
+	if checked != 7 {
+		t.Fatalf("%d configurations emitted an Ω to check, want 7", checked)
+	}
+}
+
+// TestSortCommandsMatchesFullSort compares the run-wise sort BuildOmega
+// uses with a full sort on random command lists: in frame order with
+// long runs of equal Start (one slice's messages, shuffled), and with a
+// start out of frame order, where it must fall back.
+func TestSortCommandsMatchesFullSort(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for trial := 0; trial < 500; trial++ {
+		var cmds []Command
+		start := 0.0
+		for run := rng.Intn(8); run >= 0; run-- {
+			start += float64(1 + rng.Intn(3))
+			for _, m := range rng.Perm(12)[:1+rng.Intn(6)] {
+				cmds = append(cmds, Command{Start: start, End: start + 1, Msg: tfg.MessageID(m)})
+			}
+		}
+		if trial%5 == 0 && len(cmds) > 1 {
+			i, j := rng.Intn(len(cmds)), rng.Intn(len(cmds))
+			cmds[i], cmds[j] = cmds[j], cmds[i]
+		}
+		want := slices.Clone(cmds)
+		slices.SortFunc(want, cmpCommand)
+		sortCommands(cmds)
+		if !slices.Equal(cmds, want) {
+			t.Fatalf("trial %d: run-wise sort %v, full sort %v", trial, cmds, want)
+		}
 	}
 }
 

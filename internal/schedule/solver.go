@@ -342,7 +342,9 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 				// AssignPaths starts from LSD, so it can never be worse.
 				pa, peak = lsd, lsdU.Peak
 			}
-			ap.SetAttrs(trace.Int("iterations", ar.Iterations))
+			ap.SetAttrs(trace.Int("iterations", ar.Iterations),
+				trace.Int("tentative_computed", ar.TentativeComputed),
+				trace.Int("tentative_reused", ar.TentativeReused))
 		}
 		ap.SetAttrs(trace.Float64("peak", peak))
 		ap.End()

@@ -46,6 +46,41 @@ func TestTracedSolveNamesEveryPipelineStageOnce(t *testing.T) {
 	}
 }
 
+// The assign_paths span splits the per-link scores behind its
+// evaluations into computed and memoized ones. Both counts are pure
+// functions of the solve: a second solve on the same Solver, which finds
+// the first one's LoadState pooled with its running totals, reports the
+// same pair.
+func TestTracedAssignPathsCountsTentativeScores(t *testing.T) {
+	s := NewSolver(dvbProblem(t, sixCube(t), 64, gridTauIn(5)))
+	var runs [2]map[string]int64
+	for i := range runs {
+		root := trace.Start("test")
+		res, err := s.Solve(context.Background(), gridTauIn(5), Options{Seed: 1, Trace: root})
+		root.End()
+		if err != nil {
+			t.Fatal(err)
+		}
+		runs[i] = map[string]int64{}
+		res.Trace.Walk(func(_ int, n *trace.Tree) {
+			if n.Name == SpanAssignPaths {
+				for _, a := range n.Attrs {
+					runs[i][a.Key] = a.Int
+				}
+			}
+		})
+		if runs[i]["iterations"] != int64(res.Stats.AssignIterations) {
+			t.Errorf("run %d: span says %d iterations, stats %d", i, runs[i]["iterations"], res.Stats.AssignIterations)
+		}
+	}
+	if runs[0]["tentative_computed"] == 0 || runs[0]["tentative_reused"] == 0 {
+		t.Errorf("assign_paths attrs %v lack tentative_computed / tentative_reused", runs[0])
+	}
+	if !reflect.DeepEqual(runs[0], runs[1]) {
+		t.Errorf("assign_paths attrs differ between identical solves: %v vs %v", runs[0], runs[1])
+	}
+}
+
 // Tracing must not perturb the solve: a traced Result equals the
 // untraced Result once the Trace field is cleared.
 func TestTracedSolveMatchesUntraced(t *testing.T) {
