@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check race faults bench bench-parallel bench-json bench-compare bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all build vet test check race loc faults bench bench-parallel bench-json bench-compare bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
 
 all: check
 
@@ -23,6 +23,11 @@ check: build vet test
 
 race:
 	$(GO) test -race ./...
+
+# Non-test Go lines per package (plain wc -l, no comment stripping): the
+# number a diet PR quotes before and after (scripts/loc.sh).
+loc:
+	sh scripts/loc.sh
 
 # Survivability smoke sweep: the repair ladder against single-link
 # faults on the binary 6-cube, each repaired Ω re-verified by
@@ -61,9 +66,9 @@ tenant-smoke:
 	sh scripts/tenant_smoke.sh
 
 # End-to-end smoke of the unified exploration surface: /v1/explore in
-# Pareto and grid modes, the /v1/sweep adapter's byte-identity with the
-# explore projection, srsched -explore, mode exclusivity (exit 2), and
-# the explore metrics (scripts/explore_smoke.sh).
+# Pareto and grid modes (the retired /v1/sweep must be a 404), srsched
+# -explore, mode exclusivity (exit 2), and the explore metrics
+# (scripts/explore_smoke.sh).
 explore-smoke:
 	sh scripts/explore_smoke.sh
 

@@ -37,68 +37,31 @@ func (e *ErrAllocationInfeasible) Error() string {
 // LP relaxation of the paper's integer program is exact here).
 func AllocateIntervals(subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity) (*Allocation, error) {
 	var a solveArena
-	return allocateIntervals(&a, subsets, pa, ws, act, nil)
+	return allocateIntervals(&a, subsets, pa, ws, act, nil, nil)
 }
 
-// AllocateIntervalsCap is AllocateIntervals against a per-link capacity
-// vector (see Options.LinkCap): every constraint-(4) right-hand side
-// becomes linkCap[j]·|A_k|, so the subset's traffic fits inside the
-// link's reserved share. Links with a share below 1 are constrained
-// even when only a single message crosses them (the cell cap alone
-// would over-admit). nil is the whole machine.
-func AllocateIntervalsCap(subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) (*Allocation, error) {
-	var a solveArena
-	return allocateIntervals(&a, subsets, pa, ws, act, linkCap)
+// allocPin holds part of an allocation fixed — the heart of incremental
+// schedule repair: every message free does not report keeps its row of
+// base, and only the free (rerouted) messages get fresh allocations,
+// solved against the residual per-(link, interval) capacity the pinned
+// reservations leave. Every pinned non-local message must have a row in
+// base.
+type allocPin struct {
+	base *Allocation
+	free func(tfg.MessageID) bool
 }
 
-func allocateIntervals(a *solveArena, subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) (*Allocation, error) {
+// allocateIntervals is AllocateIntervals on a pooled arena, against a
+// per-link capacity vector (see Options.LinkCap; nil is the whole
+// machine) and an optional pin (nil frees every message). Every
+// constraint-(4) right-hand side is linkCap[j]·|A_k| less the pinned
+// usage, so neither a fresh solve nor an incremental repair can grow a
+// tenant's traffic beyond its reserved share.
+func allocateIntervals(a *solveArena, subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64, pin *allocPin) (*Allocation, error) {
 	K := act.Intervals.K()
 	out := &Allocation{P: make([][]float64, len(ws))}
 	for _, subset := range subsets {
-		if err := allocateSubset(a, subset, pa, ws, act, K, out, linkCap); err != nil {
-			return nil, err
-		}
-	}
-	return out, nil
-}
-
-// AllocateIntervalsPinned re-solves the Section 5.2 allocation with the
-// rows of pinned messages held at their values in base — the heart of
-// incremental schedule repair: only the free (rerouted) messages get
-// fresh allocations, solved against the residual per-(link, interval)
-// capacity left by the pinned reservations. free reports whether a
-// message may be reallocated; every other non-local message must have a
-// row in base.
-func AllocateIntervalsPinned(subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, base *Allocation, free func(tfg.MessageID) bool) (*Allocation, error) {
-	return AllocateIntervalsPinnedCap(subsets, pa, ws, act, base, free, nil)
-}
-
-// AllocateIntervalsPinnedCap is AllocateIntervalsPinned against a
-// per-link capacity vector (see Options.LinkCap): the residual each
-// free message sees is linkCap[j]·|A_k| minus the pinned usage, so an
-// incremental repair cannot grow a tenant's traffic beyond its
-// reserved share. nil is the whole machine.
-func AllocateIntervalsPinnedCap(subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, base *Allocation, free func(tfg.MessageID) bool, linkCap []float64) (*Allocation, error) {
-	var a solveArena
-	K := act.Intervals.K()
-	out := &Allocation{P: make([][]float64, len(ws))}
-	var freeMsgs []tfg.MessageID
-	for _, subset := range subsets {
-		freeMsgs = freeMsgs[:0]
-		for _, mi := range subset {
-			if free(mi) {
-				freeMsgs = append(freeMsgs, mi)
-			} else {
-				if base.P[mi] == nil {
-					return nil, fmt.Errorf("schedule: pinned message %d has no base allocation", mi)
-				}
-				out.P[mi] = append([]float64(nil), base.P[mi]...)
-			}
-		}
-		if len(freeMsgs) == 0 {
-			continue
-		}
-		if err := allocateSubsetPinned(&a, subset, freeMsgs, pa, ws, act, K, out, linkCap); err != nil {
+		if err := allocateSubset(a, subset, pin, pa, ws, act, K, out, linkCap); err != nil {
 			return nil, err
 		}
 	}
@@ -188,92 +151,33 @@ func (sc *allocScratch) extract(sol lp.Solution, nrows, K int, out *Allocation) 
 	}
 }
 
-func allocateSubset(a *solveArena, subset []tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, K int, out *Allocation, linkCap []float64) error {
+// allocateSubset solves the allocation LP for the free members of one
+// maximal subset (all of them, in a plain solve); the pinned members
+// keep their base rows in out and consume capacity on every (link,
+// interval) they occupy.
+func allocateSubset(a *solveArena, subset []tfg.MessageID, pin *allocPin, pa *PathAssignment, ws []Window, act *Activity, K int, out *Allocation, linkCap []float64) error {
 	sc := &a.alloc
 	maxLink := maxLinkOf(subset, pa)
 	sc.ensure(len(ws), K, int(maxLink))
-	sc.buildCells(subset, act, K)
-	prob := a.lpProblem(len(sc.cellMsg))
-
-	// (3) Demand equality per message.
+	freeMsgs := sc.free[:0]
 	for _, mi := range subset {
-		idx, val := sc.demandRow(mi, act, K)
-		if len(idx) == 0 {
-			return &ErrAllocationInfeasible{Subset: subset}
-		}
-		if err := prob.AddRow(idx, val, lp.EQ, ws[mi].Xmit); err != nil {
-			return err
-		}
-	}
-
-	if err := addCellCaps(prob, sc, act); err != nil {
-		return err
-	}
-
-	// (4) Link capacity per (link, interval) touched by the subset.
-	// Per-link message lists indexed by LinkID are built once and walked
-	// in ascending link order, so the LP sees constraints in a
-	// deterministic order.
-	sc.epoch++
-	for _, mi := range subset {
-		for _, l := range pa.Links[mi] {
-			sc.touchLink(int(l))
-			sc.linkFree[l] = append(sc.linkFree[l], mi)
+		sc.isFree[mi] = pin == nil || pin.free(mi)
+		if sc.isFree[mi] {
+			freeMsgs = append(freeMsgs, mi)
+		} else if pin.base.P[mi] == nil {
+			return fmt.Errorf("schedule: pinned message %d has no base allocation", mi)
+		} else {
+			out.P[mi] = append([]float64(nil), pin.base.P[mi]...)
 		}
 	}
-	for l := 0; l <= int(maxLink); l++ {
-		if sc.linkEpoch[l] != sc.epoch {
-			continue
-		}
-		// A reserved share below 1 binds even a lone message (the cell
-		// cap alone would let it fill the whole physical interval).
-		share := 1.0
-		if linkCap != nil {
-			if share = linkCap[l]; share < 0 {
-				share = 0
-			}
-		}
-		msgs := sc.linkFree[l]
-		if len(msgs) < 2 && share >= 1 {
-			continue // a single message is covered by the cell cap
-		}
-		for k := 0; k < K; k++ {
-			sc.rowIdx = sc.rowIdx[:0]
-			sc.rowVal = sc.rowVal[:0]
-			for _, mi := range msgs {
-				if act.Active[mi][k] {
-					sc.rowIdx = append(sc.rowIdx, sc.varOf[int(mi)*K+k])
-					sc.rowVal = append(sc.rowVal, 1)
-				}
-			}
-			if len(sc.rowIdx) == 0 || (len(sc.rowIdx) < 2 && share >= 1) {
-				continue // a lone message is covered by the cell cap
-			}
-			if err := prob.AddRow(sc.rowIdx, sc.rowVal, lp.LE, share*act.Intervals.Length(k)); err != nil {
-				return err
-			}
-		}
+	sc.free = freeMsgs
+	if len(freeMsgs) == 0 {
+		return nil
 	}
-
-	sol := prob.Solve()
-	if sol.Status != lp.Optimal {
-		return &ErrAllocationInfeasible{Subset: subset}
-	}
-	sc.extract(sol, len(subset), K, out)
-	return nil
-}
-
-// allocateSubsetPinned solves the allocation LP for the free members of
-// one maximal subset; the pinned members' rows are already in out and
-// consume capacity on every (link, interval) they occupy.
-func allocateSubsetPinned(a *solveArena, subset, freeMsgs []tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, K int, out *Allocation, linkCap []float64) error {
-	sc := &a.alloc
-	maxLink := maxLinkOf(subset, pa)
-	sc.ensure(len(ws), K, int(maxLink))
 	sc.buildCells(freeMsgs, act, K)
 	prob := a.lpProblem(len(sc.cellMsg))
 
-	// Demand equality per free message.
+	// (3) Demand equality per free message.
 	for _, mi := range freeMsgs {
 		idx, val := sc.demandRow(mi, act, K)
 		if len(idx) == 0 {
@@ -284,20 +188,16 @@ func allocateSubsetPinned(a *solveArena, subset, freeMsgs []tfg.MessageID, pa *P
 		}
 	}
 
-	// Per-cell capacity.
 	if err := addCellCaps(prob, sc, act); err != nil {
 		return err
 	}
 
-	// Link capacity with the pinned usage subtracted from the RHS. Any
-	// link a free message uses must be constrained, even when it is the
-	// only free user, because pinned reservations consume capacity too.
-	for _, mi := range subset {
-		sc.isFree[mi] = false
-	}
-	for _, mi := range freeMsgs {
-		sc.isFree[mi] = true
-	}
+	// (4) Link capacity per (link, interval) a free message touches, the
+	// pinned usage subtracted from the right-hand side: pinning is a
+	// residual, not a second system, and it binds even a link's only
+	// free user. Per-link message lists indexed by LinkID are built once
+	// and walked in ascending link order, so the LP sees constraints in a
+	// deterministic order.
 	sc.epoch++
 	for _, mi := range subset {
 		for _, l := range pa.Links[mi] {
@@ -313,6 +213,8 @@ func allocateSubsetPinned(a *solveArena, subset, freeMsgs []tfg.MessageID, pa *P
 		if sc.linkEpoch[l] != sc.epoch || len(sc.linkFree[l]) == 0 {
 			continue
 		}
+		// A reserved share below 1 binds even a lone message (the cell
+		// cap alone would let it fill the whole physical interval).
 		share := 1.0
 		if linkCap != nil {
 			if share = linkCap[l]; share < 0 {
@@ -341,7 +243,7 @@ func allocateSubsetPinned(a *solveArena, subset, freeMsgs []tfg.MessageID, pa *P
 				residual = 0
 			}
 			if len(sc.rowIdx) < 2 && residual >= act.Intervals.Length(k) {
-				continue // lone free message, no pinned pressure: cell cap suffices
+				continue // lone free message at full share, no pinned pressure: cell cap suffices
 			}
 			if err := prob.AddRow(sc.rowIdx, sc.rowVal, lp.LE, residual); err != nil {
 				return err

@@ -66,9 +66,11 @@ type allocScratch struct {
 	linkEpoch  []int32
 	epoch      int32
 
-	// isFree flags the pinned variant's reallocatable messages; it is
-	// re-initialized for every member of the current subset per call.
+	// isFree flags the reallocatable (not pinned) messages, listed in
+	// free; both are re-initialized for every member of the current
+	// subset per call.
 	isFree []bool
+	free   []tfg.MessageID
 }
 
 func (sc *allocScratch) ensure(nmsgs, K, maxLink int) {
@@ -77,6 +79,7 @@ func (sc *allocScratch) ensure(nmsgs, K, maxLink int) {
 	}
 	if len(sc.isFree) < nmsgs {
 		sc.isFree = make([]bool, nmsgs)
+		sc.free = make([]tfg.MessageID, 0, nmsgs)
 	}
 	if len(sc.linkEpoch) < maxLink+1 {
 		sc.linkFree = append(sc.linkFree, make([][]tfg.MessageID, maxLink+1-len(sc.linkFree))...)

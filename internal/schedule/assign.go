@@ -50,15 +50,10 @@ func AssignPaths(initial *PathAssignment, cands *Candidates, top *topology.Topol
 	return assignPaths(&a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil)
 }
 
-// AssignPathsCap is AssignPaths against a per-link capacity vector (see
-// Options.LinkCap): the hill-climb minimizes the capacity-relative peak
-// max_j U_j / linkCap[j], steering traffic away from links with little
-// residual share. nil is the whole machine.
-func AssignPathsCap(initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) *AssignPathsResult {
-	var a solveArena
-	return assignPaths(&a, initial, cands, top, ws, act, seed, maxOuter, maxInner, linkCap)
-}
-
+// assignPaths is AssignPaths on a pooled arena against a per-link
+// capacity vector (see Options.LinkCap): the hill-climb minimizes the
+// capacity-relative peak max_j U_j / linkCap[j], steering traffic away
+// from links with little residual share. nil is the whole machine.
 func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) *AssignPathsResult {
 	if maxOuter < 1 {
 		maxOuter = 1
@@ -133,7 +128,7 @@ func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top 
 			curPeak, curLink, curInterval = chosen.peak, chosen.link, chosen.interval
 		}
 		if assignCrossCheck {
-			full := ComputeUtilizationCap(top, current, ws, act, linkCap)
+			full := computeUtilization(new(solveArena), top, current, ws, act, linkCap)
 			got := ls.Utilization()
 			if got.Peak != full.Peak || got.PeakLink != full.PeakLink || got.PeakInterval != full.PeakInterval {
 				panic(fmt.Sprintf("schedule: LoadState diverged from ComputeUtilization: incremental (%v, %v, %v) vs full (%v, %v, %v)",

@@ -96,6 +96,15 @@ type Options struct {
 	Trace *trace.Span
 }
 
+// window is the message window length: the override, or the paper's
+// choice τc.
+func (o *Options) window(tm *tfg.Timing) float64 {
+	if o.Window != 0 {
+		return o.Window
+	}
+	return tm.TauC()
+}
+
 func (o *Options) withDefaults() Options {
 	out := *o
 	if out.MaxPaths == 0 {
@@ -223,8 +232,7 @@ type Result struct {
 // for the per-slice guard waits (source CPs delaying up to margin after
 // each scheduled start, see internal/cpsim) without missing the real
 // deadline.
-func applySyncMargin(ws []Window, margin, tauIn float64) error {
-	_ = tauIn
+func applySyncMargin(ws []Window, margin float64) error {
 	for i := range ws {
 		if ws[i].Local {
 			continue

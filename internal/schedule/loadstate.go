@@ -118,13 +118,8 @@ type LoadState struct {
 // critical.
 const topkSize = 80
 
-// NewLoadState builds the accumulators for pa from scratch.
-func NewLoadState(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity) *LoadState {
-	return NewLoadStateCap(top, pa, ws, act, nil)
-}
-
-// NewLoadStateCap builds the accumulators with a per-link capacity
-// vector (nil for the whole machine).
+// NewLoadStateCap builds the accumulators for pa from scratch, with a
+// per-link capacity vector (nil for the whole machine).
 func NewLoadStateCap(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *LoadState {
 	nl := top.Links()
 	K := act.Intervals.K()

@@ -94,7 +94,7 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 				}
 				pa, ws, act, cands, multi := loadStateFixture(t, top, faulted)
 
-				ls := NewLoadState(top, pa, ws, act)
+				ls := NewLoadStateCap(top, pa, ws, act, nil)
 				checkLoadState(t, ls, top, pa, ws, act, "initial")
 
 				rng := rand.New(rand.NewSource(7))
@@ -248,7 +248,7 @@ func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment
 		}
 	}
 	b := bindings[cur]
-	want := ComputeUtilizationCap(top, pa, b.ws, b.act, b.linkCap)
+	want := computeUtilization(new(solveArena), top, pa, b.ws, b.act, b.linkCap)
 	got := ls.Utilization()
 	if got.Peak != want.Peak || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
 		t.Fatalf("memo/final: peak (%v, %v, %v) != full recompute (%v, %v, %v)",
@@ -273,11 +273,11 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 		t.Fatal(err)
 	}
 	pa, ws, act, cands, multi := loadStateFixture(t, top, false)
-	ls := NewLoadState(top, pa, ws, act)
+	ls := NewLoadStateCap(top, pa, ws, act, nil)
 	eval := func(step string, mi tfg.MessageID, c candidate) {
 		t.Helper()
 		gp, gl, gk := ls.EvalReroute(mi, pa.Links[mi], c.links)
-		ref := NewLoadState(top, pa, ws, act)
+		ref := NewLoadStateCap(top, pa, ws, act, nil)
 		ref.ApplyReroute(mi, pa.Links[mi], c.links)
 		wp, wl, wk := ref.PeakPosition()
 		if gp != wp || gl != wl || gk != wk {
@@ -317,7 +317,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	// leaves it. Wrap, and the next eval is number 3 again; scoring a
 	// message that stays clear of the peak link, it must not take that
 	// link for one of its own.
-	ls = NewLoadState(top, pa, ws, act)
+	ls = NewLoadStateCap(top, pa, ws, act, nil)
 	_, peakLink, peakK = ls.PeakPosition()
 	mi = reroutable(pa, cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
 	away := -1
@@ -344,7 +344,7 @@ search:
 			if slices.Contains(c.links, peakLink) || c.path.Equal(pa.Paths[mj]) {
 				continue
 			}
-			ref := NewLoadState(top, pa, ws, act)
+			ref := NewLoadStateCap(top, pa, ws, act, nil)
 			ref.ApplyReroute(mj, pa.Links[mj], c.links)
 			if _, l, _ := ref.PeakPosition(); l == peakLink { // the stale link decides the answer
 				eval("wrapped stamps", mj, c)

@@ -383,10 +383,7 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 	if grid < 1 {
 		return nil, fmt.Errorf("schedule: explore grid needs at least 1 point, got %d", grid)
 	}
-	baseWindow := opt.Window
-	if baseWindow == 0 {
-		baseWindow = tauC
-	}
+	baseWindow := opt.window(p.Timing)
 	wantLatency := false
 	for _, ob := range objectives {
 		if ob == ObjLatency {
@@ -455,6 +452,11 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 		solvers[i] = NewSolver(prob)
 		wlos[i] = minLegalWindow(p.Graph, p.Timing, as, opt.SyncMargin, tauC)
 	}
+	solveAt := func(placement int, sp *trace.Span, tauIn, window float64) (*Result, error) {
+		o := opt
+		o.Window, o.Trace = window, sp
+		return solvers[placement].Solve(ctx, tauIn, o)
+	}
 
 	// Per-placement spans are pre-created serially in index order;
 	// each fan-out worker records only into its own subtree, so the
@@ -483,42 +485,15 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 			if !ok {
 				return false, nil
 			}
-			o := opt
-			o.Window = w
-			o.Trace = bspans[i]
-			res, err := solvers[i].Solve(ctx, tauIn, o)
+			res, err := solveAt(i, bspans[i], tauIn, w)
 			if err != nil {
-				return false, err
+				return false, fmt.Errorf("schedule: explore placement %d at τin=%g: %w", i, tauIn, err)
 			}
 			return res.Feasible, nil
 		}
-		feas, err := feasibleAt(lo)
-		if err != nil {
-			return fmt.Errorf("schedule: explore placement %d at τin=%g: %w", i, lo, err)
-		}
-		if feas {
-			out.Feasible, out.MinTauIn = true, lo
-		} else {
-			feas, err = feasibleAt(hi)
-			if err != nil {
-				return fmt.Errorf("schedule: explore placement %d at τin=%g: %w", i, hi, err)
-			}
-			if feas {
-				blo, bhi := lo, hi
-				for bhi-blo > tol {
-					mid := blo + (bhi-blo)/2
-					feas, err = feasibleAt(mid)
-					if err != nil {
-						return fmt.Errorf("schedule: explore placement %d at τin=%g: %w", i, mid, err)
-					}
-					if feas {
-						bhi = mid
-					} else {
-						blo = mid
-					}
-				}
-				out.Feasible, out.MinTauIn = true, bhi
-			}
+		var err error
+		if out.MinTauIn, out.Feasible, err = bisect(lo, hi, tol, feasibleAt); err != nil {
+			return err
 		}
 		bspans[i].SetAttrs(trace.Bool("feasible", out.Feasible),
 			trace.Float64("min_tau_in", out.MinTauIn))
@@ -557,18 +532,12 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 	err = parallel.ForEach(ctx, len(cells), parallel.Workers(opt.Procs), func(k int) error {
 		defer cspans[k].End()
 		c := cells[k]
-		solve := func(window float64) (*Result, error) {
-			o := opt
-			o.Window = window
-			o.Trace = cspans[k]
-			return solvers[c.placement].Solve(ctx, c.tauIn, o)
-		}
 		whi, ok := windowFor(wlos[c.placement], c.tauIn)
 		if !ok {
 			cspans[k].SetAttrs(trace.Bool("feasible", false))
 			return nil
 		}
-		res, err := solve(whi)
+		res, err := solveAt(c.placement, cspans[k], c.tauIn, whi)
 		if err != nil {
 			return fmt.Errorf("schedule: explore cell τin=%g: %w", c.tauIn, err)
 		}
@@ -582,28 +551,23 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 		if wantLatency {
 			// Latency minimization: Λw shrinks with the window, so find
 			// the shortest window that still schedules at this period.
-			wlo := wlos[c.placement]
-			if wlo < whi {
-				if r, err := solve(wlo); err != nil {
-					return fmt.Errorf("schedule: explore cell τin=%g window=%g: %w", c.tauIn, wlo, err)
-				} else if r.Feasible {
-					window, res = wlo, r
-				} else {
-					blo, bhi := wlo, whi
-					for bhi-blo > tol {
-						mid := blo + (bhi-blo)/2
-						r, err := solve(mid)
-						if err != nil {
-							return fmt.Errorf("schedule: explore cell τin=%g window=%g: %w", c.tauIn, mid, err)
-						}
-						if r.Feasible {
-							bhi, res = mid, r
-						} else {
-							blo = mid
-						}
-					}
-					window = bhi
+			// whi was solved above, so the probe answers for it without
+			// a second solve.
+			window, _, err = bisect(wlos[c.placement], whi, tol, func(w float64) (bool, error) {
+				if w == whi {
+					return true, nil
 				}
+				r, err := solveAt(c.placement, cspans[k], c.tauIn, w)
+				if err != nil {
+					return false, fmt.Errorf("schedule: explore cell τin=%g window=%g: %w", c.tauIn, w, err)
+				}
+				if r.Feasible {
+					res = r
+				}
+				return r.Feasible, nil
+			})
+			if err != nil {
+				return err
 			}
 		}
 		links, buffers := ResourceFootprint(res)
@@ -647,6 +611,33 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 	root.SetAttrs(trace.Int("evaluated", front.Evaluated),
 		trace.Int("front", len(front.Points)))
 	return front, nil
+}
+
+// bisect finds the smallest feasible x in [lo, hi] to within tol, for a
+// probe that is monotone (infeasible below some threshold, feasible
+// above). It probes lo, then hi, then keeps lo infeasible and hi
+// feasible until they are tol apart and returns the feasible end; ok is
+// false when even hi is infeasible. The last feasible probe is always
+// at the returned x. A probe error aborts the search.
+func bisect(lo, hi, tol float64, probe func(x float64) (bool, error)) (x float64, ok bool, err error) {
+	if ok, err = probe(lo); ok || err != nil {
+		return lo, ok, err
+	}
+	if ok, err = probe(hi); !ok || err != nil {
+		return 0, false, err
+	}
+	for hi-lo > tol {
+		mid := lo + (hi-lo)/2
+		if ok, err = probe(mid); err != nil {
+			return 0, false, err
+		}
+		if ok {
+			hi = mid
+		} else {
+			lo = mid
+		}
+	}
+	return hi, true, nil
 }
 
 func endSpans(spans []*trace.Span) {

@@ -3,6 +3,7 @@ package schedule
 import (
 	"bytes"
 	"context"
+	"errors"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -199,7 +200,9 @@ func TestExploreOmegaByteIdentity(t *testing.T) {
 	for i, pt := range front.Points {
 		prob := p
 		prob.Assignment = front.Placements[pt.Placement].Assignment
-		direct, err := NewSolver(prob).Solve(context.Background(), pt.TauIn, opt.With(WithWindow(pt.Window)))
+		o := opt
+		o.Window = pt.Window
+		direct, err := NewSolver(prob).Solve(context.Background(), pt.TauIn, o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -267,5 +270,56 @@ func TestExploreObjectiveSubset(t *testing.T) {
 	}
 	if _, err := ParseObjectives([]string{"links", "links"}); err == nil {
 		t.Error("duplicate objective accepted")
+	}
+}
+
+// TestBisect covers the search's four exits: lo already feasible, hi
+// infeasible, a bracket that converges on the threshold from above, and
+// a probe error at each of the three probing sites.
+func TestBisect(t *testing.T) {
+	var probed []float64
+	above := func(th float64) func(float64) (bool, error) {
+		return func(x float64) (bool, error) {
+			probed = append(probed, x)
+			return x >= th, nil
+		}
+	}
+
+	probed = nil
+	if x, ok, err := bisect(10, 20, 1, above(5)); x != 10 || !ok || err != nil || len(probed) != 1 {
+		t.Errorf("feasible lo: got (%g, %t, %v) after probes %v, want lo after one probe", x, ok, err, probed)
+	}
+
+	probed = nil
+	if x, ok, err := bisect(10, 20, 1, above(25)); x != 0 || ok || err != nil || len(probed) != 2 {
+		t.Errorf("infeasible hi: got (%g, %t, %v) after probes %v, want (0, false) after lo and hi", x, ok, err, probed)
+	}
+
+	probed = nil
+	x, ok, err := bisect(10, 20, 0.5, above(13.3))
+	if err != nil || !ok || x < 13.3 || x-13.3 > 0.5 {
+		t.Errorf("converging bracket: got (%g, %t, %v), want within 0.5 above 13.3", x, ok, err)
+	}
+	if last := probed[len(probed)-1]; x != 13.4375 || last > x {
+		t.Errorf("converging bracket: returned %g after probes %v, want the feasible end 13.4375 of the last bracket", x, probed)
+	}
+	for _, v := range probed[2:] {
+		if v <= 10 || v >= 20 {
+			t.Errorf("probe %g outside the open bracket (10, 20)", v)
+		}
+	}
+
+	boom := errors.New("boom")
+	for failAt := 1; failAt <= 3; failAt++ {
+		n := 0
+		_, ok, err := bisect(10, 20, 1, func(x float64) (bool, error) {
+			if n++; n == failAt {
+				return false, boom
+			}
+			return x >= 15, nil
+		})
+		if !errors.Is(err, boom) || ok || n != failAt {
+			t.Errorf("probe error at call %d: got (ok=%t, %v) after %d probes", failAt, ok, err, n)
+		}
 	}
 }

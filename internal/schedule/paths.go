@@ -137,17 +137,6 @@ func ComputeUtilization(top *topology.Topology, pa *PathAssignment, ws []Window,
 	return computeUtilization(&a, top, pa, ws, act, nil)
 }
 
-// ComputeUtilizationCap is ComputeUtilization against a per-link
-// capacity vector (see Options.LinkCap): LinkU stays the raw fraction
-// of each physical link's bandwidth, while the peak — the feasibility
-// measure — is taken relative to the link's share, U_j / linkCap[j].
-// A nil vector is the whole machine and is bit-identical to
-// ComputeUtilization.
-func ComputeUtilizationCap(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *Utilization {
-	var a solveArena
-	return computeUtilization(&a, top, pa, ws, act, linkCap)
-}
-
 // utilScratch is the pooled working storage of computeUtilization.
 type utilScratch struct {
 	xmitOnLink   []float64
@@ -156,6 +145,11 @@ type utilScratch struct {
 	spot         []int32 // no-slack count on flat cell j*K+k
 }
 
+// computeUtilization is ComputeUtilization on a pooled arena, against a
+// per-link capacity vector (see Options.LinkCap): LinkU stays the raw
+// fraction of each physical link's bandwidth, while the peak — the
+// feasibility measure — is taken relative to the link's share,
+// U_j / linkCap[j]. A nil vector is the whole machine.
 func computeUtilization(a *solveArena, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *Utilization {
 	sc := &a.util
 	nl := top.Links()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 
 	"schedroute/internal/errkind"
 	"schedroute/internal/tfg"
@@ -208,11 +209,22 @@ func Repair(ctx context.Context, p Problem, o Options, base *Result, fs *topolog
 	}
 
 	// Rung 1: incremental repair with unaffected reservations pinned.
-	r1 := rsp.Start(SpanRung, trace.String("rung", "incremental"), trace.Int("affected", len(rep.Affected)))
-	res, incPA, incPeak, err := repairIncremental(p, opt, base, fs, rep.Affected)
-	r1.SetAttrs(trace.Bool("feasible", err == nil && res != nil))
-	r1.End()
-	if err != nil {
+	// It and the warm half of rung 2 keep the base schedule's time bounds
+	// and run only the pipeline's back half over the rerouted assignment.
+	arena := arenaPool.Get().(*solveArena)
+	defer arenaPool.Put(arena)
+	back := backHalf{arena: arena, top: p.Topology, tauIn: p.TauIn, opt: &opt, clock: new(stageClock)}
+	var incPA *PathAssignment
+	var incPeak float64
+	reschedule := func(sp *trace.Span, pin *allocPin) (*Result, error) {
+		r := &Result{Windows: base.Windows, Intervals: base.Intervals, Activity: base.Activity,
+			PeakLSD: base.PeakLSD, Latency: base.Latency}
+		if err := back.run(sp, r, incPA, incPeak, base.Omega.Starts, pin); err != nil || !r.Feasible {
+			return nil, err
+		}
+		return r, nil
+	}
+	noRoute := func(err error) (*RepairReport, error) {
 		var nre *topology.NoRouteError
 		if errors.As(err, &nre) {
 			// The residual topology disconnects a message's endpoints;
@@ -223,55 +235,14 @@ func Repair(ctx context.Context, p Problem, o Options, base *Result, fs *topolog
 		}
 		return nil, err
 	}
-	if res != nil {
-		rep.Outcome = RepairIncremental
-		rep.Rerouted = len(rep.Affected)
-		rep.NewPeak = res.Peak
-		rep.Result = res
-		return rep, nil
-	}
 
-	// Rungs 2-4 all run the full pipeline on the residual topology; one
-	// Solver serves every rung, so the fault-aware candidates and LSD
-	// baseline are routed once instead of once per (window, rate) trial.
-	full := p
-	full.Faults = fs
-	solver := NewSolver(full)
-	lastStage := StageOK
-	attempt := func(rung string, tauIn, window float64) (*Result, error) {
-		rg := rsp.Start(SpanRung, trace.String("rung", rung),
-			trace.Float64("tau_out", tauIn), trace.Float64("window", window))
-		defer rg.End()
-		fo := opt
-		fo.Window = window
-		fo.Trace = rg
-		r, err := solver.Solve(ctx, tauIn, fo)
-		if err != nil {
-			return nil, err
-		}
-		if !r.Feasible {
-			lastStage = r.FailStage
-			rg.SetAttrs(trace.Bool("feasible", false), trace.String("fail_stage", r.FailStage.String()))
-			return nil, nil
-		}
-		rg.SetAttrs(trace.Bool("feasible", true))
-		return r, nil
-	}
-	countRerouted := func(r *Result) int {
-		n := 0
-		for i := range r.Assignment.Paths {
-			if base.Windows[i].Local {
-				continue
-			}
-			if !r.Assignment.Paths[i].Equal(base.Assignment.Paths[i]) {
-				n++
-			}
-		}
-		return n
-	}
 	finish := func(r *Result, outcome RepairOutcome, tauOut, scale float64) (*RepairReport, error) {
 		rep.Outcome = outcome
-		rep.Rerouted = countRerouted(r)
+		for i := range r.Assignment.Paths {
+			if !base.Windows[i].Local && !r.Assignment.Paths[i].Equal(base.Assignment.Paths[i]) {
+				rep.Rerouted++
+			}
+		}
 		rep.NewPeak = r.Peak
 		rep.TauOut = tauOut
 		rep.WindowScale = scale
@@ -279,19 +250,33 @@ func Repair(ctx context.Context, p Problem, o Options, base *Result, fs *topolog
 		return rep, nil
 	}
 
-	baseWindow := opt.Window
-	if baseWindow == 0 {
-		baseWindow = p.Timing.TauC()
+	r1 := rsp.Start(SpanRung, trace.String("rung", "incremental"), trace.Int("affected", len(rep.Affected)))
+	var res *Result
+	incPA, incPeak, err := repairIncremental(arena, p, opt, base, fs, rep.Affected)
+	if err == nil && incPA != nil {
+		res, err = reschedule(r1, &allocPin{base: base.Allocation, free: func(mi tfg.MessageID) bool {
+			_, affected := slices.BinarySearch(rep.Affected, mi) // listed in message order
+			return affected
+		}})
+	}
+	r1.SetAttrs(trace.Bool("feasible", err == nil && res != nil))
+	r1.End()
+	if err != nil {
+		return noRoute(err)
+	}
+	if res != nil {
+		// Exactly the affected messages moved: each one's old path is
+		// blocked, and nothing else was touched.
+		return finish(res, RepairIncremental, p.TauIn, 1)
 	}
 
-	// Rung 2: full recompute at the original rate and window. First a
-	// warm start — keep the incrementally rerouted paths (known to sit
-	// under peak 1) but re-solve the allocation jointly for every
+	// Rung 2, warm half: keep the incrementally rerouted paths (known to
+	// sit under peak 1) but re-solve the allocation jointly for every
 	// message; this rescues the cases where the pinned base allocation
-	// boxed a no-slack detour in. Then the from-scratch pipeline.
+	// boxed a no-slack detour in.
 	if incPA != nil {
 		warm := rsp.Start(SpanRung, trace.String("rung", "recompute-warm"))
-		r, err := repairReschedule(p, opt, base, fs, incPA, incPeak)
+		r, err := reschedule(warm, nil)
 		warm.SetAttrs(trace.Bool("feasible", err == nil && r != nil))
 		warm.End()
 		if err != nil {
@@ -301,67 +286,106 @@ func Repair(ctx context.Context, p Problem, o Options, base *Result, fs *topolog
 			return finish(r, RepairRecomputed, p.TauIn, 1)
 		}
 	}
-	r, err := attempt("recompute", p.TauIn, baseWindow)
+
+	// Rungs 2-4 all run the full pipeline on the residual topology; one
+	// Solver serves every rung, so the fault-aware candidates and LSD
+	// baseline are routed once instead of once per (window, rate) trial.
+	full := p
+	full.Faults = fs
+	rungs := repairRungs(p.TauIn, opt.window(p.Timing))
+	tried, err := walkRungs(ctx, NewSolver(full), opt, rungs, func(rg rung) *trace.Span {
+		return rsp.Start(SpanRung, trace.String("rung", repairRungNames[rg.kind]),
+			trace.Float64("tau_out", rg.tauOut), trace.Float64("window", rg.window))
+	})
 	if err != nil {
-		var nre *topology.NoRouteError
-		if errors.As(err, &nre) {
-			rep.Outcome = RepairInfeasible
-			rep.Reason = nre.Error()
-			return rep, nil
-		}
-		return nil, err
+		return noRoute(err)
 	}
-	if r != nil {
-		return finish(r, RepairRecomputed, p.TauIn, 1)
+	last := tried[len(tried)-1]
+	if last.Feasible {
+		rg := rungs[len(tried)-1]
+		return finish(last, RepairOutcome(rg.kind), rg.tauOut, rg.scale)
 	}
-
-	// Rung 3: widened windows (latency degrades, τout preserved).
-	for _, scale := range windowScales {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		w := baseWindow * scale
-		if w > p.TauIn {
-			w = p.TauIn
-		}
-		r, err := attempt("degraded-window", p.TauIn, w)
-		if err != nil {
-			return nil, err
-		}
-		if r != nil {
-			return finish(r, RepairDegradedWindow, p.TauIn, w/baseWindow)
-		}
-	}
-
-	// Rung 4: reduced rate (τout degrades but stays constant).
-	for _, f := range rateFactors {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		r, err := attempt("degraded-rate", p.TauIn*f, baseWindow)
-		if err != nil {
-			return nil, err
-		}
-		if r != nil {
-			return finish(r, RepairDegradedRate, p.TauIn*f, 1)
-		}
-	}
-
 	rep.Outcome = RepairInfeasible
-	rep.Stage = lastStage
+	rep.Stage = last.FailStage
 	rep.Reason = "every repair rung rejected the degraded problem"
 	return rep, nil
 }
 
-// repairIncremental attempts rung 1: reroute only the affected messages
-// onto surviving paths chosen by a deterministic greedy peak-minimizing
-// sweep, re-allocate them against the residual capacity with the
-// unaffected rows pinned, and re-run interval scheduling. A nil Result
-// means this rung is infeasible; the chosen assignment and its peak are
-// still returned (when the peak clears 1) so the warm-start recompute
-// can reuse them. Only structural errors propagate (including
+// repairRungNames are the "rung" span attributes of the full-pipeline
+// repair rungs, by outcome.
+var repairRungNames = [...]string{
+	RepairRecomputed:     "recompute",
+	RepairDegradedWindow: "degraded-window",
+	RepairDegradedRate:   "degraded-rate",
+}
+
+// repairRungs lists the full-pipeline rungs of the repair ladder: the
+// original rate and window on the residual topology, then widened
+// windows (latency degrades, τout preserved; a window never outgrows
+// the period), then reduced rates (τout degrades but stays constant).
+func repairRungs(tauIn, baseWindow float64) []rung {
+	rungs := []rung{{int(RepairRecomputed), tauIn, baseWindow, 1}}
+	for _, scale := range windowScales {
+		w := baseWindow * scale
+		if w > tauIn {
+			w = tauIn
+		}
+		rungs = append(rungs, rung{int(RepairDegradedWindow), tauIn, w, w / baseWindow})
+	}
+	for _, f := range rateFactors {
+		rungs = append(rungs, rung{int(RepairDegradedRate), tauIn * f, baseWindow, 1})
+	}
+	return rungs
+}
+
+// rung is one full-pipeline step of a degradation ladder: solve at
+// (tauOut, window); kind is the caller's outcome when it is feasible
+// and scale the window widening it reports.
+type rung struct {
+	kind   int
+	tauOut float64
+	window float64
+	scale  float64
+}
+
+// walkRungs solves the rungs in order on one Solver, each under the span
+// open starts for it, and stops at the first feasible one. It returns
+// the Result of every rung tried, so the last is the feasible one when
+// any is; which rungs exist and in what order is the caller's policy.
+func walkRungs(ctx context.Context, solver *Solver, o Options, rungs []rung, open func(rung) *trace.Span) ([]*Result, error) {
+	tried := make([]*Result, 0, len(rungs))
+	for _, rg := range rungs {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+		sp := open(rg)
+		o.Window, o.Trace = rg.window, sp
+		r, err := solver.Solve(ctx, rg.tauOut, o)
+		if err != nil {
+			sp.End()
+			return nil, err
+		}
+		sp.SetAttrs(trace.Bool("feasible", r.Feasible), trace.Float64("peak", r.Peak))
+		if !r.Feasible {
+			sp.SetAttrs(trace.String("fail_stage", r.FailStage.String()))
+		}
+		sp.End()
+		tried = append(tried, r)
+		if r.Feasible {
+			break
+		}
+	}
+	return tried, nil
+}
+
+// repairIncremental is the routing half of rung 1: reroute only the
+// affected messages onto surviving paths chosen by a deterministic
+// greedy peak-minimizing sweep. It returns the repaired assignment and
+// its peak, or a nil assignment when the peak stays above 1 (no
+// allocation can exist, and the warm-start recompute has nothing to
+// reuse). Only structural errors propagate (including
 // *topology.NoRouteError for disconnection).
-func repairIncremental(p Problem, opt Options, base *Result, fs *topology.FaultSet, affected []tfg.MessageID) (*Result, *PathAssignment, float64, error) {
+func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *topology.FaultSet, affected []tfg.MessageID) (*PathAssignment, float64, error) {
 	top := p.Topology
 	ws := base.Windows
 	act := base.Activity
@@ -373,13 +397,13 @@ func repairIncremental(p Problem, opt Options, base *Result, fs *topology.FaultS
 		m := p.Graph.Messages()[mi]
 		paths, err := top.SurvivingPaths(p.Assignment.Node(m.Src), p.Assignment.Node(m.Dst), opt.MaxPaths, fs)
 		if err != nil {
-			return nil, nil, 0, err
+			return nil, 0, err
 		}
 		list := make([]candidate, 0, len(paths))
 		for _, pt := range paths {
 			links, err := pt.Links(top)
 			if err != nil {
-				return nil, nil, 0, err
+				return nil, 0, err
 			}
 			list = append(list, candidate{path: pt, links: links})
 		}
@@ -395,7 +419,7 @@ func repairIncremental(p Problem, opt Options, base *Result, fs *topology.FaultS
 		c := cands[mi][0]
 		pa.SetPath(mi, c.path, c.links)
 	}
-	ls := NewLoadStateCap(top, pa, ws, act, opt.LinkCap)
+	ls := a.loadState(top, pa, ws, act, opt.LinkCap)
 	peak := ls.Peak()
 	const sweeps = 2
 	for s := 0; s < sweeps; s++ {
@@ -427,66 +451,7 @@ func repairIncremental(p Problem, opt Options, base *Result, fs *topology.FaultS
 		}
 	}
 	if peak > 1+timeEps {
-		return nil, nil, 0, nil
-	}
-
-	// Re-allocate with the unaffected rows pinned, then re-schedule.
-	isAffected := make(map[tfg.MessageID]bool, len(affected))
-	for _, mi := range affected {
-		isAffected[mi] = true
-	}
-	subsets := MaximalSubsets(pa, ws, act)
-	allocation, err := AllocateIntervalsPinnedCap(subsets, pa, ws, act, base.Allocation,
-		func(mi tfg.MessageID) bool { return isAffected[mi] }, opt.LinkCap)
-	var allocFail *ErrAllocationInfeasible
-	if errors.As(err, &allocFail) {
-		return nil, pa, peak, nil
-	} else if err != nil {
-		return nil, nil, 0, err
-	}
-	res, err := assembleRepairedResult(p, opt, base, fs, pa, peak, allocation)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return res, pa, peak, nil
-}
-
-// repairReschedule is the warm-start half of rung 2: keep the repaired
-// path assignment but solve the message-interval allocation jointly for
-// every message (no pinning) and re-run interval scheduling. A nil
-// Result means infeasible at this assignment.
-func repairReschedule(p Problem, opt Options, base *Result, fs *topology.FaultSet, pa *PathAssignment, peak float64) (*Result, error) {
-	ws, act := base.Windows, base.Activity
-	subsets := MaximalSubsets(pa, ws, act)
-	allocation, err := AllocateIntervalsCap(subsets, pa, ws, act, opt.LinkCap)
-	var allocFail *ErrAllocationInfeasible
-	if errors.As(err, &allocFail) {
-		return nil, nil
-	} else if err != nil {
-		return nil, err
-	}
-	return assembleRepairedResult(p, opt, base, fs, pa, peak, allocation)
-}
-
-// assembleRepairedResult runs interval scheduling over the repaired
-// allocation, rebuilds Ω with the base starts and latency, validates it
-// against the degraded topology, and packages the Result. A nil Result
-// means interval scheduling rejected the allocation.
-func assembleRepairedResult(p Problem, opt Options, base *Result, fs *topology.FaultSet, pa *PathAssignment, peak float64, allocation *Allocation) (*Result, error) {
-	top := p.Topology
-	ws, act := base.Windows, base.Activity
-	slices, err := ScheduleIntervals(allocation, pa, act, opt.Engine, 2*opt.SyncMargin)
-	var schedFail *ErrIntervalInfeasible
-	if errors.As(err, &schedFail) {
-		return nil, nil
-	} else if err != nil {
-		return nil, err
-	}
-
-	om := BuildOmega(slices, pa, ws, top.Nodes(), p.TauIn, base.Latency)
-	om.Starts = base.Omega.Starts
-	if err := om.Validate(top); err != nil {
-		return nil, fmt.Errorf("schedule: internal: repaired schedule failed validation: %w", err)
+		return nil, 0, nil
 	}
 	// Belt and braces: the repaired paths must avoid every failed
 	// element — guaranteed by construction, verified anyway.
@@ -495,22 +460,8 @@ func assembleRepairedResult(p Problem, opt Options, base *Result, fs *topology.F
 			continue
 		}
 		if err := pa.Paths[i].ValidateFault(top, fs); err != nil {
-			return nil, fmt.Errorf("schedule: internal: repaired message %d: %w", i, err)
+			return nil, 0, fmt.Errorf("schedule: internal: repaired message %d: %w", i, err)
 		}
 	}
-
-	return &Result{
-		Feasible:   true,
-		FailStage:  StageOK,
-		Windows:    ws,
-		Intervals:  base.Intervals,
-		Activity:   act,
-		PeakLSD:    base.PeakLSD,
-		Peak:       peak,
-		Assignment: pa,
-		Allocation: allocation,
-		Slices:     slices,
-		Omega:      om,
-		Latency:    base.Latency,
-	}, nil
+	return pa, peak, nil
 }

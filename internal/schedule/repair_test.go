@@ -3,6 +3,7 @@ package schedule
 import (
 	"context"
 	"errors"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -274,6 +275,52 @@ func TestRepairDeterministic(t *testing.T) {
 	for i := range a.Result.Assignment.Paths {
 		if !a.Result.Assignment.Paths[i].Equal(b.Result.Assignment.Paths[i]) {
 			t.Fatalf("message %d path differs between identical repairs", i)
+		}
+	}
+}
+
+// TestPinFreeingEverythingEqualsUnpinned: pinning is a residual on the
+// one allocation LP, so a pin whose predicate frees every message must
+// leave the pipeline's back half bit-identical to the unpinned run —
+// same rows in the same order, same Ω — on every machine of the paper.
+func TestPinFreeingEverythingEqualsUnpinned(t *testing.T) {
+	for name, top := range solverGoldenTopologies(t) {
+		for _, tc := range []struct {
+			bw float64
+			k  int
+		}{{64, 4}, {64, 7}, {128, 2}, {128, 10}} { // feasible and rejected at every stage
+			p := dvbProblem(t, top, tc.bw, gridTauIn(tc.k))
+			opt := (&Options{Seed: 1}).withDefaults()
+			base, err := Compute(p, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var starts []float64
+			if base.Omega != nil {
+				starts = base.Omega.Starts
+			}
+			run := func(pin *allocPin) *Result {
+				var arena solveArena
+				back := backHalf{arena: &arena, top: top, tauIn: p.TauIn,
+					opt: &opt, clock: new(stageClock)}
+				r := &Result{Windows: base.Windows, Intervals: base.Intervals, Activity: base.Activity,
+					PeakLSD: base.PeakLSD, Latency: base.Latency}
+				if err := back.run(nil, r, base.Assignment, base.Peak, starts, pin); err != nil {
+					t.Fatalf("%s bw=%g k=%d: %v", name, tc.bw, tc.k, err)
+				}
+				return r
+			}
+			plain := run(nil)
+			freed := run(&allocPin{base: &Allocation{P: make([][]float64, len(base.Windows))},
+				free: func(tfg.MessageID) bool { return true }})
+			if !reflect.DeepEqual(plain, freed) {
+				t.Errorf("%s bw=%g k=%d: all-free pin changed the result (feasible %t vs %t, stage %s vs %s)",
+					name, tc.bw, tc.k, plain.Feasible, freed.Feasible, plain.FailStage, freed.FailStage)
+			}
+			if plain.Feasible != base.Feasible || plain.FailStage != base.FailStage {
+				t.Errorf("%s bw=%g k=%d: back half alone says %t/%s, Compute said %t/%s",
+					name, tc.bw, tc.k, plain.Feasible, plain.FailStage, base.Feasible, base.FailStage)
+			}
 		}
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"schedroute/internal/tfg"
+	"schedroute/internal/topology"
 	"schedroute/internal/trace"
 )
 
@@ -242,26 +243,14 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 	if err := s.validate(!opt.AllowSharedNodes); err != nil {
 		return nil, err
 	}
-	window := opt.Window
-	if window == 0 {
-		window = p.Timing.TauC()
-	}
+	window := opt.window(p.Timing)
 	sameNode := func(m tfg.Message) bool {
 		return p.Assignment.Node(m.Src) == p.Assignment.Node(m.Dst)
 	}
 
-	var stats SolveStats
-	stamp := func(d *time.Duration, from time.Time) time.Time {
-		if !opt.CollectStats {
-			return from
-		}
-		now := time.Now()
-		*d += now.Sub(from)
-		return now
-	}
-	t := time.Time{}
-	if opt.CollectStats {
-		t = time.Now()
+	clock := stageClock{on: opt.CollectStats}
+	if clock.on {
+		clock.t = time.Now()
 	}
 
 	sp := opt.Trace.Start(SpanSolve, trace.Float64("tau_in", tauIn), trace.Int64("seed", opt.Seed))
@@ -280,7 +269,7 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 		return nil, err
 	}
 	if opt.SyncMargin > 0 {
-		if err := applySyncMargin(ws, opt.SyncMargin, tauIn); err != nil {
+		if err := applySyncMargin(ws, opt.SyncMargin); err != nil {
 			return nil, err
 		}
 	}
@@ -288,7 +277,7 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 	act := BuildActivity(ws, set)
 	tb.SetAttrs(trace.Int("windows", len(ws)))
 	tb.End()
-	t = stamp(&stats.WindowsTime, t)
+	clock.stamp(&clock.WindowsTime)
 
 	res := &Result{
 		Windows:   ws,
@@ -326,17 +315,18 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 	// The Fig. 3 pipeline, with feedback: on a downstream rejection the
 	// path assignment is recomputed from a fresh seed and the later
 	// stages retried.
+	back := backHalf{arena: arena, top: p.Topology, tauIn: tauIn, opt: &opt, clock: &clock}
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		stats.Attempts = attempt + 1
+		clock.Attempts = attempt + 1
 		asp := sp.Start(SpanAttempt, trace.Int("attempt", attempt))
 		ap := asp.Start(SpanAssignPaths)
 		pa, peak := lsd, lsdU.Peak
 		if !opt.LSDOnly {
 			ar := assignPaths(arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap)
-			stats.AssignIterations += ar.Iterations
+			clock.AssignIterations += ar.Iterations
 			pa, peak = ar.Assignment, ar.Util.Peak
 			if peak > lsdU.Peak {
 				// AssignPaths starts from LSD, so it can never be worse.
@@ -348,80 +338,119 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 		}
 		ap.SetAttrs(trace.Float64("peak", peak))
 		ap.End()
-		t = stamp(&stats.AssignTime, t)
+		clock.stamp(&clock.AssignTime)
 		if attempt == 0 || peak < res.Peak {
 			res.Assignment = pa
 			res.Peak = peak
 		}
 
-		stage := StageOK
-		var allocation *Allocation
-		var slices []Slice
-		if peak > 1+timeEps {
-			stage = StageUtilization
-		} else {
-			ms := asp.Start(SpanSubsets)
-			subsets := maximalSubsets(arena, pa, ws, act)
-			ms.End()
-			al := asp.Start(SpanAllocation)
-			allocation, err = allocateIntervals(arena, subsets, pa, ws, act, opt.LinkCap)
-			var allocFail *ErrAllocationInfeasible
-			if errors.As(err, &allocFail) {
-				stage = StageAllocation
-			} else if err != nil {
-				return nil, err
-			}
-			al.SetAttrs(trace.Bool("feasible", stage == StageOK))
-			al.End()
+		if err := back.run(asp, res, pa, peak, starts, nil); err != nil {
+			return nil, err
 		}
-		t = stamp(&stats.AllocateTime, t)
-		if stage == StageOK {
-			is := asp.Start(SpanIntervalSched)
-			slices, err = scheduleIntervals(arena, allocation, pa, act, opt.Engine, 2*opt.SyncMargin)
-			var schedFail *ErrIntervalInfeasible
-			if errors.As(err, &schedFail) {
-				stage = StageIntervalSchedule
-			} else if err != nil {
-				return nil, err
-			}
-			is.SetAttrs(trace.Bool("feasible", stage == StageOK), trace.Int("slices", len(slices)))
-			is.End()
+		if !res.Feasible {
+			asp.SetAttrs(trace.String("fail_stage", res.FailStage.String()))
 		}
-		t = stamp(&stats.ScheduleTime, t)
-
-		if stage != StageOK {
-			res.FailStage = stage
-			asp.SetAttrs(trace.String("fail_stage", stage.String()))
-			asp.End()
-			if attempt < opt.Retries && !opt.LSDOnly {
-				continue
-			}
-			res.Stats = stats
-			sp.End()
-			res.Trace = sp.Tree()
-			return res, nil
-		}
-
-		res.Assignment = pa
-		res.Peak = peak
-		res.Allocation = allocation
-		res.Slices = slices
-		om := asp.Start(SpanOmega)
-		omega := BuildOmega(slices, pa, ws, p.Topology.Nodes(), tauIn, res.Latency)
-		omega.Starts = starts
-		if err := omega.Validate(p.Topology); err != nil {
-			return nil, fmt.Errorf("schedule: internal: emitted schedule failed validation: %w", err)
-		}
-		om.SetAttrs(trace.Int("commands", omega.NumCommands()))
-		om.End()
 		asp.End()
-		stamp(&stats.OmegaTime, t)
-		res.Omega = omega
-		res.Feasible = true
-		res.FailStage = StageOK
-		res.Stats = stats
+		if !res.Feasible && attempt < opt.Retries && !opt.LSDOnly {
+			continue
+		}
+		res.Stats = clock.SolveStats
 		sp.End()
 		res.Trace = sp.Tree()
 		return res, nil
 	}
+}
+
+// stageClock is one Solve's SolveStats and the wall clock behind its
+// stage timings: each stamp charges a stage the time since the previous
+// stamp. Off (the zero value) it never reads the clock.
+type stageClock struct {
+	SolveStats
+	on bool
+	t  time.Time
+}
+
+func (c *stageClock) stamp(d *time.Duration) {
+	if !c.on {
+		return
+	}
+	now := time.Now()
+	*d += now.Sub(c.t)
+	c.t = now
+}
+
+// backHalf is the Fig. 3 pipeline after path assignment — peak check →
+// maximal subsets → allocation LP → interval scheduling → Ω emission →
+// validation — with its stage spans and SolveStats stamps. Solve runs
+// it once per feedback attempt; the repair ladder runs it on a greedily
+// rerouted assignment over the base schedule's time bounds.
+type backHalf struct {
+	arena *solveArena
+	top   *topology.Topology
+	tauIn float64
+	opt   *Options // LinkCap, Engine, SyncMargin; defaults applied
+	clock *stageClock
+}
+
+// run schedules the assignment pa (of relative peak utilization peak)
+// over res.Windows / res.Activity and records the verdict in res: the
+// rejecting stage in FailStage, or Feasible with the assignment,
+// allocation, slices and validated Ω. A non-nil pin holds every message
+// it does not free at its base allocation row. Stage spans are children
+// of sp. An error is an internal inconsistency, never infeasibility.
+// starts (the task starts Ω records) is an argument, not a field: it
+// outlives the call inside Ω, and escape analysis would send everything
+// else b points at — opt, clock — to the heap with it on every Solve.
+func (b *backHalf) run(sp *trace.Span, res *Result, pa *PathAssignment, peak float64, starts []float64, pin *allocPin) error {
+	ws, act, opt := res.Windows, res.Activity, b.opt
+	if peak > 1+timeEps {
+		res.FailStage = StageUtilization
+		return nil
+	}
+	ms := sp.Start(SpanSubsets)
+	subsets := maximalSubsets(b.arena, pa, ws, act)
+	ms.End()
+
+	al := sp.Start(SpanAllocation)
+	allocation, err := allocateIntervals(b.arena, subsets, pa, ws, act, opt.LinkCap, pin)
+	al.SetAttrs(trace.Bool("feasible", err == nil))
+	al.End()
+	b.clock.stamp(&b.clock.AllocateTime)
+	if errors.As(err, new(*ErrAllocationInfeasible)) {
+		res.FailStage = StageAllocation
+		return nil
+	} else if err != nil {
+		return err
+	}
+
+	is := sp.Start(SpanIntervalSched)
+	slices, err := scheduleIntervals(b.arena, allocation, pa, act, opt.Engine, 2*opt.SyncMargin)
+	is.SetAttrs(trace.Bool("feasible", err == nil), trace.Int("slices", len(slices)))
+	is.End()
+	b.clock.stamp(&b.clock.ScheduleTime)
+	if errors.As(err, new(*ErrIntervalInfeasible)) {
+		res.FailStage = StageIntervalSchedule
+		return nil
+	} else if err != nil {
+		return err
+	}
+
+	om := sp.Start(SpanOmega)
+	omega := BuildOmega(slices, pa, ws, b.top.Nodes(), b.tauIn, res.Latency)
+	omega.Starts = starts
+	if err := omega.Validate(b.top); err != nil {
+		return fmt.Errorf("schedule: internal: emitted schedule failed validation: %w", err)
+	}
+	om.SetAttrs(trace.Int("commands", omega.NumCommands()))
+	om.End()
+	b.clock.stamp(&b.clock.OmegaTime)
+
+	res.Feasible = true
+	res.FailStage = StageOK
+	res.Assignment = pa
+	res.Peak = peak
+	res.Allocation = allocation
+	res.Slices = slices
+	res.Omega = omega
+	return nil
 }

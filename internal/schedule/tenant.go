@@ -161,18 +161,7 @@ type TenantSet struct {
 
 	mu       sync.Mutex
 	admitted []*TenantState // admission order
-	solvers  map[string]*tenantSolver
 	faults   *topology.FaultSet
-}
-
-// tenantSolver pins a candidate's Solver to the fault state it was
-// built at: the τin-independent structure (validation, baseline,
-// candidate paths, task starts) is reused across every ladder rung and
-// every re-admission attempt at that state, and rebuilt only when the
-// cumulative faults move.
-type tenantSolver struct {
-	faultKey string
-	s        *Solver
 }
 
 // NewTenantSet creates an empty set over a fabric with the given
@@ -180,9 +169,8 @@ type tenantSolver struct {
 // count (tenants address the shared links by LinkID).
 func NewTenantSet(top *topology.Topology) *TenantSet {
 	return &TenantSet{
-		nl:      top.Links(),
-		solvers: map[string]*tenantSolver{},
-		faults:  topology.NewFaultSet(top.Links(), top.Nodes()),
+		nl:     top.Links(),
+		faults: topology.NewFaultSet(top.Links(), top.Nodes()),
 	}
 }
 
@@ -306,15 +294,12 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 	defer sp.End()
 
 	// The candidate solves on the current degraded machine: its
-	// baseline and candidate paths avoid the cumulative faults.
+	// baseline and candidate paths avoid the cumulative faults. One
+	// Solver spans every rung and eviction retry of this call, and no
+	// longer: a later Admit under the same ID may bring another problem.
 	t.Problem.Faults = ts.faults.Clone()
-	fk := sessionKey(ts.faults)
-	entry := ts.solvers[t.ID]
-	if entry == nil || entry.faultKey != fk {
-		entry = &tenantSolver{faultKey: fk, s: NewSolver(t.Problem)}
-		ts.solvers[t.ID] = entry
-	}
-	solver := entry.s
+	solver := NewSolver(t.Problem)
+	rungs := admitRungs(t)
 
 	report := &AdmitReport{TenantID: t.ID, WindowScale: 1}
 	survivors := ts.admitted
@@ -328,7 +313,7 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 		rs.End()
 		report.BottleneckLink, report.BottleneckShare = bl, bs
 
-		res, err := ts.admitLadder(ctx, solver, t, residual, sp, report)
+		res, err := admitLadder(ctx, solver, t, rungs, residual, sp, report)
 		if err != nil {
 			return nil, err
 		}
@@ -397,81 +382,59 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 // admitWindow is the message-window length rung attempts use: the
 // tenant's configured window (default τc) times the widening scale.
 func admitWindow(t Tenant, scale float64) float64 {
-	w := t.Options.Window
-	if w == 0 {
-		w = t.Problem.Timing.TauC()
+	return t.Options.window(t.Problem.Timing) * scale
+}
+
+// admitRungs lists the candidate's degradation ladder: the requested
+// rate and window, then widened windows (latency degrades, τout
+// preserved; a scale whose window would outgrow the period is dropped),
+// then reduced rates as far as the tenant's RateGuarantee allows.
+func admitRungs(t Tenant) []rung {
+	tauIn := t.Problem.TauIn
+	rungs := []rung{{int(AdmitReserved), tauIn, admitWindow(t, 1), 1}}
+	for _, scale := range windowScales {
+		if w := admitWindow(t, scale); w <= tauIn {
+			rungs = append(rungs, rung{int(AdmitDegradedWindow), tauIn, w, scale})
+		}
 	}
-	return w * scale
+	for _, f := range rateFactors {
+		if t.RateGuarantee > 0 && 1/f < t.RateGuarantee-timeEps {
+			break // factors grow monotonically; later ones are worse
+		}
+		rungs = append(rungs, rung{int(AdmitDegradedRate), tauIn * f, admitWindow(t, 1), 1})
+	}
+	return rungs
 }
 
 // admitLadder descends the degradation ladder for one candidate
 // against one residual. It returns the first feasible result (filling
 // the report's outcome fields), or nil when every rung was rejected.
-func (ts *TenantSet) admitLadder(ctx context.Context, solver *Solver, t Tenant, residual []float64, sp *trace.Span, report *AdmitReport) (*Result, error) {
-	bestPeak := 0.0
-	havePeak := false
-	attempt := func(outcome AdmitOutcome, tauOut, scale float64) (*Result, error) {
-		rg := sp.Start(SpanAdmitRung, trace.String("rung", outcome.String()),
-			trace.Float64("tau_out", tauOut), trace.Float64("window_scale", scale))
-		defer rg.End()
-		o := t.Options
-		o.LinkCap = residual
-		o.Window = admitWindow(t, scale)
-		o.Trace = rg
-		r, err := solver.Solve(ctx, tauOut, o)
-		if err != nil {
-			return nil, err
-		}
-		if !havePeak || r.Peak < bestPeak {
-			bestPeak, havePeak = r.Peak, true
-		}
-		rg.SetAttrs(trace.Bool("feasible", r.Feasible), trace.Float64("peak", r.Peak))
-		if !r.Feasible {
-			report.Reason = fmt.Sprintf("rung %s rejected at stage %s", outcome, r.FailStage)
-			return nil, nil
-		}
-		report.Outcome = outcome
-		report.TauOut = tauOut
-		report.WindowScale = scale
-		report.Peak = r.Peak
-		report.Reason = "" // a failed earlier rung's reason no longer applies
-		return r, nil
+func admitLadder(ctx context.Context, solver *Solver, t Tenant, rungs []rung, residual []float64, sp *trace.Span, report *AdmitReport) (*Result, error) {
+	o := t.Options
+	o.LinkCap = residual
+	tried, err := walkRungs(ctx, solver, o, rungs, func(rg rung) *trace.Span {
+		return sp.Start(SpanAdmitRung, trace.String("rung", AdmitOutcome(rg.kind).String()),
+			trace.Float64("tau_out", rg.tauOut), trace.Float64("window_scale", rg.scale))
+	})
+	if err != nil {
+		return nil, err
 	}
-
-	// Rung 1: the requested rate and window against the residual.
-	r, err := attempt(AdmitReserved, t.Problem.TauIn, 1)
-	if r != nil || err != nil {
-		return r, err
+	rg, last := rungs[len(tried)-1], tried[len(tried)-1]
+	if last.Feasible {
+		report.Outcome = AdmitOutcome(rg.kind)
+		report.TauOut = rg.tauOut
+		report.WindowScale = rg.scale
+		report.Peak = last.Peak
+		report.Reason = "" // an earlier eviction round's reason no longer applies
+		return last, nil
 	}
-
-	// Rung 2: widened windows (latency degrades, τout preserved).
-	for _, scale := range windowScales {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if admitWindow(t, scale) > t.Problem.TauIn {
-			continue
-		}
-		r, err := attempt(AdmitDegradedWindow, t.Problem.TauIn, scale)
-		if r != nil || err != nil {
-			return r, err
+	report.Reason = fmt.Sprintf("rung %s rejected at stage %s", AdmitOutcome(rg.kind), last.FailStage)
+	report.Peak = last.Peak
+	for _, r := range tried {
+		if r.Peak < report.Peak {
+			report.Peak = r.Peak
 		}
 	}
-
-	// Rung 3: reduced rate, bounded by the tenant's RateGuarantee.
-	for _, f := range rateFactors {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if t.RateGuarantee > 0 && 1/f < t.RateGuarantee-timeEps {
-			break // factors grow monotonically; later ones are worse
-		}
-		r, err := attempt(AdmitDegradedRate, t.Problem.TauIn*f, 1)
-		if r != nil || err != nil {
-			return r, err
-		}
-	}
-	report.Peak = bestPeak
 	return nil, nil
 }
 

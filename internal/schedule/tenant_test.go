@@ -307,6 +307,42 @@ func TestTenantReleaseFreesShares(t *testing.T) {
 	mustAdmit(t, ts, cand)
 }
 
+// TestReadmitUsesNewProblem: a tenant ID names no problem beyond the
+// Admit call that carries it — after a release, and after a rejection,
+// the same ID admitted with another problem gets that problem's
+// schedule, byte-identical to a solo solve of it.
+func TestReadmitUsesNewProblem(t *testing.T) {
+	top := threeCube(t)
+	p1 := pairTenant(t, top, "a", 0, 1, 640, 50)
+	p2 := pairTenant(t, top, "a", 0, 1, 1280, 50)
+	want, err := Compute(p2.Problem, p2.Options)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	ts := NewTenantSet(top)
+	mustAdmit(t, ts, p1)
+	ts.Release("a")
+	rep := mustAdmit(t, ts, p2)
+	if !bytes.Equal(omegaBytes(t, rep.Result.Omega), omegaBytes(t, want.Omega)) {
+		t.Errorf("re-admitted after release: xmit %g, want problem 2's %g",
+			rep.Result.Windows[0].Xmit, want.Windows[0].Xmit)
+	}
+
+	ts = NewTenantSet(top)
+	mustAdmit(t, ts, pairTenant(t, top, "hog", 0, 1, 2880, 50))
+	p1.RateGuarantee = 1
+	if rej, err := ts.Admit(context.Background(), p1, nil); err != nil || rej.Admitted {
+		t.Fatalf("candidate should not fit next to the hog, got %+v, %v", rej, err)
+	}
+	ts.Release("hog")
+	rep = mustAdmit(t, ts, p2)
+	if !bytes.Equal(omegaBytes(t, rep.Result.Omega), omegaBytes(t, want.Omega)) {
+		t.Errorf("admitted after a rejection: xmit %g, want problem 2's %g",
+			rep.Result.Windows[0].Xmit, want.Windows[0].Xmit)
+	}
+}
+
 // TestSolveLinkCapOnesBitIdentical: a LinkCap of all ones must leave
 // every stage bit-identical to the nil (whole-machine) fast path —
 // dividing by 1.0 is exact, and the allocation rows keep their

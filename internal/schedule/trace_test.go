@@ -129,7 +129,9 @@ func TestTracedInfeasibleSolveRecordsFailStage(t *testing.T) {
 }
 
 // A traced repair emits one repair span with one rung span per ladder
-// rung tried, and the nested full-recompute solves hang off their rung.
+// rung tried; the incremental rung runs the pipeline's shared back half,
+// so it carries the same stage spans a solve attempt does, and the
+// nested full-recompute solves hang off their rung.
 func TestTracedRepairEmitsRungSpans(t *testing.T) {
 	p := dvbProblem(t, sixCube(t), 64, gridTauIn(5))
 	base, err := Compute(p, Options{Seed: 1})
@@ -171,8 +173,19 @@ func TestTracedRepairEmitsRungSpans(t *testing.T) {
 	if tr.Count(SpanRung) == 0 {
 		t.Error("repair recorded no rung spans")
 	}
-	if rep.Outcome == RepairInfeasible {
-		t.Fatalf("single-link fault on a 6-cube must be survivable, got %v", rep.Outcome)
+	if rep.Outcome != RepairIncremental {
+		t.Fatalf("fixture should repair incrementally, got %v", rep.Outcome)
+	}
+	var stages []string
+	tr.Walk(func(_ int, n *trace.Tree) {
+		if n.Name == SpanRung && len(n.Attrs) > 0 && n.Attrs[0].Str == "incremental" {
+			for _, c := range n.Children {
+				stages = append(stages, c.Name)
+			}
+		}
+	})
+	if want := []string{SpanSubsets, SpanAllocation, SpanIntervalSched, SpanOmega}; !reflect.DeepEqual(stages, want) {
+		t.Errorf("incremental rung has stage spans %v, want %v", stages, want)
 	}
 	// Untraced repair on the same inputs must match once traces are
 	// stripped from the results.

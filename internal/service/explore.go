@@ -50,10 +50,9 @@ func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, out)
 }
 
-// explore runs one exploration. The fan-out borrows idle worker slots
-// exactly like the sweep always has, so concurrent explorations share
-// the server-wide Workers bound; results are byte-identical for every
-// worker count.
+// explore runs one exploration. The fan-out borrows idle worker slots,
+// so concurrent explorations share the server-wide Workers bound;
+// results are byte-identical for every worker count.
 func (s *Server) explore(ctx context.Context, req schedroute.ExploreRequest, root *trace.Span) (*schedroute.ExploreResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
@@ -177,12 +176,11 @@ func (s *Server) explorePareto(ctx context.Context, req schedroute.ExploreReques
 	return out, nil
 }
 
-// exploreGrid samples the τin axis point by point — the exact legacy
-// sweep semantics (and, through the /v1/sweep adapter, its exact
-// response bytes). With a placement axis, every point additionally runs
-// the best-allocation search across the candidates (feasible beats
-// infeasible, then lower peak — schedule.ComputeBestAllocation's order)
-// and reports the winner per point.
+// exploreGrid samples the τin axis point by point. With a placement
+// axis, every point additionally runs the best-allocation search across
+// the candidates (feasible beats infeasible, then lower peak —
+// schedule.ComputeBestAllocation's order) and reports the winner per
+// point.
 func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest, ent *solverEntry, opts schedule.Options, workers int, root *trace.Span) (*schedroute.ExploreResult, error) {
 	b := ent.built
 	tauC := b.Timing.TauC()
@@ -203,9 +201,7 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 		max = 5 * tauC
 	}
 	if min <= 0 || max < min {
-		// Legacy wording: grid mode is the sweep, and /v1/sweep error
-		// bodies must not change through the adapter.
-		return nil, errkind.Mark(fmt.Errorf("sweep: bad period range [%g, %g]", min, max), errkind.ErrBadInput)
+		return nil, errkind.Mark(fmt.Errorf("explore: bad period range [%g, %g]", min, max), errkind.ErrBadInput)
 	}
 
 	// Candidate solvers: the cache entry's solver serves the problem's
@@ -282,12 +278,12 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 			if req.Execute {
 				exec, err := schedule.Execute(res.Omega, b.Graph, b.Timing, tauC, invocations)
 				if err != nil {
-					return fmt.Errorf("sweep: execute at τin=%g: %w", tauIn, err)
+					return fmt.Errorf("explore: execute at τin=%g: %w", tauIn, err)
 				}
 				ivs := metrics.Intervals(exec.OutputCompletions)
 				th, err := metrics.NormalizedThroughput(tauIn, ivs)
 				if err != nil {
-					return fmt.Errorf("sweep: throughput at τin=%g: %w", tauIn, err)
+					return fmt.Errorf("explore: throughput at τin=%g: %w", tauIn, err)
 				}
 				pt.Executed = true
 				pt.ThroughputMid = th.Mid
@@ -323,28 +319,4 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 		}
 	}
 	return out, nil
-}
-
-// sweep serves the legacy /v1/sweep endpoint through the exploration
-// engine: the adapter pins the request to grid mode over the τin axis,
-// and the projection returns the exact legacy response body.
-func (s *Server) sweep(ctx context.Context, req schedroute.SweepRequest) (*schedroute.SweepResult, error) {
-	// Surface the legacy failures in the legacy order and wording before
-	// delegating: options first, then the point count (after its 0 → 12
-	// default, exactly as the sweep always checked it).
-	if _, err := req.Options.ToSchedule(); err != nil {
-		return nil, err
-	}
-	n := req.Points
-	if n == 0 {
-		n = 12
-	}
-	if n < 1 || n > 100000 {
-		return nil, errkind.Mark(fmt.Errorf("sweep: points %d out of range [1,100000]", n), errkind.ErrBadInput)
-	}
-	out, err := s.explore(ctx, req.ToExplore(), nil)
-	if err != nil {
-		return nil, err
-	}
-	return out.SweepResult(), nil
 }

@@ -9,45 +9,6 @@ import (
 	"schedroute/pkg/schedroute"
 )
 
-// TestSweepAdapterByteIdentity pins the consolidation contract: a
-// legacy /v1/sweep request and its ToExplore translation posted to
-// /v1/explore describe the same computation, and projecting the explore
-// result back through SweepResult reproduces the sweep body byte for
-// byte.
-func TestSweepAdapterByteIdentity(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	sr := schedroute.SweepRequest{
-		Problem:     schedroute.Problem{TFG: "dvb:4", Topology: "cube:6", Bandwidth: 64},
-		Points:      6,
-		Execute:     true,
-		Invocations: 4,
-	}
-	code, sweepBody := postJSON(t, ts, "/v1/sweep", sr)
-	if code != http.StatusOK {
-		t.Fatalf("/v1/sweep: status %d: %s", code, sweepBody)
-	}
-	code, exploreBody := postJSON(t, ts, "/v1/explore", sr.ToExplore())
-	if code != http.StatusOK {
-		t.Fatalf("/v1/explore: status %d: %s", code, exploreBody)
-	}
-	var er schedroute.ExploreResult
-	if err := json.Unmarshal(exploreBody, &er); err != nil {
-		t.Fatal(err)
-	}
-	if er.Mode != schedroute.ExploreModeGrid {
-		t.Fatalf("adapter request ran in mode %q, want grid", er.Mode)
-	}
-	projected, err := json.Marshal(er.SweepResult())
-	if err != nil {
-		t.Fatal(err)
-	}
-	projected = append(projected, '\n') // writeJSON's Encode appends one
-	if !bytes.Equal(sweepBody, projected) {
-		t.Errorf("sweep body diverged from explore projection:\nsweep:   %s\nproject: %s",
-			sweepBody, projected)
-	}
-}
-
 // TestExploreParetoEndpoint drives the full Pareto mode over HTTP: a
 // placement axis with an annealed candidate, all four objectives, and a
 // traced request.

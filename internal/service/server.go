@@ -12,7 +12,6 @@
 //	POST /v1/schedule:batch  schedroute.BatchScheduleRequest → schedroute.BatchScheduleResult (per-item errors)
 //	POST /v1/repair          schedroute.RepairRequest        → schedroute.RepairResult (422 on infeasible repair)
 //	POST /v1/admit           schedroute.AdmitRequest         → schedroute.AdmitResult (422 admission_rejected, report attached)
-//	POST /v1/sweep           schedroute.SweepRequest         → schedroute.SweepResult (adapter over /v1/explore; deprecated)
 //	POST /v1/explore         schedroute.ExploreRequest       → schedroute.ExploreResult (grid or Pareto mode)
 //	GET  /v1/snapshot/{id}   solver-structure snapshot of a cached entry (404 not_found when absent)
 //	POST /v1/watch     schedroute.WatchRequest    → SSE stream of schedroute.WatchFrame
@@ -310,17 +309,21 @@ func (s *Server) Shutdown(ctx context.Context) error {
 // Handler returns the HTTP routing for the service.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.Handle("/v1/schedule", s.instrument("schedule", s.handleSchedule))
-	mux.Handle("POST /v1/schedule:batch", s.instrument("schedule_batch", s.handleBatch))
-	mux.Handle("/v1/repair", s.instrument("repair", s.handleRepair))
-	mux.Handle("/v1/admit", s.instrument("admit", s.handleAdmit))
-	mux.Handle("/v1/sweep", s.instrument("sweep", s.handleSweep))
-	mux.Handle("/v1/explore", s.instrument("explore", s.handleExplore))
-	mux.Handle("GET /v1/snapshot/{id}", s.instrumentGet("snapshot", s.handleSnapshotGet))
-	mux.Handle("POST /v1/watch", s.instrumentWatch("watch", s.handleWatchCreate))
-	mux.Handle("GET /v1/watch/{id}", s.instrumentWatch("watch_attach", s.handleWatchAttach))
-	mux.Handle("POST /v1/watch/{id}/events", s.instrumentWatch("watch_event", s.handleWatchEvent))
-	mux.Handle("DELETE /v1/watch/{id}", s.instrumentWatch("watch_delete", s.handleWatchDelete))
+	// The method filter lives in the mux patterns (a mismatch is the
+	// mux's own 405 with an Allow header). Solve endpoints run under the
+	// per-request deadline; snapshot streaming is bounded by the encoder,
+	// not a solver, and watch streams are long-lived by design and must
+	// outlive RequestTimeout.
+	mux.Handle("POST /v1/schedule", s.instrument("schedule", true, s.handleSchedule))
+	mux.Handle("POST /v1/schedule:batch", s.instrument("schedule_batch", true, s.handleBatch))
+	mux.Handle("POST /v1/repair", s.instrument("repair", true, s.handleRepair))
+	mux.Handle("POST /v1/admit", s.instrument("admit", true, s.handleAdmit))
+	mux.Handle("POST /v1/explore", s.instrument("explore", true, s.handleExplore))
+	mux.Handle("GET /v1/snapshot/{id}", s.instrument("snapshot", false, s.handleSnapshotGet))
+	mux.Handle("POST /v1/watch", s.instrument("watch", false, s.handleWatchCreate))
+	mux.Handle("GET /v1/watch/{id}", s.instrument("watch_attach", false, s.handleWatchAttach))
+	mux.Handle("POST /v1/watch/{id}/events", s.instrument("watch_event", false, s.handleWatchEvent))
+	mux.Handle("DELETE /v1/watch/{id}", s.instrument("watch_delete", false, s.handleWatchDelete))
 	mux.HandleFunc("/v1/version", s.handleVersion)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
@@ -346,41 +349,19 @@ func (w *statusWriter) Flush() {
 	}
 }
 
-// instrument wraps an endpoint with method filtering, the per-request
-// deadline, request logging, and latency/status metrics.
-func (s *Server) instrument(name string, fn func(http.ResponseWriter, *http.Request)) http.Handler {
+// instrument wraps an endpoint with the request-body cap, request
+// logging and latency/status metrics, and — when deadline is set — the
+// per-request solve deadline.
+func (s *Server) instrument(name string, deadline bool, fn func(http.ResponseWriter, *http.Request)) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		if r.Method != http.MethodPost {
-			sw.Header().Set("Allow", http.MethodPost)
-			http.Error(sw, "POST only", http.StatusMethodNotAllowed)
-		} else {
-			r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
+		if deadline {
 			ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-			fn(sw, r.WithContext(ctx))
-			cancel()
+			defer cancel()
+			r = r.WithContext(ctx)
 		}
-		dur := time.Since(start)
-		s.metrics.observeRequest(name, sw.code, dur)
-		s.log.Info("request",
-			"endpoint", name,
-			"method", r.Method,
-			"status", sw.code,
-			"dur_ms", float64(dur.Microseconds())/1000,
-			"remote", r.RemoteAddr,
-		)
-	})
-}
-
-// instrumentGet is instrument for GET endpoints: the same logging and
-// latency/status metrics, but no body cap or solve deadline (the
-// method filter lives in the mux pattern, and snapshot streaming is
-// bounded by the encoder, not a solver).
-func (s *Server) instrumentGet(name string, fn func(http.ResponseWriter, *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
 		fn(sw, r)
 		dur := time.Since(start)
 		s.metrics.observeRequest(name, sw.code, dur)
@@ -800,28 +781,5 @@ func (s *Server) handleRepair(w http.ResponseWriter, r *http.Request) {
 	}
 	root.End()
 	out.Trace = schedroute.NewTraceEnvelope(root.Tree())
-	writeJSON(w, out)
-}
-
-func (s *Server) handleSweep(w http.ResponseWriter, r *http.Request) {
-	var req schedroute.SweepRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	if owner := s.shardOwner(r, req.Problem.StructureKey()); owner != "" {
-		s.proxy(w, r, owner, req)
-		return
-	}
-	if err := s.admit(r.Context()); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	defer s.release()
-	out, err := s.sweep(r.Context(), req)
-	if err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
 	writeJSON(w, out)
 }

@@ -250,9 +250,12 @@ func TestRepairEndpointOutcomes(t *testing.T) {
 	}
 }
 
-func TestSweepEndpoint(t *testing.T) {
+// TestExploreGridEndpoint drives the default grid mode of /v1/explore:
+// the paper's twelve-point τin sweep, executed, through one cached
+// solver.
+func TestExploreGridEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	code, body := postJSON(t, ts, "/v1/sweep", schedroute.SweepRequest{
+	code, body := postJSON(t, ts, "/v1/explore", schedroute.ExploreRequest{
 		Problem:     schedroute.Problem{TFG: "dvb:4", Topology: "cube:6", Bandwidth: 64},
 		Execute:     true,
 		Invocations: 4,
@@ -260,9 +263,12 @@ func TestSweepEndpoint(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
-	var sw schedroute.SweepResult
+	var sw schedroute.ExploreResult
 	if err := json.Unmarshal(body, &sw); err != nil {
 		t.Fatal(err)
+	}
+	if sw.Mode != schedroute.ExploreModeGrid {
+		t.Fatalf("objective-free request ran in mode %q, want grid", sw.Mode)
 	}
 	if len(sw.Points) != 12 {
 		t.Fatalf("default sweep has %d points, want the paper's 12", len(sw.Points))
@@ -299,8 +305,9 @@ func TestSweepEndpoint(t *testing.T) {
 	}
 
 	// Degenerate ranges are client errors.
-	code, _ = postJSON(t, ts, "/v1/sweep", schedroute.SweepRequest{
-		Problem: testProblem(0), MinTauIn: 100, MaxTauIn: 50,
+	code, _ = postJSON(t, ts, "/v1/explore", schedroute.ExploreRequest{
+		Problem: testProblem(0),
+		Axes:    schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 100, Max: 50}},
 	})
 	if code != http.StatusBadRequest {
 		t.Fatalf("inverted range: status %d, want 400", code)

@@ -177,28 +177,6 @@ func newWatchID() string {
 
 // ---- HTTP handlers -------------------------------------------------
 
-// instrumentWatch wraps a watch endpoint with logging and request
-// metrics but, unlike instrument, neither a method filter (the mux
-// patterns do that) nor the per-request solve deadline: watch streams
-// are long-lived by design and must outlive RequestTimeout.
-func (s *Server) instrumentWatch(name string, fn func(http.ResponseWriter, *http.Request)) http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		sw := &statusWriter{ResponseWriter: w, code: http.StatusOK}
-		r.Body = http.MaxBytesReader(sw, r.Body, s.cfg.MaxBodyBytes)
-		fn(sw, r)
-		dur := time.Since(start)
-		s.metrics.observeRequest(name, sw.code, dur)
-		s.log.Info("request",
-			"endpoint", name,
-			"method", r.Method,
-			"status", sw.code,
-			"dur_ms", float64(dur.Microseconds())/1000,
-			"remote", r.RemoteAddr,
-		)
-	})
-}
-
 // handleWatchCreate registers a subscription: resolve the problem
 // through the solver cache, solve the base schedule, start the state
 // machine, and stream frames from the hello onward.

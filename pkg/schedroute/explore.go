@@ -1,13 +1,12 @@
 package schedroute
 
 // This file is the unified exploration vocabulary: one schema-versioned
-// request shape — objectives + axes — behind which the three sweep
-// surfaces that grew independently (/v1/sweep period grids, the
-// experiments sweep configs, and schedule.ComputeBestAllocation's
-// candidate-placement search) consolidate.
+// request shape — objectives + axes — behind which the sweep surfaces
+// that grew independently (period grids, the experiments sweep configs,
+// and schedule.ComputeBestAllocation's candidate-placement search)
+// consolidate.
 //
-//   - No objectives, τin axis only: a period grid — exactly the old
-//     /v1/sweep semantics, point for point.
+//   - No objectives, τin axis only: a period grid, one solve per point.
 //   - No objectives, τin + placement axes: the best-allocation search
 //     at every grid point (feasible beats infeasible, then lower peak),
 //     with the winning placement reported per point.
@@ -15,11 +14,6 @@ package schedroute
 //     τin per placement by bisection, then latency (window) and
 //     resource minimization per candidate period, dominated points
 //     eliminated.
-//
-// /v1/sweep and SweepRequest remain supported as a thin adapter over
-// this type (see SweepRequest.ToExplore and ExploreResult.SweepResult);
-// pre-existing sweep requests keep returning byte-identical responses.
-// New clients should prefer POST /v1/explore.
 
 // TauInAxis spans the candidate invocation periods of an exploration.
 type TauInAxis struct {
@@ -142,22 +136,6 @@ func (r ExploreRequest) Validate() error {
 	return nil
 }
 
-// ToExplore is the compatibility adapter: the exact exploration a
-// legacy sweep request describes. A sweep is a grid-mode exploration
-// over the τin axis at the problem's own placement.
-func (r SweepRequest) ToExplore() ExploreRequest {
-	return ExploreRequest{
-		Problem: r.Problem,
-		Options: r.Options,
-		Tenant:  r.Tenant,
-		Axes: ExploreAxes{TauIn: &TauInAxis{
-			Points: r.Points, Min: r.MinTauIn, Max: r.MaxTauIn,
-		}},
-		Execute:     r.Execute,
-		Invocations: r.Invocations,
-	}
-}
-
 // ParetoPoint is one schedule on the explored front: a deployable
 // (placement, period, window) triple with its latency and fabric
 // footprint. All objective fields are minimized.
@@ -224,16 +202,4 @@ type ExploreResult struct {
 	// ?debug=trace; last field for the same strip-and-compare reason as
 	// ScheduleResult.Trace.
 	Trace *TraceEnvelope `json:"trace,omitempty"`
-}
-
-// SweepResult is the compatibility projection: the exact legacy
-// response body for a grid-mode exploration that came in through
-// /v1/sweep.
-func (r *ExploreResult) SweepResult() *SweepResult {
-	return &SweepResult{
-		SchemaVersion: r.SchemaVersion,
-		TauC:          r.TauC,
-		TauM:          r.TauM,
-		Points:        r.Points,
-	}
 }

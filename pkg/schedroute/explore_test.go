@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
-	"reflect"
 	"testing"
 )
 
@@ -46,58 +45,6 @@ func TestExploreRequestValidate(t *testing.T) {
 	}
 }
 
-// TestSweepAdapterShape pins the sweep → explore adapter field by
-// field: a legacy sweep request is exactly a grid-mode exploration over
-// the τin axis, and the result projection drops exactly the
-// explore-only fields.
-func TestSweepAdapterShape(t *testing.T) {
-	sr := SweepRequest{
-		Problem:     Problem{TFG: "chain:4", Topology: "torus:4,4", TauIn: 100},
-		Options:     Options{Seed: 3},
-		Tenant:      &Tenant{ID: "t1"},
-		Points:      7,
-		MinTauIn:    60,
-		MaxTauIn:    300,
-		Execute:     true,
-		Invocations: 4,
-	}
-	er := sr.ToExplore()
-	if er.Mode() != ExploreModeGrid {
-		t.Errorf("adapter produced mode %q, want grid", er.Mode())
-	}
-	want := ExploreRequest{
-		Problem: sr.Problem,
-		Options: sr.Options,
-		Tenant:  sr.Tenant,
-		Axes: ExploreAxes{TauIn: &TauInAxis{
-			Points: 7, Min: 60, Max: 300,
-		}},
-		Execute:     true,
-		Invocations: 4,
-	}
-	if !reflect.DeepEqual(er, want) {
-		t.Errorf("adapter mismatch:\n got %+v\nwant %+v", er, want)
-	}
-
-	res := &ExploreResult{
-		SchemaVersion: SchemaVersion,
-		Mode:          ExploreModeGrid,
-		TauC:          50,
-		TauM:          10,
-		Points: []SweepPoint{
-			{TauIn: 60, Load: 50.0 / 60, Feasible: true, Peak: 0.9},
-		},
-		Winners: []int{0},
-	}
-	sw := res.SweepResult()
-	if sw.SchemaVersion != SchemaVersion || sw.TauC != 50 || sw.TauM != 10 {
-		t.Errorf("projection header mismatch: %+v", sw)
-	}
-	if !reflect.DeepEqual(sw.Points, res.Points) {
-		t.Errorf("projection points mismatch")
-	}
-}
-
 // goldenJSON pins a wire value byte-for-byte against testdata.
 func goldenJSON(t *testing.T, name string, v any) {
 	t.Helper()
@@ -121,8 +68,8 @@ func goldenJSON(t *testing.T, name string, v any) {
 	}
 }
 
-// TestExploreWireGolden pins the new explore request/result schema, and
-// the legacy sweep shapes the adapter must keep serving, byte for byte.
+// TestExploreWireGolden pins the explore request/result schema byte for
+// byte.
 func TestExploreWireGolden(t *testing.T) {
 	req := ExploreRequest{
 		Problem:    Problem{SchemaVersion: SchemaVersion, TFG: "dvb:4", Topology: "cube:6", Bandwidth: 64},
@@ -155,24 +102,4 @@ func TestExploreWireGolden(t *testing.T) {
 		},
 	}
 	goldenJSON(t, "explore_result.golden.json", res)
-
-	// The legacy sweep shapes, served through the adapter: these bytes
-	// must never change while /v1/sweep exists.
-	sreq := SweepRequest{
-		Problem:  Problem{SchemaVersion: SchemaVersion, TFG: "dvb:4", Topology: "cube:6", Bandwidth: 64},
-		Options:  Options{Seed: 1},
-		Points:   3,
-		MaxTauIn: 250,
-	}
-	goldenJSON(t, "sweep_request.golden.json", sreq)
-	sres := SweepResult{
-		SchemaVersion: SchemaVersion,
-		TauC:          50,
-		TauM:          30.078125,
-		Points: []SweepPoint{
-			{TauIn: 50, Load: 1, Feasible: false, FailStage: "allocation", PeakLSD: 1.5, Peak: 1.2},
-			{TauIn: 150, Load: 1.0 / 3, Feasible: true, PeakLSD: 0.5, Peak: 0.4, Latency: 850},
-		},
-	}
-	goldenJSON(t, "sweep_result.golden.json", sres)
 }

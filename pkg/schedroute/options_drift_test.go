@@ -7,79 +7,74 @@ import (
 	"schedroute/internal/schedule"
 )
 
-// TestWireOptionsMapToSolverOptions is the wire half of the
-// functional-options drift contract: every field of the wire Options
-// maps to exactly one registered solver option. The Stats/CollectStats
-// pair is the one documented alias — both spellings resolve to the
-// single "stats" option — and every other field maps one-to-one. A
-// field added to the wire struct without a solver option (or renamed on
-// either side) fails here.
+// solverFieldOf names the schedule.Options field a wire Options field
+// drives: the same name, except for the one documented alias —
+// `"stats": true` and `"collect_stats": true` both set CollectStats.
+func solverFieldOf(wire string) string {
+	if wire == "Stats" {
+		return "CollectStats"
+	}
+	return wire
+}
+
+// TestWireOptionsMapToSolverOptions is the drift contract between the
+// wire Options and schedule.Options: every wire field names a solver
+// field, and every solver field is reachable from the wire unless it is
+// a declared solver-only one. A field added or renamed on either side
+// fails here.
 func TestWireOptionsMapToSolverOptions(t *testing.T) {
-	typ := reflect.TypeOf(Options{})
-	counts := map[string]int{}
-	for i := 0; i < typ.NumField(); i++ {
-		f := typ.Field(i)
-		solverField := f.Name
-		if f.Name == "Stats" {
-			// The wire alias: `"stats": true` and `"collect_stats": true`
-			// both drive schedule.Options.CollectStats.
-			solverField = "CollectStats"
+	wire := reflect.TypeOf(Options{})
+	solver := reflect.TypeOf(schedule.Options{})
+	reached := map[string]bool{}
+	for i := 0; i < wire.NumField(); i++ {
+		name := solverFieldOf(wire.Field(i).Name)
+		if _, ok := solver.FieldByName(name); !ok {
+			t.Errorf("wire Options field %s has no schedule.Options field %s", wire.Field(i).Name, name)
 		}
-		name, ok := schedule.OptionForField(solverField)
-		if !ok {
-			t.Errorf("wire Options field %s has no solver option (schedule.OptionForField(%q) missing)",
-				f.Name, solverField)
-			continue
-		}
-		counts[name]++
+		reached[name] = true
 	}
-	for name, n := range counts {
-		want := 1
-		if name == "stats" {
-			want = 2 // the documented Stats/CollectStats alias pair
-		}
-		if n != want {
-			t.Errorf("solver option %q reached by %d wire fields, want %d", name, n, want)
-		}
-	}
-	// Solver-only options (procs, link_cap, trace) deliberately have no
-	// wire spelling: the service owns worker counts, tenant shares and
-	// tracing. Everything else must be reachable from the wire.
-	wireless := map[string]bool{"procs": true, "link_cap": true, "trace": true}
-	for _, name := range schedule.OptionNames() {
-		if !wireless[name] && counts[name] == 0 {
-			t.Errorf("solver option %q has no wire Options field and is not a declared solver-only option", name)
+	// The service owns worker counts, tenant shares and tracing, so
+	// these deliberately have no wire spelling.
+	solverOnly := map[string]bool{"Procs": true, "LinkCap": true, "Trace": true}
+	for i := 0; i < solver.NumField(); i++ {
+		name := solver.Field(i).Name
+		if !reached[name] && !solverOnly[name] {
+			t.Errorf("schedule.Options field %s has no wire Options field and is not a declared solver-only field", name)
 		}
 	}
 }
 
-// TestToScheduleMatchesFunctionalOptions pins that the wire resolver
-// and the functional-options constructor build the same solver
-// configuration, so the two construction surfaces cannot diverge.
-func TestToScheduleMatchesFunctionalOptions(t *testing.T) {
-	wire := Options{
-		Seed: 7, MaxPaths: 9, MaxOuter: 2, MaxInner: 30, Engine: "exact",
-		Window: 120, LSDOnly: true, SyncMargin: 0.5, Retries: 3,
-		AllowSharedNodes: true, Stats: true,
-	}
-	got, err := wire.ToSchedule()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := schedule.NewOptions(
-		schedule.WithSeed(7),
-		schedule.WithMaxPaths(9),
-		schedule.WithMaxOuter(2),
-		schedule.WithMaxInner(30),
-		schedule.WithEngine(schedule.EngineExact),
-		schedule.WithWindow(120),
-		schedule.WithLSDOnly(true),
-		schedule.WithSyncMargin(0.5),
-		schedule.WithRetries(3),
-		schedule.WithSharedNodes(true),
-		schedule.WithStats(true),
-	)
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("wire resolution diverged from functional options:\n got %+v\nwant %+v", got, want)
+// TestToScheduleSetsExactlyTheNamedField sets one wire field at a time
+// and requires ToSchedule to move exactly the solver field it names, so
+// the resolver can neither drop a field nor cross two.
+func TestToScheduleSetsExactlyTheNamedField(t *testing.T) {
+	wire := reflect.TypeOf(Options{})
+	for i := 0; i < wire.NumField(); i++ {
+		f := wire.Field(i)
+		var o Options
+		v := reflect.ValueOf(&o).Elem().Field(i)
+		switch f.Type.Kind() {
+		case reflect.Int, reflect.Int64:
+			v.SetInt(7)
+		case reflect.Float64:
+			v.SetFloat(1.5)
+		case reflect.Bool:
+			v.SetBool(true)
+		case reflect.String:
+			v.SetString("exact") // Engine is the only string field
+		default:
+			t.Fatalf("wire Options field %s has unhandled kind %s", f.Name, f.Type.Kind())
+		}
+		got, err := o.ToSchedule()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Name, err)
+		}
+		gv := reflect.ValueOf(got)
+		for j := 0; j < gv.NumField(); j++ {
+			name := gv.Type().Field(j).Name
+			if set := !gv.Field(j).IsZero(); set != (name == solverFieldOf(f.Name)) {
+				t.Errorf("wire %s set: solver field %s non-zero = %t", f.Name, name, set)
+			}
+		}
 	}
 }

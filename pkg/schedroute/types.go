@@ -308,33 +308,8 @@ type RepairResult struct {
 	Trace *TraceEnvelope `json:"trace,omitempty"`
 }
 
-// SweepRequest asks for a τin sweep: the solver runs once per load
-// point over [MinTauIn, MaxTauIn] through one cached Solver, fanned out
-// on the parallel sweep engine.
-//
-// Deprecated: SweepRequest and /v1/sweep are the legacy shape of a
-// grid-mode ExploreRequest and are served as a thin adapter over it
-// (ToExplore / ExploreResult.SweepResult) — responses stay
-// byte-identical to the pre-explore service. New clients should POST
-// /v1/explore, which also offers placement axes and Pareto objectives.
-type SweepRequest struct {
-	Problem Problem `json:"problem"`
-	Options Options `json:"options,omitempty"`
-	// Tenant scopes the sweep (v2); absent means the default tenant.
-	Tenant *Tenant `json:"tenant,omitempty"`
-	// Points is the number of load points (0 = 12, the paper's grid).
-	Points int `json:"points,omitempty"`
-	// MinTauIn and MaxTauIn bound the sweep (0 = τc and 5τc).
-	MinTauIn float64 `json:"min_tau_in,omitempty"`
-	MaxTauIn float64 `json:"max_tau_in,omitempty"`
-	// Execute replays each feasible Ω through the deterministic executor
-	// and reports throughput and output-inconsistency per point.
-	Execute bool `json:"execute,omitempty"`
-	// Invocations is the executor run length (0 = 8; only with Execute).
-	Invocations int `json:"invocations,omitempty"`
-}
-
-// SweepPoint is one load point of a sweep.
+// SweepPoint is one τin sample of a grid-mode exploration
+// (ExploreResult.Points).
 type SweepPoint struct {
 	TauIn     float64 `json:"tau_in"`
 	Load      float64 `json:"load"`
@@ -348,14 +323,6 @@ type SweepPoint struct {
 	Executed      bool    `json:"executed,omitempty"`
 	ThroughputMid float64 `json:"throughput_mid,omitempty"`
 	OI            bool    `json:"oi,omitempty"`
-}
-
-// SweepResult is the outcome of a τin sweep.
-type SweepResult struct {
-	SchemaVersion int          `json:"schema_version"`
-	TauC          float64      `json:"tau_c"`
-	TauM          float64      `json:"tau_m"`
-	Points        []SweepPoint `json:"points"`
 }
 
 // ErrorEnvelope is the shared {error, kind, detail} triple every

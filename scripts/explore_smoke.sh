@@ -2,10 +2,10 @@
 # explore_smoke.sh — end-to-end smoke of the unified exploration
 # surface: boot srschedd, run a Pareto exploration over /v1/explore
 # (placement axis + all four objectives, ?debug=trace), a grid
-# exploration with a placement axis (winners reported), assert the
-# /v1/sweep adapter returns the exact projection of its /v1/explore
-# translation, run the same search locally through `srsched -explore`,
-# check mode exclusivity exits 2, and assert the explore metrics.
+# exploration with a placement axis (winners reported), a plain τin
+# grid (the old /v1/sweep, which must now be a 404), run the same search
+# locally through `srsched -explore`, check mode exclusivity exits 2,
+# and assert the explore metrics.
 # Run via `make explore-smoke`.
 set -eu
 
@@ -52,20 +52,16 @@ grep -q '"mode": *"grid"\|"mode":"grid"' "$DIR/grid.json" || { echo "not grid mo
 grep -q '"winners"' "$DIR/grid.json" || { echo "no winners reported"; exit 1; }
 grep -q '"source": *"allocator:greedy"\|"source":"allocator:greedy"' "$DIR/grid.json" || { echo "greedy placement missing"; exit 1; }
 
-# The sweep adapter: /v1/sweep and the projection of its /v1/explore
-# translation must be byte-identical.
-SWEEP_REQ='{"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64}, "points": 4}'
-curl -fsS -X POST "$BASE/v1/sweep" -d "$SWEEP_REQ" > "$DIR/sweep.json"
-grep -q '"schema_version"' "$DIR/sweep.json" || { echo "sweep failed"; exit 1; }
-EXPLORE_REQ='{"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64}, "axes": {"tau_in": {"points": 4}}}'
-curl -fsS -X POST "$BASE/v1/explore" -d "$EXPLORE_REQ" > "$DIR/explore-grid.json"
-# The explore result's points array and sweep header fields must embed
-# the sweep body exactly (SweepResult is a field-for-field projection).
-for field in '"tau_c"' '"tau_m"' '"points"'; do
-    grep -o "$field.*" "$DIR/sweep.json" | head -c 200 > "$DIR/want"
-    grep -o "$field.*" "$DIR/explore-grid.json" | head -c 200 > "$DIR/got"
-    cmp -s "$DIR/want" "$DIR/got" || { echo "sweep/explore diverged on $field"; exit 1; }
-done
+# A plain period grid — the τin axis alone — reports every point; the
+# retired /v1/sweep adapter is gone.
+curl -fsS -X POST "$BASE/v1/explore" -d '{
+  "problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64},
+  "axes": {"tau_in": {"points": 4}}
+}' > "$DIR/explore-grid.json"
+grep -q '"points"' "$DIR/explore-grid.json" || { echo "grid missing points"; exit 1; }
+[ "$(grep -o '"tau_in"' "$DIR/explore-grid.json" | wc -l)" = "4" ] || { echo "grid did not report 4 points"; exit 1; }
+CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/sweep" -d '{}')
+[ "$CODE" = "404" ] || { echo "/v1/sweep returned $CODE, want 404"; exit 1; }
 
 # Local exploration: srsched -explore prints a front with the annealed
 # placement at full load.
@@ -80,11 +76,11 @@ set -e
 [ "$CODE" = "2" ] || { echo "conflicting modes exited $CODE, want 2"; exit 1; }
 grep -q 'conflicting modes' "$DIR/excl.txt" || { echo "exclusivity message missing"; exit 1; }
 
-# Explore metrics: two explorations per mode family ran above.
+# Explore metrics: one Pareto and two grid explorations ran above.
 METRICS="$DIR/metrics.txt"
 curl -fsS "$BASE/metrics" > "$METRICS"
 grep -q '^srschedd_explore_runs_total{mode="pareto"} 1$' "$METRICS" || { echo "pareto run not counted"; exit 1; }
-grep -q '^srschedd_explore_runs_total{mode="grid"} 3$' "$METRICS" || { echo "grid runs not counted"; exit 1; }
+grep -q '^srschedd_explore_runs_total{mode="grid"} 2$' "$METRICS" || { echo "grid runs not counted"; exit 1; }
 grep -q '^srschedd_explore_front_points_total [1-9]' "$METRICS" || { echo "front points not counted"; exit 1; }
 
 kill -TERM "$PID"

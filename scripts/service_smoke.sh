@@ -40,10 +40,10 @@ CODE=$(curl -s -o /dev/null -w '%{http_code}' -X POST "$BASE/v1/repair" -d '{
 }')
 [ "$CODE" = "422" ] || { echo "infeasible repair returned $CODE, want 422"; exit 1; }
 
-# A short sweep, and the metrics the sweep should have moved.
-curl -fsS -X POST "$BASE/v1/sweep" -d '{
-  "problem": {"tfg": "dvb:4", "topology": "cube:6"}, "points": 4
-}' | grep -q '"points"' || { echo "sweep missing points"; exit 1; }
+# A short τin grid, and the metrics it should have moved.
+curl -fsS -X POST "$BASE/v1/explore" -d '{
+  "problem": {"tfg": "dvb:4", "topology": "cube:6"}, "axes": {"tau_in": {"points": 4}}
+}' | grep -q '"points"' || { echo "explore grid missing points"; exit 1; }
 curl -fsS "$BASE/metrics" | grep -q 'srschedd_solve_runs_total' \
     || { echo "metrics missing solve counter"; exit 1; }
 
