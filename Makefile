@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check race loc faults bench bench-parallel bench-json bench-compare bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all build vet test check race loc faults bench bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
 
 all: check
 
@@ -47,9 +47,10 @@ service-smoke:
 trace-smoke:
 	sh scripts/trace_smoke.sh
 
-# End-to-end smoke of the fleet features: two replicas sharing a
-# -warmstart-dir, snapshot write-behind and fetch, and a kill/restart
-# whose first solve derives zero structure (scripts/fleet_smoke.sh).
+# End-to-end smoke of the fleet features: two sharded replicas under the
+# proxy policy — a request for the peer's key answered byte for byte as
+# the owner answers it — one batch round, the retired snapshot surface
+# gone, and a clean SIGTERM drain of both (scripts/fleet_smoke.sh).
 fleet-smoke:
 	sh scripts/fleet_smoke.sh
 
@@ -76,30 +77,6 @@ explore-smoke:
 bench:
 	$(GO) test -bench . -benchmem -benchtime 1x .
 
-# Machine-readable perf trajectory: the headline pipeline benchmark,
-# the large-scale feasibility solves (10-cube, 32x32 torus), the
-# Fig. 5/7 panels, the serial sweep, the CP-simulator replay, and the
-# per-layer AssignPaths / interval-scheduling kernels at compile_large
-# scale, rendered to JSON (ns/op, B/op, allocs/op, shape metrics) by
-# cmd/benchjson.
-BENCH_JSON_SUITE = ScheduleComputeSixCube$$|ScheduleTenCube$$|ScheduleTorus32$$|Fig5|Fig7|CPSimPacketReplay|SerialSweepFig5SixCubeB64|ColdVsWarmStartTenCube|ScheduleBatch64|TenantAdmitSixCube$$|ExploreSixCube$$|AssignPathsTorus32$$|GreedyDecomposeTenCube$$
-
-# The baseline records three runs per benchmark so the compare gate's
-# min-of-3 meets a min-of-3 baseline: a single lucky baseline run would
-# otherwise read as a phantom regression later.
-bench-json:
-	$(GO) test -run XXX -bench '$(BENCH_JSON_SUITE)' \
-		-benchmem -benchtime 2x -count 3 . | $(GO) run ./cmd/benchjson > BENCH_schedule.json
-
-# Perf gate: rerun the bench-json suite and fail on a >10% regression
-# in ns/op, B/op or allocs/op against the committed BENCH_schedule.json
-# baseline. Each benchmark runs three times and the smallest value per
-# metric is compared (min-of-N filters scheduler noise; a real
-# regression slows every run, and allocs/op is deterministic anyway).
-bench-compare:
-	$(GO) test -run XXX -bench '$(BENCH_JSON_SUITE)' \
-		-benchmem -benchtime 2x -count 3 . | $(GO) run ./cmd/benchjson | $(GO) run ./cmd/benchjson -compare BENCH_schedule.json
-
 # Large-config smoke: one solve each of the 10-cube and 32x32-torus
 # feasibility benchmarks. Each iteration is a full ~1000-node pipeline
 # solve (a couple of seconds), so this runs at -benchtime 1x; the
@@ -114,12 +91,6 @@ bench-smoke-large:
 bench-repo-smoke:
 	$(GO) test -C bench ./...
 	bash bench/run.sh -smoke
-
-# Serial-vs-parallel sweep comparison plus the conflict-matrix
-# allocs/op delta recorded in docs/results-latest.txt.
-bench-parallel:
-	$(GO) test -run XXX -bench '(Serial|Parallel)(Sweep|BestAllocation)' -benchtime 3x .
-	$(GO) test -run XXX -bench ConflictMatrix -benchmem ./internal/schedule/
 
 clean:
 	$(GO) clean ./...

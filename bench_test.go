@@ -458,62 +458,6 @@ func benchAllocator(b *testing.B, which string) {
 	b.ReportMetric(peak, "peakU")
 }
 
-// Parallel sweep engine: the same figure panels with the worker pool at
-// GOMAXPROCS versus forced-serial (Procs: 1). Results are identical by
-// construction (see TestUtilizationSweepParallelMatchesSerial); only
-// wall-clock differs. Compare with
-//
-//	go test -bench 'Sweep(Serial|Parallel)' -benchtime 3x
-//
-// on a multi-core box to measure the speedup recorded in
-// docs/results-latest.txt.
-func benchUtilizationProcs(b *testing.B, key string, procs int) {
-	cfg := benchConfig(b, key)
-	cfg.Procs = procs
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.UtilizationSweep(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func benchPerfProcs(b *testing.B, key string, procs int) {
-	cfg := benchConfig(b, key)
-	cfg.Procs = procs
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.PerfSweep(context.Background(), cfg); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSerialSweepFig5SixCubeB64(b *testing.B)   { benchUtilizationProcs(b, "6cube-b64", 1) }
-func BenchmarkParallelSweepFig5SixCubeB64(b *testing.B) { benchUtilizationProcs(b, "6cube-b64", 0) }
-func BenchmarkSerialSweepFig7SixCubeB64(b *testing.B)   { benchPerfProcs(b, "6cube-b64", 1) }
-func BenchmarkParallelSweepFig7SixCubeB64(b *testing.B) { benchPerfProcs(b, "6cube-b64", 0) }
-func BenchmarkSerialSweepFig9Torus88B128(b *testing.B)  { benchPerfProcs(b, "torus88-b128", 1) }
-func BenchmarkParallelSweepFig9Torus88B128(b *testing.B) {
-	benchPerfProcs(b, "torus88-b128", 0)
-}
-
-// BenchmarkParallelBestAllocation measures the coupled placement search
-// (rr + greedy + 6 random placements) on the worker pool.
-func benchBestAllocation(b *testing.B, procs int) {
-	p := dvbSixCubeProblem(b, 50*(1+4.0*5/11))
-	cands, err := schedule.DefaultCandidates(context.Background(), p, 2, 3, 4, 5, 6, 7)
-	if err != nil {
-		b.Fatal(err)
-	}
-	for i := 0; i < b.N; i++ {
-		if _, err := schedule.ComputeBestAllocation(context.Background(), p, schedule.Options{Seed: 1, Procs: procs}, cands); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkSerialBestAllocation(b *testing.B)   { benchBestAllocation(b, 1) }
-func BenchmarkParallelBestAllocation(b *testing.B) { benchBestAllocation(b, 0) }
-
 // Component benchmarks.
 
 func BenchmarkWormholeSimSixCube(b *testing.B) {
@@ -596,53 +540,6 @@ func BenchmarkScheduleTenCube(b *testing.B) {
 // at 2048 B/µs.
 func BenchmarkScheduleTorus32(b *testing.B) {
 	benchScheduleLarge(b, cliutil.Torus32Topo, cliutil.Torus32BW)
-}
-
-// BenchmarkColdVsWarmStartTenCube is the warm-start acceptance
-// benchmark: the first solve on the 10-cube scale target, cold versus
-// snapshot-hydrated. Cold pays the full structure derivation — path
-// candidates, LSD baseline, validation — before scheduling; Warm
-// decodes a pre-baked solver snapshot and must reach the same result
-// with zero structure builds. The gap is what a restarting srschedd
-// replica saves per structure when it hydrates from -warmstart-dir or
-// a peer.
-func BenchmarkColdVsWarmStartTenCube(b *testing.B) {
-	p := layeredLargeProblem(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
-	opts := schedule.Options{Seed: 1}
-	const key = "bench|tencube"
-
-	pre := schedule.NewSolver(p)
-	if _, err := pre.Solve(context.Background(), p.TauIn, opts); err != nil {
-		b.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := schedule.EncodeSolverSnapshot(&buf, pre, key); err != nil {
-		b.Fatal(err)
-	}
-	snap := buf.Bytes()
-
-	b.Run("Cold", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s := schedule.NewSolver(p)
-			if _, err := s.Solve(context.Background(), p.TauIn, opts); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Warm", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			s, err := schedule.DecodeSolverSnapshot(bytes.NewReader(snap), p, key)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if _, err := s.Solve(context.Background(), p.TauIn, opts); err != nil {
-				b.Fatal(err)
-			}
-			if st := s.CacheStats(); st.BaselineBuilds != 0 || st.CandidateBuilds != 0 {
-				b.Fatalf("warm solve re-derived structure: %+v", st)
-			}
-		}
-	})
 }
 
 // BenchmarkScheduleBatch64 is the batch acceptance benchmark: 64

@@ -9,8 +9,6 @@
 //	srsched -tfg graph.json -topo torus:8,8 -bw 128 -tauin 75 -dump
 //	srsched -tfg dvb:4 -topo cube:6 -tauin 141 -fail-link 0-1 -verify-packets 64
 //	srsched -tfg dvb:4 -topo cube:6 -tauin 141 -trace -trace-out trace.json
-//	srsched -tfg dvb:4 -topo cube:6 -tauin 141 -save-snapshot warm.json
-//	srsched -tfg dvb:4 -topo cube:6 -tauin 150 -load-snapshot warm.json
 //	srsched -tfg dvb:4 -topo cube:6 -tauin 150 -fail-link 0-1 -watch http://localhost:8080
 //	srsched -tfg dvb:4 -topo cube:6 -tauin 50 -admit http://localhost:8080 -tenant video -priority 5 -rate 0.5
 //	srsched -tfg dvb:4 -topo cube:6 -bw 64 -explore -anneal-seeds 2,3
@@ -78,8 +76,6 @@ func main() {
 	margin := flag.Float64("margin", 0, "CP clock-skew margin in µs (Section 7)")
 	retries := flag.Int("retries", 0, "AssignPaths feedback retries on downstream failure")
 	save := flag.String("save", "", "write the computed Ω as JSON to this file")
-	saveSnap := flag.String("save-snapshot", "", "write the solver-structure snapshot (candidates, LSD baseline, starts) to this file after solving, for srschedd -warmstart-dir pre-baking")
-	loadSnap := flag.String("load-snapshot", "", "hydrate the solver from this snapshot file instead of deriving structure cold; the snapshot must match the problem flags")
 	packets := flag.Int("verify-packets", 0, "re-verify Ω by packet-level CP simulation with this packet size (bytes)")
 	chart := flag.Bool("gantt", false, "render the frame's link occupancy as an ASCII chart")
 	shared := flag.Bool("shared", false, "allow several tasks per node (AP-sharing node schedule)")
@@ -142,10 +138,6 @@ func main() {
 		return
 	}
 	var res *schedule.Result
-	if (*saveSnap != "" || *loadSnap != "") && *best > 0 {
-		fmt.Fprintln(os.Stderr, "srsched: -save-snapshot/-load-snapshot solve one placement; they cannot be combined with -best")
-		os.Exit(2)
-	}
 	if *best > 0 {
 		// Coupled placement search: rr, greedy, and -best random
 		// placements are scheduled concurrently and the best outcome
@@ -164,42 +156,6 @@ func main() {
 		}
 		res = sr.Result
 		fmt.Printf("candidate search: %d placements, best is #%d\n", len(cands), sr.Chosen)
-	} else if *saveSnap != "" || *loadSnap != "" {
-		// The snapshot identity is the wire StructureKey — the same key
-		// srschedd's warm-start store and snapshot endpoint use — so a
-		// file pre-baked here hydrates a service replica unchanged.
-		key := pf.Spec().StructureKey()
-		var solver *schedule.Solver
-		if *loadSnap != "" {
-			f, err := os.Open(*loadSnap)
-			if err != nil {
-				cliutil.Fatal("srsched", err)
-			}
-			solver, err = schedule.DecodeSolverSnapshot(f, prob, key)
-			f.Close()
-			if err != nil {
-				cliutil.Fatal("srsched", err)
-			}
-		} else {
-			solver = schedule.NewSolver(prob)
-		}
-		res, err = solver.Solve(ctx, period, opts)
-		if err != nil {
-			cliutil.Fatal("srsched", err)
-		}
-		if *saveSnap != "" {
-			f, err := os.Create(*saveSnap)
-			if err != nil {
-				cliutil.Fatal("srsched", err)
-			}
-			if err := schedule.EncodeSolverSnapshot(f, solver, key); err != nil {
-				cliutil.Fatal("srsched", err)
-			}
-			if err := f.Close(); err != nil {
-				cliutil.Fatal("srsched", err)
-			}
-			fmt.Printf("solver snapshot written to %s\n", *saveSnap)
-		}
 	} else {
 		res, err = schedule.Compute(prob, opts)
 		if err != nil {

@@ -1,14 +1,14 @@
 // Command srschedd serves the scheduled-routing pipeline over HTTP:
-// schedule computation, fault repair with the degradation ladder, and
-// τin sweeps, with a solver cache that amortizes problem structure
-// across requests and coalescing of identical concurrent solves.
+// schedule computation, fault repair with the degradation ladder,
+// multi-tenant admission and τin × placement exploration, with a solver
+// cache that amortizes problem structure across requests and coalescing
+// of identical concurrent solves.
 //
 // Usage:
 //
 //	srschedd -listen :8080
 //	srschedd -listen :8080 -pprof-addr localhost:6060
-//	srschedd -listen :8080 -warmstart-dir /var/lib/srschedd/snapshots
-//	srschedd -listen :8081 -warmstart-dir shared/ -peers http://a:8081,http://b:8082 -self http://a:8081
+//	srschedd -listen :8081 -peers http://a:8081,http://b:8082 -self http://a:8081
 //	srschedd -version
 //	curl -s localhost:8080/v1/schedule -d '{"problem":{"tfg":"dvb:4","topology":"cube:6","tau_in":141}}'
 //	curl -s 'localhost:8080/v1/schedule?debug=trace' -d '...' | traceview -text
@@ -45,12 +45,8 @@ func main() {
 	solvers := flag.Int("solvers", 32, "problem structures kept in the solver-cache LRU")
 	timeout := flag.Duration("timeout", 60*time.Second, "per-request solve deadline")
 	maxBody := flag.Int64("max-body", 8<<20, "request body size limit in bytes")
-	var drain time.Duration
-	flag.DurationVar(&drain, "drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
-	flag.DurationVar(&drain, "drain", 30*time.Second, "alias for -drain-timeout")
+	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); never exposed on the serving port")
-	warmDir := flag.String("warmstart-dir", "", "directory for solver-structure snapshots (write-behind on first build, read before cold derivation; sharable between replicas)")
-	warmMax := flag.Int("warmstart-max", 256, "snapshot files kept in -warmstart-dir before LRU eviction")
 	peersFlag := flag.String("peers", "", "comma-separated fleet base URLs (including -self); enables shard routing by structure key")
 	self := flag.String("self", "", "this replica's own base URL, required with -peers")
 	shardPolicy := flag.String("shard-policy", "proxy", "misrouted-request policy: proxy (forward to the owning shard) or serve (handle locally, record a miss)")
@@ -88,13 +84,6 @@ func main() {
 			os.Exit(2)
 		}
 	}
-	if *warmDir != "" {
-		// Fail on a bad directory at startup, not on the first solve.
-		if err := os.MkdirAll(*warmDir, 0o755); err != nil {
-			fmt.Fprintln(os.Stderr, "srschedd: -warmstart-dir:", err)
-			os.Exit(2)
-		}
-	}
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	srv := service.New(service.Config{
@@ -104,8 +93,6 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
 		Logger:         log,
-		WarmStartDir:   *warmDir,
-		WarmStartMax:   *warmMax,
 		Peers:          peers,
 		SelfURL:        *self,
 		ShardPolicy:    *shardPolicy,
@@ -152,7 +139,7 @@ func main() {
 	// deadline every time.
 	hs.SetKeepAlivesEnabled(false)
 
-	ctx, cancel := context.WithTimeout(context.Background(), drain)
+	ctx, cancel := context.WithTimeout(context.Background(), *drain)
 	defer cancel()
 	// Drain the solve pool first so queued work is shed immediately —
 	// including every open watch subscription, which receives a

@@ -33,8 +33,8 @@ var (
 	// against a less busy instance.
 	ErrUnavailable = errors.New("unavailable")
 	// ErrNotFound marks a lookup of an artifact the server does not
-	// hold — e.g. a warm-start snapshot for a structure key this
-	// replica has never built and never stored.
+	// hold — a watch subscription id that was never opened or has been
+	// reaped, or a tenant id that is not admitted.
 	ErrNotFound = errors.New("not found")
 	// ErrAdmissionRejected marks a tenant admission the co-scheduler
 	// declined: no rung of the degradation ladder fit the candidate into

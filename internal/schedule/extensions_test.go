@@ -172,10 +172,10 @@ func TestOmegaJSONRoundTrip(t *testing.T) {
 func TestDecodeOmegaRejectsGarbage(t *testing.T) {
 	cases := []string{
 		"{nope",
-		`{"tau_in":0}`,
-		`{"tau_in":50,"slices":[{"interval":0,"msgs":[0],"until":[]}]}`,
-		`{"tau_in":50,"windows":[],"slices":[{"interval":0,"msgs":[5],"until":[1]}]}`,
-		`{"tau_in":50,"nodes":[{"node":0,"commands":[{"in":"XX","out":"AP"}]}]}`,
+		`{"schema_version":1,"tau_in":0}`,
+		`{"schema_version":1,"tau_in":50,"slices":[{"interval":0,"msgs":[0],"until":[]}]}`,
+		`{"schema_version":1,"tau_in":50,"windows":[],"slices":[{"interval":0,"msgs":[5],"until":[1]}]}`,
+		`{"schema_version":1,"tau_in":50,"nodes":[{"node":0,"commands":[{"in":"XX","out":"AP"}]}]}`,
 	}
 	for _, c := range cases {
 		if _, err := DecodeOmega(bytes.NewBufferString(c)); err == nil {

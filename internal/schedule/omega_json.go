@@ -14,11 +14,10 @@ import (
 // routing: a real multicomputer would compile it on the host and ship
 // each node's command list to that node's communication processor.
 
-// OmegaSchemaVersion is the schema_version written by EncodeOmega.
-// DecodeOmega accepts this version and 0 (artifacts saved before the
-// field existed, whose layout is identical); anything else is rejected
-// with an errkind.ErrUnknownVersion error so stale tools fail loudly
-// instead of misreading a future layout.
+// OmegaSchemaVersion is the schema_version written by EncodeOmega and
+// the only one DecodeOmega accepts; anything else (an absent field
+// included) is rejected with an errkind.ErrUnknownVersion error so
+// stale tools fail loudly instead of misreading a future layout.
 const OmegaSchemaVersion = 1
 
 type omegaJSON struct {
@@ -115,9 +114,9 @@ func DecodeOmega(r io.Reader) (*Omega, error) {
 	if err := json.NewDecoder(r).Decode(&oj); err != nil {
 		return nil, fmt.Errorf("schedule: decode omega: %w", err)
 	}
-	if oj.SchemaVersion != 0 && oj.SchemaVersion != OmegaSchemaVersion {
+	if oj.SchemaVersion != OmegaSchemaVersion {
 		return nil, errkind.Mark(
-			fmt.Errorf("schedule: decode omega: schema_version %d not supported (this build reads up to %d)",
+			fmt.Errorf("schedule: decode omega: schema_version %d not supported (this build reads %d)",
 				oj.SchemaVersion, OmegaSchemaVersion),
 			errkind.ErrUnknownVersion)
 	}

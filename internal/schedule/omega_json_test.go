@@ -41,26 +41,26 @@ func TestOmegaJSONVersionedRoundTrip(t *testing.T) {
 	}
 }
 
-// TestOmegaJSONVersions pins the version policy: 0 (legacy) and the
-// current version load, anything newer is refused via the
-// errkind.ErrUnknownVersion family.
+// TestOmegaJSONVersions pins the version policy: only the current
+// version loads; 0, an absent field and anything newer are refused via
+// the errkind.ErrUnknownVersion family.
 func TestOmegaJSONVersions(t *testing.T) {
 	base := `"tau_in": 100, "latency": 5, "windows": [], "slices": [], "nodes": []`
-	for _, v := range []string{`"schema_version": 0,`, ""} {
-		if _, err := DecodeOmega(strings.NewReader("{" + v + base + "}")); err != nil {
-			t.Fatalf("legacy artifact (%q) rejected: %v", v, err)
+	if _, err := DecodeOmega(strings.NewReader(`{"schema_version": 1,` + base + `}`)); err != nil {
+		t.Fatalf("current schema_version rejected: %v", err)
+	}
+	for _, v := range []string{`"schema_version": 0,`, "", `"schema_version": 99,`} {
+		_, err := DecodeOmega(strings.NewReader("{" + v + base + "}"))
+		if err == nil {
+			t.Fatalf("artifact with %q accepted", v)
 		}
-	}
-	_, err := DecodeOmega(strings.NewReader(`{"schema_version": 99,` + base + `}`))
-	if err == nil {
-		t.Fatal("schema_version 99 accepted")
-	}
-	if !errors.Is(err, errkind.ErrUnknownVersion) {
-		t.Fatalf("unknown version not in ErrUnknownVersion family: %v", err)
-	}
-	if errkind.HTTPStatus(err) != 400 || errkind.ExitStatus(err) != 1 {
-		t.Fatalf("unexpected statuses for unknown version: http=%d exit=%d",
-			errkind.HTTPStatus(err), errkind.ExitStatus(err))
+		if !errors.Is(err, errkind.ErrUnknownVersion) {
+			t.Fatalf("unknown version (%q) not in ErrUnknownVersion family: %v", v, err)
+		}
+		if errkind.HTTPStatus(err) != 400 || errkind.ExitStatus(err) != 1 {
+			t.Fatalf("unexpected statuses for unknown version (%q): http=%d exit=%d",
+				v, errkind.HTTPStatus(err), errkind.ExitStatus(err))
+		}
 	}
 }
 

@@ -3,7 +3,6 @@ package service
 import (
 	"container/list"
 	"sync"
-	"sync/atomic"
 
 	"schedroute/internal/schedule"
 	"schedroute/pkg/schedroute"
@@ -21,16 +20,6 @@ type solverEntry struct {
 	built  *schedroute.Built
 	solver *schedule.Solver
 	err    error
-	// done flips once the build (success or failure) has finished, so
-	// lookups that must not block — the snapshot endpoint, the metrics
-	// build-total scan — can skip entries still mid-build without ever
-	// touching once.
-	done atomic.Bool
-	// hydrated marks a solver recovered from a snapshot instead of
-	// derived cold; write-behind persistence skips such entries.
-	hydrated bool
-	// snapOnce guards the write-behind snapshot persist for this entry.
-	snapOnce sync.Once
 }
 
 // solverCache is an LRU of solverEntry keyed by
@@ -46,11 +35,6 @@ type solverCache struct {
 	hits      int64
 	misses    int64
 	evictions int64 // entries dropped at capacity (not failed-build retries)
-
-	// hydrate, when set, runs inside a miss's build step and may return
-	// a snapshot-recovered solver instead of letting the entry derive
-	// its structure cold.
-	hydrate func(key string, b *schedroute.Built) (*schedule.Solver, bool)
 }
 
 func newSolverCache(capacity int) *solverCache {
@@ -92,7 +76,6 @@ func (c *solverCache) getOrCreate(key string, build func() (*schedroute.Built, e
 	c.mu.Unlock()
 
 	e.once.Do(func() {
-		defer e.done.Store(true)
 		b, err := build()
 		if err != nil {
 			e.err = err
@@ -100,13 +83,6 @@ func (c *solverCache) getOrCreate(key string, build func() (*schedroute.Built, e
 			return
 		}
 		e.built = b
-		if c.hydrate != nil {
-			if s, ok := c.hydrate(key, b); ok {
-				e.solver = s
-				e.hydrated = true
-				return
-			}
-		}
 		e.solver = schedule.NewSolver(b.ScheduleProblem())
 	})
 	return e, hit
@@ -121,46 +97,6 @@ func (c *solverCache) evict(key string, e *solverEntry) {
 		c.ll.Remove(el)
 		delete(c.ent, key)
 	}
-}
-
-// lookupBySnapshotID finds the finished, healthy entry whose
-// StructureKey hashes to id (the wire identity snapshots travel
-// under). Entries still mid-build are skipped, not waited for: the
-// snapshot endpoint serves what exists now or reports not-found. The
-// scan is linear, bounded by the cache capacity (tens of entries).
-func (c *solverCache) lookupBySnapshotID(id string) *solverEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*solverEntry)
-		if e.done.Load() && e.err == nil && e.solver != nil && snapshotID(e.key) == id {
-			return e
-		}
-	}
-	return nil
-}
-
-// solverBuildTotals sums the structure-derivation counters across all
-// live, finished entries — the fleet-level evidence that warm starts
-// actually skipped derivation (a fully hydrated replica reports zero
-// baseline and candidate builds).
-func (c *solverCache) solverBuildTotals() schedule.SolverCacheStats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var tot schedule.SolverCacheStats
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*solverEntry)
-		if !e.done.Load() || e.solver == nil {
-			continue
-		}
-		st := e.solver.CacheStats()
-		tot.Solves += st.Solves
-		tot.BaselineBuilds += st.BaselineBuilds
-		tot.CandidateBuilds += st.CandidateBuilds
-		tot.StartsBuilds += st.StartsBuilds
-		tot.ValidateBuilds += st.ValidateBuilds
-	}
-	return tot
 }
 
 func (c *solverCache) stats() (hits, misses, evictions int64, size int) {

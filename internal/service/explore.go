@@ -83,7 +83,6 @@ func (s *Server) explore(ctx context.Context, req schedroute.ExploreRequest, roo
 	if err != nil {
 		return nil, err
 	}
-	s.persistSnapshot(ent)
 	s.metrics.observeExplore(out.Mode, len(out.Points)+out.Evaluated, len(out.Front))
 	return out, nil
 }

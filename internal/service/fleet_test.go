@@ -8,12 +8,9 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
-	"os"
-	"path/filepath"
+	"runtime"
 	"testing"
-	"time"
 
-	"schedroute/internal/schedule"
 	"schedroute/pkg/schedroute"
 )
 
@@ -133,111 +130,16 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// waitForFile polls until path exists (the warm-start persist is
-// write-behind, off the request path).
-func waitForFile(t *testing.T, path string) {
-	t.Helper()
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		if _, err := os.Stat(path); err == nil {
-			return
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("snapshot file %s never appeared", path)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+// replica is one member of a test fleet: the server plus the listener
+// it is reachable on (ts.URL is its entry in the peer list).
+type replica struct {
+	*Server
+	ts *httptest.Server
 }
 
-// TestWarmStartDiskStore is the restart acceptance test at library
-// level: a first server persists its structure snapshot write-behind;
-// a second server sharing the directory hydrates from it and serves
-// its first solve with zero structure builds, byte-identical to the
-// first server's answer.
-func TestWarmStartDiskStore(t *testing.T) {
-	dir := t.TempDir()
-	key := testProblem(0).StructureKey()
-	snapPath := filepath.Join(dir, snapshotID(key)+".json")
-
-	srvA, tsA := newTestServer(t, Config{WarmStartDir: dir})
-	codeA, bodyA := postJSON(t, tsA, "/v1/schedule", schedroute.ScheduleRequest{Problem: testProblem(150), IncludeOmega: true})
-	if codeA != http.StatusOK {
-		t.Fatalf("server A: status %d: %s", codeA, bodyA)
-	}
-	if srvA.metrics.warmstartMisses.Load() != 1 || srvA.metrics.warmstartHits.Load() != 0 {
-		t.Errorf("server A warmstart hits=%d misses=%d, want 0/1",
-			srvA.metrics.warmstartHits.Load(), srvA.metrics.warmstartMisses.Load())
-	}
-	waitForFile(t, snapPath)
-
-	srvB, tsB := newTestServer(t, Config{WarmStartDir: dir})
-	codeB, bodyB := postJSON(t, tsB, "/v1/schedule", schedroute.ScheduleRequest{Problem: testProblem(150), IncludeOmega: true})
-	if codeB != http.StatusOK {
-		t.Fatalf("server B: status %d: %s", codeB, bodyB)
-	}
-	if string(bodyA) != string(bodyB) {
-		t.Error("hydrated replica's response differs from the cold one")
-	}
-	if srvB.metrics.warmstartHits.Load() != 1 {
-		t.Errorf("server B warmstart hits = %d, want 1", srvB.metrics.warmstartHits.Load())
-	}
-	tot := srvB.cache.solverBuildTotals()
-	if tot.BaselineBuilds != 0 || tot.CandidateBuilds != 0 {
-		t.Errorf("hydrated replica derived structure: %+v", tot)
-	}
-}
-
-// TestSnapshotEndpoint covers the HTTP hydration path: a solved
-// structure is fetchable by its snapshot id and decodes into a working
-// solver; an unknown id is 404 not_found.
-func TestSnapshotEndpoint(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-	p := testProblem(150)
-	if code, body := postJSON(t, ts, "/v1/schedule", schedroute.ScheduleRequest{Problem: p}); code != http.StatusOK {
-		t.Fatalf("seed: status %d: %s", code, body)
-	}
-
-	resp, err := http.Get(ts.URL + "/v1/snapshot/" + snapshotID(p.StructureKey()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("snapshot fetch: status %d", resp.StatusCode)
-	}
-	built, err := p.Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol, err := schedule.DecodeSolverSnapshot(resp.Body, built.ScheduleProblem(), p.StructureKey())
-	if err != nil {
-		t.Fatalf("fetched snapshot does not decode: %v", err)
-	}
-	res, err := sol.Solve(t.Context(), 150, schedule.Options{})
-	if err != nil || !res.Feasible {
-		t.Fatalf("hydrated solver solve: feasible=%v err=%v", res != nil && res.Feasible, err)
-	}
-	if st := sol.CacheStats(); st.BaselineBuilds != 0 || st.CandidateBuilds != 0 {
-		t.Errorf("HTTP-hydrated solver derived structure: %+v", st)
-	}
-
-	resp2, err := http.Get(ts.URL + "/v1/snapshot/v1-00000000000000000000000000000000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp2.Body.Close()
-	var er schedroute.ErrorResponse
-	if err := json.NewDecoder(resp2.Body).Decode(&er); err != nil {
-		t.Fatal(err)
-	}
-	if resp2.StatusCode != http.StatusNotFound || er.Kind != "not_found" {
-		t.Errorf("unknown id: status %d kind %q, want 404 not_found", resp2.StatusCode, er.Kind)
-	}
-}
-
-// fleetPair starts two servers that know each other as peers, with A's
-// URL fixed before construction (the ring needs final URLs in Config).
-func fleetPair(t *testing.T, policy string) (srvA, srvB *Server, urlA, urlB string) {
+// fleetPair starts two servers that know each other as peers, with both
+// URLs fixed before construction (the ring needs final URLs in Config).
+func fleetPair(t *testing.T, policy string) (a, b replica) {
 	t.Helper()
 	la, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -247,19 +149,19 @@ func fleetPair(t *testing.T, policy string) (srvA, srvB *Server, urlA, urlB stri
 	if err != nil {
 		t.Fatal(err)
 	}
-	urlA = "http://" + la.Addr().String()
-	urlB = "http://" + lb.Addr().String()
+	urlA := "http://" + la.Addr().String()
+	urlB := "http://" + lb.Addr().String()
 	peers := []string{urlA, urlB}
 	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	srvA = New(Config{Peers: peers, SelfURL: urlA, ShardPolicy: policy, Logger: quiet})
-	srvB = New(Config{Peers: peers, SelfURL: urlB, ShardPolicy: policy, Logger: quiet})
-	tsA := &httptest.Server{Listener: la, Config: &http.Server{Handler: srvA.Handler()}}
-	tsB := &httptest.Server{Listener: lb, Config: &http.Server{Handler: srvB.Handler()}}
-	tsA.Start()
-	tsB.Start()
-	t.Cleanup(tsA.Close)
-	t.Cleanup(tsB.Close)
-	return srvA, srvB, urlA, urlB
+	a.Server = New(Config{Peers: peers, SelfURL: urlA, ShardPolicy: policy, Logger: quiet})
+	b.Server = New(Config{Peers: peers, SelfURL: urlB, ShardPolicy: policy, Logger: quiet})
+	a.ts = &httptest.Server{Listener: la, Config: &http.Server{Handler: a.Handler()}}
+	b.ts = &httptest.Server{Listener: lb, Config: &http.Server{Handler: b.Handler()}}
+	a.ts.Start()
+	b.ts.Start()
+	t.Cleanup(a.ts.Close)
+	t.Cleanup(b.ts.Close)
+	return a, b
 }
 
 // problemOwnedBy scans periods until it finds a problem whose
@@ -279,22 +181,43 @@ func problemOwnedBy(t *testing.T, ring *shardRing, wantOwner string) schedroute.
 	return schedroute.Problem{}
 }
 
-// TestShardProxy pins the proxy policy: a request for a structure the
-// other replica owns is forwarded there and answered through the
-// proxying replica byte-for-byte, leaving the proxier's cache cold.
-func TestShardProxy(t *testing.T) {
-	srvA, srvB, _, urlB := fleetPair(t, shardPolicyProxy)
-	p := problemOwnedBy(t, srvA.ring, urlB)
-
+// postSchedule sends p to base's /v1/schedule over a connection of its
+// own (no keep-alive, so goroutine-leak checks see only the servers),
+// with the forwarded marker set when forwarded is true.
+func postSchedule(t *testing.T, base string, p schedroute.Problem, forwarded bool) (int, []byte) {
+	t.Helper()
 	b, _ := json.Marshal(schedroute.ScheduleRequest{Problem: p})
-	resp, err := http.Post(srvA.ring.self+"/v1/schedule", "application/json", bytes.NewReader(b))
+	req, err := http.NewRequest(http.MethodPost, base+"/v1/schedule", bytes.NewReader(b))
+	if err != nil {
+		t.Fatal(err)
+	}
+	req.Header.Set("Content-Type", "application/json")
+	if forwarded {
+		req.Header.Set(forwardedHeader, "1")
+	}
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := hc.Do(req)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied request: status %d: %s", resp.StatusCode, body)
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return resp.StatusCode, body
+}
+
+// TestShardProxy pins the proxy policy: a request for a structure the
+// other replica owns is forwarded there and answered through the
+// proxying replica byte-for-byte, leaving the proxier's cache cold.
+func TestShardProxy(t *testing.T) {
+	a, b := fleetPair(t, shardPolicyProxy)
+	p := problemOwnedBy(t, a.ring, b.ts.URL)
+
+	code, body := postSchedule(t, a.ts.URL, p, false)
+	if code != http.StatusOK {
+		t.Fatalf("proxied request: status %d: %s", code, body)
 	}
 	var out schedroute.ScheduleResult
 	if err := json.Unmarshal(body, &out); err != nil {
@@ -303,120 +226,99 @@ func TestShardProxy(t *testing.T) {
 	if !out.Feasible {
 		t.Errorf("proxied solve infeasible at %s", out.FailStage)
 	}
-	if got := srvA.metrics.shardProxied.Load(); got != 1 {
+	if got := a.metrics.shardProxied.Load(); got != 1 {
 		t.Errorf("A proxied %d requests, want 1", got)
 	}
-	if _, _, _, size := srvA.cache.stats(); size != 0 {
+	if _, _, _, size := a.cache.stats(); size != 0 {
 		t.Errorf("proxying replica cached %d structures, want 0", size)
 	}
-	if _, misses, _, _ := srvB.cache.stats(); misses != 1 {
+	if _, misses, _, _ := b.cache.stats(); misses != 1 {
 		t.Errorf("owner built %d structures, want 1", misses)
 	}
 }
 
-// TestShardServeLocal pins the serve policy: the misrouted request is
-// handled locally and recorded as a shard-local miss, and the owner is
-// consulted for a snapshot (a miss too — it never solved).
-func TestShardServeLocal(t *testing.T) {
-	srvA, srvB, _, urlB := fleetPair(t, shardPolicyServe)
-	p := problemOwnedBy(t, srvA.ring, urlB)
+// TestShardProxyDeadOwner is the bad-peer case: the owner's listener is
+// closed, so the proxy hop fails to connect. The client gets the 503
+// unavailable envelope (retry elsewhere), nothing is counted as proxied,
+// and the failed hop leaves no goroutine behind.
+func TestShardProxyDeadOwner(t *testing.T) {
+	a, b := fleetPair(t, shardPolicyProxy)
+	p := problemOwnedBy(t, a.ring, b.ts.URL)
+	b.ts.Close()
+	before := runtime.NumGoroutine()
 
-	b, _ := json.Marshal(schedroute.ScheduleRequest{Problem: p})
-	resp, err := http.Post(srvA.ring.self+"/v1/schedule", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
+	code, body := postSchedule(t, a.ts.URL, p, false)
+	var er schedroute.ErrorResponse
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("error body does not decode: %v: %s", err, body)
 	}
-	defer resp.Body.Close()
-	body, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("serve-local request: status %d: %s", resp.StatusCode, body)
+	if code != http.StatusServiceUnavailable || er.Kind != "unavailable" || er.Error == "" {
+		t.Errorf("dead owner: status %d kind %q error %q, want 503 unavailable", code, er.Kind, er.Error)
 	}
-	if got := srvA.metrics.shardLocalMisses.Load(); got != 1 {
+	if got := a.metrics.shardProxied.Load(); got != 0 {
+		t.Errorf("A counted %d proxied requests for a hop that never connected, want 0", got)
+	}
+	if _, _, _, size := a.cache.stats(); size != 0 {
+		t.Errorf("A cached %d structures for a key it does not own, want 0", size)
+	}
+	waitGoroutines(t, before)
+}
+
+// TestShardForwardedServedLocally is the loop guard: a request that
+// already carries the forwarded marker is served where it lands even
+// though the ring names the other replica, so two replicas with
+// disagreeing peer lists cannot bounce it forever. shardOwner returns
+// before consulting the ring, so neither routing counter moves.
+func TestShardForwardedServedLocally(t *testing.T) {
+	a, b := fleetPair(t, shardPolicyProxy)
+	p := problemOwnedBy(t, a.ring, b.ts.URL)
+
+	code, body := postSchedule(t, a.ts.URL, p, true)
+	if code != http.StatusOK {
+		t.Fatalf("forwarded request: status %d: %s", code, body)
+	}
+	if _, misses, _, _ := a.cache.stats(); misses != 1 {
+		t.Errorf("A built %d structures, want 1 (served locally)", misses)
+	}
+	if _, misses, _, _ := b.cache.stats(); misses != 0 {
+		t.Errorf("owner built %d structures: the forwarded request was re-proxied", misses)
+	}
+	if got := a.metrics.shardProxied.Load(); got != 0 {
+		t.Errorf("shard_proxied = %d, want 0", got)
+	}
+	if got := a.metrics.shardLocalMisses.Load(); got != 0 {
+		t.Errorf("shard_local_misses = %d, want 0", got)
+	}
+}
+
+// TestShardServeLocal pins the serve policy: the misrouted request is
+// handled locally — structure derived here, owner never contacted — and
+// recorded as a shard-local miss.
+func TestShardServeLocal(t *testing.T) {
+	a, b := fleetPair(t, shardPolicyServe)
+	p := problemOwnedBy(t, a.ring, b.ts.URL)
+
+	code, body := postSchedule(t, a.ts.URL, p, false)
+	if code != http.StatusOK {
+		t.Fatalf("serve-local request: status %d: %s", code, body)
+	}
+	if got := a.metrics.shardLocalMisses.Load(); got != 1 {
 		t.Errorf("A recorded %d local misses, want 1", got)
 	}
-	if got := srvA.metrics.shardProxied.Load(); got != 0 {
+	if got := a.metrics.shardProxied.Load(); got != 0 {
 		t.Errorf("A proxied %d requests under serve policy, want 0", got)
 	}
-	if _, misses, _, _ := srvA.cache.stats(); misses != 1 {
+	if _, misses, _, _ := a.cache.stats(); misses != 1 {
 		t.Errorf("A built %d structures, want 1", misses)
 	}
-	if _, misses, _, _ := srvB.cache.stats(); misses != 0 {
+	ent, _ := a.cache.getOrCreate(p.StructureKey(), func() (*schedroute.Built, error) {
+		t.Fatal("structure should already be cached on A")
+		return nil, nil
+	})
+	if st := ent.solver.CacheStats(); st.BaselineBuilds != 1 {
+		t.Errorf("served locally means derived locally: baseline builds = %d, want 1", st.BaselineBuilds)
+	}
+	if _, misses, _, _ := b.cache.stats(); misses != 0 {
 		t.Errorf("owner built %d structures without receiving a request, want 0", misses)
-	}
-}
-
-// TestShardPeerHydration pins the peer fetch path: once the owner has
-// solved a structure, a serve-policy peer hydrates it over
-// /v1/snapshot/{id} instead of deriving cold.
-func TestShardPeerHydration(t *testing.T) {
-	srvA, _, _, urlB := fleetPair(t, shardPolicyServe)
-	p := problemOwnedBy(t, srvA.ring, urlB)
-	b, _ := json.Marshal(schedroute.ScheduleRequest{Problem: p})
-
-	// The owner solves first, so its snapshot exists.
-	resp, err := http.Post(urlB+"/v1/schedule", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("owner solve: status %d", resp.StatusCode)
-	}
-
-	resp, err = http.Post(srvA.ring.self+"/v1/schedule", "application/json", bytes.NewReader(b))
-	if err != nil {
-		t.Fatal(err)
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("peer-hydrated solve: status %d", resp.StatusCode)
-	}
-	if got := srvA.metrics.warmstartHits.Load(); got != 1 {
-		t.Errorf("A warmstart hits = %d, want 1 (peer snapshot)", got)
-	}
-	tot := srvA.cache.solverBuildTotals()
-	if tot.BaselineBuilds != 0 || tot.CandidateBuilds != 0 {
-		t.Errorf("peer-hydrated replica derived structure: %+v", tot)
-	}
-}
-
-// TestWarmStoreEviction bounds the disk store: beyond max files the
-// oldest-by-mtime snapshots are removed.
-func TestWarmStoreEviction(t *testing.T) {
-	dir := t.TempDir()
-	ws := newWarmStore(dir, 2)
-	built, err := testProblem(0).Build()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sol := schedule.NewSolver(built.ScheduleProblem())
-	old := time.Now().Add(-time.Hour)
-	for i, key := range []string{"key-a", "key-b", "key-c"} {
-		if err := ws.save(key, sol); err != nil {
-			t.Fatal(err)
-		}
-		// Age the files artificially: mtime is the eviction clock.
-		os.Chtimes(ws.path(snapshotID(key)), old, old.Add(time.Duration(i)*time.Minute))
-	}
-	if err := ws.save("key-d", sol); err != nil {
-		t.Fatal(err)
-	}
-	ents, err := os.ReadDir(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, e := range ents {
-		names = append(names, e.Name())
-	}
-	if len(names) != 2 {
-		t.Fatalf("store holds %d files after eviction, want 2: %v", len(names), names)
-	}
-	for _, gone := range []string{"key-a", "key-b"} {
-		if _, err := os.Stat(ws.path(snapshotID(gone))); err == nil {
-			t.Errorf("oldest snapshot %s survived eviction", gone)
-		}
 	}
 }

@@ -32,10 +32,7 @@ type Metrics struct {
 	coalesced int64 // requests served by joining an in-flight solve
 	queued    atomic.Int64
 
-	// Fleet counters: snapshot hydration outcomes, batch volume, and
-	// shard routing decisions.
-	warmstartHits    atomic.Int64 // solver builds hydrated from a snapshot (disk or peer)
-	warmstartMisses  atomic.Int64 // solver builds that derived cold with hydration enabled
+	// Fleet counters: batch volume and shard routing decisions.
 	batchItems       atomic.Int64 // sub-requests processed through /v1/schedule:batch
 	shardProxied     atomic.Int64 // requests forwarded to their owning shard
 	shardLocalMisses atomic.Int64 // requests served locally though another shard owns them
@@ -271,19 +268,9 @@ func (m *Metrics) WriteText(w io.Writer, cache *solverCache) {
 	fmt.Fprintln(w, "# TYPE srschedd_solver_cache_size gauge")
 	fmt.Fprintf(w, "srschedd_solver_cache_size %d\n", size)
 
-	fmt.Fprintln(w, "# HELP srschedd_cache_entries Live solver-cache entries.")
-	fmt.Fprintln(w, "# TYPE srschedd_cache_entries gauge")
-	fmt.Fprintf(w, "srschedd_cache_entries %d\n", size)
 	fmt.Fprintln(w, "# HELP srschedd_cache_evictions_total Solver-cache entries evicted at capacity.")
 	fmt.Fprintln(w, "# TYPE srschedd_cache_evictions_total counter")
 	fmt.Fprintf(w, "srschedd_cache_evictions_total %d\n", evictions)
-
-	fmt.Fprintln(w, "# HELP srschedd_warmstart_hits_total Solver builds hydrated from a snapshot (disk or peer).")
-	fmt.Fprintln(w, "# TYPE srschedd_warmstart_hits_total counter")
-	fmt.Fprintf(w, "srschedd_warmstart_hits_total %d\n", m.warmstartHits.Load())
-	fmt.Fprintln(w, "# HELP srschedd_warmstart_misses_total Solver builds that derived structure cold with hydration enabled.")
-	fmt.Fprintln(w, "# TYPE srschedd_warmstart_misses_total counter")
-	fmt.Fprintf(w, "srschedd_warmstart_misses_total %d\n", m.warmstartMisses.Load())
 
 	fmt.Fprintln(w, "# HELP srschedd_batch_items Sub-requests processed through /v1/schedule:batch.")
 	fmt.Fprintln(w, "# TYPE srschedd_batch_items counter")
@@ -312,14 +299,6 @@ func (m *Metrics) WriteText(w io.Writer, cache *solverCache) {
 	fmt.Fprintln(w, "# HELP srschedd_shard_local_misses_total Requests served locally although another shard owns their structure.")
 	fmt.Fprintln(w, "# TYPE srschedd_shard_local_misses_total counter")
 	fmt.Fprintf(w, "srschedd_shard_local_misses_total %d\n", m.shardLocalMisses.Load())
-
-	tot := cache.solverBuildTotals()
-	fmt.Fprintln(w, "# HELP srschedd_solver_baseline_builds_total LSD baseline derivations across live cache entries (zero on a fully warm-started replica).")
-	fmt.Fprintln(w, "# TYPE srschedd_solver_baseline_builds_total counter")
-	fmt.Fprintf(w, "srschedd_solver_baseline_builds_total %d\n", tot.BaselineBuilds)
-	fmt.Fprintln(w, "# HELP srschedd_solver_candidate_builds_total Path-candidate derivations across live cache entries (zero on a fully warm-started replica).")
-	fmt.Fprintln(w, "# TYPE srschedd_solver_candidate_builds_total counter")
-	fmt.Fprintf(w, "srschedd_solver_candidate_builds_total %d\n", tot.CandidateBuilds)
 
 	fmt.Fprintln(w, "# HELP srschedd_coalesced_requests_total Requests served by joining an identical in-flight solve.")
 	fmt.Fprintln(w, "# TYPE srschedd_coalesced_requests_total counter")

@@ -13,7 +13,6 @@
 //	POST /v1/repair          schedroute.RepairRequest        → schedroute.RepairResult (422 on infeasible repair)
 //	POST /v1/admit           schedroute.AdmitRequest         → schedroute.AdmitResult (422 admission_rejected, report attached)
 //	POST /v1/explore         schedroute.ExploreRequest       → schedroute.ExploreResult (grid or Pareto mode)
-//	GET  /v1/snapshot/{id}   solver-structure snapshot of a cached entry (404 not_found when absent)
 //	POST /v1/watch     schedroute.WatchRequest    → SSE stream of schedroute.WatchFrame
 //	GET  /v1/watch/{id}            resume a watch stream (Last-Event-ID)
 //	POST /v1/watch/{id}/events     schedroute.WatchEvent → schedroute.WatchEventAck
@@ -74,15 +73,6 @@ type Config struct {
 	// Logger receives structured request logs (default slog.Default()).
 	Logger *slog.Logger
 
-	// WarmStartDir, when non-empty, enables the disk-backed warm-start
-	// store: solver-structure snapshots are written behind the first
-	// build of each structure and read before any cold derivation, so a
-	// restarting replica (or one sharing the directory) skips the
-	// expensive τin-independent derivations entirely.
-	WarmStartDir string
-	// WarmStartMax bounds the snapshot files kept in WarmStartDir;
-	// beyond it the least recently used are removed (default 256).
-	WarmStartMax int
 	// Peers is the full fleet membership as base URLs, including this
 	// replica's own SelfURL. Non-empty enables shard routing: every
 	// StructureKey gets one owning replica by rendezvous hashing.
@@ -130,9 +120,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	if c.WarmStartMax == 0 {
-		c.WarmStartMax = 256
-	}
 	if c.ShardPolicy == "" {
 		c.ShardPolicy = shardPolicyProxy
 	}
@@ -164,9 +151,8 @@ type Server struct {
 	metrics *Metrics
 	watches *watchRegistry
 	tenants *tenantRegistry
-	warm    *warmStore   // nil unless WarmStartDir set
 	ring    *shardRing   // nil unless Peers set
-	httpc   *http.Client // peer proxying and snapshot fetches
+	httpc   *http.Client // peer proxying
 
 	sem      chan struct{} // worker slots
 	stop     chan struct{} // closed when draining begins
@@ -198,14 +184,8 @@ func New(cfg Config) *Server {
 		stop:     make(chan struct{}),
 		inflight: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
 	}
-	if cfg.WarmStartDir != "" {
-		s.warm = newWarmStore(cfg.WarmStartDir, cfg.WarmStartMax)
-	}
 	if len(cfg.Peers) > 0 {
 		s.ring = newShardRing(cfg.Peers, cfg.SelfURL)
-	}
-	if s.warm != nil || s.ring != nil {
-		s.cache.hydrate = s.hydrateSolver
 	}
 	return s
 }
@@ -311,15 +291,13 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	// The method filter lives in the mux patterns (a mismatch is the
 	// mux's own 405 with an Allow header). Solve endpoints run under the
-	// per-request deadline; snapshot streaming is bounded by the encoder,
-	// not a solver, and watch streams are long-lived by design and must
-	// outlive RequestTimeout.
+	// per-request deadline; watch streams are long-lived by design and
+	// must outlive RequestTimeout.
 	mux.Handle("POST /v1/schedule", s.instrument("schedule", true, s.handleSchedule))
 	mux.Handle("POST /v1/schedule:batch", s.instrument("schedule_batch", true, s.handleBatch))
 	mux.Handle("POST /v1/repair", s.instrument("repair", true, s.handleRepair))
 	mux.Handle("POST /v1/admit", s.instrument("admit", true, s.handleAdmit))
 	mux.Handle("POST /v1/explore", s.instrument("explore", true, s.handleExplore))
-	mux.Handle("GET /v1/snapshot/{id}", s.instrument("snapshot", false, s.handleSnapshotGet))
 	mux.Handle("POST /v1/watch", s.instrument("watch", false, s.handleWatchCreate))
 	mux.Handle("GET /v1/watch/{id}", s.instrument("watch_attach", false, s.handleWatchAttach))
 	mux.Handle("POST /v1/watch/{id}/events", s.instrument("watch_event", false, s.handleWatchEvent))
@@ -372,99 +350,6 @@ func (s *Server) instrument(name string, deadline bool, fn func(http.ResponseWri
 			"dur_ms", float64(dur.Microseconds())/1000,
 			"remote", r.RemoteAddr,
 		)
-	})
-}
-
-// handleSnapshotGet serves a live cache entry's solver-structure
-// snapshot, so a peer replica (or anything else that can name the id)
-// hydrates over HTTP instead of re-deriving. The {id} is
-// snapshotID(StructureKey) — the raw key never travels in a URL. A
-// replica holding no finished entry for the id answers 404 not_found;
-// the caller falls back to cold derivation.
-func (s *Server) handleSnapshotGet(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	ent := s.cache.lookupBySnapshotID(id)
-	if ent == nil {
-		s.writeError(w, errkind.Mark(fmt.Errorf("snapshot: no cached structure for id %q", id), errkind.ErrNotFound), nil)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	if err := schedule.EncodeSolverSnapshot(w, ent.solver, ent.key); err != nil {
-		// Headers are already written; the truncated body fails the
-		// peer's decode, which treats it as a miss.
-		s.log.Warn("snapshot: encode failed mid-stream", "id", id, "err", err)
-	}
-}
-
-// hydrateSolver is the solver cache's hydration hook: before a cold
-// structure derivation, try the warm-start directory, then the owning
-// shard peer. Any snapshot that fails to decode — corrupt file, schema
-// drift, a peer that solved a different problem under the same key —
-// logs and falls through to cold derivation: hydration is an
-// optimization, never a correctness gate.
-func (s *Server) hydrateSolver(key string, b *schedroute.Built) (*schedule.Solver, bool) {
-	p := b.ScheduleProblem()
-	if s.warm != nil {
-		sol, err := s.warm.load(key, p)
-		if err != nil {
-			s.log.Warn("warmstart: disk snapshot unusable", "key", key, "err", err)
-		} else if sol != nil {
-			s.metrics.warmstartHits.Add(1)
-			return sol, true
-		}
-	}
-	if s.ring != nil {
-		if owner := s.ring.owner(key); owner != "" && owner != s.ring.self {
-			if sol := s.fetchPeerSnapshot(owner, key, p); sol != nil {
-				s.metrics.warmstartHits.Add(1)
-				return sol, true
-			}
-		}
-	}
-	s.metrics.warmstartMisses.Add(1)
-	return nil, false
-}
-
-// fetchPeerSnapshot pulls the owner's snapshot for key over HTTP. Any
-// failure — peer down, 404, undecodable body — is a miss, never an
-// error: the local replica just derives cold.
-func (s *Server) fetchPeerSnapshot(owner, key string, p schedule.Problem) *schedule.Solver {
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, owner+"/v1/snapshot/"+snapshotID(key), nil)
-	if err != nil {
-		return nil
-	}
-	resp, err := s.httpc.Do(req)
-	if err != nil {
-		return nil
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return nil
-	}
-	sol, err := schedule.DecodeSolverSnapshot(resp.Body, p, key)
-	if err != nil {
-		s.log.Warn("warmstart: peer snapshot unusable", "peer", owner, "err", err)
-		return nil
-	}
-	return sol
-}
-
-// persistSnapshot write-behinds the entry's solver state to the
-// warm-start store, once per entry, off the request path. Hydrated
-// entries are skipped — their state came from a snapshot already — as
-// are failed builds.
-func (s *Server) persistSnapshot(ent *solverEntry) {
-	if s.warm == nil || ent.solver == nil || ent.hydrated {
-		return
-	}
-	ent.snapOnce.Do(func() {
-		go func() {
-			if err := s.warm.save(ent.key, ent.solver); err != nil {
-				s.log.Warn("warmstart: persist failed", "key", ent.key, "err", err)
-			}
-		}()
 	})
 }
 
@@ -634,7 +519,6 @@ func (s *Server) solve(ctx context.Context, p schedroute.Problem, o schedroute.O
 		return nil, err
 	}
 	sv := v.(*solved)
-	s.persistSnapshot(ent)
 	if traced {
 		reqSpan.SetAttrs(trace.Bool("coalesced", shared))
 		reqSpan.Adopt(sv.res.Trace)

@@ -443,20 +443,22 @@ func TestMetricsExposition(t *testing.T) {
 		"srschedd_solver_cache_size 1",
 		"srschedd_solve_runs_total 3",
 		"srschedd_queue_depth 0",
-		"srschedd_cache_entries 1",
 		"srschedd_cache_evictions_total 0",
-		"srschedd_warmstart_hits_total 0",
-		"srschedd_warmstart_misses_total 0",
 		"srschedd_batch_items 0",
 		"srschedd_shard_proxied_total 0",
 		"srschedd_shard_local_misses_total 0",
-		"srschedd_solver_baseline_builds_total 1",
-		"srschedd_solver_candidate_builds_total 1",
 		`srschedd_solve_stage_seconds_total{stage="assign"}`,
 		"srschedd_request_seconds_count{endpoint=\"schedule\"} 3",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Errorf("metrics missing %q\n%s", want, text)
+		}
+	}
+	// Series retired with warm-start (PR 16), and the gauge that only
+	// duplicated srschedd_solver_cache_size, must not come back.
+	for _, gone := range []string{"warmstart", "srschedd_cache_entries", "_builds_total"} {
+		if strings.Contains(string(text), gone) {
+			t.Errorf("metrics still expose a %q series\n%s", gone, text)
 		}
 	}
 }

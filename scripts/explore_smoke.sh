@@ -9,19 +9,14 @@
 # Run via `make explore-smoke`.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT="${SMOKE_PORT:-18084}"
 BASE="http://127.0.0.1:$PORT"
-DIR="$(mktemp -d)"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
-go build -o "$DIR/srschedd" ./cmd/srschedd
-go build -o "$DIR/srsched" ./cmd/srsched
-"$DIR/srschedd" -listen "127.0.0.1:$PORT" -drain 10s 2>/dev/null &
-PID=$!
-for i in $(seq 1 50); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
+build_bins srschedd srsched
+start_srschedd "$PORT"
+wait_healthy "$BASE"
 
 # Pareto mode with a traced request: an annealed candidate placement
 # must reach full load (min τin = τc = 50 µs on the 6-cube at B=64),
@@ -83,7 +78,5 @@ grep -q '^srschedd_explore_runs_total{mode="pareto"} 1$' "$METRICS" || { echo "p
 grep -q '^srschedd_explore_runs_total{mode="grid"} 2$' "$METRICS" || { echo "grid runs not counted"; exit 1; }
 grep -q '^srschedd_explore_front_points_total [1-9]' "$METRICS" || { echo "front points not counted"; exit 1; }
 
-kill -TERM "$PID"
-wait "$PID" || { echo "srschedd did not exit cleanly"; exit 1; }
-PID=""
+stop_srschedd "$PID"
 echo "explore smoke OK"

@@ -1,97 +1,73 @@
 #!/bin/sh
 # fleet_smoke.sh — end-to-end smoke of the fleet features: two srschedd
-# replicas sharing a -warmstart-dir, snapshot write-behind and the
-# /v1/snapshot fetch path, warm-start hydration on a sibling replica,
-# and a kill/restart proving the restarted replica's first solve derives
-# zero structure (BaselineBuilds/CandidateBuilds stay 0). Run via
-# `make fleet-smoke`.
+# replicas sharding the structure-key space under the default proxy
+# policy. A request A does not own is relayed to B and answered byte for
+# byte as B answers it, without A caching anything; one batch round; the
+# snapshot surface retired in PR 16 is gone (no route, no flag); and both
+# replicas drain cleanly on SIGTERM. Run via `make fleet-smoke`.
 set -eu
+
+. "$(dirname "$0")/lib.sh"
 
 PORT_A="${FLEET_SMOKE_PORT_A:-18081}"
 PORT_B="${FLEET_SMOKE_PORT_B:-18082}"
 BASE_A="http://127.0.0.1:$PORT_A"
 BASE_B="http://127.0.0.1:$PORT_B"
-DIR="$(mktemp -d)"
-BIN="$DIR/srschedd"
-WARM="$DIR/warm"
-trap 'kill "$PID_A" "$PID_B" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
-go build -o "$BIN" ./cmd/srschedd
-
-# -shard-policy serve keeps the smoke deterministic: every replica
-# solves what it is asked, records shard misses for foreign keys, and
-# the shared directory — not proxying — carries the warm state.
-start_replica() { # $1 = port
-    "$BIN" -listen "127.0.0.1:$1" -drain 10s \
-        -warmstart-dir "$WARM" \
-        -peers "$BASE_A,$BASE_B" -self "http://127.0.0.1:$1" \
-        -shard-policy serve 2>/dev/null &
-}
-wait_healthy() { # $1 = base URL
-    for i in $(seq 1 50); do
-        if curl -fsS "$1/healthz" >/dev/null 2>&1; then return 0; fi
-        sleep 0.1
-    done
-    echo "replica $1 never became healthy"; exit 1
-}
-
-start_replica "$PORT_A"; PID_A=$!
-start_replica "$PORT_B"; PID_B=$!
+build_bins srschedd
+start_srschedd "$PORT_A" -peers "$BASE_A,$BASE_B" -self "$BASE_A"; PID_A=$PID
+start_srschedd "$PORT_B" -peers "$BASE_A,$BASE_B" -self "$BASE_B"; PID_B=$PID
 wait_healthy "$BASE_A"
 wait_healthy "$BASE_B"
 
-PROBLEM='{"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": %s}}'
+metric() { # $1 = base URL, $2 = unlabelled series name
+    curl -fsS "$1/metrics" | sed -n "s/^$2 //p"
+}
 
-# First solve on A: cold structure build, snapshot written behind.
-printf "$PROBLEM" 150 | curl -fsS -X POST "$BASE_A/v1/schedule" -d @- \
-    | grep -q '"feasible": *true' || { echo "solve on A not feasible"; exit 1; }
-
-# The on-disk snapshot name is the schema-versioned hash of the
-# structure key — computable from the shell, same as snapshotID().
-KEY='v2|tfg=dvb:4|topo=cube:6|bw=64|speed=0|alloc=rr|seed=0'
-ID="v1-$(printf '%s' "$KEY" | sha256sum | cut -c1-32)"
-for i in $(seq 1 50); do
-    if [ -f "$WARM/$ID.json" ]; then break; fi
-    sleep 0.1
+# The allocator seed is part of the structure key, so walking it walks
+# the ring: post to A until one key turns out to be B's.
+PROBLEM='{"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": 150, "allocator": "random", "alloc_seed": %s}}'
+SEED=0
+while :; do
+    SIZE_BEFORE=$(metric "$BASE_A" srschedd_solver_cache_size)
+    printf "$PROBLEM" "$SEED" | curl -fsS -X POST "$BASE_A/v1/schedule" -d @- > "$DIR/via-a.json"
+    [ "$(metric "$BASE_A" srschedd_shard_proxied_total)" = "1" ] && break
+    SEED=$((SEED + 1))
+    [ "$SEED" -lt 32 ] || { echo "32 structure keys and none owned by B"; exit 1; }
 done
-[ -f "$WARM/$ID.json" ] || { echo "write-behind snapshot $ID.json never appeared"; exit 1; }
 
-# The snapshot endpoint serves the cached structure; an unknown id is a
-# clean 404, not a 500.
-curl -fsS "$BASE_A/v1/snapshot/$ID" | grep '"schema_version":1' >/dev/null \
-    || { echo "snapshot fetch missing schema_version"; exit 1; }
-CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE_A/v1/snapshot/v1-00000000000000000000000000000000")
-[ "$CODE" = "404" ] || { echo "bogus snapshot id returned $CODE, want 404"; exit 1; }
+# The hop is invisible in the body, A holds no structure for B's key,
+# and the solve ran on B.
+printf "$PROBLEM" "$SEED" | curl -fsS -X POST "$BASE_B/v1/schedule" -d @- > "$DIR/direct-b.json"
+cmp -s "$DIR/via-a.json" "$DIR/direct-b.json" \
+    || { echo "proxied body differs from the owner's own answer"; exit 1; }
+[ "$(metric "$BASE_A" srschedd_solver_cache_size)" = "$SIZE_BEFORE" ] \
+    || { echo "A cached a structure it proxied"; exit 1; }
+RUNS_B=$(metric "$BASE_B" srschedd_solve_runs_total)
+[ "$RUNS_B" = "2" ] || { echo "B ran $RUNS_B solves, want 2 (one proxied, one direct)"; exit 1; }
 
-# Replica B has never built this structure: its first solve must
-# hydrate from the shared directory and derive nothing.
-printf "$PROBLEM" 160 | curl -fsS -X POST "$BASE_B/v1/schedule" -d @- \
-    | grep -q '"feasible": *true' || { echo "solve on B not feasible"; exit 1; }
-curl -fsS "$BASE_B/metrics" | grep '^srschedd_warmstart_hits_total 1$' >/dev/null \
-    || { echo "B did not hydrate from the shared warm-start dir"; exit 1; }
-curl -fsS "$BASE_B/metrics" | grep '^srschedd_solver_baseline_builds_total 0$' >/dev/null \
-    || { echo "B derived the LSD baseline despite hydration"; exit 1; }
+# One batch round: three periods of one structure, whichever replica
+# owns it serves all three.
+curl -fsS -X POST "$BASE_A/v1/schedule:batch" -d '{"items": [
+  {"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": 150}},
+  {"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": 160}},
+  {"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": 175}}
+]}' > "$DIR/batch.json"
+[ "$(grep -o '"feasible": *true' "$DIR/batch.json" | wc -l)" -eq 3 ] \
+    || { echo "batch did not return three feasible items:"; cat "$DIR/batch.json"; exit 1; }
+ITEMS=$(( $(metric "$BASE_A" srschedd_batch_items) + $(metric "$BASE_B" srschedd_batch_items) ))
+[ "$ITEMS" = "3" ] || { echo "fleet counted $ITEMS batch items, want 3"; exit 1; }
 
-# Kill A, restart it on the same flags: the restarted replica's first
-# solve must warm-start too — zero BaselineBuilds, zero CandidateBuilds.
-kill -TERM "$PID_A"
-wait "$PID_A" || { echo "replica A did not exit cleanly"; exit 1; }
-start_replica "$PORT_A"; PID_A=$!
-wait_healthy "$BASE_A"
+# Warm-start is gone: the route is the mux's plain 404 and the flag is a
+# usage error.
+CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE_A/v1/snapshot/x")
+[ "$CODE" = "404" ] || { echo "/v1/snapshot/x returned $CODE, want 404"; exit 1; }
+set +e
+"$DIR/srschedd" -warmstart-dir "$DIR/x" 2> "$DIR/flag.txt"
+CODE=$?
+set -e
+[ "$CODE" = "2" ] || { echo "srschedd -warmstart-dir exited $CODE, want 2"; exit 1; }
+grep -q 'flag provided but not defined' "$DIR/flag.txt" || { echo "-warmstart-dir still parses"; exit 1; }
 
-printf "$PROBLEM" 175 | curl -fsS -X POST "$BASE_A/v1/schedule" -d @- \
-    | grep -q '"feasible": *true' || { echo "solve on restarted A not feasible"; exit 1; }
-METRICS="$(curl -fsS "$BASE_A/metrics")"
-echo "$METRICS" | grep '^srschedd_warmstart_hits_total 1$' >/dev/null \
-    || { echo "restarted A did not hydrate"; exit 1; }
-echo "$METRICS" | grep '^srschedd_solver_baseline_builds_total 0$' >/dev/null \
-    || { echo "restarted A rebuilt the LSD baseline"; exit 1; }
-echo "$METRICS" | grep '^srschedd_solver_candidate_builds_total 0$' >/dev/null \
-    || { echo "restarted A rebuilt path candidates"; exit 1; }
-
-# Graceful shutdown of the whole fleet.
-kill -TERM "$PID_A" "$PID_B"
-wait "$PID_A" || { echo "replica A did not drain cleanly"; exit 1; }
-wait "$PID_B" || { echo "replica B did not drain cleanly"; exit 1; }
-PID_A=""; PID_B=""
+stop_srschedd "$PID_A" "$PID_B"
 echo "fleet smoke OK"

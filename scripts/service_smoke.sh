@@ -4,28 +4,22 @@
 # clean exit. Run via `make service-smoke`.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT="${SMOKE_PORT:-18080}"
 BASE="http://127.0.0.1:$PORT"
-BIN="$(mktemp -d)/srschedd"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$(dirname "$BIN")" smoke-out.json' EXIT
 
-go build -o "$BIN" ./cmd/srschedd
-"$BIN" -listen "127.0.0.1:$PORT" -drain 10s 2>/dev/null &
-PID=$!
-
-# Wait for the listener.
-for i in $(seq 1 50); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
+build_bins srschedd
+start_srschedd "$PORT"
+wait_healthy "$BASE"
 curl -fsS "$BASE/healthz" | grep -q '"ok"' || { echo "healthz not ok"; exit 1; }
 
 # One schedule at moderate load on the paper's binary 6-cube.
 curl -fsS -X POST "$BASE/v1/schedule" -d '{
   "problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": 150}
-}' > smoke-out.json
-grep -q '"feasible": *true' smoke-out.json || grep -q '"feasible":true' smoke-out.json \
-    || { echo "schedule not feasible:"; cat smoke-out.json; exit 1; }
+}' > "$DIR/out.json"
+grep -q '"feasible": *true' "$DIR/out.json" \
+    || { echo "schedule not feasible:"; cat "$DIR/out.json"; exit 1; }
 
 # A survivable single-link repair.
 curl -fsS -X POST "$BASE/v1/repair" -d '{
@@ -47,8 +41,5 @@ curl -fsS -X POST "$BASE/v1/explore" -d '{
 curl -fsS "$BASE/metrics" | grep -q 'srschedd_solve_runs_total' \
     || { echo "metrics missing solve counter"; exit 1; }
 
-# Graceful shutdown: SIGTERM must drain and exit 0.
-kill -TERM "$PID"
-wait "$PID" || { echo "srschedd did not exit cleanly"; exit 1; }
-PID=""
+stop_srschedd "$PID"
 echo "service smoke OK"

@@ -8,19 +8,14 @@
 # Run via `make tenant-smoke`.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT="${SMOKE_PORT:-18083}"
 BASE="http://127.0.0.1:$PORT"
-DIR="$(mktemp -d)"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
-go build -o "$DIR/srschedd" ./cmd/srschedd
-go build -o "$DIR/srsched" ./cmd/srsched
-"$DIR/srschedd" -listen "127.0.0.1:$PORT" -drain 10s 2>/dev/null &
-PID=$!
-for i in $(seq 1 50); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
+build_bins srschedd srsched
+start_srschedd "$PORT"
+wait_healthy "$BASE"
 
 # Two tenants, same application, placements half a machine apart in
 # allocator terms: round-robin for video, seeded random for audio.
@@ -76,7 +71,5 @@ grep -q 'srschedd_tenant_requests_total{endpoint="schedule",tenant="video"} 1' "
 grep -q 'srschedd_tenant_requests_total{endpoint="admit",tenant="best-effort"} 1' "$METRICS" \
     || { echo "rejected tenant's request not labelled"; exit 1; }
 
-kill -TERM "$PID"
-wait "$PID" || { echo "srschedd did not exit cleanly"; exit 1; }
-PID=""
+stop_srschedd "$PID"
 echo "tenant smoke OK"

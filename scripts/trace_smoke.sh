@@ -5,15 +5,13 @@
 # listener stays off the API port. Run via `make trace-smoke`.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT="${SMOKE_PORT:-18081}"
 PPROF_PORT="${SMOKE_PPROF_PORT:-18082}"
 BASE="http://127.0.0.1:$PORT"
-DIR="$(mktemp -d)"
-trap 'kill "$PID" 2>/dev/null || true; rm -rf "$DIR"' EXIT
 
-go build -o "$DIR/srsched" ./cmd/srsched
-go build -o "$DIR/srschedd" ./cmd/srschedd
-go build -o "$DIR/traceview" ./cmd/traceview
+build_bins srsched srschedd traceview
 
 # CLI tracing: the rendered tree must show the SR pipeline stages, and
 # -trace-out must produce a Chrome trace_event document.
@@ -23,12 +21,8 @@ for stage in time_bounds assign_paths interval_allocation interval_scheduling om
 done
 grep -q '"traceEvents"' "$DIR/chrome.json" || { echo "-trace-out is not Chrome trace JSON"; exit 1; }
 
-"$DIR/srschedd" -listen "127.0.0.1:$PORT" -pprof-addr "127.0.0.1:$PPROF_PORT" -drain 10s 2>/dev/null &
-PID=$!
-for i in $(seq 1 50); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
+start_srschedd "$PORT" -pprof-addr "127.0.0.1:$PPROF_PORT"
+wait_healthy "$BASE"
 
 # ?debug=trace attaches the envelope; traceview accepts the whole
 # response in both output modes.
@@ -53,7 +47,5 @@ curl -fsS "http://127.0.0.1:$PPROF_PORT/debug/pprof/cmdline" >/dev/null || { ech
 CODE=$(curl -s -o /dev/null -w '%{http_code}' "$BASE/debug/pprof/")
 [ "$CODE" = "404" ] || { echo "pprof exposed on the API port (status $CODE)"; exit 1; }
 
-kill -TERM "$PID"
-wait "$PID" || { echo "srschedd did not exit cleanly"; exit 1; }
-PID=""
+stop_srschedd "$PID"
 echo "trace smoke OK"

@@ -7,22 +7,14 @@
 # Run via `make watch-smoke`.
 set -eu
 
+. "$(dirname "$0")/lib.sh"
+
 PORT="${SMOKE_PORT:-18081}"
 BASE="http://127.0.0.1:$PORT"
-DIR="$(mktemp -d)"
-trap 'kill "$PID" "$CURLPID" 2>/dev/null || true; rm -rf "$DIR"' EXIT
-PID=""
-CURLPID=""
 
-go build -o "$DIR/srschedd" ./cmd/srschedd
-go build -o "$DIR/srsched" ./cmd/srsched
-"$DIR/srschedd" -listen "127.0.0.1:$PORT" -drain-timeout 10s 2>/dev/null &
-PID=$!
-
-for i in $(seq 1 50); do
-    if curl -fsS "$BASE/healthz" >/dev/null 2>&1; then break; fi
-    sleep 0.1
-done
+build_bins srschedd srsched
+start_srschedd "$PORT"
+wait_healthy "$BASE"
 
 # The client path: srsched -watch replays a single-link fault (fault,
 # then fault-repaired) over the stream and prints each repaired frame.
@@ -39,6 +31,7 @@ curl -sN -X POST "$BASE/v1/watch" -d '{
   "problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": 150}
 }' > "$DIR/stream.txt" &
 CURLPID=$!
+PIDS="$PIDS $CURLPID"
 for i in $(seq 1 50); do
     if grep -q '"type":"hello"' "$DIR/stream.txt" 2>/dev/null; then break; fi
     sleep 0.1
@@ -70,11 +63,8 @@ done
 
 # SIGTERM drain: the still-open stream must receive a terminal closing
 # frame and the daemon must exit cleanly with the stream attached.
-kill -TERM "$PID"
-wait "$PID" || { echo "srschedd did not exit cleanly"; exit 1; }
-PID=""
+stop_srschedd "$PID"
 wait "$CURLPID" 2>/dev/null || true
-CURLPID=""
 grep -q '"type":"closing"' "$DIR/stream.txt" \
     || { echo "drain sent no closing frame:"; cat "$DIR/stream.txt"; exit 1; }
 echo "watch smoke OK"
