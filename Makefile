@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test check race loc faults bench bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
 
 all: check
 
@@ -23,6 +23,13 @@ check: build vet test
 
 race:
 	$(GO) test -race ./...
+
+# 20 s of the request-decode fuzzer: arbitrary bytes through srschedd's
+# strict decode into every request type and its pre-solve validation
+# (pkg/schedroute/fuzz_test.go). Minimization is capped so the budget
+# goes to new inputs; a crasher lands in pkg/schedroute/testdata/fuzz/.
+fuzz-smoke:
+	$(GO) test ./pkg/schedroute -run '^$$' -fuzz FuzzRequestDecode -fuzztime 20s -fuzzminimizetime 10x
 
 # Non-test Go lines per package (plain wc -l, no comment stripping): the
 # number a diet PR quotes before and after (scripts/loc.sh).

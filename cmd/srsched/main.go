@@ -260,13 +260,6 @@ func main() {
 	emitTrace(root, *showTrace, *traceOut)
 }
 
-// runWatch drives a srschedd /v1/watch subscription instead of solving
-// locally: it registers the flags' problem, replays the requested
-// fault scenario as events, and prints each repaired frame as it
-// streams back. The WatchClient reconnects dropped transports with
-// backoff and Last-Event-ID resume, so a daemon restart mid-scenario
-// only delays the stream. An infeasible repair exits with status 3,
-// like the local -fail-link path.
 // runExplore runs the local Pareto-front exploration: every candidate
 // placement (the -alloc placement plus one annealed placement per
 // -anneal-seeds entry) is bisected to its minimal feasible τin, a small
@@ -382,6 +375,13 @@ func runAdmit(baseURL string, pf *cliutil.ProblemFlags, tenant *schedroute.Tenan
 	}
 }
 
+// runWatch drives a srschedd /v1/watch subscription instead of solving
+// locally: it registers the flags' problem, replays the requested
+// fault scenario as events, and prints each repaired frame as it
+// streams back. The WatchClient reconnects dropped transports with
+// backoff and Last-Event-ID resume, so a daemon restart mid-scenario
+// only delays the stream. An infeasible repair exits with status 3,
+// like the local -fail-link path.
 func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *schedroute.Tenant) {
 	b, _, err := pf.ParseProblem()
 	if err != nil {

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"net/http"
 
 	"schedroute/internal/errkind"
 	"schedroute/internal/parallel"
@@ -15,67 +14,6 @@ import (
 // maxBatchItems bounds one /v1/schedule:batch request; beyond it the
 // client should split, not the server buffer.
 const maxBatchItems = 1024
-
-func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
-	var req schedroute.BatchScheduleRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	if err := schedroute.CheckSchemaVersion(req.SchemaVersion); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	if len(req.Items) == 0 || len(req.Items) > maxBatchItems {
-		s.writeError(w, errkind.Mark(
-			fmt.Errorf("batch: %d items out of range [1,%d]", len(req.Items), maxBatchItems),
-			errkind.ErrBadInput), nil)
-		return
-	}
-	// A batch is proxied wholesale only when every item maps to the
-	// same non-self owner; mixed batches are served locally (recording
-	// a miss per misrouted item) rather than split across the fleet.
-	if owner := s.batchShardOwner(r, req.Items); owner != "" {
-		s.proxy(w, r, owner, req)
-		return
-	}
-	if err := s.admit(r.Context()); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	defer s.release()
-	writeJSON(w, s.batch(r.Context(), req))
-}
-
-// batchOwner reports the single ring owner shared by every item, or
-// uniform=false when items hash to different replicas.
-func (s *Server) batchOwner(items []schedroute.ScheduleRequest) (string, bool) {
-	owner := s.ring.owner(items[0].Problem.StructureKey())
-	for _, it := range items[1:] {
-		if s.ring.owner(it.Problem.StructureKey()) != owner {
-			return "", false
-		}
-	}
-	return owner, true
-}
-
-// batchShardOwner is shardOwner for a whole batch: a non-empty return
-// proxies the batch to that peer. Serving locally records one local
-// miss per item another replica owns.
-func (s *Server) batchShardOwner(r *http.Request, items []schedroute.ScheduleRequest) string {
-	if s.ring == nil || r.Header.Get(forwardedHeader) != "" {
-		return ""
-	}
-	if owner, uniform := s.batchOwner(items); uniform && owner != "" && owner != s.ring.self && s.cfg.ShardPolicy == shardPolicyProxy {
-		return owner
-	}
-	for _, it := range items {
-		if o := s.ring.owner(it.Problem.StructureKey()); o != "" && o != s.ring.self {
-			s.metrics.shardLocalMisses.Add(1)
-		}
-	}
-	return ""
-}
 
 // batchGroup is one unique sub-request: items with identical problem,
 // options, and omega flag share a single solve and a single encoded
@@ -87,17 +25,36 @@ type batchGroup struct {
 	err   error
 }
 
-// batch runs the grouped fan-out. Items are grouped by their full
-// sub-request identity (tenant + StructureKey + period + options +
-// omega flag); the solver cache underneath guarantees one structure
-// build per distinct StructureKey, and the grouping guarantees one
-// solve per identical sub-request, however large the batch. The tenant
-// belongs in the key because an admitted tenant's item is answered
-// from its admitted standing, not a fresh solve — two tenants naming
-// the same problem must not share one result object. Unique groups run
-// in parallel on borrowed idle worker slots, the same discipline as
-// the sweep, and the whole response is encoded in one pass at the end.
-func (s *Server) batch(ctx context.Context, req schedroute.BatchScheduleRequest) *schedroute.BatchScheduleResult {
+// batch is POST /v1/schedule:batch, a grouped fan-out. Items are
+// grouped by their full sub-request identity (tenant + StructureKey +
+// period + options + omega flag); the solver cache underneath
+// guarantees one structure build per distinct StructureKey, and the
+// grouping one solve per identical sub-request, however large the
+// batch. The tenant belongs in the key because an admitted tenant's
+// item is answered from its admitted standing, not a fresh solve — two
+// tenants naming the same problem must not share one result object.
+// Unique groups run in parallel on borrowed idle worker slots, the same
+// discipline as the sweep; the response is encoded in one pass.
+func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedroute.BatchScheduleResult, error) {
+	if err := schedroute.CheckSchemaVersion(req.SchemaVersion); err != nil {
+		return nil, err
+	}
+	if len(req.Items) == 0 || len(req.Items) > maxBatchItems {
+		return nil, badInput("batch: %d items out of range [1,%d]", len(req.Items), maxBatchItems)
+	}
+	keys := make([]string, len(req.Items))
+	for i, item := range req.Items {
+		keys[i] = item.Problem.StructureKey()
+	}
+	if err := c.route(req, keys...); err != nil {
+		return nil, err
+	}
+	if err := c.queue(); err != nil {
+		return nil, err
+	}
+	defer s.release()
+
+	ctx := c.r.Context()
 	groups := make([]*batchGroup, 0, len(req.Items))
 	index := map[string]*batchGroup{}
 	for i, item := range req.Items {
@@ -105,7 +62,7 @@ func (s *Server) batch(ctx context.Context, req schedroute.BatchScheduleRequest)
 		ten := schedroute.TenantOrDefault(item.Tenant)
 		gk := fmt.Sprintf("tenant=%s/%d/%g|%s|tauin=%g|omega=%t|opts=%s",
 			ten.ID, ten.Priority, ten.RateGuarantee,
-			item.Problem.StructureKey(), item.Problem.TauIn, item.IncludeOmega, ob)
+			keys[i], item.Problem.TauIn, item.IncludeOmega, ob)
 		g := index[gk]
 		if g == nil {
 			g = &batchGroup{req: item}
@@ -118,27 +75,10 @@ func (s *Server) batch(ctx context.Context, req schedroute.BatchScheduleRequest)
 	extra, releaseExtra := s.claimExtraWorkers(s.cfg.Workers - 1)
 	ferr := parallel.ForEach(ctx, len(groups), 1+extra, func(gi int) error {
 		g := groups[gi]
-		// Tenant-scoped items follow the same path as a standalone
-		// /v1/schedule: an admitted tenant's item is served from its
-		// admitted standing.
-		if ent, err := s.tenantFor(g.req.Tenant, g.req.Problem); err != nil {
-			g.err = err
-			return nil
-		} else if ent != nil {
-			g.out, g.err = s.tenantSchedule(ent, g.req.IncludeOmega, g.req.Options.WantStats())
-			return nil
-		}
-		sv, err := s.solve(ctx, g.req.Problem, g.req.Options, nil)
-		if err != nil {
-			g.err = err
-			return nil // per-item isolation: siblings keep running
-		}
-		out, err := schedroute.NewScheduleResult(sv.built, sv.res, sv.tauIn, g.req.IncludeOmega, g.req.Options.WantStats())
-		if err != nil {
-			g.err = err
-			return nil
-		}
-		g.out = out
+		// A group is a call of its own (untraced, unlogged) through the
+		// body a standalone /v1/schedule runs; its error stays on the
+		// group — per-item isolation: siblings keep running.
+		g.out, g.err = s.scheduleOne(&call{s: s, r: c.r, key: keys[g.items[0]]}, g.req, true)
 		return nil
 	})
 
@@ -165,6 +105,6 @@ func (s *Server) batch(ctx context.Context, req schedroute.BatchScheduleRequest)
 		}
 	}
 	releaseExtra()
-	s.metrics.batchItems.Add(int64(len(req.Items)))
-	return &schedroute.BatchScheduleResult{SchemaVersion: schedroute.SchemaVersion, Items: items}
+	s.metrics.add(mBatchItems, int64(len(req.Items)))
+	return &schedroute.BatchScheduleResult{SchemaVersion: schedroute.SchemaVersion, Items: items}, nil
 }

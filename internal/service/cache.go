@@ -25,23 +25,21 @@ type solverEntry struct {
 // solverCache is an LRU of solverEntry keyed by
 // schedroute.Problem.StructureKey. A hit means a request skips spec
 // parsing, workload construction, and — through the Solver — the
-// τin-independent halves of the pipeline.
+// τin-independent halves of the pipeline. Hits, misses, evictions at
+// capacity (not failed-build retries) and the size are counted in m.
 type solverCache struct {
 	mu  sync.Mutex
 	cap int
 	ll  *list.List               // front = most recent
 	ent map[string]*list.Element // key -> element whose Value is *solverEntry
-
-	hits      int64
-	misses    int64
-	evictions int64 // entries dropped at capacity (not failed-build retries)
+	m   *Metrics
 }
 
-func newSolverCache(capacity int) *solverCache {
+func newSolverCache(capacity int, m *Metrics) *solverCache {
 	if capacity < 1 {
 		capacity = 1
 	}
-	return &solverCache{cap: capacity, ll: list.New(), ent: map[string]*list.Element{}}
+	return &solverCache{cap: capacity, ll: list.New(), ent: map[string]*list.Element{}, m: m}
 }
 
 // getOrCreate returns the entry for key, creating (and possibly
@@ -58,20 +56,21 @@ func (c *solverCache) getOrCreate(key string, build func() (*schedroute.Built, e
 	var e *solverEntry
 	hit := false
 	if el, ok := c.ent[key]; ok {
-		c.hits++
+		c.m.add(mCacheHits, 1)
 		hit = true
 		c.ll.MoveToFront(el)
 		e = el.Value.(*solverEntry)
 	} else {
-		c.misses++
+		c.m.add(mCacheMisses, 1)
 		e = &solverEntry{key: key}
 		c.ent[key] = c.ll.PushFront(e)
 		for c.ll.Len() > c.cap {
 			old := c.ll.Back()
 			c.ll.Remove(old)
 			delete(c.ent, old.Value.(*solverEntry).key)
-			c.evictions++
+			c.m.add(mCacheEvictions, 1)
 		}
+		c.m.set(mCacheSize, int64(c.ll.Len()))
 	}
 	c.mu.Unlock()
 
@@ -96,11 +95,6 @@ func (c *solverCache) evict(key string, e *solverEntry) {
 	if el, ok := c.ent[key]; ok && el.Value.(*solverEntry) == e {
 		c.ll.Remove(el)
 		delete(c.ent, key)
+		c.m.set(mCacheSize, int64(c.ll.Len()))
 	}
-}
-
-func (c *solverCache) stats() (hits, misses, evictions int64, size int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, c.evictions, c.ll.Len()
 }

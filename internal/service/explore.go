@@ -3,7 +3,6 @@ package service
 import (
 	"context"
 	"fmt"
-	"net/http"
 
 	"schedroute/internal/alloc"
 	"schedroute/internal/errkind"
@@ -18,42 +17,21 @@ import (
 // request (Pareto mode records the solver's own explore span family).
 const SpanExplorePoint = "explore_point"
 
-// handleExplore serves the unified exploration endpoint: grid mode
-// (the consolidated sweep / best-allocation search) and Pareto mode
-// (the multi-criteria front), selected by the request's objectives.
-func (s *Server) handleExplore(w http.ResponseWriter, r *http.Request) {
-	var req schedroute.ExploreRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, err, nil)
-		return
+// explore is POST /v1/explore: grid mode (the consolidated sweep /
+// best-allocation search) or Pareto mode (the multi-criteria front),
+// selected by the request's objectives. The fan-out borrows idle worker
+// slots, so concurrent explorations share the server-wide Workers
+// bound; results are byte-identical for every worker count. It is a
+// what-if: the tenant is a metrics label, its standing never consulted.
+func (s *Server) explore(c *call, req schedroute.ExploreRequest) (*schedroute.ExploreResult, error) {
+	c.tenantID = schedroute.TenantOrDefault(req.Tenant).ID
+	if err := c.route(req, c.structureKey(req.Problem)); err != nil {
+		return nil, err
 	}
-	s.metrics.observeTenantRequest("explore", schedroute.TenantOrDefault(req.Tenant).ID)
-	if owner := s.shardOwner(r, req.Problem.StructureKey()); owner != "" {
-		s.proxy(w, r, owner, req)
-		return
+	if err := c.queue(); err != nil {
+		return nil, err
 	}
-	root := requestSpan(r, "explore")
-	qs := root.Start(SpanQueueWait)
-	if err := s.admit(r.Context()); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	qs.End()
 	defer s.release()
-	out, err := s.explore(r.Context(), req, root)
-	if err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	root.End()
-	out.Trace = schedroute.NewTraceEnvelope(root.Tree())
-	writeJSON(w, out)
-}
-
-// explore runs one exploration. The fan-out borrows idle worker slots,
-// so concurrent explorations share the server-wide Workers bound;
-// results are byte-identical for every worker count.
-func (s *Server) explore(ctx context.Context, req schedroute.ExploreRequest, root *trace.Span) (*schedroute.ExploreResult, error) {
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
@@ -62,28 +40,28 @@ func (s *Server) explore(ctx context.Context, req schedroute.ExploreRequest, roo
 		return nil, err
 	}
 	opts.CollectStats = true
-
-	ent, _ := s.cache.getOrCreate(req.Problem.StructureKey(), func() (*schedroute.Built, error) {
-		return schedroute.NewProblem(req.Problem)
-	})
-	if ent.err != nil {
-		return nil, ent.err
+	ent, _, err := c.structure(req.Problem)
+	if err != nil {
+		return nil, err
 	}
 
 	extra, releaseExtra := s.claimExtraWorkers(s.cfg.Workers - 1)
 	defer releaseExtra()
 	workers := 1 + extra
 
+	ctx := c.r.Context()
 	var out *schedroute.ExploreResult
 	if req.Mode() == schedroute.ExploreModePareto {
-		out, err = s.explorePareto(ctx, req, ent.built, opts, workers, root)
+		out, err = s.explorePareto(ctx, req, ent.built, opts, workers, c.root)
 	} else {
-		out, err = s.exploreGrid(ctx, req, ent, opts, workers, root)
+		out, err = s.exploreGrid(ctx, req, ent, opts, workers, c.root)
 	}
 	if err != nil {
 		return nil, err
 	}
-	s.metrics.observeExplore(out.Mode, len(out.Points)+out.Evaluated, len(out.Front))
+	s.metrics.add(mExploreRuns, 1, out.Mode)
+	s.metrics.add(mExplorePoints, int64(len(out.Points)+out.Evaluated))
+	s.metrics.add(mExploreFront, int64(len(out.Front)))
 	return out, nil
 }
 
@@ -200,7 +178,7 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 		max = 5 * tauC
 	}
 	if min <= 0 || max < min {
-		return nil, errkind.Mark(fmt.Errorf("explore: bad period range [%g, %g]", min, max), errkind.ErrBadInput)
+		return nil, badInput("explore: bad period range [%g, %g]", min, max)
 	}
 
 	// Candidate solvers: the cache entry's solver serves the problem's
@@ -252,14 +230,14 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 		if err != nil {
 			return err
 		}
-		s.metrics.observeSolve(res.Stats)
+		s.metrics.countSolve(res.Stats)
 		winner := 0
 		for c := 1; c < len(solvers); c++ {
 			cres, err := solvers[c].Solve(ctx, tauIn, o)
 			if err != nil {
 				return err
 			}
-			s.metrics.observeSolve(cres.Stats)
+			s.metrics.countSolve(cres.Stats)
 			if schedule.Better(cres, res) {
 				res, winner = cres, c
 			}

@@ -58,7 +58,7 @@ func TestExploreParetoEndpoint(t *testing.T) {
 			t.Errorf("trace missing span %q", want)
 		}
 	}
-	if runs := srv.metrics.ExploreRuns("pareto"); runs != 1 {
+	if runs := srv.metrics.value("srschedd_explore_runs_total", "pareto"); runs != 1 {
 		t.Errorf("pareto explore runs %d, want 1", runs)
 	}
 
@@ -124,11 +124,11 @@ func TestExploreGridPlacementAxis(t *testing.T) {
 			t.Fatalf("point %d: winner %d out of range", i, w)
 		}
 	}
-	if runs := srv.metrics.ExploreRuns("grid"); runs != 1 {
+	if runs := srv.metrics.value("srschedd_explore_runs_total", "grid"); runs != 1 {
 		t.Errorf("grid explore runs %d, want 1", runs)
 	}
 	// Three points × three candidates = nine solver executions.
-	if n := srv.metrics.SolveRuns(); n != 9 {
+	if n := srv.metrics.value("srschedd_solve_runs_total"); n != 9 {
 		t.Errorf("solver ran %d times, want 9", n)
 	}
 }

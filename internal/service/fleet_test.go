@@ -9,6 +9,8 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
+	"sync"
 	"testing"
 
 	"schedroute/pkg/schedroute"
@@ -48,7 +50,7 @@ func TestBatchScheduleOneStructureBuild(t *testing.T) {
 		}
 	}
 
-	if _, misses, _, _ := srv.cache.stats(); misses != 1 {
+	if misses := srv.metrics.value("srschedd_solver_cache_misses_total"); misses != 1 {
 		t.Errorf("batch built %d structures, want 1", misses)
 	}
 	ent, _ := srv.cache.getOrCreate(testProblem(0).StructureKey(), func() (*schedroute.Built, error) {
@@ -59,7 +61,7 @@ func TestBatchScheduleOneStructureBuild(t *testing.T) {
 	if st.BaselineBuilds != 1 || st.CandidateBuilds != 1 || st.ValidateBuilds != 1 {
 		t.Errorf("batch re-derived structure: %+v", st)
 	}
-	if got := srv.metrics.batchItems.Load(); got != 64 {
+	if got := srv.metrics.value("srschedd_batch_items_total"); got != 64 {
 		t.Errorf("batch_items = %d, want 64", got)
 	}
 }
@@ -77,7 +79,7 @@ func TestBatchIdenticalItemsShareOneSolve(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("batch: status %d: %s", code, body)
 	}
-	if runs := srv.metrics.SolveRuns(); runs != 1 {
+	if runs := srv.metrics.value("srschedd_solve_runs_total"); runs != 1 {
 		t.Errorf("8 identical batch items ran %d solves, want 1", runs)
 	}
 }
@@ -130,11 +132,31 @@ func TestBatchValidation(t *testing.T) {
 	}
 }
 
-// replica is one member of a test fleet: the server plus the listener
-// it is reachable on (ts.URL is its entry in the peer list).
+// replica is one member of a test fleet: the server, the listener it is
+// reachable on (ts.URL is its entry in the peer list), and its log.
 type replica struct {
 	*Server
-	ts *httptest.Server
+	ts   *httptest.Server
+	logs *syncBuffer
+}
+
+// syncBuffer is a log sink a test may read while the server still
+// writes: the access-log line lands after the response has gone out.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
 }
 
 // fleetPair starts two servers that know each other as peers, with both
@@ -152,9 +174,9 @@ func fleetPair(t *testing.T, policy string) (a, b replica) {
 	urlA := "http://" + la.Addr().String()
 	urlB := "http://" + lb.Addr().String()
 	peers := []string{urlA, urlB}
-	quiet := slog.New(slog.NewTextHandler(io.Discard, nil))
-	a.Server = New(Config{Peers: peers, SelfURL: urlA, ShardPolicy: policy, Logger: quiet})
-	b.Server = New(Config{Peers: peers, SelfURL: urlB, ShardPolicy: policy, Logger: quiet})
+	a.logs, b.logs = new(syncBuffer), new(syncBuffer)
+	a.Server = New(Config{Peers: peers, SelfURL: urlA, ShardPolicy: policy, Logger: slog.New(slog.NewTextHandler(a.logs, nil))})
+	b.Server = New(Config{Peers: peers, SelfURL: urlB, ShardPolicy: policy, Logger: slog.New(slog.NewTextHandler(b.logs, nil))})
 	a.ts = &httptest.Server{Listener: la, Config: &http.Server{Handler: a.Handler()}}
 	b.ts = &httptest.Server{Listener: lb, Config: &http.Server{Handler: b.Handler()}}
 	a.ts.Start()
@@ -226,13 +248,13 @@ func TestShardProxy(t *testing.T) {
 	if !out.Feasible {
 		t.Errorf("proxied solve infeasible at %s", out.FailStage)
 	}
-	if got := a.metrics.shardProxied.Load(); got != 1 {
+	if got := a.metrics.value("srschedd_shard_proxied_total"); got != 1 {
 		t.Errorf("A proxied %d requests, want 1", got)
 	}
-	if _, _, _, size := a.cache.stats(); size != 0 {
+	if size := a.metrics.value("srschedd_solver_cache_size"); size != 0 {
 		t.Errorf("proxying replica cached %d structures, want 0", size)
 	}
-	if _, misses, _, _ := b.cache.stats(); misses != 1 {
+	if misses := b.metrics.value("srschedd_solver_cache_misses_total"); misses != 1 {
 		t.Errorf("owner built %d structures, want 1", misses)
 	}
 }
@@ -255,10 +277,10 @@ func TestShardProxyDeadOwner(t *testing.T) {
 	if code != http.StatusServiceUnavailable || er.Kind != "unavailable" || er.Error == "" {
 		t.Errorf("dead owner: status %d kind %q error %q, want 503 unavailable", code, er.Kind, er.Error)
 	}
-	if got := a.metrics.shardProxied.Load(); got != 0 {
+	if got := a.metrics.value("srschedd_shard_proxied_total"); got != 0 {
 		t.Errorf("A counted %d proxied requests for a hop that never connected, want 0", got)
 	}
-	if _, _, _, size := a.cache.stats(); size != 0 {
+	if size := a.metrics.value("srschedd_solver_cache_size"); size != 0 {
 		t.Errorf("A cached %d structures for a key it does not own, want 0", size)
 	}
 	waitGoroutines(t, before)
@@ -277,16 +299,16 @@ func TestShardForwardedServedLocally(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("forwarded request: status %d: %s", code, body)
 	}
-	if _, misses, _, _ := a.cache.stats(); misses != 1 {
+	if misses := a.metrics.value("srschedd_solver_cache_misses_total"); misses != 1 {
 		t.Errorf("A built %d structures, want 1 (served locally)", misses)
 	}
-	if _, misses, _, _ := b.cache.stats(); misses != 0 {
+	if misses := b.metrics.value("srschedd_solver_cache_misses_total"); misses != 0 {
 		t.Errorf("owner built %d structures: the forwarded request was re-proxied", misses)
 	}
-	if got := a.metrics.shardProxied.Load(); got != 0 {
+	if got := a.metrics.value("srschedd_shard_proxied_total"); got != 0 {
 		t.Errorf("shard_proxied = %d, want 0", got)
 	}
-	if got := a.metrics.shardLocalMisses.Load(); got != 0 {
+	if got := a.metrics.value("srschedd_shard_local_misses_total"); got != 0 {
 		t.Errorf("shard_local_misses = %d, want 0", got)
 	}
 }
@@ -302,13 +324,13 @@ func TestShardServeLocal(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("serve-local request: status %d: %s", code, body)
 	}
-	if got := a.metrics.shardLocalMisses.Load(); got != 1 {
+	if got := a.metrics.value("srschedd_shard_local_misses_total"); got != 1 {
 		t.Errorf("A recorded %d local misses, want 1", got)
 	}
-	if got := a.metrics.shardProxied.Load(); got != 0 {
+	if got := a.metrics.value("srschedd_shard_proxied_total"); got != 0 {
 		t.Errorf("A proxied %d requests under serve policy, want 0", got)
 	}
-	if _, misses, _, _ := a.cache.stats(); misses != 1 {
+	if misses := a.metrics.value("srschedd_solver_cache_misses_total"); misses != 1 {
 		t.Errorf("A built %d structures, want 1", misses)
 	}
 	ent, _ := a.cache.getOrCreate(p.StructureKey(), func() (*schedroute.Built, error) {
@@ -318,7 +340,70 @@ func TestShardServeLocal(t *testing.T) {
 	if st := ent.solver.CacheStats(); st.BaselineBuilds != 1 {
 		t.Errorf("served locally means derived locally: baseline builds = %d, want 1", st.BaselineBuilds)
 	}
-	if _, misses, _, _ := b.cache.stats(); misses != 0 {
+	if misses := b.metrics.value("srschedd_solver_cache_misses_total"); misses != 0 {
 		t.Errorf("owner built %d structures without receiving a request, want 0", misses)
+	}
+}
+
+// TestRequestIDAcrossShardHop follows one request by its id: a traced
+// request that replica A proxies to the owner B returns the id in its
+// header, carries it on the owner's trace root, and is logged under it
+// by both replicas — whether the client supplied the id or A minted it.
+// An id that is not safe to echo verbatim is replaced, not trusted.
+func TestRequestIDAcrossShardHop(t *testing.T) {
+	a, b := fleetPair(t, shardPolicyProxy)
+	p := problemOwnedBy(t, a.ring, b.ts.URL)
+	raw, _ := json.Marshal(schedroute.ScheduleRequest{Problem: p})
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+	for _, sent := range []string{"trace-me.01", "", "no spaces\"or quotes"} {
+		req, err := http.NewRequest(http.MethodPost, a.ts.URL+"/v1/schedule?debug=trace", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent != "" {
+			req.Header.Set(requestIDHeader, sent)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("id %q: status %d (%v): %s", sent, resp.StatusCode, err, body)
+		}
+		id := resp.Header.Get(requestIDHeader)
+		if !requestIDForm.MatchString(id) || (requestIDForm.MatchString(sent) != (id == sent)) {
+			t.Fatalf("sent id %q, got %q back: want a well-formed id echoed and anything else replaced", sent, id)
+		}
+
+		var out schedroute.ScheduleResult
+		if err := json.Unmarshal(body, &out); err != nil || out.Trace == nil || out.Trace.Root == nil {
+			t.Fatalf("id %q: no trace envelope (%v): %.200s", sent, err, body)
+		}
+		onRoot := ""
+		for _, at := range out.Trace.Root.Attrs {
+			if at.Key == "request_id" {
+				onRoot = at.Str
+			}
+		}
+		if onRoot != id {
+			t.Errorf("trace root carries request_id %q, header says %q", onRoot, id)
+		}
+		for name, r := range map[string]replica{"proxying": a, "owning": b} {
+			want := "endpoint=schedule method=POST status=200"
+			waitFor(t, name+" replica to log request "+id, func() bool {
+				for _, line := range strings.Split(r.logs.String(), "\n") {
+					if strings.Contains(line, "request_id="+id+" ") && strings.Contains(line, want) {
+						return true
+					}
+				}
+				return false
+			})
+		}
+	}
+	if got := a.metrics.value("srschedd_shard_proxied_total"); got != 3 {
+		t.Errorf("A proxied %d requests, want all 3", got)
 	}
 }

@@ -3,7 +3,8 @@ package service
 import (
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -11,398 +12,189 @@ import (
 	"schedroute/internal/schedule"
 )
 
-// Metrics aggregates the service counters exported on /metrics in the
-// Prometheus text exposition format. Everything is either atomic or
-// guarded by mu; handlers update it on every request.
-type Metrics struct {
-	mu sync.Mutex
-	// requests[endpoint][code] counts completed requests.
-	requests map[string]map[int]int64
-	// latSum/latCount accumulate request wall-clock per endpoint.
-	latSum   map[string]time.Duration
-	latCount map[string]int64
-	// stage times accumulated from solver stats across all solve runs.
-	stageNS map[string]int64
-	// stageHist is the per-stage latency distribution over individual
-	// solves (the totals above only show averages; the histogram shows
-	// whether a slow stage is uniformly slow or has a long tail).
-	stageHist map[string]*histogram
-
-	solveRuns int64 // solver executions (post-coalescing)
-	coalesced int64 // requests served by joining an in-flight solve
-	queued    atomic.Int64
-
-	// Fleet counters: batch volume and shard routing decisions.
-	batchItems       atomic.Int64 // sub-requests processed through /v1/schedule:batch
-	shardProxied     atomic.Int64 // requests forwarded to their owning shard
-	shardLocalMisses atomic.Int64 // requests served locally though another shard owns them
-
-	// Exploration counters: runs by mode ("grid" or "pareto"), points
-	// reported (grid samples plus Pareto schedules evaluated), and
-	// non-dominated points emitted on Pareto fronts.
-	exploreRuns        map[string]int64 // by mode, guarded by mu
-	explorePoints      atomic.Int64
-	exploreFrontPoints atomic.Int64
-
-	// Tenant counters: admission outcomes by ladder rung, evictions,
-	// the live-tenant gauge, and per-tenant request volume (labelled by
-	// endpoint and tenant id; the default tenant counts too, so the
-	// tenant dimension is total).
-	admissions      map[string]int64            // by outcome, guarded by mu
-	tenantRequests  map[string]map[string]int64 // endpoint → tenant → count, guarded by mu
-	tenantEvictions atomic.Int64
-	tenantsGauge    atomic.Int64
-
-	// Watch subscription counters. watchEventHist is the end-to-end
-	// event→frame latency distribution (dequeue to frame appended).
-	watchSubs      atomic.Int64 // live subscriptions (gauge)
-	watchEvents    atomic.Int64 // events accepted into a queue
-	watchFrames    atomic.Int64 // frames appended to replay rings
-	watchDropped   atomic.Int64 // frames skipped coalescing slow consumers
-	watchPanics    atomic.Int64 // recovered subscription panics
-	watchEventHist histogram    // guarded by mu
+// series is one row of the /metrics table: everything the exposition,
+// the README reference and the naming check need to know about it.
+type series struct {
+	id     int
+	name   string
+	typ    string // counter, gauge, summary or histogram
+	help   string
+	labels []string // at most two (labelKey)
 }
 
-// stageBuckets are the per-stage latency histogram upper bounds in
-// seconds: decade buckets from 10µs (a warm cached stage) to 1s (a
-// pathological solve), plus the implicit +Inf.
-var stageBuckets = [...]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
+// metricTable is every exported series, in exposition order.
+var metricTable []*series
 
-// histogram is a fixed-bucket Prometheus-style histogram: counts are
-// cumulative per upper bound, exactly as the text exposition expects.
-type histogram struct {
-	buckets [len(stageBuckets)]int64
-	count   int64
-	sum     time.Duration
+func row(name, typ, help string, labels ...string) *series {
+	s := &series{id: len(metricTable), name: name, typ: typ, help: help, labels: labels}
+	metricTable = append(metricTable, s)
+	return s
 }
 
-func (h *histogram) observe(d time.Duration) {
-	h.count++
-	h.sum += d
-	s := d.Seconds()
-	for i, ub := range stageBuckets {
-		if s <= ub {
-			h.buckets[i]++
+var (
+	mRequests        = row("srschedd_requests_total", "counter", "Completed requests by endpoint and status code.", "endpoint", "code")
+	mRequestSeconds  = row("srschedd_request_seconds", "summary", "Request wall-clock time by endpoint.", "endpoint")
+	mCacheHits       = row("srschedd_solver_cache_hits_total", "counter", "Requests that found their problem structure cached.")
+	mCacheMisses     = row("srschedd_solver_cache_misses_total", "counter", "Requests that had to build a solver.")
+	mCacheSize       = row("srschedd_solver_cache_size", "gauge", "Cached problem structures.")
+	mCacheEvictions  = row("srschedd_cache_evictions_total", "counter", "Solver-cache entries evicted at capacity.")
+	mBatchItems      = row("srschedd_batch_items_total", "counter", "Sub-requests processed through /v1/schedule:batch.")
+	mExploreRuns     = row("srschedd_explore_runs_total", "counter", "Completed explorations by mode.", "mode")
+	mExplorePoints   = row("srschedd_explore_points_total", "counter", "Exploration points reported (grid samples plus Pareto evaluations).")
+	mExploreFront    = row("srschedd_explore_front_points_total", "counter", "Non-dominated points emitted on Pareto fronts.")
+	mShardProxied    = row("srschedd_shard_proxied_total", "counter", "Requests forwarded to their owning shard.")
+	mShardLocalMiss  = row("srschedd_shard_local_misses_total", "counter", "Requests served locally although another shard owns their structure.")
+	mCoalesced       = row("srschedd_coalesced_requests_total", "counter", "Requests served by joining an identical in-flight solve.")
+	mSolveRuns       = row("srschedd_solve_runs_total", "counter", "Solver executions (after coalescing).")
+	mQueueDepth      = row("srschedd_queue_depth", "gauge", "Requests waiting for a solve worker slot.")
+	mTenants         = row("srschedd_tenants", "gauge", "Admitted tenants across all fabrics.")
+	mAdmissions      = row("srschedd_admissions_total", "counter", "Tenant admission attempts by ladder outcome.", "outcome")
+	mTenantEvictions = row("srschedd_tenant_evictions_total", "counter", "Tenants preempted by higher-priority admissions.")
+	mTenantRequests  = row("srschedd_tenant_requests_total", "counter", "Tenant-dimension requests by endpoint and tenant.", "endpoint", "tenant")
+	mWatchSubs       = row("srschedd_watch_subscriptions", "gauge", "Live /v1/watch subscriptions.")
+	mWatchEvents     = row("srschedd_watch_events_total", "counter", "Watch events accepted into subscription queues.")
+	mWatchFrames     = row("srschedd_watch_frames_total", "counter", "Frames appended to watch replay rings.")
+	mWatchDropped    = row("srschedd_watch_dropped_frames_total", "counter", "Frames skipped coalescing slow watch consumers to the latest state.")
+	mWatchPanics     = row("srschedd_watch_panics_total", "counter", "Recovered watch state-machine panics (each terminates one subscription).")
+	mWatchEventTime  = row("srschedd_watch_event_seconds", "histogram", "Watch event dequeue-to-frame latency.")
+	// Exposed from mStageDuration's cells — one accumulation, two views:
+	// the total shows a stage's average, the histogram its tail.
+	mStageSeconds  = row("srschedd_solve_stage_seconds_total", "counter", "Cumulative pipeline time by stage across all solves.", "stage")
+	mStageDuration = row("srschedd_solve_stage_duration_seconds", "histogram", "Per-solve pipeline stage latency.", "stage")
+)
+
+// labelKey is one cell's label values: a fixed-size array is a map key
+// as it stands, so no observation builds a joined key string.
+type labelKey [2]string
+
+// latencyBuckets are the histogram upper bounds in seconds: decade
+// buckets from 10µs (a warm cached stage) to 1s (a pathological solve),
+// plus the implicit +Inf.
+var latencyBuckets = [...]float64{1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1}
+
+// cell is one label set's value. A counter or gauge uses n alone; a
+// summary or histogram counts observations in n, their total in sumNS
+// and — cumulative per upper bound, as the exposition expects — buckets.
+type cell struct {
+	n       atomic.Int64
+	sumNS   atomic.Int64
+	buckets [len(latencyBuckets)]atomic.Int64
+}
+
+// vec is one series' cells by label values.
+type vec struct {
+	mu    sync.Mutex
+	cells map[labelKey]*cell
+}
+
+func (v *vec) at(labels []string) *cell {
+	var k labelKey
+	copy(k[:], labels)
+	v.mu.Lock()
+	defer v.mu.Unlock()
+	c := v.cells[k]
+	if c == nil {
+		if v.cells == nil {
+			v.cells = map[labelKey]*cell{}
+		}
+		c = new(cell)
+		v.cells[k] = c
+	}
+	return c
+}
+
+// keys lists the label sets in sorted order. An unlabelled series is
+// exposed from the start, at zero; others from their first observation.
+func (v *vec) keys(s *series) []labelKey {
+	if len(s.labels) == 0 {
+		return []labelKey{{}}
+	}
+	v.mu.Lock()
+	keys := make([]labelKey, 0, len(v.cells))
+	for k := range v.cells {
+		keys = append(keys, k)
+	}
+	v.mu.Unlock()
+	slices.SortFunc(keys, func(a, b labelKey) int { return slices.Compare(a[:], b[:]) })
+	return keys
+}
+
+// Metrics holds the cells behind metricTable, one vec per row.
+type Metrics struct{ vecs []vec }
+
+func newMetrics() *Metrics { return &Metrics{vecs: make([]vec, len(metricTable))} }
+
+func (m *Metrics) add(s *series, n int64, labels ...string) { m.vecs[s.id].at(labels).n.Add(n) }
+func (m *Metrics) set(s *series, n int64, labels ...string) { m.vecs[s.id].at(labels).n.Store(n) }
+
+// sample records one observation of a summary or histogram row.
+func (m *Metrics) sample(s *series, d time.Duration, labels ...string) {
+	c := m.vecs[s.id].at(labels)
+	c.n.Add(1)
+	c.sumNS.Add(int64(d))
+	for i, ub := range latencyBuckets {
+		if d.Seconds() <= ub {
+			c.buckets[i].Add(1)
 		}
 	}
 }
 
-func (m *Metrics) observeStage(stage string, d time.Duration) {
-	h := m.stageHist[stage]
-	if h == nil {
-		h = &histogram{}
-		m.stageHist[stage] = h
+// countSolve records one solver execution and its per-stage times.
+func (m *Metrics) countSolve(st schedule.SolveStats) {
+	m.add(mSolveRuns, 1)
+	m.sample(mStageDuration, st.WindowsTime, "windows")
+	m.sample(mStageDuration, st.AssignTime, "assign")
+	m.sample(mStageDuration, st.AllocateTime, "allocate")
+	m.sample(mStageDuration, st.ScheduleTime, "schedule")
+	m.sample(mStageDuration, st.OmegaTime, "omega")
+}
+
+// value reads one counter or gauge by its exposition name (tests).
+func (m *Metrics) value(name string, labels ...string) int64 {
+	i := slices.IndexFunc(metricTable, func(s *series) bool { return s.name == name })
+	return m.vecs[i].at(labels).n.Load()
+}
+
+// labelText renders a label set, plus le on a histogram bucket line.
+func labelText(names []string, k labelKey, le string) string {
+	var b strings.Builder
+	for i, n := range names {
+		fmt.Fprintf(&b, ",%s=%q", n, k[i])
 	}
-	h.observe(d)
-}
-
-func newMetrics() *Metrics {
-	return &Metrics{
-		requests:       map[string]map[int]int64{},
-		latSum:         map[string]time.Duration{},
-		latCount:       map[string]int64{},
-		stageNS:        map[string]int64{},
-		stageHist:      map[string]*histogram{},
-		admissions:     map[string]int64{},
-		exploreRuns:    map[string]int64{},
-		tenantRequests: map[string]map[string]int64{},
+	if le != "" {
+		fmt.Fprintf(&b, ",le=%q", le)
 	}
-}
-
-// observeAdmission records one admission attempt's ladder outcome and
-// how many tenants it preempted.
-func (m *Metrics) observeAdmission(outcome string, evicted int) {
-	m.mu.Lock()
-	m.admissions[outcome]++
-	m.mu.Unlock()
-	m.tenantEvictions.Add(int64(evicted))
-}
-
-// observeExplore records one completed exploration.
-func (m *Metrics) observeExplore(mode string, points, front int) {
-	m.mu.Lock()
-	m.exploreRuns[mode]++
-	m.mu.Unlock()
-	m.explorePoints.Add(int64(points))
-	m.exploreFrontPoints.Add(int64(front))
-}
-
-// ExploreRuns reports completed explorations in the given mode (used by
-// tests).
-func (m *Metrics) ExploreRuns(mode string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.exploreRuns[mode]
-}
-
-// observeTenantRequest counts one tenant-dimension request.
-func (m *Metrics) observeTenantRequest(endpoint, tenant string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	byTenant := m.tenantRequests[endpoint]
-	if byTenant == nil {
-		byTenant = map[string]int64{}
-		m.tenantRequests[endpoint] = byTenant
+	if b.Len() == 0 {
+		return ""
 	}
-	byTenant[tenant]++
+	return "{" + b.String()[1:] + "}"
 }
 
-// setTenants updates the admitted-tenants gauge.
-func (m *Metrics) setTenants(n int64) { m.tenantsGauge.Store(n) }
-
-// Admissions reports admission attempts by outcome (used by tests).
-func (m *Metrics) Admissions(outcome string) int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.admissions[outcome]
-}
-
-func (m *Metrics) observeRequest(endpoint string, code int, dur time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	codes := m.requests[endpoint]
-	if codes == nil {
-		codes = map[int]int64{}
-		m.requests[endpoint] = codes
-	}
-	codes[code]++
-	m.latSum[endpoint] += dur
-	m.latCount[endpoint]++
-}
-
-func (m *Metrics) observeSolve(st schedule.SolveStats) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.solveRuns++
-	m.stageNS["windows"] += int64(st.WindowsTime)
-	m.stageNS["assign"] += int64(st.AssignTime)
-	m.stageNS["allocate"] += int64(st.AllocateTime)
-	m.stageNS["schedule"] += int64(st.ScheduleTime)
-	m.stageNS["omega"] += int64(st.OmegaTime)
-	m.observeStage("windows", st.WindowsTime)
-	m.observeStage("assign", st.AssignTime)
-	m.observeStage("allocate", st.AllocateTime)
-	m.observeStage("schedule", st.ScheduleTime)
-	m.observeStage("omega", st.OmegaTime)
-}
-
-func (m *Metrics) observeWatchEvent(d time.Duration) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.watchEventHist.observe(d)
-}
-
-// WatchDropped reports frames skipped while coalescing slow consumers.
-func (m *Metrics) WatchDropped() int64 { return m.watchDropped.Load() }
-
-// WatchPanics reports recovered watch state-machine panics.
-func (m *Metrics) WatchPanics() int64 { return m.watchPanics.Load() }
-
-// WatchSubs reports currently live watch subscriptions.
-func (m *Metrics) WatchSubs() int64 { return m.watchSubs.Load() }
-
-func (m *Metrics) observeCoalesced() {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.coalesced++
-}
-
-// Coalesced reports how many requests joined an in-flight solve.
-func (m *Metrics) Coalesced() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.coalesced
-}
-
-// SolveRuns reports how many solver executions actually ran.
-func (m *Metrics) SolveRuns() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.solveRuns
-}
-
-// WriteText renders the metrics in the Prometheus text format. Label
-// sets are emitted in sorted order so the output is deterministic.
-func (m *Metrics) WriteText(w io.Writer, cache *solverCache) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-
-	fmt.Fprintln(w, "# HELP srschedd_requests_total Completed requests by endpoint and status code.")
-	fmt.Fprintln(w, "# TYPE srschedd_requests_total counter")
-	endpoints := make([]string, 0, len(m.requests))
-	for ep := range m.requests {
-		endpoints = append(endpoints, ep)
-	}
-	sort.Strings(endpoints)
-	for _, ep := range endpoints {
-		codes := make([]int, 0, len(m.requests[ep]))
-		for c := range m.requests[ep] {
-			codes = append(codes, c)
+// WriteText renders the table in the Prometheus text format.
+func (m *Metrics) WriteText(w io.Writer) {
+	for _, s := range metricTable {
+		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", s.name, s.help, s.name, s.typ)
+		v := &m.vecs[s.id]
+		if s == mStageSeconds {
+			v = &m.vecs[mStageDuration.id]
 		}
-		sort.Ints(codes)
-		for _, c := range codes {
-			fmt.Fprintf(w, "srschedd_requests_total{endpoint=%q,code=\"%d\"} %d\n", ep, c, m.requests[ep][c])
+		for _, k := range v.keys(s) {
+			c, lt := v.at(k[:]), labelText(s.labels, k, "")
+			n, sum := c.n.Load(), time.Duration(c.sumNS.Load()).Seconds()
+			switch {
+			case s == mStageSeconds:
+				fmt.Fprintf(w, "%s%s %g\n", s.name, lt, sum)
+			case s.typ == "counter" || s.typ == "gauge":
+				fmt.Fprintf(w, "%s%s %d\n", s.name, lt, n)
+			default:
+				if s.typ == "histogram" {
+					for i, ub := range latencyBuckets {
+						fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, labelText(s.labels, k, fmt.Sprint(ub)), c.buckets[i].Load())
+					}
+					fmt.Fprintf(w, "%s_bucket%s %d\n", s.name, labelText(s.labels, k, "+Inf"), n)
+				}
+				fmt.Fprintf(w, "%s_sum%s %g\n%s_count%s %d\n", s.name, lt, sum, s.name, lt, n)
+			}
 		}
-	}
-
-	fmt.Fprintln(w, "# HELP srschedd_request_seconds Request wall-clock time by endpoint.")
-	fmt.Fprintln(w, "# TYPE srschedd_request_seconds summary")
-	eps := make([]string, 0, len(m.latCount))
-	for ep := range m.latCount {
-		eps = append(eps, ep)
-	}
-	sort.Strings(eps)
-	for _, ep := range eps {
-		fmt.Fprintf(w, "srschedd_request_seconds_sum{endpoint=%q} %g\n", ep, m.latSum[ep].Seconds())
-		fmt.Fprintf(w, "srschedd_request_seconds_count{endpoint=%q} %d\n", ep, m.latCount[ep])
-	}
-
-	hits, misses, evictions, size := cache.stats()
-	fmt.Fprintln(w, "# HELP srschedd_solver_cache_hits_total Requests that found their problem structure cached.")
-	fmt.Fprintln(w, "# TYPE srschedd_solver_cache_hits_total counter")
-	fmt.Fprintf(w, "srschedd_solver_cache_hits_total %d\n", hits)
-	fmt.Fprintln(w, "# HELP srschedd_solver_cache_misses_total Requests that had to build a solver.")
-	fmt.Fprintln(w, "# TYPE srschedd_solver_cache_misses_total counter")
-	fmt.Fprintf(w, "srschedd_solver_cache_misses_total %d\n", misses)
-	fmt.Fprintln(w, "# HELP srschedd_solver_cache_size Cached problem structures.")
-	fmt.Fprintln(w, "# TYPE srschedd_solver_cache_size gauge")
-	fmt.Fprintf(w, "srschedd_solver_cache_size %d\n", size)
-
-	fmt.Fprintln(w, "# HELP srschedd_cache_evictions_total Solver-cache entries evicted at capacity.")
-	fmt.Fprintln(w, "# TYPE srschedd_cache_evictions_total counter")
-	fmt.Fprintf(w, "srschedd_cache_evictions_total %d\n", evictions)
-
-	fmt.Fprintln(w, "# HELP srschedd_batch_items Sub-requests processed through /v1/schedule:batch.")
-	fmt.Fprintln(w, "# TYPE srschedd_batch_items counter")
-	fmt.Fprintf(w, "srschedd_batch_items %d\n", m.batchItems.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_explore_runs_total Completed explorations by mode.")
-	fmt.Fprintln(w, "# TYPE srschedd_explore_runs_total counter")
-	modes := make([]string, 0, len(m.exploreRuns))
-	for mode := range m.exploreRuns {
-		modes = append(modes, mode)
-	}
-	sort.Strings(modes)
-	for _, mode := range modes {
-		fmt.Fprintf(w, "srschedd_explore_runs_total{mode=%q} %d\n", mode, m.exploreRuns[mode])
-	}
-	fmt.Fprintln(w, "# HELP srschedd_explore_points_total Exploration points reported (grid samples plus Pareto evaluations).")
-	fmt.Fprintln(w, "# TYPE srschedd_explore_points_total counter")
-	fmt.Fprintf(w, "srschedd_explore_points_total %d\n", m.explorePoints.Load())
-	fmt.Fprintln(w, "# HELP srschedd_explore_front_points_total Non-dominated points emitted on Pareto fronts.")
-	fmt.Fprintln(w, "# TYPE srschedd_explore_front_points_total counter")
-	fmt.Fprintf(w, "srschedd_explore_front_points_total %d\n", m.exploreFrontPoints.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_shard_proxied_total Requests forwarded to their owning shard.")
-	fmt.Fprintln(w, "# TYPE srschedd_shard_proxied_total counter")
-	fmt.Fprintf(w, "srschedd_shard_proxied_total %d\n", m.shardProxied.Load())
-	fmt.Fprintln(w, "# HELP srschedd_shard_local_misses_total Requests served locally although another shard owns their structure.")
-	fmt.Fprintln(w, "# TYPE srschedd_shard_local_misses_total counter")
-	fmt.Fprintf(w, "srschedd_shard_local_misses_total %d\n", m.shardLocalMisses.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_coalesced_requests_total Requests served by joining an identical in-flight solve.")
-	fmt.Fprintln(w, "# TYPE srschedd_coalesced_requests_total counter")
-	fmt.Fprintf(w, "srschedd_coalesced_requests_total %d\n", m.coalesced)
-
-	fmt.Fprintln(w, "# HELP srschedd_solve_runs_total Solver executions (after coalescing).")
-	fmt.Fprintln(w, "# TYPE srschedd_solve_runs_total counter")
-	fmt.Fprintf(w, "srschedd_solve_runs_total %d\n", m.solveRuns)
-
-	fmt.Fprintln(w, "# HELP srschedd_queue_depth Requests waiting for a solve worker slot.")
-	fmt.Fprintln(w, "# TYPE srschedd_queue_depth gauge")
-	fmt.Fprintf(w, "srschedd_queue_depth %d\n", m.queued.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_tenants Admitted tenants across all fabrics.")
-	fmt.Fprintln(w, "# TYPE srschedd_tenants gauge")
-	fmt.Fprintf(w, "srschedd_tenants %d\n", m.tenantsGauge.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_admissions_total Tenant admission attempts by ladder outcome.")
-	fmt.Fprintln(w, "# TYPE srschedd_admissions_total counter")
-	outcomes := make([]string, 0, len(m.admissions))
-	for o := range m.admissions {
-		outcomes = append(outcomes, o)
-	}
-	sort.Strings(outcomes)
-	for _, o := range outcomes {
-		fmt.Fprintf(w, "srschedd_admissions_total{outcome=%q} %d\n", o, m.admissions[o])
-	}
-
-	fmt.Fprintln(w, "# HELP srschedd_tenant_evictions_total Tenants preempted by higher-priority admissions.")
-	fmt.Fprintln(w, "# TYPE srschedd_tenant_evictions_total counter")
-	fmt.Fprintf(w, "srschedd_tenant_evictions_total %d\n", m.tenantEvictions.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_tenant_requests_total Tenant-dimension requests by endpoint and tenant.")
-	fmt.Fprintln(w, "# TYPE srschedd_tenant_requests_total counter")
-	teps := make([]string, 0, len(m.tenantRequests))
-	for ep := range m.tenantRequests {
-		teps = append(teps, ep)
-	}
-	sort.Strings(teps)
-	for _, ep := range teps {
-		ids := make([]string, 0, len(m.tenantRequests[ep]))
-		for id := range m.tenantRequests[ep] {
-			ids = append(ids, id)
-		}
-		sort.Strings(ids)
-		for _, id := range ids {
-			fmt.Fprintf(w, "srschedd_tenant_requests_total{endpoint=%q,tenant=%q} %d\n", ep, id, m.tenantRequests[ep][id])
-		}
-	}
-
-	fmt.Fprintln(w, "# HELP srschedd_watch_subscriptions Live /v1/watch subscriptions.")
-	fmt.Fprintln(w, "# TYPE srschedd_watch_subscriptions gauge")
-	fmt.Fprintf(w, "srschedd_watch_subscriptions %d\n", m.watchSubs.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_watch_events_total Watch events accepted into subscription queues.")
-	fmt.Fprintln(w, "# TYPE srschedd_watch_events_total counter")
-	fmt.Fprintf(w, "srschedd_watch_events_total %d\n", m.watchEvents.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_watch_frames_total Frames appended to watch replay rings.")
-	fmt.Fprintln(w, "# TYPE srschedd_watch_frames_total counter")
-	fmt.Fprintf(w, "srschedd_watch_frames_total %d\n", m.watchFrames.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_watch_dropped_frames_total Frames skipped coalescing slow watch consumers to the latest state.")
-	fmt.Fprintln(w, "# TYPE srschedd_watch_dropped_frames_total counter")
-	fmt.Fprintf(w, "srschedd_watch_dropped_frames_total %d\n", m.watchDropped.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_watch_panics_total Recovered watch state-machine panics (each terminates one subscription).")
-	fmt.Fprintln(w, "# TYPE srschedd_watch_panics_total counter")
-	fmt.Fprintf(w, "srschedd_watch_panics_total %d\n", m.watchPanics.Load())
-
-	fmt.Fprintln(w, "# HELP srschedd_watch_event_seconds Watch event dequeue-to-frame latency.")
-	fmt.Fprintln(w, "# TYPE srschedd_watch_event_seconds histogram")
-	for i, ub := range stageBuckets {
-		fmt.Fprintf(w, "srschedd_watch_event_seconds_bucket{le=\"%g\"} %d\n", ub, m.watchEventHist.buckets[i])
-	}
-	fmt.Fprintf(w, "srschedd_watch_event_seconds_bucket{le=\"+Inf\"} %d\n", m.watchEventHist.count)
-	fmt.Fprintf(w, "srschedd_watch_event_seconds_sum %g\n", m.watchEventHist.sum.Seconds())
-	fmt.Fprintf(w, "srschedd_watch_event_seconds_count %d\n", m.watchEventHist.count)
-
-	fmt.Fprintln(w, "# HELP srschedd_solve_stage_seconds_total Cumulative pipeline time by stage across all solves.")
-	fmt.Fprintln(w, "# TYPE srschedd_solve_stage_seconds_total counter")
-	stages := make([]string, 0, len(m.stageNS))
-	for st := range m.stageNS {
-		stages = append(stages, st)
-	}
-	sort.Strings(stages)
-	for _, st := range stages {
-		fmt.Fprintf(w, "srschedd_solve_stage_seconds_total{stage=%q} %g\n", st, time.Duration(m.stageNS[st]).Seconds())
-	}
-
-	fmt.Fprintln(w, "# HELP srschedd_solve_stage_duration_seconds Per-solve pipeline stage latency.")
-	fmt.Fprintln(w, "# TYPE srschedd_solve_stage_duration_seconds histogram")
-	hstages := make([]string, 0, len(m.stageHist))
-	for st := range m.stageHist {
-		hstages = append(hstages, st)
-	}
-	sort.Strings(hstages)
-	for _, st := range hstages {
-		h := m.stageHist[st]
-		for i, ub := range stageBuckets {
-			fmt.Fprintf(w, "srschedd_solve_stage_duration_seconds_bucket{stage=%q,le=\"%g\"} %d\n", st, ub, h.buckets[i])
-		}
-		fmt.Fprintf(w, "srschedd_solve_stage_duration_seconds_bucket{stage=%q,le=\"+Inf\"} %d\n", st, h.count)
-		fmt.Fprintf(w, "srschedd_solve_stage_duration_seconds_sum{stage=%q} %g\n", st, h.sum.Seconds())
-		fmt.Fprintf(w, "srschedd_solve_stage_duration_seconds_count{stage=%q} %d\n", st, h.count)
 	}
 }

@@ -1,0 +1,89 @@
+package service
+
+import (
+	"bytes"
+	"flag"
+	"fmt"
+	"os"
+	"strings"
+	"testing"
+)
+
+var updateReadme = flag.Bool("update-readme", false, "rewrite the generated Metrics table in README.md")
+
+const (
+	metricsBegin = "<!-- metrics:begin — generated from metricTable (internal/service/metrics.go); refresh with `go test ./internal/service -run MetricsReference -update-readme` -->\n"
+	metricsEnd   = "<!-- metrics:end -->\n"
+)
+
+// metricsReference renders metricTable as the README's Metrics table.
+func metricsReference() string {
+	var b strings.Builder
+	b.WriteString("| Series | Type | Labels | Help |\n|---|---|---|---|\n")
+	for _, s := range metricTable {
+		labels := "—"
+		if len(s.labels) > 0 {
+			labels = "`" + strings.Join(s.labels, "`, `") + "`"
+		}
+		fmt.Fprintf(&b, "| `%s` | %s | %s | %s |\n", s.name, s.typ, labels, s.help)
+	}
+	return b.String()
+}
+
+// TestMetricsReferenceInREADME keeps the README's metrics reference
+// equal to the one table /metrics is rendered from, so a series cannot
+// be added, renamed or re-described without its documentation.
+func TestMetricsReferenceInREADME(t *testing.T) {
+	const path = "../../README.md"
+	readme, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	begin := bytes.Index(readme, []byte(metricsBegin))
+	end := bytes.Index(readme, []byte(metricsEnd))
+	if begin < 0 || end < begin {
+		t.Fatalf("%s has no metrics:begin / metrics:end marker pair", path)
+	}
+	begin += len(metricsBegin)
+	want := metricsReference()
+	if got := string(readme[begin:end]); got != want {
+		if !*updateReadme {
+			t.Fatalf("%s Metrics table differs from metricTable; want:\n%s", path, want)
+		}
+		out := append(append(append([]byte{}, readme[:begin]...), want...), readme[end:]...)
+		if err := os.WriteFile(path, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// TestMetricTableNaming holds every row to the exposition conventions:
+// the srschedd_ prefix, help text, a known type, a counter named
+// *_total (and nothing else named so), unique names, and no more labels
+// than a labelKey holds.
+func TestMetricTableNaming(t *testing.T) {
+	seen := map[string]bool{}
+	for _, s := range metricTable {
+		if !strings.HasPrefix(s.name, "srschedd_") || seen[s.name] {
+			t.Errorf("%s: not a unique srschedd_ name", s.name)
+		}
+		seen[s.name] = true
+		if s.help == "" || !strings.HasSuffix(s.help, ".") {
+			t.Errorf("%s: help %q must be a sentence", s.name, s.help)
+		}
+		switch s.typ {
+		case "counter", "gauge", "summary", "histogram":
+		default:
+			t.Errorf("%s: unknown type %q", s.name, s.typ)
+		}
+		if (s.typ == "counter") != strings.HasSuffix(s.name, "_total") {
+			t.Errorf("%s: type %s — counters, and only counters, end in _total", s.name, s.typ)
+		}
+		if len(s.labels) > len(labelKey{}) {
+			t.Errorf("%s: %d labels, a labelKey holds %d", s.name, len(s.labels), len(labelKey{}))
+		}
+	}
+	if len(metricTable) != 27 {
+		t.Errorf("%d series; adding or retiring one is a documented decision (README Metrics, DESIGN §6)", len(metricTable))
+	}
+}

@@ -1,0 +1,183 @@
+package service
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
+	"testing"
+
+	"schedroute/internal/errkind"
+	"schedroute/pkg/schedroute"
+)
+
+// jsonEndpoints is every route that decodes a JSON body. They all run
+// behind the one adapter, which is what lets one table hold each of
+// them to the same robustness contract.
+var jsonEndpoints = []struct {
+	name   string
+	path   string // "{id}" stands for a live subscription
+	body   func() any
+	queues bool // waits for a worker slot
+	solves bool // runs a coalescible solve, so beforeSolve fires
+}{
+	{"schedule", "/v1/schedule", func() any { return schedroute.ScheduleRequest{Problem: testProblem(150)} }, true, true},
+	{"schedule_batch", "/v1/schedule:batch", func() any {
+		return schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{{Problem: testProblem(150)}}}
+	}, true, true},
+	{"repair", "/v1/repair", func() any {
+		return schedroute.RepairRequest{Problem: testProblem(150), Fault: schedroute.FaultSpec{Links: []string{"0-1"}}}
+	}, true, true},
+	{"admit", "/v1/admit", func() any {
+		return schedroute.AdmitRequest{Problem: testProblem(150), Tenant: tenantOf("robust", 0, 0)}
+	}, true, false},
+	{"explore", "/v1/explore", func() any {
+		return schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Points: 2}}}
+	}, true, false},
+	{"watch", "/v1/watch", func() any { return schedroute.WatchRequest{Problem: testProblem(150)} }, true, true},
+	{"watch_event", "/v1/watch/{id}/events", func() any {
+		return schedroute.WatchEvent{Type: schedroute.WatchEventFault, Links: []string{"0-1"}}
+	}, false, false},
+}
+
+// checkWhole is the contract every outcome must meet: a complete body —
+// a JSON document or whole SSE events, never half of one — under the
+// request id header, and, when the status is not 200, the typed errkind
+// envelope whose kind maps back to that status.
+func checkWhole(t *testing.T, code int, hdr http.Header, body []byte) schedroute.ErrorResponse {
+	t.Helper()
+	if hdr.Get(requestIDHeader) == "" {
+		t.Errorf("status %d without an %s header", code, requestIDHeader)
+	}
+	if strings.HasPrefix(hdr.Get("Content-Type"), "text/event-stream") {
+		if code != http.StatusOK || (len(body) > 0 && !bytes.HasSuffix(body, []byte("\n\n"))) {
+			t.Fatalf("event stream: status %d, body cut inside an event: %q", code, body)
+		}
+		return schedroute.ErrorResponse{}
+	}
+	if !json.Valid(body) {
+		t.Fatalf("status %d: body is not one whole JSON document: %q", code, body)
+	}
+	var er schedroute.ErrorResponse
+	if code == http.StatusOK {
+		return er
+	}
+	if err := json.Unmarshal(body, &er); err != nil {
+		t.Fatalf("status %d: %v: %s", code, err, body)
+	}
+	if kind := errkind.ByName(er.Kind); kind == nil || errkind.HTTPStatus(kind) != code || er.Error == "" {
+		t.Fatalf("status %d with envelope %+v: not a typed errkind rejection", code, er.ErrorEnvelope)
+	}
+	return er
+}
+
+// TestEndpointRobustness holds every JSON endpoint to one contract at
+// the edges of the request path: a body exactly at MaxBodyBytes is
+// served and one byte more is a bad_input rejection; a client that has
+// gone away before the decode, while the request is queued, or in the
+// middle of its solve gets a whole typed answer (the unavailable
+// envelope once the path notices) — never a 500, a hang, a leaked
+// goroutine (newTestServer's cleanup checks) or half a body.
+func TestEndpointRobustness(t *testing.T) {
+	const maxBody = 2048
+	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MaxBodyBytes: maxBody})
+	// Installed once, before any request: an abandoned flight may still be
+	// on its way to the hook when the next subtest starts.
+	var midSolve atomic.Pointer[context.CancelFunc]
+	srv.beforeSolve = func(string) {
+		if cancel := midSolve.Load(); cancel != nil {
+			(*cancel)()
+		}
+	}
+	wc, hello := openWatch(t, ts, schedroute.WatchRequest{Problem: testProblem(150)})
+	defer wc.Close()
+
+	for _, ep := range jsonEndpoints {
+		path := strings.Replace(ep.path, "{id}", hello.SubID, 1)
+		raw, err := json.Marshal(ep.body())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// padded is the request grown to exactly n bytes with leading
+		// whitespace, which the decoder must read through to find the
+		// value — so the whole body counts against the cap.
+		padded := func(n int) []byte {
+			return append(bytes.Repeat([]byte(" "), n-len(raw)), raw...)
+		}
+		// serve runs the handler in-process under ctx and returns its
+		// complete answer; hooks may cancel ctx at a chosen point.
+		serve := func(ctx context.Context) (int, http.Header, []byte) {
+			rec := httptest.NewRecorder()
+			req := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(raw)).WithContext(ctx)
+			srv.Handler().ServeHTTP(rec, req)
+			return rec.Code, rec.Header(), rec.Body.Bytes()
+		}
+
+		t.Run(ep.name+"/body at the cap", func(t *testing.T) {
+			resp, err := http.Post(ts.URL+path, "application/json", bytes.NewReader(padded(maxBody)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if resp.StatusCode != http.StatusOK { // a 200 may be an open stream: do not read it
+				t.Fatalf("body of exactly MaxBodyBytes: status %d, want 200", resp.StatusCode)
+			}
+		})
+		t.Run(ep.name+"/body one over the cap", func(t *testing.T) {
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, bytes.NewReader(padded(maxBody+1))))
+			er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes())
+			if rec.Code != http.StatusBadRequest || er.Kind != "bad_input" || !strings.Contains(er.Error, "exceeds") {
+				t.Fatalf("body of MaxBodyBytes+1: status %d %+v, want 400 bad_input", rec.Code, er.ErrorEnvelope)
+			}
+		})
+		t.Run(ep.name+"/cancelled before decode", func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			cancel()
+			code, hdr, body := serve(ctx)
+			// Nothing on the way to the queue looks at the context, so the
+			// request gets as far as it gets: shed there, or — for one
+			// that never queues — answered on its merits.
+			if er := checkWhole(t, code, hdr, body); code == http.StatusInternalServerError {
+				t.Fatalf("a client that left early became a server error: %+v", er.ErrorEnvelope)
+			}
+		})
+		if ep.queues {
+			t.Run(ep.name+"/cancelled while queued", func(t *testing.T) {
+				srv.sem <- struct{}{} // the one worker is busy
+				defer func() { <-srv.sem }()
+				ctx, cancel := context.WithCancel(context.Background())
+				go func() {
+					waitFor(t, "the request to queue", func() bool { return srv.metrics.value("srschedd_queue_depth") == 1 })
+					cancel()
+				}()
+				code, hdr, body := serve(ctx)
+				if er := checkWhole(t, code, hdr, body); code != http.StatusServiceUnavailable || !strings.Contains(er.Error, "queued past deadline") {
+					t.Fatalf("status %d %+v, want 503 queued past deadline", code, er.ErrorEnvelope)
+				}
+			})
+		}
+		if ep.solves {
+			t.Run(ep.name+"/cancelled mid-solve", func(t *testing.T) {
+				ctx, cancel := context.WithCancel(context.Background())
+				midSolve.Store(&cancel)
+				defer midSolve.Store(nil)
+				code, hdr, body := serve(ctx)
+				er := checkWhole(t, code, hdr, body)
+				if code == http.StatusOK { // the batch reports per item
+					var out schedroute.BatchScheduleResult
+					if err := json.Unmarshal(body, &out); err != nil || len(out.Items) != 1 {
+						t.Fatalf("200 that is not the batch's per-item report: %s", body)
+					}
+					er.Kind = out.Items[0].Kind
+				}
+				if er.Kind != "unavailable" {
+					t.Fatalf("status %d kind %q, want unavailable", code, er.Kind)
+				}
+			})
+		}
+	}
+}

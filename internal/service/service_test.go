@@ -10,6 +10,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -19,14 +20,28 @@ import (
 	"schedroute/pkg/schedroute"
 )
 
+// newTestServer boots a server for one test. Its cleanup — which runs
+// after the test's own, so after the test has closed its streams —
+// drains the server the way srschedd does and then holds every endpoint
+// test to the goroutine-leak check: whatever the test started through
+// the HTTP surface must be gone once the server is.
 func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
 	if cfg.Logger == nil {
 		cfg.Logger = slog.New(slog.NewTextHandler(io.Discard, nil))
 	}
+	before := runtime.NumGoroutine()
 	srv := New(cfg)
 	ts := httptest.NewServer(srv.Handler())
-	t.Cleanup(ts.Close)
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+		ts.Close()
+		waitGoroutines(t, before)
+	})
 	return srv, ts
 }
 
@@ -94,10 +109,10 @@ func TestScheduleCoalescesIdenticalRequests(t *testing.T) {
 			t.Fatalf("request %d: response differs from request 0", i)
 		}
 	}
-	if runs := srv.metrics.SolveRuns(); runs != 1 {
+	if runs := srv.metrics.value("srschedd_solve_runs_total"); runs != 1 {
 		t.Errorf("solver ran %d times for %d identical requests, want 1", runs, n)
 	}
-	if co := srv.metrics.Coalesced(); co != n-1 {
+	if co := srv.metrics.value("srschedd_coalesced_requests_total"); co != n-1 {
 		t.Errorf("coalesced %d requests, want %d", co, n-1)
 	}
 	ent, _ := srv.cache.getOrCreate(req.Problem.StructureKey(), func() (*schedroute.Built, error) {
@@ -122,7 +137,8 @@ func TestSolverCacheWarmRepeat(t *testing.T) {
 		}
 	}
 
-	hits, misses, _, size := srv.cache.stats()
+	hits, misses, size := srv.metrics.value("srschedd_solver_cache_hits_total"),
+		srv.metrics.value("srschedd_solver_cache_misses_total"), srv.metrics.value("srschedd_solver_cache_size")
 	if misses != 1 || hits < 1 || size != 1 {
 		t.Errorf("cache hits=%d misses=%d size=%d, want 1 miss, ≥1 hit, 1 entry", hits, misses, size)
 	}
@@ -300,7 +316,7 @@ func TestExploreGridEndpoint(t *testing.T) {
 	}
 
 	// All twelve points share one cached solver: structure built once.
-	if _, misses, _, _ := srv.cache.stats(); misses != 1 {
+	if misses := srv.metrics.value("srschedd_solver_cache_misses_total"); misses != 1 {
 		t.Errorf("sweep built %d structures, want 1", misses)
 	}
 
@@ -340,7 +356,7 @@ func TestGracefulShutdownUnderLoad(t *testing.T) {
 		c, b := postJSON(t, ts, "/v1/schedule", schedroute.ScheduleRequest{Problem: schedroute.Problem{TFG: "chain:8", Topology: "cube:6"}})
 		queued <- reply{c, b}
 	}()
-	waitFor(t, "second request to queue", func() bool { return srv.metrics.queued.Load() == 1 })
+	waitFor(t, "second request to queue", func() bool { return srv.metrics.value("srschedd_queue_depth") == 1 })
 
 	done := make(chan error, 1)
 	go func() {
@@ -444,7 +460,7 @@ func TestMetricsExposition(t *testing.T) {
 		"srschedd_solve_runs_total 3",
 		"srschedd_queue_depth 0",
 		"srschedd_cache_evictions_total 0",
-		"srschedd_batch_items 0",
+		"srschedd_batch_items_total 0",
 		"srschedd_shard_proxied_total 0",
 		"srschedd_shard_local_misses_total 0",
 		`srschedd_solve_stage_seconds_total{stage="assign"}`,
@@ -511,7 +527,7 @@ func TestCachedStructureUsesRequestTauIn(t *testing.T) {
 		t.Errorf("repair ran at the cached period: τout=%g, want ≥ the request's 250", rep.TauOut)
 	}
 
-	if _, misses, _, _ := srv.cache.stats(); misses != 1 {
+	if misses := srv.metrics.value("srschedd_solver_cache_misses_total"); misses != 1 {
 		t.Errorf("structure rebuilt: %d misses, want 1", misses)
 	}
 }
@@ -520,7 +536,8 @@ func TestCachedStructureUsesRequestTauIn(t *testing.T) {
 // on an entry whose build is still running must block until the build
 // finishes instead of observing nil built/solver with nil err.
 func TestCacheHitWaitsForBuild(t *testing.T) {
-	c := newSolverCache(4)
+	m := newMetrics()
+	c := newSolverCache(4, m)
 	key := testProblem(150).StructureKey()
 	release := make(chan struct{})
 	build := func() (*schedroute.Built, error) {
@@ -541,8 +558,7 @@ func TestCacheHitWaitsForBuild(t *testing.T) {
 	// Every caller has registered (hit or miss) and is parked on the
 	// in-progress build before it is released.
 	waitFor(t, "all callers to reach the entry", func() bool {
-		h, m, _, _ := c.stats()
-		return h+m == n
+		return m.value("srschedd_solver_cache_hits_total")+m.value("srschedd_solver_cache_misses_total") == n
 	})
 	close(release)
 	wg.Wait()
@@ -554,6 +570,37 @@ func TestCacheHitWaitsForBuild(t *testing.T) {
 		if e.built == nil || e.solver == nil {
 			t.Fatalf("caller %d observed a half-built entry: built=%v solver=%v", i, e.built, e.solver)
 		}
+	}
+}
+
+// TestFlightAbandonedRunIsNotJoined: once every caller of a flight has
+// gone, the run is cancelled — and must already be forgotten, or the
+// next identical request joins it and is answered with a cancellation
+// that was never its own (a 503 for a healthy client; found by
+// TestEndpointRobustness cancelling mid-solve).
+func TestFlightAbandonedRunIsNotJoined(t *testing.T) {
+	g := newFlightGroup()
+	started, release := make(chan struct{}), make(chan struct{})
+	defer close(release)
+	ctx, cancel := context.WithCancel(context.Background())
+	left := make(chan struct{})
+	go func() {
+		defer close(left)
+		g.Do(ctx, "k", func(fctx context.Context) (any, error) {
+			close(started)
+			<-release // still running long after its only caller left
+			return nil, fctx.Err()
+		})
+	}()
+	<-started
+	cancel()
+	<-left
+
+	next, stop := context.WithTimeout(context.Background(), 10*time.Second)
+	defer stop()
+	v, err, shared := g.Do(next, "k", func(context.Context) (any, error) { return "fresh", nil })
+	if err != nil || v != "fresh" || shared {
+		t.Fatalf("after an abandoned run: v=%v err=%v shared=%v, want a fresh run of its own", v, err, shared)
 	}
 }
 

@@ -3,12 +3,9 @@ package service
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"hash/fnv"
 	"io"
 	"net/http"
-
-	"schedroute/internal/errkind"
 )
 
 // Shard policies for requests whose StructureKey hashes to another
@@ -70,58 +67,58 @@ func (r *shardRing) owner(structureKey string) string {
 	return best
 }
 
-// shardOwner decides routing for a request keyed by key: a non-empty
-// return is the peer base URL the caller must proxy to. Serving
-// locally — because sharding is off, the key is ours, the request was
-// already forwarded once, or the policy is serve — returns "", with a
-// local miss recorded when the ring says someone else owns the key.
-func (s *Server) shardOwner(r *http.Request, key string) string {
-	if s.ring == nil || r.Header.Get(forwardedHeader) != "" {
-		return ""
+// route decides where a request over the given structure keys — one,
+// or a batch's — is served. nil means here: sharding is off, the
+// request was already forwarded once, the keys are ours or spread over
+// several owners (a mixed batch is not split across the fleet), or the
+// policy is serve; each key someone else owns is then a local miss.
+// Otherwise the owner's answer (a *relayed) or the failed hop's error.
+func (c *call) route(req any, keys ...string) error {
+	s := c.s
+	if s.ring == nil || c.r.Header.Get(forwardedHeader) != "" {
+		return nil
 	}
-	owner := s.ring.owner(key)
-	if owner == "" || owner == s.ring.self {
-		return ""
+	owner, misses := s.ring.owner(keys[0]), 0
+	for _, k := range keys {
+		o := s.ring.owner(k)
+		if o != owner {
+			owner = ""
+		}
+		if o != s.ring.self {
+			misses++
+		}
 	}
-	if s.cfg.ShardPolicy == shardPolicyServe {
-		s.metrics.shardLocalMisses.Add(1)
-		return ""
+	if owner != "" && owner != s.ring.self && s.cfg.ShardPolicy == shardPolicyProxy {
+		return s.proxy(c, owner, req)
 	}
-	return owner
+	s.metrics.add(mShardLocalMiss, int64(misses))
+	return nil
 }
 
-// proxy re-sends the decoded request to the owning peer and relays the
-// response verbatim — status, content type, and body — so the client
-// cannot tell which replica solved. The decoded req is re-marshaled
-// rather than replaying raw bytes: the body reader is already spent,
-// and our own wire types round-trip exactly.
-func (s *Server) proxy(w http.ResponseWriter, r *http.Request, owner string, req any) {
+// proxy re-sends the decoded request, under the forwarded marker and
+// the same request id, and returns the owner's response as a *relayed.
+// The decoded req is re-marshaled rather than replaying raw bytes: the
+// body reader is already spent, and our wire types round-trip exactly.
+func (s *Server) proxy(c *call, owner string, req any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
-		s.writeError(w, err, nil)
-		return
+		return err
 	}
-	url := owner + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
+	url := owner + c.r.URL.Path
+	if c.r.URL.RawQuery != "" {
+		url += "?" + c.r.URL.RawQuery
 	}
-	preq, err := http.NewRequestWithContext(r.Context(), http.MethodPost, url, bytes.NewReader(body))
+	preq, err := http.NewRequestWithContext(c.r.Context(), http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		s.writeError(w, err, nil)
-		return
+		return err
 	}
 	preq.Header.Set("Content-Type", "application/json")
 	preq.Header.Set(forwardedHeader, "1")
+	preq.Header.Set(requestIDHeader, c.id)
 	resp, err := s.httpc.Do(preq)
 	if err != nil {
-		s.writeError(w, errkind.Mark(fmt.Errorf("shard: proxy to %s: %w", owner, err), errkind.ErrUnavailable), nil)
-		return
+		return unavailable("shard: proxy to %s: %w", owner, err)
 	}
-	defer resp.Body.Close()
-	s.metrics.shardProxied.Add(1)
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	s.metrics.add(mShardProxied, 1)
+	return &relayed{resp}
 }

@@ -48,7 +48,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		c.joiners++
 		c.waiting++
 		g.mu.Unlock()
-		return g.wait(ctx, c, true)
+		return g.wait(ctx, key, c, true)
 	}
 	runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
 	c := &flightCall{done: make(chan struct{}), waiting: 1, cancel: cancel}
@@ -59,18 +59,20 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		v, err := fn(runCtx)
 		g.mu.Lock()
 		c.val, c.err = v, err
-		delete(g.m, key)
+		if g.m[key] == c { // an abandoned run is already forgotten
+			delete(g.m, key)
+		}
 		g.mu.Unlock()
 		cancel()
 		close(c.done)
 	}()
-	return g.wait(ctx, c, false)
+	return g.wait(ctx, key, c, false)
 }
 
 // wait blocks until the call completes or the caller's own ctx ends.
-// An abandoning caller decrements the waiter count and cancels the
-// shared run when it was the last one left.
-func (g *flightGroup) wait(ctx context.Context, c *flightCall, shared bool) (any, error, bool) {
+// The last caller to abandon the run forgets it, then cancels it — in
+// that order, so nobody joins a run failing with a cancel not theirs.
+func (g *flightGroup) wait(ctx context.Context, key string, c *flightCall, shared bool) (any, error, bool) {
 	select {
 	case <-c.done:
 		return c.val, c.err, shared
@@ -78,6 +80,9 @@ func (g *flightGroup) wait(ctx context.Context, c *flightCall, shared bool) (any
 		g.mu.Lock()
 		c.waiting--
 		last := c.waiting == 0
+		if last && g.m[key] == c {
+			delete(g.m, key)
+		}
 		g.mu.Unlock()
 		if last {
 			c.cancel()

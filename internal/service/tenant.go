@@ -2,7 +2,6 @@ package service
 
 import (
 	"fmt"
-	"net/http"
 	"sync"
 
 	"schedroute/internal/errkind"
@@ -11,12 +10,12 @@ import (
 )
 
 // Multi-tenant admission (v2): POST /v1/admit runs the co-scheduler's
-// admission check and, on success, registers the tenant so later
-// tenant-scoped /v1/schedule and /v1/repair requests are answered from
-// its admitted standing instead of a fresh solve. Tenants naming the
-// same topology spec share one fabric (one schedule.TenantSet); the
-// fabric's link-bandwidth reservations are what make an admission
-// unable to perturb the tenants already admitted.
+// admission check and, on success, registers the tenant so its later
+// /v1/schedule, /v1/repair and /v1/watch requests are answered from
+// its admitted standing (call.tenant) instead of a fresh solve.
+// Tenants naming the same topology spec share one fabric (one
+// schedule.TenantSet); the fabric's link-bandwidth reservations are
+// what make an admission unable to perturb the tenants already in.
 
 // fabric is one shared machine: every tenant admitted against the same
 // topology spec lands in the same TenantSet and competes for the same
@@ -77,80 +76,53 @@ func (tr *tenantRegistry) fabricFor(b *schedroute.Built) (*fabric, error) {
 		return fab, nil
 	}
 	if fab.bandwidth != b.Spec.Bandwidth {
-		return nil, errkind.Mark(
-			fmt.Errorf("admit: fabric %q runs at bandwidth %g, request says %g (link shares are fractions of the physical link; all tenants must agree)",
-				fab.topoSpec, fab.bandwidth, b.Spec.Bandwidth),
-			errkind.ErrBadInput)
+		return nil, badInput("admit: fabric %q runs at bandwidth %g, request says %g (link shares are fractions of the physical link; all tenants must agree)",
+			fab.topoSpec, fab.bandwidth, b.Spec.Bandwidth)
 	}
 	return fab, nil
 }
 
-// commit records an admission, dropping any tenants it evicted.
-func (tr *tenantRegistry) commit(ent *tenantEntry, evicted []string) {
+// commit records an admission, dropping any tenants it evicted, and
+// returns how many are now admitted (the /metrics gauge).
+func (tr *tenantRegistry) commit(ent *tenantEntry, evicted []string) int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	for _, id := range evicted {
 		delete(tr.tenants, id)
 	}
 	tr.tenants[ent.tenant.ID] = ent
-}
-
-// count reports admitted tenants (the /metrics gauge).
-func (tr *tenantRegistry) count() int {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
 	return len(tr.tenants)
 }
 
-// handleAdmit is POST /v1/admit: run the admission ladder for one
-// candidate tenant and reserve its link shares on success. A rejection
-// is 422 admission_rejected with the full admission report attached to
-// the error body; admitted tenants elsewhere in the fabric are
-// untouched either way.
-func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
-	var req schedroute.AdmitRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
+// admit is POST /v1/admit: run the admission ladder for one candidate
+// tenant and reserve its link shares on success. A rejection is 422
+// admission_rejected with the full admission report riding on the
+// error; tenants already in the fabric are untouched either way.
+func (s *Server) admit(c *call, req schedroute.AdmitRequest) (*schedroute.AdmitResult, error) {
 	ten := schedroute.TenantOrDefault(req.Tenant)
 	if err := ten.Validate(); err != nil {
-		s.writeError(w, err, nil)
-		return
+		return nil, err
 	}
-	s.metrics.observeTenantRequest("admit", ten.ID)
-	root := requestSpan(r, "admit")
-	qs := root.Start(SpanQueueWait)
-	if err := s.admit(r.Context()); err != nil {
-		s.writeError(w, err, nil)
-		return
+	c.tenantID = ten.ID
+	if err := c.queue(); err != nil {
+		return nil, err
 	}
-	qs.End()
 	defer s.release()
 
 	// The structure cache is shared with /v1/schedule: admitting a
 	// tenant for a problem someone already solved reuses its Built.
-	ent, _ := s.cache.getOrCreate(req.Problem.StructureKey(), func() (*schedroute.Built, error) {
-		return schedroute.NewProblem(req.Problem)
-	})
-	if ent.err != nil {
-		s.writeError(w, ent.err, nil)
-		return
+	ent, tauIn, err := c.structure(req.Problem)
+	if err != nil {
+		return nil, err
 	}
 	b := ent.built
-	tauIn := req.Problem.TauIn
-	if tauIn == 0 {
-		tauIn = b.Timing.TauC()
-	}
 	fab, err := s.tenants.fabricFor(b)
 	if err != nil {
-		s.writeError(w, err, nil)
-		return
+		return nil, err
 	}
 	opts, err := req.Options.ToSchedule()
 	if err != nil {
-		s.writeError(w, err, nil)
-		return
+		return nil, err
 	}
 
 	cand := schedule.Tenant{
@@ -160,100 +132,28 @@ func (s *Server) handleAdmit(w http.ResponseWriter, r *http.Request) {
 		Problem:       b.ScheduleProblemAt(tauIn),
 		Options:       opts,
 	}
-	report, err := fab.set.Admit(r.Context(), cand, root)
+	report, err := fab.set.Admit(c.r.Context(), cand, c.root)
 	if err != nil {
-		s.writeError(w, err, nil)
-		return
+		return nil, err
 	}
-	s.metrics.observeAdmission(report.Outcome.String(), len(report.Evicted))
-	wire, werr := schedroute.NewAdmitResult(b, report, req.IncludeOmega)
-	if werr != nil {
-		s.writeError(w, werr, nil)
-		return
+	s.metrics.add(mAdmissions, 1, report.Outcome.String())
+	s.metrics.add(mTenantEvictions, int64(len(report.Evicted)))
+	wire, err := schedroute.NewAdmitResult(b, report, req.IncludeOmega)
+	if err != nil {
+		return nil, err
 	}
 	if !report.Admitted {
-		s.metrics.setTenants(int64(s.tenants.count()))
-		s.writeErrorBody(w, report.Err(), nil, wire)
-		return
+		return nil, &reportError{err: report.Err(), admit: wire}
 	}
-	s.tenants.commit(&tenantEntry{
+	n := s.tenants.commit(&tenantEntry{
 		built:     b,
 		tenant:    ten,
 		report:    report,
-		structure: req.Problem.StructureKey(),
+		structure: c.key,
 		fab:       fab,
 	}, report.Evicted)
-	s.metrics.setTenants(int64(s.tenants.count()))
-	root.End()
-	wire.Trace = schedroute.NewTraceEnvelope(root.Tree())
-	writeJSON(w, wire)
-}
-
-// tenantFor resolves a request's tenant scope: the default tenant (or
-// an ID never admitted) gets nil — the plain v1 solve path — while an
-// admitted tenant's requests are answered from its admitted standing.
-// An admitted tenant asking about a different problem than it was
-// admitted with is a bad request: its standing is per-problem.
-func (s *Server) tenantFor(t *schedroute.Tenant, p schedroute.Problem) (*tenantEntry, error) {
-	ten := schedroute.TenantOrDefault(t)
-	if err := ten.Validate(); err != nil {
-		return nil, err
-	}
-	ent := s.tenants.lookup(ten.ID)
-	if ent == nil {
-		return nil, nil
-	}
-	if key := p.StructureKey(); key != ent.structure {
-		return nil, errkind.Mark(
-			fmt.Errorf("tenant %q was admitted with a different problem (admitted %s, requested %s)",
-				ten.ID, ent.structure, key),
-			errkind.ErrBadInput)
-	}
-	return ent, nil
-}
-
-// tenantRepair answers a tenant-scoped /v1/repair: the degradation
-// ladder runs from the tenant's admitted base inside its
-// admission-time link shares (memoized per fault state by the tenant's
-// session), so the answer depends only on the tenant's own standing
-// and the queried faults.
-func (s *Server) tenantRepair(w http.ResponseWriter, r *http.Request, ent *tenantEntry, req schedroute.RepairRequest) {
-	fs, err := req.Fault.Build(ent.built.Topology)
-	if err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	root := requestSpan(r, "repair")
-	qs := root.Start(SpanQueueWait)
-	if err := s.admit(r.Context()); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	qs.End()
-	defer s.release()
-	tr, err := ent.fab.set.RepairTenant(r.Context(), ent.tenant.ID, fs, root)
-	if err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	rep := tr.Report
-	if rerr := rep.Err(); rerr != nil {
-		wire, werr := schedroute.NewRepairResult(rep, false)
-		if werr != nil {
-			s.writeError(w, werr, nil)
-			return
-		}
-		s.writeError(w, rerr, wire)
-		return
-	}
-	out, err := schedroute.NewRepairResult(rep, req.IncludeOmega)
-	if err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	root.End()
-	out.Trace = schedroute.NewTraceEnvelope(root.Tree())
-	writeJSON(w, out)
+	s.metrics.set(mTenants, int64(n))
+	return wire, nil
 }
 
 // tenantSchedule answers a tenant-scoped /v1/schedule from the

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"schedroute/internal/errkind"
+	"schedroute/internal/topology"
 	"schedroute/pkg/schedroute"
 )
 
@@ -108,7 +109,7 @@ func TestAdmitEndpoint(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
-	if n := srv.metrics.Admissions("reserved"); n != 1 {
+	if n := srv.metrics.value("srschedd_admissions_total", "reserved"); n != 1 {
 		t.Errorf("reserved admissions counter = %d, want 1", n)
 	}
 }
@@ -374,5 +375,117 @@ func TestWatchErrorFrameEnvelope(t *testing.T) {
 	cls, _ := errkind.Classify(errkind.ErrBadInput)
 	if frame.Err.Detail != cls.Detail {
 		t.Fatalf("error frame detail %q drifted from table %q", frame.Err.Detail, cls.Detail)
+	}
+}
+
+// TestWatchTenantScoped pins the tenant scope of /v1/watch to the one
+// /v1/schedule and /v1/repair already honour: an admitted tenant
+// watching a different problem is a bad request; watching its own
+// problem it gets its admitted standing in the hello frame, repairs
+// through its own admission-time link shares (byte-identical to a
+// tenant-scoped /v1/repair), a non-terminal bad_input frame for a
+// tau_in event (the period was fixed at admission), and none of it
+// moves another tenant's Ω.
+func TestWatchTenantScoped(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	video, audio := tenantOf("video", 5, 1), tenantOf("audio", 3, 0.5)
+	audioP := testProblem(150)
+	audioP.Allocator, audioP.AllocSeed = "random", 1 // half a machine away from video's rr placement
+
+	admit := func(p schedroute.Problem, ten *schedroute.Tenant) schedroute.AdmitResult {
+		t.Helper()
+		code, body := postJSON(t, ts, "/v1/admit", schedroute.AdmitRequest{Problem: p, Tenant: ten, IncludeOmega: true})
+		var adm schedroute.AdmitResult
+		if err := json.Unmarshal(body, &adm); code != http.StatusOK || err != nil || !adm.Admitted {
+			t.Fatalf("admit %s: status %d (%v): %s", ten.ID, code, err, body)
+		}
+		return adm
+	}
+	admit(testProblem(150), video)
+	audioAdm := admit(audioP, audio)
+	videoOmega := func() []byte {
+		t.Helper()
+		code, body := postJSON(t, ts, "/v1/schedule", schedroute.ScheduleRequest{Problem: testProblem(150), Tenant: video, IncludeOmega: true})
+		var out schedroute.ScheduleResult
+		if err := json.Unmarshal(body, &out); code != http.StatusOK || err != nil {
+			t.Fatalf("video schedule: status %d (%v): %s", code, err, body)
+		}
+		return out.Omega
+	}
+	before := videoOmega()
+
+	// A different problem than the tenant was admitted with: 400, as on
+	// /v1/schedule and /v1/repair.
+	raw, _ := json.Marshal(schedroute.WatchRequest{
+		Problem: schedroute.Problem{TFG: "chain:8", Topology: "cube:6", TauIn: 150}, Tenant: audio,
+	})
+	resp, err := http.Post(ts.URL+"/v1/watch", "application/json", bytes.NewReader(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest { // a 200 here is an open stream: do not read it
+		t.Fatalf("mismatched tenant watch: status %d, want 400", resp.StatusCode)
+	}
+	var er schedroute.ErrorResponse
+	if err := json.NewDecoder(resp.Body).Decode(&er); err != nil || er.Kind != "bad_input" {
+		t.Fatalf("mismatched tenant watch: kind %q (%v), want bad_input", er.Kind, err)
+	}
+
+	// Its own problem: the hello frame is its admitted standing.
+	c, hello := openWatch(t, ts, schedroute.WatchRequest{Problem: audioP, Tenant: audio, IncludeOmega: true})
+	defer c.Close()
+	if hello.Schedule == nil || !bytes.Equal(hello.Schedule.Omega, audioAdm.Schedule.Omega) {
+		t.Fatal("tenant watch hello does not carry the admitted Ω")
+	}
+
+	// A fault on a link the tenant's admitted schedule uses: the frame's
+	// repair is the tenant arm of /v1/repair, byte for byte.
+	built, err := schedroute.NewProblem(audioP)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var spec string
+	for l := 0; l < built.Topology.Links() && spec == ""; l++ {
+		cand := linkSpec(built.Topology, topology.LinkID(l))
+		code, body := postJSON(t, ts, "/v1/repair", schedroute.RepairRequest{
+			Problem: audioP, Tenant: audio, Fault: schedroute.FaultSpec{Links: []string{cand}},
+		})
+		var rep schedroute.RepairResult
+		if err := json.Unmarshal(body, &rep); code == http.StatusOK && err == nil && rep.Affected > 0 {
+			spec = cand
+		}
+	}
+	if spec == "" {
+		t.Fatal("no single link fault affects the tenant's schedule")
+	}
+	if code, body := sendEvent(t, ts, hello.SubID, schedroute.WatchEvent{Type: schedroute.WatchEventFault, Links: []string{spec}}); code != http.StatusOK {
+		t.Fatalf("fault event: status %d: %s", code, body)
+	}
+	frame, _ := c.nextPayload(t)
+	code, body := postJSON(t, ts, "/v1/repair", schedroute.RepairRequest{
+		Problem: audioP, Tenant: audio, Fault: schedroute.FaultSpec{Links: []string{spec}}, IncludeOmega: true,
+	})
+	var cold schedroute.RepairResult
+	if err := json.Unmarshal(body, &cold); code != http.StatusOK || err != nil {
+		t.Fatalf("tenant repair: status %d (%v): %s", code, err, body)
+	}
+	if frame.Type != schedroute.WatchFrameSchedule || frame.Repair == nil ||
+		!bytes.Equal(repairWire(t, frame.Repair), repairWire(t, &cold)) {
+		t.Fatalf("tenant watch frame diverges from the tenant-scoped /v1/repair:\n%.300s\nvs\n%.300s",
+			repairWire(t, frame.Repair), repairWire(t, &cold))
+	}
+
+	// The period was fixed at admission.
+	if code, body := sendEvent(t, ts, hello.SubID, schedroute.WatchEvent{Type: schedroute.WatchEventTauIn, TauIn: 300}); code != http.StatusOK {
+		t.Fatalf("tau_in event: status %d: %s", code, body)
+	}
+	frame, _ = c.nextPayload(t)
+	if frame.Type != schedroute.WatchFrameError || frame.Terminal || frame.Err == nil || frame.Err.Kind != "bad_input" {
+		t.Fatalf("tenant tau_in frame = %+v, want a non-terminal bad_input error", frame)
+	}
+
+	if !bytes.Equal(videoOmega(), before) {
+		t.Fatal("a tenant's watch moved another tenant's Ω")
 	}
 }

@@ -48,7 +48,7 @@ func (r *watchRegistry) add(sub *watchSub, max int) error {
 		return errDraining
 	}
 	if len(r.subs) >= max {
-		return errkind.Mark(fmt.Errorf("service: watch subscription limit %d reached", max), errkind.ErrUnavailable)
+		return unavailable("service: watch subscription limit %d reached", max)
 	}
 	r.subs[sub.id] = sub
 	return nil
@@ -64,12 +64,6 @@ func (r *watchRegistry) remove(id string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	delete(r.subs, id)
-}
-
-func (r *watchRegistry) count() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.subs)
 }
 
 // closeAll begins the watch drain: every subscription receives a
@@ -134,6 +128,7 @@ type watchSub struct {
 	id     string
 	s      *Server
 	req    schedroute.WatchRequest
+	tenant *tenantEntry // nil unless the subscriber is an admitted tenant
 	built  *schedroute.Built
 	solver *schedule.Solver
 	sopts  schedule.Options
@@ -148,7 +143,8 @@ type watchSub struct {
 
 	// State owned by the run goroutine (initialized before it starts):
 	// the invocation period, the cumulative fault population, and the
-	// repair session over the base schedule at that period.
+	// repair session over the base schedule at that period (a tenant's
+	// subscription has none: it repairs through the tenant's own).
 	tauIn   float64
 	fs      *topology.FaultSet
 	session *schedule.RepairSession
@@ -163,185 +159,157 @@ type watchSub struct {
 	lastActive time.Time
 }
 
-// Session exposes the subscription's repair session (tests assert its
-// stats: single-link events must not run full solves).
-func (sub *watchSub) Session() *schedule.RepairSession { return sub.session }
-
-func newWatchID() string {
-	var b [8]byte
-	if _, err := rand.Read(b[:]); err != nil {
+// randomHex returns 2n hex digits from crypto/rand.
+func randomHex(n int) string {
+	b := make([]byte, n)
+	if _, err := rand.Read(b); err != nil {
 		panic(err) // crypto/rand failure is unrecoverable
 	}
-	return "w" + hex.EncodeToString(b[:])
+	return hex.EncodeToString(b)
 }
 
-// ---- HTTP handlers -------------------------------------------------
+// ---- endpoint functions --------------------------------------------
 
-// handleWatchCreate registers a subscription: resolve the problem
-// through the solver cache, solve the base schedule, start the state
-// machine, and stream frames from the hello onward.
-func (s *Server) handleWatchCreate(w http.ResponseWriter, r *http.Request) {
-	var req schedroute.WatchRequest
-	if err := decode(r, &req); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	traced := r.URL.Query().Get("debug") == "trace"
-	s.metrics.observeTenantRequest("watch", schedroute.TenantOrDefault(req.Tenant).ID)
+// watchStream is the response of the two SSE endpoints: the adapter
+// streams the subscription to the client from frame seq `from` on.
+type watchStream struct {
+	sub  *watchSub
+	from int64
+}
 
-	// The base solve borrows an admission slot like any other request;
-	// only the long-lived stream afterwards lives outside the pool.
-	if err := s.admit(r.Context()); err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	ent, _ := s.cache.getOrCreate(req.Problem.StructureKey(), func() (*schedroute.Built, error) {
-		return schedroute.NewProblem(req.Problem)
-	})
-	if ent.err != nil {
-		s.release()
-		s.writeError(w, ent.err, nil)
-		return
-	}
-	tauIn := req.Problem.TauIn
-	if tauIn == 0 {
-		tauIn = ent.built.Timing.TauC()
-	}
-	sopts, err := req.Options.ToSchedule()
+// watchCreate is POST /v1/watch: register a subscription over the
+// problem's base schedule, start the state machine, and stream frames
+// from the hello onward.
+func (s *Server) watchCreate(c *call, req schedroute.WatchRequest) (watchStream, error) {
+	ten, err := c.tenant(req.Tenant, req.Problem)
 	if err != nil {
-		s.release()
-		s.writeError(w, err, nil)
-		return
+		return watchStream{}, err
 	}
-	solveOpts := sopts
-	solveOpts.CollectStats = true
-	base, err := ent.solver.Solve(r.Context(), tauIn, solveOpts)
-	s.release()
-	if err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-	s.metrics.observeSolve(base.Stats)
-	if !base.Feasible {
-		s.writeError(w, errkind.Mark(
-			fmt.Errorf("watch: base problem infeasible at stage %s; a watch needs a feasible base schedule", base.FailStage),
-			errkind.ErrBadInput), nil)
-		return
-	}
-	session, err := schedule.NewRepairSession(ent.built.ScheduleProblemAt(tauIn), sopts, base)
-	if err != nil {
-		s.writeError(w, err, nil)
-		return
-	}
-
 	ctx, cancel := context.WithCancel(context.Background())
 	sub := &watchSub{
-		id:         newWatchID(),
+		id:         "w" + randomHex(8),
 		s:          s,
 		req:        req,
-		built:      ent.built,
-		solver:     ent.solver,
-		sopts:      sopts,
-		traced:     traced,
+		tenant:     ten,
+		traced:     c.root.Enabled(),
 		events:     make(chan queuedEvent, s.cfg.WatchEventQueue),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 		ctx:        ctx,
 		cancel:     cancel,
-		tauIn:      tauIn,
-		fs:         topology.NewFaultSet(ent.built.Topology.Links(), ent.built.Topology.Nodes()),
-		session:    session,
 		conns:      map[*watchConn]struct{}{},
 		lastActive: time.Now(),
 	}
-	if err := s.watches.add(sub, s.cfg.MaxWatchSubs); err != nil {
-		cancel()
-		s.writeError(w, err, nil)
-		return
+	hello, err := sub.base(c)
+	if err == nil {
+		sub.fs = topology.NewFaultSet(sub.built.Topology.Links(), sub.built.Topology.Nodes())
+		err = s.watches.add(sub, s.cfg.MaxWatchSubs)
 	}
-	s.metrics.watchSubs.Add(1)
+	if err != nil {
+		cancel()
+		return watchStream{}, err
+	}
+	s.metrics.add(mWatchSubs, 1)
 
 	// The hello frame is seq 1 and lives in the ring like every other
 	// replayable frame, so a resume from 0 replays it too.
-	wire, err := schedroute.NewScheduleResult(ent.built, base, tauIn, req.IncludeOmega, req.Options.WantStats())
-	if err != nil {
-		sub.close("internal error", false)
-		s.writeError(w, err, nil)
-		return
-	}
 	sub.append(&schedroute.WatchFrame{
 		Type:     schedroute.WatchFrameHello,
 		SubID:    sub.id,
 		State:    sub.fs.String(),
-		TauIn:    tauIn,
-		Schedule: wire,
+		TauIn:    sub.tauIn,
+		Schedule: hello,
 	})
-
 	go sub.run()
-	sub.serveConn(w, r, 1)
+	return watchStream{sub, 1}, nil
 }
 
-// handleWatchAttach resumes the stream of an existing subscription.
-// With a Last-Event-ID header delivery restarts after that frame;
-// without one it starts at the newest frame (the current state).
-func (s *Server) handleWatchAttach(w http.ResponseWriter, r *http.Request) {
-	sub := s.watches.get(r.PathValue("id"))
-	if sub == nil {
-		writeWatchNotFound(w, r.PathValue("id"))
-		return
+// base pins the subscription's structure and period and returns the
+// schedule its hello announces: an admitted tenant's standing, like its
+// /v1/schedule, or a solved base (borrowing a worker slot — only the
+// long-lived stream lives outside the pool) with a session opened on it.
+func (sub *watchSub) base(c *call) (*schedroute.ScheduleResult, error) {
+	req := sub.req
+	if ten := sub.tenant; ten != nil {
+		sub.built, sub.tauIn = ten.built, ten.report.TauOut
+		return c.s.tenantSchedule(ten, req.IncludeOmega, req.Options.WantStats())
 	}
-	from := int64(0)
-	if h := r.Header.Get("Last-Event-ID"); h != "" {
+	sopts, err := req.Options.ToSchedule()
+	if err != nil {
+		return nil, err
+	}
+	if err := c.queue(); err != nil {
+		return nil, err
+	}
+	sv, err := c.solve(req.Problem, req.Options)
+	c.s.release()
+	if err != nil {
+		return nil, err
+	}
+	if !sv.res.Feasible {
+		return nil, badInput("watch: base problem infeasible at stage %s; a watch needs a feasible base schedule", sv.res.FailStage)
+	}
+	sub.built, sub.solver, sub.tauIn, sub.sopts = sv.built, sv.solver, sv.tauIn, sopts
+	if sub.session, err = schedule.NewRepairSession(sv.built.ScheduleProblemAt(sv.tauIn), sopts, sv.res); err != nil {
+		return nil, err
+	}
+	return schedroute.NewScheduleResult(sv.built, sv.res, sv.tauIn, req.IncludeOmega, req.Options.WantStats())
+}
+
+// subscription resolves the {id} path segment; an unknown id is
+// well-formed but names nothing held here, so not_found.
+func (c *call) subscription() (*watchSub, error) {
+	id := c.r.PathValue("id")
+	if sub := c.s.watches.get(id); sub != nil {
+		return sub, nil
+	}
+	return nil, errkind.Mark(fmt.Errorf("watch: no subscription %q (expired or never created)", id), errkind.ErrNotFound)
+}
+
+// watchAttach is GET /v1/watch/{id}: resume a subscription's stream,
+// after the Last-Event-ID frame if the header is set, else at the
+// newest frame (the current state).
+func (s *Server) watchAttach(c *call, _ struct{}) (watchStream, error) {
+	sub, err := c.subscription()
+	if err != nil {
+		return watchStream{}, err
+	}
+	if h := c.r.Header.Get("Last-Event-ID"); h != "" {
 		v, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || v < 0 {
-			s.writeError(w, errkind.Mark(fmt.Errorf("watch: bad Last-Event-ID %q", h), errkind.ErrBadInput), nil)
-			return
+			return watchStream{}, badInput("watch: bad Last-Event-ID %q", h)
 		}
-		from = v + 1
-	} else {
-		sub.mu.Lock()
-		from = sub.seq // newest frame only
-		if from < 1 {
-			from = 1
-		}
-		sub.mu.Unlock()
+		return watchStream{sub, v + 1}, nil
 	}
-	sub.serveConn(w, r, from)
+	sub.mu.Lock()
+	defer sub.mu.Unlock()
+	return watchStream{sub, max(sub.seq, 1)}, nil // newest frame only
 }
 
-// handleWatchEvent validates, sequences, and enqueues one event. The
-// queue is bounded and never blocks: overflow is load shedding (503),
-// same family as a full solve queue.
-func (s *Server) handleWatchEvent(w http.ResponseWriter, r *http.Request) {
-	sub := s.watches.get(r.PathValue("id"))
-	if sub == nil {
-		writeWatchNotFound(w, r.PathValue("id"))
-		return
-	}
-	var ev schedroute.WatchEvent
-	if err := decode(r, &ev); err != nil {
-		s.writeError(w, err, nil)
-		return
+// watchEvent is POST /v1/watch/{id}/events: validate, sequence, and
+// enqueue one event. The queue is bounded and never blocks: overflow is
+// load shedding (503), same family as a full solve queue.
+func (s *Server) watchEvent(c *call, ev schedroute.WatchEvent) (*schedroute.WatchEventAck, error) {
+	sub, err := c.subscription()
+	if err != nil {
+		return nil, err
 	}
 	if err := ev.Validate(); err != nil {
-		s.writeError(w, err, nil)
-		return
+		return nil, err
 	}
 	// Resolve named elements against the topology now, so the queue
 	// only ever holds resolvable events and a typo is a 400, not a
 	// mid-stream error frame.
 	if ev.Type != schedroute.WatchEventTauIn {
 		if _, err := (schedroute.FaultSpec{Links: ev.Links, Nodes: ev.Nodes}).Build(sub.built.Topology); err != nil {
-			s.writeError(w, err, nil)
-			return
+			return nil, err
 		}
 	}
 
 	sub.mu.Lock()
 	if sub.closed {
 		sub.mu.Unlock()
-		s.writeError(w, errkind.Mark(fmt.Errorf("watch: subscription %s is closed", sub.id), errkind.ErrUnavailable), nil)
-		return
+		return nil, unavailable("watch: subscription %s is closed", sub.id)
 	}
 	sub.evSeq++
 	qe := queuedEvent{seq: sub.evSeq, ev: ev}
@@ -351,40 +319,21 @@ func (s *Server) handleWatchEvent(w http.ResponseWriter, r *http.Request) {
 	select {
 	case sub.events <- qe:
 	default:
-		s.writeError(w, errkind.Mark(
-			fmt.Errorf("watch: event queue full (%d pending)", cap(sub.events)), errkind.ErrUnavailable), nil)
-		return
+		return nil, unavailable("watch: event queue full (%d pending)", cap(sub.events))
 	}
-	s.metrics.watchEvents.Add(1)
-	writeJSON(w, schedroute.WatchEventAck{SchemaVersion: schedroute.SchemaVersion, EventSeq: qe.seq})
+	s.metrics.add(mWatchEvents, 1)
+	return &schedroute.WatchEventAck{SchemaVersion: schedroute.SchemaVersion, EventSeq: qe.seq}, nil
 }
 
-// handleWatchDelete closes a subscription gracefully: every attached
-// consumer receives a terminal closing frame.
-func (s *Server) handleWatchDelete(w http.ResponseWriter, r *http.Request) {
-	sub := s.watches.get(r.PathValue("id"))
-	if sub == nil {
-		writeWatchNotFound(w, r.PathValue("id"))
-		return
+// watchDelete is DELETE /v1/watch/{id}: a graceful close — every
+// attached consumer receives a terminal closing frame.
+func (s *Server) watchDelete(c *call, _ struct{}) (map[string]string, error) {
+	sub, err := c.subscription()
+	if err != nil {
+		return nil, err
 	}
 	sub.close("deleted by client", true)
-	writeJSON(w, map[string]string{"status": "closing"})
-}
-
-// writeWatchNotFound reports an unknown subscription id through the
-// shared envelope: the id format is fine, the resource is gone, so the
-// error is marked not_found and classified by the table like every
-// other failure body.
-func writeWatchNotFound(w http.ResponseWriter, id string) {
-	err := errkind.Mark(
-		fmt.Errorf("watch: no subscription %q (expired or never created)", id),
-		errkind.ErrNotFound)
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusNotFound)
-	json.NewEncoder(w).Encode(schedroute.ErrorResponse{
-		SchemaVersion: schedroute.SchemaVersion,
-		ErrorEnvelope: schedroute.NewErrorEnvelope(err),
-	})
+	return map[string]string{"status": "closing"}, nil
 }
 
 // ---- subscription state machine ------------------------------------
@@ -395,7 +344,7 @@ func writeWatchNotFound(w http.ResponseWriter, id string) {
 // an event is recovered and terminates only this subscription.
 func (sub *watchSub) run() {
 	defer close(sub.done)
-	defer sub.s.metrics.watchSubs.Add(-1)
+	defer sub.s.metrics.add(mWatchSubs, -1)
 	reap := sub.s.cfg.WatchIdleTimeout
 	idle := time.NewTicker(reap / 4)
 	defer idle.Stop()
@@ -431,7 +380,7 @@ func (sub *watchSub) safeHandle(qe queuedEvent) (ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			ok = false
-			sub.s.metrics.watchPanics.Add(1)
+			sub.s.metrics.add(mWatchPanics, 1)
 			sub.s.log.Error("watch subscription panic", "sub", sub.id, "event_seq", qe.seq, "panic", fmt.Sprint(r))
 			sub.append(&schedroute.WatchFrame{
 				Type:     schedroute.WatchFrameError,
@@ -487,7 +436,7 @@ func (sub *watchSub) handleEvent(qe queuedEvent) {
 		frame.Trace = schedroute.NewTraceEnvelope(root.Tree())
 	}
 	sub.append(frame)
-	sub.s.metrics.observeWatchEvent(time.Since(start))
+	sub.s.metrics.sample(mWatchEventTime, time.Since(start))
 }
 
 // errorFrame builds a non-terminal error frame for a rejected event,
@@ -508,7 +457,7 @@ func (sub *watchSub) errorFrame(qe queuedEvent, err error) *schedroute.WatchFram
 // rejectEvent is errorFrame for event-validation failures: the event
 // named something the fault model cannot apply, a bad_input family.
 func (sub *watchSub) rejectEvent(qe queuedEvent, format string, args ...any) *schedroute.WatchFrame {
-	return sub.errorFrame(qe, errkind.Mark(fmt.Errorf(format, args...), errkind.ErrBadInput))
+	return sub.errorFrame(qe, badInput(format, args...))
 }
 
 // applyEvent mutates the subscription state for one event and builds
@@ -577,7 +526,7 @@ func (sub *watchSub) repairFrame(qe queuedEvent, root *trace.Span) *schedroute.W
 		return nil
 	}
 	rs := root.Start(SpanWatchRepair)
-	rep, cached, err := sub.session.Apply(sub.ctx, sub.fs, rs)
+	rep, cached, err := sub.repair(rs)
 	rs.SetAttrs(trace.Bool("cached", cached))
 	rs.End()
 	release()
@@ -587,16 +536,14 @@ func (sub *watchSub) repairFrame(qe queuedEvent, root *trace.Span) *schedroute.W
 		}
 		return sub.errorFrame(qe, fmt.Errorf("event %d: repair failed: %w", qe.seq, err))
 	}
-	if rerr := rep.Err(); rerr != nil {
-		frame := sub.errorFrame(qe, rerr)
-		if wire, werr := schedroute.NewRepairResult(rep, false); werr == nil {
-			frame.Repair = wire
+	wire, err := repairResponse(rep, sub.req.IncludeOmega)
+	if err != nil {
+		frame := sub.errorFrame(qe, err)
+		var re *reportError
+		if errors.As(err, &re) {
+			frame.Repair = re.repair
 		}
 		return frame
-	}
-	wire, err := schedroute.NewRepairResult(rep, sub.req.IncludeOmega)
-	if err != nil {
-		return sub.errorFrame(qe, fmt.Errorf("event %d: %w", qe.seq, err))
 	}
 	frame := &schedroute.WatchFrame{
 		Type:     schedroute.WatchFrameSchedule,
@@ -611,11 +558,29 @@ func (sub *watchSub) repairFrame(qe queuedEvent, root *trace.Span) *schedroute.W
 	return frame
 }
 
+// repair runs the ladder at the current fault state: in the
+// subscription's own session or — as a tenant-scoped /v1/repair does —
+// from the tenant's admitted base inside its admission-time link shares.
+func (sub *watchSub) repair(sp *trace.Span) (*schedule.RepairReport, bool, error) {
+	if sub.tenant == nil {
+		return sub.session.Apply(sub.ctx, sub.fs, sp)
+	}
+	tr, err := sub.tenant.fab.set.RepairTenant(sub.ctx, sub.tenant.tenant.ID, sub.fs, sp)
+	if err != nil {
+		return nil, false, err
+	}
+	return tr.Report, tr.MemoHit, nil
+}
+
 // rebase handles a tau_in event: re-solve the base schedule at the new
 // period through the pinned solver, restart the repair session, and
 // re-apply the current fault state. An infeasible period is rejected
 // without touching the previous state.
 func (sub *watchSub) rebase(qe queuedEvent, root *trace.Span) *schedroute.WatchFrame {
+	if sub.tenant != nil {
+		return sub.rejectEvent(qe, "event %d: tenant %q's period was fixed at admission; tau_in does not apply",
+			qe.seq, sub.tenant.tenant.ID)
+	}
 	release, ok := sub.claimWorker()
 	if !ok {
 		return nil
@@ -632,7 +597,7 @@ func (sub *watchSub) rebase(qe queuedEvent, root *trace.Span) *schedroute.WatchF
 		}
 		return sub.errorFrame(qe, fmt.Errorf("event %d: rebase solve failed: %w", qe.seq, err))
 	}
-	sub.s.metrics.observeSolve(res.Stats)
+	sub.s.metrics.countSolve(res.Stats)
 	if !res.Feasible {
 		return sub.rejectEvent(qe, "event %d: tau_in %g infeasible at stage %s; keeping period %g",
 			qe.seq, qe.ev.TauIn, res.FailStage, sub.tauIn)
@@ -734,7 +699,7 @@ func (sub *watchSub) append(f *schedroute.WatchFrame) {
 		}
 	}
 	sub.mu.Unlock()
-	sub.s.metrics.watchFrames.Add(1)
+	sub.s.metrics.add(mWatchFrames, 1)
 }
 
 // collect returns the frames a consumer should deliver next. When the
@@ -807,7 +772,7 @@ func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, from int6
 	for {
 		frames, skipped, latest, closed := sub.collect(c)
 		if skipped > 0 {
-			sub.s.metrics.watchDropped.Add(skipped)
+			sub.s.metrics.add(mWatchDropped, skipped)
 			gap, _ := json.Marshal(&schedroute.WatchFrame{
 				SchemaVersion: schedroute.SchemaVersion,
 				Seq:           latest,

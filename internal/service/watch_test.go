@@ -351,7 +351,7 @@ func TestWatchChaosReplayMatchesRepair(t *testing.T) {
 	if sub == nil {
 		t.Fatal("subscription vanished while stream open")
 	}
-	stats := sub.Session().Stats()
+	stats := sub.session.Stats()
 	if stats.Applies == 0 || stats.Incremental == 0 {
 		t.Fatalf("session stats %+v: want incremental repairs observed", stats)
 	}
@@ -491,7 +491,7 @@ func TestWatchSlowConsumerCoalesced(t *testing.T) {
 	if !hasID || newest.Seq != last.Seq || newest.State != last.State {
 		t.Fatalf("coalesced frame = %+v, want newest frame seq %d state %q", newest, last.Seq, last.State)
 	}
-	if srv.metrics.WatchDropped() == 0 {
+	if srv.metrics.value("srschedd_watch_dropped_frames_total") == 0 {
 		t.Error("dropped-frame metric never incremented")
 	}
 }
@@ -622,7 +622,7 @@ func TestWatchPanicIsolation(t *testing.T) {
 	if f.Type != schedroute.WatchFrameError || !f.Terminal || !strings.Contains(f.Reason, "panic") {
 		t.Fatalf("A's frame = %+v, want terminal panic error", f)
 	}
-	if got := srv.metrics.WatchPanics(); got != 1 {
+	if got := srv.metrics.value("srschedd_watch_panics_total"); got != 1 {
 		t.Errorf("panic counter = %d, want 1", got)
 	}
 
@@ -669,7 +669,7 @@ func TestWatchShutdownDrain(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("post-drain create: status %d, want 503: %s", code, body)
 	}
-	if n := srv.watches.count(); n != 0 {
+	if n := len(liveSubs(srv)); n != 0 {
 		t.Errorf("%d subscriptions survived the drain", n)
 	}
 }
@@ -726,7 +726,7 @@ func TestWatchSubscriptionChurn(t *testing.T) {
 	}
 	wg.Wait()
 
-	if n := srv.watches.count(); n != 0 {
+	if n := len(liveSubs(srv)); n != 0 {
 		t.Errorf("%d subscriptions leaked after churn", n)
 	}
 
@@ -738,7 +738,7 @@ func TestWatchSubscriptionChurn(t *testing.T) {
 	if code != http.StatusServiceUnavailable {
 		t.Fatalf("over-cap create: status %d, want 503: %s", code, body)
 	}
-	if n := srvCap.watches.count(); n != 1 {
+	if n := len(liveSubs(srvCap)); n != 1 {
 		t.Errorf("registry count = %d, want 1", n)
 	}
 }

@@ -1,0 +1,145 @@
+package schedroute_test
+
+import (
+	"bytes"
+	"encoding/json"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"schedroute/internal/errkind"
+	"schedroute/internal/service"
+	"schedroute/pkg/schedroute"
+)
+
+// checkProblem runs everything the request path does with a decoded
+// problem short of building it (NewProblem may open the file a tfg
+// spec names, which is no business of a fuzzer).
+func checkProblem(p schedroute.Problem, o schedroute.Options, t *schedroute.Tenant) []error {
+	_ = p.StructureKey()
+	_, oerr := o.ToSchedule()
+	return []error{p.Validate(), oerr, schedroute.TenantOrDefault(t).Validate()}
+}
+
+// requestTypes is every request body srschedd decodes, each with the
+// validation its endpoint runs before any solver is involved.
+var requestTypes = []struct {
+	name  string
+	check func(decode func(into any) error) []error
+}{
+	{"Schedule", func(decode func(any) error) []error {
+		var r schedroute.ScheduleRequest
+		if err := decode(&r); err != nil {
+			return []error{err}
+		}
+		return checkProblem(r.Problem, r.Options, r.Tenant)
+	}},
+	{"BatchSchedule", func(decode func(any) error) []error {
+		var r schedroute.BatchScheduleRequest
+		if err := decode(&r); err != nil {
+			return []error{err}
+		}
+		errs := []error{schedroute.CheckSchemaVersion(r.SchemaVersion)}
+		for _, it := range r.Items {
+			errs = append(errs, checkProblem(it.Problem, it.Options, it.Tenant)...)
+		}
+		return errs
+	}},
+	{"Repair", func(decode func(any) error) []error {
+		var r schedroute.RepairRequest
+		if err := decode(&r); err != nil {
+			return []error{err}
+		}
+		_ = r.Fault.Empty()
+		return checkProblem(r.Problem, r.Options, r.Tenant)
+	}},
+	{"Admit", func(decode func(any) error) []error {
+		var r schedroute.AdmitRequest
+		if err := decode(&r); err != nil {
+			return []error{err}
+		}
+		return checkProblem(r.Problem, r.Options, r.Tenant)
+	}},
+	{"Explore", func(decode func(any) error) []error {
+		var r schedroute.ExploreRequest
+		if err := decode(&r); err != nil {
+			return []error{err}
+		}
+		_, _ = r.Mode(), r.TauInAxisOrDefault()
+		return append(checkProblem(r.Problem, r.Options, r.Tenant), r.Validate())
+	}},
+	{"Watch", func(decode func(any) error) []error {
+		var r schedroute.WatchRequest
+		if err := decode(&r); err != nil {
+			return []error{err}
+		}
+		return checkProblem(r.Problem, r.Options, r.Tenant)
+	}},
+	{"WatchEvent", func(decode func(any) error) []error {
+		var r schedroute.WatchEvent
+		if err := decode(&r); err != nil {
+			return []error{err}
+		}
+		return []error{r.Validate()}
+	}},
+}
+
+// FuzzRequestDecode feeds arbitrary bytes through srschedd's strict
+// decode into every request type and on through the validation that
+// runs before a solver is involved. Nothing may panic, and every
+// refusal must be the client's fault by the errkind table — bad_input
+// or unknown_schema_version — never an unclassified (500) error.
+func FuzzRequestDecode(f *testing.F) {
+	goldens, err := filepath.Glob("testdata/*.json")
+	if err != nil || len(goldens) == 0 {
+		f.Fatalf("no wire goldens to seed from (%v)", err)
+	}
+	for _, path := range goldens {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(raw)
+	}
+	// One entry of each repository-benchmark workload, as the schedule
+	// request bench/ would post for it.
+	workloads, err := filepath.Glob("../../bench/workloads/*.json")
+	if err != nil || len(workloads) == 0 {
+		f.Fatalf("no benchmark workloads to seed from (%v)", err)
+	}
+	for _, path := range workloads {
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			f.Fatal(err)
+		}
+		var w struct {
+			Entries []struct {
+				Problem json.RawMessage `json:"problem"`
+			} `json:"entries"`
+		}
+		if err := json.Unmarshal(raw, &w); err != nil || len(w.Entries) == 0 {
+			f.Fatalf("%s: no entries (%v)", path, err)
+		}
+		f.Add([]byte(`{"problem":` + string(w.Entries[0].Problem) + `}`))
+	}
+	f.Add([]byte(`{"type":"fault","links":["0-1"]}`))
+	f.Add([]byte(`{"items":[{"problem":{"tfg":"dvb:4","topology":"cube:6"}}]}`))
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		for _, rt := range requestTypes {
+			decode := func(into any) error {
+				return service.Decode(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data)), into)
+			}
+			for _, err := range rt.check(decode) {
+				if err == nil {
+					continue
+				}
+				if kind := errkind.Name(err); kind != "bad_input" && kind != "unknown_schema_version" {
+					t.Errorf("%s: %q classifies as %s: %v", rt.name, data, kind, err)
+				}
+			}
+		}
+	})
+}

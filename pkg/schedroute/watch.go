@@ -61,7 +61,9 @@ type WatchRequest struct {
 	Problem Problem `json:"problem"`
 	Options Options `json:"options,omitempty"`
 	// Tenant scopes the subscription (v2); absent means the default
-	// tenant.
+	// tenant. An admitted tenant's subscription stands on its admitted
+	// schedule and repairs inside its admission-time link shares, like
+	// its /v1/schedule and /v1/repair; a tau_in event is refused.
 	Tenant *Tenant `json:"tenant,omitempty"`
 	// IncludeOmega embeds the repaired Ω artifact in every schedule
 	// frame (and the base Ω in the hello frame).

@@ -55,7 +55,7 @@ curl -fsS -X POST "$BASE_A/v1/schedule:batch" -d '{"items": [
 ]}' > "$DIR/batch.json"
 [ "$(grep -o '"feasible": *true' "$DIR/batch.json" | wc -l)" -eq 3 ] \
     || { echo "batch did not return three feasible items:"; cat "$DIR/batch.json"; exit 1; }
-ITEMS=$(( $(metric "$BASE_A" srschedd_batch_items) + $(metric "$BASE_B" srschedd_batch_items) ))
+ITEMS=$(( $(metric "$BASE_A" srschedd_batch_items_total) + $(metric "$BASE_B" srschedd_batch_items_total) ))
 [ "$ITEMS" = "3" ] || { echo "fleet counted $ITEMS batch items, want 3"; exit 1; }
 
 # Warm-start is gone: the route is the mux's plain 404 and the flag is a
