@@ -1,4 +1,5 @@
-# Tier-1 verify is `make check`: build, vet, then the full test suite.
+# Tier-1 verify is `make check`: gofmt gate, build, vet, then the full
+# test suite.
 # `make race` is the concurrency job for the parallel sweep/search
 # engine and the /v1/watch subscription machinery (concurrent
 # create/event/close churn); run it whenever internal/parallel,
@@ -6,9 +7,13 @@
 
 GO ?= go
 
-.PHONY: all build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all fmt-check build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
 
 all: check
+
+# Fails, listing the files, when gofmt would change any.
+fmt-check:
+	@out="$$(gofmt -l .)"; [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -19,17 +24,21 @@ vet:
 test:
 	$(GO) test ./...
 
-check: build vet test
+check: fmt-check build vet test
 
 race:
 	$(GO) test -race ./...
 
-# 20 s of the request-decode fuzzer: arbitrary bytes through srschedd's
-# strict decode into every request type and its pre-solve validation
-# (pkg/schedroute/fuzz_test.go). Minimization is capped so the budget
-# goes to new inputs; a crasher lands in pkg/schedroute/testdata/fuzz/.
+# 20 s of each fuzzer. FuzzRequestDecode: arbitrary bytes through
+# srschedd's strict decode into every request type and its pre-solve
+# validation (pkg/schedroute/fuzz_test.go). FuzzOmegaDecode: arbitrary
+# bytes through the Ω loader and, when they load, Validate, Linksets
+# and a save/load round trip (internal/schedule/fuzz_test.go).
+# Minimization is capped so the budget goes to new inputs; a crasher
+# lands in the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./pkg/schedroute -run '^$$' -fuzz FuzzRequestDecode -fuzztime 20s -fuzzminimizetime 10x
+	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzOmegaDecode -fuzztime 20s -fuzzminimizetime 10x
 
 # Non-test Go lines per package (plain wc -l, no comment stripping): the
 # number a diet PR quotes before and after (scripts/loc.sh).

@@ -720,6 +720,39 @@ func BenchmarkGreedyDecomposeTenCube(b *testing.B) {
 	b.ReportMetric(float64(slices), "slices/op")
 }
 
+// BenchmarkBuildOmegaTenCube is Ω emission alone on the 10-cube: the
+// pipeline's slices and path assignment into the per-node command
+// lists (one slab, written in order).
+func BenchmarkBuildOmegaTenCube(b *testing.B) {
+	p, res := compileLargeSolve(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
+	b.ReportAllocs()
+	b.ResetTimer()
+	var commands int
+	for i := 0; i < b.N; i++ {
+		om := schedule.BuildOmega(res.Slices, res.Assignment, res.Windows, p.Topology.Nodes(), p.TauIn, res.Latency)
+		commands = om.NumCommands()
+	}
+	if commands != res.Omega.NumCommands() {
+		b.Fatalf("%d commands, the pipeline emitted %d", commands, res.Omega.NumCommands())
+	}
+	b.ReportMetric(float64(commands), "commands/op")
+}
+
+// BenchmarkValidateTenCube is validation alone of the 10-cube's Ω: the
+// id and window checks, the linkset table read back from the commands,
+// and the contention sweep.
+func BenchmarkValidateTenCube(b *testing.B) {
+	p, res := compileLargeSolve(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := res.Omega.Validate(p.Topology); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(res.Omega.NumCommands()), "commands/op")
+}
+
 // BenchmarkExploreSixCube is the Pareto-exploration acceptance
 // benchmark: each iteration searches the τin × latency × resources
 // front for the 6-cube DVB problem with one annealed candidate

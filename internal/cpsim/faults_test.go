@@ -152,7 +152,7 @@ func TestFaultInjectionRejectsBadConfig(t *testing.T) {
 	cases := []*FaultInjection{
 		{Faults: topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes()), FailAt: 1}, // empty set
 		{Faults: fs, FailAt: -1},
-		{Faults: fs, FailAt: 4}, // past the last invocation
+		{Faults: fs, FailAt: 4},                                   // past the last invocation
 		{Faults: fs, FailAt: 2, Repaired: res.Omega, RepairAt: 2}, // repair not after fault
 		{Faults: fs, FailAt: 2, Repaired: res.Omega, RepairAt: 5}, // past the run
 	}

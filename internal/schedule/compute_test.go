@@ -12,7 +12,7 @@ import (
 	"schedroute/internal/topology"
 )
 
-func dvbProblem(t *testing.T, top *topology.Topology, bw, tauIn float64) Problem {
+func dvbProblem(t testing.TB, top *topology.Topology, bw, tauIn float64) Problem {
 	t.Helper()
 	g, err := dvb.New(dvb.DefaultModels)
 	if err != nil {
@@ -33,7 +33,7 @@ func dvbProblem(t *testing.T, top *topology.Topology, bw, tauIn float64) Problem
 // between τc and 5τc for τc = 50 µs.
 func gridTauIn(k int) float64 { return 50 * (1 + 4*float64(k)/11) }
 
-func sixCube(t *testing.T) *topology.Topology {
+func sixCube(t testing.TB) *topology.Topology {
 	t.Helper()
 	top, err := topology.NewHypercube(6)
 	if err != nil {

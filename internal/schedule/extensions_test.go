@@ -1,8 +1,8 @@
 package schedule
 
 import (
-	"context"
 	"bytes"
+	"context"
 	"math"
 	"testing"
 

@@ -1,7 +1,9 @@
 package schedule
 
 import (
+	"cmp"
 	"fmt"
+	"math"
 	"slices"
 
 	"schedroute/internal/tfg"
@@ -72,73 +74,78 @@ func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, 
 		Latency: latency,
 	}
 	// Count commands per node first so every node's command list is an
-	// exact-size window of one shared backing array.
-	counts := make([]int32, nodes)
-	total := 0
-	for _, sl := range sls {
+	// exact-size window of one shared backing array, written through a
+	// per-node cursor.
+	cursor := make([]int32, nodes)
+	inOrder, widest := true, 0
+	for i, sl := range sls {
+		inOrder = inOrder && (i == 0 || sl.Start > sls[i-1].Start)
+		widest = max(widest, len(sl.Msgs))
 		for _, msg := range sl.Msgs {
 			if len(pa.Links[msg]) == 0 {
 				continue
 			}
 			for _, node := range pa.Paths[msg].Nodes {
-				counts[node]++
-				total++
+				cursor[node]++
 			}
 		}
 	}
+	total := int32(0)
+	for n, c := range cursor {
+		cursor[n] = total
+		total += c
+	}
 	backing := make([]Command, total)
-	off := 0
-	for n := range om.Nodes {
-		om.Nodes[n].Node = topology.NodeID(n)
-		if counts[n] == 0 {
-			continue // keep Commands nil, matching decode round-trips
-		}
-		end := off + int(counts[n])
-		om.Nodes[n].Commands = backing[off:off:end]
-		off = end
-	}
-	add := func(n topology.NodeID, c Command) {
-		om.Nodes[n].Commands = append(om.Nodes[n].Commands, c)
-	}
+	// Slices in frame order, each one's messages in ascending ID: every
+	// node's list comes out sorted by (Start, Msg). The sort key packs a
+	// message over its position in the slice.
+	byID := make([]uint64, 0, widest)
 	for _, sl := range sls {
+		byID = byID[:0]
 		for mi, msg := range sl.Msgs {
-			end := sl.Until[mi]
-			path := pa.Paths[msg]
+			byID = append(byID, uint64(msg)<<32|uint64(mi))
+		}
+		slices.Sort(byID)
+		for _, key := range byID {
+			msg, mi := tfg.MessageID(key>>32), uint32(key)
 			links := pa.Links[msg]
 			if len(links) == 0 {
 				continue
 			}
-			for h, node := range path.Nodes {
-				var in, out Port
-				switch {
-				case h == 0:
-					in = Port{AP: true}
-					out = Port{Link: links[0]}
-				case h == len(path.Nodes)-1:
-					in = Port{Link: links[h-1]}
-					out = Port{AP: true}
-				default:
-					in = Port{Link: links[h-1]}
+			in := Port{AP: true}
+			for h, node := range pa.Paths[msg].Nodes {
+				out := Port{AP: true}
+				if h < len(links) {
 					out = Port{Link: links[h]}
 				}
-				add(node, Command{Start: sl.Start, End: end, Msg: msg, In: in, Out: out})
+				backing[cursor[node]] = Command{Start: sl.Start, End: sl.Until[mi], Msg: msg, In: in, Out: out}
+				cursor[node]++
+				in = out
 			}
 		}
 	}
-	for n := range om.Nodes {
-		sortCommands(om.Nodes[n].Commands)
+	off := int32(0)
+	for n, end := range cursor {
+		om.Nodes[n].Node = topology.NodeID(n)
+		if end > off { // else keep Commands nil, matching decode round-trips
+			om.Nodes[n].Commands = backing[off:end:end]
+			if !inOrder {
+				sortCommands(om.Nodes[n].Commands)
+			}
+		}
+		off = end
 	}
 	return om
 }
 
-// sortCommands orders one node's commands by (Start, Msg). No node sees
-// the same (Start, Msg) twice — a path visits a node once and distinct
-// slices start at distinct times — so the key is a strict total order
-// and any correct sort yields the same permutation. Slices arrive in
-// frame order, which leaves a node's list non-decreasing in Start with
-// only the runs of equal Start (one slice's messages) out of order, so
-// one pass sorts those runs; a list that is not in frame order gets the
-// full sort.
+// sortCommands orders one node's commands by (Start, Msg), for slices
+// BuildOmega was not handed in strictly increasing Start. In a pipeline
+// Ω no node sees the same (Start, Msg) twice — a path visits a node once
+// and distinct slices start at distinct times — so the key is a strict
+// total order and any correct sort yields the same permutation. A list
+// still non-decreasing in Start has only its runs of equal Start out of
+// order, so one pass sorts those runs; a list that is not in frame order
+// gets the full sort.
 func sortCommands(cmds []Command) {
 	lo := 0
 	for i := 1; i <= len(cmds); i++ {
@@ -173,16 +180,36 @@ func cmpCommand(a, b Command) int {
 // every link carries at most one message at a time (contention-free and
 // half-duplex safe), every transmission happens inside its message's
 // window, and every message receives exactly its transmission time each
-// frame.
+// frame. An Ω naming a node, message or link the topology and windows do
+// not have is refused before any id is used as an index.
 func (om *Omega) Validate(top *topology.Topology) error {
-	nw := len(om.Windows)
+	nw, nl := len(om.Windows), top.Links()
+	// The linkset table bounds every message and link id a command names.
+	linksets, negative := om.linksets()
+	switch {
+	case negative < 0:
+		return fmt.Errorf("schedule: a command switches unknown message %d", negative)
+	case len(linksets) > nw:
+		return fmt.Errorf("schedule: a command switches unknown message %d", len(linksets)-1)
+	}
+	for m, set := range linksets {
+		for _, l := range set {
+			if l < 0 || int(l) >= nl {
+				return fmt.Errorf("schedule: message %d uses unknown link %d", m, l)
+			}
+		}
+	}
+	for _, ns := range om.Nodes {
+		if ns.Node < 0 || int(ns.Node) >= top.Nodes() {
+			return fmt.Errorf("schedule: schedule for unknown node %d", ns.Node)
+		}
+	}
 	got := make([]float64, nw)
-
-	linksets := om.Linksets()
-
-	spanCnt := make([]int32, top.Links())
 	for _, sl := range om.Slices {
 		for mi, msg := range sl.Msgs {
+			if msg < 0 || int(msg) >= nw {
+				return fmt.Errorf("schedule: slice carries unknown message %d", msg)
+			}
 			w := om.Windows[msg]
 			start, end := sl.Start, sl.Until[mi]
 			if end < start-timeEps {
@@ -196,9 +223,6 @@ func (om *Omega) Validate(top *topology.Topology) error {
 				return fmt.Errorf("schedule: message %d transmission runs %g past its window", msg, off-w.Length)
 			}
 			got[msg] += end - start
-			for _, l := range linksets[msg] {
-				spanCnt[l]++
-			}
 		}
 	}
 	for i, w := range om.Windows {
@@ -210,48 +234,36 @@ func (om *Omega) Validate(top *topology.Topology) error {
 		}
 	}
 
-	// Per-link span lists as exact-size windows of one flat array;
-	// spans never wrap (slices live inside single intervals).
-	spanOff := make([]int32, top.Links()+1)
-	for l := 0; l < top.Links(); l++ {
-		spanOff[l+1] = spanOff[l] + spanCnt[l]
+	// Contention: sweep the slices in Start order, keeping per link the
+	// latest end seen so far and the message that holds it. A span that
+	// starts before that end overlaps it; spans never wrap (slices live
+	// inside single intervals).
+	last := make([]struct {
+		end float64
+		msg tfg.MessageID
+	}, nl)
+	for l := range last {
+		last[l].end = math.Inf(-1)
 	}
-	spans := make([]valSpan, spanOff[top.Links()])
-	cursor := spanCnt
-	for l := range cursor {
-		cursor[l] = spanOff[l]
+	sls := om.Slices
+	byStart := func(a, b Slice) int { return cmp.Compare(a.Start, b.Start) }
+	if !slices.IsSortedFunc(sls, byStart) { // an emitted Ω's slices are in frame order
+		sls = slices.Clone(sls)
+		slices.SortStableFunc(sls, byStart)
 	}
-	for _, sl := range om.Slices {
+	for _, sl := range sls {
 		for mi, msg := range sl.Msgs {
 			for _, l := range linksets[msg] {
-				spans[cursor[l]] = valSpan{sl.Start, sl.Until[mi], msg}
-				cursor[l]++
-			}
-		}
-	}
-	for l := 0; l < top.Links(); l++ {
-		ls := spans[spanOff[l]:spanOff[l+1]]
-		slices.SortFunc(ls, func(a, b valSpan) int {
-			switch {
-			case a.start < b.start:
-				return -1
-			case a.start > b.start:
-				return 1
-			}
-			return 0
-		})
-		for i := 1; i < len(ls); i++ {
-			if ls[i].start < ls[i-1].end-1e-6 {
-				return fmt.Errorf("schedule: link %d carries messages %d and %d simultaneously", l, ls[i-1].msg, ls[i].msg)
+				if sl.Start < last[l].end-1e-6 {
+					return fmt.Errorf("schedule: link %d carries messages %d and %d simultaneously", l, last[l].msg, msg)
+				}
+				if sl.Until[mi] > last[l].end {
+					last[l].end, last[l].msg = sl.Until[mi], msg
+				}
 			}
 		}
 	}
 	return nil
-}
-
-type valSpan struct {
-	start, end float64
-	msg        tfg.MessageID
 }
 
 // Linksets returns, for every message, the links its commands connect,
@@ -261,35 +273,57 @@ type valSpan struct {
 // structures. All rows are filled together — a counting pass and a
 // filling pass over the commands — and share a single backing array.
 func (om *Omega) Linksets() [][]topology.LinkID {
-	// Link-port counts bound each message's row; off grows should a
+	sets, _ := om.linksets()
+	return sets
+}
+
+// linksets is Linksets plus a negative message id some command carries
+// (0 when none does): such a command has no row and is left out.
+func (om *Omega) linksets() (sets [][]topology.LinkID, negative tfg.MessageID) {
+	// Every slice of a message repeats its commands — one of them at the
+	// source, In on the AP — and names each link at both of its ends, so
+	// link ports / (2 · source commands) is the message's hop count in
+	// any Ω the pipeline emits. In any other it is a capacity hint: a row
+	// that outgrows it moves off the backing array. cnt grows should a
 	// command name a message past the windows.
-	off := make([]int32, len(om.Windows)+1)
+	type count struct{ ports, sources int32 }
+	cnt := make([]count, len(om.Windows))
 	for _, ns := range om.Nodes {
 		for _, c := range ns.Commands {
-			if short := int(c.Msg) + 2 - len(off); short > 0 {
-				off = append(off, make([]int32, short)...)
+			if c.Msg < 0 {
+				negative = c.Msg
+				continue
 			}
-			if !c.In.AP {
-				off[c.Msg+1]++
+			if short := int(c.Msg) + 1 - len(cnt); short > 0 {
+				cnt = append(cnt, make([]count, short)...)
+			}
+			k := &cnt[c.Msg]
+			if c.In.AP {
+				k.sources++
+			} else {
+				k.ports++
 			}
 			if !c.Out.AP {
-				off[c.Msg+1]++
+				k.ports++
 			}
 		}
 	}
-	n := len(off) - 1
-	for i := 0; i < n; i++ {
-		off[i+1] += off[i]
+	total := 0
+	for m, k := range cnt {
+		cnt[m].ports = k.ports / (2 * max(k.sources, 1))
+		total += int(cnt[m].ports)
 	}
-	flat := make([]topology.LinkID, off[n])
-	sets := make([][]topology.LinkID, n)
-	for i := range sets {
-		sets[i] = flat[off[i]:off[i]:off[i+1]]
+	flat := make([]topology.LinkID, total)
+	sets = make([][]topology.LinkID, len(cnt))
+	off := 0
+	for m, k := range cnt {
+		sets[m] = flat[off : off : off+int(k.ports)]
+		off += int(k.ports)
 	}
 	// A link shows up at both of its endpoints and once more per slice;
 	// rows stay path-length short, so a scan dedups them.
 	add := func(msg tfg.MessageID, p Port) {
-		if !p.AP && !slices.Contains(sets[msg], p.Link) {
+		if msg >= 0 && !p.AP && !slices.Contains(sets[msg], p.Link) {
 			sets[msg] = append(sets[msg], p.Link)
 		}
 	}
@@ -302,17 +336,7 @@ func (om *Omega) Linksets() [][]topology.LinkID {
 	for _, set := range sets {
 		slices.Sort(set)
 	}
-	return sets
-}
-
-// Linkset returns message msg's row of Linksets; callers that need more
-// than one message should take the table instead.
-func (om *Omega) Linkset(msg tfg.MessageID) []topology.LinkID {
-	sets := om.Linksets()
-	if int(msg) >= len(sets) {
-		return nil
-	}
-	return slices.Clone(sets[msg])
+	return sets, negative
 }
 
 // CommandsAt returns node n's switching schedule.

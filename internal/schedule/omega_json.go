@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"strconv"
+	"strings"
 
 	"schedroute/internal/errkind"
 	"schedroute/internal/tfg"
@@ -59,19 +61,16 @@ type commandJSON struct {
 	Out   string  `json:"out"`
 }
 
-func portToJSON(p Port) string {
-	if p.AP {
-		return "AP"
-	}
-	return fmt.Sprintf("L%d", p.Link)
-}
-
+// portFromJSON reads back what Port.String writes.
 func portFromJSON(s string) (Port, error) {
 	if s == "AP" {
 		return Port{AP: true}, nil
 	}
-	var l int
-	if _, err := fmt.Sscanf(s, "L%d", &l); err != nil {
+	rest, ok := strings.CutPrefix(s, "L")
+	// Bit size 32 is the range check: an id past LinkID's width is
+	// refused here instead of wrapping onto a link the topology has.
+	l, err := strconv.ParseInt(rest, 10, 32)
+	if !ok || err != nil || l < 0 {
 		return Port{}, fmt.Errorf("schedule: bad port %q", s)
 	}
 	return Port{Link: topology.LinkID(l)}, nil
@@ -98,7 +97,7 @@ func EncodeOmega(w io.Writer, om *Omega) error {
 		for _, c := range ns.Commands {
 			nj.Commands = append(nj.Commands, commandJSON{
 				Start: c.Start, End: c.End, Msg: int(c.Msg),
-				In: portToJSON(c.In), Out: portToJSON(c.Out),
+				In: c.In.String(), Out: c.Out.String(),
 			})
 		}
 		oj.Nodes = append(oj.Nodes, nj)
@@ -146,6 +145,9 @@ func DecodeOmega(r io.Reader) (*Omega, error) {
 	for _, nj := range oj.Nodes {
 		ns := NodeSchedule{Node: topology.NodeID(nj.Node)}
 		for _, cj := range nj.Commands {
+			if cj.Msg < 0 || cj.Msg >= len(om.Windows) {
+				return nil, fmt.Errorf("schedule: decode omega: message %d out of range", cj.Msg)
+			}
 			in, err := portFromJSON(cj.In)
 			if err != nil {
 				return nil, err

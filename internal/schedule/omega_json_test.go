@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -61,6 +62,65 @@ func TestOmegaJSONVersions(t *testing.T) {
 			t.Fatalf("unexpected statuses for unknown version (%q): http=%d exit=%d",
 				v, errkind.HTTPStatus(err), errkind.ExitStatus(err))
 		}
+	}
+}
+
+// malformedRingEdits lists single-id edits of the saved ringOmega and
+// who must refuse each. Ids that need no topology to be wrong — a
+// command's message outside the windows, a negative link, a link wider
+// than LinkID (which would wrap onto link 0) — are DecodeOmega's; a link
+// or node past the topology loads and is Validate's. The first two used
+// to panic omegainspect. Also FuzzOmegaDecode's seeds.
+func malformedRingEdits(pa *PathAssignment) []struct{ old, edit, decodeErr, validateErr string } {
+	out := fmt.Sprintf(`"out": "L%d"`, pa.Links[0][0])
+	return []struct{ old, edit, decodeErr, validateErr string }{
+		{out, `"out": "L99999"`, "", "schedule: message 0 uses unknown link 99999"},
+		{`"msg": 0`, `"msg": -3`, "message -3 out of range", ""},
+		{`"msg": 0`, `"msg": 1`, "message 1 out of range", ""},
+		{out, `"out": "L-1"`, `bad port "L-1"`, ""},
+		{out, `"out": "L4294967296"`, `bad port "L4294967296"`, ""},
+		{out, `"out": "L1x"`, `bad port "L1x"`, ""},
+		{`"node": 7`, `"node": 8`, "", "schedule: schedule for unknown node 8"},
+	}
+}
+
+// TestMalformedOmegaIsRefused applies malformedRingEdits one at a time,
+// then sets the same kinds of id in memory, where Validate is the only
+// check.
+func TestMalformedOmegaIsRefused(t *testing.T) {
+	om, top, pa := ringOmega(t)
+	var buf bytes.Buffer
+	if err := EncodeOmega(&buf, om); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range malformedRingEdits(pa) {
+		edited := strings.Replace(buf.String(), tc.old, tc.edit, 1)
+		if edited == buf.String() {
+			t.Fatalf("%s: nothing to edit in the saved Ω", tc.edit)
+		}
+		got, err := DecodeOmega(strings.NewReader(edited))
+		if tc.decodeErr != "" {
+			if err == nil || !strings.Contains(err.Error(), tc.decodeErr) {
+				t.Errorf("%s: DecodeOmega = %v, want an error holding %q", tc.edit, err, tc.decodeErr)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%s: %v", tc.edit, err)
+		}
+		if err := got.Validate(top); err == nil || err.Error() != tc.validateErr {
+			t.Errorf("%s: Validate = %v, want %q", tc.edit, err, tc.validateErr)
+		}
+	}
+
+	om.Nodes[1].Commands[0].Msg = -3
+	if err := om.Validate(top); err == nil || err.Error() != "schedule: a command switches unknown message -3" {
+		t.Errorf("negative command message: Validate = %v", err)
+	}
+	om, _, _ = ringOmega(t)
+	om.Slices[0].Msgs[0] = 5
+	if err := om.Validate(top); err == nil || err.Error() != "schedule: slice carries unknown message 5" {
+		t.Errorf("slice message past the windows: Validate = %v", err)
 	}
 }
 

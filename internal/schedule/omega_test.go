@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -14,7 +15,7 @@ import (
 // ringOmega builds a tiny hand-made Ω on an 8-node ring: one message
 // from node 0 to node 2 via node 1, transmitted in [0, 8) of a 20 µs
 // frame.
-func ringOmega(t *testing.T) (*Omega, *topology.Topology, *PathAssignment) {
+func ringOmega(t testing.TB) (*Omega, *topology.Topology, *PathAssignment) {
 	t.Helper()
 	top, err := topology.NewTorus(8)
 	if err != nil {
@@ -114,26 +115,238 @@ func TestOmegaValidateCatchesWrongTotal(t *testing.T) {
 	}
 }
 
-func TestOmegaLinkset(t *testing.T) {
-	om, _, pa := ringOmega(t)
-	ls := om.Linkset(0)
-	if len(ls) != len(pa.Links[0]) {
-		t.Fatalf("linkset = %v", ls)
+// validateReference is Validate as it stood before the per-link sweep:
+// the same per-(slice, message) checks, then every span counted into a
+// per-link table, each link's spans sorted by start and adjacent spans
+// compared. Kept as the oracle the sweep is checked against.
+func validateReference(om *Omega, top *topology.Topology) error {
+	nw := len(om.Windows)
+	got := make([]float64, nw)
+
+	linksets := om.Linksets()
+
+	spanCnt := make([]int32, top.Links())
+	for _, sl := range om.Slices {
+		for mi, msg := range sl.Msgs {
+			w := om.Windows[msg]
+			start, end := sl.Start, sl.Until[mi]
+			if end < start-timeEps {
+				return fmt.Errorf("schedule: slice for message %d ends before it starts", msg)
+			}
+			if !w.Contains(start, om.TauIn) {
+				return fmt.Errorf("schedule: message %d transmits at frame %g outside window", msg, start)
+			}
+			off := w.frameOffset(start, om.TauIn) + (end - start)
+			if w.Length < om.TauIn-timeEps && off > w.Length+1e-6 {
+				return fmt.Errorf("schedule: message %d transmission runs %g past its window", msg, off-w.Length)
+			}
+			got[msg] += end - start
+			for _, l := range linksets[msg] {
+				spanCnt[l]++
+			}
+		}
 	}
-	// A decoded Ω may carry commands for a message it has no window for;
-	// the table still covers it, and asking past the table is no links.
-	om.Windows = nil
-	if got := om.Linkset(0); !slices.Equal(got, ls) {
-		t.Fatalf("linkset without windows = %v, want %v", got, ls)
+	for i, w := range om.Windows {
+		if w.Local {
+			continue
+		}
+		if diff := got[i] - w.Xmit; diff > 1e-6 || diff < -1e-6 {
+			return fmt.Errorf("schedule: message %d transmitted %g, needs %g", i, got[i], w.Xmit)
+		}
 	}
-	if got := om.Linkset(99); len(got) != 0 {
-		t.Fatalf("linkset of an unknown message = %v", got)
+
+	// Per-link span lists as exact-size windows of one flat array;
+	// spans never wrap (slices live inside single intervals).
+	spanOff := make([]int32, top.Links()+1)
+	for l := 0; l < top.Links(); l++ {
+		spanOff[l+1] = spanOff[l] + spanCnt[l]
+	}
+	spans := make([]valSpan, spanOff[top.Links()])
+	cursor := spanCnt
+	for l := range cursor {
+		cursor[l] = spanOff[l]
+	}
+	for _, sl := range om.Slices {
+		for mi, msg := range sl.Msgs {
+			for _, l := range linksets[msg] {
+				spans[cursor[l]] = valSpan{sl.Start, sl.Until[mi], msg}
+				cursor[l]++
+			}
+		}
+	}
+	for l := 0; l < top.Links(); l++ {
+		ls := spans[spanOff[l]:spanOff[l+1]]
+		slices.SortFunc(ls, func(a, b valSpan) int {
+			switch {
+			case a.start < b.start:
+				return -1
+			case a.start > b.start:
+				return 1
+			}
+			return 0
+		})
+		for i := 1; i < len(ls); i++ {
+			if ls[i].start < ls[i-1].end-1e-6 {
+				return fmt.Errorf("schedule: link %d carries messages %d and %d simultaneously", l, ls[i-1].msg, ls[i].msg)
+			}
+		}
+	}
+	return nil
+}
+
+type valSpan struct {
+	start, end float64
+	msg        tfg.MessageID
+}
+
+// contentionWitnessed reports whether err, if it is a contention error,
+// names a link both messages use and two of their spans that overlap on
+// it: one starting inside the other by more than the tolerance.
+func contentionWitnessed(om *Omega, err error) (contention, witnessed bool) {
+	var l topology.LinkID
+	var a, b tfg.MessageID
+	if err == nil {
+		return false, false
+	}
+	if n, _ := fmt.Sscanf(err.Error(), "schedule: link %d carries messages %d and %d simultaneously", &l, &a, &b); n != 3 {
+		return false, false
+	}
+	sets := om.Linksets()
+	if !slices.Contains(sets[a], l) || !slices.Contains(sets[b], l) {
+		return true, false
+	}
+	for i, first := range om.Slices {
+		for mi, m := range first.Msgs {
+			if m != a {
+				continue
+			}
+			for j, second := range om.Slices {
+				for mj, m := range second.Msgs {
+					if m == b && (i != j || mi != mj) && first.Start <= second.Start && second.Start < first.Until[mi]-1e-6 {
+						return true, true
+					}
+				}
+			}
+		}
+	}
+	return true, false
+}
+
+// TestValidateSweepMatchesSpanSort corrupts feasible Ωs one random edit
+// at a time and requires the sweep and the span-sort reference to agree
+// on every verdict, and every contention error from either to name a
+// real overlap. Half the trials re-balance each window's Xmit to what
+// the corrupted slices carry, so the totals check passes and the
+// contention check is the one that decides.
+func TestValidateSweepMatchesSpanSort(t *testing.T) {
+	tops := solverGoldenTopologies(t)
+	rng := rand.New(rand.NewSource(18))
+	contended := 0
+	for _, name := range []string{"6cube", "torus88", "ghc444"} {
+		top := tops[name]
+		// The most loaded feasible point of the grid: the busier the
+		// links, the more corruptions end in contention.
+		var res *Result
+		for k := 0; k <= 11 && (res == nil || !res.Feasible); k++ {
+			var err error
+			if res, err = Compute(dvbProblem(t, top, 128, gridTauIn(k)), Options{Seed: 1}); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+		}
+		if !res.Feasible {
+			t.Fatalf("%s: no feasible fixture", name)
+		}
+		for trial := 0; trial < 400; trial++ {
+			om := *res.Omega
+			om.Windows = slices.Clone(om.Windows)
+			om.Slices = slices.Clone(om.Slices)
+			for i := range om.Slices {
+				om.Slices[i].Until = slices.Clone(om.Slices[i].Until)
+			}
+			om.Nodes = slices.Clone(om.Nodes)
+			for n := range om.Nodes {
+				om.Nodes[n].Commands = slices.Clone(om.Nodes[n].Commands)
+			}
+			sl := &om.Slices[rng.Intn(len(om.Slices))]
+			edit := rng.Intn(6)
+			switch edit {
+			case 0: // shift a slice's Start
+				sl.Start += (rng.Float64() - 0.5) * om.TauIn / 4
+			case 1: // move a whole slice
+				d := (rng.Float64() - 0.5) * om.TauIn / 4
+				sl.Start += d
+				for mi := range sl.Until {
+					sl.Until[mi] += d
+				}
+			case 2: // stretch an Until
+				sl.Until[rng.Intn(len(sl.Until))] += rng.Float64() * om.TauIn / 4
+			case 3: // swap one command's link for a neighbour's
+				for {
+					n := topology.NodeID(rng.Intn(len(om.Nodes)))
+					cmds := om.Nodes[n].Commands
+					if len(cmds) == 0 {
+						continue
+					}
+					c := &cmds[rng.Intn(len(cmds))]
+					port := &c.In
+					if port.AP {
+						port = &c.Out
+					}
+					nb := top.Neighbors(n)
+					port.Link, _ = top.LinkBetween(n, nb[rng.Intn(len(nb))])
+					break
+				}
+			case 4: // reverse the slice order
+				slices.Reverse(om.Slices)
+			case 5: // drop a slice
+				i := rng.Intn(len(om.Slices))
+				om.Slices = append(om.Slices[:i], om.Slices[i+1:]...)
+			}
+			if trial%2 == 0 {
+				for m := range om.Windows {
+					om.Windows[m].Xmit = 0
+				}
+				for _, sl := range om.Slices {
+					for mi, m := range sl.Msgs {
+						om.Windows[m].Xmit += sl.Until[mi] - sl.Start
+					}
+				}
+			}
+			got, want := om.Validate(top), validateReference(&om, top)
+			if (got == nil) != (want == nil) {
+				t.Fatalf("%s trial %d edit %d: sweep says %v, span sort says %v", name, trial, edit, got, want)
+			}
+			for _, err := range []error{got, want} {
+				contention, witnessed := contentionWitnessed(&om, err)
+				if contention && !witnessed {
+					t.Fatalf("%s trial %d edit %d: no such overlap: %v", name, trial, edit, err)
+				}
+				if contention {
+					contended++
+				}
+			}
+		}
+	}
+	if contended < 400 {
+		t.Fatalf("only %d contention verdicts: the corruptions no longer reach the contention check", contended)
 	}
 }
 
-// linksetReference is Linkset as first written: one scan of every
-// command per message, the links collected in a set and read back in
-// ascending order.
+// TestCommandStaysNarrow pins the record sizes: an Ω on a 1000-node
+// machine holds several hundred thousand commands, so a field that
+// re-widens them costs megabytes per solve.
+func TestCommandStaysNarrow(t *testing.T) {
+	if got := unsafe.Sizeof(Command{}); got != 40 {
+		t.Errorf("Command is %d bytes, want 40", got)
+	}
+	if got := unsafe.Sizeof(Port{}); got != 8 {
+		t.Errorf("Port is %d bytes, want 8", got)
+	}
+}
+
+// linksetReference is Linksets' row for one message as first written:
+// one scan of every command per message, the links collected in a set
+// and read back in ascending order.
 func linksetReference(om *Omega, msg tfg.MessageID) []topology.LinkID {
 	var seen topology.LinkSet
 	for _, ns := range om.Nodes {
@@ -154,8 +367,28 @@ func linksetReference(om *Omega, msg tfg.MessageID) []topology.LinkID {
 // TestOmegaLinksetsMatchesPerMessageScan checks the one-pass table
 // against the per-message scan on the standard configurations at their
 // lowest load (the two B=64 tori are infeasible at every load and emit
-// no Ω) and on a faulted one, local messages included.
+// no Ω) and on a faulted one, local messages included; then on Ωs no
+// pipeline emits, where the row sizes are estimates the rows outgrow.
 func TestOmegaLinksetsMatchesPerMessageScan(t *testing.T) {
+	// checkSets returns how many rows name a link.
+	checkSets := func(name string, om *Omega, rows int) int {
+		t.Helper()
+		sets := om.Linksets()
+		if len(sets) != rows {
+			t.Fatalf("%s: %d linksets, want %d", name, len(sets), rows)
+		}
+		routed := 0
+		for m := range sets {
+			want := linksetReference(om, tfg.MessageID(m))
+			if !slices.Equal(sets[m], want) {
+				t.Fatalf("%s: Linksets()[%d] = %v, per-message scan %v", name, m, sets[m], want)
+			}
+			if len(want) > 0 {
+				routed++
+			}
+		}
+		return routed
+	}
 	checked := 0
 	check := func(name string, p Problem) {
 		t.Helper()
@@ -167,24 +400,7 @@ func TestOmegaLinksetsMatchesPerMessageScan(t *testing.T) {
 			return
 		}
 		checked++
-		sets := res.Omega.Linksets()
-		if len(sets) != len(res.Windows) {
-			t.Fatalf("%s: %d linksets for %d messages", name, len(sets), len(res.Windows))
-		}
-		routed := 0
-		for m := range sets {
-			want := linksetReference(res.Omega, tfg.MessageID(m))
-			if !slices.Equal(sets[m], want) {
-				t.Fatalf("%s: Linksets()[%d] = %v, per-message scan %v", name, m, sets[m], want)
-			}
-			if got := res.Omega.Linkset(tfg.MessageID(m)); !slices.Equal(got, want) {
-				t.Fatalf("%s: Linkset(%d) = %v, per-message scan %v", name, m, got, want)
-			}
-			if len(want) > 0 {
-				routed++
-			}
-		}
-		if routed == 0 {
+		if checkSets(name, res.Omega, len(res.Windows)) == 0 {
 			t.Fatalf("%s: no message crosses a link", name)
 		}
 	}
@@ -200,6 +416,30 @@ func TestOmegaLinksetsMatchesPerMessageScan(t *testing.T) {
 	check("6cube-faulted", p)
 	if checked != 7 {
 		t.Fatalf("%d configurations emitted an Ω to check, want 7", checked)
+	}
+
+	om, _, pa := ringOmega(t)
+	if sets := om.Linksets(); checkSets("ring", om, 1) != 1 || len(sets[0]) != len(pa.Links[0]) {
+		t.Fatalf("ring: linksets %v, path links %v", sets, pa.Links[0])
+	}
+	// A decoded Ω may carry commands for a message it has no window for;
+	// the table still covers it, and ends at the last message named.
+	om.Windows = nil
+	checkSets("ring without windows", om, 1)
+	// Message 0's second slice runs over other links than its first (its
+	// row holds four links where the estimate is two hops), message 3 has
+	// commands but no source command, messages 1 and 2 have none at all.
+	om.Nodes[4].Commands = []Command{
+		{Start: 10, End: 12, Msg: 0, In: Port{AP: true}, Out: Port{Link: 5}},
+		{Start: 10, End: 12, Msg: 3, In: Port{Link: 6}, Out: Port{Link: 7}},
+	}
+	om.Nodes[5].Commands = []Command{
+		{Start: 10, End: 12, Msg: 0, In: Port{Link: 5}, Out: Port{Link: 4}},
+		{Start: 10, End: 12, Msg: 3, In: Port{Link: 7}, Out: Port{Link: 1}},
+	}
+	om.Nodes[6].Commands = []Command{{Start: 10, End: 12, Msg: 0, In: Port{Link: 4}, Out: Port{AP: true}}}
+	if checkSets("rows outgrow their estimate", om, 4) != 2 {
+		t.Fatal("malformed Ω: want links on messages 0 and 3 only")
 	}
 }
 

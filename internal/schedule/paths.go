@@ -98,21 +98,27 @@ func BuildCandidatesFault(g *tfg.Graph, top *topology.Topology, as *alloc.Assign
 		if ws[m.ID].Local {
 			continue
 		}
-		paths, err := top.SurvivingPaths(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
+		list, err := survivingCandidates(top, as, m, maxPaths, fs)
 		if err != nil {
 			return nil, fmt.Errorf("schedule: message %d: %w", m.ID, err)
-		}
-		list := make([]candidate, 0, len(paths))
-		for _, p := range paths {
-			links, err := p.Links(top)
-			if err != nil {
-				return nil, fmt.Errorf("schedule: message %d: %w", m.ID, err)
-			}
-			list = append(list, candidate{path: p, links: links})
 		}
 		c.PathsOf[m.ID] = list
 	}
 	return c, nil
+}
+
+// survivingCandidates lists message m's alternatives. Paths and link
+// sequences both come from the topology's memo, shared and immutable.
+func survivingCandidates(top *topology.Topology, as *alloc.Assignment, m tfg.Message, maxPaths int, fs *topology.FaultSet) ([]candidate, error) {
+	paths, links, err := top.SurvivingRoutes(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
+	if err != nil {
+		return nil, err
+	}
+	list := make([]candidate, len(paths))
+	for i, p := range paths {
+		list[i] = candidate{path: p, links: links[i]}
+	}
+	return list, nil
 }
 
 // Utilization aggregates the Section 5.1 measures for one assignment:

@@ -394,18 +394,9 @@ func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *
 	// Surviving candidates per affected message.
 	cands := make(map[tfg.MessageID][]candidate, len(affected))
 	for _, mi := range affected {
-		m := p.Graph.Messages()[mi]
-		paths, err := top.SurvivingPaths(p.Assignment.Node(m.Src), p.Assignment.Node(m.Dst), opt.MaxPaths, fs)
+		list, err := survivingCandidates(top, p.Assignment, p.Graph.Messages()[mi], opt.MaxPaths, fs)
 		if err != nil {
 			return nil, 0, err
-		}
-		list := make([]candidate, 0, len(paths))
-		for _, pt := range paths {
-			links, err := pt.Links(top)
-			if err != nil {
-				return nil, 0, err
-			}
-			list = append(list, candidate{path: pt, links: links})
 		}
 		cands[mi] = list
 	}

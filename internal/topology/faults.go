@@ -220,13 +220,6 @@ func (e *NoRouteError) Error() string {
 	return fmt.Sprintf("topology: no surviving route %d -> %d under %s", e.Src, e.Dst, e.Faults)
 }
 
-// survivingKey identifies one memoized SurvivingPaths enumeration.
-type survivingKey struct {
-	src, dst NodeID
-	max      int
-	fault    faultKey
-}
-
 // SurvivingPaths enumerates up to max shortest paths from src to dst on
 // the residual topology (failed links and nodes removed), in
 // lexicographic node order. Because distances are recomputed on the
@@ -239,26 +232,39 @@ type survivingKey struct {
 // treat the returned paths as immutable. A *NoRouteError is returned
 // when src or dst is dead or the residual graph disconnects them.
 func (t *Topology) SurvivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) {
+	paths, _, err := t.SurvivingRoutes(src, dst, max, fs)
+	return paths, err
+}
+
+// SurvivingRoutes is SurvivingPaths plus, row for row, each path's link
+// sequence (what Path.Links resolves), memoized with the paths and as
+// immutable.
+func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Path, [][]LinkID, error) {
 	if fs.Empty() {
-		return t.ShortestPaths(src, dst, max), nil
+		fs = nil // every empty set is the fault-free machine, under one key
 	}
-	key := survivingKey{src, dst, max, fs.key()}
-	if cached, ok := t.faultCache.Load(key); ok {
+	key := routeKey{src, dst, max, fs.key()}
+	if cached, ok := t.routeCache.Load(key); ok {
 		if cached == nil {
-			return nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
+			return nil, nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
 		}
-		return cached.([]Path), nil
+		r := cached.(*routes)
+		return r.paths, r.links, nil
 	}
 	out, err := t.survivingPaths(src, dst, max, fs)
 	if err != nil {
-		t.faultCache.Store(key, nil)
-		return nil, err
+		t.routeCache.Store(key, nil)
+		return nil, nil, err
 	}
-	t.faultCache.Store(key, out)
-	return out, nil
+	r := t.resolve(out)
+	t.routeCache.Store(key, r)
+	return r.paths, r.links, nil
 }
 
 func (t *Topology) survivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) {
+	if fs == nil {
+		return t.shortestPaths(src, dst, max), nil // the addresses give the distances: no BFS
+	}
 	if fs.NodeFailed(src) || fs.NodeFailed(dst) {
 		return nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
 	}
@@ -374,4 +380,3 @@ func (t *Topology) ParseLinkSpec(spec string) (LinkID, error) {
 	}
 	return l, nil
 }
-

@@ -142,13 +142,8 @@ func (t *Topology) dimStep(dim, a, b int) int {
 // dst) hops. Results are memoized per (src, dst, max) and shared across
 // callers — treat the returned paths as immutable.
 func (t *Topology) ShortestPaths(src, dst NodeID, max int) []Path {
-	key := pathKey{src, dst, max}
-	if cached, ok := t.pathCache.Load(key); ok {
-		return cached.([]Path)
-	}
-	out := t.shortestPaths(src, dst, max)
-	t.pathCache.Store(key, out)
-	return out
+	paths, _, _ := t.SurvivingRoutes(src, dst, max, nil) // fault-free: never a NoRouteError
+	return paths
 }
 
 func (t *Topology) shortestPaths(src, dst NodeID, max int) []Path {

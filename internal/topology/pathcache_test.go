@@ -2,6 +2,7 @@ package topology
 
 import (
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 )
@@ -23,12 +24,18 @@ func TestShortestPathsMemoized(t *testing.T) {
 	}
 }
 
+// TestShortestPathsConcurrent races 8 goroutines on cold cache entries,
+// fault-free and faulted: whichever enumeration wins the store, every
+// caller sees the same paths, and beside them the links Path.Links
+// resolves.
 func TestShortestPathsConcurrent(t *testing.T) {
 	top, err := NewTorus(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := top.shortestPaths(0, 27, 24)
+	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs.FailLink(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -40,8 +47,54 @@ func TestShortestPathsConcurrent(t *testing.T) {
 					t.Error("concurrent enumeration diverged")
 					return
 				}
+				for _, f := range []*FaultSet{nil, fs} {
+					checkRoutes(t, top, 0, NodeID(i), f)
+				}
 			}
 		}()
 	}
 	wg.Wait()
+}
+
+// checkRoutes compares the memoized link rows of one (src, dst) pair
+// with what Path.Links resolves for each of its paths.
+func checkRoutes(t *testing.T, top *Topology, src, dst NodeID, fs *FaultSet) {
+	t.Helper()
+	paths, links, err := top.SurvivingRoutes(src, dst, 24, fs)
+	if err != nil {
+		t.Errorf("%v %d->%d: %v", top, src, dst, err)
+		return
+	}
+	if len(links) != len(paths) {
+		t.Errorf("%v %d->%d: %d link rows for %d paths", top, src, dst, len(links), len(paths))
+		return
+	}
+	for i, p := range paths {
+		want, err := p.Links(top)
+		if err != nil || !slices.Equal(links[i], want) {
+			t.Errorf("%v %d->%d path %v: memoized links %v, Path.Links %v (%v)", top, src, dst, p, links[i], want, err)
+		}
+	}
+}
+
+// TestMemoizedLinksMatchPathLinks checks every cached enumeration of the
+// four standard topologies, fault-free and with a failed link and node,
+// cold and again from the memo.
+func TestMemoizedLinksMatchPathLinks(t *testing.T) {
+	for _, top := range []*Topology{mustGHC(t, 2, 2, 2, 2, 2, 2), mustGHC(t, 4, 4, 4), mustTorus(t, 8, 8), mustTorus(t, 4, 4, 4)} {
+		fs := NewFaultSet(top.Links(), top.Nodes())
+		fs.FailLink(3)
+		fs.FailNode(5)
+		for _, f := range []*FaultSet{nil, fs} {
+			for pass := 0; pass < 2; pass++ {
+				for src := 0; src < top.Nodes(); src++ {
+					for dst := 0; dst < top.Nodes(); dst++ {
+						if !f.NodeFailed(NodeID(src)) && !f.NodeFailed(NodeID(dst)) {
+							checkRoutes(t, top, NodeID(src), NodeID(dst), f)
+						}
+					}
+				}
+			}
+		}
+	}
 }

@@ -11,6 +11,7 @@ package topology
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 	"sync"
@@ -22,8 +23,8 @@ import (
 type NodeID int
 
 // LinkID identifies an undirected, half-duplex link; valid IDs are
-// 0..Links()-1.
-type LinkID int
+// 0..Links()-1. 32 bits: every switching command of an Ω holds two.
+type LinkID int32
 
 // Kind names the topology family.
 type Kind int
@@ -71,21 +72,39 @@ type Topology struct {
 	links   []Link
 	linkOf  map[[2]NodeID]LinkID
 
-	// pathCache memoizes ShortestPaths enumerations per (src, dst, max)
-	// so repeated sweeps over one topology stop re-walking the
-	// shortest-path DAG. Cached slices are shared: callers must not
-	// mutate returned paths.
-	pathCache sync.Map // pathKey -> []Path
-
-	// faultCache memoizes SurvivingPaths enumerations keyed by fault
-	// epoch (see FaultSet.key); a nil value caches unreachability.
-	faultCache sync.Map // survivingKey -> []Path or nil
+	// routeCache memoizes path enumerations per (src, dst, max, fault
+	// epoch) — the zero epoch (see FaultSet.key) being the fault-free
+	// machine — so repeated sweeps over one topology stop re-walking the
+	// shortest-path DAG. Entries are shared: callers must not mutate
+	// what they are handed. A nil value caches unreachability.
+	routeCache sync.Map // routeKey -> *routes or nil
 }
 
-// pathKey identifies one memoized ShortestPaths enumeration.
-type pathKey struct {
+// routeKey identifies one memoized enumeration.
+type routeKey struct {
 	src, dst NodeID
 	max      int
+	fault    faultKey
+}
+
+// routes is one memoized enumeration: the paths and, row for row, their
+// link sequences as windows of one slab, shared and immutable alike.
+type routes struct {
+	paths []Path
+	links [][]LinkID
+}
+
+func (t *Topology) resolve(paths []Path) *routes {
+	hops := paths[0].Hops() // an enumeration is never empty, its paths equally long
+	slab := make([]LinkID, len(paths)*hops)
+	r := &routes{paths: paths, links: make([][]LinkID, len(paths))}
+	for i, p := range paths {
+		r.links[i] = slab[i*hops : (i+1)*hops : (i+1)*hops]
+		for h := range r.links[i] {
+			r.links[i][h], _ = t.LinkBetween(p.Nodes[h], p.Nodes[h+1]) // enumerated along adj
+		}
+	}
+	return r
 }
 
 // NewGHC builds a generalized hypercube GHC(m_1, ..., m_r) with
@@ -134,12 +153,29 @@ func build(kind Kind, radices []int) (*Topology, error) {
 		}
 		n *= m
 	}
+	// Count the links before building any: a LinkID must be able to name
+	// every one, and the count sizes the link table exactly.
+	var links int64
+	for _, m := range radices {
+		m := int64(m)
+		per := m - 1 // a mesh line, or a 2-ring, whose double edge is one link
+		if kind == KindGHC {
+			per = m * (m - 1) / 2
+		} else if kind == KindTorus && m > 2 {
+			per = m
+		}
+		links += int64(n) / m * per
+	}
+	if links > math.MaxInt32 {
+		return nil, fmt.Errorf("topology: %d links, more than the %d a LinkID can name", links, math.MaxInt32)
+	}
 	t := &Topology{
 		kind:    kind,
 		radices: append([]int(nil), radices...),
 		nodes:   n,
 		adj:     make([][]NodeID, n),
-		linkOf:  make(map[[2]NodeID]LinkID),
+		links:   make([]Link, 0, links),
+		linkOf:  make(map[[2]NodeID]LinkID, links),
 	}
 	for u := 0; u < n; u++ {
 		du := t.Digits(NodeID(u))
@@ -257,10 +293,12 @@ func (t *Topology) withDigit(d []int, dim, v int) NodeID {
 
 // Distance returns the hop count of a shortest path from u to v.
 func (t *Topology) Distance(u, v NodeID) int {
-	du, dv := t.Digits(u), t.Digits(v)
+	x, y := int(u), int(v)
 	dist := 0
-	for i := range du {
-		dist += t.dimDistance(i, du[i], dv[i])
+	for i, m := range t.radices {
+		dist += t.dimDistance(i, x%m, y%m)
+		x /= m
+		y /= m
 	}
 	return dist
 }

@@ -1,6 +1,8 @@
 package topology
 
 import (
+	"runtime"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -152,6 +154,39 @@ func TestInvalidConstructions(t *testing.T) {
 	}
 	if _, err := NewHypercube(0); err == nil {
 		t.Error("NewHypercube(0) should fail")
+	}
+}
+
+// TestBuildCountsLinksUpFront: the link table is sized exactly before a
+// link exists, and a radix list whose links a LinkID cannot name is
+// refused from that count alone, without building anything.
+func TestBuildCountsLinksUpFront(t *testing.T) {
+	for _, tc := range []struct {
+		kind    Kind
+		radices []int
+	}{
+		{KindGHC, []int{2, 2, 2, 2}}, {KindGHC, []int{4, 3, 5}}, {KindGHC, []int{7}},
+		{KindTorus, []int{8, 8}}, {KindTorus, []int{2, 5, 3}}, {KindTorus, []int{2, 2}},
+		{KindMesh, []int{3, 3}}, {KindMesh, []int{2, 4, 5}},
+	} {
+		top, err := build(tc.kind, tc.radices)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cap(top.links) != len(top.links) {
+			t.Errorf("%v: counted %d links, built %d", top, cap(top.links), len(top.links))
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, radices := range [][]int{{1 << 20}, {1 << 16, 1 << 4}, {1 << 17, 2, 2, 2}} {
+		if _, err := NewGHC(radices...); err == nil || !strings.Contains(err.Error(), "links") {
+			t.Errorf("NewGHC(%v) = %v, want a refusal naming the link count", radices, err)
+		}
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Errorf("refusing oversized topologies allocated %d bytes", grew)
 	}
 }
 
