@@ -753,6 +753,36 @@ func BenchmarkValidateTenCube(b *testing.B) {
 	b.ReportMetric(float64(res.Omega.NumCommands()), "commands/op")
 }
 
+// benchAnneal is the annealing allocator alone at a 2 000-move budget;
+// it reports the contention proxy the search ended on.
+func benchAnneal(b *testing.B, g *tfg.Graph, top *topology.Topology) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	var as *alloc.Assignment
+	for i := 0; i < b.N; i++ {
+		var err error
+		if as, err = alloc.Anneal(g, top, alloc.AnnealOptions{Seed: 2, Steps: 2000}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(alloc.LinkLoadCost(g, top, as), "cost")
+}
+
+// BenchmarkAnnealSixCube is the annealed candidate placement of
+// BenchmarkExploreSixCube alone: DVB on the 6-cube, seed 2.
+func BenchmarkAnnealSixCube(b *testing.B) {
+	p := dvbSixCubeProblem(b, 0)
+	benchAnneal(b, p.Graph, p.Topology)
+}
+
+// BenchmarkAnnealTorus32 anneals the compile_large graph on the 32x32
+// torus: 1153 messages of up to 32 hops, where a move still re-routes
+// only the messages of the one or two tasks it relocates.
+func BenchmarkAnnealTorus32(b *testing.B) {
+	p := layeredProblem(b, compileLargeTFG, cliutil.Torus32Topo, cliutil.Torus32BW)
+	benchAnneal(b, p.Graph, p.Topology)
+}
+
 // BenchmarkExploreSixCube is the Pareto-exploration acceptance
 // benchmark: each iteration searches the τin × latency × resources
 // front for the 6-cube DVB problem with one annealed candidate

@@ -142,7 +142,7 @@ func TestParetoSweepTraced(t *testing.T) {
 	for _, n := range serialNames {
 		found[n] = true
 	}
-	for _, want := range []string{SpanParetoSweep, schedule.SpanExplore,
+	for _, want := range []string{SpanParetoSweep, schedule.SpanExplore, schedule.SpanExploreAnneal,
 		schedule.SpanExplorePlacement, schedule.SpanExploreBisect, schedule.SpanExplorePoint} {
 		if !found[want] {
 			t.Errorf("traced sweep missing span %q (got %v)", want, serialNames)

@@ -34,6 +34,7 @@ import (
 // Span names recorded by Explore under ExploreSpec.Trace.
 const (
 	SpanExplore          = "explore"
+	SpanExploreAnneal    = "explore_anneal"
 	SpanExplorePlacement = "explore_placement"
 	SpanExploreBisect    = "explore_bisect"
 	SpanExplorePoint     = "explore_point"
@@ -117,8 +118,9 @@ type ExploreSpec struct {
 	// minimization, leaving every point at the base window.
 	Objectives []Objective
 	// Trace, when non-nil, is the parent span the exploration records
-	// under: one explore_placement child per candidate placement with
-	// its explore_bisect period search, and one explore_point child per
+	// under: one explore_anneal child per anneal seed, one
+	// explore_placement child per candidate placement with its
+	// explore_bisect period search, and one explore_point child per
 	// evaluated (placement, period) cell. All spans are pre-created
 	// serially in index order, so the traced structure is identical for
 	// every worker count.
@@ -422,23 +424,14 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 		}
 		placements = []*alloc.Assignment{p.Assignment}
 	}
-	placements = append([]*alloc.Assignment(nil), placements...)
-	if len(spec.AnnealSeeds) > 0 {
-		annealed, err := parallel.Map(ctx, len(spec.AnnealSeeds), parallel.Workers(opt.Procs),
-			func(i int) (*alloc.Assignment, error) {
-				return alloc.Anneal(p.Graph, p.Topology, alloc.AnnealOptions{
-					Seed: spec.AnnealSeeds[i], Steps: spec.AnnealSteps,
-				})
-			})
-		if err != nil {
-			return nil, err
-		}
-		placements = append(placements, annealed...)
-	}
-
 	root := spec.Trace.Start(SpanExplore,
-		trace.Int("placements", len(placements)), trace.Int("grid", grid))
+		trace.Int("placements", len(placements)+len(spec.AnnealSeeds)), trace.Int("grid", grid))
 	defer root.End()
+	annealed, err := AnnealPlacements(ctx, root, p.Graph, p.Topology, spec.AnnealSeeds, spec.AnnealSteps, opt.Procs)
+	if err != nil {
+		return nil, err
+	}
+	placements = append(append([]*alloc.Assignment(nil), placements...), annealed...)
 
 	// One Solver per placement, shared by the bisection and every grid
 	// cell: the LSD baseline, path candidates and task starts are
@@ -638,6 +631,27 @@ func bisect(lo, hi, tol float64, probe func(x float64) (bool, error)) (x float64
 		}
 	}
 	return hi, true, nil
+}
+
+// AnnealPlacements builds one annealed placement per seed on at most
+// procs workers (0 = GOMAXPROCS), in seed order. Each search records an
+// explore_anneal span under parent — pre-created serially, so the
+// traced structure does not depend on the worker count — and stops
+// when ctx is cancelled.
+func AnnealPlacements(ctx context.Context, parent *trace.Span, g *tfg.Graph, top *topology.Topology, seeds []int64, steps, procs int) ([]*alloc.Assignment, error) {
+	spans := make([]*trace.Span, len(seeds))
+	for i, seed := range seeds {
+		spans[i] = parent.Start(SpanExploreAnneal, trace.Int64("seed", seed), trace.Int("steps", steps))
+	}
+	defer endSpans(spans)
+	return parallel.Map(ctx, len(seeds), parallel.Workers(procs), func(i int) (*alloc.Assignment, error) {
+		defer spans[i].End()
+		as, err := alloc.AnnealContext(ctx, g, top, alloc.AnnealOptions{Seed: seeds[i], Steps: steps})
+		if err == nil && spans[i].Enabled() {
+			spans[i].SetAttrs(trace.Float64("cost", alloc.LinkLoadCost(g, top, as)))
+		}
+		return as, err
+	})
 }
 
 func endSpans(spans []*trace.Span) {

@@ -190,10 +190,7 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 		return nil, err
 	}
 	if len(annealSeeds) > 0 {
-		p := req.Axes.Placement
-		annealed, err := parallel.Map(ctx, len(annealSeeds), workers, func(i int) (*alloc.Assignment, error) {
-			return alloc.Anneal(b.Graph, b.Topology, alloc.AnnealOptions{Seed: annealSeeds[i], Steps: p.AnnealSteps})
-		})
+		annealed, err := schedule.AnnealPlacements(ctx, root, b.Graph, b.Topology, annealSeeds, req.Axes.Placement.AnnealSteps, workers)
 		if err != nil {
 			return nil, err
 		}

@@ -6,6 +6,7 @@ import (
 	"net/http"
 	"testing"
 
+	"schedroute/internal/trace"
 	"schedroute/pkg/schedroute"
 )
 
@@ -53,11 +54,28 @@ func TestExploreParetoEndpoint(t *testing.T) {
 	if out.Trace == nil {
 		t.Fatal("?debug=trace attached no trace")
 	}
-	for _, want := range []string{"explore", "explore_placement", "explore_bisect", "explore_point"} {
+	for _, want := range []string{"explore", "explore_anneal", "explore_placement", "explore_bisect", "explore_point"} {
 		if out.Trace.Root.Count(want) == 0 {
 			t.Errorf("trace missing span %q", want)
 		}
 	}
+	// The annealer runs inside the explore span, ahead of the placements
+	// it adds to, and says what it was asked and what it reached.
+	out.Trace.Root.Walk(func(_ int, n *trace.Tree) {
+		if n.Name != "explore" {
+			return
+		}
+		if len(n.Children) != 3 || n.Children[0].Name != "explore_anneal" || n.Children[1].Name != "explore_placement" {
+			t.Fatalf("explore span's children are %v, want the anneal then the two placements", n.Names()[1:])
+		}
+		got := map[string]any{}
+		for _, a := range n.Children[0].Attrs {
+			got[a.Key] = a.Value()
+		}
+		if cost, _ := got["cost"].(float64); got["seed"] != int64(2) || got["steps"] != int64(2000) || cost <= 0 {
+			t.Errorf("explore_anneal attributes %v, want seed 2, steps 2000 and a positive cost", got)
+		}
+	})
 	if runs := srv.metrics.value("srschedd_explore_runs_total", "pareto"); runs != 1 {
 		t.Errorf("pareto explore runs %d, want 1", runs)
 	}
@@ -96,7 +114,7 @@ func TestExploreGridPlacementAxis(t *testing.T) {
 			Placement: &schedroute.PlacementAxis{Allocators: []string{"greedy"}, AnnealSeeds: []int64{2}, AnnealSteps: 2000},
 		},
 	}
-	code, body := postJSON(t, ts, "/v1/explore", req)
+	code, body := postJSON(t, ts, "/v1/explore?debug=trace", req)
 	if code != http.StatusOK {
 		t.Fatalf("status %d: %s", code, body)
 	}
@@ -106,6 +124,9 @@ func TestExploreGridPlacementAxis(t *testing.T) {
 	}
 	if out.Mode != schedroute.ExploreModeGrid {
 		t.Fatalf("mode %q, want grid", out.Mode)
+	}
+	if out.Trace == nil || out.Trace.Root.Count("explore_anneal") != 1 || out.Trace.Root.Count("explore_point") != 3 {
+		t.Errorf("traced grid wants one explore_anneal and three explore_point spans")
 	}
 	if len(out.Points) != 3 || len(out.Winners) != 3 {
 		t.Fatalf("got %d points / %d winners, want 3 / 3", len(out.Points), len(out.Winners))

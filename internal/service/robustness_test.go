@@ -9,6 +9,7 @@ import (
 	"strings"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"schedroute/internal/errkind"
 	"schedroute/pkg/schedroute"
@@ -78,9 +79,10 @@ func checkWhole(t *testing.T, code int, hdr http.Header, body []byte) schedroute
 // the edges of the request path: a body exactly at MaxBodyBytes is
 // served and one byte more is a bad_input rejection; a client that has
 // gone away before the decode, while the request is queued, or in the
-// middle of its solve gets a whole typed answer (the unavailable
-// envelope once the path notices) — never a 500, a hang, a leaked
-// goroutine (newTestServer's cleanup checks) or half a body.
+// middle of its solve or of an annealing search gets a whole typed
+// answer (the unavailable envelope once the path notices) — never a
+// 500, a hang, a leaked goroutine (newTestServer's cleanup checks) or
+// half a body.
 func TestEndpointRobustness(t *testing.T) {
 	const maxBody = 2048
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MaxBodyBytes: maxBody})
@@ -179,5 +181,40 @@ func TestEndpointRobustness(t *testing.T) {
 				}
 			})
 		}
+	}
+
+	// An annealer budget of hours does not outlive its client: the search
+	// polls the request context, in grid and in Pareto mode alike.
+	for mode, objectives := range map[string][]string{"grid": nil, "pareto": {"tau_in"}} {
+		t.Run("explore/cancelled mid-anneal/"+mode, func(t *testing.T) {
+			raw, err := json.Marshal(schedroute.ExploreRequest{
+				Problem:    testProblem(0),
+				Objectives: objectives,
+				Axes:       schedroute.ExploreAxes{Placement: &schedroute.PlacementAxis{AnnealSeeds: []int64{2}, AnnealSteps: 2000000000}},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			left := make(chan time.Time, 1)
+			go func() {
+				waitFor(t, "the exploration to take the worker", func() bool { return len(srv.sem) == 1 })
+				// Everything between the slot and the annealer takes well
+				// under a millisecond; either side of it is a typed answer.
+				time.Sleep(20 * time.Millisecond)
+				left <- time.Now()
+				cancel()
+			}()
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore", bytes.NewReader(raw)).WithContext(ctx))
+			took := time.Since(<-left)
+			if er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes()); er.Kind != "unavailable" {
+				t.Fatalf("status %d kind %q, want unavailable", rec.Code, er.Kind)
+			}
+			if took > time.Second {
+				t.Errorf("answered %v after the client left, want under 1s", took)
+			}
+		})
 	}
 }

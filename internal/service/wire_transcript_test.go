@@ -333,6 +333,7 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("explore: inverted range", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 300, Max: 100}}})
 	tr.do("explore: unknown objective", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Objectives: []string{"speed"}})
 	tr.do("explore: unknown allocator", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{Placement: &schedroute.PlacementAxis{Allocators: []string{"magic"}}}})
+	tr.do("explore: negative anneal_steps", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{Placement: &schedroute.PlacementAxis{AnnealSeeds: []int64{2}, AnnealSteps: -5}}})
 	tr.do("explore: unknown schema_version", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: badSchema})
 	tr.do("explore: bad engine", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Options: schedroute.Options{Engine: "quantum"}})
 

@@ -113,6 +113,51 @@ func (t *Topology) LSDToMSD(src, dst NodeID) Path {
 	return Path{Nodes: nodes}
 }
 
+// AppendLSDLinks appends the links of the LSD-to-MSD route from src to
+// dst — what LSDToMSD(src, dst).Links(t) resolves to — to buf and
+// returns the extended slice. The digits are peeled arithmetically and
+// each hop is one read of the link index, so nothing is allocated
+// unless buf has to grow.
+func (t *Topology) AppendLSDLinks(buf []LinkID, src, dst NodeID) []LinkID {
+	cur := int(src)
+	x, y := int(src), int(dst)
+	for dim := 0; x != y; dim++ {
+		m := t.radices[dim]
+		a, b := x%m, y%m
+		x, y = x/m, y/m
+		if a == b {
+			continue
+		}
+		stride, off := t.strides[dim], t.hopOff[dim]
+		if t.kind == KindGHC {
+			buf = append(buf, t.hop[cur*t.hopRow+off+b])
+			cur += (b - a) * stride
+			continue
+		}
+		// A ring is walked the shorter way round (dimStep's choice,
+		// which no hop along the way reverses), a line toward b; the
+		// up link is slot 0 of the index, the down link slot 1.
+		up := b > a
+		if t.kind == KindTorus {
+			up = (b-a+m)%m <= (a-b+m)%m
+		}
+		slot, step := 0, 1
+		if !up {
+			slot, step = 1, -1
+		}
+		for a != b {
+			buf = append(buf, t.hop[cur*t.hopRow+off+slot])
+			a, cur = a+step, cur+step*stride
+			if a == m {
+				a, cur = 0, cur-m*stride
+			} else if a < 0 {
+				a, cur = m-1, cur+m*stride
+			}
+		}
+	}
+	return buf
+}
+
 // dimStep returns the next digit value moving from a toward b along
 // dimension dim by one hop.
 func (t *Topology) dimStep(dim, a, b int) int {

@@ -67,10 +67,20 @@ type Link struct {
 type Topology struct {
 	kind    Kind
 	radices []int
+	strides []int // strides[d] is the node-ID weight of digit d
 	nodes   int
 	adj     [][]NodeID
 	links   []Link
-	linkOf  map[[2]NodeID]LinkID
+
+	// hop is the dense link index: hop[u*hopRow+hopOff[d]+k] is the
+	// link leaving node u along dimension d — in a GHC toward digit
+	// value k, on a ring or line toward the next digit up (k = 0) or
+	// down (k = 1) — or -1 where there is none (u's own digit, a mesh
+	// edge, and the down slot of a 2-ring, whose one link sits in the
+	// up slot of both ends).
+	hop    []LinkID
+	hopRow int
+	hopOff []int
 
 	// routeCache memoizes path enumerations per (src, dst, max, fault
 	// epoch) — the zero epoch (see FaultSet.key) being the fault-free
@@ -172,32 +182,47 @@ func build(kind Kind, radices []int) (*Topology, error) {
 	t := &Topology{
 		kind:    kind,
 		radices: append([]int(nil), radices...),
+		strides: make([]int, len(radices)),
 		nodes:   n,
 		adj:     make([][]NodeID, n),
 		links:   make([]Link, 0, links),
-		linkOf:  make(map[[2]NodeID]LinkID, links),
+		hopOff:  make([]int, len(radices)),
+	}
+	stride := 1
+	for dim, m := range radices {
+		t.strides[dim] = stride
+		stride *= m
+		t.hopOff[dim] = t.hopRow
+		if kind == KindGHC {
+			t.hopRow += m
+		} else {
+			t.hopRow += 2
+		}
+	}
+	t.hop = make([]LinkID, n*t.hopRow)
+	for i := range t.hop {
+		t.hop[i] = -1
 	}
 	for u := 0; u < n; u++ {
-		du := t.Digits(NodeID(u))
 		for dim, m := range radices {
+			a := u / t.strides[dim] % m
 			switch kind {
 			case KindGHC:
 				// Complete graph per dimension.
-				for v := 0; v < m; v++ {
-					if v == du[dim] {
-						continue
+				for b := 0; b < m; b++ {
+					if b != a {
+						t.addEdge(NodeID(u), dim, a, b)
 					}
-					t.addEdge(NodeID(u), t.withDigit(du, dim, v))
 				}
 			case KindTorus:
-				t.addEdge(NodeID(u), t.withDigit(du, dim, (du[dim]+1)%m))
-				t.addEdge(NodeID(u), t.withDigit(du, dim, (du[dim]+m-1)%m))
+				t.addEdge(NodeID(u), dim, a, (a+1)%m)
+				t.addEdge(NodeID(u), dim, a, (a+m-1)%m)
 			case KindMesh:
-				if du[dim]+1 < m {
-					t.addEdge(NodeID(u), t.withDigit(du, dim, du[dim]+1))
+				if a+1 < m {
+					t.addEdge(NodeID(u), dim, a, a+1)
 				}
-				if du[dim]-1 >= 0 {
-					t.addEdge(NodeID(u), t.withDigit(du, dim, du[dim]-1))
+				if a-1 >= 0 {
+					t.addEdge(NodeID(u), dim, a, a-1)
 				}
 			}
 		}
@@ -208,23 +233,42 @@ func build(kind Kind, radices []int) (*Topology, error) {
 	return t, nil
 }
 
-func (t *Topology) addEdge(u, v NodeID) {
-	if u == v {
+// addEdge records the link from u, whose digit along dim is a, to the
+// node whose digit there is b. Every link is seen from both ends; the
+// lower-numbered end, visited first, creates it and fills both ends'
+// index slots.
+func (t *Topology) addEdge(u NodeID, dim, a, b int) {
+	v := u + NodeID((b-a)*t.strides[dim])
+	if v < u {
 		return
 	}
-	a, b := u, v
-	if a > b {
-		a, b = b, a
-	}
-	key := [2]NodeID{a, b}
-	if _, ok := t.linkOf[key]; ok {
-		return
+	s := t.hopSlot(u, dim, a, b)
+	if t.hop[s] >= 0 {
+		return // the double edge of a 2-ring
 	}
 	id := LinkID(len(t.links))
-	t.linkOf[key] = id
-	t.links = append(t.links, Link{ID: id, A: a, B: b})
+	t.links = append(t.links, Link{ID: id, A: u, B: v})
+	t.hop[s] = id
+	t.hop[t.hopSlot(v, dim, b, a)] = id
 	t.adj[u] = append(t.adj[u], v)
 	t.adj[v] = append(t.adj[v], u)
+}
+
+// hopSlot returns the index in t.hop of the link that takes node u from
+// digit a to digit b along dim, or -1 when one hop cannot.
+func (t *Topology) hopSlot(u NodeID, dim, a, b int) int {
+	base := int(u)*t.hopRow + t.hopOff[dim]
+	if t.kind == KindGHC {
+		return base + b
+	}
+	wrap := t.kind == KindTorus
+	switch m := t.radices[dim]; {
+	case b == a+1, wrap && a == m-1 && b == 0:
+		return base
+	case b == a-1, wrap && a == 0 && b == m-1:
+		return base + 1
+	}
+	return -1
 }
 
 // Kind returns the topology family.
@@ -257,8 +301,27 @@ func (t *Topology) LinkBetween(u, v NodeID) (LinkID, bool) {
 	if u > v {
 		u, v = v, u
 	}
-	id, ok := t.linkOf[[2]NodeID{u, v}]
-	return id, ok
+	if u < 0 || int(v) >= t.nodes || u == v {
+		return 0, false
+	}
+	// Neighbours differ in one digit, by some k below that dimension's
+	// radix, so their IDs differ by k strides of it: the largest stride
+	// not above the difference.
+	diff := int(v - u)
+	dim := len(t.strides) - 1
+	for t.strides[dim] > diff {
+		dim--
+	}
+	stride, m := t.strides[dim], t.radices[dim]
+	k, a := diff/stride, int(u)/stride%m
+	if k*stride != diff || a+k >= m {
+		return 0, false
+	}
+	s := t.hopSlot(u, dim, a, a+k)
+	if s < 0 {
+		return 0, false
+	}
+	return t.hop[s], true
 }
 
 // Digits decodes a node ID into its mixed-radix address, least
@@ -281,14 +344,6 @@ func (t *Topology) FromDigits(d []int) NodeID {
 		mul *= m
 	}
 	return NodeID(id)
-}
-
-func (t *Topology) withDigit(d []int, dim, v int) NodeID {
-	old := d[dim]
-	d[dim] = v
-	id := t.FromDigits(d)
-	d[dim] = old
-	return id
 }
 
 // Distance returns the hop count of a shortest path from u to v.

@@ -351,6 +351,78 @@ func TestPathLinksResolve(t *testing.T) {
 	}
 }
 
+// smallInstances is one small machine or more of every kind, covering
+// mixed radices, a 2-ring beside longer rings, and even rings (whose
+// half-way ties the LSD walk breaks upward).
+func smallInstances(t *testing.T) []*Topology {
+	t.Helper()
+	cube, err := NewHypercube(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mesh, err := NewMesh(2, 3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return []*Topology{cube, mustGHC(t, 3, 4, 2), mustTorus(t, 2, 5, 4), mustTorus(t, 6, 3), mustTorus(t, 2, 2), mesh}
+}
+
+func TestAppendLSDLinksMatchesPath(t *testing.T) {
+	for _, top := range smallInstances(t) {
+		prefix := []LinkID{-3, -4}
+		for src := 0; src < top.Nodes(); src++ {
+			for dst := 0; dst < top.Nodes(); dst++ {
+				want, err := top.LSDToMSD(NodeID(src), NodeID(dst)).Links(top)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := top.AppendLSDLinks(prefix, NodeID(src), NodeID(dst))
+				if len(got) < 2 || got[0] != -3 || got[1] != -4 {
+					t.Fatalf("%v %d->%d: prefix of a non-empty buf lost: %v", top, src, dst, got)
+				}
+				if got = got[2:]; len(got) != len(want) {
+					t.Fatalf("%v %d->%d: %d links %v, path has %d %v", top, src, dst, len(got), got, len(want), want)
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("%v %d->%d: links %v, path resolves to %v", top, src, dst, got, want)
+					}
+				}
+			}
+		}
+		if got := top.AppendLSDLinks(nil, 1, 1); len(got) != 0 {
+			t.Errorf("%v: src == dst appended %v", top, got)
+		}
+	}
+	top := mustTorus(t, 8, 8)
+	buf := make([]LinkID, 0, top.Diameter())
+	if n := testing.AllocsPerRun(100, func() { buf = top.AppendLSDLinks(buf[:0], 3, 60) }); n != 0 {
+		t.Errorf("AppendLSDLinks into a large enough buf allocates %v times", n)
+	}
+}
+
+// LinkBetween reads the per-node link index; the link table itself is
+// the oracle for every ordered node pair, adjacent or not.
+func TestLinkBetweenMatchesLinkTable(t *testing.T) {
+	for _, top := range smallInstances(t) {
+		want := map[[2]NodeID]LinkID{}
+		for i := 0; i < top.Links(); i++ {
+			l := top.Link(LinkID(i))
+			want[[2]NodeID{l.A, l.B}] = l.ID
+			want[[2]NodeID{l.B, l.A}] = l.ID
+		}
+		for u := -1; u <= top.Nodes(); u++ {
+			for v := -1; v <= top.Nodes(); v++ {
+				id, ok := top.LinkBetween(NodeID(u), NodeID(v))
+				wid, wok := want[[2]NodeID{NodeID(u), NodeID(v)}]
+				if ok != wok || (ok && id != wid) {
+					t.Fatalf("%v LinkBetween(%d,%d) = %d,%v, link table says %d,%v", top, u, v, id, ok, wid, wok)
+				}
+			}
+		}
+	}
+}
+
 func TestPathValidateRejectsCycle(t *testing.T) {
 	top := mustTorus(t, 4, 4)
 	p := Path{Nodes: []NodeID{0, 1, 0}}

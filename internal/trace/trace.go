@@ -24,9 +24,12 @@
 package trace
 
 import (
+	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"sort"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -76,6 +79,57 @@ func (a Attr) Value() any {
 	default:
 		return a.Str
 	}
+}
+
+// nonFinite returns the wire form of a float encoding/json refuses to
+// write as a number — "+Inf", "-Inf" or "NaN" — and whether v is one.
+func nonFinite(v float64) (string, bool) {
+	if math.IsInf(v, 0) || math.IsNaN(v) {
+		return strconv.FormatFloat(v, 'g', -1, 64), true
+	}
+	return "", false
+}
+
+// MarshalJSON writes the attribute as its tagged fields, except that a
+// non-finite float travels as a string (a peak utilization over a link
+// with no capacity left is +Inf, and one such attribute must not cost
+// the response its whole trace).
+func (a Attr) MarshalJSON() ([]byte, error) {
+	type fields Attr
+	s, ok := nonFinite(a.Float)
+	if !ok {
+		return json.Marshal(fields(a))
+	}
+	return json.Marshal(struct {
+		fields
+		Float string `json:"float"`
+	}{fields(a), s})
+}
+
+// UnmarshalJSON reads what MarshalJSON writes.
+func (a *Attr) UnmarshalJSON(b []byte) error {
+	type fields Attr
+	var w struct {
+		fields
+		Float json.RawMessage `json:"float"`
+	}
+	if err := json.Unmarshal(b, &w); err != nil {
+		return err
+	}
+	*a = Attr(w.fields)
+	if len(w.Float) == 0 {
+		return nil
+	}
+	var s string
+	if json.Unmarshal(w.Float, &s) != nil {
+		return json.Unmarshal(w.Float, &a.Float)
+	}
+	v, err := strconv.ParseFloat(s, 64)
+	if _, ok := nonFinite(v); err != nil || !ok {
+		return fmt.Errorf("trace: attribute %q: float %q is not +Inf, -Inf or NaN", a.Key, s)
+	}
+	a.Float = v
+	return nil
 }
 
 // Format renders the attribute as "key=value".
@@ -280,6 +334,9 @@ func sortedArgs(attrs []Attr) map[string]any {
 			keys = append(keys, a.Key)
 		}
 		args[a.Key] = a.Value()
+		if s, ok := nonFinite(a.Float); ok {
+			args[a.Key] = s
+		}
 	}
 	sort.Strings(keys)
 	return args

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"reflect"
 	"strings"
 	"sync"
@@ -213,5 +214,44 @@ func TestTreeJSONRoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(in.Names(), out.Names()) || out.Attrs[0].Value() != true {
 		t.Errorf("round trip lost data: %+v", out)
+	}
+}
+
+// encoding/json refuses ±Inf and NaN as numbers; a float attribute
+// holding one travels as a string instead, through the tree's own JSON
+// and through the Chrome export.
+func TestNonFiniteFloatAttrRoundTrip(t *testing.T) {
+	root := Start("lsd_baseline", Float64("peak", math.Inf(1)), Float64("floor", math.Inf(-1)),
+		Float64("ratio", math.NaN()), Float64("load", 0.75), Int("links", 3))
+	root.End()
+	b, err := json.Marshal(root.Tree())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{`"float":"+Inf"`, `"float":"-Inf"`, `"float":"NaN"`, `"float":0.75`, `"int":3`} {
+		if !strings.Contains(string(b), want) {
+			t.Errorf("encoded tree lacks %s: %s", want, b)
+		}
+	}
+	var out Tree
+	if err := json.Unmarshal(b, &out); err != nil {
+		t.Fatal(err)
+	}
+	if len(out.Attrs) != 5 {
+		t.Fatalf("decoded %d attributes, want 5: %+v", len(out.Attrs), out.Attrs)
+	}
+	if a := out.Attrs; !math.IsInf(a[0].Float, 1) || !math.IsInf(a[1].Float, -1) || !math.IsNaN(a[2].Float) ||
+		a[3] != Float64("load", 0.75) || a[4] != Int("links", 3) {
+		t.Errorf("round trip changed the attributes: %+v", a)
+	}
+	if err := json.Unmarshal([]byte(`{"key":"peak","kind":"float","float":"12"}`), new(Attr)); err == nil {
+		t.Error("a finite number in a string decoded as a float attribute")
+	}
+	var buf bytes.Buffer
+	if err := WriteChromeTrace(&buf, root.Tree()); err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(buf.String(), `"peak":"+Inf"`) {
+		t.Errorf("Chrome export lacks the +Inf peak: %s", buf.String())
 	}
 }

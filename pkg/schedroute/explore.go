@@ -125,6 +125,9 @@ func (r ExploreRequest) Validate() error {
 		return badInput("explore: execute applies to grid mode only")
 	}
 	if p := r.Axes.Placement; p != nil {
+		if p.AnnealSteps < 0 {
+			return badInput("explore: axes.placement.anneal_steps must be non-negative, got %d", p.AnnealSteps)
+		}
 		for _, a := range p.Allocators {
 			switch a {
 			case "rr", "greedy", "random", "anneal":

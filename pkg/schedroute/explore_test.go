@@ -37,6 +37,7 @@ func TestExploreRequestValidate(t *testing.T) {
 		{Tolerance: -1},
 		{Objectives: []string{"latency"}, Execute: true},
 		{Axes: ExploreAxes{Placement: &PlacementAxis{Allocators: []string{"magic"}}}},
+		{Axes: ExploreAxes{Placement: &PlacementAxis{AnnealSeeds: []int64{2}, AnnealSteps: -5}}},
 	}
 	for i, r := range bad {
 		if err := r.Validate(); err == nil {

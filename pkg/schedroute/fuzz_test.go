@@ -126,6 +126,7 @@ func FuzzRequestDecode(f *testing.F) {
 	}
 	f.Add([]byte(`{"type":"fault","links":["0-1"]}`))
 	f.Add([]byte(`{"items":[{"problem":{"tfg":"dvb:4","topology":"cube:6"}}]}`))
+	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"axes":{"placement":{"anneal_seeds":[2],"anneal_steps":-5}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, rt := range requestTypes {

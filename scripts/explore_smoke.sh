@@ -1,8 +1,9 @@
 #!/bin/sh
 # explore_smoke.sh — end-to-end smoke of the unified exploration
 # surface: boot srschedd, run a Pareto exploration over /v1/explore
-# (placement axis + all four objectives, ?debug=trace), a grid
-# exploration with a placement axis (winners reported), a plain τin
+# (placement axis + all four objectives, ?debug=trace), a negative
+# anneal_steps refused as bad_input in both modes, a grid exploration
+# with a placement axis (winners reported), a plain τin
 # grid (the old /v1/sweep, which must now be a 404), run the same search
 # locally through `srsched -explore`, check mode exclusivity exits 2,
 # and assert the explore metrics.
@@ -34,6 +35,18 @@ grep -q '"source": *"anneal:2"\|"source":"anneal:2"' "$DIR/pareto.json" || { ech
 grep -q '"min_tau_in": *50\|"min_tau_in":50' "$DIR/pareto.json" || { echo "annealed placement did not reach full load"; exit 1; }
 grep -q '"front"' "$DIR/pareto.json" || { echo "no front"; exit 1; }
 grep -q '"name": *"explore"\|"name":"explore"' "$DIR/pareto.json" || { echo "trace missing explore span"; exit 1; }
+grep -q '"name": *"explore_anneal"\|"name":"explore_anneal"' "$DIR/pareto.json" || { echo "trace missing explore_anneal span"; exit 1; }
+
+# A negative annealer budget is the client's mistake in either mode: a
+# 400 bad_input before any annealer runs, not a 500.
+for OBJ in '' '"objectives": ["tau_in"],'; do
+  CODE=$(curl -s -o "$DIR/steps.json" -w '%{http_code}' -X POST "$BASE/v1/explore" -d "{
+    \"problem\": {\"tfg\": \"dvb:4\", \"topology\": \"cube:6\", \"bandwidth\": 64}, $OBJ
+    \"axes\": {\"placement\": {\"anneal_seeds\": [2], \"anneal_steps\": -5}}
+  }")
+  [ "$CODE" = "400" ] || { echo "anneal_steps -5 returned $CODE, want 400"; exit 1; }
+  grep -q '"kind": *"bad_input"\|"kind":"bad_input"' "$DIR/steps.json" || { echo "anneal_steps -5 not refused as bad_input"; exit 1; }
+done
 
 # Grid mode with a placement axis: one winner per point.
 curl -fsS -X POST "$BASE/v1/explore" -d '{
