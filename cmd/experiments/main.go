@@ -31,16 +31,30 @@ import (
 
 	"schedroute/internal/cliutil"
 	"schedroute/internal/experiments"
-	"schedroute/internal/schedule"
 )
+
+// A figure is a titled list of standard configurations and the sweep
+// that turns each into the series to print.
+type figure struct {
+	title string
+	keys  []string
+	sweep sweepFunc
+}
+
+type sweepFunc = func(context.Context, experiments.Config) (experiments.Series, error)
+
+// sweepOf adapts a sweep returning its own series type to a sweepFunc.
+func sweepOf[S experiments.Series](f func(context.Context, experiments.Config) (S, error)) sweepFunc {
+	return func(ctx context.Context, cfg experiments.Config) (experiments.Series, error) { return f(ctx, cfg) }
+}
 
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate (5..10), 'faults' for the survivability sweep, 'tenant' for the two-tenant isolation sweep, or 'pareto' for the multi-criteria fronts")
 	all := flag.Bool("all", false, "regenerate every figure")
-	configFilter := flag.String("config", "", "faults sweep: only configurations whose key contains this substring")
+	configFilter := flag.String("config", "", "faults, tenant and pareto sweeps: only configurations whose key contains this substring")
 	verify := flag.Bool("verify", true, "faults sweep: re-verify every repaired Ω by packet-level fault injection")
-	strict := flag.Bool("strict", false, "faults sweep: abort on the first infeasible repair")
-	maxFaults := flag.Int("max-faults", 0, "faults sweep: cap single-link scenarios per load point (0 = every link)")
+	strict := flag.Bool("strict", false, "faults and tenant sweeps: abort on the first infeasible repair")
+	maxFaults := flag.Int("max-faults", 0, "faults and tenant sweeps: cap single-link scenarios per load point (0 = every link)")
 	gridPoints := flag.Int("grid-points", 0, "pareto sweep: candidate periods per placement (0 = 4)")
 	annealSeeds := flag.String("anneal-seeds", "", "pareto sweep: comma-separated annealer seeds for candidate placements (default seed+1,seed+2)")
 	objectives := flag.String("objectives", "", "pareto sweep: comma-separated objectives among tau_in,latency,links,buffers (default all)")
@@ -52,8 +66,7 @@ func main() {
 	procs := flag.Int("procs", 0, "worker goroutines per sweep (0 = GOMAXPROCS, 1 = serial); results are identical either way")
 	flag.Parse()
 	if *format != "table" && *format != "csv" {
-		fmt.Fprintln(os.Stderr, "experiments: -format must be table or csv")
-		os.Exit(2)
+		usage("-format must be table or csv")
 	}
 
 	if *list {
@@ -70,210 +83,84 @@ func main() {
 
 	cfgs, err := experiments.StandardConfigs()
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("experiments", err)
+	}
+	spec, err := cliutil.ParseExploreSpec(*gridPoints, *annealSeeds, *objectives)
+	if err != nil {
+		usage(err.Error())
 	}
 
-	if *fig == "faults" {
-		runFaults(cfgs, *configFilter, *seed, *procs, *maxFaults, *verify, *strict, *format)
-		return
-	}
-	if *fig == "tenant" {
-		runTenantFaults(cfgs, *configFilter, *seed, *procs, *maxFaults, *strict, *format)
-		return
-	}
-	if *fig == "pareto" {
-		runPareto(cfgs, *configFilter, *seed, *procs, *gridPoints, *annealSeeds, *objectives, *format)
-		return
-	}
-
-	var figs []int
-	figNum, figErr := strconv.Atoi(*fig)
-	switch {
-	case *all:
-		figs = []int{5, 6, 7, 8, 9, 10}
-	case figErr == nil && figNum >= 5 && figNum <= 10:
-		figs = []int{figNum}
-	default:
-		fmt.Fprintln(os.Stderr, "experiments: pass -fig 5..10, -fig faults, -fig tenant, -fig pareto, -all or -list")
-		os.Exit(2)
-	}
-	for _, id := range figs {
-		keys, _ := experiments.Figure(id)
-		if *format == "table" {
-			fmt.Printf("==== Figure %d ====\n", id)
+	// Figures 5-10 run on the configurations the paper plots them for;
+	// the pseudo-figures on every standard configuration -config keeps,
+	// in key order.
+	var selected []string
+	for key := range cfgs {
+		if strings.Contains(key, *configFilter) {
+			selected = append(selected, key)
 		}
-		for _, key := range keys {
+	}
+	sort.Strings(selected)
+	figures := map[string]figure{
+		"faults": {"Survivability under single-link faults", selected, sweepOf(experiments.SurvivabilitySweep)},
+		"tenant": {"Tenant isolation under victim-only link faults", selected, sweepOf(experiments.TenantSurvivabilitySweep)},
+		"pareto": {"Pareto fronts: τin × latency × resources", selected, func(ctx context.Context, cfg experiments.Config) (experiments.Series, error) {
+			return experiments.ParetoSweep(ctx, cfg, spec)
+		}},
+	}
+	names := []string{*fig}
+	if n, err := strconv.Atoi(*fig); err == nil {
+		names[0] = strconv.Itoa(n) // "07" is figure 7
+	}
+	if *all {
+		names = nil
+	}
+	for id := 5; id <= 10; id++ {
+		name := strconv.Itoa(id)
+		keys, _ := experiments.Figure(id)
+		sw := sweepOf(experiments.PerfSweep)
+		if experiments.IsUtilizationFigure(id) {
+			sw = sweepOf(experiments.UtilizationSweep)
+		}
+		figures[name] = figure{"Figure " + name, keys, sw}
+		if *all {
+			names = append(names, name)
+		}
+	}
+
+	for _, name := range names {
+		f, ok := figures[name]
+		if !ok {
+			usage("pass -fig 5..10, -fig faults, -fig tenant, -fig pareto, -all or -list")
+		}
+		if len(f.keys) == 0 {
+			usage(fmt.Sprintf("no configuration matches -config %q", *configFilter))
+		}
+		if *format == "table" {
+			fmt.Printf("==== %s ====\n", f.title)
+		}
+		for _, key := range f.keys {
 			cfg := cfgs[key]
-			cfg.Seed = *seed
-			cfg.Invocations = *invocations
-			cfg.Warmup = *warmup
-			cfg.Procs = *procs
-			if experiments.IsUtilizationFigure(id) {
-				s, err := experiments.UtilizationSweep(context.Background(), cfg)
-				if err != nil {
-					fatal(err)
-				}
-				write := experiments.WriteUtilization
-				if *format == "csv" {
-					write = experiments.WriteUtilizationCSV
-				}
-				if err := write(os.Stdout, s); err != nil {
-					fatal(err)
-				}
-			} else {
-				s, err := experiments.PerfSweep(context.Background(), cfg)
-				if err != nil {
-					fatal(err)
-				}
-				write := experiments.WritePerf
-				if *format == "csv" {
-					write = experiments.WritePerfCSV
-				}
-				if err := write(os.Stdout, s); err != nil {
-					fatal(err)
-				}
+			cfg.Seed, cfg.Procs = *seed, *procs
+			cfg.Invocations, cfg.Warmup = *invocations, *warmup
+			cfg.MaxFaults, cfg.VerifyFaults, cfg.StrictRepair = *maxFaults, *verify, *strict
+			s, err := f.sweep(context.Background(), cfg)
+			if err != nil {
+				cliutil.Fatal("experiments", err)
+			}
+			write := s.WriteText
+			if *format == "csv" {
+				write = s.WriteCSV
+			}
+			if err := write(os.Stdout); err != nil {
+				cliutil.Fatal("experiments", err)
 			}
 			fmt.Println()
 		}
 	}
 }
 
-// runFaults executes the survivability pseudo-figure over every
-// standard configuration whose key contains filter, in key order.
-func runFaults(cfgs map[string]experiments.Config, filter string, seed int64, procs, maxFaults int, verify, strict bool, format string) {
-	var keys []string
-	for key := range cfgs {
-		if strings.Contains(key, filter) {
-			keys = append(keys, key)
-		}
-	}
-	if len(keys) == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no configuration matches -config %q\n", filter)
-		os.Exit(2)
-	}
-	sort.Strings(keys)
-	if format == "table" {
-		fmt.Println("==== Survivability under single-link faults ====")
-	}
-	for _, key := range keys {
-		cfg := cfgs[key]
-		cfg.Seed = seed
-		cfg.Procs = procs
-		cfg.MaxFaults = maxFaults
-		cfg.VerifyFaults = verify
-		cfg.StrictRepair = strict
-		s, err := experiments.SurvivabilitySweep(context.Background(), cfg)
-		if err != nil {
-			cliutil.Fatal("experiments", err)
-		}
-		write := experiments.WriteSurvivability
-		if format == "csv" {
-			write = experiments.WriteSurvivabilityCSV
-		}
-		if err := write(os.Stdout, s); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-	}
-}
-
-// runTenantFaults executes the two-tenant isolation sweep: faults
-// strike only links the victim tenant's paths use exclusively, and the
-// table reports the victim's repair-ladder outcomes next to whether the
-// bystander tenant's Ω stayed byte-identical.
-func runTenantFaults(cfgs map[string]experiments.Config, filter string, seed int64, procs, maxFaults int, strict bool, format string) {
-	var keys []string
-	for key := range cfgs {
-		if strings.Contains(key, filter) {
-			keys = append(keys, key)
-		}
-	}
-	if len(keys) == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no configuration matches -config %q\n", filter)
-		os.Exit(2)
-	}
-	sort.Strings(keys)
-	if format == "table" {
-		fmt.Println("==== Tenant isolation under victim-only link faults ====")
-	}
-	for _, key := range keys {
-		cfg := cfgs[key]
-		cfg.Seed = seed
-		cfg.Procs = procs
-		cfg.MaxFaults = maxFaults
-		cfg.StrictRepair = strict
-		s, err := experiments.TenantSurvivabilitySweep(context.Background(), cfg)
-		if err != nil {
-			cliutil.Fatal("experiments", err)
-		}
-		write := experiments.WriteTenantSurvivability
-		if format == "csv" {
-			write = experiments.WriteTenantSurvivabilityCSV
-		}
-		if err := write(os.Stdout, s); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-	}
-}
-
-// runPareto executes the multi-criteria pseudo-figure: one Pareto
-// front per standard configuration whose key contains filter, in key
-// order.
-func runPareto(cfgs map[string]experiments.Config, filter string, seed int64, procs, gridPoints int, annealSeeds, objectives, format string) {
-	var keys []string
-	for key := range cfgs {
-		if strings.Contains(key, filter) {
-			keys = append(keys, key)
-		}
-	}
-	if len(keys) == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no configuration matches -config %q\n", filter)
-		os.Exit(2)
-	}
-	sort.Strings(keys)
-	spec := schedule.ExploreSpec{GridPoints: gridPoints}
-	if annealSeeds != "" {
-		for _, f := range strings.Split(annealSeeds, ",") {
-			s, err := strconv.ParseInt(strings.TrimSpace(f), 10, 64)
-			if err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: bad -anneal-seeds entry %q\n", f)
-				os.Exit(2)
-			}
-			spec.AnnealSeeds = append(spec.AnnealSeeds, s)
-		}
-	}
-	if objectives != "" {
-		obs, err := schedule.ParseObjectives(strings.Split(objectives, ","))
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "experiments:", err)
-			os.Exit(2)
-		}
-		spec.Objectives = obs
-	}
-	if format == "table" {
-		fmt.Println("==== Pareto fronts: τin × latency × resources ====")
-	}
-	for _, key := range keys {
-		cfg := cfgs[key]
-		cfg.Seed = seed
-		cfg.Procs = procs
-		s, err := experiments.ParetoSweep(context.Background(), cfg, spec)
-		if err != nil {
-			cliutil.Fatal("experiments", err)
-		}
-		write := experiments.WritePareto
-		if format == "csv" {
-			write = experiments.WriteParetoCSV
-		}
-		if err := write(os.Stdout, s); err != nil {
-			fatal(err)
-		}
-		fmt.Println()
-	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "experiments:", err)
-	os.Exit(1)
+// usage reports flag misuse and exits with the flag package's own status.
+func usage(msg string) {
+	fmt.Fprintln(os.Stderr, "experiments:", msg)
+	os.Exit(cliutil.ExitUsage)
 }

@@ -52,8 +52,6 @@ import (
 	"io"
 	"net/http"
 	"os"
-	"strconv"
-	"strings"
 
 	"schedroute/internal/cliutil"
 	"schedroute/internal/cpsim"
@@ -268,25 +266,14 @@ func main() {
 // No feasible schedule anywhere in range exits with status 1, like an
 // infeasible single solve.
 func runExplore(ctx context.Context, b *schedroute.Built, opts schedule.Options, gridPoints int, annealSeeds, objectives string, root *trace.Span, showTrace bool, traceOut string) {
-	spec := schedule.ExploreSpec{GridPoints: gridPoints, Trace: root}
-	if annealSeeds != "" {
-		for _, tok := range strings.Split(annealSeeds, ",") {
-			seed, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
-			if err != nil {
-				cliutil.Fatal("srsched", errkind.Mark(fmt.Errorf("bad -anneal-seeds entry %q: %v", tok, err), errkind.ErrBadInput))
-			}
-			spec.AnnealSeeds = append(spec.AnnealSeeds, seed)
-		}
-	} else {
+	spec, err := cliutil.ParseExploreSpec(gridPoints, annealSeeds, objectives)
+	if err != nil {
+		cliutil.Fatal("srsched", err)
+	}
+	if len(spec.AnnealSeeds) == 0 {
 		spec.AnnealSeeds = []int64{opts.Seed + 1, opts.Seed + 2}
 	}
-	if objectives != "" {
-		obs, err := schedule.ParseObjectives(strings.Split(objectives, ","))
-		if err != nil {
-			cliutil.Fatal("srsched", errkind.Mark(err, errkind.ErrBadInput))
-		}
-		spec.Objectives = obs
-	}
+	spec.Trace = root
 	opts.Trace = nil // Explore records its own span family under spec.Trace
 	front, err := schedule.Explore(ctx, b.ScheduleProblem(), opts, spec)
 	if err != nil {
@@ -296,7 +283,7 @@ func runExplore(ctx context.Context, b *schedroute.Built, opts schedule.Options,
 		Config: fmt.Sprintf("%s on %s", b.Graph.Name(), b.Topology),
 		Front:  front,
 	}
-	if err := experiments.WritePareto(os.Stdout, series); err != nil {
+	if err := series.WriteText(os.Stdout); err != nil {
 		cliutil.Fatal("srsched", err)
 	}
 	emitTrace(root, showTrace, traceOut)

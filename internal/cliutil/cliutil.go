@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 
 	"schedroute/internal/alloc"
@@ -212,6 +213,28 @@ func (f *ProblemFlags) ParseProblem() (*schedroute.Built, *topology.FaultSet, er
 	return b, fs, nil
 }
 
-// Ensure the facade's error families line up with the exit constants
-// (compile-time association; the real check is in cliutil_test).
-var _ = schedule.InfeasibleRepairError{}
+// ParseExploreSpec resolves the exploration flags `srsched -explore` and
+// `experiments -fig pareto` share — -grid-points and the comma-separated
+// -anneal-seeds and -objectives — into an ExploreSpec. An empty list
+// leaves its field to the caller's default; a malformed entry is an
+// errkind.ErrBadInput.
+func ParseExploreSpec(gridPoints int, annealSeeds, objectives string) (schedule.ExploreSpec, error) {
+	spec := schedule.ExploreSpec{GridPoints: gridPoints}
+	if annealSeeds != "" {
+		for _, tok := range strings.Split(annealSeeds, ",") {
+			seed, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
+			if err != nil {
+				return spec, errkind.Mark(fmt.Errorf("bad -anneal-seeds entry %q: %v", tok, err), errkind.ErrBadInput)
+			}
+			spec.AnnealSeeds = append(spec.AnnealSeeds, seed)
+		}
+	}
+	if objectives != "" {
+		obs, err := schedule.ParseObjectives(strings.Split(objectives, ","))
+		if err != nil {
+			return spec, errkind.Mark(err, errkind.ErrBadInput)
+		}
+		spec.Objectives = obs
+	}
+	return spec, nil
+}

@@ -4,7 +4,9 @@
 // routing throughput/latency sweeps with output-inconsistency spikes
 // (Figs. 7-10). All experiments run the reconstructed DARPA Vision
 // Benchmark TFG over the paper's twelve input periods between τc and
-// 5τc on 64-node networks.
+// 5τc on 64-node networks; the fault-free solves of every sweep are one
+// schedule.Sweep over that grid (gridSweep.solve), and each sweep is
+// what it projects out of the per-point Results.
 package experiments
 
 import (
@@ -18,7 +20,6 @@ import (
 	"schedroute/internal/alloc"
 	"schedroute/internal/dvb"
 	"schedroute/internal/metrics"
-	"schedroute/internal/parallel"
 	"schedroute/internal/schedule"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -37,18 +38,6 @@ const (
 	SpanPoint              = "point"
 	SpanFault              = "fault"
 )
-
-// pointSpans pre-creates one child span per load point, serially in
-// index order, so a traced fan-out has the same structure no matter how
-// the workers interleave; each worker records only into its own span.
-func pointSpans(parent *trace.Span, pts []LoadPoint) []*trace.Span {
-	spans := make([]*trace.Span, len(pts))
-	for i := range pts {
-		spans[i] = parent.Start(SpanPoint,
-			trace.Int("index", i), trace.Float64("tau_in", pts[i].TauIn))
-	}
-	return spans
-}
 
 // LoadPoint is one x-axis position: input period τin and normalized
 // load τc/τin.
@@ -168,6 +157,80 @@ func workload(cfg Config) (*tfg.Graph, *tfg.Timing, *alloc.Assignment, error) {
 	return g, tm, as, nil
 }
 
+// gridSweep is what every sweep starts from: the configuration's
+// workload, the twelve load points, and the sweep's span with one
+// "point" child per load point — pre-created serially in index order, so
+// a traced sweep has the same structure however its workers interleave,
+// each recording only into its own point's span.
+type gridSweep struct {
+	cfg   Config
+	g     *tfg.Graph
+	tm    *tfg.Timing
+	as    *alloc.Assignment
+	pts   []LoadPoint
+	span  *trace.Span
+	spans []*trace.Span
+}
+
+func newGridSweep(c Config, span string) (*gridSweep, error) {
+	cfg := c.withDefaults()
+	g, tm, as, err := workload(cfg)
+	if err != nil {
+		return nil, err
+	}
+	sw := &gridSweep{cfg: cfg, g: g, tm: tm, as: as, pts: Grid(tm.TauC())}
+	sw.span = cfg.Trace.Start(span, trace.String("config", cfg.Name))
+	sw.spans = make([]*trace.Span, len(sw.pts))
+	for i, lp := range sw.pts {
+		sw.spans[i] = sw.span.Start(SpanPoint, trace.Int("index", i), trace.Float64("tau_in", lp.TauIn))
+	}
+	return sw, nil
+}
+
+// end closes the sweep's span and any point span an early error return
+// left open.
+func (sw *gridSweep) end() {
+	for _, sp := range sw.spans {
+		sp.End()
+	}
+	sw.span.End()
+}
+
+// problem is the workload placed by as at period tauIn.
+func (sw *gridSweep) problem(tauIn float64, as *alloc.Assignment) schedule.Problem {
+	return schedule.Problem{Graph: sw.g, Timing: sw.tm, Topology: sw.cfg.Topology, Assignment: as, TauIn: tauIn}
+}
+
+// solve runs the fault-free pipeline at every load point as one
+// schedule.Sweep — through a single Solver, so the path candidates and
+// the LSD baseline are built once per sweep — and hands each point's
+// Result and span to visit on the sweep's cfg.Procs workers. Every point
+// keeps the serial seed and writes its own ordered slot, so what a sweep
+// returns is identical for every worker count.
+func (sw *gridSweep) solve(ctx context.Context, visit func(i int, res *schedule.Result, sp *trace.Span) error) error {
+	solvers := []*schedule.Solver{schedule.NewSolver(sw.problem(0, sw.as))}
+	periods := make([]float64, len(sw.pts))
+	for i, lp := range sw.pts {
+		periods[i] = lp.TauIn
+	}
+	opts := schedule.Options{Seed: sw.cfg.Seed, Procs: sw.cfg.Procs}
+	err := schedule.Sweep(ctx, solvers, periods, opts, sw.spans, func(sp *schedule.SweepPeriod) error {
+		return visit(sp.Index, sp.Best(), sp.Span)
+	})
+	if err != nil {
+		return fmt.Errorf("experiments: %s: %w", sw.cfg.Name, err)
+	}
+	return nil
+}
+
+// Series is one configuration's sweep outcome, whichever sweep made it:
+// it writes itself as the text table the paper plots or as CSV for
+// external plotting.
+type Series interface {
+	WriteText(w io.Writer) error
+	WriteCSV(w io.Writer) error
+}
+
 // UtilizationPoint is one Fig. 5/6 sample: peak utilization under
 // LSD-to-MSD routing and after AssignPaths.
 type UtilizationPoint struct {
@@ -184,41 +247,24 @@ type UtilizationSeries struct {
 
 // UtilizationSweep reproduces one panel of Fig. 5/6: the minimum peak
 // utilization reached by AssignPaths versus the LSD-to-MSD baseline
-// across the twelve load points. ctx cancels the fan-out: no new load
+// across the twelve load points. ctx cancels the sweep: no new load
 // point starts after cancellation and the context error is returned.
 func UtilizationSweep(ctx context.Context, c Config) (*UtilizationSeries, error) {
-	cfg := c.withDefaults()
-	g, tm, as, err := workload(cfg)
+	sw, err := newGridSweep(c, SpanUtilizationSweep)
 	if err != nil {
 		return nil, err
 	}
-	pts := Grid(tm.TauC())
-	points := make([]UtilizationPoint, len(pts))
-	// One solver serves all twelve load points, so path candidates and
-	// the LSD baseline are built once per sweep instead of per point.
-	solver := schedule.NewSolver(schedule.Problem{
-		Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: as,
-	})
-	sweep := cfg.Trace.Start(SpanUtilizationSweep, trace.String("config", cfg.Name))
-	defer sweep.End()
-	spans := pointSpans(sweep, pts)
-	// The points are independent, so they run concurrently on cfg.Procs
-	// workers; each writes its ordered result slot and keeps the serial
-	// per-point seed, making the output identical to a serial run.
-	err = parallel.ForEach(ctx, len(pts), parallel.Workers(cfg.Procs), func(i int) error {
-		lp := pts[i]
-		res, err := solver.Solve(ctx, lp.TauIn, schedule.Options{Seed: cfg.Seed, Trace: spans[i]})
-		spans[i].End()
-		if err != nil {
-			return fmt.Errorf("experiments: %s load %.4f: %w", cfg.Name, lp.Load, err)
-		}
-		points[i] = UtilizationPoint{Load: lp.Load, LSD: res.PeakLSD, Final: res.Peak}
+	defer sw.end()
+	points := make([]UtilizationPoint, len(sw.pts))
+	err = sw.solve(ctx, func(i int, res *schedule.Result, sp *trace.Span) error {
+		sp.End()
+		points[i] = UtilizationPoint{Load: sw.pts[i].Load, LSD: res.PeakLSD, Final: res.Peak}
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &UtilizationSeries{Config: cfg.Name, Points: points}, nil
+	return &UtilizationSeries{Config: sw.cfg.Name, Points: points}, nil
 }
 
 // PerfPoint is one Fig. 7-10 sample comparing wormhole routing and
@@ -248,40 +294,36 @@ type PerfSeries struct {
 	Points       []PerfPoint
 }
 
-// PerfSweep reproduces one panel of Figs. 7-10: wormhole routing is
-// simulated over many invocations (spikes mark output inconsistency)
-// and scheduled routing is computed and executed at each of the twelve
-// load points. ctx cancels the fan-out between load points.
+// PerfSweep reproduces one panel of Figs. 7-10: scheduled routing is
+// computed at each of the twelve load points and, on the same worker,
+// executed next to a wormhole-routing simulation over many invocations
+// (spikes mark output inconsistency). ctx cancels the sweep between
+// load points.
 func PerfSweep(ctx context.Context, c Config) (*PerfSeries, error) {
-	cfg := c.withDefaults()
-	g, tm, as, err := workload(cfg)
+	sw, err := newGridSweep(c, SpanPerfSweep)
 	if err != nil {
 		return nil, err
 	}
+	defer sw.end()
+	cfg, g, tm := sw.cfg, sw.g, sw.tm
 	cp, _ := g.CriticalPath(tm)
-	pts := Grid(tm.TauC())
-	points := make([]PerfPoint, len(pts))
-	solver := schedule.NewSolver(schedule.Problem{
-		Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: as,
-	})
-	sweep := cfg.Trace.Start(SpanPerfSweep, trace.String("config", cfg.Name))
-	defer sweep.End()
-	spans := pointSpans(sweep, pts)
-	// Each load point runs its wormhole simulation and scheduled-routing
-	// pipeline independently on the worker pool; ordered result slots
-	// keep the series identical to a serial run.
-	err = parallel.ForEach(ctx, len(pts), parallel.Workers(cfg.Procs), func(i int) error {
-		lp := pts[i]
-		defer spans[i].End()
-		pt := PerfPoint{Load: lp.Load, TauIn: lp.TauIn}
+	points := make([]PerfPoint, len(sw.pts))
+	err = sw.solve(ctx, func(i int, sres *schedule.Result, sp *trace.Span) error {
+		defer sp.End()
+		lp := sw.pts[i]
+		at := func(what string, err error) error { return fmt.Errorf("load %.4f: %s: %w", lp.Load, what, err) }
+		pt := PerfPoint{
+			Load: lp.Load, TauIn: lp.TauIn,
+			SRFeasible: sres.Feasible, SRStage: sres.FailStage, SRPeak: sres.Peak,
+		}
 
-		wh := spans[i].Start("wormhole")
+		wh := sp.Start("wormhole")
 		wres, err := wormhole.Simulate(wormhole.Config{
-			Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: as,
+			Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: sw.as,
 			TauIn: lp.TauIn, Invocations: cfg.Invocations, Warmup: cfg.Warmup,
 		})
 		if err != nil {
-			return fmt.Errorf("experiments: %s load %.4f: %w", cfg.Name, lp.Load, err)
+			return at("wormhole", err)
 		}
 		if wres.Deadlocked {
 			pt.WRDeadlock = true
@@ -289,37 +331,26 @@ func PerfSweep(ctx context.Context, c Config) (*PerfSeries, error) {
 			ivs := metrics.Intervals(wres.OutputCompletions)
 			pt.WRThroughput, err = metrics.NormalizedThroughput(lp.TauIn, ivs)
 			if err != nil {
-				return fmt.Errorf("experiments: %s load %.4f: WR throughput: %w", cfg.Name, lp.Load, err)
+				return at("WR throughput", err)
 			}
 			pt.WRLatency, err = metrics.NormalizedLatency(cp, wres.Latencies)
 			if err != nil {
-				return fmt.Errorf("experiments: %s load %.4f: WR latency: %w", cfg.Name, lp.Load, err)
+				return at("WR latency", err)
 			}
 			pt.WROI = metrics.OutputInconsistent(lp.TauIn, ivs, 1e-6)
 		}
 		wh.End()
 
-		sres, err := solver.Solve(ctx, lp.TauIn, schedule.Options{Seed: cfg.Seed, Trace: spans[i]})
-		if err != nil {
-			return fmt.Errorf("experiments: %s load %.4f: %w", cfg.Name, lp.Load, err)
-		}
-		pt.SRFeasible = sres.Feasible
-		pt.SRStage = sres.FailStage
-		pt.SRPeak = sres.Peak
 		if sres.Feasible {
-			ex := spans[i].Start("execute")
-			exec, err := schedule.Execute(sres.Omega, g, tm, tm.TauC(), cfg.Invocations)
+			ex := sp.Start("execute")
+			out, err := schedule.CheckOutput(sres.Omega, g, tm, lp.TauIn, cfg.Invocations)
 			if err != nil {
-				return fmt.Errorf("experiments: %s load %.4f: SR execution: %w", cfg.Name, lp.Load, err)
+				return at("SR execution", err)
 			}
-			ivs := metrics.Intervals(exec.OutputCompletions)
-			pt.SRThroughput, err = metrics.NormalizedThroughput(lp.TauIn, ivs)
+			pt.SRThroughput = out.Throughput
+			pt.SRLatency, err = metrics.NormalizedLatency(cp, out.Exec.Latencies)
 			if err != nil {
-				return fmt.Errorf("experiments: %s load %.4f: SR throughput: %w", cfg.Name, lp.Load, err)
-			}
-			pt.SRLatency, err = metrics.NormalizedLatency(cp, exec.Latencies)
-			if err != nil {
-				return fmt.Errorf("experiments: %s load %.4f: SR latency: %w", cfg.Name, lp.Load, err)
+				return at("SR latency", err)
 			}
 			ex.End()
 		}
@@ -384,9 +415,8 @@ func Figure(id int) ([]string, bool) {
 // (Figs. 5/6) rather than throughput/latency (Figs. 7-10).
 func IsUtilizationFigure(id int) bool { return id == 5 || id == 6 }
 
-// WriteUtilization renders a Fig. 5/6 panel as the text table the paper
-// plots.
-func WriteUtilization(w io.Writer, s *UtilizationSeries) error {
+// WriteText renders a Fig. 5/6 panel as the text table the paper plots.
+func (s *UtilizationSeries) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# %s\n", s.Config); err != nil {
 		return err
 	}
@@ -401,10 +431,10 @@ func WriteUtilization(w io.Writer, s *UtilizationSeries) error {
 	return nil
 }
 
-// WritePerf renders a Fig. 7-10 panel: one row per load point with the
+// WriteText renders a Fig. 7-10 panel: one row per load point with the
 // wormhole spike triples (min/mid/max) and the scheduled-routing
 // outcome.
-func WritePerf(w io.Writer, s *PerfSeries) error {
+func (s *PerfSeries) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# %s (critical path %.1f µs)\n", s.Config, s.CriticalPath); err != nil {
 		return err
 	}
@@ -438,9 +468,8 @@ func WritePerf(w io.Writer, s *PerfSeries) error {
 	return nil
 }
 
-// WriteUtilizationCSV renders a Fig. 5/6 panel as CSV for external
-// plotting.
-func WriteUtilizationCSV(w io.Writer, s *UtilizationSeries) error {
+// WriteCSV renders a Fig. 5/6 panel as CSV for external plotting.
+func (s *UtilizationSeries) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "config,load,u_lsd,u_final\n"); err != nil {
 		return err
 	}
@@ -452,9 +481,9 @@ func WriteUtilizationCSV(w io.Writer, s *UtilizationSeries) error {
 	return nil
 }
 
-// WritePerfCSV renders a Fig. 7-10 panel as CSV: one row per load point
+// WriteCSV renders a Fig. 7-10 panel as CSV: one row per load point
 // with the wormhole spikes and the scheduled-routing outcome.
-func WritePerfCSV(w io.Writer, s *PerfSeries) error {
+func (s *PerfSeries) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "config,load,wr_thr_min,wr_thr_mid,wr_thr_max,wr_lat_min,wr_lat_mid,wr_lat_max,wr_oi,wr_deadlock,sr_stage,sr_peak,sr_thr,sr_lat\n"); err != nil {
 		return err
 	}

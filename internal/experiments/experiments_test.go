@@ -179,7 +179,7 @@ func TestWriteUtilizationFormat(t *testing.T) {
 		Points: []UtilizationPoint{{Load: 1, LSD: 2.5, Final: 1.5}},
 	}
 	var b strings.Builder
-	if err := WriteUtilization(&b, s); err != nil {
+	if err := s.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -200,7 +200,7 @@ func TestWritePerfFormat(t *testing.T) {
 		},
 	}
 	var b strings.Builder
-	if err := WritePerf(&b, s); err != nil {
+	if err := s.WriteText(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -229,7 +229,7 @@ func TestWriteCSVFormats(t *testing.T) {
 		Points: []UtilizationPoint{{Load: 0.5, LSD: 2, Final: 1}},
 	}
 	var b strings.Builder
-	if err := WriteUtilizationCSV(&b, us); err != nil {
+	if err := us.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
@@ -248,7 +248,7 @@ func TestWriteCSVFormats(t *testing.T) {
 		}},
 	}
 	b.Reset()
-	if err := WritePerfCSV(&b, ps); err != nil {
+	if err := ps.WriteCSV(&b); err != nil {
 		t.Fatal(err)
 	}
 	out = b.String()

@@ -28,14 +28,14 @@ func renderFigures(t *testing.T, procs int) []byte {
 		t.Fatal(err)
 	}
 	var out bytes.Buffer
-	emit := func(title string, err error, writers ...func(io.Writer) error) {
+	emit := func(title string, s Series, err error) {
 		t.Helper()
 		if err != nil {
 			t.Fatalf("%s: %v", title, err)
 		}
-		for _, write := range writers {
+		for _, write := range []func(Series, io.Writer) error{Series.WriteText, Series.WriteCSV} {
 			fmt.Fprintf(&out, "==== %s\n", title)
-			if err := write(&out); err != nil {
+			if err := write(s, &out); err != nil {
 				t.Fatalf("%s: %v", title, err)
 			}
 		}
@@ -48,14 +48,10 @@ func renderFigures(t *testing.T, procs int) []byte {
 			title := fmt.Sprintf("fig %d %s", fig, key)
 			if IsUtilizationFigure(fig) {
 				s, err := UtilizationSweep(ctx, cfg)
-				emit(title, err,
-					func(w io.Writer) error { return WriteUtilization(w, s) },
-					func(w io.Writer) error { return WriteUtilizationCSV(w, s) })
+				emit(title, s, err)
 			} else {
 				s, err := PerfSweep(ctx, cfg)
-				emit(title, err,
-					func(w io.Writer) error { return WritePerf(w, s) },
-					func(w io.Writer) error { return WritePerfCSV(w, s) })
+				emit(title, s, err)
 			}
 		}
 	}
@@ -65,17 +61,11 @@ func renderFigures(t *testing.T, procs int) []byte {
 		cfg.MaxFaults = 4
 		cfg.VerifyFaults = true
 		fs, err := SurvivabilitySweep(ctx, cfg)
-		emit("faults "+key, err,
-			func(w io.Writer) error { return WriteSurvivability(w, fs) },
-			func(w io.Writer) error { return WriteSurvivabilityCSV(w, fs) })
+		emit("faults "+key, fs, err)
 		ts, err := TenantSurvivabilitySweep(ctx, cfg)
-		emit("tenant "+key, err,
-			func(w io.Writer) error { return WriteTenantSurvivability(w, ts) },
-			func(w io.Writer) error { return WriteTenantSurvivabilityCSV(w, ts) })
+		emit("tenant "+key, ts, err)
 		ps, err := ParetoSweep(ctx, cfg, schedule.ExploreSpec{})
-		emit("pareto "+key, err,
-			func(w io.Writer) error { return WritePareto(w, ps) },
-			func(w io.Writer) error { return WriteParetoCSV(w, ps) })
+		emit("pareto "+key, ps, err)
 	}
 	return out.Bytes()
 }

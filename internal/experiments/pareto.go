@@ -57,11 +57,11 @@ func ParetoSweep(ctx context.Context, c Config, spec schedule.ExploreSpec) (*Par
 	return &ParetoSeries{Config: cfg.Name, Front: front}, nil
 }
 
-// WritePareto renders a Pareto front as a text table: the placement
+// WriteText renders a Pareto front as a text table: the placement
 // outcomes first (which candidates schedule at all, and how fast), then
 // one row per front point with its load, period, window, latency and
 // fabric footprint.
-func WritePareto(w io.Writer, s *ParetoSeries) error {
+func (s *ParetoSeries) WriteText(w io.Writer) error {
 	f := s.Front
 	if _, err := fmt.Fprintf(w, "# %s (τc %.1f µs, min τin %.2f µs, %d evaluated, %d on front)\n",
 		s.Config, f.TauC, f.MinTauIn, f.Evaluated, len(f.Points)); err != nil {
@@ -90,8 +90,8 @@ func WritePareto(w io.Writer, s *ParetoSeries) error {
 	return nil
 }
 
-// WriteParetoCSV renders a Pareto front as CSV for external plotting.
-func WriteParetoCSV(w io.Writer, s *ParetoSeries) error {
+// WriteCSV renders a Pareto front as CSV for external plotting.
+func (s *ParetoSeries) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "config,placement,load,tau_in,window,latency,links,buffers,peak\n"); err != nil {
 		return err
 	}

@@ -150,13 +150,13 @@ func TestParetoSweepTraced(t *testing.T) {
 	}
 
 	var table, csv strings.Builder
-	if err := WritePareto(&table, serial); err != nil {
+	if err := serial.WriteText(&table); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(table.String(), "placement 0") || !strings.Contains(table.String(), "tau_in") {
 		t.Errorf("table output missing expected sections:\n%s", table.String())
 	}
-	if err := WriteParetoCSV(&csv, serial); err != nil {
+	if err := serial.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if got, want := strings.Count(csv.String(), "\n"), 1+len(serial.Front.Points); got != want {

@@ -13,6 +13,35 @@ import (
 	"schedroute/internal/trace"
 )
 
+// LadderTally counts repair-ladder outcomes, one field per
+// schedule.RepairOutcome, over the fault scenarios of one load point.
+type LadderTally struct {
+	Unaffected     int
+	Incremental    int
+	Recomputed     int
+	DegradedWindow int
+	DegradedRate   int
+	Infeasible     int
+}
+
+// Add counts one repair's outcome.
+func (t *LadderTally) Add(o schedule.RepairOutcome) {
+	switch o {
+	case schedule.RepairUnaffected:
+		t.Unaffected++
+	case schedule.RepairIncremental:
+		t.Incremental++
+	case schedule.RepairRecomputed:
+		t.Recomputed++
+	case schedule.RepairDegradedWindow:
+		t.DegradedWindow++
+	case schedule.RepairDegradedRate:
+		t.DegradedRate++
+	case schedule.RepairInfeasible:
+		t.Infeasible++
+	}
+}
+
 // SurvivabilityPoint summarizes, for one load point, how the schedule
 // survives every single-link fault: the count of faults resolved at
 // each rung of the repair ladder, the worst residual peak utilization,
@@ -28,15 +57,10 @@ type SurvivabilityPoint struct {
 	BaseFeasible bool
 	BaseStage    schedule.Stage
 
-	// Scenarios is the number of single-link faults evaluated.
+	// Scenarios is the number of single-link faults evaluated, and the
+	// tally their repairs' outcomes.
 	Scenarios int
-	// Per-outcome counts over the scenarios (see schedule.RepairOutcome).
-	Unaffected     int
-	Incremental    int
-	Recomputed     int
-	DegradedWindow int
-	DegradedRate   int
-	Infeasible     int
+	LadderTally
 
 	// WorstPeak is the highest repaired peak utilization over the
 	// survivable scenarios.
@@ -81,35 +105,18 @@ type faultOutcome struct {
 // byte-identical for every worker count. ctx cancels both fan-outs
 // between jobs and the repair ladder between rungs.
 func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, error) {
-	cfg := c.withDefaults()
-	g, tm, as, err := workload(cfg)
+	sw, err := newGridSweep(c, SpanSurvivabilitySweep)
 	if err != nil {
 		return nil, err
 	}
-	pts := Grid(tm.TauC())
+	defer sw.end()
+	cfg, pts, spans := sw.cfg, sw.pts, sw.spans
 	opts := schedule.Options{Seed: cfg.Seed}
-	problem := func(tauIn float64) schedule.Problem {
-		return schedule.Problem{
-			Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: as, TauIn: tauIn,
-		}
-	}
-	sweep := cfg.Trace.Start(SpanSurvivabilitySweep, trace.String("config", cfg.Name))
-	defer sweep.End()
 
-	// Stage 1: fault-free base schedule per load point, all through one
-	// solver so the perfect-machine candidates and baseline build once.
-	solver := schedule.NewSolver(schedule.Problem{
-		Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: as,
-	})
-	spans := pointSpans(sweep, pts)
+	// Stage 1: the fault-free base schedule per load point. The point
+	// spans stay open: stage 2 nests its fault spans under them.
 	base := make([]*schedule.Result, len(pts))
-	err = parallel.ForEach(ctx, len(pts), parallel.Workers(cfg.Procs), func(i int) error {
-		po := opts
-		po.Trace = spans[i]
-		res, err := solver.Solve(ctx, pts[i].TauIn, po)
-		if err != nil {
-			return fmt.Errorf("experiments: %s load %.4f: %w", cfg.Name, pts[i].Load, err)
-		}
+	err = sw.solve(ctx, func(i int, res *schedule.Result, _ *trace.Span) error {
 		base[i] = res
 		return nil
 	})
@@ -135,8 +142,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 			for si := range scenarios {
 				jobs = append(jobs, job{pi, si})
 				// Fault spans are pre-created here, serially in job order
-				// under their point span, for the same determinism reason
-				// as pointSpans.
+				// under their point span, like the point spans themselves.
 				jobSpans = append(jobSpans, spans[pi].Start(SpanFault,
 					trace.String("fault", scenarios[si].Name)))
 			}
@@ -148,7 +154,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 		fs := scenarios[si].ActiveAt(cfg.Topology, 1)
 		ro := opts
 		ro.Trace = jobSpans[j]
-		rep, err := schedule.Repair(ctx, problem(pts[pi].TauIn), ro, base[pi], fs)
+		rep, err := schedule.Repair(ctx, sw.problem(pts[pi].TauIn, sw.as), ro, base[pi], fs)
 		if err != nil {
 			return fmt.Errorf("experiments: %s load %.4f fault %s: %w",
 				cfg.Name, pts[pi].Load, scenarios[si].Name, err)
@@ -161,7 +167,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 		}
 		if cfg.VerifyFaults && rep.Result != nil {
 			sim, err := cpsim.Run(cpsim.Config{
-				Omega: base[pi].Omega, Graph: g, Topology: cfg.Topology,
+				Omega: base[pi].Omega, Graph: sw.g, Topology: cfg.Topology,
 				PacketBytes: 64, Bandwidth: cfg.Bandwidth, Invocations: 4,
 				Fault: &cpsim.FaultInjection{
 					Faults: fs, FailAt: 1,
@@ -178,9 +184,6 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 		outcomes[pi][si] = out
 		return nil
 	})
-	for _, ps := range spans {
-		ps.End()
-	}
 	if err != nil {
 		return nil, err
 	}
@@ -196,24 +199,12 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 		if base[pi].Feasible {
 			pt.Scenarios = len(scenarios)
 			for _, out := range outcomes[pi] {
-				switch out.outcome {
-				case schedule.RepairUnaffected:
-					pt.Unaffected++
-				case schedule.RepairIncremental:
-					pt.Incremental++
-				case schedule.RepairRecomputed:
-					pt.Recomputed++
-				case schedule.RepairDegradedWindow:
-					pt.DegradedWindow++
-				case schedule.RepairDegradedRate:
-					pt.DegradedRate++
-				case schedule.RepairInfeasible:
-					pt.Infeasible++
+				pt.Add(out.outcome)
+				if out.outcome == schedule.RepairInfeasible {
 					if cfg.StrictRepair {
 						return nil, out.err
 					}
-				}
-				if out.outcome != schedule.RepairInfeasible {
+				} else {
 					if out.peak > pt.WorstPeak {
 						pt.WorstPeak = out.peak
 					}
@@ -232,9 +223,9 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 	return series, nil
 }
 
-// WriteSurvivability renders a survivability sweep as a text table:
+// WriteText renders a survivability sweep as a text table:
 // one row per load point with the repair-ladder outcome counts.
-func WriteSurvivability(w io.Writer, s *SurvivabilitySeries) error {
+func (s *SurvivabilitySeries) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# survivability under single-link faults: %s\n", s.Config); err != nil {
 		return err
 	}
@@ -264,9 +255,8 @@ func WriteSurvivability(w io.Writer, s *SurvivabilitySeries) error {
 	return nil
 }
 
-// WriteSurvivabilityCSV renders a survivability sweep as CSV for
-// external plotting.
-func WriteSurvivabilityCSV(w io.Writer, s *SurvivabilitySeries) error {
+// WriteCSV renders a survivability sweep as CSV for external plotting.
+func (s *SurvivabilitySeries) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "config,load,base_stage,scenarios,unaffected,incremental,recomputed,degraded_window,degraded_rate,infeasible,worst_peak,worst_tauout_ratio,verified,verify_violations\n"); err != nil {
 		return err
 	}

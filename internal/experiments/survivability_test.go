@@ -31,10 +31,10 @@ func TestSurvivabilitySweepParallelMatchesSerial(t *testing.T) {
 			t.Errorf("parallel (procs=%d) survivability sweep diverged from serial run", procs)
 		}
 		var a, b bytes.Buffer
-		if err := WriteSurvivability(&a, serial); err != nil {
+		if err := serial.WriteText(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteSurvivability(&b, par); err != nil {
+		if err := par.WriteText(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -42,10 +42,10 @@ func TestSurvivabilitySweepParallelMatchesSerial(t *testing.T) {
 		}
 		a.Reset()
 		b.Reset()
-		if err := WriteSurvivabilityCSV(&a, serial); err != nil {
+		if err := serial.WriteCSV(&a); err != nil {
 			t.Fatal(err)
 		}
-		if err := WriteSurvivabilityCSV(&b, par); err != nil {
+		if err := par.WriteCSV(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {

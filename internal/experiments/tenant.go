@@ -51,16 +51,10 @@ type TenantSurvivabilityPoint struct {
 
 	// Scenarios is the number of victim-only single-link faults
 	// evaluated (links the victim's paths use and the bystander's do
-	// not). 0 when the victim was rejected or the path sets fully
-	// overlap.
+	// not), and the tally the victim's repairs' outcomes. 0 when the
+	// victim was rejected or the path sets fully overlap.
 	Scenarios int
-	// Per-outcome counts of the victim's repairs over the scenarios.
-	Unaffected     int
-	Incremental    int
-	Recomputed     int
-	DegradedWindow int
-	DegradedRate   int
-	Infeasible     int
+	LadderTally
 
 	// WorstTauOutRatio is the worst repaired τout over the granted
 	// VictimTauOut (1 unless some fault forced a further rate cut).
@@ -98,12 +92,12 @@ func omegaBytes(om *schedule.Omega) ([]byte, error) {
 // fan out on cfg.Procs workers; within a point the fault cycle is
 // serial because it mutates the set's cumulative fault state.
 func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabilitySeries, error) {
-	cfg := c.withDefaults()
-	g, tm, as, err := workload(cfg)
+	sw, err := newGridSweep(c, SpanTenantSweep)
 	if err != nil {
 		return nil, err
 	}
-	pts := Grid(tm.TauC())
+	defer sw.end()
+	cfg, as, pts, spans, problem := sw.cfg, sw.as, sw.pts, sw.spans, sw.problem
 	bystanderTauIn := pts[len(pts)-1].TauIn // lightest grid load
 	opts := schedule.Options{Seed: cfg.Seed}
 
@@ -115,18 +109,9 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 		vicAs.NodeOf[t] = topology.NodeID((int(nd) + n/2) % n)
 	}
 
-	problem := func(tauIn float64, a *alloc.Assignment) schedule.Problem {
-		return schedule.Problem{
-			Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: a, TauIn: tauIn,
-		}
-	}
-	sweep := cfg.Trace.Start(SpanTenantSweep, trace.String("config", cfg.Name))
-	defer sweep.End()
-	spans := pointSpans(sweep, pts)
-
 	series := &TenantSurvivabilitySeries{
 		Config:        cfg.Name,
-		BystanderLoad: tm.TauC() / bystanderTauIn,
+		BystanderLoad: sw.tm.TauC() / bystanderTauIn,
 		Points:        make([]TenantSurvivabilityPoint, len(pts)),
 	}
 	err = parallel.ForEach(ctx, len(pts), parallel.Workers(cfg.Procs), func(pi int) error {
@@ -192,28 +177,14 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 			for _, tr := range reps {
 				switch tr.TenantID {
 				case "victim":
-					switch tr.Report.Outcome {
-					case schedule.RepairUnaffected:
-						pt.Unaffected++
-					case schedule.RepairIncremental:
-						pt.Incremental++
-					case schedule.RepairRecomputed:
-						pt.Recomputed++
-					case schedule.RepairDegradedWindow:
-						pt.DegradedWindow++
-					case schedule.RepairDegradedRate:
-						pt.DegradedRate++
-					case schedule.RepairInfeasible:
-						pt.Infeasible++
+					pt.Add(tr.Report.Outcome)
+					if tr.Report.Outcome == schedule.RepairInfeasible {
 						if cfg.StrictRepair {
 							fsp.End()
 							return tr.Report.Err()
 						}
-					}
-					if tr.Report.Outcome != schedule.RepairInfeasible {
-						if ratio := tr.Report.TauOut / vic.TauOut; ratio > pt.WorstTauOutRatio {
-							pt.WorstTauOutRatio = ratio
-						}
+					} else if ratio := tr.Report.TauOut / vic.TauOut; ratio > pt.WorstTauOutRatio {
+						pt.WorstTauOutRatio = ratio
 					}
 				case "bystander":
 					if tr.Report.Outcome == schedule.RepairUnaffected && tr.Report.Result != nil {
@@ -247,8 +218,8 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 	return series, nil
 }
 
-// WriteTenantSurvivability renders the tenant sweep as a text table.
-func WriteTenantSurvivability(w io.Writer, s *TenantSurvivabilitySeries) error {
+// WriteText renders the tenant sweep as a text table.
+func (s *TenantSurvivabilitySeries) WriteText(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "# tenant survivability (faults on victim-only links): %s, bystander at load %.2f\n",
 		s.Config, s.BystanderLoad); err != nil {
 		return err
@@ -275,8 +246,8 @@ func WriteTenantSurvivability(w io.Writer, s *TenantSurvivabilitySeries) error {
 	return nil
 }
 
-// WriteTenantSurvivabilityCSV renders the tenant sweep as CSV.
-func WriteTenantSurvivabilityCSV(w io.Writer, s *TenantSurvivabilitySeries) error {
+// WriteCSV renders the tenant sweep as CSV.
+func (s *TenantSurvivabilitySeries) WriteCSV(w io.Writer) error {
 	if _, err := fmt.Fprintf(w, "config,load,victim_outcome,victim_tau_out,scenarios,unaffected,incremental,recomputed,degraded_window,degraded_rate,infeasible,worst_tauout_ratio,bystander_intact\n"); err != nil {
 		return err
 	}

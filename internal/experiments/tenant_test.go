@@ -59,10 +59,10 @@ func TestTenantSurvivabilitySixCube(t *testing.T) {
 	}
 
 	var table, csv bytes.Buffer
-	if err := WriteTenantSurvivability(&table, s); err != nil {
+	if err := s.WriteText(&table); err != nil {
 		t.Fatal(err)
 	}
-	if err := WriteTenantSurvivabilityCSV(&csv, s); err != nil {
+	if err := s.WriteCSV(&csv); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(table.String(), "bystander") || !strings.Contains(csv.String(), "bystander_intact") {

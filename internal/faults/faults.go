@@ -172,18 +172,6 @@ func (tr *Trace) Epochs(horizon int) []int {
 	return out
 }
 
-// MaxFailedLinks returns an upper bound on simultaneously failed links,
-// used by harnesses to size reports.
-func (tr *Trace) MaxFailedLinks() int {
-	n := 0
-	for _, e := range tr.Events {
-		if !e.IsNode {
-			n++
-		}
-	}
-	return n
-}
-
 // SingleLink enumerates one permanent single-link-fault scenario per
 // link of the topology, striking at invocation failAt. This is the
 // exhaustive population the survivability sweep measures.

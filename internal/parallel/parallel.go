@@ -1,7 +1,7 @@
-// Package parallel provides the bounded worker-pool runner shared by
-// every concurrent stage of the scheduled-routing pipeline: figure
-// sweeps over independent load points, candidate-placement searches,
-// and any other embarrassingly parallel fan-out.
+// Package parallel provides the bounded worker-pool runner under every
+// concurrent stage of the scheduled-routing pipeline: the period ×
+// placement grid (schedule.Sweep), the Pareto explorer's bisections,
+// the repair fan-outs, and any other embarrassingly parallel loop.
 //
 // The runner is deliberately deterministic from the caller's point of
 // view: work items are identified by index, results land in ordered

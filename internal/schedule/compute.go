@@ -239,7 +239,7 @@ func applySyncMargin(ws []Window, margin float64) error {
 		}
 		newLen := ws[i].Length - margin
 		if newLen < ws[i].Xmit-timeEps {
-			return fmt.Errorf("schedule: sync margin %g leaves message %d a window of %g below its transmission time %g", margin, i, newLen, ws[i].Xmit)
+			return badInput("schedule: sync margin %g leaves message %d a window of %g below its transmission time %g", margin, i, newLen, ws[i].Xmit)
 		}
 		ws[i].Length = newLen
 	}

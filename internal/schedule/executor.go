@@ -3,6 +3,7 @@ package schedule
 import (
 	"fmt"
 
+	"schedroute/internal/metrics"
 	"schedroute/internal/tfg"
 )
 
@@ -70,4 +71,39 @@ func Execute(om *Omega, g *tfg.Graph, tm *tfg.Timing, window float64, invocation
 		res.Latencies = append(res.Latencies, om.Latency)
 	}
 	return res, nil
+}
+
+// DefaultInvocations is the run length CheckOutput replays when asked
+// for 0: the executor's output is periodic, so a short run says
+// everything a long one would.
+const DefaultInvocations = 8
+
+// OutputCheck is what replaying a schedule says about its output: the
+// replay itself, the normalized throughput spike over its output
+// intervals, and whether those intervals are inconsistent with the
+// period the schedule is meant to hold (Eq. 1 negated).
+type OutputCheck struct {
+	Exec       *ExecResult
+	Throughput metrics.Spike
+	OI         bool
+}
+
+// CheckOutput replays om through Execute for the given invocations
+// (0 = DefaultInvocations) and measures the output against tauOut, the
+// period it should be generated at. A single invocation has no output
+// interval to measure and is an error.
+func CheckOutput(om *Omega, g *tfg.Graph, tm *tfg.Timing, tauOut float64, invocations int) (*OutputCheck, error) {
+	if invocations == 0 {
+		invocations = DefaultInvocations
+	}
+	exec, err := Execute(om, g, tm, tm.TauC(), invocations)
+	if err != nil {
+		return nil, err
+	}
+	ivs := metrics.Intervals(exec.OutputCompletions)
+	th, err := metrics.NormalizedThroughput(tauOut, ivs)
+	if err != nil {
+		return nil, fmt.Errorf("schedule: throughput over %d invocation(s): %w", invocations, err)
+	}
+	return &OutputCheck{Exec: exec, Throughput: th, OI: metrics.OutputInconsistent(tauOut, ivs, 1e-6)}, nil
 }

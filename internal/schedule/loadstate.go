@@ -528,16 +528,6 @@ func (ls *LoadState) Peak() float64 {
 	return p
 }
 
-// MessagesOn returns the messages currently routed over link l in
-// ascending order, appended to buf — the delta-evaluation replacement
-// for scanning every message's link list.
-func (ls *LoadState) MessagesOn(l topology.LinkID, buf []tfg.MessageID) []tfg.MessageID {
-	ls.memberRow(int(l)).forEach(func(i int) {
-		buf = append(buf, tfg.MessageID(i))
-	})
-	return buf
-}
-
 // Utilization materializes the full Section 5.1 measures of the
 // current state; the result equals ComputeUtilization on the same
 // assignment bit for bit. LinkU stays the raw fraction of the physical

@@ -363,27 +363,13 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 		return nil, err
 	}
 	tauC := p.Timing.TauC()
-	lo := spec.MinTauIn
-	if lo < tauC {
-		lo = tauC
-	}
-	hi := spec.MaxTauIn
-	if hi == 0 {
-		hi = 5 * tauC
-	}
-	if hi < lo {
-		return nil, fmt.Errorf("schedule: explore period range [%g, %g] is empty", lo, hi)
+	lo, hi, grid, err := PeriodAxis(tauC, spec.MinTauIn, spec.MaxTauIn, spec.GridPoints, 5)
+	if err != nil {
+		return nil, err
 	}
 	tol := spec.Tolerance
 	if tol <= 0 {
 		tol = tauC / 64
-	}
-	grid := spec.GridPoints
-	if grid == 0 {
-		grid = 5
-	}
-	if grid < 1 {
-		return nil, fmt.Errorf("schedule: explore grid needs at least 1 point, got %d", grid)
 	}
 	baseWindow := opt.window(p.Timing)
 	wantLatency := false
@@ -413,10 +399,7 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 	}
 
 	// Candidate placements: the explicit (or problem's own) placements
-	// first, then one annealed placement per seed, built concurrently
-	// in seed order. Annealing minimizes the squared per-link byte
-	// load under LSD routing — the contention proxy that decides
-	// whether a communication schedule exists at tight periods.
+	// first, then one annealed placement per seed.
 	placements := spec.Placements
 	if len(placements) == 0 {
 		if p.Assignment == nil {
@@ -427,22 +410,12 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 	root := spec.Trace.Start(SpanExplore,
 		trace.Int("placements", len(placements)+len(spec.AnnealSeeds)), trace.Int("grid", grid))
 	defer root.End()
-	annealed, err := AnnealPlacements(ctx, root, p.Graph, p.Topology, spec.AnnealSeeds, spec.AnnealSteps, opt.Procs)
+	placements, solvers, err := PlacementSolvers(ctx, p, root, placements, spec.AnnealSeeds, spec.AnnealSteps, opt.Procs)
 	if err != nil {
 		return nil, err
 	}
-	placements = append(append([]*alloc.Assignment(nil), placements...), annealed...)
-
-	// One Solver per placement, shared by the bisection and every grid
-	// cell: the LSD baseline, path candidates and task starts are
-	// derived once per placement no matter how many periods and
-	// windows the search probes.
-	solvers := make([]*Solver, len(placements))
 	wlos := make([]float64, len(placements))
 	for i, as := range placements {
-		prob := p
-		prob.Assignment = as
-		solvers[i] = NewSolver(prob)
 		wlos[i] = minLegalWindow(p.Graph, p.Timing, as, opt.SyncMargin, tauC)
 	}
 	solveAt := func(placement int, sp *trace.Span, tauIn, window float64) (*Result, error) {
@@ -507,11 +480,7 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 		if !out.Feasible {
 			continue
 		}
-		for j := 0; j < grid; j++ {
-			tauIn := out.MinTauIn
-			if grid > 1 {
-				tauIn = out.MinTauIn + (hi-out.MinTauIn)*float64(j)/float64(grid-1)
-			}
+		for _, tauIn := range PeriodLadder(out.MinTauIn, hi, grid) {
 			cells = append(cells, exploreCell{placement: i, tauIn: tauIn})
 		}
 	}
@@ -631,33 +600,6 @@ func bisect(lo, hi, tol float64, probe func(x float64) (bool, error)) (x float64
 		}
 	}
 	return hi, true, nil
-}
-
-// AnnealPlacements builds one annealed placement per seed on at most
-// procs workers (0 = GOMAXPROCS), in seed order. Each search records an
-// explore_anneal span under parent — pre-created serially, so the
-// traced structure does not depend on the worker count — and stops
-// when ctx is cancelled.
-func AnnealPlacements(ctx context.Context, parent *trace.Span, g *tfg.Graph, top *topology.Topology, seeds []int64, steps, procs int) ([]*alloc.Assignment, error) {
-	spans := make([]*trace.Span, len(seeds))
-	for i, seed := range seeds {
-		spans[i] = parent.Start(SpanExploreAnneal, trace.Int64("seed", seed), trace.Int("steps", steps))
-	}
-	defer endSpans(spans)
-	return parallel.Map(ctx, len(seeds), parallel.Workers(procs), func(i int) (*alloc.Assignment, error) {
-		defer spans[i].End()
-		as, err := alloc.AnnealContext(ctx, g, top, alloc.AnnealOptions{Seed: seeds[i], Steps: steps})
-		if err == nil && spans[i].Enabled() {
-			spans[i].SetAttrs(trace.Float64("cost", alloc.LinkLoadCost(g, top, as)))
-		}
-		return as, err
-	})
-}
-
-func endSpans(spans []*trace.Span) {
-	for _, sp := range spans {
-		sp.End()
-	}
 }
 
 func objectiveNames(obs []Objective) []string {

@@ -91,7 +91,7 @@ func BuildCandidates(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment,
 // empty fault set it is exactly BuildCandidates.
 func BuildCandidatesFault(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment, ws []Window, maxPaths int, fs *topology.FaultSet) (*Candidates, error) {
 	if maxPaths < 1 {
-		return nil, fmt.Errorf("schedule: maxPaths %d < 1", maxPaths)
+		return nil, badInput("schedule: maxPaths %d < 1", maxPaths)
 	}
 	c := &Candidates{PathsOf: make([][]candidate, g.NumMessages())}
 	for _, m := range g.Messages() {

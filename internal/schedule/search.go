@@ -24,66 +24,27 @@ type SearchResult struct {
 // constraints for SR computation should be explored"): the full
 // pipeline is run for each candidate placement and the best outcome is
 // kept — a feasible schedule with the lowest peak utilization if any
-// candidate succeeds, otherwise the failure with the lowest peak.
-//
-// Candidates are evaluated concurrently on opt.Procs workers (0 =
-// GOMAXPROCS). Every candidate sees the same opt.Seed, exactly as the
-// serial loop did, and the winner is selected by a serial scan in
-// candidate order, so the outcome is identical to a serial run. ctx
-// cancels the fan-out; no new candidates start after cancellation and
-// the context error is returned.
+// candidate succeeds, otherwise the failure with the lowest peak. It is
+// the one-period case of Sweep, which see for the worker, seed, tracing
+// and cancellation contract: an allocation_search span with one
+// candidate child per placement.
 func ComputeBestAllocation(ctx context.Context, p Problem, opt Options, candidates []*alloc.Assignment) (*SearchResult, error) {
 	if len(candidates) == 0 {
 		return nil, fmt.Errorf("schedule: no candidate allocations")
 	}
-	// Per-candidate spans are created serially in index order before the
-	// fan-out and each worker records only into its own, so the traced
-	// structure is independent of goroutine interleaving.
 	search := opt.Trace.Start(SpanAllocSearch, trace.Int("candidates", len(candidates)))
-	spans := make([]*trace.Span, len(candidates))
-	for i := range spans {
-		spans[i] = search.Start(SpanCandidate, trace.Int("index", i))
-	}
-	results, err := parallel.Map(ctx, len(candidates), parallel.Workers(opt.Procs),
-		func(i int) (*Result, error) {
-			prob := p
-			prob.Assignment = candidates[i]
-			co := opt
-			co.Trace = spans[i]
-			// Each placement gets its own solver (candidates and the LSD
-			// baseline are placement-specific); a caller probing several
-			// periods per placement would share them through it.
-			res, err := NewSolver(prob).Solve(ctx, prob.TauIn, co)
-			spans[i].End()
-			if err != nil {
-				return nil, fmt.Errorf("schedule: candidate %d: %w", i, err)
-			}
-			return res, nil
-		})
+	defer search.End()
+	_, solvers, err := PlacementSolvers(ctx, p, nil, candidates, nil, 0, opt.Procs)
 	if err != nil {
-		search.End()
 		return nil, err
 	}
 	var best *SearchResult
-	for i, res := range results {
-		if best == nil || Better(res, best.Result) {
-			best = &SearchResult{Result: res, Chosen: i}
-		}
-	}
-	search.SetAttrs(trace.Int("chosen", best.Chosen))
-	search.End()
-	return best, nil
-}
-
-// Better orders results the way every placement search in the repo
-// does: feasible beats infeasible; among equals, the lower peak
-// utilization wins. Exported so the service's grid-mode placement
-// exploration ranks candidates identically to ComputeBestAllocation.
-func Better(a, b *Result) bool {
-	if a.Feasible != b.Feasible {
-		return a.Feasible
-	}
-	return a.Peak < b.Peak
+	err = Sweep(ctx, solvers, []float64{p.TauIn}, opt, []*trace.Span{search}, func(sp *SweepPeriod) error {
+		best = &SearchResult{Result: sp.Best(), Chosen: sp.Winner}
+		search.SetAttrs(trace.Int("chosen", sp.Winner))
+		return nil
+	})
+	return best, err
 }
 
 // DefaultCandidates builds the standard candidate set for

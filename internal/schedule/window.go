@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"schedroute/internal/errkind"
 	"schedroute/internal/tfg"
 )
 
@@ -111,18 +112,25 @@ func ComputeWindows(g *tfg.Graph, tm *tfg.Timing, tauIn, window float64, sameNod
 	return ComputeWindowsFromStarts(g, tm, tauIn, window, g.PipelinedStart(tm, window), sameNode)
 }
 
+// badInput is an error the caller's parameters caused: it classifies as
+// errkind.ErrBadInput (exit 1, HTTP 400), where an unmarked error from
+// this package is an internal inconsistency.
+func badInput(format string, args ...any) error {
+	return errkind.Mark(fmt.Errorf(format, args...), errkind.ErrBadInput)
+}
+
 func checkWindowParams(tm *tfg.Timing, tauIn, window float64) error {
 	if tauIn <= 0 {
-		return fmt.Errorf("schedule: non-positive invocation period %g", tauIn)
+		return badInput("schedule: non-positive invocation period %g", tauIn)
 	}
 	if window <= 0 {
-		return fmt.Errorf("schedule: non-positive window length %g", window)
+		return badInput("schedule: non-positive window length %g", window)
 	}
 	if window > tauIn+timeEps {
-		return fmt.Errorf("schedule: window %g exceeds invocation period %g", window, tauIn)
+		return badInput("schedule: window %g exceeds invocation period %g", window, tauIn)
 	}
 	if tc := tm.TauC(); tauIn < tc-timeEps {
-		return fmt.Errorf("schedule: period %g below longest task %g causes infinite accumulation", tauIn, tc)
+		return badInput("schedule: period %g below longest task %g causes infinite accumulation", tauIn, tc)
 	}
 	return nil
 }
@@ -148,7 +156,7 @@ func ComputeWindowsFromStarts(g *tfg.Graph, tm *tfg.Timing, tauIn, window float6
 			Local:      sameNode != nil && sameNode(m),
 		}
 		if w.Xmit > w.Length+timeEps && !w.Local {
-			return nil, fmt.Errorf("schedule: message %d transmission %g exceeds window %g", m.ID, w.Xmit, w.Length)
+			return nil, badInput("schedule: message %d transmission %g exceeds window %g", m.ID, w.Xmit, w.Length)
 		}
 		ws[m.ID] = w
 	}

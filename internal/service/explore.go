@@ -6,8 +6,6 @@ import (
 
 	"schedroute/internal/alloc"
 	"schedroute/internal/errkind"
-	"schedroute/internal/metrics"
-	"schedroute/internal/parallel"
 	"schedroute/internal/schedule"
 	"schedroute/internal/trace"
 	"schedroute/pkg/schedroute"
@@ -65,28 +63,36 @@ func (s *Server) explore(c *call, req schedroute.ExploreRequest) (*schedroute.Ex
 	return out, nil
 }
 
-// explorePlacements resolves the request's candidate placements beyond
-// the problem's own: named allocators first, then the annealed seeds
-// (which schedule.Explore itself builds, appended after the explicit
-// list — the source labels here must mirror that order).
-func explorePlacements(req schedroute.ExploreRequest, b *schedroute.Built) (placements []*alloc.Assignment, sources []string, annealSeeds []int64, err error) {
-	placements = []*alloc.Assignment{b.Assignment}
-	sources = []string{"problem"}
-	if p := req.Axes.Placement; p != nil {
-		for _, name := range p.Allocators {
-			as, err := schedroute.ParseAllocator(name, b.Graph, b.Topology, b.Spec.AllocSeed)
-			if err != nil {
-				return nil, nil, nil, err
-			}
-			placements = append(placements, as)
-			sources = append(sources, "allocator:"+name)
-		}
-		annealSeeds = p.AnnealSeeds
-		for _, seed := range annealSeeds {
-			sources = append(sources, fmt.Sprintf("anneal:%d", seed))
-		}
+// candidates is a request's placement axis resolved: the problem's own
+// placement and the named allocators', then the annealer's seeds and
+// move budget for the placements schedule.PlacementSolvers appends after
+// them — sources labels all of them in that order.
+type candidates struct {
+	placements []*alloc.Assignment
+	sources    []string
+	seeds      []int64
+	steps      int
+}
+
+func exploreCandidates(req schedroute.ExploreRequest, b *schedroute.Built) (candidates, error) {
+	c := candidates{placements: []*alloc.Assignment{b.Assignment}, sources: []string{"problem"}}
+	p := req.Axes.Placement
+	if p == nil {
+		return c, nil
 	}
-	return placements, sources, annealSeeds, nil
+	for _, name := range p.Allocators {
+		as, err := schedroute.ParseAllocator(name, b.Graph, b.Topology, b.Spec.AllocSeed)
+		if err != nil {
+			return c, err
+		}
+		c.placements = append(c.placements, as)
+		c.sources = append(c.sources, "allocator:"+name)
+	}
+	c.seeds, c.steps = p.AnnealSeeds, p.AnnealSteps
+	for _, seed := range c.seeds {
+		c.sources = append(c.sources, fmt.Sprintf("anneal:%d", seed))
+	}
+	return c, nil
 }
 
 // explorePareto runs the solver's Pareto-front search and projects the
@@ -96,26 +102,23 @@ func (s *Server) explorePareto(ctx context.Context, req schedroute.ExploreReques
 	if err != nil {
 		return nil, errkind.Mark(err, errkind.ErrBadInput)
 	}
-	placements, sources, annealSeeds, err := explorePlacements(req, b)
+	cands, err := exploreCandidates(req, b)
 	if err != nil {
 		return nil, err
 	}
 	ax := req.TauInAxisOrDefault()
 	opts.Procs = workers
-	spec := schedule.ExploreSpec{
+	front, err := schedule.Explore(ctx, b.ScheduleProblem(), opts, schedule.ExploreSpec{
 		MinTauIn:    ax.Min,
 		MaxTauIn:    ax.Max,
 		GridPoints:  ax.Points,
 		Tolerance:   req.Tolerance,
-		Placements:  placements,
-		AnnealSeeds: annealSeeds,
+		Placements:  cands.placements,
+		AnnealSeeds: cands.seeds,
+		AnnealSteps: cands.steps,
 		Objectives:  objectives,
 		Trace:       root,
-	}
-	if p := req.Axes.Placement; p != nil {
-		spec.AnnealSteps = p.AnnealSteps
-	}
-	front, err := schedule.Explore(ctx, b.ScheduleProblem(), opts, spec)
+	})
 	if err != nil {
 		return nil, err
 	}
@@ -133,7 +136,7 @@ func (s *Server) explorePareto(ctx context.Context, req schedroute.ExploreReques
 	}
 	for i, po := range front.Placements {
 		out.Placements = append(out.Placements, schedroute.PlacementOutcome{
-			Source:   sources[i],
+			Source:   cands.sources[i],
 			Feasible: po.Feasible,
 			MinTauIn: po.MinTauIn,
 		})
@@ -153,96 +156,51 @@ func (s *Server) explorePareto(ctx context.Context, req schedroute.ExploreReques
 	return out, nil
 }
 
-// exploreGrid samples the τin axis point by point. With a placement
-// axis, every point additionally runs the best-allocation search across
-// the candidates (feasible beats infeasible, then lower peak —
-// schedule.ComputeBestAllocation's order) and reports the winner per
-// point.
+// exploreGrid samples the τin axis point by point: one schedule.Sweep
+// over the resolved periods and the candidate placements, projected
+// onto the wire. With a placement axis every point reports its winner
+// in the best-allocation order (feasible beats infeasible, then lower
+// peak).
 func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest, ent *solverEntry, opts schedule.Options, workers int, root *trace.Span) (*schedroute.ExploreResult, error) {
 	b := ent.built
 	tauC := b.Timing.TauC()
 	ax := req.TauInAxisOrDefault()
-	n := ax.Points
-	if n == 0 {
-		n = 12
-	}
-	invocations := req.Invocations
-	if invocations == 0 {
-		invocations = 8
-	}
-	min, max := ax.Min, ax.Max
-	if min == 0 {
-		min = tauC
-	}
-	if max == 0 {
-		max = 5 * tauC
-	}
-	if min <= 0 || max < min {
-		return nil, badInput("explore: bad period range [%g, %g]", min, max)
-	}
-
-	// Candidate solvers: the cache entry's solver serves the problem's
-	// own placement; extra candidates each get one solver shared by all
-	// their points, so the τin-independent derivations run once per
-	// placement no matter the grid size.
-	placements, sources, annealSeeds, err := explorePlacements(req, b)
+	lo, hi, n, err := schedule.PeriodAxis(tauC, ax.Min, ax.Max, ax.Points, 12)
 	if err != nil {
 		return nil, err
 	}
-	if len(annealSeeds) > 0 {
-		annealed, err := schedule.AnnealPlacements(ctx, root, b.Graph, b.Topology, annealSeeds, req.Axes.Placement.AnnealSteps, workers)
-		if err != nil {
-			return nil, err
-		}
-		placements = append(placements, annealed...)
+	cands, err := exploreCandidates(req, b)
+	if err != nil {
+		return nil, err
 	}
-	solvers := make([]*schedule.Solver, len(placements))
+	_, solvers, err := schedule.PlacementSolvers(ctx, b.ScheduleProblem(), root, cands.placements, cands.seeds, cands.steps, workers)
+	if err != nil {
+		return nil, err
+	}
+	// The problem's own placement keeps the cache entry's solver, warm
+	// from earlier requests on the structure.
 	solvers[0] = ent.solver
-	for i := 1; i < len(placements); i++ {
-		prob := b.ScheduleProblem()
-		prob.Assignment = placements[i]
-		solvers[i] = schedule.NewSolver(prob)
-	}
-	multi := len(placements) > 1
 
 	// Per-point spans are pre-created serially in index order (no-ops on
-	// an untraced request), so a traced fan-out has a worker-count
+	// an untraced request), so a traced grid has a worker-count
 	// independent structure.
 	spans := make([]*trace.Span, n)
 	for i := range spans {
 		spans[i] = root.Start(SpanExplorePoint, trace.Int("index", i))
 	}
-
 	points := make([]schedroute.SweepPoint, n)
 	winners := make([]int, n)
-	err = parallel.ForEach(ctx, n, workers, func(i int) error {
-		defer spans[i].End()
-		tauIn := min
-		if n > 1 {
-			tauIn = min + (max-min)*float64(i)/float64(n-1)
+	opts.Procs = workers
+	err = schedule.Sweep(ctx, solvers, schedule.PeriodLadder(lo, hi, n), opts, spans, func(sp *schedule.SweepPeriod) error {
+		defer sp.Span.End()
+		for _, r := range sp.Results {
+			s.metrics.countSolve(r.Stats)
 		}
-		o := opts
-		o.Trace = spans[i]
-		res, err := solvers[0].Solve(ctx, tauIn, o)
-		if err != nil {
-			return err
-		}
-		s.metrics.countSolve(res.Stats)
-		winner := 0
-		for c := 1; c < len(solvers); c++ {
-			cres, err := solvers[c].Solve(ctx, tauIn, o)
-			if err != nil {
-				return err
-			}
-			s.metrics.countSolve(cres.Stats)
-			if schedule.Better(cres, res) {
-				res, winner = cres, c
-			}
-		}
-		winners[i] = winner
+		res := sp.Best()
+		winners[sp.Index] = sp.Winner
 		pt := schedroute.SweepPoint{
-			TauIn:   tauIn,
-			Load:    tauC / tauIn,
+			TauIn:   sp.TauIn,
+			Load:    tauC / sp.TauIn,
 			PeakLSD: res.PeakLSD,
 			Peak:    res.Peak,
 		}
@@ -250,23 +208,18 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 			pt.Feasible = true
 			pt.Latency = res.Latency
 			if req.Execute {
-				exec, err := schedule.Execute(res.Omega, b.Graph, b.Timing, tauC, invocations)
+				out, err := schedule.CheckOutput(res.Omega, b.Graph, b.Timing, sp.TauIn, req.Invocations)
 				if err != nil {
-					return fmt.Errorf("explore: execute at τin=%g: %w", tauIn, err)
-				}
-				ivs := metrics.Intervals(exec.OutputCompletions)
-				th, err := metrics.NormalizedThroughput(tauIn, ivs)
-				if err != nil {
-					return fmt.Errorf("explore: throughput at τin=%g: %w", tauIn, err)
+					return fmt.Errorf("explore: execute at τin=%g: %w", sp.TauIn, err)
 				}
 				pt.Executed = true
-				pt.ThroughputMid = th.Mid
-				pt.OI = metrics.OutputInconsistent(tauIn, ivs, 1e-6)
+				pt.ThroughputMid = out.Throughput.Mid
+				pt.OI = out.OI
 			}
 		} else {
 			pt.FailStage = res.FailStage.String()
 		}
-		points[i] = pt
+		points[sp.Index] = pt
 		return nil
 	})
 	if err != nil {
@@ -279,9 +232,9 @@ func (s *Server) exploreGrid(ctx context.Context, req schedroute.ExploreRequest,
 		TauM:          b.Timing.TauM(),
 		Points:        points,
 	}
-	if multi {
+	if len(solvers) > 1 {
 		out.Winners = winners
-		for i, src := range sources {
+		for i, src := range cands.sources {
 			po := schedroute.PlacementOutcome{Source: src}
 			for j, w := range winners {
 				if w == i && points[j].Feasible {

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"schedroute/internal/errkind"
-	"schedroute/internal/metrics"
 	"schedroute/internal/schedule"
 	"schedroute/internal/topology"
 	"schedroute/internal/trace"
@@ -182,6 +181,9 @@ type watchStream struct {
 // from the hello onward.
 func (s *Server) watchCreate(c *call, req schedroute.WatchRequest) (watchStream, error) {
 	ten, err := c.tenant(req.Tenant, req.Problem)
+	if err == nil {
+		err = req.Validate()
+	}
 	if err != nil {
 		return watchStream{}, err
 	}
@@ -473,42 +475,30 @@ func (sub *watchSub) applyEvent(qe queuedEvent, root *trace.Span) *schedroute.Wa
 		if err != nil {
 			return sub.errorFrame(qe, err)
 		}
+		// A fault must strike healthy elements and a repair failed ones.
+		// Validate everything before mutating anything: a partial
+		// application would desynchronize client and server fault models.
+		failing, wrong := true, "already failed"
+		setLink, setNode := sub.fs.FailLink, sub.fs.FailNode
 		if ev.Type == schedroute.WatchEventRepaired {
-			// Validate before mutating: a partial application would
-			// desynchronize client and server fault models.
-			for _, l := range delta.FailedLinks() {
-				if !sub.fs.LinkFailed(l) {
-					return sub.rejectEvent(qe, "event %d: link %d is not failed", qe.seq, l)
-				}
+			failing, wrong = false, "not failed"
+			setLink, setNode = sub.fs.RepairLink, sub.fs.RepairNode
+		}
+		for _, l := range delta.FailedLinks() {
+			if sub.fs.LinkFailed(l) == failing {
+				return sub.rejectEvent(qe, "event %d: link %d is %s", qe.seq, l, wrong)
 			}
-			for _, n := range delta.FailedNodes() {
-				if !sub.fs.NodeFailed(n) {
-					return sub.rejectEvent(qe, "event %d: node %d is not failed", qe.seq, n)
-				}
+		}
+		for _, n := range delta.FailedNodes() {
+			if sub.fs.NodeFailed(n) == failing {
+				return sub.rejectEvent(qe, "event %d: node %d is %s", qe.seq, n, wrong)
 			}
-			for _, l := range delta.FailedLinks() {
-				sub.fs.RepairLink(l)
-			}
-			for _, n := range delta.FailedNodes() {
-				sub.fs.RepairNode(n)
-			}
-		} else {
-			for _, l := range delta.FailedLinks() {
-				if sub.fs.LinkFailed(l) {
-					return sub.rejectEvent(qe, "event %d: link %d is already failed", qe.seq, l)
-				}
-			}
-			for _, n := range delta.FailedNodes() {
-				if sub.fs.NodeFailed(n) {
-					return sub.rejectEvent(qe, "event %d: node %d is already failed", qe.seq, n)
-				}
-			}
-			for _, l := range delta.FailedLinks() {
-				sub.fs.FailLink(l)
-			}
-			for _, n := range delta.FailedNodes() {
-				sub.fs.FailNode(n)
-			}
+		}
+		for _, l := range delta.FailedLinks() {
+			setLink(l)
+		}
+		for _, n := range delta.FailedNodes() {
+			setNode(n)
 		}
 		return sub.repairFrame(qe, root)
 	default:
@@ -638,23 +628,14 @@ func (sub *watchSub) rebase(qe queuedEvent, root *trace.Span) *schedroute.WatchF
 // and reports the OI-window verdict: whether the repaired schedule
 // still honours the constant-output-rate contract at its τout.
 func (sub *watchSub) oiCheck(rep *schedule.RepairReport) *schedroute.OICheck {
-	inv := sub.req.Invocations
-	if inv == 0 {
-		inv = 8
-	}
-	exec, err := schedule.Execute(rep.Result.Omega, sub.built.Graph, sub.built.Timing, sub.built.Timing.TauC(), inv)
-	if err != nil {
-		return nil
-	}
-	ivs := metrics.Intervals(exec.OutputCompletions)
-	th, err := metrics.NormalizedThroughput(rep.TauOut, ivs)
+	out, err := schedule.CheckOutput(rep.Result.Omega, sub.built.Graph, sub.built.Timing, rep.TauOut, sub.req.Invocations)
 	if err != nil {
 		return nil
 	}
 	return &schedroute.OICheck{
-		Invocations:   inv,
-		ThroughputMid: th.Mid,
-		OI:            metrics.OutputInconsistent(rep.TauOut, ivs, 1e-6),
+		Invocations:   len(out.Exec.OutputCompletions),
+		ThroughputMid: out.Throughput.Mid,
+		OI:            out.OI,
 	}
 }
 
@@ -769,23 +750,26 @@ func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, from int6
 	hb := time.NewTicker(sub.s.cfg.WatchHeartbeat)
 	defer hb.Stop()
 
+	// note writes an unreplayable frame (gap, heartbeat): the latest seq
+	// for orientation, no SSE id.
+	note := func(f schedroute.WatchFrame) error {
+		f.SchemaVersion = schedroute.SchemaVersion
+		data, _ := json.Marshal(&f)
+		return writeSSE(w, 0, f.Type, data)
+	}
 	for {
 		frames, skipped, latest, closed := sub.collect(c)
 		if skipped > 0 {
 			sub.s.metrics.add(mWatchDropped, skipped)
-			gap, _ := json.Marshal(&schedroute.WatchFrame{
-				SchemaVersion: schedroute.SchemaVersion,
-				Seq:           latest,
-				Type:          schedroute.WatchFrameGap,
-				Skipped:       skipped,
-				Reason:        "consumer fell behind the replay ring; coalesced to the latest fault state",
-			})
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", schedroute.WatchFrameGap, gap); err != nil {
+			if note(schedroute.WatchFrame{
+				Seq: latest, Type: schedroute.WatchFrameGap, Skipped: skipped,
+				Reason: "consumer fell behind the replay ring; coalesced to the latest fault state",
+			}) != nil {
 				return
 			}
 		}
 		for _, rf := range frames {
-			if _, err := fmt.Fprintf(w, "id: %d\nevent: %s\ndata: %s\n\n", rf.seq, rf.typ, rf.data); err != nil {
+			if writeSSE(w, rf.seq, rf.typ, rf.data) != nil {
 				return
 			}
 			if rf.terminal {
@@ -803,12 +787,7 @@ func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, from int6
 			sub.mu.Lock()
 			latest := sub.seq
 			sub.mu.Unlock()
-			beat, _ := json.Marshal(&schedroute.WatchFrame{
-				SchemaVersion: schedroute.SchemaVersion,
-				Seq:           latest,
-				Type:          schedroute.WatchFrameHeartbeat,
-			})
-			if _, err := fmt.Fprintf(w, "event: %s\ndata: %s\n\n", schedroute.WatchFrameHeartbeat, beat); err != nil {
+			if note(schedroute.WatchFrame{Seq: latest, Type: schedroute.WatchFrameHeartbeat}) != nil {
 				return
 			}
 			fl.Flush()
@@ -816,6 +795,17 @@ func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, from int6
 			return
 		}
 	}
+}
+
+// writeSSE writes one server-sent event; id 0 (frame seqs start at 1)
+// omits the id line, so the event never moves a Last-Event-ID cursor.
+func writeSSE(w http.ResponseWriter, id int64, typ string, data []byte) error {
+	idLine := ""
+	if id > 0 {
+		idLine = fmt.Sprintf("id: %d\n", id)
+	}
+	_, err := fmt.Fprintf(w, "%sevent: %s\ndata: %s\n\n", idLine, typ, data)
+	return err
 }
 
 // close winds the subscription down exactly once. withFrame appends a

@@ -275,12 +275,34 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("schedule: bad engine", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: p150, Options: schedroute.Options{Engine: "quantum"}})
 	tr.do("schedule: bad tenant", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: p150, Tenant: tenantOf("greedy", 0, 2)})
 	tr.do("schedule: unadmitted tenant is the plain path", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: p150, Tenant: tenantOf("ghost", 0, 0)})
+	// Decodable requests whose parameters the pipeline refuses: the
+	// client's mistake, classified where it is detected.
+	for _, bad := range []struct {
+		step string
+		p    schedroute.Problem
+		o    schedroute.Options
+	}{
+		{"period below the window", testProblem(10), schedroute.Options{}},
+		{"period below the longest task", testProblem(49), schedroute.Options{Window: 10}},
+		{"window beyond the period", p150, schedroute.Options{Window: 200}},
+		{"negative window", p150, schedroute.Options{Window: -5}},
+		{"window below a transmission", p150, schedroute.Options{Window: 0.001}},
+		{"sync margin beyond the window", p150, schedroute.Options{SyncMargin: 1000}},
+		{"negative max_paths", p150, schedroute.Options{MaxPaths: -3}},
+		{"more tasks than nodes", schedroute.Problem{TFG: "dvb:4", Topology: "cube:2", Bandwidth: 64, TauIn: 150}, schedroute.Options{}},
+		{"graph generator out of range", schedroute.Problem{TFG: "dvb:0", Topology: "cube:6"}, schedroute.Options{}},
+	} {
+		tr.do("schedule: "+bad.step, "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: bad.p, Options: bad.o})
+	}
 
 	// ---- /v1/schedule:batch
 	tr.do("batch: ok, two groups and one bad item", "POST", "/v1/schedule:batch", schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{
 		{Problem: p150}, {Problem: testProblem(200)}, {Problem: p150},
 		{Problem: schedroute.Problem{TFG: "dvb:4", Topology: "bogus:9"}},
 		{Problem: badSchema},
+	}})
+	tr.do("batch: a refused period is its item's bad_input", "POST", "/v1/schedule:batch", schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{
+		{Problem: testProblem(10)}, {Problem: p150, Options: schedroute.Options{Window: 200}},
 	}})
 	tr.do("batch: empty", "POST", "/v1/schedule:batch", schedroute.BatchScheduleRequest{})
 	tr.do("batch: unknown schema_version", "POST", "/v1/schedule:batch", schedroute.BatchScheduleRequest{SchemaVersion: 99, Items: []schedroute.ScheduleRequest{{Problem: p150}}})
@@ -295,6 +317,7 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("repair: infeasible base", "POST", "/v1/repair", schedroute.RepairRequest{Problem: testProblem(50), Fault: link})
 	tr.do("repair: unknown schema_version", "POST", "/v1/repair", schedroute.RepairRequest{Problem: badSchema, Fault: link})
 	tr.do("repair: bad engine", "POST", "/v1/repair", schedroute.RepairRequest{Problem: p150, Fault: link, Options: schedroute.Options{Engine: "quantum"}})
+	tr.do("repair: period below the window", "POST", "/v1/repair", schedroute.RepairRequest{Problem: testProblem(10), Fault: link})
 
 	// ---- /v1/admit, and the tenant-scoped arms of schedule and repair
 	tr.do("admit: ok", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: video})
@@ -307,6 +330,7 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("admit: fabric bandwidth mismatch", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: bw, Tenant: tenantOf("wide", 0, 0)})
 	tr.do("admit: unknown schema_version", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: badSchema, Tenant: tenantOf("future", 0, 0)})
 	tr.do("admit: bad engine", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("q", 0, 0), Options: schedroute.Options{Engine: "quantum"}})
+	tr.do("admit: window beyond the period", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("q", 0, 0), Options: schedroute.Options{Window: 200}})
 	tr.do("schedule: admitted tenant's standing", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: audioP, Tenant: audio})
 	tr.do("schedule: tenant/problem mismatch", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: other, Tenant: video})
 	tr.do("batch: tenant standing, mismatch and default side by side", "POST", "/v1/schedule:batch", schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{
@@ -331,6 +355,12 @@ func TestWireTranscript(t *testing.T) {
 		Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Points: 2}},
 	})
 	tr.do("explore: inverted range", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 300, Max: 100}}})
+	tr.do("explore: grid min below the longest task is clamped to it", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 10, Points: 2}}})
+	tr.do("explore: range empty once clamped", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 10, Max: 30}}})
+	for _, inv := range []int{-1, schedroute.MaxInvocations + 1} {
+		tr.do(fmt.Sprintf("explore: invocations %d", inv), "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Execute: true, Invocations: inv})
+		tr.stream(fmt.Sprintf("watch: invocations %d", inv), "POST", "/v1/watch", schedroute.WatchRequest{Problem: p150, Execute: true, Invocations: inv})
+	}
 	tr.do("explore: unknown objective", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Objectives: []string{"speed"}})
 	tr.do("explore: unknown allocator", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{Placement: &schedroute.PlacementAxis{Allocators: []string{"magic"}}}})
 	tr.do("explore: negative anneal_steps", "POST", "/v1/explore", schedroute.ExploreRequest{Problem: testProblem(0), Axes: schedroute.ExploreAxes{Placement: &schedroute.PlacementAxis{AnnealSeeds: []int64{2}, AnnealSteps: -5}}})

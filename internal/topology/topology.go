@@ -277,9 +277,6 @@ func (t *Topology) Kind() Kind { return t.kind }
 // Radices returns a copy of the per-dimension radices.
 func (t *Topology) Radices() []int { return append([]int(nil), t.radices...) }
 
-// Dimensions returns the number of dimensions.
-func (t *Topology) Dimensions() int { return len(t.radices) }
-
 // Nodes returns the node count.
 func (t *Topology) Nodes() int { return t.nodes }
 

@@ -69,9 +69,11 @@ func (p Problem) Build() (*Built, error) { return NewProblem(p) }
 // wire spec to solver inputs — service request handling, the CLIs'
 // cliutil.ParseProblem, sweep endpoints — funnels through here, so a
 // spec resolves to the same graph, timing, topology, placement and
-// effective invocation period no matter who asks. Every rejection is an
-// errkind.ErrBadInput (or ErrUnknownVersion) so callers derive the exit
-// or HTTP status from the shared table.
+// effective invocation period no matter who asks. Every rejection — the
+// spec parsers', a graph generator's, the timing's, an allocator's — is
+// an errkind.ErrBadInput (or ErrUnknownVersion), so callers derive the
+// exit or HTTP status from the shared table
+// (TestRefusedParametersAreBadInput).
 func NewProblem(p Problem) (*Built, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
@@ -105,7 +107,8 @@ func NewProblem(p Problem) (*Built, error) {
 	}
 	as, err := ParseAllocator(spec.Allocator, g, top, spec.AllocSeed)
 	if err != nil {
-		return nil, err
+		// An allocator refuses a graph the machine cannot hold.
+		return nil, errkind.Mark(err, errkind.ErrBadInput)
 	}
 	tauIn := spec.TauIn
 	if tauIn == 0 {

@@ -21,9 +21,10 @@ type TauInAxis struct {
 	// mode (0 = 12, the paper's grid), or the per-placement candidate
 	// periods above the bisected minimum in Pareto mode (0 = 5).
 	Points int `json:"points,omitempty"`
-	// Min and Max bound the period range in µs (0 = τc and 5τc). Pareto
-	// mode additionally clamps Min up to τc — shorter periods are never
-	// feasible.
+	// Min and Max bound the period range in µs (0 = τc and 5τc). In both
+	// modes Min is clamped up to τc — shorter periods are never feasible
+	// — and a range left empty is refused (schedule.PeriodAxis owns the
+	// rule).
 	Min float64 `json:"min,omitempty"`
 	Max float64 `json:"max,omitempty"`
 }
@@ -84,8 +85,24 @@ type ExploreRequest struct {
 	// Execute replays each feasible grid point's Ω through the
 	// deterministic executor (grid mode only).
 	Execute bool `json:"execute,omitempty"`
-	// Invocations is the executor run length (0 = 8; only with Execute).
+	// Invocations is the executor run length (0 = 8, else 2 to
+	// MaxInvocations; only with Execute).
 	Invocations int `json:"invocations,omitempty"`
+}
+
+// MaxInvocations bounds the executor run length a request may ask for.
+// The executor's output is periodic, so a longer replay measures
+// nothing a short one does not, while its cost grows with the count.
+const MaxInvocations = 4096
+
+// checkInvocations refuses an executor run length outside
+// {0} ∪ [2, MaxInvocations]: one invocation has no output interval to
+// check.
+func checkInvocations(what string, n int) error {
+	if n < 0 || n == 1 || n > MaxInvocations {
+		return badInput("%s: invocations %d out of range (0 for the default, else 2..%d)", what, n, MaxInvocations)
+	}
+	return nil
 }
 
 // Mode reports which exploration the request selects.
@@ -123,6 +140,9 @@ func (r ExploreRequest) Validate() error {
 	}
 	if r.Mode() == ExploreModePareto && r.Execute {
 		return badInput("explore: execute applies to grid mode only")
+	}
+	if err := checkInvocations("explore", r.Invocations); err != nil {
+		return err
 	}
 	if p := r.Axes.Placement; p != nil {
 		if p.AnnealSteps < 0 {

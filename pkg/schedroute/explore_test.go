@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
+
+	"schedroute/internal/errkind"
+	"schedroute/internal/schedule"
 )
 
 func TestExploreRequestMode(t *testing.T) {
@@ -38,10 +42,62 @@ func TestExploreRequestValidate(t *testing.T) {
 		{Objectives: []string{"latency"}, Execute: true},
 		{Axes: ExploreAxes{Placement: &PlacementAxis{Allocators: []string{"magic"}}}},
 		{Axes: ExploreAxes{Placement: &PlacementAxis{AnnealSeeds: []int64{2}, AnnealSteps: -5}}},
+		{Execute: true, Invocations: -1},
+		{Execute: true, Invocations: 1},
+		{Execute: true, Invocations: MaxInvocations + 1},
 	}
 	for i, r := range bad {
-		if err := r.Validate(); err == nil {
-			t.Errorf("bad request %d accepted: %+v", i, r)
+		if err := r.Validate(); errkind.Name(err) != "bad_input" {
+			t.Errorf("bad request %d: %v, want a bad_input: %+v", i, err, r)
+		}
+	}
+	for _, inv := range []int{0, 2, MaxInvocations} {
+		if err := (WatchRequest{Invocations: inv}).Validate(); err != nil {
+			t.Errorf("watch with %d invocations refused: %v", inv, err)
+		}
+	}
+	for _, inv := range []int{-1, 1, MaxInvocations + 1} {
+		if err := (WatchRequest{Invocations: inv}).Validate(); errkind.Name(err) != "bad_input" {
+			t.Errorf("watch with %d invocations: %v, want a bad_input", inv, err)
+		}
+	}
+}
+
+// TestRefusedParametersAreBadInput: every decodable problem or option the
+// pipeline refuses is the caller's mistake by the errkind table — straight
+// from NewProblem and schedule.Compute, so every endpoint and CLI that
+// reaches the same check answers 400 / exit 1, never "internal".
+func TestRefusedParametersAreBadInput(t *testing.T) {
+	base := Problem{TFG: "dvb:4", Topology: "cube:6", Bandwidth: 64, TauIn: 150}
+	with := func(edit func(*Problem)) Problem { p := base; edit(&p); return p }
+	for _, c := range []struct {
+		name string
+		p    Problem
+		o    Options
+		want string // a fragment of the message, which must survive
+	}{
+		{"period below the window", with(func(p *Problem) { p.TauIn = 10 }), Options{}, "window 50 exceeds invocation period 10"},
+		{"period below the longest task", with(func(p *Problem) { p.TauIn = 49 }), Options{Window: 10}, "period 49 below longest task 50"},
+		{"window beyond the period", base, Options{Window: 200}, "window 200 exceeds invocation period 150"},
+		{"negative window", base, Options{Window: -5}, "non-positive window length -5"},
+		{"window below a transmission", base, Options{Window: 0.001}, "message 0 transmission 3 exceeds window"},
+		{"sync margin beyond the window", base, Options{SyncMargin: 1000}, "sync margin 1000 leaves message 0"},
+		{"negative max_paths", base, Options{MaxPaths: -3}, "maxPaths -3 < 1"},
+		{"more tasks than nodes", with(func(p *Problem) { p.Topology = "cube:2" }), Options{}, "15 tasks exceed 4 nodes"},
+		{"more tasks than nodes, greedy", with(func(p *Problem) { p.Topology, p.Allocator = "cube:2", "greedy" }), Options{}, "15 tasks exceed 4 nodes"},
+		{"graph generator out of range", with(func(p *Problem) { p.TFG = "dvb:0" }), Options{}, "at least one object model"},
+		{"graph file that is no graph", with(func(p *Problem) { p.TFG = "testdata/explore_request.golden.json" }), Options{}, "tfg:"},
+	} {
+		b, err := NewProblem(c.p)
+		if err == nil {
+			var opts schedule.Options
+			if opts, err = c.o.ToSchedule(); err != nil {
+				t.Fatal(err)
+			}
+			_, err = schedule.Compute(b.ScheduleProblem(), opts)
+		}
+		if err == nil || errkind.Name(err) != "bad_input" || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("%s: got %v (%s), want a bad_input mentioning %q", c.name, err, errkind.Name(err), c.want)
 		}
 	}
 }

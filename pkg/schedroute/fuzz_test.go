@@ -75,7 +75,7 @@ var requestTypes = []struct {
 		if err := decode(&r); err != nil {
 			return []error{err}
 		}
-		return checkProblem(r.Problem, r.Options, r.Tenant)
+		return append(checkProblem(r.Problem, r.Options, r.Tenant), r.Validate())
 	}},
 	{"WatchEvent", func(decode func(any) error) []error {
 		var r schedroute.WatchEvent
@@ -127,6 +127,8 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"type":"fault","links":["0-1"]}`))
 	f.Add([]byte(`{"items":[{"problem":{"tfg":"dvb:4","topology":"cube:6"}}]}`))
 	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"axes":{"placement":{"anneal_seeds":[2],"anneal_steps":-5}}}`))
+	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"execute":true,"invocations":-1}`))
+	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6","tau_in":150},"execute":true,"invocations":30000000,"axes":{"tau_in":{"min":10}}}`))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, rt := range requestTypes {

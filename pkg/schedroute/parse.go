@@ -95,27 +95,31 @@ func LoadGraph(spec string) (*tfg.Graph, error) {
 		if err != nil {
 			return nil, badInput("graph spec %q: %v", spec, err)
 		}
+		var g *tfg.Graph
 		switch kind {
 		case "dvb":
-			return dvb.New(n)
+			g, err = dvb.New(n)
 		case "chain":
-			return tfg.Chain(n, 1925, 1536)
+			g, err = tfg.Chain(n, 1925, 1536)
 		case "fan":
-			return tfg.FanOutIn(n, 1925, 1536)
+			g, err = tfg.FanOutIn(n, 1925, 1536)
 		case "fft":
-			return tfg.FFT(n, 1925, 1536)
+			g, err = tfg.FFT(n, 1925, 1536)
 		case "stencil":
-			return tfg.Stencil(n, 1925, 1536, 384)
+			g, err = tfg.Stencil(n, 1925, 1536, 384)
 		default:
 			return nil, badInput("unknown graph kind %q", kind)
 		}
+		// A generator refuses an N outside its range.
+		return g, errkind.Mark(err, errkind.ErrBadInput)
 	}
 	f, err := os.Open(spec)
 	if err != nil {
 		return nil, errkind.Mark(err, errkind.ErrBadInput)
 	}
 	defer f.Close()
-	return tfg.Decode(f)
+	g, err := tfg.Decode(f)
+	return g, errkind.Mark(err, errkind.ErrBadInput)
 }
 
 // parseLayered resolves "layered:seed,w1,w2,...,density" into a

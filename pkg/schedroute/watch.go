@@ -71,8 +71,15 @@ type WatchRequest struct {
 	// Execute replays each repaired Ω through the deterministic
 	// executor and attaches the OI-window check to the frame.
 	Execute bool `json:"execute,omitempty"`
-	// Invocations is the executor run length (0 = 8; only with Execute).
+	// Invocations is the executor run length (0 = 8, else 2 to
+	// MaxInvocations; only with Execute).
 	Invocations int `json:"invocations,omitempty"`
+}
+
+// Validate checks the subscription shape beyond what problem building
+// covers.
+func (r WatchRequest) Validate() error {
+	return checkInvocations("watch", r.Invocations)
 }
 
 // WatchEvent is one pushed reconfiguration event. Links use the same

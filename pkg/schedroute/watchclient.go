@@ -49,18 +49,42 @@ func (c *WatchClient) http() *http.Client {
 	return http.DefaultClient
 }
 
-func (c *WatchClient) backoffs() (time.Duration, time.Duration, int) {
-	b, mx, r := c.Backoff, c.MaxBackoff, c.MaxRetries
-	if b <= 0 {
-		b = 200 * time.Millisecond
+// retryPolicy resolves the client's retry settings: the bound on
+// consecutive failed attempts and the jitter source (c.Seed, or the
+// clock when it is 0).
+func (c *WatchClient) retryPolicy() (maxRetries int, rng *rand.Rand) {
+	maxRetries, seed := c.MaxRetries, c.Seed
+	if maxRetries <= 0 {
+		maxRetries = 5
 	}
-	if mx <= 0 {
-		mx = 5 * time.Second
+	if seed == 0 {
+		seed = time.Now().UnixNano()
 	}
-	if r <= 0 {
-		r = 5
+	return maxRetries, rand.New(rand.NewSource(seed))
+}
+
+// backoff waits out the delay before retry number attempt (0-based) —
+// Backoff doubled per attempt, capped at MaxBackoff, plus up to 50 %
+// jitter — and returns ctx's error if it is cancelled first.
+func (c *WatchClient) backoff(ctx context.Context, rng *rand.Rand, attempt int) error {
+	base, maxb := c.Backoff, c.MaxBackoff
+	if base <= 0 {
+		base = 200 * time.Millisecond
 	}
-	return b, mx, r
+	if maxb <= 0 {
+		maxb = 5 * time.Second
+	}
+	d := base << attempt
+	if d > maxb {
+		d = maxb
+	}
+	d += time.Duration(rng.Int63n(int64(d)/2 + 1))
+	select {
+	case <-time.After(d):
+		return nil
+	case <-ctx.Done():
+		return ctx.Err()
+	}
 }
 
 // WatchStream is a live subscription. Frames delivers every frame in
@@ -137,12 +161,7 @@ func (c *WatchClient) pump(ctx context.Context, st *WatchStream, body io.ReadClo
 	defer close(done)
 	defer close(frames)
 
-	base, maxb, maxRetries := c.backoffs()
-	seed := c.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	rng := rand.New(rand.NewSource(seed))
+	maxRetries, rng := c.retryPolicy()
 
 	lastID := int64(0)
 	deliver := func(f WatchFrame) bool {
@@ -190,15 +209,8 @@ func (c *WatchClient) pump(ctx context.Context, st *WatchStream, body io.ReadClo
 				st.err = fmt.Errorf("schedroute: watch: stream lost after %d reconnect attempts: %w", maxRetries, readErr)
 				return
 			}
-			d := base << (fails - 1)
-			if d > maxb {
-				d = maxb
-			}
-			d += time.Duration(rng.Int63n(int64(d)/2 + 1))
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				st.err = ctx.Err()
+			if err := c.backoff(ctx, rng, fails-1); err != nil {
+				st.err = err
 				return
 			}
 			nb, nsr, err := c.attach(ctx, st.ID, lastID)
@@ -247,12 +259,7 @@ func (c *WatchClient) Send(ctx context.Context, id string, ev WatchEvent) (Watch
 	if err != nil {
 		return ack, err
 	}
-	base, maxb, maxRetries := c.backoffs()
-	seed := c.Seed
-	if seed == 0 {
-		seed = time.Now().UnixNano()
-	}
-	rng := rand.New(rand.NewSource(seed))
+	maxRetries, rng := c.retryPolicy()
 	for attempt := 0; ; attempt++ {
 		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/watch/"+id+"/events", bytes.NewReader(body))
 		if err != nil {
@@ -264,15 +271,8 @@ func (c *WatchClient) Send(ctx context.Context, id string, ev WatchEvent) (Watch
 			if ctx.Err() != nil || attempt >= maxRetries {
 				return ack, err
 			}
-			d := base << attempt
-			if d > maxb {
-				d = maxb
-			}
-			d += time.Duration(rng.Int63n(int64(d)/2 + 1))
-			select {
-			case <-time.After(d):
-			case <-ctx.Done():
-				return ack, ctx.Err()
+			if err := c.backoff(ctx, rng, attempt); err != nil {
+				return ack, err
 			}
 			continue
 		}

@@ -2,8 +2,9 @@
 # explore_smoke.sh — end-to-end smoke of the unified exploration
 # surface: boot srschedd, run a Pareto exploration over /v1/explore
 # (placement axis + all four objectives, ?debug=trace), a negative
-# anneal_steps refused as bad_input in both modes, a grid exploration
-# with a placement axis (winners reported), a plain τin
+# anneal_steps refused as bad_input in both modes (and so a negative
+# invocations and a /v1/schedule period under the window), a grid
+# exploration with a placement axis (winners reported), a plain τin
 # grid (the old /v1/sweep, which must now be a 404), run the same search
 # locally through `srsched -explore`, check mode exclusivity exits 2,
 # and assert the explore metrics.
@@ -37,16 +38,23 @@ grep -q '"front"' "$DIR/pareto.json" || { echo "no front"; exit 1; }
 grep -q '"name": *"explore"\|"name":"explore"' "$DIR/pareto.json" || { echo "trace missing explore span"; exit 1; }
 grep -q '"name": *"explore_anneal"\|"name":"explore_anneal"' "$DIR/pareto.json" || { echo "trace missing explore_anneal span"; exit 1; }
 
-# A negative annealer budget is the client's mistake in either mode: a
-# 400 bad_input before any annealer runs, not a 500.
+# A negative annealer budget is the client's mistake in either mode — a
+# 400 bad_input before any annealer runs, not a 500 — and so are an
+# executor run length outside its bound and a period the pipeline
+# refuses on /v1/schedule.
+refused() { # $1 = what, $2 = path, $3 = body
+  CODE=$(curl -s -o "$DIR/refused.json" -w '%{http_code}' -X POST "$BASE$2" -d "$3")
+  [ "$CODE" = "400" ] || { echo "$1 returned $CODE, want 400"; exit 1; }
+  grep -q '"kind": *"bad_input"\|"kind":"bad_input"' "$DIR/refused.json" || { echo "$1 not refused as bad_input"; exit 1; }
+}
 for OBJ in '' '"objectives": ["tau_in"],'; do
-  CODE=$(curl -s -o "$DIR/steps.json" -w '%{http_code}' -X POST "$BASE/v1/explore" -d "{
+  refused "anneal_steps -5" /v1/explore "{
     \"problem\": {\"tfg\": \"dvb:4\", \"topology\": \"cube:6\", \"bandwidth\": 64}, $OBJ
     \"axes\": {\"placement\": {\"anneal_seeds\": [2], \"anneal_steps\": -5}}
-  }")
-  [ "$CODE" = "400" ] || { echo "anneal_steps -5 returned $CODE, want 400"; exit 1; }
-  grep -q '"kind": *"bad_input"\|"kind":"bad_input"' "$DIR/steps.json" || { echo "anneal_steps -5 not refused as bad_input"; exit 1; }
+  }"
 done
+refused "invocations -1" /v1/explore '{"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64}, "execute": true, "invocations": -1}'
+refused "tau_in 10" /v1/schedule '{"problem": {"tfg": "dvb:4", "topology": "cube:6", "bandwidth": 64, "tau_in": 10}}'
 
 # Grid mode with a placement axis: one winner per point.
 curl -fsS -X POST "$BASE/v1/explore" -d '{
