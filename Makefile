@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all fmt-check build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke service-smoke fleet-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all fmt-check build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke service-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
 
 all: check
 
@@ -52,8 +52,9 @@ loc:
 faults:
 	$(GO) run ./cmd/experiments -fig faults -config 6cube-b64 -max-faults 16
 
-# End-to-end smoke of the srschedd daemon: boot, hit every endpoint,
-# graceful shutdown (scripts/service_smoke.sh).
+# End-to-end smoke of the srschedd daemon: boot, hit every endpoint
+# (one batch round included), the retired warm-start and fleet surfaces
+# gone, graceful shutdown (scripts/service_smoke.sh).
 service-smoke:
 	sh scripts/service_smoke.sh
 
@@ -62,13 +63,6 @@ service-smoke:
 # the isolated pprof listener (scripts/trace_smoke.sh).
 trace-smoke:
 	sh scripts/trace_smoke.sh
-
-# End-to-end smoke of the fleet features: two sharded replicas under the
-# proxy policy — a request for the peer's key answered byte for byte as
-# the owner answers it — one batch round, the retired snapshot surface
-# gone, and a clean SIGTERM drain of both (scripts/fleet_smoke.sh).
-fleet-smoke:
-	sh scripts/fleet_smoke.sh
 
 # End-to-end smoke of the /v1/watch streaming reconfiguration service:
 # srsched -watch, raw SSE with Last-Event-ID resume, watch metrics,

@@ -306,7 +306,11 @@ func wireTenant(id string, priority int, rate float64) *schedroute.Tenant {
 // table: 0 admitted, 4 rejected (the service's 422), the error's own
 // class otherwise.
 func runAdmit(baseURL string, pf *cliutil.ProblemFlags, tenant *schedroute.Tenant) {
-	body, err := json.Marshal(schedroute.AdmitRequest{Problem: pf.Spec(), Tenant: tenant})
+	spec, err := pf.Spec()
+	if err != nil {
+		cliutil.Fatal("srsched", err)
+	}
+	body, err := json.Marshal(schedroute.AdmitRequest{Problem: spec, Tenant: tenant})
 	if err != nil {
 		cliutil.Fatal("srsched", err)
 	}
@@ -370,7 +374,11 @@ func runAdmit(baseURL string, pf *cliutil.ProblemFlags, tenant *schedroute.Tenan
 // only delays the stream. An infeasible repair exits with status 3,
 // like the local -fail-link path.
 func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *schedroute.Tenant) {
-	b, _, err := pf.ParseProblem()
+	prob, err := pf.Spec()
+	if err != nil {
+		cliutil.Fatal("srsched", err)
+	}
+	b, err := schedroute.NewProblem(prob)
 	if err != nil {
 		cliutil.Fatal("srsched", err)
 	}
@@ -403,7 +411,7 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 
 	ctx := context.Background()
 	wc := &schedroute.WatchClient{BaseURL: baseURL}
-	st, err := wc.Subscribe(ctx, schedroute.WatchRequest{Problem: pf.Spec(), Tenant: tenant, Execute: true})
+	st, err := wc.Subscribe(ctx, schedroute.WatchRequest{Problem: prob, Tenant: tenant, Execute: true})
 	if err != nil {
 		cliutil.Fatal("srsched", err)
 	}

@@ -8,7 +8,7 @@
 //
 //	srschedd -listen :8080
 //	srschedd -listen :8080 -pprof-addr localhost:6060
-//	srschedd -listen :8081 -peers http://a:8081,http://b:8082 -self http://a:8081
+//	srschedd -listen :8080 -solvers 128   # structure cache sized to the working set (DESIGN §9)
 //	srschedd -version
 //	curl -s localhost:8080/v1/schedule -d '{"problem":{"tfg":"dvb:4","topology":"cube:6","tau_in":141}}'
 //	curl -s 'localhost:8080/v1/schedule?debug=trace' -d '...' | traceview -text
@@ -30,7 +30,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -47,9 +46,6 @@ func main() {
 	maxBody := flag.Int64("max-body", 8<<20, "request body size limit in bytes")
 	drain := flag.Duration("drain-timeout", 30*time.Second, "graceful-shutdown drain deadline")
 	pprofAddr := flag.String("pprof-addr", "", "serve net/http/pprof on this separate address (e.g. localhost:6060); never exposed on the serving port")
-	peersFlag := flag.String("peers", "", "comma-separated fleet base URLs (including -self); enables shard routing by structure key")
-	self := flag.String("self", "", "this replica's own base URL, required with -peers")
-	shardPolicy := flag.String("shard-policy", "proxy", "misrouted-request policy: proxy (forward to the owning shard) or serve (handle locally, record a miss)")
 	version := flag.Bool("version", false, "print version information and exit")
 	flag.Parse()
 
@@ -62,28 +58,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "srschedd: -pprof-addr must differ from -listen; the profiler is never served on the API port")
 		os.Exit(2)
 	}
-	if *shardPolicy != "proxy" && *shardPolicy != "serve" {
-		fmt.Fprintf(os.Stderr, "srschedd: -shard-policy %q: want proxy or serve\n", *shardPolicy)
-		os.Exit(2)
-	}
-	var peers []string
-	if *peersFlag != "" {
-		inFleet := false
-		for _, p := range strings.Split(*peersFlag, ",") {
-			p = strings.TrimSuffix(strings.TrimSpace(p), "/")
-			if p == "" {
-				continue
-			}
-			peers = append(peers, p)
-			if p == *self {
-				inFleet = true
-			}
-		}
-		if *self == "" || !inFleet {
-			fmt.Fprintln(os.Stderr, "srschedd: -peers requires -self, and -self must be one of the peers")
-			os.Exit(2)
-		}
-	}
 
 	log := slog.New(slog.NewJSONHandler(os.Stderr, nil))
 	srv := service.New(service.Config{
@@ -93,9 +67,6 @@ func main() {
 		RequestTimeout: *timeout,
 		MaxBodyBytes:   *maxBody,
 		Logger:         log,
-		Peers:          peers,
-		SelfURL:        *self,
-		ShardPolicy:    *shardPolicy,
 	})
 	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
 

@@ -111,10 +111,21 @@ func ParseAllocator(name string, g *tfg.Graph, top *topology.Topology, seed int6
 }
 
 // LoadGraph reads a TFG: either a built-in spec ("dvb:4", "chain:8",
-// "fan:6", "fft:3", "stencil:4", "layered:seed,widths...,density") or a
-// path to a JSON file produced by tfggen.
+// "fan:6", "fft:3", "stencil:4", "layered:seed,widths...,density") or —
+// anything without a colon — a path to a JSON file produced by tfggen.
+// Opening files is the CLIs' business: the wire Problem names a
+// generator or carries the graph (see Spec).
 func LoadGraph(spec string) (*tfg.Graph, error) {
-	return schedroute.LoadGraph(spec)
+	if strings.Contains(spec, ":") {
+		return schedroute.LoadGraph(spec)
+	}
+	f, err := os.Open(spec)
+	if err != nil {
+		return nil, errkind.Mark(err, errkind.ErrBadInput)
+	}
+	defer f.Close()
+	g, err := tfg.Decode(f)
+	return g, errkind.Mark(err, errkind.ErrBadInput)
 }
 
 // Large-scale problem presets: the workloads that size the 10-cube and
@@ -174,12 +185,22 @@ func (f *ProblemFlags) AddFaultFlags(fs *flag.FlagSet) {
 }
 
 // Spec returns the wire-form problem the flags describe — the same
-// schedroute.Problem a service client would POST.
-func (f *ProblemFlags) Spec() schedroute.Problem {
-	return schedroute.Problem{
+// schedroute.Problem a service client would POST. A -tfg naming a file
+// (no colon) is read here into tfg_inline, so local and remote modes
+// alike hand over the graph, not a name on this machine's disk.
+func (f *ProblemFlags) Spec() (schedroute.Problem, error) {
+	p := schedroute.Problem{
 		TFG: f.TFG, Topology: f.Topo, Bandwidth: f.BW, Speed: f.Speed,
 		TauIn: f.TauIn, Allocator: f.Alloc, AllocSeed: f.Seed,
 	}
+	if !strings.Contains(f.TFG, ":") {
+		raw, err := os.ReadFile(f.TFG)
+		if err != nil {
+			return p, errkind.Mark(err, errkind.ErrBadInput)
+		}
+		p.TFG, p.TFGInline = "", raw
+	}
+	return p, nil
 }
 
 // FaultSpec returns the wire form of the fault flags (empty when no
@@ -199,7 +220,11 @@ func (f *ProblemFlags) FaultSpec() schedroute.FaultSpec {
 // timing, topology, placement, resolved τin) and, when fault flags were
 // registered and set, the fault set to repair for.
 func (f *ProblemFlags) ParseProblem() (*schedroute.Built, *topology.FaultSet, error) {
-	b, err := schedroute.NewProblem(f.Spec())
+	spec, err := f.Spec()
+	if err != nil {
+		return nil, nil, err
+	}
+	b, err := schedroute.NewProblem(spec)
 	if err != nil {
 		return nil, nil, err
 	}

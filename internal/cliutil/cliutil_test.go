@@ -1,6 +1,8 @@
 package cliutil
 
 import (
+	"bytes"
+	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -14,6 +16,7 @@ import (
 	"schedroute/internal/schedule"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
+	"schedroute/pkg/schedroute"
 )
 
 func TestParseTopology(t *testing.T) {
@@ -95,7 +98,9 @@ func TestLoadGraphBuiltins(t *testing.T) {
 	}
 }
 
-func TestLoadGraphFromFile(t *testing.T) {
+// diamondFile writes tfg.Diamond as tfggen would and returns its path.
+func diamondFile(t *testing.T) (string, *tfg.Graph) {
+	t.Helper()
 	g, err := tfg.Diamond(100, 640)
 	if err != nil {
 		t.Fatal(err)
@@ -111,6 +116,11 @@ func TestLoadGraphFromFile(t *testing.T) {
 	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
+	return path, g
+}
+
+func TestLoadGraphFromFile(t *testing.T) {
+	path, _ := diamondFile(t)
 	got, err := LoadGraph(path)
 	if err != nil {
 		t.Fatal(err)
@@ -120,6 +130,64 @@ func TestLoadGraphFromFile(t *testing.T) {
 	}
 	if _, err := LoadGraph(filepath.Join(t.TempDir(), "missing.json")); err == nil {
 		t.Error("missing file should fail")
+	}
+}
+
+// TestProblemFlagsSendFileGraphInline: a -tfg naming a file is read by
+// the CLI, never by whoever receives the spec — the request srsched
+// -admit / -watch posts carries the graph as tfg_inline and no name, and
+// the same spec solves locally. A missing or non-graph file is the
+// user's mistake, reported by the CLI.
+func TestProblemFlagsSendFileGraphInline(t *testing.T) {
+	path, g := diamondFile(t)
+	dir := filepath.Dir(path)
+	flags := func(tfgArg string) *ProblemFlags {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		pf := AddProblemFlags(fs)
+		if err := fs.Parse([]string{"-tfg", tfgArg, "-topo", "cube:3", "-tauin", "400"}); err != nil {
+			t.Fatal(err)
+		}
+		return pf
+	}
+
+	pf := flags(path)
+	spec, err := pf.Spec()
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := json.Marshal(schedroute.AdmitRequest{Problem: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var sent struct {
+		Problem map[string]json.RawMessage `json:"problem"`
+	}
+	if err := json.Unmarshal(body, &sent); err != nil {
+		t.Fatal(err)
+	}
+	if _, named := sent.Problem["tfg"]; named || strings.Contains(string(body), dir) {
+		t.Errorf("the request names a file on the client's disk: %s", body)
+	}
+	if inline, err := tfg.Decode(bytes.NewReader(sent.Problem["tfg_inline"])); err != nil || inline.NumMessages() != g.NumMessages() {
+		t.Errorf("tfg_inline does not carry the graph (%v): %s", err, body)
+	}
+	b, _, err := pf.ParseProblem()
+	if err != nil || b.Graph.NumTasks() != g.NumTasks() {
+		t.Fatalf("local solve from the file: %v", err)
+	}
+	if spec, _ := flags("dvb:4").Spec(); spec.TFG != "dvb:4" || spec.TFGInline != nil {
+		t.Errorf("a generator spec must travel by name: %+v", spec)
+	}
+
+	if _, _, err := flags(filepath.Join(dir, "missing.json")).ParseProblem(); !errors.Is(err, errkind.ErrBadInput) {
+		t.Errorf("missing file: got %v, want ErrBadInput", err)
+	}
+	if err := os.WriteFile(path, []byte(`{"not":"a graph"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := flags(path).ParseProblem(); !errors.Is(err, errkind.ErrBadInput) {
+		t.Errorf("file that is no graph: got %v, want ErrBadInput", err)
 	}
 }
 

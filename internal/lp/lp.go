@@ -91,6 +91,7 @@ type Solution struct {
 	Status    Status
 	X         []float64
 	Objective float64
+	Pivots    int // simplex pivots performed (0 from SolveDense)
 }
 
 // NewProblem creates a problem with nvars decision variables, all

@@ -1,6 +1,9 @@
 package lp
 
-import "math"
+import (
+	"context"
+	"math"
+)
 
 // The sparse tableau. Interval-membership systems are extremely sparse —
 // a demand row touches one message's active intervals, a capacity row
@@ -34,7 +37,16 @@ type sparseWork struct {
 	// coefficients and their rows, ascending.
 	colRow []int32
 	colVal []float64
+
+	pivots int // pivots performed by the current Solve
 }
+
+// pollPivots is how many pivots iterateSparse runs between two looks at
+// its context: rare enough to cost nothing, often enough that a
+// cancelled solve stops within milliseconds on the few-hundred-row
+// systems the standard configs build, and within about a second on an
+// 11 000-row one (a pivot there takes some 4 ms).
+const pollPivots = 256
 
 // lookup returns the coefficient at column j of the sorted support, or
 // exactly 0 when absent.
@@ -186,14 +198,15 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 		w.obj[enter] = 0
 	}
 	w.basis[leave] = int(enter)
+	w.pivots++
 }
 
 // iterateSparse runs primal simplex with Bland's rule over the sparse
-// tableau until optimal; returns false on unboundedness. The entering
-// and leaving scans read exactly the values the dense scans read (a row
-// absent from the gathered column holds an exact zero there, which the
-// ratio test skips either way).
-func (w *sparseWork) iterateSparse(total, barred int) bool {
+// tableau until optimal; returns false on unboundedness, and ctx's error
+// once ctx is done. The entering and leaving scans read exactly the
+// values the dense scans read (a row absent from the gathered column
+// holds an exact zero there, which the ratio test skips either way).
+func (w *sparseWork) iterateSparse(ctx context.Context, total, barred int) (bool, error) {
 	for {
 		enter := -1
 		for j := 0; j < barred; j++ {
@@ -203,7 +216,7 @@ func (w *sparseWork) iterateSparse(total, barred int) bool {
 			}
 		}
 		if enter == -1 {
-			return true
+			return true, nil
 		}
 		w.gatherColumn(int32(enter))
 		leave, best := -1, math.Inf(1)
@@ -218,9 +231,14 @@ func (w *sparseWork) iterateSparse(total, barred int) bool {
 			}
 		}
 		if leave == -1 {
-			return false
+			return false, nil
 		}
 		w.pivotSparse(leave, int32(enter), total)
+		if w.pivots%pollPivots == 0 {
+			if err := ctx.Err(); err != nil {
+				return false, err
+			}
+		}
 	}
 }
 
@@ -228,10 +246,18 @@ func (w *sparseWork) iterateSparse(total, barred int) bool {
 // solution. When the problem is Infeasible or Unbounded, X is nil. The
 // result is bit-identical to SolveDense on the same system.
 func (p *Problem) Solve() Solution {
+	sol, _ := p.SolveContext(context.Background())
+	return sol
+}
+
+// SolveContext is Solve under a context, looked at every pollPivots
+// pivots of either phase: once ctx is done the solve stops and returns
+// ctx.Err(), bare.
+func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 	m := len(p.ops)
 	if m == 0 {
 		// Trivially feasible at the origin.
-		return Solution{Status: Optimal, X: make([]float64, p.nvars)}
+		return Solution{Status: Optimal, X: make([]float64, p.nvars)}, nil
 	}
 
 	nSlack, nArt := p.auxCounts()
@@ -240,6 +266,7 @@ func (p *Problem) Solve() Solution {
 
 	w := &p.w
 	w.ensure(m)
+	w.pivots = 0
 	slackIdx, artIdx := int32(p.nvars), int32(artStart)
 	for i := 0; i < m; i++ {
 		ji, jv := p.rowNonzeros(i)
@@ -309,13 +336,14 @@ func (p *Problem) Solve() Solution {
 				obj[total] -= w.rhs[i]
 			}
 		}
-		if !w.iterateSparse(total, total) {
-			// Phase 1 objective is bounded below by zero, so
-			// unboundedness cannot occur; treat defensively.
-			return Solution{Status: Infeasible}
+		bounded, err := w.iterateSparse(ctx, total, total)
+		if err != nil {
+			return Solution{}, err
 		}
-		if -obj[total] > 1e-7 {
-			return Solution{Status: Infeasible}
+		// Phase 1 objective is bounded below by zero, so unboundedness
+		// cannot occur; treat defensively.
+		if !bounded || -obj[total] > 1e-7 {
+			return Solution{Status: Infeasible, Pivots: w.pivots}, nil
 		}
 		// Drive any artificial still in the basis out (degenerate zero
 		// rows); if impossible the row is redundant.
@@ -362,8 +390,12 @@ func (p *Problem) Solve() Solution {
 		}
 	}
 
-	if !w.iterateSparse(total, artStart) {
-		return Solution{Status: Unbounded}
+	bounded, err := w.iterateSparse(ctx, total, artStart)
+	if err != nil {
+		return Solution{}, err
+	}
+	if !bounded {
+		return Solution{Status: Unbounded, Pivots: w.pivots}, nil
 	}
 
 	x := make([]float64, p.nvars)
@@ -376,5 +408,5 @@ func (p *Problem) Solve() Solution {
 	for j := 0; j < p.nvars; j++ {
 		objVal += p.c[j] * x[j]
 	}
-	return Solution{Status: Optimal, X: x, Objective: objVal}
+	return Solution{Status: Optimal, X: x, Objective: objVal, Pivots: w.pivots}, nil
 }

@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"fmt"
 
 	"schedroute/internal/lp"
@@ -37,7 +38,7 @@ func (e *ErrAllocationInfeasible) Error() string {
 // LP relaxation of the paper's integer program is exact here).
 func AllocateIntervals(subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity) (*Allocation, error) {
 	var a solveArena
-	return allocateIntervals(&a, subsets, pa, ws, act, nil, nil)
+	return allocateIntervals(context.Background(), &a, subsets, pa, ws, act, nil, nil)
 }
 
 // allocPin holds part of an allocation fixed — the heart of incremental
@@ -56,12 +57,15 @@ type allocPin struct {
 // machine) and an optional pin (nil frees every message). Every
 // constraint-(4) right-hand side is linkCap[j]·|A_k| less the pinned
 // usage, so neither a fresh solve nor an incremental repair can grow a
-// tenant's traffic beyond its reserved share.
-func allocateIntervals(a *solveArena, subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64, pin *allocPin) (*Allocation, error) {
+// tenant's traffic beyond its reserved share. A done ctx stops the LP
+// (lp.SolveContext) and comes back as ctx.Err(), bare; the pivots spent
+// are left in a.alloc.pivots.
+func allocateIntervals(ctx context.Context, a *solveArena, subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64, pin *allocPin) (*Allocation, error) {
 	K := act.Intervals.K()
 	out := &Allocation{P: make([][]float64, len(ws))}
+	a.alloc.pivots = 0
 	for _, subset := range subsets {
-		if err := allocateSubset(a, subset, pin, pa, ws, act, K, out, linkCap); err != nil {
+		if err := allocateSubset(ctx, a, subset, pin, pa, ws, act, K, out, linkCap); err != nil {
 			return nil, err
 		}
 	}
@@ -155,7 +159,7 @@ func (sc *allocScratch) extract(sol lp.Solution, nrows, K int, out *Allocation) 
 // maximal subset (all of them, in a plain solve); the pinned members
 // keep their base rows in out and consume capacity on every (link,
 // interval) they occupy.
-func allocateSubset(a *solveArena, subset []tfg.MessageID, pin *allocPin, pa *PathAssignment, ws []Window, act *Activity, K int, out *Allocation, linkCap []float64) error {
+func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, pin *allocPin, pa *PathAssignment, ws []Window, act *Activity, K int, out *Allocation, linkCap []float64) error {
 	sc := &a.alloc
 	maxLink := maxLinkOf(subset, pa)
 	sc.ensure(len(ws), K, int(maxLink))
@@ -251,7 +255,11 @@ func allocateSubset(a *solveArena, subset []tfg.MessageID, pin *allocPin, pa *Pa
 		}
 	}
 
-	sol := prob.Solve()
+	sol, err := prob.SolveContext(ctx)
+	if err != nil {
+		return err
+	}
+	sc.pivots += sol.Pivots
 	if sol.Status != lp.Optimal {
 		return &ErrAllocationInfeasible{Subset: subset}
 	}

@@ -71,6 +71,8 @@ type allocScratch struct {
 	// subset per call.
 	isFree []bool
 	free   []tfg.MessageID
+
+	pivots int // simplex pivots of the current allocateIntervals call
 }
 
 func (sc *allocScratch) ensure(nmsgs, K, maxLink int) {

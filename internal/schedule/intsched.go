@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 	"slices"
@@ -65,10 +66,10 @@ func (e *ErrIntervalInfeasible) Error() string {
 // next reservation; it should be twice the synchronization margin.
 func ScheduleIntervals(allocation *Allocation, pa *PathAssignment, act *Activity, engine Engine, gap float64) ([]Slice, error) {
 	var a solveArena
-	return scheduleIntervals(&a, allocation, pa, act, engine, gap)
+	return scheduleIntervals(context.Background(), &a, allocation, pa, act, engine, gap)
 }
 
-func scheduleIntervals(a *solveArena, allocation *Allocation, pa *PathAssignment, act *Activity, engine Engine, gap float64) ([]Slice, error) {
+func scheduleIntervals(ctx context.Context, a *solveArena, allocation *Allocation, pa *PathAssignment, act *Activity, engine Engine, gap float64) ([]Slice, error) {
 	sc := &a.sched
 	var out []Slice
 	K := act.Intervals.K()
@@ -89,7 +90,7 @@ func scheduleIntervals(a *solveArena, allocation *Allocation, pa *PathAssignment
 		if len(sc.msgs) == 0 {
 			continue
 		}
-		slices, err := scheduleOne(a, k, pa, act, engine, gap)
+		slices, err := scheduleOne(ctx, a, k, pa, act, engine, gap)
 		if err != nil {
 			return nil, err
 		}
@@ -195,7 +196,7 @@ func (sc *schedScratch) conflict(n, i, j int) bool {
 	return sc.conf[i*w+j/64]&(1<<(uint(j)%64)) != 0
 }
 
-func scheduleOne(a *solveArena, k int, pa *PathAssignment, act *Activity, engine Engine, gap float64) ([]Slice, error) {
+func scheduleOne(ctx context.Context, a *solveArena, k int, pa *PathAssignment, act *Activity, engine Engine, gap float64) ([]Slice, error) {
 	sc := &a.sched
 	n := len(sc.msgs)
 	length := act.Intervals.Length(k)
@@ -204,7 +205,10 @@ func scheduleOne(a *solveArena, k int, pa *PathAssignment, act *Activity, engine
 
 	useExact := engine == EngineExact || (engine == EngineAuto && n <= exactLimit)
 	if useExact {
-		err := exactDecomposeInto(a, n)
+		err := exactDecomposeInto(ctx, a, n)
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, cerr // not a reason to fall back to greedy
+		}
 		if err != nil && engine == EngineAuto {
 			useExact = false
 		} else if err != nil {
@@ -391,7 +395,7 @@ func (sc *schedScratch) greedyDecomposeInto(n int) {
 // receiving at least its demand from the sets containing it. Maximal
 // sets suffice because over-coverage is trimmed during realization. The
 // chosen sets land in the scratch result arenas.
-func exactDecomposeInto(a *solveArena, n int) error {
+func exactDecomposeInto(ctx context.Context, a *solveArena, n int) error {
 	sc := &a.sched
 	if !sc.enumerateMIS(n, 4096) {
 		return fmt.Errorf("maximal independent set enumeration exceeded cap")
@@ -450,7 +454,10 @@ func exactDecomposeInto(a *solveArena, n int) error {
 			return err
 		}
 	}
-	sol := prob.Solve()
+	sol, err := prob.SolveContext(ctx)
+	if err != nil {
+		return err
+	}
 	if sol.Status != lp.Optimal {
 		return fmt.Errorf("interval LP %v", sol.Status)
 	}
@@ -628,7 +635,7 @@ func exactDecompose(msgs []tfg.MessageID, demands map[tfg.MessageID]float64, con
 	for i, m := range msgs {
 		sc.dem[i] = demands[m]
 	}
-	if err := exactDecomposeInto(&a, len(msgs)); err != nil {
+	if err := exactDecomposeInto(context.Background(), &a, len(msgs)); err != nil {
 		return nil, nil, err
 	}
 	sets, durations := sc.materializeSets()

@@ -219,7 +219,7 @@ func Repair(ctx context.Context, p Problem, o Options, base *Result, fs *topolog
 	reschedule := func(sp *trace.Span, pin *allocPin) (*Result, error) {
 		r := &Result{Windows: base.Windows, Intervals: base.Intervals, Activity: base.Activity,
 			PeakLSD: base.PeakLSD, Latency: base.Latency}
-		if err := back.run(sp, r, incPA, incPeak, base.Omega.Starts, pin); err != nil || !r.Feasible {
+		if err := back.run(ctx, sp, r, incPA, incPeak, base.Omega.Starts, pin); err != nil || !r.Feasible {
 			return nil, err
 		}
 		return r, nil

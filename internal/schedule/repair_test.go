@@ -305,7 +305,7 @@ func TestPinFreeingEverythingEqualsUnpinned(t *testing.T) {
 					opt: &opt, clock: new(stageClock)}
 				r := &Result{Windows: base.Windows, Intervals: base.Intervals, Activity: base.Activity,
 					PeakLSD: base.PeakLSD, Latency: base.Latency}
-				if err := back.run(nil, r, base.Assignment, base.Peak, starts, pin); err != nil {
+				if err := back.run(context.Background(), nil, r, base.Assignment, base.Peak, starts, pin); err != nil {
 					t.Fatalf("%s bw=%g k=%d: %v", name, tc.bw, tc.k, err)
 				}
 				return r

@@ -344,7 +344,7 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 			res.Peak = peak
 		}
 
-		if err := back.run(asp, res, pa, peak, starts, nil); err != nil {
+		if err := back.run(ctx, asp, res, pa, peak, starts, nil); err != nil {
 			return nil, err
 		}
 		if !res.Feasible {
@@ -401,7 +401,7 @@ type backHalf struct {
 // starts (the task starts Ω records) is an argument, not a field: it
 // outlives the call inside Ω, and escape analysis would send everything
 // else b points at — opt, clock — to the heap with it on every Solve.
-func (b *backHalf) run(sp *trace.Span, res *Result, pa *PathAssignment, peak float64, starts []float64, pin *allocPin) error {
+func (b *backHalf) run(ctx context.Context, sp *trace.Span, res *Result, pa *PathAssignment, peak float64, starts []float64, pin *allocPin) error {
 	ws, act, opt := res.Windows, res.Activity, b.opt
 	if peak > 1+timeEps {
 		res.FailStage = StageUtilization
@@ -412,8 +412,8 @@ func (b *backHalf) run(sp *trace.Span, res *Result, pa *PathAssignment, peak flo
 	ms.End()
 
 	al := sp.Start(SpanAllocation)
-	allocation, err := allocateIntervals(b.arena, subsets, pa, ws, act, opt.LinkCap, pin)
-	al.SetAttrs(trace.Bool("feasible", err == nil))
+	allocation, err := allocateIntervals(ctx, b.arena, subsets, pa, ws, act, opt.LinkCap, pin)
+	al.SetAttrs(trace.Bool("feasible", err == nil), trace.Int("lp.pivots", b.arena.alloc.pivots))
 	al.End()
 	b.clock.stamp(&b.clock.AllocateTime)
 	if errors.As(err, new(*ErrAllocationInfeasible)) {
@@ -424,7 +424,7 @@ func (b *backHalf) run(sp *trace.Span, res *Result, pa *PathAssignment, peak flo
 	}
 
 	is := sp.Start(SpanIntervalSched)
-	slices, err := scheduleIntervals(b.arena, allocation, pa, act, opt.Engine, 2*opt.SyncMargin)
+	slices, err := scheduleIntervals(ctx, b.arena, allocation, pa, act, opt.Engine, 2*opt.SyncMargin)
 	is.SetAttrs(trace.Bool("feasible", err == nil), trace.Int("slices", len(slices)))
 	is.End()
 	b.clock.stamp(&b.clock.ScheduleTime)

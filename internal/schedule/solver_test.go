@@ -4,8 +4,11 @@ import (
 	"context"
 	"reflect"
 	"testing"
+	"time"
 
+	"schedroute/internal/alloc"
 	"schedroute/internal/parallel"
+	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
 
@@ -119,5 +122,34 @@ func TestSolverStats(t *testing.T) {
 	}
 	if timed.Stats.Attempts != plain.Stats.Attempts || timed.Stats.AssignIterations != plain.Stats.AssignIterations {
 		t.Fatalf("CollectStats changed deterministic counters: %+v vs %+v", timed.Stats, plain.Stats)
+	}
+}
+
+// TestSolveStopsInsideTheAllocationLP: the deadline reaches into the
+// simplex. The instance (`layered:3,8,8*5,8,0.15` on the 6-cube at
+// B=128, τin=65 — one of bench/known_slow.json's) spends some 30 s in
+// the §5.2 LP before answering infeasible; under a 200 ms context Solve
+// must come back with the context's bare error well inside 2 s, not
+// after the LP has run its course.
+func TestSolveStopsInsideTheAllocationLP(t *testing.T) {
+	g, err := tfg.RandomLayered(3, []int{8, 8, 8, 8, 8, 8, 8}, 400, 1925, 192, 3200, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := tfg.NewUniformTiming(g, 50, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := sixCube(t)
+	as, err := alloc.RoundRobin(g, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	_, err = NewSolver(Problem{Graph: g, Timing: tm, Topology: top, Assignment: as}).Solve(ctx, 65, Options{Seed: 1})
+	if took := time.Since(start); err != context.DeadlineExceeded || took > 2*time.Second {
+		t.Fatalf("Solve returned error %v after %v, want the bare context.DeadlineExceeded in under 2s", err, took)
 	}
 }

@@ -44,6 +44,12 @@ func TestTracedSolveNamesEveryPipelineStageOnce(t *testing.T) {
 	if got := root.Tree().Count(SpanSolve); got != 1 {
 		t.Errorf("parent span holds %d solve subtrees, want 1", got)
 	}
+	// The allocation span says how much simplex its verdict cost.
+	res.Trace.Walk(func(_ int, n *trace.Tree) {
+		if n.Name == SpanAllocation && (len(n.Attrs) != 2 || n.Attrs[1].Key != "lp.pivots" || n.Attrs[1].Int <= 0) {
+			t.Errorf("%s span attrs %v, want feasible and a positive lp.pivots", n.Name, n.Attrs)
+		}
+	})
 }
 
 // The assign_paths span splits the per-link scores behind its

@@ -20,7 +20,8 @@ const maxBatchItems = 1024
 // result object.
 type batchGroup struct {
 	req   schedroute.ScheduleRequest
-	items []int // indices into the request's Items
+	key   string // req.Problem.StructureKey(), computed once for the group's call
+	items []int  // indices into the request's Items
 	out   *schedroute.ScheduleResult
 	err   error
 }
@@ -42,13 +43,6 @@ func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedrout
 	if len(req.Items) == 0 || len(req.Items) > maxBatchItems {
 		return nil, badInput("batch: %d items out of range [1,%d]", len(req.Items), maxBatchItems)
 	}
-	keys := make([]string, len(req.Items))
-	for i, item := range req.Items {
-		keys[i] = item.Problem.StructureKey()
-	}
-	if err := c.route(req, keys...); err != nil {
-		return nil, err
-	}
 	if err := c.queue(); err != nil {
 		return nil, err
 	}
@@ -58,14 +52,15 @@ func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedrout
 	groups := make([]*batchGroup, 0, len(req.Items))
 	index := map[string]*batchGroup{}
 	for i, item := range req.Items {
+		key := item.Problem.StructureKey()
 		ob, _ := json.Marshal(item.Options)
 		ten := schedroute.TenantOrDefault(item.Tenant)
 		gk := fmt.Sprintf("tenant=%s/%d/%g|%s|tauin=%g|omega=%t|opts=%s",
 			ten.ID, ten.Priority, ten.RateGuarantee,
-			keys[i], item.Problem.TauIn, item.IncludeOmega, ob)
+			key, item.Problem.TauIn, item.IncludeOmega, ob)
 		g := index[gk]
 		if g == nil {
-			g = &batchGroup{req: item}
+			g = &batchGroup{req: item, key: key}
 			index[gk] = g
 			groups = append(groups, g)
 		}
@@ -76,9 +71,14 @@ func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedrout
 	ferr := parallel.ForEach(ctx, len(groups), 1+extra, func(gi int) error {
 		g := groups[gi]
 		// A group is a call of its own (untraced, unlogged) through the
-		// body a standalone /v1/schedule runs; its error stays on the
-		// group — per-item isolation: siblings keep running.
-		g.out, g.err = s.scheduleOne(&call{s: s, r: c.r, key: keys[g.items[0]]}, g.req, true)
+		// body of a standalone /v1/schedule, on the batch's slot; its
+		// error stays on the group, so siblings keep running.
+		gc := &call{s: s, r: c.r, key: g.key}
+		ten, err := gc.tenant(g.req.Tenant, g.req.Problem)
+		if err == nil {
+			g.out, err = s.scheduleOne(gc, ten, g.req)
+		}
+		g.err = err
 		return nil
 	})
 

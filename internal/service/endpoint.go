@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"regexp"
@@ -19,15 +18,15 @@ import (
 )
 
 // requestIDHeader carries the request id: the client's when it has
-// requestIDForm (safe to echo and log verbatim), else minted; echoed,
-// forwarded on the shard hop and logged — one id, end to end.
+// requestIDForm (safe to echo and log verbatim), else minted; echoed
+// and logged — one id, end to end.
 const requestIDHeader = "X-Request-Id"
 
 var requestIDForm = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
 // call is one request on the service's one path (DESIGN §6): created
 // by the adapter, driven by the endpoint function through the shared
-// steps — tenant, route, queue, structure, solve, in that order — then
+// steps — tenant, queue, structure, solve, in that order — then
 // read by the access log and the metrics: one record, so no drift.
 type call struct {
 	s    *Server
@@ -157,23 +156,11 @@ type reportError struct {
 func (e *reportError) Error() string { return e.err.Error() }
 func (e *reportError) Unwrap() error { return e.err }
 
-// relayed is the owning shard's response to a forwarded request. It
-// travels in the error position — the request is finished, just not by
-// the endpoint function — and is written to the client verbatim.
-type relayed struct{ resp *http.Response }
-
-func (*relayed) Error() string { return "served by the owning shard" }
-
 // writeError is the single exit for every response the endpoint
 // function did not produce itself: the {error, kind, detail} envelope
 // and status come from the errkind table (so top-level errors, batch
 // items and watch frames cannot drift), any report from a reportError.
 func (s *Server) writeError(w http.ResponseWriter, c *call, err error) int {
-	var rl *relayed
-	if errors.As(err, &rl) {
-		writeRelay(w, rl.resp)
-		return rl.resp.StatusCode
-	}
 	// A solve cut short by the per-request deadline or a dropped client
 	// is a capacity condition, not a server bug: report 503, not 500.
 	if errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled) {
@@ -195,20 +182,9 @@ func (s *Server) writeError(w http.ResponseWriter, c *call, err error) int {
 	return status
 }
 
-// writeRelay copies a peer's response — status, content type and body —
-// so the client cannot tell which replica solved.
-func writeRelay(w http.ResponseWriter, resp *http.Response) {
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
-	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-}
-
 // structureKey is the problem's StructureKey — a seven-verb Sprintf —
-// computed on first use: the tenant check, the shard route, the cache
-// lookup and the flight key all read this one copy.
+// computed on first use: the tenant check, the cache lookup and the
+// flight key all read this one copy.
 func (c *call) structureKey(p schedroute.Problem) string {
 	if c.key == "" {
 		c.key = p.StructureKey()

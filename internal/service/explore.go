@@ -23,9 +23,6 @@ const SpanExplorePoint = "explore_point"
 // what-if: the tenant is a metrics label, its standing never consulted.
 func (s *Server) explore(c *call, req schedroute.ExploreRequest) (*schedroute.ExploreResult, error) {
 	c.tenantID = schedroute.TenantOrDefault(req.Tenant).ID
-	if err := c.route(req, c.structureKey(req.Problem)); err != nil {
-		return nil, err
-	}
 	if err := c.queue(); err != nil {
 		return nil, err
 	}

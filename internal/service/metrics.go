@@ -42,8 +42,6 @@ var (
 	mExploreRuns     = row("srschedd_explore_runs_total", "counter", "Completed explorations by mode.", "mode")
 	mExplorePoints   = row("srschedd_explore_points_total", "counter", "Exploration points reported (grid samples plus Pareto evaluations).")
 	mExploreFront    = row("srschedd_explore_front_points_total", "counter", "Non-dominated points emitted on Pareto fronts.")
-	mShardProxied    = row("srschedd_shard_proxied_total", "counter", "Requests forwarded to their owning shard.")
-	mShardLocalMiss  = row("srschedd_shard_local_misses_total", "counter", "Requests served locally although another shard owns their structure.")
 	mCoalesced       = row("srschedd_coalesced_requests_total", "counter", "Requests served by joining an identical in-flight solve.")
 	mSolveRuns       = row("srschedd_solve_runs_total", "counter", "Solver executions (after coalescing).")
 	mQueueDepth      = row("srschedd_queue_depth", "gauge", "Requests waiting for a solve worker slot.")

@@ -83,7 +83,7 @@ func TestMetricTableNaming(t *testing.T) {
 			t.Errorf("%s: %d labels, a labelKey holds %d", s.name, len(s.labels), len(labelKey{}))
 		}
 	}
-	if len(metricTable) != 27 {
+	if len(metricTable) != 25 {
 		t.Errorf("%d series; adding or retiring one is a documented decision (README Metrics, DESIGN §6)", len(metricTable))
 	}
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -79,10 +80,10 @@ func checkWhole(t *testing.T, code int, hdr http.Header, body []byte) schedroute
 // the edges of the request path: a body exactly at MaxBodyBytes is
 // served and one byte more is a bad_input rejection; a client that has
 // gone away before the decode, while the request is queued, or in the
-// middle of its solve or of an annealing search gets a whole typed
-// answer (the unavailable envelope once the path notices) — never a
-// 500, a hang, a leaked goroutine (newTestServer's cleanup checks) or
-// half a body.
+// middle of its solve, of an annealing search or of the allocation LP
+// gets a whole typed answer (the unavailable envelope once the path
+// notices) — never a 500, a hang, a leaked goroutine (newTestServer's
+// cleanup checks) or half a body.
 func TestEndpointRobustness(t *testing.T) {
 	const maxBody = 2048
 	srv, ts := newTestServer(t, Config{Workers: 1, QueueDepth: 1, MaxBodyBytes: maxBody})
@@ -96,6 +97,19 @@ func TestEndpointRobustness(t *testing.T) {
 	}
 	wc, hello := openWatch(t, ts, schedroute.WatchRequest{Problem: testProblem(150)})
 	defer wc.Close()
+	// refusalKind is the errkind a whole answer carries: its envelope's,
+	// or — the batch reports per item, under a 200 — its one item's.
+	refusalKind := func(t *testing.T, code int, hdr http.Header, body []byte) string {
+		er := checkWhole(t, code, hdr, body)
+		if code != http.StatusOK {
+			return er.Kind
+		}
+		var out schedroute.BatchScheduleResult
+		if err := json.Unmarshal(body, &out); err != nil || len(out.Items) != 1 {
+			t.Fatalf("200 that is not the batch's per-item report: %s", body)
+		}
+		return out.Items[0].Kind
+	}
 
 	for _, ep := range jsonEndpoints {
 		path := strings.Replace(ep.path, "{id}", hello.SubID, 1)
@@ -168,16 +182,8 @@ func TestEndpointRobustness(t *testing.T) {
 				midSolve.Store(&cancel)
 				defer midSolve.Store(nil)
 				code, hdr, body := serve(ctx)
-				er := checkWhole(t, code, hdr, body)
-				if code == http.StatusOK { // the batch reports per item
-					var out schedroute.BatchScheduleResult
-					if err := json.Unmarshal(body, &out); err != nil || len(out.Items) != 1 {
-						t.Fatalf("200 that is not the batch's per-item report: %s", body)
-					}
-					er.Kind = out.Items[0].Kind
-				}
-				if er.Kind != "unavailable" {
-					t.Fatalf("status %d kind %q, want unavailable", code, er.Kind)
+				if kind := refusalKind(t, code, hdr, body); kind != "unavailable" {
+					t.Fatalf("status %d kind %q, want unavailable", code, kind)
 				}
 			})
 		}
@@ -215,6 +221,49 @@ func TestEndpointRobustness(t *testing.T) {
 			if took > time.Second {
 				t.Errorf("answered %v after the client left, want under 1s", took)
 			}
+		})
+	}
+
+	// Nor does a simplex of half a minute outlive its request: the
+	// instance (one of bench/known_slow.json's) spends some 30 s in the
+	// allocation LP to answer infeasible, and every endpoint that solves
+	// it gives up with its client — the answer within the poll, and the
+	// solve itself gone, not left running behind a freed worker slot.
+	// (A server of its own: the first one's cube:6 fabric is pinned at
+	// another bandwidth.)
+	lpSrv, _ := newTestServer(t, Config{Workers: 1})
+	slow := schedroute.Problem{TFG: "layered:3,8,8*5,8,0.15", Topology: "cube:6", Bandwidth: 128, TauIn: 65}
+	seed := schedroute.Options{Seed: 1}
+	for _, ep := range []struct {
+		name, path string
+		body       any
+	}{
+		{"schedule", "/v1/schedule", schedroute.ScheduleRequest{Problem: slow, Options: seed}},
+		{"schedule_batch", "/v1/schedule:batch", schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{{Problem: slow, Options: seed}}}},
+		{"repair", "/v1/repair", schedroute.RepairRequest{Problem: slow, Options: seed, Fault: schedroute.FaultSpec{Links: []string{"0-1"}}}},
+		{"admit", "/v1/admit", schedroute.AdmitRequest{Problem: slow, Options: seed, Tenant: tenantOf("slow", 0, 0)}},
+		{"explore", "/v1/explore", schedroute.ExploreRequest{Problem: slow, Options: seed,
+			Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 65, Max: 65, Points: 1}}}},
+		{"watch", "/v1/watch", schedroute.WatchRequest{Problem: slow, Options: seed}},
+	} {
+		t.Run(ep.name+"/cancelled mid-LP", func(t *testing.T) {
+			raw, err := json.Marshal(ep.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			running := runtime.NumGoroutine()
+			ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+			defer cancel()
+			start := time.Now()
+			rec := httptest.NewRecorder()
+			lpSrv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, ep.path, bytes.NewReader(raw)).WithContext(ctx))
+			took := time.Since(start)
+			if kind := refusalKind(t, rec.Code, rec.Header(), rec.Body.Bytes()); kind != "unavailable" || took > 2*time.Second {
+				t.Fatalf("status %d kind %q after %v, want unavailable within 2s of a 200ms deadline", rec.Code, kind, took)
+			}
+			// Left alone the count only falls (idle connections of earlier
+			// subtests closing), so a strict bound is safe.
+			waitFor(t, "the abandoned solve to stop", func() bool { return runtime.NumGoroutine() <= running })
 		})
 	}
 }

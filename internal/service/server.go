@@ -73,33 +73,6 @@ type Config struct {
 	MaxBodyBytes int64
 	// Logger receives structured request logs (default slog.Default()).
 	Logger *slog.Logger
-
-	// Peers is the full fleet membership as base URLs, including this
-	// replica's own SelfURL. Non-empty enables shard routing: every
-	// StructureKey gets one owning replica by rendezvous hashing.
-	Peers []string
-	// SelfURL is this replica's own entry in Peers.
-	SelfURL string
-	// ShardPolicy says what to do with a request whose structure another
-	// replica owns: "proxy" (default) forwards it to the owner; "serve"
-	// handles it locally and records a shard-local miss.
-	ShardPolicy string
-
-	// MaxWatchSubs caps concurrent /v1/watch subscriptions (default 64).
-	MaxWatchSubs int
-	// WatchEventQueue bounds pending events per subscription; a full
-	// queue rejects new events with 503 instead of ever blocking
-	// (default 16).
-	WatchEventQueue int
-	// WatchRing bounds the per-subscription frame replay ring backing
-	// Last-Event-ID resume; consumers that fall off its tail are
-	// coalesced to the latest frame (default 64).
-	WatchRing int
-	// WatchHeartbeat is the idle-stream keepalive interval (default 15s).
-	WatchHeartbeat time.Duration
-	// WatchIdleTimeout reaps subscriptions with no attached consumer and
-	// no event activity (default 2m).
-	WatchIdleTimeout time.Duration
 }
 
 func (c Config) withDefaults() Config {
@@ -121,24 +94,6 @@ func (c Config) withDefaults() Config {
 	if c.Logger == nil {
 		c.Logger = slog.Default()
 	}
-	if c.ShardPolicy == "" {
-		c.ShardPolicy = shardPolicyProxy
-	}
-	if c.MaxWatchSubs == 0 {
-		c.MaxWatchSubs = 64
-	}
-	if c.WatchEventQueue == 0 {
-		c.WatchEventQueue = 16
-	}
-	if c.WatchRing == 0 {
-		c.WatchRing = 64
-	}
-	if c.WatchHeartbeat == 0 {
-		c.WatchHeartbeat = 15 * time.Second
-	}
-	if c.WatchIdleTimeout == 0 {
-		c.WatchIdleTimeout = 2 * time.Minute
-	}
 	return c
 }
 
@@ -152,8 +107,9 @@ type Server struct {
 	metrics *Metrics
 	watches *watchRegistry
 	tenants *tenantRegistry
-	ring    *shardRing   // nil unless Peers set
-	httpc   *http.Client // peer proxying
+
+	// The watch bounds tests shrink, filled from watch.go's constants.
+	maxWatchSubs, watchEventQueue, watchRing int
 
 	// A minted request id is idPrefix — random per process, so replicas
 	// cannot collide — plus a counter: no crypto/rand call per request.
@@ -178,7 +134,7 @@ type Server struct {
 func New(cfg Config) *Server {
 	cfg = cfg.withDefaults()
 	m := newMetrics()
-	s := &Server{
+	return &Server{
 		cfg:      cfg,
 		log:      cfg.Logger,
 		cache:    newSolverCache(cfg.MaxSolvers, m),
@@ -186,16 +142,15 @@ func New(cfg Config) *Server {
 		metrics:  m,
 		watches:  newWatchRegistry(),
 		tenants:  newTenantRegistry(),
-		httpc:    &http.Client{},
 		idPrefix: randomHex(4) + "-",
 		sem:      make(chan struct{}, cfg.Workers),
 		stop:     make(chan struct{}),
 		inflight: make(chan struct{}, cfg.Workers+cfg.QueueDepth),
+
+		maxWatchSubs:    maxWatchSubs,
+		watchEventQueue: watchEventQueue,
+		watchRing:       watchRing,
 	}
-	if len(cfg.Peers) > 0 {
-		s.ring = newShardRing(cfg.Peers, cfg.SelfURL)
-	}
-	return s
 }
 
 var errDraining = unavailable("service: shutting down")
@@ -353,31 +308,29 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	s.metrics.WriteText(w)
 }
 
-// schedule is POST /v1/schedule.
+// schedule is POST /v1/schedule: scheduleOne, queued when it solves.
 func (s *Server) schedule(c *call, req schedroute.ScheduleRequest) (*schedroute.ScheduleResult, error) {
-	return s.scheduleOne(c, req, false)
-}
-
-// scheduleOne answers one schedule request: all of /v1/schedule, or one
-// distinct batch item, which was routed and queued with its batch and
-// skips those steps. An admitted tenant gets its standing — the schedule
-// granted at admission, repaired if the fabric degraded — never a solve.
-func (s *Server) scheduleOne(c *call, req schedroute.ScheduleRequest, batchItem bool) (*schedroute.ScheduleResult, error) {
 	ten, err := c.tenant(req.Tenant, req.Problem)
 	if err != nil {
 		return nil, err
 	}
-	if ten != nil {
-		return s.tenantSchedule(ten, req.IncludeOmega, req.Options.WantStats())
-	}
-	if !batchItem {
-		if err := c.route(req, c.structureKey(req.Problem)); err != nil {
-			return nil, err
-		}
+	if ten == nil {
 		if err := c.queue(); err != nil {
 			return nil, err
 		}
 		defer s.release()
+	}
+	return s.scheduleOne(c, ten, req)
+}
+
+// scheduleOne answers one schedule request — all of /v1/schedule, or
+// one distinct batch item — whose tenant scope is resolved. An admitted
+// tenant gets its standing — the schedule granted at admission, repaired
+// if the fabric degraded — never a solve; anyone else one solve, on a
+// worker slot the caller holds.
+func (s *Server) scheduleOne(c *call, ten *tenantEntry, req schedroute.ScheduleRequest) (*schedroute.ScheduleResult, error) {
+	if ten != nil {
+		return s.tenantSchedule(ten, req.IncludeOmega, req.Options.WantStats())
 	}
 	sv, err := c.solve(req.Problem, req.Options)
 	if err != nil {
@@ -397,11 +350,6 @@ func (s *Server) repair(c *call, req schedroute.RepairRequest) (*schedroute.Repa
 	ten, err := c.tenant(req.Tenant, req.Problem)
 	if err != nil {
 		return nil, err
-	}
-	if ten == nil {
-		if err := c.route(req, c.structureKey(req.Problem)); err != nil {
-			return nil, err
-		}
 	}
 	if err := c.queue(); err != nil {
 		return nil, err

@@ -461,8 +461,6 @@ func TestMetricsExposition(t *testing.T) {
 		"srschedd_queue_depth 0",
 		"srschedd_cache_evictions_total 0",
 		"srschedd_batch_items_total 0",
-		"srschedd_shard_proxied_total 0",
-		"srschedd_shard_local_misses_total 0",
 		`srschedd_solve_stage_seconds_total{stage="assign"}`,
 		"srschedd_request_seconds_count{endpoint=\"schedule\"} 3",
 	} {
@@ -470,9 +468,10 @@ func TestMetricsExposition(t *testing.T) {
 			t.Errorf("metrics missing %q\n%s", want, text)
 		}
 	}
-	// Series retired with warm-start (PR 16), and the gauge that only
-	// duplicated srschedd_solver_cache_size, must not come back.
-	for _, gone := range []string{"warmstart", "srschedd_cache_entries", "_builds_total"} {
+	// Series retired with warm-start (PR 16) and shard routing (PR 21),
+	// and the gauge that only duplicated srschedd_solver_cache_size, must
+	// not come back.
+	for _, gone := range []string{"warmstart", "shard", "srschedd_cache_entries", "_builds_total"} {
 		if strings.Contains(string(text), gone) {
 			t.Errorf("metrics still expose a %q series\n%s", gone, text)
 		}
@@ -741,5 +740,81 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// syncBuffer is a log sink a test may read while the server still
+// writes: the access-log line lands after the response has gone out.
+type syncBuffer struct {
+	mu sync.Mutex
+	b  bytes.Buffer
+}
+
+func (s *syncBuffer) Write(p []byte) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.Write(p)
+}
+
+func (s *syncBuffer) String() string {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.b.String()
+}
+
+// TestRequestID follows one request by its id: a traced request returns
+// the id in its header, carries it on the trace root, and is logged
+// under it — whether the client supplied the id or the server minted
+// it. An id that is not safe to echo verbatim is replaced, not trusted.
+func TestRequestID(t *testing.T) {
+	logs := new(syncBuffer)
+	_, ts := newTestServer(t, Config{Logger: slog.New(slog.NewTextHandler(logs, nil))})
+	raw, _ := json.Marshal(schedroute.ScheduleRequest{Problem: testProblem(150)})
+	hc := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+
+	for _, sent := range []string{"trace-me.01", "", "no spaces\"or quotes"} {
+		req, err := http.NewRequest(http.MethodPost, ts.URL+"/v1/schedule?debug=trace", bytes.NewReader(raw))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if sent != "" {
+			req.Header.Set(requestIDHeader, sent)
+		}
+		resp, err := hc.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, err := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("id %q: status %d (%v): %s", sent, resp.StatusCode, err, body)
+		}
+		id := resp.Header.Get(requestIDHeader)
+		if !requestIDForm.MatchString(id) || (requestIDForm.MatchString(sent) != (id == sent)) {
+			t.Fatalf("sent id %q, got %q back: want a well-formed id echoed and anything else replaced", sent, id)
+		}
+
+		var out schedroute.ScheduleResult
+		if err := json.Unmarshal(body, &out); err != nil || out.Trace == nil || out.Trace.Root == nil {
+			t.Fatalf("id %q: no trace envelope (%v): %.200s", sent, err, body)
+		}
+		onRoot := ""
+		for _, at := range out.Trace.Root.Attrs {
+			if at.Key == "request_id" {
+				onRoot = at.Str
+			}
+		}
+		if onRoot != id {
+			t.Errorf("trace root carries request_id %q, header says %q", onRoot, id)
+		}
+		want := "endpoint=schedule method=POST status=200"
+		waitFor(t, "the server to log request "+id, func() bool {
+			for _, line := range strings.Split(logs.String(), "\n") {
+				if strings.Contains(line, "request_id="+id+" ") && strings.Contains(line, want) {
+					return true
+				}
+			}
+			return false
+		})
 	}
 }

@@ -107,6 +107,17 @@ type watchConn struct {
 	next   int64
 }
 
+// The watch bounds: a full event queue answers 503, never blocks; a
+// consumer that falls off the replay ring is coalesced to the latest
+// frame; a subscription idle past watchIdleTimeout is reaped.
+const (
+	maxWatchSubs     = 64               // concurrent subscriptions
+	watchEventQueue  = 16               // pending events per subscription
+	watchRing        = 64               // frames kept for Last-Event-ID resume
+	watchHeartbeat   = 15 * time.Second // idle-stream keepalive
+	watchIdleTimeout = 2 * time.Minute  // no consumer and no event
+)
+
 // watchSub is one streaming reconfiguration subscription: a pinned
 // problem structure, a repair session over the base schedule, a
 // bounded event queue feeding a single state-machine goroutine, and a
@@ -194,7 +205,7 @@ func (s *Server) watchCreate(c *call, req schedroute.WatchRequest) (watchStream,
 		req:        req,
 		tenant:     ten,
 		traced:     c.root.Enabled(),
-		events:     make(chan queuedEvent, s.cfg.WatchEventQueue),
+		events:     make(chan queuedEvent, s.watchEventQueue),
 		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 		ctx:        ctx,
@@ -205,7 +216,7 @@ func (s *Server) watchCreate(c *call, req schedroute.WatchRequest) (watchStream,
 	hello, err := sub.base(c)
 	if err == nil {
 		sub.fs = topology.NewFaultSet(sub.built.Topology.Links(), sub.built.Topology.Nodes())
-		err = s.watches.add(sub, s.cfg.MaxWatchSubs)
+		err = s.watches.add(sub, s.maxWatchSubs)
 	}
 	if err != nil {
 		cancel()
@@ -347,8 +358,7 @@ func (s *Server) watchDelete(c *call, _ struct{}) (map[string]string, error) {
 func (sub *watchSub) run() {
 	defer close(sub.done)
 	defer sub.s.metrics.add(mWatchSubs, -1)
-	reap := sub.s.cfg.WatchIdleTimeout
-	idle := time.NewTicker(reap / 4)
+	idle := time.NewTicker(watchIdleTimeout / 4)
 	defer idle.Stop()
 	for {
 		select {
@@ -364,7 +374,7 @@ func (sub *watchSub) run() {
 			}
 		case <-idle.C:
 			sub.mu.Lock()
-			expired := len(sub.conns) == 0 && time.Since(sub.lastActive) > reap
+			expired := len(sub.conns) == 0 && time.Since(sub.lastActive) > watchIdleTimeout
 			sub.mu.Unlock()
 			if expired {
 				sub.close("idle timeout: no consumers and no events", true)
@@ -665,7 +675,7 @@ func (sub *watchSub) append(f *schedroute.WatchFrame) {
 		sub.ringStart = f.Seq
 	}
 	sub.ring = append(sub.ring, ringFrame{seq: f.Seq, typ: f.Type, terminal: f.Terminal, data: data})
-	over := len(sub.ring) - sub.s.cfg.WatchRing
+	over := len(sub.ring) - sub.s.watchRing
 	if over > 0 {
 		sub.ring = append(sub.ring[:0], sub.ring[over:]...)
 		sub.ringStart = sub.ring[0].seq
@@ -747,7 +757,7 @@ func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, from int6
 	sub.addConn(c)
 	defer sub.removeConn(c)
 
-	hb := time.NewTicker(sub.s.cfg.WatchHeartbeat)
+	hb := time.NewTicker(watchHeartbeat)
 	defer hb.Stop()
 
 	// note writes an unreplayable frame (gap, heartbeat): the latest seq

@@ -454,7 +454,8 @@ func TestWatchResumeReplaysIdenticalBytes(t *testing.T) {
 // the latest fault state — one gap frame (no SSE id) plus the newest
 // frame — instead of stalling the subscription.
 func TestWatchSlowConsumerCoalesced(t *testing.T) {
-	srv, ts := newTestServer(t, Config{WatchRing: 4})
+	srv, ts := newTestServer(t, Config{})
+	srv.watchRing = 4
 	c, hello := openWatch(t, ts, schedroute.WatchRequest{Problem: testProblem(150)})
 	defer c.Close()
 
@@ -501,7 +502,8 @@ func TestWatchSlowConsumerCoalesced(t *testing.T) {
 // non-terminal error frame; unknown subscriptions 404; and a full
 // bounded queue sheds events with 503 instead of blocking.
 func TestWatchEventValidationAndOverflow(t *testing.T) {
-	srv, ts := newTestServer(t, Config{Workers: 1, WatchEventQueue: 1})
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	srv.watchEventQueue = 1
 	c, hello := openWatch(t, ts, schedroute.WatchRequest{Problem: testProblem(150)})
 	defer c.Close()
 
@@ -731,7 +733,8 @@ func TestWatchSubscriptionChurn(t *testing.T) {
 	}
 
 	// Admission cap: with every slot filled, the next create is shed.
-	srvCap, tsCap := newTestServer(t, Config{MaxWatchSubs: 1})
+	srvCap, tsCap := newTestServer(t, Config{})
+	srvCap.maxWatchSubs = 1
 	c, _ := openWatch(t, tsCap, schedroute.WatchRequest{Problem: testProblem(150)})
 	defer c.Close()
 	code, body := postJSON(t, tsCap, "/v1/watch", schedroute.WatchRequest{Problem: testProblem(150)})

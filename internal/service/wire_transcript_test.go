@@ -24,7 +24,9 @@ var updateTranscript = flag.Bool("update-transcript", false, "rewrite testdata/w
 
 // blanked are the only bytes of a response the transcript does not pin:
 // wall-clock durations, the random subscription id, the build's Go
-// version, and the request id a traced root carries as an attribute.
+// version, the request id a traced root carries as an attribute, and the
+// allocation LP's pivot count (a property of the pricing rule, not of
+// the wire; internal/schedule's trace test holds the attribute).
 var blanked = []struct {
 	re   *regexp.Regexp
 	with string
@@ -33,6 +35,7 @@ var blanked = []struct {
 	{regexp.MustCompile(`w[0-9a-f]{16}`), `wSUB`},
 	{regexp.MustCompile(`"go_version":"[^"]*"`), `"go_version":"GO"`},
 	{regexp.MustCompile(`,\{"key":"request_id","kind":"str","str":"[^"]*"\}`), ``},
+	{regexp.MustCompile(`,\{"key":"lp\.pivots","kind":"int","int":\d+\}`), ``},
 }
 
 func blank(b []byte) []byte {
@@ -272,6 +275,10 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("schedule: unknown schema_version on a cached structure is let through", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: staleSchema})
 	tr.do("schedule: bad topology", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: schedroute.Problem{TFG: "dvb:4", Topology: "klein-bottle:6"}})
 	tr.do("schedule: no tfg", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: schedroute.Problem{Topology: "cube:6"}})
+	// A tfg is a generator spec, never a path: the daemon opens no file a
+	// client names, so one that exists and one that does not answer alike.
+	tr.do("schedule: tfg names a file that exists", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: schedroute.Problem{TFG: "/etc/hostname", Topology: "cube:6"}})
+	tr.do("schedule: tfg names a file that does not", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: schedroute.Problem{TFG: "/etc/nope", Topology: "cube:6"}})
 	tr.do("schedule: bad engine", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: p150, Options: schedroute.Options{Engine: "quantum"}})
 	tr.do("schedule: bad tenant", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: p150, Tenant: tenantOf("greedy", 0, 2)})
 	tr.do("schedule: unadmitted tenant is the plain path", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: p150, Tenant: tenantOf("ghost", 0, 0)})

@@ -86,7 +86,8 @@ func TestRefusedParametersAreBadInput(t *testing.T) {
 		{"more tasks than nodes", with(func(p *Problem) { p.Topology = "cube:2" }), Options{}, "15 tasks exceed 4 nodes"},
 		{"more tasks than nodes, greedy", with(func(p *Problem) { p.Topology, p.Allocator = "cube:2", "greedy" }), Options{}, "15 tasks exceed 4 nodes"},
 		{"graph generator out of range", with(func(p *Problem) { p.TFG = "dvb:0" }), Options{}, "at least one object model"},
-		{"graph file that is no graph", with(func(p *Problem) { p.TFG = "testdata/explore_request.golden.json" }), Options{}, "tfg:"},
+		{"a file's name is no graph spec", with(func(p *Problem) { p.TFG = "testdata/explore_request.golden.json" }), Options{}, `unknown graph spec "testdata/explore_request.golden.json"`},
+		{"inline document that is no graph", with(func(p *Problem) { p.TFG, p.TFGInline = "", json.RawMessage(`{"not":"a graph"}`) }), Options{}, "tfg_inline: tfg:"},
 	} {
 		b, err := NewProblem(c.p)
 		if err == nil {

@@ -15,8 +15,8 @@ import (
 )
 
 // checkProblem runs everything the request path does with a decoded
-// problem short of building it (NewProblem may open the file a tfg
-// spec names, which is no business of a fuzzer).
+// problem short of building it (a decodable spec can name a machine or
+// a graph too large to build once per fuzz iteration).
 func checkProblem(p schedroute.Problem, o schedroute.Options, t *schedroute.Tenant) []error {
 	_ = p.StructureKey()
 	_, oerr := o.ToSchedule()
@@ -125,6 +125,7 @@ func FuzzRequestDecode(f *testing.F) {
 		f.Add([]byte(`{"problem":` + string(w.Entries[0].Problem) + `}`))
 	}
 	f.Add([]byte(`{"type":"fault","links":["0-1"]}`))
+	f.Add([]byte(`{"problem":{"tfg":"/etc/hostname","topology":"cube:6"}}`))
 	f.Add([]byte(`{"items":[{"problem":{"tfg":"dvb:4","topology":"cube:6"}}]}`))
 	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"axes":{"placement":{"anneal_seeds":[2],"anneal_steps":-5}}}`))
 	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"execute":true,"invocations":-1}`))

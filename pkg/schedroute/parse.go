@@ -2,7 +2,6 @@ package schedroute
 
 import (
 	"fmt"
-	"os"
 	"strconv"
 	"strings"
 
@@ -83,9 +82,11 @@ func ParseAllocator(name string, g *tfg.Graph, top *topology.Topology, seed int6
 	}
 }
 
-// LoadGraph reads a TFG: either a built-in spec ("dvb:4", "chain:8",
-// "fan:6", "fft:3", "stencil:4", "layered:seed,widths...,density") or a
-// path to a JSON file produced by tfggen.
+// LoadGraph builds a TFG from a built-in generator spec ("dvb:4",
+// "chain:8", "fan:6", "fft:3", "stencil:4",
+// "layered:seed,widths...,density"). It opens no file — the service
+// resolves client-supplied strings through it; the CLIs read a graph
+// file themselves and send it as Problem.TFGInline (internal/cliutil).
 func LoadGraph(spec string) (*tfg.Graph, error) {
 	if kind, rest, ok := strings.Cut(spec, ":"); ok {
 		if kind == "layered" {
@@ -113,13 +114,7 @@ func LoadGraph(spec string) (*tfg.Graph, error) {
 		// A generator refuses an N outside its range.
 		return g, errkind.Mark(err, errkind.ErrBadInput)
 	}
-	f, err := os.Open(spec)
-	if err != nil {
-		return nil, errkind.Mark(err, errkind.ErrBadInput)
-	}
-	defer f.Close()
-	g, err := tfg.Decode(f)
-	return g, errkind.Mark(err, errkind.ErrBadInput)
+	return nil, badInput("unknown graph spec %q", spec)
 }
 
 // parseLayered resolves "layered:seed,w1,w2,...,density" into a

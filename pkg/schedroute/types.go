@@ -99,12 +99,11 @@ func (t Tenant) Validate() error {
 // round-robin placement, τin = τc).
 type Problem struct {
 	SchemaVersion int `json:"schema_version,omitempty"`
-	// TFG is a graph spec: "dvb:N", "chain:N", "fan:N", "fft:N",
-	// "stencil:N", or a path to a tfggen JSON file.
+	// TFG is a generator spec: "dvb:N", "chain:N", "fan:N", "fft:N",
+	// "stencil:N" or "layered:seed,widths...,density" — never a path.
 	TFG string `json:"tfg,omitempty"`
-	// TFGInline carries the tfggen JSON document itself, for callers
-	// (e.g. remote service clients) with no shared filesystem. Exactly
-	// one of TFG and TFGInline must be set.
+	// TFGInline carries a tfggen JSON document itself: how a graph in a
+	// file travels. Exactly one of TFG and TFGInline must be set.
 	TFGInline json.RawMessage `json:"tfg_inline,omitempty"`
 	// Topology is a spec like "cube:6", "ghc:4,4,4", "torus:8,8",
 	// "mesh:4,4".
