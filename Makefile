@@ -34,11 +34,14 @@ race:
 # validation (pkg/schedroute/fuzz_test.go). FuzzOmegaDecode: arbitrary
 # bytes through the Ω loader and, when they load, Validate, Linksets
 # and a save/load round trip (internal/schedule/fuzz_test.go).
+# FuzzWatchAttach: arbitrary Last-Event-ID bytes against an empty, a
+# partly evicted and a closed frame log (internal/service/fuzz_test.go).
 # Minimization is capped so the budget goes to new inputs; a crasher
 # lands in the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./pkg/schedroute -run '^$$' -fuzz FuzzRequestDecode -fuzztime 20s -fuzzminimizetime 10x
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzOmegaDecode -fuzztime 20s -fuzzminimizetime 10x
+	$(GO) test ./internal/service -run '^$$' -fuzz FuzzWatchAttach -fuzztime 20s -fuzzminimizetime 10x
 
 # Non-test Go lines per package (plain wc -l, no comment stripping): the
 # number a diet PR quotes before and after (scripts/loc.sh).

@@ -378,35 +378,33 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 	if err != nil {
 		cliutil.Fatal("srsched", err)
 	}
-	b, err := schedroute.NewProblem(prob)
-	if err != nil {
-		cliutil.Fatal("srsched", err)
-	}
-	top := b.Topology
 
-	// The event script: a seeded random link-fault scenario replayed
-	// delta by delta, or the single -fail-link/-fail-node fault struck
-	// and then repaired.
+	// The event script: the single -fail-link/-fail-node fault struck and
+	// then repaired, or a seeded random link-fault scenario replayed delta
+	// by delta — the one case that needs the machine built on this side.
 	var evs []schedroute.WatchEvent
-	if nEvents > 0 {
-		tr := faults.RandomTrace(top, pf.Seed, faults.RandomOptions{Events: nEvents, RepairFraction: 0.5})
+	if spec := pf.FaultSpec(); nEvents > 0 {
+		b, err := schedroute.NewProblem(prob)
+		if err != nil {
+			cliutil.Fatal("srsched", err)
+		}
+		tr := faults.RandomTrace(b.Topology, pf.Seed, faults.RandomOptions{Events: nEvents, RepairFraction: 0.5})
 		deltas, err := tr.Deltas(2 * 8)
 		if err != nil {
 			cliutil.Fatal("srsched", err)
 		}
-		fs := topology.NewFaultSet(top.Links(), top.Nodes())
+		fs := topology.NewFaultSet(b.Topology.Links(), b.Topology.Nodes())
 		for _, d := range deltas {
-			evs = append(evs, deltaEvents(top, fs, d)...)
+			evs = appendChange(evs, b.Topology, fs, schedroute.WatchEventFault, d.Fail)
+			evs = appendChange(evs, b.Topology, fs, schedroute.WatchEventRepaired, d.Repair)
 		}
+	} else if spec.Empty() {
+		cliutil.Fatal("srsched", fmt.Errorf("-watch needs -fail-link, -fail-node, or -watch-events"))
 	} else {
-		spec := pf.FaultSpec()
-		if len(spec.Links) == 0 && len(spec.Nodes) == 0 {
-			cliutil.Fatal("srsched", fmt.Errorf("-watch needs -fail-link, -fail-node, or -watch-events"))
+		evs = []schedroute.WatchEvent{
+			{Type: schedroute.WatchEventFault, Links: spec.Links, Nodes: spec.Nodes},
+			{Type: schedroute.WatchEventRepaired, Links: spec.Links, Nodes: spec.Nodes},
 		}
-		evs = append(evs,
-			schedroute.WatchEvent{Type: schedroute.WatchEventFault, Links: spec.Links, Nodes: spec.Nodes},
-			schedroute.WatchEvent{Type: schedroute.WatchEventRepaired, Links: spec.Links, Nodes: spec.Nodes},
-		)
 	}
 
 	ctx := context.Background()
@@ -422,6 +420,8 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 	}
 	fmt.Println()
 
+	// Heartbeat and gap frames pass through the loops below untouched:
+	// printFrame has nothing to say about them, and they answer no event.
 	status := 0
 	for _, ev := range evs {
 		ack, err := wc.Send(ctx, st.ID, ev)
@@ -429,9 +429,6 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 			cliutil.Fatal("srsched", err)
 		}
 		for f := range st.Frames {
-			if f.Type == schedroute.WatchFrameHeartbeat || f.Type == schedroute.WatchFrameGap {
-				continue
-			}
 			printFrame(f)
 			if f.Terminal {
 				os.Exit(1)
@@ -448,9 +445,7 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 		cliutil.Fatal("srsched", err)
 	}
 	for f := range st.Frames {
-		if f.Type == schedroute.WatchFrameClosing {
-			printFrame(f)
-		}
+		printFrame(f)
 	}
 	if err := st.Err(); err != nil {
 		cliutil.Fatal("srsched", err)
@@ -458,42 +453,31 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 	os.Exit(status)
 }
 
-// deltaEvents converts one faults.Delta into watch events, tracking
-// the cumulative state in fs so only genuine state changes are sent
-// (the watch rejects failing an already-failed element).
-func deltaEvents(top *topology.Topology, fs *topology.FaultSet, d faults.Delta) []schedroute.WatchEvent {
-	spec := func(l topology.LinkID) string {
-		lk := top.Link(l)
-		return fmt.Sprintf("%d-%d", lk.A, lk.B)
+// appendChange appends the watch event of the given type for those of
+// a delta's elements whose state it changes — the watch rejects failing
+// an already-failed element, and a random trace may revisit one —
+// tracking the cumulative state in fs.
+func appendChange(evs []schedroute.WatchEvent, top *topology.Topology, fs *topology.FaultSet, typ string, elems []faults.Event) []schedroute.WatchEvent {
+	failed := typ == schedroute.WatchEventFault
+	setLink, setNode := fs.RepairLink, fs.RepairNode
+	if failed {
+		setLink, setNode = fs.FailLink, fs.FailNode
 	}
-	var evs []schedroute.WatchEvent
-	fail := schedroute.WatchEvent{Type: schedroute.WatchEventFault}
-	for _, e := range d.Fail {
-		if e.IsNode && !fs.NodeFailed(e.Node) {
-			fs.FailNode(e.Node)
-			fail.Nodes = append(fail.Nodes, int(e.Node))
-		} else if !e.IsNode && !fs.LinkFailed(e.Link) {
-			fs.FailLink(e.Link)
-			fail.Links = append(fail.Links, spec(e.Link))
+	ev := schedroute.WatchEvent{Type: typ}
+	for _, e := range elems {
+		if e.IsNode && fs.NodeFailed(e.Node) != failed {
+			setNode(e.Node)
+			ev.Nodes = append(ev.Nodes, int(e.Node))
+		} else if !e.IsNode && fs.LinkFailed(e.Link) != failed {
+			setLink(e.Link)
+			lk := top.Link(e.Link)
+			ev.Links = append(ev.Links, fmt.Sprintf("%d-%d", lk.A, lk.B))
 		}
 	}
-	if len(fail.Links)+len(fail.Nodes) > 0 {
-		evs = append(evs, fail)
+	if len(ev.Links)+len(ev.Nodes) == 0 {
+		return evs
 	}
-	rep := schedroute.WatchEvent{Type: schedroute.WatchEventRepaired}
-	for _, e := range d.Repair {
-		if e.IsNode && fs.NodeFailed(e.Node) {
-			fs.RepairNode(e.Node)
-			rep.Nodes = append(rep.Nodes, int(e.Node))
-		} else if !e.IsNode && fs.LinkFailed(e.Link) {
-			fs.RepairLink(e.Link)
-			rep.Links = append(rep.Links, spec(e.Link))
-		}
-	}
-	if len(rep.Links)+len(rep.Nodes) > 0 {
-		evs = append(evs, rep)
-	}
-	return evs
+	return append(evs, ev)
 }
 
 // printFrame renders one stream frame the way the local repair path

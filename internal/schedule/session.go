@@ -35,8 +35,21 @@ type RepairSession struct {
 	base *Result
 
 	mu    sync.Mutex
-	memo  map[string]*RepairReport
+	memo  []memoEntry // at most sessionMemo, oldest first
 	stats SessionStats
+}
+
+// sessionMemo bounds the reports a session keeps. The memo exists for
+// the fault → repaired → re-fault pattern, which revisits the last few
+// states, while the states a long-lived subscription or tenant can be
+// asked about are combinatorial (18 336 two-link sets on a 6-cube, a
+// report each): beyond the bound the oldest entry goes, and a state
+// that comes back after that re-runs the same deterministic ladder.
+const sessionMemo = 16
+
+type memoEntry struct {
+	key string // sessionKey of the fault population
+	rep *RepairReport
 }
 
 // SessionStats counts what a session's Apply calls actually cost.
@@ -62,7 +75,7 @@ func NewRepairSession(p Problem, o Options, base *Result) (*RepairSession, error
 	if base == nil || !base.Feasible || base.Omega == nil {
 		return nil, fmt.Errorf("schedule: repair session needs a feasible base schedule")
 	}
-	return &RepairSession{p: p, opts: o, base: base, memo: map[string]*RepairReport{}}, nil
+	return &RepairSession{p: p, opts: o, base: base}, nil
 }
 
 // Base returns the session's pinned base result.
@@ -85,6 +98,16 @@ func sessionKey(fs *topology.FaultSet) string {
 	return fs.String()
 }
 
+// lookup returns the memoized report for key, or nil; under s.mu.
+func (s *RepairSession) lookup(key string) *RepairReport {
+	for _, e := range s.memo {
+		if e.key == key {
+			return e.rep
+		}
+	}
+	return nil
+}
+
 // Apply repairs the base schedule to the given fault state, memoized on
 // the canonical fault population. The boolean reports a memo hit. The
 // fault set is cloned before the ladder runs, so the caller may keep
@@ -93,7 +116,7 @@ func sessionKey(fs *topology.FaultSet) string {
 func (s *RepairSession) Apply(ctx context.Context, fs *topology.FaultSet, tr *trace.Span) (*RepairReport, bool, error) {
 	key := sessionKey(fs)
 	s.mu.Lock()
-	if rep, ok := s.memo[key]; ok {
+	if rep := s.lookup(key); rep != nil {
 		s.stats.Applies++
 		s.stats.MemoHits++
 		s.mu.Unlock()
@@ -117,10 +140,13 @@ func (s *RepairSession) Apply(ctx context.Context, fs *topology.FaultSet, tr *tr
 	}
 	// First writer wins, so concurrent Applies of one state share one
 	// report (both ran the same deterministic ladder anyway).
-	if prev, ok := s.memo[key]; ok {
+	if prev := s.lookup(key); prev != nil {
 		rep = prev
 	} else {
-		s.memo[key] = rep
+		if len(s.memo) == sessionMemo {
+			s.memo = append(s.memo[:0], s.memo[1:]...)
+		}
+		s.memo = append(s.memo, memoEntry{key, rep})
 	}
 	s.mu.Unlock()
 	return rep, false, nil

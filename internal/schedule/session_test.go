@@ -2,7 +2,9 @@ package schedule
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"schedroute/internal/topology"
@@ -241,5 +243,158 @@ func TestSessionConcurrentApplies(t *testing.T) {
 	}
 	if st := ses.Stats(); st.Applies != workers {
 		t.Fatalf("applies %d, want %d", st.Applies, workers)
+	}
+}
+
+// dvbRepairFixture is the 6-cube DVB base the daemon's tests repair
+// from: B = 64, τin = 150, round-robin placement.
+func dvbRepairFixture(t *testing.T) (Problem, Options, *Result) {
+	t.Helper()
+	p, o := dvbProblem(t, sixCube(t), 64, 150), Options{Seed: 1}
+	base, err := Compute(p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !base.Feasible {
+		t.Fatalf("DVB base schedule infeasible at stage %s", base.FailStage)
+	}
+	return p, o, base
+}
+
+// sameReport holds a session's report to a cold Repair's at the same
+// fault state: outcome, affected, rerouted, peak, rate and Ω.
+func sameReport(got, cold *RepairReport) bool {
+	if got.Outcome != cold.Outcome || got.Stage != cold.Stage || got.Rerouted != cold.Rerouted ||
+		got.NewPeak != cold.NewPeak || got.TauOut != cold.TauOut || got.WindowScale != cold.WindowScale ||
+		!reflect.DeepEqual(got.Affected, cold.Affected) || (got.Result == nil) != (cold.Result == nil) {
+		return false
+	}
+	return got.Result == nil || reflect.DeepEqual(got.Result.Omega, cold.Result.Omega)
+}
+
+// TestSessionMemoIsBounded: 500 distinct two-link fault sets through one
+// session, and as many through a tenant's (the map a tenant-scoped
+// /v1/repair reaches), leave at most sessionMemo reports resident, and
+// a state that comes back after its eviction is the same report again.
+func TestSessionMemoIsBounded(t *testing.T) {
+	p, o, base := dvbRepairFixture(t)
+	ses, err := NewRepairSession(p, o, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ts := NewTenantSet(p.Topology)
+	mustAdmit(t, ts, Tenant{ID: "dvb", Problem: p, Options: o})
+	ctx := context.Background()
+
+	const sets = 500
+	var first *RepairReport
+	for i := 0; i < sets; i++ {
+		a := topology.LinkID(i % p.Topology.Links())
+		b := topology.LinkID((i + 1 + i/p.Topology.Links()) % p.Topology.Links())
+		rep, hit, err := ses.Apply(ctx, newFaultSet(t, p, a, b), nil)
+		if err != nil || hit {
+			t.Fatalf("set %d (links %d, %d): err %v, memo hit %t; want a fresh ladder run", i, a, b, err, hit)
+		}
+		if i == 0 {
+			first = rep
+		}
+		if _, err := ts.RepairTenant(ctx, "dvb", newFaultSet(t, p, a, b), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for name, s := range map[string]*RepairSession{"session": ses, "tenant": ts.Lookup("dvb").session} {
+		if n := len(s.memo); n > sessionMemo {
+			t.Errorf("%s: %d reports resident after %d distinct fault sets, bound %d", name, n, sets, sessionMemo)
+		}
+		if st := s.Stats(); st.Applies != sets || st.MemoHits != 0 {
+			t.Errorf("%s: stats %+v, want %d applies and no memo hit", name, st, sets)
+		}
+	}
+	again, hit, err := ses.Apply(ctx, newFaultSet(t, p, 0, 1), nil)
+	if err != nil || hit {
+		t.Fatalf("evicted state: err %v, memo hit %t; want a re-run", err, hit)
+	}
+	if !sameReport(again, first) {
+		t.Fatalf("re-run after eviction diverged: %+v vs %+v", again, first)
+	}
+}
+
+// TestSessionRandomWalkMatchesColdRepair drives a session with a seeded
+// random walk of fail / repair events over a handful of links and nodes
+// — few enough that states come back, more than the memo holds, so the
+// walk sees memo hits, evictions and re-runs — and holds every report to
+// a cold Repair straight to that fault set, whatever order reached it.
+func TestSessionRandomWalkMatchesColdRepair(t *testing.T) {
+	fixtures := []struct {
+		name string
+		make func(*testing.T) (Problem, Options, *Result)
+	}{
+		{"chain on the 3-cube", repairFixture},
+		{"DVB on the 6-cube", dvbRepairFixture},
+	}
+	for _, fx := range fixtures {
+		name := fx.name
+		p, o, base := fx.make(t)
+		// The links the base routes over, in message order.
+		var used []int
+		for _, ls := range base.Assignment.Links {
+			for _, l := range ls {
+				if !slices.Contains(used, int(l)) {
+					used = append(used, int(l))
+				}
+			}
+		}
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			ses, err := NewRepairSession(p, o, base)
+			if err != nil {
+				t.Fatal(err)
+			}
+			// The walk's elements, by seed: four links the base routes
+			// over, two taken from the whole machine, and two nodes.
+			rng.Shuffle(len(used), func(i, j int) { used[i], used[j] = used[j], used[i] })
+			links := append(used[:4:4], rng.Perm(p.Topology.Links())[:2]...)
+			nodes := rng.Perm(p.Topology.Nodes())[:2]
+			outcomes := map[RepairOutcome]int{}
+			fs := newFaultSet(t, p)
+			states := map[string]bool{}
+			for step := 0; step < 120; step++ {
+				// Flip one element, a link three times in four; a crowded
+				// set mostly heals.
+				if k := rng.Intn(4 * len(links)); k < 3*len(links) {
+					if l := topology.LinkID(links[k%len(links)]); fs.LinkFailed(l) || fs.NumFailedLinks() >= 3 && rng.Intn(4) > 0 {
+						fs.RepairLink(l)
+					} else {
+						fs.FailLink(l)
+					}
+				} else if n := topology.NodeID(nodes[k%len(nodes)]); fs.NodeFailed(n) {
+					fs.RepairNode(n)
+				} else {
+					fs.FailNode(n)
+				}
+				states[fs.String()] = true
+				got, _, err := ses.Apply(context.Background(), fs, nil)
+				if err != nil {
+					t.Fatalf("%s, seed %d, step %d (%s): %v", name, seed, step, fs, err)
+				}
+				cold, err := Repair(context.Background(), p, o, base, fs.Clone())
+				if err != nil {
+					t.Fatalf("%s, seed %d, step %d (%s): cold repair: %v", name, seed, step, fs, err)
+				}
+				if !sameReport(got, cold) {
+					t.Fatalf("%s, seed %d, step %d (%s): session report %+v, cold repair %+v", name, seed, step, fs, got, cold)
+				}
+				outcomes[got.Outcome]++
+			}
+			t.Logf("%s, seed %d: %d distinct states, outcomes %v", name, seed, len(states), outcomes)
+			st := ses.Stats()
+			if len(states) <= sessionMemo || st.MemoHits == 0 || int(st.Applies-st.MemoHits) <= len(states) {
+				t.Errorf("%s, seed %d: %d distinct states, stats %+v: the walk must outgrow the memo (%d), hit it, and re-run an evicted state",
+					name, seed, len(states), st, sessionMemo)
+			}
+			if n := len(ses.memo); n > sessionMemo {
+				t.Errorf("%s, seed %d: %d reports resident, bound %d", name, seed, n, sessionMemo)
+			}
+		}
 	}
 }

@@ -20,8 +20,7 @@ const maxBatchItems = 1024
 // result object.
 type batchGroup struct {
 	req   schedroute.ScheduleRequest
-	key   string // req.Problem.StructureKey(), computed once for the group's call
-	items []int  // indices into the request's Items
+	items []int // indices into the request's Items
 	out   *schedroute.ScheduleResult
 	err   error
 }
@@ -60,7 +59,7 @@ func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedrout
 			key, item.Problem.TauIn, item.IncludeOmega, ob)
 		g := index[gk]
 		if g == nil {
-			g = &batchGroup{req: item, key: key}
+			g = &batchGroup{req: item}
 			index[gk] = g
 			groups = append(groups, g)
 		}
@@ -73,7 +72,7 @@ func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedrout
 		// A group is a call of its own (untraced, unlogged) through the
 		// body of a standalone /v1/schedule, on the batch's slot; its
 		// error stays on the group, so siblings keep running.
-		gc := &call{s: s, r: c.r, key: g.key}
+		gc := &call{s: s, r: c.r}
 		ten, err := gc.tenant(g.req.Tenant, g.req.Problem)
 		if err == nil {
 			g.out, err = s.scheduleOne(gc, ten, g.req)

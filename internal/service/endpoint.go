@@ -79,7 +79,7 @@ func endpoint[Req, Resp any](s *Server, name string, deadline bool, fn func(*cal
 		if err != nil {
 			code = s.writeError(w, c, err)
 		} else if st, ok := any(resp).(watchStream); ok {
-			st.sub.serveConn(w, r, st.from)
+			st.sub.serveConn(w, r, st.seen)
 		} else {
 			c.root.End()
 			attachTrace(resp, schedroute.NewTraceEnvelope(c.root.Tree()))
@@ -182,14 +182,19 @@ func (s *Server) writeError(w http.ResponseWriter, c *call, err error) int {
 	return status
 }
 
-// structureKey is the problem's StructureKey — a seven-verb Sprintf —
-// computed on first use: the tenant check, the cache lookup and the
-// flight key all read this one copy.
-func (c *call) structureKey(p schedroute.Problem) string {
+// structureKey validates the wire problem and computes its StructureKey
+// — a seven-verb Sprintf — on first use: the tenant check, the cache
+// lookup and the flight key all read this one copy, so nothing is looked
+// up under the key of a problem that was never checked (a cache hit and
+// an admitted tenant never reach NewProblem's own check).
+func (c *call) structureKey(p schedroute.Problem) (string, error) {
 	if c.key == "" {
+		if err := p.Validate(); err != nil {
+			return "", err
+		}
 		c.key = p.StructureKey()
 	}
-	return c.key
+	return c.key, nil
 }
 
 // tenant resolves the request's tenant scope: nil — the plain solve
@@ -206,7 +211,11 @@ func (c *call) tenant(t *schedroute.Tenant, p schedroute.Problem) (*tenantEntry,
 	if ent == nil {
 		return nil, nil
 	}
-	if key := c.structureKey(p); key != ent.structure {
+	key, err := c.structureKey(p)
+	if err != nil {
+		return nil, err
+	}
+	if key != ent.structure {
 		return nil, badInput("tenant %q was admitted with a different problem (admitted %s, requested %s)",
 			ten.ID, ent.structure, key)
 	}
@@ -216,7 +225,11 @@ func (c *call) tenant(t *schedroute.Tenant, p schedroute.Problem) (*tenantEntry,
 // structure resolves the problem through the solver cache — the one
 // place a structure is looked up or built; τin 0 means τc.
 func (c *call) structure(p schedroute.Problem) (*solverEntry, float64, error) {
-	ent, hit := c.s.cache.getOrCreate(c.structureKey(p), func() (*schedroute.Built, error) {
+	key, err := c.structureKey(p)
+	if err != nil {
+		return nil, 0, err
+	}
+	ent, hit := c.s.cache.getOrCreate(key, func() (*schedroute.Built, error) {
 		return schedroute.NewProblem(p)
 	})
 	c.cacheHit = hit

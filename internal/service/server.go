@@ -171,7 +171,7 @@ func unavailable(format string, args ...any) error {
 // and deadline all surface as ErrUnavailable (503); the caller must
 // Server.release on nil error.
 func (c *call) queue() error {
-	s, ctx := c.s, c.r.Context()
+	s := c.s
 	qs := c.root.Start(SpanQueueWait)
 	defer qs.End()
 	select {
@@ -186,14 +186,24 @@ func (c *call) queue() error {
 	}
 	s.metrics.add(mQueueDepth, 1)
 	defer s.metrics.add(mQueueDepth, -1)
+	err := s.acquire(c.r.Context())
+	if err != nil {
+		<-s.inflight
+	}
+	return err
+}
+
+// acquire blocks for a worker slot until the drain begins or ctx is
+// done. A request holds an in-flight token while it waits (queue); a
+// watch event's repair waits on its subscription's context and holds
+// none. The holder gives the slot back by receiving from s.sem.
+func (s *Server) acquire(ctx context.Context) error {
 	select {
 	case s.sem <- struct{}{}:
 		return nil
 	case <-s.stop:
-		<-s.inflight
 		return errDraining
 	case <-ctx.Done():
-		<-s.inflight
 		return unavailable("service: queued past deadline: %w", ctx.Err())
 	}
 }
@@ -238,9 +248,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	default:
 		close(s.stop)
 	}
-	for _, done := range s.watches.closeAll("server draining") {
+	for _, sub := range s.watches.closeAll("server draining") {
 		select {
-		case <-done:
+		case <-sub.done:
 		case <-ctx.Done():
 			return fmt.Errorf("service: watch drain incomplete: %w", ctx.Err())
 		}

@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"time"
@@ -65,10 +66,10 @@ func (r *watchRegistry) remove(id string) {
 	delete(r.subs, id)
 }
 
-// closeAll begins the watch drain: every subscription receives a
-// terminal closing frame and its state machine winds down. Returns the
-// done channels to wait on.
-func (r *watchRegistry) closeAll(reason string) []<-chan struct{} {
+// closeAll begins the watch drain: no subscription is added from here
+// on, and every live one is ended with a terminal closing frame. It
+// returns them, for the caller to wait on their state machines.
+func (r *watchRegistry) closeAll(reason string) []*watchSub {
 	r.mu.Lock()
 	r.draining = true
 	subs := make([]*watchSub, 0, len(r.subs))
@@ -76,39 +77,32 @@ func (r *watchRegistry) closeAll(reason string) []<-chan struct{} {
 		subs = append(subs, sub)
 	}
 	r.mu.Unlock()
-	done := make([]<-chan struct{}, 0, len(subs))
 	for _, sub := range subs {
-		sub.close(reason, true)
-		done = append(done, sub.done)
+		sub.end(schedroute.WatchFrameClosing, 0, reason)
 	}
-	return done
+	return subs
 }
 
-// queuedEvent pairs a pushed event with its ack'd sequence number.
+// queuedEvent is one accepted event: its ack'd sequence number and, for
+// a fault or fault-repaired event, the elements it names, resolved
+// against the topology before it was queued.
 type queuedEvent struct {
-	seq int64
-	ev  schedroute.WatchEvent
+	seq   int64
+	ev    schedroute.WatchEvent
+	delta *topology.FaultSet
 }
 
-// ringFrame is one replayable frame: pre-marshaled bytes, so every
+// logFrame is one replayable frame: pre-marshaled bytes, so every
 // consumer (live, resumed, coalesced) delivers the identical payload.
-type ringFrame struct {
+type logFrame struct {
 	seq      int64
 	typ      string
 	terminal bool
 	data     []byte
 }
 
-// watchConn is one attached SSE consumer: a cursor into the replay
-// ring plus a wakeup channel. Slow consumers only ever fall behind the
-// ring — they never hold the repair loop or other consumers back.
-type watchConn struct {
-	notify chan struct{}
-	next   int64
-}
-
 // The watch bounds: a full event queue answers 503, never blocks; a
-// consumer that falls off the replay ring is coalesced to the latest
+// consumer that falls off the frame log is coalesced to the latest
 // frame; a subscription idle past watchIdleTimeout is reaped.
 const (
 	maxWatchSubs     = 64               // concurrent subscriptions
@@ -118,10 +112,11 @@ const (
 	watchIdleTimeout = 2 * time.Minute  // no consumer and no event
 )
 
-// watchSub is one streaming reconfiguration subscription: a pinned
-// problem structure, a repair session over the base schedule, a
-// bounded event queue feeding a single state-machine goroutine, and a
-// bounded replay ring fanned out to any number of SSE consumers.
+// watchSub is one streaming reconfiguration subscription: a cumulative
+// fault set, the repair session that answers for it (its own over a
+// pinned base schedule, or an admitted tenant's), and a bounded log of
+// the frames that said so, read by any number of SSE consumers. A
+// bounded event queue feeds the one goroutine that owns the first two.
 //
 // Robustness contract:
 //   - the state machine is one goroutine; a panic while processing an
@@ -129,11 +124,11 @@ const (
 //     confined to this subscription;
 //   - the event queue is bounded and enqueue never blocks (overflow is
 //     a 503 at the events endpoint);
-//   - delivery is pull-based over the ring: a consumer that falls off
-//     the ring's tail is coalesced to the latest fault state (gap
-//     frame + newest frame) instead of back-pressuring anything;
-//   - every close path — client delete, idle reap, drain, panic —
-//     ends the stream with a terminal frame.
+//   - delivery is pull-based over the log: a consumer that falls off
+//     its tail is coalesced to the latest fault state (gap frame +
+//     newest frame) instead of back-pressuring anything;
+//   - every close path — client delete, idle reap, drain, panic — is
+//     end: one terminal frame, then the context, the only stop signal.
 type watchSub struct {
 	id     string
 	s      *Server
@@ -144,12 +139,10 @@ type watchSub struct {
 	sopts  schedule.Options
 	traced bool
 
-	events    chan queuedEvent
-	quit      chan struct{}
-	done      chan struct{}
-	ctx       context.Context
-	cancel    context.CancelFunc
-	closeOnce sync.Once
+	events chan queuedEvent
+	done   chan struct{} // closed when the state machine has exited
+	ctx    context.Context
+	cancel context.CancelFunc
 
 	// State owned by the run goroutine (initialized before it starts):
 	// the invocation period, the cumulative fault population, and the
@@ -159,14 +152,24 @@ type watchSub struct {
 	fs      *topology.FaultSet
 	session *schedule.RepairSession
 
+	// The frame log: consecutive seqs, at most Server.watchRing of them,
+	// the first frame ever appended being seq 1. Its newest frame is the
+	// subscription's current state, and a terminal one closes it.
 	mu         sync.Mutex
+	log        []logFrame
+	wake       chan struct{} // closed, and replaced, by every append
 	evSeq      int64
-	seq        int64
-	ringStart  int64 // seq of ring[0]; 0 when the ring is empty
-	ring       []ringFrame
-	conns      map[*watchConn]struct{}
-	closed     bool
+	consumers  int
 	lastActive time.Time
+}
+
+// last is the newest frame of the log — the zero frame, seq 0 and not
+// terminal, before the hello. Under sub.mu.
+func (sub *watchSub) last() logFrame {
+	if n := len(sub.log); n > 0 {
+		return sub.log[n-1]
+	}
+	return logFrame{}
 }
 
 // randomHex returns 2n hex digits from crypto/rand.
@@ -181,10 +184,11 @@ func randomHex(n int) string {
 // ---- endpoint functions --------------------------------------------
 
 // watchStream is the response of the two SSE endpoints: the adapter
-// streams the subscription to the client from frame seq `from` on.
+// streams the subscription to the client, from the frame after seq
+// `seen` on.
 type watchStream struct {
 	sub  *watchSub
-	from int64
+	seen int64
 }
 
 // watchCreate is POST /v1/watch: register a subscription over the
@@ -206,14 +210,13 @@ func (s *Server) watchCreate(c *call, req schedroute.WatchRequest) (watchStream,
 		tenant:     ten,
 		traced:     c.root.Enabled(),
 		events:     make(chan queuedEvent, s.watchEventQueue),
-		quit:       make(chan struct{}),
 		done:       make(chan struct{}),
 		ctx:        ctx,
 		cancel:     cancel,
-		conns:      map[*watchConn]struct{}{},
+		wake:       make(chan struct{}),
 		lastActive: time.Now(),
 	}
-	hello, err := sub.base(c)
+	base, err := sub.open(c)
 	if err == nil {
 		sub.fs = topology.NewFaultSet(sub.built.Topology.Links(), sub.built.Topology.Nodes())
 		err = s.watches.add(sub, s.maxWatchSubs)
@@ -224,24 +227,20 @@ func (s *Server) watchCreate(c *call, req schedroute.WatchRequest) (watchStream,
 	}
 	s.metrics.add(mWatchSubs, 1)
 
-	// The hello frame is seq 1 and lives in the ring like every other
+	// The hello frame is seq 1 and lives in the log like every other
 	// replayable frame, so a resume from 0 replays it too.
-	sub.append(&schedroute.WatchFrame{
-		Type:     schedroute.WatchFrameHello,
-		SubID:    sub.id,
-		State:    sub.fs.String(),
-		TauIn:    sub.tauIn,
-		Schedule: hello,
-	})
+	hello := sub.frame(schedroute.WatchFrameHello, 0)
+	hello.SubID, hello.Schedule = sub.id, base
+	sub.append(hello)
 	go sub.run()
-	return watchStream{sub, 1}, nil
+	return watchStream{sub, 0}, nil
 }
 
-// base pins the subscription's structure and period and returns the
+// open pins the subscription's structure and period and returns the
 // schedule its hello announces: an admitted tenant's standing, like its
 // /v1/schedule, or a solved base (borrowing a worker slot — only the
-// long-lived stream lives outside the pool) with a session opened on it.
-func (sub *watchSub) base(c *call) (*schedroute.ScheduleResult, error) {
+// long-lived stream lives outside the pool).
+func (sub *watchSub) open(c *call) (*schedroute.ScheduleResult, error) {
 	req := sub.req
 	if ten := sub.tenant; ten != nil {
 		sub.built, sub.tauIn = ten.built, ten.report.TauOut
@@ -262,11 +261,24 @@ func (sub *watchSub) base(c *call) (*schedroute.ScheduleResult, error) {
 	if !sv.res.Feasible {
 		return nil, badInput("watch: base problem infeasible at stage %s; a watch needs a feasible base schedule", sv.res.FailStage)
 	}
-	sub.built, sub.solver, sub.tauIn, sub.sopts = sv.built, sv.solver, sv.tauIn, sopts
-	if sub.session, err = schedule.NewRepairSession(sv.built.ScheduleProblemAt(sv.tauIn), sopts, sv.res); err != nil {
+	sub.built, sub.solver, sub.sopts = sv.built, sv.solver, sopts
+	return sub.rebase(sv.res, sv.tauIn)
+}
+
+// rebase makes a feasible result at period tauIn the subscription's
+// base — a fresh repair session over it — and returns the wire schedule
+// that announces it. On error the previous base stands.
+func (sub *watchSub) rebase(res *schedule.Result, tauIn float64) (*schedroute.ScheduleResult, error) {
+	session, err := schedule.NewRepairSession(sub.built.ScheduleProblemAt(tauIn), sub.sopts, res)
+	if err != nil {
 		return nil, err
 	}
-	return schedroute.NewScheduleResult(sv.built, sv.res, sv.tauIn, req.IncludeOmega, req.Options.WantStats())
+	wire, err := schedroute.NewScheduleResult(sub.built, res, tauIn, sub.req.IncludeOmega, sub.req.Options.WantStats())
+	if err != nil {
+		return nil, err
+	}
+	sub.tauIn, sub.session = tauIn, session
+	return wire, nil
 }
 
 // subscription resolves the {id} path segment; an unknown id is
@@ -287,16 +299,20 @@ func (s *Server) watchAttach(c *call, _ struct{}) (watchStream, error) {
 	if err != nil {
 		return watchStream{}, err
 	}
+	sub.mu.Lock()
+	newest := sub.last().seq
+	sub.mu.Unlock()
+	seen := max(newest-1, 0)
 	if h := c.r.Header.Get("Last-Event-ID"); h != "" {
 		v, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || v < 0 {
 			return watchStream{}, badInput("watch: bad Last-Event-ID %q", h)
 		}
-		return watchStream{sub, v + 1}, nil
+		// A cursor at or past the newest frame is caught up, however far
+		// past it claims to be: nothing to replay, the next frame is its.
+		seen = min(v, newest)
 	}
-	sub.mu.Lock()
-	defer sub.mu.Unlock()
-	return watchStream{sub, max(sub.seq, 1)}, nil // newest frame only
+	return watchStream{sub, seen}, nil
 }
 
 // watchEvent is POST /v1/watch/{id}/events: validate, sequence, and
@@ -313,19 +329,20 @@ func (s *Server) watchEvent(c *call, ev schedroute.WatchEvent) (*schedroute.Watc
 	// Resolve named elements against the topology now, so the queue
 	// only ever holds resolvable events and a typo is a 400, not a
 	// mid-stream error frame.
+	qe := queuedEvent{ev: ev}
 	if ev.Type != schedroute.WatchEventTauIn {
-		if _, err := (schedroute.FaultSpec{Links: ev.Links, Nodes: ev.Nodes}).Build(sub.built.Topology); err != nil {
+		if qe.delta, err = (schedroute.FaultSpec{Links: ev.Links, Nodes: ev.Nodes}).Build(sub.built.Topology); err != nil {
 			return nil, err
 		}
 	}
 
 	sub.mu.Lock()
-	if sub.closed {
+	if sub.last().terminal {
 		sub.mu.Unlock()
 		return nil, unavailable("watch: subscription %s is closed", sub.id)
 	}
 	sub.evSeq++
-	qe := queuedEvent{seq: sub.evSeq, ev: ev}
+	qe.seq = sub.evSeq
 	sub.lastActive = time.Now()
 	sub.mu.Unlock()
 
@@ -345,16 +362,15 @@ func (s *Server) watchDelete(c *call, _ struct{}) (map[string]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	sub.close("deleted by client", true)
+	sub.end(schedroute.WatchFrameClosing, 0, "deleted by client")
 	return map[string]string{"status": "closing"}, nil
 }
 
 // ---- subscription state machine ------------------------------------
 
 // run is the subscription's single state-machine goroutine: it applies
-// events in order, emits one frame per event, reaps the subscription
-// when idle, and winds down on drain or close. A panic while handling
-// an event is recovered and terminates only this subscription.
+// events in order, one frame per event, reaps the subscription when
+// idle, and exits once end — whoever called it — cancels the context.
 func (sub *watchSub) run() {
 	defer close(sub.done)
 	defer sub.s.metrics.add(mWatchSubs, -1)
@@ -362,70 +378,33 @@ func (sub *watchSub) run() {
 	defer idle.Stop()
 	for {
 		select {
-		case <-sub.quit:
-			return
-		case <-sub.s.stop:
-			sub.close("server draining", true)
+		case <-sub.ctx.Done():
 			return
 		case qe := <-sub.events:
-			if !sub.safeHandle(qe) {
-				sub.close("event handler panicked", false)
-				return
-			}
+			sub.handleEvent(qe)
 		case <-idle.C:
 			sub.mu.Lock()
-			expired := len(sub.conns) == 0 && time.Since(sub.lastActive) > watchIdleTimeout
+			expired := sub.consumers == 0 && time.Since(sub.lastActive) > watchIdleTimeout
 			sub.mu.Unlock()
 			if expired {
-				sub.close("idle timeout: no consumers and no events", true)
-				return
+				sub.end(schedroute.WatchFrameClosing, 0, "idle timeout: no consumers and no events")
 			}
 		}
 	}
 }
 
-// safeHandle isolates a panicking event handler: the panic is turned
-// into a terminal error frame on this subscription's stream and the
-// server (and every other subscription) keeps running. Returns false
-// when a panic occurred.
-func (sub *watchSub) safeHandle(qe queuedEvent) (ok bool) {
+// handleEvent applies one event to the fault state and appends the
+// resulting frame. A panic on the way is isolated: it ends this
+// subscription with a terminal error frame, and the server (and every
+// other subscription) keeps running.
+func (sub *watchSub) handleEvent(qe queuedEvent) {
 	defer func() {
 		if r := recover(); r != nil {
-			ok = false
 			sub.s.metrics.add(mWatchPanics, 1)
 			sub.s.log.Error("watch subscription panic", "sub", sub.id, "event_seq", qe.seq, "panic", fmt.Sprint(r))
-			sub.append(&schedroute.WatchFrame{
-				Type:     schedroute.WatchFrameError,
-				EventSeq: qe.seq,
-				Terminal: true,
-				Reason:   fmt.Sprintf("internal panic handling event %d: %v", qe.seq, r),
-			})
+			sub.end(schedroute.WatchFrameError, qe.seq, fmt.Sprintf("internal panic handling event %d: %v", qe.seq, r))
 		}
 	}()
-	sub.handleEvent(qe)
-	return true
-}
-
-// claimWorker borrows one solve-pool slot for this event's repair (or
-// rebase) work so watch subscriptions share the same Workers bound as
-// request/response solves. Returns false when the subscription or
-// server is shutting down instead.
-func (sub *watchSub) claimWorker() (func(), bool) {
-	select {
-	case sub.s.sem <- struct{}{}:
-		return func() { <-sub.s.sem }, true
-	case <-sub.quit:
-		return nil, false
-	case <-sub.s.stop:
-		return nil, false
-	}
-}
-
-// handleEvent applies one event to the fault state and emits the
-// resulting frame. Rejections that only concern this event (repairing
-// a healthy element, an infeasible rebase, a ladder that ran dry) are
-// non-terminal error frames; the stream survives them.
-func (sub *watchSub) handleEvent(qe queuedEvent) {
 	if sub.s.beforeWatchEvent != nil {
 		sub.s.beforeWatchEvent(sub.id, qe.ev)
 	}
@@ -451,85 +430,74 @@ func (sub *watchSub) handleEvent(qe queuedEvent) {
 	sub.s.metrics.sample(mWatchEventTime, time.Since(start))
 }
 
+// frame starts the frame that answers event eventSeq (0: none, the
+// hello) with the subscription's state as it stands.
+func (sub *watchSub) frame(typ string, eventSeq int64) *schedroute.WatchFrame {
+	return &schedroute.WatchFrame{Type: typ, EventSeq: eventSeq, State: sub.fs.String(), TauIn: sub.tauIn}
+}
+
 // errorFrame builds a non-terminal error frame for a rejected event,
 // carrying the same {error, kind, detail} envelope a standalone
 // request's error body would (derived from the same errkind table).
+// Rejections that only concern the event — one naming something the
+// fault model cannot apply (bad_input: repairing a healthy element, an
+// infeasible period), a ladder that ran dry — leave the stream alive.
 func (sub *watchSub) errorFrame(qe queuedEvent, err error) *schedroute.WatchFrame {
 	env := schedroute.NewErrorEnvelope(err)
-	return &schedroute.WatchFrame{
-		Type:     schedroute.WatchFrameError,
-		EventSeq: qe.seq,
-		State:    sub.fs.String(),
-		TauIn:    sub.tauIn,
-		Reason:   err.Error(),
-		Err:      &env,
-	}
-}
-
-// rejectEvent is errorFrame for event-validation failures: the event
-// named something the fault model cannot apply, a bad_input family.
-func (sub *watchSub) rejectEvent(qe queuedEvent, format string, args ...any) *schedroute.WatchFrame {
-	return sub.errorFrame(qe, badInput(format, args...))
+	frame := sub.frame(schedroute.WatchFrameError, qe.seq)
+	frame.Reason, frame.Err = err.Error(), &env
+	return frame
 }
 
 // applyEvent mutates the subscription state for one event and builds
 // its frame. A nil return means shutdown interrupted the work and no
 // frame should be emitted.
 func (sub *watchSub) applyEvent(qe queuedEvent, root *trace.Span) *schedroute.WatchFrame {
-	ev := qe.ev
-	switch ev.Type {
-	case schedroute.WatchEventTauIn:
-		return sub.rebase(qe, root)
-	case schedroute.WatchEventFault, schedroute.WatchEventRepaired:
-		delta, err := (schedroute.FaultSpec{Links: ev.Links, Nodes: ev.Nodes}).Build(sub.built.Topology)
-		if err != nil {
-			return sub.errorFrame(qe, err)
-		}
-		// A fault must strike healthy elements and a repair failed ones.
-		// Validate everything before mutating anything: a partial
-		// application would desynchronize client and server fault models.
-		failing, wrong := true, "already failed"
-		setLink, setNode := sub.fs.FailLink, sub.fs.FailNode
-		if ev.Type == schedroute.WatchEventRepaired {
-			failing, wrong = false, "not failed"
-			setLink, setNode = sub.fs.RepairLink, sub.fs.RepairNode
-		}
-		for _, l := range delta.FailedLinks() {
-			if sub.fs.LinkFailed(l) == failing {
-				return sub.rejectEvent(qe, "event %d: link %d is %s", qe.seq, l, wrong)
-			}
-		}
-		for _, n := range delta.FailedNodes() {
-			if sub.fs.NodeFailed(n) == failing {
-				return sub.rejectEvent(qe, "event %d: node %d is %s", qe.seq, n, wrong)
-			}
-		}
-		for _, l := range delta.FailedLinks() {
-			setLink(l)
-		}
-		for _, n := range delta.FailedNodes() {
-			setNode(n)
-		}
-		return sub.repairFrame(qe, root)
-	default:
-		return sub.rejectEvent(qe, "event %d: unknown type %q", qe.seq, ev.Type)
+	if qe.ev.Type == schedroute.WatchEventTauIn {
+		return sub.retime(qe, root)
 	}
+	// A fault must strike healthy elements and a repair failed ones.
+	// Validate everything before mutating anything: a partial
+	// application would desynchronize client and server fault models.
+	failing, wrong := true, "already failed"
+	setLink, setNode := sub.fs.FailLink, sub.fs.FailNode
+	if qe.ev.Type == schedroute.WatchEventRepaired {
+		failing, wrong = false, "not failed"
+		setLink, setNode = sub.fs.RepairLink, sub.fs.RepairNode
+	}
+	for _, l := range qe.delta.FailedLinks() {
+		if sub.fs.LinkFailed(l) == failing {
+			return sub.errorFrame(qe, badInput("event %d: link %d is %s", qe.seq, l, wrong))
+		}
+	}
+	for _, n := range qe.delta.FailedNodes() {
+		if sub.fs.NodeFailed(n) == failing {
+			return sub.errorFrame(qe, badInput("event %d: node %d is %s", qe.seq, n, wrong))
+		}
+	}
+	for _, l := range qe.delta.FailedLinks() {
+		setLink(l)
+	}
+	for _, n := range qe.delta.FailedNodes() {
+		setNode(n)
+	}
+	return sub.repairFrame(qe, root)
 }
 
-// repairFrame runs the repair session at the current fault state and
-// packages the schedule frame. An infeasible ladder (every rung
-// rejected) is a non-terminal error frame carrying the full report —
-// the stream keeps running so a later fault-repaired event can recover.
+// repairFrame runs the ladder at the current fault state — on a worker
+// slot, so watch subscriptions share the Workers bound with
+// request/response solves — and packages the schedule frame. An
+// infeasible ladder (every rung rejected) is a non-terminal error frame
+// carrying the full report: a later fault-repaired event can recover.
 func (sub *watchSub) repairFrame(qe queuedEvent, root *trace.Span) *schedroute.WatchFrame {
-	release, ok := sub.claimWorker()
-	if !ok {
+	if sub.s.acquire(sub.ctx) != nil {
 		return nil
 	}
 	rs := root.Start(SpanWatchRepair)
 	rep, cached, err := sub.repair(rs)
 	rs.SetAttrs(trace.Bool("cached", cached))
 	rs.End()
-	release()
+	<-sub.s.sem
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			return nil
@@ -545,15 +513,14 @@ func (sub *watchSub) repairFrame(qe queuedEvent, root *trace.Span) *schedroute.W
 		}
 		return frame
 	}
-	frame := &schedroute.WatchFrame{
-		Type:     schedroute.WatchFrameSchedule,
-		EventSeq: qe.seq,
-		State:    sub.fs.String(),
-		TauIn:    sub.tauIn,
-		Repair:   wire,
-	}
+	frame := sub.frame(schedroute.WatchFrameSchedule, qe.seq)
+	frame.Repair = wire
 	if sub.req.Execute && rep.Result != nil && rep.Result.Omega != nil {
-		frame.OI = sub.oiCheck(rep)
+		// Replay the repaired Ω through the deterministic executor: does it
+		// still honour the constant-output-rate contract at its τout?
+		if out, err := schedule.CheckOutput(rep.Result.Omega, sub.built.Graph, sub.built.Timing, rep.TauOut, sub.req.Invocations); err == nil {
+			frame.OI = &schedroute.OICheck{Invocations: len(out.Exec.OutputCompletions), ThroughputMid: out.Throughput.Mid, OI: out.OI}
+		}
 	}
 	return frame
 }
@@ -572,17 +539,16 @@ func (sub *watchSub) repair(sp *trace.Span) (*schedule.RepairReport, bool, error
 	return tr.Report, tr.MemoHit, nil
 }
 
-// rebase handles a tau_in event: re-solve the base schedule at the new
-// period through the pinned solver, restart the repair session, and
-// re-apply the current fault state. An infeasible period is rejected
-// without touching the previous state.
-func (sub *watchSub) rebase(qe queuedEvent, root *trace.Span) *schedroute.WatchFrame {
+// retime handles a tau_in event: re-solve the base schedule at the new
+// period through the pinned solver, rebase on it, and re-apply the
+// current fault state. An infeasible period is rejected without
+// touching the previous state.
+func (sub *watchSub) retime(qe queuedEvent, root *trace.Span) *schedroute.WatchFrame {
 	if sub.tenant != nil {
-		return sub.rejectEvent(qe, "event %d: tenant %q's period was fixed at admission; tau_in does not apply",
-			qe.seq, sub.tenant.tenant.ID)
+		return sub.errorFrame(qe, badInput("event %d: tenant %q's period was fixed at admission; tau_in does not apply",
+			qe.seq, sub.tenant.tenant.ID))
 	}
-	release, ok := sub.claimWorker()
-	if !ok {
+	if sub.s.acquire(sub.ctx) != nil {
 		return nil
 	}
 	rb := root.Start(SpanWatchRebase, trace.Float64("tau_in", qe.ev.TauIn))
@@ -590,7 +556,7 @@ func (sub *watchSub) rebase(qe queuedEvent, root *trace.Span) *schedroute.WatchF
 	solveOpts.CollectStats = true
 	res, err := sub.solver.Solve(sub.ctx, qe.ev.TauIn, solveOpts)
 	rb.End()
-	release()
+	<-sub.s.sem
 	if err != nil {
 		if errors.Is(err, context.Canceled) {
 			return nil
@@ -599,69 +565,42 @@ func (sub *watchSub) rebase(qe queuedEvent, root *trace.Span) *schedroute.WatchF
 	}
 	sub.s.metrics.countSolve(res.Stats)
 	if !res.Feasible {
-		return sub.rejectEvent(qe, "event %d: tau_in %g infeasible at stage %s; keeping period %g",
-			qe.seq, qe.ev.TauIn, res.FailStage, sub.tauIn)
+		return sub.errorFrame(qe, badInput("event %d: tau_in %g infeasible at stage %s; keeping period %g",
+			qe.seq, qe.ev.TauIn, res.FailStage, sub.tauIn))
 	}
-	session, err := schedule.NewRepairSession(sub.built.ScheduleProblemAt(qe.ev.TauIn), sub.sopts, res)
+	wire, err := sub.rebase(res, qe.ev.TauIn)
 	if err != nil {
 		return sub.errorFrame(qe, fmt.Errorf("event %d: %w", qe.seq, err))
 	}
-	sub.tauIn = qe.ev.TauIn
-	sub.session = session
-
-	wire, err := schedroute.NewScheduleResult(sub.built, res, sub.tauIn, sub.req.IncludeOmega, sub.req.Options.WantStats())
-	if err != nil {
-		return sub.errorFrame(qe, fmt.Errorf("event %d: %w", qe.seq, err))
+	if sub.fs.Empty() {
+		frame := sub.frame(schedroute.WatchFrameSchedule, qe.seq)
+		frame.Schedule = wire
+		return frame
 	}
-	frame := &schedroute.WatchFrame{
-		Type:     schedroute.WatchFrameSchedule,
-		EventSeq: qe.seq,
-		State:    sub.fs.String(),
-		TauIn:    sub.tauIn,
-		Schedule: wire,
-	}
-	if !sub.fs.Empty() {
-		repFrame := sub.repairFrame(qe, root)
-		if repFrame == nil {
-			return nil
-		}
-		if repFrame.Type == schedroute.WatchFrameError {
-			return repFrame
-		}
-		frame.Repair = repFrame.Repair
-		frame.OI = repFrame.OI
+	// The standing faults at the new period: the repair's schedule frame
+	// announces the new base too; a ladder that ran dry there, or a
+	// shutdown, answers as it would for a fault event.
+	frame := sub.repairFrame(qe, root)
+	if frame != nil && frame.Type == schedroute.WatchFrameSchedule {
+		frame.Schedule = wire
 	}
 	return frame
 }
 
-// oiCheck replays the repaired Ω through the deterministic executor
-// and reports the OI-window verdict: whether the repaired schedule
-// still honours the constant-output-rate contract at its τout.
-func (sub *watchSub) oiCheck(rep *schedule.RepairReport) *schedroute.OICheck {
-	out, err := schedule.CheckOutput(rep.Result.Omega, sub.built.Graph, sub.built.Timing, rep.TauOut, sub.req.Invocations)
-	if err != nil {
-		return nil
-	}
-	return &schedroute.OICheck{
-		Invocations:   len(out.Exec.OutputCompletions),
-		ThroughputMid: out.Throughput.Mid,
-		OI:            out.OI,
-	}
-}
+// ---- frame log and delivery ----------------------------------------
 
-// ---- frame ring and delivery ---------------------------------------
-
-// append assigns the next sequence number, marshals the frame once,
-// pushes it onto the bounded replay ring, and wakes every consumer.
-// Terminal frames also mark the subscription closed.
+// append gives the frame the next sequence number, marshals it once,
+// adds it to the log — evicting the oldest beyond the bound — and wakes
+// every consumer. A closed log takes nothing more: a frame that raced
+// the terminal one is dropped.
 func (sub *watchSub) append(f *schedroute.WatchFrame) {
 	f.SchemaVersion = schedroute.SchemaVersion
-	if f.Type == schedroute.WatchFrameClosing {
-		f.Terminal = true
-	}
 	sub.mu.Lock()
-	sub.seq++
-	f.Seq = sub.seq
+	defer sub.mu.Unlock()
+	if sub.last().terminal {
+		return
+	}
+	f.Seq = sub.last().seq + 1
 	data, err := json.Marshal(f)
 	if err != nil {
 		// A frame that cannot marshal is an internal bug; deliver the
@@ -671,91 +610,72 @@ func (sub *watchSub) append(f *schedroute.WatchFrame) {
 			Type: schedroute.WatchFrameError, Reason: fmt.Sprintf("frame marshal: %v", err),
 		})
 	}
-	if sub.ringStart == 0 {
-		sub.ringStart = f.Seq
+	sub.log = append(sub.log, logFrame{seq: f.Seq, typ: f.Type, terminal: f.Terminal, data: data})
+	if over := len(sub.log) - sub.s.watchRing; over > 0 {
+		sub.log = append(sub.log[:0], sub.log[over:]...)
 	}
-	sub.ring = append(sub.ring, ringFrame{seq: f.Seq, typ: f.Type, terminal: f.Terminal, data: data})
-	over := len(sub.ring) - sub.s.watchRing
-	if over > 0 {
-		sub.ring = append(sub.ring[:0], sub.ring[over:]...)
-		sub.ringStart = sub.ring[0].seq
-	}
-	if f.Terminal {
-		sub.closed = true
-	}
-	for c := range sub.conns {
-		select {
-		case c.notify <- struct{}{}:
-		default:
-		}
-	}
-	sub.mu.Unlock()
+	close(sub.wake)
+	sub.wake = make(chan struct{})
 	sub.s.metrics.add(mWatchFrames, 1)
 }
 
-// collect returns the frames a consumer should deliver next. When the
-// cursor has fallen off the ring's tail the consumer is coalesced to
-// the latest frame — the newest fault state — and the skip is
-// reported so the stream can mark the gap.
-func (sub *watchSub) collect(c *watchConn) (frames []ringFrame, skipped int64, latest int64, closed bool) {
+// end is the one way a subscription stops: a terminal frame closes the
+// log — unless one already has — and the context is cancelled, which
+// stops the state machine and whatever repair it has in flight.
+func (sub *watchSub) end(typ string, eventSeq int64, reason string) {
+	sub.append(&schedroute.WatchFrame{Type: typ, EventSeq: eventSeq, Terminal: true, Reason: reason})
+	sub.cancel()
+	sub.s.watches.remove(sub.id)
+}
+
+// after returns what a consumer that has seen the log up to seq `seen`
+// delivers next — the frames after it, or, when the log no longer
+// reaches back that far, only the newest (the latest fault state) and
+// the count skipped — whether the log is closed, and the channel the
+// next append closes.
+func (sub *watchSub) after(seen int64) (frames []logFrame, skipped int64, closed bool, wake <-chan struct{}) {
 	sub.mu.Lock()
 	defer sub.mu.Unlock()
-	latest = sub.seq
-	closed = sub.closed
-	if len(sub.ring) == 0 || c.next > sub.seq {
-		return nil, 0, latest, closed
+	last := sub.last()
+	closed, wake = last.terminal, sub.wake
+	if seen >= last.seq {
+		return nil, 0, closed, wake
 	}
-	if c.next < sub.ringStart {
-		// Coalesce-to-latest: deliver only the newest frame.
-		skipped = sub.seq - c.next
-		newest := sub.ring[len(sub.ring)-1]
-		c.next = sub.seq + 1
-		return []ringFrame{newest}, skipped, latest, closed
+	from := seen + 1 - sub.log[0].seq
+	if from < 0 {
+		skipped = last.seq - seen - 1
+		from = int64(len(sub.log) - 1)
 	}
-	for _, rf := range sub.ring {
-		if rf.seq >= c.next {
-			frames = append(frames, rf)
-		}
-	}
-	c.next = sub.seq + 1
-	return frames, 0, latest, closed
+	return slices.Clone(sub.log[from:]), skipped, closed, wake
 }
 
-func (sub *watchSub) addConn(c *watchConn) {
+// consumer counts an SSE consumer in (+1) or out (-1); a subscription
+// with none is a candidate for the idle reap.
+func (sub *watchSub) consumer(n int) {
 	sub.mu.Lock()
-	sub.conns[c] = struct{}{}
+	sub.consumers += n
 	sub.lastActive = time.Now()
 	sub.mu.Unlock()
 }
 
-func (sub *watchSub) removeConn(c *watchConn) {
-	sub.mu.Lock()
-	delete(sub.conns, c)
-	sub.lastActive = time.Now()
-	sub.mu.Unlock()
-}
-
-// serveConn streams the subscription to one SSE consumer starting at
-// frame seq `from`. It returns when a terminal frame is delivered, the
-// client disconnects, or a write fails. Replayable frames carry their
-// seq as the SSE id (Last-Event-ID resume); heartbeat and gap frames
-// do not, so they never disturb the resume cursor.
-func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, from int64) {
-	fl, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
-		return
-	}
+// serveConn streams the subscription to one SSE consumer that has seen
+// the log up to seq `seen`. It returns when the terminal frame is
+// delivered, the client disconnects, or a write fails. Replayable
+// frames carry their seq as the SSE id (Last-Event-ID resume);
+// heartbeat and gap frames do not, so they never disturb the resume
+// cursor. A slow consumer only ever falls behind the log — it never
+// holds the repair loop or another consumer back.
+func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, seen int64) {
+	rc := http.NewResponseController(w)
 	h := w.Header()
 	h.Set("Content-Type", "text/event-stream")
 	h.Set("Cache-Control", "no-cache")
 	h.Set("X-Accel-Buffering", "no")
 	w.WriteHeader(http.StatusOK)
-	fl.Flush()
+	rc.Flush()
 
-	c := &watchConn{notify: make(chan struct{}, 1), next: from}
-	sub.addConn(c)
-	defer sub.removeConn(c)
+	sub.consumer(+1)
+	defer sub.consumer(-1)
 
 	hb := time.NewTicker(watchHeartbeat)
 	defer hb.Stop()
@@ -768,39 +688,33 @@ func (sub *watchSub) serveConn(w http.ResponseWriter, r *http.Request, from int6
 		return writeSSE(w, 0, f.Type, data)
 	}
 	for {
-		frames, skipped, latest, closed := sub.collect(c)
+		frames, skipped, closed, wake := sub.after(seen)
 		if skipped > 0 {
 			sub.s.metrics.add(mWatchDropped, skipped)
 			if note(schedroute.WatchFrame{
-				Seq: latest, Type: schedroute.WatchFrameGap, Skipped: skipped,
+				Seq: frames[0].seq, Type: schedroute.WatchFrameGap, Skipped: skipped,
 				Reason: "consumer fell behind the replay ring; coalesced to the latest fault state",
 			}) != nil {
 				return
 			}
 		}
-		for _, rf := range frames {
-			if writeSSE(w, rf.seq, rf.typ, rf.data) != nil {
+		for _, f := range frames {
+			if writeSSE(w, f.seq, f.typ, f.data) != nil {
 				return
 			}
-			if rf.terminal {
-				fl.Flush()
-				return
-			}
+			seen = f.seq
 		}
-		fl.Flush()
+		rc.Flush()
 		if closed {
-			return // everything up to the terminal frame already delivered
+			return // the terminal frame was the last of those
 		}
 		select {
-		case <-c.notify:
+		case <-wake:
 		case <-hb.C:
-			sub.mu.Lock()
-			latest := sub.seq
-			sub.mu.Unlock()
-			if note(schedroute.WatchFrame{Seq: latest, Type: schedroute.WatchFrameHeartbeat}) != nil {
+			if note(schedroute.WatchFrame{Seq: seen, Type: schedroute.WatchFrameHeartbeat}) != nil {
 				return
 			}
-			fl.Flush()
+			rc.Flush()
 		case <-r.Context().Done():
 			return
 		}
@@ -816,31 +730,4 @@ func writeSSE(w http.ResponseWriter, id int64, typ string, data []byte) error {
 	}
 	_, err := fmt.Fprintf(w, "%sevent: %s\ndata: %s\n\n", idLine, typ, data)
 	return err
-}
-
-// close winds the subscription down exactly once. withFrame appends a
-// terminal closing frame first (the panic path already appended its
-// own terminal error frame).
-func (sub *watchSub) close(reason string, withFrame bool) {
-	sub.closeOnce.Do(func() {
-		if withFrame {
-			sub.append(&schedroute.WatchFrame{
-				Type:   schedroute.WatchFrameClosing,
-				Reason: reason,
-			})
-		} else {
-			sub.mu.Lock()
-			sub.closed = true
-			for c := range sub.conns {
-				select {
-				case c.notify <- struct{}{}:
-				default:
-				}
-			}
-			sub.mu.Unlock()
-		}
-		sub.cancel()
-		close(sub.quit)
-		sub.s.watches.remove(sub.id)
-	})
 }

@@ -236,8 +236,9 @@ func TestWireTranscript(t *testing.T) {
 
 	p150 := testProblem(150)
 	other := schedroute.Problem{TFG: "chain:8", Topology: "cube:6", TauIn: 150}
-	// A structure no step ever caches (a failed build is evicted), so its
-	// schema_version is looked at every time.
+	// A structure no step ever caches (a failed build is evicted), and the
+	// cached p150 under the same version: the problem is checked on the
+	// request path, before any lookup, so both answer alike.
 	badSchema := schedroute.Problem{SchemaVersion: 99, TFG: "dvb:4", Topology: "cube:6", Bandwidth: 96, TauIn: 150}
 	staleSchema := p150
 	staleSchema.SchemaVersion = 99
@@ -270,9 +271,7 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("schedule: stats", "POST", "/v1/schedule", `{"problem":{"tfg":"dvb:4","topology":"cube:6","bandwidth":64,"tau_in":150},"options":{"stats":true}}`)
 	tr.do("schedule: traced", "POST", "/v1/schedule?debug=trace", schedroute.ScheduleRequest{Problem: p150})
 	tr.do("schedule: unknown schema_version", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: badSchema})
-	// Known gap, pinned as found: Problem.Validate runs inside the
-	// structure build, so a cache hit skips it (ROADMAP item 3).
-	tr.do("schedule: unknown schema_version on a cached structure is let through", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: staleSchema})
+	tr.do("schedule: unknown schema_version on a cached structure", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: staleSchema})
 	tr.do("schedule: bad topology", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: schedroute.Problem{TFG: "dvb:4", Topology: "klein-bottle:6"}})
 	tr.do("schedule: no tfg", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: schedroute.Problem{Topology: "cube:6"}})
 	// A tfg is a generator spec, never a path: the daemon opens no file a
@@ -340,6 +339,7 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("admit: window beyond the period", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("q", 0, 0), Options: schedroute.Options{Window: 200}})
 	tr.do("schedule: admitted tenant's standing", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: audioP, Tenant: audio})
 	tr.do("schedule: tenant/problem mismatch", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: other, Tenant: video})
+	tr.do("schedule: unknown schema_version, admitted tenant", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: staleSchema, Tenant: video})
 	tr.do("batch: tenant standing, mismatch and default side by side", "POST", "/v1/schedule:batch", schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{
 		{Problem: audioP, Tenant: audio}, {Problem: other, Tenant: video}, {Problem: audioP},
 	}})
@@ -412,22 +412,48 @@ func TestWireTranscript(t *testing.T) {
 	// Events on a closed subscription: the window between the terminal
 	// frame and the registry removal, held open by hand.
 	sub := srv.watches.get(id)
-	sub.mu.Lock()
-	sub.closed = true
-	sub.mu.Unlock()
+	holdClosed := func(v bool) {
+		sub.mu.Lock()
+		sub.log[len(sub.log)-1].terminal = v
+		sub.mu.Unlock()
+	}
+	holdClosed(true)
 	tr.do("watch events: closed subscription", "POST", events, schedroute.WatchEvent{Type: schedroute.WatchEventFault, Links: []string{"4-5"}})
-	sub.mu.Lock()
-	sub.closed = false
-	sub.mu.Unlock()
+	holdClosed(false)
 	tr.do("watch delete: ok", "DELETE", "/v1/watch/"+id, nil)
 	st.frame("watch frame: closing")
 	waitFor(t, "deleted subscription to unregister", func() bool { return len(liveSubs(srv)) == 0 })
 	tr.do("watch events: deleted subscription", "POST", events, schedroute.WatchEvent{Type: schedroute.WatchEventFault, Links: []string{"0-1"}})
 
+	// ---- resume cursors at and past the newest frame, on a subscription
+	// of their own: 0 replays the hello; one past the newest seq — by six,
+	// or by all the int64 there is — is caught up, and its first frame is
+	// the next one appended.
+	cst := tr.stream("watch: second subscription, hello frame", "POST", "/v1/watch", schedroute.WatchRequest{Problem: p150})
+	cid := onlySub(t, srv)
+	tr.stream("watch attach: Last-Event-ID 0 replays the hello", "GET", "/v1/watch/"+cid, nil, "Last-Event-ID", "0").close()
+	var caughtUp []*transcriptStream
+	for _, cursor := range []string{"7", "9223372036854775807"} {
+		resp := tr.send("GET", "/v1/watch/"+cid, nil, "Last-Event-ID", cursor)
+		ahead := &transcriptStream{tr: tr, resp: resp, br: bufio.NewReader(resp.Body)}
+		t.Cleanup(ahead.close)
+		caughtUp = append(caughtUp, ahead)
+	}
+	tr.do("watch events: fault accepted, second subscription", "POST", "/v1/watch/"+cid+"/events", schedroute.WatchEvent{Type: schedroute.WatchEventFault, Links: []string{"0-1"}})
+	cst.frame("watch frame: repaired schedule")
+	caughtUp[0].frame("watch attach: Last-Event-ID 7, past the newest seq 1, starts at the next frame")
+	caughtUp[1].frame("watch attach: Last-Event-ID 9223372036854775807 starts at the next frame")
+	if n := srv.metrics.value("srschedd_watch_dropped_frames_total"); n != 0 {
+		t.Errorf("a cursor past the newest frame counted %d dropped frames, want 0", n)
+	}
+	tr.do("watch delete: second subscription", "DELETE", "/v1/watch/"+cid, nil)
+	cst.frame("watch frame: closing, second subscription")
+	waitFor(t, "second subscription to unregister", func() bool { return len(liveSubs(srv)) == 0 })
+
 	// ---- tenant-scoped watch
 	tr.stream("watch: tenant/problem mismatch", "POST", "/v1/watch", schedroute.WatchRequest{Problem: other, Tenant: video}).close()
 	for _, sub := range liveSubs(srv) { // none, unless the mismatch was let through
-		sub.close("transcript cleanup", true)
+		sub.end(schedroute.WatchFrameClosing, 0, "transcript cleanup")
 		<-sub.done
 	}
 	ast := tr.stream("watch: admitted tenant, hello frame", "POST", "/v1/watch", schedroute.WatchRequest{Problem: audioP, Tenant: audio})

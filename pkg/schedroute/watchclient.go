@@ -42,13 +42,6 @@ type WatchClient struct {
 	Seed int64
 }
 
-func (c *WatchClient) http() *http.Client {
-	if c.HTTP != nil {
-		return c.HTTP
-	}
-	return http.DefaultClient
-}
-
 // retryPolicy resolves the client's retry settings: the bound on
 // consecutive failed attempts and the jitter source (c.Seed, or the
 // clock when it is 0).
@@ -97,8 +90,13 @@ type WatchStream struct {
 	// Frames delivers the stream.
 	Frames <-chan WatchFrame
 
-	done <-chan struct{}
-	err  error
+	c      *WatchClient
+	frames chan<- WatchFrame // Frames, from the sending side
+	body   io.ReadCloser     // the current transport, and its reader
+	br     *bufio.Reader
+	lastID int64 // seq of the last replayable frame delivered: the resume cursor
+	done   chan struct{}
+	err    error
 }
 
 // Err returns the terminal error after Frames closes (nil on a clean
@@ -117,133 +115,114 @@ func (c *WatchClient) Subscribe(ctx context.Context, req WatchRequest) (*WatchSt
 	if err != nil {
 		return nil, err
 	}
-	hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/watch", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	hr.Header.Set("Content-Type", "application/json")
-	hr.Header.Set("Accept", "text/event-stream")
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, decodeErrorResponse(resp)
-	}
-
 	frames := make(chan WatchFrame, 16)
-	done := make(chan struct{})
-	st := &WatchStream{Frames: frames, done: done}
-
+	st := &WatchStream{Frames: frames, c: c, frames: frames, done: make(chan struct{})}
+	if err := st.open(ctx, http.MethodPost, "/v1/watch", body); err != nil {
+		return nil, err
+	}
 	// The hello frame arrives synchronously so the caller leaves with a
 	// usable subscription id.
-	sr := newSSEReader(resp.Body)
-	hello, err := sr.next()
+	hello, err := st.next()
 	if err != nil {
-		resp.Body.Close()
-		return nil, fmt.Errorf("schedroute: watch: no hello frame: %w", err)
+		err = fmt.Errorf("schedroute: watch: no hello frame: %w", err)
+	} else if hello.Type != WatchFrameHello || hello.SubID == "" {
+		err = fmt.Errorf("schedroute: watch: first frame is %q, want hello with a sub_id", hello.Type)
 	}
-	if hello.Type != WatchFrameHello || hello.SubID == "" {
-		resp.Body.Close()
-		return nil, fmt.Errorf("schedroute: watch: first frame is %q, want hello with a sub_id", hello.Type)
+	if err != nil {
+		st.body.Close()
+		return nil, err
 	}
 	st.ID = hello.SubID
-
-	go c.pump(ctx, st, resp.Body, sr, hello, frames, done)
+	go st.pump(ctx, hello)
 	return st, nil
 }
 
-// pump forwards frames, reconnecting dropped transports with
+// open makes the event stream that answers one request the stream's
+// transport, in place of the one it had: the POST that subscribes, or
+// a GET that resumes after the last frame delivered.
+func (st *WatchStream) open(ctx context.Context, method, path string, body []byte) error {
+	hdr := []string{"Accept", "text/event-stream"}
+	if st.lastID > 0 {
+		hdr = append(hdr, "Last-Event-ID", strconv.FormatInt(st.lastID, 10))
+	}
+	resp, err := st.c.request(ctx, method, path, body, hdr...)
+	if err == nil {
+		err = serviceError(resp)
+	}
+	if err != nil {
+		return err
+	}
+	if st.body != nil {
+		st.body.Close()
+	}
+	st.body, st.br = resp.Body, bufio.NewReader(resp.Body)
+	return nil
+}
+
+// pump forwards frames, f first, reconnecting dropped transports with
 // backoff+jitter until a terminal frame, ctx cancellation, or retry
 // exhaustion.
-func (c *WatchClient) pump(ctx context.Context, st *WatchStream, body io.ReadCloser, sr *sseReader, first WatchFrame, frames chan<- WatchFrame, done chan<- struct{}) {
-	defer close(done)
-	defer close(frames)
-
-	maxRetries, rng := c.retryPolicy()
-
-	lastID := int64(0)
-	deliver := func(f WatchFrame) bool {
-		if f.Seq > lastID && f.Type != WatchFrameHeartbeat && f.Type != WatchFrameGap {
-			lastID = f.Seq
-		}
-		select {
-		case frames <- f:
-		case <-ctx.Done():
-			return false
-		}
-		return !f.Terminal
-	}
-	if !deliver(first) {
-		body.Close()
-		return
-	}
-
+func (st *WatchStream) pump(ctx context.Context, f WatchFrame) {
+	defer close(st.done)
+	defer close(st.frames)
+	defer func() { st.body.Close() }()
+	maxRetries, rng := st.c.retryPolicy()
 	fails := 0
 	for {
-		// Drain the current transport.
-		readErr := error(nil)
-		for {
-			f, err := sr.next()
-			if err != nil {
-				readErr = err
-				break
-			}
-			fails = 0
-			if !deliver(f) {
-				body.Close()
-				return
-			}
+		if f.Seq > st.lastID && f.Type != WatchFrameHeartbeat && f.Type != WatchFrameGap {
+			st.lastID = f.Seq
 		}
-		body.Close()
-		if ctx.Err() != nil {
-			st.err = ctx.Err()
+		select {
+		case st.frames <- f:
+		case <-ctx.Done():
 			return
 		}
-
-		// Reconnect with Last-Event-ID resume.
-		for {
-			fails++
-			if fails > maxRetries {
-				st.err = fmt.Errorf("schedroute: watch: stream lost after %d reconnect attempts: %w", maxRetries, readErr)
-				return
-			}
-			if err := c.backoff(ctx, rng, fails-1); err != nil {
-				st.err = err
-				return
-			}
-			nb, nsr, err := c.attach(ctx, st.ID, lastID)
-			if err != nil {
-				readErr = err
-				continue
-			}
-			body, sr = nb, nsr
-			break
+		if f.Terminal {
+			return
 		}
+		var err error
+		for f, err = st.next(); err != nil; {
+			// The transport dropped, or would not reopen: back off, then
+			// resume after the last frame delivered.
+			if ctx.Err() != nil {
+				st.err = ctx.Err()
+				return
+			}
+			if fails++; fails > maxRetries {
+				st.err = fmt.Errorf("schedroute: watch: stream lost after %d reconnect attempts: %w", maxRetries, err)
+				return
+			}
+			if st.err = st.c.backoff(ctx, rng, fails-1); st.err != nil {
+				return
+			}
+			if err = st.open(ctx, http.MethodGet, "/v1/watch/"+st.ID, nil); err == nil {
+				f, err = st.next()
+			}
+		}
+		fails = 0
 	}
 }
 
-// attach reopens the stream of an existing subscription, resuming
-// after the given frame seq.
-func (c *WatchClient) attach(ctx context.Context, id string, lastID int64) (io.ReadCloser, *sseReader, error) {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodGet, c.BaseURL+"/v1/watch/"+id, nil)
+// request sends one request to the service — body, when there is one,
+// is JSON; hdr is key, value pairs — and returns whatever answered. An
+// error is the transport's: the service's own refusals are serviceError's.
+func (c *WatchClient) request(ctx context.Context, method, path string, body []byte, hdr ...string) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+		hdr = append(hdr, "Content-Type", "application/json")
+	}
+	hr, err := http.NewRequestWithContext(ctx, method, c.BaseURL+path, rd)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	hr.Header.Set("Accept", "text/event-stream")
-	if lastID > 0 {
-		hr.Header.Set("Last-Event-ID", strconv.FormatInt(lastID, 10))
+	for i := 0; i+1 < len(hdr); i += 2 {
+		hr.Header.Set(hdr[i], hdr[i+1])
 	}
-	resp, err := c.http().Do(hr)
-	if err != nil {
-		return nil, nil, err
+	if c.HTTP != nil {
+		return c.HTTP.Do(hr)
 	}
-	if resp.StatusCode != http.StatusOK {
-		defer resp.Body.Close()
-		return nil, nil, decodeErrorResponse(resp)
-	}
-	return resp.Body, newSSEReader(resp.Body), nil
+	return http.DefaultClient.Do(hr)
 }
 
 // Send pushes one event at a subscription and returns its ack.
@@ -261,54 +240,45 @@ func (c *WatchClient) Send(ctx context.Context, id string, ev WatchEvent) (Watch
 	}
 	maxRetries, rng := c.retryPolicy()
 	for attempt := 0; ; attempt++ {
-		hr, err := http.NewRequestWithContext(ctx, http.MethodPost, c.BaseURL+"/v1/watch/"+id+"/events", bytes.NewReader(body))
-		if err != nil {
+		resp, err := c.request(ctx, http.MethodPost, "/v1/watch/"+id+"/events", body)
+		if err == nil {
+			if err = serviceError(resp); err == nil {
+				defer resp.Body.Close()
+				err = json.NewDecoder(resp.Body).Decode(&ack)
+			}
 			return ack, err
 		}
-		hr.Header.Set("Content-Type", "application/json")
-		resp, err := c.http().Do(hr)
-		if err != nil {
-			if ctx.Err() != nil || attempt >= maxRetries {
-				return ack, err
-			}
-			if err := c.backoff(ctx, rng, attempt); err != nil {
-				return ack, err
-			}
-			continue
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			return ack, decodeErrorResponse(resp)
-		}
-		if err := json.NewDecoder(resp.Body).Decode(&ack); err != nil {
+		if ctx.Err() != nil || attempt >= maxRetries {
 			return ack, err
 		}
-		return ack, nil
+		if err := c.backoff(ctx, rng, attempt); err != nil {
+			return ack, err
+		}
 	}
 }
 
 // Close deletes the subscription server-side; attached streams receive
-// a terminal closing frame.
+// a terminal closing frame. One already gone counts as closed.
 func (c *WatchClient) Close(ctx context.Context, id string) error {
-	hr, err := http.NewRequestWithContext(ctx, http.MethodDelete, c.BaseURL+"/v1/watch/"+id, nil)
-	if err != nil {
-		return err
-	}
-	resp, err := c.http().Do(hr)
+	resp, err := c.request(ctx, http.MethodDelete, "/v1/watch/"+id, nil)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusNotFound {
-		return decodeErrorResponse(resp)
+	if resp.StatusCode == http.StatusNotFound {
+		return nil
 	}
-	return nil
+	return serviceError(resp)
 }
 
-// decodeErrorResponse turns a non-2xx service body into an error
-// marked with the errkind family the response's kind names, so CLI
-// exit statuses work through the client too.
-func decodeErrorResponse(resp *http.Response) error {
+// serviceError is nil for a 200; any other answer is consumed, closed
+// and turned into an error marked with the errkind family the body's
+// kind names, so CLI exit statuses work through the client too.
+func serviceError(resp *http.Response) error {
+	if resp.StatusCode == http.StatusOK {
+		return nil
+	}
+	defer resp.Body.Close()
 	var er ErrorResponse
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
 	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
@@ -321,45 +291,26 @@ func decodeErrorResponse(resp *http.Response) error {
 	return fmt.Errorf("schedroute: service %s: %s", resp.Status, strings.TrimSpace(string(raw)))
 }
 
-// sseReader parses text/event-stream payloads into WatchFrames. Only
-// the fields this protocol emits are handled: id, event, data, and
-// comment lines (ignored).
-type sseReader struct {
-	br *bufio.Reader
-}
-
-func newSSEReader(r io.Reader) *sseReader {
-	return &sseReader{br: bufio.NewReader(r)}
-}
-
-// next blocks until one complete SSE event arrives and returns its
-// decoded frame.
-func (r *sseReader) next() (WatchFrame, error) {
+// next blocks until one complete SSE event arrives on the current
+// transport and returns its decoded frame. Only the data field is
+// read: the id and event lines repeat what the JSON payload says, and
+// a comment line, like a blank one between events, is skipped.
+func (st *WatchStream) next() (WatchFrame, error) {
 	var f WatchFrame
 	var data []byte
-	seen := false
 	for {
-		line, err := r.br.ReadString('\n')
+		line, err := st.br.ReadString('\n')
 		if err != nil {
 			return f, err
 		}
 		line = strings.TrimRight(line, "\r\n")
-		switch {
-		case line == "":
-			if !seen {
-				continue // stray blank between events
-			}
+		if rest, ok := strings.CutPrefix(line, "data:"); ok {
+			data = append(data, strings.TrimPrefix(rest, " ")...)
+		} else if line == "" && data != nil {
 			if err := json.Unmarshal(data, &f); err != nil {
 				return f, fmt.Errorf("schedroute: watch: bad frame payload: %w", err)
 			}
 			return f, nil
-		case strings.HasPrefix(line, ":"):
-			// comment / keepalive
-		case strings.HasPrefix(line, "data:"):
-			seen = true
-			data = append(data, strings.TrimPrefix(strings.TrimPrefix(line, "data:"), " ")...)
-		case strings.HasPrefix(line, "id:"), strings.HasPrefix(line, "event:"):
-			seen = true // metadata duplicated inside the JSON payload
 		}
 	}
 }
