@@ -1,13 +1,15 @@
 # Tier-1 verify is `make check`: gofmt gate, build, vet, then the full
-# test suite.
+# test suite — the e2e package included, which builds srschedd, srsched
+# and traceview and drives them as processes.
 # `make race` is the concurrency job for the parallel sweep/search
 # engine and the /v1/watch subscription machinery (concurrent
 # create/event/close churn); run it whenever internal/parallel,
-# internal/service, or a sweep changes.
+# internal/service, or a sweep changes. Under it e2e builds the tools
+# with -race too, so the daemon's drain runs under the detector.
 
 GO ?= go
 
-.PHONY: all fmt-check build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke service-smoke trace-smoke watch-smoke tenant-smoke explore-smoke clean
+.PHONY: all fmt-check build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke clean
 
 all: check
 
@@ -54,37 +56,6 @@ loc:
 # speed; drop -max-faults for the full panel).
 faults:
 	$(GO) run ./cmd/experiments -fig faults -config 6cube-b64 -max-faults 16
-
-# End-to-end smoke of the srschedd daemon: boot, hit every endpoint
-# (one batch round included), the retired warm-start and fleet surfaces
-# gone, graceful shutdown (scripts/service_smoke.sh).
-service-smoke:
-	sh scripts/service_smoke.sh
-
-# End-to-end smoke of the tracing layer: srsched -trace/-trace-out,
-# ?debug=trace through traceview, /v1/version, stage histograms, and
-# the isolated pprof listener (scripts/trace_smoke.sh).
-trace-smoke:
-	sh scripts/trace_smoke.sh
-
-# End-to-end smoke of the /v1/watch streaming reconfiguration service:
-# srsched -watch, raw SSE with Last-Event-ID resume, watch metrics,
-# and closing frames on SIGTERM drain (scripts/watch_smoke.sh).
-watch-smoke:
-	sh scripts/watch_smoke.sh
-
-# End-to-end smoke of multi-tenant admission: two tenants admitted via
-# srsched -admit, a third rejected with exit 4 and a 422 report, and
-# the per-tenant metrics asserted (scripts/tenant_smoke.sh).
-tenant-smoke:
-	sh scripts/tenant_smoke.sh
-
-# End-to-end smoke of the unified exploration surface: /v1/explore in
-# Pareto and grid modes (the retired /v1/sweep must be a 404), srsched
-# -explore, mode exclusivity (exit 2), and the explore metrics
-# (scripts/explore_smoke.sh).
-explore-smoke:
-	sh scripts/explore_smoke.sh
 
 # Full figure-regeneration benchmark suite (see bench_test.go).
 bench:

@@ -44,18 +44,13 @@
 package main
 
 import (
-	"bytes"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
-	"net/http"
 	"os"
 
 	"schedroute/internal/cliutil"
 	"schedroute/internal/cpsim"
-	"schedroute/internal/errkind"
 	"schedroute/internal/experiments"
 	"schedroute/internal/faults"
 	"schedroute/internal/gantt"
@@ -310,41 +305,12 @@ func runAdmit(baseURL string, pf *cliutil.ProblemFlags, tenant *schedroute.Tenan
 	if err != nil {
 		cliutil.Fatal("srsched", err)
 	}
-	body, err := json.Marshal(schedroute.AdmitRequest{Problem: spec, Tenant: tenant})
-	if err != nil {
+	wc := &schedroute.WatchClient{BaseURL: baseURL}
+	adm, err := wc.Admit(context.Background(), schedroute.AdmitRequest{Problem: spec, Tenant: tenant})
+	if adm == nil {
+		// Not an admission verdict (bad flags, unreachable fabric...):
+		// the error carries the service's class, and exits with it.
 		cliutil.Fatal("srsched", err)
-	}
-	resp, err := http.Post(baseURL+"/v1/admit", "application/json", bytes.NewReader(body))
-	if err != nil {
-		cliutil.Fatal("srsched", err)
-	}
-	raw, err := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	if err != nil {
-		cliutil.Fatal("srsched", err)
-	}
-
-	var adm *schedroute.AdmitResult
-	if resp.StatusCode == http.StatusOK {
-		adm = &schedroute.AdmitResult{}
-		if err := json.Unmarshal(raw, adm); err != nil {
-			cliutil.Fatal("srsched", err)
-		}
-	} else {
-		var er schedroute.ErrorResponse
-		if err := json.Unmarshal(raw, &er); err != nil || er.Error == "" {
-			cliutil.Fatal("srsched", fmt.Errorf("admit: status %d: %s", resp.StatusCode, raw))
-		}
-		adm = er.Admit
-		if adm == nil {
-			// Not an admission verdict (bad flags, unreachable fabric...):
-			// rebuild the error's class from the envelope and exit with it.
-			err := fmt.Errorf("admit: %s", er.Error)
-			if kind := errkind.ByName(er.Kind); kind != nil {
-				err = errkind.Mark(err, kind)
-			}
-			cliutil.Fatal("srsched", err)
-		}
 	}
 
 	fmt.Printf("tenant %q: %s", adm.TenantID, adm.Outcome)
@@ -362,7 +328,7 @@ func runAdmit(baseURL string, pf *cliutil.ProblemFlags, tenant *schedroute.Tenan
 	if !adm.Admitted {
 		fmt.Printf("reason: %s (bottleneck link %d, residual share %.3g)\n",
 			adm.Reason, adm.BottleneckLink, adm.BottleneckShare)
-		os.Exit(cliutil.ExitStatus(errkind.Mark(fmt.Errorf("admission rejected"), errkind.ErrAdmissionRejected)))
+		os.Exit(cliutil.ExitStatus(err))
 	}
 }
 

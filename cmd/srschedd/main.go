@@ -8,6 +8,7 @@
 //
 //	srschedd -listen :8080
 //	srschedd -listen :8080 -pprof-addr localhost:6060
+//	srschedd -listen 127.0.0.1:0          # any free port: the "listening" log line names it
 //	srschedd -listen :8080 -solvers 128   # structure cache sized to the working set (DESIGN §9)
 //	srschedd -version
 //	curl -s localhost:8080/v1/schedule -d '{"problem":{"tfg":"dvb:4","topology":"cube:6","tau_in":141}}'
@@ -26,6 +27,7 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -68,11 +70,23 @@ func main() {
 		MaxBodyBytes:   *maxBody,
 		Logger:         log,
 	})
-	hs := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	// Signals are caught before anything is announced: whoever reads the
+	// "listening" line may send SIGTERM at once and is owed a drain.
+	sigc := make(chan os.Signal, 1)
+	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
+
+	// Bind before logging, and log what was bound: with -listen
+	// 127.0.0.1:0 the line is how a caller learns the port.
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "srschedd:", err)
+		os.Exit(1)
+	}
+	hs := &http.Server{Handler: srv.Handler()}
 
 	errc := make(chan error, 1)
-	go func() { errc <- hs.ListenAndServe() }()
-	log.Info("listening", "addr", *listen)
+	go func() { errc <- hs.Serve(ln) }()
+	log.Info("listening", "addr", ln.Addr().String())
 
 	// The profiler gets its own listener and its own mux: registering
 	// pprof on the API mux (or on http.DefaultServeMux by side effect)
@@ -85,17 +99,20 @@ func main() {
 		pm.HandleFunc("/debug/pprof/profile", pprof.Profile)
 		pm.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 		pm.HandleFunc("/debug/pprof/trace", pprof.Trace)
-		ps = &http.Server{Addr: *pprofAddr, Handler: pm}
+		pln, err := net.Listen("tcp", *pprofAddr)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "srschedd: pprof:", err)
+			os.Exit(1)
+		}
+		ps = &http.Server{Handler: pm}
 		go func() {
-			if err := ps.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
+			if err := ps.Serve(pln); err != nil && !errors.Is(err, http.ErrServerClosed) {
 				log.Error("pprof listener", "err", err.Error())
 			}
 		}()
-		log.Info("pprof listening", "addr", *pprofAddr)
+		log.Info("pprof listening", "addr", pln.Addr().String())
 	}
 
-	sigc := make(chan os.Signal, 1)
-	signal.Notify(sigc, syscall.SIGINT, syscall.SIGTERM)
 	select {
 	case sig := <-sigc:
 		log.Info("draining", "signal", sig.String(), "deadline", drain.String())

@@ -189,66 +189,6 @@ func SingleLink(top *topology.Topology, failAt int) []Trace {
 	return out
 }
 
-// SingleNode enumerates one permanent single-node-fault scenario per
-// node, striking at invocation failAt.
-func SingleNode(top *topology.Topology, failAt int) []Trace {
-	out := make([]Trace, top.Nodes())
-	for n := 0; n < top.Nodes(); n++ {
-		out[n] = Trace{
-			Name: fmt.Sprintf("node%d", n),
-			Events: []Event{{
-				IsNode: true, Node: topology.NodeID(n), At: failAt, RepairedAt: -1,
-			}},
-		}
-	}
-	return out
-}
-
-// DoubleLink samples count distinct unordered link pairs uniformly with
-// the given seed (deterministic per seed), each failing permanently at
-// invocation failAt. When count exceeds the number of distinct pairs,
-// every pair is returned (in ascending order).
-func DoubleLink(top *topology.Topology, seed int64, count, failAt int) []Trace {
-	nl := top.Links()
-	total := nl * (nl - 1) / 2
-	mk := func(a, b topology.LinkID) Trace {
-		return Trace{
-			Name: fmt.Sprintf("links%d+%d", a, b),
-			Events: []Event{
-				{Link: a, At: failAt, RepairedAt: -1},
-				{Link: b, At: failAt, RepairedAt: -1},
-			},
-		}
-	}
-	if count >= total {
-		out := make([]Trace, 0, total)
-		for a := 0; a < nl; a++ {
-			for b := a + 1; b < nl; b++ {
-				out = append(out, mk(topology.LinkID(a), topology.LinkID(b)))
-			}
-		}
-		return out
-	}
-	rng := rand.New(rand.NewSource(seed))
-	seen := map[[2]int]bool{}
-	out := make([]Trace, 0, count)
-	for len(out) < count {
-		a, b := rng.Intn(nl), rng.Intn(nl)
-		if a == b {
-			continue
-		}
-		if a > b {
-			a, b = b, a
-		}
-		if seen[[2]int{a, b}] {
-			continue
-		}
-		seen[[2]int{a, b}] = true
-		out = append(out, mk(topology.LinkID(a), topology.LinkID(b)))
-	}
-	return out
-}
-
 // RandomOptions tunes RandomTrace.
 type RandomOptions struct {
 	// Events is the number of fault events to draw (default 3).

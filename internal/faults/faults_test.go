@@ -40,19 +40,6 @@ func TestSingleLinkCoversEveryLink(t *testing.T) {
 	}
 }
 
-func TestSingleNodeCoversEveryNode(t *testing.T) {
-	top := cube(t)
-	trs := SingleNode(top, 1)
-	if len(trs) != top.Nodes() {
-		t.Fatalf("%d scenarios for %d nodes", len(trs), top.Nodes())
-	}
-	for i, tr := range trs {
-		if !tr.Events[0].IsNode || tr.Events[0].Node != topology.NodeID(i) {
-			t.Errorf("scenario %d targets %s", i, tr.Events[0])
-		}
-	}
-}
-
 func TestActiveAtWindows(t *testing.T) {
 	top := cube(t)
 	tr := Trace{Events: []Event{
@@ -81,35 +68,6 @@ func TestActiveAtWindows(t *testing.T) {
 	}
 	if got := tr.Epochs(4); !reflect.DeepEqual(got, []int{2}) {
 		t.Errorf("Epochs(4) = %v, want [2]", got)
-	}
-}
-
-func TestDoubleLinkDeterministicAndDistinct(t *testing.T) {
-	top := cube(t)
-	a := DoubleLink(top, 7, 10, 1)
-	b := DoubleLink(top, 7, 10, 1)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatal("same seed must give the same scenarios")
-	}
-	c := DoubleLink(top, 8, 10, 1)
-	if reflect.DeepEqual(a, c) {
-		t.Error("different seeds should differ")
-	}
-	seen := map[string]bool{}
-	for _, tr := range a {
-		if seen[tr.Name] {
-			t.Errorf("duplicate pair %s", tr.Name)
-		}
-		seen[tr.Name] = true
-		if len(tr.Events) != 2 || tr.Events[0].Link == tr.Events[1].Link {
-			t.Errorf("scenario %s malformed", tr.Name)
-		}
-	}
-	// Exhaustive fallback when count >= all pairs.
-	nl := top.Links()
-	all := DoubleLink(top, 1, nl*nl, 0)
-	if len(all) != nl*(nl-1)/2 {
-		t.Errorf("exhaustive enumeration has %d pairs, want %d", len(all), nl*(nl-1)/2)
 	}
 }
 

@@ -81,18 +81,6 @@ func BuildActivity(ws []Window, set *IntervalSet) *Activity {
 	return act
 }
 
-// ActiveIntervals returns the interval indices in which message i is
-// active.
-func (a *Activity) ActiveIntervals(i tfg.MessageID) []int {
-	var out []int
-	for k, on := range a.Active[i] {
-		if on {
-			out = append(out, k)
-		}
-	}
-	return out
-}
-
 // TotalActiveLength returns the summed length of message i's active
 // intervals; it equals the window length (up to rounding at wrap
 // points).

@@ -3,7 +3,6 @@ package schedule
 import (
 	"context"
 	"fmt"
-	"sort"
 	"sync"
 
 	"schedroute/internal/errkind"
@@ -533,28 +532,4 @@ func (ts *TenantSet) RepairTenant(ctx context.Context, id string, fs *topology.F
 		return nil, err
 	}
 	return &TenantRepair{TenantID: id, MemoHit: hit, Report: rep}, nil
-}
-
-// Oversubscribed lists the links whose summed post-repair reservations
-// exceed the physical capacity (within timeEps) — possible only after
-// faults force repaired tenants onto overlapping detours; the healthy
-// admission path can never oversubscribe. Links are returned in
-// ascending order.
-func (ts *TenantSet) Oversubscribed() []topology.LinkID {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	sum := make([]float64, ts.nl)
-	for _, st := range ts.admitted {
-		for j, r := range st.Reserve {
-			sum[j] += r
-		}
-	}
-	var out []topology.LinkID
-	for j, s := range sum {
-		if s > 1+timeEps {
-			out = append(out, topology.LinkID(j))
-		}
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }

@@ -60,12 +60,6 @@ func (w Window) Deadline(tauIn float64) float64 {
 	return d
 }
 
-// Wrapped reports whether the frame image of the window is split into
-// [0, d] and [r, τin].
-func (w Window) Wrapped(tauIn float64) bool {
-	return w.Release+w.Length > tauIn+timeEps
-}
-
 // Slack is the scheduling slack: window length minus transmission time.
 func (w Window) Slack() float64 { return w.Length - w.Xmit }
 

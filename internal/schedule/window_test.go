@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"slices"
 	"testing"
 
 	"schedroute/internal/tfg"
@@ -35,9 +36,6 @@ func TestComputeWindowsBasic(t *testing.T) {
 	if math.Abs(ab.Deadline(150)-100) > 1e-9 {
 		t.Errorf("ab deadline = %g, want 100", ab.Deadline(150))
 	}
-	if ab.Wrapped(150) {
-		t.Error("ab should not wrap")
-	}
 	// Message bd: b starts at 100, completes 150 → release 150 mod 150 = 0.
 	bd := ws[2]
 	if math.Abs(bd.Release-0) > 1e-9 {
@@ -68,9 +66,6 @@ func TestComputeWindowsWrap(t *testing.T) {
 	// a completes 50 → ab window [50, 100] abs; frame release 50,
 	// deadline fmod(100,70)=30 < release → wrapped.
 	ab := ws[0]
-	if !ab.Wrapped(70) {
-		t.Error("ab should wrap at τin=70")
-	}
 	if math.Abs(ab.Deadline(70)-30) > 1e-9 {
 		t.Errorf("deadline = %g, want 30", ab.Deadline(70))
 	}
@@ -210,7 +205,7 @@ func TestActivityLocalRowEmpty(t *testing.T) {
 	set := BuildIntervals(ws, 150)
 	act := BuildActivity(ws, set)
 	for i := range ws {
-		if len(act.ActiveIntervals(tfg.MessageID(i))) != 0 {
+		if slices.Contains(act.Active[i], true) {
 			t.Errorf("local message %d should have no activity", i)
 		}
 	}

@@ -40,6 +40,9 @@ func TestExploreParetoEndpoint(t *testing.T) {
 	if len(out.Placements) != 2 || out.Placements[0].Source != "problem" || out.Placements[1].Source != "anneal:2" {
 		t.Fatalf("placement sources wrong: %+v", out.Placements)
 	}
+	if out.Placements[1].MinTauIn != out.TauC {
+		t.Errorf("annealed placement bisected to τin %g, want full load (τc = %g)", out.Placements[1].MinTauIn, out.TauC)
+	}
 	if len(out.Front) == 0 {
 		t.Fatal("empty Pareto front")
 	}
@@ -78,6 +81,9 @@ func TestExploreParetoEndpoint(t *testing.T) {
 	})
 	if runs := srv.metrics.value("srschedd_explore_runs_total", "pareto"); runs != 1 {
 		t.Errorf("pareto explore runs %d, want 1", runs)
+	}
+	if pts := srv.metrics.value("srschedd_explore_front_points_total"); pts != int64(len(out.Front)) {
+		t.Errorf("front points counter %d, the front has %d", pts, len(out.Front))
 	}
 
 	// The same request without debug must return the same body minus the

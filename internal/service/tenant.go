@@ -41,10 +41,14 @@ type tenantEntry struct {
 	fab       *fabric
 }
 
-// tenantRegistry maps tenant IDs to their admitted standing. Admission
-// order within a fabric is serialized by the TenantSet itself; the
-// registry lock only guards the maps.
+// tenantRegistry maps tenant IDs to their admitted standing. An ID is
+// held by one fabric at a time: admitting serializes admissions across
+// fabrics, so the check that refuses an ID held elsewhere and the
+// commit after the ladder see the same index (within a fabric the
+// TenantSet serializes them anyway). mu only guards the maps.
 type tenantRegistry struct {
+	admitting sync.Mutex
+
 	mu      sync.Mutex
 	fabrics map[string]*fabric
 	tenants map[string]*tenantEntry
@@ -131,6 +135,14 @@ func (s *Server) admit(c *call, req schedroute.AdmitRequest) (*schedroute.AdmitR
 		RateGuarantee: ten.RateGuarantee,
 		Problem:       b.ScheduleProblemAt(tauIn),
 		Options:       opts,
+	}
+	s.tenants.admitting.Lock()
+	defer s.tenants.admitting.Unlock()
+	// The index holds one entry per ID, so a second fabric's entry would
+	// overwrite the first and leave its link shares reserved with no way
+	// to reach or release them. (The same fabric says "already admitted".)
+	if held := s.tenants.lookup(ten.ID); held != nil && held.fab != fab {
+		return nil, badInput("admit: tenant %q is already admitted on fabric %q", ten.ID, held.fab.topoSpec)
 	}
 	report, err := fab.set.Admit(c.r.Context(), cand, c.root)
 	if err != nil {

@@ -120,7 +120,7 @@ func TestAdmitEndpoint(t *testing.T) {
 // one guaranteeing 0.8 is a 422 admission_rejected whose error body
 // carries the shared envelope and the full admission report.
 func TestAdmitDegradedRateAndRejection(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	srv, ts := newTestServer(t, Config{})
 
 	code, body := postJSON(t, ts, "/v1/admit", schedroute.AdmitRequest{
 		Problem: testProblem(50),
@@ -159,6 +159,9 @@ func TestAdmitDegradedRateAndRejection(t *testing.T) {
 	}
 	if er.Admit == nil || er.Admit.Admitted || er.Admit.Outcome != "rejected" || er.Admit.Reason == "" {
 		t.Fatalf("rejection report: %+v", er.Admit)
+	}
+	if n := srv.metrics.value("srschedd_admissions_total", "rejected"); n != 1 {
+		t.Errorf("rejected admissions counter = %d, want 1", n)
 	}
 }
 
@@ -349,6 +352,80 @@ func TestAdmitFabricBandwidthPinned(t *testing.T) {
 	if code != http.StatusBadRequest || !strings.Contains(string(body), "bandwidth") {
 		t.Fatalf("mismatched bandwidth: status %d: %s", code, body)
 	}
+}
+
+// TestTenantIDIsHeldByOneFabric: an ID admitted on one fabric is a bad
+// request on another (its first reservation would be orphaned: shares
+// held, no index entry to reach or release them), until a priority
+// eviction frees it. After every step — admit, refused duplicate,
+// eviction, re-admission, and the same ID racing onto two fabrics — the
+// srschedd_tenants gauge equals the reservations the fabrics hold.
+func TestTenantIDIsHeldByOneFabric(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	onCube7 := testProblem(150)
+	onCube7.Topology = "cube:7"
+	gaugeMatches := func(after string) {
+		t.Helper()
+		held := 0
+		srv.tenants.mu.Lock()
+		for _, fab := range srv.tenants.fabrics {
+			held += len(fab.set.Tenants())
+		}
+		srv.tenants.mu.Unlock()
+		if gauge := srv.metrics.value("srschedd_tenants"); int(gauge) != held {
+			t.Fatalf("after %s: srschedd_tenants = %d, the fabrics hold %d", after, gauge, held)
+		}
+	}
+	admit := func(p schedroute.Problem, ten *schedroute.Tenant) (int, string) {
+		t.Helper()
+		code, body := postJSON(t, ts, "/v1/admit", schedroute.AdmitRequest{Problem: p, Tenant: ten})
+		gaugeMatches(ten.ID + " on " + p.Topology)
+		return code, string(body)
+	}
+
+	if code, body := admit(testProblem(150), tenantOf("a", 1, 1)); code != http.StatusOK {
+		t.Fatalf("a on cube:6: status %d: %s", code, body)
+	}
+	code, body := admit(onCube7, tenantOf("a", 1, 1))
+	if code != http.StatusBadRequest || !strings.Contains(body, `"kind":"bad_input"`) || !strings.Contains(body, "cube:6") {
+		t.Fatalf("a on cube:7 while cube:6 holds it: status %d: %s", code, body)
+	}
+	// The same placement at a higher priority evicts a, which frees the ID.
+	code, body = admit(testProblem(150), tenantOf("boss", 9, 1))
+	if code != http.StatusOK || !strings.Contains(body, `"evicted":["a"]`) {
+		t.Fatalf("boss on cube:6: status %d: %s", code, body)
+	}
+	if code, body := admit(onCube7, tenantOf("a", 1, 1)); code != http.StatusOK {
+		t.Fatalf("a on cube:7 once evicted from cube:6: status %d: %s", code, body)
+	}
+
+	// One ID, two fabrics, at once: one admission wins.
+	// (placed apart from boss and a, whose direct links are reserved whole).
+	apart6 := testProblem(150)
+	apart6.Allocator, apart6.AllocSeed = "random", 1
+	apart7 := apart6
+	apart7.Topology = "cube:7"
+	codes := make(chan int, 2)
+	for _, p := range []schedroute.Problem{apart6, apart7} {
+		body, err := json.Marshal(schedroute.AdmitRequest{Problem: p, Tenant: tenantOf("c", 0, 0)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		go func() {
+			resp, err := http.Post(ts.URL+"/v1/admit", "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Error(err)
+				codes <- 0
+				return
+			}
+			resp.Body.Close()
+			codes <- resp.StatusCode
+		}()
+	}
+	if a, b := <-codes, <-codes; a+b != http.StatusOK+http.StatusBadRequest {
+		t.Fatalf("c on two fabrics at once: statuses %d and %d, want one 200 and one 400", a, b)
+	}
+	gaugeMatches("c on two fabrics at once")
 }
 
 // TestWatchErrorFrameEnvelope: a rejected watch event's error frame

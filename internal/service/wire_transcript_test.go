@@ -330,6 +330,16 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("admit: second tenant, against the residual, traced", "POST", "/v1/admit?debug=trace", schedroute.AdmitRequest{Problem: audioP, Tenant: audio})
 	tr.do("admit: 422 with report", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: testProblem(50), Tenant: tenantOf("strict", 0, 0.8)})
 	tr.do("admit: duplicate", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: video})
+	// One ID, one fabric: the duplicate on a second fabric is refused
+	// before its ladder runs and changes nothing on the first — the
+	// tenant that does not fit beside video is turned away the same, and
+	// every tenant-scoped video row below answers from cube:6 as before.
+	// (IDs are reused so metrics_series.golden gains no label.)
+	onCube7 := p150
+	onCube7.Topology = "cube:7"
+	tr.do("admit: no room beside video", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("strict", 0, 1)})
+	tr.do("admit: an ID one fabric holds, on another", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: onCube7, Tenant: video})
+	tr.do("admit: no room beside video, after the refusal", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("strict", 0, 1)})
 	tr.do("admit: bad tenant", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("greedy", 0, 2)})
 	bw := p150
 	bw.Bandwidth = 128

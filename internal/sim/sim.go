@@ -89,13 +89,10 @@ func (e *Engine) Now() float64 { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.count }
 
-// Pending returns the number of events not yet executed.
-func (e *Engine) Pending() int { return len(e.q) }
-
 // At schedules fn at absolute time at. Scheduling in the past or at
 // NaN is always a simulation-model bug: the event is dropped, the
 // engine stops executing further events, and the typed
-// *BadScheduleError surfaces from Run, RunUntil, or Err. At keeps an
+// *BadScheduleError surfaces from Run or Err. At keeps an
 // error-free signature because most scheduling happens inside event
 // callbacks, where a return value could not propagate anyway.
 func (e *Engine) At(at float64, fn Event) {
@@ -147,21 +144,6 @@ func (e *Engine) Run(maxEvents uint64) error {
 	}
 	if len(e.q) > 0 {
 		return fmt.Errorf("sim: stopped after %d events with %d still pending", executed, len(e.q))
-	}
-	return nil
-}
-
-// RunUntil executes events with time at or before deadline; events
-// beyond it stay queued and the clock advances to exactly deadline.
-// It returns the first scheduling error, if any event misbehaved.
-func (e *Engine) RunUntil(deadline float64) error {
-	for len(e.q) > 0 && e.q[0].at <= deadline && e.Step() {
-	}
-	if e.err != nil {
-		return e.err
-	}
-	if e.now < deadline {
-		e.now = deadline
 	}
 	return nil
 }

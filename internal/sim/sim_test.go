@@ -101,14 +101,6 @@ func TestNaNSchedulingError(t *testing.T) {
 	}
 }
 
-func TestRunUntilSurfacesSchedulingError(t *testing.T) {
-	e := NewEngine()
-	e.At(1, func(float64) { e.At(0.5, func(float64) {}) })
-	if err := e.RunUntil(10); err == nil {
-		t.Error("RunUntil must surface the scheduling error")
-	}
-}
-
 func TestRunMaxEvents(t *testing.T) {
 	e := NewEngine()
 	var reschedule func(now float64)
@@ -116,32 +108,6 @@ func TestRunMaxEvents(t *testing.T) {
 	e.At(0, reschedule)
 	if err := e.Run(100); err == nil {
 		t.Error("livelock should be reported")
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 1; i <= 10; i++ {
-		e.At(float64(i), func(float64) { count++ })
-	}
-	if err := e.RunUntil(5.5); err != nil {
-		t.Fatal(err)
-	}
-	if count != 5 {
-		t.Errorf("ran %d events, want 5", count)
-	}
-	if e.Now() != 5.5 {
-		t.Errorf("now = %g, want 5.5", e.Now())
-	}
-	if e.Pending() != 5 {
-		t.Errorf("pending = %d, want 5", e.Pending())
-	}
-	if err := e.RunUntil(100); err != nil {
-		t.Fatal(err)
-	}
-	if count != 10 {
-		t.Errorf("total = %d", count)
 	}
 }
 

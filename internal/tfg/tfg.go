@@ -375,13 +375,6 @@ func (g *Graph) PipelinedStart(tm *Timing, window float64) []float64 {
 	return start
 }
 
-// PipelinedLatency is the invocation latency of the time-bounded static
-// schedule: the maximum over output tasks of start+exec with windows of
-// the given length.
-func (g *Graph) PipelinedLatency(tm *Timing, window float64) float64 {
-	return g.LatencyOf(tm, g.PipelinedStart(tm, window))
-}
-
 // LatencyOf computes the invocation latency implied by explicit static
 // start times: the maximum over output tasks of start+exec.
 func (g *Graph) LatencyOf(tm *Timing, start []float64) float64 {

@@ -195,7 +195,7 @@ func TestPipelinedStartAndLatency(t *testing.T) {
 			t.Errorf("start[%d] = %g, want %g", i, start[i], w)
 		}
 	}
-	lat := g.PipelinedLatency(tm, 50)
+	lat := g.LatencyOf(tm, g.PipelinedStart(tm, 50))
 	if math.Abs(lat-250) > 1e-9 {
 		t.Errorf("latency = %g, want 250", lat)
 	}
@@ -208,7 +208,7 @@ func TestPipelinedLatencyAtLeastCriticalPath(t *testing.T) {
 	}
 	tm, _ := NewUniformTiming(g, 50, 64)
 	cp, _ := g.CriticalPath(tm)
-	lat := g.PipelinedLatency(tm, tm.TauC())
+	lat := g.LatencyOf(tm, g.PipelinedStart(tm, tm.TauC()))
 	if lat < cp-1e-9 {
 		t.Errorf("windowed latency %g below critical path %g", lat, cp)
 	}
@@ -308,7 +308,7 @@ func TestQuickPipelinedMonotone(t *testing.T) {
 		}
 		w1 := float64(wRaw%50) + 1
 		w2 := w1 + 10
-		if g.PipelinedLatency(tm, w2) < g.PipelinedLatency(tm, w1)-1e-9 {
+		if g.LatencyOf(tm, g.PipelinedStart(tm, w2)) < g.LatencyOf(tm, g.PipelinedStart(tm, w1))-1e-9 {
 			return false
 		}
 		start := g.PipelinedStart(tm, w1)

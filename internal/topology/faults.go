@@ -124,14 +124,6 @@ func (f *FaultSet) NumFailedLinks() int {
 	return f.links.Count()
 }
 
-// NumFailedNodes returns the count of failed nodes.
-func (f *FaultSet) NumFailedNodes() int {
-	if f == nil {
-		return 0
-	}
-	return f.nodes.Count()
-}
-
 // FailedLinks returns the explicitly failed links in ascending order.
 func (f *FaultSet) FailedLinks() []LinkID {
 	if f == nil {
@@ -342,19 +334,6 @@ func (t *Topology) RouteAround(src, dst NodeID, fs *FaultSet) (Path, error) {
 		return Path{}, err
 	}
 	return paths[0], nil
-}
-
-// SurvivingDistance returns the residual hop count from src to dst, or
-// a *NoRouteError when the degraded machine disconnects them.
-func (t *Topology) SurvivingDistance(src, dst NodeID, fs *FaultSet) (int, error) {
-	if fs.Empty() {
-		return t.Distance(src, dst), nil
-	}
-	paths, err := t.SurvivingPaths(src, dst, 1, fs)
-	if err != nil {
-		return 0, err
-	}
-	return paths[0].Hops(), nil
 }
 
 // ParseLinkSpec resolves a "u-v" node-pair spec to the joining link,

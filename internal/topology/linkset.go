@@ -68,22 +68,6 @@ func (s *LinkSet) Has(l LinkID) bool {
 	return w < len(s.words) && s.words[w]&(1<<(uint(l)%wordBits)) != 0
 }
 
-// Intersects reports whether the sets share any link — the conflict
-// test of Definition 5.5 (two messages are link-feasible together iff
-// their link sets are disjoint).
-func (s *LinkSet) Intersects(o *LinkSet) bool {
-	n := len(s.words)
-	if len(o.words) < n {
-		n = len(o.words)
-	}
-	for i := 0; i < n; i++ {
-		if s.words[i]&o.words[i] != 0 {
-			return true
-		}
-	}
-	return false
-}
-
 // Count returns the number of links in the set.
 func (s *LinkSet) Count() int {
 	total := 0

@@ -55,35 +55,6 @@ func TestLinkSetWordBoundaries(t *testing.T) {
 	}
 }
 
-func TestLinkSetIntersects(t *testing.T) {
-	mk := func(ls ...LinkID) LinkSet {
-		var s LinkSet
-		s.AddLinks(ls)
-		return s
-	}
-	cases := []struct {
-		a, b LinkSet
-		want bool
-	}{
-		{mk(), mk(), false},
-		{mk(1), mk(), false},
-		{mk(1), mk(1), true},
-		{mk(0, 63), mk(63), true},
-		{mk(0, 63), mk(64), false},
-		{mk(64), mk(64, 200), true},
-		{mk(5), mk(69), false}, // same bit position, different words
-		{mk(200), mk(3), false},
-	}
-	for i, c := range cases {
-		if got := c.a.Intersects(&c.b); got != c.want {
-			t.Errorf("case %d: Intersects = %v, want %v", i, got, c.want)
-		}
-		if got := c.b.Intersects(&c.a); got != c.want {
-			t.Errorf("case %d: Intersects not symmetric", i)
-		}
-	}
-}
-
 func TestLinkSetClearKeepsCapacity(t *testing.T) {
 	s := NewLinkSet(130)
 	if len(s.words) != 3 {

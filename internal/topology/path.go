@@ -221,28 +221,3 @@ func (t *Topology) shortestPaths(src, dst NodeID, max int) []Path {
 	rec(src)
 	return out
 }
-
-// CountShortestPaths returns the number of distinct shortest paths from
-// src to dst without materializing them.
-func (t *Topology) CountShortestPaths(src, dst NodeID) int {
-	memo := make(map[NodeID]int)
-	var count func(u NodeID) int
-	count = func(u NodeID) int {
-		if u == dst {
-			return 1
-		}
-		if c, ok := memo[u]; ok {
-			return c
-		}
-		remain := t.Distance(u, dst)
-		total := 0
-		for _, v := range t.adj[u] {
-			if t.Distance(v, dst) == remain-1 {
-				total += count(v)
-			}
-		}
-		memo[u] = total
-		return total
-	}
-	return count(src)
-}

@@ -38,8 +38,8 @@ func TestBinary6CubeCounts(t *testing.T) {
 		t.Errorf("links = %d, want 192", got)
 	}
 	for u := 0; u < top.Nodes(); u++ {
-		if top.Degree(NodeID(u)) != 6 {
-			t.Fatalf("node %d degree = %d, want 6", u, top.Degree(NodeID(u)))
+		if len(top.Neighbors(NodeID(u))) != 6 {
+			t.Fatalf("node %d degree = %d, want 6", u, len(top.Neighbors(NodeID(u))))
 		}
 	}
 	if err := top.Validate(); err != nil {
@@ -54,8 +54,8 @@ func TestGHC444Counts(t *testing.T) {
 	}
 	// Per dimension each node has radix-1 = 3 neighbors; degree 9.
 	for u := 0; u < top.Nodes(); u++ {
-		if top.Degree(NodeID(u)) != 9 {
-			t.Fatalf("node %d degree = %d, want 9", u, top.Degree(NodeID(u)))
+		if len(top.Neighbors(NodeID(u))) != 9 {
+			t.Fatalf("node %d degree = %d, want 9", u, len(top.Neighbors(NodeID(u))))
 		}
 	}
 	// links = nodes*degree/2.
@@ -73,8 +73,8 @@ func TestTorus88Counts(t *testing.T) {
 		t.Fatalf("nodes = %d, want 64", top.Nodes())
 	}
 	for u := 0; u < top.Nodes(); u++ {
-		if top.Degree(NodeID(u)) != 4 {
-			t.Fatalf("node %d degree = %d, want 4", u, top.Degree(NodeID(u)))
+		if len(top.Neighbors(NodeID(u))) != 4 {
+			t.Fatalf("node %d degree = %d, want 4", u, len(top.Neighbors(NodeID(u))))
 		}
 	}
 	if top.Links() != 128 {
@@ -88,8 +88,8 @@ func TestTorus444Counts(t *testing.T) {
 		t.Fatalf("nodes = %d, want 64", top.Nodes())
 	}
 	for u := 0; u < top.Nodes(); u++ {
-		if top.Degree(NodeID(u)) != 6 {
-			t.Fatalf("node %d degree = %d, want 6", u, top.Degree(NodeID(u)))
+		if len(top.Neighbors(NodeID(u))) != 6 {
+			t.Fatalf("node %d degree = %d, want 6", u, len(top.Neighbors(NodeID(u))))
 		}
 	}
 	if top.Links() != 192 {
@@ -105,8 +105,8 @@ func TestRadix2TorusCollapsesDoubleEdge(t *testing.T) {
 		t.Errorf("2x2 torus: nodes=%d links=%d, want 4 and 4", top.Nodes(), top.Links())
 	}
 	for u := 0; u < 4; u++ {
-		if top.Degree(NodeID(u)) != 2 {
-			t.Errorf("degree(%d) = %d, want 2", u, top.Degree(NodeID(u)))
+		if len(top.Neighbors(NodeID(u))) != 2 {
+			t.Errorf("degree(%d) = %d, want 2", u, len(top.Neighbors(NodeID(u))))
 		}
 	}
 }
@@ -124,10 +124,10 @@ func TestMeshCounts(t *testing.T) {
 		t.Errorf("links = %d, want 12", top.Links())
 	}
 	// Corner degree 2, edge 3, center 4.
-	if top.Degree(top.FromDigits([]int{0, 0})) != 2 {
+	if len(top.Neighbors(top.FromDigits([]int{0, 0}))) != 2 {
 		t.Errorf("corner degree != 2")
 	}
-	if top.Degree(top.FromDigits([]int{1, 1})) != 4 {
+	if len(top.Neighbors(top.FromDigits([]int{1, 1}))) != 4 {
 		t.Errorf("center degree != 4")
 	}
 }
@@ -300,9 +300,6 @@ func TestShortestPathsEnumeration(t *testing.T) {
 		}
 		seen[p.String()] = true
 	}
-	if got := top.CountShortestPaths(0, 7); got != 6 {
-		t.Errorf("CountShortestPaths = %d, want 6", got)
-	}
 }
 
 func TestShortestPathsMaxCap(t *testing.T) {
@@ -321,9 +318,6 @@ func TestShortestPathsTorusCount(t *testing.T) {
 	paths := top.ShortestPaths(src, dst, 0)
 	if len(paths) != 3 {
 		t.Errorf("got %d paths, want 3", len(paths))
-	}
-	if got := top.CountShortestPaths(src, dst); got != 3 {
-		t.Errorf("CountShortestPaths = %d, want 3", got)
 	}
 }
 

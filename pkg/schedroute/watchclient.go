@@ -20,8 +20,8 @@ import (
 // the problem over SSE, surfaces frames on a channel, and reconnects
 // dropped streams with exponential backoff plus jitter, resuming from
 // the last delivered frame via the standard Last-Event-ID header. Used
-// by `srsched -watch` and the watch smoke test; kept dependency-free
-// (net/http + bufio) like the rest of this package.
+// by `srsched -watch` and `-admit` and the e2e package; kept
+// dependency-free (net/http + bufio) like the rest of this package.
 type WatchClient struct {
 	// BaseURL is the service root, e.g. "http://127.0.0.1:8080".
 	BaseURL string
@@ -271,24 +271,57 @@ func (c *WatchClient) Close(ctx context.Context, id string) error {
 	return serviceError(resp)
 }
 
+// Admit submits one tenant admission (POST /v1/admit). A rejection
+// comes back both ways: the report its 422 carried, and the error.
+func (c *WatchClient) Admit(ctx context.Context, req AdmitRequest) (*AdmitResult, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	resp, err := c.request(ctx, http.MethodPost, "/v1/admit", body)
+	if err != nil {
+		return nil, err
+	}
+	if err := serviceError(resp); err != nil {
+		return err.(*ServiceError).Body.Admit, err
+	}
+	defer resp.Body.Close()
+	var adm AdmitResult
+	if err := json.NewDecoder(resp.Body).Decode(&adm); err != nil {
+		return nil, err
+	}
+	return &adm, nil
+}
+
+// ServiceError is any answer but a 200: the status line and the error
+// envelope the body carried (Body.Error is the raw body when it was not
+// one). It matches the errkind family the envelope names, so CLI exit
+// statuses work through the client too, and keeps what rides on the
+// envelope.
+type ServiceError struct {
+	Status string
+	Body   ErrorResponse
+}
+
+func (e *ServiceError) Error() string {
+	return fmt.Sprintf("schedroute: service %s: %s", e.Status, e.Body.Error)
+}
+
+func (e *ServiceError) Is(target error) bool { return target == errkind.ByName(e.Body.Kind) }
+
 // serviceError is nil for a 200; any other answer is consumed, closed
-// and turned into an error marked with the errkind family the body's
-// kind names, so CLI exit statuses work through the client too.
+// and returned as a *ServiceError.
 func serviceError(resp *http.Response) error {
 	if resp.StatusCode == http.StatusOK {
 		return nil
 	}
 	defer resp.Body.Close()
-	var er ErrorResponse
+	se := &ServiceError{Status: resp.Status}
 	raw, _ := io.ReadAll(io.LimitReader(resp.Body, 1<<20))
-	if json.Unmarshal(raw, &er) == nil && er.Error != "" {
-		err := fmt.Errorf("schedroute: service %s: %s", resp.Status, er.Error)
-		if k := errkind.ByName(er.Kind); k != nil {
-			return errkind.Mark(err, k)
-		}
-		return err
+	if json.Unmarshal(raw, &se.Body) != nil || se.Body.Error == "" {
+		se.Body = ErrorResponse{ErrorEnvelope: ErrorEnvelope{Error: strings.TrimSpace(string(raw))}}
 	}
-	return fmt.Errorf("schedroute: service %s: %s", resp.Status, strings.TrimSpace(string(raw)))
+	return se
 }
 
 // next blocks until one complete SSE event arrives on the current
