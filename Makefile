@@ -2,9 +2,10 @@
 # test suite — the e2e package included, which builds srschedd, srsched
 # and traceview and drives them as processes.
 # `make race` is the concurrency job for the parallel sweep/search
-# engine and the /v1/watch subscription machinery (concurrent
-# create/event/close churn); run it whenever internal/parallel,
-# internal/service, or a sweep changes. Under it e2e builds the tools
+# engine, the /v1/watch subscription machinery (concurrent
+# create/event/close churn) and the memos concurrent solves share; run
+# it whenever internal/parallel, internal/service, internal/memo,
+# internal/topology, or a sweep changes. Under it e2e builds the tools
 # with -race too, so the daemon's drain runs under the detector.
 
 GO ?= go
@@ -28,6 +29,8 @@ test:
 
 check: fmt-check build vet test
 
+# Mandatory after a change to internal/parallel, internal/service,
+# internal/memo, internal/topology or a sweep (see the head of this file).
 race:
 	$(GO) test -race ./...
 

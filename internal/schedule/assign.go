@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -47,14 +48,16 @@ var assignCrossCheck = false
 // hence the result for a fixed seed — is unchanged.
 func AssignPaths(initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int) *AssignPathsResult {
 	var a solveArena
-	return assignPaths(&a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil)
+	res, _ := assignPaths(context.Background(), &a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil) // Background is never done
+	return res
 }
 
 // assignPaths is AssignPaths on a pooled arena against a per-link
 // capacity vector (see Options.LinkCap): the hill-climb minimizes the
 // capacity-relative peak max_j U_j / linkCap[j], steering traffic away
-// from links with little residual share. nil is the whole machine.
-func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) *AssignPathsResult {
+// from links with little residual share. nil is the whole machine. ctx
+// is looked at once per restart; a done one is the only error.
+func assignPaths(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) (*AssignPathsResult, error) {
 	if maxOuter < 1 {
 		maxOuter = 1
 	}
@@ -73,6 +76,9 @@ func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top 
 
 	var msgBuf []tfg.MessageID
 	for outer := 0; outer < maxOuter; outer++ {
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
 		if outer > 0 {
 			ls.Reset(current)
 		}
@@ -151,7 +157,7 @@ func assignPaths(a *solveArena, initial *PathAssignment, cands *Candidates, top 
 		Iterations:        evals,
 		TentativeComputed: ls.tentComputed - computed0,
 		TentativeReused:   ls.tentReused - reused0,
-	}
+	}, nil
 }
 
 // reroutable lists the multi-path messages that cross the peak link

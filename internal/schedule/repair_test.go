@@ -324,3 +324,31 @@ func TestPinFreeingEverythingEqualsUnpinned(t *testing.T) {
 		}
 	}
 }
+
+// TestRepairRouteMemoGoesWithItsFaultSet is the /v1/repair leak through
+// the whole ladder: 1000 repairs from one base, a fresh FaultSet per
+// call as the daemon builds them, for a fault rung 1 absorbs and for
+// one that walks the full-pipeline rungs. What was enumerated around
+// the fault lived on the set and left with it; the long-lived Topology
+// holds the fault-free enumerations the base solve put there, no more.
+func TestRepairRouteMemoGoesWithItsFaultSet(t *testing.T) {
+	p, o, base := dvbRepairFixture(t)
+	warm := p.Topology.RouteMemoLen()
+	if warm == 0 {
+		t.Fatal("the base solve memoized no fault-free enumeration")
+	}
+	for _, c := range []struct {
+		link topology.LinkID
+		want RepairOutcome
+	}{{0, RepairIncremental}, {8, RepairDegradedWindow}} {
+		for i := 0; i < 1000; i++ {
+			rep, err := Repair(context.Background(), p, o, base, newFaultSet(t, p, c.link))
+			if err != nil || rep.Outcome != c.want {
+				t.Fatalf("link %d, call %d: outcome %v, err %v; want %v", c.link, i, rep.Outcome, err, c.want)
+			}
+		}
+		if n := p.Topology.RouteMemoLen(); n != warm {
+			t.Errorf("link %d (%v): the Topology holds %d enumerations after 1000 repairs, %d before", c.link, c.want, n, warm)
+		}
+	}
+}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 
+	"schedroute/internal/memo"
 	"schedroute/internal/topology"
 	"schedroute/internal/trace"
 )
@@ -34,8 +35,12 @@ type RepairSession struct {
 	opts Options
 	base *Result
 
+	// memo is keyed by FaultSet.String(), which renders failed links and
+	// nodes in sorted order (and a nil set as an empty one): two sets
+	// reached through different event sequences key identically.
+	memo memo.Cache[string, *RepairReport]
+
 	mu    sync.Mutex
-	memo  []memoEntry // at most sessionMemo, oldest first
 	stats SessionStats
 }
 
@@ -43,14 +48,10 @@ type RepairSession struct {
 // the fault → repaired → re-fault pattern, which revisits the last few
 // states, while the states a long-lived subscription or tenant can be
 // asked about are combinatorial (18 336 two-link sets on a 6-cube, a
-// report each): beyond the bound the oldest entry goes, and a state
-// that comes back after that re-runs the same deterministic ladder.
+// report each): beyond the bound the least recently asked-about state
+// goes, and one that comes back after that re-runs the same
+// deterministic ladder.
 const sessionMemo = 16
-
-type memoEntry struct {
-	key string // sessionKey of the fault population
-	rep *RepairReport
-}
 
 // SessionStats counts what a session's Apply calls actually cost.
 type SessionStats struct {
@@ -75,11 +76,8 @@ func NewRepairSession(p Problem, o Options, base *Result) (*RepairSession, error
 	if base == nil || !base.Feasible || base.Omega == nil {
 		return nil, fmt.Errorf("schedule: repair session needs a feasible base schedule")
 	}
-	return &RepairSession{p: p, opts: o, base: base}, nil
+	return &RepairSession{p: p, opts: o, base: base, memo: memo.New[string, *RepairReport](sessionMemo)}, nil
 }
-
-// Base returns the session's pinned base result.
-func (s *RepairSession) Base() *Result { return s.base }
 
 // Stats snapshots the session counters.
 func (s *RepairSession) Stats() SessionStats {
@@ -88,66 +86,31 @@ func (s *RepairSession) Stats() SessionStats {
 	return s.stats
 }
 
-// sessionKey is the canonical identity of a fault population:
-// FaultSet.String() renders failed links and nodes in sorted order, so
-// two sets reached through different event sequences key identically.
-func sessionKey(fs *topology.FaultSet) string {
-	if fs == nil {
-		return "faults{}"
-	}
-	return fs.String()
-}
-
-// lookup returns the memoized report for key, or nil; under s.mu.
-func (s *RepairSession) lookup(key string) *RepairReport {
-	for _, e := range s.memo {
-		if e.key == key {
-			return e.rep
-		}
-	}
-	return nil
-}
-
 // Apply repairs the base schedule to the given fault state, memoized on
-// the canonical fault population. The boolean reports a memo hit. The
+// the canonical fault population: concurrent Applies of one state run
+// one ladder and share its report. The boolean reports a memo hit. The
 // fault set is cloned before the ladder runs, so the caller may keep
 // mutating its own set across events. tr, when non-nil, receives the
 // repair ladder's span tree (a memo hit records nothing under it).
 func (s *RepairSession) Apply(ctx context.Context, fs *topology.FaultSet, tr *trace.Span) (*RepairReport, bool, error) {
-	key := sessionKey(fs)
-	s.mu.Lock()
-	if rep := s.lookup(key); rep != nil {
-		s.stats.Applies++
-		s.stats.MemoHits++
-		s.mu.Unlock()
-		return rep, true, nil
-	}
-	s.mu.Unlock()
-
-	opt := s.opts
-	opt.Trace = tr
-	rep, err := Repair(ctx, s.p, opt, s.base, fs.Clone())
+	rep, hit, err := s.memo.Get(fs.String(), func() (*RepairReport, error) {
+		opt := s.opts
+		opt.Trace = tr
+		return Repair(ctx, s.p, opt, s.base, fs.Clone())
+	})
 	if err != nil {
 		return nil, false, err
 	}
 	s.mu.Lock()
 	s.stats.Applies++
-	switch rep.Outcome {
-	case RepairUnaffected, RepairIncremental:
+	switch {
+	case hit:
+		s.stats.MemoHits++
+	case rep.Outcome == RepairUnaffected || rep.Outcome == RepairIncremental:
 		s.stats.Incremental++
 	default:
 		s.stats.FullSolves++
 	}
-	// First writer wins, so concurrent Applies of one state share one
-	// report (both ran the same deterministic ladder anyway).
-	if prev := s.lookup(key); prev != nil {
-		rep = prev
-	} else {
-		if len(s.memo) == sessionMemo {
-			s.memo = append(s.memo[:0], s.memo[1:]...)
-		}
-		s.memo = append(s.memo, memoEntry{key, rep})
-	}
 	s.mu.Unlock()
-	return rep, false, nil
+	return rep, hit, nil
 }

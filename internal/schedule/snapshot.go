@@ -115,8 +115,8 @@ func faultsSig(fs *topology.FaultSet) string {
 // structure as schema-versioned JSON. structureKey is the caller's
 // identity for the problem structure and is embedded in the artifact;
 // DecodeSolverSnapshot verifies it. Safe to call concurrently with
-// Solve — the cache is copied under the Solver's lock (the cached
-// slices are immutable once stored, so only the map walk needs it).
+// Solve — the cached values are immutable once stored, so only the
+// walks over them are locked.
 func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 	if s.p.Graph == nil || s.p.Timing == nil || s.p.Topology == nil || s.p.Assignment == nil {
 		return fmt.Errorf("schedule: encode solver snapshot: incomplete problem")
@@ -137,23 +137,19 @@ func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 			sj.Validated = append(sj.Validated, level)
 		}
 	}
-	for window, st := range s.starts {
-		sj.Starts = append(sj.Starts, startsSnapJSON{Window: window, Starts: st})
-	}
-	for key, e := range s.sharedStarts {
-		if e.err == nil {
-			sj.SharedStarts = append(sj.SharedStarts, sharedStartsSnapJSON{Window: key[0], TauIn: key[1], Starts: e.starts})
-		}
-	}
 	if s.lsdDone && s.lsdErr == nil {
 		sj.LSD = assignToSnap(s.lsd)
 	}
-	for maxPaths, e := range s.cands {
-		if e.err != nil {
-			continue
-		}
-		cj := candsSnapJSON{MaxPaths: maxPaths, PathsOf: make([][][]int, len(e.c.PathsOf))}
-		for i, list := range e.c.PathsOf {
+	s.mu.Unlock()
+	s.starts.Each(func(window float64, st []float64) {
+		sj.Starts = append(sj.Starts, startsSnapJSON{Window: window, Starts: st})
+	})
+	s.sharedStarts.Each(func(key [2]float64, st []float64) {
+		sj.SharedStarts = append(sj.SharedStarts, sharedStartsSnapJSON{Window: key[0], TauIn: key[1], Starts: st})
+	})
+	s.cands.Each(func(maxPaths int, c *Candidates) {
+		cj := candsSnapJSON{MaxPaths: maxPaths, PathsOf: make([][][]int, len(c.PathsOf))}
+		for i, list := range c.PathsOf {
 			if len(list) == 0 {
 				continue
 			}
@@ -164,12 +160,11 @@ func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 			cj.PathsOf[i] = paths
 		}
 		sj.Candidates = append(sj.Candidates, cj)
-	}
-	s.mu.Unlock()
+	})
 
-	// Map iteration above is unordered; sort every table so the same
-	// solver state always serializes to the same bytes (snapshot files
-	// diff cleanly and tests can compare artifacts directly).
+	// The walks above follow map and recency order; sort every table so
+	// the same solver state always serializes to the same bytes (snapshot
+	// files diff cleanly and tests can compare artifacts directly).
 	sort.Slice(sj.Validated, func(i, j int) bool { return !sj.Validated[i] && sj.Validated[j] })
 	sort.Slice(sj.Starts, func(i, j int) bool { return sj.Starts[i].Window < sj.Starts[j].Window })
 	sort.Slice(sj.SharedStarts, func(i, j int) bool {
@@ -254,13 +249,13 @@ func DecodeSolverSnapshot(r io.Reader, p Problem, structureKey string) (*Solver,
 		if len(st.Starts) != sj.Tasks {
 			return nil, badSnapshot("starts table for window %g has %d entries, want %d", st.Window, len(st.Starts), sj.Tasks)
 		}
-		s.starts[st.Window] = st.Starts
+		s.starts.Put(st.Window, st.Starts)
 	}
 	for _, st := range sj.SharedStarts {
 		if len(st.Starts) != sj.Tasks {
 			return nil, badSnapshot("shared starts table for window %g has %d entries, want %d", st.Window, len(st.Starts), sj.Tasks)
 		}
-		s.sharedStarts[[2]float64{st.Window, st.TauIn}] = &sharedStartsEntry{starts: st.Starts}
+		s.sharedStarts.Put([2]float64{st.Window, st.TauIn}, st.Starts)
 	}
 	if sj.LSD != nil {
 		if len(sj.LSD.Paths) != sj.Messages {
@@ -306,7 +301,7 @@ func DecodeSolverSnapshot(r io.Reader, p Problem, structureKey string) (*Solver,
 			}
 			c.PathsOf[i] = list
 		}
-		s.cands[cj.MaxPaths] = &candsEntry{c: c}
+		s.cands.Put(cj.MaxPaths, c)
 	}
 	return s, nil
 }

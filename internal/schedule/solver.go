@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"schedroute/internal/memo"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 	"schedroute/internal/trace"
@@ -40,37 +41,48 @@ type SolveStats struct {
 // baseline and candidate path sets (both depend on the windows only
 // through the Local flags, which are fixed by the placement), the
 // static task starts per window length, and the placement validation.
-// Sweeps that call Compute per load point rebuild all of this every
-// time; routing them through one Solver amortizes it.
+// What is keyed by a value a caller chooses (MaxPaths, the window, the
+// period) is a bounded memo.Cache; DESIGN §3.11 tabulates every memo.
 //
 // A Solver is safe for concurrent Solve calls, and Solve results are
 // identical to one-shot Compute on the same inputs.
 type Solver struct {
 	p Problem // TauIn ignored; supplied per Solve
 
+	// starts caches PipelinedStart per window length; sharedStarts
+	// caches PipelinedStartShared per (window, τin) since AP-sharing
+	// layouts depend on the period too; cands caches
+	// BuildCandidatesFault per MaxPaths. None builds under mu.
+	starts       memo.Cache[float64, []float64]
+	sharedStarts memo.Cache[[2]float64, []float64]
+	cands        memo.Cache[int, *Candidates]
+
 	mu sync.Mutex
 	// validated[exclusive] caches Assignment.Validate per strictness.
 	validated map[bool]*error
-	// starts caches PipelinedStart per window length; sharedStarts
-	// caches PipelinedStartShared per (window, τin) since AP-sharing
-	// layouts depend on the period too.
-	starts       map[float64][]float64
-	sharedStarts map[[2]float64]*sharedStartsEntry
-	// lsd caches the FaultRouteAssignment baseline; cands caches
-	// BuildCandidatesFault per MaxPaths.
+	// lsd caches the FaultRouteAssignment baseline.
 	lsdDone bool
 	lsd     *PathAssignment
 	lsdErr  error
-	cands   map[int]*candsEntry
 
-	// cacheStats counts Solve calls and actual structure builds, so
-	// callers (the scheduling service, tests) can verify the warm path:
-	// after the first Solve on a structure, the build counters stop
-	// moving while Solves keeps climbing. Kept out of Result on purpose —
-	// which Solve call performs a build depends on goroutine arrival
-	// order, and Results must stay value-comparable across worker counts.
+	// cacheStats counts Solve calls and actual structure builds (the
+	// memos count their own misses), so callers (the scheduling service,
+	// tests) can verify the warm path: after the first Solve on a
+	// structure, the build counters stop moving while Solves keeps
+	// climbing. Kept out of Result on purpose — which Solve call performs
+	// a build depends on goroutine arrival order, and Results must stay
+	// value-comparable across worker counts.
 	cacheStats SolverCacheStats
 }
+
+// The Solver's memo bounds: a problem is solved at one MaxPaths, a
+// ladder or an exploration at a handful of windows (a Pareto cell
+// bisects its window in at most seven steps). Past them the least
+// recently used entry goes, to be rebuilt to the same value.
+const (
+	solverCandidateSets = 4
+	solverStartTables   = 32
+)
 
 // SolverCacheStats reports how much τin-independent structure a Solver
 // has actually rebuilt, against how many Solve calls it served.
@@ -94,18 +106,11 @@ type SolverCacheStats struct {
 // concurrently with Solve.
 func (s *Solver) CacheStats() SolverCacheStats {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.cacheStats
-}
-
-type sharedStartsEntry struct {
-	starts []float64
-	err    error
-}
-
-type candsEntry struct {
-	c   *Candidates
-	err error
+	st := s.cacheStats
+	s.mu.Unlock()
+	st.CandidateBuilds = s.cands.Stats().Misses
+	st.StartsBuilds = s.starts.Stats().Misses + s.sharedStarts.Stats().Misses
+	return st
 }
 
 // arenaPool recycles solve arenas across Solve calls and Solvers; each
@@ -119,9 +124,9 @@ func NewSolver(p Problem) *Solver {
 	return &Solver{
 		p:            p,
 		validated:    map[bool]*error{},
-		starts:       map[float64][]float64{},
-		sharedStarts: map[[2]float64]*sharedStartsEntry{},
-		cands:        map[int]*candsEntry{},
+		starts:       memo.New[float64, []float64](solverStartTables),
+		sharedStarts: memo.New[[2]float64, []float64](solverStartTables),
+		cands:        memo.New[int, *Candidates](solverCandidateSets),
 	}
 }
 
@@ -152,30 +157,21 @@ func (s *Solver) validate(exclusive bool) error {
 
 // taskStarts returns the static task start times for the given window,
 // cached per window length (and per period when AP sharing is on).
-func (s *Solver) taskStarts(window, tauIn float64, shared bool) ([]float64, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (s *Solver) taskStarts(window, tauIn float64, shared bool) (starts []float64, err error) {
 	if shared {
-		key := [2]float64{window, tauIn}
-		if e, ok := s.sharedStarts[key]; ok {
-			return e.starts, e.err
-		}
-		s.cacheStats.StartsBuilds++
-		nodeOf := make([]int, s.p.Graph.NumTasks())
-		for t := range nodeOf {
-			nodeOf[t] = int(s.p.Assignment.Node(tfg.TaskID(t)))
-		}
-		starts, err := s.p.Graph.PipelinedStartShared(s.p.Timing, window, nodeOf, tauIn)
-		s.sharedStarts[key] = &sharedStartsEntry{starts: starts, err: err}
+		starts, _, err = s.sharedStarts.Get([2]float64{window, tauIn}, func() ([]float64, error) {
+			nodeOf := make([]int, s.p.Graph.NumTasks())
+			for t := range nodeOf {
+				nodeOf[t] = int(s.p.Assignment.Node(tfg.TaskID(t)))
+			}
+			return s.p.Graph.PipelinedStartShared(s.p.Timing, window, nodeOf, tauIn)
+		})
 		return starts, err
 	}
-	if st, ok := s.starts[window]; ok {
-		return st, nil
-	}
-	s.cacheStats.StartsBuilds++
-	st := s.p.Graph.PipelinedStart(s.p.Timing, window)
-	s.starts[window] = st
-	return st, nil
+	starts, _, err = s.starts.Get(window, func() ([]float64, error) {
+		return s.p.Graph.PipelinedStart(s.p.Timing, window), nil
+	})
+	return starts, err
 }
 
 // lsdBaseline returns the fault-aware deterministic assignment, built
@@ -201,15 +197,10 @@ func (s *Solver) lsdBaseline(ws []Window) (*PathAssignment, bool, error) {
 // per MaxPaths for the same reason as lsdBaseline. The Candidates are
 // immutable and shared across Solve calls.
 func (s *Solver) candidates(ws []Window, maxPaths int) (*Candidates, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.cands[maxPaths]; ok {
-		return e.c, false, e.err
-	}
-	s.cacheStats.CandidateBuilds++
-	c, err := BuildCandidatesFault(s.p.Graph, s.p.Topology, s.p.Assignment, ws, maxPaths, s.p.Faults)
-	s.cands[maxPaths] = &candsEntry{c: c, err: err}
-	return c, true, err
+	c, hit, err := s.cands.Get(maxPaths, func() (*Candidates, error) {
+		return BuildCandidatesFault(s.p.Graph, s.p.Topology, s.p.Assignment, ws, maxPaths, s.p.Faults)
+	})
+	return c, !hit, err
 }
 
 // Solve runs the pipeline for one invocation period. The output is
@@ -325,7 +316,10 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 		ap := asp.Start(SpanAssignPaths)
 		pa, peak := lsd, lsdU.Peak
 		if !opt.LSDOnly {
-			ar := assignPaths(arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap)
+			ar, err := assignPaths(ctx, arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap)
+			if err != nil {
+				return nil, err
+			}
 			clock.AssignIterations += ar.Iterations
 			pa, peak = ar.Assignment, ar.Util.Peak
 			if peak > lsdU.Peak {

@@ -153,3 +153,30 @@ func TestSolveStopsInsideTheAllocationLP(t *testing.T) {
 		t.Fatalf("Solve returned error %v after %v, want the bare context.DeadlineExceeded in under 2s", err, took)
 	}
 }
+
+// TestSolverMemosAreBounded cycles each client-chosen key — MaxPaths,
+// the window, and (window, τin) under AP sharing — over 1000 distinct
+// values on one Solver: every one is a build, and what stays resident
+// is the bound, not the history.
+func TestSolverMemosAreBounded(t *testing.T) {
+	s := NewSolver(dvbProblem(t, sixCube(t), 64, 150))
+	for i := 0; i < 1000; i++ {
+		w := 50 + float64(i)/100 // from τc = 50 to 60, under τin throughout
+		for _, o := range []Options{
+			{Seed: 1, MaxPaths: 1 + i},
+			{Seed: 1, Window: w, LSDOnly: true},
+			{Seed: 1, Window: w, LSDOnly: true, AllowSharedNodes: true},
+		} {
+			if _, err := s.Solve(context.Background(), 150, o); err != nil {
+				t.Fatalf("i=%d %+v: %v", i, o, err)
+			}
+		}
+	}
+	if st := s.CacheStats(); st.CandidateBuilds != 1000 || st.StartsBuilds != 2000 {
+		t.Errorf("builds %+v, want 1000 candidate sets and 2000 start tables", st)
+	}
+	if c, st, sh := s.cands.Stats().Len, s.starts.Stats().Len, s.sharedStarts.Stats().Len; c != solverCandidateSets || st != solverStartTables || sh != solverStartTables {
+		t.Errorf("after 1000 distinct keys each: %d candidate sets, %d and %d start tables resident; want the bounds %d, %d, %d",
+			c, st, sh, solverCandidateSets, solverStartTables, solverStartTables)
+	}
+}

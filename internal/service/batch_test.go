@@ -45,7 +45,7 @@ func TestBatchScheduleOneStructureBuild(t *testing.T) {
 	if misses := srv.metrics.value("srschedd_solver_cache_misses_total"); misses != 1 {
 		t.Errorf("batch built %d structures, want 1", misses)
 	}
-	ent, _ := srv.cache.getOrCreate(testProblem(0).StructureKey(), func() (*schedroute.Built, error) {
+	ent, _, _ := srv.cache.Get(testProblem(0).StructureKey(), func() (*solverEntry, error) {
 		t.Fatal("structure should already be cached")
 		return nil, nil
 	})

@@ -24,6 +24,10 @@ const requestIDHeader = "X-Request-Id"
 
 var requestIDForm = regexp.MustCompile(`^[A-Za-z0-9._-]{1,64}$`)
 
+// unadmittedTenant is the tenant label of a request whose tenant.id the
+// registry does not hold when the request ends.
+const unadmittedTenant = "unadmitted"
+
 // call is one request on the service's one path (DESIGN §6): created
 // by the adapter, driven by the endpoint function through the shared
 // steps — tenant, queue, structure, solve, in that order — then
@@ -73,7 +77,14 @@ func endpoint[Req, Resp any](s *Server, name string, deadline bool, fn func(*cal
 			resp, err = fn(c, req)
 		}
 		if c.tenantID != "" {
-			s.metrics.add(mTenantRequests, 1, name, c.tenantID)
+			// A client names any id it likes; only an id the registry holds
+			// (or the default) may become a label, or /metrics grows a line
+			// per id ever sent.
+			label := c.tenantID
+			if label != schedroute.DefaultTenantID && s.tenants.lookup(label) == nil {
+				label = unadmittedTenant
+			}
+			s.metrics.add(mTenantRequests, 1, name, label)
 		}
 		code := http.StatusOK // the adapter is the only writer, so it knows
 		if err != nil {
@@ -229,12 +240,12 @@ func (c *call) structure(p schedroute.Problem) (*solverEntry, float64, error) {
 	if err != nil {
 		return nil, 0, err
 	}
-	ent, hit := c.s.cache.getOrCreate(key, func() (*schedroute.Built, error) {
-		return schedroute.NewProblem(p)
+	ent, hit, err := c.s.cache.Get(key, func() (*solverEntry, error) {
+		return newSolverEntry(schedroute.NewProblem(p))
 	})
 	c.cacheHit = hit
-	if ent.err != nil {
-		return nil, 0, ent.err
+	if err != nil {
+		return nil, 0, err
 	}
 	tauIn := p.TauIn
 	if tauIn == 0 {

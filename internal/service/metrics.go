@@ -48,7 +48,7 @@ var (
 	mTenants         = row("srschedd_tenants", "gauge", "Admitted tenants across all fabrics.")
 	mAdmissions      = row("srschedd_admissions_total", "counter", "Tenant admission attempts by ladder outcome.", "outcome")
 	mTenantEvictions = row("srschedd_tenant_evictions_total", "counter", "Tenants preempted by higher-priority admissions.")
-	mTenantRequests  = row("srschedd_tenant_requests_total", "counter", "Tenant-dimension requests by endpoint and tenant.", "endpoint", "tenant")
+	mTenantRequests  = row("srschedd_tenant_requests_total", "counter", "Tenant-dimension requests by endpoint and tenant: an id the registry holds when the request ends, `default`, or `unadmitted` for any other.", "endpoint", "tenant")
 	mWatchSubs       = row("srschedd_watch_subscriptions", "gauge", "Live /v1/watch subscriptions.")
 	mWatchEvents     = row("srschedd_watch_events_total", "counter", "Watch events accepted into subscription queues.")
 	mWatchFrames     = row("srschedd_watch_frames_total", "counter", "Frames appended to watch replay rings.")
@@ -79,10 +79,13 @@ type cell struct {
 	buckets [len(latencyBuckets)]atomic.Int64
 }
 
-// vec is one series' cells by label values.
+// vec is one series' cells by label values. read, when bound, is where
+// an unlabelled counter or gauge really lives: its owner counts, and the
+// exposition asks.
 type vec struct {
 	mu    sync.Mutex
 	cells map[labelKey]*cell
+	read  func() int64
 }
 
 func (v *vec) at(labels []string) *cell {
@@ -125,6 +128,18 @@ func newMetrics() *Metrics { return &Metrics{vecs: make([]vec, len(metricTable))
 func (m *Metrics) add(s *series, n int64, labels ...string) { m.vecs[s.id].at(labels).n.Add(n) }
 func (m *Metrics) set(s *series, n int64, labels ...string) { m.vecs[s.id].at(labels).n.Store(n) }
 
+// bind makes read the value of the unlabelled counter or gauge s; call
+// before the Metrics is shared.
+func (m *Metrics) bind(s *series, read func() int64) { m.vecs[s.id].read = read }
+
+// count is the value of one counter or gauge cell.
+func (v *vec) count(c *cell) int64 {
+	if v.read != nil {
+		return v.read()
+	}
+	return c.n.Load()
+}
+
 // sample records one observation of a summary or histogram row.
 func (m *Metrics) sample(s *series, d time.Duration, labels ...string) {
 	c := m.vecs[s.id].at(labels)
@@ -150,7 +165,7 @@ func (m *Metrics) countSolve(st schedule.SolveStats) {
 // value reads one counter or gauge by its exposition name (tests).
 func (m *Metrics) value(name string, labels ...string) int64 {
 	i := slices.IndexFunc(metricTable, func(s *series) bool { return s.name == name })
-	return m.vecs[i].at(labels).n.Load()
+	return m.vecs[i].count(m.vecs[i].at(labels))
 }
 
 // labelText renders a label set, plus le on a histogram bucket line.
@@ -178,7 +193,7 @@ func (m *Metrics) WriteText(w io.Writer) {
 		}
 		for _, k := range v.keys(s) {
 			c, lt := v.at(k[:]), labelText(s.labels, k, "")
-			n, sum := c.n.Load(), time.Duration(c.sumNS.Load()).Seconds()
+			n, sum := v.count(c), time.Duration(c.sumNS.Load()).Seconds()
 			switch {
 			case s == mStageSeconds:
 				fmt.Fprintf(w, "%s%s %g\n", s.name, lt, sum)

@@ -234,19 +234,26 @@ func TestEndpointRobustness(t *testing.T) {
 	lpSrv, _ := newTestServer(t, Config{Workers: 1})
 	slow := schedroute.Problem{TFG: "layered:3,8,8*5,8,0.15", Topology: "cube:6", Bandwidth: 128, TauIn: 65}
 	seed := schedroute.Options{Seed: 1}
+	// The hill-climb is held to the same: the largest restart, step and
+	// retry counts the wire accepts make the same graph, at a period its
+	// allocation rejects, a second of AssignPaths over 33 attempts.
+	climb := slow
+	climb.TauIn = 200
+	limits := schedroute.Options{Seed: 1, MaxOuter: schedroute.MaxOuterLimit, MaxInner: schedroute.MaxInnerLimit, Retries: schedroute.RetriesLimit}
 	for _, ep := range []struct {
 		name, path string
 		body       any
 	}{
-		{"schedule", "/v1/schedule", schedroute.ScheduleRequest{Problem: slow, Options: seed}},
-		{"schedule_batch", "/v1/schedule:batch", schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{{Problem: slow, Options: seed}}}},
-		{"repair", "/v1/repair", schedroute.RepairRequest{Problem: slow, Options: seed, Fault: schedroute.FaultSpec{Links: []string{"0-1"}}}},
-		{"admit", "/v1/admit", schedroute.AdmitRequest{Problem: slow, Options: seed, Tenant: tenantOf("slow", 0, 0)}},
-		{"explore", "/v1/explore", schedroute.ExploreRequest{Problem: slow, Options: seed,
+		{"schedule/cancelled mid-LP", "/v1/schedule", schedroute.ScheduleRequest{Problem: slow, Options: seed}},
+		{"schedule_batch/cancelled mid-LP", "/v1/schedule:batch", schedroute.BatchScheduleRequest{Items: []schedroute.ScheduleRequest{{Problem: slow, Options: seed}}}},
+		{"repair/cancelled mid-LP", "/v1/repair", schedroute.RepairRequest{Problem: slow, Options: seed, Fault: schedroute.FaultSpec{Links: []string{"0-1"}}}},
+		{"admit/cancelled mid-LP", "/v1/admit", schedroute.AdmitRequest{Problem: slow, Options: seed, Tenant: tenantOf("slow", 0, 0)}},
+		{"explore/cancelled mid-LP", "/v1/explore", schedroute.ExploreRequest{Problem: slow, Options: seed,
 			Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 65, Max: 65, Points: 1}}}},
-		{"watch", "/v1/watch", schedroute.WatchRequest{Problem: slow, Options: seed}},
+		{"watch/cancelled mid-LP", "/v1/watch", schedroute.WatchRequest{Problem: slow, Options: seed}},
+		{"schedule/cancelled mid-AssignPaths", "/v1/schedule", schedroute.ScheduleRequest{Problem: climb, Options: limits}},
 	} {
-		t.Run(ep.name+"/cancelled mid-LP", func(t *testing.T) {
+		t.Run(ep.name, func(t *testing.T) {
 			raw, err := json.Marshal(ep.body)
 			if err != nil {
 				t.Fatal(err)

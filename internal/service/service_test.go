@@ -115,7 +115,7 @@ func TestScheduleCoalescesIdenticalRequests(t *testing.T) {
 	if co := srv.metrics.value("srschedd_coalesced_requests_total"); co != n-1 {
 		t.Errorf("coalesced %d requests, want %d", co, n-1)
 	}
-	ent, _ := srv.cache.getOrCreate(req.Problem.StructureKey(), func() (*schedroute.Built, error) {
+	ent, _, _ := srv.cache.Get(req.Problem.StructureKey(), func() (*solverEntry, error) {
 		t.Fatal("structure should already be cached")
 		return nil, nil
 	})
@@ -142,7 +142,7 @@ func TestSolverCacheWarmRepeat(t *testing.T) {
 	if misses != 1 || hits < 1 || size != 1 {
 		t.Errorf("cache hits=%d misses=%d size=%d, want 1 miss, ≥1 hit, 1 entry", hits, misses, size)
 	}
-	ent, _ := srv.cache.getOrCreate(testProblem(0).StructureKey(), func() (*schedroute.Built, error) {
+	ent, _, _ := srv.cache.Get(testProblem(0).StructureKey(), func() (*solverEntry, error) {
 		t.Fatal("structure should already be cached")
 		return nil, nil
 	})
@@ -539,19 +539,20 @@ func TestCacheHitWaitsForBuild(t *testing.T) {
 	c := newSolverCache(4, m)
 	key := testProblem(150).StructureKey()
 	release := make(chan struct{})
-	build := func() (*schedroute.Built, error) {
+	build := func() (*solverEntry, error) {
 		<-release
-		return testProblem(150).Build()
+		return newSolverEntry(testProblem(150).Build())
 	}
 
 	const n = 8
 	entries := make([]*solverEntry, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			entries[i], _ = c.getOrCreate(key, build)
+			entries[i], _, errs[i] = c.Get(key, build)
 		}(i)
 	}
 	// Every caller has registered (hit or miss) and is parked on the
@@ -563,8 +564,8 @@ func TestCacheHitWaitsForBuild(t *testing.T) {
 	wg.Wait()
 
 	for i, e := range entries {
-		if e.err != nil {
-			t.Fatalf("caller %d: build error %v", i, e.err)
+		if errs[i] != nil {
+			t.Fatalf("caller %d: build error %v", i, errs[i])
 		}
 		if e.built == nil || e.solver == nil {
 			t.Fatalf("caller %d observed a half-built entry: built=%v solver=%v", i, e.built, e.solver)

@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -103,7 +104,7 @@ func TestAdmitEndpoint(t *testing.T) {
 		`srschedd_admissions_total{outcome="reserved"} 1`,
 		`srschedd_tenant_requests_total{endpoint="admit",tenant="video"} 2`,
 		`srschedd_tenant_requests_total{endpoint="schedule",tenant="video"} 2`,
-		`srschedd_tenant_requests_total{endpoint="schedule",tenant="ghost"} 1`,
+		`srschedd_tenant_requests_total{endpoint="schedule",tenant="unadmitted"} 1`,
 	} {
 		if !strings.Contains(string(metricsBody), want) {
 			t.Errorf("/metrics missing %q", want)
@@ -111,6 +112,37 @@ func TestAdmitEndpoint(t *testing.T) {
 	}
 	if n := srv.metrics.value("srschedd_admissions_total", "reserved"); n != 1 {
 		t.Errorf("reserved admissions counter = %d, want 1", n)
+	}
+}
+
+// TestGhostTenantsShareOneMetricCell: a client can send any tenant.id it
+// likes, so an id is a label only while the registry holds it. 1000 ids
+// nobody admitted, and one refused admission, leave one cell per
+// endpoint; the admitted id keeps its own.
+func TestGhostTenantsShareOneMetricCell(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	if code, body := postJSON(t, ts, "/v1/admit", schedroute.AdmitRequest{Problem: testProblem(150), Tenant: tenantOf("video", 5, 1)}); code != http.StatusOK {
+		t.Fatalf("admit: status %d: %s", code, body)
+	}
+	for i := 0; i < 1000; i++ {
+		ghost := tenantOf(fmt.Sprintf("ghost-%d", i), 0, 0)
+		if code, body := postJSON(t, ts, "/v1/schedule", schedroute.ScheduleRequest{Problem: testProblem(150), Tenant: ghost}); code != http.StatusOK {
+			t.Fatalf("ghost %d: status %d: %s", i, code, body)
+		}
+	}
+	if code, _ := postJSON(t, ts, "/v1/admit", schedroute.AdmitRequest{Problem: testProblem(150), Tenant: tenantOf("strict", 0, 1)}); code != http.StatusUnprocessableEntity {
+		t.Fatalf("admit beside video at full rate: status %d, want 422", code)
+	}
+	if n := len(srv.metrics.vecs[mTenantRequests.id].cells); n != 3 {
+		t.Errorf("%d tenant-request cells, want 3: admit/video, admit/unadmitted, schedule/unadmitted", n)
+	}
+	for _, c := range []struct {
+		endpoint, tenant string
+		want             int64
+	}{{"admit", "video", 1}, {"admit", unadmittedTenant, 1}, {"schedule", unadmittedTenant, 1000}} {
+		if n := srv.metrics.value("srschedd_tenant_requests_total", c.endpoint, c.tenant); n != c.want {
+			t.Errorf("tenant_requests{%s, %s} = %d, want %d", c.endpoint, c.tenant, n, c.want)
+		}
 	}
 }
 

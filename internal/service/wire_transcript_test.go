@@ -295,6 +295,10 @@ func TestWireTranscript(t *testing.T) {
 		{"window below a transmission", p150, schedroute.Options{Window: 0.001}},
 		{"sync margin beyond the window", p150, schedroute.Options{SyncMargin: 1000}},
 		{"negative max_paths", p150, schedroute.Options{MaxPaths: -3}},
+		{"max_paths above the limit", p150, schedroute.Options{MaxPaths: schedroute.MaxPathsLimit + 1}},
+		{"max_outer above the limit", p150, schedroute.Options{MaxOuter: schedroute.MaxOuterLimit + 1}},
+		{"max_inner above the limit", p150, schedroute.Options{MaxInner: schedroute.MaxInnerLimit + 1}},
+		{"retries above the limit", p150, schedroute.Options{Retries: schedroute.RetriesLimit + 1}},
 		{"more tasks than nodes", schedroute.Problem{TFG: "dvb:4", Topology: "cube:2", Bandwidth: 64, TauIn: 150}, schedroute.Options{}},
 		{"graph generator out of range", schedroute.Problem{TFG: "dvb:0", Topology: "cube:6"}, schedroute.Options{}},
 	} {

@@ -3,14 +3,8 @@ package topology
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
+	"sync"
 )
-
-// faultSeq hands every FaultSet a process-unique identity so memoized
-// fault-aware path enumerations can be keyed without hashing set
-// contents (a content hash could collide silently and hand a caller
-// paths routed around the wrong faults).
-var faultSeq atomic.Uint64
 
 // FaultSet records the failed links and nodes of a degraded machine.
 // Like LinkSet it is bitset-backed, so membership tests on the routing
@@ -21,69 +15,44 @@ var faultSeq atomic.Uint64
 // longer being mutated may be shared by any number of concurrent
 // readers (the survivability sweep does exactly that).
 type FaultSet struct {
-	id    uint64
-	epoch uint64
 	links LinkSet
 	nodes LinkSet // reused bitset machinery over NodeID values
+
+	// routes memoizes Topology.SurvivingRoutes around this population.
+	// Enumerations are a function of (topology, what is broken), so the
+	// set owns them: a mutation starts the memo over, Clone leaves it
+	// behind, and it is collected with the set.
+	routes sync.Map // routeKey -> *routes, or nil for no route
 }
 
 // NewFaultSet returns an empty fault set for topologies up to the given
 // size; both hints may be zero (the bitsets grow on demand).
 func NewFaultSet(nlinks, nnodes int) *FaultSet {
-	return &FaultSet{
-		id:    faultSeq.Add(1),
-		links: NewLinkSet(nlinks),
-		nodes: NewLinkSet(nnodes),
-	}
-}
-
-// faultKey identifies the exact fault population of a set at one point
-// in time; it keys the fault-aware path cache.
-type faultKey struct {
-	id    uint64
-	epoch uint64
-}
-
-// key returns the cache epoch key; the zero key stands for "no faults".
-func (f *FaultSet) key() faultKey {
-	if f == nil {
-		return faultKey{}
-	}
-	return faultKey{id: f.id, epoch: f.epoch}
-}
-
-// Epoch returns a counter that changes on every mutation; callers
-// caching derived data (path enumerations, repair plans) invalidate on
-// epoch change.
-func (f *FaultSet) Epoch() uint64 {
-	if f == nil {
-		return 0
-	}
-	return f.epoch
+	return &FaultSet{links: NewLinkSet(nlinks), nodes: NewLinkSet(nnodes)}
 }
 
 // FailLink marks l failed.
 func (f *FaultSet) FailLink(l LinkID) {
-	f.epoch++
+	f.routes = sync.Map{}
 	f.links.Add(l)
 }
 
 // FailNode marks n failed; every link incident on n is implicitly
 // unusable (a dead CP can switch nothing), which LinkUsable reflects.
 func (f *FaultSet) FailNode(n NodeID) {
-	f.epoch++
+	f.routes = sync.Map{}
 	f.nodes.Add(LinkID(n))
 }
 
 // RepairLink returns l to service.
 func (f *FaultSet) RepairLink(l LinkID) {
-	f.epoch++
+	f.routes = sync.Map{}
 	f.links.Remove(l)
 }
 
 // RepairNode returns n to service.
 func (f *FaultSet) RepairNode(n NodeID) {
-	f.epoch++
+	f.routes = sync.Map{}
 	f.nodes.Remove(LinkID(n))
 }
 
@@ -145,7 +114,7 @@ func (f *FaultSet) FailedNodes() []NodeID {
 	return out
 }
 
-// Clone returns an independent copy with a fresh cache identity.
+// Clone returns an independent copy, its route memo empty.
 func (f *FaultSet) Clone() *FaultSet {
 	if f == nil {
 		return nil
@@ -220,9 +189,10 @@ func (e *NoRouteError) Error() string {
 // has the minimal number of hops that the degraded machine still
 // admits. max <= 0 means no bound.
 //
-// Results are memoized per (src, dst, max, fault epoch) and shared —
-// treat the returned paths as immutable. A *NoRouteError is returned
-// when src or dst is dead or the residual graph disconnects them.
+// Results are memoized per (src, dst, max) — fault-free ones on the
+// Topology, the rest on fs until its next mutation — and shared: treat
+// the returned paths as immutable. A *NoRouteError is returned when src
+// or dst is dead or the residual graph disconnects them.
 func (t *Topology) SurvivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) {
 	paths, _, err := t.SurvivingRoutes(src, dst, max, fs)
 	return paths, err
@@ -232,11 +202,14 @@ func (t *Topology) SurvivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Pat
 // sequence (what Path.Links resolves), memoized with the paths and as
 // immutable.
 func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Path, [][]LinkID, error) {
+	memo := &t.routes
 	if fs.Empty() {
 		fs = nil // every empty set is the fault-free machine, under one key
+	} else {
+		memo = &fs.routes
 	}
-	key := routeKey{src, dst, max, fs.key()}
-	if cached, ok := t.routeCache.Load(key); ok {
+	key := routeKey{t, src, dst, max}
+	if cached, ok := memo.Load(key); ok {
 		if cached == nil {
 			return nil, nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
 		}
@@ -245,11 +218,11 @@ func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Pa
 	}
 	out, err := t.survivingPaths(src, dst, max, fs)
 	if err != nil {
-		t.routeCache.Store(key, nil)
+		memo.Store(key, nil)
 		return nil, nil, err
 	}
 	r := t.resolve(out)
-	t.routeCache.Store(key, r)
+	memo.Store(key, r)
 	return r.paths, r.links, nil
 }
 

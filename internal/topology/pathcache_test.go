@@ -98,3 +98,87 @@ func TestMemoizedLinksMatchPathLinks(t *testing.T) {
 		}
 	}
 }
+
+// memoLen counts a FaultSet's memoized enumerations.
+func memoLen(m *sync.Map) (n int) {
+	m.Range(func(_, _ any) bool { n++; return true })
+	return n
+}
+
+// TestRouteMemoFreshFaultSetsLeaveTheTopologyAlone pins the leak where
+// it lived: enumerations around a fault used to be kept on the Topology
+// under the FaultSet's identity, so a caller that builds its set per
+// call (every /v1/repair) left entries nothing could hit again. They
+// live on the set now, and the Topology holds what the fault-free
+// warm-up put there.
+func TestRouteMemoFreshFaultSetsLeaveTheTopologyAlone(t *testing.T) {
+	top := mustGHC(t, 2, 2, 2, 2, 2, 2)
+	for dst := 0; dst < top.Nodes(); dst++ {
+		top.ShortestPaths(0, NodeID(dst), 24)
+	}
+	warm := top.RouteMemoLen()
+	if warm != top.Nodes() {
+		t.Fatalf("%d fault-free enumerations memoized, want %d", warm, top.Nodes())
+	}
+	for i := 0; i < 1000; i++ {
+		fs := NewFaultSet(top.Links(), top.Nodes())
+		fs.FailLink(0)
+		if _, _, err := top.SurvivingRoutes(0, NodeID(1+i%(top.Nodes()-1)), 24, fs); err != nil {
+			t.Fatal(err)
+		}
+		if n := memoLen(&fs.routes); n != 1 {
+			t.Fatalf("call %d: the set memoized %d enumerations, want its own 1", i, n)
+		}
+	}
+	if n := top.RouteMemoLen(); n != warm {
+		t.Errorf("the Topology holds %d enumerations after 1000 fresh fault sets, %d before", n, warm)
+	}
+}
+
+// TestRouteMemoLivesAndDiesWithItsFaultSet: a set answers a repeated
+// question from its memo (the very same slices), forgets everything on
+// any mutation, and shares nothing with its Clone.
+func TestRouteMemoLivesAndDiesWithItsFaultSet(t *testing.T) {
+	top := mustGHC(t, 2, 2, 2, 2, 2, 2)
+	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs.FailLink(0)
+	ask := func(f *FaultSet) []Path {
+		t.Helper()
+		paths, err := top.SurvivingPaths(0, 63, 24, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return paths
+	}
+	first := ask(fs)
+	if again := ask(fs); &again[0] != &first[0] || memoLen(&fs.routes) != 1 {
+		t.Fatalf("second call re-enumerated: %d entries, same slice %t", memoLen(&fs.routes), &again[0] == &first[0])
+	}
+	for _, m := range []struct {
+		name   string
+		mutate func()
+	}{
+		{"FailLink", func() { fs.FailLink(7) }},
+		{"RepairLink", func() { fs.RepairLink(7) }},
+		{"FailNode", func() { fs.FailNode(9) }},
+		{"RepairNode", func() { fs.RepairNode(9) }},
+	} {
+		ask(fs)
+		m.mutate()
+		if n := memoLen(&fs.routes); n != 0 {
+			t.Errorf("%d enumerations survived %s", n, m.name)
+		}
+	}
+	first = ask(fs)
+	cp := fs.Clone()
+	if n := memoLen(&cp.routes); n != 0 {
+		t.Fatalf("Clone copied %d enumerations", n)
+	}
+	if got := ask(cp); !reflect.DeepEqual(got, first) || &got[0] == &first[0] {
+		t.Errorf("the clone's enumeration is shared with, or differs from, the original's")
+	}
+	top.SurvivingPaths(0, 62, 24, cp)
+	if a, b := memoLen(&fs.routes), memoLen(&cp.routes); a != 1 || b != 2 {
+		t.Errorf("original holds %d enumerations and its clone %d, want 1 and 2", a, b)
+	}
+}

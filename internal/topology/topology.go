@@ -82,19 +82,28 @@ type Topology struct {
 	hopRow int
 	hopOff []int
 
-	// routeCache memoizes path enumerations per (src, dst, max, fault
-	// epoch) — the zero epoch (see FaultSet.key) being the fault-free
-	// machine — so repeated sweeps over one topology stop re-walking the
-	// shortest-path DAG. Entries are shared: callers must not mutate
-	// what they are handed. A nil value caches unreachability.
-	routeCache sync.Map // routeKey -> *routes or nil
+	// routes memoizes the fault-free path enumerations per (src, dst,
+	// max), so repeated sweeps over one topology stop re-walking the
+	// shortest-path DAG; those around a fault live on the FaultSet.
+	// Entries are shared: callers must not mutate what they are handed.
+	// Nothing is evicted: the key space is nodes² × the MaxPaths values
+	// in use, which the wire bounds (schedroute.MaxPathsLimit).
+	routes sync.Map // routeKey -> *routes
 }
 
-// routeKey identifies one memoized enumeration.
+// routeKey identifies one memoized enumeration, on a Topology's memo or
+// on a FaultSet's (which may serve several topologies).
 type routeKey struct {
+	t        *Topology
 	src, dst NodeID
 	max      int
-	fault    faultKey
+}
+
+// RouteMemoLen counts the fault-free enumerations t holds: what a leak
+// check or a dump of a long-lived Topology reads.
+func (t *Topology) RouteMemoLen() (n int) {
+	t.routes.Range(func(_, _ any) bool { n++; return true })
+	return n
 }
 
 // routes is one memoized enumeration: the paths and, row for row, their

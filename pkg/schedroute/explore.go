@@ -95,6 +95,19 @@ type ExploreRequest struct {
 // nothing a short one does not, while its cost grows with the count.
 const MaxInvocations = 4096
 
+// The largest solve options a request may ask for, each at least ten
+// times what any caller, example or benchmark pool uses (defaults 24 /
+// 6 / 60 / 0, pools retries 2). Each multiplies work: max_paths sizes
+// the shortest-path enumeration per message, which takes no context
+// (and is a key of the Topology's route memo), max_outer × max_inner
+// the AssignPaths hill-climb, retries whole pipeline attempts.
+const (
+	MaxPathsLimit = 256
+	MaxOuterLimit = 64
+	MaxInnerLimit = 1024
+	RetriesLimit  = 32
+)
+
 // checkInvocations refuses an executor run length outside
 // {0} ∪ [2, MaxInvocations]: one invocation has no output interval to
 // check.

@@ -63,6 +63,24 @@ func TestExploreRequestValidate(t *testing.T) {
 	}
 }
 
+// TestOptionLimits: each count is taken at its limit and refused one
+// above it; a negative one is left to the stage that reads it (a
+// negative max_paths is the candidate build's bad_input, the others run once).
+func TestOptionLimits(t *testing.T) {
+	atLimit := Options{MaxPaths: MaxPathsLimit, MaxOuter: MaxOuterLimit, MaxInner: MaxInnerLimit, Retries: RetriesLimit}
+	if got, err := atLimit.ToSchedule(); err != nil || got.MaxPaths != MaxPathsLimit || got.MaxOuter != MaxOuterLimit || got.MaxInner != MaxInnerLimit || got.Retries != RetriesLimit {
+		t.Errorf("options at their limits: %+v, %v", got, err)
+	}
+	if _, err := (Options{MaxPaths: -3, MaxOuter: -1, MaxInner: -1, Retries: -1}).ToSchedule(); err != nil {
+		t.Errorf("negative counts refused on the wire: %v", err)
+	}
+	for _, o := range []Options{{MaxPaths: MaxPathsLimit + 1}, {MaxOuter: MaxOuterLimit + 1}, {MaxInner: MaxInnerLimit + 1}, {Retries: RetriesLimit + 1}} {
+		if _, err := o.ToSchedule(); errkind.Name(err) != "bad_input" {
+			t.Errorf("%+v: %v, want a bad_input", o, err)
+		}
+	}
+}
+
 // TestRefusedParametersAreBadInput: every decodable problem or option the
 // pipeline refuses is the caller's mistake by the errkind table — straight
 // from NewProblem and schedule.Compute, so every endpoint and CLI that

@@ -130,6 +130,9 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"axes":{"placement":{"anneal_seeds":[2],"anneal_steps":-5}}}`))
 	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"execute":true,"invocations":-1}`))
 	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6","tau_in":150},"execute":true,"invocations":30000000,"axes":{"tau_in":{"min":10}}}`))
+	for _, field := range []string{"max_paths", "max_outer", "max_inner", "retries"} {
+		f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"torus:32,32","allocator":"random","alloc_seed":3,"tau_in":400},"options":{"` + field + `":1000000000}}`))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, rt := range requestTypes {

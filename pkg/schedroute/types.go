@@ -148,8 +148,21 @@ type Options struct {
 // timings on the wire, under either spelling.
 func (o Options) WantStats() bool { return o.Stats || o.CollectStats }
 
-// ToSchedule resolves the wire options into schedule.Options.
+// ToSchedule resolves the wire options into schedule.Options, refusing
+// an unknown engine and any count above its limit (MaxPathsLimit and
+// its neighbours).
 func (o Options) ToSchedule() (schedule.Options, error) {
+	for _, f := range [...]struct {
+		name     string
+		v, limit int
+	}{
+		{"max_paths", o.MaxPaths, MaxPathsLimit}, {"max_outer", o.MaxOuter, MaxOuterLimit},
+		{"max_inner", o.MaxInner, MaxInnerLimit}, {"retries", o.Retries, RetriesLimit},
+	} {
+		if f.v > f.limit {
+			return schedule.Options{}, badInput("options: %s %d above the limit %d", f.name, f.v, f.limit)
+		}
+	}
 	out := schedule.Options{
 		Seed: o.Seed, MaxPaths: o.MaxPaths, MaxOuter: o.MaxOuter, MaxInner: o.MaxInner,
 		Window: o.Window, LSDOnly: o.LSDOnly, SyncMargin: o.SyncMargin, Retries: o.Retries,
