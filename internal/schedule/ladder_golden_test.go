@@ -118,19 +118,20 @@ func admitDigests(t *testing.T, out *strings.Builder) {
 	}
 	top := threeCube(t)
 
-	// A, B, C rejected, then a fault on B's path re-repaired per tenant.
+	// A, B, C rejected, then a fault on B's path repaired per tenant.
 	ts := NewTenantSet(top)
 	admit("invariant", ts, chainTenant(t, top, "A"))
 	brep := admit("invariant", ts, pairTenant(t, top, "B", 2, 3, 640, 50))
 	c := pairTenant(t, top, "C", 0, 1, 2880, 50)
 	c.RateGuarantee = 1
 	admit("invariant", ts, c)
-	ts.FailLink(brep.Result.Assignment.Links[0][0])
-	reps, err := ts.Repair(ctx, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range reps {
+	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs.FailLink(brep.Result.Assignment.Links[0][0])
+	for _, st := range ts.Tenants() {
+		r, err := ts.RepairTenant(ctx, st.Tenant.ID, fs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
 		fmt.Fprintf(out, "admit invariant repair %s %s tau_out=%s scale=%s %s\n", r.TenantID,
 			r.Report.Outcome, num(r.Report.TauOut), num(r.Report.WindowScale), digest(t, r.Report.Result))
 	}

@@ -35,8 +35,9 @@ type Tenant struct {
 	// (every rung is acceptable); 1 demands the full requested rate.
 	RateGuarantee float64
 	// Problem is the tenant's scheduling problem; Problem.TauIn is the
-	// requested invocation period. Problem.Faults and Options.LinkCap
-	// are owned by the TenantSet and must be left nil.
+	// requested invocation period. Problem.Faults must be nil (a tenant
+	// is admitted on the healthy machine; faults are RepairTenant's
+	// what-ifs) and Options.LinkCap is owned by the TenantSet.
 	Problem Problem
 	// Options tunes the tenant's solves (seed, engine, retries, ...).
 	Options Options
@@ -115,31 +116,24 @@ func (r *AdmitReport) Err() error {
 		errkind.ErrAdmissionRejected)
 }
 
-// TenantState is one admitted tenant's standing within a TenantSet.
+// TenantState is one admitted tenant's standing within a TenantSet. It
+// never changes after the admission that committed it.
 type TenantState struct {
 	Tenant Tenant
 	// Report is the admission report that admitted this tenant.
 	Report *AdmitReport
-	// Base is the admitted schedule; it never changes after admission.
+	// Base is the admitted schedule.
 	Base *Result
-	// Current is the schedule in force at the set's cumulative fault
-	// state: Base until a fault affects this tenant, then the repaired
-	// result. nil when the current fault state is unsurvivable for it.
-	Current *Result
-	// Outcome is the repair outcome at the current fault state
-	// (RepairUnaffected while the machine is healthy).
-	Outcome RepairOutcome
 	// Reserve[j] is the bandwidth fraction of link j reserved for this
-	// tenant: the raw per-link utilization of its current schedule.
+	// tenant: the raw per-link utilization of its admitted schedule.
 	Reserve []float64
-	// LinkCap is the residual vector the tenant was admitted against
-	// (nil when it saw the whole machine); its repairs stay inside it.
-	LinkCap []float64
 
+	// session answers RepairTenant from Base, inside the residual shares
+	// the tenant was admitted against.
 	session *RepairSession
 }
 
-// TenantRepair reports one tenant's standing after a fault event.
+// TenantRepair reports one tenant's standing at a queried fault state.
 type TenantRepair struct {
 	TenantID string
 	// MemoHit is true when the session answered from its fault-keyed
@@ -150,27 +144,28 @@ type TenantRepair struct {
 
 // TenantSet co-schedules tenants onto one shared fabric. Admission is
 // serialized; admitted tenants are never re-solved by later admissions
-// or rejections, so after any sequence of admit/reject/fault events an
+// or rejections, so after any sequence of admit/reject/release events an
 // admitted tenant's Ω is exactly the Ω it would hold had it been the
-// only tenant solved against the same residual at the same cumulative
-// fault state (for the first admitted tenant the residual is the whole
-// machine, making its Ω byte-identical to a solo solve).
+// only tenant solved against the same residual (for the first admitted
+// tenant the residual is the whole machine, making its Ω byte-identical
+// to a solo solve).
 type TenantSet struct {
 	nl int // links in the shared fabric
 
-	mu       sync.Mutex
-	admitted []*TenantState // admission order
-	faults   *topology.FaultSet
+	// admitting serializes Admit and Release, the only writers of
+	// admitted; mu guards admitted and is held only to read it or to
+	// commit, never across a ladder, so Lookup and RepairTenant do not
+	// wait for an admission to finish.
+	admitting sync.Mutex
+	mu        sync.Mutex
+	admitted  []*TenantState // admission order
 }
 
 // NewTenantSet creates an empty set over a fabric with the given
 // topology. Every tenant's Problem.Topology must have the same link
 // count (tenants address the shared links by LinkID).
 func NewTenantSet(top *topology.Topology) *TenantSet {
-	return &TenantSet{
-		nl:     top.Links(),
-		faults: topology.NewFaultSet(top.Links(), top.Nodes()),
-	}
+	return &TenantSet{nl: top.Links()}
 }
 
 // Tenants snapshots the admitted tenants in admission order.
@@ -196,18 +191,11 @@ func (ts *TenantSet) lookupLocked(id string) *TenantState {
 	return nil
 }
 
-// Faults returns a clone of the cumulative fault state.
-func (ts *TenantSet) Faults() *topology.FaultSet {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	return ts.faults.Clone()
-}
-
-// residualLocked computes the capacity left on every link by the given
+// residualOf computes the capacity left on every link by the given
 // tenants' reservations, clamped to [0, 1]. It returns nil when
 // nothing is reserved — the whole-machine fast path, which keeps the
 // first admission bit-identical to a solo solve.
-func residualLocked(nl int, admitted []*TenantState) []float64 {
+func residualOf(nl int, admitted []*TenantState) []float64 {
 	any := false
 	res := make([]float64, nl)
 	for j := range res {
@@ -260,7 +248,8 @@ func reserveOf(top *topology.Topology, r *Result) []float64 {
 // survive are untouched: their Ω, reservation, and repair sessions are
 // exactly as admitted. The returned report is also recorded in the set
 // when the candidate is admitted; a rejection leaves the set exactly
-// as it was (evictions are rolled back).
+// as it was (evictions are rolled back). Admissions wait for each other
+// and for Release; Lookup, Tenants and RepairTenant never wait for one.
 //
 // tr, when non-nil, receives one "admit" span with children naming the
 // admission stages: "admit_residual" per residual computation,
@@ -282,31 +271,35 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 	if t.Options.LinkCap != nil {
 		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q: Options.LinkCap is owned by the tenant set", t.ID), errkind.ErrBadInput)
 	}
+	if t.Problem.Faults != nil {
+		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q: Problem.Faults must be nil (a tenant is admitted on the healthy machine)", t.ID), errkind.ErrBadInput)
+	}
 
+	// Only Admit and Release write ts.admitted, under ts.admitting: the
+	// snapshot stays current until the commit below.
+	ts.admitting.Lock()
+	defer ts.admitting.Unlock()
 	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	if ts.lookupLocked(t.ID) != nil {
+	survivors, held := ts.admitted, ts.lookupLocked(t.ID) != nil
+	ts.mu.Unlock()
+	if held {
 		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q already admitted", t.ID), errkind.ErrBadInput)
 	}
 
 	sp := tr.Start(SpanAdmit, trace.String("tenant", t.ID), trace.Int("priority", t.Priority))
 	defer sp.End()
 
-	// The candidate solves on the current degraded machine: its
-	// baseline and candidate paths avoid the cumulative faults. One
-	// Solver spans every rung and eviction retry of this call, and no
+	// One Solver spans every rung and eviction retry of this call, and no
 	// longer: a later Admit under the same ID may bring another problem.
-	t.Problem.Faults = ts.faults.Clone()
 	solver := NewSolver(t.Problem)
 	rungs := admitRungs(t)
 
 	report := &AdmitReport{TenantID: t.ID, WindowScale: 1}
-	survivors := ts.admitted
 	var evicted []string
 
 	for {
 		rs := sp.Start(SpanAdmitResidual, trace.Int("tenants", len(survivors)))
-		residual := residualLocked(ts.nl, survivors)
+		residual := residualOf(ts.nl, survivors)
 		bl, bs := bottleneck(residual)
 		rs.SetAttrs(trace.Float64("bottleneck_share", bs), trace.Int("bottleneck_link", int(bl)))
 		rs.End()
@@ -317,14 +310,7 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 			return nil, err
 		}
 		if res != nil {
-			st := &TenantState{
-				Tenant:  t,
-				Report:  report,
-				Base:    res,
-				Current: res,
-				Outcome: RepairUnaffected,
-				LinkCap: residual,
-			}
+			st := &TenantState{Tenant: t, Report: report, Base: res}
 			rsv := sp.Start(SpanAdmitReserve)
 			st.Reserve = reserveOf(t.Problem.Topology, res)
 			sessP := t.Problem
@@ -337,10 +323,12 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 			if err != nil {
 				return nil, err
 			}
-			ts.admitted = append(survivors, st)
 			report.Admitted = true
 			report.Evicted = evicted
 			report.Result = res
+			ts.mu.Lock()
+			ts.admitted = append(survivors, st)
+			ts.mu.Unlock()
 			sp.SetAttrs(trace.Bool("admitted", true), trace.String("outcome", report.Outcome.String()))
 			return report, nil
 		}
@@ -441,6 +429,8 @@ func admitLadder(ctx context.Context, solver *Solver, t Tenant, rungs []rung, re
 // remaining tenants are untouched. It reports whether the tenant was
 // present.
 func (ts *TenantSet) Release(id string) bool {
+	ts.admitting.Lock()
+	defer ts.admitting.Unlock()
 	ts.mu.Lock()
 	defer ts.mu.Unlock()
 	for i, st := range ts.admitted {
@@ -452,78 +442,17 @@ func (ts *TenantSet) Release(id string) bool {
 	return false
 }
 
-// FailLink adds a link fault to the cumulative fault state. Call
-// Repair to re-evaluate every tenant at the new state.
-func (ts *TenantSet) FailLink(l topology.LinkID) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.faults.FailLink(l)
-}
-
-// FailNode adds a node fault to the cumulative fault state.
-func (ts *TenantSet) FailNode(n topology.NodeID) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.faults.FailNode(n)
-}
-
-// RepairLink removes a link fault from the cumulative fault state.
-func (ts *TenantSet) RepairLink(l topology.LinkID) {
-	ts.mu.Lock()
-	defer ts.mu.Unlock()
-	ts.faults.RepairLink(l)
-}
-
-// Repair re-evaluates every admitted tenant at the cumulative fault
-// state, in admission order. Each tenant repairs independently from
-// its own admitted base through its own RepairSession — within the
-// link shares it was admitted against, never touching another
-// tenant's reservation — so the repaired Ω of each tenant depends
-// only on (its admission-time residual, the cumulative fault state),
-// not on the event order or on the other tenants' repairs. A tenant
-// with an unsurvivable fault keeps its reservation but reports
-// RepairInfeasible with a nil Current.
-func (ts *TenantSet) Repair(ctx context.Context, tr *trace.Span) ([]*TenantRepair, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
-	ts.mu.Lock()
-	admitted := append([]*TenantState(nil), ts.admitted...)
-	fs := ts.faults.Clone()
-	ts.mu.Unlock()
-
-	out := make([]*TenantRepair, 0, len(admitted))
-	for _, st := range admitted {
-		rep, hit, err := st.session.Apply(ctx, fs, tr)
-		if err != nil {
-			return nil, err
-		}
-		ts.mu.Lock()
-		st.Outcome = rep.Outcome
-		st.Current = rep.Result
-		if rep.Result != nil {
-			st.Reserve = reserveOf(st.Tenant.Problem.Topology, rep.Result)
-		}
-		ts.mu.Unlock()
-		out = append(out, &TenantRepair{TenantID: st.Tenant.ID, MemoHit: hit, Report: rep})
-	}
-	return out, nil
-}
-
 // RepairTenant evaluates one admitted tenant at an arbitrary fault
-// state without moving the set's cumulative faults or the tenant's
-// standing — the stateless, tenant-scoped form of a repair query. The
-// ladder runs from the tenant's admitted base inside its admission-time
-// link shares, memoized per fault state by the tenant's session, so the
-// answer depends only on (the tenant's base, the queried faults) — not
-// on the other tenants or on query order.
+// state — a what-if that moves nothing: not the tenant's standing, not
+// anyone else's. The ladder runs from the tenant's admitted base inside
+// its admission-time link shares, memoized per fault state by the
+// tenant's session, so the answer depends only on (the tenant's base,
+// the queried faults) — not on the other tenants or on query order.
 func (ts *TenantSet) RepairTenant(ctx context.Context, id string, fs *topology.FaultSet, tr *trace.Span) (*TenantRepair, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	ts.mu.Lock()
-	st := ts.lookupLocked(id)
-	ts.mu.Unlock()
+	st := ts.Lookup(id)
 	if st == nil {
 		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q not admitted", id), errkind.ErrNotFound)
 	}

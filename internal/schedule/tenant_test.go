@@ -6,6 +6,7 @@ import (
 	"errors"
 	"reflect"
 	"testing"
+	"time"
 
 	"schedroute/internal/alloc"
 	"schedroute/internal/errkind"
@@ -119,10 +120,10 @@ func TestTenantFirstAdmissionSoloIdentical(t *testing.T) {
 
 // TestTenantAdmissionInvariantUnderFaults is the admission invariant
 // end to end: tenant A keeps a byte-identical Ω after tenant B is
-// admitted, after tenant C is rejected, and after a single-link fault
-// on B's paths (the fault chosen via a seeded internal/faults
-// scenario), comparing against a solo-admitted A at the same
-// cumulative fault state.
+// admitted and after tenant C is rejected; at a single-link fault on
+// B's paths (the fault chosen via a seeded internal/faults scenario)
+// A's what-if repair matches a solo-admitted A's at the same fault
+// state, and neither what-if moves anyone's standing.
 func TestTenantAdmissionInvariantUnderFaults(t *testing.T) {
 	top := threeCube(t)
 	ctx := context.Background()
@@ -178,34 +179,32 @@ func TestTenantAdmissionInvariantUnderFaults(t *testing.T) {
 	if failed < 0 {
 		t.Fatalf("no single-link scenario covers B's link %d", bLinks[0])
 	}
-	ts.FailLink(failed)
-	reports, err := ts.Repair(ctx, nil)
-	if err != nil {
-		t.Fatal(err)
+	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs.FailLink(failed)
+	repair := func(ts *TenantSet, id string) *RepairReport {
+		t.Helper()
+		r, err := ts.RepairTenant(ctx, id, fs, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Report
 	}
-	byID := map[string]*TenantRepair{}
-	for _, r := range reports {
-		byID[r.TenantID] = r
-	}
-	if byID["B"].Report.Outcome == RepairUnaffected {
+	if repair(ts, "B").Outcome == RepairUnaffected {
 		t.Fatal("fault on B's path left B unaffected")
 	}
 
-	// Solo reference: A admitted alone, same cumulative fault state.
+	// Solo reference: A admitted alone, same fault state.
 	ref := NewTenantSet(top)
 	mustAdmit(t, ref, chainTenant(t, top, "A"))
-	ref.FailLink(failed)
-	refReports, err := ref.Repair(ctx, nil)
-	if err != nil {
-		t.Fatal(err)
+	got, want := repair(ts, "A"), repair(ref, "A")
+	if got.Outcome != want.Outcome {
+		t.Fatalf("A's repair outcome %v differs from solo %v", got.Outcome, want.Outcome)
 	}
-	if got, want := byID["A"].Report.Outcome, refReports[0].Report.Outcome; got != want {
-		t.Fatalf("A's repair outcome %v differs from solo %v", got, want)
+	if !bytes.Equal(omegaBytes(t, got.Result.Omega), omegaBytes(t, want.Result.Omega)) {
+		t.Fatal("at the fault, A's omega differs from its solo-admitted omega at the same fault state")
 	}
-	got := omegaBytes(t, ts.Lookup("A").Current.Omega)
-	want := omegaBytes(t, ref.Lookup("A").Current.Omega)
-	if !bytes.Equal(got, want) {
-		t.Fatal("after the fault, A's omega differs from its solo-admitted omega at the same fault state")
+	if !bytes.Equal(omegaBytes(t, ts.Lookup("A").Base.Omega), soloOmega) {
+		t.Fatal("a what-if repair moved A's standing")
 	}
 }
 
@@ -394,5 +393,67 @@ func TestTenantAdmitValidation(t *testing.T) {
 	badRate.RateGuarantee = 1.5
 	if _, err := ts.Admit(context.Background(), badRate, nil); !errors.Is(err, errkind.ErrBadInput) {
 		t.Fatalf("rate guarantee above 1 should be bad input, got %v", err)
+	}
+	faulted := chainTenant(t, top, "F")
+	faulted.Problem.Faults = topology.NewFaultSet(top.Links(), top.Nodes())
+	if _, err := ts.Admit(context.Background(), faulted, nil); !errors.Is(err, errkind.ErrBadInput) {
+		t.Fatalf("a tenant brought its own fault set; want bad input, got %v", err)
+	}
+}
+
+// TestTenantStandingDoesNotWaitForAnAdmission: Lookup, Tenants and a
+// RepairTenant what-if answer while another candidate's ladder runs.
+// The candidate is TestSolveStopsInsideTheAllocationLP's instance,
+// which spends some 30 s in the allocation LP of its first rung; its
+// admission is cancelled once the answers are in.
+func TestTenantStandingDoesNotWaitForAnAdmission(t *testing.T) {
+	top := sixCube(t)
+	ts := NewTenantSet(top)
+	mustAdmit(t, ts, pairTenant(t, top, "a", 62, 63, 640, 100))
+
+	g, err := tfg.RandomLayered(3, []int{8, 8, 8, 8, 8, 8, 8}, 400, 1925, 192, 3200, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := tfg.NewUniformTiming(g, 50, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := alloc.RoundRobin(g, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	admitted := make(chan error, 1)
+	go func() {
+		_, err := ts.Admit(ctx, Tenant{ID: "slow", Problem: Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 65}, Options: Options{Seed: 1}}, nil)
+		admitted <- err
+	}()
+	for ts.admitting.TryLock() { // until the candidate's Admit holds the admission lock
+		ts.admitting.Unlock()
+		time.Sleep(time.Millisecond)
+	}
+
+	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs.FailLink(0)
+	start := time.Now()
+	if ts.Lookup("a") == nil || len(ts.Tenants()) != 1 {
+		t.Fatal("tenant a is not standing")
+	}
+	if _, err := ts.RepairTenant(context.Background(), "a", fs, nil); err != nil {
+		t.Fatal(err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Fatalf("a's standing took %v to read behind another tenant's admission", took)
+	}
+	select {
+	case err := <-admitted:
+		t.Fatalf("the candidate's admission ended (%v) before the queries ran; nothing was measured", err)
+	default:
+	}
+	cancel()
+	if err := <-admitted; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled admission returned %v", err)
 	}
 }

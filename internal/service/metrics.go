@@ -45,7 +45,7 @@ var (
 	mCoalesced       = row("srschedd_coalesced_requests_total", "counter", "Requests served by joining an identical in-flight solve.")
 	mSolveRuns       = row("srschedd_solve_runs_total", "counter", "Solver executions (after coalescing).")
 	mQueueDepth      = row("srschedd_queue_depth", "gauge", "Requests waiting for a solve worker slot.")
-	mTenants         = row("srschedd_tenants", "gauge", "Admitted tenants across all fabrics.")
+	mTenants         = row("srschedd_tenants", "gauge", "Admitted tenants on the daemon's one fabric.")
 	mAdmissions      = row("srschedd_admissions_total", "counter", "Tenant admission attempts by ladder outcome.", "outcome")
 	mTenantEvictions = row("srschedd_tenant_evictions_total", "counter", "Tenants preempted by higher-priority admissions.")
 	mTenantRequests  = row("srschedd_tenant_requests_total", "counter", "Tenant-dimension requests by endpoint and tenant: an id the registry holds when the request ends, `default`, or `unadmitted` for any other.", "endpoint", "tenant")

@@ -108,8 +108,9 @@ type Server struct {
 	watches *watchRegistry
 	tenants *tenantRegistry
 
-	// The watch bounds tests shrink, filled from watch.go's constants.
-	maxWatchSubs, watchEventQueue, watchRing int
+	// The registry bounds tests shrink, filled from the constants in
+	// watch.go and tenant.go.
+	maxWatchSubs, watchEventQueue, watchRing, maxTenants int
 
 	// A minted request id is idPrefix — random per process, so replicas
 	// cannot collide — plus a counter: no crypto/rand call per request.
@@ -150,6 +151,7 @@ func New(cfg Config) *Server {
 		maxWatchSubs:    maxWatchSubs,
 		watchEventQueue: watchEventQueue,
 		watchRing:       watchRing,
+		maxTenants:      maxTenants,
 	}
 }
 
@@ -335,12 +337,11 @@ func (s *Server) schedule(c *call, req schedroute.ScheduleRequest) (*schedroute.
 
 // scheduleOne answers one schedule request — all of /v1/schedule, or
 // one distinct batch item — whose tenant scope is resolved. An admitted
-// tenant gets its standing — the schedule granted at admission, repaired
-// if the fabric degraded — never a solve; anyone else one solve, on a
-// worker slot the caller holds.
+// tenant gets its standing — the schedule granted at admission — never a
+// solve; anyone else one solve, on a worker slot the caller holds.
 func (s *Server) scheduleOne(c *call, ten *tenantEntry, req schedroute.ScheduleRequest) (*schedroute.ScheduleResult, error) {
 	if ten != nil {
-		return s.tenantSchedule(ten, req.IncludeOmega, req.Options.WantStats())
+		return schedroute.NewScheduleResult(ten.built, ten.report.Result, ten.report.TauOut, req.IncludeOmega, req.Options.WantStats())
 	}
 	sv, err := c.solve(req.Problem, req.Options)
 	if err != nil {
@@ -370,7 +371,7 @@ func (s *Server) repair(c *call, req schedroute.RepairRequest) (*schedroute.Repa
 		if err != nil {
 			return nil, err
 		}
-		tr, err := ten.fab.set.RepairTenant(c.r.Context(), ten.tenant.ID, fs, c.root)
+		tr, err := s.tenants.fab.Load().set.RepairTenant(c.r.Context(), ten.tenant.ID, fs, c.root)
 		if err != nil {
 			return nil, err
 		}

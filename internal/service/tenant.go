@@ -1,10 +1,9 @@
 package service
 
 import (
-	"fmt"
 	"sync"
+	"sync/atomic"
 
-	"schedroute/internal/errkind"
 	"schedroute/internal/schedule"
 	"schedroute/pkg/schedroute"
 )
@@ -13,15 +12,18 @@ import (
 // admission check and, on success, registers the tenant so its later
 // /v1/schedule, /v1/repair and /v1/watch requests are answered from
 // its admitted standing (call.tenant) instead of a fresh solve.
-// Tenants naming the same topology spec share one fabric (one
-// schedule.TenantSet); the fabric's link-bandwidth reservations are
-// what make an admission unable to perturb the tenants already in.
+// The daemon schedules one machine: every tenant shares one fabric (one
+// schedule.TenantSet), whose link-bandwidth reservations are what make
+// an admission unable to perturb the tenants already in.
 
-// fabric is one shared machine: every tenant admitted against the same
-// topology spec lands in the same TenantSet and competes for the same
-// link shares. Bandwidth is pinned by the first admission — a reserved
-// link share is a fraction of the physical link, which is only
-// meaningful when everyone agrees what the physical link carries.
+// maxTenants bounds the registry: past it an admission is refused as
+// unavailable before its ladder runs.
+const maxTenants = 1024
+
+// fabric is the daemon's machine. Its topology spec and bandwidth are
+// pinned by the first admitted tenant — a reserved link share is a
+// fraction of the physical link, which is only meaningful when everyone
+// agrees what the physical link is and carries.
 type fabric struct {
 	topoSpec  string
 	bandwidth float64
@@ -29,8 +31,7 @@ type fabric struct {
 }
 
 // tenantEntry is the service-side record of one admitted tenant: the
-// built problem (for wire conversions), the admission outcome, and the
-// fabric it lives on.
+// built problem (for wire conversions) and the admission outcome.
 type tenantEntry struct {
 	built  *schedroute.Built
 	tenant schedroute.Tenant
@@ -38,24 +39,19 @@ type tenantEntry struct {
 	// structure is the admitted problem's StructureKey; tenant-scoped
 	// requests must name the same problem they were admitted with.
 	structure string
-	fab       *fabric
 }
 
-// tenantRegistry maps tenant IDs to their admitted standing. An ID is
-// held by one fabric at a time: admitting serializes admissions across
-// fabrics, so the check that refuses an ID held elsewhere and the
-// commit after the ladder see the same index (within a fabric the
-// TenantSet serializes them anyway). mu only guards the maps.
+// tenantRegistry maps tenant IDs to their admitted standing on the
+// daemon's one fabric. fab is nil until the first admission commits and
+// never changes after; mu guards tenants.
 type tenantRegistry struct {
-	admitting sync.Mutex
-
+	fab     atomic.Pointer[fabric]
 	mu      sync.Mutex
-	fabrics map[string]*fabric
 	tenants map[string]*tenantEntry
 }
 
 func newTenantRegistry() *tenantRegistry {
-	return &tenantRegistry{fabrics: map[string]*fabric{}, tenants: map[string]*tenantEntry{}}
+	return &tenantRegistry{tenants: map[string]*tenantEntry{}}
 }
 
 func (tr *tenantRegistry) lookup(id string) *tenantEntry {
@@ -64,44 +60,60 @@ func (tr *tenantRegistry) lookup(id string) *tenantEntry {
 	return tr.tenants[id]
 }
 
-// fabricFor returns (creating if needed) the fabric for a built
-// problem, enforcing the equal-bandwidth contract.
-func (tr *tenantRegistry) fabricFor(b *schedroute.Built) (*fabric, error) {
+// fabricFor returns the fabric a candidate for a built problem runs its
+// ladder on: the daemon's, which it must match, or — while no tenant is
+// admitted — a fabric of its own, which commit pins if it is admitted.
+func (tr *tenantRegistry) fabricFor(b *schedroute.Built, limit int) (*fabric, error) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	fab := tr.fabrics[b.Spec.Topology]
-	if fab == nil {
-		fab = &fabric{
-			topoSpec:  b.Spec.Topology,
-			bandwidth: b.Spec.Bandwidth,
-			set:       schedule.NewTenantSet(b.Topology),
-		}
-		tr.fabrics[b.Spec.Topology] = fab
-		return fab, nil
+	if len(tr.tenants) >= limit {
+		return nil, unavailable("admit: the daemon holds %d tenants, its limit", limit)
 	}
-	if fab.bandwidth != b.Spec.Bandwidth {
+	fab := tr.fab.Load()
+	switch {
+	case fab == nil:
+		return &fabric{topoSpec: b.Spec.Topology, bandwidth: b.Spec.Bandwidth, set: schedule.NewTenantSet(b.Topology)}, nil
+	case fab.topoSpec != b.Spec.Topology:
+		return nil, badInput("admit: the daemon's fabric is %q, request says %q (one topology per daemon)", fab.topoSpec, b.Spec.Topology)
+	case fab.bandwidth != b.Spec.Bandwidth:
 		return nil, badInput("admit: fabric %q runs at bandwidth %g, request says %g (link shares are fractions of the physical link; all tenants must agree)",
 			fab.topoSpec, fab.bandwidth, b.Spec.Bandwidth)
 	}
 	return fab, nil
 }
 
-// commit records an admission, dropping any tenants it evicted, and
-// returns how many are now admitted (the /metrics gauge).
-func (tr *tenantRegistry) commit(ent *tenantEntry, evicted []string) int {
+// commit records an admission on fab, pinning it as the daemon's fabric
+// if none is, and returns how many tenants are now admitted (the
+// /metrics gauge). It reports false, recording nothing, when another
+// fabric was pinned while this admission ran. Admissions commit in
+// whatever order their requests finish, so the index is reconciled with
+// what the set holds now: an entry whose admission the set no longer
+// holds — one this admission evicted, or this one, evicted by a later
+// admission that committed first — is dropped.
+func (tr *tenantRegistry) commit(fab *fabric, ent *tenantEntry) (int, bool) {
+	if !tr.fab.CompareAndSwap(nil, fab) && tr.fab.Load() != fab {
+		return 0, false
+	}
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	for _, id := range evicted {
-		delete(tr.tenants, id)
-	}
 	tr.tenants[ent.tenant.ID] = ent
-	return len(tr.tenants)
+	standing := map[*schedule.AdmitReport]bool{}
+	for _, st := range fab.set.Tenants() {
+		standing[st.Report] = true
+	}
+	for id, e := range tr.tenants {
+		if !standing[e.report] {
+			delete(tr.tenants, id)
+		}
+	}
+	return len(tr.tenants), true
 }
 
 // admit is POST /v1/admit: run the admission ladder for one candidate
 // tenant and reserve its link shares on success. A rejection is 422
 // admission_rejected with the full admission report riding on the
-// error; tenants already in the fabric are untouched either way.
+// error; tenants already in the fabric are untouched either way, and a
+// rejection on a daemon with no tenant leaves no fabric behind.
 func (s *Server) admit(c *call, req schedroute.AdmitRequest) (*schedroute.AdmitResult, error) {
 	ten := schedroute.TenantOrDefault(req.Tenant)
 	if err := ten.Validate(); err != nil {
@@ -120,7 +132,7 @@ func (s *Server) admit(c *call, req schedroute.AdmitRequest) (*schedroute.AdmitR
 		return nil, err
 	}
 	b := ent.built
-	fab, err := s.tenants.fabricFor(b)
+	fab, err := s.tenants.fabricFor(b, s.maxTenants)
 	if err != nil {
 		return nil, err
 	}
@@ -136,48 +148,30 @@ func (s *Server) admit(c *call, req schedroute.AdmitRequest) (*schedroute.AdmitR
 		Problem:       b.ScheduleProblemAt(tauIn),
 		Options:       opts,
 	}
-	s.tenants.admitting.Lock()
-	defer s.tenants.admitting.Unlock()
-	// The index holds one entry per ID, so a second fabric's entry would
-	// overwrite the first and leave its link shares reserved with no way
-	// to reach or release them. (The same fabric says "already admitted".)
-	if held := s.tenants.lookup(ten.ID); held != nil && held.fab != fab {
-		return nil, badInput("admit: tenant %q is already admitted on fabric %q", ten.ID, held.fab.topoSpec)
+	for {
+		report, err := fab.set.Admit(c.r.Context(), cand, c.root)
+		if err != nil {
+			return nil, err
+		}
+		s.metrics.add(mAdmissions, 1, report.Outcome.String())
+		wire, err := schedroute.NewAdmitResult(b, report, req.IncludeOmega)
+		if err != nil {
+			return nil, err
+		}
+		if !report.Admitted {
+			return nil, &reportError{err: report.Err(), admit: wire}
+		}
+		entry := &tenantEntry{built: b, tenant: ten, report: report, structure: c.key}
+		if n, ok := s.tenants.commit(fab, entry); ok {
+			s.metrics.add(mTenantEvictions, int64(len(report.Evicted)))
+			s.metrics.set(mTenants, int64(n))
+			return wire, nil
+		}
+		// A concurrent first admission pinned another fabric while this
+		// one ran on a fabric of its own: run again on the daemon's, or
+		// be refused by it.
+		if fab, err = s.tenants.fabricFor(b, s.maxTenants); err != nil {
+			return nil, err
+		}
 	}
-	report, err := fab.set.Admit(c.r.Context(), cand, c.root)
-	if err != nil {
-		return nil, err
-	}
-	s.metrics.add(mAdmissions, 1, report.Outcome.String())
-	s.metrics.add(mTenantEvictions, int64(len(report.Evicted)))
-	wire, err := schedroute.NewAdmitResult(b, report, req.IncludeOmega)
-	if err != nil {
-		return nil, err
-	}
-	if !report.Admitted {
-		return nil, &reportError{err: report.Err(), admit: wire}
-	}
-	n := s.tenants.commit(&tenantEntry{
-		built:     b,
-		tenant:    ten,
-		report:    report,
-		structure: c.key,
-		fab:       fab,
-	}, report.Evicted)
-	s.metrics.set(mTenants, int64(n))
-	return wire, nil
-}
-
-// tenantSchedule answers a tenant-scoped /v1/schedule from the
-// tenant's standing at the fabric's current state: the admitted (or
-// repaired) schedule, at the granted τout — never a fresh solve, which
-// is exactly why serving it cannot disturb anyone.
-func (s *Server) tenantSchedule(ent *tenantEntry, includeOmega, wantStats bool) (*schedroute.ScheduleResult, error) {
-	st := ent.fab.set.Lookup(ent.tenant.ID)
-	if st == nil || st.Current == nil {
-		return nil, errkind.Mark(
-			fmt.Errorf("tenant %q has no schedule in force at the current fault state", ent.tenant.ID),
-			errkind.ErrInfeasibleRepair)
-	}
-	return schedroute.NewScheduleResult(ent.built, st.Current, ent.report.TauOut, includeOmega, wantStats)
 }

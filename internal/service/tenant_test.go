@@ -386,65 +386,66 @@ func TestAdmitFabricBandwidthPinned(t *testing.T) {
 	}
 }
 
-// TestTenantIDIsHeldByOneFabric: an ID admitted on one fabric is a bad
-// request on another (its first reservation would be orphaned: shares
-// held, no index entry to reach or release them), until a priority
-// eviction frees it. After every step — admit, refused duplicate,
-// eviction, re-admission, and the same ID racing onto two fabrics — the
-// srschedd_tenants gauge equals the reservations the fabrics hold.
-func TestTenantIDIsHeldByOneFabric(t *testing.T) {
+// TestOneFabricPerDaemon: the daemon schedules one machine. Admissions
+// rejected while no tenant is in leave no fabric behind, whatever
+// topology they named; the first admitted tenant pins the topology, and
+// a candidate naming another is refused before its ladder runs — an ID
+// the fabric holds or not, evicted or not — as is the loser of two
+// first admissions racing onto two topologies. After every step the
+// srschedd_tenants gauge and the index equal what the fabric holds.
+func TestOneFabricPerDaemon(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
-	onCube7 := testProblem(150)
-	onCube7.Topology = "cube:7"
-	gaugeMatches := func(after string) {
-		t.Helper()
-		held := 0
-		srv.tenants.mu.Lock()
-		for _, fab := range srv.tenants.fabrics {
-			held += len(fab.set.Tenants())
-		}
-		srv.tenants.mu.Unlock()
-		if gauge := srv.metrics.value("srschedd_tenants"); int(gauge) != held {
-			t.Fatalf("after %s: srschedd_tenants = %d, the fabrics hold %d", after, gauge, held)
-		}
-	}
 	admit := func(p schedroute.Problem, ten *schedroute.Tenant) (int, string) {
 		t.Helper()
 		code, body := postJSON(t, ts, "/v1/admit", schedroute.AdmitRequest{Problem: p, Tenant: ten})
-		gaugeMatches(ten.ID + " on " + p.Topology)
+		registryMatches(t, srv, ten.ID+" on "+p.Topology)
 		return code, string(body)
+	}
+	onCube7 := testProblem(150)
+	onCube7.Topology = "cube:7"
+
+	// Rejected on an empty daemon, on two topologies: nothing is pinned.
+	for _, p := range []schedroute.Problem{testProblem(50), onCube7} {
+		p.TauIn = 50
+		if code, body := admit(p, tenantOf("strict", 0, 0.8)); code != http.StatusUnprocessableEntity {
+			t.Fatalf("strict on %s: status %d, want 422: %s", p.Topology, code, body)
+		}
+	}
+	if fab := srv.tenants.fab.Load(); fab != nil {
+		t.Fatalf("rejected admissions left a fabric: %+v", fab)
 	}
 
 	if code, body := admit(testProblem(150), tenantOf("a", 1, 1)); code != http.StatusOK {
 		t.Fatalf("a on cube:6: status %d: %s", code, body)
 	}
-	code, body := admit(onCube7, tenantOf("a", 1, 1))
-	if code != http.StatusBadRequest || !strings.Contains(body, `"kind":"bad_input"`) || !strings.Contains(body, "cube:6") {
-		t.Fatalf("a on cube:7 while cube:6 holds it: status %d: %s", code, body)
+	refused := func(ten *schedroute.Tenant) {
+		t.Helper()
+		code, body := admit(onCube7, ten)
+		if code != http.StatusBadRequest || !strings.Contains(body, `"kind":"bad_input"`) || !strings.Contains(body, "cube:6") {
+			t.Fatalf("%s on cube:7 of a cube:6 daemon: status %d: %s", ten.ID, code, body)
+		}
 	}
-	// The same placement at a higher priority evicts a, which frees the ID.
-	code, body = admit(testProblem(150), tenantOf("boss", 9, 1))
+	refused(tenantOf("a", 1, 1))
+	refused(tenantOf("b", 1, 1))
+	// The same placement at a higher priority evicts a, which frees the
+	// ID — not the topology.
+	code, body := admit(testProblem(150), tenantOf("boss", 9, 1))
 	if code != http.StatusOK || !strings.Contains(body, `"evicted":["a"]`) {
 		t.Fatalf("boss on cube:6: status %d: %s", code, body)
 	}
-	if code, body := admit(onCube7, tenantOf("a", 1, 1)); code != http.StatusOK {
-		t.Fatalf("a on cube:7 once evicted from cube:6: status %d: %s", code, body)
-	}
+	refused(tenantOf("a", 1, 1))
 
-	// One ID, two fabrics, at once: one admission wins.
-	// (placed apart from boss and a, whose direct links are reserved whole).
-	apart6 := testProblem(150)
-	apart6.Allocator, apart6.AllocSeed = "random", 1
-	apart7 := apart6
-	apart7.Topology = "cube:7"
+	// Two first admissions at once, on two topologies: one pins, the
+	// other is refused by it.
+	race, rts := newTestServer(t, Config{})
 	codes := make(chan int, 2)
-	for _, p := range []schedroute.Problem{apart6, apart7} {
-		body, err := json.Marshal(schedroute.AdmitRequest{Problem: p, Tenant: tenantOf("c", 0, 0)})
+	for _, p := range []schedroute.Problem{testProblem(150), onCube7} {
+		body, err := json.Marshal(schedroute.AdmitRequest{Problem: p, Tenant: tenantOf("c-"+p.Topology, 0, 0)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		go func() {
-			resp, err := http.Post(ts.URL+"/v1/admit", "application/json", bytes.NewReader(body))
+			resp, err := http.Post(rts.URL+"/v1/admit", "application/json", bytes.NewReader(body))
 			if err != nil {
 				t.Error(err)
 				codes <- 0
@@ -455,9 +456,50 @@ func TestTenantIDIsHeldByOneFabric(t *testing.T) {
 		}()
 	}
 	if a, b := <-codes, <-codes; a+b != http.StatusOK+http.StatusBadRequest {
-		t.Fatalf("c on two fabrics at once: statuses %d and %d, want one 200 and one 400", a, b)
+		t.Fatalf("first admissions on two topologies at once: statuses %d and %d, want one 200 and one 400", a, b)
 	}
-	gaugeMatches("c on two fabrics at once")
+	registryMatches(t, race, "two first admissions at once")
+}
+
+// registryMatches checks that the srschedd_tenants gauge and the
+// registry's index both equal the tenants the daemon's fabric holds.
+func registryMatches(t *testing.T, srv *Server, after string) {
+	t.Helper()
+	srv.tenants.mu.Lock()
+	held, indexed := 0, len(srv.tenants.tenants)
+	if fab := srv.tenants.fab.Load(); fab != nil {
+		held = len(fab.set.Tenants())
+	}
+	srv.tenants.mu.Unlock()
+	if gauge := srv.metrics.value("srschedd_tenants"); int(gauge) != held || indexed != held {
+		t.Fatalf("after %s: srschedd_tenants = %d and %d indexed, the fabric holds %d", after, gauge, indexed, held)
+	}
+}
+
+// TestTenantRegistryIsBounded: past maxTenants an admission is shed as
+// 503 unavailable before its ladder runs — the admissions counter does
+// not move — and the registry stays at the cap. The tenants have no
+// message, so they reserve nothing and would all fit.
+func TestTenantRegistryIsBounded(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	srv.maxTenants = 3
+	empty := schedroute.Problem{TFG: "chain:1", Topology: "cube:6", Bandwidth: 64, TauIn: 150}
+	for i := 0; i < 5; i++ {
+		code, body := postJSON(t, ts, "/v1/admit", schedroute.AdmitRequest{Problem: empty, Tenant: tenantOf(fmt.Sprintf("t%d", i), 0, 0)})
+		switch {
+		case i < 3 && code != http.StatusOK:
+			t.Fatalf("admission %d under the cap: status %d: %s", i, code, body)
+		case i >= 3 && (code != http.StatusServiceUnavailable || !strings.Contains(string(body), `"kind":"unavailable"`)):
+			t.Fatalf("admission %d past the cap: status %d, want 503 unavailable: %s", i, code, body)
+		}
+	}
+	registryMatches(t, srv, "five admissions against a cap of three")
+	if n := len(srv.tenants.tenants); n != 3 {
+		t.Fatalf("%d tenants registered, cap 3", n)
+	}
+	if n := srv.metrics.value("srschedd_admissions_total", "reserved"); n != 3 {
+		t.Fatalf("%d admissions ran their ladder, want 3", n)
+	}
 }
 
 // TestWatchErrorFrameEnvelope: a rejected watch event's error frame

@@ -244,7 +244,7 @@ func (sub *watchSub) open(c *call) (*schedroute.ScheduleResult, error) {
 	req := sub.req
 	if ten := sub.tenant; ten != nil {
 		sub.built, sub.tauIn = ten.built, ten.report.TauOut
-		return c.s.tenantSchedule(ten, req.IncludeOmega, req.Options.WantStats())
+		return schedroute.NewScheduleResult(ten.built, ten.report.Result, ten.report.TauOut, req.IncludeOmega, req.Options.WantStats())
 	}
 	sopts, err := req.Options.ToSchedule()
 	if err != nil {
@@ -532,7 +532,7 @@ func (sub *watchSub) repair(sp *trace.Span) (*schedule.RepairReport, bool, error
 	if sub.tenant == nil {
 		return sub.session.Apply(sub.ctx, sub.fs, sp)
 	}
-	tr, err := sub.tenant.fab.set.RepairTenant(sub.ctx, sub.tenant.tenant.ID, sub.fs, sp)
+	tr, err := sub.s.tenants.fab.Load().set.RepairTenant(sub.ctx, sub.tenant.tenant.ID, sub.fs, sp)
 	if err != nil {
 		return nil, false, err
 	}

@@ -334,10 +334,10 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("admit: second tenant, against the residual, traced", "POST", "/v1/admit?debug=trace", schedroute.AdmitRequest{Problem: audioP, Tenant: audio})
 	tr.do("admit: 422 with report", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: testProblem(50), Tenant: tenantOf("strict", 0, 0.8)})
 	tr.do("admit: duplicate", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: video})
-	// One ID, one fabric: the duplicate on a second fabric is refused
-	// before its ladder runs and changes nothing on the first — the
-	// tenant that does not fit beside video is turned away the same, and
-	// every tenant-scoped video row below answers from cube:6 as before.
+	// One daemon, one fabric: a candidate on another topology is refused
+	// before its ladder runs and changes nothing — the tenant that does
+	// not fit beside video is turned away the same, and every
+	// tenant-scoped video row below answers from cube:6 as before.
 	// (IDs are reused so metrics_series.golden gains no label.)
 	onCube7 := p150
 	onCube7.Topology = "cube:7"
@@ -351,6 +351,9 @@ func TestWireTranscript(t *testing.T) {
 	tr.do("admit: unknown schema_version", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: badSchema, Tenant: tenantOf("future", 0, 0)})
 	tr.do("admit: bad engine", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("q", 0, 0), Options: schedroute.Options{Engine: "quantum"}})
 	tr.do("admit: window beyond the period", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("q", 0, 0), Options: schedroute.Options{Window: 200}})
+	srv.maxTenants = 2 // video and audio
+	tr.do("admit: the tenant registry is full", "POST", "/v1/admit", schedroute.AdmitRequest{Problem: p150, Tenant: tenantOf("q", 0, 0)})
+	srv.maxTenants = maxTenants
 	tr.do("schedule: admitted tenant's standing", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: audioP, Tenant: audio})
 	tr.do("schedule: tenant/problem mismatch", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: other, Tenant: video})
 	tr.do("schedule: unknown schema_version, admitted tenant", "POST", "/v1/schedule", schedroute.ScheduleRequest{Problem: staleSchema, Tenant: video})

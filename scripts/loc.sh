@@ -3,7 +3,7 @@
 # *.go file that is not a *_test.go, no comment stripping, so the number
 # is the one a reader scrolls through. bench/ is its own module and is
 # listed with the rest; the last line is the srschedd surface ROADMAP
-# item 5 tracks (internal/service + pkg/schedroute). Run via `make loc`.
+# item 6 tracks (internal/service + pkg/schedroute). Run via `make loc`.
 set -eu
 cd "$(dirname "$0")/.."
 
