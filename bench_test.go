@@ -699,25 +699,29 @@ func BenchmarkAssignPathsTorus32(b *testing.B) {
 	b.ReportMetric(float64(evals), "evals/op")
 }
 
-// BenchmarkGreedyDecomposeTenCube is Section 5.3 interval scheduling
-// alone on the 10-cube, where every interval holds far more messages
-// than the exact engine takes and the greedy decomposition does the
-// work.
-func BenchmarkGreedyDecomposeTenCube(b *testing.B) {
-	_, res := compileLargeSolve(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
+// BenchmarkScheduleIntervalsTenCube is Section 5.3 interval scheduling
+// alone on the 10-cube: every interval holds far more messages than the
+// exact engine takes, so the greedy decomposition, the chaining of its
+// sets and the realisation of the slices do the work. It reports the
+// slices and the commands the Ω built from them holds.
+func BenchmarkScheduleIntervalsTenCube(b *testing.B) {
+	p, res := compileLargeSolve(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
+	b.ReportAllocs()
 	b.ResetTimer()
-	var slices int
+	var sls []schedule.Slice
 	for i := 0; i < b.N; i++ {
-		sls, err := schedule.ScheduleIntervals(res.Allocation, res.Assignment, res.Activity, schedule.EngineAuto, 0)
-		if err != nil {
+		var err error
+		if sls, err = schedule.ScheduleIntervals(res.Allocation, res.Assignment, res.Activity, schedule.EngineAuto, 0); err != nil {
 			b.Fatal(err)
 		}
-		slices = len(sls)
 	}
-	if slices != len(res.Slices) {
-		b.Fatalf("%d slices, the pipeline emitted %d", slices, len(res.Slices))
+	b.StopTimer()
+	commands := schedule.BuildOmega(sls, res.Assignment, res.Windows, p.Topology.Nodes(), p.TauIn, res.Latency).NumCommands()
+	if len(sls) != len(res.Slices) || commands != res.Omega.NumCommands() {
+		b.Fatalf("%d slices and %d commands, the pipeline emitted %d and %d", len(sls), commands, len(res.Slices), res.Omega.NumCommands())
 	}
-	b.ReportMetric(float64(slices), "slices/op")
+	b.ReportMetric(float64(len(sls)), "slices/op")
+	b.ReportMetric(float64(commands), "commands/op")
 }
 
 // BenchmarkBuildOmegaTenCube is Ω emission alone on the 10-cube: the

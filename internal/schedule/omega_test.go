@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"schedroute/internal/alloc"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
@@ -116,12 +117,21 @@ func TestOmegaValidateCatchesWrongTotal(t *testing.T) {
 }
 
 // validateReference is Validate as it stood before the per-link sweep:
-// the same per-(slice, message) checks, then every span counted into a
-// per-link table, each link's spans sorted by start and adjacent spans
-// compared. Kept as the oracle the sweep is checked against.
+// the same per-(slice, message) and per-command totals, then every span
+// counted into a per-link table, each link's spans sorted by start and
+// adjacent spans compared. Kept as the oracle the sweep is checked
+// against.
 func validateReference(om *Omega, top *topology.Topology) error {
 	nw := len(om.Windows)
 	got := make([]float64, nw)
+	sent := make([]float64, nw)
+	for _, ns := range om.Nodes {
+		for _, c := range ns.Commands {
+			if c.In.AP {
+				sent[c.Msg] += c.End - c.Start
+			}
+		}
+	}
 
 	linksets := om.Linksets()
 
@@ -152,6 +162,9 @@ func validateReference(om *Omega, top *topology.Topology) error {
 		}
 		if diff := got[i] - w.Xmit; diff > 1e-6 || diff < -1e-6 {
 			return fmt.Errorf("schedule: message %d transmitted %g, needs %g", i, got[i], w.Xmit)
+		}
+		if math.Abs(sent[i]-w.Xmit) > 1e-6 {
+			return fmt.Errorf("schedule: message %d's source commands run %g, needs %g", i, sent[i], w.Xmit)
 		}
 	}
 
@@ -303,12 +316,24 @@ func TestValidateSweepMatchesSpanSort(t *testing.T) {
 				om.Slices = append(om.Slices[:i], om.Slices[i+1:]...)
 			}
 			if trial%2 == 0 {
+				was := make([]float64, len(om.Windows))
 				for m := range om.Windows {
-					om.Windows[m].Xmit = 0
+					was[m], om.Windows[m].Xmit = om.Windows[m].Xmit, 0
 				}
 				for _, sl := range om.Slices {
 					for mi, m := range sl.Msgs {
 						om.Windows[m].Xmit += sl.Until[mi] - sl.Start
+					}
+				}
+				// One source command per message absorbs the change, so
+				// the command-time check passes as well.
+				for n := range om.Nodes {
+					for c := range om.Nodes[n].Commands {
+						cmd := &om.Nodes[n].Commands[c]
+						if xmit := om.Windows[cmd.Msg].Xmit; cmd.In.AP && xmit != was[cmd.Msg] {
+							cmd.End += xmit - was[cmd.Msg]
+							was[cmd.Msg] = xmit
+						}
 					}
 				}
 			}
@@ -443,30 +468,128 @@ func TestOmegaLinksetsMatchesPerMessageScan(t *testing.T) {
 	}
 }
 
-// TestSortCommandsMatchesFullSort compares the run-wise sort BuildOmega
-// uses with a full sort on random command lists: in frame order with
-// long runs of equal Start (one slice's messages, shuffled), and with a
-// start out of frame order, where it must fall back.
-func TestSortCommandsMatchesFullSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	for trial := 0; trial < 500; trial++ {
-		var cmds []Command
-		start := 0.0
-		for run := rng.Intn(8); run >= 0; run-- {
-			start += float64(1 + rng.Intn(3))
-			for _, m := range rng.Perm(12)[:1+rng.Intn(6)] {
-				cmds = append(cmds, Command{Start: start, End: start + 1, Msg: tfg.MessageID(m)})
+// TestOmegaCommandsAreMaximalRuns holds every command to one maximal
+// run of its message's transmission. For every (node, message) on the
+// message's path, the node's commands for it, in order, are exactly the
+// union of the message's slice spans: so they are disjoint, and no two
+// abut. The cases are the standard configurations at their lowest load
+// (the two B=64 tori emit no Ω), a layered graph on the 8x8 torus, and a
+// sync margin, whose guard gaps leave nothing to merge.
+func TestOmegaCommandsAreMaximalRuns(t *testing.T) {
+	type span struct{ start, end float64 }
+	checked, perSlice, emitted := 0, 0, 0
+	check := func(name string, p Problem, opt Options) {
+		t.Helper()
+		res, err := Compute(p, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !res.Feasible {
+			return
+		}
+		checked++
+		om, pa := res.Omega, res.Assignment
+		// Each message's slice spans, unioned into maximal runs.
+		runs := make([][]span, len(om.Windows))
+		for _, sl := range om.Slices {
+			for mi, m := range sl.Msgs {
+				if len(pa.Links[m]) == 0 {
+					continue
+				}
+				perSlice += len(pa.Links[m]) + 1
+				r := runs[m]
+				if n := len(r); n > 0 && sl.Start <= r[n-1].end {
+					r[n-1].end = max(r[n-1].end, sl.Until[mi])
+				} else {
+					r = append(r, span{sl.Start, sl.Until[mi]})
+				}
+				runs[m] = r
 			}
 		}
-		if trial%5 == 0 && len(cmds) > 1 {
-			i, j := rng.Intn(len(cmds)), rng.Intn(len(cmds))
-			cmds[i], cmds[j] = cmds[j], cmds[i]
+		emitted += om.NumCommands()
+		for _, ns := range om.Nodes {
+			got := map[tfg.MessageID][]span{}
+			for _, c := range ns.Commands {
+				got[c.Msg] = append(got[c.Msg], span{c.Start, c.End})
+			}
+			for m, r := range runs {
+				if len(r) == 0 || !slices.Contains(pa.Paths[m].Nodes, ns.Node) {
+					continue
+				}
+				if !slices.Equal(got[tfg.MessageID(m)], r) {
+					t.Fatalf("%s: node %d message %d: commands %v, slice runs %v", name, ns.Node, m, got[tfg.MessageID(m)], r)
+				}
+				delete(got, tfg.MessageID(m))
+			}
+			for m := range got {
+				t.Fatalf("%s: node %d switches message %d, which is not on its path", name, ns.Node, m)
+			}
 		}
-		want := slices.Clone(cmds)
-		slices.SortFunc(want, cmpCommand)
-		sortCommands(cmds)
-		if !slices.Equal(cmds, want) {
-			t.Fatalf("trial %d: run-wise sort %v, full sort %v", trial, cmds, want)
+	}
+	for name, top := range solverGoldenTopologies(t) {
+		for _, bw := range []float64{64, 128} {
+			check(fmt.Sprintf("%s-b%g", name, bw), dvbProblem(t, top, bw, gridTauIn(11)), Options{Seed: 1})
+		}
+	}
+	if checked != 6 {
+		t.Fatalf("%d standard configurations emitted an Ω, want 6", checked)
+	}
+	torus, err := topology.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tfg.RandomLayered(7, []int{8, 16, 16, 16, 8}, 100, 100, 256, 3200, 0.15)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := tfg.NewUniformTiming(g, 50, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := alloc.Random(g, torus, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check("layered-torus88", Problem{Graph: g, Timing: tm, Topology: torus, Assignment: as, TauIn: 100}, Options{Seed: 1})
+	check("6cube-b128-margin", dvbProblem(t, sixCube(t), 128, gridTauIn(8)), Options{Seed: 1, SyncMargin: 2})
+	if checked != 8 {
+		t.Fatalf("%d cases emitted an Ω, want 8", checked)
+	}
+	if emitted >= perSlice {
+		t.Fatalf("%d commands for %d (slice, hop) pairs: no run was merged", emitted, perSlice)
+	}
+}
+
+// TestValidateRejectsMistimedCommands holds Validate to the commands'
+// own times, not only to the slices': a source command cut short or run
+// long no longer delivers the message's transmission time.
+func TestValidateRejectsMistimedCommands(t *testing.T) {
+	p := dvbProblem(t, sixCube(t), 128, gridTauIn(5))
+	res, err := Compute(p, Options{Seed: 1})
+	if err != nil || !res.Feasible {
+		t.Fatalf("setup: %v %v", err, res.FailStage)
+	}
+	if err := res.Omega.Validate(p.Topology); err != nil {
+		t.Fatal(err)
+	}
+	for _, delta := range []float64{-0.5, 0.5} {
+		om := *res.Omega
+		om.Nodes = slices.Clone(om.Nodes)
+		edited := false
+		for n := range om.Nodes {
+			om.Nodes[n].Commands = slices.Clone(om.Nodes[n].Commands)
+			for c := range om.Nodes[n].Commands {
+				if cmd := &om.Nodes[n].Commands[c]; !edited && cmd.In.AP && cmd.End-cmd.Start > 1 {
+					cmd.End += delta
+					edited = true
+				}
+			}
+		}
+		if !edited {
+			t.Fatal("no source command to edit")
+		}
+		if err := om.Validate(p.Topology); err == nil {
+			t.Errorf("a source command %+g µs off its slices passed validation", delta)
 		}
 	}
 }

@@ -248,7 +248,10 @@ type ScheduleResult struct {
 
 	Intervals int `json:"intervals,omitempty"`
 	Slices    int `json:"slices,omitempty"`
-	Commands  int `json:"commands,omitempty"`
+	// Commands is Ω's switching-command count over every CP. A command
+	// spans one or more consecutive slices: one run of a message's
+	// transmission at one node.
+	Commands int `json:"commands,omitempty"`
 
 	// Omega is the versioned Ω JSON artifact (present only when the
 	// request set IncludeOmega and the problem was feasible).
