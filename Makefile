@@ -44,12 +44,16 @@ race:
 # and a save/load round trip (internal/schedule/fuzz_test.go).
 # FuzzWatchAttach: arbitrary Last-Event-ID bytes against an empty, a
 # partly evicted and a closed frame log (internal/service/fuzz_test.go).
+# FuzzLP: arbitrary bytes as a small LP over small integer coefficients,
+# solved under a 1 s deadline, whose answer lp.Check must accept
+# (internal/lp/fuzz_test.go).
 # Minimization is capped so the budget goes to new inputs; a crasher
 # lands in the package's testdata/fuzz/.
 fuzz-smoke:
 	$(GO) test ./pkg/schedroute -run '^$$' -fuzz FuzzRequestDecode -fuzztime 20s -fuzzminimizetime 10x
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzOmegaDecode -fuzztime 20s -fuzzminimizetime 10x
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzWatchAttach -fuzztime 20s -fuzzminimizetime 10x
+	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLP -fuzztime 20s -fuzzminimizetime 10x
 
 # Non-test Go lines per package (plain wc -l, no comment stripping): the
 # number a diet PR quotes before and after (scripts/loc.sh).

@@ -9,21 +9,33 @@ import (
 
 func approx(a, b float64) bool { return math.Abs(a-b) < 1e-6 }
 
+// addRow adds a row the test spells out by hand; a refusal is a test bug.
+func addRow(t *testing.T, p *Problem, idx []int32, val []float64, op Op, b float64) {
+	t.Helper()
+	if err := p.AddRow(idx, val, op, b); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// solve solves p and fails the test unless Check accepts the answer.
+func solve(t *testing.T, p *Problem) Solution {
+	t.Helper()
+	s := p.Solve()
+	if err := p.Check(s); err != nil {
+		t.Fatalf("%v answer fails Check: %v", s.Status, err)
+	}
+	return s
+}
+
 func TestSimpleMin(t *testing.T) {
 	// minimize x+y s.t. x+y >= 2, x <= 5, y <= 5 → objective 2.
 	p := NewProblem(2)
 	p.SetCost(0, 1)
 	p.SetCost(1, 1)
-	if err := p.AddDense([]float64{1, 1}, GE, 2); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddDense([]float64{1, 0}, LE, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := p.AddDense([]float64{0, 1}, LE, 5); err != nil {
-		t.Fatal(err)
-	}
-	s := p.Solve()
+	addRow(t, p, []int32{0, 1}, []float64{1, 1}, GE, 2)
+	addRow(t, p, []int32{0}, []float64{1}, LE, 5)
+	addRow(t, p, []int32{1}, []float64{1}, LE, 5)
+	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -37,9 +49,9 @@ func TestMaximizationViaNegation(t *testing.T) {
 	p := NewProblem(2)
 	p.SetCost(0, -3)
 	p.SetCost(1, -2)
-	_ = p.AddDense([]float64{1, 1}, LE, 4)
-	_ = p.AddDense([]float64{1, 3}, LE, 6)
-	s := p.Solve()
+	addRow(t, p, []int32{0, 1}, []float64{1, 1}, LE, 4)
+	addRow(t, p, []int32{0, 1}, []float64{1, 3}, LE, 6)
+	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -56,9 +68,9 @@ func TestEqualityConstraints(t *testing.T) {
 	p := NewProblem(2)
 	p.SetCost(0, 2)
 	p.SetCost(1, 3)
-	_ = p.AddDense([]float64{1, 1}, EQ, 10)
-	_ = p.AddDense([]float64{1, -1}, EQ, 2)
-	s := p.Solve()
+	addRow(t, p, []int32{0, 1}, []float64{1, 1}, EQ, 10)
+	addRow(t, p, []int32{0, 1}, []float64{1, -1}, EQ, 2)
+	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -72,20 +84,18 @@ func TestEqualityConstraints(t *testing.T) {
 
 func TestInfeasible(t *testing.T) {
 	p := NewProblem(1)
-	_ = p.AddDense([]float64{1}, LE, 1)
-	_ = p.AddDense([]float64{1}, GE, 3)
-	s := p.Solve()
-	if s.Status != Infeasible {
+	addRow(t, p, []int32{0}, []float64{1}, LE, 1)
+	addRow(t, p, []int32{0}, []float64{1}, GE, 3)
+	if s := solve(t, p); s.Status != Infeasible {
 		t.Errorf("status = %v, want infeasible", s.Status)
 	}
 }
 
 func TestInfeasibleEquality(t *testing.T) {
 	p := NewProblem(2)
-	_ = p.AddDense([]float64{1, 1}, EQ, 5)
-	_ = p.AddDense([]float64{1, 1}, EQ, 7)
-	s := p.Solve()
-	if s.Status != Infeasible {
+	addRow(t, p, []int32{0, 1}, []float64{1, 1}, EQ, 5)
+	addRow(t, p, []int32{0, 1}, []float64{1, 1}, EQ, 7)
+	if s := solve(t, p); s.Status != Infeasible {
 		t.Errorf("status = %v, want infeasible", s.Status)
 	}
 }
@@ -94,9 +104,8 @@ func TestUnbounded(t *testing.T) {
 	// minimize -x with only x >= 0: unbounded below.
 	p := NewProblem(1)
 	p.SetCost(0, -1)
-	_ = p.AddDense([]float64{1}, GE, 0)
-	s := p.Solve()
-	if s.Status != Unbounded {
+	addRow(t, p, []int32{0}, []float64{1}, GE, 0)
+	if s := solve(t, p); s.Status != Unbounded {
 		t.Errorf("status = %v, want unbounded", s.Status)
 	}
 }
@@ -105,8 +114,8 @@ func TestNegativeRHSNormalization(t *testing.T) {
 	// x - y <= -1 means y >= x+1; minimize y → x=0, y=1.
 	p := NewProblem(2)
 	p.SetCost(1, 1)
-	_ = p.AddDense([]float64{1, -1}, LE, -1)
-	s := p.Solve()
+	addRow(t, p, []int32{0, 1}, []float64{1, -1}, LE, -1)
+	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -119,10 +128,10 @@ func TestRedundantConstraints(t *testing.T) {
 	p := NewProblem(2)
 	p.SetCost(0, 1)
 	p.SetCost(1, 1)
-	_ = p.AddDense([]float64{1, 1}, EQ, 4)
-	_ = p.AddDense([]float64{2, 2}, EQ, 8) // redundant copy
-	_ = p.AddDense([]float64{1, 0}, GE, 1)
-	s := p.Solve()
+	addRow(t, p, []int32{0, 1}, []float64{1, 1}, EQ, 4)
+	addRow(t, p, []int32{0, 1}, []float64{2, 2}, EQ, 8) // redundant copy
+	addRow(t, p, []int32{0}, []float64{1}, GE, 1)
+	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -133,41 +142,59 @@ func TestRedundantConstraints(t *testing.T) {
 
 func TestNoConstraints(t *testing.T) {
 	p := NewProblem(3)
-	s := p.Solve()
+	s := solve(t, p)
 	if s.Status != Optimal || len(s.X) != 3 {
 		t.Errorf("want trivial optimum at origin, got %+v", s)
+	}
+}
+
+// TestEmptySystem: with no rows, a negative cost is unbounded along its
+// variable, and costs ≥ 0 are optimal at the origin.
+func TestEmptySystem(t *testing.T) {
+	p := NewProblem(2)
+	p.SetCost(0, 1)
+	p.SetCost(1, -1)
+	if s := solve(t, p); s.Status != Unbounded {
+		t.Errorf("minimize x0 - x1 over x >= 0: status %v, want unbounded", s.Status)
+	}
+	p.Reset(2)
+	p.SetCost(0, 1)
+	if s := solve(t, p); s.Status != Optimal || s.Objective != 0 || s.X[0] != 0 || s.X[1] != 0 {
+		t.Errorf("minimize x0 over x >= 0: %+v, want optimal at the origin", s)
 	}
 }
 
 func TestSparseConstraint(t *testing.T) {
 	p := NewProblem(4)
 	p.SetCost(3, 1)
-	if err := p.AddSparse(map[int]float64{3: 1}, GE, 7); err != nil {
-		t.Fatal(err)
-	}
-	s := p.Solve()
+	addRow(t, p, []int32{3}, []float64{1}, GE, 7)
+	s := solve(t, p)
 	if s.Status != Optimal || !approx(s.X[3], 7) {
 		t.Errorf("solution = %+v", s)
 	}
-	if err := p.AddSparse(map[int]float64{9: 1}, LE, 1); err == nil {
+	if err := p.AddRow([]int32{9}, []float64{1}, LE, 1); err == nil {
 		t.Error("out-of-range index should fail")
 	}
-	if err := p.AddDense([]float64{1}, LE, 1); err == nil {
-		t.Error("wrong-length dense row should fail")
+	if err := p.AddRow([]int32{2, 1}, []float64{1, 1}, LE, 1); err == nil {
+		t.Error("descending indices should fail")
+	}
+	if err := p.AddRow([]int32{0}, []float64{1, 1}, LE, 1); err == nil {
+		t.Error("index/value length mismatch should fail")
 	}
 }
 
 func TestDegenerateNoCycle(t *testing.T) {
-	// Classic Beale-style degenerate problem; Bland's rule must terminate.
+	// Beale's (1955) degenerate problem, which cycles under Dantzig's
+	// rule; Bland's rule must terminate.
 	p := NewProblem(4)
 	p.SetCost(0, -0.75)
 	p.SetCost(1, 150)
 	p.SetCost(2, -0.02)
 	p.SetCost(3, 6)
-	_ = p.AddDense([]float64{0.25, -60, -0.04, 9}, LE, 0)
-	_ = p.AddDense([]float64{0.5, -90, -0.02, 3}, LE, 0)
-	_ = p.AddDense([]float64{0, 0, 1, 0}, LE, 1)
-	s := p.Solve()
+	addRow(t, p, []int32{0, 1, 2, 3}, []float64{0.25, -60, -0.04, 9}, LE, 0)
+	addRow(t, p, []int32{0, 1, 2, 3}, []float64{0.5, -90, -0.02, 3}, LE, 0)
+	addRow(t, p, []int32{2}, []float64{1}, LE, 1)
+	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -184,11 +211,11 @@ func TestTransportationProblem(t *testing.T) {
 	p.SetCost(1, 2)
 	p.SetCost(2, 3)
 	p.SetCost(3, 1)
-	_ = p.AddDense([]float64{1, 1, 0, 0}, EQ, 10)
-	_ = p.AddDense([]float64{0, 0, 1, 1}, EQ, 20)
-	_ = p.AddDense([]float64{1, 0, 1, 0}, EQ, 15)
-	_ = p.AddDense([]float64{0, 1, 0, 1}, EQ, 15)
-	s := p.Solve()
+	addRow(t, p, []int32{0, 1}, []float64{1, 1}, EQ, 10)
+	addRow(t, p, []int32{2, 3}, []float64{1, 1}, EQ, 20)
+	addRow(t, p, []int32{0, 2}, []float64{1, 1}, EQ, 15)
+	addRow(t, p, []int32{1, 3}, []float64{1, 1}, EQ, 15)
+	s := solve(t, p)
 	if s.Status != Optimal {
 		t.Fatalf("status = %v", s.Status)
 	}
@@ -198,7 +225,7 @@ func TestTransportationProblem(t *testing.T) {
 }
 
 // Property: for random feasible allocation-style systems (the exact shape
-// of Section 5.2), the solver finds a solution satisfying all constraints.
+// of Section 5.2), the solver finds a solution Check accepts.
 func TestQuickAllocationFeasibility(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -211,18 +238,15 @@ func TestQuickAllocationFeasibility(t *testing.T) {
 		}
 		// Build a known-feasible allocation, then present the solver with
 		// the induced demands.
-		alloc := make([][]float64, nMsg)
 		demand := make([]float64, nMsg)
 		used := make([]float64, nInt)
-		for i := range alloc {
-			alloc[i] = make([]float64, nInt)
+		for i := range demand {
 			for k := 0; k < nInt; k++ {
 				room := lens[k] - used[k]
 				if room <= 0 {
 					continue
 				}
 				take := rng.Float64() * room * 0.5
-				alloc[i][k] = take
 				used[k] += take
 				demand[i] += take
 			}
@@ -231,58 +255,35 @@ func TestQuickAllocationFeasibility(t *testing.T) {
 			}
 		}
 		p := NewProblem(nMsg * nInt)
+		ones := []float64{1, 1, 1, 1, 1, 1}
 		for i := 0; i < nMsg; i++ {
-			row := map[int]float64{}
+			var idx []int32
 			for k := 0; k < nInt; k++ {
-				row[i*nInt+k] = 1
+				idx = append(idx, int32(i*nInt+k))
 			}
-			if err := p.AddSparse(row, EQ, demand[i]); err != nil {
+			if p.AddRow(idx, ones[:nInt], EQ, demand[i]) != nil {
 				return false
 			}
 		}
 		for k := 0; k < nInt; k++ {
-			row := map[int]float64{}
+			var idx []int32
 			for i := 0; i < nMsg; i++ {
-				row[i*nInt+k] = 1
+				idx = append(idx, int32(i*nInt+k))
 			}
-			if err := p.AddSparse(row, LE, lens[k]); err != nil {
+			if p.AddRow(idx, ones[:nMsg], LE, lens[k]) != nil {
 				return false
 			}
 		}
 		s := p.Solve()
-		if s.Status != Optimal {
-			return false
-		}
-		// Verify constraints hold.
-		for i := 0; i < nMsg; i++ {
-			sum := 0.0
-			for k := 0; k < nInt; k++ {
-				sum += s.X[i*nInt+k]
-				if s.X[i*nInt+k] < -1e-9 {
-					return false
-				}
-			}
-			if math.Abs(sum-demand[i]) > 1e-6 {
-				return false
-			}
-		}
-		for k := 0; k < nInt; k++ {
-			sum := 0.0
-			for i := 0; i < nMsg; i++ {
-				sum += s.X[i*nInt+k]
-			}
-			if sum > lens[k]+1e-6 {
-				return false
-			}
-		}
-		return true
+		return s.Status == Optimal && p.Check(s) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)
 	}
 }
 
-// Property: the reported objective always equals c·X for optimal solves.
+// Property: bounded random systems solve to an optimum Check accepts,
+// which includes the reported objective equalling c·X.
 func TestQuickObjectiveConsistency(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -291,31 +292,20 @@ func TestQuickObjectiveConsistency(t *testing.T) {
 		for j := 0; j < n; j++ {
 			p.SetCost(j, rng.Float64()*4-1)
 		}
+		all := []int32{0, 1, 2, 3}
 		for i := 0; i < n+1; i++ {
 			a := make([]float64, n)
 			for j := range a {
 				a[j] = rng.Float64()
 			}
-			_ = p.AddDense(a, LE, 1+rng.Float64()*5)
+			_ = p.AddRow(all[:n], a, LE, 1+rng.Float64()*5)
 		}
 		// Bound all variables to keep it bounded.
 		for j := 0; j < n; j++ {
-			a := make([]float64, n)
-			a[j] = 1
-			_ = p.AddDense(a, LE, 10)
+			_ = p.AddRow(all[j:j+1], []float64{1}, LE, 10)
 		}
 		s := p.Solve()
-		if s.Status != Optimal {
-			return false
-		}
-		dot := 0.0
-		for j := 0; j < n; j++ {
-			if s.X[j] < -1e-9 {
-				return false
-			}
-			dot += s.X[j] * p.c[j]
-		}
-		return math.Abs(dot-s.Objective) < 1e-6
+		return s.Status == Optimal && p.Check(s) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)

@@ -1,7 +1,6 @@
 package lp
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
@@ -68,7 +67,8 @@ func randomAllocationLP(rng *rand.Rand) *Problem {
 
 // randomDenseLP builds an unstructured instance (dense-ish rows, mixed
 // ops, negative coefficients and RHS) to cover the normalization and
-// unbounded paths the structured generator cannot reach.
+// unbounded paths the structured generator cannot reach. Nearly a
+// quarter of its draws have no rows at all.
 func randomDenseLP(rng *rand.Rand) *Problem {
 	nvars := 1 + rng.Intn(8)
 	p := NewProblem(nvars)
@@ -78,69 +78,191 @@ func randomDenseLP(rng *rand.Rand) *Problem {
 	rows := rng.Intn(8)
 	ops := []Op{LE, GE, EQ}
 	for r := 0; r < rows; r++ {
-		a := make([]float64, nvars)
-		for j := range a {
+		var idx []int32
+		var val []float64
+		for j := 0; j < nvars; j++ {
 			if rng.Float64() < 0.6 {
-				a[j] = rng.NormFloat64()
+				idx = append(idx, int32(j))
+				val = append(val, rng.NormFloat64())
 			}
 		}
-		_ = p.AddDense(a, ops[rng.Intn(len(ops))], rng.NormFloat64()*5)
+		_ = p.AddRow(idx, val, ops[rng.Intn(len(ops))], rng.NormFloat64()*5)
 	}
 	return p
 }
 
-func checkAgreement(t *testing.T, p *Problem, seed int64, kind string) {
-	t.Helper()
-	sparse := p.Solve()
-	dense := p.SolveDense()
-	if sparse.Status != dense.Status {
-		t.Fatalf("%s seed %d: sparse status %v, dense status %v", kind, seed, sparse.Status, dense.Status)
+// smallInt draws from {-2, …, 2}, zero twice as often: integer
+// coefficients make ties, degenerate vertices and redundant rows common.
+func smallInt(rng *rand.Rand) float64 {
+	return []float64{-2, -1, 0, 0, 1, 2}[rng.Intn(6)]
+}
+
+// randomDegenerateLP builds a system most of whose rows pass through the
+// origin (b = 0), over small integer coefficients, capped by one
+// Σx ≤ 10 row half the time: every vertex at the origin is degenerate
+// many times over, the case Bland's rule exists for.
+func randomDegenerateLP(rng *rand.Rand) *Problem {
+	nvars := 2 + rng.Intn(7)
+	p := NewProblem(nvars)
+	for j := 0; j < nvars; j++ {
+		p.SetCost(j, smallInt(rng))
 	}
-	if sparse.Status != Optimal {
-		return
-	}
-	if math.Abs(sparse.Objective-dense.Objective) > 1e-6 {
-		t.Fatalf("%s seed %d: sparse objective %g, dense %g", kind, seed, sparse.Objective, dense.Objective)
-	}
-	for j := range sparse.X {
-		if sparse.X[j] != dense.X[j] {
-			t.Fatalf("%s seed %d: x[%d] sparse %g, dense %g", kind, seed, j, sparse.X[j], dense.X[j])
+	ops := []Op{LE, GE, EQ}
+	for r := 2 + rng.Intn(8); r > 0; r-- {
+		var idx []int32
+		var val []float64
+		for j := 0; j < nvars; j++ {
+			if v := smallInt(rng); v != 0 {
+				idx = append(idx, int32(j))
+				val = append(val, v)
+			}
 		}
+		b := 0.0
+		if rng.Intn(4) == 0 {
+			b = smallInt(rng)
+		}
+		_ = p.AddRow(idx, val, ops[rng.Intn(len(ops))], b)
+	}
+	if rng.Intn(2) == 0 {
+		idx := make([]int32, nvars)
+		val := make([]float64, nvars)
+		for j := range idx {
+			idx[j], val[j] = int32(j), 1
+		}
+		_ = p.AddRow(idx, val, LE, 10)
+	}
+	return p
+}
+
+// pointRows adds rows rows that the point x0 ≥ 0 satisfies, with mixed
+// operators and random slack; dirOK(op, j, v) vetoes the coefficient v of
+// variable j in a row of operator op (it is dropped).
+func pointRows(rng *rand.Rand, p *Problem, x0 []float64, rows int, dirOK func(op Op, j int, v float64) bool) {
+	ops := []Op{LE, GE, EQ}
+	for ; rows > 0; rows-- {
+		op := ops[rng.Intn(len(ops))]
+		var idx []int32
+		var val []float64
+		ax := 0.0
+		for j := range x0 {
+			if v := rng.NormFloat64(); rng.Float64() < 0.6 && dirOK(op, j, v) {
+				idx = append(idx, int32(j))
+				val = append(val, v)
+				ax += v * x0[j]
+			}
+		}
+		switch op {
+		case LE:
+			ax += rng.Float64()
+		case GE:
+			ax -= rng.Float64()
+		}
+		_ = p.AddRow(idx, val, op, ax)
 	}
 }
 
-// TestSparseDenseAgreement is the backend cross-check: on randomized
-// allocation-shaped and unstructured systems — feasible, infeasible and
-// unbounded alike — the sparse revised simplex must report the same
-// status as the dense reference, and on optimal instances the same
-// objective and the bit-identical vertex (same pivot sequence).
-func TestSparseDenseAgreement(t *testing.T) {
+// randomInfeasibleLP builds a system feasible at a random point, then
+// adds a pair of rows that contradict each other: a·x ≤ β and
+// a·x ≥ β + gap for one random a ≥ 0.
+func randomInfeasibleLP(rng *rand.Rand) *Problem {
+	nvars := 1 + rng.Intn(8)
+	p := NewProblem(nvars)
+	x0 := make([]float64, nvars)
+	for j := range x0 {
+		x0[j] = 5 * rng.Float64()
+		p.SetCost(j, rng.NormFloat64())
+	}
+	pointRows(rng, p, x0, rng.Intn(6), func(Op, int, float64) bool { return true })
+	var idx []int32
+	var val []float64
+	for j := 0; j < nvars; j++ {
+		if len(idx) == 0 || rng.Float64() < 0.5 {
+			idx = append(idx, int32(j))
+			val = append(val, 0.1+rng.Float64())
+		}
+	}
+	beta := 10 * rng.NormFloat64()
+	_ = p.AddRow(idx, val, LE, beta)
+	_ = p.AddRow(idx, val, GE, beta+0.01+rng.Float64())
+	return p
+}
+
+// randomUnboundedLP builds a system feasible at a random point in which
+// one variable with a negative cost can grow forever: it has only
+// coefficients ≤ 0 in LE rows, ≥ 0 in GE rows and none in EQ rows.
+func randomUnboundedLP(rng *rand.Rand) *Problem {
+	nvars := 1 + rng.Intn(8)
+	p := NewProblem(nvars)
+	x0 := make([]float64, nvars)
+	for j := range x0 {
+		x0[j] = 5 * rng.Float64()
+		p.SetCost(j, rng.NormFloat64())
+	}
+	free := rng.Intn(nvars)
+	p.SetCost(free, -0.1-rng.Float64())
+	pointRows(rng, p, x0, rng.Intn(8), func(op Op, j int, v float64) bool {
+		return j != free || (op == LE && v < 0) || (op == GE && v > 0)
+	})
+	return p
+}
+
+// TestSolveAnswersCheck: every answer the solver gives — on allocation-
+// shaped, unstructured, degenerate, infeasible and unbounded systems —
+// carries a certificate Check accepts, and the three families built to
+// have a known status get it.
+func TestSolveAnswersCheck(t *testing.T) {
 	n := 400
 	if testing.Short() {
 		n = 60
 	}
-	for seed := int64(0); seed < int64(n); seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		checkAgreement(t, randomAllocationLP(rng), seed, "alloc")
-		checkAgreement(t, randomDenseLP(rng), seed, "dense")
+	families := []struct {
+		name string
+		gen  func(*rand.Rand) *Problem
+		want Status // -1: any
+	}{
+		{"alloc", randomAllocationLP, -1},
+		{"dense", randomDenseLP, -1},
+		{"degenerate", randomDegenerateLP, -1},
+		{"infeasible", randomInfeasibleLP, Infeasible},
+		{"unbounded", randomUnboundedLP, Unbounded},
+	}
+	for _, f := range families {
+		var counts [3]int
+		for seed := int64(0); seed < int64(n); seed++ {
+			// alloc and dense draw from one stream per seed, in that order.
+			rng := rand.New(rand.NewSource(seed))
+			if f.name == "dense" {
+				randomAllocationLP(rng)
+			}
+			p := f.gen(rng)
+			s := p.Solve()
+			if err := p.Check(s); err != nil {
+				t.Fatalf("%s seed %d: %v answer fails Check: %v", f.name, seed, s.Status, err)
+			}
+			if f.want >= 0 && s.Status != f.want {
+				t.Fatalf("%s seed %d: status %v, want %v", f.name, seed, s.Status, f.want)
+			}
+			counts[s.Status]++
+		}
+		t.Logf("%-10s %d optimal, %d infeasible, %d unbounded", f.name, counts[Optimal], counts[Infeasible], counts[Unbounded])
 	}
 }
 
-// TestSparseDenseAgreementAfterReset replays the cross-check through
-// one pooled Problem, the way solveArena uses it: Reset must leave no
-// residue that changes any answer.
-func TestSparseDenseAgreementAfterReset(t *testing.T) {
+// TestPooledSolveMatchesFreshAfterReset replays the allocation systems
+// through one pooled Problem, the way solveArena uses it: Reset must
+// leave no residue that changes any answer or its certificate.
+func TestPooledSolveMatchesFreshAfterReset(t *testing.T) {
 	pooled := NewProblem(1)
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		fresh := randomAllocationLP(rng)
 
 		// Rebuild the identical system on the pooled problem.
-		pooled.Reset(fresh.NumVars())
-		for j := 0; j < fresh.NumVars(); j++ {
+		pooled.Reset(fresh.nvars)
+		for j := 0; j < fresh.nvars; j++ {
 			pooled.SetCost(j, fresh.c[j])
 		}
-		for r := 0; r < fresh.NumConstraints(); r++ {
+		for r := range fresh.ops {
 			idx, val := fresh.rowNonzeros(r)
 			if err := pooled.AddRow(idx, val, fresh.ops[r], fresh.bs[r]); err != nil {
 				t.Fatal(err)
@@ -158,5 +280,75 @@ func TestSparseDenseAgreementAfterReset(t *testing.T) {
 				t.Fatalf("seed %d: pooled x[%d] = %g, fresh %g", seed, j, got.X[j], want.X[j])
 			}
 		}
+		if err := pooled.Check(got); err != nil {
+			t.Fatalf("seed %d: pooled answer fails Check: %v", seed, err)
+		}
+	}
+}
+
+// TestCheckRejectsCorruptCertificates corrupts one entry of each kind of
+// proof and requires Check to refuse it: an X entry and a dual sign of
+// an optimum, a Farkas entry, and a ray entry.
+func TestCheckRejectsCorruptCertificates(t *testing.T) {
+	cases := []struct {
+		name    string
+		cost    []float64
+		rows    [][]float64 // coefficients over every variable, then b
+		ops     []Op
+		want    Status
+		corrupt func(s *Solution, c *certificate)
+	}{
+		{
+			// minimize 2x+3y s.t. x+y = 10, x-y = 2: x = (6, 4).
+			name: "optimal X", cost: []float64{2, 3},
+			rows: [][]float64{{1, 1, 10}, {1, -1, 2}}, ops: []Op{EQ, EQ}, want: Optimal,
+			corrupt: func(s *Solution, _ *certificate) { s.X[0]++ },
+		},
+		{
+			// minimize x+y s.t. x+y >= 2: the GE row's multiplier is 1.
+			name: "dual sign", cost: []float64{1, 1},
+			rows: [][]float64{{1, 1, 2}, {1, 0, 5}, {0, 1, 5}}, ops: []Op{GE, LE, LE}, want: Optimal,
+			corrupt: func(_ *Solution, c *certificate) { c.y[0] = -c.y[0] },
+		},
+		{
+			// x <= 1 and x >= 3: y = (-1, 1).
+			name: "Farkas entry", cost: []float64{0},
+			rows: [][]float64{{1, 1}, {1, 3}}, ops: []Op{LE, GE}, want: Infeasible,
+			corrupt: func(_ *Solution, c *certificate) { c.y[0] = 0 },
+		},
+		{
+			// minimize -x0 s.t. x0 - x1 <= 1: ray (1, 1).
+			name: "ray entry", cost: []float64{-1, 0},
+			rows: [][]float64{{1, -1, 1}}, ops: []Op{LE}, want: Unbounded,
+			corrupt: func(_ *Solution, c *certificate) { c.d[1] = 0 },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := NewProblem(len(tc.cost))
+			for j, v := range tc.cost {
+				p.SetCost(j, v)
+			}
+			for i, row := range tc.rows {
+				var idx []int32
+				var val []float64
+				for j, v := range row[:len(row)-1] {
+					if v != 0 {
+						idx = append(idx, int32(j))
+						val = append(val, v)
+					}
+				}
+				addRow(t, p, idx, val, tc.ops[i], row[len(row)-1])
+			}
+			s := solve(t, p)
+			if s.Status != tc.want {
+				t.Fatalf("status %v, want %v", s.Status, tc.want)
+			}
+			c := p.certificate(s.Status)
+			tc.corrupt(&s, &c)
+			if err := p.check(s, c); err == nil {
+				t.Fatal("Check accepted the corrupted certificate")
+			}
+		})
 	}
 }

@@ -3,25 +3,16 @@ package lp
 import (
 	"context"
 	"math"
+	"slices"
 )
 
 // The sparse tableau. Interval-membership systems are extremely sparse —
 // a demand row touches one message's active intervals, a capacity row
-// one link's users — and the dense tableau spends almost all its time
+// one link's users — and a dense tableau spends almost all its time
 // multiplying and copying structural zeros. The rows here store only
 // nonzeros (index-sorted), and every pivot walks the union of two rows'
-// supports instead of the full column range.
-//
-// Bit-identity with the dense oracle is by construction, not by
-// tolerance: the entering/leaving choices read the same values the dense
-// code reads (absent entries are exact zeros on both sides), and each
-// pivot performs the identical `v -= f*t` / `v *= inv` operation on each
-// nonzero position in the same dependency order. Entries that cancel to
-// exactly zero are dropped from the support; the dense tableau keeps a
-// stored ±0 there, but a stored zero and an absent entry are
-// interchangeable in IEEE arithmetic up to the sign of zero, which no
-// comparison, division (pivots exceed eps in magnitude), or emitted
-// value in this package can distinguish.
+// supports instead of the full column range. Entries that cancel to
+// exactly zero are dropped from the support.
 
 // sparseWork is the reusable Solve scratch owned by a Problem.
 type sparseWork struct {
@@ -34,9 +25,11 @@ type sparseWork struct {
 	tmpV  []float64
 
 	// The entering column as gathered by gatherColumn: its nonzero
-	// coefficients and their rows, ascending.
+	// coefficients and their rows, ascending, and, when it ended a solve
+	// as Unbounded, its index enter, which with them is the ray Check reads.
 	colRow []int32
 	colVal []float64
+	enter  int
 
 	pivots int // pivots performed by the current Solve
 }
@@ -49,7 +42,8 @@ type sparseWork struct {
 const pollPivots = 256
 
 // lookup returns the coefficient at column j of the sorted support, or
-// exactly 0 when absent.
+// exactly 0 when absent. Written out: slices.BinarySearch is not inlined
+// here, and its call per row per pivot costs a visible share of a solve.
 func lookup(idx []int32, val []float64, j int32) float64 {
 	lo, hi := 0, len(idx)
 	for lo < hi {
@@ -66,29 +60,18 @@ func lookup(idx []int32, val []float64, j int32) float64 {
 	return 0
 }
 
-func (w *sparseWork) ensure(m int) {
-	if cap(w.idx) < m {
-		ni := make([][]int32, m)
-		copy(ni, w.idx)
-		w.idx = ni
-		nv := make([][]float64, m)
-		copy(nv, w.val)
-		w.val = nv
-	} else {
-		w.idx = w.idx[:m]
-		w.val = w.val[:m]
-	}
-	if cap(w.rhs) < m {
-		w.rhs = make([]float64, m)
-		w.basis = make([]int, m)
-	} else {
-		w.rhs = w.rhs[:m]
-		w.basis = w.basis[:m]
-	}
+// ensure sizes the scratch for m rows and total columns, keeping every
+// row buffer it already holds.
+func (w *sparseWork) ensure(m, total int) {
+	w.idx = slices.Grow(w.idx[:0], m)[:m]
+	w.val = slices.Grow(w.val[:0], m)[:m]
+	w.rhs = slices.Grow(w.rhs[:0], m)[:m]
+	w.basis = slices.Grow(w.basis[:0], m)[:m]
+	w.obj = slices.Grow(w.obj[:0], total+1)[:total+1]
 }
 
 // scaleRow multiplies row r by inv and then forces column enter to
-// exactly 1, mirroring the dense pivot's exactness fix-up.
+// exactly 1.
 func (w *sparseWork) scaleRow(r int, inv float64, enter int32) {
 	iv, vv := w.idx[r], w.val[r]
 	for t := range vv {
@@ -104,8 +87,8 @@ func (w *sparseWork) scaleRow(r int, inv float64, enter int32) {
 }
 
 // eliminate subtracts f times the (already scaled) leave row from row r
-// over the union of their supports, dropping the enter column (the dense
-// code zeroes it explicitly) and any entry that cancels to exact zero.
+// over the union of their supports, dropping the enter column (the pivot
+// zeroes it) and any entry that cancels to exact zero.
 func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
 	ai, av := w.idx[r], w.val[r]
 	bi, bv := w.idx[leave], w.val[leave]
@@ -115,7 +98,6 @@ func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
 		switch {
 		case ai[x] == bi[y]:
 			if j := ai[x]; j != enter {
-				// The same op the dense loop performs at this cell.
 				if v := av[x] - f*bv[y]; v != 0 {
 					ti = append(ti, j)
 					tv = append(tv, v)
@@ -124,14 +106,14 @@ func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
 			x++
 			y++
 		case ai[x] < bi[y]:
-			// Leave row is zero here: dense computes v -= f*0, a no-op.
+			// Leave row is zero here: nothing to subtract.
 			if j := ai[x]; j != enter {
 				ti = append(ti, j)
 				tv = append(tv, av[x])
 			}
 			x++
 		default:
-			// Row r is zero here: dense computes 0 - f*t.
+			// Row r is zero here: the entry becomes 0 - f*t.
 			if j := bi[y]; j != enter {
 				if v := 0 - f*bv[y]; v != 0 {
 					ti = append(ti, j)
@@ -175,11 +157,11 @@ func (w *sparseWork) gatherColumn(enter int32) {
 	}
 }
 
-// pivotSparse makes column enter basic in row leave: the sparse
-// counterpart of the dense pivot, touching only stored nonzeros. The
-// caller has gathered column enter. The gathered coefficients stay
-// current throughout: eliminating row i rewrites row i alone, and the
-// leave row's own coefficient is read before the row is scaled.
+// pivotSparse makes column enter basic in row leave, touching only
+// stored nonzeros. The caller has gathered column enter. The gathered
+// coefficients stay current throughout: eliminating row i rewrites row i
+// alone, and the leave row's own coefficient is read before the row is
+// scaled.
 func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 	pv := lookup(w.idx[leave], w.val[leave], enter)
 	inv := 1.0 / pv
@@ -190,11 +172,7 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 		}
 	}
 	if f := w.obj[enter]; f != 0 {
-		li, lv := w.idx[leave], w.val[leave]
-		for t, j := range li {
-			w.obj[j] -= f * lv[t]
-		}
-		w.obj[total] -= f * w.rhs[leave]
+		w.subObj(leave, f, total)
 		w.obj[enter] = 0
 	}
 	w.basis[leave] = int(enter)
@@ -202,10 +180,10 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 }
 
 // iterateSparse runs primal simplex with Bland's rule over the sparse
-// tableau until optimal; returns false on unboundedness, and ctx's error
-// once ctx is done. The entering and leaving scans read exactly the
-// values the dense scans read (a row absent from the gathered column
-// holds an exact zero there, which the ratio test skips either way).
+// tableau until optimal; returns false on unboundedness, with the
+// entering column gathered and its index in w.enter, and ctx's error
+// once ctx is done. A row absent from the gathered column holds an exact
+// zero there, which the ratio test would skip anyway.
 func (w *sparseWork) iterateSparse(ctx context.Context, total, barred int) (bool, error) {
 	for {
 		enter := -1
@@ -231,6 +209,7 @@ func (w *sparseWork) iterateSparse(ctx context.Context, total, barred int) (bool
 			}
 		}
 		if leave == -1 {
+			w.enter = enter
 			return false, nil
 		}
 		w.pivotSparse(leave, int32(enter), total)
@@ -243,8 +222,8 @@ func (w *sparseWork) iterateSparse(ctx context.Context, total, barred int) (bool
 }
 
 // Solve runs two-phase simplex over the sparse tableau and returns the
-// solution. When the problem is Infeasible or Unbounded, X is nil. The
-// result is bit-identical to SolveDense on the same system.
+// solution. When the problem is Infeasible or Unbounded, X is nil. Check
+// verifies the answer against p's rows.
 func (p *Problem) Solve() Solution {
 	sol, _ := p.SolveContext(context.Background())
 	return sol
@@ -254,56 +233,40 @@ func (p *Problem) Solve() Solution {
 // pivots of either phase: once ctx is done the solve stops and returns
 // ctx.Err(), bare.
 func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
-	m := len(p.ops)
-	if m == 0 {
-		// Trivially feasible at the origin.
-		return Solution{Status: Optimal, X: make([]float64, p.nvars)}, nil
-	}
-
 	nSlack, nArt := p.auxCounts()
 	total := p.nvars + nSlack + nArt
 	artStart := p.nvars + nSlack
 
 	w := &p.w
-	w.ensure(m)
+	w.ensure(len(p.ops), total)
 	w.pivots = 0
 	slackIdx, artIdx := int32(p.nvars), int32(artStart)
-	for i := 0; i < m; i++ {
+	for i := range p.ops {
 		ji, jv := p.rowNonzeros(i)
 		ri := append(w.idx[i][:0], ji...)
 		rv := append(w.val[i][:0], jv...)
-		b, op := p.bs[i], p.ops[i]
-		if b < 0 {
+		op, sign := p.normalized(i)
+		b := p.bs[i]
+		if sign < 0 {
 			for t := range rv {
 				rv[t] = -rv[t]
 			}
 			b = -b
-			switch op {
-			case LE:
-				op = GE
-			case GE:
-				op = LE
-			}
 		}
 		// Slack then artificial columns come after every structural
 		// index, so appending keeps the support sorted.
 		switch op {
 		case LE:
-			ri = append(ri, slackIdx)
-			rv = append(rv, 1)
+			ri, rv = append(ri, slackIdx), append(rv, 1)
 			w.basis[i] = int(slackIdx)
 			slackIdx++
 		case GE:
-			ri = append(ri, slackIdx)
-			rv = append(rv, -1)
-			slackIdx++
-			ri = append(ri, artIdx)
-			rv = append(rv, 1)
+			ri, rv = append(ri, slackIdx, artIdx), append(rv, -1, 1)
 			w.basis[i] = int(artIdx)
+			slackIdx++
 			artIdx++
 		case EQ:
-			ri = append(ri, artIdx)
-			rv = append(rv, 1)
+			ri, rv = append(ri, artIdx), append(rv, 1)
 			w.basis[i] = int(artIdx)
 			artIdx++
 		}
@@ -311,47 +274,29 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 		w.rhs[i] = b
 	}
 
-	if cap(w.obj) < total+1 {
-		w.obj = make([]float64, total+1)
-	} else {
-		w.obj = w.obj[:total+1]
-	}
-
 	// Phase 1: minimize the sum of artificials.
 	if nArt > 0 {
-		obj := w.obj
-		for j := range obj {
-			obj[j] = 0
-		}
+		clear(w.obj)
 		for j := artStart; j < total; j++ {
-			obj[j] = 1
+			w.obj[j] = 1
 		}
-		// Price out the artificial basis.
-		for i, bj := range w.basis {
-			if bj >= artStart {
-				ri, rv := w.idx[i], w.val[i]
-				for t, j := range ri {
-					obj[j] -= rv[t]
-				}
-				obj[total] -= w.rhs[i]
-			}
-		}
+		w.priceOut(total)
 		bounded, err := w.iterateSparse(ctx, total, total)
 		if err != nil {
 			return Solution{}, err
 		}
 		// Phase 1 objective is bounded below by zero, so unboundedness
 		// cannot occur; treat defensively.
-		if !bounded || -obj[total] > 1e-7 {
+		if !bounded || -w.obj[total] > 1e-7 {
 			return Solution{Status: Infeasible, Pivots: w.pivots}, nil
 		}
 		// Drive any artificial still in the basis out (degenerate zero
 		// rows); if impossible the row is redundant.
+	drive:
 		for i, bj := range w.basis {
 			if bj < artStart {
 				continue
 			}
-			pivoted := false
 			for t, j := range w.idx[i] {
 				if int(j) >= artStart {
 					break
@@ -359,37 +304,21 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 				if math.Abs(w.val[i][t]) > eps {
 					w.gatherColumn(j)
 					w.pivotSparse(i, j, total)
-					pivoted = true
-					break
+					continue drive
 				}
 			}
-			if !pivoted {
-				// Redundant constraint: zero the row to neutralize it.
-				w.idx[i] = w.idx[i][:0]
-				w.val[i] = w.val[i][:0]
-				w.rhs[i] = 0
-			}
+			// Redundant constraint: zero the row to neutralize it.
+			w.idx[i] = w.idx[i][:0]
+			w.val[i] = w.val[i][:0]
+			w.rhs[i] = 0
 		}
 	}
 
 	// Phase 2: original objective over structural + slack columns;
 	// artificial columns are frozen out by barring them from entering.
-	obj := w.obj
-	for j := range obj {
-		obj[j] = 0
-	}
-	copy(obj, p.c)
-	for i, bj := range w.basis {
-		if bj <= total && obj[bj] != 0 {
-			cb := obj[bj]
-			ri, rv := w.idx[i], w.val[i]
-			for t, j := range ri {
-				obj[j] -= cb * rv[t]
-			}
-			obj[total] -= cb * w.rhs[i]
-		}
-	}
-
+	clear(w.obj)
+	copy(w.obj, p.c)
+	w.priceOut(total)
 	bounded, err := w.iterateSparse(ctx, total, artStart)
 	if err != nil {
 		return Solution{}, err
@@ -398,15 +327,37 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 		return Solution{Status: Unbounded, Pivots: w.pivots}, nil
 	}
 
-	x := make([]float64, p.nvars)
+	x := w.basicPoint(p.nvars)
+	objVal, _ := dot(p.c, x)
+	return Solution{Status: Optimal, X: x, Objective: objVal, Pivots: w.pivots}, nil
+}
+
+// priceOut turns the costs loaded into w.obj into reduced costs for the
+// current basis: every row whose basic column has a nonzero cost is
+// subtracted, scaled by that cost.
+func (w *sparseWork) priceOut(total int) {
 	for i, bj := range w.basis {
-		if bj < p.nvars {
+		if cb := w.obj[bj]; cb != 0 {
+			w.subObj(i, cb, total)
+		}
+	}
+}
+
+// subObj subtracts f times row i from the objective row.
+func (w *sparseWork) subObj(i int, f float64, total int) {
+	for t, j := range w.idx[i] {
+		w.obj[j] -= f * w.val[i][t]
+	}
+	w.obj[total] -= f * w.rhs[i]
+}
+
+// basicPoint returns the structural part of the current basic solution.
+func (w *sparseWork) basicPoint(nvars int) []float64 {
+	x := make([]float64, nvars)
+	for i, bj := range w.basis {
+		if bj < nvars {
 			x[bj] = w.rhs[i]
 		}
 	}
-	objVal := 0.0
-	for j := 0; j < p.nvars; j++ {
-		objVal += p.c[j] * x[j]
-	}
-	return Solution{Status: Optimal, X: x, Objective: objVal, Pivots: w.pivots}, nil
+	return x
 }
