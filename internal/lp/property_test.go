@@ -206,35 +206,49 @@ func randomUnboundedLP(rng *rand.Rand) *Problem {
 	return p
 }
 
-// TestSolveAnswersCheck: every answer the solver gives — on allocation-
-// shaped, unstructured, degenerate, infeasible and unbounded systems —
+// family is one generator of the property tests, with the status its
+// systems are built to have (-1: any).
+type family struct {
+	name string
+	gen  func(*rand.Rand) *Problem
+	want Status
+}
+
+// families are the allocation-shaped, unstructured, degenerate,
+// infeasible and unbounded systems the property tests solve, familySeeds
+// seeds each.
+var families = []family{
+	{"alloc", randomAllocationLP, -1},
+	{"dense", randomDenseLP, -1},
+	{"degenerate", randomDegenerateLP, -1},
+	{"infeasible", randomInfeasibleLP, Infeasible},
+	{"unbounded", randomUnboundedLP, Unbounded},
+}
+
+const familySeeds = 400
+
+// problem draws the family's system for seed; alloc and dense draw from
+// one stream per seed, in that order.
+func (f family) problem(seed int64) *Problem {
+	rng := rand.New(rand.NewSource(seed))
+	if f.name == "dense" {
+		randomAllocationLP(rng)
+	}
+	return f.gen(rng)
+}
+
+// TestSolveAnswersCheck: every answer the solver gives, on every family,
 // carries a certificate Check accepts, and the three families built to
 // have a known status get it.
 func TestSolveAnswersCheck(t *testing.T) {
-	n := 400
+	n := familySeeds
 	if testing.Short() {
 		n = 60
-	}
-	families := []struct {
-		name string
-		gen  func(*rand.Rand) *Problem
-		want Status // -1: any
-	}{
-		{"alloc", randomAllocationLP, -1},
-		{"dense", randomDenseLP, -1},
-		{"degenerate", randomDegenerateLP, -1},
-		{"infeasible", randomInfeasibleLP, Infeasible},
-		{"unbounded", randomUnboundedLP, Unbounded},
 	}
 	for _, f := range families {
 		var counts [3]int
 		for seed := int64(0); seed < int64(n); seed++ {
-			// alloc and dense draw from one stream per seed, in that order.
-			rng := rand.New(rand.NewSource(seed))
-			if f.name == "dense" {
-				randomAllocationLP(rng)
-			}
-			p := f.gen(rng)
+			p := f.problem(seed)
 			s := p.Solve()
 			if err := p.Check(s); err != nil {
 				t.Fatalf("%s seed %d: %v answer fails Check: %v", f.name, seed, s.Status, err)

@@ -2,11 +2,21 @@ package schedule
 
 import (
 	"context"
+	"flag"
 	"fmt"
+	"os"
+	"slices"
+	"strings"
 	"testing"
 
 	"schedroute/internal/lp"
 )
+
+var updatePivots = flag.Bool("update-pivots", false, "rewrite the sec5.2/ lines of internal/lp/testdata/pivots.golden")
+
+// lpPivotsGolden is internal/lp's pin of every LP's status and pivot
+// count; its sec5.2/ lines, the last in the file, are this package's.
+const lpPivotsGolden = "../lp/testdata/pivots.golden"
 
 // TestAllocationLPAnswersCheck holds the Section 5.2 systems the solver
 // really builds to lp.Check: on every standard configuration, bandwidth
@@ -15,14 +25,22 @@ import (
 // and its answer must carry a certificate Check accepts, Optimal exactly
 // when allocateSubset succeeded. The grid includes Fig. 7's allocation
 // failure (6-cube, B=64, load 0.4074), so infeasible answers are checked
-// too.
+// too. Each answer's status and pivot count must match its sec5.2/ line
+// of lpPivotsGolden.
 func TestAllocationLPAnswersCheck(t *testing.T) {
 	var counts [3]int
-	for name, top := range solverGoldenTopologies(t) {
+	var got []string
+	tops := solverGoldenTopologies(t)
+	var names []string
+	for name := range tops {
+		names = append(names, name)
+	}
+	slices.Sort(names)
+	for _, name := range names {
 		for _, bw := range []float64{64, 128} {
 			for k := 0; k < 12; k++ {
 				tag := fmt.Sprintf("%s-b%g k=%d", name, bw, k)
-				res, err := Compute(dvbProblem(t, top, bw, gridTauIn(k)), Options{Seed: 1})
+				res, err := Compute(dvbProblem(t, tops[name], bw, gridTauIn(k)), Options{Seed: 1})
 				if err != nil {
 					t.Fatalf("%s: %v", tag, err)
 				}
@@ -40,6 +58,7 @@ func TestAllocationLPAnswersCheck(t *testing.T) {
 						t.Fatalf("%s subset %d: LP says %v, allocateSubset returned %v", tag, si, sol.Status, allocErr)
 					}
 					counts[sol.Status]++
+					got = append(got, fmt.Sprintf("sec5.2/%s-b%g-k%d %d %v %d", name, bw, k, si, sol.Status, sol.Pivots))
 				}
 			}
 		}
@@ -47,5 +66,46 @@ func TestAllocationLPAnswersCheck(t *testing.T) {
 	t.Logf("%d optimal, %d infeasible, %d unbounded", counts[lp.Optimal], counts[lp.Infeasible], counts[lp.Unbounded])
 	if counts[lp.Optimal] == 0 || counts[lp.Infeasible] == 0 {
 		t.Fatal("the grid must reach both an optimal and an infeasible allocation LP")
+	}
+	matchPivotLines(t, got)
+}
+
+// matchPivotLines compares got with the sec5.2/ lines of lpPivotsGolden
+// or, under -update-pivots, replaces them, keeping every other line.
+func matchPivotLines(t *testing.T, got []string) {
+	raw, err := os.ReadFile(lpPivotsGolden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want, rest []string
+	for _, line := range strings.Split(string(raw), "\n") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "sec5.2/"):
+			want = append(want, line)
+		default:
+			rest = append(rest, line)
+		}
+	}
+	if *updatePivots {
+		out := strings.Join(append(rest, got...), "\n") + "\n"
+		if err := os.WriteFile(lpPivotsGolden, []byte(out), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	if len(got) != len(want) {
+		t.Fatalf("%d sec5.2/ lines, golden has %d", len(got), len(want))
+	}
+	bad := 0
+	for i := range got {
+		if got[i] != want[i] {
+			if bad++; bad <= 10 {
+				t.Errorf("got  %s\nwant %s", got[i], want[i])
+			}
+		}
+	}
+	if bad > 10 {
+		t.Errorf("... and %d more lines differ", bad-10)
 	}
 }
