@@ -9,7 +9,8 @@ import (
 // FuzzLP turns bytes into a small system — at most 8 variables and 8
 // rows over the coefficients {-2, …, 3}, zero the most common, so that
 // degenerate vertices, redundant rows and empty rows are everyday —
-// solves it under a 1 s context and requires Check to accept the answer.
+// solves it under a 1 s context and requires Check to accept the answer
+// and the gather of every column to equal a scan of all rows.
 // The layout is: variable count, row count, one cost per variable, then
 // per row an operator, a right-hand side and one coefficient per
 // variable; missing bytes read as zero.
@@ -58,5 +59,6 @@ func FuzzLP(f *testing.F) {
 		if err := p.Check(sol); err != nil {
 			t.Fatalf("%v answer fails Check: %v", sol.Status, err)
 		}
+		checkGather(t, p)
 	})
 }

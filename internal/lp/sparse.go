@@ -3,6 +3,7 @@ package lp
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 )
 
@@ -31,7 +32,24 @@ type sparseWork struct {
 	colVal []float64
 	enter  int
 
+	// rowsOf holds one bitset over the rows per column class (j mod
+	// colClasses), words words each: a superset of the rows whose support
+	// holds a column of that class. Bits are set when a row is loaded and
+	// when eliminate fills a column in, and never cleared within a Solve:
+	// a row that lost the column reads 0 in lookup, which gatherColumn
+	// skips anyway.
+	rowsOf []uint64
+	words  int
+
 	pivots int // pivots performed by the current Solve
+}
+
+// colClasses is how many column classes rowsOf keeps, 32 B per row.
+const colClasses = 256
+
+// mark records that row r's support holds column j.
+func (w *sparseWork) mark(r int, j int32) {
+	w.rowsOf[int(uint32(j)%colClasses)*w.words+r>>6] |= 1 << (r & 63)
 }
 
 // pollPivots is how many pivots iterateSparse runs between two looks at
@@ -43,7 +61,7 @@ const pollPivots = 256
 
 // lookup returns the coefficient at column j of the sorted support, or
 // exactly 0 when absent. Written out: slices.BinarySearch is not inlined
-// here, and its call per row per pivot costs a visible share of a solve.
+// here, and gatherColumn calls it once per candidate row per pivot.
 func lookup(idx []int32, val []float64, j int32) float64 {
 	lo, hi := 0, len(idx)
 	for lo < hi {
@@ -61,13 +79,17 @@ func lookup(idx []int32, val []float64, j int32) float64 {
 }
 
 // ensure sizes the scratch for m rows and total columns, keeping every
-// row buffer it already holds.
+// row buffer it already holds, and clears rowsOf.
 func (w *sparseWork) ensure(m, total int) {
 	w.idx = slices.Grow(w.idx[:0], m)[:m]
 	w.val = slices.Grow(w.val[:0], m)[:m]
 	w.rhs = slices.Grow(w.rhs[:0], m)[:m]
 	w.basis = slices.Grow(w.basis[:0], m)[:m]
 	w.obj = slices.Grow(w.obj[:0], total+1)[:total+1]
+	w.words = (m + 63) / 64
+	n := colClasses * w.words
+	w.rowsOf = slices.Grow(w.rowsOf[:0], n)[:n]
+	clear(w.rowsOf)
 }
 
 // scaleRow multiplies row r by inv and then forces column enter to
@@ -118,6 +140,7 @@ func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
 				if v := 0 - f*bv[y]; v != 0 {
 					ti = append(ti, j)
 					tv = append(tv, v)
+					w.mark(r, j)
 				}
 			}
 			y++
@@ -134,6 +157,7 @@ func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
 			if v := 0 - f*bv[y]; v != 0 {
 				ti = append(ti, j)
 				tv = append(tv, v)
+				w.mark(r, j)
 			}
 		}
 	}
@@ -145,14 +169,19 @@ func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
 }
 
 // gatherColumn collects the nonzero coefficients of column enter in
-// ascending row order — the one binary search per row that both the
-// ratio test and the pivot read.
+// ascending row order, which both the ratio test and the pivot read. It
+// looks only at the rows set in enter's class of rowsOf: every other row
+// holds an exact zero there.
 func (w *sparseWork) gatherColumn(enter int32) {
 	w.colRow, w.colVal = w.colRow[:0], w.colVal[:0]
-	for i := range w.idx {
-		if c := lookup(w.idx[i], w.val[i], enter); c != 0 {
-			w.colRow = append(w.colRow, int32(i))
-			w.colVal = append(w.colVal, c)
+	base := int(uint32(enter)%colClasses) * w.words
+	for k, word := range w.rowsOf[base : base+w.words] {
+		for ; word != 0; word &= word - 1 {
+			i := k<<6 + bits.TrailingZeros64(word)
+			if c := lookup(w.idx[i], w.val[i], enter); c != 0 {
+				w.colRow = append(w.colRow, int32(i))
+				w.colVal = append(w.colVal, c)
+			}
 		}
 	}
 }
@@ -269,6 +298,9 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 			ri, rv = append(ri, artIdx), append(rv, 1)
 			w.basis[i] = int(artIdx)
 			artIdx++
+		}
+		for _, j := range ri {
+			w.mark(i, j)
 		}
 		w.idx[i], w.val[i] = ri, rv
 		w.rhs[i] = b
