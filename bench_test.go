@@ -699,6 +699,44 @@ func BenchmarkAssignPathsTorus32(b *testing.B) {
 	b.ReportMetric(float64(evals), "evals/op")
 }
 
+// BenchmarkAllocationLPGHC448 is Section 5.2 interval allocation alone,
+// maximal subsets then one LP per subset, on the heaviest entry of the
+// repository benchmark's compile_lp pool, ghc448-s3-d0.05-b128-t65:
+// layered:3,16,16*6,16,0.05 on GHC(4,4,8) at B=128, τin 65, built
+// through api.NewProblem and solved once with the pool's options for the
+// path assignment. The entry fails later, at interval scheduling, so
+// only the allocation must succeed.
+func BenchmarkAllocationLPGHC448(b *testing.B) {
+	built, err := api.NewProblem(api.Problem{TFG: "layered:3,16,16*6,16,0.05", Topology: "ghc:4,4,8", Bandwidth: 128, TauIn: 65})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts, err := api.Options{Seed: 1, Retries: 2}.ToSchedule()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := schedule.Compute(built.ScheduleProblemAt(65), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pa, ws, act := res.Assignment, res.Windows, res.Activity
+	allocate := func() int {
+		ss := schedule.MaximalSubsets(pa, ws, act)
+		if _, err := schedule.AllocateIntervals(ss, pa, ws, act); err != nil {
+			b.Fatal(err)
+		}
+		return len(ss)
+	}
+	allocate()
+	b.ReportAllocs()
+	b.ResetTimer()
+	var subsets int
+	for i := 0; i < b.N; i++ {
+		subsets = allocate()
+	}
+	b.ReportMetric(float64(subsets), "subsets/op")
+}
+
 // BenchmarkScheduleIntervalsTenCube is Section 5.3 interval scheduling
 // alone on the 10-cube: every interval holds far more messages than the
 // exact engine takes, so the greedy decomposition, the chaining of its
