@@ -45,7 +45,8 @@ race:
 # FuzzWatchAttach: arbitrary Last-Event-ID bytes against an empty, a
 # partly evicted and a closed frame log (internal/service/fuzz_test.go).
 # FuzzLP: arbitrary bytes as a small LP over small integer coefficients,
-# solved under a 1 s deadline, whose answer lp.Check must accept
+# solved under a 1 s deadline, whose answer lp.Check must accept and
+# whose bitset column gather must equal a scan of every row
 # (internal/lp/fuzz_test.go).
 # Minimization is capped so the budget goes to new inputs; a crasher
 # lands in the package's testdata/fuzz/.
