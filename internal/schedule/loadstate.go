@@ -78,12 +78,15 @@ type LoadState struct {
 	// only — a fraction of the fabric on the 1024-node machines.
 	touched bitset
 
-	// Peak cache: the top-k touched links ordered by (score desc, link
-	// asc), rebuilt whenever link scores actually change. EvalReroute
-	// touches at most the links of two paths, so as long as fewer links
-	// changed than the cache holds, the first unchanged cache entry
-	// dominates every unchanged link and the peak needs no O(nl) scan.
-	topk []int32
+	// Peak cache: always the leading entries of the touched links in
+	// (score desc, link asc) order, and topkAll reports that it holds
+	// every touched link. EvalReroute touches at most the links of two
+	// paths, so as long as fewer links changed than the cache holds, the
+	// first unchanged cache entry dominates every unchanged link and the
+	// peak needs no O(nl) scan. fill rebuilds the cache; ApplyReroute
+	// repairs it in place (repairTopK).
+	topk    []int32
+	topkAll bool
 
 	// Tentative-score memo. tentScore[l]/tentK[l] hold link l's score as
 	// if message m were added to (or removed from) it, where memo[l]
@@ -100,23 +103,30 @@ type LoadState struct {
 	memo      []uint64
 	gen       uint32
 
-	// Per-eval link marks: stamp[l] is epoch on the links the eval in
-	// progress changes, epoch-1 on links shared by both paths and
-	// epoch-2 on new-path links not yet classified.
+	// Per-eval link marks: stamp[l] is epoch on the links the eval or
+	// apply in progress changes (listed in changed), epoch-1 on links
+	// shared by both paths and epoch-2 on new-path links not yet
+	// classified.
 	stamp   []int32
 	changed []int32
 	epoch   int32
 
-	// Tentative scores computed and reused since construction; both are
-	// pure functions of the call sequence.
-	tentComputed, tentReused int
+	// Tentative scores computed and reused since construction, and the
+	// ApplyReroute calls that rebuilt the peak cache instead of
+	// repairing it; all are pure functions of the call sequence.
+	tentComputed, tentReused, topkRebuilds int
 }
 
-// topkSize bounds the peak cache. Any eval changing at least this many
-// links (symmetric difference of two paths — beyond any preset's path
-// pair) falls back to a full scan, so the cache is never correctness-
-// critical.
-const topkSize = 80
+// topkSize bounds the peak cache, and ApplyReroute rebuilds an
+// incomplete cache left with fewer than topkFloor entries. An eval
+// changing fewer than topkFloor links (the symmetric difference of two
+// paths; beyond any preset's path pair) thus keeps the fast path unless
+// it changes every touched link, and one changing more may fall back to
+// a full scan; the cache is never correctness-critical.
+const (
+	topkSize  = 128
+	topkFloor = 80
+)
 
 // NewLoadStateCap builds the accumulators for pa from scratch, with a
 // per-link capacity vector (nil for the whole machine).
@@ -140,6 +150,7 @@ func NewLoadStateCap(top *topology.Topology, pa *PathAssignment, ws []Window, ac
 		tentK:     make([]int32, nl),
 		memo:      make([]uint64, nl),
 		stamp:     make([]int32, nl),
+		topk:      make([]int32, 0, topkSize),
 		lenK:      make([]float64, K),
 		noSlack:   make([]bool, len(ws)),
 	}
@@ -227,32 +238,71 @@ func (ls *LoadState) shift(l, msg int, delta int32) {
 	}
 }
 
-// rebuildTopK reselects the top-k touched links by (score desc, link
-// asc); ties keep the smaller link first because links arrive ascending
-// and later ones insert after equals.
+// ranksAbove reports whether link a comes before link b in the peak
+// cache's (score desc, link asc) order.
+func (ls *LoadState) ranksAbove(a, b int32) bool {
+	sa, sb := ls.score[a], ls.score[b]
+	return sa > sb || sa == sb && a < b
+}
+
+// insertTopK puts link j into the peak cache at its sorted position. A
+// full cache loses an entry to it — its last, or j itself when j ranks
+// below that — and so no longer holds every touched link.
+func (ls *LoadState) insertTopK(j int32) {
+	k := len(ls.topk)
+	if k == topkSize {
+		ls.topkAll = false
+		if !ls.ranksAbove(j, ls.topk[k-1]) {
+			return
+		}
+	} else {
+		ls.topk = append(ls.topk, 0)
+	}
+	lo, hi := 0, k
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if ls.ranksAbove(ls.topk[mid], j) {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	copy(ls.topk[lo+1:], ls.topk[lo:]) // a full cache's last entry falls off
+	ls.topk[lo] = j
+}
+
+// rebuildTopK reselects the cache from every touched link.
 func (ls *LoadState) rebuildTopK() {
 	ls.topk = ls.topk[:0]
-	ls.touched.forEach(func(j int) {
-		s := ls.score[j]
-		k := len(ls.topk)
-		if k == topkSize && ls.score[ls.topk[k-1]] >= s {
-			return // can't displace the current k-th entry
+	ls.topkAll = true
+	ls.touched.forEach(func(j int) { ls.insertTopK(int32(j)) })
+}
+
+// repairTopK restores the peak cache after ApplyReroute rescored the
+// links in ls.changed (stamped epoch). Dropping them leaves the leading
+// entries of the order over the unchanged links. A changed link goes
+// back in when the cache holds every touched link or when it ranks
+// above the last entry; any link left out ranks below that entry, so
+// the cache again leads the order over all touched links. An incomplete
+// cache left with fewer than topkFloor entries is rebuilt instead.
+func (ls *LoadState) repairTopK() {
+	kept := ls.topk[:0]
+	for _, j := range ls.topk {
+		if ls.stamp[j] != ls.epoch {
+			kept = append(kept, j)
 		}
-		lo, hi := 0, k
-		for lo < hi {
-			mid := int(uint(lo+hi) >> 1)
-			if ls.score[ls.topk[mid]] >= s {
-				lo = mid + 1
-			} else {
-				hi = mid
-			}
+	}
+	ls.topk = kept
+	if !ls.topkAll && len(ls.topk) < topkFloor {
+		ls.topkRebuilds++
+		ls.rebuildTopK()
+		return
+	}
+	for _, j := range ls.changed {
+		if ls.topkAll || ls.ranksAbove(j, ls.topk[len(ls.topk)-1]) {
+			ls.insertTopK(j)
 		}
-		if k < topkSize {
-			ls.topk = append(ls.topk, 0)
-		}
-		copy(ls.topk[lo+1:], ls.topk[lo:])
-		ls.topk[lo] = int32(j)
-	})
+	}
 }
 
 // recomputeLink refreshes link j's derived floats from the exact
@@ -325,29 +375,39 @@ func (ls *LoadState) diffLinks(oldLinks, newLinks []topology.LinkID) {
 }
 
 // ApplyReroute moves message msg from oldLinks to newLinks, updating
-// only the links in their symmetric difference.
+// only the links in their symmetric difference, which it marks and
+// lists as EvalReroute does.
 func (ls *LoadState) ApplyReroute(msg tfg.MessageID, oldLinks, newLinks []topology.LinkID) {
 	ls.bumpGen()
 	ls.diffLinks(oldLinks, newLinks)
 	shared := ls.epoch - 1
+	ls.changed = ls.changed[:0]
 	for _, l := range oldLinks {
 		if ls.stamp[l] != shared {
-			ls.shift(int(l), int(msg), -1)
-			ls.recomputeLink(int(l))
+			ls.applyLink(int(l), int(msg), -1)
 		}
 	}
 	for _, l := range newLinks {
 		if ls.stamp[l] != shared {
-			ls.shift(int(l), int(msg), 1)
-			ls.recomputeLink(int(l))
+			ls.applyLink(int(l), int(msg), 1)
 		}
 	}
-	ls.rebuildTopK()
+	ls.repairTopK()
+}
+
+// applyLink marks link l changed, shifts msg on it and rescores it.
+func (ls *LoadState) applyLink(l, msg int, delta int32) {
+	ls.stamp[l] = ls.epoch
+	ls.changed = append(ls.changed, int32(l))
+	ls.shift(l, msg, delta)
+	ls.recomputeLink(l)
 }
 
 // Undo reverses a previous ApplyReroute with the same arguments. All
 // counters are integers and every float is recomputed from them, so
-// the state after Undo is bit-identical to the state before Apply.
+// the accumulators after Undo are bit-identical to those before Apply;
+// the peak cache may lead the same order by a different number of
+// entries, which changes no answer.
 func (ls *LoadState) Undo(msg tfg.MessageID, oldLinks, newLinks []topology.LinkID) {
 	ls.ApplyReroute(msg, newLinks, oldLinks)
 }
@@ -475,9 +535,10 @@ func (ls *LoadState) tentative(l, msg int, add bool) {
 // tentative overrides in effect, with PeakPosition's tie-break: of the
 // links attaining a positive maximum, the smallest. Fast path: only the
 // changed links and the best unchanged cache entry can hold the peak;
-// that entry dominates every unchanged link (the cache is a top-k order
-// and fewer than k links changed), and among equal-score unchanged links
-// the cache order puts the smallest link first.
+// that entry dominates every unchanged link (the cache leads the order
+// over all touched links and fewer links changed than it holds), and
+// among equal-score unchanged links the cache order puts the smallest
+// link first.
 func (ls *LoadState) peakWithTentative() (float64, topology.LinkID, int) {
 	peak, link, interval := 0.0, topology.LinkID(0), int32(-1)
 	if len(ls.changed) >= len(ls.topk) {

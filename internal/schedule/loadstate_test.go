@@ -39,6 +39,15 @@ func loadStateFixture(t *testing.T, top *topology.Topology, faulted bool) (*Path
 		fs = topology.NewFaultSet(top.Links(), top.Nodes())
 		fs.FailLink(0)
 	}
+	return routeFixture(t, p, fs)
+}
+
+// routeFixture derives p's windows, activity, fault-route assignment and
+// up to 24 candidate paths a message under fs (nil for none) and lists
+// the messages that have a choice of path.
+func routeFixture(t *testing.T, p Problem, fs *topology.FaultSet) (*PathAssignment, []Window, *Activity, *Candidates, []tfg.MessageID) {
+	t.Helper()
+	top := p.Topology
 	sameNode := func(m tfg.Message) bool {
 		return p.Assignment.Node(m.Src) == p.Assignment.Node(m.Dst)
 	}
@@ -147,35 +156,7 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, cands *Candidates, multi []tfg.MessageID) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
-
-	// A second problem of the same dimensions for the arena re-bind:
-	// other transmission times and no-slack flags, activity rows
-	// rotated by one message, intervals twice as long, uneven link
-	// shares.
-	ws2 := append([]Window(nil), ws...)
-	for i := range ws2 {
-		if i%3 == 0 {
-			ws2[i].Xmit = ws2[i].Length
-		} else {
-			ws2[i].Xmit *= 0.75
-		}
-	}
-	set2 := &IntervalSet{TauIn: 2 * act.Intervals.TauIn}
-	for _, e := range act.Intervals.Endpoints {
-		set2.Endpoints = append(set2.Endpoints, 2*e)
-	}
-	act2 := &Activity{Intervals: set2, Active: make([][]bool, len(ws))}
-	for i := range ws {
-		if !ws[i].Local {
-			act2.Active[i] = act.Active[(i+1)%len(ws)]
-		} else {
-			act2.Active[i] = act.Active[i]
-		}
-	}
-	cap2 := make([]float64, top.Links())
-	for j := range cap2 {
-		cap2[j] = 0.25 + 0.75*rng.Float64()
-	}
+	ws2, act2, cap2 := rebinding(top, ws, act, rng)
 	type binding struct {
 		ws      []Window
 		act     *Activity
@@ -260,6 +241,37 @@ func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment
 	if ls.gen >= genJump || ls.epoch >= epochJump {
 		t.Fatalf("memo: counters did not wrap (gen %d, epoch %d)", ls.gen, ls.epoch)
 	}
+}
+
+// rebinding builds a second problem of the same dimensions for the arena
+// re-bind: other transmission times and no-slack flags, activity rows
+// rotated by one message, intervals twice as long, uneven link shares.
+func rebinding(top *topology.Topology, ws []Window, act *Activity, rng *rand.Rand) ([]Window, *Activity, []float64) {
+	ws2 := append([]Window(nil), ws...)
+	for i := range ws2 {
+		if i%3 == 0 {
+			ws2[i].Xmit = ws2[i].Length
+		} else {
+			ws2[i].Xmit *= 0.75
+		}
+	}
+	set2 := &IntervalSet{TauIn: 2 * act.Intervals.TauIn}
+	for _, e := range act.Intervals.Endpoints {
+		set2.Endpoints = append(set2.Endpoints, 2*e)
+	}
+	act2 := &Activity{Intervals: set2, Active: make([][]bool, len(ws))}
+	for i := range ws {
+		if !ws[i].Local {
+			act2.Active[i] = act.Active[(i+1)%len(ws)]
+		} else {
+			act2.Active[i] = act.Active[i]
+		}
+	}
+	cap2 := make([]float64, top.Links())
+	for j := range cap2 {
+		cap2[j] = 0.25 + 0.75*rng.Float64()
+	}
+	return ws2, act2, cap2
 }
 
 // TestLoadStateWrapDropsStaleEntries wraps the memo generation and the
@@ -401,4 +413,253 @@ func TestAssignPathsCrossCheck(t *testing.T) {
 	if res.Stats.AssignIterations < 100 {
 		t.Fatalf("layered/torus: only %d evaluations; the fixture no longer exercises the hill-climb", res.Stats.AssignIterations)
 	}
+}
+
+// TestPeakCacheMatchesRebuild walks seeded sequences of ApplyReroute,
+// Undo, EvalReroute, Reset and arena re-binds, asserting after every
+// step that the peak cache ApplyReroute repairs in place is the head of
+// what a from-scratch rebuildTopK selects, link for link. Two fixtures
+// keep it from passing vacuously. compile_lp's heaviest layered TFG on
+// GHC(4,4,8) touches far more links than the cache holds, so its moves
+// repair an incomplete cache; at six changed links a move it never
+// falls to topkFloor (nor does the hill-climb on it). Antipodal messages
+// on the 32x32 torus swap between routes that share no link, 64 changed
+// links a move, so there a complete cache overflows and an incomplete
+// one falls below topkFloor and is rebuilt.
+func TestPeakCacheMatchesRebuild(t *testing.T) {
+	t.Run("ghc448", func(t *testing.T) {
+		top, err := topology.NewGHC(4, 4, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := tfg.RandomLayered(3, []int{16, 16, 16, 16, 16, 16, 16, 16}, 400, 1925, 192, 3200, 0.05)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tm, err := tfg.NewUniformTiming(g, 50, 128)
+		if err != nil {
+			t.Fatal(err)
+		}
+		as, err := alloc.RoundRobin(g, top)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, ws, act, cands, multi := routeFixture(t, Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 65}, nil)
+		var n peakCacheCounts
+		for seed := int64(1); seed <= 3; seed++ {
+			n.add(peakCacheWalk(t, seed, top, pa.Clone(), ws, act, cands, multi, func(pa *PathAssignment, rng *rand.Rand) {
+				randomize(pa, cands, rng)
+			}))
+		}
+		t.Logf("%+v", n)
+		if n.repairs == 0 {
+			t.Fatalf("%+v: the walks need in-place repairs of an incomplete cache", n)
+		}
+	})
+	t.Run("torus32-antipodes", func(t *testing.T) {
+		top, err := topology.NewTorus(32, 32)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, ws, act, cands, multi := antipodeFixture(t, top, 48, rand.New(rand.NewSource(1)))
+		// Reroll routes a random share of the messages — a few, some or
+		// all — so resets land on both sides of a full cache.
+		reroll := func(pa *PathAssignment, rng *rand.Rand) {
+			share := []float64{0.05, 0.3, 1}[rng.Intn(3)]
+			for i, list := range cands.PathsOf {
+				c := list[0]
+				if rng.Float64() < share {
+					c = list[1+rng.Intn(2)]
+				}
+				pa.SetPath(tfg.MessageID(i), c.path, c.links)
+			}
+		}
+		var n peakCacheCounts
+		for seed := int64(1); seed <= 3; seed++ {
+			n.add(peakCacheWalk(t, seed, top, pa.Clone(), ws, act, cands, multi, reroll))
+		}
+		t.Logf("%+v", n)
+		if n.repairs == 0 || n.rebuilds == 0 || n.overflows == 0 || n.maxChanged < 64 {
+			t.Fatalf("%+v: the walks need in-place repairs of an incomplete cache, rebuilds, overflows of a complete one and 64 changed links", n)
+		}
+	})
+}
+
+// peakCacheCounts tallies what the ApplyReroute calls of a walk did to
+// the peak cache — repaired an incomplete one in place, rebuilt it,
+// overflowed a complete one — and the most links one call changed.
+type peakCacheCounts struct{ repairs, rebuilds, overflows, maxChanged int }
+
+func (n *peakCacheCounts) add(o peakCacheCounts) {
+	n.repairs += o.repairs
+	n.rebuilds += o.rebuilds
+	n.overflows += o.overflows
+	n.maxChanged = max(n.maxChanged, o.maxChanged)
+}
+
+// peakCacheWalk is one seeded walk of TestPeakCacheMatchesRebuild from
+// pa; reroll draws the assignment a Reset goes to.
+func peakCacheWalk(t *testing.T, seed int64, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, cands *Candidates, multi []tfg.MessageID, reroll func(*PathAssignment, *rand.Rand)) peakCacheCounts {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	ws2, act2, cap2 := rebinding(top, ws, act, rng)
+	type binding struct {
+		ws      []Window
+		act     *Activity
+		linkCap []float64
+	}
+	bindings := []binding{{ws, act, nil}, {ws2, act2, cap2}}
+	cur := 0
+	var arena solveArena
+	ls := arena.loadState(top, pa, ws, act, nil)
+
+	var n peakCacheCounts
+	step, op := 0, "initial"
+	// check compares the cache with a rebuild and then puts it back, so
+	// the walk goes on from what the repairs left.
+	check := func() {
+		t.Helper()
+		got, all := slices.Clone(ls.topk), ls.topkAll
+		ls.rebuildTopK()
+		touched := 0
+		ls.touched.forEach(func(int) { touched++ })
+		for i, j := range got {
+			if i >= len(ls.topk) || j != ls.topk[i] {
+				t.Fatalf("seed %d step %d %s: cache entry %d of %d is link %d, a rebuild's %d of %d is %v",
+					seed, step, op, i, len(got), j, i, len(ls.topk), ls.topk[i:min(i+1, len(ls.topk))])
+			}
+		}
+		switch {
+		case all && len(got) != touched:
+			t.Fatalf("seed %d step %d %s: cache holds %d links, claims all %d touched", seed, step, op, len(got), touched)
+		case !all && (len(got) >= touched || len(got) < topkFloor):
+			t.Fatalf("seed %d step %d %s: incomplete cache holds %d of %d touched links (floor %d)", seed, step, op, len(got), touched, topkFloor)
+		}
+		ls.topk, ls.topkAll = append(ls.topk[:0], got...), all
+	}
+	move := func(undo bool, mi tfg.MessageID, from, to []topology.LinkID) {
+		t.Helper()
+		all, rebuilds := ls.topkAll, ls.topkRebuilds
+		if undo {
+			ls.Undo(mi, from, to)
+		} else {
+			ls.ApplyReroute(mi, from, to)
+		}
+		switch {
+		case ls.topkRebuilds > rebuilds:
+			n.rebuilds++
+		case !all:
+			n.repairs++
+		case !ls.topkAll:
+			n.overflows++
+		}
+		n.maxChanged = max(n.maxChanged, len(ls.changed))
+		check()
+	}
+
+	check()
+	for step = 0; step < 300; step++ {
+		// Half the moves take a message off the peak link, as the
+		// hill-climb does: they push leading entries out of the cache.
+		mi := multi[rng.Intn(len(multi))]
+		if rng.Intn(2) == 0 {
+			_, pl, pk := ls.PeakPosition()
+			if on := reroutable(pa, cands, bindings[cur].act, ls, assignPosition{pl, pk}, nil); len(on) > 0 {
+				mi = on[rng.Intn(len(on))]
+			}
+		}
+		list := cands.PathsOf[mi]
+		old := pa.Links[mi]
+		c := list[rng.Intn(len(list))]
+		switch r := rng.Intn(10); {
+		case r < 4:
+			op = "apply"
+			move(false, mi, old, c.links)
+			pa.SetPath(mi, c.path, c.links)
+		case r < 5:
+			op = "undo"
+			move(false, mi, old, c.links)
+			move(true, mi, old, c.links)
+		case r < 8:
+			op = "eval"
+			for ci, c := range list {
+				gp, gl, gk := ls.EvalReroute(mi, old, c.links)
+				n.maxChanged = max(n.maxChanged, len(ls.changed))
+				check()
+				move(false, mi, old, c.links)
+				wp, wl, wk := ls.PeakPosition()
+				move(true, mi, old, c.links)
+				if gp != wp || gl != wl || gk != wk {
+					t.Fatalf("seed %d step %d eval msg %d cand %d: (%v, %v, %v) != apply-peek-undo (%v, %v, %v)",
+						seed, step, mi, ci, gp, gl, gk, wp, wl, wk)
+				}
+			}
+		case r < 9:
+			op = "reset"
+			reroll(pa, rng)
+			ls.Reset(pa)
+			check()
+		default:
+			op = "rebind"
+			cur = 1 - cur
+			b := bindings[cur]
+			if got := arena.loadState(top, pa, b.ws, b.act, b.linkCap); got != ls {
+				t.Fatalf("seed %d step %d: arena built a new LoadState for unchanged dimensions", seed, step)
+			}
+			check()
+		}
+	}
+	return n
+}
+
+// antipodeFixture puts n messages on a 2-D torus, each from a random
+// node to the node half way round both rings, with three candidates:
+// unrouted, x then y, and y then x. The two routes share no link. The
+// windows are random in a frame of 100; every fifth message has no
+// slack.
+func antipodeFixture(t *testing.T, top *topology.Topology, n int, rng *rand.Rand) (*PathAssignment, []Window, *Activity, *Candidates, []tfg.MessageID) {
+	t.Helper()
+	const tauIn = 100.0
+	ws := make([]Window, n)
+	pa := &PathAssignment{Paths: make([]topology.Path, n), Links: make([][]topology.LinkID, n)}
+	cands := &Candidates{PathsOf: make([][]candidate, n)}
+	multi := make([]tfg.MessageID, n)
+	radices := top.Radices()
+	for i := range ws {
+		length := 20 + 40*rng.Float64()
+		xmit := length * (0.1 + 0.8*rng.Float64())
+		if i%5 == 0 {
+			xmit = length
+		}
+		release := tauIn * rng.Float64()
+		ws[i] = Window{Release: release, AbsRelease: release, Length: length, Xmit: xmit}
+		src := topology.NodeID(rng.Intn(top.Nodes()))
+		d := top.Digits(src)
+		for k := range d {
+			d[k] = (d[k] + radices[k]/2) % radices[k]
+		}
+		dst := top.FromDigits(d)
+		cands.PathsOf[i] = []candidate{{}, dimOrderRoute(t, top, src, dst, 0, 1), dimOrderRoute(t, top, src, dst, 1, 0)}
+		multi[i] = tfg.MessageID(i)
+	}
+	return pa, ws, BuildActivity(ws, BuildIntervals(ws, tauIn)), cands, multi
+}
+
+// dimOrderRoute walks from src to dst correcting one dimension after
+// another in the given order, one step up its ring a hop.
+func dimOrderRoute(t *testing.T, top *topology.Topology, src, dst topology.NodeID, dims ...int) candidate {
+	t.Helper()
+	cur, want, radices := top.Digits(src), top.Digits(dst), top.Radices()
+	p := topology.Path{Nodes: []topology.NodeID{src}}
+	for _, d := range dims {
+		for cur[d] != want[d] {
+			cur[d] = (cur[d] + 1) % radices[d]
+			p.Nodes = append(p.Nodes, top.FromDigits(cur))
+		}
+	}
+	links, err := p.Links(top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return candidate{path: p, links: links}
 }
