@@ -699,6 +699,55 @@ func BenchmarkAssignPathsTorus32(b *testing.B) {
 	b.ReportMetric(float64(evals), "evals/op")
 }
 
+// BenchmarkAssignPathsCompileLP is the Fig. 4 hill-climb alone on the
+// entry of the repository benchmark's compile_lp pool that spends the
+// most in it, cube8-s5-d0.05-b512-t170: layered:5,16,32*6,16,0.05 on
+// the 8-cube at B=512, τin 170, built through api.NewProblem and solved
+// once with the pool's options (Seed 1, Retries 2). The entry fails at
+// interval scheduling, so the pipeline climbs once per attempt, from
+// the LSD baseline with seeds 1, 2 and 3 and its defaults (24 candidate
+// paths, 6 restarts of 60 moves). An iteration climbs the same way and
+// must reach the pipeline's peak and evaluation count.
+func BenchmarkAssignPathsCompileLP(b *testing.B) {
+	built, err := api.NewProblem(api.Problem{TFG: "layered:5,16,32*6,16,0.05", Topology: "cube:8", Bandwidth: 512, TauIn: 170})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts, err := api.Options{Seed: 1, Retries: 2}.ToSchedule()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := built.ScheduleProblemAt(170)
+	res, err := schedule.Compute(p, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	lsd, err := schedule.LSDAssignment(p.Graph, p.Topology, p.Assignment, res.Windows)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cands, err := schedule.BuildCandidates(p.Graph, p.Topology, p.Assignment, res.Windows, 24)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	var evals int
+	for i := 0; i < b.N; i++ {
+		peak := res.PeakLSD
+		evals = 0
+		for attempt := 0; attempt < res.Stats.Attempts; attempt++ {
+			ar := schedule.AssignPaths(lsd, cands, p.Topology, res.Windows, res.Activity, opts.Seed+int64(attempt), 6, 60)
+			peak = min(peak, ar.Util.Peak)
+			evals += ar.Iterations
+		}
+		if peak != res.Peak || evals != res.Stats.AssignIterations {
+			b.Fatalf("peak %v after %d evaluations, the pipeline reached %v after %d", peak, evals, res.Peak, res.Stats.AssignIterations)
+		}
+	}
+	b.ReportMetric(float64(evals), "evals/op")
+}
+
 // BenchmarkAllocationLPGHC448 is Section 5.2 interval allocation alone,
 // maximal subsets then one LP per subset, on the heaviest entry of the
 // repository benchmark's compile_lp pool, ghc448-s3-d0.05-b128-t65:
