@@ -704,10 +704,13 @@ func BenchmarkAssignPathsTorus32(b *testing.B) {
 // most in it, cube8-s5-d0.05-b512-t170: layered:5,16,32*6,16,0.05 on
 // the 8-cube at B=512, τin 170, built through api.NewProblem and solved
 // once with the pool's options (Seed 1, Retries 2). The entry fails at
-// interval scheduling, so the pipeline climbs once per attempt, from
-// the LSD baseline with seeds 1, 2 and 3 and its defaults (24 candidate
-// paths, 6 restarts of 60 moves). An iteration climbs the same way and
-// must reach the pipeline's peak and evaluation count.
+// interval scheduling, so the pipeline climbs in each of its three
+// attempts, from the LSD baseline with seeds 1, 2 and 3 and its defaults
+// (24 candidate paths, 6 restarts of 60 moves). An iteration runs the
+// three climbs as independent AssignPaths calls, so it climbs restart 0,
+// which reads no seed, in each where the pipeline climbs it once: it
+// must reach the pipeline's peak after the pipeline's evaluations plus
+// restart 0's for each attempt after the first.
 func BenchmarkAssignPathsCompileLP(b *testing.B) {
 	built, err := api.NewProblem(api.Problem{TFG: "layered:5,16,32*6,16,0.05", Topology: "cube:8", Bandwidth: 512, TauIn: 170})
 	if err != nil {
@@ -730,6 +733,8 @@ func BenchmarkAssignPathsCompileLP(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	restart0 := schedule.AssignPaths(lsd, cands, p.Topology, res.Windows, res.Activity, opts.Seed, 1, 60).Iterations
+	pipeline := res.Stats.AssignIterations + (res.Stats.Attempts-1)*restart0
 	b.ReportAllocs()
 	b.ResetTimer()
 	var evals int
@@ -741,9 +746,43 @@ func BenchmarkAssignPathsCompileLP(b *testing.B) {
 			peak = min(peak, ar.Util.Peak)
 			evals += ar.Iterations
 		}
-		if peak != res.Peak || evals != res.Stats.AssignIterations {
-			b.Fatalf("peak %v after %d evaluations, the pipeline reached %v after %d", peak, evals, res.Peak, res.Stats.AssignIterations)
+		if peak != res.Peak || evals != pipeline {
+			b.Fatalf("peak %v after %d evaluations, the pipeline reached %v after %d and restart 0 takes %d", peak, evals, res.Peak, res.Stats.AssignIterations, restart0)
 		}
+	}
+	b.ReportMetric(float64(evals), "evals/op")
+}
+
+// BenchmarkSolveRetriesCompileLP is the whole pipeline on the entry of
+// the repository benchmark's compile_lp pool whose Fig. 3 retries cost
+// the most, cube7-s3-d0.05-b256-t90: layered:3,16,16*6,16,0.05 on the
+// 7-cube at B=256, τin 90, built through api.NewProblem and solved with
+// the pool's options (Seed 1, Retries 2). Every attempt fails at
+// interval scheduling, so each iteration runs all three; it fails unless
+// the solve ends there, at the pool's peak, after three attempts. It
+// reports the AssignPaths evaluations the solve performed.
+func BenchmarkSolveRetriesCompileLP(b *testing.B) {
+	built, err := api.NewProblem(api.Problem{TFG: "layered:3,16,16*6,16,0.05", Topology: "cube:7", Bandwidth: 256, TauIn: 90})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts, err := api.Options{Seed: 1, Retries: 2}.ToSchedule()
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := built.ScheduleProblemAt(90)
+	b.ReportAllocs()
+	var evals int
+	for i := 0; i < b.N; i++ {
+		res, err := schedule.Compute(p, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.FailStage != schedule.StageIntervalSchedule || res.Peak != 0.4790736607142857 || res.Stats.Attempts != 3 {
+			b.Fatalf("ended at %v with peak %v after %d attempts, want interval scheduling with peak 0.4790736607142857 after 3",
+				res.FailStage, res.Peak, res.Stats.Attempts)
+		}
+		evals = res.Stats.AssignIterations
 	}
 	b.ReportMetric(float64(evals), "evals/op")
 }

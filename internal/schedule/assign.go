@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -48,116 +49,147 @@ var assignCrossCheck = false
 // hence the result for a fixed seed — is unchanged.
 func AssignPaths(initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int) *AssignPathsResult {
 	var a solveArena
-	res, _ := assignPaths(context.Background(), &a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil) // Background is never done
+	var rec assignRecord
+	res, _ := rec.assign(context.Background(), &a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil) // Background is never done
 	return res
 }
 
-// assignPaths is AssignPaths on a pooled arena against a per-link
-// capacity vector (see Options.LinkCap): the hill-climb minimizes the
+// assignRecord carries AssignPaths from one seed to the next over the
+// same inputs. Restart 0 climbs from the starting assignment and reads
+// no seed, so its outcome is the same for every seed: the first assign
+// climbs it and records the fold of the start and restart 0, and every
+// later assign starts from that fold and climbs only its seeded
+// restarts. The zero value has climbed nothing.
+type assignRecord struct {
+	best  *PathAssignment // the fold of the start and restart 0
+	bestU *Utilization    // best's utilization; nil until restart 0 is climbed
+	// current is the climb's working assignment. Only multi-path
+	// messages ever move, and a random restart reassigns every one of
+	// them, so what a seeded restart starts from depends on its seed
+	// alone. Held by value, so a record on its caller's stack costs no
+	// allocation.
+	current PathAssignment
+	msgBuf  []tfg.MessageID
+}
+
+// assign is AssignPaths on a pooled arena against a per-link capacity
+// vector (see Options.LinkCap): the hill-climb minimizes the
 // capacity-relative peak max_j U_j / linkCap[j], steering traffic away
-// from links with little residual share. nil is the whole machine. ctx
-// is looked at once per restart; a done one is the only error.
-func assignPaths(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) (*AssignPathsResult, error) {
-	if maxOuter < 1 {
-		maxOuter = 1
-	}
-	if maxInner < 1 {
-		maxInner = 1
-	}
+// from links with little residual share. nil is the whole machine.
+// Restart 0 runs on the record's first call only (see assignRecord);
+// the result's counts are of the work this call performed. ctx is
+// looked at once per restart; a done one is the only error.
+func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) (*AssignPathsResult, error) {
+	maxOuter, maxInner = max(maxOuter, 1), max(maxInner, 1)
 	rng := rand.New(rand.NewSource(seed))
-	evals := 0
-
-	current := initial.Clone()
-	best := current.Clone()
-	ls := a.loadState(top, current, ws, act, linkCap)
-	computed0, reused0 := ls.tentComputed, ls.tentReused // a pooled state carries earlier solves' counts
-	evals++
-	bestU := ls.Utilization()
-
-	var msgBuf []tfg.MessageID
-	for outer := 0; outer < maxOuter; outer++ {
+	res := &AssignPathsResult{Assignment: r.best, Util: r.bestU}
+	outer := 0
+	if r.bestU != nil {
+		outer = 1
+	}
+	for ; outer < maxOuter; outer++ {
+		if outer > 0 {
+			if res.Util.Peak <= timeEps {
+				break // cannot improve on zero
+			}
+			// Random restart (Fig. 4's escape from local minima).
+			randomize(&r.current, cands, rng)
+		}
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
-		if outer > 0 {
-			ls.Reset(current)
+		if outer == 0 {
+			r.current = PathAssignment{
+				Paths: slices.Clone(initial.Paths),
+				Links: slices.Clone(initial.Links),
+			}
 		}
-		evals++
-		curPeak, curLink, curInterval := ls.PeakPosition()
-		visited := map[assignPosition]bool{}
-		for inner := 0; inner < maxInner; inner++ {
-			pos := assignPosition{curLink, curInterval}
-			visited[pos] = true
-			msgBuf = reroutable(current, cands, act, ls, pos, msgBuf[:0])
-			// Evaluate every alternative path of every peak message.
-			type move struct {
-				msg      tfg.MessageID
-				cand     int
-				peak     float64
-				link     topology.LinkID
-				interval int
-			}
-			var bestReduce, bestRepos move
-			haveReduce, haveRepos := false, false
-			for _, mi := range msgBuf {
-				cur := current.Paths[mi]
-				for ci, c := range cands.PathsOf[mi] {
-					if c.path.Equal(cur) {
-						continue
-					}
-					evals++
-					tp, tl, tk := ls.EvalReroute(mi, current.Links[mi], c.links)
-					if tp < curPeak-timeEps {
-						if !haveReduce || tp < bestReduce.peak {
-							bestReduce = move{msg: mi, cand: ci, peak: tp, link: tl, interval: tk}
-							haveReduce = true
-						}
-					} else if tp <= curPeak+timeEps {
-						np := assignPosition{tl, tk}
-						if np != pos && !visited[np] && !haveRepos {
-							bestRepos = move{msg: mi, cand: ci, peak: tp, link: tl, interval: tk}
-							haveRepos = true
-						}
-					}
-				}
-			}
-			chosen := bestReduce
-			if !haveReduce {
-				chosen = bestRepos
-			}
-			if !haveReduce && !haveRepos {
-				break // inner convergence: no reduction, no fresh reposition
-			}
-			c := cands.PathsOf[chosen.msg][chosen.cand]
-			ls.ApplyReroute(chosen.msg, current.Links[chosen.msg], c.links)
-			current.SetPath(chosen.msg, c.path, c.links)
-			curPeak, curLink, curInterval = chosen.peak, chosen.link, chosen.interval
+		ls := a.loadState(top, &r.current, ws, act, linkCap)
+		computed0, reused0 := ls.tentComputed, ls.tentReused // a pooled state carries earlier climbs' counts
+		if outer == 0 {
+			res.Iterations++
+			res.Assignment, res.Util = r.current.Clone(), ls.Utilization()
 		}
+		peak := r.climb(ls, cands, act, maxInner, &res.Iterations)
 		if assignCrossCheck {
-			full := computeUtilization(new(solveArena), top, current, ws, act, linkCap)
+			full := computeUtilization(new(solveArena), top, &r.current, ws, act, linkCap)
 			got := ls.Utilization()
 			if got.Peak != full.Peak || got.PeakLink != full.PeakLink || got.PeakInterval != full.PeakInterval {
 				panic(fmt.Sprintf("schedule: LoadState diverged from ComputeUtilization: incremental (%v, %v, %v) vs full (%v, %v, %v)",
 					got.Peak, got.PeakLink, got.PeakInterval, full.Peak, full.PeakLink, full.PeakInterval))
 			}
 		}
-		if curPeak < bestU.Peak-timeEps {
-			best = current.Clone()
-			bestU = ls.Utilization()
+		if peak < res.Util.Peak-timeEps {
+			res.Assignment, res.Util = r.current.Clone(), ls.Utilization()
 		}
-		if bestU.Peak <= timeEps {
-			break // cannot improve on zero
+		res.TentativeComputed += ls.tentComputed - computed0
+		res.TentativeReused += ls.tentReused - reused0
+		if outer == 0 {
+			r.best, r.bestU = res.Assignment, res.Util
 		}
-		// Random restart (Fig. 4's escape from local minima).
-		randomize(current, cands, rng)
 	}
-	return &AssignPathsResult{
-		Assignment:        best,
-		Util:              bestU,
-		Iterations:        evals,
-		TentativeComputed: ls.tentComputed - computed0,
-		TentativeReused:   ls.tentReused - reused0,
-	}, nil
+	return res, nil
+}
+
+// climb is one restart of the hill-climb: it moves r.current, whose
+// accumulators ls holds, until no move reduces the peak or repositions
+// it somewhere not yet visited, or maxInner moves were made. It adds
+// the utilization evaluations it performs to *evals and returns the
+// peak it ends on.
+func (r *assignRecord) climb(ls *LoadState, cands *Candidates, act *Activity, maxInner int, evals *int) float64 {
+	current := &r.current
+	*evals++
+	curPeak, curLink, curInterval := ls.PeakPosition()
+	visited := map[assignPosition]bool{}
+	for inner := 0; inner < maxInner; inner++ {
+		pos := assignPosition{curLink, curInterval}
+		visited[pos] = true
+		r.msgBuf = reroutable(current, cands, act, ls, pos, r.msgBuf[:0])
+		// Evaluate every alternative path of every peak message.
+		type move struct {
+			msg      tfg.MessageID
+			cand     int
+			peak     float64
+			link     topology.LinkID
+			interval int
+		}
+		var bestReduce, bestRepos move
+		haveReduce, haveRepos := false, false
+		for _, mi := range r.msgBuf {
+			cur := current.Paths[mi]
+			for ci, c := range cands.PathsOf[mi] {
+				if c.path.Equal(cur) {
+					continue
+				}
+				*evals++
+				tp, tl, tk := ls.EvalReroute(mi, current.Links[mi], c.links)
+				if tp < curPeak-timeEps {
+					if !haveReduce || tp < bestReduce.peak {
+						bestReduce = move{msg: mi, cand: ci, peak: tp, link: tl, interval: tk}
+						haveReduce = true
+					}
+				} else if tp <= curPeak+timeEps {
+					np := assignPosition{tl, tk}
+					if np != pos && !visited[np] && !haveRepos {
+						bestRepos = move{msg: mi, cand: ci, peak: tp, link: tl, interval: tk}
+						haveRepos = true
+					}
+				}
+			}
+		}
+		chosen := bestReduce
+		if !haveReduce {
+			chosen = bestRepos
+		}
+		if !haveReduce && !haveRepos {
+			break // inner convergence: no reduction, no fresh reposition
+		}
+		c := cands.PathsOf[chosen.msg][chosen.cand]
+		ls.ApplyReroute(chosen.msg, current.Links[chosen.msg], c.links)
+		current.SetPath(chosen.msg, c.path, c.links)
+		curPeak, curLink, curInterval = chosen.peak, chosen.link, chosen.interval
+	}
+	return curPeak
 }
 
 // reroutable lists the multi-path messages that cross the peak link

@@ -56,7 +56,11 @@ type Options struct {
 	// Retries implements the feedback arrows of the paper's Fig. 3:
 	// when message-interval allocation or interval scheduling rejects a
 	// path assignment, AssignPaths is re-run with a fresh seed and the
-	// later stages are retried, up to this many times.
+	// later stages are retried, up to this many times. A retry climbs
+	// only its seeded restarts, from restart 0's outcome in the first
+	// attempt, and one whose assignment an earlier attempt already failed
+	// with takes that attempt's verdict without re-running the later
+	// stages; the result is what independent attempts would give.
 	Retries int
 	// AllowSharedNodes admits placements with several tasks per node:
 	// the mapping chain's "node scheduling" step then packs each

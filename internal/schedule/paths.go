@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"fmt"
+	"slices"
 
 	"schedroute/internal/alloc"
 	"schedroute/internal/tfg"
@@ -31,6 +32,20 @@ func (pa *PathAssignment) Clone() *PathAssignment {
 func (pa *PathAssignment) SetPath(i tfg.MessageID, p topology.Path, links []topology.LinkID) {
 	pa.Paths[i] = p
 	pa.Links[i] = links
+}
+
+// sameLinks reports whether o, an assignment of the same messages,
+// routes every one over the same links as pa.
+func (pa *PathAssignment) sameLinks(o *PathAssignment) bool {
+	if pa == o {
+		return true
+	}
+	for i, links := range pa.Links {
+		if !slices.Equal(links, o.Links[i]) {
+			return false
+		}
+	}
+	return true
 }
 
 // LSDAssignment routes every non-local message along its deterministic

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -23,7 +24,9 @@ type SolveStats struct {
 	// the first path assignment survived the downstream stages).
 	Attempts int
 	// AssignIterations totals the utilization evaluations AssignPaths
-	// performed across all attempts.
+	// performed across all attempts. Restart 0 reads no seed, so only
+	// the first attempt climbs it; later attempts count their seeded
+	// restarts alone.
 	AssignIterations int
 
 	// Per-stage wall-clock times; zero unless Options.CollectStats.
@@ -305,8 +308,14 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 
 	// The Fig. 3 pipeline, with feedback: on a downstream rejection the
 	// path assignment is recomputed from a fresh seed and the later
-	// stages retried.
+	// stages retried. Each attempt pays only for what its seed changes
+	// (DESIGN §3.4): rec holds restart 0's fold, which attempt 0 climbs
+	// and every later attempt starts from, and failed[i] is attempt i's
+	// assignment and verdict, taken again by an attempt that lands on the
+	// same assignment.
 	back := backHalf{arena: arena, top: p.Topology, tauIn: tauIn, opt: &opt, clock: &clock}
+	var rec assignRecord
+	var failed []failedAttempt
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -316,7 +325,7 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 		ap := asp.Start(SpanAssignPaths)
 		pa, peak := lsd, lsdU.Peak
 		if !opt.LSDOnly {
-			ar, err := assignPaths(ctx, arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap)
+			ar, err := rec.assign(ctx, arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap)
 			if err != nil {
 				return nil, err
 			}
@@ -338,7 +347,11 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 			res.Peak = peak
 		}
 
-		if err := back.run(ctx, asp, res, pa, peak, starts, nil); err != nil {
+		// The later stages read nothing of an attempt but its assignment.
+		if i := slices.IndexFunc(failed, func(f failedAttempt) bool { return f.pa.sameLinks(pa) }); i >= 0 {
+			res.FailStage = failed[i].stage
+			asp.SetAttrs(trace.Int("repeats", i))
+		} else if err := back.run(ctx, asp, res, pa, peak, starts, nil); err != nil {
 			return nil, err
 		}
 		if !res.Feasible {
@@ -346,6 +359,7 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 		}
 		asp.End()
 		if !res.Feasible && attempt < opt.Retries && !opt.LSDOnly {
+			failed = append(failed, failedAttempt{pa, res.FailStage})
 			continue
 		}
 		res.Stats = clock.SolveStats
@@ -353,6 +367,13 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 		res.Trace = sp.Tree()
 		return res, nil
 	}
+}
+
+// failedAttempt is a Fig. 3 attempt the later stages rejected: its path
+// assignment and the stage that rejected it.
+type failedAttempt struct {
+	pa    *PathAssignment
+	stage Stage
 }
 
 // stageClock is one Solve's SolveStats and the wall clock behind its
