@@ -187,13 +187,14 @@ func inFrameOrder(sls []Slice) []Slice {
 // every link carries at most one message at a time (contention-free and
 // half-duplex safe), every transmission happens inside its message's
 // window, and every message receives exactly its transmission time each
-// frame, by its slices and by its source commands alike. An Ω naming a
-// node, message or link the topology and windows do not have is refused
-// before any id is used as an index.
+// frame, by its slices and by its source commands alike, with every hop
+// switched when its source is. An Ω naming a node, message or link the
+// topology and windows do not have is refused before any id is used as
+// an index.
 func (om *Omega) Validate(top *topology.Topology) error {
 	nw, nl := len(om.Windows), top.Links()
 	// The linkset table bounds every message and link id a command names.
-	linksets, sent, negative := om.linksets()
+	linksets, sent, negative, skewed := om.linksets()
 	switch {
 	case negative < 0:
 		return fmt.Errorf("schedule: a command switches unknown message %d", negative)
@@ -211,6 +212,9 @@ func (om *Omega) Validate(top *topology.Topology) error {
 		if ns.Node < 0 || int(ns.Node) >= top.Nodes() {
 			return fmt.Errorf("schedule: schedule for unknown node %d", ns.Node)
 		}
+	}
+	if skewed >= 0 {
+		return fmt.Errorf("schedule: message %d's hop commands run at other times than its source commands", skewed)
 	}
 	got := make([]float64, nw)
 	for _, sl := range om.Slices {
@@ -278,21 +282,31 @@ func (om *Omega) Validate(top *topology.Topology) error {
 // structures. All rows are filled together — a counting pass and a
 // filling pass over the commands — and share a single backing array.
 func (om *Omega) Linksets() [][]topology.LinkID {
-	sets, _, _ := om.linksets()
+	sets, _, _, _ := om.linksets()
 	return sets
 }
 
 // linksets is Linksets plus, per message, the time its source commands
-// run, and a negative message id some command carries (0 when none
-// does): such a command has no row and is left out.
-func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative tfg.MessageID) {
+// run; a negative message id some command carries (0 when none does):
+// such a command has no row and is left out; and the first message
+// whose hop commands run at other times than its source commands (-1
+// when none does).
+func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative, skewed tfg.MessageID) {
 	// Every run of a message repeats its commands — one of them at the
 	// source, In on the AP — and names each link at both of its ends, so
 	// link ports / (2 · source commands) is the message's hop count in
 	// any Ω the pipeline emits. In any other it is a capacity hint: a row
 	// that outgrows it moves off the backing array. cnt and sent grow
 	// should a command name a message past the windows.
-	type count struct{ ports, sources int32 }
+	//
+	// Every command of a run spans the same [Start, End), so a message's
+	// hop commands sum, over Start + End, to its hop count times its
+	// source commands' sum; skew is the difference, built up across the
+	// two passes (-sources here, × hops, + hops below).
+	type count struct {
+		ports, sources int32
+		skew           float64
+	}
 	cnt := make([]count, len(om.Windows))
 	sent = make([]float64, len(om.Windows))
 	for _, ns := range om.Nodes {
@@ -308,6 +322,7 @@ func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative 
 			k := &cnt[c.Msg]
 			if c.In.AP {
 				k.sources++
+				k.skew -= c.Start + c.End
 				sent[c.Msg] += c.End - c.Start
 			} else {
 				k.ports++
@@ -320,6 +335,7 @@ func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative 
 	total := 0
 	for m, k := range cnt {
 		cnt[m].ports = k.ports / (2 * max(k.sources, 1))
+		cnt[m].skew *= float64(cnt[m].ports)
 		total += int(cnt[m].ports)
 	}
 	flat := make([]topology.LinkID, total)
@@ -340,12 +356,19 @@ func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative 
 		for _, c := range ns.Commands {
 			add(c.Msg, c.In)
 			add(c.Msg, c.Out)
+			if c.Msg >= 0 && !c.In.AP {
+				cnt[c.Msg].skew += c.Start + c.End
+			}
 		}
 	}
-	for _, set := range sets {
+	skewed = -1
+	for m, set := range sets {
 		slices.Sort(set)
+		if skewed < 0 && math.Abs(cnt[m].skew) > 1e-6 {
+			skewed = tfg.MessageID(m)
+		}
 	}
-	return sets, sent, negative
+	return sets, sent, negative, skewed
 }
 
 // CommandsAt returns node n's switching schedule.

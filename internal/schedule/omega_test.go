@@ -325,14 +325,23 @@ func TestValidateSweepMatchesSpanSort(t *testing.T) {
 						om.Windows[m].Xmit += sl.Until[mi] - sl.Start
 					}
 				}
-				// One source command per message absorbs the change, so
-				// the command-time check passes as well.
+				// One run per message absorbs the change, its source
+				// command and every hop's alike, so the command-time
+				// checks pass as well.
+				type run struct{ start, end float64 }
+				absorb := map[tfg.MessageID]run{}
+				for n := range om.Nodes {
+					for _, cmd := range om.Nodes[n].Commands {
+						if _, ok := absorb[cmd.Msg]; !ok && cmd.In.AP && om.Windows[cmd.Msg].Xmit != was[cmd.Msg] {
+							absorb[cmd.Msg] = run{cmd.Start, cmd.End}
+						}
+					}
+				}
 				for n := range om.Nodes {
 					for c := range om.Nodes[n].Commands {
 						cmd := &om.Nodes[n].Commands[c]
-						if xmit := om.Windows[cmd.Msg].Xmit; cmd.In.AP && xmit != was[cmd.Msg] {
-							cmd.End += xmit - was[cmd.Msg]
-							was[cmd.Msg] = xmit
+						if r, ok := absorb[cmd.Msg]; ok && cmd.Start == r.start && cmd.End == r.end {
+							cmd.End += om.Windows[cmd.Msg].Xmit - was[cmd.Msg]
 						}
 					}
 				}
@@ -590,6 +599,38 @@ func TestValidateRejectsMistimedCommands(t *testing.T) {
 		}
 		if err := om.Validate(p.Topology); err == nil {
 			t.Errorf("a source command %+g µs off its slices passed validation", delta)
+		}
+	}
+}
+
+// TestValidateRejectsShiftedCommand: every command of a run spans the
+// same [Start, End), so a hop command, or a source command, moved in time
+// with its length intact is refused, although every total still holds.
+func TestValidateRejectsShiftedCommand(t *testing.T) {
+	p := dvbProblem(t, sixCube(t), 128, gridTauIn(5))
+	res, err := Compute(p, Options{Seed: 1})
+	if err != nil || !res.Feasible {
+		t.Fatalf("setup: %v %v", err, res.FailStage)
+	}
+	for _, source := range []bool{false, true} {
+		om := *res.Omega
+		om.Nodes = slices.Clone(om.Nodes)
+		edited := false
+		for n := range om.Nodes {
+			om.Nodes[n].Commands = slices.Clone(om.Nodes[n].Commands)
+			for c := range om.Nodes[n].Commands {
+				if cmd := &om.Nodes[n].Commands[c]; !edited && cmd.In.AP == source {
+					cmd.Start += 0.5
+					cmd.End += 0.5
+					edited = true
+				}
+			}
+		}
+		if !edited {
+			t.Fatal("no command to shift")
+		}
+		if err := om.Validate(p.Topology); err == nil {
+			t.Errorf("a command shifted by 0.5 µs (source %t) passed validation", source)
 		}
 	}
 }
