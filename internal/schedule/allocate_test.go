@@ -70,6 +70,64 @@ func TestAllocationLPAnswersCheck(t *testing.T) {
 	matchPivotLines(t, got)
 }
 
+// TestHalvedXmitKeepsSubsetsFeasible is a metamorphic test of the
+// Section 5.2 LP: halving every message's transmission time only loosens
+// the system — half of any allocation that fits still fits — so no
+// maximal subset that allocates may stop allocating. It runs over every
+// maximal subset of the standard grid's path assignments and of the
+// compile_lp pool's first-attempt assignments, and lp.Check must accept
+// the answer at either transmission time.
+func TestHalvedXmitKeepsSubsetsFeasible(t *testing.T) {
+	pool, o := compileLPPool(t)
+	o.Retries = 0
+	grid := standardGrid(t)
+	var feasible, freed, subsets int
+	for i, e := range append(grid, pool...) {
+		opt := Options{Seed: 1}
+		if i >= len(grid) {
+			opt = o
+		}
+		res, err := Compute(e.p, opt)
+		if err != nil {
+			t.Fatalf("%s: %v", e.id, err)
+		}
+		pa, ws, act := res.Assignment, res.Windows, res.Activity
+		half := slices.Clone(ws)
+		for m := range half {
+			half[m].Xmit /= 2
+		}
+		K := act.Intervals.K()
+		for si, subset := range MaximalSubsets(pa, ws, act) {
+			var ok [2]bool
+			for h, w := range [][]Window{ws, half} {
+				var a solveArena
+				allocErr := allocateSubset(context.Background(), &a, subset, nil, pa, w, act, K, &Allocation{P: make([][]float64, len(w))}, nil)
+				sol := a.lp.Solve()
+				if err := a.lp.Check(sol); err != nil {
+					t.Fatalf("%s subset %d (halved %t): %v answer fails Check: %v", e.id, si, h == 1, sol.Status, err)
+				}
+				if (sol.Status == lp.Optimal) != (allocErr == nil) {
+					t.Fatalf("%s subset %d (halved %t): LP says %v, allocateSubset returned %v", e.id, si, h == 1, sol.Status, allocErr)
+				}
+				ok[h] = allocErr == nil
+			}
+			subsets++
+			switch {
+			case ok[0] && !ok[1]:
+				t.Errorf("%s subset %d: allocates at full transmission times, not at half", e.id, si)
+			case ok[0]:
+				feasible++
+			case ok[1]:
+				freed++
+			}
+		}
+	}
+	t.Logf("%d subsets: %d allocate at both transmission times, %d only at half", subsets, feasible, freed)
+	if feasible == 0 || freed == 0 {
+		t.Fatal("the cases must reach subsets that allocate and subsets that allocate only at half")
+	}
+}
+
 // matchPivotLines compares got with the sec5.2/ lines of lpPivotsGolden
 // or, under -update-pivots, replaces them, keeping every other line.
 func matchPivotLines(t *testing.T, got []string) {
