@@ -12,7 +12,7 @@ import (
 
 // No caller outside bench/traced.go and snapshot_test.go: warm-start left in
 // PR 16 (decoding costs 2.7-19x the derivation it replaces); this file goes
-// when a [benchmark] PR drops the schedule.snapshot_* metrics (ROADMAP item 5).
+// when a [benchmark] PR drops the schedule.snapshot_* metrics (ROADMAP item 6).
 //
 // A solver snapshot serializes the τin-independent state a Solver has
 // derived for one problem structure — the fault-aware LSD baseline,

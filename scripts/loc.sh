@@ -2,8 +2,8 @@
 # loc.sh — non-test Go lines per package: plain `wc -l` over every
 # *.go file that is not a *_test.go, no comment stripping, so the number
 # is the one a reader scrolls through. bench/ is its own module and is
-# listed with the rest; the last line is the srschedd surface ROADMAP
-# item 6 tracks (internal/service + pkg/schedroute). Run via `make loc`.
+# listed with the rest; the last line is the srschedd surface
+# (internal/service + pkg/schedroute). Run via `make loc`.
 set -eu
 cd "$(dirname "$0")/.."
 
