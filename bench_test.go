@@ -787,6 +787,53 @@ func BenchmarkSolveRetriesCompileLP(b *testing.B) {
 	b.ReportMetric(float64(evals), "evals/op")
 }
 
+// BenchmarkSolveAlternatingShapes is the pooled solve across problem
+// shapes: warm Solvers for dvb:4 on cube:6 at B=64 and on torus:8,8 at
+// B=128, both at τin 100, and one op is one Solve of each, so every
+// Solve takes an arena the other shape warmed (other link, interval and
+// message counts). It fails unless each verdict and peak equals its
+// one-shot Compute.
+func BenchmarkSolveAlternatingShapes(b *testing.B) {
+	ctx := context.Background()
+	type shape struct {
+		solver *schedule.Solver
+		want   *schedule.Result
+	}
+	var shapes []shape
+	for _, p := range []api.Problem{
+		{TFG: "dvb:4", Topology: "cube:6", Bandwidth: 64, TauIn: 100},
+		{TFG: "dvb:4", Topology: "torus:8,8", Bandwidth: 128, TauIn: 100},
+	} {
+		built, err := api.NewProblem(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		want, err := schedule.Compute(built.ScheduleProblem(), schedule.Options{Seed: 1})
+		if err != nil {
+			b.Fatal(err)
+		}
+		solver := schedule.NewSolver(built.ScheduleProblem())
+		if _, err := solver.Solve(ctx, 100, schedule.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
+		shapes = append(shapes, shape{solver, want})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, s := range shapes {
+			res, err := s.solver.Solve(ctx, 100, schedule.Options{Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Feasible != s.want.Feasible || res.FailStage != s.want.FailStage || res.Peak != s.want.Peak {
+				b.Fatalf("feasible %t at %v with peak %v; Compute says %t at %v with peak %v",
+					res.Feasible, res.FailStage, res.Peak, s.want.Feasible, s.want.FailStage, s.want.Peak)
+			}
+		}
+	}
+}
+
 // BenchmarkAllocationLPGHC448 is Section 5.2 interval allocation alone,
 // maximal subsets then one LP per subset, on the heaviest entry of the
 // repository benchmark's compile_lp pool, ghc448-s3-d0.05-b128-t65:

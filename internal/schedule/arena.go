@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"math/rand"
+
 	"schedroute/internal/lp"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -9,11 +11,13 @@ import (
 // solveArena is the per-Solve scratch pool: every hot stage of the
 // Fig. 3 pipeline (path assignment, subset discovery, interval
 // allocation, interval scheduling, Ω emission) borrows its working
-// storage from here instead of allocating. A warm Solver keeps arenas in
-// a sync.Pool, so repeated Solve calls allocate only what escapes into
-// the Result. The zero value is ready to use: every sub-scratch sizes
-// itself lazily and is fully overwritten before being read, so arena
-// reuse can never change a result.
+// storage from here instead of allocating. Arenas live in a sync.Pool
+// shared by every Solver, so a Solve often takes one that another period
+// or problem shape warmed; every scratch array only grows and is resized
+// in place, so repeated Solve calls allocate only what escapes into the
+// Result whatever shapes came before. The zero value is ready to use:
+// every sub-scratch sizes itself lazily and is fully overwritten before
+// being read, so arena reuse can never change a result.
 type solveArena struct {
 	lp    *lp.Problem
 	alloc allocScratch
@@ -21,20 +25,35 @@ type solveArena struct {
 	sub   subsetScratch
 	load  *LoadState
 	util  utilScratch
+	rng   *rand.Rand
 }
 
 // loadState returns the arena's pooled LoadState rebuilt for the given
-// assignment, reusing every backing array when the dimensions match the
-// previous use.
+// assignment. A state of the same dimensions is re-bound and Reset,
+// which clears only the links its last assignment touched; any other is
+// resized in place (newLoadState), so the arena never drops the arrays
+// it holds.
 func (a *solveArena) loadState(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *LoadState {
 	ls := a.load
 	if ls == nil || ls.nl != top.Links() || ls.K != act.Intervals.K() || len(ls.ws) != len(ws) {
-		a.load = NewLoadStateCap(top, pa, ws, act, linkCap)
+		a.load = newLoadState(ls, top, pa, ws, act, linkCap)
 		return a.load
 	}
 	ls.bind(ws, act, linkCap)
 	ls.Reset(pa)
 	return ls
+}
+
+// rand returns the arena's pooled generator reseeded with seed. Seed
+// restarts the sequence rand.NewSource(seed) would produce, so a pooled
+// generator draws exactly what a new one would.
+func (a *solveArena) rand(seed int64) *rand.Rand {
+	if a.rng == nil {
+		a.rng = rand.New(rand.NewSource(seed))
+	} else {
+		a.rng.Seed(seed)
+	}
+	return a.rng
 }
 
 // lpProblem returns the arena's pooled LP rewound to an empty system
@@ -46,6 +65,18 @@ func (a *solveArena) lpProblem(nvars int) *lp.Problem {
 		a.lp.Reset(nvars)
 	}
 	return a.lp
+}
+
+// zeroed returns s resized to n all-zero elements, as make would leave
+// them, reusing its backing array when the capacity suffices: the
+// grow-only resize of every arena scratch.
+func zeroed[S ~[]E, E any](s S, n int) S {
+	if cap(s) < n {
+		return make(S, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
 // allocScratch is the working storage of one allocateSubset call.

@@ -2,10 +2,13 @@ package schedule
 
 import (
 	"context"
+	"math/rand"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
+	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
 
@@ -82,45 +85,184 @@ func TestArenaConcurrentSameTauIn(t *testing.T) {
 	}
 }
 
-// TestArenaReuseAcrossStructures reuses one pooled arena shape across
-// different problem structures back to back (6-cube then a faulted
-// variant), catching any dimension-keyed cache in the arena that fails
-// to rebuild when the structure changes under it.
+// TestArenaReuseAcrossStructures alternates Solvers of two problem
+// structures back to back, so each Solve inherits an arena warmed by the
+// other, catching any dimension-keyed scratch that fails to follow the
+// structure: the 6-cube and a faulted variant (the same dimensions), and
+// the 6-cube at B=64 and the 8x8 torus at B=128 (other link, interval
+// and message counts).
 func TestArenaReuseAcrossStructures(t *testing.T) {
 	ctx := context.Background()
 	tauIn := gridTauIn(4)
 
 	perfect := dvbProblem(t, sixCube(t), 64, tauIn)
-	wantPerfect, err := Compute(perfect, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
 	faulted := perfect
 	fs := topology.NewFaultSet(perfect.Topology.Links(), perfect.Topology.Nodes())
 	fs.FailLink(0)
 	faulted.Faults = fs
-	wantFaulted, err := Compute(faulted, Options{Seed: 1})
+	torus, err := topology.NewTorus(8, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
+	pairs := []struct {
+		name string
+		a, b Problem
+	}{
+		{"perfect/faulted", perfect, faulted},
+		{"6cube-b64/torus88-b128", perfect, dvbProblem(t, torus, 128, tauIn)},
+	}
+	for _, pair := range pairs {
+		t.Run(pair.name, func(t *testing.T) {
+			probs := []Problem{pair.a, pair.b}
+			var want [2]*Result
+			var solvers [2]*Solver
+			for i, p := range probs {
+				if want[i], err = Compute(p, Options{Seed: 1}); err != nil {
+					t.Fatal(err)
+				}
+				solvers[i] = NewSolver(p)
+			}
+			for round := 0; round < 3; round++ {
+				for i, s := range solvers {
+					got, err := s.Solve(ctx, tauIn, Options{Seed: 1})
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !reflect.DeepEqual(got, want[i]) {
+						t.Fatalf("round %d: problem %d diverged after the other's arena", round, i)
+					}
+				}
+			}
+		})
+	}
+}
 
-	// Alternate structures so each Solve inherits an arena warmed by
-	// the other problem.
-	sp, sf := NewSolver(perfect), NewSolver(faulted)
-	for i := 0; i < 3; i++ {
-		gp, err := sp.Solve(ctx, tauIn, Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+// TestLoadStateReusedAcrossShapes takes one arena's LoadState through
+// problems of other interval, link and message counts — the DVB on the
+// 6-cube at B=64 at two periods with different K, the DVB on the 8x8
+// torus at B=128, a compile_lp entry on GHC(4,4,8), and back to the
+// first — and requires after each step that every accumulator over all
+// links, the peak cache and a seeded eval/apply/undo walk equal a fresh
+// NewLoadStateCap's. Once warm, the whole cycle allocates nothing: the
+// arena resizes its state in place instead of building another.
+func TestLoadStateReusedAcrossShapes(t *testing.T) {
+	pool, _ := compileLPPool(t)
+	var ghc Problem
+	for _, e := range pool {
+		if e.id == "ghc448-s3-d0.05-b128-t65" {
+			ghc = e.p
 		}
-		if !reflect.DeepEqual(gp, wantPerfect) {
-			t.Fatalf("round %d: perfect result diverged after faulted-arena reuse", i)
+	}
+	if ghc.Graph == nil {
+		t.Fatal("compile_lp pool has no ghc448-s3-d0.05-b128-t65")
+	}
+	torus, err := topology.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cube := dvbProblem(t, sixCube(t), 64, gridTauIn(0))
+	cubeLater := cube
+	cubeLater.TauIn = gridTauIn(7)
+	shapes := []struct {
+		name string
+		p    Problem
+	}{
+		{"6cube-k0", cube},
+		{"6cube-k7", cubeLater},
+		{"torus88-b128", dvbProblem(t, torus, 128, gridTauIn(4))},
+		{"ghc448", ghc},
+		{"6cube-k0-again", cube},
+	}
+	type fixture struct {
+		pa    *PathAssignment
+		ws    []Window
+		act   *Activity
+		cands *Candidates
+		multi []tfg.MessageID
+	}
+	fx := make([]fixture, len(shapes))
+	for i, s := range shapes {
+		pa, ws, act, cands, multi := routeFixture(t, s.p, nil)
+		fx[i] = fixture{pa, ws, act, cands, multi}
+	}
+	if fx[0].act.Intervals.K() == fx[1].act.Intervals.K() {
+		t.Fatal("the two 6-cube periods have the same interval count")
+	}
+	if top := shapes[3].p.Topology; top.Links() <= torus.Links() || top.Links() <= sixCube(t).Links() || len(fx[3].ws) <= len(fx[0].ws) {
+		t.Fatal("the compile_lp entry must have more links and messages than the DVB problems")
+	}
+
+	var a solveArena
+	for i, s := range shapes {
+		f := fx[i]
+		top := s.p.Topology
+		ls := a.loadState(top, f.pa, f.ws, f.act, nil)
+		ref := NewLoadStateCap(top, f.pa, f.ws, f.act, nil)
+		sameLoadState(t, s.name, ls, ref)
+
+		rng := rand.New(rand.NewSource(int64(i + 1)))
+		pa := f.pa.Clone()
+		for step := 0; step < 100; step++ {
+			mi := f.multi[rng.Intn(len(f.multi))]
+			c := f.cands.PathsOf[mi][rng.Intn(len(f.cands.PathsOf[mi]))]
+			old := pa.Links[mi]
+			switch rng.Intn(3) {
+			case 0:
+				gp, gl, gk := ls.EvalReroute(mi, old, c.links)
+				wp, wl, wk := ref.EvalReroute(mi, old, c.links)
+				if gp != wp || gl != wl || gk != wk {
+					t.Fatalf("%s step %d: eval (%v, %v, %v), fresh state (%v, %v, %v)", s.name, step, gp, gl, gk, wp, wl, wk)
+				}
+			case 1:
+				ls.ApplyReroute(mi, old, c.links)
+				ref.ApplyReroute(mi, old, c.links)
+				pa.SetPath(mi, c.path, c.links)
+			default:
+				ls.ApplyReroute(mi, old, c.links)
+				ls.Undo(mi, old, c.links)
+				ref.ApplyReroute(mi, old, c.links)
+				ref.Undo(mi, old, c.links)
+			}
 		}
-		gf, err := sf.Solve(ctx, tauIn, Options{Seed: 1})
-		if err != nil {
-			t.Fatal(err)
+		sameLoadState(t, s.name+" after the walk", ls, ref)
+	}
+
+	cycle := func() {
+		for i, s := range shapes {
+			a.loadState(s.p.Topology, fx[i].pa, fx[i].ws, fx[i].act, nil)
 		}
-		if !reflect.DeepEqual(gf, wantFaulted) {
-			t.Fatalf("round %d: faulted result diverged after perfect-arena reuse", i)
+	}
+	cycle()
+	if n := testing.AllocsPerRun(5, cycle); n != 0 {
+		t.Fatalf("a warm cycle through the shapes allocates %v times", n)
+	}
+}
+
+// sameLoadState fails unless got and want hold the same dimensions,
+// accumulators over every link, and peak cache.
+func sameLoadState(t *testing.T, step string, got, want *LoadState) {
+	t.Helper()
+	if got.nl != want.nl || got.K != want.K || got.mw != want.mw {
+		t.Fatalf("%s: dimensions (%d, %d, %d), fresh state (%d, %d, %d)", step, got.nl, got.K, got.mw, want.nl, want.K, want.mw)
+	}
+	for _, c := range []struct {
+		name string
+		eq   bool
+	}{
+		{"lenK", slices.Equal(got.lenK, want.lenK)},
+		{"noSlack", slices.Equal(got.noSlack, want.noSlack)},
+		{"members", slices.Equal(got.members, want.members)},
+		{"xmit", slices.Equal(got.xmit, want.xmit)},
+		{"cnt", slices.Equal(got.cnt, want.cnt)},
+		{"spot", slices.Equal(got.spot, want.spot)},
+		{"activeLen", slices.Equal(got.activeLen, want.activeLen)},
+		{"score", slices.Equal(got.score, want.score)},
+		{"scoreK", slices.Equal(got.scoreK, want.scoreK)},
+		{"touched", slices.Equal(got.touched, want.touched)},
+		{"peak cache", slices.Equal(got.topk, want.topk) && got.topkAll == want.topkAll},
+	} {
+		if !c.eq {
+			t.Fatalf("%s: %s differs from a fresh state", step, c.name)
 		}
 	}
 }

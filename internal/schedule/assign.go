@@ -81,7 +81,7 @@ type assignRecord struct {
 // looked at once per restart; a done one is the only error.
 func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) (*AssignPathsResult, error) {
 	maxOuter, maxInner = max(maxOuter, 1), max(maxInner, 1)
-	rng := rand.New(rand.NewSource(seed))
+	rng := a.rand(seed)
 	res := &AssignPathsResult{Assignment: r.best, Util: r.bestU}
 	outer := 0
 	if r.bestU != nil {

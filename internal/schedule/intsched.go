@@ -160,14 +160,7 @@ func (sc *schedScratch) buildConflict(msgs []tfg.MessageID, pa *PathAssignment) 
 		}
 	}
 	wl := (int(maxLink) + 1 + 63) / 64
-	if cap(sc.lsets) < n*wl {
-		sc.lsets = make([]uint64, n*wl)
-	} else {
-		sc.lsets = sc.lsets[:n*wl]
-		for i := range sc.lsets {
-			sc.lsets[i] = 0
-		}
-	}
+	sc.lsets = zeroed(sc.lsets, n*wl)
 	for i, mi := range msgs {
 		row := sc.lsets[i*wl : (i+1)*wl]
 		for _, l := range pa.Links[mi] {
@@ -175,14 +168,7 @@ func (sc *schedScratch) buildConflict(msgs []tfg.MessageID, pa *PathAssignment) 
 		}
 	}
 	w := confWords(n)
-	if cap(sc.conf) < n*w {
-		sc.conf = make([]uint64, n*w)
-	} else {
-		sc.conf = sc.conf[:n*w]
-		for i := range sc.conf {
-			sc.conf[i] = 0
-		}
-	}
+	sc.conf = zeroed(sc.conf, n*w)
 	for i := 0; i < n; i++ {
 		ri := sc.lsets[i*wl : (i+1)*wl]
 		for j := i + 1; j < n; j++ {
@@ -322,11 +308,8 @@ func (sc *schedScratch) chainSets(n int) {
 		return
 	}
 	w := confWords(n)
-	if cap(sc.setBits) < ns*w {
-		sc.setBits = make([]uint64, ns*w)
-	}
-	rows := sc.setBits[:ns*w]
-	clear(rows)
+	sc.setBits = zeroed(sc.setBits, ns*w)
+	rows := sc.setBits
 	for si := 0; si < ns; si++ {
 		for _, i := range sc.resFlat[sc.resOffs[si]:sc.resOffs[si+1]] {
 			rows[si*w+int(i)/64] |= 1 << (uint(i) % 64)

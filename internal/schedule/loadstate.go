@@ -131,28 +131,45 @@ const (
 // NewLoadStateCap builds the accumulators for pa from scratch, with a
 // per-link capacity vector (nil for the whole machine).
 func NewLoadStateCap(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *LoadState {
+	return newLoadState(nil, top, pa, ws, act, linkCap)
+}
+
+// newLoadState builds the accumulators for pa in ls, or in a new state
+// when ls is nil. Every array of ls whose capacity suffices is kept and
+// zeroed as make would leave it, and the counters, gen and epoch start
+// over, so the result equals a fresh state in everything but capacity;
+// arrays only grow.
+func newLoadState(ls *LoadState, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *LoadState {
+	if ls == nil {
+		ls = new(LoadState)
+	}
 	nl := top.Links()
 	K := act.Intervals.K()
 	mw := (len(ws) + 63) / 64
-	ls := &LoadState{
+	topk := ls.topk[:0]
+	if topk == nil {
+		topk = make([]int32, 0, topkSize)
+	}
+	*ls = LoadState{
 		nl:        nl,
 		K:         K,
 		mw:        mw,
-		members:   make([]uint64, nl*mw),
-		xmit:      make([]float64, nl),
-		cnt:       make([]int32, nl*K),
-		spot:      make([]int32, nl*K),
-		activeLen: make([]float64, nl),
-		score:     make([]float64, nl),
-		scoreK:    make([]int32, nl),
-		touched:   make(bitset, (nl+63)/64),
-		tentScore: make([]float64, nl),
-		tentK:     make([]int32, nl),
-		memo:      make([]uint64, nl),
-		stamp:     make([]int32, nl),
-		topk:      make([]int32, 0, topkSize),
-		lenK:      make([]float64, K),
-		noSlack:   make([]bool, len(ws)),
+		members:   zeroed(ls.members, nl*mw),
+		xmit:      zeroed(ls.xmit, nl),
+		cnt:       zeroed(ls.cnt, nl*K),
+		spot:      zeroed(ls.spot, nl*K),
+		activeLen: zeroed(ls.activeLen, nl),
+		score:     zeroed(ls.score, nl),
+		scoreK:    zeroed(ls.scoreK, nl),
+		touched:   zeroed(ls.touched, (nl+63)/64),
+		tentScore: zeroed(ls.tentScore, nl),
+		tentK:     zeroed(ls.tentK, nl),
+		memo:      zeroed(ls.memo, nl),
+		stamp:     zeroed(ls.stamp, nl),
+		changed:   ls.changed[:0],
+		topk:      topk,
+		lenK:      zeroed(ls.lenK, K),
+		noSlack:   zeroed(ls.noSlack, len(ws)),
 	}
 	ls.bind(ws, act, linkCap)
 	ls.fill(pa)
