@@ -76,8 +76,23 @@ func portFromJSON(s string) (Port, error) {
 	return Port{Link: topology.LinkID(l)}, nil
 }
 
-// EncodeOmega writes Ω as JSON.
+// EncodeOmega writes Ω as indented JSON, the form srsched -save writes
+// and the golden byte comparisons read.
 func EncodeOmega(w io.Writer, om *Omega) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(omegaDoc(om))
+}
+
+// MarshalOmega returns Ω as compact JSON: EncodeOmega's document without
+// the indentation and the trailing newline, which is what json.Compact
+// makes of EncodeOmega's bytes.
+func MarshalOmega(om *Omega) ([]byte, error) {
+	return json.Marshal(omegaDoc(om))
+}
+
+// omegaDoc builds the JSON document of Ω that both encoders write.
+func omegaDoc(om *Omega) omegaJSON {
 	oj := omegaJSON{SchemaVersion: OmegaSchemaVersion, TauIn: om.TauIn, Latency: om.Latency, Starts: om.Starts}
 	for _, win := range om.Windows {
 		oj.Windows = append(oj.Windows, windowJSON{
@@ -102,9 +117,7 @@ func EncodeOmega(w io.Writer, om *Omega) error {
 		}
 		oj.Nodes = append(oj.Nodes, nj)
 	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", " ")
-	return enc.Encode(oj)
+	return oj
 }
 
 // DecodeOmega reads Ω back from JSON.

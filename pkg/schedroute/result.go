@@ -1,30 +1,16 @@
 package schedroute
 
-import (
-	"bytes"
-	"encoding/json"
-
-	"schedroute/internal/schedule"
-)
-
-// encodeOmega renders an Ω through the versioned artifact encoder into
-// a RawMessage, so service responses and -save files carry the same
-// bytes (schema_version included).
-func encodeOmega(om *schedule.Omega) (json.RawMessage, error) {
-	var buf bytes.Buffer
-	if err := schedule.EncodeOmega(&buf, om); err != nil {
-		return nil, err
-	}
-	return json.RawMessage(bytes.TrimSpace(buf.Bytes())), nil
-}
+import "schedroute/internal/schedule"
 
 // NewScheduleResult converts a pipeline Result into the wire form.
 // tauIn is the effective invocation period the solve actually ran at —
 // passed explicitly because a structure-cached Built's own TauIn
 // belongs to whichever request built it, not necessarily this one.
 // The Ω artifact is embedded only when includeOmega is set and the
-// problem was feasible; wall-clock stats only when the request asked
-// for them (the deterministic counters are always present).
+// problem was feasible, as MarshalOmega's compact bytes (the response
+// encoder would compact the indented -save form to the same bytes);
+// wall-clock stats only when the request asked for them (the
+// deterministic counters are always present).
 func NewScheduleResult(b *Built, res *schedule.Result, tauIn float64, includeOmega, includeStats bool) (*ScheduleResult, error) {
 	out := &ScheduleResult{
 		SchemaVersion: SchemaVersion,
@@ -47,7 +33,7 @@ func NewScheduleResult(b *Built, res *schedule.Result, tauIn float64, includeOme
 		out.Slices = len(res.Slices)
 		out.Commands = res.Omega.NumCommands()
 		if includeOmega {
-			om, err := encodeOmega(res.Omega)
+			om, err := schedule.MarshalOmega(res.Omega)
 			if err != nil {
 				return nil, err
 			}
@@ -82,7 +68,7 @@ func NewRepairResult(rep *schedule.RepairReport, includeOmega bool) (*RepairResu
 		out.Stage = rep.Stage.String()
 	}
 	if includeOmega && rep.Result != nil && rep.Result.Omega != nil {
-		om, err := encodeOmega(rep.Result.Omega)
+		om, err := schedule.MarshalOmega(rep.Result.Omega)
 		if err != nil {
 			return nil, err
 		}

@@ -173,3 +173,63 @@ func TestScheduleResultWire(t *testing.T) {
 		t.Fatal("Ω embedded without IncludeOmega")
 	}
 }
+
+// TestWireOmegaIsCompactArtifact: for every feasible point of the
+// standard grid (the DVB on the four 64-node networks at both
+// bandwidths and the twelve load points), the Ω a response embeds is
+// json.Compact of the -save artifact EncodeOmega writes, and the
+// response marshals to the same bytes as one embedding the indented
+// artifact.
+func TestWireOmegaIsCompactArtifact(t *testing.T) {
+	feasible := 0
+	for _, topo := range []string{"cube:6", "ghc:4,4,4", "torus:8,8", "torus:4,4,4"} {
+		for _, bw := range []float64{64, 128} {
+			for k := 0; k < 12; k++ {
+				tauIn := 50 * (1 + 4*float64(k)/11)
+				b, err := NewProblem(Problem{TFG: "dvb:4", Topology: topo, Bandwidth: bw, TauIn: tauIn})
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := schedule.Compute(b.ScheduleProblem(), schedule.Options{Seed: 1})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !res.Feasible {
+					continue
+				}
+				feasible++
+				out, err := NewScheduleResult(b, res, tauIn, true, false)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var saved, want bytes.Buffer
+				if err := schedule.EncodeOmega(&saved, res.Omega); err != nil {
+					t.Fatal(err)
+				}
+				if err := json.Compact(&want, saved.Bytes()); err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(out.Omega, want.Bytes()) {
+					t.Fatalf("%s B=%g k=%d: embedded Ω is not the compacted artifact", topo, bw, k)
+				}
+				indented := *out
+				indented.Omega = bytes.TrimSpace(saved.Bytes())
+				got, err := json.Marshal(out)
+				if err != nil {
+					t.Fatal(err)
+				}
+				before, err := json.Marshal(&indented)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if !bytes.Equal(got, before) {
+					t.Fatalf("%s B=%g k=%d: response bytes differ from the indented embedding's", topo, bw, k)
+				}
+			}
+		}
+	}
+	if feasible == 0 {
+		t.Fatal("no feasible grid point")
+	}
+	t.Logf("%d feasible grid points", feasible)
+}
