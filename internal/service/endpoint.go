@@ -38,11 +38,12 @@ type call struct {
 	id   string      // request id
 	root *trace.Span // nil unless ?debug=trace
 
-	key       string // the problem's StructureKey, computed once (structureKey)
-	tenantID  string // empty on endpoints outside the tenant dimension
-	kind      string // errkind name of a non-2xx outcome (writeError)
-	cacheHit  bool   // structure found in the solver cache
-	coalesced bool   // solve joined an identical in-flight one
+	key       string        // the problem's StructureKey, computed once (structureKey)
+	tenantID  string        // empty on endpoints outside the tenant dimension
+	queueWait time.Duration // time queue spent waiting for a worker slot
+	kind      string        // errkind name of a non-2xx outcome (writeError)
+	cacheHit  bool          // structure found in the solver cache
+	coalesced bool          // solve joined an identical in-flight one
 }
 
 // endpoint adapts one typed endpoint function to an http.Handler: body
@@ -110,6 +111,8 @@ func endpoint[Req, Resp any](s *Server, name string, deadline bool, fn func(*cal
 			slog.String("tenant", c.tenantID),
 			slog.Bool("cache_hit", c.cacheHit),
 			slog.Bool("coalesced", c.coalesced),
+			slog.Float64("queue_wait_ms", float64(c.queueWait.Microseconds())/1000),
+			slog.String("structure", c.key),
 		}
 		if c.kind != "" {
 			attrs = append(attrs, slog.String("kind", c.kind))

@@ -176,6 +176,8 @@ func (c *call) queue() error {
 	s := c.s
 	qs := c.root.Start(SpanQueueWait)
 	defer qs.End()
+	start := time.Now()
+	defer func() { c.queueWait = time.Since(start) }()
 	select {
 	case <-s.stop:
 		return errDraining

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
@@ -809,13 +810,39 @@ func TestRequestID(t *testing.T) {
 			t.Errorf("trace root carries request_id %q, header says %q", onRoot, id)
 		}
 		want := "endpoint=schedule method=POST status=200"
+		var logged string
 		waitFor(t, "the server to log request "+id, func() bool {
 			for _, line := range strings.Split(logs.String(), "\n") {
 				if strings.Contains(line, "request_id="+id+" ") && strings.Contains(line, want) {
+					logged = line
 					return true
 				}
 			}
 			return false
 		})
+		// The line also says how long the request queued for a worker
+		// and which solver-cache structure it resolved to.
+		wait, ok := logField(logged, "queue_wait_ms")
+		if ms, err := strconv.ParseFloat(wait, 64); !ok || err != nil || ms < 0 {
+			t.Errorf("access log %q: queue_wait_ms %q", logged, wait)
+		}
+		if got, _ := logField(logged, "structure"); got != strconv.Quote(testProblem(150).StructureKey()) {
+			t.Errorf("access log %q: structure %s, want %q", logged, got, testProblem(150).StructureKey())
+		}
 	}
+}
+
+// logField returns the raw value of key in a text-handler log line.
+func logField(line, key string) (string, bool) {
+	_, rest, ok := strings.Cut(line, " "+key+"=")
+	if !ok {
+		return "", false
+	}
+	if strings.HasPrefix(rest, `"`) {
+		if q, err := strconv.QuotedPrefix(rest); err == nil {
+			return q, true
+		}
+	}
+	v, _, _ := strings.Cut(rest, " ")
+	return v, true
 }
