@@ -496,7 +496,7 @@ func layeredProblem(b *testing.B, tfgSpec, topoSpec string, bw float64) schedule
 	if err != nil {
 		b.Fatal(err)
 	}
-	top, err := cliutil.ParseTopology(topoSpec)
+	top, err := api.ParseTopology(topoSpec)
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,6 +19,7 @@ import (
 	"schedroute/internal/cpsim"
 	"schedroute/internal/gantt"
 	"schedroute/internal/schedule"
+	"schedroute/pkg/schedroute"
 )
 
 func main() {
@@ -49,7 +50,7 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	top, err := cliutil.ParseTopology(*topoSpec)
+	top, err := schedroute.ParseTopology(*topoSpec)
 	if err != nil {
 		fatal(err)
 	}

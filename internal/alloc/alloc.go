@@ -44,16 +44,6 @@ func (a *Assignment) Validate(g *tfg.Graph, top *topology.Topology, exclusive bo
 	return nil
 }
 
-// TotalHops returns the summed shortest-path hop count over all messages,
-// a standard allocation-quality metric.
-func (a *Assignment) TotalHops(g *tfg.Graph, top *topology.Topology) int {
-	total := 0
-	for _, m := range g.Messages() {
-		total += top.Distance(a.NodeOf[m.Src], a.NodeOf[m.Dst])
-	}
-	return total
-}
-
 // RoundRobin assigns tasks to nodes 0,1,2,... in topological order. It
 // fails when the graph has more tasks than the topology has nodes.
 func RoundRobin(g *tfg.Graph, top *topology.Topology) (*Assignment, error) {

@@ -76,7 +76,14 @@ func TestGreedyValidAndCompact(t *testing.T) {
 	}
 	// Greedy keeps communicating tasks close: it should never be worse
 	// than round-robin on total hops for this workload.
-	if gh, rh := greedy.TotalHops(g, top), rr.TotalHops(g, top); gh > rh {
+	hops := func(a *Assignment) int {
+		total := 0
+		for _, m := range g.Messages() {
+			total += top.Distance(a.NodeOf[m.Src], a.NodeOf[m.Dst])
+		}
+		return total
+	}
+	if gh, rh := hops(greedy), hops(rr); gh > rh {
 		t.Errorf("greedy hops %d > round-robin hops %d", gh, rh)
 	}
 }
@@ -123,21 +130,6 @@ func TestValidateCatchesOutOfRange(t *testing.T) {
 	short := &Assignment{NodeOf: a.NodeOf[:2]}
 	if err := short.Validate(g, top, false); err == nil {
 		t.Error("short assignment should fail")
-	}
-}
-
-func TestTotalHopsZeroWhenChainOnNeighbors(t *testing.T) {
-	g, err := tfg.Chain(2, 100, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	top, err := topology.NewTorus(4, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := &Assignment{NodeOf: []topology.NodeID{0, 1}}
-	if got := a.TotalHops(g, top); got != 1 {
-		t.Errorf("hops = %d, want 1", got)
 	}
 }
 

@@ -15,7 +15,6 @@ import (
 	"strconv"
 	"strings"
 
-	"schedroute/internal/alloc"
 	"schedroute/internal/errkind"
 	"schedroute/internal/schedule"
 	"schedroute/internal/tfg"
@@ -96,18 +95,6 @@ func RequireExclusiveModes(tool string, modes ...Mode) {
 	fmt.Fprintf(os.Stderr, "%s: %v\n", tool, err)
 	fmt.Fprintf(os.Stderr, "%s: hint: each mode is a complete run; invoke the tool once per mode instead of combining them\n", tool)
 	os.Exit(ExitUsage)
-}
-
-// ParseTopology builds a topology from a spec string like "cube:6",
-// "ghc:4,4,4", "torus:8,8" or "mesh:4,4".
-func ParseTopology(spec string) (*topology.Topology, error) {
-	return schedroute.ParseTopology(spec)
-}
-
-// ParseAllocator places g on top using the named strategy: "rr",
-// "greedy", "random" (with the given seed), or "anneal".
-func ParseAllocator(name string, g *tfg.Graph, top *topology.Topology, seed int64) (*alloc.Assignment, error) {
-	return schedroute.ParseAllocator(name, g, top, seed)
 }
 
 // LoadGraph reads a TFG: either a built-in spec ("dvb:4", "chain:8",

@@ -31,7 +31,7 @@ func TestParseTopology(t *testing.T) {
 		{"mesh:4,4", 16, topology.KindMesh},
 	}
 	for _, c := range cases {
-		top, err := ParseTopology(c.spec)
+		top, err := schedroute.ParseTopology(c.spec)
 		if err != nil {
 			t.Fatalf("%s: %v", c.spec, err)
 		}
@@ -43,7 +43,7 @@ func TestParseTopology(t *testing.T) {
 
 func TestParseTopologyRejects(t *testing.T) {
 	for _, spec := range []string{"", "cube", "cube:", "cube:x", "cube:2,2", "blob:4", "torus:4,oops"} {
-		if _, err := ParseTopology(spec); err == nil {
+		if _, err := schedroute.ParseTopology(spec); err == nil {
 			t.Errorf("spec %q should fail", spec)
 		}
 	}
@@ -59,7 +59,7 @@ func TestParseAllocator(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, name := range []string{"rr", "roundrobin", "greedy", "random", "anneal"} {
-		a, err := ParseAllocator(name, g, top, 3)
+		a, err := schedroute.ParseAllocator(name, g, top, 3)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
@@ -67,7 +67,7 @@ func TestParseAllocator(t *testing.T) {
 			t.Errorf("%s: %v", name, err)
 		}
 	}
-	if _, err := ParseAllocator("nope", g, top, 0); err == nil {
+	if _, err := schedroute.ParseAllocator("nope", g, top, 0); err == nil {
 		t.Error("unknown allocator should fail")
 	}
 }

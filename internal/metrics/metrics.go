@@ -70,9 +70,6 @@ func Summarize(xs []float64) (Spike, error) {
 	return s, nil
 }
 
-// NormalizedLoad is τc/τin, the paper's x-axis for every plot.
-func NormalizedLoad(tauC, tauIn float64) float64 { return tauC / tauIn }
-
 // NormalizedThroughput maps output-generation intervals to the paper's
 // normalized throughput τin/τout, returning the spike over invocations.
 // Following Section 6, the spike extremes come from the largest and

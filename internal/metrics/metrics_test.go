@@ -54,15 +54,6 @@ func TestSummarizeEmptySeries(t *testing.T) {
 	}
 }
 
-func TestNormalizedLoad(t *testing.T) {
-	if NormalizedLoad(50, 100) != 0.5 {
-		t.Error("load wrong")
-	}
-	if NormalizedLoad(50, 50) != 1.0 {
-		t.Error("max load wrong")
-	}
-}
-
 func TestNormalizedThroughput(t *testing.T) {
 	// Constant intervals equal to the period → throughput exactly 1.
 	s, err := NormalizedThroughput(100, []float64{100, 100, 100})

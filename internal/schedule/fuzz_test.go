@@ -14,8 +14,8 @@ import (
 // load, on through everything omegainspect does with a loaded Ω short
 // of replaying it: Validate against the 6-cube, Linksets, NumCommands,
 // and a save that must load again and save to the same bytes. Nothing
-// may panic, and bytes that parse as an Ω of another schema version must
-// be refused as unknown_schema_version.
+// may panic, and bytes whose schema_version parses as another version
+// must be refused as unknown_schema_version, whatever else they hold.
 func FuzzOmegaDecode(f *testing.F) {
 	top := sixCube(f)
 	res, err := Compute(dvbProblem(f, top, 64, gridTauIn(5)), Options{Seed: 1})
@@ -35,10 +35,12 @@ func FuzzOmegaDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		om, err := DecodeOmega(bytes.NewReader(data))
-		var oj omegaJSON
-		if json.NewDecoder(bytes.NewReader(data)).Decode(&oj) == nil && oj.SchemaVersion != OmegaSchemaVersion {
+		var v struct {
+			SchemaVersion int `json:"schema_version"`
+		}
+		if json.NewDecoder(bytes.NewReader(data)).Decode(&v) == nil && v.SchemaVersion != OmegaSchemaVersion {
 			if kind := errkind.Name(err); kind != "unknown_schema_version" {
-				t.Fatalf("schema_version %d refused as %q: %v", oj.SchemaVersion, kind, err)
+				t.Fatalf("schema_version %d refused as %q: %v", v.SchemaVersion, kind, err)
 			}
 		}
 		if err != nil {

@@ -1,10 +1,6 @@
 package schedule
 
-import (
-	"sort"
-
-	"schedroute/internal/tfg"
-)
+import "sort"
 
 // IntervalSet is the partition of [0, τin] induced by the distinct
 // message releases and deadlines (Section 5.1): endpoints
@@ -79,17 +75,4 @@ func BuildActivity(ws []Window, set *IntervalSet) *Activity {
 		act.Active[i] = row
 	}
 	return act
-}
-
-// TotalActiveLength returns the summed length of message i's active
-// intervals; it equals the window length (up to rounding at wrap
-// points).
-func (a *Activity) TotalActiveLength(i tfg.MessageID) float64 {
-	sum := 0.0
-	for k, on := range a.Active[i] {
-		if on {
-			sum += a.Intervals.Length(k)
-		}
-	}
-	return sum
 }

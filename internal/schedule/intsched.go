@@ -18,11 +18,11 @@ import (
 // reserved but idle); Until[i] records message Msgs[i]'s actual
 // transmission end.
 type Slice struct {
-	Interval int
-	Start    float64
-	End      float64
-	Msgs     []tfg.MessageID
-	Until    []float64
+	Interval int             `json:"interval"`
+	Start    float64         `json:"start"`
+	End      float64         `json:"end"`
+	Msgs     []tfg.MessageID `json:"msgs"`
+	Until    []float64       `json:"until"`
 }
 
 // Engine selects the interval-scheduling algorithm.
@@ -528,10 +528,12 @@ func exactDecomposeInto(ctx context.Context, a *solveArena, n int) error {
 // enumerateMIS enumerates the maximal independent sets of the packed
 // conflict graph into misFlat/misOffs via Bron–Kerbosch with pivoting on
 // the complement graph; it reports false when the count exceeds maxSets.
-// For n <= 64 the candidate and exclusion sets are single machine words,
-// and the ascending-bit iteration reproduces the enumeration order of
-// the reference slice implementation exactly (its p and x lists stay
-// ascending throughout). Larger instances fall back to that reference.
+// For n <= 64 the candidate and exclusion sets are single machine words;
+// larger instances take maximalIndependentSetsSlice. Both enumerate
+// every maximal set exactly once, so they yield the same sets and trip
+// the cap alike, but not always in the same order: the slice path
+// appends to its exclusion list, which then need not stay ascending, so
+// a pivot tie can break differently.
 func (sc *schedScratch) enumerateMIS(n, maxSets int) bool {
 	sc.misFlat = sc.misFlat[:0]
 	sc.misOffs = append(sc.misOffs[:0], 0)
@@ -713,8 +715,8 @@ func maximalIndependentSets(conf [][]bool, maxSets int) [][]int {
 	return out
 }
 
-// maximalIndependentSetsSlice is the reference Bron–Kerbosch over slice
-// sets — the n > 64 fallback and the order oracle for the bitset path.
+// maximalIndependentSetsSlice is Bron–Kerbosch over slice sets, the
+// enumerator for conflict graphs of more than 64 messages.
 func maximalIndependentSetsSlice(conf [][]bool, maxSets int) [][]int {
 	n := len(conf)
 	adj := make([][]bool, n) // complement adjacency

@@ -228,6 +228,83 @@ func TestMaximalIndependentSetsCap(t *testing.T) {
 	}
 }
 
+// TestExactDecomposePastOneWord runs the exact engine on an interval of
+// more than 64 messages, where the conflict rows span two words and
+// enumeration takes the slice path: two disjoint 33-cliques (every
+// message of a clique on one shared link) have exactly 33 × 33 maximal
+// link-feasible sets, one member from each clique, and the optimum
+// serializes the heavier clique.
+func TestExactDecomposePastOneWord(t *testing.T) {
+	const half = 33
+	links := make([][]topology.LinkID, 2*half)
+	msgs := make([]tfg.MessageID, 2*half)
+	demands := map[tfg.MessageID]float64{}
+	sums := [2]float64{}
+	for i := range links {
+		links[i] = []topology.LinkID{topology.LinkID(i / half)}
+		msgs[i] = tfg.MessageID(i)
+		demands[msgs[i]] = 1 + float64(i%7)/4
+		sums[i/half] += demands[msgs[i]]
+	}
+	conf := conflictMatrix(msgs, fakeAssignment(links))
+
+	mis := maximalIndependentSets(conf, 4096)
+	if len(mis) != half*half {
+		t.Fatalf("%d maximal sets, want %d", len(mis), half*half)
+	}
+	seen := map[[2]int]bool{}
+	for _, set := range mis {
+		in := make([]bool, len(msgs))
+		for _, v := range set {
+			in[v] = true
+		}
+		for _, u := range set {
+			for _, v := range set {
+				if u != v && conf[u][v] {
+					t.Fatalf("set %v holds conflicting messages %d and %d", set, u, v)
+				}
+			}
+		}
+		for v := range msgs {
+			if in[v] {
+				continue
+			}
+			if !slices.ContainsFunc(set, func(u int) bool { return conf[u][v] }) {
+				t.Fatalf("set %v is not maximal: %d conflicts with none of it", set, v)
+			}
+		}
+		if len(set) != 2 {
+			t.Fatalf("set %v is not one message per clique", set)
+		}
+		key := [2]int{min(set[0], set[1]), max(set[0], set[1])}
+		if seen[key] {
+			t.Fatalf("set %v enumerated twice", set)
+		}
+		seen[key] = true
+	}
+
+	sets, durations, err := exactDecompose(msgs, demands, conf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got := make([]float64, len(msgs))
+	total := 0.0
+	for si, set := range sets {
+		for _, v := range set {
+			got[v] += durations[si]
+		}
+		total += durations[si]
+	}
+	for i, m := range msgs {
+		if got[i] < demands[m]-1e-9 {
+			t.Errorf("message %d covered %g of its demand %g", i, got[i], demands[m])
+		}
+	}
+	if want := max(sums[0], sums[1]); math.Abs(total-want) > 1e-6 {
+		t.Errorf("exact total %g, want the heavier clique's %g", total, want)
+	}
+}
+
 func TestScheduleOneRejectsOverflow(t *testing.T) {
 	// Two conflicting no-slack messages in one interval cannot fit.
 	ws := []Window{

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"strconv"
+	"strings"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -19,12 +21,37 @@ type Port struct {
 	Link topology.LinkID
 }
 
-// String renders the port.
+// String renders the port: "AP", or "L" and the link id.
 func (p Port) String() string {
+	b, _ := p.MarshalText()
+	return string(b)
+}
+
+// MarshalText writes the port as Ω's JSON carries it, the form String
+// renders.
+func (p Port) MarshalText() ([]byte, error) {
 	if p.AP {
-		return "AP"
+		return []byte("AP"), nil
 	}
-	return fmt.Sprintf("L%d", p.Link)
+	// "L", a sign and LinkID's ten digits at most: one allocation.
+	return strconv.AppendInt(append(make([]byte, 0, 12), 'L'), int64(p.Link), 10), nil
+}
+
+// UnmarshalText reads back what MarshalText writes.
+func (p *Port) UnmarshalText(b []byte) error {
+	if string(b) == "AP" {
+		*p = Port{AP: true}
+		return nil
+	}
+	rest, ok := strings.CutPrefix(string(b), "L")
+	// Bit size 32 is the range check: an id past LinkID's width is
+	// refused here instead of wrapping onto a link the topology has.
+	l, err := strconv.ParseInt(rest, 10, 32)
+	if !ok || err != nil || l < 0 {
+		return fmt.Errorf("bad port %q", b)
+	}
+	*p = Port{Link: topology.LinkID(l)}
+	return nil
 }
 
 // Command is one entry of a node switching schedule ω_i: during
@@ -32,34 +59,36 @@ func (p Port) String() string {
 // covers one run of its message's transmission: one slice, or several
 // consecutive slices the message carries back to back.
 type Command struct {
-	Start float64
-	End   float64
-	Msg   tfg.MessageID
-	In    Port
-	Out   Port
+	Start float64       `json:"start"`
+	End   float64       `json:"end"`
+	Msg   tfg.MessageID `json:"msg"`
+	In    Port          `json:"in"`
+	Out   Port          `json:"out"`
 }
 
 // NodeSchedule is ω_i: the commands one CP executes each frame,
 // sorted by start time.
 type NodeSchedule struct {
-	Node     topology.NodeID
-	Commands []Command
+	Node     topology.NodeID `json:"node"`
+	Commands []Command       `json:"commands,omitempty"`
 }
 
 // Omega is the complete communication schedule Ω = {ω_i} plus the data
-// needed to validate and execute it.
+// needed to validate and execute it. Its json tags, and those of the
+// types it holds, are the artifact's schema (omega_json.go); the fields
+// are in the artifact's key order.
 type Omega struct {
-	TauIn   float64
-	Nodes   []NodeSchedule
-	Slices  []Slice
-	Windows []Window
+	TauIn float64 `json:"tau_in"`
 	// Latency is the windowed pipeline latency Λ_w: every invocation
 	// completes exactly this long after it starts.
-	Latency float64
+	Latency float64 `json:"latency"`
 	// Starts are the static task start times the windows were derived
 	// from (invocation 0, absolute); nil means the default exclusive
 	// PipelinedStart layout.
-	Starts []float64
+	Starts  []float64      `json:"starts,omitempty"`
+	Windows []Window       `json:"windows"`
+	Slices  []Slice        `json:"slices"`
+	Nodes   []NodeSchedule `json:"nodes"`
 }
 
 // BuildOmega turns interval-schedule slices into per-node switching

@@ -3,6 +3,7 @@ package schedule
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"reflect"
@@ -63,6 +64,96 @@ func TestOmegaJSONVersions(t *testing.T) {
 				v, errkind.HTTPStatus(err), errkind.ExitStatus(err))
 		}
 	}
+}
+
+// TestOmegaArtifactKeys pins schema 1's keys, in order, for every kind
+// of object in the artifact. Ω's JSON comes from Ω's own types, so a
+// field added to one of them would otherwise enter the artifact
+// unnoticed. The ring Ω is given task starts and a local window so that
+// every omitempty key is present too.
+func TestOmegaArtifactKeys(t *testing.T) {
+	om, _, _ := ringOmega(t)
+	om.Starts = []float64{0, 2}
+	om.Windows = append(om.Windows, Window{Length: 10, Local: true})
+	data, err := MarshalOmega(om)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string][]string{
+		"omega":   {"schema_version", "tau_in", "latency", "starts", "windows", "slices", "nodes"},
+		"window":  {"release", "length", "abs_release", "xmit"},
+		"local":   {"release", "length", "abs_release", "xmit", "local"},
+		"slice":   {"interval", "start", "end", "msgs", "until"},
+		"node":    {"node", "commands"},
+		"idle":    {"node"},
+		"command": {"start", "end", "msg", "in", "out"},
+	}
+	check := func(kind string, raw json.RawMessage) map[string]json.RawMessage {
+		t.Helper()
+		keys, fields := objectKeys(t, raw)
+		if !reflect.DeepEqual(keys, want[kind]) {
+			t.Fatalf("%s keys = %q, want %q", kind, keys, want[kind])
+		}
+		return fields
+	}
+	list := func(raw json.RawMessage) []json.RawMessage {
+		t.Helper()
+		var out []json.RawMessage
+		if err := json.Unmarshal(raw, &out); err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	doc := check("omega", data)
+	for i, w := range list(doc["windows"]) {
+		kind := "window"
+		if i == 1 {
+			kind = "local"
+		}
+		check(kind, w)
+	}
+	for _, sl := range list(doc["slices"]) {
+		check("slice", sl)
+	}
+	commands := 0
+	for _, ns := range list(doc["nodes"]) {
+		if _, idle := objectKeys(t, ns); idle["commands"] == nil {
+			check("idle", ns)
+			continue
+		}
+		for _, c := range list(check("node", ns)["commands"]) {
+			check("command", c)
+			commands++
+		}
+	}
+	if commands != om.NumCommands() {
+		t.Fatalf("%d commands in the artifact, Ω has %d", commands, om.NumCommands())
+	}
+}
+
+// objectKeys returns a JSON object's keys in document order and its
+// values by key.
+func objectKeys(t *testing.T, raw json.RawMessage) ([]string, map[string]json.RawMessage) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not an object: %.80s", raw)
+	}
+	var keys []string
+	fields := map[string]json.RawMessage{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatal(err)
+		}
+		keys = append(keys, tok.(string))
+		fields[tok.(string)] = v
+	}
+	return keys, fields
 }
 
 // malformedRingEdits lists single-id edits of the saved ringOmega and

@@ -364,7 +364,7 @@ func TestSessionRandomWalkMatchesColdRepair(t *testing.T) {
 				// Flip one element, a link three times in four; a crowded
 				// set mostly heals.
 				if k := rng.Intn(4 * len(links)); k < 3*len(links) {
-					if l := topology.LinkID(links[k%len(links)]); fs.LinkFailed(l) || fs.NumFailedLinks() >= 3 && rng.Intn(4) > 0 {
+					if l := topology.LinkID(links[k%len(links)]); fs.LinkFailed(l) || len(fs.FailedLinks()) >= 3 && rng.Intn(4) > 0 {
 						fs.RepairLink(l)
 					} else {
 						fs.FailLink(l)

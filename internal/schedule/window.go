@@ -37,17 +37,17 @@ func fmod(x, m float64) float64 {
 // absolute times.
 type Window struct {
 	// Release is the frame-relative release time r_i in [0, τin).
-	Release float64
+	Release float64 `json:"release"`
 	// Length is the window length (the paper uses τc for every message).
-	Length float64
+	Length float64 `json:"length"`
 	// AbsRelease is the invocation-0 absolute release time R_i; it
 	// satisfies fmod(AbsRelease, τin) == Release.
-	AbsRelease float64
+	AbsRelease float64 `json:"abs_release"`
 	// Xmit is the message's transmission time m_i/B.
-	Xmit float64
+	Xmit float64 `json:"xmit"`
 	// Local is true when source and destination tasks share a node; the
 	// message crosses no links and is excluded from routing.
-	Local bool
+	Local bool `json:"local,omitempty"`
 }
 
 // Deadline returns the frame-relative deadline d_i in (0, τin]; the
@@ -139,7 +139,10 @@ func ComputeWindowsFromStarts(g *tfg.Graph, tm *tfg.Timing, tauIn, window float6
 	if len(start) != g.NumTasks() {
 		return nil, fmt.Errorf("schedule: %d start times for %d tasks", len(start), g.NumTasks())
 	}
-	ws := make([]Window, g.NumMessages())
+	var ws []Window // nil without messages: Ω's JSON reads "windows": null
+	if n := g.NumMessages(); n > 0 {
+		ws = make([]Window, n)
+	}
 	for _, m := range g.Messages() {
 		abs := start[m.Src] + tm.ExecTime[m.Src]
 		w := Window{

@@ -184,7 +184,12 @@ func TestActivityMatchesWindows(t *testing.T) {
 		act := BuildActivity(ws, set)
 		for i, w := range ws {
 			// Total active length equals the window length.
-			got := act.TotalActiveLength(tfg.MessageID(i))
+			got := 0.0
+			for k, on := range act.Active[i] {
+				if on {
+					got += set.Length(k)
+				}
+			}
 			want := w.Length
 			if want > tauIn {
 				want = tauIn

@@ -180,7 +180,7 @@ func TestScheduleGoldenMatchesDirect(t *testing.T) {
 				t.Fatalf("%s B=%g: status %d: %s", topo, bw, code, got)
 			}
 
-			b, err := req.Problem.Build()
+			b, err := schedroute.NewProblem(req.Problem)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -542,7 +542,7 @@ func TestCacheHitWaitsForBuild(t *testing.T) {
 	release := make(chan struct{})
 	build := func() (*solverEntry, error) {
 		<-release
-		return newSolverEntry(testProblem(150).Build())
+		return newSolverEntry(schedroute.NewProblem(testProblem(150)))
 	}
 
 	const n = 8

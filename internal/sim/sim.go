@@ -69,11 +69,10 @@ func (e *BadScheduleError) Is(target error) bool {
 // at identical times run in the order they were scheduled, which keeps
 // every simulation in this repository fully deterministic.
 type Engine struct {
-	now   float64
-	seq   uint64
-	q     queue
-	count uint64
-	err   error
+	now float64
+	seq uint64
+	q   queue
+	err error
 }
 
 // NewEngine creates an engine at time zero.
@@ -85,9 +84,6 @@ func NewEngine() *Engine {
 
 // Now returns the current simulated time.
 func (e *Engine) Now() float64 { return e.now }
-
-// Processed returns the number of events executed so far.
-func (e *Engine) Processed() uint64 { return e.count }
 
 // At schedules fn at absolute time at. Scheduling in the past or at
 // NaN is always a simulation-model bug: the event is dropped, the
@@ -122,7 +118,6 @@ func (e *Engine) Step() bool {
 	}
 	it := heap.Pop(&e.q).(*item)
 	e.now = it.at
-	e.count++
 	it.fn(e.now)
 	return true
 }

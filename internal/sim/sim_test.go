@@ -111,19 +111,6 @@ func TestRunMaxEvents(t *testing.T) {
 	}
 }
 
-func TestProcessedCount(t *testing.T) {
-	e := NewEngine()
-	for i := 0; i < 7; i++ {
-		e.At(float64(i), func(float64) {})
-	}
-	if err := e.Run(0); err != nil {
-		t.Fatal(err)
-	}
-	if e.Processed() != 7 {
-		t.Errorf("processed = %d", e.Processed())
-	}
-}
-
 func TestStepOnEmpty(t *testing.T) {
 	e := NewEngine()
 	if e.Step() {

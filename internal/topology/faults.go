@@ -85,14 +85,6 @@ func (f *FaultSet) Empty() bool {
 	return f == nil || (f.links.Count() == 0 && f.nodes.Count() == 0)
 }
 
-// NumFailedLinks returns the count of explicitly failed links.
-func (f *FaultSet) NumFailedLinks() int {
-	if f == nil {
-		return 0
-	}
-	return f.links.Count()
-}
-
 // FailedLinks returns the explicitly failed links in ascending order.
 func (f *FaultSet) FailedLinks() []LinkID {
 	if f == nil {

@@ -20,8 +20,8 @@ func TestFaultSetBasics(t *testing.T) {
 	if fs.LinkFailed(4) || fs.NodeFailed(4) {
 		t.Fatal("phantom failures")
 	}
-	if fs.NumFailedLinks() != 1 {
-		t.Fatalf("%d failed links, want 1", fs.NumFailedLinks())
+	if n := len(fs.FailedLinks()); n != 1 {
+		t.Fatalf("%d failed links, want 1", n)
 	}
 	if got := fs.String(); got != "faults{links:3 nodes:5}" {
 		t.Errorf("String = %q", got)

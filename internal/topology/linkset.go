@@ -77,13 +77,6 @@ func (s *LinkSet) Count() int {
 	return total
 }
 
-// Clear empties the set, keeping its capacity for reuse.
-func (s *LinkSet) Clear() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
 // Links returns the members in ascending LinkID order.
 func (s *LinkSet) Links() []LinkID {
 	out := make([]LinkID, 0, s.Count())

@@ -55,21 +55,6 @@ func TestLinkSetWordBoundaries(t *testing.T) {
 	}
 }
 
-func TestLinkSetClearKeepsCapacity(t *testing.T) {
-	s := NewLinkSet(130)
-	if len(s.words) != 3 {
-		t.Fatalf("pre-sizing gave %d words, want 3", len(s.words))
-	}
-	s.Add(129)
-	s.Clear()
-	if s.Count() != 0 || s.Has(129) {
-		t.Error("Clear left members behind")
-	}
-	if len(s.words) != 3 {
-		t.Error("Clear dropped capacity")
-	}
-}
-
 func TestLinkSetMatchesMapReference(t *testing.T) {
 	// Property check against the old map-based representation on random
 	// link sets spanning several words.

@@ -258,9 +258,6 @@ type Tree struct {
 	Children []*Tree `json:"children,omitempty"`
 }
 
-// Duration returns the span duration.
-func (t *Tree) Duration() time.Duration { return time.Duration(t.DurNS) }
-
 // Walk visits the tree depth-first, parents before children, with the
 // node's depth (root = 0).
 func (t *Tree) Walk(fn func(depth int, n *Tree)) {

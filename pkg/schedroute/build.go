@@ -60,11 +60,6 @@ func (p Problem) Validate() error {
 	return nil
 }
 
-// Build resolves the wire problem into its internal solver inputs.
-// It is a thin wrapper over NewProblem, kept for callers that read
-// better flowing off the spec value.
-func (p Problem) Build() (*Built, error) { return NewProblem(p) }
-
 // NewProblem is the canonical problem constructor: every path from a
 // wire spec to solver inputs — service request handling, the CLIs'
 // cliutil.ParseProblem, sweep endpoints — funnels through here, so a

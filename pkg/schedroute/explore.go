@@ -43,11 +43,6 @@ type PlacementAxis struct {
 	AnnealSteps int `json:"anneal_steps,omitempty"`
 }
 
-// Empty reports whether the axis adds no candidate placements.
-func (a *PlacementAxis) Empty() bool {
-	return a == nil || (len(a.Allocators) == 0 && len(a.AnnealSeeds) == 0)
-}
-
 // ExploreAxes selects the dimensions an exploration varies.
 type ExploreAxes struct {
 	// TauIn spans invocation periods; absent means the default grid.

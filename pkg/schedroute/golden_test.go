@@ -67,7 +67,7 @@ func TestNewProblemMatchesBuild(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	bb, err := spec.Build()
+	bb, err := NewProblem(spec)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestProblemValidate(t *testing.T) {
 }
 
 func TestBuildResolvesDefaults(t *testing.T) {
-	b, err := Problem{TFG: "dvb:4", Topology: "cube:6"}.Build()
+	b, err := NewProblem(Problem{TFG: "dvb:4", Topology: "cube:6"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestOptionsEngineMapping(t *testing.T) {
 }
 
 func TestFaultSpecBuild(t *testing.T) {
-	b, err := Problem{TFG: "dvb:4", Topology: "cube:6"}.Build()
+	b, err := NewProblem(Problem{TFG: "dvb:4", Topology: "cube:6"})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,7 @@ func TestFaultSpecBuild(t *testing.T) {
 // TestScheduleResultWire pins the wire conversion: schema version
 // stamped, stats gating, Ω embedding.
 func TestScheduleResultWire(t *testing.T) {
-	b, err := Problem{TFG: "dvb:4", Topology: "cube:6", TauIn: 141}.Build()
+	b, err := NewProblem(Problem{TFG: "dvb:4", Topology: "cube:6", TauIn: 141})
 	if err != nil {
 		t.Fatal(err)
 	}
