@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all fmt-check build vet test check race fuzz-smoke loc faults bench bench-smoke-large bench-repo-smoke clean
+.PHONY: all fmt-check build vet test check race fuzz-smoke loc reach faults bench bench-smoke-large bench-repo-smoke clean
 
 all: check
 
@@ -60,6 +60,16 @@ fuzz-smoke:
 # number a diet PR quotes before and after (scripts/loc.sh).
 loc:
 	sh scripts/loc.sh
+
+# Functions outside bench/ that no run reaches: builds the tools and the
+# benchmark driver with coverage, runs the e2e suite, every
+# cmd/experiments figure and the benchmark's smoke pass, and rewrites
+# docs/reach.txt with the functions left at 0 %, each keeping the reason
+# it stays. Prints those without a reason. Informational, never a gate:
+# the smoke pass is time-bounded, so a rare path can flip between runs
+# (scripts/reach.sh, about 30 s with a warm build cache).
+reach:
+	sh scripts/reach.sh
 
 # Survivability smoke sweep: the repair ladder against single-link
 # faults on the binary 6-cube, each repaired Ω re-verified by
