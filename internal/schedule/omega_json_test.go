@@ -10,7 +10,9 @@ import (
 	"strings"
 	"testing"
 
+	"schedroute/internal/alloc"
 	"schedroute/internal/errkind"
+	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
 
@@ -128,6 +130,39 @@ func TestOmegaArtifactKeys(t *testing.T) {
 	}
 	if commands != om.NumCommands() {
 		t.Fatalf("%d commands in the artifact, Ω has %d", commands, om.NumCommands())
+	}
+}
+
+// TestOmegaWithoutMessagesKeepsNullWindows pins the artifact of a graph
+// without messages: its windows are written as null, as they were
+// before Ω was encoded from its own types, and the document loads back.
+func TestOmegaWithoutMessagesKeepsNullWindows(t *testing.T) {
+	g, err := tfg.Chain(1, 100, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := tfg.NewUniformTiming(g, 50, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	top := sixCube(t)
+	as, err := alloc.RoundRobin(g, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Compute(Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 100}, Options{Seed: 1})
+	if err != nil || !res.Feasible {
+		t.Fatalf("one-task problem: %v", err)
+	}
+	data, err := MarshalOmega(res.Omega)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"windows":null,"slices":null,`)) {
+		t.Fatalf("artifact without messages: %s", data)
+	}
+	if _, err := DecodeOmega(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
 	}
 }
 
