@@ -43,6 +43,24 @@ func MarshalOmega(om *Omega) ([]byte, error) {
 	return json.Marshal(omegaDoc{OmegaSchemaVersion, om})
 }
 
+// UnmarshalJSON reads a command and refuses one whose in or out key is
+// absent or null. encoding/json hands neither to Port's UnmarshalText,
+// and the zero Port is link 0, a real link, so each port starts at a
+// link id no topology has and must not keep it.
+func (c *Command) UnmarshalJSON(b []byte) error {
+	type command Command
+	unset := Port{Link: -1}
+	cj := command{In: unset, Out: unset}
+	if err := json.Unmarshal(b, &cj); err != nil {
+		return err
+	}
+	if cj.In == unset || cj.Out == unset {
+		return fmt.Errorf("bad port %q", "")
+	}
+	*c = Command(cj)
+	return nil
+}
+
 // DecodeOmega reads Ω back from JSON. A document of another schema
 // version is refused as one even when some other field of it does not
 // decode: only then is the version read again, on its own.

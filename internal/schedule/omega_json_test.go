@@ -194,7 +194,8 @@ func objectKeys(t *testing.T, raw json.RawMessage) ([]string, map[string]json.Ra
 // malformedRingEdits lists single-id edits of the saved ringOmega and
 // who must refuse each. Ids that need no topology to be wrong — a
 // command's message outside the windows, a negative link, a link wider
-// than LinkID (which would wrap onto link 0) — are DecodeOmega's; a link
+// than LinkID (which would wrap onto link 0), a port that is null or
+// absent (which would load as link 0) — are DecodeOmega's; a link
 // or node past the topology loads and is Validate's. The first two used
 // to panic omegainspect. Also FuzzOmegaDecode's seeds.
 func malformedRingEdits(pa *PathAssignment) []struct{ old, edit, decodeErr, validateErr string } {
@@ -206,6 +207,8 @@ func malformedRingEdits(pa *PathAssignment) []struct{ old, edit, decodeErr, vali
 		{out, `"out": "L-1"`, `bad port "L-1"`, ""},
 		{out, `"out": "L4294967296"`, `bad port "L4294967296"`, ""},
 		{out, `"out": "L1x"`, `bad port "L1x"`, ""},
+		{out, `"out": null`, `bad port ""`, ""},
+		{`"in": "AP",`, ``, `bad port ""`, ""},
 		{`"node": 7`, `"node": 8`, "", "schedule: schedule for unknown node 8"},
 	}
 }
@@ -220,22 +223,23 @@ func TestMalformedOmegaIsRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, tc := range malformedRingEdits(pa) {
+		name := fmt.Sprintf("%s → %s", tc.old, tc.edit)
 		edited := strings.Replace(buf.String(), tc.old, tc.edit, 1)
 		if edited == buf.String() {
-			t.Fatalf("%s: nothing to edit in the saved Ω", tc.edit)
+			t.Fatalf("%s: nothing to edit in the saved Ω", name)
 		}
 		got, err := DecodeOmega(strings.NewReader(edited))
 		if tc.decodeErr != "" {
 			if err == nil || !strings.Contains(err.Error(), tc.decodeErr) {
-				t.Errorf("%s: DecodeOmega = %v, want an error holding %q", tc.edit, err, tc.decodeErr)
+				t.Errorf("%s: DecodeOmega = %v, want an error holding %q", name, err, tc.decodeErr)
 			}
 			continue
 		}
 		if err != nil {
-			t.Fatalf("%s: %v", tc.edit, err)
+			t.Fatalf("%s: %v", name, err)
 		}
 		if err := got.Validate(top); err == nil || err.Error() != tc.validateErr {
-			t.Errorf("%s: Validate = %v, want %q", tc.edit, err, tc.validateErr)
+			t.Errorf("%s: Validate = %v, want %q", name, err, tc.validateErr)
 		}
 	}
 

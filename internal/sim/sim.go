@@ -82,13 +82,10 @@ func NewEngine() *Engine {
 	return e
 }
 
-// Now returns the current simulated time.
-func (e *Engine) Now() float64 { return e.now }
-
 // At schedules fn at absolute time at. Scheduling in the past or at
 // NaN is always a simulation-model bug: the event is dropped, the
 // engine stops executing further events, and the typed
-// *BadScheduleError surfaces from Run or Err. At keeps an
+// *BadScheduleError surfaces from Run. At keeps an
 // error-free signature because most scheduling happens inside event
 // callbacks, where a return value could not propagate anyway.
 func (e *Engine) At(at float64, fn Event) {
@@ -100,14 +97,6 @@ func (e *Engine) At(at float64, fn Event) {
 	}
 	e.seq++
 	heap.Push(&e.q, &item{at: at, seq: e.seq, fn: fn})
-}
-
-// Err returns the first scheduling error observed, or nil.
-func (e *Engine) Err() error { return e.err }
-
-// After schedules fn delay time units from now.
-func (e *Engine) After(delay float64, fn Event) {
-	e.At(e.now+delay, fn)
 }
 
 // Step executes the single earliest pending event; it reports false

@@ -415,8 +415,8 @@ func (t *Topology) String() string {
 	return fmt.Sprintf("%s(%s)", t.kind, strings.Join(parts, ","))
 }
 
-// Validate checks internal consistency; it is used by tests and by
-// loaders of externally supplied topologies.
+// Validate checks internal consistency: the tests run it on every
+// topology family they build.
 func (t *Topology) Validate() error {
 	if t.nodes != len(t.adj) {
 		return fmt.Errorf("topology: adjacency size %d != nodes %d", len(t.adj), t.nodes)
