@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"slices"
@@ -208,8 +209,8 @@ func TestLoadStateReusedAcrossShapes(t *testing.T) {
 			old := pa.Links[mi]
 			switch rng.Intn(3) {
 			case 0:
-				gp, gl, gk := ls.EvalReroute(mi, old, c.links)
-				wp, wl, wk := ref.EvalReroute(mi, old, c.links)
+				gp, gl, gk := ls.EvalReroute(mi, old, c.links, math.Inf(1))
+				wp, wl, wk := ref.EvalReroute(mi, old, c.links, math.Inf(1))
 				if gp != wp || gl != wl || gk != wk {
 					t.Fatalf("%s step %d: eval (%v, %v, %v), fresh state (%v, %v, %v)", s.name, step, gp, gl, gk, wp, wl, wk)
 				}

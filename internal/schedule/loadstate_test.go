@@ -121,7 +121,7 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 						ls.Undo(mi, old, c.links)
 						checkLoadState(t, ls, top, pa, ws, act, "undo")
 					default: // pure what-if: peak must equal a cloned full eval
-						peak, link, interval := ls.EvalReroute(mi, old, c.links)
+						peak, link, interval := ls.EvalReroute(mi, old, c.links, math.Inf(1))
 						trial := pa.Clone()
 						trial.SetPath(mi, c.path, c.links)
 						want := ComputeUtilization(top, trial, ws, act)
@@ -138,7 +138,7 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 				ls.Reset(pa)
 				checkLoadState(t, ls, top, pa, ws, act, "reset")
 
-				checkLoadStateMemo(t, top, pa, ws, act, cands, multi)
+				checkLoadStateMemo(t, top, pa, ws, act, cands, multi, exactEval)
 			})
 		}
 	}
@@ -153,7 +153,8 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 // one (message, candidate), candidates sharing link prefixes with each
 // other and with the old path, and an empty difference. Halfway through,
 // the generation and stamp counters jump to just below wrap-around.
-func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, cands *Candidates, multi []tfg.MessageID) {
+// eval is how the walk asks for an eval's exact triple.
+func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, cands *Candidates, multi []tfg.MessageID, eval evalFunc) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(11))
 	ws2, act2, cap2 := rebinding(top, ws, act, rng)
@@ -192,7 +193,7 @@ func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment
 		case op < 5:
 			for pass := 0; pass < 2; pass++ {
 				for ci, c := range list {
-					gp, gl, gk := ls.EvalReroute(mi, old, c.links)
+					gp, gl, gk := eval(ls, mi, old, c.links)
 					ref.ApplyReroute(mi, old, c.links)
 					wp, wl, wk := ref.PeakPosition()
 					ref.Undo(mi, old, c.links)
@@ -288,7 +289,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	ls := NewLoadStateCap(top, pa, ws, act, nil)
 	eval := func(step string, mi tfg.MessageID, c candidate) {
 		t.Helper()
-		gp, gl, gk := ls.EvalReroute(mi, pa.Links[mi], c.links)
+		gp, gl, gk := ls.EvalReroute(mi, pa.Links[mi], c.links, math.Inf(1))
 		ref := NewLoadStateCap(top, pa, ws, act, nil)
 		ref.ApplyReroute(mi, pa.Links[mi], c.links)
 		wp, wl, wk := ref.PeakPosition()
@@ -342,7 +343,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	if away < 0 {
 		t.Fatalf("every candidate of message %d crosses the peak link %d", mi, peakLink)
 	}
-	ls.EvalReroute(mi, pa.Links[mi], cands.PathsOf[mi][away].links)
+	ls.EvalReroute(mi, pa.Links[mi], cands.PathsOf[mi][away].links, math.Inf(1))
 	if ls.stamp[peakLink] != 3 {
 		t.Fatalf("peak link stamped %d by the first eval, want 3", ls.stamp[peakLink])
 	}
@@ -428,28 +429,10 @@ func TestAssignPathsCrossCheck(t *testing.T) {
 // one falls below topkFloor and is rebuilt.
 func TestPeakCacheMatchesRebuild(t *testing.T) {
 	t.Run("ghc448", func(t *testing.T) {
-		top, err := topology.NewGHC(4, 4, 8)
-		if err != nil {
-			t.Fatal(err)
-		}
-		g, err := tfg.RandomLayered(3, []int{16, 16, 16, 16, 16, 16, 16, 16}, 400, 1925, 192, 3200, 0.05)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tm, err := tfg.NewUniformTiming(g, 50, 128)
-		if err != nil {
-			t.Fatal(err)
-		}
-		as, err := alloc.RoundRobin(g, top)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, ws, act, cands, multi := routeFixture(t, Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 65}, nil)
+		f := ghc448Walks(t)
 		var n peakCacheCounts
 		for seed := int64(1); seed <= 3; seed++ {
-			n.add(peakCacheWalk(t, seed, top, pa.Clone(), ws, act, cands, multi, func(pa *PathAssignment, rng *rand.Rand) {
-				randomize(pa, cands, rng)
-			}))
+			n.add(peakCacheWalk(t, seed, f, exactEval))
 		}
 		t.Logf("%+v", n)
 		if n.repairs == 0 {
@@ -457,32 +440,141 @@ func TestPeakCacheMatchesRebuild(t *testing.T) {
 		}
 	})
 	t.Run("torus32-antipodes", func(t *testing.T) {
-		top, err := topology.NewTorus(32, 32)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pa, ws, act, cands, multi := antipodeFixture(t, top, 48, rand.New(rand.NewSource(1)))
-		// Reroll routes a random share of the messages — a few, some or
-		// all — so resets land on both sides of a full cache.
-		reroll := func(pa *PathAssignment, rng *rand.Rand) {
-			share := []float64{0.05, 0.3, 1}[rng.Intn(3)]
-			for i, list := range cands.PathsOf {
-				c := list[0]
-				if rng.Float64() < share {
-					c = list[1+rng.Intn(2)]
-				}
-				pa.SetPath(tfg.MessageID(i), c.path, c.links)
-			}
-		}
+		f := antipodeWalks(t)
 		var n peakCacheCounts
 		for seed := int64(1); seed <= 3; seed++ {
-			n.add(peakCacheWalk(t, seed, top, pa.Clone(), ws, act, cands, multi, reroll))
+			n.add(peakCacheWalk(t, seed, f, exactEval))
 		}
 		t.Logf("%+v", n)
 		if n.repairs == 0 || n.rebuilds == 0 || n.overflows == 0 || n.maxChanged < 64 {
 			t.Fatalf("%+v: the walks need in-place repairs of an incomplete cache, rebuilds, overflows of a complete one and 64 changed links", n)
 		}
 	})
+}
+
+// walkFixture is where a seeded LoadState walk starts: an assignment,
+// its problem and candidate paths, the messages with a choice of path,
+// and how a Reset draws the next assignment.
+type walkFixture struct {
+	top    *topology.Topology
+	pa     *PathAssignment
+	ws     []Window
+	act    *Activity
+	cands  *Candidates
+	multi  []tfg.MessageID
+	reroll func(*PathAssignment, *rand.Rand)
+}
+
+// ghc448Walks is compile_lp's heaviest layered TFG on GHC(4,4,8),
+// round-robin placed; a Reset draws a random assignment.
+func ghc448Walks(t *testing.T) walkFixture {
+	t.Helper()
+	top, err := topology.NewGHC(4, 4, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g, err := tfg.RandomLayered(3, []int{16, 16, 16, 16, 16, 16, 16, 16}, 400, 1925, 192, 3200, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tm, err := tfg.NewUniformTiming(g, 50, 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	as, err := alloc.RoundRobin(g, top)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, ws, act, cands, multi := routeFixture(t, Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 65}, nil)
+	return walkFixture{top, pa, ws, act, cands, multi, func(pa *PathAssignment, rng *rand.Rand) {
+		randomize(pa, cands, rng)
+	}}
+}
+
+// antipodeWalks is antipodeFixture's 48 messages on the 32x32 torus. A
+// Reset routes a random share of the messages — a few, some or all — so
+// resets land on both sides of a full cache.
+func antipodeWalks(t *testing.T) walkFixture {
+	t.Helper()
+	top, err := topology.NewTorus(32, 32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pa, ws, act, cands, multi := antipodeFixture(t, top, 48, rand.New(rand.NewSource(1)))
+	return walkFixture{top, pa, ws, act, cands, multi, func(pa *PathAssignment, rng *rand.Rand) {
+		share := []float64{0.05, 0.3, 1}[rng.Intn(3)]
+		for i, list := range cands.PathsOf {
+			c := list[0]
+			if rng.Float64() < share {
+				c = list[1+rng.Intn(2)]
+			}
+			pa.SetPath(tfg.MessageID(i), c.path, c.links)
+		}
+	}}
+}
+
+// evalFunc is how a walk asks for the exact triple of an eval.
+type evalFunc func(ls *LoadState, mi tfg.MessageID, old, new []topology.LinkID) (float64, topology.LinkID, int)
+
+func exactEval(ls *LoadState, mi tfg.MessageID, old, new []topology.LinkID) (float64, topology.LinkID, int) {
+	return ls.EvalReroute(mi, old, new, math.Inf(1))
+}
+
+// TestEvalRerouteBound holds EvalReroute's limit to its contract on the
+// memo walks over the DVB workload on the 8x8 torus, perfect and with a
+// failed link, and on TestPeakCacheMatchesRebuild's walks over both its
+// fixtures. Each eval of a walk is asked again under the limits a caller
+// passes — the exact peak and the floats either side of it, the current
+// peak ± timeEps, 0 and +Inf — and the bounded answer must be the exact
+// triple whenever the exact peak is at most the limit, and above the
+// limit otherwise. The walks themselves check the exact triple against
+// apply-peek-undo.
+func TestEvalRerouteBound(t *testing.T) {
+	var early int
+	eval := boundedEval(t, &early)
+	for _, faulted := range []bool{false, true} {
+		top, err := topology.NewTorus(8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, ws, act, cands, multi := loadStateFixture(t, top, faulted)
+		checkLoadStateMemo(t, top, pa, ws, act, cands, multi, eval)
+	}
+	for _, f := range []walkFixture{ghc448Walks(t), antipodeWalks(t)} {
+		for seed := int64(1); seed <= 3; seed++ {
+			peakCacheWalk(t, seed, f, eval)
+		}
+	}
+	if early == 0 {
+		t.Fatal("no bounded eval stopped early; the walks no longer exercise the bound")
+	}
+	t.Logf("%d bounded evals stopped early", early)
+}
+
+// boundedEval returns an evalFunc that checks the bound on every eval
+// and counts in *early the bounded answers that differ from the exact
+// one. Each bounded eval follows an eval of the message's own path,
+// which changes no link: an eval that read its marks before making them
+// would find none, rather than the same move's from the eval before.
+func boundedEval(t *testing.T, early *int) evalFunc {
+	return func(ls *LoadState, mi tfg.MessageID, old, new []topology.LinkID) (float64, topology.LinkID, int) {
+		t.Helper()
+		wp, wl, wk := ls.EvalReroute(mi, old, new, math.Inf(1))
+		cur := ls.Peak()
+		for _, limit := range []float64{wp, math.Nextafter(wp, math.Inf(-1)), math.Nextafter(wp, math.Inf(1)), cur - timeEps, cur + timeEps, 0, math.Inf(1)} {
+			ls.EvalReroute(mi, old, old, math.Inf(1))
+			gp, gl, gk := ls.EvalReroute(mi, old, new, limit)
+			switch {
+			case wp <= limit && (gp != wp || gl != wl || gk != wk):
+				t.Fatalf("msg %d onto %v, limit %v: (%v, %v, %v), exact (%v, %v, %v)", mi, new, limit, gp, gl, gk, wp, wl, wk)
+			case wp > limit && !(gp > limit):
+				t.Fatalf("msg %d onto %v, limit %v: peak %v, exact %v is above the limit", mi, new, limit, gp, wp)
+			case gp != wp || gl != wl || gk != wk:
+				*early++
+			}
+		}
+		return wp, wl, wk
+	}
 }
 
 // peakCacheCounts tallies what the ApplyReroute calls of a walk did to
@@ -498,9 +590,11 @@ func (n *peakCacheCounts) add(o peakCacheCounts) {
 }
 
 // peakCacheWalk is one seeded walk of TestPeakCacheMatchesRebuild from
-// pa; reroll draws the assignment a Reset goes to.
-func peakCacheWalk(t *testing.T, seed int64, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, cands *Candidates, multi []tfg.MessageID, reroll func(*PathAssignment, *rand.Rand)) peakCacheCounts {
+// a copy of f's assignment; eval is how it asks for an eval's exact
+// triple.
+func peakCacheWalk(t *testing.T, seed int64, f walkFixture, eval evalFunc) peakCacheCounts {
 	t.Helper()
+	top, pa, ws, act, cands, multi := f.top, f.pa.Clone(), f.ws, f.act, f.cands, f.multi
 	rng := rand.New(rand.NewSource(seed))
 	ws2, act2, cap2 := rebinding(top, ws, act, rng)
 	type binding struct {
@@ -583,7 +677,7 @@ func peakCacheWalk(t *testing.T, seed int64, top *topology.Topology, pa *PathAss
 		case r < 8:
 			op = "eval"
 			for ci, c := range list {
-				gp, gl, gk := ls.EvalReroute(mi, old, c.links)
+				gp, gl, gk := eval(ls, mi, old, c.links)
 				n.maxChanged = max(n.maxChanged, len(ls.changed))
 				check()
 				move(false, mi, old, c.links)
@@ -596,7 +690,7 @@ func peakCacheWalk(t *testing.T, seed int64, top *topology.Topology, pa *PathAss
 			}
 		case r < 9:
 			op = "reset"
-			reroll(pa, rng)
+			f.reroll(pa, rng)
 			ls.Reset(pa)
 			check()
 		default:

@@ -425,7 +425,7 @@ func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *
 				if c.path.Equal(pa.Paths[mi]) {
 					continue
 				}
-				if tp, _, _ := ls.EvalReroute(mi, pa.Links[mi], c.links); tp < bestPeak-timeEps {
+				if tp, _, _ := ls.EvalReroute(mi, pa.Links[mi], c.links, bestPeak-timeEps); tp < bestPeak-timeEps {
 					bestCI, bestPeak = ci, tp
 				}
 			}
