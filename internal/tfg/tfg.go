@@ -201,21 +201,6 @@ func (g *Graph) OutputTasks() []TaskID {
 // TopoOrder returns a topological order of the tasks (copy).
 func (g *Graph) TopoOrder() []TaskID { return append([]TaskID(nil), g.topo...) }
 
-// Levels returns, per task, the length (in edges) of the longest message
-// chain from any input task; input tasks are level 0.
-func (g *Graph) Levels() []int {
-	lvl := make([]int, len(g.tasks))
-	for _, u := range g.topo {
-		for _, mid := range g.out[u] {
-			d := g.messages[mid].Dst
-			if lvl[u]+1 > lvl[d] {
-				lvl[d] = lvl[u] + 1
-			}
-		}
-	}
-	return lvl
-}
-
 // Precedes reports whether a path of messages leads from a to b (strict:
 // Precedes(x,x) is false).
 func (g *Graph) Precedes(a, b TaskID) bool {

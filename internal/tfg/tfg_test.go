@@ -73,17 +73,6 @@ func TestInputOutputTasks(t *testing.T) {
 	}
 }
 
-func TestLevels(t *testing.T) {
-	g := mustDiamond(t)
-	lvl := g.Levels()
-	want := []int{0, 1, 1, 2}
-	for i, w := range want {
-		if lvl[i] != w {
-			t.Errorf("level[%d] = %d, want %d", i, lvl[i], w)
-		}
-	}
-}
-
 func TestPrecedes(t *testing.T) {
 	g := mustDiamond(t)
 	if !g.Precedes(0, 3) {
