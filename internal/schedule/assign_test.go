@@ -29,7 +29,7 @@ func assignFixture(t *testing.T, tauIn float64) (*PathAssignment, *Candidates, *
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ComputeWindows(g, tm, tauIn, tm.TauC(), func(m tfg.Message) bool {
+	ws, err := ComputeWindowsFromStarts(g, tm, tauIn, tm.TauC(), g.PipelinedStart(tm, tm.TauC()), func(m tfg.Message) bool {
 		return as.Node(m.Src) == as.Node(m.Dst)
 	})
 	if err != nil {
@@ -187,7 +187,7 @@ func TestCandidatesRespectMaxPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ComputeWindows(g, tm, 141, 50, nil)
+	ws, err := ComputeWindowsFromStarts(g, tm, 141, 50, g.PipelinedStart(tm, 50), nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -229,7 +230,7 @@ func TestComputeLocalMessages(t *testing.T) {
 
 func TestMaximalSubsetsPartition(t *testing.T) {
 	p := dvbProblem(t, sixCube(t), 64, gridTauIn(5))
-	ws, err := ComputeWindows(p.Graph, p.Timing, p.TauIn, p.Timing.TauC(), nil)
+	ws, err := ComputeWindowsFromStarts(p.Graph, p.Timing, p.TauIn, p.Timing.TauC(), p.Graph.PipelinedStart(p.Timing, p.Timing.TauC()), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -385,6 +386,28 @@ func TestGreedyAndExactEnginesAgreeOnFeasibility(t *testing.T) {
 		if err := res.Omega.Validate(p.Topology); err != nil {
 			t.Errorf("engine %v: %v", eng, err)
 		}
+	}
+}
+
+// An engine: exact interval whose maximal link-feasible sets overrun
+// the 4096-set cap takes the greedy decomposition, as under auto,
+// instead of failing the solve: compile_lp's cube7-s3-d0.05-b256-t90 at
+// the pool's Seed 1 and Retries 2 ends where auto ends, at interval
+// scheduling with peak 0.4790736607142857 after 3 attempts.
+func TestExactEngineFallsBackPastTheCap(t *testing.T) {
+	pool, o := compileLPPool(t)
+	i := slices.IndexFunc(pool, func(e poolEntry) bool { return e.id == "cube7-s3-d0.05-b256-t90" })
+	if i < 0 {
+		t.Fatal("cube7-s3-d0.05-b256-t90 left the compile_lp pool")
+	}
+	o.Engine = EngineExact
+	res, err := Compute(pool[i].p, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.FailStage != StageIntervalSchedule || res.Peak != 0.4790736607142857 || res.Stats.Attempts != 3 {
+		t.Errorf("ended at %v with peak %v after %d attempts, want interval scheduling with peak 0.4790736607142857 after 3",
+			res.FailStage, res.Peak, res.Stats.Attempts)
 	}
 }
 

@@ -34,7 +34,9 @@ const (
 	EngineAuto Engine = iota
 	// EngineGreedy always uses the greedy decomposition.
 	EngineGreedy
-	// EngineExact always uses the LP over maximal link-feasible sets.
+	// EngineExact uses the LP over maximal link-feasible sets wherever
+	// enumeration stays within 4096 sets, and the greedy decomposition
+	// past it.
 	EngineExact
 )
 
@@ -131,6 +133,7 @@ type schedScratch struct {
 	// exact (Bron–Kerbosch + LP) state
 	adj     []uint64 // complement adjacency over one word (n <= 64)
 	r       []int32
+	stk     []int32 // maximalIndependentSetsSlice's frames
 	misFlat []int32
 	misOffs []int32
 	memCnt  []int32
@@ -205,11 +208,9 @@ func scheduleOne(ctx context.Context, a *solveArena, k int, pa *PathAssignment, 
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr // not a reason to fall back to greedy
 		}
-		if err != nil && engine == EngineAuto {
-			useExact = false
-		} else if err != nil {
-			return nil, fmt.Errorf("schedule: interval %d: %w", k, err)
-		}
+		// Past the enumeration cap (or on an LP failure) every engine
+		// falls back to the greedy decomposition.
+		useExact = err == nil
 	}
 	if !useExact {
 		sc.greedyDecomposeInto(n)
@@ -538,24 +539,7 @@ func (sc *schedScratch) enumerateMIS(n, maxSets int) bool {
 	sc.misFlat = sc.misFlat[:0]
 	sc.misOffs = append(sc.misOffs[:0], 0)
 	if n > 64 {
-		conf := make([][]bool, n)
-		for i := range conf {
-			conf[i] = make([]bool, n)
-			for j := 0; j < n; j++ {
-				conf[i][j] = sc.conflict(n, i, j)
-			}
-		}
-		mis := maximalIndependentSetsSlice(conf, maxSets)
-		if mis == nil {
-			return false
-		}
-		for _, set := range mis {
-			for _, v := range set {
-				sc.misFlat = append(sc.misFlat, int32(v))
-			}
-			sc.misOffs = append(sc.misOffs, int32(len(sc.misFlat)))
-		}
-		return true
+		return sc.maximalIndependentSetsSlice(n, maxSets)
 	}
 
 	full := ^uint64(0)
@@ -619,126 +603,38 @@ func (sc *schedScratch) enumerateMIS(n, maxSets int) bool {
 	return bk(full, 0)
 }
 
-// conflictMatrix materializes the packed conflict matrix as [][]bool —
-// the reference shape the decomposition tests exercise.
-func conflictMatrix(msgs []tfg.MessageID, pa *PathAssignment) [][]bool {
-	var sc schedScratch
-	n := len(msgs)
-	sc.buildConflict(msgs, pa)
-	c := make([][]bool, n)
-	for i := range c {
-		c[i] = make([]bool, n)
-		for j := 0; j < n; j++ {
-			c[i][j] = sc.conflict(n, i, j)
+// maximalIndependentSetsSlice is Bron–Kerbosch over int32 lists on
+// one stack, the enumerator for conflict graphs of more than 64
+// messages; like enumerateMIS it appends to misFlat/misOffs and reports
+// false when the count exceeds maxSets. A frame is sc.stk[off:]: the
+// candidates p in ascending order, then the exclusion list x in the
+// order its members were excluded. The pivot is the vertex of p then x,
+// in list order, with most non-conflicting members of p, first strict
+// maximum.
+func (sc *schedScratch) maximalIndependentSetsSlice(n, maxSets int) bool {
+	adj := func(u, v int32) bool { // complement adjacency
+		return u != v && !sc.conflict(n, int(u), int(v))
+	}
+	sc.stk = sc.stk[:0]
+	for i := 0; i < n; i++ {
+		sc.stk = append(sc.stk, int32(i))
+	}
+	sc.r = sc.r[:0]
+	count := 0
+	var bk func(off, np int) bool
+	bk = func(off, np int) bool {
+		end := len(sc.stk)
+		if end == off {
+			sc.misFlat = append(sc.misFlat, sc.r...)
+			sc.misOffs = append(sc.misOffs, int32(len(sc.misFlat)))
+			count++
+			return count <= maxSets
 		}
-	}
-	return c
-}
-
-// loadConf packs a [][]bool conflict matrix into the scratch bit rows
-// (test-wrapper path).
-func (sc *schedScratch) loadConf(conf [][]bool) {
-	n := len(conf)
-	w := confWords(n)
-	sc.conf = make([]uint64, n*w)
-	for i := range conf {
-		for j, v := range conf[i] {
-			if v {
-				sc.conf[i*w+j/64] |= 1 << (uint(j) % 64)
-			}
-		}
-	}
-}
-
-// materializeSets converts the scratch result arenas to the [][]int
-// shape of the original API.
-func (sc *schedScratch) materializeSets() ([][]int, []float64) {
-	sets := make([][]int, len(sc.resDur))
-	for si := range sc.resDur {
-		src := sc.resFlat[sc.resOffs[si]:sc.resOffs[si+1]]
-		set := make([]int, len(src))
-		for t, v := range src {
-			set[t] = int(v)
-		}
-		sets[si] = set
-	}
-	return sets, append([]float64(nil), sc.resDur...)
-}
-
-// greedyDecompose is the [][]bool-shaped wrapper over the arena greedy
-// decomposition, retained for the decomposition tests.
-func greedyDecompose(msgs []tfg.MessageID, demands map[tfg.MessageID]float64, conf [][]bool) ([][]int, []float64) {
-	var sc schedScratch
-	sc.loadConf(conf)
-	sc.dem = make([]float64, len(msgs))
-	for i, m := range msgs {
-		sc.dem[i] = demands[m]
-	}
-	sc.greedyDecomposeInto(len(msgs))
-	return sc.materializeSets()
-}
-
-// exactDecompose is the [][]bool-shaped wrapper over the arena exact
-// decomposition, retained for the decomposition tests.
-func exactDecompose(msgs []tfg.MessageID, demands map[tfg.MessageID]float64, conf [][]bool) ([][]int, []float64, error) {
-	var a solveArena
-	sc := &a.sched
-	sc.loadConf(conf)
-	sc.dem = make([]float64, len(msgs))
-	for i, m := range msgs {
-		sc.dem[i] = demands[m]
-	}
-	if err := exactDecomposeInto(context.Background(), &a, len(msgs)); err != nil {
-		return nil, nil, err
-	}
-	sets, durations := sc.materializeSets()
-	return sets, durations, nil
-}
-
-// maximalIndependentSets enumerates maximal independent sets of the
-// conflict graph, returning nil when the count exceeds maxSets.
-func maximalIndependentSets(conf [][]bool, maxSets int) [][]int {
-	var sc schedScratch
-	sc.loadConf(conf)
-	if !sc.enumerateMIS(len(conf), maxSets) {
-		return nil
-	}
-	out := make([][]int, len(sc.misOffs)-1)
-	for s := range out {
-		src := sc.misFlat[sc.misOffs[s]:sc.misOffs[s+1]]
-		set := make([]int, len(src))
-		for t, v := range src {
-			set[t] = int(v)
-		}
-		out[s] = set
-	}
-	return out
-}
-
-// maximalIndependentSetsSlice is Bron–Kerbosch over slice sets, the
-// enumerator for conflict graphs of more than 64 messages.
-func maximalIndependentSetsSlice(conf [][]bool, maxSets int) [][]int {
-	n := len(conf)
-	adj := make([][]bool, n) // complement adjacency
-	for i := range adj {
-		adj[i] = make([]bool, n)
-		for j := 0; j < n; j++ {
-			adj[i][j] = i != j && !conf[i][j]
-		}
-	}
-	var out [][]int
-	var bk func(r, p, x []int) bool
-	bk = func(r, p, x []int) bool {
-		if len(p) == 0 && len(x) == 0 {
-			out = append(out, append([]int(nil), r...))
-			return len(out) <= maxSets
-		}
-		// Pivot on the vertex of p∪x with most neighbors in p.
-		pivot, best := -1, -1
-		for _, u := range append(append([]int(nil), p...), x...) {
+		pivot, best := int32(-1), -1
+		for _, u := range sc.stk[off:end] {
 			cnt := 0
-			for _, v := range p {
-				if adj[u][v] {
+			for _, v := range sc.stk[off : off+np] {
+				if adj(u, v) {
 					cnt++
 				}
 			}
@@ -746,45 +642,33 @@ func maximalIndependentSetsSlice(conf [][]bool, maxSets int) [][]int {
 				best, pivot = cnt, u
 			}
 		}
-		cands := make([]int, 0, len(p))
-		for _, v := range p {
-			if pivot == -1 || !adj[pivot][v] {
-				cands = append(cands, v)
+		for i := off; i < off+np; {
+			v := sc.stk[i]
+			if adj(pivot, v) {
+				i++
+				continue
 			}
-		}
-		for _, v := range cands {
-			var np, nx []int
-			for _, w := range p {
-				if adj[v][w] {
-					np = append(np, w)
+			cnp := 0
+			for t := off; t < end; t++ {
+				if u := sc.stk[t]; adj(v, u) {
+					sc.stk = append(sc.stk, u)
+					if t < off+np {
+						cnp++
+					}
 				}
 			}
-			for _, w := range x {
-				if adj[v][w] {
-					nx = append(nx, w)
-				}
-			}
-			nr := append(append([]int(nil), r...), v)
-			if !bk(nr, np, nx) {
+			sc.r = append(sc.r, v)
+			if !bk(end, cnp) {
 				return false
 			}
-			// Move v from p to x.
-			for i, w := range p {
-				if w == v {
-					p = append(p[:i:i], p[i+1:]...)
-					break
-				}
-			}
-			x = append(x, v)
+			sc.r = sc.r[:len(sc.r)-1]
+			// Move v from p to the end of x.
+			sc.stk = sc.stk[:end]
+			copy(sc.stk[i:], sc.stk[i+1:])
+			sc.stk[end-1] = v
+			np--
 		}
 		return true
 	}
-	all := make([]int, n)
-	for i := range all {
-		all[i] = i
-	}
-	if !bk(nil, all, nil) {
-		return nil
-	}
-	return out
+	return bk(0, n)
 }

@@ -1,11 +1,11 @@
 package schedule
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
 	"math/rand"
-	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -27,21 +27,49 @@ func fakeAssignment(linkSets [][]topology.LinkID) *PathAssignment {
 	return pa
 }
 
+// conflictFixture returns an arena whose scratch holds the conflict
+// rows of messages 0..len(links)-1, message i on links[i], and their
+// demands dem.
+func conflictFixture(links [][]topology.LinkID, dem ...float64) *solveArena {
+	a := new(solveArena)
+	msgs := make([]tfg.MessageID, len(links))
+	for i := range msgs {
+		msgs[i] = tfg.MessageID(i)
+	}
+	a.sched.buildConflict(msgs, fakeAssignment(links))
+	a.sched.dem = dem
+	return a
+}
+
+// flatten lays a reference's sets out as a flat list and its offsets,
+// the shape of resFlat/resOffs and misFlat/misOffs.
+func flatten(sets [][]int) (flat, offs []int32) {
+	offs = []int32{0}
+	for _, set := range sets {
+		for _, v := range set {
+			flat = append(flat, int32(v))
+		}
+		offs = append(offs, int32(len(flat)))
+	}
+	return flat, offs
+}
+
+// setOf is set si of a flat list and its offsets.
+func setOf(flat, offs []int32, si int) []int32 { return flat[offs[si]:offs[si+1]] }
+
 func TestConflictMatrix(t *testing.T) {
-	pa := fakeAssignment([][]topology.LinkID{
+	sc := &conflictFixture([][]topology.LinkID{
 		{0, 1},
 		{1, 2},
 		{3},
-	})
-	msgs := []tfg.MessageID{0, 1, 2}
-	c := conflictMatrix(msgs, pa)
-	if !c[0][1] || !c[1][0] {
+	}).sched
+	if !sc.conflict(3, 0, 1) || !sc.conflict(3, 1, 0) {
 		t.Error("messages sharing link 1 must conflict")
 	}
-	if c[0][2] || c[1][2] {
+	if sc.conflict(3, 0, 2) || sc.conflict(3, 1, 2) {
 		t.Error("disjoint messages must not conflict")
 	}
-	if c[0][0] || c[1][1] {
+	if sc.conflict(3, 0, 0) || sc.conflict(3, 1, 1) {
 		t.Error("no self conflicts")
 	}
 }
@@ -88,14 +116,13 @@ func TestConflictMatrixMatchesMapReference(t *testing.T) {
 				linkSets[i] = append(linkSets[i], topology.LinkID(rng.Intn(160)))
 			}
 		}
-		pa := fakeAssignment(linkSets)
-		got := conflictMatrix(msgs, pa)
-		want := mapConflictMatrix(msgs, pa)
+		sc := &conflictFixture(linkSets).sched
+		want := mapConflictMatrix(msgs, fakeAssignment(linkSets))
 		for i := 0; i < n; i++ {
 			for j := 0; j < n; j++ {
-				if got[i][j] != want[i][j] {
+				if got := sc.conflict(n, i, j); got != want[i][j] {
 					t.Fatalf("trial %d: conflict[%d][%d] = %v, map reference says %v (links %v vs %v)",
-						trial, i, j, got[i][j], want[i][j], linkSets[i], linkSets[j])
+						trial, i, j, got, want[i][j], linkSets[i], linkSets[j])
 				}
 			}
 		}
@@ -113,31 +140,25 @@ func TestErrIntervalInfeasibleFormat(t *testing.T) {
 }
 
 func TestGreedyDecomposeDisjointRunsTogether(t *testing.T) {
-	pa := fakeAssignment([][]topology.LinkID{{0}, {1}, {2}})
-	msgs := []tfg.MessageID{0, 1, 2}
-	demands := map[tfg.MessageID]float64{0: 5, 1: 5, 2: 5}
-	conf := conflictMatrix(msgs, pa)
-	sets, durations := greedyDecompose(msgs, demands, conf)
+	sc := &conflictFixture([][]topology.LinkID{{0}, {1}, {2}}, 5, 5, 5).sched
+	sc.greedyDecomposeInto(3)
 	total := 0.0
-	for _, d := range durations {
+	for _, d := range sc.resDur {
 		total += d
 	}
 	if math.Abs(total-5) > 1e-9 {
 		t.Errorf("disjoint messages should run fully parallel: total %g, want 5", total)
 	}
-	if len(sets) != 1 || len(sets[0]) != 3 {
-		t.Errorf("sets = %v", sets)
+	if !slices.Equal(sc.resOffs, []int32{0, 3}) {
+		t.Errorf("sets %v at offsets %v, want one set of all 3", sc.resFlat, sc.resOffs)
 	}
 }
 
 func TestGreedyDecomposeConflictSerializes(t *testing.T) {
-	pa := fakeAssignment([][]topology.LinkID{{0}, {0}})
-	msgs := []tfg.MessageID{0, 1}
-	demands := map[tfg.MessageID]float64{0: 4, 1: 6}
-	conf := conflictMatrix(msgs, pa)
-	_, durations := greedyDecompose(msgs, demands, conf)
+	sc := &conflictFixture([][]topology.LinkID{{0}, {0}}, 4, 6).sched
+	sc.greedyDecomposeInto(2)
 	total := 0.0
-	for _, d := range durations {
+	for _, d := range sc.resDur {
 		total += d
 	}
 	if math.Abs(total-10) > 1e-9 {
@@ -148,23 +169,23 @@ func TestGreedyDecomposeConflictSerializes(t *testing.T) {
 func TestExactDecomposeBeatsNaive(t *testing.T) {
 	// Triangle-free case where exact packs perfectly: messages A{0},
 	// B{1}, C{0,1}. A and B run together; C alone. Total = max(a,b)+c.
-	pa := fakeAssignment([][]topology.LinkID{{0}, {1}, {0, 1}})
-	msgs := []tfg.MessageID{0, 1, 2}
-	demands := map[tfg.MessageID]float64{0: 3, 1: 5, 2: 2}
-	conf := conflictMatrix(msgs, pa)
-	sets, durations, err := exactDecompose(msgs, demands, conf)
-	if err != nil {
+	links := [][]topology.LinkID{{0}, {1}, {0, 1}}
+	a := conflictFixture(links, 3, 5, 2)
+	if err := exactDecomposeInto(context.Background(), a, 3); err != nil {
 		t.Fatal(err)
 	}
+	sc := &a.sched
 	total := 0.0
-	for _, d := range durations {
+	for _, d := range sc.resDur {
 		total += d
 	}
 	if total > 7+1e-6 {
 		t.Errorf("exact total %g, want <= 7", total)
 	}
 	// Every returned set must be independent.
-	for _, set := range sets {
+	conf := mapConflictMatrix([]tfg.MessageID{0, 1, 2}, fakeAssignment(links))
+	for si := range sc.resDur {
+		set := setOf(sc.resFlat, sc.resOffs, si)
 		for i := 0; i < len(set); i++ {
 			for j := i + 1; j < len(set); j++ {
 				if conf[set[i]][set[j]] {
@@ -176,128 +197,176 @@ func TestExactDecomposeBeatsNaive(t *testing.T) {
 }
 
 func TestMaximalIndependentSets(t *testing.T) {
-	// Path graph 0-1-2 (conflicts 0~1, 1~2): MIS = {0,2}, {1}.
-	conf := [][]bool{
-		{false, true, false},
-		{true, false, true},
-		{false, true, false},
+	// Path graph 0-1-2 (conflicts 0~1 on link 0, 1~2 on link 1):
+	// MIS = {0,2}, {1}.
+	sc := &conflictFixture([][]topology.LinkID{{0}, {0, 1}, {1}}).sched
+	if !sc.enumerateMIS(3, 100) {
+		t.Fatal("cap tripped on 2 sets")
 	}
-	mis := maximalIndependentSets(conf, 100)
-	if len(mis) != 2 {
-		t.Fatalf("got %d sets: %v", len(mis), mis)
-	}
-	var keys []string
-	for _, s := range mis {
-		sort.Ints(s)
-		key := ""
-		for _, v := range s {
-			key += string(rune('0' + v))
-		}
-		keys = append(keys, key)
-	}
-	sort.Strings(keys)
-	if keys[0] != "02" || keys[1] != "1" {
-		t.Errorf("sets = %v", keys)
+	flat, offs := flatten([][]int{{0, 2}, {1}})
+	if !slices.Equal(sc.misFlat, flat) || !slices.Equal(sc.misOffs, offs) {
+		t.Errorf("sets %v at offsets %v, want %v at %v", sc.misFlat, sc.misOffs, flat, offs)
 	}
 }
 
 func TestMaximalIndependentSetsCap(t *testing.T) {
-	// 2n vertices with no conflicts between pairs... use an empty
-	// conflict graph on 5 vertices: exactly one MIS (everything).
-	n := 5
-	conf := make([][]bool, n)
-	for i := range conf {
-		conf[i] = make([]bool, n)
+	// An empty conflict graph on 5 vertices (one link each) has exactly
+	// one maximal set: everything.
+	sc := &conflictFixture([][]topology.LinkID{{0}, {1}, {2}, {3}, {4}}).sched
+	flat, offs := flatten([][]int{{0, 1, 2, 3, 4}})
+	if !sc.enumerateMIS(5, 100) || !slices.Equal(sc.misFlat, flat) || !slices.Equal(sc.misOffs, offs) {
+		t.Errorf("empty conflict graph should have one maximal set, got %v at offsets %v", sc.misFlat, sc.misOffs)
 	}
-	mis := maximalIndependentSets(conf, 100)
-	if len(mis) != 1 || len(mis[0]) != n {
-		t.Errorf("empty conflict graph should have one maximal set, got %v", mis)
+	// A perfect matching (message i on link i/2) has 2^10 maximal sets;
+	// the cap must trip.
+	links := make([][]topology.LinkID, 20)
+	for i := range links {
+		links[i] = []topology.LinkID{topology.LinkID(i / 2)}
 	}
-	// A perfect matching's complement graph has 2^n MIS; cap must trip.
-	m := 20
-	conf = make([][]bool, m)
-	for i := range conf {
-		conf[i] = make([]bool, m)
-	}
-	for i := 0; i < m; i += 2 {
-		conf[i][i+1] = true
-		conf[i+1][i] = true
-	}
-	if got := maximalIndependentSets(conf, 64); got != nil {
-		t.Errorf("cap should have tripped, got %d sets", len(got))
+	sc = &conflictFixture(links).sched
+	if sc.enumerateMIS(20, 64) {
+		t.Errorf("cap should have tripped, got %d sets", len(sc.misOffs)-1)
 	}
 }
 
-// TestExactDecomposePastOneWord runs the exact engine on an interval of
-// more than 64 messages, where the conflict rows span two words and
-// enumeration takes the slice path: two disjoint 33-cliques (every
-// message of a clique on one shared link) have exactly 33 × 33 maximal
-// link-feasible sets, one member from each clique, and the optimum
-// serializes the heavier clique.
+// TestExactDecomposePastOneWord runs the enumerator and the exact
+// engine on intervals of more than 64 messages, where the conflict rows
+// span two words and enumeration takes the slice path. Each input is a
+// union of disjoint cliques, message i on link i mod c, whose maximal
+// link-feasible sets take one member from each clique: every enumerated
+// set must be independent and maximal according to mapConflictMatrix
+// and appear once, and the count must be the product of the clique
+// sizes, or the cap must trip on set 4097 when that product is over
+// 4096. Blow-ups of small random graphs, where the exclusion lists
+// matter, are held to a count from the one-word enumerator. On two
+// 33-cliques (1 089 sets) the exact optimum serializes the heavier one.
 func TestExactDecomposePastOneWord(t *testing.T) {
-	const half = 33
-	links := make([][]topology.LinkID, 2*half)
-	msgs := make([]tfg.MessageID, 2*half)
-	demands := map[tfg.MessageID]float64{}
-	sums := [2]float64{}
-	for i := range links {
-		links[i] = []topology.LinkID{topology.LinkID(i / half)}
-		msgs[i] = tfg.MessageID(i)
-		demands[msgs[i]] = 1 + float64(i%7)/4
-		sums[i/half] += demands[msgs[i]]
-	}
-	conf := conflictMatrix(msgs, fakeAssignment(links))
-
-	mis := maximalIndependentSets(conf, 4096)
-	if len(mis) != half*half {
-		t.Fatalf("%d maximal sets, want %d", len(mis), half*half)
-	}
-	seen := map[[2]int]bool{}
-	for _, set := range mis {
-		in := make([]bool, len(msgs))
-		for _, v := range set {
-			in[v] = true
+	cliques := func(n, c int) [][]topology.LinkID {
+		links := make([][]topology.LinkID, n)
+		for i := range links {
+			links[i] = []topology.LinkID{topology.LinkID(i % c)}
 		}
-		for _, u := range set {
-			for _, v := range set {
-				if u != v && conf[u][v] {
-					t.Fatalf("set %v holds conflicting messages %d and %d", set, u, v)
+		return links
+	}
+	// check enumerates the sets of messages on links, want of them.
+	check := func(name string, links [][]topology.LinkID, want int) {
+		t.Helper()
+		n := len(links)
+		msgs := make([]tfg.MessageID, n)
+		for i := range msgs {
+			msgs[i] = tfg.MessageID(i)
+		}
+		conf := mapConflictMatrix(msgs, fakeAssignment(links))
+		sc := &conflictFixture(links).sched
+		ok := sc.enumerateMIS(n, 4096)
+		seen := map[string]bool{}
+		for si := range len(sc.misOffs) - 1 {
+			set := setOf(sc.misFlat, sc.misOffs, si)
+			in := make([]bool, n)
+			for _, u := range set {
+				in[u] = true
+				for _, v := range set {
+					if u != v && conf[u][v] {
+						t.Fatalf("%s: set %v holds conflicting messages %d and %d", name, set, u, v)
+					}
 				}
 			}
-		}
-		for v := range msgs {
-			if in[v] {
-				continue
+			for v := range n {
+				if !in[v] && !slices.ContainsFunc(set, func(u int32) bool { return conf[u][v] }) {
+					t.Fatalf("%s: set %v is not maximal: %d conflicts with none of it", name, set, v)
+				}
 			}
-			if !slices.ContainsFunc(set, func(u int) bool { return conf[u][v] }) {
-				t.Fatalf("set %v is not maximal: %d conflicts with none of it", set, v)
+			sorted := slices.Clone(set)
+			slices.Sort(sorted)
+			key := fmt.Sprint(sorted)
+			if seen[key] {
+				t.Fatalf("%s: set %v enumerated twice", name, set)
 			}
+			seen[key] = true
 		}
-		if len(set) != 2 {
-			t.Fatalf("set %v is not one message per clique", set)
+		switch got := len(seen); {
+		case want > 4096 && (ok || got != 4097):
+			t.Fatalf("%s: %d maximal sets (cap tripped %t), want the cap to trip on set 4097 of %d", name, got, !ok, want)
+		case want <= 4096 && (!ok || got != want):
+			t.Fatalf("%s: %d maximal sets (cap tripped %t), want %d", name, got, !ok, want)
 		}
-		key := [2]int{min(set[0], set[1]), max(set[0], set[1])}
-		if seen[key] {
-			t.Fatalf("set %v enumerated twice", set)
-		}
-		seen[key] = true
 	}
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 12; trial++ {
+		n, c := 65+rng.Intn(60), 2+rng.Intn(3)
+		want := 1
+		for k := 0; k < c; k++ {
+			want *= (n - k + c - 1) / c
+		}
+		check(fmt.Sprintf("cliques %d: %d messages on %d links", trial, n, c), cliques(n, c), want)
+	}
+	// On a union of cliques no exclusion list reaches a child frame. On
+	// a blow-up of a graph H it can: message i has vertex i mod len(h)'s
+	// links h[i mod len(h)] plus that vertex's private one, so every
+	// vertex becomes a clique, and each maximal set of H yields the
+	// product of its vertices' clique sizes. The one-word enumerator
+	// lists H's maximal sets.
+	blowUp := func(name string, h [][]topology.LinkID, n int) {
+		t.Helper()
+		k := len(h)
+		links := make([][]topology.LinkID, n)
+		size := make([]int, k)
+		for i := range links {
+			links[i] = append([]topology.LinkID{topology.LinkID(64 + i%k)}, h[i%k]...)
+			size[i%k]++
+		}
+		sc := &conflictFixture(h).sched
+		sc.enumerateMIS(k, 4096)
+		want := 0
+		for si := range len(sc.misOffs) - 1 {
+			prod := 1
+			for _, v := range setOf(sc.misFlat, sc.misOffs, si) {
+				prod *= size[v]
+			}
+			want += prod
+		}
+		check(fmt.Sprintf("%s: %d messages over %d vertices", name, n, k), links, want)
+	}
+	for trial := 0; trial < 12; trial++ {
+		k := 4 + rng.Intn(5)
+		h := make([][]topology.LinkID, k)
+		for v := range h {
+			for c := 1 + rng.Intn(2); c > 0; c-- {
+				h[v] = append(h[v], topology.LinkID(rng.Intn(k)))
+			}
+		}
+		blowUp(fmt.Sprintf("blow-up %d", trial), h, 65+rng.Intn(60))
+	}
+	// The pivot u conflicts with v1 and v2, which do not conflict; w1..w3
+	// conflict with v1, v2 and each other but not with u. The last v2
+	// branch runs after every v1 has left the candidates, and only the
+	// exclusion list keeps it from emitting a lone v2.
+	blowUp("u v1 v2 w1 w2 w3", [][]topology.LinkID{{0, 1}, {0, 2}, {1, 3}, {2, 3, 4}, {2, 3, 4}, {2, 3, 4}}, 70)
 
-	sets, durations, err := exactDecompose(msgs, demands, conf)
-	if err != nil {
+	const half = 33
+	check("two 33-cliques", cliques(2*half, 2), half*half)
+	dem := make([]float64, 2*half)
+	sums := [2]float64{}
+	for i := range dem {
+		dem[i] = 1 + float64(i%7)/4
+		sums[i%2] += dem[i]
+	}
+	a := conflictFixture(cliques(2*half, 2), dem...)
+	if err := exactDecomposeInto(context.Background(), a, 2*half); err != nil {
 		t.Fatal(err)
 	}
-	got := make([]float64, len(msgs))
+	sc := &a.sched
+	got := make([]float64, 2*half)
 	total := 0.0
-	for si, set := range sets {
-		for _, v := range set {
-			got[v] += durations[si]
+	for si, d := range sc.resDur {
+		for _, v := range setOf(sc.resFlat, sc.resOffs, si) {
+			got[v] += d
 		}
-		total += durations[si]
+		total += d
 	}
-	for i, m := range msgs {
-		if got[i] < demands[m]-1e-9 {
-			t.Errorf("message %d covered %g of its demand %g", i, got[i], demands[m])
+	for i := range dem {
+		if got[i] < dem[i]-1e-9 {
+			t.Errorf("message %d covered %g of its demand %g", i, got[i], dem[i])
 		}
 	}
 	if want := max(sums[0], sums[1]); math.Abs(total-want) > 1e-6 {
@@ -372,13 +441,16 @@ func benchConflictFixture() ([]tfg.MessageID, *PathAssignment) {
 	return msgs, fakeAssignment(linkSets)
 }
 
-// The allocs/op delta of these two is the conflictMatrix hot-path
-// saving recorded in docs/results-latest.txt.
+// BenchmarkConflictMatrixBitset times buildConflict on one reused
+// scratch, as scheduleOne runs it; BenchmarkConflictMatrixMapReference
+// times the map[LinkID]bool matrix it replaced. Both are recorded in
+// docs/results-latest.txt.
 func BenchmarkConflictMatrixBitset(b *testing.B) {
 	msgs, pa := benchConflictFixture()
+	var sc schedScratch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		conflictMatrix(msgs, pa)
+		sc.buildConflict(msgs, pa)
 	}
 }
 
@@ -490,23 +562,29 @@ func TestQuickGreedyDecompose(t *testing.T) {
 			}
 			demands[msgs[i]] = d
 		}
-		pa := fakeAssignment(linkSets)
-		conf := conflictMatrix(msgs, pa)
-		sets, durations := greedyDecompose(msgs, demands, conf)
+		dem := make([]float64, n)
+		for i, m := range msgs {
+			dem[i] = demands[m]
+		}
+		sc := &conflictFixture(linkSets, dem...).sched
+		sc.greedyDecomposeInto(n)
+		conf := mapConflictMatrix(msgs, fakeAssignment(linkSets))
 		wantSets, wantDurations := greedyDecomposeReference(msgs, demands, conf)
-		if !reflect.DeepEqual(sets, wantSets) || !reflect.DeepEqual(durations, wantDurations) {
-			t.Logf("mode %d demands %v:\n got %v %v\nwant %v %v", mode%5, demands, sets, durations, wantSets, wantDurations)
+		wantFlat, wantOffs := flatten(wantSets)
+		if !slices.Equal(sc.resFlat, wantFlat) || !slices.Equal(sc.resOffs, wantOffs) || !slices.Equal(sc.resDur, wantDurations) {
+			t.Logf("mode %d demands %v:\n got %v %v %v\nwant %v %v", mode%5, demands, sc.resFlat, sc.resOffs, sc.resDur, wantSets, wantDurations)
 			return false
 		}
 		served := make([]float64, n)
-		for si, set := range sets {
+		for si, d := range sc.resDur {
+			set := setOf(sc.resFlat, sc.resOffs, si)
 			for i := 0; i < len(set); i++ {
 				for j := i + 1; j < len(set); j++ {
 					if conf[set[i]][set[j]] {
 						return false
 					}
 				}
-				served[set[i]] += durations[si]
+				served[set[i]] += d
 			}
 		}
 		for i := 0; i < n; i++ {
@@ -553,51 +631,52 @@ func chainReference(sets [][]int, durations []float64) ([][]int, []float64) {
 	return outSets, outDur
 }
 
-// Property: the sets in chainSets' order are a permutation of the
-// emitted (set, duration) pairs — each set keeps its members in order
-// and its duration, the first set stays first — and the order is the
-// one chainReference picks. Decompositions are random subsets of up to
-// 150 messages, so rows span several words and the window bites.
+// Property: chainSets permutes the emitted (set, duration) pairs —
+// sc.chain is a permutation of their indices with set 0 first, and the
+// arenas are left as they were — and the order is the one
+// chainReference picks. Decompositions are random subsets of up to 150
+// messages, so rows span several words and the window bites.
 func TestQuickChainSetsPermutes(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(150)
-		var sc schedScratch
-		sc.resOffs = []int32{0}
 		var sets [][]int
 		var durations []float64
 		for s := rng.Intn(80); s >= 0; s-- {
-			var set []int
-			for _, i := range rng.Perm(n)[:1+rng.Intn(min(n, 12))] {
-				set = append(set, i)
-				sc.resFlat = append(sc.resFlat, int32(i))
-			}
-			d := float64(1 + rng.Intn(9))
-			sets, durations = append(sets, set), append(durations, d)
-			sc.resOffs = append(sc.resOffs, int32(len(sc.resFlat)))
-			sc.resDur = append(sc.resDur, d)
+			sets = append(sets, rng.Perm(n)[:1+rng.Intn(min(n, 12))])
+			durations = append(durations, float64(1+rng.Intn(9)))
 		}
+		var sc schedScratch
+		sc.resFlat, sc.resOffs = flatten(sets)
+		sc.resDur = slices.Clone(durations)
 		sc.chainSets(n)
-		emitted, emittedDur := sc.materializeSets()
-		var got [][]int
-		var gotDur []float64
-		for _, si := range sc.chain {
-			got, gotDur = append(got, emitted[si]), append(gotDur, emittedDur[si])
-		}
-		want, wantDur := chainReference(sets, durations)
-		if !reflect.DeepEqual(got, want) || !reflect.DeepEqual(gotDur, wantDur) {
-			t.Logf("seed %d: got %v %v, want %v %v", seed, got, gotDur, want, wantDur)
+		emittedFlat, emittedOffs := flatten(sets)
+		if !slices.Equal(sc.resFlat, emittedFlat) || !slices.Equal(sc.resOffs, emittedOffs) || !slices.Equal(sc.resDur, durations) {
+			t.Logf("seed %d: chainSets changed the emitted sets", seed)
 			return false
 		}
-		key := func(set []int, d float64) string { return fmt.Sprint(set, d) }
-		var before, after []string
+		perm := slices.Clone(sc.chain)
+		slices.Sort(perm)
 		for si := range sets {
-			before = append(before, key(sets[si], durations[si]))
-			after = append(after, key(got[si], gotDur[si]))
+			if sc.chain[0] != 0 || len(perm) != len(sets) || perm[si] != int32(si) {
+				t.Logf("seed %d: chain %v is not a permutation of %d sets with set 0 first", seed, sc.chain, len(sets))
+				return false
+			}
 		}
-		slices.Sort(before)
-		slices.Sort(after)
-		return slices.Equal(before, after) && key(got[0], gotDur[0]) == key(sets[0], durations[0])
+		got, gotOffs := []int32(nil), []int32{0}
+		var gotDur []float64
+		for _, si := range sc.chain {
+			got = append(got, setOf(sc.resFlat, sc.resOffs, int(si))...)
+			gotOffs = append(gotOffs, int32(len(got)))
+			gotDur = append(gotDur, sc.resDur[si])
+		}
+		want, wantDur := chainReference(sets, durations)
+		wantFlat, wantOffs := flatten(want)
+		if !slices.Equal(got, wantFlat) || !slices.Equal(gotOffs, wantOffs) || !slices.Equal(gotDur, wantDur) {
+			t.Logf("seed %d: got %v %v %v, want %v %v", seed, got, gotOffs, gotDur, want, wantDur)
+			return false
+		}
+		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)

@@ -51,7 +51,7 @@ func routeFixture(t *testing.T, p Problem, fs *topology.FaultSet) (*PathAssignme
 	sameNode := func(m tfg.Message) bool {
 		return p.Assignment.Node(m.Src) == p.Assignment.Node(m.Dst)
 	}
-	ws, err := ComputeWindows(p.Graph, p.Timing, p.TauIn, p.Timing.TauC(), sameNode)
+	ws, err := ComputeWindowsFromStarts(p.Graph, p.Timing, p.TauIn, p.Timing.TauC(), p.Graph.PipelinedStart(p.Timing, p.Timing.TauC()), sameNode)
 	if err != nil {
 		t.Fatal(err)
 	}

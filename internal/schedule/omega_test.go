@@ -293,7 +293,7 @@ func TestValidateSweepMatchesSpanSort(t *testing.T) {
 				}
 			case 2: // stretch an Until
 				sl.Until[rng.Intn(len(sl.Until))] += rng.Float64() * om.TauIn / 4
-			case 3: // swap one command's link for a neighbour's
+			case 3: // swap one command's link for another at its node
 				for {
 					n := topology.NodeID(rng.Intn(len(om.Nodes)))
 					cmds := om.Nodes[n].Commands
@@ -305,8 +305,13 @@ func TestValidateSweepMatchesSpanSort(t *testing.T) {
 					if port.AP {
 						port = &c.Out
 					}
-					nb := top.Neighbors(n)
-					port.Link, _ = top.LinkBetween(n, nb[rng.Intn(len(nb))])
+					for {
+						l := topology.LinkID(rng.Intn(top.Links()))
+						if lk := top.Link(l); lk.A == n || lk.B == n {
+							port.Link = l
+							break
+						}
+					}
 					break
 				}
 			case 4: // reverse the slice order

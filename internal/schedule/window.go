@@ -94,18 +94,6 @@ func (w Window) AbsoluteTime(t, tauIn float64) float64 {
 	return w.AbsRelease + w.frameOffset(t, tauIn)
 }
 
-// ComputeWindows derives the Section 4 time bounds for every message:
-// tasks are laid out by PipelinedStart with the given window length, a
-// message is released when its source completes, and its frame-relative
-// bounds are the absolute bounds mod τin. Local messages (source and
-// destination tasks on one node) are marked and excluded from routing.
-func ComputeWindows(g *tfg.Graph, tm *tfg.Timing, tauIn, window float64, sameNode func(m tfg.Message) bool) ([]Window, error) {
-	if err := checkWindowParams(tm, tauIn, window); err != nil {
-		return nil, err
-	}
-	return ComputeWindowsFromStarts(g, tm, tauIn, window, g.PipelinedStart(tm, window), sameNode)
-}
-
 // badInput is an error the caller's parameters caused: it classifies as
 // errkind.ErrBadInput (exit 1, HTTP 400), where an unmarked error from
 // this package is an internal inconsistency.

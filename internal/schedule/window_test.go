@@ -24,7 +24,7 @@ func diamondFixture(t *testing.T) (*tfg.Graph, *tfg.Timing) {
 func TestComputeWindowsBasic(t *testing.T) {
 	g, tm := diamondFixture(t)
 	// τin = 150, window = τc = 50.
-	ws, err := ComputeWindows(g, tm, 150, 50, nil)
+	ws, err := ComputeWindowsFromStarts(g, tm, 150, 50, g.PipelinedStart(tm, 50), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -59,7 +59,7 @@ func TestComputeWindowsWrap(t *testing.T) {
 	// a completes 50, b starts 100, completes 150, frame release =
 	// 150 mod 110 = 40, deadline 90 — still no wrap. Force wrap with
 	// τin = 70: b starts at 100, wait — recompute: starts use window.
-	ws, err := ComputeWindows(g, tm, 70, 50, nil)
+	ws, err := ComputeWindowsFromStarts(g, tm, 70, 50, g.PipelinedStart(tm, 50), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -101,19 +101,19 @@ func TestWindowAbsoluteTime(t *testing.T) {
 
 func TestComputeWindowsRejects(t *testing.T) {
 	g, tm := diamondFixture(t)
-	if _, err := ComputeWindows(g, tm, 0, 50, nil); err == nil {
+	if _, err := ComputeWindowsFromStarts(g, tm, 0, 50, g.PipelinedStart(tm, 50), nil); err == nil {
 		t.Error("zero period should fail")
 	}
-	if _, err := ComputeWindows(g, tm, 100, 0, nil); err == nil {
+	if _, err := ComputeWindowsFromStarts(g, tm, 100, 0, g.PipelinedStart(tm, 0), nil); err == nil {
 		t.Error("zero window should fail")
 	}
-	if _, err := ComputeWindows(g, tm, 100, 200, nil); err == nil {
+	if _, err := ComputeWindowsFromStarts(g, tm, 100, 200, g.PipelinedStart(tm, 200), nil); err == nil {
 		t.Error("window beyond period should fail")
 	}
-	if _, err := ComputeWindows(g, tm, 30, 20, nil); err == nil {
+	if _, err := ComputeWindowsFromStarts(g, tm, 30, 20, g.PipelinedStart(tm, 20), nil); err == nil {
 		t.Error("period below τc should fail")
 	}
-	if _, err := ComputeWindows(g, tm, 100, 5, nil); err == nil {
+	if _, err := ComputeWindowsFromStarts(g, tm, 100, 5, g.PipelinedStart(tm, 5), nil); err == nil {
 		t.Error("window below longest transmission should fail")
 	}
 }
@@ -127,7 +127,7 @@ func TestNoSlackAtMaxLoad(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ws, err := ComputeWindows(g, tm, 50, 50, nil)
+	ws, err := ComputeWindowsFromStarts(g, tm, 50, 50, g.PipelinedStart(tm, 50), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +138,7 @@ func TestNoSlackAtMaxLoad(t *testing.T) {
 
 func TestLocalMessageMarked(t *testing.T) {
 	g, tm := diamondFixture(t)
-	ws, err := ComputeWindows(g, tm, 150, 50, func(m tfg.Message) bool { return m.ID == 1 })
+	ws, err := ComputeWindowsFromStarts(g, tm, 150, 50, g.PipelinedStart(tm, 50), func(m tfg.Message) bool { return m.ID == 1 })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestLocalMessageMarked(t *testing.T) {
 
 func TestIntervalPartition(t *testing.T) {
 	g, tm := diamondFixture(t)
-	ws, err := ComputeWindows(g, tm, 150, 50, nil)
+	ws, err := ComputeWindowsFromStarts(g, tm, 150, 50, g.PipelinedStart(tm, 50), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,7 +176,7 @@ func TestIntervalPartition(t *testing.T) {
 func TestActivityMatchesWindows(t *testing.T) {
 	g, tm := diamondFixture(t)
 	for _, tauIn := range []float64{50, 70, 110, 150, 250} {
-		ws, err := ComputeWindows(g, tm, tauIn, 50, nil)
+		ws, err := ComputeWindowsFromStarts(g, tm, tauIn, 50, g.PipelinedStart(tm, 50), nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -203,7 +203,7 @@ func TestActivityMatchesWindows(t *testing.T) {
 
 func TestActivityLocalRowEmpty(t *testing.T) {
 	g, tm := diamondFixture(t)
-	ws, err := ComputeWindows(g, tm, 150, 50, func(m tfg.Message) bool { return true })
+	ws, err := ComputeWindowsFromStarts(g, tm, 150, 50, g.PipelinedStart(tm, 50), func(m tfg.Message) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -295,9 +295,6 @@ func (t *Topology) Links() int { return len(t.links) }
 // Link returns the link with the given ID.
 func (t *Topology) Link(id LinkID) Link { return t.links[id] }
 
-// Neighbors returns the nodes adjacent to u (shared slice; do not mutate).
-func (t *Topology) Neighbors(u NodeID) []NodeID { return t.adj[u] }
-
 // LinkBetween returns the link joining u and v, or false when they are
 // not adjacent.
 func (t *Topology) LinkBetween(u, v NodeID) (LinkID, bool) {

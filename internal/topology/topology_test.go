@@ -38,8 +38,8 @@ func TestBinary6CubeCounts(t *testing.T) {
 		t.Errorf("links = %d, want 192", got)
 	}
 	for u := 0; u < top.Nodes(); u++ {
-		if len(top.Neighbors(NodeID(u))) != 6 {
-			t.Fatalf("node %d degree = %d, want 6", u, len(top.Neighbors(NodeID(u))))
+		if len(top.adj[NodeID(u)]) != 6 {
+			t.Fatalf("node %d degree = %d, want 6", u, len(top.adj[NodeID(u)]))
 		}
 	}
 	if err := top.Validate(); err != nil {
@@ -54,8 +54,8 @@ func TestGHC444Counts(t *testing.T) {
 	}
 	// Per dimension each node has radix-1 = 3 neighbors; degree 9.
 	for u := 0; u < top.Nodes(); u++ {
-		if len(top.Neighbors(NodeID(u))) != 9 {
-			t.Fatalf("node %d degree = %d, want 9", u, len(top.Neighbors(NodeID(u))))
+		if len(top.adj[NodeID(u)]) != 9 {
+			t.Fatalf("node %d degree = %d, want 9", u, len(top.adj[NodeID(u)]))
 		}
 	}
 	// links = nodes*degree/2.
@@ -73,8 +73,8 @@ func TestTorus88Counts(t *testing.T) {
 		t.Fatalf("nodes = %d, want 64", top.Nodes())
 	}
 	for u := 0; u < top.Nodes(); u++ {
-		if len(top.Neighbors(NodeID(u))) != 4 {
-			t.Fatalf("node %d degree = %d, want 4", u, len(top.Neighbors(NodeID(u))))
+		if len(top.adj[NodeID(u)]) != 4 {
+			t.Fatalf("node %d degree = %d, want 4", u, len(top.adj[NodeID(u)]))
 		}
 	}
 	if top.Links() != 128 {
@@ -88,8 +88,8 @@ func TestTorus444Counts(t *testing.T) {
 		t.Fatalf("nodes = %d, want 64", top.Nodes())
 	}
 	for u := 0; u < top.Nodes(); u++ {
-		if len(top.Neighbors(NodeID(u))) != 6 {
-			t.Fatalf("node %d degree = %d, want 6", u, len(top.Neighbors(NodeID(u))))
+		if len(top.adj[NodeID(u)]) != 6 {
+			t.Fatalf("node %d degree = %d, want 6", u, len(top.adj[NodeID(u)]))
 		}
 	}
 	if top.Links() != 192 {
@@ -105,8 +105,8 @@ func TestRadix2TorusCollapsesDoubleEdge(t *testing.T) {
 		t.Errorf("2x2 torus: nodes=%d links=%d, want 4 and 4", top.Nodes(), top.Links())
 	}
 	for u := 0; u < 4; u++ {
-		if len(top.Neighbors(NodeID(u))) != 2 {
-			t.Errorf("degree(%d) = %d, want 2", u, len(top.Neighbors(NodeID(u))))
+		if len(top.adj[NodeID(u)]) != 2 {
+			t.Errorf("degree(%d) = %d, want 2", u, len(top.adj[NodeID(u)]))
 		}
 	}
 }
@@ -124,10 +124,10 @@ func TestMeshCounts(t *testing.T) {
 		t.Errorf("links = %d, want 12", top.Links())
 	}
 	// Corner degree 2, edge 3, center 4.
-	if len(top.Neighbors(top.FromDigits([]int{0, 0}))) != 2 {
+	if len(top.adj[top.FromDigits([]int{0, 0})]) != 2 {
 		t.Errorf("corner degree != 2")
 	}
-	if len(top.Neighbors(top.FromDigits([]int{1, 1}))) != 4 {
+	if len(top.adj[top.FromDigits([]int{1, 1})]) != 4 {
 		t.Errorf("center degree != 4")
 	}
 }
@@ -237,7 +237,7 @@ func bfsDistances(t *Topology, src NodeID) []int {
 	for len(queue) > 0 {
 		u := queue[0]
 		queue = queue[1:]
-		for _, v := range t.Neighbors(u) {
+		for _, v := range t.adj[u] {
 			if dist[v] == -1 {
 				dist[v] = dist[u] + 1
 				queue = append(queue, v)
@@ -462,7 +462,7 @@ func TestQuickDistanceProperty(t *testing.T) {
 		if top.Distance(u, v) != top.Distance(v, u) {
 			return false
 		}
-		for _, w := range top.Neighbors(u) {
+		for _, w := range top.adj[u] {
 			if top.Distance(w, v) < top.Distance(u, v)-1 {
 				return false
 			}

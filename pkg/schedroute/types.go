@@ -124,11 +124,14 @@ type Problem struct {
 // Options is the wire form of schedule.Options (the per-solve tuning
 // knobs; zero values select the pipeline defaults).
 type Options struct {
-	Seed             int64   `json:"seed,omitempty"`
-	MaxPaths         int     `json:"max_paths,omitempty"`
-	MaxOuter         int     `json:"max_outer,omitempty"`
-	MaxInner         int     `json:"max_inner,omitempty"`
-	Engine           string  `json:"engine,omitempty"` // "auto", "greedy", "exact"
+	Seed     int64 `json:"seed,omitempty"`
+	MaxPaths int   `json:"max_paths,omitempty"`
+	MaxOuter int   `json:"max_outer,omitempty"`
+	MaxInner int   `json:"max_inner,omitempty"`
+	// Engine is "auto", "greedy" or "exact"; exact means the LP over
+	// maximal sets wherever enumeration stays within 4096 sets, greedy
+	// past it.
+	Engine           string  `json:"engine,omitempty"`
 	Window           float64 `json:"window,omitempty"`
 	LSDOnly          bool    `json:"lsd_only,omitempty"`
 	SyncMargin       float64 `json:"sync_margin,omitempty"`
