@@ -47,7 +47,10 @@ race:
 # FuzzLP: arbitrary bytes as a small LP over small integer coefficients,
 # solved under a 1 s deadline, whose answer lp.Check must accept and
 # whose bitset column gather must equal a scan of every row
-# (internal/lp/fuzz_test.go).
+# (internal/lp/fuzz_test.go). FuzzProblemSolve: arbitrary bytes read
+# as a small wire problem and options, built and solved under a 1 s
+# deadline; a refusal must be bad_input or unavailable, and a feasible
+# Ω must pass Validate (pkg/schedroute/fuzz_test.go).
 # Minimization is capped so the budget goes to new inputs; a crasher
 # lands in the package's testdata/fuzz/.
 fuzz-smoke:
@@ -55,6 +58,7 @@ fuzz-smoke:
 	$(GO) test ./internal/schedule -run '^$$' -fuzz FuzzOmegaDecode -fuzztime 20s -fuzzminimizetime 10x
 	$(GO) test ./internal/service -run '^$$' -fuzz FuzzWatchAttach -fuzztime 20s -fuzzminimizetime 10x
 	$(GO) test ./internal/lp -run '^$$' -fuzz FuzzLP -fuzztime 20s -fuzzminimizetime 10x
+	$(GO) test ./pkg/schedroute -run '^$$' -fuzz FuzzProblemSolve -fuzztime 20s -fuzzminimizetime 10x
 
 # Non-test Go lines per package (plain wc -l, no comment stripping): the
 # number a diet PR quotes before and after (scripts/loc.sh).

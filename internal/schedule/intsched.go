@@ -105,18 +105,27 @@ func scheduleIntervals(ctx context.Context, a *solveArena, allocation *Allocatio
 }
 
 // schedScratch is the working storage of one interval's decomposition:
-// packed conflict bit rows, the greedy/exact set emission arenas, and
-// the LP row-assembly buffers.
+// the members' link lists and link marks, the greedy/exact set emission
+// arenas, the exact engine's packed conflict rows, and the LP
+// row-assembly buffers.
 type schedScratch struct {
 	msgs []tfg.MessageID
 	dem  []float64
 
-	lsets []uint64 // per-message link bitsets, n rows of wl words
-	conf  []uint64 // conflict bit matrix, n rows of w words
+	// Member i's links are links[linkOffs[i]:linkOffs[i+1]]. A link is
+	// marked when mark[l] == epoch: the links of the set being built,
+	// or of the member buildConflict compares the others against.
+	links    []topology.LinkID
+	linkOffs []int32
+	mark     []uint32
+	epoch    uint32
+
+	conf []uint64 // exact engine only: conflict bit matrix, n rows of w words
 
 	// greedy state
 	order     []int32
 	mem, rest []int32 // order-maintenance merge buffers
+	blocker   []int32 // per member, where in its links a set last blocked it
 	remaining []float64
 	setMask   []uint64
 
@@ -145,43 +154,68 @@ type schedScratch struct {
 	remain2 []float64 // realization remainders
 }
 
-// confWords returns the conflict row stride for n messages.
+// confWords returns the stride of a bit row over n members.
 func confWords(n int) int { return (n + 63) / 64 }
 
-// buildConflict packs each message's links into a bitset and fills the
-// pairwise conflict matrix: conflict(i, j) iff msgs[i] and msgs[j] share
-// a link — each test one word-parallel AND sweep instead of a map probe
-// per link.
-func (sc *schedScratch) buildConflict(msgs []tfg.MessageID, pa *PathAssignment) {
-	n := len(msgs)
-	maxLink := topology.LinkID(-1)
+// loadLinks lays the links of msgs out as the members' flat link lists
+// and grows the link marks to cover them.
+func (sc *schedScratch) loadLinks(msgs []tfg.MessageID, pa *PathAssignment) {
+	sc.links = sc.links[:0]
+	sc.linkOffs = append(sc.linkOffs[:0], 0)
 	for _, mi := range msgs {
-		for _, l := range pa.Links[mi] {
-			if l > maxLink {
-				maxLink = l
-			}
+		sc.links = append(sc.links, pa.Links[mi]...)
+		sc.linkOffs = append(sc.linkOffs, int32(len(sc.links)))
+	}
+	if len(sc.links) > 0 {
+		if n := int(slices.Max(sc.links)) + 1; len(sc.mark) < n {
+			sc.mark = append(sc.mark, make([]uint32, n-len(sc.mark))...)
 		}
 	}
-	wl := (int(maxLink) + 1 + 63) / 64
-	sc.lsets = zeroed(sc.lsets, n*wl)
-	for i, mi := range msgs {
-		row := sc.lsets[i*wl : (i+1)*wl]
-		for _, l := range pa.Links[mi] {
-			row[l/64] |= 1 << (uint(l) % 64)
+}
+
+// linksOf returns member i's links.
+func (sc *schedScratch) linksOf(i int32) []topology.LinkID {
+	return sc.links[sc.linkOffs[i]:sc.linkOffs[i+1]]
+}
+
+// nextEpoch starts a new generation of link marks, in which no link is
+// marked.
+func (sc *schedScratch) nextEpoch() uint32 {
+	sc.epoch++
+	if sc.epoch == 0 { // wrapped: a stale mark could match
+		clear(sc.mark)
+		sc.epoch = 1
+	}
+	return sc.epoch
+}
+
+// firstMarked returns the position in links of the first link marked
+// in epoch, or -1 when none is.
+func (sc *schedScratch) firstMarked(links []topology.LinkID, epoch uint32) int {
+	for h, l := range links {
+		if sc.mark[l] == epoch {
+			return h
 		}
 	}
+	return -1
+}
+
+// buildConflict fills the pairwise conflict matrix of the n loaded
+// members: conflict(i, j) iff they share a link. Member i's links are
+// marked, and every later member's are tested against the marks. Only
+// the exact engine reads the matrix.
+func (sc *schedScratch) buildConflict(n int) {
 	w := confWords(n)
 	sc.conf = zeroed(sc.conf, n*w)
-	for i := 0; i < n; i++ {
-		ri := sc.lsets[i*wl : (i+1)*wl]
-		for j := i + 1; j < n; j++ {
-			rj := sc.lsets[j*wl : (j+1)*wl]
-			for t := range ri {
-				if ri[t]&rj[t] != 0 {
-					sc.conf[i*w+j/64] |= 1 << (uint(j) % 64)
-					sc.conf[j*w+i/64] |= 1 << (uint(i) % 64)
-					break
-				}
+	for i := int32(0); int(i) < n; i++ {
+		epoch := sc.nextEpoch()
+		for _, l := range sc.linksOf(i) {
+			sc.mark[l] = epoch
+		}
+		for j := i + 1; int(j) < n; j++ {
+			if sc.firstMarked(sc.linksOf(j), epoch) >= 0 {
+				sc.conf[int(i)*w+int(j)/64] |= 1 << (uint(j) % 64)
+				sc.conf[int(j)*w+int(i)/64] |= 1 << (uint(i) % 64)
 			}
 		}
 	}
@@ -200,10 +234,11 @@ func scheduleOne(ctx context.Context, a *solveArena, k int, pa *PathAssignment, 
 	n := len(sc.msgs)
 	length := act.Intervals.Length(k)
 	start, _ := act.Intervals.Bounds(k)
-	sc.buildConflict(sc.msgs, pa)
+	sc.loadLinks(sc.msgs, pa)
 
 	useExact := engine == EngineExact || (engine == EngineAuto && n <= exactLimit)
 	if useExact {
+		sc.buildConflict(n)
 		err := exactDecomposeInto(ctx, a, n)
 		if cerr := ctx.Err(); cerr != nil {
 			return nil, cerr // not a reason to fall back to greedy
@@ -343,6 +378,12 @@ func (sc *schedScratch) chainSets(n int) {
 // one message, so it terminates within n rounds. The emitted sets land
 // in the scratch arenas.
 //
+// A round builds its set from link marks, not from a conflict matrix:
+// it scans the live members in order, and a member joins the set when
+// none of its links is marked, then marks them. Its links are marked
+// exactly when it shares one with an earlier member of the set, so the
+// set is the one a scan of packed conflict rows would pick.
+//
 // Every round scans the live messages in (remaining desc, index asc)
 // order. That order is sorted once and then maintained: a round lowers
 // only the chosen set's members, all by the same d, so members and
@@ -359,6 +400,7 @@ func (sc *schedScratch) greedyDecomposeInto(n int) {
 		sc.setMask = make([]uint64, w)
 	}
 	setMask := sc.setMask[:w]
+	sc.blocker = zeroed(sc.blocker, n)
 	sc.resFlat = sc.resFlat[:0]
 	sc.resOffs = append(sc.resOffs[:0], 0)
 	sc.resDur = sc.resDur[:0]
@@ -382,19 +424,23 @@ func (sc *schedScratch) greedyDecomposeInto(n int) {
 	for len(order) > 0 {
 		clear(setMask)
 		setStart := len(sc.resFlat)
+		epoch := sc.nextEpoch()
 		for _, i := range order {
-			row := sc.conf[int(i)*w : int(i)*w+w]
-			ok := true
-			for t := range row {
-				if row[t]&setMask[t] != 0 {
-					ok = false
-					break
-				}
+			// Consecutive sets share most members, so the link that
+			// blocked a message last round is tried first.
+			links, b := sc.linksOf(i), sc.blocker[i]
+			if int(b) < len(links) && sc.mark[links[b]] == epoch {
+				continue
 			}
-			if ok {
-				sc.resFlat = append(sc.resFlat, i)
-				setMask[i/64] |= 1 << (uint(i) % 64)
+			if h := sc.firstMarked(links, epoch); h >= 0 {
+				sc.blocker[i] = int32(h)
+				continue
 			}
+			for _, l := range links {
+				sc.mark[l] = epoch
+			}
+			sc.resFlat = append(sc.resFlat, i)
+			setMask[i/64] |= 1 << (uint(i) % 64)
 		}
 		set := sc.resFlat[setStart:]
 		d := remaining[set[0]]

@@ -9,9 +9,11 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"sync"
 	"testing"
 	"testing/quick"
 
+	"schedroute/internal/alloc"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
@@ -27,16 +29,17 @@ func fakeAssignment(linkSets [][]topology.LinkID) *PathAssignment {
 	return pa
 }
 
-// conflictFixture returns an arena whose scratch holds the conflict
-// rows of messages 0..len(links)-1, message i on links[i], and their
-// demands dem.
+// conflictFixture returns an arena whose scratch holds the link lists
+// and the conflict rows of messages 0..len(links)-1, message i on
+// links[i], and their demands dem.
 func conflictFixture(links [][]topology.LinkID, dem ...float64) *solveArena {
 	a := new(solveArena)
 	msgs := make([]tfg.MessageID, len(links))
 	for i := range msgs {
 		msgs[i] = tfg.MessageID(i)
 	}
-	a.sched.buildConflict(msgs, fakeAssignment(links))
+	a.sched.loadLinks(msgs, fakeAssignment(links))
+	a.sched.buildConflict(len(msgs))
 	a.sched.dem = dem
 	return a
 }
@@ -442,15 +445,18 @@ func benchConflictFixture() ([]tfg.MessageID, *PathAssignment) {
 }
 
 // BenchmarkConflictMatrixBitset times buildConflict on one reused
-// scratch, as scheduleOne runs it; BenchmarkConflictMatrixMapReference
-// times the map[LinkID]bool matrix it replaced. Both are recorded in
-// docs/results-latest.txt.
+// scratch with the link lists loaded: the exact engine's build only,
+// which scheduleOne runs for the intervals that engine takes (the
+// greedy decomposition reads link marks, not the matrix).
+// BenchmarkConflictMatrixMapReference times the map[LinkID]bool matrix
+// it replaced. Both are recorded in docs/results-latest.txt.
 func BenchmarkConflictMatrixBitset(b *testing.B) {
 	msgs, pa := benchConflictFixture()
 	var sc schedScratch
+	sc.loadLinks(msgs, pa)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		sc.buildConflict(msgs, pa)
+		sc.buildConflict(len(msgs))
 	}
 }
 
@@ -517,7 +523,11 @@ func greedyDecomposeReference(msgs []tfg.MessageID, demands map[tfg.MessageID]fl
 // equal the sort-every-round reference bit for bit — on demands chosen
 // to tie: all equal, neighbours one ulp apart, small integers whose
 // differences meet other demands, and pairs one ulp apart that a
-// subtraction rounds onto the same value.
+// subtraction rounds onto the same value. Outside the last mode, every
+// message whose link seed is odd crosses its link twice and a second
+// link seeded from its demand, so some paths repeat a link and some
+// pairs share only the second one. Every run starts its link marks
+// just before their epoch wraps.
 func TestQuickGreedyDecompose(t *testing.T) {
 	const ulp = 1.0 / (1 << 52) // spacing of float64 in [1, 2)
 	f := func(seedLinks []uint8, seedDemands []uint8, mode uint8) bool {
@@ -561,12 +571,19 @@ func TestQuickGreedyDecompose(t *testing.T) {
 				}
 			}
 			demands[msgs[i]] = d
+			if mode%5 != 4 && seedLinks[i]%2 == 1 {
+				l := linkSets[i][0]
+				linkSets[i] = append(linkSets[i], topology.LinkID(8+sd%4), l)
+			}
 		}
 		dem := make([]float64, n)
 		for i, m := range msgs {
 			dem[i] = demands[m]
 		}
 		sc := &conflictFixture(linkSets, dem...).sched
+		// The marks' epoch wraps within the first rounds, past the stamps
+		// 1..n buildConflict left, which must not read as marks.
+		sc.epoch = math.MaxUint32 - uint32(mode%3)
 		sc.greedyDecomposeInto(n)
 		conf := mapConflictMatrix(msgs, fakeAssignment(linkSets))
 		wantSets, wantDurations := greedyDecomposeReference(msgs, demands, conf)
@@ -680,5 +697,139 @@ func TestQuickChainSetsPermutes(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
 		t.Error(err)
+	}
+}
+
+// compileLargeCase is one machine of the repository benchmark's
+// compile_large workload: the layered:7,32,64*6,32,0.03 graph (448
+// tasks, 1153 messages) placed round-robin, solved at Seed 1.
+type compileLargeCase struct {
+	name string
+	p    Problem
+	res  *Result
+}
+
+var compileLargeOnce = sync.OnceValues(func() ([]compileLargeCase, error) {
+	g, err := tfg.RandomLayered(7, []int{32, 64, 64, 64, 64, 64, 64, 32}, 400, 1925, 192, 3200, 0.03)
+	if err != nil {
+		return nil, err
+	}
+	cube, err := topology.NewHypercube(10)
+	if err != nil {
+		return nil, err
+	}
+	torus, err := topology.NewTorus(32, 32)
+	if err != nil {
+		return nil, err
+	}
+	var cases []compileLargeCase
+	for _, m := range []struct {
+		name string
+		top  *topology.Topology
+		bw   float64
+	}{{"cube:10", cube, 512}, {"torus:32,32", torus, 2048}} {
+		tm, err := tfg.NewUniformTiming(g, 50, m.bw)
+		if err != nil {
+			return nil, err
+		}
+		as, err := alloc.RoundRobin(g, m.top)
+		if err != nil {
+			return nil, err
+		}
+		p := Problem{Graph: g, Timing: tm, Topology: m.top, Assignment: as, TauIn: 200}
+		res, err := Compute(p, Options{Seed: 1})
+		if err != nil {
+			return nil, err
+		}
+		if !res.Feasible {
+			return nil, fmt.Errorf("%s: infeasible at %v", m.name, res.FailStage)
+		}
+		cases = append(cases, compileLargeCase{m.name, p, res})
+	}
+	return cases, nil
+})
+
+// compileLarge returns both compile_large machines, solved once per test
+// binary.
+func compileLarge(t *testing.T) []compileLargeCase {
+	t.Helper()
+	if testing.Short() {
+		t.Skip("solves two 1024-node machines")
+	}
+	cases, err := compileLargeOnce()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cases
+}
+
+// TestGreedyMatchesReferenceCompileLarge holds the link-mark greedy to
+// the sort-every-round reference over mapConflictMatrix on every
+// interval of both compile_large machines that the greedy decomposes
+// under EngineAuto: the same sets, in the same order, for the same
+// durations.
+func TestGreedyMatchesReferenceCompileLarge(t *testing.T) {
+	for _, c := range compileLarge(t) {
+		greedy := 0
+		for k := 0; k < c.res.Activity.Intervals.K(); k++ {
+			var msgs []tfg.MessageID
+			var dem []float64
+			demands := map[tfg.MessageID]float64{}
+			for i, row := range c.res.Allocation.P {
+				if row != nil && row[k] > timeEps {
+					msgs = append(msgs, tfg.MessageID(i))
+					dem = append(dem, row[k])
+					demands[tfg.MessageID(i)] = row[k]
+				}
+			}
+			n := len(msgs)
+			if n <= exactLimit {
+				continue
+			}
+			greedy++
+			var sc schedScratch
+			sc.msgs, sc.dem = msgs, dem
+			sc.loadLinks(msgs, c.res.Assignment)
+			sc.greedyDecomposeInto(n)
+			wantSets, wantDur := greedyDecomposeReference(msgs, demands, mapConflictMatrix(msgs, c.res.Assignment))
+			wantFlat, wantOffs := flatten(wantSets)
+			if !slices.Equal(sc.resFlat, wantFlat) || !slices.Equal(sc.resOffs, wantOffs) || !slices.Equal(sc.resDur, wantDur) {
+				t.Fatalf("%s interval %d (%d messages): %d sets, the reference emits %d, or their members or durations differ",
+					c.name, k, n, len(sc.resDur), len(wantDur))
+			}
+		}
+		if greedy == 0 {
+			t.Fatalf("%s: no interval goes to the greedy decomposition", c.name)
+		}
+		t.Logf("%s: %d greedy intervals match", c.name, greedy)
+	}
+}
+
+// TestGreedyIntervalsBuildNoConflictMatrix: the conflict matrix is the
+// exact engine's alone. An interval the greedy decomposes under
+// EngineAuto leaves it unbuilt; one the exact engine takes builds it.
+func TestGreedyIntervalsBuildNoConflictMatrix(t *testing.T) {
+	run := func(n int) *solveArena {
+		t.Helper()
+		ws := make([]Window, n)
+		links := make([][]topology.LinkID, n)
+		al := &Allocation{P: make([][]float64, n)}
+		for i := range ws {
+			ws[i] = Window{Release: 0, Length: 100, Xmit: 1}
+			links[i] = []topology.LinkID{topology.LinkID(i % 5), topology.LinkID(5 + i%3)}
+			al.P[i] = []float64{1}
+		}
+		act := BuildActivity(ws, &IntervalSet{TauIn: 100, Endpoints: []float64{0, 100}})
+		var a solveArena
+		if _, err := scheduleIntervals(context.Background(), &a, al, fakeAssignment(links), act, EngineAuto, 0); err != nil {
+			t.Fatal(err)
+		}
+		return &a
+	}
+	if a := run(exactLimit + 1); a.sched.conf != nil {
+		t.Errorf("a %d-message interval decomposed greedily built a %d-word conflict matrix", exactLimit+1, len(a.sched.conf))
+	}
+	if a := run(exactLimit); a.sched.conf == nil {
+		t.Errorf("a %d-message interval went to the exact engine without a conflict matrix", exactLimit)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 	"strconv"
 	"strings"
@@ -98,7 +99,17 @@ type Omega struct {
 // the last link to its AP input buffer. A path is fixed, so a slice
 // that starts exactly where the message's previous slice ended repeats
 // every hop's (In, Out, Msg): it extends those commands rather than
-// adding new ones, and every command is a maximal run.
+// adding new ones, and every command is a maximal run. Every node's
+// list is sorted by (Start, Msg).
+//
+// Every command is written once. A forward pass over the frame marks
+// which (slice, member) entries start a run and counts the commands per
+// node, so each node's list is an exact-size window of one slab. A
+// reverse pass carries each run's final End back to its start and
+// writes the run's commands there. It visits slices in reverse frame
+// order and each one's members in descending id, the (Start, Msg)
+// order reversed, so writing from the back of each node's window
+// leaves every list sorted.
 func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, latency float64) *Omega {
 	om := &Omega{
 		TauIn:   tauIn,
@@ -108,94 +119,109 @@ func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, 
 		Latency: latency,
 	}
 	frame := inFrameOrder(sls)
-	// lastEnd[m] is where message m's latest span ends (NaN before its
-	// first), so sl.Start == lastEnd[m] says the slice continues a run.
-	// hop[m] indexes the slab positions of the run's commands, one per
-	// node on m's path.
 	nm := len(pa.Links)
-	lastEnd := make([]float64, nm)
-	hop := make([]int32, nm+1)
-	for m, links := range pa.Links {
-		lastEnd[m] = math.NaN()
-		hop[m+1] = hop[m]
-		if len(links) > 0 {
-			hop[m+1] += int32(len(links) + 1)
-		}
+	// end[m] is, forward, where message m's latest span ends (NaN before
+	// its first), so sl.Start == end[m] says the slice continues a run;
+	// reverse, the End of the run being carried back (valid while
+	// open[m]).
+	end := make([]float64, nm)
+	for m := range end {
+		end[m] = math.NaN()
 	}
-	// Count the commands per node first, deciding continuations as the
-	// write pass will, so every node's list is an exact-size window of
-	// one shared backing array written through a per-node cursor.
-	cursor := make([]int32, nodes)
-	widest := 0
+	entries, widest := 0, 0
 	for _, sl := range frame {
+		entries += len(sl.Msgs)
 		widest = max(widest, len(sl.Msgs))
+	}
+	// starts has a bit per (slice, member) entry, the slices' members
+	// laid end to end in frame order, set when the entry starts a run.
+	starts := make([]uint64, (entries+63)/64)
+	cursor := make([]int32, nodes)
+	e := 0
+	for _, sl := range frame {
+		for mi, msg := range sl.Msgs {
+			if len(pa.Links[msg]) > 0 {
+				if sl.Start != end[msg] {
+					starts[(e+mi)/64] |= 1 << (uint(e+mi) % 64)
+					for _, node := range pa.Paths[msg].Nodes {
+						cursor[node]++
+					}
+				}
+				end[msg] = sl.Until[mi]
+			}
+		}
+		e += len(sl.Msgs)
+	}
+	total := int32(0)
+	for n, c := range cursor {
+		total += c
+		cursor[n] = total // the end of node n's window
+	}
+	backing := make([]Command, total)
+
+	open := make([]bool, nm)
+	// A slice's members by id: bit m of present and pos[m] the last
+	// position m holds in the slice, next[mi] the one before mi (-1 for
+	// none), should a slice name a message twice.
+	present := make([]uint64, (nm+63)/64)
+	pos := make([]int32, nm)
+	next := make([]int32, widest)
+	for s := len(frame) - 1; s >= 0; s-- {
+		sl := frame[s]
+		e -= len(sl.Msgs)
+		lo, hi := len(present), -1
 		for mi, msg := range sl.Msgs {
 			if len(pa.Links[msg]) == 0 {
 				continue
 			}
-			if sl.Start != lastEnd[msg] {
-				for _, node := range pa.Paths[msg].Nodes {
-					cursor[node]++
+			w, bit := int(msg)/64, uint64(1)<<(uint(msg)%64)
+			next[mi] = -1
+			if present[w]&bit != 0 {
+				next[mi] = pos[msg]
+			}
+			present[w] |= bit
+			pos[msg] = int32(mi)
+			lo, hi = min(lo, w), max(hi, w)
+		}
+		for w := hi; w >= lo; w-- {
+			for word := present[w]; word != 0; {
+				b := 63 - bits.LeadingZeros64(word)
+				word &^= 1 << uint(b)
+				msg := tfg.MessageID(w*64 + b)
+				for mi := pos[msg]; mi >= 0; mi = next[mi] {
+					if !open[msg] {
+						end[msg], open[msg] = sl.Until[mi], true
+					}
+					if starts[(e+int(mi))/64]&(1<<(uint(e+int(mi))%64)) == 0 {
+						continue
+					}
+					links, path := pa.Links[msg], pa.Paths[msg].Nodes
+					for h := len(path) - 1; h >= 0; h-- {
+						in, out := Port{AP: true}, Port{AP: true}
+						if h > 0 && h <= len(links) {
+							in = Port{Link: links[h-1]}
+						}
+						if h < len(links) {
+							out = Port{Link: links[h]}
+						}
+						cursor[path[h]]--
+						backing[cursor[path[h]]] = Command{Start: sl.Start, End: end[msg], Msg: msg, In: in, Out: out}
+					}
+					open[msg] = false
 				}
 			}
-			lastEnd[msg] = sl.Until[mi]
+			present[w] = 0
 		}
 	}
-	total := int32(0)
-	for n, c := range cursor {
-		cursor[n] = total
-		total += c
-	}
-	backing := make([]Command, total)
-	at := make([]int32, hop[nm])
-	for m := range lastEnd {
-		lastEnd[m] = math.NaN()
-	}
-	// Slices in frame order, each one's messages in ascending ID: every
-	// node's list comes out sorted by (Start, Msg). The sort key packs a
-	// message over its position in the slice.
-	byID := make([]uint64, 0, widest)
-	for _, sl := range frame {
-		byID = byID[:0]
-		for mi, msg := range sl.Msgs {
-			byID = append(byID, uint64(msg)<<32|uint64(mi))
-		}
-		slices.Sort(byID)
-		for _, key := range byID {
-			msg, mi := tfg.MessageID(key>>32), uint32(key)
-			links := pa.Links[msg]
-			if len(links) == 0 {
-				continue
-			}
-			end, run := sl.Until[mi], at[hop[msg]:hop[msg+1]]
-			continues := sl.Start == lastEnd[msg]
-			lastEnd[msg] = end
-			if continues {
-				for _, c := range run {
-					backing[c].End = end
-				}
-				continue
-			}
-			in := Port{AP: true}
-			for h, node := range pa.Paths[msg].Nodes {
-				out := Port{AP: true}
-				if h < len(links) {
-					out = Port{Link: links[h]}
-				}
-				backing[cursor[node]] = Command{Start: sl.Start, End: end, Msg: msg, In: in, Out: out}
-				run[h] = cursor[node]
-				cursor[node]++
-				in = out
-			}
-		}
-	}
-	off := int32(0)
-	for n, end := range cursor {
+	for n := range om.Nodes {
 		om.Nodes[n].Node = topology.NodeID(n)
-		if end > off { // else keep Commands nil, matching decode round-trips
-			om.Nodes[n].Commands = backing[off:end:end]
+		lo, hi := cursor[n], total
+		if n+1 < nodes {
+			hi = cursor[n+1]
 		}
-		off = end
+		if hi > lo { // else keep Commands nil, matching decode round-trips
+			om.Nodes[n].Commands = backing[lo:hi:hi]
+		}
 	}
 	return om
 }

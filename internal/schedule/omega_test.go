@@ -1,6 +1,7 @@
 package schedule
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -696,4 +697,211 @@ func TestExecuteRejectsZeroInvocations(t *testing.T) {
 	if _, err := Execute(om, nil, nil, 10, 0); err == nil {
 		t.Error("zero invocations must fail")
 	}
+}
+
+// buildOmegaReference is BuildOmega as it stood before the two-pass
+// emitter: one counting pass, then a write pass over each slice's
+// members sorted by id that stores every run's commands at its start
+// and rewrites their End for every slice continuing the run. Kept as
+// the oracle BuildOmega is checked against.
+func buildOmegaReference(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, latency float64) *Omega {
+	om := &Omega{
+		TauIn:   tauIn,
+		Nodes:   make([]NodeSchedule, nodes),
+		Slices:  sls,
+		Windows: ws,
+		Latency: latency,
+	}
+	frame := inFrameOrder(sls)
+	// lastEnd[m] is where message m's latest span ends (NaN before its
+	// first), so sl.Start == lastEnd[m] says the slice continues a run.
+	// hop[m] indexes the slab positions of the run's commands, one per
+	// node on m's path.
+	nm := len(pa.Links)
+	lastEnd := make([]float64, nm)
+	hop := make([]int32, nm+1)
+	for m, links := range pa.Links {
+		lastEnd[m] = math.NaN()
+		hop[m+1] = hop[m]
+		if len(links) > 0 {
+			hop[m+1] += int32(len(links) + 1)
+		}
+	}
+	// Count the commands per node first, deciding continuations as the
+	// write pass will, so every node's list is an exact-size window of
+	// one shared backing array written through a per-node cursor.
+	cursor := make([]int32, nodes)
+	widest := 0
+	for _, sl := range frame {
+		widest = max(widest, len(sl.Msgs))
+		for mi, msg := range sl.Msgs {
+			if len(pa.Links[msg]) == 0 {
+				continue
+			}
+			if sl.Start != lastEnd[msg] {
+				for _, node := range pa.Paths[msg].Nodes {
+					cursor[node]++
+				}
+			}
+			lastEnd[msg] = sl.Until[mi]
+		}
+	}
+	total := int32(0)
+	for n, c := range cursor {
+		cursor[n] = total
+		total += c
+	}
+	backing := make([]Command, total)
+	at := make([]int32, hop[nm])
+	for m := range lastEnd {
+		lastEnd[m] = math.NaN()
+	}
+	// Slices in frame order, each one's messages in ascending ID: every
+	// node's list comes out sorted by (Start, Msg). The sort key packs a
+	// message over its position in the slice.
+	byID := make([]uint64, 0, widest)
+	for _, sl := range frame {
+		byID = byID[:0]
+		for mi, msg := range sl.Msgs {
+			byID = append(byID, uint64(msg)<<32|uint64(mi))
+		}
+		slices.Sort(byID)
+		for _, key := range byID {
+			msg, mi := tfg.MessageID(key>>32), uint32(key)
+			links := pa.Links[msg]
+			if len(links) == 0 {
+				continue
+			}
+			end, run := sl.Until[mi], at[hop[msg]:hop[msg+1]]
+			continues := sl.Start == lastEnd[msg]
+			lastEnd[msg] = end
+			if continues {
+				for _, c := range run {
+					backing[c].End = end
+				}
+				continue
+			}
+			in := Port{AP: true}
+			for h, node := range pa.Paths[msg].Nodes {
+				out := Port{AP: true}
+				if h < len(links) {
+					out = Port{Link: links[h]}
+				}
+				backing[cursor[node]] = Command{Start: sl.Start, End: end, Msg: msg, In: in, Out: out}
+				run[h] = cursor[node]
+				cursor[node]++
+				in = out
+			}
+		}
+	}
+	off := int32(0)
+	for n, end := range cursor {
+		om.Nodes[n].Node = topology.NodeID(n)
+		if end > off { // else keep Commands nil, matching decode round-trips
+			om.Nodes[n].Commands = backing[off:end:end]
+		}
+		off = end
+	}
+	return om
+}
+
+// TestBuildOmegaMatchesReference holds BuildOmega to the emitter it
+// replaced, node by node and command by command: on seeded slice sets
+// over the 8x8 torus, on every feasible Ω of the 8 standard
+// configurations across the load grid, and on both compile_large
+// machines.
+func TestBuildOmegaMatchesReference(t *testing.T) {
+	compared := 0
+	check := func(name string, sls []Slice, pa *PathAssignment, ws []Window, nodes int) {
+		t.Helper()
+		got := BuildOmega(sls, pa, ws, nodes, 100, 300)
+		want := buildOmegaReference(sls, pa, ws, nodes, 100, 300)
+		if len(got.Nodes) != len(want.Nodes) {
+			t.Fatalf("%s: %d nodes, reference %d", name, len(got.Nodes), len(want.Nodes))
+		}
+		for n := range want.Nodes {
+			g, w := got.Nodes[n], want.Nodes[n]
+			if g.Node != w.Node || (g.Commands == nil) != (w.Commands == nil) || len(g.Commands) != len(w.Commands) {
+				t.Fatalf("%s: node %d holds %d commands, reference node %d holds %d", name, n, len(g.Commands), w.Node, len(w.Commands))
+			}
+			for c := range w.Commands {
+				if g.Commands[c] != w.Commands[c] {
+					t.Fatalf("%s: node %d command %d is %+v, reference %+v", name, n, c, g.Commands[c], w.Commands[c])
+				}
+			}
+		}
+		compared++
+	}
+
+	// Seeded slice sets. A message is local (no links) when its ends
+	// coincide. Each message's slices run back to back from a cursor, so
+	// a continuation starts bitwise where the previous span ended; an
+	// Until is trimmed below its slice's End now and then, which ends
+	// the run; members are shuffled, a message is now and then named
+	// twice in one slice, and the slices are shuffled before emission
+	// (equal Starts keep their shuffled order in the frame).
+	top, err := topology.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(36))
+	for trial := 0; trial < 200; trial++ {
+		nm := 1 + rng.Intn(90)
+		pa := &PathAssignment{Paths: make([]topology.Path, nm), Links: make([][]topology.LinkID, nm)}
+		for m := range pa.Paths {
+			src, dst := topology.NodeID(rng.Intn(top.Nodes())), topology.NodeID(rng.Intn(top.Nodes()))
+			if src == dst {
+				continue
+			}
+			pa.Paths[m] = top.LSDToMSD(src, dst)
+			if pa.Links[m], err = pa.Paths[m].Links(top); err != nil {
+				t.Fatal(err)
+			}
+		}
+		var sls []Slice
+		cursor := 0.0
+		for s := rng.Intn(40); s >= 0; s-- {
+			d := []float64{0.1, 0.3, 1.0 / 3, 2.5}[rng.Intn(4)]
+			sl := Slice{Start: cursor, End: cursor + d}
+			for _, m := range rng.Perm(nm)[:1+rng.Intn(min(nm, 12))] {
+				until := sl.End
+				if rng.Intn(5) == 0 {
+					until = sl.Start + d/2
+				}
+				sl.Msgs = append(sl.Msgs, tfg.MessageID(m))
+				sl.Until = append(sl.Until, until)
+				if rng.Intn(20) == 0 {
+					sl.Msgs = append(sl.Msgs, tfg.MessageID(m))
+					sl.Until = append(sl.Until, sl.End)
+				}
+			}
+			sls = append(sls, sl)
+			if rng.Intn(4) != 0 {
+				cursor = sl.End
+			} else {
+				cursor = sl.End + 0.25
+			}
+		}
+		rng.Shuffle(len(sls), func(i, j int) { sls[i], sls[j] = sls[j], sls[i] })
+		check(fmt.Sprintf("seeded %d", trial), sls, pa, make([]Window, nm), top.Nodes())
+	}
+
+	for name, top := range solverGoldenTopologies(t) {
+		for _, bw := range []float64{64, 128} {
+			solver := NewSolver(dvbProblem(t, top, bw, 0))
+			for k := 0; k < 12; k++ {
+				res, err := solver.Solve(context.Background(), gridTauIn(k), Options{Seed: 1})
+				if err != nil {
+					t.Fatalf("%s-b%g k=%d: %v", name, bw, k, err)
+				}
+				if res.Feasible {
+					check(fmt.Sprintf("%s-b%g k=%d", name, bw, k), res.Slices, res.Assignment, res.Windows, top.Nodes())
+				}
+			}
+		}
+	}
+	for _, c := range compileLarge(t) {
+		check(c.name, c.res.Slices, c.res.Assignment, c.res.Windows, c.p.Topology.Nodes())
+	}
+	t.Logf("%d emissions match", compared)
 }

@@ -65,7 +65,8 @@ func FaultRouteAssignment(g *tfg.Graph, top *topology.Topology, as *alloc.Assign
 		Paths: make([]topology.Path, g.NumMessages()),
 		Links: make([][]topology.LinkID, g.NumMessages()),
 	}
-	for _, m := range g.Messages() {
+	for id := range g.NumMessages() {
+		m := g.Message(tfg.MessageID(id))
 		if ws[m.ID].Local {
 			continue
 		}
@@ -109,15 +110,32 @@ func BuildCandidatesFault(g *tfg.Graph, top *topology.Topology, as *alloc.Assign
 		return nil, badInput("schedule: maxPaths %d < 1", maxPaths)
 	}
 	c := &Candidates{PathsOf: make([][]candidate, g.NumMessages())}
-	for _, m := range g.Messages() {
+	// Count the alternatives first, so every message's list is a window
+	// of one slab; the second lookup of a route hits the topology's memo.
+	total := 0
+	for id := range g.NumMessages() {
+		m := g.Message(tfg.MessageID(id))
 		if ws[m.ID].Local {
 			continue
 		}
-		list, err := survivingCandidates(top, as, m, maxPaths, fs)
+		paths, _, err := top.SurvivingRoutes(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
 		if err != nil {
 			return nil, fmt.Errorf("schedule: message %d: %w", m.ID, err)
 		}
-		c.PathsOf[m.ID] = list
+		total += len(paths)
+	}
+	slab := make([]candidate, 0, total)
+	for id := range g.NumMessages() {
+		m := g.Message(tfg.MessageID(id))
+		if ws[m.ID].Local {
+			continue
+		}
+		paths, links, _ := top.SurvivingRoutes(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
+		from := len(slab)
+		for i, p := range paths {
+			slab = append(slab, candidate{path: p, links: links[i]})
+		}
+		c.PathsOf[m.ID] = slab[from:len(slab):len(slab)]
 	}
 	return c, nil
 }

@@ -394,7 +394,7 @@ func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *
 	// Surviving candidates per affected message.
 	cands := make(map[tfg.MessageID][]candidate, len(affected))
 	for _, mi := range affected {
-		list, err := survivingCandidates(top, p.Assignment, p.Graph.Messages()[mi], opt.MaxPaths, fs)
+		list, err := survivingCandidates(top, p.Assignment, p.Graph.Message(mi), opt.MaxPaths, fs)
 		if err != nil {
 			return nil, 0, err
 		}

@@ -1,11 +1,13 @@
 package schedule
 
 import (
+	"errors"
 	"math"
 	"testing"
 
 	"schedroute/internal/alloc"
 	"schedroute/internal/dvb"
+	"schedroute/internal/errkind"
 	"schedroute/internal/metrics"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -134,8 +136,13 @@ func TestSharedNodesOverloadedAPRejected(t *testing.T) {
 		as.NodeOf[i] = topology.NodeID(i % 2)
 	}
 	p := Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 250}
-	if _, err := Compute(p, Options{Seed: 1, AllowSharedNodes: true}); err == nil {
-		t.Error("overloaded AP should be rejected")
+	_, err = Compute(p, Options{Seed: 1, AllowSharedNodes: true})
+	if err == nil {
+		t.Fatal("overloaded AP should be rejected")
+	}
+	// The request's fault: HTTP 400, not an unclassified 500.
+	if !errors.Is(err, errkind.ErrBadInput) {
+		t.Errorf("overloaded AP refused with an unclassified error: %v", err)
 	}
 }
 

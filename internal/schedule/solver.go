@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"schedroute/internal/errkind"
 	"schedroute/internal/memo"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -167,7 +168,9 @@ func (s *Solver) taskStarts(window, tauIn float64, shared bool) (starts []float6
 			for t := range nodeOf {
 				nodeOf[t] = int(s.p.Assignment.Node(tfg.TaskID(t)))
 			}
-			return s.p.Graph.PipelinedStartShared(s.p.Timing, window, nodeOf, tauIn)
+			// An AP the period cannot fit is the request's fault.
+			starts, err := s.p.Graph.PipelinedStartShared(s.p.Timing, window, nodeOf, tauIn)
+			return starts, errkind.Mark(err, errkind.ErrBadInput)
 		})
 		return starts, err
 	}

@@ -131,7 +131,8 @@ func ComputeWindowsFromStarts(g *tfg.Graph, tm *tfg.Timing, tauIn, window float6
 	if n := g.NumMessages(); n > 0 {
 		ws = make([]Window, n)
 	}
-	for _, m := range g.Messages() {
+	for id := range g.NumMessages() {
+		m := g.Message(tfg.MessageID(id))
 		abs := start[m.Src] + tm.ExecTime[m.Src]
 		w := Window{
 			Release:    fmod(abs, tauIn),

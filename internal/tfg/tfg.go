@@ -394,8 +394,10 @@ func (g *Graph) PipelinedStartShared(tm *Timing, window float64, nodeOf []int, t
 	for i := range g.tasks {
 		demand[nodeOf[i]] += tm.ExecTime[i]
 	}
-	for node, d := range demand {
-		if d > tauIn+1e-9 {
+	// In task order, so the node an error names does not depend on map
+	// iteration.
+	for _, node := range nodeOf {
+		if d := demand[node]; d > tauIn+1e-9 {
 			return nil, fmt.Errorf("tfg: node %d needs %g µs of processing per %g µs period", node, d, tauIn)
 		}
 	}

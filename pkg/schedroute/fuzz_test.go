@@ -2,14 +2,19 @@ package schedroute_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 
 	"schedroute/internal/errkind"
+	"schedroute/internal/schedule"
 	"schedroute/internal/service"
 	"schedroute/pkg/schedroute"
 )
@@ -146,6 +151,125 @@ func FuzzRequestDecode(f *testing.F) {
 				if kind := errkind.Name(err); kind != "bad_input" && kind != "unknown_schema_version" {
 					t.Errorf("%s: %q classifies as %s: %v", rt.name, data, kind, err)
 				}
+			}
+		}
+	})
+}
+
+// choices reads a fuzz input one choice at a time: pick(n) is the next
+// byte mod n, 0 once the input runs out.
+type choices []byte
+
+func (c *choices) pick(n int) int {
+	if len(*c) == 0 {
+		return 0
+	}
+	v := int((*c)[0])
+	*c = (*c)[1:]
+	return v % n
+}
+
+// fuzzProblem reads a wire Problem and Options from data. Every spec is
+// drawn from the parsers' own grammar over small machines (at most 64
+// nodes) and small graphs, parameters running one or two past the
+// ranges the generators accept, so a refusal is as likely as a solve.
+func fuzzProblem(data []byte) (schedroute.Problem, schedroute.Options) {
+	c := choices(data)
+	radix := func() int { return c.pick(9) - 1 } // -1 .. 7
+	var top string
+	switch c.pick(5) {
+	case 0:
+		top = fmt.Sprintf("cube:%d", c.pick(8)-1)
+	case 1:
+		top = fmt.Sprintf("torus:%d,%d", radix(), radix())
+	case 2:
+		top = fmt.Sprintf("torus:%d,%d,%d", c.pick(5), c.pick(5), c.pick(5))
+	case 3:
+		top = fmt.Sprintf("ghc:%d,%d", radix(), radix())
+	default:
+		top = fmt.Sprintf("mesh:%d,%d", radix(), radix())
+	}
+	var graph string
+	switch kind := c.pick(6); kind {
+	case 5:
+		widths := ""
+		for w := c.pick(4); w >= 0; w-- {
+			widths += fmt.Sprintf("%d,", c.pick(9))
+		}
+		graph = fmt.Sprintf("layered:%d,%s%.2f", c.pick(256), widths, float64(c.pick(101))/100)
+	default:
+		graph = fmt.Sprintf("%s:%d", []string{"dvb", "chain", "fan", "fft", "stencil"}[kind], c.pick(7)-1)
+	}
+	p := schedroute.Problem{
+		TFG:       graph,
+		Topology:  top,
+		Bandwidth: []float64{0, 16, 64, 128, 512, -1}[c.pick(6)],
+		Speed:     []float64{0, 0, 0, 1, 20}[c.pick(5)],
+		TauIn:     []float64{0, 0, 25, 50, 100, 200, 400, -1}[c.pick(8)] * (1 + float64(c.pick(8))/8),
+		Allocator: []string{"", "rr", "greedy", "random", "anneal", "best"}[c.pick(6)],
+		AllocSeed: int64(c.pick(256)),
+	}
+	o := schedroute.Options{
+		Seed:             int64(c.pick(256)),
+		MaxPaths:         []int{0, 1, 2, 4, schedroute.MaxPathsLimit + 1}[c.pick(5)],
+		MaxOuter:         []int{0, 1, 3}[c.pick(3)],
+		MaxInner:         []int{0, 1, 5}[c.pick(3)],
+		Engine:           []string{"", "auto", "greedy", "exact", "lp"}[c.pick(5)],
+		Window:           []float64{0, 0, 10, 60, -1}[c.pick(5)],
+		LSDOnly:          c.pick(4) == 1,
+		SyncMargin:       []float64{0, 0, 0.5, 2}[c.pick(4)],
+		Retries:          []int{0, 0, 1, 2}[c.pick(4)],
+		AllowSharedNodes: c.pick(4) == 1,
+	}
+	return p, o
+}
+
+// FuzzProblemSolve drives the pipeline end to end: bytes → wire Problem
+// and Options (fuzzProblem) → NewProblem → Solver.Solve under a 1 s
+// deadline. An input is either refused or answered. A refusal must be
+// the client's fault (bad_input) or the deadline's (unavailable, as the
+// service marks it), never an unclassified (500) error; an answer is a
+// feasible Ω that passes Validate, or an infeasible verdict.
+func FuzzProblemSolve(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 6, 0, 5, 2, 0, 5, 0, 1, 0, 1})                         // dvb:4 on cube:5, B=64, τin 200
+	f.Add([]byte{1, 8, 8, 1, 6, 3, 0, 5, 0, 1, 0, 1, 0, 0, 0, 3})          // chain:5 on torus:7,7, exact engine
+	f.Add([]byte{3, 5, 5, 5, 2, 4, 6, 5, 30, 15, 2, 0, 4, 0, 1, 0, 9})     // layered:30,4,6,5,0.15 on ghc:4,4
+	f.Add([]byte{4, 4, 4, 3, 3, 2, 0, 6, 0, 1, 0, 2, 0, 0, 0, 0, 0, 0, 2}) // fft:2 on mesh:3,3, sync margin 0.5
+	// stencil:4 on cube:5 at τin 81.25 with AP sharing: a task longer
+	// than the period once came back unclassified (HTTP 500).
+	f.Add([]byte{0, 6, 4, 5, 0, 4, 3, 5, 0, 67, 82, 2, 0, 0, 3, 3, 0, 0, 0, 1})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		p, o := fuzzProblem(data)
+		refused := func(stage string, err error) {
+			t.Helper()
+			if errors.Is(err, context.DeadlineExceeded) {
+				err = errkind.Mark(err, errkind.ErrUnavailable)
+			}
+			if kind := errkind.Name(err); kind != "bad_input" && kind != "unavailable" {
+				t.Fatalf("%s of %+v %+v classifies as %s: %v", stage, p, o, kind, err)
+			}
+		}
+		opts, err := o.ToSchedule()
+		if err != nil {
+			refused("ToSchedule", err)
+			return
+		}
+		b, err := schedroute.NewProblem(p)
+		if err != nil {
+			refused("NewProblem", err)
+			return
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), time.Second)
+		defer cancel()
+		res, err := schedule.NewSolver(b.ScheduleProblem()).Solve(ctx, b.TauIn, opts)
+		if err != nil {
+			refused("Solve", err)
+			return
+		}
+		if res.Feasible {
+			if err := res.Omega.Validate(b.Topology); err != nil {
+				t.Fatalf("%+v %+v: feasible Ω fails Validate: %v", p, o, err)
 			}
 		}
 	})
