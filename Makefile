@@ -67,11 +67,12 @@ loc:
 
 # Functions outside bench/ that no run reaches: builds the tools and the
 # benchmark driver with coverage, runs the e2e suite, every
-# cmd/experiments figure and the benchmark's smoke pass, and rewrites
-# docs/reach.txt with the functions left at 0 %, each keeping the reason
-# it stays. Prints those without a reason. Informational, never a gate:
-# the smoke pass is time-bounded, so a rare path can flip between runs
-# (scripts/reach.sh, about 30 s with a warm build cache).
+# cmd/experiments figure, README's wormsim, tfggen and omegainspect lines
+# and the benchmark's smoke pass, and rewrites docs/reach.txt with the
+# functions left at 0 %, each keeping the reason it stays. Prints those
+# without a reason and every package no run links. Informational, never
+# a gate: the smoke pass is time-bounded, so a rare path can flip
+# between runs (scripts/reach.sh, about 30 s with a warm build cache).
 reach:
 	sh scripts/reach.sh
 

@@ -88,6 +88,10 @@ func main() {
 	annealSeeds := flag.String("anneal-seeds", "", "with -explore: comma-separated annealer seeds, one candidate placement each (empty = seed+1, seed+2)")
 	gridPoints := flag.Int("grid-points", 0, "with -explore: candidate periods per placement above its bisected minimum (0 = 5)")
 	flag.Parse()
+	if *best < 0 || *procs < 0 {
+		fmt.Fprintf(os.Stderr, "srsched: -best and -procs must be >= 0, got -best %d -procs %d\n", *best, *procs)
+		os.Exit(cliutil.ExitUsage)
+	}
 
 	cliutil.RequireExclusiveModes("srsched",
 		cliutil.Mode{Flag: "best", Set: *best > 0},

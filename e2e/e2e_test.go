@@ -311,7 +311,8 @@ func TestDrainClosesAttachedStream(t *testing.T) {
 
 // TestUsageErrorsExit2: what a script branches on before anything runs.
 // The warm-start and fleet flags stay retired, the profiler may not share
-// the API port, and srsched's modes exclude each other.
+// the API port, srsched's modes exclude each other, and its -best and
+// -procs counts are never negative.
 func TestUsageErrorsExit2(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -323,6 +324,8 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"srschedd", []string{"-listen", "127.0.0.1:0", "-peers", "x"}, "flag provided but not defined"},
 		{"srschedd", []string{"-listen", "127.0.0.1:0", "-pprof-addr", "127.0.0.1:0"}, "-pprof-addr must differ from -listen"},
 		{"srsched", []string{"-explore", "-best", "3"}, "conflicting modes"},
+		{"srsched", []string{"-best", "-1"}, "-best and -procs must be >= 0"},
+		{"srsched", []string{"-procs", "-1"}, "-best and -procs must be >= 0"},
 	} {
 		_, stderr, status := tool(t, c.tool, c.args...)
 		if status != 2 || !strings.Contains(stderr, c.want) {

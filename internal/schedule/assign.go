@@ -2,7 +2,6 @@ package schedule
 
 import (
 	"context"
-	"fmt"
 	"math/rand"
 	"slices"
 
@@ -28,11 +27,6 @@ type AssignPathsResult struct {
 	// out and the ones the LoadState memo answered.
 	TentativeComputed, TentativeReused int
 }
-
-// assignCrossCheck, when set, makes AssignPaths verify the incremental
-// LoadState against a full ComputeUtilization after every outer round —
-// the debug hook that the property tests flip on.
-var assignCrossCheck = false
 
 // AssignPaths is the Fig. 4 iterative-improvement heuristic: starting
 // from the given assignment, repeatedly locate the peak link or
@@ -112,14 +106,6 @@ func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathA
 			res.Assignment, res.Util = r.current.Clone(), ls.Utilization()
 		}
 		peak := r.climb(ls, cands, act, maxInner, &res.Iterations)
-		if assignCrossCheck {
-			full := computeUtilization(new(solveArena), top, &r.current, ws, act, linkCap)
-			got := ls.Utilization()
-			if got.Peak != full.Peak || got.PeakLink != full.PeakLink || got.PeakInterval != full.PeakInterval {
-				panic(fmt.Sprintf("schedule: LoadState diverged from ComputeUtilization: incremental (%v, %v, %v) vs full (%v, %v, %v)",
-					got.Peak, got.PeakLink, got.PeakInterval, full.Peak, full.PeakLink, full.PeakInterval))
-			}
-		}
 		if peak < res.Util.Peak-timeEps {
 			res.Assignment, res.Util = r.current.Clone(), ls.Utilization()
 		}

@@ -1,6 +1,8 @@
 package schedule
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
@@ -370,24 +372,14 @@ search:
 	}
 }
 
-// TestAssignPathsCrossCheck runs the heuristic with the debug
-// cross-check enabled: AssignPaths itself panics if the incremental
-// state ever diverges from the full recompute.
+// TestAssignPathsCrossCheck holds the incremental LoadState to a full
+// ComputeUtilization after every restart of the hill-climb: for
+// maxOuter = 1…6, an assign on a fresh arena and record leaves the
+// arena's LoadState on the last restart's final assignment. DVB on the
+// 6-cube, and a layered TFG on the 8x8 torus: many messages per link
+// and up to 24 equivalent paths each, the shape the tentative-score
+// memo and the touched-link bookkeeping are built for.
 func TestAssignPathsCrossCheck(t *testing.T) {
-	assignCrossCheck = true
-	defer func() { assignCrossCheck = false }()
-	p := dvbProblem(t, sixCube(t), 64, gridTauIn(2))
-	res, err := Compute(p, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Peak > res.PeakLSD {
-		t.Fatalf("AssignPaths peak %v worse than LSD %v", res.Peak, res.PeakLSD)
-	}
-
-	// A layered TFG on the 8x8 torus: many messages per link and up to
-	// 24 equivalent paths each, the shape the tentative-score memo and
-	// the touched-link bookkeeping are built for.
 	top, err := topology.NewTorus(8, 8)
 	if err != nil {
 		t.Fatal(err)
@@ -404,15 +396,31 @@ func TestAssignPathsCrossCheck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err = Compute(Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 150}, Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Peak > res.PeakLSD {
-		t.Fatalf("layered/torus: AssignPaths peak %v worse than LSD %v", res.Peak, res.PeakLSD)
-	}
-	if res.Stats.AssignIterations < 100 {
-		t.Fatalf("layered/torus: only %d evaluations; the fixture no longer exercises the hill-climb", res.Stats.AssignIterations)
+	for _, f := range []struct {
+		name string
+		p    Problem
+	}{
+		{"dvb/cube6", dvbProblem(t, sixCube(t), 64, gridTauIn(2))},
+		{"layered/torus8x8", Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 150}},
+	} {
+		pa, ws, act, cands, _ := routeFixture(t, f.p, nil)
+		lsd := ComputeUtilization(f.p.Topology, pa, ws, act).Peak
+		for maxOuter := 1; maxOuter <= 6; maxOuter++ {
+			var a solveArena
+			var rec assignRecord
+			res, err := rec.assign(context.Background(), &a, pa, cands, f.p.Topology, ws, act, 1, maxOuter, 60, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			step := fmt.Sprintf("%s maxOuter %d", f.name, maxOuter)
+			checkLoadState(t, a.load, f.p.Topology, &rec.current, ws, act, step)
+			if res.Util.Peak > lsd {
+				t.Fatalf("%s: AssignPaths peak %v worse than LSD %v", step, res.Util.Peak, lsd)
+			}
+			if maxOuter == 6 && res.Iterations < 100 {
+				t.Fatalf("%s: only %d evaluations; the fixture no longer exercises the hill-climb", step, res.Iterations)
+			}
+		}
 	}
 }
 

@@ -119,6 +119,24 @@ func TestOutputInconsistencyClaim(t *testing.T) {
 	if metrics.OutputInconsistent(cfg.TauIn, ivs, 1e-9) {
 		t.Errorf("long period should remove OI; intervals %v", ivs)
 	}
+	// With d@4, M2 rides 1→2→3→4, and at τin = 32 the output intervals
+	// alternate 42/22 µs, the pattern the proof's cycling argument
+	// predicts. The last interval is an edge of the run (no later
+	// invocation contends with it), so only the ones before it are held
+	// to the alternation.
+	cfg.Assignment, cfg.TauIn = lineAssignment(0, 3, 1, 4), 32
+	res, err = Simulate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ivs = metrics.Intervals(res.OutputCompletions)
+	warm := ivs[:len(ivs)-1]
+	for i, iv := range warm {
+		is := func(x float64) bool { return math.Abs(iv-x) <= 1e-9 }
+		if !is(42) && !is(22) || i > 0 && is(warm[i-1]) {
+			t.Fatalf("placement {0,3,1,4} at τin 32: intervals %v, want a strict 42/22 µs alternation before the last", ivs)
+		}
+	}
 }
 
 func TestColocatedTasksDeliverInstantly(t *testing.T) {

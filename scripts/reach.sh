@@ -3,13 +3,14 @@
 # reaches. It builds the tools and the benchmark driver with coverage of
 # every schedroute package, runs what the repository runs (the e2e
 # suite, whose TestMain builds srschedd, srsched and traceview with the
-# inherited GOFLAGS; every cmd/experiments figure; srbench -smoke, all
-# five workloads timed and traced), and rewrites docs/reach.txt with the
-# functions left at 0 %. A function already listed there keeps its
-# reason; the ones without a reason are printed. Informational: the
-# benchmark smoke is time-bounded, so a rare path can flip between runs,
-# and a function without a reason does not fail the script (a step that
-# fails does). Run via `make reach`.
+# inherited GOFLAGS; every cmd/experiments figure; README's wormsim,
+# tfggen and omegainspect lines; srbench -smoke, all five workloads
+# timed and traced), and rewrites docs/reach.txt with the functions left
+# at 0 %. A function already listed there keeps its reason; the ones
+# without a reason are printed, and so is every package no run links.
+# Informational: the benchmark smoke is time-bounded, so a rare path can
+# flip between runs, and a function without a reason does not fail the
+# script (a step that fails does). Run via `make reach`.
 set -eu
 export LC_ALL=C
 cd "$(dirname "$0")/.."
@@ -32,6 +33,13 @@ for args in -all '-fig faults -max-faults 16' '-fig tenant' '-fig pareto'; do
     # shellcheck disable=SC2086
     run env GOCOVERDIR="$d/cmd" "$d/bin/experiments" $args
 done
+
+# The other three tools once each, with README's own command lines (the
+# srsched line writes the Ω omegainspect replays).
+run env GOCOVERDIR="$d/cmd" "$d/bin/srsched" -tfg dvb:4 -topo cube:6 -bw 64 -tauin 141 -gantt -save "$d/omega.json"
+run env GOCOVERDIR="$d/cmd" "$d/bin/omegainspect" -omega "$d/omega.json" -tfg dvb:4 -topo cube:6
+run env GOCOVERDIR="$d/cmd" "$d/bin/wormsim" -tfg fft:3 -topo torus:8,8 -bw 128 -tauin 75 -adaptive -v
+run env GOCOVERDIR="$d/cmd" "$d/bin/tfggen" -kind stencil -n 6
 
 # The benchmark's smoke pass, built with bench/run.sh's Go environment.
 (
@@ -58,3 +66,10 @@ awk -F'\t' 'NR == FNR { if ($0 !~ /^#/ && NF >= 3) why[$1 "\t" $2] = $3; next }
 mv "$d/reach.txt" docs/reach.txt
 echo "reach: $(wc -l <"$d/zero") functions at 0 %, listed in docs/reach.txt"
 awk -F'\t' 'NF < 3 { print "no reason: " $1 " " $2 }' "$d/body"
+
+# A package no run links has no coverage metadata, so its functions are
+# missing from the list above rather than at 0 %: name every such
+# package outside bench/ (bench/ is its own module).
+go tool covdata pkglist -i "$d/e2e,$d/cmd,$d/bench" | sort -u >"$d/linked"
+go list -f '{{if .GoFiles}}{{.ImportPath}}{{end}}' ./... | sort |
+    comm -23 - "$d/linked" | sed 's/^/no coverage metadata: /'
