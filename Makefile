@@ -3,10 +3,11 @@
 # and traceview and drives them as processes.
 # `make race` is the concurrency job for the parallel sweep/search
 # engine, the /v1/watch subscription machinery (concurrent
-# create/event/close churn), the memos concurrent solves share and
-# TenantSet's locks; run it whenever internal/parallel,
-# internal/service, internal/memo, internal/topology,
-# internal/schedule/tenant.go, or a sweep changes. Under it e2e builds
+# create/event/close churn), the memos concurrent solves share,
+# TenantSet's locks and AssignPaths' concurrent restarts; run it
+# whenever internal/parallel, internal/service, internal/memo,
+# internal/topology, internal/schedule/tenant.go,
+# internal/schedule/assign.go, or a sweep changes. Under it e2e builds
 # the tools with -race too, so the daemon's drain runs under the
 # detector.
 
@@ -32,8 +33,8 @@ test:
 check: fmt-check build vet test
 
 # Mandatory after a change to internal/parallel, internal/service,
-# internal/memo, internal/topology, internal/schedule/tenant.go or a
-# sweep (see the head of this file).
+# internal/memo, internal/topology, internal/schedule/tenant.go,
+# internal/schedule/assign.go or a sweep (see the head of this file).
 race:
 	$(GO) test -race ./...
 

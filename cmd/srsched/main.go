@@ -73,7 +73,7 @@ func main() {
 	chart := flag.Bool("gantt", false, "render the frame's link occupancy as an ASCII chart")
 	shared := flag.Bool("shared", false, "allow several tasks per node (AP-sharing node schedule)")
 	best := flag.Int("best", 0, "search this many random placements (plus rr and greedy) in parallel and keep the best schedule")
-	procs := flag.Int("procs", 0, "worker goroutines for the -best candidate search (0 = GOMAXPROCS, 1 = serial)")
+	procs := flag.Int("procs", 0, "worker goroutines for the -best candidate search, and for AssignPaths' restarts on a problem of 512 or more multi-path messages (0 = GOMAXPROCS, 1 = serial)")
 	stats := flag.Bool("stats", false, "report pipeline attempts, AssignPaths evaluations and per-stage wall-clock times")
 	showTrace := flag.Bool("trace", false, "record the solve pipeline as a span tree and render it after the run")
 	traceOut := flag.String("trace-out", "", "write the recorded trace as Chrome trace_event JSON to this file (implies tracing)")

@@ -111,7 +111,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 	}
 	defer sw.end()
 	cfg, pts, spans := sw.cfg, sw.pts, sw.spans
-	opts := schedule.Options{Seed: cfg.Seed}
+	opts := schedule.Options{Seed: cfg.Seed, Procs: 1} // stage 2's repairs run on the fan-out's workers
 
 	// Stage 1: the fault-free base schedule per load point. The point
 	// spans stay open: stage 2 nests its fault spans under them.

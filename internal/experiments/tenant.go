@@ -98,7 +98,8 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 	defer sw.end()
 	cfg, as, pts, spans, problem := sw.cfg, sw.as, sw.pts, sw.spans, sw.problem
 	bystanderTauIn := pts[len(pts)-1].TauIn // lightest grid load
-	opts := schedule.Options{Seed: cfg.Seed}
+	// The admissions already run on the fan-out's workers.
+	opts := schedule.Options{Seed: cfg.Seed, Procs: 1}
 
 	// The victim's placement: every task shifted N/2 nodes. Shifting all
 	// tasks by one constant preserves one-task-per-node exclusivity.

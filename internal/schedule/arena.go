@@ -26,6 +26,11 @@ type solveArena struct {
 	load  *LoadState
 	util  utilScratch
 	rng   *rand.Rand
+
+	// The hill-climb's working assignment, which one worker's restarts
+	// move, and the reroutable messages of its current peak.
+	cur    PathAssignment
+	msgBuf []tfg.MessageID
 }
 
 // loadState returns the arena's pooled LoadState rebuilt for the given

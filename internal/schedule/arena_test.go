@@ -142,10 +142,11 @@ func TestArenaReuseAcrossStructures(t *testing.T) {
 // problems of other interval, link and message counts — the DVB on the
 // 6-cube at B=64 at two periods with different K, the DVB on the 8x8
 // torus at B=128, a compile_lp entry on GHC(4,4,8), and back to the
-// first — and requires after each step that every accumulator over all
-// links, the peak cache and a seeded eval/apply/undo walk equal a fresh
-// NewLoadStateCap's. Once warm, the whole cycle allocates nothing: the
-// arena resizes its state in place instead of building another.
+// first — and requires after each step that every accumulator and member
+// list over all links, the peak cache and a seeded eval/apply/undo walk
+// equal a fresh NewLoadStateCap's. Once warm, the whole cycle allocates
+// nothing, a helper arena's restart set-up included: each arena resizes
+// its state in place instead of building another.
 func TestLoadStateReusedAcrossShapes(t *testing.T) {
 	pool, _ := compileLPPool(t)
 	var ghc Problem
@@ -228,14 +229,19 @@ func TestLoadStateReusedAcrossShapes(t *testing.T) {
 		sameLoadState(t, s.name+" after the walk", ls, ref)
 	}
 
+	// A helper worker of a concurrent climb sets up its restarts on a
+	// pooled arena of its own the same way.
+	var helper solveArena
 	cycle := func() {
 		for i, s := range shapes {
 			a.loadState(s.p.Topology, fx[i].pa, fx[i].ws, fx[i].act, nil)
+			helper.startClimbs(fx[i].pa)
+			helper.loadState(s.p.Topology, &helper.cur, fx[i].ws, fx[i].act, nil)
 		}
 	}
 	cycle()
 	if n := testing.AllocsPerRun(5, cycle); n != 0 {
-		t.Fatalf("a warm cycle through the shapes allocates %v times", n)
+		t.Fatalf("a warm cycle through the shapes, helper arena included, allocates %v times", n)
 	}
 }
 
@@ -243,8 +249,13 @@ func TestLoadStateReusedAcrossShapes(t *testing.T) {
 // accumulators over every link, and peak cache.
 func sameLoadState(t *testing.T, step string, got, want *LoadState) {
 	t.Helper()
-	if got.nl != want.nl || got.K != want.K || got.mw != want.mw {
-		t.Fatalf("%s: dimensions (%d, %d, %d), fresh state (%d, %d, %d)", step, got.nl, got.K, got.mw, want.nl, want.K, want.mw)
+	if got.nl != want.nl || got.K != want.K || got.nmem != want.nmem {
+		t.Fatalf("%s: dimensions (%d links, %d intervals, %d memberships), fresh state (%d, %d, %d)", step, got.nl, got.K, got.nmem, want.nl, want.K, want.nmem)
+	}
+	for j := 0; j < got.nl; j++ {
+		if !slices.Equal(got.members(j), want.members(j)) {
+			t.Fatalf("%s: link %d's members %v, fresh state %v", step, j, got.members(j), want.members(j))
+		}
 	}
 	for _, c := range []struct {
 		name string
@@ -252,7 +263,6 @@ func sameLoadState(t *testing.T, step string, got, want *LoadState) {
 	}{
 		{"lenK", slices.Equal(got.lenK, want.lenK)},
 		{"noSlack", slices.Equal(got.noSlack, want.noSlack)},
-		{"members", slices.Equal(got.members, want.members)},
 		{"xmit", slices.Equal(got.xmit, want.xmit)},
 		{"cnt", slices.Equal(got.cnt, want.cnt)},
 		{"spot", slices.Equal(got.spot, want.spot)},

@@ -3,8 +3,9 @@ package schedule
 import (
 	"context"
 	"math/rand"
-	"slices"
+	"sync"
 
+	"schedroute/internal/parallel"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
@@ -41,12 +42,38 @@ type AssignPathsResult struct {
 // than a from-scratch ComputeUtilization per trial; the delta scores
 // are bit-identical to full evaluation wherever a move could be chosen,
 // so the move sequence — and hence the result for a fixed seed — is
-// unchanged.
+// unchanged. From 512 multi-path messages on (climbGate), the restarts
+// are climbed on GOMAXPROCS workers, with the same result.
 func AssignPaths(initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int) *AssignPathsResult {
 	var a solveArena
 	var rec assignRecord
-	res, _ := rec.assign(context.Background(), &a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil) // Background is never done
+	res, _ := rec.assign(context.Background(), &a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil, climbWorkers(cands, 0)) // Background is never done
 	return res
+}
+
+// climbGate is the fewest multi-path messages at which an AssignPaths
+// call climbs its restarts on several workers. Each extra worker pays
+// for a pooled arena, its LoadState and the clones of restarts that
+// finish out of order, which a short climb does not earn back; the gate
+// sits above the largest climb of the compile_lp workload (460
+// multi-path messages), whose solves took 9.7 % more memory under a
+// gate of 64, and below the 1 101 and 1 123 of compile_large's machines.
+const climbGate = 512
+
+// climbWorkers is how many workers climb the restarts of an AssignPaths
+// call over cands under a Procs request (0 = GOMAXPROCS): one below
+// climbGate.
+func climbWorkers(cands *Candidates, procs int) int {
+	multi := 0
+	for _, list := range cands.PathsOf {
+		if len(list) >= 2 {
+			multi++
+		}
+	}
+	if multi < climbGate {
+		return 1
+	}
+	return parallel.Workers(procs)
 }
 
 // assignRecord carries AssignPaths from one seed to the next over the
@@ -58,13 +85,12 @@ func AssignPaths(initial *PathAssignment, cands *Candidates, top *topology.Topol
 type assignRecord struct {
 	best  *PathAssignment // the fold of the start and restart 0
 	bestU *Utilization    // best's utilization; nil until restart 0 is climbed
-	// current is the climb's working assignment. Only multi-path
-	// messages ever move, and a random restart reassigns every one of
-	// them, so what a seeded restart starts from depends on its seed
-	// alone. Held by value, so a record on its caller's stack costs no
-	// allocation.
-	current PathAssignment
-	msgBuf  []tfg.MessageID
+
+	// onClimb, when set, is called after every restart's climb, on the
+	// worker that climbed it, with the restart's index, its LoadState and
+	// its final assignment: how tests hold each restart's incremental
+	// state to a full recompute.
+	onClimb func(restart int, ls *LoadState, pa *PathAssignment)
 }
 
 // assign is AssignPaths on a pooled arena against a per-link capacity
@@ -74,64 +100,219 @@ type assignRecord struct {
 // Restart 0 runs on the record's first call only (see assignRecord);
 // the result's counts are of the work this call performed. ctx is
 // looked at once per restart; a done one is the only error.
-func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64) (*AssignPathsResult, error) {
+//
+// Up to workers goroutines climb the restarts, each on its own arena:
+// a, and one from arenaPool per extra worker. The result is the same
+// for every worker count (see restarts); one climbs them all on the
+// calling goroutine.
+func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64, workers int) (*AssignPathsResult, error) {
 	maxOuter, maxInner = max(maxOuter, 1), max(maxInner, 1)
-	rng := a.rand(seed)
-	res := &AssignPathsResult{Assignment: r.best, Util: r.bestU}
-	outer := 0
+	rs := &restarts{
+		ctx: ctx, rec: r, initial: initial, cands: cands, top: top, ws: ws, act: act, linkCap: linkCap, maxInner: maxInner,
+		rng:  a.rand(seed),
+		stop: maxOuter,
+		res:  &AssignPathsResult{Assignment: r.best, Util: r.bestU},
+	}
 	if r.bestU != nil {
-		outer = 1
-	}
-	for ; outer < maxOuter; outer++ {
-		if outer > 0 {
-			if res.Util.Peak <= timeEps {
-				break // cannot improve on zero
-			}
-			// Random restart (Fig. 4's escape from local minima).
-			randomize(&r.current, cands, rng)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		if outer == 0 {
-			r.current = PathAssignment{
-				Paths: slices.Clone(initial.Paths),
-				Links: slices.Clone(initial.Links),
-			}
-		}
-		ls := a.loadState(top, &r.current, ws, act, linkCap)
-		computed0, reused0 := ls.tentComputed, ls.tentReused // a pooled state carries earlier climbs' counts
-		if outer == 0 {
-			res.Iterations++
-			res.Assignment, res.Util = r.current.Clone(), ls.Utilization()
-		}
-		peak := r.climb(ls, cands, act, maxInner, &res.Iterations)
-		if peak < res.Util.Peak-timeEps {
-			res.Assignment, res.Util = r.current.Clone(), ls.Utilization()
-		}
-		res.TentativeComputed += ls.tentComputed - computed0
-		res.TentativeReused += ls.tentReused - reused0
-		if outer == 0 {
-			r.best, r.bestU = res.Assignment, res.Util
+		rs.first = 1
+		if r.bestU.Peak <= timeEps {
+			rs.stop = 1 // cannot improve on zero
 		}
 	}
-	return res, nil
+	rs.next, rs.folded = rs.first, rs.first
+	rs.out = make([]restartOutcome, rs.stop-rs.first)
+	if workers = min(workers, len(rs.out)); workers <= 1 {
+		rs.work(a)
+	} else if err := parallel.ForEach(ctx, workers, workers, func(w int) error {
+		wa := a
+		if w > 0 {
+			wa = arenaPool.Get().(*solveArena)
+			defer arenaPool.Put(wa)
+		}
+		rs.work(wa)
+		return nil
+	}); err != nil {
+		return nil, err // a worker that never started
+	}
+	if rs.err != nil {
+		return nil, rs.err
+	}
+	return rs.res, nil
 }
 
-// climb is one restart of the hill-climb: it moves r.current, whose
+// restarts is one assign call's restarts, climbed by one or more
+// workers and folded into res exactly as a serial loop would.
+//
+// A worker claims the next restart and draws its random escape from rng
+// under mu, so the generator is consumed in restart order whoever
+// climbs what. Finished restarts are folded in restart order as soon as
+// every earlier one is: a restart replaces the best when its peak is
+// more than timeEps below it, restart 0's fold is the record's, and a
+// fold at or below timeEps ends the call — no later restart is claimed,
+// and one already climbing is dropped. Iterations and the tentative
+// counts are those of the folded restarts. A restart keeps a clone of
+// its assignment and its Utilization only while it may still be folded
+// in: while it ends more than timeEps below the fold so far and no
+// earlier finished restart ends at or below it.
+type restarts struct {
+	ctx      context.Context
+	rec      *assignRecord
+	initial  *PathAssignment
+	cands    *Candidates
+	top      *topology.Topology
+	ws       []Window
+	act      *Activity
+	linkCap  []float64
+	maxInner int
+
+	mu     sync.Mutex
+	rng    *rand.Rand
+	first  int              // the first restart this call climbs: 0, or 1 after a record
+	next   int              // the next restart to claim
+	stop   int              // no restart at or past stop is claimed or folded
+	folded int              // the restarts before folded are in res
+	out    []restartOutcome // out[k-first] is restart k's
+	res    *AssignPathsResult
+	err    error // the context error of the first restart folded that saw one
+}
+
+// restartOutcome is a finished restart as the fold needs it.
+type restartOutcome struct {
+	done             bool
+	err              error
+	peak             float64
+	evals            int
+	computed, reused int             // tentative scores
+	pa               *PathAssignment // nil once the restart cannot be folded in
+	util             *Utilization
+}
+
+// work claims and climbs restarts on arena a until none is left. a.cur
+// starts as the initial assignment: restart 0 climbs from it, and a
+// random escape reassigns every multi-path message, the only ones a
+// climb moves.
+func (rs *restarts) work(a *solveArena) {
+	a.startClimbs(rs.initial)
+	for {
+		rs.mu.Lock()
+		k := rs.next
+		if k >= rs.stop {
+			rs.mu.Unlock()
+			return
+		}
+		rs.next++
+		if k > 0 {
+			randomize(&a.cur, rs.cands, rs.rng) // Fig. 4's escape from local minima
+		}
+		rs.mu.Unlock()
+		rs.finish(k, rs.climb(a, k))
+	}
+}
+
+// climb climbs restart k from a.cur on a's LoadState.
+func (rs *restarts) climb(a *solveArena, k int) restartOutcome {
+	if err := rs.ctx.Err(); err != nil {
+		return restartOutcome{err: err}
+	}
+	ls := a.loadState(rs.top, &a.cur, rs.ws, rs.act, rs.linkCap)
+	computed0, reused0 := ls.tentComputed, ls.tentReused // a pooled state carries earlier climbs' counts
+	var o restartOutcome
+	if k == 0 {
+		// The start is the fold's first entry, and one evaluation.
+		pa, u := a.cur.Clone(), ls.Utilization()
+		rs.mu.Lock()
+		rs.res.Assignment, rs.res.Util = pa, u
+		rs.res.Iterations++
+		rs.mu.Unlock()
+	}
+	o.peak = a.climb(ls, rs.cands, rs.act, rs.maxInner, &o.evals)
+	o.computed, o.reused = ls.tentComputed-computed0, ls.tentReused-reused0
+	if rs.rec.onClimb != nil {
+		rs.rec.onClimb(k, ls, &a.cur)
+	}
+	if rs.mayFold(k, o.peak) {
+		o.pa, o.util = a.cur.Clone(), ls.Utilization()
+	}
+	return o
+}
+
+// mayFold reports whether restart k, ending on peak, may still be folded
+// in. Once every earlier restart is folded it is the fold's own test.
+func (rs *restarts) mayFold(k int, peak float64) bool {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	if rs.res.Util != nil && !(peak < rs.res.Util.Peak-timeEps) {
+		return false
+	}
+	for i := rs.folded; i < k; i++ {
+		if o := &rs.out[i-rs.first]; o.done && o.peak <= peak {
+			return false
+		}
+	}
+	return true
+}
+
+// finish records restart k's outcome and folds every restart it
+// completes the prefix of.
+func (rs *restarts) finish(k int, o restartOutcome) {
+	rs.mu.Lock()
+	defer rs.mu.Unlock()
+	o.done = true
+	rs.out[k-rs.first] = o
+	if o.err != nil {
+		rs.stop = min(rs.stop, k+1)
+	}
+	for i := k + 1; i < rs.next; i++ {
+		if later := &rs.out[i-rs.first]; later.done && later.peak >= o.peak {
+			later.pa, later.util = nil, nil
+		}
+	}
+	res := rs.res
+	for ; rs.folded < rs.stop; rs.folded++ {
+		f := &rs.out[rs.folded-rs.first]
+		if !f.done {
+			return
+		}
+		if f.err != nil {
+			rs.err, rs.stop = f.err, rs.folded
+			return
+		}
+		res.Iterations += f.evals
+		res.TentativeComputed += f.computed
+		res.TentativeReused += f.reused
+		if f.peak < res.Util.Peak-timeEps {
+			res.Assignment, res.Util = f.pa, f.util
+		}
+		f.pa, f.util = nil, nil
+		if rs.folded == 0 {
+			rs.rec.best, rs.rec.bestU = res.Assignment, res.Util
+		}
+		if res.Util.Peak <= timeEps {
+			rs.stop = rs.folded + 1 // cannot improve on zero
+		}
+	}
+}
+
+// startClimbs sets a.cur to initial in a.cur's own arrays.
+func (a *solveArena) startClimbs(initial *PathAssignment) {
+	a.cur.Paths = append(a.cur.Paths[:0], initial.Paths...)
+	a.cur.Links = append(a.cur.Links[:0], initial.Links...)
+}
+
+// climb is one restart of the hill-climb: it moves a.cur, whose
 // accumulators ls holds, until no move reduces the peak or repositions
 // it somewhere not yet visited, or maxInner moves were made. It adds
 // the utilization evaluations it performs to *evals and returns the
 // peak it ends on.
-func (r *assignRecord) climb(ls *LoadState, cands *Candidates, act *Activity, maxInner int, evals *int) float64 {
-	current := &r.current
+func (a *solveArena) climb(ls *LoadState, cands *Candidates, act *Activity, maxInner int, evals *int) float64 {
+	current := &a.cur
 	*evals++
 	curPeak, curLink, curInterval := ls.PeakPosition()
 	visited := map[assignPosition]bool{}
 	for inner := 0; inner < maxInner; inner++ {
 		pos := assignPosition{curLink, curInterval}
 		visited[pos] = true
-		r.msgBuf = reroutable(current, cands, act, ls, pos, r.msgBuf[:0])
+		a.msgBuf = reroutable(cands, act, ls, pos, a.msgBuf[:0])
 		// Evaluate every alternative path of every peak message.
 		type move struct {
 			msg      tfg.MessageID
@@ -142,7 +323,7 @@ func (r *assignRecord) climb(ls *LoadState, cands *Candidates, act *Activity, ma
 		}
 		var bestReduce, bestRepos move
 		haveReduce, haveRepos := false, false
-		for _, mi := range r.msgBuf {
+		for _, mi := range a.msgBuf {
 			cur := current.Paths[mi]
 			for ci, c := range cands.PathsOf[mi] {
 				if c.path.Equal(cur) {
@@ -190,19 +371,19 @@ func (r *assignRecord) climb(ls *LoadState, cands *Candidates, act *Activity, ma
 
 // reroutable lists the multi-path messages that cross the peak link
 // (and, for a hot-spot peak, are active in the peak interval), reading
-// the peak link's membership set from the LoadState instead of scanning
+// the peak link's member list from the LoadState instead of scanning
 // every message's link list.
-func reroutable(pa *PathAssignment, cands *Candidates, act *Activity, ls *LoadState, pos assignPosition, buf []tfg.MessageID) []tfg.MessageID {
+func reroutable(cands *Candidates, act *Activity, ls *LoadState, pos assignPosition, buf []tfg.MessageID) []tfg.MessageID {
 	out := buf
-	ls.memberRow(int(pos.link)).forEach(func(i int) {
+	for _, i := range ls.members(int(pos.link)) {
 		if len(cands.PathsOf[i]) < 2 {
-			return
+			continue
 		}
 		if pos.interval >= 0 && !act.Active[i][pos.interval] {
-			return
+			continue
 		}
 		out = append(out, tfg.MessageID(i))
-	})
+	}
 	return out
 }
 

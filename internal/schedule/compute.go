@@ -68,10 +68,12 @@ type Options struct {
 	// frame (tfg.PipelinedStartShared), usually at the cost of extra
 	// latency. Without it, placements must be exclusive.
 	AllowSharedNodes bool
-	// Procs bounds the worker goroutines used by the concurrent search
-	// entry points (ComputeBestAllocation); 0 selects GOMAXPROCS and 1
-	// forces a serial run. Compute itself is single-threaded either way,
-	// and results are independent of Procs.
+	// Procs bounds the worker goroutines of a call. The search entry
+	// points (ComputeBestAllocation, Sweep, Explore) run their solves on
+	// that many, each solve climbing on one; a solve on its own climbs
+	// AssignPaths' random restarts on that many once the problem has 512
+	// multi-path messages. 0 selects GOMAXPROCS and 1 forces a serial
+	// run; results are independent of Procs.
 	Procs int
 	// CollectStats fills the wall-clock stage timings of Result.Stats.
 	// Off by default so Results stay value-comparable across runs (the

@@ -3,21 +3,17 @@ package schedule
 import (
 	"math"
 	"math/bits"
+	"slices"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
 
-// bitset is a set of small non-negative integers. LoadState keeps one
-// per link over message IDs — the membership record that lets it
-// recompute a changed link's load exactly: members iterate in ascending
-// message order, so partial sums reproduce the float-summation order of a
-// from-scratch ComputeUtilization bit for bit — and one over link IDs for
-// the links in use.
+// bitset is a set of small non-negative integers; LoadState keeps one
+// over link IDs for the links in use.
 type bitset []uint64
 
-func (s bitset) add(i int)    { s[i/64] |= 1 << (uint(i) % 64) }
-func (s bitset) remove(i int) { s[i/64] &^= 1 << (uint(i) % 64) }
+func (s bitset) add(i int) { s[i/64] |= 1 << (uint(i) % 64) }
 
 // forEach calls fn for every member in ascending order.
 func (s bitset) forEach(fn func(i int)) {
@@ -48,7 +44,6 @@ type LoadState struct {
 	act *Activity
 	nl  int
 	K   int
-	mw  int // words per member row
 
 	lenK    []float64 // lenK[k] = Intervals.Length(k), cached
 	noSlack []bool    // noSlack[i] = ws[i].NoSlack(), cached
@@ -62,10 +57,21 @@ type LoadState struct {
 	// gate both treat as "worse than any finite peak".
 	linkCap []float64
 
-	members []uint64  // row j (mw words): bitset of the messages using link j
-	xmit    []float64 // xmit[j]: Σ Xmit over row j, ascending message order
-	cnt     []int32   // cnt[j*K+k]: active messages on (j, k)
-	spot    []int32   // spot[j*K+k]: no-slack messages on (j, k)
+	// Members: lists[j] places link j's member list — the messages using
+	// it, ascending — in slab. The list is the membership record that
+	// lets a changed link's load be recomputed exactly: partial sums over
+	// it reproduce the float-summation order of a from-scratch
+	// ComputeUtilization bit for bit. fill lays the lists out by link
+	// with headroom (memberRoom); a list that outgrows its region moves
+	// to the slab's tail, and a move that would take the slab past twice
+	// the nmem memberships lays every list out afresh instead.
+	lists []memberList
+	slab  []int32
+	nmem  int
+
+	xmit []float64 // xmit[j]: Σ Xmit over link j's members, ascending
+	cnt  []int32   // cnt[j*K+k]: active messages on (j, k)
+	spot []int32   // spot[j*K+k]: no-slack messages on (j, k)
 
 	activeLen []float64 // activeLen[j]: Σ interval lengths with cnt > 0
 	score     []float64 // score[j]: max(U_j, max_k spot[j][k])
@@ -117,6 +123,14 @@ type LoadState struct {
 	tentComputed, tentReused, topkRebuilds int
 }
 
+// memberList is one link's region of the member slab: its members are
+// slab[off : off+n], and the region runs to off+cap.
+type memberList struct{ off, n, cap int32 }
+
+// memberRoom is the region a list of n members is laid out in: half as
+// much again, so a growing list moves only now and then.
+func memberRoom(n int32) int32 { return n + n/2 }
+
 // topkSize bounds the peak cache, and ApplyReroute rebuilds an
 // incomplete cache left with fewer than topkFloor entries. An eval
 // changing fewer than topkFloor links (the symmetric difference of two
@@ -145,7 +159,6 @@ func newLoadState(ls *LoadState, top *topology.Topology, pa *PathAssignment, ws 
 	}
 	nl := top.Links()
 	K := act.Intervals.K()
-	mw := (len(ws) + 63) / 64
 	topk := ls.topk[:0]
 	if topk == nil {
 		topk = make([]int32, 0, topkSize)
@@ -153,8 +166,8 @@ func newLoadState(ls *LoadState, top *topology.Topology, pa *PathAssignment, ws 
 	*ls = LoadState{
 		nl:        nl,
 		K:         K,
-		mw:        mw,
-		members:   zeroed(ls.members, nl*mw),
+		lists:     zeroed(ls.lists, nl),
+		slab:      ls.slab[:0],
 		xmit:      zeroed(ls.xmit, nl),
 		cnt:       zeroed(ls.cnt, nl*K),
 		spot:      zeroed(ls.spot, nl*K),
@@ -190,9 +203,10 @@ func (ls *LoadState) bind(ws []Window, act *Activity, linkCap []float64) {
 	}
 }
 
-// memberRow returns the membership bitset of link l.
-func (ls *LoadState) memberRow(l int) bitset {
-	return ls.members[l*ls.mw : (l+1)*ls.mw]
+// members returns link l's member list.
+func (ls *LoadState) members(l int) []int32 {
+	m := ls.lists[l]
+	return ls.slab[m.off : m.off+m.n]
 }
 
 // Reset rebuilds the accumulators for a new assignment, reusing every
@@ -200,7 +214,7 @@ func (ls *LoadState) memberRow(l int) bitset {
 // the links the old assignment touched are cleared.
 func (ls *LoadState) Reset(pa *PathAssignment) {
 	ls.touched.forEach(func(j int) {
-		clear(ls.memberRow(j))
+		ls.lists[j] = memberList{}
 		clear(ls.cnt[j*ls.K : (j+1)*ls.K])
 		clear(ls.spot[j*ls.K : (j+1)*ls.K])
 		ls.xmit[j], ls.activeLen[j], ls.score[j], ls.scoreK[j] = 0, 0, 0, -1
@@ -218,30 +232,126 @@ func (ls *LoadState) bumpGen() {
 	}
 }
 
-// fill adds pa to all-zero accumulators.
+// fill adds pa to all-zero accumulators, empty member lists included.
+// A first pass counts each link's members and lays the lists out; the
+// second adds the messages in ascending order, so each list is appended
+// to in order.
 func (ls *LoadState) fill(pa *PathAssignment) {
 	ls.bumpGen()
+	ls.nmem = 0
 	for i := range ls.ws {
-		if ls.ws[i].Local || len(pa.Links[i]) == 0 {
+		if ls.ws[i].Local {
 			continue
 		}
 		for _, l := range pa.Links[i] {
-			ls.shift(int(l), i, 1)
+			ls.lists[l].n++
+			ls.touched.add(int(l))
+		}
+		ls.nmem += len(pa.Links[i])
+	}
+	off := int32(0)
+	ls.touched.forEach(func(j int) {
+		m := &ls.lists[j]
+		*m = memberList{off: off, cap: memberRoom(m.n)}
+		off += m.cap
+	})
+	ls.slab = zeroed(ls.slab, int(off))
+	for i := range ls.ws {
+		if ls.ws[i].Local {
+			continue
+		}
+		for _, l := range pa.Links[i] {
+			m := &ls.lists[l]
+			ls.slab[m.off+m.n] = int32(i)
+			m.n++
+			ls.count(int(l), i, 1)
 		}
 	}
 	ls.touched.forEach(ls.recomputeLink)
 	ls.rebuildTopK()
 }
 
-// shift adds message msg to link l (delta +1) or removes it (delta -1)
-// in the integer accumulators.
+// shift adds message msg to link l (delta +1) or removes it (delta -1):
+// its place in the link's member list and the integer accumulators.
+// Lists are short, so both ends move members one by one.
 func (ls *LoadState) shift(l, msg int, delta int32) {
+	m := &ls.lists[l]
+	id := int32(msg)
 	if delta > 0 {
-		ls.memberRow(l).add(msg)
-		ls.touched.add(l)
+		ls.touched.add(l) // before grow, which lays out touched links only
+		if m.n == m.cap {
+			ls.grow(l)
+		}
+		list := ls.slab[m.off : m.off+m.n+1]
+		at := m.n
+		for ; at > 0 && list[at-1] > id; at-- {
+			list[at] = list[at-1]
+		}
+		list[at] = id
+		m.n++
+		ls.nmem++
 	} else {
-		ls.memberRow(l).remove(msg)
+		list := ls.members(l)
+		at := 0
+		for list[at] != id {
+			at++
+		}
+		for ; at+1 < len(list); at++ {
+			list[at] = list[at+1]
+		}
+		m.n--
+		ls.nmem--
 	}
+	ls.count(l, msg, delta)
+}
+
+// grow makes room in link l's full list for one more member. The list
+// moves to the slab's tail, into memberRoom of its new length, unless
+// that would take the slab past twice the memberships: then relayout.
+func (ls *LoadState) grow(l int) {
+	m := &ls.lists[l]
+	end, r := int32(len(ls.slab)), memberRoom(m.n+1)
+	if int(end+r) > 2*(ls.nmem+1) {
+		ls.relayout(l)
+		return
+	}
+	if int(end+r) > cap(ls.slab) {
+		ls.slab = slices.Grow(ls.slab, int(r))
+	}
+	ls.slab = ls.slab[:end+r]
+	for i := int32(0); i < m.n; i++ {
+		ls.slab[end+i] = ls.slab[m.off+i]
+	}
+	m.off, m.cap = end, r
+}
+
+// relayout lays every list out afresh behind the slab's tail, with
+// room for one more member in link l's, and moves that block to the
+// front.
+func (ls *LoadState) relayout(l int) {
+	room := func(j int) int32 {
+		if j == l {
+			return memberRoom(ls.lists[j].n + 1)
+		}
+		return memberRoom(ls.lists[j].n)
+	}
+	end, total := int32(len(ls.slab)), int32(0)
+	ls.touched.forEach(func(j int) { total += room(j) })
+	ls.slab = slices.Grow(ls.slab, int(total))[:end+total]
+	at := end
+	ls.touched.forEach(func(j int) {
+		m := &ls.lists[j]
+		copy(ls.slab[at:], ls.members(j))
+		m.off, m.cap = at-end, room(j)
+		at += m.cap
+	})
+	copy(ls.slab, ls.slab[end:])
+	ls.slab = ls.slab[:total]
+}
+
+// count adds message msg's activity on link l to the per-interval
+// counts (delta +1) or takes it away (delta -1).
+func (ls *LoadState) count(l, msg int, delta int32) {
 	noSlack := ls.noSlack[msg]
 	row := ls.act.Active[msg]
 	base := l * ls.K
@@ -323,18 +433,14 @@ func (ls *LoadState) repairTopK() {
 }
 
 // recomputeLink refreshes link j's derived floats from the exact
-// integer/bitset state. The transmission sum iterates members in
+// integer state and member list. The transmission sum iterates members in
 // ascending message order and the active length iterates intervals in
 // ascending order — the exact summation orders of ComputeUtilization —
 // so the derived values carry no incremental drift.
 func (ls *LoadState) recomputeLink(j int) {
 	sum := 0.0
-	for wi, w := range ls.memberRow(j) {
-		for w != 0 {
-			b := bits.TrailingZeros64(w)
-			w &^= 1 << uint(b)
-			sum += ls.ws[wi*64+b].Xmit
-		}
+	for _, i := range ls.members(j) {
+		sum += ls.ws[i].Xmit
 	}
 	ls.xmit[j] = sum
 
@@ -492,32 +598,21 @@ func (ls *LoadState) tentative(l, msg int, add bool) {
 	w := &ls.ws[msg]
 	noSlack := ls.noSlack[msg]
 	row := ls.act.Active[msg]
+	list := ls.members(l)
 	sum := 0.0
 	if add {
-		spliced := false
-		for wi, wv := range ls.memberRow(l) {
-			for wv != 0 {
-				b := bits.TrailingZeros64(wv)
-				wv &^= 1 << uint(b)
-				i := wi*64 + b
-				if !spliced && i > msg {
-					sum += w.Xmit
-					spliced = true
-				}
-				sum += ls.ws[i].Xmit
-			}
+		at := 0
+		for ; at < len(list) && int(list[at]) < msg; at++ {
+			sum += ls.ws[list[at]].Xmit
 		}
-		if !spliced {
-			sum += w.Xmit
+		sum += w.Xmit
+		for _, i := range list[at:] {
+			sum += ls.ws[i].Xmit
 		}
 	} else {
-		for wi, wv := range ls.memberRow(l) {
-			for wv != 0 {
-				b := bits.TrailingZeros64(wv)
-				wv &^= 1 << uint(b)
-				if i := wi*64 + b; i != msg {
-					sum += ls.ws[i].Xmit
-				}
+		for _, i := range list {
+			if int(i) != msg {
+				sum += ls.ws[i].Xmit
 			}
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
 	"schedroute/internal/alloc"
@@ -17,17 +18,47 @@ import (
 // between the incremental state and a full recompute.
 func checkLoadState(t *testing.T, ls *LoadState, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, step string) {
 	t.Helper()
+	if err := loadStateDiff(ls, top, pa, ws, act); err != nil {
+		t.Fatalf("%s: %v", step, err)
+	}
+}
+
+// loadStateDiff is the first difference between the incremental state
+// and pa: its Utilization against ComputeUtilization, bit for bit, and
+// every link's member list against the messages pa routes over it. It
+// also fails a member slab longer than twice the memberships.
+func loadStateDiff(ls *LoadState, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity) error {
 	want := ComputeUtilization(top, pa, ws, act)
 	got := ls.Utilization()
 	if got.Peak != want.Peak || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
-		t.Fatalf("%s: peak (%v, link %v, interval %v) != full recompute (%v, link %v, interval %v)",
-			step, got.Peak, got.PeakLink, got.PeakInterval, want.Peak, want.PeakLink, want.PeakInterval)
+		return fmt.Errorf("peak (%v, link %v, interval %v) != full recompute (%v, link %v, interval %v)",
+			got.Peak, got.PeakLink, got.PeakInterval, want.Peak, want.PeakLink, want.PeakInterval)
 	}
 	for j := range want.LinkU {
 		if got.LinkU[j] != want.LinkU[j] {
-			t.Fatalf("%s: LinkU[%d] = %v, full recompute %v", step, j, got.LinkU[j], want.LinkU[j])
+			return fmt.Errorf("LinkU[%d] = %v, full recompute %v", j, got.LinkU[j], want.LinkU[j])
 		}
 	}
+	members := make([][]int32, top.Links())
+	nmem := 0
+	for i, links := range pa.Links {
+		if ws[i].Local {
+			continue
+		}
+		for _, l := range links {
+			members[l] = append(members[l], int32(i))
+		}
+		nmem += len(links)
+	}
+	for j, want := range members {
+		if got := ls.members(j); !slices.Equal(got, want) {
+			return fmt.Errorf("link %d's members %v, the assignment routes %v over it", j, got, want)
+		}
+	}
+	if ls.nmem != nmem || len(ls.slab) > 2*nmem {
+		return fmt.Errorf("member slab of %d for %d memberships (the state counts %d)", len(ls.slab), nmem, ls.nmem)
+	}
+	return nil
 }
 
 // loadStateFixture derives the DVB workload's windows, activity, LSD
@@ -308,7 +339,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 
 	// The hill-climb's first move: a message crossing the peak link.
 	_, peakLink, peakK := ls.PeakPosition()
-	mi := reroutable(pa, cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
+	mi := reroutable(cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
 	evalAll("first generation", mi) // memo slots now carry generation 1
 
 	// Move every other message, then wrap the generation back to 1:
@@ -334,7 +365,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	// link for one of its own.
 	ls = NewLoadStateCap(top, pa, ws, act, nil)
 	_, peakLink, peakK = ls.PeakPosition()
-	mi = reroutable(pa, cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
+	mi = reroutable(cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
 	away := -1
 	for ci, c := range cands.PathsOf[mi] {
 		if !slices.Contains(c.links, peakLink) {
@@ -373,9 +404,10 @@ search:
 }
 
 // TestAssignPathsCrossCheck holds the incremental LoadState to a full
-// ComputeUtilization after every restart of the hill-climb: for
-// maxOuter = 1…6, an assign on a fresh arena and record leaves the
-// arena's LoadState on the last restart's final assignment. DVB on the
+// ComputeUtilization at the end of every restart of the hill-climb, on
+// one worker and on two and four: for maxOuter = 1…6, every restart's
+// final state must describe that restart's own assignment, member lists
+// included, in a member slab at most twice the memberships. DVB on the
 // 6-cube, and a layered TFG on the 8x8 torus: many messages per link
 // and up to 24 equivalent paths each, the shape the tentative-score
 // memo and the touched-link bookkeeping are built for.
@@ -405,20 +437,38 @@ func TestAssignPathsCrossCheck(t *testing.T) {
 	} {
 		pa, ws, act, cands, _ := routeFixture(t, f.p, nil)
 		lsd := ComputeUtilization(f.p.Topology, pa, ws, act).Peak
-		for maxOuter := 1; maxOuter <= 6; maxOuter++ {
-			var a solveArena
-			var rec assignRecord
-			res, err := rec.assign(context.Background(), &a, pa, cands, f.p.Topology, ws, act, 1, maxOuter, 60, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			step := fmt.Sprintf("%s maxOuter %d", f.name, maxOuter)
-			checkLoadState(t, a.load, f.p.Topology, &rec.current, ws, act, step)
-			if res.Util.Peak > lsd {
-				t.Fatalf("%s: AssignPaths peak %v worse than LSD %v", step, res.Util.Peak, lsd)
-			}
-			if maxOuter == 6 && res.Iterations < 100 {
-				t.Fatalf("%s: only %d evaluations; the fixture no longer exercises the hill-climb", step, res.Iterations)
+		for _, workers := range []int{1, 2, 4} {
+			for maxOuter := 1; maxOuter <= 6; maxOuter++ {
+				step := fmt.Sprintf("%s workers %d maxOuter %d", f.name, workers, maxOuter)
+				var mu sync.Mutex
+				climbed := map[int]bool{}
+				var a solveArena
+				rec := assignRecord{onClimb: func(restart int, ls *LoadState, pa *PathAssignment) {
+					if err := loadStateDiff(ls, f.p.Topology, pa, ws, act); err != nil {
+						t.Errorf("%s restart %d: %v", step, restart, err)
+					}
+					mu.Lock()
+					climbed[restart] = true
+					mu.Unlock()
+				}}
+				res, err := rec.assign(context.Background(), &a, pa, cands, f.p.Topology, ws, act, 1, maxOuter, 60, nil, workers)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if t.Failed() {
+					t.FailNow()
+				}
+				for k := 0; k < maxOuter; k++ {
+					if !climbed[k] {
+						t.Fatalf("%s: restart %d was not climbed", step, k)
+					}
+				}
+				if res.Util.Peak > lsd {
+					t.Fatalf("%s: AssignPaths peak %v worse than LSD %v", step, res.Util.Peak, lsd)
+				}
+				if maxOuter == 6 && res.Iterations < 100 {
+					t.Fatalf("%s: only %d evaluations; the fixture no longer exercises the hill-climb", step, res.Iterations)
+				}
 			}
 		}
 	}
@@ -666,7 +716,7 @@ func peakCacheWalk(t *testing.T, seed int64, f walkFixture, eval evalFunc) peakC
 		mi := multi[rng.Intn(len(multi))]
 		if rng.Intn(2) == 0 {
 			_, pl, pk := ls.PeakPosition()
-			if on := reroutable(pa, cands, bindings[cur].act, ls, assignPosition{pl, pk}, nil); len(on) > 0 {
+			if on := reroutable(cands, bindings[cur].act, ls, assignPosition{pl, pk}, nil); len(on) > 0 {
 				mi = on[rng.Intn(len(on))]
 			}
 		}

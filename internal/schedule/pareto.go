@@ -420,7 +420,7 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 	}
 	solveAt := func(placement int, sp *trace.Span, tauIn, window float64) (*Result, error) {
 		o := opt
-		o.Window, o.Trace = window, sp
+		o.Window, o.Trace, o.Procs = window, sp, 1 // the fan-outs already fill the workers
 		return solvers[placement].Solve(ctx, tauIn, o)
 	}
 

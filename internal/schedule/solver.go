@@ -218,6 +218,12 @@ func (s *Solver) candidates(ws []Window, maxPaths int) (*Candidates, bool, error
 // attempts; a cancelled call returns ctx.Err(). A nil ctx is treated as
 // context.Background().
 func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, error) {
+	return s.solve(ctx, tauIn, o, 0)
+}
+
+// solve is Solve with AssignPaths climbing on climbers workers, or on
+// climbWorkers' choice for o.Procs when climbers is 0.
+func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers int) (*Result, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
@@ -316,6 +322,9 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 	// and every later attempt starts from, and failed[i] is attempt i's
 	// assignment and verdict, taken again by an attempt that lands on the
 	// same assignment.
+	if climbers == 0 && cands != nil {
+		climbers = climbWorkers(cands, opt.Procs)
+	}
 	back := backHalf{arena: arena, top: p.Topology, tauIn: tauIn, opt: &opt, clock: &clock}
 	var rec assignRecord
 	var failed []failedAttempt
@@ -328,7 +337,7 @@ func (s *Solver) Solve(ctx context.Context, tauIn float64, o Options) (*Result, 
 		ap := asp.Start(SpanAssignPaths)
 		pa, peak := lsd, lsdU.Peak
 		if !opt.LSDOnly {
-			ar, err := rec.assign(ctx, arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap)
+			ar, err := rec.assign(ctx, arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap, climbers)
 			if err != nil {
 				return nil, err
 			}

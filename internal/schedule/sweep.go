@@ -60,7 +60,8 @@ func better(a, b *Result) bool {
 // one, and every result lands in its ordered slot: what each visit sees
 // does not depend on the worker count. Every cell gets the same opt
 // (and so the same seed), exactly as a serial loop over Solver.Solve
-// would.
+// would, but for Procs: each cell's solve climbs on one worker, so a
+// sweep never runs more than opt.Procs.
 //
 // spans holds the caller's pre-created span per period (nil spans when
 // untraced). A single solver records its solve directly under the
@@ -96,7 +97,7 @@ func Sweep(ctx context.Context, solvers []*Solver, periods []float64, opt Option
 	return parallel.ForEach(ctx, len(results), parallel.Workers(opt.Procs), func(cell int) error {
 		i, c := cell/k, cell%k
 		o := opt
-		o.Trace = cellSpans[cell]
+		o.Trace, o.Procs = cellSpans[cell], 1 // the cells already fill the workers
 		res, err := solvers[c].Solve(ctx, periods[i], o)
 		if k > 1 {
 			cellSpans[cell].End()

@@ -34,7 +34,8 @@ type batchGroup struct {
 // item is answered from its admitted standing, not a fresh solve — two
 // tenants naming the same problem must not share one result object.
 // Unique groups run in parallel on borrowed idle worker slots, the same
-// discipline as the sweep; the response is encoded in one pass.
+// discipline as the sweep, each solve climbing on one goroutine; the
+// response is encoded in one pass.
 func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedroute.BatchScheduleResult, error) {
 	if err := schedroute.CheckSchemaVersion(req.SchemaVersion); err != nil {
 		return nil, err
@@ -72,7 +73,7 @@ func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedrout
 		// A group is a call of its own (untraced, unlogged) through the
 		// body of a standalone /v1/schedule, on the batch's slot; its
 		// error stays on the group, so siblings keep running.
-		gc := &call{s: s, r: c.r}
+		gc := &call{s: s, r: c.r, procs: 1} // the groups already fill the slots
 		ten, err := gc.tenant(g.req.Tenant, g.req.Problem)
 		if err == nil {
 			g.out, err = s.scheduleOne(gc, ten, g.req)

@@ -44,6 +44,7 @@ type call struct {
 	kind      string        // errkind name of a non-2xx outcome (writeError)
 	cacheHit  bool          // structure found in the solver cache
 	coalesced bool          // solve joined an identical in-flight one
+	procs     int           // Options.Procs of the solve a call starts: 0, or 1 in a batch's fan-out
 }
 
 // endpoint adapts one typed endpoint function to an http.Handler: body
@@ -279,7 +280,7 @@ func (c *call) solve(p schedroute.Problem, o schedroute.Options) (*solved, error
 	if err != nil {
 		return nil, err
 	}
-	opts.CollectStats = true
+	opts.CollectStats, opts.Procs = true, c.procs
 
 	cs := c.root.Start(SpanStructure)
 	ent, tauIn, err := c.structure(p)

@@ -3,6 +3,7 @@ package service
 import (
 	"fmt"
 	"io"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -45,6 +46,7 @@ var (
 	mCoalesced       = row("srschedd_coalesced_requests_total", "counter", "Requests served by joining an identical in-flight solve.")
 	mSolveRuns       = row("srschedd_solve_runs_total", "counter", "Solver executions (after coalescing).")
 	mQueueDepth      = row("srschedd_queue_depth", "gauge", "Requests waiting for a solve worker slot.")
+	mGoroutines      = row("srschedd_goroutines", "gauge", "Goroutines in the process at scrape time, solves' AssignPaths helpers included.")
 	mTenants         = row("srschedd_tenants", "gauge", "Admitted tenants on the daemon's one fabric.")
 	mAdmissions      = row("srschedd_admissions_total", "counter", "Tenant admission attempts by ladder outcome.", "outcome")
 	mTenantEvictions = row("srschedd_tenant_evictions_total", "counter", "Tenants preempted by higher-priority admissions.")
@@ -123,7 +125,11 @@ func (v *vec) keys(s *series) []labelKey {
 // Metrics holds the cells behind metricTable, one vec per row.
 type Metrics struct{ vecs []vec }
 
-func newMetrics() *Metrics { return &Metrics{vecs: make([]vec, len(metricTable))} }
+func newMetrics() *Metrics {
+	m := &Metrics{vecs: make([]vec, len(metricTable))}
+	m.bind(mGoroutines, func() int64 { return int64(runtime.NumGoroutine()) })
+	return m
+}
 
 func (m *Metrics) add(s *series, n int64, labels ...string) { m.vecs[s.id].at(labels).n.Add(n) }
 func (m *Metrics) set(s *series, n int64, labels ...string) { m.vecs[s.id].at(labels).n.Store(n) }

@@ -5,6 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime"
 	"strings"
 	"testing"
 )
@@ -83,7 +84,39 @@ func TestMetricTableNaming(t *testing.T) {
 			t.Errorf("%s: %d labels, a labelKey holds %d", s.name, len(s.labels), len(labelKey{}))
 		}
 	}
-	if len(metricTable) != 25 {
+	if len(metricTable) != 26 {
 		t.Errorf("%d series; adding or retiring one is a documented decision (README Metrics, DESIGN §6)", len(metricTable))
 	}
+}
+
+// TestGoroutinesGauge holds srschedd_goroutines to runtime.NumGoroutine
+// at scrape time: eight parked goroutines show up in it, in the value
+// and in the exposition, and it falls back once they exit.
+func TestGoroutinesGauge(t *testing.T) {
+	m := newMetrics()
+	base := runtime.NumGoroutine()
+	release := make(chan struct{})
+	done := make(chan struct{}, 8)
+	for range 8 {
+		go func() {
+			<-release
+			done <- struct{}{}
+		}()
+	}
+	if got := m.value("srschedd_goroutines"); got < int64(base+8) {
+		t.Fatalf("gauge %d with 8 goroutines parked over a baseline of %d", got, base)
+	}
+	var b bytes.Buffer
+	m.WriteText(&b)
+	var scraped int
+	if _, v, ok := strings.Cut(b.String(), "\nsrschedd_goroutines "); !ok {
+		t.Fatal("exposition has no srschedd_goroutines sample")
+	} else if _, err := fmt.Sscan(v, &scraped); err != nil || scraped < base+8 {
+		t.Fatalf("scraped srschedd_goroutines %d (%v) with 8 goroutines parked over a baseline of %d", scraped, err, base)
+	}
+	close(release)
+	for range 8 {
+		<-done
+	}
+	waitFor(t, "the gauge to fall back", func() bool { return m.value("srschedd_goroutines") <= int64(base) })
 }

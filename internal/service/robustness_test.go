@@ -240,6 +240,14 @@ func TestEndpointRobustness(t *testing.T) {
 	climb := slow
 	climb.TauIn = 200
 	limits := schedroute.Options{Seed: 1, MaxOuter: schedroute.MaxOuterLimit, MaxInner: schedroute.MaxInnerLimit, Retries: schedroute.RetriesLimit}
+	// So is a climb on helper goroutines: compile_large's torus problem
+	// has 1 101 multi-path messages, enough for its restarts to run on
+	// every core, and at a sync margin of 40 the utilization check
+	// rejects each of its 33 attempts, which makes seconds of AssignPaths
+	// whatever the core count. The helpers must stop with the request.
+	torus := schedroute.Problem{TFG: "layered:7,32,64*6,32,0.03", Topology: "torus:32,32", Bandwidth: 2048, TauIn: 200}
+	torusLimits := limits
+	torusLimits.SyncMargin = 40
 	for _, ep := range []struct {
 		name, path string
 		body       any
@@ -252,6 +260,7 @@ func TestEndpointRobustness(t *testing.T) {
 			Axes: schedroute.ExploreAxes{TauIn: &schedroute.TauInAxis{Min: 65, Max: 65, Points: 1}}}},
 		{"watch/cancelled mid-LP", "/v1/watch", schedroute.WatchRequest{Problem: slow, Options: seed}},
 		{"schedule/cancelled mid-AssignPaths", "/v1/schedule", schedroute.ScheduleRequest{Problem: climb, Options: limits}},
+		{"schedule/cancelled mid-concurrent-AssignPaths", "/v1/schedule", schedroute.ScheduleRequest{Problem: torus, Options: torusLimits}},
 	} {
 		t.Run(ep.name, func(t *testing.T) {
 			raw, err := json.Marshal(ep.body)
