@@ -47,12 +47,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
+	"sort"
 
 	"schedroute/internal/cliutil"
 	"schedroute/internal/cpsim"
 	"schedroute/internal/experiments"
-	"schedroute/internal/faults"
 	"schedroute/internal/gantt"
 	"schedroute/internal/schedule"
 	"schedroute/internal/tfg"
@@ -90,6 +91,10 @@ func main() {
 	flag.Parse()
 	if *best < 0 || *procs < 0 {
 		fmt.Fprintf(os.Stderr, "srsched: -best and -procs must be >= 0, got -best %d -procs %d\n", *best, *procs)
+		os.Exit(cliutil.ExitUsage)
+	}
+	if *watchEvents < 0 {
+		fmt.Fprintf(os.Stderr, "srsched: -watch-events must be >= 0, got %d\n", *watchEvents)
 		os.Exit(cliutil.ExitUsage)
 	}
 
@@ -350,24 +355,18 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 	}
 
 	// The event script: the single -fail-link/-fail-node fault struck and
-	// then repaired, or a seeded random link-fault scenario replayed delta
-	// by delta — the one case that needs the machine built on this side.
+	// then repaired, or a seeded random link-fault scenario — the one
+	// case that needs the machine built on this side.
 	var evs []schedroute.WatchEvent
 	if spec := pf.FaultSpec(); nEvents > 0 {
 		b, err := schedroute.NewProblem(prob)
 		if err != nil {
 			cliutil.Fatal("srsched", err)
 		}
-		tr := faults.RandomTrace(b.Topology, pf.Seed, faults.RandomOptions{Events: nEvents, RepairFraction: 0.5})
-		deltas, err := tr.Deltas(2 * 8)
-		if err != nil {
-			cliutil.Fatal("srsched", err)
+		if nEvents > b.Topology.Links() {
+			cliutil.Fatal("srsched", fmt.Errorf("-watch-events %d exceeds the machine's %d links", nEvents, b.Topology.Links()))
 		}
-		fs := topology.NewFaultSet(b.Topology.Links(), b.Topology.Nodes())
-		for _, d := range deltas {
-			evs = appendChange(evs, b.Topology, fs, schedroute.WatchEventFault, d.Fail)
-			evs = appendChange(evs, b.Topology, fs, schedroute.WatchEventRepaired, d.Repair)
-		}
+		evs = randomWatchScript(b.Topology, pf.Seed, nEvents)
 	} else if spec.Empty() {
 		cliutil.Fatal("srsched", fmt.Errorf("-watch needs -fail-link, -fail-node, or -watch-events"))
 	} else {
@@ -423,31 +422,59 @@ func runWatch(baseURL string, pf *cliutil.ProblemFlags, nEvents int, tenant *sch
 	os.Exit(status)
 }
 
-// appendChange appends the watch event of the given type for those of
-// a delta's elements whose state it changes — the watch rejects failing
-// an already-failed element, and a random trace may revisit one —
-// tracking the cumulative state in fs.
-func appendChange(evs []schedroute.WatchEvent, top *topology.Topology, fs *topology.FaultSet, typ string, elems []faults.Event) []schedroute.WatchEvent {
-	failed := typ == schedroute.WatchEventFault
-	setLink, setNode := fs.RepairLink, fs.RepairNode
-	if failed {
-		setLink, setNode = fs.FailLink, fs.FailNode
+// randomWatchScript returns the watch events of a seeded random
+// scenario of n link faults. Each fault strikes a distinct link at an
+// invocation in [0, 8) and, with probability 1/2, is repaired 1 to 4
+// invocations later. Invocation by invocation, the script sends one
+// fault event for the links failing there, then one fault-repaired
+// event for the links coming back; a link appears in each at most once,
+// so every event changes the fault state. The caller keeps n at or
+// below the link count.
+func randomWatchScript(top *topology.Topology, seed int64, n int) []schedroute.WatchEvent {
+	const horizon = 8
+	type fault struct {
+		link           string // "u-v"
+		at, repairedAt int    // repairedAt < 0: permanent
 	}
-	ev := schedroute.WatchEvent{Type: typ}
-	for _, e := range elems {
-		if e.IsNode && fs.NodeFailed(e.Node) != failed {
-			setNode(e.Node)
-			ev.Nodes = append(ev.Nodes, int(e.Node))
-		} else if !e.IsNode && fs.LinkFailed(e.Link) != failed {
-			setLink(e.Link)
-			lk := top.Link(e.Link)
-			ev.Links = append(ev.Links, fmt.Sprintf("%d-%d", lk.A, lk.B))
+	rng := rand.New(rand.NewSource(seed))
+	used := map[topology.LinkID]bool{}
+	var faults []fault
+	for len(faults) < n {
+		at := rng.Intn(horizon)
+		rng.Float64() // node or link: always a link, but the draw stays so each seed keeps its script
+		l := topology.LinkID(rng.Intn(top.Links()))
+		if used[l] {
+			continue
+		}
+		used[l] = true
+		lk := top.Link(l)
+		f := fault{link: fmt.Sprintf("%d-%d", lk.A, lk.B), at: at, repairedAt: -1}
+		if rng.Float64() < 0.5 {
+			f.repairedAt = at + 1 + rng.Intn(horizon/2)
+		}
+		faults = append(faults, f)
+	}
+	sort.SliceStable(faults, func(a, b int) bool { return faults[a].at < faults[b].at })
+
+	var evs []schedroute.WatchEvent
+	for inv := 0; inv < horizon+horizon/2; inv++ {
+		fail := schedroute.WatchEvent{Type: schedroute.WatchEventFault}
+		repair := schedroute.WatchEvent{Type: schedroute.WatchEventRepaired}
+		for _, f := range faults {
+			if f.at == inv {
+				fail.Links = append(fail.Links, f.link)
+			}
+			if f.repairedAt == inv {
+				repair.Links = append(repair.Links, f.link)
+			}
+		}
+		for _, ev := range []schedroute.WatchEvent{fail, repair} {
+			if len(ev.Links) > 0 {
+				evs = append(evs, ev)
+			}
 		}
 	}
-	if len(ev.Links)+len(ev.Nodes) == 0 {
-		return evs
-	}
-	return append(evs, ev)
+	return evs
 }
 
 // printFrame renders one stream frame the way the local repair path

@@ -29,7 +29,9 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"runtime/debug"
+	"slices"
 	"strings"
 	"sync"
 	"syscall"
@@ -311,8 +313,8 @@ func TestDrainClosesAttachedStream(t *testing.T) {
 
 // TestUsageErrorsExit2: what a script branches on before anything runs.
 // The warm-start and fleet flags stay retired, the profiler may not share
-// the API port, srsched's modes exclude each other, and its -best and
-// -procs counts are never negative.
+// the API port, srsched's modes exclude each other, and its -best,
+// -procs and -watch-events counts are never negative.
 func TestUsageErrorsExit2(t *testing.T) {
 	t.Parallel()
 	for _, c := range []struct {
@@ -326,6 +328,7 @@ func TestUsageErrorsExit2(t *testing.T) {
 		{"srsched", []string{"-explore", "-best", "3"}, "conflicting modes"},
 		{"srsched", []string{"-best", "-1"}, "-best and -procs must be >= 0"},
 		{"srsched", []string{"-procs", "-1"}, "-best and -procs must be >= 0"},
+		{"srsched", []string{"-watch-events", "-3", "-fail-link", "0-1"}, "-watch-events must be >= 0"},
 	} {
 		_, stderr, status := tool(t, c.tool, c.args...)
 		if status != 2 || !strings.Contains(stderr, c.want) {
@@ -389,7 +392,9 @@ func TestTraceThroughTheTools(t *testing.T) {
 
 // TestWatchCLI: srsched -watch strikes and repairs one link over a live
 // subscription — create, two events, delete — and prints the incremental
-// repair, then the unaffected frame after it.
+// repair, then the unaffected frame after it; -watch-events replays a
+// seeded random scenario, the same fault states for the same seed, and
+// refuses more faults than the machine has links.
 func TestWatchCLI(t *testing.T) {
 	t.Parallel()
 	d := boot(t)
@@ -397,6 +402,23 @@ func TestWatchCLI(t *testing.T) {
 	struck := strings.Index(stdout, "incremental")
 	if status != 0 || struck < 0 || !strings.Contains(stdout[struck:], "unaffected") {
 		t.Errorf("srsched -watch: exit %d, want incremental then unaffected:\n%s%s", status, stdout, stderr)
+	}
+
+	// A seeded random scenario: seed 2's four link faults, two of them
+	// repaired, stream back as five fault states in this order.
+	stdout, stderr, status = srsched(t, "-tauin", "150", "-watch-events", "4", "-seed", "2", "-watch", d.url)
+	var states []string
+	for _, m := range regexp.MustCompile(`(?m)^frame \d+ \[(.*)\]`).FindAllStringSubmatch(stdout, -1) {
+		states = append(states, m[1])
+	}
+	want := []string{"faults{links:156}", "faults{links:0,156}", "faults{links:0}", "faults{links:0,129,132}", "faults{links:0}"}
+	if status != 0 || !slices.Equal(states, want) {
+		t.Errorf("srsched -watch -watch-events 4 -seed 2: exit %d, states %q, want 0 and %q:\n%s%s", status, states, want, stdout, stderr)
+	}
+	// More faults than the 6-cube has links: refused before subscribing.
+	stdout, stderr, status = srsched(t, "-tauin", "150", "-watch-events", "193", "-watch", d.url)
+	if status != 1 || !strings.Contains(stderr, "exceeds the machine's 192 links") {
+		t.Errorf("srsched -watch -watch-events 193: exit %d, want 1 and the link count on stderr:\n%s%s", status, stdout, stderr)
 	}
 	d.drain()
 }

@@ -17,11 +17,14 @@ type AnnealOptions struct {
 	Seed int64
 	// Steps is the number of proposed moves (default 20000).
 	Steps int
-	// StartTemp and EndTemp bound the geometric cooling schedule
-	// (defaults 1.0 and 0.001, in units of normalized cost).
-	StartTemp float64
-	EndTemp   float64
 }
+
+// startTemp and endTemp bound the geometric cooling schedule, in units
+// of normalized cost.
+const (
+	startTemp = 1.0
+	endTemp   = 0.001
+)
 
 // Anneal searches placements by simulated annealing, minimizing a
 // contention proxy for scheduled routing: the sum of squared per-link
@@ -52,15 +55,6 @@ func anneal(ctx context.Context, g *tfg.Graph, top *topology.Topology, opt Annea
 	if opt.Steps < 1 {
 		return nil, nil, fmt.Errorf("alloc: non-positive step count %d", opt.Steps)
 	}
-	if opt.StartTemp == 0 {
-		opt.StartTemp = 1.0
-	}
-	if opt.EndTemp == 0 {
-		opt.EndTemp = 0.001
-	}
-	if opt.StartTemp < opt.EndTemp || opt.EndTemp <= 0 {
-		return nil, nil, fmt.Errorf("alloc: bad temperature range [%g, %g]", opt.EndTemp, opt.StartTemp)
-	}
 	rng := rand.New(rand.NewSource(opt.Seed))
 
 	cur, err := Random(g, top, opt.Seed)
@@ -80,8 +74,8 @@ func anneal(ctx context.Context, g *tfg.Graph, top *topology.Topology, opt Annea
 	}
 	best := &Assignment{NodeOf: append([]topology.NodeID(nil), cur.NodeOf...)}
 	bestCost := curCost
-	cooling := math.Pow(opt.EndTemp/opt.StartTemp, 1/float64(opt.Steps))
-	temp := opt.StartTemp
+	cooling := math.Pow(endTemp/startTemp, 1/float64(opt.Steps))
+	temp := startTemp
 
 	for step := 0; step < opt.Steps; step++ {
 		if step%1024 == 0 {

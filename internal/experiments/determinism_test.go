@@ -126,7 +126,7 @@ func TestPerfSweepTracedParallelMatchesSerial(t *testing.T) {
 
 func TestSurvivabilitySweepTracedParallelMatchesSerial(t *testing.T) {
 	key := determinismConfigs[0]
-	run := func(procs int) (*SurvivabilitySeries, []string) {
+	run := func(procs int) (*SurvivabilitySeries, *trace.Tree) {
 		cfg := determinismConfig(t, key, procs)
 		cfg.MaxFaults = 4
 		root := trace.Start("test")
@@ -136,15 +136,33 @@ func TestSurvivabilitySweepTracedParallelMatchesSerial(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		return s, root.Tree().Names()
+		return s, root.Tree()
 	}
-	serial, serialNames := run(1)
-	par, parNames := run(4)
+	serial, serialTree := run(1)
+	par, parTree := run(4)
 	if !reflect.DeepEqual(serial, par) {
 		t.Errorf("%s: traced parallel survivability sweep diverged from serial run", key)
 	}
-	if !reflect.DeepEqual(serialNames, parNames) {
+	if !reflect.DeepEqual(serialTree.Names(), parTree.Names()) {
 		t.Errorf("%s: traced span structure depends on worker count", key)
+	}
+
+	// Each feasible point's fault spans name the first MaxFaults links,
+	// in link order.
+	want := []string{"link0(0-1)", "link1(0-2)", "link2(0-4)", "link3(0-8)"}
+	var got []string
+	serialTree.Walk(func(_ int, n *trace.Tree) {
+		if n.Name == SpanFault {
+			got = append(got, n.Attrs[0].Str)
+		}
+	})
+	if len(got) == 0 || len(got)%len(want) != 0 {
+		t.Fatalf("%s: %d fault spans, want a positive multiple of %d", key, len(got), len(want))
+	}
+	for i, name := range got {
+		if name != want[i%len(want)] {
+			t.Errorf("%s: fault span %d names %q, want %q", key, i, name, want[i%len(want)])
+		}
 	}
 }
 

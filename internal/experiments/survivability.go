@@ -7,9 +7,9 @@ import (
 	"math"
 
 	"schedroute/internal/cpsim"
-	"schedroute/internal/faults"
 	"schedroute/internal/parallel"
 	"schedroute/internal/schedule"
+	"schedroute/internal/topology"
 	"schedroute/internal/trace"
 )
 
@@ -124,10 +124,15 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 		return nil, err
 	}
 
-	// Single-link fault scenarios, one per link in link order.
-	scenarios := faults.SingleLink(cfg.Topology, 1)
+	// Single-link faults, one per link in link order, each named for
+	// its fault span and errors.
+	scenarios := make([]string, cfg.Topology.Links())
 	if cfg.MaxFaults > 0 && cfg.MaxFaults < len(scenarios) {
 		scenarios = scenarios[:cfg.MaxFaults]
+	}
+	for l := range scenarios {
+		lk := cfg.Topology.Link(topology.LinkID(l))
+		scenarios[l] = fmt.Sprintf("link%d(%d-%d)", l, lk.A, lk.B)
 	}
 
 	// Stage 2: the repair fan-out over every (feasible point, fault)
@@ -144,20 +149,21 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 				// Fault spans are pre-created here, serially in job order
 				// under their point span, like the point spans themselves.
 				jobSpans = append(jobSpans, spans[pi].Start(SpanFault,
-					trace.String("fault", scenarios[si].Name)))
+					trace.String("fault", scenarios[si])))
 			}
 		}
 	}
 	err = parallel.ForEach(ctx, len(jobs), parallel.Workers(cfg.Procs), func(j int) error {
 		pi, si := jobs[j].pi, jobs[j].si
 		defer jobSpans[j].End()
-		fs := scenarios[si].ActiveAt(cfg.Topology, 1)
+		fs := topology.NewFaultSet(cfg.Topology.Links(), cfg.Topology.Nodes())
+		fs.FailLink(topology.LinkID(si))
 		ro := opts
 		ro.Trace = jobSpans[j]
 		rep, err := schedule.Repair(ctx, sw.problem(pts[pi].TauIn, sw.as), ro, base[pi], fs)
 		if err != nil {
 			return fmt.Errorf("experiments: %s load %.4f fault %s: %w",
-				cfg.Name, pts[pi].Load, scenarios[si].Name, err)
+				cfg.Name, pts[pi].Load, scenarios[si], err)
 		}
 		out := faultOutcome{
 			outcome: rep.Outcome,
@@ -176,7 +182,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 			})
 			if err != nil {
 				return fmt.Errorf("experiments: %s load %.4f fault %s: cpsim: %w",
-					cfg.Name, pts[pi].Load, scenarios[si].Name, err)
+					cfg.Name, pts[pi].Load, scenarios[si], err)
 			}
 			out.violations = len(sim.RepairViolations)
 			out.verified = out.violations == 0

@@ -10,7 +10,6 @@ import (
 
 	"schedroute/internal/alloc"
 	"schedroute/internal/errkind"
-	"schedroute/internal/faults"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
@@ -121,9 +120,8 @@ func TestTenantFirstAdmissionSoloIdentical(t *testing.T) {
 // TestTenantAdmissionInvariantUnderFaults is the admission invariant
 // end to end: tenant A keeps a byte-identical Ω after tenant B is
 // admitted and after tenant C is rejected; at a single-link fault on
-// B's paths (the fault chosen via a seeded internal/faults scenario)
-// A's what-if repair matches a solo-admitted A's at the same fault
-// state, and neither what-if moves anyone's standing.
+// B's path, A's what-if repair matches a solo-admitted A's at the same
+// fault state, and neither what-if moves anyone's standing.
 func TestTenantAdmissionInvariantUnderFaults(t *testing.T) {
 	top := threeCube(t)
 	ctx := context.Background()
@@ -164,21 +162,12 @@ func TestTenantAdmissionInvariantUnderFaults(t *testing.T) {
 		t.Fatalf("set should hold A and B, has %d tenants", got)
 	}
 
-	// Seeded single-link scenario striking B's path.
+	// A single-link fault striking B's path.
 	bLinks := ts.Lookup("B").Base.Assignment.Links[0]
 	if len(bLinks) == 0 {
 		t.Fatal("B's message has no links")
 	}
-	var failed topology.LinkID = -1
-	for _, tr := range faults.SingleLink(top, 1) {
-		if ev := tr.Events[0]; !ev.IsNode && ev.Link == bLinks[0] {
-			failed = ev.Link
-			break
-		}
-	}
-	if failed < 0 {
-		t.Fatalf("no single-link scenario covers B's link %d", bLinks[0])
-	}
+	failed := bLinks[0]
 	fs := topology.NewFaultSet(top.Links(), top.Nodes())
 	fs.FailLink(failed)
 	repair := func(ts *TenantSet, id string) *RepairReport {

@@ -16,7 +16,6 @@ import (
 	"testing"
 	"time"
 
-	"schedroute/internal/faults"
 	"schedroute/internal/topology"
 	"schedroute/pkg/schedroute"
 )
@@ -170,12 +169,15 @@ func TestWatchChaosReplayMatchesRepair(t *testing.T) {
 	}
 	top := built.Topology
 
-	// A seeded link-only transient scenario from the faults generator,
-	// replayed delta by delta.
-	tr := faults.RandomTrace(top, 11, faults.RandomOptions{Events: 4, Horizon: 8, RepairFraction: 0.6})
-	deltas, err := tr.Deltas(16)
-	if err != nil {
-		t.Fatal(err)
+	// A seeded link-only scenario, one link per event: two transient
+	// faults, then two permanent ones.
+	script := []struct{ typ, link string }{
+		{schedroute.WatchEventFault, "12-14"},
+		{schedroute.WatchEventFault, "4-20"},
+		{schedroute.WatchEventRepaired, "12-14"},
+		{schedroute.WatchEventRepaired, "4-20"},
+		{schedroute.WatchEventFault, "29-31"},
+		{schedroute.WatchEventFault, "56-60"},
 	}
 
 	wc := &schedroute.WatchClient{BaseURL: ts.URL, Backoff: 10 * time.Millisecond, MaxRetries: 8, Seed: 1}
@@ -207,142 +209,79 @@ func TestWatchChaosReplayMatchesRepair(t *testing.T) {
 	}
 
 	fs := topology.NewFaultSet(top.Links(), top.Nodes())
-	states := 0
-	killed := false
-	for _, d := range deltas {
-		// One fault event per delta for the new failures, one
-		// fault-repaired event for the recoveries — skipping elements
-		// whose state would not change (RandomTrace may revisit a link).
-		type step struct {
-			typ   string
-			links []topology.LinkID
-			nodes []topology.NodeID
-		}
-		var steps []step
-		var fl []topology.LinkID
-		var fn []topology.NodeID
-		for _, e := range d.Fail {
-			if e.IsNode && !fs.NodeFailed(e.Node) {
-				fn = append(fn, e.Node)
-			} else if !e.IsNode && !fs.LinkFailed(e.Link) {
-				fl = append(fl, e.Link)
-			}
-		}
-		if len(fl)+len(fn) > 0 {
-			steps = append(steps, step{typ: schedroute.WatchEventFault, links: fl, nodes: fn})
-		}
-		var rl []topology.LinkID
-		var rn []topology.NodeID
-		for _, e := range d.Repair {
-			if e.IsNode && fs.NodeFailed(e.Node) {
-				rn = append(rn, e.Node)
-			} else if !e.IsNode && fs.LinkFailed(e.Link) {
-				rl = append(rl, e.Link)
-			}
-		}
-		if len(rl)+len(rn) > 0 {
-			steps = append(steps, step{typ: schedroute.WatchEventRepaired, links: rl, nodes: rn})
-		}
-
-		for _, stp := range steps {
-			ev := schedroute.WatchEvent{Type: stp.typ}
-			for _, l := range stp.links {
-				ev.Links = append(ev.Links, linkSpec(top, l))
-			}
-			for _, n := range stp.nodes {
-				ev.Nodes = append(ev.Nodes, int(n))
-			}
-			ack, err := wc.Send(ctx, st.ID, ev)
-			if err != nil {
-				t.Fatalf("send %v: %v", ev, err)
-			}
-			// Mirror the event into the test's own fault model.
-			for _, l := range stp.links {
-				if stp.typ == schedroute.WatchEventFault {
-					fs.FailLink(l)
-				} else {
-					fs.RepairLink(l)
-				}
-			}
-			for _, n := range stp.nodes {
-				if stp.typ == schedroute.WatchEventFault {
-					fs.FailNode(n)
-				} else {
-					fs.RepairNode(n)
-				}
-			}
-
-			f := await(ack.EventSeq)
-			if f.State != fs.String() {
-				t.Fatalf("event %d: frame state %q, want %q", ack.EventSeq, f.State, fs.String())
-			}
-
-			// The cold path: /v1/repair at the same cumulative state.
-			spec := schedroute.FaultSpec{}
-			for _, l := range fs.FailedLinks() {
-				spec.Links = append(spec.Links, linkSpec(top, l))
-			}
-			for _, n := range fs.FailedNodes() {
-				spec.Nodes = append(spec.Nodes, int(n))
-			}
-
-			if fs.Empty() {
-				// /v1/repair rejects empty fault sets; the stream instead
-				// reports the base schedule as unaffected.
-				if f.Type != schedroute.WatchFrameSchedule || f.Repair == nil || f.Repair.Outcome != "unaffected" {
-					t.Fatalf("empty state frame = %+v, want unaffected schedule", f)
-				}
-				states++
-				continue
-			}
-
-			code, body := postJSON(t, ts, "/v1/repair", schedroute.RepairRequest{
-				Problem: p, Fault: spec, IncludeOmega: true,
-			})
-			switch f.Type {
-			case schedroute.WatchFrameSchedule:
-				if code != http.StatusOK {
-					t.Fatalf("state %s: frame repaired but /v1/repair says %d: %s", fs, code, body)
-				}
-				var cold schedroute.RepairResult
-				if err := json.Unmarshal(body, &cold); err != nil {
-					t.Fatal(err)
-				}
-				if !bytes.Equal(repairWire(t, f.Repair), repairWire(t, &cold)) {
-					t.Fatalf("state %s: watch frame diverges from /v1/repair:\n%s\nvs\n%s",
-						fs, repairWire(t, f.Repair), repairWire(t, &cold))
-				}
-			case schedroute.WatchFrameError:
-				if code != http.StatusUnprocessableEntity {
-					t.Fatalf("state %s: frame infeasible but /v1/repair says %d: %s", fs, code, body)
-				}
-				var er schedroute.ErrorResponse
-				if err := json.Unmarshal(body, &er); err != nil {
-					t.Fatal(err)
-				}
-				if er.Repair == nil || f.Repair == nil ||
-					!bytes.Equal(repairWire(t, f.Repair), repairWire(t, er.Repair)) {
-					t.Fatalf("state %s: infeasible reports diverge", fs)
-				}
-			default:
-				t.Fatalf("state %s: unexpected frame type %q", fs, f.Type)
-			}
-			states++
-		}
-
-		// Mid-scenario: kill every client transport once. The WatchClient
-		// must reconnect with Last-Event-ID and the stream must carry on
-		// with no lost or duplicated frames.
-		if !killed && states >= 1 {
-			killed = true
+	for i, step := range script {
+		// After the first event's frame: kill every client transport
+		// once. The WatchClient must reconnect with Last-Event-ID and the
+		// stream must carry on with no lost or duplicated frames.
+		if i == 1 {
 			ts.CloseClientConnections()
 		}
-	}
-	if states < 3 {
-		t.Fatalf("scenario exercised only %d fault states", states)
-	}
-	if !killed {
-		t.Fatal("disconnect injection never ran")
+		l, err := top.ParseLinkSpec(step.link)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ack, err := wc.Send(ctx, st.ID, schedroute.WatchEvent{Type: step.typ, Links: []string{step.link}})
+		if err != nil {
+			t.Fatalf("send %s %s: %v", step.typ, step.link, err)
+		}
+		// Mirror the event into the test's own fault model.
+		if step.typ == schedroute.WatchEventFault {
+			fs.FailLink(l)
+		} else {
+			fs.RepairLink(l)
+		}
+
+		f := await(ack.EventSeq)
+		if f.State != fs.String() {
+			t.Fatalf("event %d: frame state %q, want %q", ack.EventSeq, f.State, fs.String())
+		}
+
+		// The cold path: /v1/repair at the same cumulative state.
+		spec := schedroute.FaultSpec{}
+		for _, l := range fs.FailedLinks() {
+			spec.Links = append(spec.Links, linkSpec(top, l))
+		}
+
+		if fs.Empty() {
+			// /v1/repair rejects empty fault sets; the stream instead
+			// reports the base schedule as unaffected.
+			if f.Type != schedroute.WatchFrameSchedule || f.Repair == nil || f.Repair.Outcome != "unaffected" {
+				t.Fatalf("empty state frame = %+v, want unaffected schedule", f)
+			}
+			continue
+		}
+
+		code, body := postJSON(t, ts, "/v1/repair", schedroute.RepairRequest{
+			Problem: p, Fault: spec, IncludeOmega: true,
+		})
+		switch f.Type {
+		case schedroute.WatchFrameSchedule:
+			if code != http.StatusOK {
+				t.Fatalf("state %s: frame repaired but /v1/repair says %d: %s", fs, code, body)
+			}
+			var cold schedroute.RepairResult
+			if err := json.Unmarshal(body, &cold); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(repairWire(t, f.Repair), repairWire(t, &cold)) {
+				t.Fatalf("state %s: watch frame diverges from /v1/repair:\n%s\nvs\n%s",
+					fs, repairWire(t, f.Repair), repairWire(t, &cold))
+			}
+		case schedroute.WatchFrameError:
+			if code != http.StatusUnprocessableEntity {
+				t.Fatalf("state %s: frame infeasible but /v1/repair says %d: %s", fs, code, body)
+			}
+			var er schedroute.ErrorResponse
+			if err := json.Unmarshal(body, &er); err != nil {
+				t.Fatal(err)
+			}
+			if er.Repair == nil || f.Repair == nil ||
+				!bytes.Equal(repairWire(t, f.Repair), repairWire(t, er.Repair)) {
+				t.Fatalf("state %s: infeasible reports diverge", fs)
+			}
+		default:
+			t.Fatalf("state %s: unexpected frame type %q", fs, f.Type)
+		}
 	}
 
 	// Single-link fault states must have been absorbed by the repair
