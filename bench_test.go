@@ -834,6 +834,33 @@ func BenchmarkSolveAlternatingShapes(b *testing.B) {
 	}
 }
 
+// BenchmarkStructureMiss is the structure-derivation layer alone: what
+// a solver-cache miss of the repository benchmark's svc_churn workload
+// costs without HTTP. One op is NewProblem, NewSolver and the first
+// Solve of one of the 12 random placements (alloc_seed 1..12, each at
+// its own load point) of dvb:4 on torus:8,8 at B=128, in turn, under
+// the workload's (default) options. Placements after the first find
+// their machine already interned, as the daemon's do.
+func BenchmarkStructureMiss(b *testing.B) {
+	ctx := context.Background()
+	opts, err := api.Options{}.ToSchedule()
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		seed := int64(i%12 + 1)
+		built, err := api.NewProblem(api.Problem{TFG: "dvb:4", Topology: "torus:8,8", Bandwidth: 128,
+			Allocator: "random", AllocSeed: seed, TauIn: 50 + 200*float64(seed-1)/11})
+		if err != nil {
+			b.Fatal(err)
+		}
+		if _, err := schedule.NewSolver(built.ScheduleProblem()).Solve(ctx, built.TauIn, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // BenchmarkAllocationLPGHC448 is Section 5.2 interval allocation alone,
 // maximal subsets then one LP per subset, on the heaviest entry of the
 // repository benchmark's compile_lp pool, ghc448-s3-d0.05-b128-t65:

@@ -9,6 +9,7 @@ package alloc
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -31,15 +32,23 @@ func (a *Assignment) Validate(g *tfg.Graph, top *topology.Topology, exclusive bo
 	if len(a.NodeOf) != g.NumTasks() {
 		return fmt.Errorf("alloc: assignment covers %d tasks, graph has %d", len(a.NodeOf), g.NumTasks())
 	}
-	used := make(map[topology.NodeID]tfg.TaskID)
+	var used []uint64 // a bit per node, under exclusive placement
+	if exclusive {
+		used = make([]uint64, (top.Nodes()+63)/64)
+	}
 	for t, n := range a.NodeOf {
 		if n < 0 || int(n) >= top.Nodes() {
 			return fmt.Errorf("alloc: task %d assigned to node %d outside topology of %d nodes", t, n, top.Nodes())
 		}
-		if prev, ok := used[n]; ok && exclusive {
-			return fmt.Errorf("alloc: tasks %d and %d share node %d under exclusive placement", prev, t, n)
+		if !exclusive {
+			continue
 		}
-		used[n] = tfg.TaskID(t)
+		if w, bit := n/64, uint64(1)<<(n%64); used[w]&bit == 0 {
+			used[w] |= bit
+			continue
+		}
+		prev := slices.Index(a.NodeOf, n) // the one earlier task on n
+		return fmt.Errorf("alloc: tasks %d and %d share node %d under exclusive placement", prev, t, n)
 	}
 	return nil
 }

@@ -1,6 +1,7 @@
 package alloc
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -117,6 +118,54 @@ func TestValidateCatchesSharing(t *testing.T) {
 	}
 	if err := a.Validate(g, top, false); err != nil {
 		t.Errorf("non-exclusive validation should pass: %v", err)
+	}
+}
+
+// TestValidateFirstError pins Validate's messages and which error a
+// placement with several faults reports: the first task, in task order,
+// that is out of range or lands on an occupied node, and for sharing
+// the one earlier task on that node.
+func TestValidateFirstError(t *testing.T) {
+	g, top := fixtures(t) // 23 tasks on 64 nodes
+	placed := func(moves map[int]topology.NodeID) *Assignment {
+		a := &Assignment{NodeOf: make([]topology.NodeID, g.NumTasks())}
+		for i := range a.NodeOf {
+			a.NodeOf[i] = topology.NodeID(30 + i)
+		}
+		for i, n := range moves {
+			a.NodeOf[i] = n
+		}
+		return a
+	}
+	for _, tc := range []struct {
+		name      string
+		a         *Assignment
+		exclusive bool
+		want      string
+	}{
+		{"distinct", placed(nil), true, ""},
+		{"shared", placed(map[int]topology.NodeID{7: 33}), true,
+			"alloc: tasks 3 and 7 share node 33 under exclusive placement"},
+		{"shared thrice", placed(map[int]topology.NodeID{7: 33, 12: 33}), true,
+			"alloc: tasks 3 and 7 share node 33 under exclusive placement"},
+		{"shared, not exclusive", placed(map[int]topology.NodeID{7: 33, 12: 33}), false, ""},
+		{"moved onto a later task's node", placed(map[int]topology.NodeID{2: 40}), true,
+			"alloc: tasks 2 and 10 share node 40 under exclusive placement"},
+		{"past the last node", placed(map[int]topology.NodeID{5: 64}), false,
+			"alloc: task 5 assigned to node 64 outside topology of 64 nodes"},
+		{"negative", placed(map[int]topology.NodeID{0: -1}), true,
+			"alloc: task 0 assigned to node -1 outside topology of 64 nodes"},
+		{"shared before out of range", placed(map[int]topology.NodeID{4: 31, 9: 99}), true,
+			"alloc: tasks 1 and 4 share node 31 under exclusive placement"},
+		{"out of range before shared", placed(map[int]topology.NodeID{4: 99, 9: 31}), true,
+			"alloc: task 4 assigned to node 99 outside topology of 64 nodes"},
+		{"short", &Assignment{NodeOf: make([]topology.NodeID, 2)}, true,
+			"alloc: assignment covers 2 tasks, graph has 23"},
+	} {
+		err := tc.a.Validate(g, top, tc.exclusive)
+		if got := fmt.Sprint(err); (tc.want == "" && err != nil) || (tc.want != "" && got != tc.want) {
+			t.Errorf("%s: Validate = %v, want %q", tc.name, err, tc.want)
+		}
 	}
 }
 

@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"schedroute/internal/schedule"
+	"schedroute/pkg/schedroute"
 )
 
 // series is one row of the /metrics table: everything the exposition,
@@ -47,6 +48,8 @@ var (
 	mSolveRuns       = row("srschedd_solve_runs_total", "counter", "Solver executions (after coalescing).")
 	mQueueDepth      = row("srschedd_queue_depth", "gauge", "Requests waiting for a solve worker slot.")
 	mGoroutines      = row("srschedd_goroutines", "gauge", "Goroutines in the process at scrape time, solves' AssignPaths helpers included.")
+	mTopologies      = row("srschedd_topologies", "gauge", "Machines interned at scrape time: every problem structure on one shares its Topology.")
+	mTopologyRoutes  = row("srschedd_topology_routes", "gauge", "Fault-free route enumerations memoized on the interned machines at scrape time.")
 	mTenants         = row("srschedd_tenants", "gauge", "Admitted tenants on the daemon's one fabric.")
 	mAdmissions      = row("srschedd_admissions_total", "counter", "Tenant admission attempts by ladder outcome.", "outcome")
 	mTenantEvictions = row("srschedd_tenant_evictions_total", "counter", "Tenants preempted by higher-priority admissions.")
@@ -128,6 +131,8 @@ type Metrics struct{ vecs []vec }
 func newMetrics() *Metrics {
 	m := &Metrics{vecs: make([]vec, len(metricTable))}
 	m.bind(mGoroutines, func() int64 { return int64(runtime.NumGoroutine()) })
+	m.bind(mTopologies, func() int64 { n, _ := schedroute.InternedMachines(); return int64(n) })
+	m.bind(mTopologyRoutes, func() int64 { _, n := schedroute.InternedMachines(); return int64(n) })
 	return m
 }
 

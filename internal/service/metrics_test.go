@@ -8,6 +8,8 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"schedroute/pkg/schedroute"
 )
 
 var updateReadme = flag.Bool("update-readme", false, "rewrite the generated Metrics table in README.md")
@@ -84,7 +86,7 @@ func TestMetricTableNaming(t *testing.T) {
 			t.Errorf("%s: %d labels, a labelKey holds %d", s.name, len(s.labels), len(labelKey{}))
 		}
 	}
-	if len(metricTable) != 26 {
+	if len(metricTable) != 28 {
 		t.Errorf("%d series; adding or retiring one is a documented decision (README Metrics, DESIGN §6)", len(metricTable))
 	}
 }
@@ -119,4 +121,60 @@ func TestGoroutinesGauge(t *testing.T) {
 		<-done
 	}
 	waitFor(t, "the gauge to fall back", func() bool { return m.value("srschedd_goroutines") <= int64(base) })
+}
+
+// TestTopologyGauges holds srschedd_topologies and
+// srschedd_topology_routes to the machine intern at scrape time, in the
+// value and in the exposition: a structure's machine is among those
+// counted, with the routes its solve enumerated, and a second placement
+// on the same machine adds no machine.
+func TestTopologyGauges(t *testing.T) {
+	srv, ts := newTestServer(t, Config{Workers: 1})
+	scraped := func(name string) (n int) {
+		t.Helper()
+		var b bytes.Buffer
+		srv.metrics.WriteText(&b)
+		if _, v, ok := strings.Cut(b.String(), "\n"+name+" "); !ok {
+			t.Fatalf("exposition has no %s sample", name)
+		} else if _, err := fmt.Sscan(v, &n); err != nil {
+			t.Fatal(err)
+		}
+		return n
+	}
+	check := func() (machines, routes int) {
+		t.Helper()
+		machines, routes = schedroute.InternedMachines()
+		for _, g := range []struct {
+			name string
+			want int
+		}{{"srschedd_topologies", machines}, {"srschedd_topology_routes", routes}} {
+			if v, s := srv.metrics.value(g.name), scraped(g.name); v != int64(g.want) || s != g.want {
+				t.Errorf("%s reads %d, scrapes %d; the intern holds %d", g.name, v, s, g.want)
+			}
+		}
+		return machines, routes
+	}
+	problem := func(seed int64) schedroute.Problem {
+		return schedroute.Problem{TFG: "dvb:4", Topology: "torus:6,6", Bandwidth: 128, Allocator: "random", AllocSeed: seed}
+	}
+	solve := func(seed int64) {
+		t.Helper()
+		if code, body := postJSON(t, ts, "/v1/schedule", schedroute.ScheduleRequest{Problem: problem(seed)}); code != 200 {
+			t.Fatalf("status %d: %s", code, body)
+		}
+	}
+	check()
+	solve(1)
+	m1, r1 := check()
+	b, err := schedroute.NewProblem(problem(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if own := b.Topology.RouteMemoLen(); m1 < 1 || own == 0 || own > r1 {
+		t.Fatalf("after a structure on torus:6,6: %d machines holding %d routes, torus:6,6 alone %d", m1, r1, own)
+	}
+	solve(2)
+	if m2, r2 := check(); m2 != m1 || r2 < r1 {
+		t.Errorf("after a second placement on torus:6,6: %d machines, %d routes; %d and %d before", m2, r2, m1, r1)
+	}
 }

@@ -189,6 +189,23 @@ func TestEndpointRobustness(t *testing.T) {
 		}
 	}
 
+	// Forty bytes of spec do not make the daemon allocate gigabytes: a
+	// GHC of 1024×1024 has 2^20 nodes, within the node cap, and 1.07e9
+	// links, which the builder refuses from their count alone.
+	t.Run("schedule/oversized machine", func(t *testing.T) {
+		raw := []byte(`{"problem":{"tfg":"dvb:4","topology":"ghc:1024,1024"}}`)
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(raw)))
+		took := time.Since(start)
+		if er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes()); rec.Code != http.StatusBadRequest || er.Kind != "bad_input" || !strings.Contains(er.Error, "links") {
+			t.Fatalf("status %d %+v, want 400 bad_input naming the link count", rec.Code, er.ErrorEnvelope)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("refused after %v, want under 100ms", took)
+		}
+	})
+
 	// An annealer budget of hours does not outlive its client: the search
 	// polls the request context, in grid and in Pareto mode alike.
 	for mode, objectives := range map[string][]string{"grid": nil, "pareto": {"tau_in"}} {

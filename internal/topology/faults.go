@@ -194,14 +194,24 @@ func (t *Topology) SurvivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Pat
 // sequence (what Path.Links resolves), memoized with the paths and as
 // immutable.
 func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Path, [][]LinkID, error) {
-	memo := &t.routes
-	if fs.Empty() {
-		fs = nil // every empty set is the fault-free machine, under one key
-	} else {
-		memo = &fs.routes
-	}
 	key := routeKey{t, src, dst, max}
-	if cached, ok := memo.Load(key); ok {
+	if fs.Empty() { // every empty set is the fault-free machine, under one key
+		if cached, ok := t.routes.Load(key); ok {
+			r := cached.(*routes)
+			return r.paths, r.links, nil
+		}
+		r := t.resolve(t.shortestPaths(src, dst, max)) // the addresses give the distances: no BFS
+		// Reserve a place under the cap before storing, and give it back
+		// when the cap is reached or a concurrent caller stored first.
+		if t.nroutes.Add(1) > routeMemoCap {
+			t.nroutes.Add(-1)
+		} else if cached, loaded := t.routes.LoadOrStore(key, r); loaded {
+			t.nroutes.Add(-1)
+			r = cached.(*routes)
+		}
+		return r.paths, r.links, nil
+	}
+	if cached, ok := fs.routes.Load(key); ok {
 		if cached == nil {
 			return nil, nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
 		}
@@ -210,18 +220,15 @@ func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Pa
 	}
 	out, err := t.survivingPaths(src, dst, max, fs)
 	if err != nil {
-		memo.Store(key, nil)
+		fs.routes.Store(key, nil)
 		return nil, nil, err
 	}
 	r := t.resolve(out)
-	memo.Store(key, r)
+	fs.routes.Store(key, r)
 	return r.paths, r.links, nil
 }
 
 func (t *Topology) survivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) {
-	if fs == nil {
-		return t.shortestPaths(src, dst, max), nil // the addresses give the distances: no BFS
-	}
 	if fs.NodeFailed(src) || fs.NodeFailed(dst) {
 		return nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
 	}

@@ -182,3 +182,41 @@ func TestRouteMemoLivesAndDiesWithItsFaultSet(t *testing.T) {
 		t.Errorf("original holds %d enumerations and its clone %d, want 1 and 2", a, b)
 	}
 }
+
+// TestRouteMemoCapped: a Topology keeps its first routeMemoCap
+// fault-free enumerations and no more. Past the cap RouteMemoLen stops
+// growing, and what is handed out is computed as on a cold memo: equal
+// to a fresh machine's, a new slice each call.
+func TestRouteMemoCapped(t *testing.T) {
+	top, fresh := mustTorus(t, 16, 16), mustTorus(t, 16, 16)
+	n := NodeID(top.Nodes())
+	stored := func(i int) (src, dst NodeID, max int) {
+		return NodeID(i) % n, NodeID(i) / n % n, 2 + i/int(n*n)
+	}
+	for i := 0; i < routeMemoCap; i++ {
+		top.ShortestPaths(stored(i))
+	}
+	if got := top.RouteMemoLen(); got != routeMemoCap {
+		t.Fatalf("%d distinct enumerations asked for, %d memoized", routeMemoCap, got)
+	}
+	for i := routeMemoCap; i < routeMemoCap+1000; i++ {
+		src, dst, max := stored(i)
+		paths, links, _ := top.SurvivingRoutes(src, dst, max, nil)
+		again, _, _ := top.SurvivingRoutes(src, dst, max, nil)
+		wantPaths, wantLinks, _ := fresh.SurvivingRoutes(src, dst, max, nil)
+		if !reflect.DeepEqual(paths, wantPaths) || !reflect.DeepEqual(links, wantLinks) || !reflect.DeepEqual(again, wantPaths) {
+			t.Fatalf("%d->%d max %d past the cap: %v, a fresh machine %v", src, dst, max, paths, wantPaths)
+		}
+		if &again[0] == &paths[0] {
+			t.Fatalf("%d->%d max %d past the cap: the enumeration was kept", src, dst, max)
+		}
+	}
+	if got := top.RouteMemoLen(); got != routeMemoCap {
+		t.Errorf("RouteMemoLen %d after 1000 enumerations past the cap of %d", got, routeMemoCap)
+	}
+	// What was kept is still served from the memo.
+	first := top.ShortestPaths(stored(0))
+	if again := top.ShortestPaths(stored(0)); &again[0] != &first[0] {
+		t.Error("a memoized enumeration was computed again")
+	}
+}

@@ -11,10 +11,10 @@ package topology
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 )
 
 // NodeID identifies a node; valid IDs are 0..Nodes()-1 and correspond to
@@ -86,10 +86,27 @@ type Topology struct {
 	// max), so repeated sweeps over one topology stop re-walking the
 	// shortest-path DAG; those around a fault live on the FaultSet.
 	// Entries are shared: callers must not mutate what they are handed.
-	// Nothing is evicted: the key space is nodes² × the MaxPaths values
-	// in use, which the wire bounds (schedroute.MaxPathsLimit).
-	routes sync.Map // routeKey -> *routes
+	// Nothing is evicted, but a machine outlives any one problem on it,
+	// so at most routeMemoCap are kept (nroutes counts them): past the
+	// cap an enumeration is computed and handed out, as on a cold memo,
+	// and not stored.
+	routes  sync.Map // routeKey -> *routes
+	nroutes atomic.Int64
 }
+
+// routeMemoCap bounds a Topology's fault-free route memo: every (src,
+// dst) pair of a 128-node machine at one MaxPaths, or the pairs of
+// some hundreds of placements on a larger one.
+const routeMemoCap = 16384
+
+// maxNodes and maxLinks bound the machines build accepts. The link cap
+// is 200 times the largest machine the experiments use (the 10-cube's
+// 5 120 links) and well within what a LinkID can name: a short spec
+// cannot make the builder allocate gigabytes.
+const (
+	maxNodes = 1 << 20
+	maxLinks = 1 << 20
+)
 
 // routeKey identifies one memoized enumeration, on a Topology's memo or
 // on a FaultSet's (which may serve several topologies).
@@ -99,12 +116,10 @@ type routeKey struct {
 	max      int
 }
 
-// RouteMemoLen counts the fault-free enumerations t holds: what a leak
-// check or a dump of a long-lived Topology reads.
-func (t *Topology) RouteMemoLen() (n int) {
-	t.routes.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
+// RouteMemoLen counts the fault-free enumerations t holds, at most
+// routeMemoCap: what a leak check or a dump of a long-lived Topology
+// reads. Exact while no enumeration is being stored.
+func (t *Topology) RouteMemoLen() int { return int(t.nroutes.Load()) }
 
 // routes is one memoized enumeration: the paths and, row for row, their
 // link sequences as windows of one slab, shared and immutable alike.
@@ -151,6 +166,9 @@ func NewHypercube(d int) (*Topology, error) {
 	if d < 1 {
 		return nil, fmt.Errorf("topology: hypercube dimension %d < 1", d)
 	}
+	if d > 20 { // 2^d > maxNodes: refused as build would, before a radix list of d entries
+		return nil, fmt.Errorf("topology: too many nodes")
+	}
 	r := make([]int, d)
 	for i := range r {
 		r[i] = 2
@@ -167,7 +185,7 @@ func build(kind Kind, radices []int) (*Topology, error) {
 		if m < 2 {
 			return nil, fmt.Errorf("topology: radix %d of dimension %d is below 2", m, i)
 		}
-		if n > 1<<20/m {
+		if n > maxNodes/m {
 			return nil, fmt.Errorf("topology: too many nodes")
 		}
 		n *= m
@@ -185,8 +203,8 @@ func build(kind Kind, radices []int) (*Topology, error) {
 		}
 		links += int64(n) / m * per
 	}
-	if links > math.MaxInt32 {
-		return nil, fmt.Errorf("topology: %d links, more than the %d a LinkID can name", links, math.MaxInt32)
+	if links > maxLinks {
+		return nil, fmt.Errorf("topology: %d links, more than the %d a machine may have", links, maxLinks)
 	}
 	t := &Topology{
 		kind:    kind,

@@ -179,10 +179,20 @@ func TestBuildCountsLinksUpFront(t *testing.T) {
 	}
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	for _, radices := range [][]int{{1 << 20}, {1 << 16, 1 << 4}, {1 << 17, 2, 2, 2}} {
+	for _, radices := range [][]int{{1 << 20}, {1 << 16, 1 << 4}, {1 << 17, 2, 2, 2}, {1024, 1024}} {
 		if _, err := NewGHC(radices...); err == nil || !strings.Contains(err.Error(), "links") {
 			t.Errorf("NewGHC(%v) = %v, want a refusal naming the link count", radices, err)
 		}
+	}
+	// Past maxLinks, far below what a LinkID can name: a 1024×1024 torus
+	// or mesh has some 2.1 million links.
+	for _, build := range []func(...int) (*Topology, error){NewTorus, NewMesh} {
+		if top, err := build(1024, 1024); err == nil || !strings.Contains(err.Error(), "links") {
+			t.Errorf("%v: %v, want a refusal naming the link count", top, err)
+		}
+	}
+	if _, err := NewHypercube(1 << 40); err == nil {
+		t.Error("NewHypercube(1<<40) built")
 	}
 	runtime.ReadMemStats(&after)
 	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {

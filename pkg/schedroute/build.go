@@ -64,7 +64,8 @@ func (p Problem) Validate() error {
 // wire spec to solver inputs — service request handling, the CLIs'
 // cliutil.ParseProblem, sweep endpoints — funnels through here, so a
 // spec resolves to the same graph, timing, topology, placement and
-// effective invocation period no matter who asks. Every rejection — the
+// effective invocation period no matter who asks. Problems on one
+// machine share its Topology (internTopology). Every rejection — the
 // spec parsers', a graph generator's, the timing's, an allocator's — is
 // an errkind.ErrBadInput (or ErrUnknownVersion), so callers derive the
 // exit or HTTP status from the shared table
@@ -87,7 +88,7 @@ func NewProblem(p Problem) (*Built, error) {
 			return nil, err
 		}
 	}
-	top, err := ParseTopology(spec.Topology)
+	top, err := internTopology(spec.Topology)
 	if err != nil {
 		return nil, err
 	}

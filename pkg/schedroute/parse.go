@@ -8,6 +8,7 @@ import (
 	"schedroute/internal/alloc"
 	"schedroute/internal/dvb"
 	"schedroute/internal/errkind"
+	"schedroute/internal/memo"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
@@ -27,40 +28,100 @@ func badInput(format string, args ...any) error {
 //	ghc:M1,M2,..  generalized hypercube
 //	torus:K1,K2,… k-ary n-cube torus
 //	mesh:K1,K2,…  mesh
+//
+// Every call builds a fresh machine, its route memo empty; NewProblem
+// shares one per machine instead (internTopology).
 func ParseTopology(spec string) (*topology.Topology, error) {
+	m, err := parseMachine(spec)
+	if err != nil {
+		return nil, err
+	}
+	return m.build()
+}
+
+// machine is what a topology spec names, whatever its spelling: the
+// family and the parsed radices.
+type machine struct {
+	kind    string
+	radices []int
+}
+
+func parseMachine(spec string) (machine, error) {
 	kind, rest, ok := strings.Cut(spec, ":")
 	if !ok {
-		return nil, badInput("topology spec %q: want kind:radices", spec)
+		return machine{}, badInput("topology spec %q: want kind:radices", spec)
 	}
 	var radices []int
 	for _, part := range strings.Split(rest, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return nil, badInput("topology spec %q: %v", spec, err)
+			return machine{}, badInput("topology spec %q: %v", spec, err)
 		}
 		radices = append(radices, v)
 	}
-	var top *topology.Topology
-	var err error
 	switch kind {
 	case "cube":
 		if len(radices) != 1 {
-			return nil, badInput("cube spec wants a single dimension, got %q", spec)
+			return machine{}, badInput("cube spec wants a single dimension, got %q", spec)
 		}
-		top, err = topology.NewHypercube(radices[0])
-	case "ghc":
-		top, err = topology.NewGHC(radices...)
-	case "torus":
-		top, err = topology.NewTorus(radices...)
-	case "mesh":
-		top, err = topology.NewMesh(radices...)
+	case "ghc", "torus", "mesh":
 	default:
-		return nil, badInput("unknown topology kind %q", kind)
+		return machine{}, badInput("unknown topology kind %q", kind)
+	}
+	return machine{kind, radices}, nil
+}
+
+// key is the machine's canonical spelling, e.g. "torus[8 8]".
+func (m machine) key() string { return fmt.Sprint(m.kind, m.radices) }
+
+func (m machine) build() (*topology.Topology, error) {
+	var top *topology.Topology
+	var err error
+	switch m.kind {
+	case "cube":
+		top, err = topology.NewHypercube(m.radices[0])
+	case "ghc":
+		top, err = topology.NewGHC(m.radices...)
+	case "torus":
+		top, err = topology.NewTorus(m.radices...)
+	default:
+		top, err = topology.NewMesh(m.radices...)
 	}
 	if err != nil {
 		return nil, errkind.Mark(err, errkind.ErrBadInput)
 	}
 	return top, nil
+}
+
+// internedMachines bounds the machine intern (DESIGN §3.11).
+const internedMachines = 8
+
+// machines holds the Topology NewProblem hands every structure on a
+// machine, so that they share its adjacency, link index and fault-free
+// route memo: the paper's equivalent shortest paths depend on the
+// machine and a (src, dst) pair alone. A Topology is immutable but for
+// that memo, a pure cache, so sharing one changes no answer.
+var machines = memo.New[string, *topology.Topology](internedMachines)
+
+// internTopology resolves a spec to its machine's interned Topology,
+// building it on a miss; a spec that fails to build leaves no entry.
+func internTopology(spec string) (*topology.Topology, error) {
+	m, err := parseMachine(spec)
+	if err != nil {
+		return nil, err
+	}
+	top, _, err := machines.Get(m.key(), m.build)
+	return top, err
+}
+
+// InternedMachines reports what the machine intern holds: the machines
+// and the fault-free route enumerations memoized on them.
+func InternedMachines() (n, routes int) {
+	machines.Each(func(_ string, top *topology.Topology) {
+		n++
+		routes += top.RouteMemoLen()
+	})
+	return n, routes
 }
 
 // ParseAllocator places g on top using the named strategy: "rr"
