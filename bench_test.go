@@ -642,14 +642,27 @@ func BenchmarkTenantAdmitSixCube(b *testing.B) {
 	b.ReportMetric(tauOut/vic.TauIn, "tauout/tauin")
 }
 
+// BenchmarkShortestPathEnumeration times the §5.1 path walk itself, not
+// a memo hit: each op enumerates 0 -> 63's first 24 shortest paths on
+// the 6-cube twice, fault-free on a machine built outside the timer
+// (its route memo empty) and around the failed link 0-1 on a fresh
+// FaultSet (the residual BFS and the usability checks).
 func BenchmarkShortestPathEnumeration(b *testing.B) {
-	top, err := topology.NewHypercube(6)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		top, err := topology.NewHypercube(6)
+		if err != nil {
+			b.Fatal(err)
+		}
+		l, _ := top.LinkBetween(0, 1)
+		fs := topology.NewFaultSet()
+		fs.FailLink(l)
+		b.StartTimer()
 		if got := top.ShortestPaths(0, 63, 24); len(got) != 24 {
-			b.Fatalf("got %d paths", len(got))
+			b.Fatalf("fault-free: got %d paths", len(got))
+		}
+		if got, err := top.SurvivingPaths(0, 63, 24, fs); err != nil || len(got) != 24 {
+			b.Fatalf("around link 0-1: got %d paths (%v)", len(got), err)
 		}
 	}
 }

@@ -37,31 +37,31 @@ func main() {
 	}
 	f, err := os.Open(*omegaPath)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("omegainspect", err)
 	}
 	om, err := schedule.DecodeOmega(f)
 	if cerr := f.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("omegainspect", err)
 	}
 	g, err := cliutil.LoadGraph(*tfgSpec)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("omegainspect", err)
 	}
 	top, err := schedroute.ParseTopology(*topoSpec)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("omegainspect", err)
 	}
 	if len(om.Windows) != g.NumMessages() {
-		fatal(fmt.Errorf("schedule has %d windows but the TFG has %d messages — wrong -tfg?", len(om.Windows), g.NumMessages()))
+		cliutil.Fatal("omegainspect", fmt.Errorf("schedule has %d windows but the TFG has %d messages — wrong -tfg?", len(om.Windows), g.NumMessages()))
 	}
 
 	fmt.Printf("Ω: τin = %g µs, latency = %g µs, %d slices, %d switching commands on %d nodes\n",
 		om.TauIn, om.Latency, len(om.Slices), om.NumCommands(), len(om.Nodes))
 	if err := om.Validate(top); err != nil {
-		fatal(fmt.Errorf("validation FAILED: %w", err))
+		cliutil.Fatal("omegainspect", fmt.Errorf("validation FAILED: %w", err))
 	}
 	fmt.Println("static validation: contention-free, windows honored, transmissions complete")
 
@@ -71,7 +71,7 @@ func main() {
 			PacketBytes: *packets, Bandwidth: *bw,
 		})
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("omegainspect", err)
 		}
 		fmt.Printf("packet replay: %d packets/frame delivered, %d violations, skew tolerance ±%.3g µs\n",
 			out.PacketsDelivered, len(out.Violations), out.MaxSkewTolerated)
@@ -81,12 +81,7 @@ func main() {
 	}
 	if *chart {
 		if err := gantt.Render(os.Stdout, om, top, 80); err != nil {
-			fatal(err)
+			cliutil.Fatal("omegainspect", err)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "omegainspect:", err)
-	os.Exit(1)
 }

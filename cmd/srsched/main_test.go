@@ -41,7 +41,7 @@ func TestRandomWatchScript(t *testing.T) {
 			if !reflect.DeepEqual(evs, randomWatchScript(top, seed, n)) {
 				t.Fatalf("seed %d, %d faults: two calls gave different scripts", seed, n)
 			}
-			fs := topology.NewFaultSet(top.Links(), top.Nodes())
+			fs := topology.NewFaultSet()
 			struck := 0
 			for _, ev := range evs {
 				if len(ev.Links) == 0 || len(ev.Nodes) != 0 {

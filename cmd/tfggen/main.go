@@ -14,6 +14,7 @@ import (
 	"strconv"
 	"strings"
 
+	"schedroute/internal/cliutil"
 	"schedroute/internal/dvb"
 	"schedroute/internal/tfg"
 )
@@ -52,13 +53,13 @@ func main() {
 				w = strings.TrimSpace(ws)
 				r, perr := strconv.Atoi(strings.TrimSpace(rs))
 				if perr != nil || r < 1 {
-					fatal(fmt.Errorf("bad layer repeat %q", part))
+					cliutil.Fatal("tfggen", fmt.Errorf("bad layer repeat %q", part))
 				}
 				rep = r
 			}
 			v, perr := strconv.Atoi(w)
 			if perr != nil {
-				fatal(perr)
+				cliutil.Fatal("tfggen", perr)
 			}
 			for i := 0; i < rep; i++ {
 				widths = append(widths, v)
@@ -66,17 +67,12 @@ func main() {
 		}
 		g, err = tfg.RandomLayered(*seed, widths, 400, 1925, 192, 3200, *density)
 	default:
-		fatal(fmt.Errorf("unknown kind %q", *kind))
+		cliutil.Fatal("tfggen", fmt.Errorf("unknown kind %q", *kind))
 	}
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("tfggen", err)
 	}
 	if err := tfg.Encode(os.Stdout, g); err != nil {
-		fatal(err)
+		cliutil.Fatal("tfggen", err)
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "tfggen:", err)
-	os.Exit(1)
 }

@@ -20,6 +20,7 @@ import (
 	"io"
 	"os"
 
+	"schedroute/internal/cliutil"
 	"schedroute/internal/trace"
 )
 
@@ -36,29 +37,29 @@ func main() {
 	if flag.NArg() == 1 {
 		f, err := os.Open(flag.Arg(0))
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("traceview", err)
 		}
 		defer f.Close()
 		in = f
 	}
 	raw, err := io.ReadAll(in)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("traceview", err)
 	}
 	tree, err := extract(raw)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("traceview", err)
 	}
 
 	w := io.Writer(os.Stdout)
 	if *out != "" {
 		f, err := os.Create(*out)
 		if err != nil {
-			fatal(err)
+			cliutil.Fatal("traceview", err)
 		}
 		defer func() {
 			if err := f.Close(); err != nil {
-				fatal(err)
+				cliutil.Fatal("traceview", err)
 			}
 		}()
 		w = f
@@ -69,7 +70,7 @@ func main() {
 		err = trace.WriteChromeTrace(w, tree)
 	}
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("traceview", err)
 	}
 }
 
@@ -100,9 +101,4 @@ func extract(raw []byte) (*trace.Tree, error) {
 		return &t, nil
 	}
 	return nil, fmt.Errorf("input has no trace: expected a span tree, a trace envelope, or an API response with ?debug=trace")
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "traceview:", err)
-	os.Exit(1)
 }

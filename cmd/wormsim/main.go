@@ -39,7 +39,7 @@ func main() {
 		Adaptive: *adaptive, StrictVC: *strictVC,
 	})
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("wormsim", err)
 	}
 
 	fmt.Printf("TFG %s on %s, B=%g bytes/µs, τin=%g µs (load %.4f)\n",
@@ -52,11 +52,11 @@ func main() {
 	ivs := metrics.Intervals(res.OutputCompletions)
 	th, err := metrics.NormalizedThroughput(period, ivs)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("wormsim", err)
 	}
 	lat, err := metrics.NormalizedLatency(cp, res.Latencies)
 	if err != nil {
-		fatal(err)
+		cliutil.Fatal("wormsim", err)
 	}
 	oi := metrics.OutputInconsistent(period, ivs, 1e-6)
 	fmt.Printf("normalized throughput (min/mid/max): %s\n", th)
@@ -67,9 +67,4 @@ func main() {
 			fmt.Printf("  interval %2d: %.3f µs\n", i, iv)
 		}
 	}
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "wormsim:", err)
-	os.Exit(1)
 }

@@ -23,7 +23,7 @@ func usedLink(t *testing.T, res *schedule.Result) topology.LinkID {
 
 func TestFaultInjectionLosesPackets(t *testing.T) {
 	res, p := feasibleOmega(t)
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(usedLink(t, res))
 	out, err := Run(Config{
 		Omega: res.Omega, Graph: p.Graph, Topology: p.Topology,
@@ -66,7 +66,7 @@ func TestFaultInjectionLosesPackets(t *testing.T) {
 
 func TestFaultInjectionWithRepairVerifiesCleanly(t *testing.T) {
 	res, p := feasibleOmega(t)
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(usedLink(t, res))
 	rep, err := schedule.Repair(context.Background(), p, schedule.Options{Seed: 1}, res, fs)
 	if err != nil {
@@ -108,13 +108,15 @@ func TestFaultInjectionWithRepairVerifiesCleanly(t *testing.T) {
 func TestFaultInjectionUnaffectedLinkLosesNothing(t *testing.T) {
 	res, p := feasibleOmega(t)
 	// Find an unused link.
-	used := topology.NewLinkSet(p.Topology.Links())
+	used := map[topology.LinkID]bool{}
 	for i := range res.Windows {
-		used.AddLinks(res.Assignment.Links[i])
+		for _, l := range res.Assignment.Links[i] {
+			used[l] = true
+		}
 	}
 	var unused topology.LinkID = -1
 	for l := 0; l < p.Topology.Links(); l++ {
-		if !used.Has(topology.LinkID(l)) {
+		if !used[topology.LinkID(l)] {
 			unused = topology.LinkID(l)
 			break
 		}
@@ -122,7 +124,7 @@ func TestFaultInjectionUnaffectedLinkLosesNothing(t *testing.T) {
 	if unused < 0 {
 		t.Skip("every link carries traffic")
 	}
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(unused)
 	out, err := Run(Config{
 		Omega: res.Omega, Graph: p.Graph, Topology: p.Topology,
@@ -143,14 +145,14 @@ func TestFaultInjectionUnaffectedLinkLosesNothing(t *testing.T) {
 
 func TestFaultInjectionRejectsBadConfig(t *testing.T) {
 	res, p := feasibleOmega(t)
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(0)
 	base := Config{
 		Omega: res.Omega, Graph: p.Graph, Topology: p.Topology,
 		PacketBytes: 64, Bandwidth: 64, Invocations: 4,
 	}
 	cases := []*FaultInjection{
-		{Faults: topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes()), FailAt: 1}, // empty set
+		{Faults: topology.NewFaultSet(), FailAt: 1}, // empty set
 		{Faults: fs, FailAt: -1},
 		{Faults: fs, FailAt: 4},                                   // past the last invocation
 		{Faults: fs, FailAt: 2, Repaired: res.Omega, RepairAt: 2}, // repair not after fault

@@ -156,7 +156,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 	err = parallel.ForEach(ctx, len(jobs), parallel.Workers(cfg.Procs), func(j int) error {
 		pi, si := jobs[j].pi, jobs[j].si
 		defer jobSpans[j].End()
-		fs := topology.NewFaultSet(cfg.Topology.Links(), cfg.Topology.Nodes())
+		fs := topology.NewFaultSet()
 		fs.FailLink(topology.LinkID(si))
 		ro := opts
 		ro.Trace = jobSpans[j]

@@ -75,15 +75,6 @@ type TenantSurvivabilitySeries struct {
 	Points        []TenantSurvivabilityPoint
 }
 
-// omegaBytes canonicalizes an Ω for byte comparison.
-func omegaBytes(om *schedule.Omega) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := schedule.EncodeOmega(&buf, om); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
 // TenantSurvivabilitySweep runs the two-tenant fault sweep. Each load
 // point builds its own fabric (a fresh TenantSet): the bystander is
 // admitted on the empty machine at the grid's lightest load, the victim
@@ -130,7 +121,7 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 			return fmt.Errorf("experiments: %s load %.4f: bystander rejected on an empty machine: %s",
 				cfg.Name, pts[pi].Load, bys.Reason)
 		}
-		baseline, err := omegaBytes(bys.Result.Omega)
+		baseline, err := schedule.MarshalOmega(bys.Result.Omega)
 		if err != nil {
 			return err
 		}
@@ -167,7 +158,7 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 
 		for _, l := range links {
 			fsp := spans[pi].Start(SpanFault, trace.Int("link", l))
-			fs := topology.NewFaultSet(cfg.Topology.Links(), cfg.Topology.Nodes())
+			fs := topology.NewFaultSet()
 			fs.FailLink(topology.LinkID(l))
 			vrep, err := set.RepairTenant(ctx, "victim", fs, fsp)
 			var brep *schedule.TenantRepair
@@ -185,7 +176,7 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 				return vrep.Report.Err()
 			}
 			if brep.Report.Outcome == schedule.RepairUnaffected && brep.Report.Result != nil {
-				got, err := omegaBytes(brep.Report.Result.Omega)
+				got, err := schedule.MarshalOmega(brep.Report.Result.Omega)
 				if err != nil {
 					return err
 				}

@@ -24,7 +24,6 @@ type solveArena struct {
 	sched schedScratch
 	sub   subsetScratch
 	load  *LoadState
-	util  utilScratch
 	rng   *rand.Rand
 
 	// The hill-climb's working assignment, which one worker's restarts

@@ -98,7 +98,7 @@ func TestArenaReuseAcrossStructures(t *testing.T) {
 
 	perfect := dvbProblem(t, sixCube(t), 64, tauIn)
 	faulted := perfect
-	fs := topology.NewFaultSet(perfect.Topology.Links(), perfect.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(0)
 	faulted.Faults = fs
 	torus, err := topology.NewTorus(8, 8)

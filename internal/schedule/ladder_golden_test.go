@@ -89,7 +89,7 @@ func repairDigests(t *testing.T, out *strings.Builder) {
 				t.Fatalf("%s k=%d: base infeasible at %s; pick another load point", cfg.name, k, base.FailStage)
 			}
 			for l := 0; l < cfg.top.Links(); l++ {
-				fs := topology.NewFaultSet(cfg.top.Links(), cfg.top.Nodes())
+				fs := topology.NewFaultSet()
 				fs.FailLink(topology.LinkID(l))
 				rep, err := Repair(context.Background(), p, o, base, fs)
 				if err != nil {
@@ -125,7 +125,7 @@ func admitDigests(t *testing.T, out *strings.Builder) {
 	c := pairTenant(t, top, "C", 0, 1, 2880, 50)
 	c.RateGuarantee = 1
 	admit("invariant", ts, c)
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(brep.Result.Assignment.Links[0][0])
 	for _, st := range ts.Tenants() {
 		r, err := ts.RepairTenant(ctx, st.Tenant.ID, fs, nil)

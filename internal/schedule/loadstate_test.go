@@ -69,7 +69,7 @@ func loadStateFixture(t *testing.T, top *topology.Topology, faulted bool) (*Path
 	p := dvbProblem(t, top, 64, gridTauIn(4))
 	var fs *topology.FaultSet
 	if faulted {
-		fs = topology.NewFaultSet(top.Links(), top.Nodes())
+		fs = topology.NewFaultSet()
 		fs.FailLink(0)
 	}
 	return routeFixture(t, p, fs)
@@ -263,7 +263,7 @@ func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment
 		}
 	}
 	b := bindings[cur]
-	want := computeUtilization(new(solveArena), top, pa, b.ws, b.act, b.linkCap)
+	want := computeUtilization(top, pa, b.ws, b.act, b.linkCap)
 	got := ls.Utilization()
 	if got.Peak != want.Peak || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
 		t.Fatalf("memo/final: peak (%v, %v, %v) != full recompute (%v, %v, %v)",

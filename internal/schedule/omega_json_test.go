@@ -286,7 +286,7 @@ func singleLinkFault(t *testing.T, p Problem) *topology.FaultSet {
 		if base.Windows[i].Local || len(base.Assignment.Links[i]) == 0 {
 			continue
 		}
-		fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+		fs := topology.NewFaultSet()
 		fs.FailLink(base.Assignment.Links[i][0])
 		return fs
 	}

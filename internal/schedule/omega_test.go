@@ -388,7 +388,7 @@ func TestCommandStaysNarrow(t *testing.T) {
 // one scan of every command per message, the links collected in a set
 // and read back in ascending order.
 func linksetReference(om *Omega, msg tfg.MessageID) []topology.LinkID {
-	var seen topology.LinkSet
+	seen := map[topology.LinkID]bool{}
 	for _, ns := range om.Nodes {
 		for _, c := range ns.Commands {
 			if c.Msg != msg {
@@ -396,12 +396,17 @@ func linksetReference(om *Omega, msg tfg.MessageID) []topology.LinkID {
 			}
 			for _, p := range []Port{c.In, c.Out} {
 				if !p.AP {
-					seen.Add(p.Link)
+					seen[p.Link] = true
 				}
 			}
 		}
 	}
-	return seen.Links()
+	links := make([]topology.LinkID, 0, len(seen))
+	for l := range seen {
+		links = append(links, l)
+	}
+	slices.Sort(links)
+	return links
 }
 
 // TestOmegaLinksetsMatchesPerMessageScan checks the one-pass table
@@ -451,7 +456,7 @@ func TestOmegaLinksetsMatchesPerMessageScan(t *testing.T) {
 	}
 	top := sixCube(t)
 	p := dvbProblem(t, top, 64, gridTauIn(11))
-	p.Faults = topology.NewFaultSet(top.Links(), top.Nodes())
+	p.Faults = topology.NewFaultSet()
 	p.Faults.FailLink(0)
 	check("6cube-faulted", p)
 	if checked != 7 {

@@ -172,30 +172,21 @@ type Utilization struct {
 // ComputeUtilization evaluates an assignment against the activity
 // structure and message windows.
 func ComputeUtilization(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity) *Utilization {
-	var a solveArena
-	return computeUtilization(&a, top, pa, ws, act, nil)
+	return computeUtilization(top, pa, ws, act, nil)
 }
 
-// utilScratch is the pooled working storage of computeUtilization.
-type utilScratch struct {
-	xmitOnLink   []float64
-	activeLen    []float64
-	linkInterval []bool  // any message active on flat cell j*K+k
-	spot         []int32 // no-slack count on flat cell j*K+k
-}
-
-// computeUtilization is ComputeUtilization on a pooled arena, against a
-// per-link capacity vector (see Options.LinkCap): LinkU stays the raw
-// fraction of each physical link's bandwidth, while the peak — the
-// feasibility measure — is taken relative to the link's share,
-// U_j / linkCap[j]. A nil vector is the whole machine.
-func computeUtilization(a *solveArena, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *Utilization {
-	sc := &a.util
+// computeUtilization is ComputeUtilization against a per-link capacity
+// vector (see Options.LinkCap): LinkU stays the raw fraction of each
+// physical link's bandwidth, while the peak — the feasibility measure —
+// is taken relative to the link's share, U_j / linkCap[j]. A nil vector
+// is the whole machine. It is the dense reference a LoadState's
+// incremental sums are held to.
+func computeUtilization(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *Utilization {
 	nl := top.Links()
 	K := act.Intervals.K()
-	sc.xmitOnLink, sc.activeLen = zeroed(sc.xmitOnLink, nl), zeroed(sc.activeLen, nl)
-	sc.linkInterval, sc.spot = zeroed(sc.linkInterval, nl*K), zeroed(sc.spot, nl*K)
-	xmitOnLink, activeLen, linkInterval, spot := sc.xmitOnLink, sc.activeLen, sc.linkInterval, sc.spot
+	xmitOnLink, activeLen := make([]float64, nl), make([]float64, nl)
+	linkInterval := make([]bool, nl*K) // any message active on flat cell j*K+k
+	spot := make([]int32, nl*K)        // no-slack count on flat cell j*K+k
 	for i := range ws {
 		if ws[i].Local || len(pa.Links[i]) == 0 {
 			continue

@@ -97,13 +97,15 @@ func TestRepairEmptyFaultSetUnaffected(t *testing.T) {
 func TestRepairUnusedLinkUnaffected(t *testing.T) {
 	p, o, base := repairFixture(t)
 	// Find a link no message uses.
-	used := topology.NewLinkSet(p.Topology.Links())
+	used := map[topology.LinkID]bool{}
 	for i := range base.Windows {
-		used.AddLinks(base.Assignment.Links[i])
+		for _, l := range base.Assignment.Links[i] {
+			used[l] = true
+		}
 	}
 	unused := topology.LinkID(-1)
 	for l := 0; l < p.Topology.Links(); l++ {
-		if !used.Has(topology.LinkID(l)) {
+		if !used[topology.LinkID(l)] {
 			unused = topology.LinkID(l)
 			break
 		}
@@ -111,7 +113,7 @@ func TestRepairUnusedLinkUnaffected(t *testing.T) {
 	if unused < 0 {
 		t.Skip("every link carries traffic in this fixture")
 	}
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(unused)
 	rep, err := Repair(context.Background(), p, o, base, fs)
 	if err != nil {
@@ -128,7 +130,7 @@ func TestRepairSingleLinkIncremental(t *testing.T) {
 	if failed < 0 {
 		t.Fatal("no message uses any link")
 	}
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(failed)
 
 	rep, err := Repair(context.Background(), p, o, base, fs)
@@ -176,7 +178,7 @@ func TestRepairSingleLinkIncremental(t *testing.T) {
 func TestRepairEverySingleLinkFault(t *testing.T) {
 	p, o, base := repairFixture(t)
 	for l := 0; l < p.Topology.Links(); l++ {
-		fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+		fs := topology.NewFaultSet()
 		fs.FailLink(topology.LinkID(l))
 		rep, err := Repair(context.Background(), p, o, base, fs)
 		if err != nil {
@@ -190,7 +192,7 @@ func TestRepairEverySingleLinkFault(t *testing.T) {
 
 func TestRepairNodeFaultHostingTaskInfeasible(t *testing.T) {
 	p, o, base := repairFixture(t)
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailNode(2) // every node hosts a task in the fixture
 	rep, err := Repair(context.Background(), p, o, base, fs)
 	if err != nil {
@@ -221,7 +223,7 @@ func TestRepairIntermediateNodeFaultSurvivable(t *testing.T) {
 	if len(path.Nodes) < 3 {
 		t.Fatalf("path %s has no intermediate node", path)
 	}
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailNode(path.Nodes[1])
 	rep, err := Repair(context.Background(), p, o, base, fs)
 	if err != nil {
@@ -243,7 +245,7 @@ func TestRepairDisconnectionInfeasible(t *testing.T) {
 		t.Fatal(err)
 	}
 	p, o, base := twoTaskProblem(t, top, 0, 1)
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(0)
 	rep, err := Repair(context.Background(), p, o, base, fs)
 	if err != nil {
@@ -259,7 +261,7 @@ func TestRepairDisconnectionInfeasible(t *testing.T) {
 
 func TestRepairDeterministic(t *testing.T) {
 	p, o, base := repairFixture(t)
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(firstUsedLink(base))
 	a, err := Repair(context.Background(), p, o, base, fs)
 	if err != nil {

@@ -13,7 +13,7 @@ import (
 
 func newFaultSet(t *testing.T, p Problem, links ...topology.LinkID) *topology.FaultSet {
 	t.Helper()
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	for _, l := range links {
 		fs.FailLink(l)
 	}

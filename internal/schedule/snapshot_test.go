@@ -45,7 +45,7 @@ func TestSnapshotRoundTripByteIdentical(t *testing.T) {
 	// the baseline/candidates it carries are the fault-aware ones.
 	top := sixCube(t)
 	p := dvbProblem(t, top, 64, 0)
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(0)
 	p.Faults = fs
 	testSnapshotConfig(t, "6cube-faulted", p)
@@ -165,7 +165,7 @@ func TestSnapshotRejections(t *testing.T) {
 		t.Errorf("shape mismatch: got %v, want ErrBadInput", err)
 	}
 	faulted := p
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(1)
 	faulted.Faults = fs
 	if _, err := DecodeSolverSnapshot(strings.NewReader(good), faulted, "guard"); !errors.Is(err, errkind.ErrBadInput) {

@@ -298,9 +298,8 @@ func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers i
 	// reroute improves on it); hand each Solve its own slice headers so
 	// callers can't alias each other through the cache.
 	lsd = lsd.Clone()
-	lsdU := computeUtilization(arena, p.Topology, lsd, ws, act, opt.LinkCap)
-	res.PeakLSD = lsdU.Peak
-	ls.SetAttrs(trace.Bool("cached", !lsdBuilt), trace.Float64("peak", lsdU.Peak))
+	res.PeakLSD = arena.loadState(p.Topology, lsd, ws, act, opt.LinkCap).Peak()
+	ls.SetAttrs(trace.Bool("cached", !lsdBuilt), trace.Float64("peak", res.PeakLSD))
 	ls.End()
 
 	var cands *Candidates
@@ -335,7 +334,7 @@ func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers i
 		clock.Attempts = attempt + 1
 		asp := sp.Start(SpanAttempt, trace.Int("attempt", attempt))
 		ap := asp.Start(SpanAssignPaths)
-		pa, peak := lsd, lsdU.Peak
+		pa, peak := lsd, res.PeakLSD
 		if !opt.LSDOnly {
 			ar, err := rec.assign(ctx, arena, lsd, cands, p.Topology, ws, act, opt.Seed+int64(attempt), opt.MaxOuter, opt.MaxInner, opt.LinkCap, climbers)
 			if err != nil {
@@ -343,9 +342,9 @@ func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers i
 			}
 			clock.AssignIterations += ar.Iterations
 			pa, peak = ar.Assignment, ar.Util.Peak
-			if peak > lsdU.Peak {
+			if peak > res.PeakLSD {
 				// AssignPaths starts from LSD, so it can never be worse.
-				pa, peak = lsd, lsdU.Peak
+				pa, peak = lsd, res.PeakLSD
 			}
 			ap.SetAttrs(trace.Int("iterations", ar.Iterations),
 				trace.Int("tentative_computed", ar.TentativeComputed),

@@ -47,7 +47,7 @@ func TestSolverMatchesCompute(t *testing.T) {
 			var fs *topology.FaultSet
 			for _, faulted := range []bool{false, true} {
 				if faulted {
-					fs = topology.NewFaultSet(top.Links(), top.Nodes())
+					fs = topology.NewFaultSet()
 					fs.FailLink(0)
 				}
 				prob := p

@@ -150,7 +150,7 @@ func TestTenantSetMatchesModel(t *testing.T) {
 				default:
 					l := topology.LinkID(rng.Intn(top.Links()))
 					op = fmt.Sprintf("what-if %s link %d", id, l)
-					fs := topology.NewFaultSet(top.Links(), top.Nodes())
+					fs := topology.NewFaultSet()
 					fs.FailLink(l)
 					rep, err := ts.RepairTenant(context.Background(), id, fs, nil)
 					if m.find(id) >= 0 && (err != nil || rep.Report == nil) {

@@ -168,7 +168,7 @@ func TestTenantAdmissionInvariantUnderFaults(t *testing.T) {
 		t.Fatal("B's message has no links")
 	}
 	failed := bLinks[0]
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(failed)
 	repair := func(ts *TenantSet, id string) *RepairReport {
 		t.Helper()
@@ -384,7 +384,7 @@ func TestTenantAdmitValidation(t *testing.T) {
 		t.Fatalf("rate guarantee above 1 should be bad input, got %v", err)
 	}
 	faulted := chainTenant(t, top, "F")
-	faulted.Problem.Faults = topology.NewFaultSet(top.Links(), top.Nodes())
+	faulted.Problem.Faults = topology.NewFaultSet()
 	if _, err := ts.Admit(context.Background(), faulted, nil); !errors.Is(err, errkind.ErrBadInput) {
 		t.Fatalf("a tenant brought its own fault set; want bad input, got %v", err)
 	}
@@ -424,7 +424,7 @@ func TestTenantStandingDoesNotWaitForAnAdmission(t *testing.T) {
 		time.Sleep(time.Millisecond)
 	}
 
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	fs.FailLink(0)
 	start := time.Now()
 	if ts.Lookup("a") == nil || len(ts.Tenants()) != 1 {

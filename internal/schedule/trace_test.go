@@ -147,7 +147,7 @@ func TestTracedRepairEmitsRungSpans(t *testing.T) {
 	if !base.Feasible {
 		t.Fatal("base must be feasible")
 	}
-	fs := topology.NewFaultSet(p.Topology.Links(), p.Topology.Nodes())
+	fs := topology.NewFaultSet()
 	// Fail the first link some scheduled message actually crosses so the
 	// repair has real work to do.
 	var failed topology.LinkID

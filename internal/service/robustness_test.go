@@ -299,4 +299,31 @@ func TestEndpointRobustness(t *testing.T) {
 			waitFor(t, "the abandoned solve to stop", func() bool { return runtime.NumGoroutine() <= running })
 		})
 	}
+
+	// An allocator named again is refused before any placement is
+	// resolved: each "anneal" would be one more anneal, which polls no
+	// context. (lpSrv's body cap is the default, room for 90 KB.)
+	t.Run("explore/repeated allocators", func(t *testing.T) {
+		names := make([]string, 10000)
+		for i := range names {
+			names[i] = "anneal"
+		}
+		raw, err := json.Marshal(schedroute.ExploreRequest{
+			Problem: testProblem(0),
+			Axes:    schedroute.ExploreAxes{Placement: &schedroute.PlacementAxis{Allocators: names}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		start := time.Now()
+		rec := httptest.NewRecorder()
+		lpSrv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore", bytes.NewReader(raw)))
+		took := time.Since(start)
+		if er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes()); rec.Code != http.StatusBadRequest || er.Kind != "bad_input" {
+			t.Fatalf("status %d %+v, want 400 bad_input", rec.Code, er.ErrorEnvelope)
+		}
+		if took > 100*time.Millisecond {
+			t.Errorf("refused after %v, want under 100ms", took)
+		}
+	})
 }

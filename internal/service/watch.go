@@ -218,7 +218,7 @@ func (s *Server) watchCreate(c *call, req schedroute.WatchRequest) (watchStream,
 	}
 	base, err := sub.open(c)
 	if err == nil {
-		sub.fs = topology.NewFaultSet(sub.built.Topology.Links(), sub.built.Topology.Nodes())
+		sub.fs = topology.NewFaultSet()
 		err = s.watches.add(sub, s.maxWatchSubs)
 	}
 	if err != nil {

@@ -208,7 +208,7 @@ func TestWatchChaosReplayMatchesRepair(t *testing.T) {
 		return schedroute.WatchFrame{}
 	}
 
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	for i, step := range script {
 		// After the first event's frame: kill every client transport
 		// once. The WatchClient must reconnect with Last-Event-ID and the

@@ -1,22 +1,24 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 )
 
-// FaultSet records the failed links and nodes of a degraded machine.
-// Like LinkSet it is bitset-backed, so membership tests on the routing
-// hot paths stay one shift-and-mask. The zero value is not usable; call
-// NewFaultSet. A nil *FaultSet everywhere means "no faults".
+// FaultSet records the failed links and nodes of a degraded machine as
+// two ascending lists; a fault population is a handful of elements, so
+// a membership test is a binary search of a few entries. The zero value
+// is an empty set, and a nil *FaultSet everywhere means "no faults".
 //
 // FaultSet is not safe for concurrent mutation, but a set that is no
 // longer being mutated may be shared by any number of concurrent
 // readers (the survivability sweep does exactly that).
 type FaultSet struct {
-	links LinkSet
-	nodes LinkSet // reused bitset machinery over NodeID values
+	links []LinkID // ascending
+	nodes []NodeID // ascending
 
 	// routes memoizes Topology.SurvivingRoutes around this population.
 	// Enumerations are a function of (topology, what is broken), so the
@@ -25,64 +27,78 @@ type FaultSet struct {
 	routes sync.Map // routeKey -> *routes, or nil for no route
 }
 
-// NewFaultSet returns an empty fault set for topologies up to the given
-// size; both hints may be zero (the bitsets grow on demand).
-func NewFaultSet(nlinks, nnodes int) *FaultSet {
-	return &FaultSet{links: NewLinkSet(nlinks), nodes: NewLinkSet(nnodes)}
-}
+// NewFaultSet returns an empty fault set.
+func NewFaultSet() *FaultSet { return new(FaultSet) }
 
 // FailLink marks l failed.
 func (f *FaultSet) FailLink(l LinkID) {
 	f.routes = sync.Map{}
-	f.links.Add(l)
+	f.links = insertSorted(f.links, l)
 }
 
 // FailNode marks n failed; every link incident on n is implicitly
 // unusable (a dead CP can switch nothing), which LinkUsable reflects.
 func (f *FaultSet) FailNode(n NodeID) {
 	f.routes = sync.Map{}
-	f.nodes.Add(LinkID(n))
+	f.nodes = insertSorted(f.nodes, n)
 }
 
 // RepairLink returns l to service.
 func (f *FaultSet) RepairLink(l LinkID) {
 	f.routes = sync.Map{}
-	f.links.Remove(l)
+	f.links = removeSorted(f.links, l)
 }
 
 // RepairNode returns n to service.
 func (f *FaultSet) RepairNode(n NodeID) {
 	f.routes = sync.Map{}
-	f.nodes.Remove(LinkID(n))
+	f.nodes = removeSorted(f.nodes, n)
+}
+
+// has, insertSorted and removeSorted keep an ascending list a set.
+func has[E cmp.Ordered](s []E, e E) bool {
+	_, ok := slices.BinarySearch(s, e)
+	return ok
+}
+
+func insertSorted[E cmp.Ordered](s []E, e E) []E {
+	if i, ok := slices.BinarySearch(s, e); !ok {
+		s = slices.Insert(s, i, e)
+	}
+	return s
+}
+
+func removeSorted[E cmp.Ordered](s []E, e E) []E {
+	if i, ok := slices.BinarySearch(s, e); ok {
+		s = slices.Delete(s, i, i+1)
+	}
+	return s
 }
 
 // LinkFailed reports whether l itself is marked failed (node-induced
 // unusability is LinkUsable's job).
 func (f *FaultSet) LinkFailed(l LinkID) bool {
-	return f != nil && f.links.Has(l)
+	return f != nil && has(f.links, l)
 }
 
 // NodeFailed reports whether n is failed.
 func (f *FaultSet) NodeFailed(n NodeID) bool {
-	return f != nil && f.nodes.Has(LinkID(n))
+	return f != nil && has(f.nodes, n)
 }
 
 // LinkUsable reports whether l can carry traffic on t: the link is not
 // failed and neither endpoint CP is dead.
 func (f *FaultSet) LinkUsable(t *Topology, l LinkID) bool {
-	if f == nil {
+	if f.Empty() {
 		return true
 	}
-	if f.links.Has(l) {
-		return false
-	}
 	lk := t.Link(l)
-	return !f.nodes.Has(LinkID(lk.A)) && !f.nodes.Has(LinkID(lk.B))
+	return !f.LinkFailed(l) && !f.NodeFailed(lk.A) && !f.NodeFailed(lk.B)
 }
 
 // Empty reports whether no element is failed.
 func (f *FaultSet) Empty() bool {
-	return f == nil || (f.links.Count() == 0 && f.nodes.Count() == 0)
+	return f == nil || len(f.links)+len(f.nodes) == 0
 }
 
 // FailedLinks returns the explicitly failed links in ascending order.
@@ -90,7 +106,7 @@ func (f *FaultSet) FailedLinks() []LinkID {
 	if f == nil {
 		return nil
 	}
-	return f.links.Links()
+	return slices.Clone(f.links)
 }
 
 // FailedNodes returns the failed nodes in ascending order.
@@ -98,12 +114,7 @@ func (f *FaultSet) FailedNodes() []NodeID {
 	if f == nil {
 		return nil
 	}
-	ls := f.nodes.Links()
-	out := make([]NodeID, len(ls))
-	for i, l := range ls {
-		out[i] = NodeID(l)
-	}
-	return out
+	return slices.Clone(f.nodes)
 }
 
 // Clone returns an independent copy, its route memo empty.
@@ -111,12 +122,7 @@ func (f *FaultSet) Clone() *FaultSet {
 	if f == nil {
 		return nil
 	}
-	cp := NewFaultSet(0, 0)
-	cp.links.AddLinks(f.links.Links())
-	for _, n := range f.nodes.Links() {
-		cp.nodes.Add(n)
-	}
-	return cp
+	return &FaultSet{links: slices.Clone(f.links), nodes: slices.Clone(f.nodes)}
 }
 
 // String renders the fault population, e.g. "faults{links:3,17 nodes:5}".
@@ -154,7 +160,7 @@ func (f *FaultSet) Blocks(t *Topology, p Path) (string, bool) {
 			return fmt.Sprintf("node %d failed", n), true
 		}
 		if i > 0 {
-			if l, ok := t.LinkBetween(p.Nodes[i-1], n); ok && f.links.Has(l) {
+			if l, ok := t.LinkBetween(p.Nodes[i-1], n); ok && f.LinkFailed(l) {
 				return fmt.Sprintf("link %d (%d-%d) failed", l, p.Nodes[i-1], n), true
 			}
 		}
@@ -200,7 +206,8 @@ func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Pa
 			r := cached.(*routes)
 			return r.paths, r.links, nil
 		}
-		r := t.resolve(t.shortestPaths(src, dst, max)) // the addresses give the distances: no BFS
+		paths, _ := t.walk(src, dst, max, nil) // fault-free: never a NoRouteError
+		r := t.resolve(paths)
 		// Reserve a place under the cap before storing, and give it back
 		// when the cap is reached or a concurrent caller stored first.
 		if t.nroutes.Add(1) > routeMemoCap {
@@ -218,7 +225,7 @@ func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Pa
 		r := cached.(*routes)
 		return r.paths, r.links, nil
 	}
-	out, err := t.survivingPaths(src, dst, max, fs)
+	out, err := t.walk(src, dst, max, fs)
 	if err != nil {
 		fs.routes.Store(key, nil)
 		return nil, nil, err
@@ -228,15 +235,63 @@ func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Pa
 	return r.paths, r.links, nil
 }
 
-func (t *Topology) survivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) {
+// walk enumerates up to max shortest src -> dst paths in lexicographic
+// node order over the DAG of nodes one hop nearer dst. Fault-free (fs
+// empty), the addresses give each node's distance (Distance); otherwise
+// a reverse BFS over the residual graph does, and links fs makes
+// unusable are skipped.
+func (t *Topology) walk(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) {
 	if fs.NodeFailed(src) || fs.NodeFailed(dst) {
 		return nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
 	}
 	if src == dst {
 		return []Path{{Nodes: []NodeID{src}}}, nil
 	}
-	// Reverse BFS from dst over the residual graph: dist[u] is the
-	// surviving hop count from u to dst, the DAG the enumeration walks.
+	faulted := !fs.Empty()
+	dist := func(u NodeID) int { return t.Distance(u, dst) }
+	if faulted {
+		d := t.residualDistances(dst, fs)
+		if d[src] < 0 {
+			return nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
+		}
+		dist = func(u NodeID) int { return d[u] }
+	}
+	var out []Path
+	prefix := []NodeID{src}
+	var rec func(u NodeID)
+	rec = func(u NodeID) {
+		if max > 0 && len(out) >= max {
+			return
+		}
+		if u == dst {
+			out = append(out, Path{Nodes: append([]NodeID(nil), prefix...)})
+			return
+		}
+		remain := dist(u)
+		for _, v := range t.adj[u] {
+			if dist(v) != remain-1 {
+				continue
+			}
+			if faulted {
+				if l, _ := t.LinkBetween(u, v); !fs.LinkUsable(t, l) {
+					continue
+				}
+			}
+			prefix = append(prefix, v)
+			rec(v)
+			prefix = prefix[:len(prefix)-1]
+			if max > 0 && len(out) >= max {
+				return
+			}
+		}
+	}
+	rec(src)
+	return out, nil
+}
+
+// residualDistances is a reverse BFS from dst over the residual graph:
+// entry u is the surviving hop count from u to dst, -1 when none.
+func (t *Topology) residualDistances(dst NodeID, fs *FaultSet) []int {
 	dist := make([]int, t.Nodes())
 	for i := range dist {
 		dist[i] = -1
@@ -250,46 +305,14 @@ func (t *Topology) survivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Pat
 			if dist[v] >= 0 || fs.NodeFailed(v) {
 				continue
 			}
-			l, _ := t.LinkBetween(u, v)
-			if !fs.LinkUsable(t, l) {
+			if l, _ := t.LinkBetween(u, v); !fs.LinkUsable(t, l) {
 				continue
 			}
 			dist[v] = dist[u] + 1
 			queue = append(queue, v)
 		}
 	}
-	if dist[src] < 0 {
-		return nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
-	}
-	var out []Path
-	prefix := []NodeID{src}
-	var rec func(u NodeID)
-	rec = func(u NodeID) {
-		if max > 0 && len(out) >= max {
-			return
-		}
-		if u == dst {
-			out = append(out, Path{Nodes: append([]NodeID(nil), prefix...)})
-			return
-		}
-		for _, v := range t.adj[u] {
-			if dist[v] != dist[u]-1 {
-				continue
-			}
-			l, _ := t.LinkBetween(u, v)
-			if !fs.LinkUsable(t, l) {
-				continue
-			}
-			prefix = append(prefix, v)
-			rec(v)
-			prefix = prefix[:len(prefix)-1]
-			if max > 0 && len(out) >= max {
-				return
-			}
-		}
-	}
-	rec(src)
-	return out, nil
+	return dist
 }
 
 // RouteAround is the deterministic fault-aware route: the LSD-to-MSD

@@ -1,14 +1,19 @@
 package topology
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
+	"maps"
+	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 )
 
 func TestFaultSetBasics(t *testing.T) {
-	fs := NewFaultSet(10, 8)
+	fs := NewFaultSet()
 	if !fs.Empty() {
 		t.Fatal("new set should be empty")
 	}
@@ -47,7 +52,7 @@ func TestFaultSetLinkUsable(t *testing.T) {
 	if !ok {
 		t.Fatal("0-1 must be adjacent")
 	}
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	if !fs.LinkUsable(top, l) {
 		t.Fatal("healthy link unusable")
 	}
@@ -68,7 +73,7 @@ func TestSurvivingPathsRoutesAroundLinkFault(t *testing.T) {
 	// 0 -> 1 is a single-hop LSD route; fail that link and the
 	// survivors must be 3-hop detours (hypercube parity) that avoid it.
 	l, _ := top.LinkBetween(0, 1)
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	fs.FailLink(l)
 	paths, err := top.SurvivingPaths(0, 1, 0, fs)
 	if err != nil {
@@ -105,7 +110,7 @@ func TestSurvivingPathsCacheInvalidatesOnEpoch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	l01, _ := top.LinkBetween(0, 1)
 	fs.FailLink(l01)
 	withFault, err := top.SurvivingPaths(0, 1, 0, fs)
@@ -130,7 +135,7 @@ func TestSurvivingPathsNodeFault(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	fs.FailNode(1)
 	// 0 -> 2 along dimension 0 normally passes node 1; survivors must
 	// detour around it.
@@ -167,7 +172,7 @@ func TestSurvivingPathsNonMinimalDetour(t *testing.T) {
 	if !ok {
 		t.Fatal("0-1 must be adjacent")
 	}
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	fs.FailLink(l)
 	p, err := top.RouteAround(0, 1, fs)
 	if err != nil {
@@ -186,7 +191,7 @@ func TestRouteAroundPrefersLSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	// Fail a link unrelated to the 0 -> 3 LSD route (0->1->3).
 	l, _ := top.LinkBetween(4, 5)
 	fs.FailLink(l)
@@ -213,7 +218,7 @@ func TestValidateFaultNamesFailedElement(t *testing.T) {
 		t.Fatalf("LSD route 0->3 should have 2 hops, got %d", len(links))
 	}
 
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	fs.FailLink(links[1])
 	err = p.ValidateFault(top, fs)
 	if err == nil {
@@ -223,7 +228,7 @@ func TestValidateFaultNamesFailedElement(t *testing.T) {
 		t.Errorf("error %q does not name %q", err, want)
 	}
 
-	fs2 := NewFaultSet(top.Links(), top.Nodes())
+	fs2 := NewFaultSet()
 	fs2.FailNode(1)
 	err = p.ValidateFault(top, fs2)
 	if err == nil {
@@ -261,6 +266,174 @@ func TestParseLinkSpec(t *testing.T) {
 	for _, bad := range []string{"", "0", "0-9", "0-3", "x-1", "0-x", "-1-2"} {
 		if _, err := top.ParseLinkSpec(bad); err == nil {
 			t.Errorf("spec %q should fail", bad)
+		}
+	}
+}
+
+// testMachines are small machines of every kind, with a radix-2 ring
+// (the torus whose two directions are one link) and a mesh's boundary.
+var testMachines = []struct {
+	name  string
+	build func() (*Topology, error)
+}{
+	{"cube:4", func() (*Topology, error) { return NewHypercube(4) }},
+	{"ghc:3,3", func() (*Topology, error) { return NewGHC(3, 3) }},
+	{"torus:4,4", func() (*Topology, error) { return NewTorus(4, 4) }},
+	{"torus:2,4", func() (*Topology, error) { return NewTorus(2, 4) }},
+	{"mesh:3,4", func() (*Topology, error) { return NewMesh(3, 4) }},
+}
+
+func sortedKeys[K cmp.Ordered](m map[K]bool) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+func joinIDs[E any](ids []E) string {
+	ss := make([]string, len(ids))
+	for i, id := range ids {
+		ss[i] = fmt.Sprint(id)
+	}
+	return strings.Join(ss, ",")
+}
+
+// checkFaultSet holds fs to the reference maps of what is failed.
+func checkFaultSet(t *testing.T, what string, top *Topology, fs *FaultSet, links map[LinkID]bool, nodes map[NodeID]bool) {
+	t.Helper()
+	for l := LinkID(0); int(l) < top.Links(); l++ {
+		lk := top.Link(l)
+		usable := !links[l] && !nodes[lk.A] && !nodes[lk.B]
+		if fs.LinkFailed(l) != links[l] || fs.LinkUsable(top, l) != usable {
+			t.Fatalf("%s: link %d failed %v usable %v, want %v %v", what, l, fs.LinkFailed(l), fs.LinkUsable(top, l), links[l], usable)
+		}
+	}
+	for n := NodeID(0); int(n) < top.Nodes(); n++ {
+		if fs.NodeFailed(n) != nodes[n] {
+			t.Fatalf("%s: node %d failed %v, want %v", what, n, fs.NodeFailed(n), nodes[n])
+		}
+	}
+	wantLinks, wantNodes := sortedKeys(links), sortedKeys(nodes)
+	if got := fs.FailedLinks(); !slices.Equal(got, wantLinks) {
+		t.Fatalf("%s: FailedLinks %v, want %v", what, got, wantLinks)
+	}
+	if got := fs.FailedNodes(); !slices.Equal(got, wantNodes) {
+		t.Fatalf("%s: FailedNodes %v, want %v", what, got, wantNodes)
+	}
+	if fs.Empty() != (len(links)+len(nodes) == 0) {
+		t.Fatalf("%s: Empty %v with %d links and %d nodes failed", what, fs.Empty(), len(links), len(nodes))
+	}
+	var parts []string
+	if len(wantLinks) > 0 {
+		parts = append(parts, "links:"+joinIDs(wantLinks))
+	}
+	if len(wantNodes) > 0 {
+		parts = append(parts, "nodes:"+joinIDs(wantNodes))
+	}
+	if want := "faults{" + strings.Join(parts, " ") + "}"; fs.String() != want {
+		t.Fatalf("%s: String %q, want %q", what, fs.String(), want)
+	}
+}
+
+// TestFaultSetMatchesMapReference drives seeded fail / repair sequences
+// of links and nodes, from the zero value, against two maps; a Clone
+// taken halfway must keep its population through the rest of the
+// sequence, and the original through the Clone's own mutations.
+func TestFaultSetMatchesMapReference(t *testing.T) {
+	for _, m := range testMachines {
+		if m.name != "cube:4" && m.name != "torus:4,4" {
+			continue
+		}
+		top, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for seed := int64(1); seed <= 20; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			fs := new(FaultSet)
+			links, nodes := map[LinkID]bool{}, map[NodeID]bool{}
+			var clone *FaultSet
+			var cloneLinks map[LinkID]bool
+			var cloneNodes map[NodeID]bool
+			for step := 0; step < 60; step++ {
+				l, n := LinkID(rng.Intn(top.Links())), NodeID(rng.Intn(top.Nodes()))
+				switch rng.Intn(4) {
+				case 0:
+					fs.FailLink(l)
+					links[l] = true
+				case 1:
+					fs.RepairLink(l)
+					delete(links, l)
+				case 2:
+					fs.FailNode(n)
+					nodes[n] = true
+				case 3:
+					fs.RepairNode(n)
+					delete(nodes, n)
+				}
+				what := fmt.Sprintf("%s seed %d step %d", m.name, seed, step)
+				checkFaultSet(t, what, top, fs, links, nodes)
+				if step == 30 {
+					clone, cloneLinks, cloneNodes = fs.Clone(), maps.Clone(links), maps.Clone(nodes)
+				}
+			}
+			what := fmt.Sprintf("%s seed %d", m.name, seed)
+			checkFaultSet(t, what+" clone", top, clone, cloneLinks, cloneNodes)
+			for l := LinkID(0); int(l) < top.Links(); l++ {
+				clone.FailLink(l)
+			}
+			clone.FailNode(0)
+			checkFaultSet(t, what+" after the clone's mutations", top, fs, links, nodes)
+		}
+	}
+}
+
+// TestFaultFreeAndBFSDistancesAgree cross-checks the walk's two
+// distance sources. Around one failed link that no fault-free shortest
+// src -> dst path crosses, the residual BFS gives every node of that
+// DAG its address distance, so the faulted enumeration must be the
+// fault-free one.
+func TestFaultFreeAndBFSDistancesAgree(t *testing.T) {
+	for _, m := range testMachines {
+		top, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for _, max := range []int{0, 3} {
+			for src := NodeID(0); int(src) < top.Nodes(); src++ {
+				for dst := NodeID(0); int(dst) < top.Nodes(); dst++ {
+					used := map[LinkID]bool{}
+					for _, p := range top.ShortestPaths(src, dst, 0) {
+						ls, err := p.Links(top)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for _, l := range ls {
+							used[l] = true
+						}
+					}
+					spare := LinkID(0)
+					for used[spare] {
+						spare++
+					}
+					if int(spare) == top.Links() {
+						continue // every link is on some shortest path
+					}
+					fs := NewFaultSet()
+					fs.FailLink(spare)
+					got, err := top.SurvivingPaths(src, dst, max, fs)
+					if want := top.ShortestPaths(src, dst, max); err != nil || !reflect.DeepEqual(got, want) {
+						t.Fatalf("%s %d->%d max %d around link %d: %v (%v), want %v", m.name, src, dst, max, spare, got, err, want)
+					}
+					checked++
+				}
+			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no pair has a link off its shortest paths", m.name)
 		}
 	}
 }

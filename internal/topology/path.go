@@ -190,34 +190,3 @@ func (t *Topology) ShortestPaths(src, dst NodeID, max int) []Path {
 	paths, _, _ := t.SurvivingRoutes(src, dst, max, nil) // fault-free: never a NoRouteError
 	return paths
 }
-
-func (t *Topology) shortestPaths(src, dst NodeID, max int) []Path {
-	if src == dst {
-		return []Path{{Nodes: []NodeID{src}}}
-	}
-	var out []Path
-	prefix := []NodeID{src}
-	var rec func(u NodeID)
-	rec = func(u NodeID) {
-		if max > 0 && len(out) >= max {
-			return
-		}
-		if u == dst {
-			out = append(out, Path{Nodes: append([]NodeID(nil), prefix...)})
-			return
-		}
-		remain := t.Distance(u, dst)
-		for _, v := range t.adj[u] {
-			if t.Distance(v, dst) == remain-1 {
-				prefix = append(prefix, v)
-				rec(v)
-				prefix = prefix[:len(prefix)-1]
-				if max > 0 && len(out) >= max {
-					return
-				}
-			}
-		}
-	}
-	rec(src)
-	return out
-}

@@ -33,8 +33,8 @@ func TestShortestPathsConcurrent(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := top.shortestPaths(0, 27, 24)
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	want, _ := top.walk(0, 27, 24, nil)
+	fs := NewFaultSet()
 	fs.FailLink(0)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -82,7 +82,7 @@ func checkRoutes(t *testing.T, top *Topology, src, dst NodeID, fs *FaultSet) {
 // cold and again from the memo.
 func TestMemoizedLinksMatchPathLinks(t *testing.T) {
 	for _, top := range []*Topology{mustGHC(t, 2, 2, 2, 2, 2, 2), mustGHC(t, 4, 4, 4), mustTorus(t, 8, 8), mustTorus(t, 4, 4, 4)} {
-		fs := NewFaultSet(top.Links(), top.Nodes())
+		fs := NewFaultSet()
 		fs.FailLink(3)
 		fs.FailNode(5)
 		for _, f := range []*FaultSet{nil, fs} {
@@ -121,7 +121,7 @@ func TestRouteMemoFreshFaultSetsLeaveTheTopologyAlone(t *testing.T) {
 		t.Fatalf("%d fault-free enumerations memoized, want %d", warm, top.Nodes())
 	}
 	for i := 0; i < 1000; i++ {
-		fs := NewFaultSet(top.Links(), top.Nodes())
+		fs := NewFaultSet()
 		fs.FailLink(0)
 		if _, _, err := top.SurvivingRoutes(0, NodeID(1+i%(top.Nodes()-1)), 24, fs); err != nil {
 			t.Fatal(err)
@@ -140,7 +140,7 @@ func TestRouteMemoFreshFaultSetsLeaveTheTopologyAlone(t *testing.T) {
 // any mutation, and shares nothing with its Clone.
 func TestRouteMemoLivesAndDiesWithItsFaultSet(t *testing.T) {
 	top := mustGHC(t, 2, 2, 2, 2, 2, 2)
-	fs := NewFaultSet(top.Links(), top.Nodes())
+	fs := NewFaultSet()
 	fs.FailLink(0)
 	ask := func(f *FaultSet) []Path {
 		t.Helper()

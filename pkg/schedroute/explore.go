@@ -15,6 +15,8 @@ package schedroute
 //     resource minimization per candidate period, dominated points
 //     eliminated.
 
+import "slices"
+
 // TauInAxis spans the candidate invocation periods of an exploration.
 type TauInAxis struct {
 	// Points is the number of candidate periods: the grid size in grid
@@ -34,7 +36,7 @@ type TauInAxis struct {
 type PlacementAxis struct {
 	// Allocators names extra candidate placements by allocator spec
 	// ("rr", "greedy", "random", "anneal"), each resolved with the
-	// problem's alloc_seed.
+	// problem's alloc_seed; a name given twice is refused.
 	Allocators []string `json:"allocators,omitempty"`
 	// AnnealSeeds adds one simulated-annealing placement per seed,
 	// deterministic per seed.
@@ -156,11 +158,16 @@ func (r ExploreRequest) Validate() error {
 		if p.AnnealSteps < 0 {
 			return badInput("explore: axes.placement.anneal_steps must be non-negative, got %d", p.AnnealSteps)
 		}
-		for _, a := range p.Allocators {
+		// A name resolves with the problem's alloc_seed to one placement,
+		// so a repeat would only repeat its work (an anneal each).
+		for i, a := range p.Allocators {
 			switch a {
 			case "rr", "greedy", "random", "anneal":
 			default:
 				return badInput("explore: unknown placement allocator %q (want rr, greedy, random or anneal)", a)
+			}
+			if slices.Contains(p.Allocators[:i], a) {
+				return badInput("explore: placement allocator %q named twice", a)
 			}
 		}
 	}

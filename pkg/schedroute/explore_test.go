@@ -41,6 +41,7 @@ func TestExploreRequestValidate(t *testing.T) {
 		{Tolerance: -1},
 		{Objectives: []string{"latency"}, Execute: true},
 		{Axes: ExploreAxes{Placement: &PlacementAxis{Allocators: []string{"magic"}}}},
+		{Axes: ExploreAxes{Placement: &PlacementAxis{Allocators: []string{"anneal", "rr", "anneal"}}}},
 		{Axes: ExploreAxes{Placement: &PlacementAxis{AnnealSeeds: []int64{2}, AnnealSteps: -5}}},
 		{Execute: true, Invocations: -1},
 		{Execute: true, Invocations: 1},

@@ -237,7 +237,7 @@ func (f FaultSpec) Build(top *topology.Topology) (*topology.FaultSet, error) {
 	if f.Empty() {
 		return nil, nil
 	}
-	fs := topology.NewFaultSet(top.Links(), top.Nodes())
+	fs := topology.NewFaultSet()
 	for _, spec := range f.Links {
 		l, err := top.ParseLinkSpec(spec)
 		if err != nil {
