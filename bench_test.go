@@ -15,6 +15,7 @@ import (
 	"encoding/json"
 	"io"
 	"log/slog"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -24,6 +25,7 @@ import (
 	"schedroute/internal/cpsim"
 	"schedroute/internal/dvb"
 	"schedroute/internal/experiments"
+	"schedroute/internal/lp"
 	"schedroute/internal/metrics"
 	"schedroute/internal/schedule"
 	"schedroute/internal/service"
@@ -910,6 +912,136 @@ func BenchmarkAllocationLPGHC448(b *testing.B) {
 		subsets = allocate()
 	}
 	b.ReportMetric(float64(subsets), "subsets/op")
+}
+
+// BenchmarkAllocationLPTorus88 is the Section 5.2 LP alone on the tail
+// entry of the repository benchmark's svc_hot pool, torus88-b128-lp02:
+// dvb:4 on torus:8,8 at B=128, τin 86.36…, default options. The entry
+// fails later, at interval scheduling; of its three maximal subsets one
+// holds nearly all the LP work, 275 rows over 149 cells and 172 Bland
+// pivots. One op solves that system, restated here row for row as
+// AllocateIntervals builds it, which the benchmark checks first: the
+// restated solution must equal, bit for bit, the subset's allocation.
+func BenchmarkAllocationLPTorus88(b *testing.B) {
+	const tauIn = 86.36363636363636
+	built, err := api.NewProblem(api.Problem{TFG: "dvb:4", Topology: "torus:8,8", Bandwidth: 128, TauIn: tauIn})
+	if err != nil {
+		b.Fatal(err)
+	}
+	opts, err := api.Options{}.ToSchedule()
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := schedule.Compute(built.ScheduleProblemAt(tauIn), opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	pa, ws, act := res.Assignment, res.Windows, res.Activity
+	var subset []tfg.MessageID
+	for _, s := range schedule.MaximalSubsets(pa, ws, act) {
+		if len(s) > len(subset) {
+			subset = s
+		}
+	}
+	want, err := schedule.AllocateIntervals([][]tfg.MessageID{subset}, pa, ws, act)
+	if err != nil {
+		b.Fatal(err)
+	}
+	prob, rows := allocationLP(b, subset, pa, ws, act)
+	sol := prob.Solve()
+	if sol.Status != lp.Optimal {
+		b.Fatalf("restated LP is %v", sol.Status)
+	}
+	for vi, c := range allocationCells(subset, act) {
+		got := sol.X[vi]
+		if got < 0 {
+			got = 0 // AllocateIntervals' clamp, which keeps a -0
+		}
+		if math.Float64bits(got) != math.Float64bits(want.P[c[0]][c[1]]) {
+			b.Fatalf("cell %v: restated LP gives %v, AllocateIntervals %v", c, got, want.P[c[0]][c[1]])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sol = prob.Solve()
+	}
+	b.StopTimer()
+	if rows != 275 || sol.Pivots != 172 {
+		b.Fatalf("%d rows, %d pivots; want 275 rows and 172 pivots", rows, sol.Pivots)
+	}
+	b.ReportMetric(float64(sol.Pivots), "pivots/op")
+}
+
+// allocationCells lists subset's active (message, interval) cells in
+// AllocateIntervals' variable order: message by message, then interval.
+func allocationCells(subset []tfg.MessageID, act *schedule.Activity) [][2]int {
+	var cells [][2]int
+	for _, mi := range subset {
+		for k, on := range act.Active[mi] {
+			if on {
+				cells = append(cells, [2]int{int(mi), k})
+			}
+		}
+	}
+	return cells
+}
+
+// allocationLP restates one maximal subset's Section 5.2 system in
+// AllocateIntervals' row order: (3) per message, a cap per cell, then
+// (4) per link ascending and interval wherever two or more cells share
+// it. It returns the problem and its row count.
+func allocationLP(b *testing.B, subset []tfg.MessageID, pa *schedule.PathAssignment, ws []schedule.Window, act *schedule.Activity) (*lp.Problem, int) {
+	cells := allocationCells(subset, act)
+	varOf := make(map[[2]int]int32, len(cells))
+	for vi, c := range cells {
+		varOf[c] = int32(vi)
+	}
+	prob := lp.NewProblem(len(cells))
+	rows := 0
+	add := func(idx []int32, op lp.Op, rhs float64) {
+		val := make([]float64, len(idx))
+		for t := range val {
+			val[t] = 1
+		}
+		if err := prob.AddRow(idx, val, op, rhs); err != nil {
+			b.Fatal(err)
+		}
+		rows++
+	}
+	K := act.Intervals.K()
+	onLink := map[topology.LinkID][]tfg.MessageID{}
+	maxLink := topology.LinkID(-1)
+	for _, mi := range subset {
+		var idx []int32
+		for k := 0; k < K; k++ {
+			if v, ok := varOf[[2]int{int(mi), k}]; ok {
+				idx = append(idx, v)
+			}
+		}
+		add(idx, lp.EQ, ws[mi].Xmit)
+		for _, l := range pa.Links[mi] {
+			onLink[l] = append(onLink[l], mi)
+			maxLink = max(maxLink, l)
+		}
+	}
+	for _, c := range cells {
+		add([]int32{varOf[c]}, lp.LE, act.Intervals.Length(c[1]))
+	}
+	for l := topology.LinkID(0); l <= maxLink; l++ {
+		for k := 0; k < K; k++ {
+			var idx []int32
+			for _, mi := range onLink[l] {
+				if v, ok := varOf[[2]int{int(mi), k}]; ok {
+					idx = append(idx, v)
+				}
+			}
+			if len(idx) >= 2 {
+				add(idx, lp.LE, act.Intervals.Length(k))
+			}
+		}
+	}
+	return prob, rows
 }
 
 // BenchmarkScheduleIntervalsTenCube is Section 5.3 interval scheduling

@@ -11,9 +11,9 @@
 // of link-feasible sets). Bland's rule is used throughout, so the solver
 // cannot cycle.
 //
-// Constraint rows are stored sparsely and Solve runs a sparse revised
-// tableau (see sparse.go) that skips the structurally-zero work that
-// dominates the interval-membership systems this repository generates.
+// Constraint rows are stored sparsely and Solve pivots a sparse tableau
+// (see sparse.go) that skips the structurally-zero work that dominates
+// the interval-membership systems this repository generates.
 // Every answer carries its proof in the tableau the solve leaves behind —
 // the dual of an optimum, a Farkas vector for Infeasible, a ray for
 // Unbounded — and Check verifies it against the problem's own rows (see

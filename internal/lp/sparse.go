@@ -11,8 +11,10 @@ import (
 // a demand row touches one message's active intervals, a capacity row
 // one link's users — and a dense tableau spends almost all its time
 // multiplying and copying structural zeros. The rows here store only
-// nonzeros (index-sorted), and every pivot walks the union of two rows'
-// supports instead of the full column range. Entries that cancel to
+// nonzeros, in no particular order, and a pivot scatters the scaled
+// leave row into a dense per-column array once, then updates every other
+// row holding the entering column in place over that row's own support,
+// appending the leave row's columns it lacked. Entries that cancel to
 // exactly zero are dropped from the support.
 
 // sparseWork is the reusable Solve scratch owned by a Problem.
@@ -22,8 +24,17 @@ type sparseWork struct {
 	rhs   []float64
 	basis []int
 	obj   []float64
-	tmpI  []int32
-	tmpV  []float64
+
+	// The pivot kernel's scratch. dense holds the scaled leave row by
+	// column during a pivot and exact zeros everywhere else, at every
+	// other time. seen[j] == stamp marks the columns the row being
+	// eliminated held before the update; stamp rises once per eliminate,
+	// and when it wraps every mark is cleared. fill gathers the leave
+	// row's columns that row lacked; it is as long as the leave row.
+	dense []float64
+	seen  []uint32
+	stamp uint32
+	fill  []int32
 
 	// The entering column as gathered by gatherColumn: its nonzero
 	// coefficients and their rows, ascending, and, when it ended a solve
@@ -55,37 +66,34 @@ func (w *sparseWork) mark(r int, j int32) {
 // pollPivots is how many pivots iterateSparse runs between two looks at
 // its context: rare enough to cost nothing, often enough that a
 // cancelled solve stops within milliseconds on the few-hundred-row
-// systems the standard configs build, and within about a second on an
-// 11 000-row one (a pivot there takes some 4 ms).
+// systems the standard configs build. A pivot's cost grows with
+// fill-in: on a 2 036-row system it took under 1 ms while the tableau
+// was sparse and about 12 ms once it had turned dense (2-vCPU Xeon), so
+// a stop there can lag its context by up to some 3 s.
 const pollPivots = 256
 
-// lookup returns the coefficient at column j of the sorted support, or
-// exactly 0 when absent. Written out: slices.BinarySearch is not inlined
-// here, and gatherColumn calls it once per candidate row per pivot.
+// lookup returns the coefficient at column j of the support, or exactly 0
+// when absent.
 func lookup(idx []int32, val []float64, j int32) float64 {
-	lo, hi := 0, len(idx)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if idx[mid] < j {
-			lo = mid + 1
-		} else {
-			hi = mid
+	for t, c := range idx {
+		if c == j {
+			return val[t]
 		}
-	}
-	if lo < len(idx) && idx[lo] == j {
-		return val[lo]
 	}
 	return 0
 }
 
 // ensure sizes the scratch for m rows and total columns, keeping every
-// row buffer it already holds, and clears rowsOf.
+// row buffer it already holds, and clears rowsOf. dense and seen keep
+// their contents: zeros, and marks below the stamp.
 func (w *sparseWork) ensure(m, total int) {
 	w.idx = slices.Grow(w.idx[:0], m)[:m]
 	w.val = slices.Grow(w.val[:0], m)[:m]
 	w.rhs = slices.Grow(w.rhs[:0], m)[:m]
 	w.basis = slices.Grow(w.basis[:0], m)[:m]
 	w.obj = slices.Grow(w.obj[:0], total+1)[:total+1]
+	w.dense = slices.Grow(w.dense[:0], total)[:total]
+	w.seen = slices.Grow(w.seen[:0], total)[:total]
 	w.words = (m + 63) / 64
 	n := colClasses * w.words
 	w.rowsOf = slices.Grow(w.rowsOf[:0], n)[:n]
@@ -108,64 +116,67 @@ func (w *sparseWork) scaleRow(r int, inv float64, enter int32) {
 	w.rhs[r] *= inv
 }
 
-// eliminate subtracts f times the (already scaled) leave row from row r
-// over the union of their supports, dropping the enter column (the pivot
-// zeroes it) and any entry that cancels to exact zero.
-func (w *sparseWork) eliminate(r, leave int, f float64, enter int32) {
+// eliminate subtracts f times the leave row, scattered in w.dense, from
+// row r: in place over row r's support, where the entering column and
+// anything else that cancels becomes an exact zero and is dropped, then
+// by appending, as 0 − f·dense[j], the leave row's columns row r lacked,
+// each that is not an exact zero.
+func (w *sparseWork) eliminate(r, leave int, f float64) {
+	if w.stamp++; w.stamp == 0 {
+		clear(w.seen[:cap(w.seen)])
+		w.stamp = 1
+	}
 	ai, av := w.idx[r], w.val[r]
-	bi, bv := w.idx[leave], w.val[leave]
-	ti, tv := w.tmpI[:0], w.tmpV[:0]
-	x, y := 0, 0
-	for x < len(ai) && y < len(bi) {
-		switch {
-		case ai[x] == bi[y]:
-			if j := ai[x]; j != enter {
-				if v := av[x] - f*bv[y]; v != 0 {
-					ti = append(ti, j)
-					tv = append(tv, v)
-				}
-			}
-			x++
-			y++
-		case ai[x] < bi[y]:
-			// Leave row is zero here: nothing to subtract.
-			if j := ai[x]; j != enter {
-				ti = append(ti, j)
-				tv = append(tv, av[x])
-			}
-			x++
-		default:
-			// Row r is zero here: the entry becomes 0 - f*t.
-			if j := bi[y]; j != enter {
-				if v := 0 - f*bv[y]; v != 0 {
-					ti = append(ti, j)
-					tv = append(tv, v)
-					w.mark(r, j)
-				}
-			}
-			y++
+	n := updateRow(ai, av, w.dense, w.seen, w.stamp, f)
+	k := gatherFill(w.fill, w.idx[leave], w.seen, w.stamp)
+	ai, av = slices.Grow(ai[:n], k), slices.Grow(av[:n], k)
+	for _, j := range w.fill[:k] {
+		if v := 0 - f*w.dense[j]; v != 0 {
+			ai, av = append(ai, j), append(av, v)
+			w.mark(r, j)
 		}
 	}
-	for ; x < len(ai); x++ {
-		if j := ai[x]; j != enter {
-			ti = append(ti, j)
-			tv = append(tv, av[x])
-		}
-	}
-	for ; y < len(bi); y++ {
-		if j := bi[y]; j != enter {
-			if v := 0 - f*bv[y]; v != 0 {
-				ti = append(ti, j)
-				tv = append(tv, v)
-				w.mark(r, j)
-			}
-		}
-	}
+	w.idx[r], w.val[r] = ai, av
 	w.rhs[r] -= f * w.rhs[leave]
-	// Swap the merged result in, recycling row r's old backing as the
-	// next merge's scratch.
-	w.idx[r], w.tmpI = ti, ai[:0]
-	w.val[r], w.tmpV = tv, av[:0]
+}
+
+// updateRow sets each entry of row (ai, av) to av − f·dense[j], stamps
+// its column in seen, and compacts out the entries that became exact
+// zeros; it returns the row's new length. Where the leave row has no
+// entry, dense holds 0 and the subtraction leaves av's bits unchanged.
+// The kernels stay out of line, where each loop keeps its indices in
+// registers.
+//
+//go:noinline
+func updateRow(ai []int32, av, dense []float64, seen []uint32, s uint32, f float64) int {
+	av = av[:len(ai)]
+	n := 0
+	for t, j := range ai {
+		v := av[t] - f*dense[j]
+		seen[j] = s
+		ai[n], av[n] = j, v
+		if v != 0 {
+			n++
+		}
+	}
+	return n
+}
+
+// gatherFill writes the leave row's columns bi into fi and returns how
+// many of them, packed first, are not stamped s: the columns the row
+// lacks.
+//
+//go:noinline
+func gatherFill(fi, bi []int32, seen []uint32, s uint32) int {
+	fi = fi[:len(bi)]
+	k := 0
+	for _, j := range bi {
+		fi[k] = j
+		if seen[j] != s {
+			k++
+		}
+	}
+	return k
 }
 
 // gatherColumn collects the nonzero coefficients of column enter in
@@ -195,10 +206,18 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 	pv := lookup(w.idx[leave], w.val[leave], enter)
 	inv := 1.0 / pv
 	w.scaleRow(leave, inv, enter)
+	bi, bv := w.idx[leave], w.val[leave]
+	for t, j := range bi {
+		w.dense[j] = bv[t]
+	}
+	w.fill = slices.Grow(w.fill[:0], len(bi))[:len(bi)]
 	for t, i := range w.colRow {
 		if int(i) != leave {
-			w.eliminate(int(i), leave, w.colVal[t], enter)
+			w.eliminate(int(i), leave, w.colVal[t])
 		}
+	}
+	for _, j := range bi {
+		w.dense[j] = 0
 	}
 	if f := w.obj[enter]; f != 0 {
 		w.subObj(leave, f, total)
@@ -282,8 +301,6 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 			}
 			b = -b
 		}
-		// Slack then artificial columns come after every structural
-		// index, so appending keeps the support sorted.
 		switch op {
 		case LE:
 			ri, rv = append(ri, slackIdx), append(rv, 1)
@@ -323,21 +340,22 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 			return Solution{Status: Infeasible, Pivots: w.pivots}, nil
 		}
 		// Drive any artificial still in the basis out (degenerate zero
-		// rows); if impossible the row is redundant.
-	drive:
+		// rows) through the row's smallest non-artificial column with a
+		// usable coefficient; if there is none the row is redundant.
 		for i, bj := range w.basis {
 			if bj < artStart {
 				continue
 			}
+			enter := int32(artStart)
 			for t, j := range w.idx[i] {
-				if int(j) >= artStart {
-					break
+				if j < enter && math.Abs(w.val[i][t]) > eps {
+					enter = j
 				}
-				if math.Abs(w.val[i][t]) > eps {
-					w.gatherColumn(j)
-					w.pivotSparse(i, j, total)
-					continue drive
-				}
+			}
+			if int(enter) < artStart {
+				w.gatherColumn(enter)
+				w.pivotSparse(i, enter, total)
+				continue
 			}
 			// Redundant constraint: zero the row to neutralize it.
 			w.idx[i] = w.idx[i][:0]
