@@ -170,7 +170,9 @@ func TestEliminateMatchesReference(t *testing.T) {
 			if len(w.colRow) != holders+1 {
 				t.Fatalf("seed %d step %d: gathered %d rows, %d hold column %d", seed, step, len(w.colRow), holders+1, enter)
 			}
-			w.pivotSparse(leave, enter, total)
+			if err := w.pivotSparse(context.Background(), leave, enter, total); err != nil {
+				t.Fatal(err)
+			}
 			checkRows(t, &w)
 			for i := 0; i < m; i++ {
 				if got, want := sortedRow(&w, i), sortedRow(&ref, i); !slices.Equal(got, want) {

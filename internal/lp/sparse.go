@@ -53,6 +53,7 @@ type sparseWork struct {
 	words  int
 
 	pivots int // pivots performed by the current Solve
+	work   int // row entries eliminated since the context was last looked at
 }
 
 // colClasses is how many column classes rowsOf keeps, 32 B per row.
@@ -63,14 +64,18 @@ func (w *sparseWork) mark(r int, j int32) {
 	w.rowsOf[int(uint32(j)%colClasses)*w.words+r>>6] |= 1 << (r & 63)
 }
 
-// pollPivots is how many pivots iterateSparse runs between two looks at
-// its context: rare enough to cost nothing, often enough that a
-// cancelled solve stops within milliseconds on the few-hundred-row
-// systems the standard configs build. A pivot's cost grows with
-// fill-in: on a 2 036-row system it took under 1 ms while the tableau
-// was sparse and about 12 ms once it had turned dense (2-vCPU Xeon), so
-// a stop there can lag its context by up to some 3 s.
-const pollPivots = 256
+// A solve looks at its context as each phase starts, every pollPivots
+// pivots, and inside a pivot whenever the row entries eliminated since
+// the last look reach pollWork. A pivot's cost is its eliminations, and grows with fill-in:
+// on a 2 036-row system a pivot took under 1 ms while the tableau was
+// sparse and about 12 ms once it had turned dense, so counting pivots
+// alone let a cancelled solve run on for some 3 s. pollWork entries
+// take about 1 ms (3 to 4 ns an entry on a dense 600-row system, 2-vCPU
+// Xeon), so a stop lags its context by about 1 ms.
+const (
+	pollPivots = 256
+	pollWork   = 1 << 18
+)
 
 // lookup returns the coefficient at column j of the support, or exactly 0
 // when absent.
@@ -201,8 +206,9 @@ func (w *sparseWork) gatherColumn(enter int32) {
 // stored nonzeros. The caller has gathered column enter. The gathered
 // coefficients stay current throughout: eliminating row i rewrites row i
 // alone, and the leave row's own coefficient is read before the row is
-// scaled.
-func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
+// scaled. Once ctx is done (see pollWork) it stops between two rows and
+// returns ctx's error, leaving the tableau half pivoted and dense clear.
+func (w *sparseWork) pivotSparse(ctx context.Context, leave int, enter int32, total int) error {
 	pv := lookup(w.idx[leave], w.val[leave], enter)
 	inv := 1.0 / pv
 	w.scaleRow(leave, inv, enter)
@@ -211,13 +217,25 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 		w.dense[j] = bv[t]
 	}
 	w.fill = slices.Grow(w.fill[:0], len(bi))[:len(bi)]
+	var err error
 	for t, i := range w.colRow {
-		if int(i) != leave {
-			w.eliminate(int(i), leave, w.colVal[t])
+		if int(i) == leave {
+			continue
+		}
+		w.work += len(w.idx[i]) + len(bi)
+		w.eliminate(int(i), leave, w.colVal[t])
+		if w.work >= pollWork {
+			w.work = 0
+			if err = ctx.Err(); err != nil {
+				break
+			}
 		}
 	}
 	for _, j := range bi {
 		w.dense[j] = 0
+	}
+	if err != nil {
+		return err
 	}
 	if f := w.obj[enter]; f != 0 {
 		w.subObj(leave, f, total)
@@ -225,6 +243,7 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 	}
 	w.basis[leave] = int(enter)
 	w.pivots++
+	return nil
 }
 
 // iterateSparse runs primal simplex with Bland's rule over the sparse
@@ -233,6 +252,9 @@ func (w *sparseWork) pivotSparse(leave int, enter int32, total int) {
 // once ctx is done. A row absent from the gathered column holds an exact
 // zero there, which the ratio test would skip anyway.
 func (w *sparseWork) iterateSparse(ctx context.Context, total, barred int) (bool, error) {
+	if err := ctx.Err(); err != nil {
+		return false, err // done while the tableau was loaded or priced
+	}
 	for {
 		enter := -1
 		for j := 0; j < barred; j++ {
@@ -260,7 +282,9 @@ func (w *sparseWork) iterateSparse(ctx context.Context, total, barred int) (bool
 			w.enter = enter
 			return false, nil
 		}
-		w.pivotSparse(leave, int32(enter), total)
+		if err := w.pivotSparse(ctx, leave, int32(enter), total); err != nil {
+			return false, err
+		}
 		if w.pivots%pollPivots == 0 {
 			if err := ctx.Err(); err != nil {
 				return false, err
@@ -277,8 +301,8 @@ func (p *Problem) Solve() Solution {
 	return sol
 }
 
-// SolveContext is Solve under a context, looked at every pollPivots
-// pivots of either phase: once ctx is done the solve stops and returns
+// SolveContext is Solve under a context, looked at in either phase as
+// pollPivots says: once ctx is done the solve stops and returns
 // ctx.Err(), bare.
 func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 	nSlack, nArt := p.auxCounts()
@@ -287,7 +311,7 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 
 	w := &p.w
 	w.ensure(len(p.ops), total)
-	w.pivots = 0
+	w.pivots, w.work = 0, 0
 	slackIdx, artIdx := int32(p.nvars), int32(artStart)
 	for i := range p.ops {
 		ji, jv := p.rowNonzeros(i)
@@ -354,7 +378,9 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 			}
 			if int(enter) < artStart {
 				w.gatherColumn(enter)
-				w.pivotSparse(i, enter, total)
+				if err := w.pivotSparse(ctx, i, enter, total); err != nil {
+					return Solution{}, err
+				}
 				continue
 			}
 			// Redundant constraint: zero the row to neutralize it.

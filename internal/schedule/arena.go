@@ -9,20 +9,28 @@ import (
 )
 
 // solveArena is the per-Solve scratch pool: every hot stage of the
-// Fig. 3 pipeline (path assignment, subset discovery, interval
-// allocation, interval scheduling, Ω emission) borrows its working
-// storage from here instead of allocating. Arenas live in a sync.Pool
-// shared by every Solver, so a Solve often takes one that another period
-// or problem shape warmed; every scratch array only grows and is resized
-// in place, so repeated Solve calls allocate only what escapes into the
-// Result whatever shapes came before. The zero value is ready to use:
-// every sub-scratch sizes itself lazily and is fully overwritten before
-// being read, so arena reuse can never change a result.
+// Fig. 3 pipeline (path assignment and its restart fold, subset
+// discovery, interval allocation, interval scheduling, Ω emission)
+// borrows its working storage from here instead of allocating, and
+// Validate and reserveOf keep theirs in pools of their own. Arenas live
+// in a sync.Pool shared by every Solver, so a Solve often takes one that
+// another period or problem shape warmed; every scratch array only grows
+// and is resized in place. The zero value is ready to use: every
+// sub-scratch sizes itself lazily and is fully overwritten before being
+// read, so arena reuse can never change a result.
+//
+// A warm Solve allocates what its Result keeps — the Result, windows,
+// intervals, activity rows, the LSD baseline's clone and the clone of
+// each attempt's assignment, the allocation rows, the slices and Ω —
+// and three kinds of scratch besides: BuildIntervals' endpoint list,
+// each allocation LP's solution vector (lp.Solution.X), and the growth
+// of the slice list (TestWarmSolveAllocations pins the count).
 type solveArena struct {
 	lp    *lp.Problem
 	alloc allocScratch
 	sched schedScratch
 	sub   subsetScratch
+	omega omegaScratch
 	load  *LoadState
 	rng   *rand.Rand
 
@@ -30,6 +38,15 @@ type solveArena struct {
 	// move, and the reroutable messages of its current peak.
 	cur    PathAssignment
 	msgBuf []tfg.MessageID
+
+	// The assign call this arena runs: its restarts, their fold's
+	// assignment and outcomes; and a Solve's assignRecord, with the
+	// copy of restart 0's fold it keeps.
+	restarts restarts
+	fold     PathAssignment
+	outs     []restartOutcome
+	rec      assignRecord
+	best     PathAssignment
 }
 
 // loadState returns the arena's pooled LoadState rebuilt for the given

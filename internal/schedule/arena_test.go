@@ -230,12 +230,14 @@ func TestLoadStateReusedAcrossShapes(t *testing.T) {
 	}
 
 	// A helper worker of a concurrent climb sets up its restarts on a
-	// pooled arena of its own the same way.
+	// pooled arena of its own the same way; the calling arena's restart
+	// fold copies into its own storage.
 	var helper solveArena
 	cycle := func() {
 		for i, s := range shapes {
 			a.loadState(s.p.Topology, fx[i].pa, fx[i].ws, fx[i].act, nil)
-			helper.startClimbs(fx[i].pa)
+			a.fold.copyFrom(fx[i].pa)
+			helper.cur.copyFrom(fx[i].pa)
 			helper.loadState(s.p.Topology, &helper.cur, fx[i].ws, fx[i].act, nil)
 		}
 	}

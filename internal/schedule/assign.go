@@ -20,7 +20,8 @@ type assignPosition struct {
 // AssignPathsResult reports the heuristic's outcome.
 type AssignPathsResult struct {
 	Assignment *PathAssignment
-	Util       *Utilization
+	// Util is Assignment's utilization, built once the climb is over.
+	Util *Utilization
 	// Iterations counts utilization evaluations performed.
 	Iterations int
 	// TentativeComputed and TentativeReused split the per-link
@@ -47,8 +48,36 @@ type AssignPathsResult struct {
 func AssignPaths(initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int) *AssignPathsResult {
 	var a solveArena
 	var rec assignRecord
-	res, _ := rec.assign(context.Background(), &a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil, climbWorkers(cands, 0)) // Background is never done
-	return res
+	o, _ := rec.assign(context.Background(), &a, initial, cands, top, ws, act, seed, maxOuter, maxInner, nil, climbWorkers(cands, 0)) // Background is never done
+	return &AssignPathsResult{
+		Assignment:        o.pa,
+		Util:              a.loadState(top, o.pa, ws, act, nil).Utilization(),
+		Iterations:        o.evals,
+		TentativeComputed: o.computed,
+		TentativeReused:   o.reused,
+	}
+}
+
+// peakSpot is a peak score and where it sits: what the restart fold
+// keeps of an assignment's Utilization, and all Solve reads of it.
+type peakSpot struct {
+	peak float64
+	pos  assignPosition
+}
+
+// peakAt is the state's peak and its position (PeakPosition).
+func (ls *LoadState) peakAt() peakSpot {
+	peak, link, interval := ls.PeakPosition()
+	return peakSpot{peak, assignPosition{link, interval}}
+}
+
+// assignOutcome is AssignPathsResult as assign returns it: the peak's
+// spot in place of the Utilization, which only AssignPaths builds.
+type assignOutcome struct {
+	pa               *PathAssignment
+	spot             peakSpot
+	evals            int
+	computed, reused int // tentative scores
 }
 
 // climbGate is the fewest multi-path messages at which an AssignPaths
@@ -81,10 +110,12 @@ func climbWorkers(cands *Candidates, procs int) int {
 // no seed, so its outcome is the same for every seed: the first assign
 // climbs it and records the fold of the start and restart 0, and every
 // later assign starts from that fold and climbs only its seeded
-// restarts. The zero value has climbed nothing.
+// restarts. The fold is kept in the arena of the first assign (its
+// best), so every assign over one record takes the same arena. The zero
+// value has climbed nothing.
 type assignRecord struct {
-	best  *PathAssignment // the fold of the start and restart 0
-	bestU *Utilization    // best's utilization; nil until restart 0 is climbed
+	best     *PathAssignment // the fold of the start and restart 0; nil until restart 0 is climbed
+	bestSpot peakSpot        // best's peak
 
 	// onClimb, when set, is called after every restart's climb, on the
 	// worker that climbed it, with the restart's index, its LoadState and
@@ -104,23 +135,28 @@ type assignRecord struct {
 // Up to workers goroutines climb the restarts, each on its own arena:
 // a, and one from arenaPool per extra worker. The result is the same
 // for every worker count (see restarts); one climbs them all on the
-// calling goroutine.
-func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64, workers int) (*AssignPathsResult, error) {
+// calling goroutine. The fold's assignment lives in a's storage until
+// the call ends, so the returned assignment is the one it clones.
+func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathAssignment, cands *Candidates, top *topology.Topology, ws []Window, act *Activity, seed int64, maxOuter, maxInner int, linkCap []float64, workers int) (assignOutcome, error) {
 	maxOuter, maxInner = max(maxOuter, 1), max(maxInner, 1)
-	rs := &restarts{
+	rs := &a.restarts
+	*rs = restarts{
 		ctx: ctx, rec: r, initial: initial, cands: cands, top: top, ws: ws, act: act, linkCap: linkCap, maxInner: maxInner,
 		rng:  a.rand(seed),
 		stop: maxOuter,
-		res:  &AssignPathsResult{Assignment: r.best, Util: r.bestU},
+		fold: &a.fold,
+		kept: &a.best,
+		res:  assignOutcome{pa: r.best, spot: r.bestSpot},
 	}
-	if r.bestU != nil {
+	if r.best != nil {
 		rs.first = 1
-		if r.bestU.Peak <= timeEps {
+		if r.bestSpot.peak <= timeEps {
 			rs.stop = 1 // cannot improve on zero
 		}
 	}
 	rs.next, rs.folded = rs.first, rs.first
-	rs.out = make([]restartOutcome, rs.stop-rs.first)
+	a.outs = zeroed(a.outs, rs.stop-rs.first)
+	rs.out = a.outs
 	if workers = min(workers, len(rs.out)); workers <= 1 {
 		rs.work(a)
 	} else if err := parallel.ForEach(ctx, workers, workers, func(w int) error {
@@ -132,11 +168,12 @@ func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathA
 		rs.work(wa)
 		return nil
 	}); err != nil {
-		return nil, err // a worker that never started
+		return assignOutcome{}, err // a worker that never started
 	}
 	if rs.err != nil {
-		return nil, rs.err
+		return assignOutcome{}, rs.err
 	}
+	rs.res.pa = rs.res.pa.Clone()
 	return rs.res, nil
 }
 
@@ -150,10 +187,15 @@ func (r *assignRecord) assign(ctx context.Context, a *solveArena, initial *PathA
 // more than timeEps below it, restart 0's fold is the record's, and a
 // fold at or below timeEps ends the call — no later restart is claimed,
 // and one already climbing is dropped. Iterations and the tentative
-// counts are those of the folded restarts. A restart keeps a clone of
-// its assignment and its Utilization only while it may still be folded
-// in: while it ends more than timeEps below the fold so far and no
-// earlier finished restart ends at or below it.
+// counts are those of the folded restarts.
+//
+// The fold's assignment is copied into fold and the record's into kept,
+// both arena storage, and only the one assign returns is cloned. A
+// restart folded as it finishes is copied from its worker's working
+// assignment. One that finishes while an earlier restart still climbs
+// keeps a clone of its assignment, but only while it may still be
+// folded in: while it ends more than timeEps below the fold so far and
+// no earlier finished restart ends at or below it.
 type restarts struct {
 	ctx      context.Context
 	rec      *assignRecord
@@ -172,8 +214,10 @@ type restarts struct {
 	stop   int              // no restart at or past stop is claimed or folded
 	folded int              // the restarts before folded are in res
 	out    []restartOutcome // out[k-first] is restart k's
-	res    *AssignPathsResult
-	err    error // the context error of the first restart folded that saw one
+	fold   *PathAssignment  // arena storage for the fold's assignment
+	kept   *PathAssignment  // arena storage for the record's
+	res    assignOutcome    // the fold so far; res.pa is nil until the start is in it
+	err    error            // the context error of the first restart folded that saw one
 }
 
 // restartOutcome is a finished restart as the fold needs it.
@@ -184,7 +228,7 @@ type restartOutcome struct {
 	evals            int
 	computed, reused int             // tentative scores
 	pa               *PathAssignment // nil once the restart cannot be folded in
-	util             *Utilization
+	spot             peakSpot        // the final state's peak, set with pa
 }
 
 // work claims and climbs restarts on arena a until none is left. a.cur
@@ -192,7 +236,7 @@ type restartOutcome struct {
 // random escape reassigns every multi-path message, the only ones a
 // climb moves.
 func (rs *restarts) work(a *solveArena) {
-	a.startClimbs(rs.initial)
+	a.cur.copyFrom(rs.initial)
 	for {
 		rs.mu.Lock()
 		k := rs.next
@@ -219,10 +263,10 @@ func (rs *restarts) climb(a *solveArena, k int) restartOutcome {
 	var o restartOutcome
 	if k == 0 {
 		// The start is the fold's first entry, and one evaluation.
-		pa, u := a.cur.Clone(), ls.Utilization()
 		rs.mu.Lock()
-		rs.res.Assignment, rs.res.Util = pa, u
-		rs.res.Iterations++
+		rs.fold.copyFrom(&a.cur)
+		rs.res.pa, rs.res.spot = rs.fold, ls.peakAt()
+		rs.res.evals++
 		rs.mu.Unlock()
 	}
 	o.peak = a.climb(ls, rs.cands, rs.act, rs.maxInner, &o.evals)
@@ -230,26 +274,33 @@ func (rs *restarts) climb(a *solveArena, k int) restartOutcome {
 	if rs.rec.onClimb != nil {
 		rs.rec.onClimb(k, ls, &a.cur)
 	}
-	if rs.mayFold(k, o.peak) {
-		o.pa, o.util = a.cur.Clone(), ls.Utilization()
+	if fold, next := rs.mayFold(k, o.peak); fold {
+		// The next restart to fold is folded as it finishes, before
+		// this worker moves a.cur again; any other is kept as a clone.
+		o.pa, o.spot = &a.cur, ls.peakAt()
+		if !next {
+			o.pa = a.cur.Clone()
+		}
 	}
 	return o
 }
 
 // mayFold reports whether restart k, ending on peak, may still be folded
-// in. Once every earlier restart is folded it is the fold's own test.
-func (rs *restarts) mayFold(k int, peak float64) bool {
+// in, and whether every earlier restart is folded, so that finish folds
+// k at once. Once every earlier restart is folded it is the fold's own
+// test.
+func (rs *restarts) mayFold(k int, peak float64) (fold, next bool) {
 	rs.mu.Lock()
 	defer rs.mu.Unlock()
-	if rs.res.Util != nil && !(peak < rs.res.Util.Peak-timeEps) {
-		return false
+	if rs.res.pa != nil && !(peak < rs.res.spot.peak-timeEps) {
+		return false, false
 	}
 	for i := rs.folded; i < k; i++ {
 		if o := &rs.out[i-rs.first]; o.done && o.peak <= peak {
-			return false
+			return false, false
 		}
 	}
-	return true
+	return true, k == rs.folded
 }
 
 // finish records restart k's outcome and folds every restart it
@@ -264,10 +315,10 @@ func (rs *restarts) finish(k int, o restartOutcome) {
 	}
 	for i := k + 1; i < rs.next; i++ {
 		if later := &rs.out[i-rs.first]; later.done && later.peak >= o.peak {
-			later.pa, later.util = nil, nil
+			later.pa = nil
 		}
 	}
-	res := rs.res
+	res := &rs.res
 	for ; rs.folded < rs.stop; rs.folded++ {
 		f := &rs.out[rs.folded-rs.first]
 		if !f.done {
@@ -277,26 +328,23 @@ func (rs *restarts) finish(k int, o restartOutcome) {
 			rs.err, rs.stop = f.err, rs.folded
 			return
 		}
-		res.Iterations += f.evals
-		res.TentativeComputed += f.computed
-		res.TentativeReused += f.reused
-		if f.peak < res.Util.Peak-timeEps {
-			res.Assignment, res.Util = f.pa, f.util
+		res.evals += f.evals
+		res.computed += f.computed
+		res.reused += f.reused
+		if f.peak < res.spot.peak-timeEps {
+			rs.fold.copyFrom(f.pa)
+			res.pa, res.spot = rs.fold, f.spot
 		}
-		f.pa, f.util = nil, nil
+		f.pa = nil
 		if rs.folded == 0 {
-			rs.rec.best, rs.rec.bestU = res.Assignment, res.Util
+			rs.kept.copyFrom(res.pa)
+			res.pa = rs.kept
+			rs.rec.best, rs.rec.bestSpot = res.pa, res.spot
 		}
-		if res.Util.Peak <= timeEps {
+		if res.spot.peak <= timeEps {
 			rs.stop = rs.folded + 1 // cannot improve on zero
 		}
 	}
-}
-
-// startClimbs sets a.cur to initial in a.cur's own arrays.
-func (a *solveArena) startClimbs(initial *PathAssignment) {
-	a.cur.Paths = append(a.cur.Paths[:0], initial.Paths...)
-	a.cur.Links = append(a.cur.Links[:0], initial.Links...)
 }
 
 // climb is one restart of the hill-climb: it moves a.cur, whose

@@ -26,7 +26,7 @@ func (s *IntervalSet) Length(k int) float64 {
 // BuildIntervals collects the frame-relative window endpoints of all
 // non-local messages and returns the induced interval partition.
 func BuildIntervals(ws []Window, tauIn float64) *IntervalSet {
-	pts := []float64{0, tauIn}
+	pts := append(make([]float64, 0, 2+2*len(ws)), 0, tauIn)
 	for _, w := range ws {
 		if w.Local {
 			continue
@@ -58,16 +58,19 @@ type Activity struct {
 
 // BuildActivity evaluates each window against each interval. Windows
 // are unions of whole intervals by construction, so a midpoint test is
-// exact.
+// exact. The rows are capped windows of one slab, so an append to one
+// row cannot write into the next.
 func BuildActivity(ws []Window, set *IntervalSet) *Activity {
+	K := set.K()
 	act := &Activity{
 		Intervals: set,
 		Active:    make([][]bool, len(ws)),
 	}
+	slab := make([]bool, len(ws)*K)
 	for i, w := range ws {
-		row := make([]bool, set.K())
+		row := slab[i*K : (i+1)*K : (i+1)*K]
 		if !w.Local {
-			for k := 0; k < set.K(); k++ {
+			for k := range row {
 				a, b := set.Bounds(k)
 				row[k] = w.Contains((a+b)/2, set.TauIn)
 			}

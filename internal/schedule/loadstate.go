@@ -721,13 +721,17 @@ func (ls *LoadState) Peak() float64 {
 // link's bandwidth (the quantity reservations are made in); only the
 // peak score is capacity-relative when a LinkCap is in effect.
 func (ls *LoadState) Utilization() *Utilization {
-	u := &Utilization{LinkU: make([]float64, ls.nl), PeakInterval: -1}
-	for j := 0; j < ls.nl; j++ {
+	peak, link, interval := ls.PeakPosition()
+	return &Utilization{LinkU: ls.linkU(), Peak: peak, PeakLink: link, PeakInterval: interval}
+}
+
+// linkU returns Utilization's LinkU in a new slice, its one allocation.
+func (ls *LoadState) linkU() []float64 {
+	u := make([]float64, ls.nl)
+	for j := range u {
 		if ls.activeLen[j] > 0 {
-			u.LinkU[j] = ls.xmit[j] / ls.activeLen[j]
+			u[j] = ls.xmit[j] / ls.activeLen[j]
 		}
 	}
-	peak, link, interval := ls.PeakPosition()
-	u.Peak, u.PeakLink, u.PeakInterval = peak, link, interval
 	return u
 }

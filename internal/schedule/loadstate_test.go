@@ -463,11 +463,11 @@ func TestAssignPathsCrossCheck(t *testing.T) {
 						t.Fatalf("%s: restart %d was not climbed", step, k)
 					}
 				}
-				if res.Util.Peak > lsd {
-					t.Fatalf("%s: AssignPaths peak %v worse than LSD %v", step, res.Util.Peak, lsd)
+				if res.spot.peak > lsd {
+					t.Fatalf("%s: AssignPaths peak %v worse than LSD %v", step, res.spot.peak, lsd)
 				}
-				if maxOuter == 6 && res.Iterations < 100 {
-					t.Fatalf("%s: only %d evaluations; the fixture no longer exercises the hill-climb", step, res.Iterations)
+				if maxOuter == 6 && res.evals < 100 {
+					t.Fatalf("%s: only %d evaluations; the fixture no longer exercises the hill-climb", step, res.evals)
 				}
 			}
 		}

@@ -8,6 +8,7 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -111,6 +112,22 @@ type Omega struct {
 // order reversed, so writing from the back of each node's window
 // leaves every list sorted.
 func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, latency float64) *Omega {
+	return buildOmega(new(omegaScratch), sls, pa, ws, nodes, tauIn, latency)
+}
+
+// omegaScratch is buildOmega's working storage, everything it does not
+// return; a Solve takes it from its arena.
+type omegaScratch struct {
+	end       []float64
+	starts    []uint64
+	cursor    []int32
+	open      []bool
+	present   []uint64
+	pos, next []int32
+}
+
+// buildOmega is BuildOmega with its working arrays in sc.
+func buildOmega(sc *omegaScratch, sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, latency float64) *Omega {
 	om := &Omega{
 		TauIn:   tauIn,
 		Nodes:   make([]NodeSchedule, nodes),
@@ -124,7 +141,8 @@ func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, 
 	// its first), so sl.Start == end[m] says the slice continues a run;
 	// reverse, the End of the run being carried back (valid while
 	// open[m]).
-	end := make([]float64, nm)
+	sc.end = zeroed(sc.end, nm)
+	end := sc.end
 	for m := range end {
 		end[m] = math.NaN()
 	}
@@ -135,8 +153,9 @@ func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, 
 	}
 	// starts has a bit per (slice, member) entry, the slices' members
 	// laid end to end in frame order, set when the entry starts a run.
-	starts := make([]uint64, (entries+63)/64)
-	cursor := make([]int32, nodes)
+	sc.starts = zeroed(sc.starts, (entries+63)/64)
+	sc.cursor = zeroed(sc.cursor, nodes)
+	starts, cursor := sc.starts, sc.cursor
 	e := 0
 	for _, sl := range frame {
 		for mi, msg := range sl.Msgs {
@@ -159,13 +178,14 @@ func BuildOmega(sls []Slice, pa *PathAssignment, ws []Window, nodes int, tauIn, 
 	}
 	backing := make([]Command, total)
 
-	open := make([]bool, nm)
+	sc.open = zeroed(sc.open, nm)
+	open := sc.open
 	// A slice's members by id: bit m of present and pos[m] the last
 	// position m holds in the slice, next[mi] the one before mi (-1 for
 	// none), should a slice name a message twice.
-	present := make([]uint64, (nm+63)/64)
-	pos := make([]int32, nm)
-	next := make([]int32, widest)
+	sc.present = zeroed(sc.present, (nm+63)/64)
+	sc.pos, sc.next = zeroed(sc.pos, nm), zeroed(sc.next, widest)
+	present, pos, next := sc.present, sc.pos, sc.next
 	for s := len(frame) - 1; s >= 0; s-- {
 		sl := frame[s]
 		e -= len(sl.Msgs)
@@ -247,9 +267,11 @@ func inFrameOrder(sls []Slice) []Slice {
 // topology and windows do not have is refused before any id is used as
 // an index.
 func (om *Omega) Validate(top *topology.Topology) error {
+	sc := validatePool.Get().(*validateScratch)
+	defer validatePool.Put(sc)
 	nw, nl := len(om.Windows), top.Links()
 	// The linkset table bounds every message and link id a command names.
-	linksets, sent, negative, skewed := om.linksets()
+	linksets, sent, negative, skewed := sc.linksets(om)
 	switch {
 	case negative < 0:
 		return fmt.Errorf("schedule: a command switches unknown message %d", negative)
@@ -271,7 +293,8 @@ func (om *Omega) Validate(top *topology.Topology) error {
 	if skewed >= 0 {
 		return fmt.Errorf("schedule: message %d's hop commands run at other times than its source commands", skewed)
 	}
-	got := make([]float64, nw)
+	got := zeroed(sc.got, nw)
+	sc.got = got
 	for _, sl := range om.Slices {
 		for mi, msg := range sl.Msgs {
 			if msg < 0 || int(msg) >= nw {
@@ -308,10 +331,8 @@ func (om *Omega) Validate(top *topology.Topology) error {
 	// latest end seen so far and the message that holds it. A span that
 	// starts before that end overlaps it; spans never wrap (slices live
 	// inside single intervals).
-	last := make([]struct {
-		end float64
-		msg tfg.MessageID
-	}, nl)
+	last := zeroed(sc.last, nl)
+	sc.last = last
 	for l := range last {
 		last[l].end = math.Inf(-1)
 	}
@@ -337,16 +358,45 @@ func (om *Omega) Validate(top *topology.Topology) error {
 // structures. All rows are filled together — a counting pass and a
 // filling pass over the commands — and share a single backing array.
 func (om *Omega) Linksets() [][]topology.LinkID {
-	sets, _, _, _ := om.linksets()
+	sets, _, _, _ := new(validateScratch).linksets(om)
 	return sets
 }
 
-// linksets is Linksets plus, per message, the time its source commands
-// run; a negative message id some command carries (0 when none does):
-// such a command has no row and is left out; and the first message
-// whose hop commands run at other times than its source commands (-1
-// when none does).
-func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative, skewed tfg.MessageID) {
+// validateScratch is Validate's working storage: the linkset table
+// linksets builds and the per-message and per-link arrays of the checks
+// after it. Validate takes one from validatePool, so a warm call
+// allocates nothing; Linksets fills a new one, whose rows its callers
+// keep.
+type validateScratch struct {
+	cnt  []linksetCount
+	sent []float64
+	flat []topology.LinkID
+	sets [][]topology.LinkID
+	got  []float64 // per message, the time its slices transmit
+	last []linkEnd // per link, the contention sweep's latest end
+}
+
+// linksetCount is one message's command tally in linksets.
+type linksetCount struct {
+	ports, sources int32
+	skew           float64
+}
+
+// linkEnd is the latest end the contention sweep has seen on a link
+// and the message that holds it.
+type linkEnd struct {
+	end float64
+	msg tfg.MessageID
+}
+
+var validatePool = sync.Pool{New: func() any { return new(validateScratch) }}
+
+// linksets is Linksets, in sc's arrays, plus, per message, the time its
+// source commands run; a negative message id some command carries (0
+// when none does): such a command has no row and is left out; and the
+// first message whose hop commands run at other times than its source
+// commands (-1 when none does).
+func (sc *validateScratch) linksets(om *Omega) (sets [][]topology.LinkID, sent []float64, negative, skewed tfg.MessageID) {
 	// Every run of a message repeats its commands — one of them at the
 	// source, In on the AP — and names each link at both of its ends, so
 	// link ports / (2 · source commands) is the message's hop count in
@@ -358,12 +408,8 @@ func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative,
 	// hop commands sum, over Start + End, to its hop count times its
 	// source commands' sum; skew is the difference, built up across the
 	// two passes (-sources here, × hops, + hops below).
-	type count struct {
-		ports, sources int32
-		skew           float64
-	}
-	cnt := make([]count, len(om.Windows))
-	sent = make([]float64, len(om.Windows))
+	cnt := zeroed(sc.cnt, len(om.Windows))
+	sent = zeroed(sc.sent, len(om.Windows))
 	for _, ns := range om.Nodes {
 		for _, c := range ns.Commands {
 			if c.Msg < 0 {
@@ -371,7 +417,7 @@ func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative,
 				continue
 			}
 			if short := int(c.Msg) + 1 - len(cnt); short > 0 {
-				cnt = append(cnt, make([]count, short)...)
+				cnt = append(cnt, make([]linksetCount, short)...)
 				sent = append(sent, make([]float64, short)...)
 			}
 			k := &cnt[c.Msg]
@@ -393,8 +439,9 @@ func (om *Omega) linksets() (sets [][]topology.LinkID, sent []float64, negative,
 		cnt[m].skew *= float64(cnt[m].ports)
 		total += int(cnt[m].ports)
 	}
-	flat := make([]topology.LinkID, total)
-	sets = make([][]topology.LinkID, len(cnt))
+	flat := zeroed(sc.flat, total)
+	sets = zeroed(sc.sets, len(cnt))
+	sc.cnt, sc.sent, sc.flat, sc.sets = cnt, sent, flat, sets
 	off := 0
 	for m, k := range cnt {
 		sets[m] = flat[off : off : off+int(k.ports)]

@@ -28,6 +28,12 @@ func (pa *PathAssignment) Clone() *PathAssignment {
 	return cp
 }
 
+// copyFrom sets pa to src in pa's own arrays, which grow as needed.
+func (pa *PathAssignment) copyFrom(src *PathAssignment) {
+	pa.Paths = append(pa.Paths[:0], src.Paths...)
+	pa.Links = append(pa.Links[:0], src.Links...)
+}
+
 // SetPath replaces message i's path.
 func (pa *PathAssignment) SetPath(i tfg.MessageID, p topology.Path, links []topology.LinkID) {
 	pa.Paths[i] = p

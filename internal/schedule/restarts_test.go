@@ -64,7 +64,7 @@ func nearZeroClimb(t *testing.T) climbCase {
 
 // climb runs c on a fresh arena and record with the given worker count
 // and lists the restarts it climbed.
-func (c climbCase) climb(t *testing.T, workers int) (*AssignPathsResult, []int) {
+func (c climbCase) climb(t *testing.T, workers int) (assignOutcome, []int) {
 	t.Helper()
 	var mu sync.Mutex
 	var climbed []int
@@ -82,19 +82,18 @@ func (c climbCase) climb(t *testing.T, workers int) (*AssignPathsResult, []int) 
 	return res, climbed
 }
 
-// assignDiff is the first difference between two AssignPaths results.
-func assignDiff(got, want *AssignPathsResult) error {
+// assignDiff is the first difference between two assign outcomes. The
+// per-link utilizations are a function of the assignment, so links and
+// peak spot cover the Utilization AssignPaths builds from them.
+func assignDiff(got, want assignOutcome) error {
 	switch {
-	case !got.Assignment.sameLinks(want.Assignment):
+	case !got.pa.sameLinks(want.pa):
 		return fmt.Errorf("assignments differ")
-	case got.Util.Peak != want.Util.Peak || got.Util.PeakLink != want.Util.PeakLink || got.Util.PeakInterval != want.Util.PeakInterval:
-		return fmt.Errorf("peak (%v, link %v, interval %v), want (%v, link %v, interval %v)",
-			got.Util.Peak, got.Util.PeakLink, got.Util.PeakInterval, want.Util.Peak, want.Util.PeakLink, want.Util.PeakInterval)
-	case !slices.Equal(got.Util.LinkU, want.Util.LinkU):
-		return fmt.Errorf("LinkU differs")
-	case got.Iterations != want.Iterations || got.TentativeComputed != want.TentativeComputed || got.TentativeReused != want.TentativeReused:
+	case got.spot != want.spot:
+		return fmt.Errorf("peak %+v, want %+v", got.spot, want.spot)
+	case got.evals != want.evals || got.computed != want.computed || got.reused != want.reused:
 		return fmt.Errorf("%d evaluations, %d/%d tentative scores computed/reused; want %d, %d/%d",
-			got.Iterations, got.TentativeComputed, got.TentativeReused, want.Iterations, want.TentativeComputed, want.TentativeReused)
+			got.evals, got.computed, got.reused, want.evals, want.computed, want.reused)
 	}
 	return nil
 }
@@ -139,8 +138,8 @@ func solveDiff(got, want *Result) error {
 // fold stops after restart 0.
 func TestAssignPathsConcurrentMatchesSerial(t *testing.T) {
 	near := nearZeroClimb(t)
-	if res, climbed := near.climb(t, 1); res.Util.Peak > timeEps || len(climbed) != 3 {
-		t.Fatalf("%s: peak %v after climbing restarts %v; the fixture must reach timeEps at restart 2", near.name, res.Util.Peak, climbed)
+	if res, climbed := near.climb(t, 1); res.spot.peak > timeEps || len(climbed) != 3 {
+		t.Fatalf("%s: peak %v after climbing restarts %v; the fixture must reach timeEps at restart 2", near.name, res.spot.peak, climbed)
 	}
 	climbs := []climbCase{near}
 	solves := []struct {

@@ -325,7 +325,8 @@ func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers i
 		climbers = climbWorkers(cands, opt.Procs)
 	}
 	back := backHalf{arena: arena, top: p.Topology, tauIn: tauIn, opt: &opt, clock: &clock}
-	var rec assignRecord
+	rec := &arena.rec
+	*rec = assignRecord{}
 	var failed []failedAttempt
 	for attempt := 0; ; attempt++ {
 		if err := ctx.Err(); err != nil {
@@ -340,15 +341,15 @@ func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers i
 			if err != nil {
 				return nil, err
 			}
-			clock.AssignIterations += ar.Iterations
-			pa, peak = ar.Assignment, ar.Util.Peak
+			clock.AssignIterations += ar.evals
+			pa, peak = ar.pa, ar.spot.peak
 			if peak > res.PeakLSD {
 				// AssignPaths starts from LSD, so it can never be worse.
 				pa, peak = lsd, res.PeakLSD
 			}
-			ap.SetAttrs(trace.Int("iterations", ar.Iterations),
-				trace.Int("tentative_computed", ar.TentativeComputed),
-				trace.Int("tentative_reused", ar.TentativeReused))
+			ap.SetAttrs(trace.Int("iterations", ar.evals),
+				trace.Int("tentative_computed", ar.computed),
+				trace.Int("tentative_reused", ar.reused))
 		}
 		ap.SetAttrs(trace.Float64("peak", peak))
 		ap.End()
@@ -442,10 +443,11 @@ func (b *backHalf) run(ctx context.Context, sp *trace.Span, res *Result, pa *Pat
 	al.SetAttrs(trace.Bool("feasible", err == nil), trace.Int("lp.pivots", b.arena.alloc.pivots))
 	al.End()
 	b.clock.stamp(&b.clock.AllocateTime)
-	if errors.As(err, new(*ErrAllocationInfeasible)) {
-		res.FailStage = StageAllocation
-		return nil
-	} else if err != nil {
+	if err != nil {
+		if errors.As(err, new(*ErrAllocationInfeasible)) {
+			res.FailStage = StageAllocation
+			return nil
+		}
 		return err
 	}
 
@@ -454,15 +456,16 @@ func (b *backHalf) run(ctx context.Context, sp *trace.Span, res *Result, pa *Pat
 	is.SetAttrs(trace.Bool("feasible", err == nil), trace.Int("slices", len(slices)))
 	is.End()
 	b.clock.stamp(&b.clock.ScheduleTime)
-	if errors.As(err, new(*ErrIntervalInfeasible)) {
-		res.FailStage = StageIntervalSchedule
-		return nil
-	} else if err != nil {
+	if err != nil {
+		if errors.As(err, new(*ErrIntervalInfeasible)) {
+			res.FailStage = StageIntervalSchedule
+			return nil
+		}
 		return err
 	}
 
 	om := sp.Start(SpanOmega)
-	omega := BuildOmega(slices, pa, ws, b.top.Nodes(), b.tauIn, res.Latency)
+	omega := buildOmega(&b.arena.omega, slices, pa, ws, b.top.Nodes(), b.tauIn, res.Latency)
 	omega.Starts = starts
 	if err := omega.Validate(b.top); err != nil {
 		return fmt.Errorf("schedule: internal: emitted schedule failed validation: %w", err)

@@ -4,12 +4,16 @@ import (
 	"schedroute/internal/tfg"
 )
 
-// subsetScratch is the pooled working storage of maximalSubsets.
+// subsetScratch is the pooled working storage of maximalSubsets, and
+// the storage of the subsets it returns: out's rows are windows of
+// members.
 type subsetScratch struct {
 	parent  []int32
 	firstIn []int32
 	gidx    []int32
 	sizes   []int32
+	members []tfg.MessageID
+	out     [][]tfg.MessageID
 }
 
 // MaximalSubsets partitions the non-local messages into the maximal
@@ -22,6 +26,8 @@ func MaximalSubsets(pa *PathAssignment, ws []Window, act *Activity) [][]tfg.Mess
 	return maximalSubsets(&a, pa, ws, act)
 }
 
+// maximalSubsets is MaximalSubsets on a pooled arena. The subsets live
+// in the arena's storage until its next call.
 func maximalSubsets(a *solveArena, pa *PathAssignment, ws []Window, act *Activity) [][]tfg.MessageID {
 	sc := &a.sub
 	n := len(ws)
@@ -110,8 +116,9 @@ func maximalSubsets(a *solveArena, pa *PathAssignment, ws []Window, act *Activit
 		}
 		sc.sizes[gidx[r]]++
 	}
-	backing := make([]tfg.MessageID, nonLocal)
-	out := make([][]tfg.MessageID, ng)
+	sc.members = zeroed(sc.members, nonLocal)
+	sc.out = zeroed(sc.out, int(ng))
+	backing, out := sc.members, sc.out
 	off := 0
 	for g := range out {
 		end := off + int(sc.sizes[g])

@@ -233,9 +233,13 @@ func bottleneck(res []float64) (topology.LinkID, float64) {
 }
 
 // reserveOf extracts the raw per-link bandwidth shares a schedule
-// occupies — the reservation an admitted tenant holds.
+// occupies — the reservation an admitted tenant holds: ComputeUtilization's
+// LinkU, read off a pooled arena's LoadState, so the slice it returns is
+// all it allocates.
 func reserveOf(top *topology.Topology, r *Result) []float64 {
-	return ComputeUtilization(top, r.Assignment, r.Windows, r.Activity).LinkU
+	a := arenaPool.Get().(*solveArena)
+	defer arenaPool.Put(a)
+	return a.loadState(top, r.Assignment, r.Windows, r.Activity, nil).linkU()
 }
 
 // Admit runs the admission check for one candidate tenant: solve the

@@ -1,0 +1,160 @@
+package schedule
+
+import (
+	"context"
+	"math"
+	"runtime/debug"
+	"testing"
+
+	"schedroute/internal/alloc"
+	"schedroute/internal/topology"
+)
+
+// sameUtilization fails unless got equals want bit for bit: every LinkU
+// entry, the peak and its position.
+func sameUtilization(t *testing.T, step string, got, want *Utilization) {
+	t.Helper()
+	if math.Float64bits(got.Peak) != math.Float64bits(want.Peak) || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
+		t.Fatalf("%s: peak (%v, link %v, interval %v), ComputeUtilization (%v, link %v, interval %v)",
+			step, got.Peak, got.PeakLink, got.PeakInterval, want.Peak, want.PeakLink, want.PeakInterval)
+	}
+	sameLinkU(t, step, got.LinkU, want.LinkU)
+}
+
+func sameLinkU(t *testing.T, step string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d link utilizations, ComputeUtilization has %d", step, len(got), len(want))
+	}
+	for j := range got {
+		if math.Float64bits(got[j]) != math.Float64bits(want[j]) {
+			t.Fatalf("%s: link %d utilization %v, ComputeUtilization %v", step, j, got[j], want[j])
+		}
+	}
+}
+
+// TestAssignPathsUtilMatchesComputeUtilization: the restart fold keeps
+// only a peak and its position, and AssignPaths builds the Utilization
+// it returns once, for the assignment it returns; it must equal
+// ComputeUtilization of that assignment bit for bit, LinkU included.
+// DVB on the 6-cube at two periods and three seeds, and the near-zero
+// climb whose fold stops early.
+func TestAssignPathsUtilMatchesComputeUtilization(t *testing.T) {
+	for _, tauIn := range []float64{100, 141} {
+		lsd, cands, top, ws, act := assignFixture(t, tauIn)
+		for seed := int64(1); seed <= 3; seed++ {
+			res := AssignPaths(lsd, cands, top, ws, act, seed, 4, 40)
+			sameUtilization(t, "dvb/cube6", res.Util, ComputeUtilization(top, res.Assignment, ws, act))
+		}
+	}
+	c := nearZeroClimb(t)
+	res := AssignPaths(c.pa, c.cands, c.p.Topology, c.ws, c.act, c.seed, 6, 60)
+	sameUtilization(t, c.name, res.Util, ComputeUtilization(c.p.Topology, res.Assignment, c.ws, c.act))
+}
+
+// TestTenantReserveMatchesComputeUtilization: reserveOf reads a
+// tenant's reservation off a pooled LoadState; every admitted tenant's
+// Reserve must equal ComputeUtilization's LinkU of its admitted schedule
+// bit for bit. Tenants on the 6-cube — DVB at a relaxed period, then a
+// displaced DVB copy at a tight one that the ladder degrades — and on
+// the 3-cube, so the pooled arenas change shape between reservations.
+func TestTenantReserveMatchesComputeUtilization(t *testing.T) {
+	cube := sixCube(t)
+	bys := dvbProblem(t, cube, 64, 150)
+	bys.TauIn = bys.Timing.TauC() * 5
+	vic := dvbProblem(t, cube, 64, 150)
+	n := cube.Nodes()
+	shifted := &alloc.Assignment{NodeOf: make([]topology.NodeID, len(vic.Assignment.NodeOf))}
+	for i, nd := range vic.Assignment.NodeOf {
+		shifted.NodeOf[i] = topology.NodeID((int(nd) + n/2) % n)
+	}
+	vic.Assignment = shifted
+	small := threeCube(t)
+	for _, set := range []struct {
+		top     *topology.Topology
+		tenants []Tenant
+	}{
+		{cube, []Tenant{
+			{ID: "bystander", Priority: 1, Problem: bys, Options: Options{Seed: 1}},
+			{ID: "victim", Priority: 1, Problem: vic, Options: Options{Seed: 1}},
+		}},
+		{small, []Tenant{chainTenant(t, small, "A"), chainTenant(t, small, "B"), pairTenant(t, small, "C", 0, 7, 640, 50)}},
+	} {
+		ts := NewTenantSet(set.top)
+		for _, tn := range set.tenants {
+			if _, err := ts.Admit(context.Background(), tn, nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		admitted := ts.Tenants()
+		if len(admitted) < 2 {
+			t.Fatalf("%v: %d tenants admitted; the fixture needs two", set.top, len(admitted))
+		}
+		for _, st := range admitted {
+			want := ComputeUtilization(set.top, st.Base.Assignment, st.Base.Windows, st.Base.Activity).LinkU
+			sameLinkU(t, st.Tenant.ID, st.Reserve, want)
+		}
+	}
+}
+
+// TestWarmValidateAllocatesNothing: Validate takes its linkset table and
+// check arrays from a pool, so once one call has warmed it, a call
+// allocates nothing. The garbage collector is off while it counts, so
+// the pool is not emptied under it.
+func TestWarmValidateAllocatesNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of its items under -race")
+	}
+	p := dvbProblem(t, sixCube(t), 64, gridTauIn(5))
+	res, err := Compute(p, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !res.Feasible {
+		t.Fatalf("the fixture must be feasible, failed at %v", res.FailStage)
+	}
+	validate := func() {
+		if err := res.Omega.Validate(p.Topology); err != nil {
+			t.Fatal(err)
+		}
+	}
+	validate()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	if n := testing.AllocsPerRun(10, validate); n >= 1 {
+		t.Fatalf("a warm Validate allocates %v times", n)
+	}
+}
+
+// warmSolveAllocs bounds what a warm Solve of DVB on the 8x8 torus at
+// B=128, τin 100 allocates: the Result and what it keeps — windows,
+// intervals, activity, the LSD baseline's and the returned
+// assignment's clones, the allocation rows, the slices and Ω — plus the
+// interval points, the LP solutions and the slice list's growth
+// (solveArena's comment).
+const warmSolveAllocs = 34
+
+// TestWarmSolveAllocations pins warmSolveAllocs. The garbage collector
+// is off while it counts, so the arena pool is not emptied under it.
+func TestWarmSolveAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of its items under -race")
+	}
+	torus, err := topology.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := dvbProblem(t, torus, 128, 100)
+	s := NewSolver(p)
+	solve := func() {
+		if _, err := s.Solve(context.Background(), p.TauIn, Options{Seed: 1}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	solve()
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	n := testing.AllocsPerRun(10, solve)
+	t.Logf("a warm Solve allocates %v times", n)
+	if n > warmSolveAllocs {
+		t.Fatalf("a warm Solve allocates %v times, more than %d", n, warmSolveAllocs)
+	}
+}

@@ -215,3 +215,29 @@ func TestActivityLocalRowEmpty(t *testing.T) {
 		}
 	}
 }
+
+// TestActivityRowsCapped: BuildActivity's rows share one slab, each
+// capped at K, so appending to a row moves it off the slab instead of
+// writing into the next message's row.
+func TestActivityRowsCapped(t *testing.T) {
+	g, tm := diamondFixture(t)
+	ws, err := ComputeWindowsFromStarts(g, tm, 110, 50, g.PipelinedStart(tm, 50), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	set := BuildIntervals(ws, 110)
+	act := BuildActivity(ws, set)
+	if len(ws) < 2 {
+		t.Fatal("the fixture needs two messages")
+	}
+	next := slices.Clone(act.Active[1])
+	for i, row := range act.Active {
+		if len(row) != set.K() || cap(row) != set.K() {
+			t.Fatalf("row %d: len %d cap %d, want %d", i, len(row), cap(row), set.K())
+		}
+	}
+	_ = append(act.Active[0], !next[0])
+	if !slices.Equal(act.Active[1], next) {
+		t.Fatalf("appending to row 0 rewrote row 1: %v, was %v", act.Active[1], next)
+	}
+}

@@ -99,15 +99,22 @@ func (p Path) ValidateFault(t *Topology, fs *FaultSet) error {
 // from the least significant digit, exactly the deadlock-free route the
 // paper attributes to wormhole routing. In a GHC each correction is a
 // single hop; in a torus or mesh the digit walks along the ring (shortest
-// direction, positive on ties).
+// direction, positive on ties). The digits are peeled arithmetically, as
+// in AppendLSDLinks, and the node list is sized from Distance, so the
+// path is all it allocates.
 func (t *Topology) LSDToMSD(src, dst NodeID) Path {
-	cur := t.Digits(src)
-	dstd := t.Digits(dst)
-	nodes := []NodeID{src}
-	for dim := 0; dim < len(t.radices); dim++ {
-		for cur[dim] != dstd[dim] {
-			cur[dim] = t.dimStep(dim, cur[dim], dstd[dim])
-			nodes = append(nodes, t.FromDigits(cur))
+	nodes := make([]NodeID, 1, t.Distance(src, dst)+1)
+	nodes[0] = src
+	cur, x, y := int(src), int(src), int(dst)
+	for dim := 0; x != y; dim++ {
+		m := t.radices[dim]
+		a, b := x%m, y%m
+		x, y = x/m, y/m
+		for a != b {
+			next := t.dimStep(dim, a, b)
+			cur += (next - a) * t.strides[dim]
+			a = next
+			nodes = append(nodes, NodeID(cur))
 		}
 	}
 	return Path{Nodes: nodes}

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -277,6 +278,44 @@ func TestLSDToMSDIsShortest(t *testing.T) {
 					t.Fatalf("endpoint mismatch")
 				}
 			}
+		}
+	}
+}
+
+// lsdByDigits is the LSD-to-MSD route walked over digit slices, the
+// reference LSDToMSD's arithmetic walk is held to.
+func lsdByDigits(top *Topology, src, dst NodeID) Path {
+	cur, want := top.Digits(src), top.Digits(dst)
+	nodes := []NodeID{src}
+	for dim := range cur {
+		for cur[dim] != want[dim] {
+			cur[dim] = top.dimStep(dim, cur[dim], want[dim])
+			nodes = append(nodes, top.FromDigits(cur))
+		}
+	}
+	return Path{Nodes: nodes}
+}
+
+// TestLSDToMSDMatchesDigitWalk holds LSDToMSD to the digit-slice walk on
+// every node pair of five small machines, one of each kind and a torus
+// with an odd radix, and to one allocation a call: the path.
+func TestLSDToMSDMatchesDigitWalk(t *testing.T) {
+	mesh, err := NewMesh(3, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, top := range []*Topology{mustGHC(t, 2, 2, 2, 2), mustGHC(t, 3, 3), mustTorus(t, 4, 4), mustTorus(t, 5, 3), mesh} {
+		for src := NodeID(0); int(src) < top.Nodes(); src++ {
+			for dst := NodeID(0); int(dst) < top.Nodes(); dst++ {
+				got, want := top.LSDToMSD(src, dst), lsdByDigits(top, src, dst)
+				if !slices.Equal(got.Nodes, want.Nodes) {
+					t.Fatalf("%v LSDToMSD(%d, %d) = %v, digit walk %v", top, src, dst, got, want)
+				}
+			}
+		}
+		src, dst := NodeID(0), NodeID(top.Nodes()-1)
+		if n := testing.AllocsPerRun(10, func() { top.LSDToMSD(src, dst) }); n != 1 {
+			t.Fatalf("%v LSDToMSD(%d, %d) allocates %v times, want 1", top, src, dst, n)
 		}
 	}
 }

@@ -155,12 +155,14 @@ func Start(name string, attrs ...Attr) *Span {
 	return &Span{name: name, start: time.Now(), attrs: attrs}
 }
 
-// Start begins a child span. Safe (and free) on a nil receiver.
+// Start begins a child span. Safe (and free) on a nil receiver: the
+// span keeps a copy of attrs, so a caller's attribute list does not
+// escape to the heap.
 func (s *Span) Start(name string, attrs ...Attr) *Span {
 	if s == nil {
 		return nil
 	}
-	c := &Span{name: name, start: time.Now(), attrs: attrs}
+	c := &Span{name: name, start: time.Now(), attrs: append([]Attr(nil), attrs...)}
 	s.mu.Lock()
 	s.children = append(s.children, c)
 	s.mu.Unlock()
