@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"math/rand"
 	"slices"
+	"sync"
 
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
@@ -66,13 +67,25 @@ func RoundRobin(g *tfg.Graph, top *topology.Topology) (*Assignment, error) {
 	return a, nil
 }
 
+// randPool holds generators for Random. A source is 4.9 KB, and Seed
+// restarts exactly the sequence rand.NewSource(seed) gives, so a pooled
+// generator, reseeded, draws what a new one would.
+var randPool = sync.Pool{New: func() any { return rand.New(rand.NewSource(0)) }}
+
 // Random assigns tasks to distinct nodes uniformly at random,
 // deterministically for a given seed.
 func Random(g *tfg.Graph, top *topology.Topology, seed int64) (*Assignment, error) {
+	rng := randPool.Get().(*rand.Rand)
+	defer randPool.Put(rng)
+	return randomWith(rng, g, top, seed)
+}
+
+// randomWith is Random drawing from rng, reseeded with seed.
+func randomWith(rng *rand.Rand, g *tfg.Graph, top *topology.Topology, seed int64) (*Assignment, error) {
 	if g.NumTasks() > top.Nodes() {
 		return nil, fmt.Errorf("alloc: %d tasks exceed %d nodes", g.NumTasks(), top.Nodes())
 	}
-	rng := rand.New(rand.NewSource(seed))
+	rng.Seed(seed)
 	perm := rng.Perm(top.Nodes())
 	a := &Assignment{NodeOf: make([]topology.NodeID, g.NumTasks())}
 	for t := 0; t < g.NumTasks(); t++ {

@@ -56,11 +56,13 @@ func anneal(ctx context.Context, g *tfg.Graph, top *topology.Topology, opt Annea
 		return nil, nil, fmt.Errorf("alloc: non-positive step count %d", opt.Steps)
 	}
 	rng := rand.New(rand.NewSource(opt.Seed))
-
-	cur, err := Random(g, top, opt.Seed)
+	cur, err := randomWith(rng, g, top, opt.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
+	// The start drew from rng; the walk draws what a fresh source gives.
+	rng.Seed(opt.Seed)
+
 	nodeTask := make([]int, top.Nodes()) // node -> task+1, 0 = free
 	for t, n := range cur.NodeOf {
 		nodeTask[n] = t + 1

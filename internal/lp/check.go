@@ -50,7 +50,7 @@ func (p *Problem) certificate(status Status) certificate {
 		c.y[i] = sign * pi
 	}
 	if status == Unbounded {
-		c.x = w.basicPoint(p.nvars)
+		c.x = w.basicPoint(nil, p.nvars)
 		c.d = make([]float64, p.nvars)
 		if w.enter < p.nvars {
 			c.d[w.enter] = 1

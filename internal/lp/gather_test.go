@@ -10,13 +10,15 @@ import (
 // checkGather requires gatherColumn, on the tableau p's last solve left,
 // to return for every column exactly the rows and values, bit for bit
 // and in the same order, that a lookup over every row finds, and every
-// stored entry to have its class bit set in rowsOf; and no row to store a
-// column twice or an exact zero (checkRows). It overwrites the gathered
+// stored entry to have its class bit set in rowsOf; no row to store a
+// column twice or an exact zero (checkRows); and no two rows to share
+// storage (checkStorage). It overwrites the gathered
 // column an Unbounded certificate reads, so call it after Check.
 func checkGather(t *testing.T, p *Problem) {
 	t.Helper()
 	w := &p.w
 	checkRows(t, w)
+	checkStorage(t, w)
 	for i, row := range w.idx {
 		for _, j := range row {
 			if w.rowsOf[int(uint32(j)%colClasses)*w.words+i>>6]&(1<<(i&63)) == 0 {

@@ -7,6 +7,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 )
 
 // eliminateReference is the pivot kernel the scatter kernel replaced,
@@ -84,6 +85,52 @@ func checkRows(t *testing.T, w *sparseWork) {
 	}
 }
 
+// checkStorage requires every row to be a view of the buffer own
+// names, at its full capacity, no two rows to hold one buffer, and no
+// row to hold a buffer its class has on the free list or not handed out
+// since the reset; every free list to end within as many steps as the
+// class has buffers; and every buffer handed out since the reset to be
+// held by a row or on the free list, none lost.
+func checkStorage(t *testing.T, w *sparseWork) {
+	t.Helper()
+	holder := make(map[rowBuf]int, len(w.idx))
+	var held [rowClasses]int32
+	for i, b := range w.own[:len(w.idx)] {
+		held[b.class()]++
+		if prev, ok := holder[b]; ok {
+			t.Fatalf("rows %d and %d share buffer %d", prev, i, b)
+		}
+		holder[b] = i
+		k := &w.rows.cls[b.class()]
+		if b.slot() >= k.bump {
+			t.Fatalf("row %d holds slot %d of class %d, of which %d are handed out", i, b.slot(), b.class(), k.bump)
+		}
+		idx, val := w.rows.buf(b)
+		if unsafe.SliceData(w.idx[i]) != unsafe.SliceData(idx) || unsafe.SliceData(w.val[i]) != unsafe.SliceData(val) ||
+			cap(w.idx[i]) != 1<<b.class() || cap(w.val[i]) != 1<<b.class() {
+			t.Fatalf("row %d is not a view of its buffer, slot %d of class %d", i, b.slot(), b.class())
+		}
+	}
+	for c := range w.rows.cls {
+		k := &w.rows.cls[c]
+		steps := 0
+		for f := k.free; f != 0; steps++ {
+			if steps > int(k.made) {
+				t.Fatalf("the free list of class %d does not end", c)
+			}
+			b := makeBuf(f-1, c)
+			if i, ok := holder[b]; ok {
+				t.Fatalf("row %d holds slot %d of class %d, which is on its free list", i, b.slot(), c)
+			}
+			idx, _ := w.rows.buf(b)
+			f = idx[0]
+		}
+		if int32(steps)+held[c] != k.bump {
+			t.Fatalf("class %d: %d buffers handed out, %d held by rows and %d free", c, k.bump, held[c], steps)
+		}
+	}
+}
+
 // sortedRow returns row i of w as (column, value bits) pairs in column
 // order.
 func sortedRow(w *sparseWork, i int) [][2]uint64 {
@@ -102,15 +149,18 @@ func sortedRow(w *sparseWork, i int) [][2]uint64 {
 // rows in shuffled order. After every pivot each row must equal the
 // reference's as a set of (column, value bits), with the same rhs bits,
 // no column twice, no exact zero, a class bit in rowsOf for every stored
-// column, and the dense scratch all zeros again.
+// column, rows on storage of their own (checkStorage), and the dense
+// scratch all zeros again. One sparseWork serves every seed, so the rows
+// are loaded into, and grow into, buffers earlier seeds handed back.
 func TestEliminateMatchesReference(t *testing.T) {
 	coeffs := []float64{-2, -1, 1, 1, 2, 3}
 	var cancelled, filled int
+	var w sparseWork
 	for seed := int64(0); seed < 500; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		m, total := 2+rng.Intn(12), 3+rng.Intn(300)
 		density := 0.05 + 0.5*rng.Float64()
-		var w, ref sparseWork
+		var ref sparseWork
 		w.ensure(m, total)
 		ref.idx, ref.val, ref.rhs = make([][]int32, m), make([][]float64, m), make([]float64, m)
 		for i := 0; i < m; i++ {
@@ -122,9 +172,9 @@ func TestEliminateMatchesReference(t *testing.T) {
 			}
 			ref.rhs[i] = float64(rng.Intn(7))
 			perm := rng.Perm(len(ref.idx[i]))
-			w.idx[i], w.val[i] = make([]int32, len(perm)), make([]float64, len(perm))
-			for t, p := range perm {
-				w.idx[i][t], w.val[i][t] = ref.idx[i][p], ref.val[i][p]
+			w.loadRow(i, len(perm))
+			for _, p := range perm {
+				w.idx[i], w.val[i] = append(w.idx[i], ref.idx[i][p]), append(w.val[i], ref.val[i][p])
 				w.mark(i, ref.idx[i][p])
 			}
 			w.rhs[i] = ref.rhs[i]
@@ -174,6 +224,7 @@ func TestEliminateMatchesReference(t *testing.T) {
 				t.Fatal(err)
 			}
 			checkRows(t, &w)
+			checkStorage(t, &w)
 			for i := 0; i < m; i++ {
 				if got, want := sortedRow(&w, i), sortedRow(&ref, i); !slices.Equal(got, want) {
 					t.Fatalf("seed %d step %d row %d: scatter kernel %v, reference %v", seed, step, i, got, want)

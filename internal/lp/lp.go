@@ -128,6 +128,8 @@ func (p *Problem) AddRow(idx []int32, val []float64, op Op, b float64) error {
 	if len(idx) != len(val) {
 		return fmt.Errorf("lp: row has %d indices but %d values", len(idx), len(val))
 	}
+	p.ridx, p.rval = grow(p.ridx, len(idx)), grow(p.rval, len(idx))
+	p.ops, p.bs, p.offs = grow(p.ops, 1), grow(p.bs, 1), grow(p.offs, 1)
 	prev := int32(-1)
 	for t, j := range idx {
 		if j < 0 || int(j) >= p.nvars {
@@ -185,4 +187,13 @@ func (p *Problem) auxCounts() (nSlack, nArt int) {
 		}
 	}
 	return
+}
+
+// grow returns s with room for n more elements, at least doubling its
+// capacity when it must grow.
+func grow[S ~[]E, E any](s S, n int) S {
+	if cap(s)-len(s) < n {
+		s = slices.Grow(s, max(n, cap(s)))
+	}
+	return s
 }

@@ -1,6 +1,9 @@
 package lp
 
 import (
+	"context"
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -262,40 +265,144 @@ func TestSolveAnswersCheck(t *testing.T) {
 	}
 }
 
-// TestPooledSolveMatchesFreshAfterReset replays the allocation systems
-// through one pooled Problem, the way solveArena uses it: Reset must
-// leave no residue that changes any answer or its certificate.
+// TestPooledSolveMatchesFreshAfterReset replays systems through one
+// pooled Problem, the way solveArena uses it: the allocation family,
+// then a seeded walk of allocation-shaped systems that grow, shrink and
+// repeat in size, from a few rows to some hundreds, so the rows take
+// buffers every earlier system handed back, across classes and pages.
+// Reset must leave no residue that changes any answer, its pivots or
+// its certificate: status, pivot count, objective and X must equal a
+// fresh Problem's bit for bit, and no two rows may share storage.
 func TestPooledSolveMatchesFreshAfterReset(t *testing.T) {
 	pooled := NewProblem(1)
 	for seed := int64(0); seed < 120; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		fresh := randomAllocationLP(rng)
+		samePooledSolve(t, pooled, randomAllocationLP(rng), fmt.Sprintf("alloc seed %d", seed))
+	}
+	walk := []int{2, 12, 24, 30, 24, 24, 8, 30, 30, 1, 16, 30, 3, 28}
+	n := len(walk)
+	if testing.Short() {
+		n = 6
+	}
+	for step, nmsgs := range walk[:n] {
+		rng := rand.New(rand.NewSource(int64(step)))
+		samePooledSolve(t, pooled, sizedAllocationLP(rng, nmsgs), fmt.Sprintf("walk step %d (%d messages)", step, nmsgs))
+	}
+}
 
-		// Rebuild the identical system on the pooled problem.
-		pooled.Reset(fresh.nvars)
-		for j := 0; j < fresh.nvars; j++ {
-			pooled.SetCost(j, fresh.c[j])
+// samePooledSolve restates fresh on pooled and fails unless the two
+// solves agree bit for bit and the pooled answer passes Check and
+// checkGather.
+func samePooledSolve(t *testing.T, pooled, fresh *Problem, name string) {
+	t.Helper()
+	pooled.Reset(fresh.nvars)
+	for j := 0; j < fresh.nvars; j++ {
+		pooled.SetCost(j, fresh.c[j])
+	}
+	for r := range fresh.ops {
+		idx, val := fresh.rowNonzeros(r)
+		if err := pooled.AddRow(idx, val, fresh.ops[r], fresh.bs[r]); err != nil {
+			t.Fatal(err)
 		}
-		for r := range fresh.ops {
-			idx, val := fresh.rowNonzeros(r)
-			if err := pooled.AddRow(idx, val, fresh.ops[r], fresh.bs[r]); err != nil {
-				t.Fatal(err)
+	}
+	want := solveWithin(t, fresh)
+	got := solveWithin(t, pooled)
+	same := got.Status == want.Status && got.Pivots == want.Pivots &&
+		math.Float64bits(got.Objective) == math.Float64bits(want.Objective) && len(got.X) == len(want.X)
+	for j := 0; same && j < len(got.X); j++ {
+		same = math.Float64bits(got.X[j]) == math.Float64bits(want.X[j])
+	}
+	if !same {
+		t.Fatalf("%s: pooled (%v, %d pivots, objective %v), fresh (%v, %d pivots, objective %v), or X differs",
+			name, got.Status, got.Pivots, got.Objective, want.Status, want.Pivots, want.Objective)
+	}
+	if err := pooled.Check(got); err != nil {
+		t.Fatalf("%s: pooled answer fails Check: %v", name, err)
+	}
+	checkGather(t, pooled)
+}
+
+// sizedAllocationLP builds a §5.2-shaped feasibility system over nmsgs
+// messages and K intervals, feasible by construction around a random
+// point x0: a demand row per message over its active cells, a cap row
+// per cell, and two capacity rows per message, each over a random set
+// of the cells of one interval, with x0's load and some slack as its
+// bound.
+func sizedAllocationLP(rng *rand.Rand, nmsgs int) *Problem {
+	K := 2 + rng.Intn(6)
+	p := NewProblem(nmsgs * K)
+	length := make([]float64, K)
+	for k := range length {
+		length[k] = float64(1 + rng.Intn(5))
+	}
+	x0 := make([]float64, nmsgs*K)
+	var idx []int32
+	var val []float64
+	for m := 0; m < nmsgs; m++ {
+		lo := rng.Intn(K)
+		hi := lo + 1 + rng.Intn(K-lo)
+		idx, val = idx[:0], val[:0]
+		demand := 0.0
+		for k := lo; k < hi; k++ {
+			j := m*K + k
+			x0[j] = length[k] * rng.Float64() / 2
+			demand += x0[j]
+			idx, val = append(idx, int32(j)), append(val, 1)
+		}
+		addRowOrPanic(p, idx, val, EQ, demand)
+	}
+	for j := range x0 {
+		addRowOrPanic(p, []int32{int32(j)}, []float64{1}, LE, length[j%K])
+	}
+	for r := 0; r < 2*nmsgs; r++ {
+		k := rng.Intn(K)
+		idx, val = idx[:0], val[:0]
+		load := 0.0
+		for m := 0; m < nmsgs; m++ {
+			if rng.Float64() < 0.3 {
+				idx, val = append(idx, int32(m*K+k)), append(val, 1)
+				load += x0[m*K+k]
 			}
 		}
+		if len(idx) > 0 {
+			addRowOrPanic(p, idx, val, LE, load*(1+rng.Float64()/2))
+		}
+	}
+	return p
+}
 
-		want := fresh.Solve()
-		got := pooled.Solve()
-		if got.Status != want.Status || got.Objective != want.Objective {
-			t.Fatalf("seed %d: pooled (%v, %g) vs fresh (%v, %g)",
-				seed, got.Status, got.Objective, want.Status, want.Objective)
+func addRowOrPanic(p *Problem, idx []int32, val []float64, op Op, b float64) {
+	if err := p.AddRow(idx, val, op, b); err != nil {
+		panic(err)
+	}
+}
+
+// TestWarmResolveAllocatesOnlyX: once a Problem has solved a system,
+// solving it again takes every row buffer off the free lists and
+// allocates only the returned X, and nothing when SolveInto is handed
+// the last X back.
+func TestWarmResolveAllocatesOnlyX(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	for _, nmsgs := range []int{5, 40} {
+		p := sizedAllocationLP(rand.New(rand.NewSource(1)), nmsgs)
+		first := p.Solve()
+		if first.Status != Optimal {
+			t.Fatalf("%d messages: the fixture must be optimal, got %v", nmsgs, first.Status)
 		}
-		for j := range want.X {
-			if got.X[j] != want.X[j] {
-				t.Fatalf("seed %d: pooled x[%d] = %g, fresh %g", seed, j, got.X[j], want.X[j])
+		if n := testing.AllocsPerRun(10, func() { p.Solve() }); n > 1 {
+			t.Errorf("%d messages: a warm Solve allocates %v times, more than X", nmsgs, n)
+		}
+		x := first.X
+		if n := testing.AllocsPerRun(10, func() {
+			sol, err := p.SolveInto(context.Background(), x)
+			if err != nil || sol.Pivots != first.Pivots {
+				t.Fatalf("%d messages: warm SolveInto gave %d pivots, %v; the first solve %d", nmsgs, sol.Pivots, err, first.Pivots)
 			}
-		}
-		if err := pooled.Check(got); err != nil {
-			t.Fatalf("seed %d: pooled answer fails Check: %v", seed, err)
+			x = sol.X
+		}); n > 0 {
+			t.Errorf("%d messages: a warm SolveInto allocates %v times", nmsgs, n)
 		}
 	}
 }

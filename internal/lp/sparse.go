@@ -19,8 +19,10 @@ import (
 
 // sparseWork is the reusable Solve scratch owned by a Problem.
 type sparseWork struct {
+	// Row i's support is idx[i] and val[i], views of own[i] in rows.
 	idx   [][]int32
 	val   [][]float64
+	own   []rowBuf
 	rhs   []float64
 	basis []int
 	obj   []float64
@@ -52,8 +54,110 @@ type sparseWork struct {
 	rowsOf []uint64
 	words  int
 
+	rows rowStore
+
 	pivots int // pivots performed by the current Solve
 	work   int // row entries eliminated since the context was last looked at
+}
+
+// rowStore is the tableau's row storage. A row buffer is an idx/val
+// pair of equal capacity, 1<<c entries for its class c, and a row holds
+// the smallest class its entries fit: it takes a buffer when loaded,
+// moves to a larger one when fill-in outgrows it (eliminate), and every
+// buffer is handed back as the next solve starts (reset). Buffers are
+// carved from pages of 1<<pageBits entries, or of one buffer where that
+// is larger, that never move and are never dropped, so a pooled Problem
+// stops allocating row storage once its pages hold the largest tableau
+// it has solved.
+type rowStore struct {
+	cls [rowClasses]rowClass
+}
+
+// rowClass holds the buffers of one class. Slot s lives in page
+// s>>pageShift(c). The first made slots exist; since the last reset the
+// first bump of them have been handed out, and free lists the ones
+// handed back, most recent first, as slot+1 linked through idx[0] of
+// each (0 ends the list).
+type rowClass struct {
+	idx              [][]int32
+	val              [][]float64
+	made, bump, free int32
+}
+
+// rowClasses bounds the capacity classes: class c holds 1<<c entries.
+// A page of buffers holds 1<<pageBits entries.
+const (
+	rowClasses = 32
+	pageBits   = 8
+)
+
+// classOf returns the smallest class that holds n > 0 entries.
+func classOf(n int) int { return bits.Len(uint(n - 1)) }
+
+// pageShift returns log2 of the buffers a page of class c holds.
+func pageShift(c int) int { return max(0, pageBits-c) }
+
+// rowBuf names a buffer: slot<<5 | class, its slot within its class.
+type rowBuf int32
+
+func makeBuf(slot int32, c int) rowBuf { return rowBuf(slot<<5 | int32(c)) }
+func (b rowBuf) class() int            { return int(b & (rowClasses - 1)) }
+func (b rowBuf) slot() int32           { return int32(b >> 5) }
+
+// buf returns buffer b's storage, idx and val, at its full capacity.
+func (s *rowStore) buf(b rowBuf) ([]int32, []float64) {
+	c := b.class()
+	k, sh := &s.cls[c], pageShift(c)
+	pg, lo := b.slot()>>sh, int(b.slot()&(1<<sh-1))<<c
+	hi := lo + 1<<c
+	return k.idx[pg][lo:hi:hi], k.val[pg][lo:hi:hi]
+}
+
+// take returns a buffer that holds n entries, of the smallest class
+// that does: the one handed back last, else the next never handed out
+// since the reset, else a new one, with a new page when the last is
+// full.
+func (s *rowStore) take(n int) rowBuf {
+	c := classOf(max(n, 1))
+	k := &s.cls[c]
+	if k.free != 0 {
+		b := makeBuf(k.free-1, c)
+		idx, _ := s.buf(b)
+		k.free = idx[0]
+		return b
+	}
+	if k.bump == k.made {
+		if sh := pageShift(c); int(k.made>>sh) == len(k.idx) {
+			page := 1 << (c + sh)
+			k.idx, k.val = append(k.idx, make([]int32, page)), append(k.val, make([]float64, page))
+		}
+		k.made++
+	}
+	k.bump++
+	return makeBuf(k.bump-1, c)
+}
+
+// give hands buffer b back to its class's free list.
+func (s *rowStore) give(b rowBuf) {
+	k := &s.cls[b.class()]
+	idx, _ := s.buf(b)
+	idx[0] = k.free
+	k.free = b.slot() + 1
+}
+
+// reset hands every buffer back.
+func (s *rowStore) reset() {
+	for c := range s.cls {
+		s.cls[c].bump, s.cls[c].free = 0, 0
+	}
+}
+
+// loadRow gives row i a buffer that holds n entries; its views are
+// empty.
+func (w *sparseWork) loadRow(i, n int) {
+	b := w.rows.take(n)
+	idx, val := w.rows.buf(b)
+	w.own[i], w.idx[i], w.val[i] = b, idx[:0], val[:0]
 }
 
 // colClasses is how many column classes rowsOf keeps, 32 B per row.
@@ -88,12 +192,15 @@ func lookup(idx []int32, val []float64, j int32) float64 {
 	return 0
 }
 
-// ensure sizes the scratch for m rows and total columns, keeping every
-// row buffer it already holds, and clears rowsOf. dense and seen keep
-// their contents: zeros, and marks below the stamp.
+// ensure hands every row buffer back to the free lists, sizes the
+// scratch for m rows and total columns, and clears rowsOf. dense and
+// seen keep their contents: zeros, and marks below the stamp. The rows
+// are empty until loadRow gives each a buffer.
 func (w *sparseWork) ensure(m, total int) {
+	w.rows.reset()
 	w.idx = slices.Grow(w.idx[:0], m)[:m]
 	w.val = slices.Grow(w.val[:0], m)[:m]
+	w.own = slices.Grow(w.own[:0], m)[:m]
 	w.rhs = slices.Grow(w.rhs[:0], m)[:m]
 	w.basis = slices.Grow(w.basis[:0], m)[:m]
 	w.obj = slices.Grow(w.obj[:0], total+1)[:total+1]
@@ -134,7 +241,17 @@ func (w *sparseWork) eliminate(r, leave int, f float64) {
 	ai, av := w.idx[r], w.val[r]
 	n := updateRow(ai, av, w.dense, w.seen, w.stamp, f)
 	k := gatherFill(w.fill, w.idx[leave], w.seen, w.stamp)
-	ai, av = slices.Grow(ai[:n], k), slices.Grow(av[:n], k)
+	if n+k > cap(ai) {
+		// Move to a buffer of the class that holds n+k entries.
+		b := w.rows.take(n + k)
+		bi, bv := w.rows.buf(b)
+		copy(bi, ai[:n])
+		copy(bv, av[:n])
+		w.rows.give(w.own[r])
+		w.own[r] = b
+		ai, av = bi, bv
+	}
+	ai, av = ai[:n], av[:n]
 	for _, j := range w.fill[:k] {
 		if v := 0 - f*w.dense[j]; v != 0 {
 			ai, av = append(ai, j), append(av, v)
@@ -305,6 +422,14 @@ func (p *Problem) Solve() Solution {
 // pollPivots says: once ctx is done the solve stops and returns
 // ctx.Err(), bare.
 func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
+	return p.SolveInto(ctx, nil)
+}
+
+// SolveInto is SolveContext with an Optimal answer's X written into x's
+// storage when it holds the problem's variables, and into a new slice
+// otherwise: a caller that solves LP after LP passes back the last X
+// and keeps one buffer.
+func (p *Problem) SolveInto(ctx context.Context, x []float64) (Solution, error) {
 	nSlack, nArt := p.auxCounts()
 	total := p.nvars + nSlack + nArt
 	artStart := p.nvars + nSlack
@@ -315,9 +440,14 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 	slackIdx, artIdx := int32(p.nvars), int32(artStart)
 	for i := range p.ops {
 		ji, jv := p.rowNonzeros(i)
-		ri := append(w.idx[i][:0], ji...)
-		rv := append(w.val[i][:0], jv...)
 		op, sign := p.normalized(i)
+		aux := 1 // the row's slack or artificial, or for GE both
+		if op == GE {
+			aux = 2
+		}
+		w.loadRow(i, len(ji)+aux)
+		ri := append(w.idx[i], ji...)
+		rv := append(w.val[i], jv...)
 		b := p.bs[i]
 		if sign < 0 {
 			for t := range rv {
@@ -403,7 +533,7 @@ func (p *Problem) SolveContext(ctx context.Context) (Solution, error) {
 		return Solution{Status: Unbounded, Pivots: w.pivots}, nil
 	}
 
-	x := w.basicPoint(p.nvars)
+	x = w.basicPoint(x, p.nvars)
 	objVal, _ := dot(p.c, x)
 	return Solution{Status: Optimal, X: x, Objective: objVal, Pivots: w.pivots}, nil
 }
@@ -427,9 +557,15 @@ func (w *sparseWork) subObj(i int, f float64, total int) {
 	w.obj[total] -= f * w.rhs[i]
 }
 
-// basicPoint returns the structural part of the current basic solution.
-func (w *sparseWork) basicPoint(nvars int) []float64 {
-	x := make([]float64, nvars)
+// basicPoint returns the structural part of the current basic solution,
+// in x's storage when it holds nvars entries.
+func (w *sparseWork) basicPoint(x []float64, nvars int) []float64 {
+	if cap(x) < nvars {
+		x = make([]float64, nvars)
+	} else {
+		x = x[:nvars]
+		clear(x)
+	}
 	for i, bj := range w.basis {
 		if bj < nvars {
 			x[bj] = w.rhs[i]

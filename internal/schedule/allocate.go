@@ -58,7 +58,7 @@ type allocPin struct {
 // constraint-(4) right-hand side is linkCap[j]·|A_k| less the pinned
 // usage, so neither a fresh solve nor an incremental repair can grow a
 // tenant's traffic beyond its reserved share. A done ctx stops the LP
-// (lp.SolveContext) and comes back as ctx.Err(), bare; the pivots spent
+// (lp.SolveInto) and comes back as ctx.Err(), bare; the pivots spent
 // are left in a.alloc.pivots.
 func allocateIntervals(ctx context.Context, a *solveArena, subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64, pin *allocPin) (*Allocation, error) {
 	K := act.Intervals.K()
@@ -255,7 +255,7 @@ func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, 
 		}
 	}
 
-	sol, err := prob.SolveContext(ctx)
+	sol, err := prob.SolveInto(ctx, sc.x)
 	if err != nil {
 		return err
 	}
@@ -263,6 +263,7 @@ func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, 
 	if sol.Status != lp.Optimal {
 		return &ErrAllocationInfeasible{Subset: subset}
 	}
+	sc.x = sol.X
 	sc.extract(sol, len(freeMsgs), K, out)
 	return nil
 }

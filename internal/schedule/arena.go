@@ -22,9 +22,10 @@ import (
 // A warm Solve allocates what its Result keeps — the Result, windows,
 // intervals, activity rows, the LSD baseline's clone and the clone of
 // each attempt's assignment, the allocation rows, the slices and Ω —
-// and three kinds of scratch besides: BuildIntervals' endpoint list,
-// each allocation LP's solution vector (lp.Solution.X), and the growth
-// of the slice list (TestWarmSolveAllocations pins the count).
+// and no scratch besides: interval endpoints are sorted in pts, every
+// LP writes its solution over the last one's (lp.SolveInto), and each
+// interval sizes the slice list for its sets before appending them
+// (TestWarmSolveAllocations pins the count).
 type solveArena struct {
 	lp    *lp.Problem
 	alloc allocScratch
@@ -33,6 +34,7 @@ type solveArena struct {
 	omega omegaScratch
 	load  *LoadState
 	rng   *rand.Rand
+	pts   []float64 // interval endpoints before deduplication
 
 	// The hill-climb's working assignment, which one worker's restarts
 	// move, and the reroutable messages of its current peak.
@@ -110,6 +112,7 @@ type allocScratch struct {
 	cellK   []int32
 	rowIdx  []int32
 	rowVal  []float64
+	x       []float64 // the LP's solution, in the last one's storage
 
 	// Per-link user lists for constraint (4), valid when linkEpoch
 	// matches epoch (stale lists are truncated on first touch).

@@ -26,7 +26,14 @@ func (s *IntervalSet) Length(k int) float64 {
 // BuildIntervals collects the frame-relative window endpoints of all
 // non-local messages and returns the induced interval partition.
 func BuildIntervals(ws []Window, tauIn float64) *IntervalSet {
-	pts := append(make([]float64, 0, 2+2*len(ws)), 0, tauIn)
+	set, _ := buildIntervals(ws, tauIn, nil)
+	return set
+}
+
+// buildIntervals is BuildIntervals sorting the endpoints in pts's
+// storage, which it returns for the next call.
+func buildIntervals(ws []Window, tauIn float64, pts []float64) (*IntervalSet, []float64) {
+	pts = append(pts[:0], 0, tauIn)
 	for _, w := range ws {
 		if w.Local {
 			continue
@@ -45,7 +52,7 @@ func BuildIntervals(ws []Window, tauIn float64) *IntervalSet {
 	}
 	// Snap the last endpoint to exactly τin.
 	uniq[len(uniq)-1] = tauIn
-	return &IntervalSet{TauIn: tauIn, Endpoints: append([]float64(nil), uniq...)}
+	return &IntervalSet{TauIn: tauIn, Endpoints: append([]float64(nil), uniq...)}, pts
 }
 
 // Activity is the message activity matrix A = [a_ik] of Section 5.1:

@@ -150,6 +150,7 @@ type schedScratch struct {
 	memCur  []int32
 	memLst  []int32
 	rowVal  []float64
+	x       []float64 // the LP's solution, in the last one's storage
 
 	remain2 []float64 // realization remainders
 }
@@ -275,6 +276,7 @@ func scheduleOne(ctx context.Context, a *solveArena, k int, pa *PathAssignment, 
 	}
 
 	sc.chainSets(n)
+	out = slices.Grow(out, nonzero)
 
 	// Realize slices sequentially from the interval start, trimming each
 	// message's participation to its exact remaining demand. Every
@@ -552,13 +554,14 @@ func exactDecomposeInto(ctx context.Context, a *solveArena, n int) error {
 			return err
 		}
 	}
-	sol, err := prob.SolveContext(ctx)
+	sol, err := prob.SolveInto(ctx, sc.x)
 	if err != nil {
 		return err
 	}
 	if sol.Status != lp.Optimal {
 		return fmt.Errorf("interval LP %v", sol.Status)
 	}
+	sc.x = sol.X
 	sc.resFlat = sc.resFlat[:0]
 	sc.resOffs = append(sc.resOffs[:0], 0)
 	sc.resDur = sc.resDur[:0]

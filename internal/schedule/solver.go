@@ -276,7 +276,8 @@ func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers i
 			return nil, err
 		}
 	}
-	set := BuildIntervals(ws, tauIn)
+	var set *IntervalSet
+	set, arena.pts = buildIntervals(ws, tauIn, arena.pts)
 	act := BuildActivity(ws, set)
 	tb.SetAttrs(trace.Int("windows", len(ws)))
 	tb.End()
