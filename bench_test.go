@@ -18,6 +18,7 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"schedroute/internal/alloc"
@@ -687,6 +688,27 @@ func compileLargeSolve(b *testing.B, topoSpec string, bw float64) (schedule.Prob
 		b.Fatalf("compile_large on %s infeasible at %v", topoSpec, res.FailStage)
 	}
 	return p, res
+}
+
+// BenchmarkComputeColdCompileLarge is one op of the repository
+// benchmark's compile_large workload on the 10-cube, without its
+// harness: a cold schedule.Compute of compileLargeTFG. The machine's
+// route memo is warm, as it is after a workload's first op, and each op
+// drops the pooled arenas outside the timer with two collections, as
+// the workload does before every compile.
+func BenchmarkComputeColdCompileLarge(b *testing.B) {
+	p, _ := compileLargeSolve(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		runtime.GC()
+		runtime.GC()
+		b.StartTimer()
+		if res, err := schedule.Compute(p, schedule.Options{Seed: 1}); err != nil || !res.Feasible {
+			b.Fatalf("compile_large on the 10-cube: %v", err)
+		}
+	}
 }
 
 // BenchmarkAssignPathsTorus32 is the Fig. 4 hill-climb alone on the

@@ -150,6 +150,16 @@ func (p *Problem) AddRow(idx []int32, val []float64, op Op, b float64) error {
 	return nil
 }
 
+// NumRows returns the number of constraints added since the last Reset.
+func (p *Problem) NumRows() int { return len(p.ops) }
+
+// Row returns constraint r as stored: its nonzeros, ascending, which
+// the caller must not modify, its operator and its right-hand side.
+func (p *Problem) Row(r int) ([]int32, []float64, Op, float64) {
+	idx, val := p.rowNonzeros(r)
+	return idx, val, p.ops[r], p.bs[r]
+}
+
 // rowNonzeros returns constraint r's stored nonzeros.
 func (p *Problem) rowNonzeros(r int) ([]int32, []float64) {
 	lo, hi := p.offs[r], p.offs[r+1]

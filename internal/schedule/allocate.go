@@ -63,7 +63,18 @@ type allocPin struct {
 func allocateIntervals(ctx context.Context, a *solveArena, subsets [][]tfg.MessageID, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64, pin *allocPin) (*Allocation, error) {
 	K := act.Intervals.K()
 	out := &Allocation{P: make([][]float64, len(ws))}
-	a.alloc.pivots = 0
+	sc := &a.alloc
+	sc.pivots = 0
+	free := 0
+	for _, subset := range subsets {
+		for _, mi := range subset {
+			if pin == nil || pin.free(mi) {
+				free++
+			}
+		}
+	}
+	sc.rows = make([]float64, free*K)
+	defer func() { sc.rows = nil }() // out keeps the rows, not the arena
 	for _, subset := range subsets {
 		if err := allocateSubset(ctx, a, subset, pin, pa, ws, act, K, out, linkCap); err != nil {
 			return nil, err
@@ -136,16 +147,14 @@ func addCellCaps(prob *lp.Problem, sc *allocScratch, act *Activity) error {
 	return nil
 }
 
-// extract copies the LP solution into out, one flat backing array per
-// subset, clamping the solver's tiny negative residuals to zero.
-func (sc *allocScratch) extract(sol lp.Solution, nrows, K int, out *Allocation) {
-	backing := make([]float64, nrows*K)
-	used := 0
+// extract copies the LP solution into out, each free message's row the
+// next capped window of rows, clamping the solver's tiny negative
+// residuals to zero.
+func (sc *allocScratch) extract(sol lp.Solution, K int, out *Allocation) {
 	for vi := range sc.cellMsg {
 		mi := sc.cellMsg[vi]
 		if out.P[mi] == nil {
-			out.P[mi] = backing[used*K : (used+1)*K : (used+1)*K]
-			used++
+			out.P[mi], sc.rows = sc.rows[:K:K], sc.rows[K:]
 		}
 		v := sol.X[vi]
 		if v < 0 {
@@ -162,7 +171,7 @@ func (sc *allocScratch) extract(sol lp.Solution, nrows, K int, out *Allocation) 
 func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, pin *allocPin, pa *PathAssignment, ws []Window, act *Activity, K int, out *Allocation, linkCap []float64) error {
 	sc := &a.alloc
 	maxLink := maxLinkOf(subset, pa)
-	sc.ensure(len(ws), K, int(maxLink))
+	sc.ensure(len(ws), K)
 	freeMsgs := sc.free[:0]
 	for _, mi := range subset {
 		sc.isFree[mi] = pin == nil || pin.free(mi)
@@ -199,22 +208,13 @@ func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, 
 	// (4) Link capacity per (link, interval) a free message touches, the
 	// pinned usage subtracted from the right-hand side: pinning is a
 	// residual, not a second system, and it binds even a link's only
-	// free user. Per-link message lists indexed by LinkID are built once
-	// and walked in ascending link order, so the LP sees constraints in a
+	// free user. The per-link message lists are laid out once and walked
+	// in ascending link order, so the LP sees constraints in a
 	// deterministic order.
-	sc.epoch++
-	for _, mi := range subset {
-		for _, l := range pa.Links[mi] {
-			sc.touchLink(int(l))
-			if sc.isFree[mi] {
-				sc.linkFree[l] = append(sc.linkFree[l], mi)
-			} else {
-				sc.linkPinned[l] = append(sc.linkPinned[l], mi)
-			}
-		}
-	}
+	sc.layoutLinks(subset, pa, int(maxLink))
 	for l := 0; l <= int(maxLink); l++ {
-		if sc.linkEpoch[l] != sc.epoch || len(sc.linkFree[l]) == 0 {
+		users := sc.usersOf(2 * l)
+		if len(users) == 0 {
 			continue
 		}
 		// A reserved share below 1 binds even a lone message (the cell
@@ -228,7 +228,7 @@ func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, 
 		for k := 0; k < K; k++ {
 			sc.rowIdx = sc.rowIdx[:0]
 			sc.rowVal = sc.rowVal[:0]
-			for _, mi := range sc.linkFree[l] {
+			for _, mi := range users {
 				if act.Active[mi][k] {
 					sc.rowIdx = append(sc.rowIdx, sc.varOf[int(mi)*K+k])
 					sc.rowVal = append(sc.rowVal, 1)
@@ -238,7 +238,7 @@ func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, 
 				continue
 			}
 			residual := share * act.Intervals.Length(k)
-			for _, mi := range sc.linkPinned[l] {
+			for _, mi := range sc.usersOf(2*l + 1) {
 				if out.P[mi] != nil {
 					residual -= out.P[mi][k]
 				}
@@ -264,6 +264,6 @@ func allocateSubset(ctx context.Context, a *solveArena, subset []tfg.MessageID, 
 		return &ErrAllocationInfeasible{Subset: subset}
 	}
 	sc.x = sol.X
-	sc.extract(sol, len(freeMsgs), K, out)
+	sc.extract(sol, K, out)
 	return nil
 }

@@ -2,6 +2,7 @@ package schedule
 
 import (
 	"math/rand"
+	"slices"
 
 	"schedroute/internal/lp"
 	"schedroute/internal/tfg"
@@ -114,12 +115,14 @@ type allocScratch struct {
 	rowVal  []float64
 	x       []float64 // the LP's solution, in the last one's storage
 
-	// Per-link user lists for constraint (4), valid when linkEpoch
-	// matches epoch (stale lists are truncated on first touch).
-	linkFree   [][]tfg.MessageID
-	linkPinned [][]tfg.MessageID
-	linkEpoch  []int32
-	epoch      int32
+	// rows is what is left of the allocateIntervals call's one backing
+	// array for the rows of its free messages, which extract carves.
+	rows []float64
+
+	// Constraint (4)'s user lists of the current subset's links, its
+	// free members and its pinned ones (layoutLinks).
+	userOff []int32
+	users   []tfg.MessageID
 
 	// isFree flags the reallocatable (not pinned) messages, listed in
 	// free; both are re-initialized for every member of the current
@@ -130,7 +133,7 @@ type allocScratch struct {
 	pivots int // simplex pivots of the current allocateIntervals call
 }
 
-func (sc *allocScratch) ensure(nmsgs, K, maxLink int) {
+func (sc *allocScratch) ensure(nmsgs, K int) {
 	if len(sc.varOf) < nmsgs*K {
 		sc.varOf = make([]int32, nmsgs*K)
 	}
@@ -138,18 +141,43 @@ func (sc *allocScratch) ensure(nmsgs, K, maxLink int) {
 		sc.isFree = make([]bool, nmsgs)
 		sc.free = make([]tfg.MessageID, 0, nmsgs)
 	}
-	if len(sc.linkEpoch) < maxLink+1 {
-		sc.linkFree = append(sc.linkFree, make([][]tfg.MessageID, maxLink+1-len(sc.linkFree))...)
-		sc.linkPinned = append(sc.linkPinned, make([][]tfg.MessageID, maxLink+1-len(sc.linkPinned))...)
-		sc.linkEpoch = append(sc.linkEpoch, make([]int32, maxLink+1-len(sc.linkEpoch))...)
-	}
 }
 
-// touchLink rewinds link l's user lists on its first use this epoch.
-func (sc *allocScratch) touchLink(l int) {
-	if sc.linkEpoch[l] != sc.epoch {
-		sc.linkEpoch[l] = sc.epoch
-		sc.linkFree[l] = sc.linkFree[l][:0]
-		sc.linkPinned[l] = sc.linkPinned[l][:0]
+// layoutLinks lays out, for every link l up to maxLink, the members of
+// subset on l in compressed sparse row form, each list in subset order:
+// list 2l holds the free members, 2l+1 the pinned ones, list i is
+// users[userOff[i]:userOff[i+1]] (usersOf). A count per list at
+// userOff[i+2], a prefix sum over ascending lists that leaves
+// userOff[i+1] at list i's start, then a fill that moves userOff[i+1]
+// on to i's end, which is i+1's start.
+func (sc *allocScratch) layoutLinks(subset []tfg.MessageID, pa *PathAssignment, maxLink int) {
+	list := func(mi tfg.MessageID, l topology.LinkID) int {
+		if sc.isFree[mi] {
+			return 2 * int(l)
+		}
+		return 2*int(l) + 1
 	}
+	off := zeroed(sc.userOff, 2*maxLink+4)
+	for _, mi := range subset {
+		for _, l := range pa.Links[mi] {
+			off[list(mi, l)+2]++
+		}
+	}
+	for i := 2; i < len(off); i++ {
+		off[i] += off[i-1]
+	}
+	sc.users = slices.Grow(sc.users[:0], int(off[len(off)-1]))[:off[len(off)-1]]
+	for _, mi := range subset {
+		for _, l := range pa.Links[mi] {
+			i := list(mi, l) + 1
+			sc.users[off[i]] = mi
+			off[i]++
+		}
+	}
+	sc.userOff = off
+}
+
+// usersOf returns list i of the last layoutLinks.
+func (sc *allocScratch) usersOf(i int) []tfg.MessageID {
+	return sc.users[sc.userOff[i]:sc.userOff[i+1]]
 }

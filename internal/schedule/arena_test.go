@@ -206,7 +206,7 @@ func TestLoadStateReusedAcrossShapes(t *testing.T) {
 		pa := f.pa.Clone()
 		for step := 0; step < 100; step++ {
 			mi := f.multi[rng.Intn(len(f.multi))]
-			c := f.cands.PathsOf[mi][rng.Intn(len(f.cands.PathsOf[mi]))]
+			c := routesOf(f.cands, mi)[rng.Intn(len(f.cands.PathsOf[mi]))]
 			old := pa.Links[mi]
 			switch rng.Intn(3) {
 			case 0:

@@ -372,9 +372,9 @@ func (a *solveArena) climb(ls *LoadState, cands *Candidates, act *Activity, maxI
 		var bestReduce, bestRepos move
 		haveReduce, haveRepos := false, false
 		for _, mi := range a.msgBuf {
-			cur := current.Paths[mi]
-			for ci, c := range cands.PathsOf[mi] {
-				if c.path.Equal(cur) {
+			cur, links := current.Paths[mi], cands.LinksOf[mi]
+			for ci, p := range cands.PathsOf[mi] {
+				if p.Equal(cur) {
 					continue
 				}
 				*evals++
@@ -387,7 +387,7 @@ func (a *solveArena) climb(ls *LoadState, cands *Candidates, act *Activity, maxI
 				} else if haveRepos {
 					limit = curPeak - timeEps
 				}
-				tp, tl, tk := ls.EvalReroute(mi, current.Links[mi], c.links, limit)
+				tp, tl, tk := ls.EvalReroute(mi, current.Links[mi], links[ci], limit)
 				if tp < curPeak-timeEps {
 					if !haveReduce || tp < bestReduce.peak {
 						bestReduce = move{msg: mi, cand: ci, peak: tp, link: tl, interval: tk}
@@ -409,9 +409,9 @@ func (a *solveArena) climb(ls *LoadState, cands *Candidates, act *Activity, maxI
 		if !haveReduce && !haveRepos {
 			break // inner convergence: no reduction, no fresh reposition
 		}
-		c := cands.PathsOf[chosen.msg][chosen.cand]
-		ls.ApplyReroute(chosen.msg, current.Links[chosen.msg], c.links)
-		current.SetPath(chosen.msg, c.path, c.links)
+		p, links := cands.PathsOf[chosen.msg][chosen.cand], cands.LinksOf[chosen.msg][chosen.cand]
+		ls.ApplyReroute(chosen.msg, current.Links[chosen.msg], links)
+		current.SetPath(chosen.msg, p, links)
 		curPeak, curLink, curInterval = chosen.peak, chosen.link, chosen.interval
 	}
 	return curPeak
@@ -442,7 +442,7 @@ func randomize(pa *PathAssignment, cands *Candidates, rng *rand.Rand) {
 		if len(list) < 2 {
 			continue
 		}
-		c := list[rng.Intn(len(list))]
-		pa.SetPath(tfg.MessageID(i), c.path, c.links)
+		c := rng.Intn(len(list))
+		pa.SetPath(tfg.MessageID(i), list[c], cands.LinksOf[i][c])
 	}
 }

@@ -142,7 +142,7 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 				rng := rand.New(rand.NewSource(7))
 				for step := 0; step < 200; step++ {
 					mi := multi[rng.Intn(len(multi))]
-					c := cands.PathsOf[mi][rng.Intn(len(cands.PathsOf[mi]))]
+					c := routesOf(cands, mi)[rng.Intn(len(cands.PathsOf[mi]))]
 					old := pa.Links[mi]
 					switch rng.Intn(3) {
 					case 0: // apply and keep
@@ -220,7 +220,7 @@ func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment
 			ls.gen, ls.epoch = genJump, epochJump
 		}
 		mi := multi[rng.Intn(len(multi))]
-		list := cands.PathsOf[mi]
+		list := routesOf(cands, mi)
 		old := pa.Links[mi]
 		switch op := rng.Intn(10); {
 		case op < 5:
@@ -320,7 +320,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	}
 	pa, ws, act, cands, multi := loadStateFixture(t, top, false)
 	ls := NewLoadStateCap(top, pa, ws, act, nil)
-	eval := func(step string, mi tfg.MessageID, c candidate) {
+	eval := func(step string, mi tfg.MessageID, c testRoute) {
 		t.Helper()
 		gp, gl, gk := ls.EvalReroute(mi, pa.Links[mi], c.links, math.Inf(1))
 		ref := NewLoadStateCap(top, pa, ws, act, nil)
@@ -332,7 +332,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	}
 	evalAll := func(step string, mi tfg.MessageID) {
 		t.Helper()
-		for _, c := range cands.PathsOf[mi] {
+		for _, c := range routesOf(cands, mi) {
 			eval(step, mi, c)
 		}
 	}
@@ -347,7 +347,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	for _, mj := range multi {
 		if mj != mi {
-			c := cands.PathsOf[mj][rng.Intn(len(cands.PathsOf[mj]))]
+			c := routesOf(cands, mj)[rng.Intn(len(cands.PathsOf[mj]))]
 			pa.SetPath(mj, c.path, c.links)
 		}
 	}
@@ -367,7 +367,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	_, peakLink, peakK = ls.PeakPosition()
 	mi = reroutable(cands, act, ls, assignPosition{peakLink, peakK}, nil)[0]
 	away := -1
-	for ci, c := range cands.PathsOf[mi] {
+	for ci, c := range routesOf(cands, mi) {
 		if !slices.Contains(c.links, peakLink) {
 			away = ci
 			break
@@ -376,7 +376,7 @@ func TestLoadStateWrapDropsStaleEntries(t *testing.T) {
 	if away < 0 {
 		t.Fatalf("every candidate of message %d crosses the peak link %d", mi, peakLink)
 	}
-	ls.EvalReroute(mi, pa.Links[mi], cands.PathsOf[mi][away].links, math.Inf(1))
+	ls.EvalReroute(mi, pa.Links[mi], cands.LinksOf[mi][away], math.Inf(1))
 	if ls.stamp[peakLink] != 3 {
 		t.Fatalf("peak link stamped %d by the first eval, want 3", ls.stamp[peakLink])
 	}
@@ -386,7 +386,7 @@ search:
 		if slices.Contains(pa.Links[mj], peakLink) {
 			continue
 		}
-		for _, c := range cands.PathsOf[mj] {
+		for _, c := range routesOf(cands, mj) {
 			if slices.Contains(c.links, peakLink) || c.path.Equal(pa.Paths[mj]) {
 				continue
 			}
@@ -561,7 +561,8 @@ func antipodeWalks(t *testing.T) walkFixture {
 	pa, ws, act, cands, multi := antipodeFixture(t, top, 48, rand.New(rand.NewSource(1)))
 	return walkFixture{top, pa, ws, act, cands, multi, func(pa *PathAssignment, rng *rand.Rand) {
 		share := []float64{0.05, 0.3, 1}[rng.Intn(3)]
-		for i, list := range cands.PathsOf {
+		for i := range cands.PathsOf {
+			list := routesOf(cands, tfg.MessageID(i))
 			c := list[0]
 			if rng.Float64() < share {
 				c = list[1+rng.Intn(2)]
@@ -720,7 +721,7 @@ func peakCacheWalk(t *testing.T, seed int64, f walkFixture, eval evalFunc) peakC
 				mi = on[rng.Intn(len(on))]
 			}
 		}
-		list := cands.PathsOf[mi]
+		list := routesOf(cands, mi)
 		old := pa.Links[mi]
 		c := list[rng.Intn(len(list))]
 		switch r := rng.Intn(10); {
@@ -774,7 +775,7 @@ func antipodeFixture(t *testing.T, top *topology.Topology, n int, rng *rand.Rand
 	const tauIn = 100.0
 	ws := make([]Window, n)
 	pa := &PathAssignment{Paths: make([]topology.Path, n), Links: make([][]topology.LinkID, n)}
-	cands := &Candidates{PathsOf: make([][]candidate, n)}
+	cands := &Candidates{PathsOf: make([][]topology.Path, n), LinksOf: make([][][]topology.LinkID, n)}
 	multi := make([]tfg.MessageID, n)
 	radices := top.Radices()
 	for i := range ws {
@@ -791,7 +792,9 @@ func antipodeFixture(t *testing.T, top *topology.Topology, n int, rng *rand.Rand
 			d[k] = (d[k] + radices[k]/2) % radices[k]
 		}
 		dst := top.FromDigits(d)
-		cands.PathsOf[i] = []candidate{{}, dimOrderRoute(t, top, src, dst, 0, 1), dimOrderRoute(t, top, src, dst, 1, 0)}
+		xy, yx := dimOrderRoute(t, top, src, dst, 0, 1), dimOrderRoute(t, top, src, dst, 1, 0)
+		cands.PathsOf[i] = []topology.Path{{}, xy.path, yx.path}
+		cands.LinksOf[i] = [][]topology.LinkID{nil, xy.links, yx.links}
 		multi[i] = tfg.MessageID(i)
 	}
 	return pa, ws, BuildActivity(ws, BuildIntervals(ws, tauIn)), cands, multi
@@ -799,7 +802,7 @@ func antipodeFixture(t *testing.T, top *topology.Topology, n int, rng *rand.Rand
 
 // dimOrderRoute walks from src to dst correcting one dimension after
 // another in the given order, one step up its ring a hop.
-func dimOrderRoute(t *testing.T, top *topology.Topology, src, dst topology.NodeID, dims ...int) candidate {
+func dimOrderRoute(t *testing.T, top *topology.Topology, src, dst topology.NodeID, dims ...int) testRoute {
 	t.Helper()
 	cur, want, radices := top.Digits(src), top.Digits(dst), top.Radices()
 	p := topology.Path{Nodes: []topology.NodeID{src}}
@@ -813,5 +816,21 @@ func dimOrderRoute(t *testing.T, top *topology.Topology, src, dst topology.NodeI
 	if err != nil {
 		t.Fatal(err)
 	}
-	return candidate{path: p, links: links}
+	return testRoute{path: p, links: links}
+}
+
+// testRoute is one candidate of a message: a path and, row for row, its
+// links.
+type testRoute struct {
+	path  topology.Path
+	links []topology.LinkID
+}
+
+// routesOf pairs message mi's candidate paths with their links.
+func routesOf(c *Candidates, mi tfg.MessageID) []testRoute {
+	out := make([]testRoute, len(c.PathsOf[mi]))
+	for k, p := range c.PathsOf[mi] {
+		out[k] = testRoute{p, c.LinksOf[mi][k]}
+	}
+	return out
 }

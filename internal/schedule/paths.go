@@ -66,40 +66,69 @@ func LSDAssignment(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment, w
 // shortest path (topology.RouteAround). With a nil or empty fault set
 // it is exactly LSDAssignment. A *topology.NoRouteError is returned
 // when the residual topology disconnects a message's endpoints.
+//
+// The LSD rows are capped windows of one node slab and one link slab,
+// sized by Distance; a message whose LSD path a fault blocks takes the
+// route memo's first surviving row instead, shared and immutable.
 func FaultRouteAssignment(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment, ws []Window, fs *topology.FaultSet) (*PathAssignment, error) {
 	pa := &PathAssignment{
 		Paths: make([]topology.Path, g.NumMessages()),
 		Links: make([][]topology.LinkID, g.NumMessages()),
 	}
+	hops, routed := 0, 0
+	for id := range g.NumMessages() {
+		if m := g.Message(tfg.MessageID(id)); !ws[m.ID].Local {
+			hops += top.Distance(as.Node(m.Src), as.Node(m.Dst))
+			routed++
+		}
+	}
+	nodes := make([]topology.NodeID, 0, hops+routed)
+	links := make([]topology.LinkID, 0, hops)
 	for id := range g.NumMessages() {
 		m := g.Message(tfg.MessageID(id))
 		if ws[m.ID].Local {
 			continue
 		}
-		p, err := top.RouteAround(as.Node(m.Src), as.Node(m.Dst), fs)
+		src, dst := as.Node(m.Src), as.Node(m.Dst)
+		nf, lf := len(nodes), len(links)
+		nodes = top.AppendLSDNodes(nodes, src, dst)
+		links = top.AppendLSDLinks(links, src, dst)
+		if survives(top, fs, src, links[lf:]) {
+			pa.Paths[m.ID].Nodes, pa.Links[m.ID] = nodes[nf:len(nodes):len(nodes)], links[lf:len(links):len(links)]
+			continue
+		}
+		nodes, links = nodes[:nf], links[:lf]
+		paths, ls, err := top.SurvivingRoutes(src, dst, 1, fs)
 		if err != nil {
 			return nil, fmt.Errorf("schedule: message %d: %w", m.ID, err)
 		}
-		links, err := p.Links(top)
-		if err != nil {
-			return nil, fmt.Errorf("schedule: message %d: %w", m.ID, err)
-		}
-		pa.Paths[m.ID] = p
-		pa.Links[m.ID] = links
+		pa.Paths[m.ID], pa.Links[m.ID] = paths[0], ls[0]
 	}
 	return pa, nil
+}
+
+// survives reports whether the path from src over links crosses no
+// failed node or link of fs; every node after src ends one of the links.
+func survives(top *topology.Topology, fs *topology.FaultSet, src topology.NodeID, links []topology.LinkID) bool {
+	if fs.NodeFailed(src) {
+		return false
+	}
+	for _, l := range links {
+		if !fs.LinkUsable(top, l) {
+			return false
+		}
+	}
+	return true
 }
 
 // Candidates holds, per message, the equivalent shortest paths the
 // AssignPaths heuristic may choose among.
 type Candidates struct {
-	// PathsOf[i] lists message i's alternative paths with resolved links.
-	PathsOf [][]candidate
-}
-
-type candidate struct {
-	path  topology.Path
-	links []topology.LinkID
+	// PathsOf[i] lists message i's alternative paths and LinksOf[i],
+	// row for row, their link sequences: the route memo's own rows
+	// (topology.SurvivingRoutes), shared and immutable.
+	PathsOf [][]topology.Path
+	LinksOf [][][]topology.LinkID
 }
 
 // BuildCandidates enumerates up to maxPaths equivalent shortest paths
@@ -115,49 +144,22 @@ func BuildCandidatesFault(g *tfg.Graph, top *topology.Topology, as *alloc.Assign
 	if maxPaths < 1 {
 		return nil, badInput("schedule: maxPaths %d < 1", maxPaths)
 	}
-	c := &Candidates{PathsOf: make([][]candidate, g.NumMessages())}
-	// Count the alternatives first, so every message's list is a window
-	// of one slab; the second lookup of a route hits the topology's memo.
-	total := 0
+	c := &Candidates{
+		PathsOf: make([][]topology.Path, g.NumMessages()),
+		LinksOf: make([][][]topology.LinkID, g.NumMessages()),
+	}
 	for id := range g.NumMessages() {
 		m := g.Message(tfg.MessageID(id))
 		if ws[m.ID].Local {
 			continue
 		}
-		paths, _, err := top.SurvivingRoutes(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
+		paths, links, err := top.SurvivingRoutes(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
 		if err != nil {
 			return nil, fmt.Errorf("schedule: message %d: %w", m.ID, err)
 		}
-		total += len(paths)
-	}
-	slab := make([]candidate, 0, total)
-	for id := range g.NumMessages() {
-		m := g.Message(tfg.MessageID(id))
-		if ws[m.ID].Local {
-			continue
-		}
-		paths, links, _ := top.SurvivingRoutes(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
-		from := len(slab)
-		for i, p := range paths {
-			slab = append(slab, candidate{path: p, links: links[i]})
-		}
-		c.PathsOf[m.ID] = slab[from:len(slab):len(slab)]
+		c.PathsOf[m.ID], c.LinksOf[m.ID] = paths, links
 	}
 	return c, nil
-}
-
-// survivingCandidates lists message m's alternatives. Paths and link
-// sequences both come from the topology's memo, shared and immutable.
-func survivingCandidates(top *topology.Topology, as *alloc.Assignment, m tfg.Message, maxPaths int, fs *topology.FaultSet) ([]candidate, error) {
-	paths, links, err := top.SurvivingRoutes(as.Node(m.Src), as.Node(m.Dst), maxPaths, fs)
-	if err != nil {
-		return nil, err
-	}
-	list := make([]candidate, len(paths))
-	for i, p := range paths {
-		list[i] = candidate{path: p, links: links[i]}
-	}
-	return list, nil
 }
 
 // Utilization aggregates the Section 5.1 measures for one assignment:
@@ -266,10 +268,7 @@ func peakLowerBound(lsd *PathAssignment, cands *Candidates, ws []Window, act *Ac
 			if w.Local || !w.NoSlack() || !act.Active[i][k] || len(lsd.Links[i]) == 0 {
 				continue
 			}
-			paths := [][]topology.LinkID{lsd.Links[i]}
-			for _, c := range cands.PathsOf[i] {
-				paths = append(paths, c.links)
-			}
+			paths := append([][]topology.LinkID{lsd.Links[i]}, cands.LinksOf[i]...)
 			for _, e := range []end{{lsd.Paths[i].Source(), false}, {lsd.Paths[i].Dest(), true}} {
 				count[e]++
 				if links[e] == nil {

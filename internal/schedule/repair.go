@@ -391,14 +391,15 @@ func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *
 	act := base.Activity
 	pa := base.Assignment.Clone()
 
-	// Surviving candidates per affected message.
-	cands := make(map[tfg.MessageID][]candidate, len(affected))
-	for _, mi := range affected {
-		list, err := survivingCandidates(top, p.Assignment, p.Graph.Message(mi), opt.MaxPaths, fs)
-		if err != nil {
+	// Surviving candidates per affected message, the route memo's rows.
+	paths := make([][]topology.Path, len(affected))
+	links := make([][][]topology.LinkID, len(affected))
+	for k, mi := range affected {
+		m := p.Graph.Message(mi)
+		var err error
+		if paths[k], links[k], err = top.SurvivingRoutes(p.Assignment.Node(m.Src), p.Assignment.Node(m.Dst), opt.MaxPaths, fs); err != nil {
 			return nil, 0, err
 		}
-		cands[mi] = list
 	}
 
 	// Start every affected message on its first surviving path, then
@@ -406,33 +407,30 @@ func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *
 	// against all its candidates and keeps the peak-minimizing choice.
 	// Candidate order and message order are fixed, so the result is
 	// deterministic.
-	for _, mi := range affected {
-		c := cands[mi][0]
-		pa.SetPath(mi, c.path, c.links)
+	for k, mi := range affected {
+		pa.SetPath(mi, paths[k][0], links[k][0])
 	}
 	ls := a.loadState(top, pa, ws, act, opt.LinkCap)
 	peak := ls.Peak()
 	const sweeps = 2
 	for s := 0; s < sweeps; s++ {
 		improved := false
-		for _, mi := range affected {
-			list := cands[mi]
-			if len(list) < 2 {
+		for k, mi := range affected {
+			if len(paths[k]) < 2 {
 				continue
 			}
 			bestCI, bestPeak := -1, peak
-			for ci, c := range list {
-				if c.path.Equal(pa.Paths[mi]) {
+			for ci, c := range paths[k] {
+				if c.Equal(pa.Paths[mi]) {
 					continue
 				}
-				if tp, _, _ := ls.EvalReroute(mi, pa.Links[mi], c.links, bestPeak-timeEps); tp < bestPeak-timeEps {
+				if tp, _, _ := ls.EvalReroute(mi, pa.Links[mi], links[k][ci], bestPeak-timeEps); tp < bestPeak-timeEps {
 					bestCI, bestPeak = ci, tp
 				}
 			}
 			if bestCI >= 0 {
-				c := list[bestCI]
-				ls.ApplyReroute(mi, pa.Links[mi], c.links)
-				pa.SetPath(mi, c.path, c.links)
+				ls.ApplyReroute(mi, pa.Links[mi], links[k][bestCI])
+				pa.SetPath(mi, paths[k][bestCI], links[k][bestCI])
 				peak = bestPeak
 				improved = true
 			}

@@ -154,8 +154,8 @@ func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 				continue
 			}
 			paths := make([][]int, len(list))
-			for k, cand := range list {
-				paths[k] = pathToSnap(cand.path)
+			for k, p := range list {
+				paths[k] = pathToSnap(p)
 			}
 			cj.PathsOf[i] = paths
 		}
@@ -286,20 +286,18 @@ func DecodeSolverSnapshot(r io.Reader, p Problem, structureKey string) (*Solver,
 		if len(cj.PathsOf) != sj.Messages {
 			return nil, badSnapshot("candidates for max_paths %d cover %d messages, want %d", cj.MaxPaths, len(cj.PathsOf), sj.Messages)
 		}
-		c := &Candidates{PathsOf: make([][]candidate, sj.Messages)}
+		c := &Candidates{PathsOf: make([][]topology.Path, sj.Messages), LinksOf: make([][][]topology.LinkID, sj.Messages)}
 		for i, paths := range cj.PathsOf {
 			if len(paths) == 0 {
 				continue
 			}
-			list := make([]candidate, len(paths))
+			c.PathsOf[i], c.LinksOf[i] = make([]topology.Path, len(paths)), make([][]topology.LinkID, len(paths))
 			for k, nodes := range paths {
-				path, links, err := snapToPath(p.Topology, nodes)
-				if err != nil {
+				var err error
+				if c.PathsOf[i][k], c.LinksOf[i][k], err = snapToPath(p.Topology, nodes); err != nil {
 					return nil, err
 				}
-				list[k] = candidate{path: path, links: links}
 			}
-			c.PathsOf[i] = list
 		}
 		s.cands.Put(cj.MaxPaths, c)
 	}

@@ -264,7 +264,7 @@ func (t *Topology) walk(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) 
 			return
 		}
 		if u == dst {
-			out = append(out, Path{Nodes: append([]NodeID(nil), prefix...)})
+			out = append(out, Path{Nodes: slices.Clip(slices.Clone(prefix))})
 			return
 		}
 		remain := dist(u)
@@ -286,7 +286,7 @@ func (t *Topology) walk(src, dst NodeID, max int, fs *FaultSet) ([]Path, error) 
 		}
 	}
 	rec(src)
-	return out, nil
+	return slices.Clip(out), nil
 }
 
 // residualDistances is a reverse BFS from dst over the residual graph:

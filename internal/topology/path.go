@@ -99,12 +99,18 @@ func (p Path) ValidateFault(t *Topology, fs *FaultSet) error {
 // from the least significant digit, exactly the deadlock-free route the
 // paper attributes to wormhole routing. In a GHC each correction is a
 // single hop; in a torus or mesh the digit walks along the ring (shortest
-// direction, positive on ties). The digits are peeled arithmetically, as
-// in AppendLSDLinks, and the node list is sized from Distance, so the
-// path is all it allocates.
+// direction, positive on ties). The node list is AppendLSDNodes' into a
+// slice sized from Distance, so the path is all it allocates.
 func (t *Topology) LSDToMSD(src, dst NodeID) Path {
-	nodes := make([]NodeID, 1, t.Distance(src, dst)+1)
-	nodes[0] = src
+	return Path{Nodes: t.AppendLSDNodes(make([]NodeID, 0, t.Distance(src, dst)+1), src, dst)}
+}
+
+// AppendLSDNodes appends the nodes of the LSD-to-MSD route from src to
+// dst, src first, to buf and returns the extended slice. The digits are
+// peeled arithmetically, as in AppendLSDLinks, so nothing is allocated
+// unless buf has to grow.
+func (t *Topology) AppendLSDNodes(buf []NodeID, src, dst NodeID) []NodeID {
+	buf = append(buf, src)
 	cur, x, y := int(src), int(src), int(dst)
 	for dim := 0; x != y; dim++ {
 		m := t.radices[dim]
@@ -114,10 +120,10 @@ func (t *Topology) LSDToMSD(src, dst NodeID) Path {
 			next := t.dimStep(dim, a, b)
 			cur += (next - a) * t.strides[dim]
 			a = next
-			nodes = append(nodes, NodeID(cur))
+			buf = append(buf, NodeID(cur))
 		}
 	}
-	return Path{Nodes: nodes}
+	return buf
 }
 
 // AppendLSDLinks appends the links of the LSD-to-MSD route from src to
