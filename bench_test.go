@@ -645,6 +645,43 @@ func BenchmarkTenantAdmitSixCube(b *testing.B) {
 	b.ReportMetric(tauOut/vic.TauIn, "tauout/tauin")
 }
 
+// BenchmarkRepairSixCube times the repair ladder alone, the one layer
+// the ladders workload drives that no other benchmark isolates: each op
+// is schedule.Repair of the failed link 1-3 on the feasible 6-cube B=64
+// DVB schedule at ladders' period (τin = 50·31/11 µs), the base solved
+// and the FaultSet built outside the timer; as in the workload, the
+// FaultSet's route memo is warm after the first op. Fails unless the
+// fault reroutes some message and the repair ends on a schedule.
+func BenchmarkRepairSixCube(b *testing.B) {
+	p := dvbSixCubeProblem(b, 50*31.0/11)
+	opts := schedule.Options{Seed: 1}
+	base, err := schedule.Compute(p, opts)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if !base.Feasible {
+		b.Fatalf("base schedule infeasible at stage %s", base.FailStage)
+	}
+	l, err := p.Topology.ParseLinkSpec("1-3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	fs := topology.NewFaultSet()
+	fs.FailLink(l)
+	b.ResetTimer()
+	var rep *schedule.RepairReport
+	for i := 0; i < b.N; i++ {
+		if rep, err = schedule.Repair(context.Background(), p, opts, base, fs); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if rep.Rerouted == 0 || rep.Result == nil {
+		b.Fatalf("repair %s: %d affected, %d rerouted (%s)", rep.Outcome, len(rep.Affected), rep.Rerouted, rep.Reason)
+	}
+	b.ReportMetric(float64(len(rep.Affected)), "affected")
+	b.ReportMetric(float64(rep.Rerouted), "rerouted")
+}
+
 // BenchmarkShortestPathEnumeration times the §5.1 path walk itself, not
 // a memo hit: each op enumerates 0 -> 63's first 24 shortest paths on
 // the 6-cube twice, fault-free on a machine built outside the timer

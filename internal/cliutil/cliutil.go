@@ -236,7 +236,7 @@ func ParseExploreSpec(gridPoints int, annealSeeds, objectives string) (schedule.
 		for _, tok := range strings.Split(annealSeeds, ",") {
 			seed, err := strconv.ParseInt(strings.TrimSpace(tok), 10, 64)
 			if err != nil {
-				return spec, errkind.Mark(fmt.Errorf("bad -anneal-seeds entry %q: %v", tok, err), errkind.ErrBadInput)
+				return spec, errkind.BadInput("bad -anneal-seeds entry %q: %v", tok, err)
 			}
 			spec.AnnealSeeds = append(spec.AnnealSeeds, seed)
 		}

@@ -9,7 +9,10 @@
 // table row; the CLIs and the daemon pick it up together.
 package errkind
 
-import "errors"
+import (
+	"errors"
+	"fmt"
+)
 
 // The error families. Concrete error types claim membership either by
 // implementing Is(target error) bool (see schedule.InfeasibleRepairError
@@ -125,6 +128,12 @@ func ByName(name string) error {
 		}
 	}
 	return nil
+}
+
+// BadInput is a malformed-input error built from a message: the
+// fmt.Errorf of format and args, marked ErrBadInput.
+func BadInput(format string, args ...any) error {
+	return Mark(fmt.Errorf(format, args...), ErrBadInput)
 }
 
 // Mark wraps err so that it matches kind under errors.Is while keeping

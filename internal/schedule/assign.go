@@ -3,6 +3,7 @@ package schedule
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"sync"
 
 	"schedroute/internal/parallel"
@@ -94,7 +95,7 @@ const climbGate = 512
 // climbGate.
 func climbWorkers(cands *Candidates, procs int) int {
 	multi := 0
-	for _, list := range cands.PathsOf {
+	for _, list := range cands.LinksOf {
 		if len(list) >= 2 {
 			multi++
 		}
@@ -372,9 +373,9 @@ func (a *solveArena) climb(ls *LoadState, cands *Candidates, act *Activity, maxI
 		var bestReduce, bestRepos move
 		haveReduce, haveRepos := false, false
 		for _, mi := range a.msgBuf {
-			cur, links := current.Paths[mi], cands.LinksOf[mi]
-			for ci, p := range cands.PathsOf[mi] {
-				if p.Equal(cur) {
+			cur, links := current.Links[mi], cands.LinksOf[mi]
+			for ci, c := range links {
+				if slices.Equal(c, cur) {
 					continue
 				}
 				*evals++
@@ -387,7 +388,7 @@ func (a *solveArena) climb(ls *LoadState, cands *Candidates, act *Activity, maxI
 				} else if haveRepos {
 					limit = curPeak - timeEps
 				}
-				tp, tl, tk := ls.EvalReroute(mi, current.Links[mi], links[ci], limit)
+				tp, tl, tk := ls.EvalReroute(mi, cur, c, limit)
 				if tp < curPeak-timeEps {
 					if !haveReduce || tp < bestReduce.peak {
 						bestReduce = move{msg: mi, cand: ci, peak: tp, link: tl, interval: tk}
@@ -424,7 +425,7 @@ func (a *solveArena) climb(ls *LoadState, cands *Candidates, act *Activity, maxI
 func reroutable(cands *Candidates, act *Activity, ls *LoadState, pos assignPosition, buf []tfg.MessageID) []tfg.MessageID {
 	out := buf
 	for _, i := range ls.members(int(pos.link)) {
-		if len(cands.PathsOf[i]) < 2 {
+		if len(cands.LinksOf[i]) < 2 {
 			continue
 		}
 		if pos.interval >= 0 && !act.Active[i][pos.interval] {
@@ -438,11 +439,11 @@ func reroutable(cands *Candidates, act *Activity, ls *LoadState, pos assignPosit
 // randomize assigns every multi-path message a uniformly random
 // candidate path.
 func randomize(pa *PathAssignment, cands *Candidates, rng *rand.Rand) {
-	for i, list := range cands.PathsOf {
+	for i, list := range cands.LinksOf {
 		if len(list) < 2 {
 			continue
 		}
 		c := rng.Intn(len(list))
-		pa.SetPath(tfg.MessageID(i), list[c], cands.LinksOf[i][c])
+		pa.SetPath(tfg.MessageID(i), cands.PathsOf[i][c], list[c])
 	}
 }

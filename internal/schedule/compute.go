@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"schedroute/internal/alloc"
+	"schedroute/internal/errkind"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 	"schedroute/internal/trace"
@@ -20,9 +21,11 @@ type Problem struct {
 	// TauIn is the invocation period τin >= τc.
 	TauIn float64
 	// Faults, when non-empty, restricts routing to the residual
-	// topology: the deterministic baseline becomes RouteAround and path
-	// candidates come from SurvivingPaths, so every emitted Ω avoids the
-	// failed links and nodes. A nil or empty set is the perfect machine.
+	// topology: the deterministic baseline keeps each LSD route whose
+	// links FaultSet.Survives and takes the first surviving route
+	// otherwise (FaultRouteAssignment), and path candidates come from
+	// SurvivingRoutes, so every emitted Ω avoids the failed links and
+	// nodes. A nil or empty set is the perfect machine.
 	Faults *topology.FaultSet
 }
 
@@ -245,7 +248,7 @@ func applySyncMargin(ws []Window, margin float64) error {
 		}
 		newLen := ws[i].Length - margin
 		if newLen < ws[i].Xmit-timeEps {
-			return badInput("schedule: sync margin %g leaves message %d a window of %g below its transmission time %g", margin, i, newLen, ws[i].Xmit)
+			return errkind.BadInput("schedule: sync margin %g leaves message %d a window of %g below its transmission time %g", margin, i, newLen, ws[i].Xmit)
 		}
 		ws[i].Length = newLen
 	}

@@ -387,7 +387,7 @@ search:
 			continue
 		}
 		for _, c := range routesOf(cands, mj) {
-			if slices.Contains(c.links, peakLink) || c.path.Equal(pa.Paths[mj]) {
+			if slices.Contains(c.links, peakLink) || slices.Equal(c.links, pa.Links[mj]) {
 				continue
 			}
 			ref := NewLoadStateCap(top, pa, ws, act, nil)

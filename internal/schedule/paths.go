@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"schedroute/internal/alloc"
+	"schedroute/internal/errkind"
 	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 )
@@ -67,9 +68,10 @@ func LSDAssignment(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment, w
 // it is exactly LSDAssignment. A *topology.NoRouteError is returned
 // when the residual topology disconnects a message's endpoints.
 //
-// The LSD rows are capped windows of one node slab and one link slab,
-// sized by Distance; a message whose LSD path a fault blocks takes the
-// route memo's first surviving row instead, shared and immutable.
+// The LSD rows are capped windows of one link slab and one node slab,
+// sized by Distance, the nodes read off the links; a message whose LSD
+// route a fault blocks takes the route memo's first surviving row
+// instead, shared and immutable.
 func FaultRouteAssignment(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment, ws []Window, fs *topology.FaultSet) (*PathAssignment, error) {
 	pa := &PathAssignment{
 		Paths: make([]topology.Path, g.NumMessages()),
@@ -90,14 +92,15 @@ func FaultRouteAssignment(g *tfg.Graph, top *topology.Topology, as *alloc.Assign
 			continue
 		}
 		src, dst := as.Node(m.Src), as.Node(m.Dst)
-		nf, lf := len(nodes), len(links)
-		nodes = top.AppendLSDNodes(nodes, src, dst)
+		lf := len(links)
 		links = top.AppendLSDLinks(links, src, dst)
-		if survives(top, fs, src, links[lf:]) {
+		if fs.Survives(top, src, links[lf:]) {
+			nf := len(nodes)
+			nodes = top.AppendNodes(nodes, src, links[lf:])
 			pa.Paths[m.ID].Nodes, pa.Links[m.ID] = nodes[nf:len(nodes):len(nodes)], links[lf:len(links):len(links)]
 			continue
 		}
-		nodes, links = nodes[:nf], links[:lf]
+		links = links[:lf]
 		paths, ls, err := top.SurvivingRoutes(src, dst, 1, fs)
 		if err != nil {
 			return nil, fmt.Errorf("schedule: message %d: %w", m.ID, err)
@@ -105,20 +108,6 @@ func FaultRouteAssignment(g *tfg.Graph, top *topology.Topology, as *alloc.Assign
 		pa.Paths[m.ID], pa.Links[m.ID] = paths[0], ls[0]
 	}
 	return pa, nil
-}
-
-// survives reports whether the path from src over links crosses no
-// failed node or link of fs; every node after src ends one of the links.
-func survives(top *topology.Topology, fs *topology.FaultSet, src topology.NodeID, links []topology.LinkID) bool {
-	if fs.NodeFailed(src) {
-		return false
-	}
-	for _, l := range links {
-		if !fs.LinkUsable(top, l) {
-			return false
-		}
-	}
-	return true
 }
 
 // Candidates holds, per message, the equivalent shortest paths the
@@ -142,7 +131,7 @@ func BuildCandidates(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment,
 // empty fault set it is exactly BuildCandidates.
 func BuildCandidatesFault(g *tfg.Graph, top *topology.Topology, as *alloc.Assignment, ws []Window, maxPaths int, fs *topology.FaultSet) (*Candidates, error) {
 	if maxPaths < 1 {
-		return nil, badInput("schedule: maxPaths %d < 1", maxPaths)
+		return nil, errkind.BadInput("schedule: maxPaths %d < 1", maxPaths)
 	}
 	c := &Candidates{
 		PathsOf: make([][]topology.Path, g.NumMessages()),
@@ -269,7 +258,8 @@ func peakLowerBound(lsd *PathAssignment, cands *Candidates, ws []Window, act *Ac
 				continue
 			}
 			paths := append([][]topology.LinkID{lsd.Links[i]}, cands.LinksOf[i]...)
-			for _, e := range []end{{lsd.Paths[i].Source(), false}, {lsd.Paths[i].Dest(), true}} {
+			nodes := lsd.Paths[i].Nodes
+			for _, e := range []end{{nodes[0], false}, {nodes[len(nodes)-1], true}} {
 				count[e]++
 				if links[e] == nil {
 					links[e] = map[topology.LinkID]bool{}

@@ -113,10 +113,10 @@ func TestFaultRouteAssignmentMatchesRouteAround(t *testing.T) {
 				if lerr != nil {
 					t.Fatal(lerr)
 				}
-				if _, b := fs.Blocks(c.top, c.top.LSDToMSD(src, dst)); b {
+				if !fs.Survives(c.top, src, c.top.AppendLSDLinks(nil, src, dst)) {
 					blocked++
 				}
-				if !got.Paths[i].Equal(want) || !slices.Equal(got.Links[i], links) {
+				if !slices.Equal(got.Paths[i].Nodes, want.Nodes) || !slices.Equal(got.Links[i], links) {
 					t.Fatalf("%s: message %d routed %v over %v, RouteAround %v over %v", c.name, i, got.Paths[i], got.Links[i], want, links)
 				}
 				if n := got.Paths[i].Nodes; len(n) != cap(n) || len(got.Links[i]) != cap(got.Links[i]) {

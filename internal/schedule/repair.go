@@ -198,7 +198,7 @@ func Repair(ctx context.Context, p Problem, o Options, base *Result, fs *topolog
 		if base.Windows[i].Local || len(base.Assignment.Links[i]) == 0 {
 			continue
 		}
-		if _, blocked := fs.Blocks(p.Topology, base.Assignment.Paths[i]); blocked {
+		if !fs.Survives(p.Topology, p.Assignment.Node(p.Graph.Message(tfg.MessageID(i)).Src), base.Assignment.Links[i]) {
 			rep.Affected = append(rep.Affected, tfg.MessageID(i))
 		}
 	}
@@ -239,7 +239,7 @@ func Repair(ctx context.Context, p Problem, o Options, base *Result, fs *topolog
 	finish := func(r *Result, outcome RepairOutcome, tauOut, scale float64) (*RepairReport, error) {
 		rep.Outcome = outcome
 		for i := range r.Assignment.Paths {
-			if !base.Windows[i].Local && !r.Assignment.Paths[i].Equal(base.Assignment.Paths[i]) {
+			if !base.Windows[i].Local && !slices.Equal(r.Assignment.Links[i], base.Assignment.Links[i]) {
 				rep.Rerouted++
 			}
 		}
@@ -416,15 +416,15 @@ func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *
 	for s := 0; s < sweeps; s++ {
 		improved := false
 		for k, mi := range affected {
-			if len(paths[k]) < 2 {
+			if len(links[k]) < 2 {
 				continue
 			}
 			bestCI, bestPeak := -1, peak
-			for ci, c := range paths[k] {
-				if c.Equal(pa.Paths[mi]) {
+			for ci, c := range links[k] {
+				if slices.Equal(c, pa.Links[mi]) {
 					continue
 				}
-				if tp, _, _ := ls.EvalReroute(mi, pa.Links[mi], links[k][ci], bestPeak-timeEps); tp < bestPeak-timeEps {
+				if tp, _, _ := ls.EvalReroute(mi, pa.Links[mi], c, bestPeak-timeEps); tp < bestPeak-timeEps {
 					bestCI, bestPeak = ci, tp
 				}
 			}
@@ -444,12 +444,12 @@ func repairIncremental(a *solveArena, p Problem, opt Options, base *Result, fs *
 	}
 	// Belt and braces: the repaired paths must avoid every failed
 	// element — guaranteed by construction, verified anyway.
-	for i := range pa.Paths {
-		if ws[i].Local || len(pa.Links[i]) == 0 {
+	for i, links := range pa.Links {
+		if ws[i].Local || len(links) == 0 {
 			continue
 		}
-		if err := pa.Paths[i].ValidateFault(top, fs); err != nil {
-			return nil, 0, fmt.Errorf("schedule: internal: repaired message %d: %w", i, err)
+		if !fs.Survives(top, p.Assignment.Node(p.Graph.Message(tfg.MessageID(i)).Src), links) {
+			return nil, 0, fmt.Errorf("schedule: internal: repaired message %d crosses a failed element", i)
 		}
 	}
 	return pa, peak, nil

@@ -181,7 +181,7 @@ func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 }
 
 func badSnapshot(format string, args ...any) error {
-	return errkind.Mark(fmt.Errorf("schedule: decode solver snapshot: "+format, args...), errkind.ErrBadInput)
+	return errkind.BadInput("schedule: decode solver snapshot: "+format, args...)
 }
 
 // snapToPath rebuilds one path and its link sequence, validating every

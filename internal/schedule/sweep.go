@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 
 	"schedroute/internal/alloc"
+	"schedroute/internal/errkind"
 	"schedroute/internal/parallel"
 	"schedroute/internal/trace"
 )
@@ -139,10 +140,10 @@ func PeriodAxis(tauC, min, max float64, points, defaultPoints int) (lo, hi float
 		n = defaultPoints
 	}
 	if hi < lo {
-		return 0, 0, 0, badInput("schedule: period range [%g, %g] is empty", lo, hi)
+		return 0, 0, 0, errkind.BadInput("schedule: period range [%g, %g] is empty", lo, hi)
 	}
 	if n < 1 {
-		return 0, 0, 0, badInput("schedule: a period axis needs at least 1 point, got %d", n)
+		return 0, 0, 0, errkind.BadInput("schedule: a period axis needs at least 1 point, got %d", n)
 	}
 	return lo, hi, n, nil
 }

@@ -264,19 +264,19 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 		ctx = context.Background()
 	}
 	if t.ID == "" {
-		return nil, errkind.Mark(fmt.Errorf("schedule: tenant needs an ID"), errkind.ErrBadInput)
+		return nil, errkind.BadInput("schedule: tenant needs an ID")
 	}
 	if t.RateGuarantee < 0 || t.RateGuarantee > 1 {
-		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q: rate guarantee %g outside (0, 1]", t.ID, t.RateGuarantee), errkind.ErrBadInput)
+		return nil, errkind.BadInput("schedule: tenant %q: rate guarantee %g outside (0, 1]", t.ID, t.RateGuarantee)
 	}
 	if t.Problem.Topology == nil || t.Problem.Topology.Links() != ts.nl {
-		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q: topology does not match the shared fabric", t.ID), errkind.ErrBadInput)
+		return nil, errkind.BadInput("schedule: tenant %q: topology does not match the shared fabric", t.ID)
 	}
 	if t.Options.LinkCap != nil {
-		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q: Options.LinkCap is owned by the tenant set", t.ID), errkind.ErrBadInput)
+		return nil, errkind.BadInput("schedule: tenant %q: Options.LinkCap is owned by the tenant set", t.ID)
 	}
 	if t.Problem.Faults != nil {
-		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q: Problem.Faults must be nil (a tenant is admitted on the healthy machine)", t.ID), errkind.ErrBadInput)
+		return nil, errkind.BadInput("schedule: tenant %q: Problem.Faults must be nil (a tenant is admitted on the healthy machine)", t.ID)
 	}
 
 	// Only Admit and Release write ts.admitted, under ts.admitting: the
@@ -287,7 +287,7 @@ func (ts *TenantSet) Admit(ctx context.Context, t Tenant, tr *trace.Span) (*Admi
 	survivors, held := ts.admitted, ts.lookupLocked(t.ID) != nil
 	ts.mu.Unlock()
 	if held {
-		return nil, errkind.Mark(fmt.Errorf("schedule: tenant %q already admitted", t.ID), errkind.ErrBadInput)
+		return nil, errkind.BadInput("schedule: tenant %q already admitted", t.ID)
 	}
 
 	sp := tr.Start(SpanAdmit, trace.String("tenant", t.ID), trace.Int("priority", t.Priority))

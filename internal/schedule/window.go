@@ -94,25 +94,18 @@ func (w Window) AbsoluteTime(t, tauIn float64) float64 {
 	return w.AbsRelease + w.frameOffset(t, tauIn)
 }
 
-// badInput is an error the caller's parameters caused: it classifies as
-// errkind.ErrBadInput (exit 1, HTTP 400), where an unmarked error from
-// this package is an internal inconsistency.
-func badInput(format string, args ...any) error {
-	return errkind.Mark(fmt.Errorf(format, args...), errkind.ErrBadInput)
-}
-
 func checkWindowParams(tm *tfg.Timing, tauIn, window float64) error {
 	if tauIn <= 0 {
-		return badInput("schedule: non-positive invocation period %g", tauIn)
+		return errkind.BadInput("schedule: non-positive invocation period %g", tauIn)
 	}
 	if window <= 0 {
-		return badInput("schedule: non-positive window length %g", window)
+		return errkind.BadInput("schedule: non-positive window length %g", window)
 	}
 	if window > tauIn+timeEps {
-		return badInput("schedule: window %g exceeds invocation period %g", window, tauIn)
+		return errkind.BadInput("schedule: window %g exceeds invocation period %g", window, tauIn)
 	}
 	if tc := tm.TauC(); tauIn < tc-timeEps {
-		return badInput("schedule: period %g below longest task %g causes infinite accumulation", tauIn, tc)
+		return errkind.BadInput("schedule: period %g below longest task %g causes infinite accumulation", tauIn, tc)
 	}
 	return nil
 }
@@ -142,7 +135,7 @@ func ComputeWindowsFromStarts(g *tfg.Graph, tm *tfg.Timing, tauIn, window float6
 			Local:      sameNode != nil && sameNode(m),
 		}
 		if w.Xmit > w.Length+timeEps && !w.Local {
-			return nil, badInput("schedule: message %d transmission %g exceeds window %g", m.ID, w.Xmit, w.Length)
+			return nil, errkind.BadInput("schedule: message %d transmission %g exceeds window %g", m.ID, w.Xmit, w.Length)
 		}
 		ws[m.ID] = w
 	}

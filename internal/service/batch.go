@@ -41,7 +41,7 @@ func (s *Server) batch(c *call, req schedroute.BatchScheduleRequest) (*schedrout
 		return nil, err
 	}
 	if len(req.Items) == 0 || len(req.Items) > maxBatchItems {
-		return nil, badInput("batch: %d items out of range [1,%d]", len(req.Items), maxBatchItems)
+		return nil, errkind.BadInput("batch: %d items out of range [1,%d]", len(req.Items), maxBatchItems)
 	}
 	if err := c.queue(); err != nil {
 		return nil, err

@@ -132,9 +132,9 @@ func Decode(r *http.Request, into any) error {
 	if err := dec.Decode(into); err != nil {
 		var mbe *http.MaxBytesError
 		if errors.As(err, &mbe) {
-			return badInput("decode request: body exceeds %d bytes", mbe.Limit)
+			return errkind.BadInput("decode request: body exceeds %d bytes", mbe.Limit)
 		}
-		return badInput("decode request: %w", err)
+		return errkind.BadInput("decode request: %w", err)
 	}
 	return nil
 }
@@ -231,7 +231,7 @@ func (c *call) tenant(t *schedroute.Tenant, p schedroute.Problem) (*tenantEntry,
 		return nil, err
 	}
 	if key != ent.structure {
-		return nil, badInput("tenant %q was admitted with a different problem (admitted %s, requested %s)",
+		return nil, errkind.BadInput("tenant %q was admitted with a different problem (admitted %s, requested %s)",
 			ten.ID, ent.structure, key)
 	}
 	return ent, nil

@@ -302,7 +302,10 @@ func TestEndpointRobustness(t *testing.T) {
 
 	// An allocator named again is refused before any placement is
 	// resolved: each "anneal" would be one more anneal, which polls no
-	// context. (lpSrv's body cap is the default, room for 90 KB.)
+	// context. The refusal is Validate's, and the problem's structure,
+	// which lpSrv has not solved, was never built: a request past
+	// Validate would have cost a solver-cache miss. (lpSrv's body cap is
+	// the default, room for 90 KB.)
 	t.Run("explore/repeated allocators", func(t *testing.T) {
 		names := make([]string, 10000)
 		for i := range names {
@@ -315,15 +318,18 @@ func TestEndpointRobustness(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		start := time.Now()
+		misses := lpSrv.metrics.value("srschedd_solver_cache_misses_total")
 		rec := httptest.NewRecorder()
 		lpSrv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore", bytes.NewReader(raw)))
-		took := time.Since(start)
-		if er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes()); rec.Code != http.StatusBadRequest || er.Kind != "bad_input" {
-			t.Fatalf("status %d %+v, want 400 bad_input", rec.Code, er.ErrorEnvelope)
+		er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes())
+		if rec.Code != http.StatusBadRequest || er.Kind != "bad_input" {
+			t.Errorf("status %d %+v, want 400 bad_input", rec.Code, er.ErrorEnvelope)
 		}
-		if took > 100*time.Millisecond {
-			t.Errorf("refused after %v, want under 100ms", took)
+		if want := `explore: placement allocator "anneal" named twice`; er.Error != want {
+			t.Errorf("refused with %q, want %q", er.Error, want)
+		}
+		if got := lpSrv.metrics.value("srschedd_solver_cache_misses_total"); got != misses {
+			t.Errorf("solver cache misses went from %d to %d: the refused request built a structure", misses, got)
 		}
 	})
 }

@@ -158,12 +158,8 @@ func New(cfg Config) *Server {
 var errDraining = unavailable("service: shutting down")
 var errQueueFull = unavailable("service: solve queue full")
 
-// badInput and unavailable build the two error families the request
-// path itself raises: the client's fault (400) and load shedding (503).
-func badInput(format string, args ...any) error {
-	return errkind.Mark(fmt.Errorf(format, args...), errkind.ErrBadInput)
-}
-
+// unavailable builds the load-shedding error (503) the request path
+// itself raises; the client's fault (400) is errkind.BadInput.
 func unavailable(format string, args ...any) error {
 	return errkind.Mark(fmt.Errorf(format, args...), errkind.ErrUnavailable)
 }
@@ -358,7 +354,7 @@ func (s *Server) scheduleOne(c *call, ten *tenantEntry, req schedroute.ScheduleR
 // the other tenants; anyone else repairs from a base solve.
 func (s *Server) repair(c *call, req schedroute.RepairRequest) (*schedroute.RepairResult, error) {
 	if req.Fault.Empty() {
-		return nil, badInput("repair: fault must name at least one failed link or node")
+		return nil, errkind.BadInput("repair: fault must name at least one failed link or node")
 	}
 	ten, err := c.tenant(req.Tenant, req.Problem)
 	if err != nil {
@@ -384,7 +380,7 @@ func (s *Server) repair(c *call, req schedroute.RepairRequest) (*schedroute.Repa
 		return nil, err
 	}
 	if !sv.res.Feasible {
-		return nil, badInput("repair: base problem infeasible at stage %s; repair needs a feasible base schedule", sv.res.FailStage)
+		return nil, errkind.BadInput("repair: base problem infeasible at stage %s; repair needs a feasible base schedule", sv.res.FailStage)
 	}
 	fs, err := req.Fault.Build(sv.built.Topology)
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"schedroute/internal/errkind"
 	"schedroute/internal/schedule"
 	"schedroute/pkg/schedroute"
 )
@@ -74,9 +75,9 @@ func (tr *tenantRegistry) fabricFor(b *schedroute.Built, limit int) (*fabric, er
 	case fab == nil:
 		return &fabric{topoSpec: b.Spec.Topology, bandwidth: b.Spec.Bandwidth, set: schedule.NewTenantSet(b.Topology)}, nil
 	case fab.topoSpec != b.Spec.Topology:
-		return nil, badInput("admit: the daemon's fabric is %q, request says %q (one topology per daemon)", fab.topoSpec, b.Spec.Topology)
+		return nil, errkind.BadInput("admit: the daemon's fabric is %q, request says %q (one topology per daemon)", fab.topoSpec, b.Spec.Topology)
 	case fab.bandwidth != b.Spec.Bandwidth:
-		return nil, badInput("admit: fabric %q runs at bandwidth %g, request says %g (link shares are fractions of the physical link; all tenants must agree)",
+		return nil, errkind.BadInput("admit: fabric %q runs at bandwidth %g, request says %g (link shares are fractions of the physical link; all tenants must agree)",
 			fab.topoSpec, fab.bandwidth, b.Spec.Bandwidth)
 	}
 	return fab, nil

@@ -259,7 +259,7 @@ func (sub *watchSub) open(c *call) (*schedroute.ScheduleResult, error) {
 		return nil, err
 	}
 	if !sv.res.Feasible {
-		return nil, badInput("watch: base problem infeasible at stage %s; a watch needs a feasible base schedule", sv.res.FailStage)
+		return nil, errkind.BadInput("watch: base problem infeasible at stage %s; a watch needs a feasible base schedule", sv.res.FailStage)
 	}
 	sub.built, sub.solver, sub.sopts = sv.built, sv.solver, sopts
 	return sub.rebase(sv.res, sv.tauIn)
@@ -306,7 +306,7 @@ func (s *Server) watchAttach(c *call, _ struct{}) (watchStream, error) {
 	if h := c.r.Header.Get("Last-Event-ID"); h != "" {
 		v, err := strconv.ParseInt(h, 10, 64)
 		if err != nil || v < 0 {
-			return watchStream{}, badInput("watch: bad Last-Event-ID %q", h)
+			return watchStream{}, errkind.BadInput("watch: bad Last-Event-ID %q", h)
 		}
 		// A cursor at or past the newest frame is caught up, however far
 		// past it claims to be: nothing to replay, the next frame is its.
@@ -467,12 +467,12 @@ func (sub *watchSub) applyEvent(qe queuedEvent, root *trace.Span) *schedroute.Wa
 	}
 	for _, l := range qe.delta.FailedLinks() {
 		if sub.fs.LinkFailed(l) == failing {
-			return sub.errorFrame(qe, badInput("event %d: link %d is %s", qe.seq, l, wrong))
+			return sub.errorFrame(qe, errkind.BadInput("event %d: link %d is %s", qe.seq, l, wrong))
 		}
 	}
 	for _, n := range qe.delta.FailedNodes() {
 		if sub.fs.NodeFailed(n) == failing {
-			return sub.errorFrame(qe, badInput("event %d: node %d is %s", qe.seq, n, wrong))
+			return sub.errorFrame(qe, errkind.BadInput("event %d: node %d is %s", qe.seq, n, wrong))
 		}
 	}
 	for _, l := range qe.delta.FailedLinks() {
@@ -545,7 +545,7 @@ func (sub *watchSub) repair(sp *trace.Span) (*schedule.RepairReport, bool, error
 // touching the previous state.
 func (sub *watchSub) retime(qe queuedEvent, root *trace.Span) *schedroute.WatchFrame {
 	if sub.tenant != nil {
-		return sub.errorFrame(qe, badInput("event %d: tenant %q's period was fixed at admission; tau_in does not apply",
+		return sub.errorFrame(qe, errkind.BadInput("event %d: tenant %q's period was fixed at admission; tau_in does not apply",
 			qe.seq, sub.tenant.tenant.ID))
 	}
 	if sub.s.acquire(sub.ctx) != nil {
@@ -565,7 +565,7 @@ func (sub *watchSub) retime(qe queuedEvent, root *trace.Span) *schedroute.WatchF
 	}
 	sub.s.metrics.countSolve(res.Stats)
 	if !res.Feasible {
-		return sub.errorFrame(qe, badInput("event %d: tau_in %g infeasible at stage %s; keeping period %g",
+		return sub.errorFrame(qe, errkind.BadInput("event %d: tau_in %g infeasible at stage %s; keeping period %g",
 			qe.seq, qe.ev.TauIn, res.FailStage, sub.tauIn))
 	}
 	wire, err := sub.rebase(res, qe.ev.TauIn)

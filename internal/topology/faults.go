@@ -148,24 +148,18 @@ func (f *FaultSet) String() string {
 	return "faults{" + strings.Join(parts, " ") + "}"
 }
 
-// Blocks returns a description of the first failed element the path
-// crosses, walking source to destination, and whether one exists. Node
-// faults are reported before the link that reaches them.
-func (f *FaultSet) Blocks(t *Topology, p Path) (string, bool) {
-	if f == nil {
-		return "", false
+// Survives reports whether the route from src over links — every node
+// after src ends one of the links — crosses no failed node or link.
+func (f *FaultSet) Survives(t *Topology, src NodeID, links []LinkID) bool {
+	if f.NodeFailed(src) {
+		return false
 	}
-	for i, n := range p.Nodes {
-		if f.NodeFailed(n) {
-			return fmt.Sprintf("node %d failed", n), true
-		}
-		if i > 0 {
-			if l, ok := t.LinkBetween(p.Nodes[i-1], n); ok && f.LinkFailed(l) {
-				return fmt.Sprintf("link %d (%d-%d) failed", l, p.Nodes[i-1], n), true
-			}
+	for _, l := range links {
+		if !f.LinkUsable(t, l) {
+			return false
 		}
 	}
-	return "", false
+	return true
 }
 
 // NoRouteError reports that no usable path joins a node pair on the
@@ -320,9 +314,8 @@ func (t *Topology) residualDistances(dst NodeID, fs *FaultSet) []int {
 // surviving shortest path of the residual topology (possibly a
 // non-minimal detour relative to the fault-free machine).
 func (t *Topology) RouteAround(src, dst NodeID, fs *FaultSet) (Path, error) {
-	p := t.LSDToMSD(src, dst)
-	if _, blocked := fs.Blocks(t, p); !blocked {
-		return p, nil
+	if fs.Survives(t, src, t.AppendLSDLinks(nil, src, dst)) {
+		return t.LSDToMSD(src, dst), nil
 	}
 	paths, err := t.SurvivingPaths(src, dst, 1, fs)
 	if err != nil {

@@ -86,8 +86,8 @@ func TestSurvivingPathsRoutesAroundLinkFault(t *testing.T) {
 		if p.Hops() != 3 {
 			t.Errorf("path %s: want a 3-hop detour", p)
 		}
-		if err := p.ValidateFault(top, fs); err != nil {
-			t.Errorf("path %s crosses the fault: %v", p, err)
+		if err := p.Validate(top); err != nil || blockedByNodeWalk(top, fs, p) {
+			t.Errorf("path %s crosses the fault (%v)", p, err)
 		}
 	}
 	// Determinism: a second enumeration (now cached) is identical.
@@ -99,7 +99,7 @@ func TestSurvivingPathsRoutesAroundLinkFault(t *testing.T) {
 		t.Fatalf("cached enumeration size changed: %d vs %d", len(again), len(paths))
 	}
 	for i := range again {
-		if !again[i].Equal(paths[i]) {
+		if !slices.Equal(again[i].Nodes, paths[i].Nodes) {
 			t.Errorf("cached path %d differs: %s vs %s", i, again[i], paths[i])
 		}
 	}
@@ -181,8 +181,8 @@ func TestSurvivingPathsNonMinimalDetour(t *testing.T) {
 	if p.Hops() <= top.Distance(0, 1) {
 		t.Errorf("surviving distance %d must exceed fault-free distance %d", p.Hops(), top.Distance(0, 1))
 	}
-	if err := p.ValidateFault(top, fs); err != nil {
-		t.Errorf("RouteAround crosses the fault: %v", err)
+	if err := p.Validate(top); err != nil || blockedByNodeWalk(top, fs, p) {
+		t.Errorf("RouteAround %s crosses the fault (%v)", p, err)
 	}
 }
 
@@ -199,54 +199,112 @@ func TestRouteAroundPrefersLSD(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !p.Equal(top.LSDToMSD(0, 3)) {
+	if !slices.Equal(p.Nodes, top.LSDToMSD(0, 3).Nodes) {
 		t.Errorf("unaffected LSD route must be kept: got %s", p)
 	}
 }
 
-func TestValidateFaultNamesFailedElement(t *testing.T) {
+// blockedByNodeWalk reports whether p visits a failed node or crosses a
+// failed link, walking its nodes source to destination and resolving
+// each hop with LinkBetween: the reference Survives is held to.
+func blockedByNodeWalk(top *Topology, fs *FaultSet, p Path) bool {
+	for i, n := range p.Nodes {
+		if fs.NodeFailed(n) {
+			return true
+		}
+		if i > 0 {
+			if l, ok := top.LinkBetween(p.Nodes[i-1], n); ok && fs.LinkFailed(l) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// TestSurvivesMatchesNodeWalk holds Survives, which reads a route's
+// links, to the node walk on seeded link-only, node-only and mixed
+// fault sets: on every fault-free and every surviving SurvivingRoutes
+// row and on every LSD route of a GHC, two tori, a mesh and a
+// hypercube. Both verdicts must occur on every machine.
+func TestSurvivesMatchesNodeWalk(t *testing.T) {
+	for _, m := range testMachines {
+		top, err := m.build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocked, clear := 0, 0
+		check := func(what string, fs *FaultSet, p Path, links []LinkID) {
+			t.Helper()
+			want := !blockedByNodeWalk(top, fs, p)
+			if got := fs.Survives(top, p.Nodes[0], links); got != want {
+				t.Fatalf("%s: Survives(%s) under %s = %v, node walk %v", what, p, fs, got, want)
+			}
+			if want {
+				clear++
+			} else {
+				blocked++
+			}
+		}
+		for seed := int64(1); seed <= 9; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			fs := NewFaultSet()
+			if seed%3 != 2 { // 1 and 0 mod 3: failed links
+				for range 1 + rng.Intn(3) {
+					fs.FailLink(LinkID(rng.Intn(top.Links())))
+				}
+			}
+			if seed%3 != 1 { // 2 and 0 mod 3: a failed node
+				fs.FailNode(NodeID(rng.Intn(top.Nodes())))
+			}
+			for src := NodeID(0); int(src) < top.Nodes(); src++ {
+				for dst := NodeID(0); int(dst) < top.Nodes(); dst++ {
+					what := fmt.Sprintf("%s seed %d %d->%d", m.name, seed, src, dst)
+					check(what+" LSD", fs, top.LSDToMSD(src, dst), top.AppendLSDLinks(nil, src, dst))
+					paths, links, _ := top.SurvivingRoutes(src, dst, 6, nil)
+					for i := range paths {
+						check(what+" fault-free row", fs, paths[i], links[i])
+					}
+					paths, links, _ = top.SurvivingRoutes(src, dst, 6, fs) // none when unroutable
+					for i := range paths {
+						check(what+" surviving row", fs, paths[i], links[i])
+					}
+				}
+			}
+		}
+		if blocked == 0 || clear == 0 {
+			t.Errorf("%s: %d routes blocked, %d clear: want both", m.name, blocked, clear)
+		}
+	}
+
+	// The 3-cube's LSD route 0 -> 1 -> 3 under a failed second link and
+	// under a failed middle node, and a route clear of the dead node.
 	top, err := NewHypercube(3)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p := top.LSDToMSD(0, 3) // 0 -> 1 -> 3
-	links, err := p.Links(top)
-	if err != nil {
-		t.Fatal(err)
-	}
+	links := top.AppendLSDLinks(nil, 0, 3)
 	if len(links) != 2 {
 		t.Fatalf("LSD route 0->3 should have 2 hops, got %d", len(links))
 	}
-
-	fs := NewFaultSet()
-	fs.FailLink(links[1])
-	err = p.ValidateFault(top, fs)
-	if err == nil {
-		t.Fatal("path across failed link must not validate")
-	}
-	if want := fmt.Sprintf("link %d", links[1]); !strings.Contains(err.Error(), want) {
-		t.Errorf("error %q does not name %q", err, want)
-	}
-
-	fs2 := NewFaultSet()
-	fs2.FailNode(1)
-	err = p.ValidateFault(top, fs2)
-	if err == nil {
-		t.Fatal("path across failed node must not validate")
-	}
-	if !strings.Contains(err.Error(), "node 1") {
-		t.Errorf("error must name the failed node: %v", err)
-	}
-
-	// Path.Links is fault-oblivious (it resolves adjacency only): the
-	// links still resolve, and validation is what rejects them.
-	if _, err := p.Links(top); err != nil {
-		t.Errorf("Links must still resolve on a degraded topology: %v", err)
-	}
-	// And a clean path still validates under the fault set.
-	q := Path{Nodes: []NodeID{4, 5}}
-	if err := q.ValidateFault(top, fs2); err != nil {
-		t.Errorf("fault-free path rejected: %v", err)
+	linkFault, nodeFault := NewFaultSet(), NewFaultSet()
+	linkFault.FailLink(links[1])
+	nodeFault.FailNode(1)
+	l45, _ := top.LinkBetween(4, 5)
+	for _, c := range []struct {
+		fs    *FaultSet
+		src   NodeID
+		links []LinkID
+		want  bool
+	}{
+		{nil, 0, links, true},
+		{linkFault, 0, links, false},
+		{nodeFault, 0, links, false},
+		{nodeFault, 4, []LinkID{l45}, true},
+		{nodeFault, 1, nil, false}, // a dead node reaches not even itself
+	} {
+		if got := c.fs.Survives(top, c.src, c.links); got != c.want {
+			t.Errorf("Survives(%d over %v) under %s = %v, want %v", c.src, c.links, c.fs, got, c.want)
+		}
 	}
 }
 

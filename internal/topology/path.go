@@ -12,12 +12,6 @@ type Path struct {
 	Nodes []NodeID
 }
 
-// Source returns the first node of the path.
-func (p Path) Source() NodeID { return p.Nodes[0] }
-
-// Dest returns the last node of the path.
-func (p Path) Dest() NodeID { return p.Nodes[len(p.Nodes)-1] }
-
 // Hops returns the number of links traversed.
 func (p Path) Hops() int { return len(p.Nodes) - 1 }
 
@@ -32,19 +26,6 @@ func (p Path) Links(t *Topology) ([]LinkID, error) {
 		out = append(out, id)
 	}
 	return out, nil
-}
-
-// Equal reports whether both paths visit the same node sequence.
-func (p Path) Equal(q Path) bool {
-	if len(p.Nodes) != len(q.Nodes) {
-		return false
-	}
-	for i := range p.Nodes {
-		if p.Nodes[i] != q.Nodes[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // String renders the path as "0->5->7".
@@ -80,57 +61,41 @@ func (p Path) Validate(t *Topology) error {
 	return nil
 }
 
-// ValidateFault checks the path against both the topology (Validate)
-// and a fault set: a path crossing a failed link or node fails with an
-// error naming the first failed element encountered walking source to
-// destination. A nil fault set degenerates to Validate.
-func (p Path) ValidateFault(t *Topology, fs *FaultSet) error {
-	if err := p.Validate(t); err != nil {
-		return err
-	}
-	if desc, blocked := fs.Blocks(t, p); blocked {
-		return fmt.Errorf("topology: path %s crosses %s", p, desc)
-	}
-	return nil
-}
-
 // LSDToMSD returns the deterministic dimension-order path from src to
 // dst: the source address is corrected one dimension at a time starting
 // from the least significant digit, exactly the deadlock-free route the
 // paper attributes to wormhole routing. In a GHC each correction is a
 // single hop; in a torus or mesh the digit walks along the ring (shortest
-// direction, positive on ties). The node list is AppendLSDNodes' into a
-// slice sized from Distance, so the path is all it allocates.
+// direction, positive on ties). The nodes are AppendNodes' over
+// AppendLSDLinks' links, which a route of up to 64 hops keeps on the
+// stack, so the path is all it allocates.
 func (t *Topology) LSDToMSD(src, dst NodeID) Path {
-	return Path{Nodes: t.AppendLSDNodes(make([]NodeID, 0, t.Distance(src, dst)+1), src, dst)}
+	var buf [64]LinkID
+	links := t.AppendLSDLinks(buf[:0], src, dst)
+	return Path{Nodes: t.AppendNodes(make([]NodeID, 0, len(links)+1), src, links)}
 }
 
-// AppendLSDNodes appends the nodes of the LSD-to-MSD route from src to
-// dst, src first, to buf and returns the extended slice. The digits are
-// peeled arithmetically, as in AppendLSDLinks, so nothing is allocated
-// unless buf has to grow.
-func (t *Topology) AppendLSDNodes(buf []NodeID, src, dst NodeID) []NodeID {
+// AppendNodes appends the nodes of the route from src over links, src
+// first, to buf and returns the extended slice: each link leads from
+// the node before it to its other end. Nothing is allocated unless buf
+// has to grow.
+func (t *Topology) AppendNodes(buf []NodeID, src NodeID, links []LinkID) []NodeID {
 	buf = append(buf, src)
-	cur, x, y := int(src), int(src), int(dst)
-	for dim := 0; x != y; dim++ {
-		m := t.radices[dim]
-		a, b := x%m, y%m
-		x, y = x/m, y/m
-		for a != b {
-			next := t.dimStep(dim, a, b)
-			cur += (next - a) * t.strides[dim]
-			a = next
-			buf = append(buf, NodeID(cur))
+	for _, l := range links {
+		if lk := t.links[l]; lk.A == src {
+			src = lk.B
+		} else {
+			src = lk.A
 		}
+		buf = append(buf, src)
 	}
 	return buf
 }
 
 // AppendLSDLinks appends the links of the LSD-to-MSD route from src to
-// dst — what LSDToMSD(src, dst).Links(t) resolves to — to buf and
-// returns the extended slice. The digits are peeled arithmetically and
-// each hop is one read of the link index, so nothing is allocated
-// unless buf has to grow.
+// dst to buf and returns the extended slice. The digits are peeled
+// arithmetically and each hop is one read of the link index, so nothing
+// is allocated unless buf has to grow.
 func (t *Topology) AppendLSDLinks(buf []LinkID, src, dst NodeID) []LinkID {
 	cur := int(src)
 	x, y := int(src), int(dst)
@@ -147,9 +112,9 @@ func (t *Topology) AppendLSDLinks(buf []LinkID, src, dst NodeID) []LinkID {
 			cur += (b - a) * stride
 			continue
 		}
-		// A ring is walked the shorter way round (dimStep's choice,
-		// which no hop along the way reverses), a line toward b; the
-		// up link is slot 0 of the index, the down link slot 1.
+		// A ring is walked the shorter way round, up on a tie (no hop
+		// along the way reverses the choice), a line toward b; the up
+		// link is slot 0 of the index, the down link slot 1.
 		up := b > a
 		if t.kind == KindTorus {
 			up = (b-a+m)%m <= (a-b+m)%m
@@ -169,28 +134,6 @@ func (t *Topology) AppendLSDLinks(buf []LinkID, src, dst NodeID) []LinkID {
 		}
 	}
 	return buf
-}
-
-// dimStep returns the next digit value moving from a toward b along
-// dimension dim by one hop.
-func (t *Topology) dimStep(dim, a, b int) int {
-	m := t.radices[dim]
-	switch t.kind {
-	case KindGHC:
-		return b
-	case KindTorus:
-		fwd := (b - a + m) % m
-		bwd := (a - b + m) % m
-		if fwd <= bwd {
-			return (a + 1) % m
-		}
-		return (a - 1 + m) % m
-	default: // mesh
-		if b > a {
-			return a + 1
-		}
-		return a - 1
-	}
 }
 
 // ShortestPaths enumerates equivalent shortest paths from src to dst in

@@ -46,16 +46,16 @@ func (p Problem) Validate() error {
 		return err
 	}
 	if p.TFG == "" && len(p.TFGInline) == 0 {
-		return badInput("problem: one of tfg or tfg_inline is required")
+		return errkind.BadInput("problem: one of tfg or tfg_inline is required")
 	}
 	if p.TFG != "" && len(p.TFGInline) > 0 {
-		return badInput("problem: tfg and tfg_inline are mutually exclusive")
+		return errkind.BadInput("problem: tfg and tfg_inline are mutually exclusive")
 	}
 	if p.Topology == "" {
-		return badInput("problem: topology is required")
+		return errkind.BadInput("problem: topology is required")
 	}
 	if p.Bandwidth < 0 || p.Speed < 0 || p.TauIn < 0 {
-		return badInput("problem: bandwidth, speed and tau_in must be non-negative")
+		return errkind.BadInput("problem: bandwidth, speed and tau_in must be non-negative")
 	}
 	return nil
 }
@@ -80,7 +80,7 @@ func NewProblem(p Problem) (*Built, error) {
 	if len(spec.TFGInline) > 0 {
 		g, err = tfg.Decode(bytes.NewReader(spec.TFGInline))
 		if err != nil {
-			return nil, errkind.Mark(fmt.Errorf("tfg_inline: %w", err), errkind.ErrBadInput)
+			return nil, errkind.BadInput("tfg_inline: %w", err)
 		}
 	} else {
 		g, err = LoadGraph(spec.TFG)

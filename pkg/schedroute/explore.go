@@ -15,7 +15,11 @@ package schedroute
 //     resource minimization per candidate period, dominated points
 //     eliminated.
 
-import "slices"
+import (
+	"slices"
+
+	"schedroute/internal/errkind"
+)
 
 // TauInAxis spans the candidate invocation periods of an exploration.
 type TauInAxis struct {
@@ -110,7 +114,7 @@ const (
 // check.
 func checkInvocations(what string, n int) error {
 	if n < 0 || n == 1 || n > MaxInvocations {
-		return badInput("%s: invocations %d out of range (0 for the default, else 2..%d)", what, n, MaxInvocations)
+		return errkind.BadInput("%s: invocations %d out of range (0 for the default, else 2..%d)", what, n, MaxInvocations)
 	}
 	return nil
 }
@@ -137,26 +141,26 @@ func (r ExploreRequest) TauInAxisOrDefault() TauInAxis {
 func (r ExploreRequest) Validate() error {
 	ax := r.TauInAxisOrDefault()
 	if ax.Min < 0 || ax.Max < 0 {
-		return badInput("explore: axes.tau_in min/max must be non-negative")
+		return errkind.BadInput("explore: axes.tau_in min/max must be non-negative")
 	}
 	if ax.Min > 0 && ax.Max > 0 && ax.Max < ax.Min {
-		return badInput("explore: axes.tau_in range [%g, %g] is empty", ax.Min, ax.Max)
+		return errkind.BadInput("explore: axes.tau_in range [%g, %g] is empty", ax.Min, ax.Max)
 	}
 	if ax.Points < 0 || ax.Points > 100000 {
-		return badInput("explore: axes.tau_in points %d out of range [0,100000]", ax.Points)
+		return errkind.BadInput("explore: axes.tau_in points %d out of range [0,100000]", ax.Points)
 	}
 	if r.Tolerance < 0 {
-		return badInput("explore: tolerance must be non-negative")
+		return errkind.BadInput("explore: tolerance must be non-negative")
 	}
 	if r.Mode() == ExploreModePareto && r.Execute {
-		return badInput("explore: execute applies to grid mode only")
+		return errkind.BadInput("explore: execute applies to grid mode only")
 	}
 	if err := checkInvocations("explore", r.Invocations); err != nil {
 		return err
 	}
 	if p := r.Axes.Placement; p != nil {
 		if p.AnnealSteps < 0 {
-			return badInput("explore: axes.placement.anneal_steps must be non-negative, got %d", p.AnnealSteps)
+			return errkind.BadInput("explore: axes.placement.anneal_steps must be non-negative, got %d", p.AnnealSteps)
 		}
 		// A name resolves with the problem's alloc_seed to one placement,
 		// so a repeat would only repeat its work (an anneal each).
@@ -164,10 +168,10 @@ func (r ExploreRequest) Validate() error {
 			switch a {
 			case "rr", "greedy", "random", "anneal":
 			default:
-				return badInput("explore: unknown placement allocator %q (want rr, greedy, random or anneal)", a)
+				return errkind.BadInput("explore: unknown placement allocator %q (want rr, greedy, random or anneal)", a)
 			}
 			if slices.Contains(p.Allocators[:i], a) {
-				return badInput("explore: placement allocator %q named twice", a)
+				return errkind.BadInput("explore: placement allocator %q named twice", a)
 			}
 		}
 	}

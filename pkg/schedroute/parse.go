@@ -18,10 +18,6 @@ import (
 // identical machines. Every rejection is an errkind.ErrBadInput, so the
 // shared table maps it to exit 1 on a CLI and HTTP 400 on the service.
 
-func badInput(format string, args ...any) error {
-	return errkind.Mark(fmt.Errorf(format, args...), errkind.ErrBadInput)
-}
-
 // ParseTopology builds a topology from a spec string:
 //
 //	cube:D        binary hypercube of dimension D
@@ -49,24 +45,24 @@ type machine struct {
 func parseMachine(spec string) (machine, error) {
 	kind, rest, ok := strings.Cut(spec, ":")
 	if !ok {
-		return machine{}, badInput("topology spec %q: want kind:radices", spec)
+		return machine{}, errkind.BadInput("topology spec %q: want kind:radices", spec)
 	}
 	var radices []int
 	for _, part := range strings.Split(rest, ",") {
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
-			return machine{}, badInput("topology spec %q: %v", spec, err)
+			return machine{}, errkind.BadInput("topology spec %q: %v", spec, err)
 		}
 		radices = append(radices, v)
 	}
 	switch kind {
 	case "cube":
 		if len(radices) != 1 {
-			return machine{}, badInput("cube spec wants a single dimension, got %q", spec)
+			return machine{}, errkind.BadInput("cube spec wants a single dimension, got %q", spec)
 		}
 	case "ghc", "torus", "mesh":
 	default:
-		return machine{}, badInput("unknown topology kind %q", kind)
+		return machine{}, errkind.BadInput("unknown topology kind %q", kind)
 	}
 	return machine{kind, radices}, nil
 }
@@ -139,7 +135,7 @@ func ParseAllocator(name string, g *tfg.Graph, top *topology.Topology, seed int6
 	case "anneal":
 		return alloc.Anneal(g, top, alloc.AnnealOptions{Seed: seed})
 	default:
-		return nil, badInput("unknown allocator %q (want rr, greedy, random or anneal)", name)
+		return nil, errkind.BadInput("unknown allocator %q (want rr, greedy, random or anneal)", name)
 	}
 }
 
@@ -155,7 +151,7 @@ func LoadGraph(spec string) (*tfg.Graph, error) {
 		}
 		n, err := strconv.Atoi(rest)
 		if err != nil {
-			return nil, badInput("graph spec %q: %v", spec, err)
+			return nil, errkind.BadInput("graph spec %q: %v", spec, err)
 		}
 		var g *tfg.Graph
 		switch kind {
@@ -170,12 +166,12 @@ func LoadGraph(spec string) (*tfg.Graph, error) {
 		case "stencil":
 			g, err = tfg.Stencil(n, 1925, 1536, 384)
 		default:
-			return nil, badInput("unknown graph kind %q", kind)
+			return nil, errkind.BadInput("unknown graph kind %q", kind)
 		}
 		// A generator refuses an N outside its range.
 		return g, errkind.Mark(err, errkind.ErrBadInput)
 	}
-	return nil, badInput("unknown graph spec %q", spec)
+	return nil, errkind.BadInput("unknown graph spec %q", spec)
 }
 
 // parseLayered resolves "layered:seed,w1,w2,...,density" into a
@@ -188,19 +184,19 @@ func LoadGraph(spec string) (*tfg.Graph, error) {
 func parseLayered(spec, rest string) (*tfg.Graph, error) {
 	parts := strings.Split(rest, ",")
 	if len(parts) < 3 {
-		return nil, badInput("graph spec %q: want layered:seed,widths...,density", spec)
+		return nil, errkind.BadInput("graph spec %q: want layered:seed,widths...,density", spec)
 	}
 	last := strings.TrimSpace(parts[len(parts)-1])
 	if !strings.Contains(last, ".") {
-		return nil, badInput("graph spec %q: final field %q must be a density like 0.03", spec, last)
+		return nil, errkind.BadInput("graph spec %q: final field %q must be a density like 0.03", spec, last)
 	}
 	seed, err := strconv.ParseInt(strings.TrimSpace(parts[0]), 10, 64)
 	if err != nil {
-		return nil, badInput("graph spec %q: seed: %v", spec, err)
+		return nil, errkind.BadInput("graph spec %q: seed: %v", spec, err)
 	}
 	density, err := strconv.ParseFloat(last, 64)
 	if err != nil {
-		return nil, badInput("graph spec %q: density: %v", spec, err)
+		return nil, errkind.BadInput("graph spec %q: density: %v", spec, err)
 	}
 	var widths []int
 	for _, part := range parts[1 : len(parts)-1] {
@@ -210,15 +206,15 @@ func parseLayered(spec, rest string) (*tfg.Graph, error) {
 			w = strings.TrimSpace(ws)
 			rep, err = strconv.Atoi(strings.TrimSpace(rs))
 			if err != nil {
-				return nil, badInput("graph spec %q: repeat %q: %v", spec, part, err)
+				return nil, errkind.BadInput("graph spec %q: repeat %q: %v", spec, part, err)
 			}
 			if rep < 1 {
-				return nil, badInput("graph spec %q: repeat %q must be >= 1", spec, part)
+				return nil, errkind.BadInput("graph spec %q: repeat %q must be >= 1", spec, part)
 			}
 		}
 		v, err := strconv.Atoi(w)
 		if err != nil {
-			return nil, badInput("graph spec %q: width %q: %v", spec, part, err)
+			return nil, errkind.BadInput("graph spec %q: width %q: %v", spec, part, err)
 		}
 		for i := 0; i < rep; i++ {
 			widths = append(widths, v)
@@ -247,7 +243,7 @@ func (f FaultSpec) Build(top *topology.Topology) (*topology.FaultSet, error) {
 	}
 	for _, n := range f.Nodes {
 		if n < 0 || n >= top.Nodes() {
-			return nil, badInput("fault node %d out of range [0,%d)", n, top.Nodes())
+			return nil, errkind.BadInput("fault node %d out of range [0,%d)", n, top.Nodes())
 		}
 		fs.FailNode(topology.NodeID(n))
 	}

@@ -86,7 +86,7 @@ func TenantOrDefault(t *Tenant) Tenant {
 // Validate checks a wire tenant's QoS fields.
 func (t Tenant) Validate() error {
 	if t.RateGuarantee < 0 || t.RateGuarantee > 1 {
-		return badInput("tenant %q: rate_guarantee must be in [0, 1], got %g",
+		return errkind.BadInput("tenant %q: rate_guarantee must be in [0, 1], got %g",
 			t.ID, t.RateGuarantee)
 	}
 	return nil
@@ -163,7 +163,7 @@ func (o Options) ToSchedule() (schedule.Options, error) {
 		{"max_inner", o.MaxInner, MaxInnerLimit}, {"retries", o.Retries, RetriesLimit},
 	} {
 		if f.v > f.limit {
-			return schedule.Options{}, badInput("options: %s %d above the limit %d", f.name, f.v, f.limit)
+			return schedule.Options{}, errkind.BadInput("options: %s %d above the limit %d", f.name, f.v, f.limit)
 		}
 	}
 	out := schedule.Options{
@@ -179,9 +179,7 @@ func (o Options) ToSchedule() (schedule.Options, error) {
 	case "exact":
 		out.Engine = schedule.EngineExact
 	default:
-		return out, errkind.Mark(
-			fmt.Errorf("schedroute: unknown engine %q (want auto, greedy or exact)", o.Engine),
-			errkind.ErrBadInput)
+		return out, errkind.BadInput("schedroute: unknown engine %q (want auto, greedy or exact)", o.Engine)
 	}
 	return out, nil
 }

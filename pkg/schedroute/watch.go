@@ -1,8 +1,6 @@
 package schedroute
 
 import (
-	"fmt"
-
 	"schedroute/internal/errkind"
 )
 
@@ -103,25 +101,23 @@ func (e WatchEvent) Validate() error {
 	switch e.Type {
 	case WatchEventFault, WatchEventRepaired:
 		if len(e.Links) == 0 && len(e.Nodes) == 0 {
-			return badInput("watch event %q: at least one link or node required", e.Type)
+			return errkind.BadInput("watch event %q: at least one link or node required", e.Type)
 		}
 		if e.TauIn != 0 {
-			return badInput("watch event %q: tau_in is only valid on %q events", e.Type, WatchEventTauIn)
+			return errkind.BadInput("watch event %q: tau_in is only valid on %q events", e.Type, WatchEventTauIn)
 		}
 	case WatchEventTauIn:
 		if e.TauIn <= 0 {
-			return badInput("watch event tau_in: period must be positive, got %g", e.TauIn)
+			return errkind.BadInput("watch event tau_in: period must be positive, got %g", e.TauIn)
 		}
 		if len(e.Links) != 0 || len(e.Nodes) != 0 {
-			return badInput("watch event tau_in: links/nodes are not valid here")
+			return errkind.BadInput("watch event tau_in: links/nodes are not valid here")
 		}
 	case "":
-		return badInput("watch event: type is required")
+		return errkind.BadInput("watch event: type is required")
 	default:
-		return errkind.Mark(
-			fmt.Errorf("schedroute: unknown watch event type %q (want %q, %q or %q)",
-				e.Type, WatchEventFault, WatchEventRepaired, WatchEventTauIn),
-			errkind.ErrBadInput)
+		return errkind.BadInput("schedroute: unknown watch event type %q (want %q, %q or %q)",
+			e.Type, WatchEventFault, WatchEventRepaired, WatchEventTauIn)
 	}
 	return nil
 }
