@@ -1146,6 +1146,47 @@ func BenchmarkBuildOmegaTenCube(b *testing.B) {
 	b.ReportMetric(float64(commands), "commands/op")
 }
 
+// BenchmarkMarshalOmegaCompileLarge is the artifact encoder alone on
+// compile_large's 10-cube Ω: compact is MarshalOmega, the bytes a
+// response embeds; indented is EncodeOmega, what srsched -save writes.
+func BenchmarkMarshalOmegaCompileLarge(b *testing.B) {
+	_, res := compileLargeSolve(b, cliutil.TenCubeTopo, cliutil.TenCubeBW)
+	om := res.Omega
+	b.Run("compact", func(b *testing.B) {
+		b.ReportAllocs()
+		var n int
+		for i := 0; i < b.N; i++ {
+			data, err := schedule.MarshalOmega(om)
+			if err != nil {
+				b.Fatal(err)
+			}
+			n = len(data)
+		}
+		b.ReportMetric(float64(n), "bytes/op")
+		b.ReportMetric(float64(om.NumCommands()), "commands/op")
+	})
+	b.Run("indented", func(b *testing.B) {
+		b.ReportAllocs()
+		var w countingWriter
+		for i := 0; i < b.N; i++ {
+			w = 0
+			if err := schedule.EncodeOmega(&w, om); err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(w), "bytes/op")
+		b.ReportMetric(float64(om.NumCommands()), "commands/op")
+	})
+}
+
+// countingWriter counts the bytes written to it and keeps none.
+type countingWriter int
+
+func (w *countingWriter) Write(p []byte) (int, error) {
+	*w += countingWriter(len(p))
+	return len(p), nil
+}
+
 // BenchmarkValidateTenCube is validation alone of the 10-cube's Ω: the
 // id and window checks, the linkset table read back from the commands,
 // and the contention sweep.

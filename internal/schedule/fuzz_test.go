@@ -13,9 +13,11 @@ import (
 // FuzzOmegaDecode feeds arbitrary bytes to the Ω loader and, when they
 // load, on through everything omegainspect does with a loaded Ω short
 // of replaying it: Validate against the 6-cube, Linksets, NumCommands,
-// and a save that must load again and save to the same bytes. Nothing
-// may panic, and bytes whose schema_version parses as another version
-// must be refused as unknown_schema_version, whatever else they hold.
+// a compact and an indented save that must equal encoding/json's bytes
+// (marshalOmegaReference, encodeOmegaReference), and a save that must
+// load again and save to the same bytes. Nothing may panic, and bytes
+// whose schema_version parses as another version must be refused as
+// unknown_schema_version, whatever else they hold.
 func FuzzOmegaDecode(f *testing.F) {
 	top := sixCube(f)
 	res, err := Compute(dvbProblem(f, top, 64, gridTauIn(5)), Options{Seed: 1})
@@ -48,9 +50,18 @@ func FuzzOmegaDecode(f *testing.F) {
 		}
 		_ = om.Validate(top)
 		_, _ = om.Linksets(), om.NumCommands()
+		var want bytes.Buffer
+		compact, err := MarshalOmega(om)
+		wantCompact, wantErr := marshalOmegaReference(om)
+		if err != nil || wantErr != nil || !bytes.Equal(compact, wantCompact) {
+			t.Fatalf("MarshalOmega = %.200q, %v; json.Marshal = %.200q, %v", compact, err, wantCompact, wantErr)
+		}
 		var saved, again bytes.Buffer
 		if err := EncodeOmega(&saved, om); err != nil {
 			t.Fatalf("loaded Ω does not save: %v", err)
+		}
+		if err := encodeOmegaReference(&want, om); err != nil || !bytes.Equal(saved.Bytes(), want.Bytes()) {
+			t.Fatalf("EncodeOmega differs from json.Encoder (%v)", err)
 		}
 		reloaded, err := DecodeOmega(bytes.NewReader(saved.Bytes()))
 		if err != nil {

@@ -25,18 +25,24 @@ type Port struct {
 
 // String renders the port: "AP", or "L" and the link id.
 func (p Port) String() string {
-	b, _ := p.MarshalText()
-	return string(b)
+	var buf [12]byte
+	return string(appendPort(buf[:0], p))
 }
 
 // MarshalText writes the port as Ω's JSON carries it, the form String
 // renders.
 func (p Port) MarshalText() ([]byte, error) {
-	if p.AP {
-		return []byte("AP"), nil
-	}
 	// "L", a sign and LinkID's ten digits at most: one allocation.
-	return strconv.AppendInt(append(make([]byte, 0, 12), 'L'), int64(p.Link), 10), nil
+	return appendPort(make([]byte, 0, 12), p), nil
+}
+
+// appendPort appends the port's text form, "AP" or "L<id>", to b. The
+// artifact encoder writes every port through it in place.
+func appendPort(b []byte, p Port) []byte {
+	if p.AP {
+		return append(b, "AP"...)
+	}
+	return strconv.AppendInt(append(b, 'L'), int64(p.Link), 10)
 }
 
 // UnmarshalText reads back what MarshalText writes.
@@ -78,7 +84,9 @@ type NodeSchedule struct {
 // Omega is the complete communication schedule Ω = {ω_i} plus the data
 // needed to validate and execute it. Its json tags, and those of the
 // types it holds, are the artifact's schema (omega_json.go); the fields
-// are in the artifact's key order.
+// are in the artifact's key order. The encoder, appendOmega, writes
+// each field by hand: a field added to any of these types needs a line
+// there too, or TestMarshalOmegaMatchesReference fails.
 type Omega struct {
 	TauIn float64 `json:"tau_in"`
 	// Latency is the windowed pipeline latency Λ_w: every invocation

@@ -6,6 +6,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"math/rand"
 	"reflect"
 	"strings"
 	"testing"
@@ -69,10 +72,12 @@ func TestOmegaJSONVersions(t *testing.T) {
 }
 
 // TestOmegaArtifactKeys pins schema 1's keys, in order, for every kind
-// of object in the artifact. Ω's JSON comes from Ω's own types, so a
-// field added to one of them would otherwise enter the artifact
-// unnoticed. The ring Ω is given task starts and a local window so that
-// every omitempty key is present too.
+// of object in the artifact. The keys are the json tags of Ω's own
+// types, which DecodeOmega reads and appendOmega must write as
+// json.Marshal would (TestMarshalOmegaMatchesReference), so a field
+// added to one of them would otherwise change the schema unnoticed.
+// The ring Ω is given task starts and a local window so that every
+// omitempty key is present too.
 func TestOmegaArtifactKeys(t *testing.T) {
 	om, _, _ := ringOmega(t)
 	om.Starts = []float64{0, 2}
@@ -137,6 +142,22 @@ func TestOmegaArtifactKeys(t *testing.T) {
 // without messages: its windows are written as null, as they were
 // before Ω was encoded from its own types, and the document loads back.
 func TestOmegaWithoutMessagesKeepsNullWindows(t *testing.T) {
+	data, err := MarshalOmega(noMessageOmega(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(data, []byte(`"windows":null,"slices":null,`)) {
+		t.Fatalf("artifact without messages: %s", data)
+	}
+	if _, err := DecodeOmega(bytes.NewReader(data)); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// noMessageOmega is the Ω of a one-task graph: it has no messages, so
+// its windows and slices are nil.
+func noMessageOmega(t testing.TB) *Omega {
+	t.Helper()
 	g, err := tfg.Chain(1, 100, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -154,16 +175,7 @@ func TestOmegaWithoutMessagesKeepsNullWindows(t *testing.T) {
 	if err != nil || !res.Feasible {
 		t.Fatalf("one-task problem: %v", err)
 	}
-	data, err := MarshalOmega(res.Omega)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Contains(data, []byte(`"windows":null,"slices":null,`)) {
-		t.Fatalf("artifact without messages: %s", data)
-	}
-	if _, err := DecodeOmega(bytes.NewReader(data)); err != nil {
-		t.Fatal(err)
-	}
+	return res.Omega
 }
 
 // objectKeys returns a JSON object's keys in document order and its
@@ -292,4 +304,219 @@ func singleLinkFault(t *testing.T, p Problem) *topology.FaultSet {
 	}
 	t.Fatal("no scheduled link traffic in fixture")
 	return nil
+}
+
+// marshalOmegaReference is the artifact as encoding/json writes it from
+// Ω's tagged types: the oracle MarshalOmega is held to.
+func marshalOmegaReference(om *Omega) ([]byte, error) {
+	return json.Marshal(omegaDoc{OmegaSchemaVersion, om})
+}
+
+// encodeOmegaReference is the indented artifact as json.Encoder writes
+// it: the oracle EncodeOmega is held to.
+func encodeOmegaReference(w io.Writer, om *Omega) error {
+	enc := json.NewEncoder(w)
+	enc.SetIndent("", " ")
+	return enc.Encode(omegaDoc{OmegaSchemaVersion, om})
+}
+
+// checkOmegaMatchesReference requires MarshalOmega and EncodeOmega to
+// write the oracles' bytes for om, or, where the oracles refuse om, to
+// refuse it too and write nothing.
+func checkOmegaMatchesReference(t *testing.T, name string, om *Omega) {
+	t.Helper()
+	want, wantErr := marshalOmegaReference(om)
+	got, err := MarshalOmega(om)
+	if (err != nil) != (wantErr != nil) || !bytes.Equal(got, want) {
+		at := diffAt(got, want)
+		t.Fatalf("%s: MarshalOmega = …%.120q, %v; json.Marshal = …%.120q, %v", name, got[at:], err, want[at:], wantErr)
+	}
+	if err != nil && got != nil {
+		t.Fatalf("%s: MarshalOmega refused Ω (%v) but returned %d bytes", name, err, len(got))
+	}
+	var wantBuf, gotBuf bytes.Buffer
+	wantErr = encodeOmegaReference(&wantBuf, om)
+	err = EncodeOmega(&gotBuf, om)
+	if g, w := gotBuf.Bytes(), wantBuf.Bytes(); (err != nil) != (wantErr != nil) || !bytes.Equal(g, w) {
+		at := diffAt(g, w)
+		t.Fatalf("%s: EncodeOmega = …%.120q, %v; json.Encoder = …%.120q, %v", name, g[at:], err, w[at:], wantErr)
+	}
+}
+
+// diffAt is where a and b start to differ, backed off by 40 bytes so a
+// failure shows the key being written.
+func diffAt(a, b []byte) int {
+	i := 0
+	for i < len(a) && i < len(b) && a[i] == b[i] {
+		i++
+	}
+	return max(0, i-40)
+}
+
+// TestMarshalOmegaMatchesReference holds the hand-written encoder to
+// encoding/json on every Ω of the standard grid, the ring, the edge
+// cases of Ω's shape and of float formatting, and random Ωs whose every
+// field is set: a field added to a tagged type but not to appendOmega
+// makes the last of these differ. Its floats subtest covers number
+// formatting and the refusal of NaN and ±Inf.
+func TestMarshalOmegaMatchesReference(t *testing.T) {
+	t.Run("floats", floatsMatchJSON)
+
+	for _, e := range standardGrid(t) {
+		res, err := Compute(e.p, Options{Seed: 1})
+		if err != nil {
+			t.Fatalf("%s: %v", e.id, err)
+		}
+		checkOmegaMatchesReference(t, e.id, res.Omega)
+	}
+	ring, _, _ := ringOmega(t)
+	checkOmegaMatchesReference(t, "ring", ring)
+	checkOmegaMatchesReference(t, "no messages", noMessageOmega(t))
+
+	if got, err := MarshalOmega(nil); err != nil || string(got) != `{"schema_version":1}` {
+		t.Fatalf("nil Ω: %q, %v", got, err)
+	}
+	checkOmegaMatchesReference(t, "nil", nil)
+	checkOmegaMatchesReference(t, "empty", &Omega{})
+
+	edge, _, _ := ringOmega(t)
+	edge.TauIn, edge.Latency = 1e21, math.Copysign(0, -1)
+	edge.Starts = []float64{1e-7, -1e-7, 1e-6, 1e20, 123456789.125, 5e-324}
+	edge.Windows = append(edge.Windows, Window{Release: 1e-7, Length: 1e21, AbsRelease: -1e21, Xmit: 0.1, Local: true})
+	edge.Slices = append(edge.Slices,
+		Slice{Interval: 1, Msgs: []tfg.MessageID{}, Until: []float64{}},
+		Slice{Interval: 2, Start: 3, End: 4})
+	edge.Nodes[3].Commands = []Command{}
+	edge.Nodes = append(edge.Nodes, NodeSchedule{Node: -1, Commands: []Command{{Start: -0.5, End: 2e-7, Msg: -2,
+		In: Port{Link: math.MaxInt32}, Out: Port{Link: math.MinInt32}}}})
+	checkOmegaMatchesReference(t, "edges", edge)
+	edge.Starts = []float64{}
+	checkOmegaMatchesReference(t, "empty starts", edge)
+
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200; i++ {
+		om := new(Omega)
+		fillRandom(t, rng, reflect.ValueOf(om).Elem())
+		checkOmegaMatchesReference(t, fmt.Sprintf("random %d", i), om)
+	}
+}
+
+// fillRandom sets v, and everything v holds, to random values: every
+// struct field of every kind Ω's types use, slices nil, empty or of one
+// to three elements, numbers finite and often awkward to format. A
+// field of a kind it does not know fails the test.
+func fillRandom(t *testing.T, rng *rand.Rand, v reflect.Value) {
+	t.Helper()
+	switch v.Kind() {
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			fillRandom(t, rng, v.Field(i))
+		}
+	case reflect.Slice:
+		if n := rng.Intn(5) - 1; n < 0 {
+			v.SetZero()
+		} else {
+			v.Set(reflect.MakeSlice(v.Type(), n, n))
+			for i := 0; i < n; i++ {
+				fillRandom(t, rng, v.Index(i))
+			}
+		}
+	case reflect.Float64:
+		v.SetFloat(randomFloat(rng))
+	case reflect.Int, reflect.Int32, reflect.Int64:
+		v.SetInt(rng.Int63n(1<<31) - 1<<30)
+	case reflect.Bool:
+		v.SetBool(rng.Intn(2) == 0)
+	default:
+		t.Fatalf("fillRandom: no values for %s", v.Type())
+	}
+}
+
+// randomFloat draws a finite float64: a random bit pattern, a small
+// decimal, or a value at one of json's notation cutoffs.
+func randomFloat(rng *rand.Rand) float64 {
+	for {
+		var f float64
+		switch rng.Intn(4) {
+		case 0:
+			f = math.Float64frombits(rng.Uint64())
+		case 1:
+			f = float64(rng.Intn(20001)-10000) / 8
+		case 2:
+			f = []float64{1e-6, 1e21, 0, math.Copysign(0, -1)}[rng.Intn(4)]
+			f = math.Nextafter(f, []float64{-1, 1, math.Inf(1)}[rng.Intn(3)])
+		default:
+			f = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(60)-30))
+		}
+		if !math.IsNaN(f) && !math.IsInf(f, 0) {
+			return f
+		}
+	}
+}
+
+// floatsMatchJSON holds the encoder's number formatting to
+// json.Marshal(float64) on random bit patterns, and its refusal of NaN
+// and ±Inf to json's, for the encoder alone and for every float field
+// of an Ω.
+func floatsMatchJSON(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 200000; i++ {
+		f := math.Float64frombits(rng.Uint64())
+		if i%2 == 1 {
+			f = randomFloat(rng)
+		}
+		want, wantErr := json.Marshal(f)
+		var e omegaEncoder
+		e.float(f)
+		if (e.err != nil) != (wantErr != nil) || (e.err == nil && !bytes.Equal(e.b, want)) {
+			t.Fatalf("%x: encoder wrote %q (%v), json.Marshal %q (%v)", math.Float64bits(f), e.b, e.err, want, wantErr)
+		}
+	}
+
+	bad := []float64{math.NaN(), math.Inf(1), math.Inf(-1)}
+	fields := []func(om *Omega, f float64){
+		func(om *Omega, f float64) { om.TauIn = f },
+		func(om *Omega, f float64) { om.Latency = f },
+		func(om *Omega, f float64) { om.Starts = []float64{0, f} },
+		func(om *Omega, f float64) { om.Windows[0].Release = f },
+		func(om *Omega, f float64) { om.Windows[0].Length = f },
+		func(om *Omega, f float64) { om.Windows[0].AbsRelease = f },
+		func(om *Omega, f float64) { om.Windows[0].Xmit = f },
+		func(om *Omega, f float64) { om.Slices[0].Start = f },
+		func(om *Omega, f float64) { om.Slices[0].End = f },
+		func(om *Omega, f float64) { om.Slices[0].Until[0] = f },
+		func(om *Omega, f float64) { om.Nodes[1].Commands[0].Start = f },
+		func(om *Omega, f float64) { om.Nodes[2].Commands[0].End = f },
+	}
+	for i, set := range fields {
+		for _, f := range bad {
+			om, _, _ := ringOmega(t)
+			set(om, f)
+			checkOmegaMatchesReference(t, fmt.Sprintf("field %d = %g", i, f), om)
+			if _, err := MarshalOmega(om); err == nil {
+				t.Fatalf("field %d = %g: MarshalOmega accepted it", i, f)
+			}
+		}
+	}
+}
+
+// TestMarshalOmegaAllocatesOnce pins the warm encoder's cost: the
+// returned bytes are its one allocation, whatever Ω's size.
+func TestMarshalOmegaAllocatesOnce(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of its items under -race")
+	}
+	ring, _, _ := ringOmega(t)
+	res, err := Compute(dvbProblem(t, sixCube(t), 64, gridTauIn(5)), Options{Seed: 1})
+	if err != nil || !res.Feasible {
+		t.Fatalf("fixture: %v", err)
+	}
+	for _, om := range []*Omega{ring, res.Omega} {
+		if _, err := MarshalOmega(om); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(20, func() { _, _ = MarshalOmega(om) }); n != 1 {
+			t.Errorf("MarshalOmega of %d commands: %v allocations, want 1", om.NumCommands(), n)
+		}
+	}
 }

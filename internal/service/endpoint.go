@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"log/slog"
 	"net/http"
 	"regexp"
@@ -268,6 +267,21 @@ type solved struct {
 	res   *schedule.Result
 }
 
+// flightKey is the flight key of a solve: the structure key, the
+// period, whether the solve is traced and the marshalled options, as
+// "<structure>|tauin=<%g>|traced=<bool>|opts=<json>".
+func flightKey(structure string, tauIn float64, traced bool, opts []byte) string {
+	var buf [256]byte
+	b := append(buf[:0], structure...)
+	b = append(b, "|tauin="...)
+	b = strconv.AppendFloat(b, tauIn, 'g', -1, 64)
+	b = append(b, "|traced="...)
+	b = strconv.AppendBool(b, traced)
+	b = append(b, "|opts="...)
+	b = append(b, opts...)
+	return string(b)
+}
+
 // solve resolves the problem's structure and runs one pipeline solve,
 // coalescing identical concurrent requests. The returned Result is
 // shared between coalesced callers and must be treated as read-only. A
@@ -300,13 +314,11 @@ func (c *call) solve(p schedroute.Problem, o schedroute.Options) (*solved, error
 	traced := c.root.Enabled()
 	o.CollectStats, o.Stats = false, false
 	ob, _ := json.Marshal(o)
-	key := fmt.Sprintf("%s|tauin=%g|traced=%t|opts=%s", c.key, tauIn, traced, ob)
-	v, err, shared := s.flights.Do(c.r.Context(), key, func(fctx context.Context) (any, error) {
-		// fctx is detached from every individual request, so the solve
-		// gets its own deadline: joiners must not lose a shared result
-		// because the flight leader's client vanished or timed out first.
-		fctx, cancel := context.WithTimeout(fctx, s.cfg.RequestTimeout)
-		defer cancel()
+	key := flightKey(c.key, tauIn, traced, ob)
+	// The flight's context is detached from every individual request and
+	// has its own deadline: joiners must not lose a shared result because
+	// the flight leader's client vanished or timed out first.
+	v, err, shared := s.flights.Do(c.r.Context(), key, s.cfg.RequestTimeout, func(fctx context.Context) (any, error) {
 		if s.beforeSolve != nil {
 			s.beforeSolve(key)
 		}

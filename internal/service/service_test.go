@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -587,7 +588,7 @@ func TestFlightAbandonedRunIsNotJoined(t *testing.T) {
 	left := make(chan struct{})
 	go func() {
 		defer close(left)
-		g.Do(ctx, "k", func(fctx context.Context) (any, error) {
+		g.Do(ctx, "k", time.Minute, func(fctx context.Context) (any, error) {
 			close(started)
 			<-release // still running long after its only caller left
 			return nil, fctx.Err()
@@ -599,9 +600,28 @@ func TestFlightAbandonedRunIsNotJoined(t *testing.T) {
 
 	next, stop := context.WithTimeout(context.Background(), 10*time.Second)
 	defer stop()
-	v, err, shared := g.Do(next, "k", func(context.Context) (any, error) { return "fresh", nil })
+	v, err, shared := g.Do(next, "k", time.Minute, func(context.Context) (any, error) { return "fresh", nil })
 	if err != nil || v != "fresh" || shared {
 		t.Fatalf("after an abandoned run: v=%v err=%v shared=%v, want a fresh run of its own", v, err, shared)
+	}
+}
+
+// TestFlightKeyMatchesSprintf holds flightKey to the format it spells
+// out, on periods that %g writes in each notation, a key past its stack
+// buffer and options with JSON punctuation.
+func TestFlightKeyMatchesSprintf(t *testing.T) {
+	long := strings.Repeat("torus:8,8|", 40)
+	for _, structure := range []string{"", "dvb|torus:8,8|b128", long} {
+		for _, tauIn := range []float64{50, 68.18181818181819, 1e-7, 1e21, 123456789, math.Inf(1), math.Copysign(0, -1)} {
+			for _, traced := range []bool{false, true} {
+				for _, opts := range []string{"", `{"seed":1,"engine":"greedy"}`} {
+					want := fmt.Sprintf("%s|tauin=%g|traced=%t|opts=%s", structure, tauIn, traced, []byte(opts))
+					if got := flightKey(structure, tauIn, traced, []byte(opts)); got != want {
+						t.Fatalf("flightKey = %q, want %q", got, want)
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -626,7 +646,7 @@ func TestFlightSurvivesLeaderCancel(t *testing.T) {
 
 	leaderDone := make(chan out, 1)
 	go func() {
-		v, err, shared := g.Do(leaderCtx, "k", func(ctx context.Context) (any, error) {
+		v, err, shared := g.Do(leaderCtx, "k", time.Minute, func(ctx context.Context) (any, error) {
 			runCtx = ctx
 			close(started)
 			<-release
@@ -638,7 +658,7 @@ func TestFlightSurvivesLeaderCancel(t *testing.T) {
 
 	joinerDone := make(chan out, 1)
 	go func() {
-		v, err, shared := g.Do(context.Background(), "k", func(context.Context) (any, error) {
+		v, err, shared := g.Do(context.Background(), "k", time.Minute, func(context.Context) (any, error) {
 			t.Error("joiner re-executed a coalesced call")
 			return nil, nil
 		})
@@ -656,6 +676,9 @@ func TestFlightSurvivesLeaderCancel(t *testing.T) {
 	if runCtx.Err() != nil {
 		t.Fatal("shared run canceled while a joiner still waits")
 	}
+	if dl, ok := runCtx.Deadline(); !ok || time.Until(dl) > time.Minute {
+		t.Fatalf("shared run's deadline = %v, %t; want one at most a minute away", dl, ok)
+	}
 	close(release)
 	j := <-joinerDone
 	if j.err != nil || j.v != 42 || !j.shared {
@@ -669,7 +692,7 @@ func TestFlightSurvivesLeaderCancel(t *testing.T) {
 	soloCtx, cancelSolo := context.WithCancel(context.Background())
 	soloDone := make(chan out, 1)
 	go func() {
-		v, err, shared := g.Do(soloCtx, "k2", func(ctx context.Context) (any, error) {
+		v, err, shared := g.Do(soloCtx, "k2", time.Minute, func(ctx context.Context) (any, error) {
 			runCtx2 = ctx
 			close(started2)
 			<-ctx.Done()

@@ -3,6 +3,7 @@ package service
 import (
 	"context"
 	"sync"
+	"time"
 )
 
 // flightCall is one in-flight (or just-completed) coalesced execution.
@@ -37,12 +38,13 @@ func newFlightGroup() *flightGroup {
 
 // Do executes fn under key, coalescing with an identical in-flight
 // call. fn receives a context carrying ctx's values but not its
-// cancellation or deadline; it is canceled once every coalesced caller
-// has gone away. Each caller waits no longer than its own ctx allows —
-// an expiring caller gets its ctx.Err() while the shared run continues
-// for the others. shared reports whether this caller joined an
-// existing call rather than starting fn itself.
-func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Context) (any, error)) (v any, err error, shared bool) {
+// cancellation or deadline; it has a deadline of its own, timeout after
+// the call starts, and is canceled once every coalesced caller has gone
+// away. Each caller waits no longer than its own ctx allows — an
+// expiring caller gets its ctx.Err() while the shared run continues for
+// the others. shared reports whether this caller joined an existing
+// call rather than starting fn itself.
+func (g *flightGroup) Do(ctx context.Context, key string, timeout time.Duration, fn func(context.Context) (any, error)) (v any, err error, shared bool) {
 	g.mu.Lock()
 	if c, ok := g.m[key]; ok {
 		c.joiners++
@@ -50,7 +52,7 @@ func (g *flightGroup) Do(ctx context.Context, key string, fn func(context.Contex
 		g.mu.Unlock()
 		return g.wait(ctx, key, c, true)
 	}
-	runCtx, cancel := context.WithCancel(context.WithoutCancel(ctx))
+	runCtx, cancel := context.WithTimeout(context.WithoutCancel(ctx), timeout)
 	c := &flightCall{done: make(chan struct{}), waiting: 1, cancel: cancel}
 	g.m[key] = c
 	g.mu.Unlock()

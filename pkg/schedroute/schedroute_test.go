@@ -233,3 +233,33 @@ func TestWireOmegaIsCompactArtifact(t *testing.T) {
 	}
 	t.Logf("%d feasible grid points", feasible)
 }
+
+// scheduleResultAllocs is what a warm NewScheduleResult with Ω
+// allocates: the result, its stats and the Ω bytes, whatever Ω's size.
+const scheduleResultAllocs = 3
+
+// TestScheduleResultAllocations pins NewScheduleResult's allocations
+// with Ω embedded on dvb:4 over torus:8,8 at two periods, whose Ωs
+// differ in size.
+func TestScheduleResultAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops a random share of its items under -race")
+	}
+	for _, tauIn := range []float64{50 * (1 + 4*5.0/11), 50 * (1 + 4*11.0/11)} {
+		b, err := NewProblem(Problem{TFG: "dvb:4", Topology: "torus:8,8", Bandwidth: 128, TauIn: tauIn})
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := schedule.Compute(b.ScheduleProblem(), schedule.Options{Seed: 1})
+		if err != nil || !res.Feasible {
+			t.Fatalf("τin %g: %v, feasible %t", tauIn, err, res != nil && res.Feasible)
+		}
+		if _, err := NewScheduleResult(b, res, tauIn, true, false); err != nil {
+			t.Fatal(err)
+		}
+		n := testing.AllocsPerRun(20, func() { _, _ = NewScheduleResult(b, res, tauIn, true, false) })
+		if n != scheduleResultAllocs {
+			t.Errorf("τin %g (%d commands): %v allocations, want %d", tauIn, res.Omega.NumCommands(), n, scheduleResultAllocs)
+		}
+	}
+}
