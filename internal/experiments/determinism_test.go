@@ -169,13 +169,13 @@ func TestSurvivabilitySweepTracedParallelMatchesSerial(t *testing.T) {
 func TestComputeBestAllocationParallelMatchesSerial(t *testing.T) {
 	for _, key := range determinismConfigs {
 		cfg := determinismConfig(t, key, 0)
-		g, tm, _, err := workload(cfg.withDefaults())
+		base, err := workload(cfg.withDefaults())
 		if err != nil {
 			t.Fatal(err)
 		}
 		p := schedule.Problem{
-			Graph: g, Timing: tm, Topology: cfg.Topology,
-			TauIn: tm.TauC() * (1 + 4.0*5/11),
+			Graph: base.Graph, Timing: base.Timing, Topology: cfg.Topology,
+			TauIn: base.Timing.TauC() * (1 + 4.0*5/11),
 		}
 		cands, err := schedule.DefaultCandidates(context.Background(), p, 3, 7)
 		if err != nil {

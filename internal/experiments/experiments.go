@@ -15,13 +15,12 @@ import (
 	"io"
 	"math"
 	"strings"
-	"sync"
 
 	"schedroute/internal/alloc"
 	"schedroute/internal/dvb"
+	"schedroute/internal/memo"
 	"schedroute/internal/metrics"
 	"schedroute/internal/schedule"
-	"schedroute/internal/tfg"
 	"schedroute/internal/topology"
 	"schedroute/internal/trace"
 	"schedroute/internal/wormhole"
@@ -122,39 +121,29 @@ type workloadKey struct {
 	models    int
 }
 
-type workloadEntry struct {
-	g  *tfg.Graph
-	tm *tfg.Timing
-	as *alloc.Assignment
-}
-
-// workloadCache memoizes workload so repeated sweeps of one config stop
+// workloads memoizes workload so repeated sweeps of one config stop
 // rebuilding the DVB graph, its timing, and the round-robin placement.
 // All three are immutable once built, so sharing them across concurrent
-// sweeps is safe.
-var workloadCache sync.Map // workloadKey -> *workloadEntry
+// sweeps is safe. The bound holds the eight standard configurations
+// twice over.
+var workloads = memo.New[workloadKey, schedule.Problem](16)
 
-// workload instantiates (or recalls) the DVB problem for a config.
-func workload(cfg Config) (*tfg.Graph, *tfg.Timing, *alloc.Assignment, error) {
-	key := workloadKey{cfg.Topology, cfg.Bandwidth, cfg.Models}
-	if e, ok := workloadCache.Load(key); ok {
-		ent := e.(*workloadEntry)
-		return ent.g, ent.tm, ent.as, nil
-	}
-	g, err := dvb.New(cfg.Models)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	tm, err := dvb.Timing(g, cfg.Bandwidth)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	as, err := alloc.RoundRobin(g, cfg.Topology)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	workloadCache.Store(key, &workloadEntry{g: g, tm: tm, as: as})
-	return g, tm, as, nil
+// workload instantiates (or recalls) the DVB problem for a config, its
+// period left at 0.
+func workload(cfg Config) (schedule.Problem, error) {
+	p, _, err := workloads.Get(workloadKey{cfg.Topology, cfg.Bandwidth, cfg.Models}, func() (schedule.Problem, error) {
+		g, err := dvb.New(cfg.Models)
+		if err != nil {
+			return schedule.Problem{}, err
+		}
+		tm, err := dvb.Timing(g, cfg.Bandwidth)
+		if err != nil {
+			return schedule.Problem{}, err
+		}
+		as, err := alloc.RoundRobin(g, cfg.Topology)
+		return schedule.Problem{Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: as}, err
+	})
+	return p, err
 }
 
 // gridSweep is what every sweep starts from: the configuration's
@@ -164,9 +153,7 @@ func workload(cfg Config) (*tfg.Graph, *tfg.Timing, *alloc.Assignment, error) {
 // each recording only into its own point's span.
 type gridSweep struct {
 	cfg   Config
-	g     *tfg.Graph
-	tm    *tfg.Timing
-	as    *alloc.Assignment
+	base  schedule.Problem // the workload, its period left at 0
 	pts   []LoadPoint
 	span  *trace.Span
 	spans []*trace.Span
@@ -174,11 +161,11 @@ type gridSweep struct {
 
 func newGridSweep(c Config, span string) (*gridSweep, error) {
 	cfg := c.withDefaults()
-	g, tm, as, err := workload(cfg)
+	base, err := workload(cfg)
 	if err != nil {
 		return nil, err
 	}
-	sw := &gridSweep{cfg: cfg, g: g, tm: tm, as: as, pts: Grid(tm.TauC())}
+	sw := &gridSweep{cfg: cfg, base: base, pts: Grid(base.Timing.TauC())}
 	sw.span = cfg.Trace.Start(span, trace.String("config", cfg.Name))
 	sw.spans = make([]*trace.Span, len(sw.pts))
 	for i, lp := range sw.pts {
@@ -198,7 +185,9 @@ func (sw *gridSweep) end() {
 
 // problem is the workload placed by as at period tauIn.
 func (sw *gridSweep) problem(tauIn float64, as *alloc.Assignment) schedule.Problem {
-	return schedule.Problem{Graph: sw.g, Timing: sw.tm, Topology: sw.cfg.Topology, Assignment: as, TauIn: tauIn}
+	p := sw.base
+	p.TauIn, p.Assignment = tauIn, as
+	return p
 }
 
 // solve runs the fault-free pipeline at every load point as one
@@ -208,7 +197,7 @@ func (sw *gridSweep) problem(tauIn float64, as *alloc.Assignment) schedule.Probl
 // keeps the serial seed and writes its own ordered slot, so what a sweep
 // returns is identical for every worker count.
 func (sw *gridSweep) solve(ctx context.Context, visit func(i int, res *schedule.Result, sp *trace.Span) error) error {
-	solvers := []*schedule.Solver{schedule.NewSolver(sw.problem(0, sw.as))}
+	solvers := []*schedule.Solver{schedule.NewSolver(sw.base)}
 	periods := make([]float64, len(sw.pts))
 	for i, lp := range sw.pts {
 		periods[i] = lp.TauIn
@@ -305,7 +294,7 @@ func PerfSweep(ctx context.Context, c Config) (*PerfSeries, error) {
 		return nil, err
 	}
 	defer sw.end()
-	cfg, g, tm := sw.cfg, sw.g, sw.tm
+	cfg, g, tm := sw.cfg, sw.base.Graph, sw.base.Timing
 	cp, _ := g.CriticalPath(tm)
 	points := make([]PerfPoint, len(sw.pts))
 	err = sw.solve(ctx, func(i int, sres *schedule.Result, sp *trace.Span) error {
@@ -319,7 +308,7 @@ func PerfSweep(ctx context.Context, c Config) (*PerfSeries, error) {
 
 		wh := sp.Start("wormhole")
 		wres, err := wormhole.Simulate(wormhole.Config{
-			Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: sw.as,
+			Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: sw.base.Assignment,
 			TauIn: lp.TauIn, Invocations: cfg.Invocations, Warmup: cfg.Warmup,
 		})
 		if err != nil {

@@ -32,7 +32,7 @@ type ParetoSeries struct {
 // byte-identical for every worker count.
 func ParetoSweep(ctx context.Context, c Config, spec schedule.ExploreSpec) (*ParetoSeries, error) {
 	cfg := c.withDefaults()
-	g, tm, as, err := workload(cfg)
+	p, err := workload(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -47,10 +47,7 @@ func ParetoSweep(ctx context.Context, c Config, spec schedule.ExploreSpec) (*Par
 	if cfg.Trace != nil {
 		spec.Trace = sweep
 	}
-	front, err := schedule.Explore(ctx,
-		schedule.Problem{Graph: g, Timing: tm, Topology: cfg.Topology, Assignment: as},
-		schedule.Options{Seed: cfg.Seed, Procs: cfg.Procs},
-		spec)
+	front, err := schedule.Explore(ctx, p, schedule.Options{Seed: cfg.Seed, Procs: cfg.Procs}, spec)
 	if err != nil {
 		return nil, fmt.Errorf("experiments: %s pareto: %w", cfg.Name, err)
 	}

@@ -160,7 +160,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 		fs.FailLink(topology.LinkID(si))
 		ro := opts
 		ro.Trace = jobSpans[j]
-		rep, err := schedule.Repair(ctx, sw.problem(pts[pi].TauIn, sw.as), ro, base[pi], fs)
+		rep, err := schedule.Repair(ctx, sw.problem(pts[pi].TauIn, sw.base.Assignment), ro, base[pi], fs)
 		if err != nil {
 			return fmt.Errorf("experiments: %s load %.4f fault %s: %w",
 				cfg.Name, pts[pi].Load, scenarios[si], err)
@@ -173,7 +173,7 @@ func SurvivabilitySweep(ctx context.Context, c Config) (*SurvivabilitySeries, er
 		}
 		if cfg.VerifyFaults && rep.Result != nil {
 			sim, err := cpsim.Run(cpsim.Config{
-				Omega: base[pi].Omega, Graph: sw.g, Topology: cfg.Topology,
+				Omega: base[pi].Omega, Graph: sw.base.Graph, Topology: cfg.Topology,
 				PacketBytes: 64, Bandwidth: cfg.Bandwidth, Invocations: 4,
 				Fault: &cpsim.FaultInjection{
 					Faults: fs, FailAt: 1,

@@ -87,7 +87,7 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 		return nil, err
 	}
 	defer sw.end()
-	cfg, as, pts, spans, problem := sw.cfg, sw.as, sw.pts, sw.spans, sw.problem
+	cfg, as, pts, spans, problem := sw.cfg, sw.base.Assignment, sw.pts, sw.spans, sw.problem
 	bystanderTauIn := pts[len(pts)-1].TauIn // lightest grid load
 	// The admissions already run on the fan-out's workers.
 	opts := schedule.Options{Seed: cfg.Seed, Procs: 1}
@@ -102,7 +102,7 @@ func TenantSurvivabilitySweep(ctx context.Context, c Config) (*TenantSurvivabili
 
 	series := &TenantSurvivabilitySeries{
 		Config:        cfg.Name,
-		BystanderLoad: sw.tm.TauC() / bystanderTauIn,
+		BystanderLoad: sw.base.Timing.TauC() / bystanderTauIn,
 		Points:        make([]TenantSurvivabilityPoint, len(pts)),
 	}
 	err = parallel.ForEach(ctx, len(pts), parallel.Workers(cfg.Procs), func(pi int) error {

@@ -1,6 +1,7 @@
 // Package memo is the repository's one bounded memo. Whatever is kept
-// under a key a caller chooses — the service's solver cache, a Solver's
-// candidate sets and task starts, a repair session's reports — is a
+// under a key a caller chooses — the service's solver cache, a machine's
+// and a fault set's route enumerations, a Solver's candidate sets, task
+// starts, validation and baseline, a repair session's reports — is a
 // Cache: one eviction rule, and one answer to how long a derived value
 // lives (DESIGN §3.11 lists every memo).
 package memo

@@ -38,42 +38,50 @@ type omegaDoc struct {
 	*Omega
 }
 
-// omegaBufPool holds the scratch buffers MarshalOmega appends the
-// compact document into, so that only the copy it hands out is
+// omegaBufPool holds the scratch buffers compactOmega appends the
+// compact document into, so that only what its callers make of them is
 // allocated.
 var omegaBufPool = sync.Pool{New: func() any { return new([]byte) }}
+
+// compactOmega hands use the compact artifact of om in a pooled scratch
+// buffer, valid until use returns.
+func compactOmega(om *Omega, use func([]byte) error) error {
+	bp := omegaBufPool.Get().(*[]byte)
+	defer omegaBufPool.Put(bp)
+	b, err := appendOmega((*bp)[:0], om)
+	*bp = b
+	if err != nil {
+		return err
+	}
+	return use(b)
+}
 
 // EncodeOmega writes Ω as indented JSON, the form srsched -save writes
 // and the golden byte comparisons read: MarshalOmega's document indented
 // by one space per level, then a newline, as json.Encoder with
 // SetIndent("", " ") writes it.
 func EncodeOmega(w io.Writer, om *Omega) error {
-	b, err := MarshalOmega(om)
-	if err != nil {
+	return compactOmega(om, func(b []byte) error {
+		var out bytes.Buffer
+		if err := json.Indent(&out, b, "", " "); err != nil {
+			return err
+		}
+		out.WriteByte('\n')
+		_, err := w.Write(out.Bytes())
 		return err
-	}
-	var out bytes.Buffer
-	if err := json.Indent(&out, b, "", " "); err != nil {
-		return err
-	}
-	out.WriteByte('\n')
-	_, err = w.Write(out.Bytes())
-	return err
+	})
 }
 
 // MarshalOmega returns Ω as compact JSON: EncodeOmega's document without
 // the indentation and the trailing newline, which is what json.Compact
 // makes of EncodeOmega's bytes. A warm call allocates only the bytes it
 // returns.
-func MarshalOmega(om *Omega) ([]byte, error) {
-	bp := omegaBufPool.Get().(*[]byte)
-	defer omegaBufPool.Put(bp)
-	b, err := appendOmega((*bp)[:0], om)
-	*bp = b
-	if err != nil {
-		return nil, err
-	}
-	return bytes.Clone(b), nil
+func MarshalOmega(om *Omega) (out []byte, err error) {
+	err = compactOmega(om, func(b []byte) error {
+		out = bytes.Clone(b)
+		return nil
+	})
+	return out, err
 }
 
 // appendOmega appends the compact artifact of om to dst: the bytes

@@ -24,10 +24,9 @@ import (
 // cached values are exactly the values a fresh run would rebuild, so
 // Solve output stays byte-identical (pinned by the round-trip tests).
 //
-// Only successful derivations are snapshotted. A cached error (a
-// failed validation, a disconnected baseline) is cheap to rediscover
-// and error values do not survive serialization faithfully, so errored
-// state is simply left cold and recomputed on demand.
+// Only successful derivations are snapshotted, as they are the only
+// ones a Solver keeps: a failed validation or a disconnected baseline
+// is recomputed on demand.
 
 // SolverSnapshotSchemaVersion is the schema_version written by
 // EncodeSolverSnapshot. DecodeSolverSnapshot accepts exactly this
@@ -115,8 +114,8 @@ func faultsSig(fs *topology.FaultSet) string {
 // structure as schema-versioned JSON. structureKey is the caller's
 // identity for the problem structure and is embedded in the artifact;
 // DecodeSolverSnapshot verifies it. Safe to call concurrently with
-// Solve — the cached values are immutable once stored, so only the
-// walks over them are locked.
+// Solve — the cached values are immutable once stored, and each memo
+// walks a snapshot of itself.
 func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 	if s.p.Graph == nil || s.p.Timing == nil || s.p.Topology == nil || s.p.Assignment == nil {
 		return fmt.Errorf("schedule: encode solver snapshot: incomplete problem")
@@ -131,16 +130,8 @@ func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 		Faults:        faultsSig(s.p.Faults),
 	}
 
-	s.mu.Lock()
-	for level, e := range s.validated {
-		if *e == nil {
-			sj.Validated = append(sj.Validated, level)
-		}
-	}
-	if s.lsdDone && s.lsdErr == nil {
-		sj.LSD = assignToSnap(s.lsd)
-	}
-	s.mu.Unlock()
+	s.validated.Each(func(level bool, _ struct{}) { sj.Validated = append(sj.Validated, level) })
+	s.lsd.Each(func(_ struct{}, pa *PathAssignment) { sj.LSD = assignToSnap(pa) })
 	s.starts.Each(func(window float64, st []float64) {
 		sj.Starts = append(sj.Starts, startsSnapJSON{Window: window, Starts: st})
 	})
@@ -162,7 +153,7 @@ func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 		sj.Candidates = append(sj.Candidates, cj)
 	})
 
-	// The walks above follow map and recency order; sort every table so
+	// The walks above follow recency order; sort every table so
 	// the same solver state always serializes to the same bytes (snapshot
 	// files diff cleanly and tests can compare artifacts directly).
 	sort.Slice(sj.Validated, func(i, j int) bool { return !sj.Validated[i] && sj.Validated[j] })
@@ -241,9 +232,8 @@ func DecodeSolverSnapshot(r io.Reader, p Problem, structureKey string) (*Solver,
 	}
 
 	s := NewSolver(p)
-	var nilErr error
 	for _, level := range sj.Validated {
-		s.validated[level] = &nilErr
+		s.validated.Put(level, struct{}{})
 	}
 	for _, st := range sj.Starts {
 		if len(st.Starts) != sj.Tasks {
@@ -276,8 +266,7 @@ func DecodeSolverSnapshot(r io.Reader, p Problem, structureKey string) (*Solver,
 			pa.Paths[i] = path
 			pa.Links[i] = links
 		}
-		s.lsd = pa
-		s.lsdDone = true
+		s.lsd.Put(struct{}{}, pa)
 	}
 	for _, cj := range sj.Candidates {
 		if cj.MaxPaths < 1 {

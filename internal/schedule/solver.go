@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"schedroute/internal/errkind"
@@ -56,27 +57,20 @@ type Solver struct {
 	// starts caches PipelinedStart per window length; sharedStarts
 	// caches PipelinedStartShared per (window, τin) since AP-sharing
 	// layouts depend on the period too; cands caches
-	// BuildCandidatesFault per MaxPaths. None builds under mu.
+	// BuildCandidatesFault per MaxPaths; validated caches a passed
+	// Assignment.Validate per strictness; lsd caches the
+	// FaultRouteAssignment baseline under its one key.
 	starts       memo.Cache[float64, []float64]
 	sharedStarts memo.Cache[[2]float64, []float64]
 	cands        memo.Cache[int, *Candidates]
+	validated    memo.Cache[bool, struct{}]
+	lsd          memo.Cache[struct{}, *PathAssignment]
 
-	mu sync.Mutex
-	// validated[exclusive] caches Assignment.Validate per strictness.
-	validated map[bool]*error
-	// lsd caches the FaultRouteAssignment baseline.
-	lsdDone bool
-	lsd     *PathAssignment
-	lsdErr  error
-
-	// cacheStats counts Solve calls and actual structure builds (the
-	// memos count their own misses), so callers (the scheduling service,
-	// tests) can verify the warm path: after the first Solve on a
-	// structure, the build counters stop moving while Solves keeps
-	// climbing. Kept out of Result on purpose — which Solve call performs
-	// a build depends on goroutine arrival order, and Results must stay
-	// value-comparable across worker counts.
-	cacheStats SolverCacheStats
+	// solves counts Solve calls; the memos count their own builds as
+	// misses. Both are kept out of Result on purpose — which Solve call
+	// performs a build depends on goroutine arrival order, and Results
+	// must stay value-comparable across worker counts.
+	solves atomic.Int64
 }
 
 // The Solver's memo bounds: a problem is solved at one MaxPaths, a
@@ -93,7 +87,8 @@ const (
 type SolverCacheStats struct {
 	// Solves is the number of Solve calls completed or started.
 	Solves int64
-	// BaselineBuilds counts FaultRouteAssignment runs (at most 1).
+	// BaselineBuilds counts FaultRouteAssignment runs (1 once one
+	// succeeds: a failed build is not kept).
 	BaselineBuilds int64
 	// CandidateBuilds counts BuildCandidatesFault runs (one per distinct
 	// MaxPaths).
@@ -102,19 +97,22 @@ type SolverCacheStats struct {
 	// distinct window length, or per (window, τin) with AP sharing).
 	StartsBuilds int64
 	// ValidateBuilds counts Assignment.Validate runs (one per
-	// strictness level).
+	// strictness level that passes; a failure is not kept).
 	ValidateBuilds int64
 }
 
-// CacheStats snapshots the cache instrumentation. Safe to call
-// concurrently with Solve.
+// CacheStats snapshots the cache instrumentation, so callers (the
+// scheduling service, tests) can verify the warm path: after the first
+// Solve on a structure, the build counters stop moving while Solves
+// keeps climbing. Safe to call concurrently with Solve.
 func (s *Solver) CacheStats() SolverCacheStats {
-	s.mu.Lock()
-	st := s.cacheStats
-	s.mu.Unlock()
-	st.CandidateBuilds = s.cands.Stats().Misses
-	st.StartsBuilds = s.starts.Stats().Misses + s.sharedStarts.Stats().Misses
-	return st
+	return SolverCacheStats{
+		Solves:          s.solves.Load(),
+		BaselineBuilds:  s.lsd.Stats().Misses,
+		CandidateBuilds: s.cands.Stats().Misses,
+		StartsBuilds:    s.starts.Stats().Misses + s.sharedStarts.Stats().Misses,
+		ValidateBuilds:  s.validated.Stats().Misses,
+	}
 }
 
 // arenaPool recycles solve arenas across Solve calls and Solvers; each
@@ -127,10 +125,11 @@ var arenaPool = sync.Pool{New: func() any { return new(solveArena) }}
 func NewSolver(p Problem) *Solver {
 	return &Solver{
 		p:            p,
-		validated:    map[bool]*error{},
 		starts:       memo.New[float64, []float64](solverStartTables),
 		sharedStarts: memo.New[[2]float64, []float64](solverStartTables),
 		cands:        memo.New[int, *Candidates](solverCandidateSets),
+		validated:    memo.New[bool, struct{}](2),
+		lsd:          memo.New[struct{}, *PathAssignment](1),
 	}
 }
 
@@ -146,16 +145,11 @@ func Compute(p Problem, o Options) (*Result, error) {
 	return NewSolver(p).Solve(context.Background(), p.TauIn, o)
 }
 
-// validate caches Assignment.Validate per strictness level.
+// validate caches a passed Assignment.Validate per strictness level.
 func (s *Solver) validate(exclusive bool) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if e, ok := s.validated[exclusive]; ok {
-		return *e
-	}
-	s.cacheStats.ValidateBuilds++
-	err := s.p.Assignment.Validate(s.p.Graph, s.p.Topology, exclusive)
-	s.validated[exclusive] = &err
+	_, _, err := s.validated.Get(exclusive, func() (struct{}, error) {
+		return struct{}{}, s.p.Assignment.Validate(s.p.Graph, s.p.Topology, exclusive)
+	})
 	return err
 }
 
@@ -183,20 +177,15 @@ func (s *Solver) taskStarts(window, tauIn float64, shared bool) (starts []float6
 // lsdBaseline returns the fault-aware deterministic assignment, built
 // once: FaultRouteAssignment reads the windows only through the Local
 // flags, which depend on the placement alone, so the baseline is the
-// same for every period and window.
+// same for every period and window. A failed build is not kept: each
+// Solve on a disconnected machine re-walks to its NoRouteError.
 // The boolean reports whether this call performed the build (false on a
 // cache hit), feeding the trace span's "cached" attribute.
 func (s *Solver) lsdBaseline(ws []Window) (*PathAssignment, bool, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	built := false
-	if !s.lsdDone {
-		s.cacheStats.BaselineBuilds++
-		s.lsd, s.lsdErr = FaultRouteAssignment(s.p.Graph, s.p.Topology, s.p.Assignment, ws, s.p.Faults)
-		s.lsdDone = true
-		built = true
-	}
-	return s.lsd, built, s.lsdErr
+	pa, hit, err := s.lsd.Get(struct{}{}, func() (*PathAssignment, error) {
+		return FaultRouteAssignment(s.p.Graph, s.p.Topology, s.p.Assignment, ws, s.p.Faults)
+	})
+	return pa, !hit, err
 }
 
 // candidates returns the per-message equivalent-path sets, built once
@@ -238,9 +227,7 @@ func (s *Solver) solve(ctx context.Context, tauIn float64, o Options, climbers i
 	if opt.LinkCap != nil && len(opt.LinkCap) != p.Topology.Links() {
 		return nil, fmt.Errorf("schedule: LinkCap has %d entries for %d links", len(opt.LinkCap), p.Topology.Links())
 	}
-	s.mu.Lock()
-	s.cacheStats.Solves++
-	s.mu.Unlock()
+	s.solves.Add(1)
 	// Without AP sharing, SR's static task starts assume one task per
 	// application processor.
 	if err := s.validate(!opt.AllowSharedNodes); err != nil {

@@ -125,6 +125,46 @@ func TestWarmValidateAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestWarmMemoHitsAllocateNothing: a memo.Cache hit hands back what was
+// built and allocates nothing, so the build closure each lookup passes
+// never escapes: a route enumeration, fault-free and around a failed
+// link, and a warm Solver's validation and LSD baseline.
+func TestWarmMemoHitsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not pinned under -race")
+	}
+	torus, err := topology.NewTorus(8, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fs := topology.NewFaultSet()
+	fs.FailLink(0)
+	p := dvbProblem(t, torus, 128, 100)
+	s := NewSolver(p)
+	if _, err := s.Solve(context.Background(), p.TauIn, Options{Seed: 1}); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		name   string
+		lookup func() error
+	}{
+		{"routes", func() error { _, _, err := torus.SurvivingRoutes(0, 27, 24, nil); return err }},
+		{"routes around a fault", func() error { _, _, err := torus.SurvivingRoutes(0, 27, 24, fs); return err }},
+		{"validation", func() error { return s.validate(true) }},
+		{"baseline", func() error { _, _, err := s.lsdBaseline(nil); return err }},
+	} {
+		if err := c.lookup(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		if n := testing.AllocsPerRun(100, func() { c.lookup() }); n != 0 {
+			t.Errorf("a warm %s lookup allocates %v times", c.name, n)
+		}
+	}
+	if st := s.CacheStats(); st.ValidateBuilds != 1 || st.BaselineBuilds != 1 {
+		t.Errorf("%+v: the lookups were not hits", st)
+	}
+}
+
 // warmSolveAllocs bounds what a warm Solve of DVB on the 8x8 torus at
 // B=128, τin 100 allocates: the Result and what it keeps — windows,
 // intervals, activity, the LSD baseline's and the returned

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"log/slog"
 	"net/http"
 	"regexp"
@@ -121,21 +122,29 @@ func endpoint[Req, Resp any](s *Server, name string, deadline bool, fn func(*cal
 	})
 }
 
-// Decode parses a strict JSON request body: unknown fields are
-// rejected, and — the adapter having capped the reader — an oversized
-// payload is a bad_input rejection instead of an unbounded buffer.
+// Decode parses a strict JSON request body: one value, its unknown
+// fields rejected, and nothing but whitespace after it; and — the
+// adapter having capped the reader — an oversized payload is a
+// bad_input rejection instead of an unbounded buffer.
 // Exported for the wire package's decode fuzzer.
 func Decode(r *http.Request, into any) error {
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
-	if err := dec.Decode(into); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			return errkind.BadInput("decode request: body exceeds %d bytes", mbe.Limit)
+	err := dec.Decode(into)
+	decoded := err == nil
+	if decoded {
+		if _, err = dec.Token(); err == io.EOF {
+			return nil
 		}
-		return errkind.BadInput("decode request: %w", err)
 	}
-	return nil
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return errkind.BadInput("decode request: body exceeds %d bytes", mbe.Limit)
+	}
+	if decoded {
+		return errkind.BadInput("decode request: bytes after the JSON value")
+	}
+	return errkind.BadInput("decode request: %w", err)
 }
 
 // attachTrace sets the ?debug=trace envelope on the responses that

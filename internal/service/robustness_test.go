@@ -78,7 +78,8 @@ func checkWhole(t *testing.T, code int, hdr http.Header, body []byte) schedroute
 
 // TestEndpointRobustness holds every JSON endpoint to one contract at
 // the edges of the request path: a body exactly at MaxBodyBytes is
-// served and one byte more is a bad_input rejection; a client that has
+// served and one byte more is a bad_input rejection, as is a body with
+// anything but whitespace after its value; a client that has
 // gone away before the decode, while the request is queued, or in the
 // middle of its solve, of an annealing search or of the allocation LP
 // gets a whole typed answer (the unavailable envelope once the path
@@ -150,6 +151,21 @@ func TestEndpointRobustness(t *testing.T) {
 				t.Fatalf("body of MaxBodyBytes+1: status %d %+v, want 400 bad_input", rec.Code, er.ErrorEnvelope)
 			}
 		})
+		// A body is one JSON value: a second one, or any byte but
+		// whitespace after the first, refuses the whole request.
+		for _, tail := range []struct{ name, bytes string }{{"garbage", " x"}, {"second value", string(raw)}} {
+			t.Run(ep.name+"/"+tail.name+" after the value", func(t *testing.T) {
+				// A deadline ends the stream a wrongly accepted watch opens.
+				ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+				defer cancel()
+				rec := httptest.NewRecorder()
+				srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(string(raw)+tail.bytes)).WithContext(ctx))
+				er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes())
+				if rec.Code != http.StatusBadRequest || er.Kind != "bad_input" || !strings.Contains(er.Error, "after the JSON value") {
+					t.Fatalf("%s after the value: status %d %+v, want 400 bad_input", tail.name, rec.Code, er.ErrorEnvelope)
+				}
+			})
+		}
 		t.Run(ep.name+"/cancelled before decode", func(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			cancel()

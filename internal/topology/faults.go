@@ -5,7 +5,8 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
+
+	"schedroute/internal/memo"
 )
 
 // FaultSet records the failed links and nodes of a degraded machine as
@@ -23,8 +24,9 @@ type FaultSet struct {
 	// routes memoizes Topology.SurvivingRoutes around this population.
 	// Enumerations are a function of (topology, what is broken), so the
 	// set owns them: a mutation starts the memo over, Clone leaves it
-	// behind, and it is collected with the set.
-	routes sync.Map // routeKey -> *routes, or nil for no route
+	// behind, and it is collected with the set. Made wherever a
+	// population is set, never by a reader; an empty set never reads it.
+	routes memo.Cache[routeKey, *routes]
 }
 
 // NewFaultSet returns an empty fault set.
@@ -32,26 +34,26 @@ func NewFaultSet() *FaultSet { return new(FaultSet) }
 
 // FailLink marks l failed.
 func (f *FaultSet) FailLink(l LinkID) {
-	f.routes = sync.Map{}
+	f.routes = newRouteMemo()
 	f.links = insertSorted(f.links, l)
 }
 
 // FailNode marks n failed; every link incident on n is implicitly
 // unusable (a dead CP can switch nothing), which LinkUsable reflects.
 func (f *FaultSet) FailNode(n NodeID) {
-	f.routes = sync.Map{}
+	f.routes = newRouteMemo()
 	f.nodes = insertSorted(f.nodes, n)
 }
 
 // RepairLink returns l to service.
 func (f *FaultSet) RepairLink(l LinkID) {
-	f.routes = sync.Map{}
+	f.routes = newRouteMemo()
 	f.links = removeSorted(f.links, l)
 }
 
 // RepairNode returns n to service.
 func (f *FaultSet) RepairNode(n NodeID) {
-	f.routes = sync.Map{}
+	f.routes = newRouteMemo()
 	f.nodes = removeSorted(f.nodes, n)
 }
 
@@ -122,8 +124,10 @@ func (f *FaultSet) Clone() *FaultSet {
 	if f == nil {
 		return nil
 	}
-	return &FaultSet{links: slices.Clone(f.links), nodes: slices.Clone(f.nodes)}
+	return &FaultSet{links: slices.Clone(f.links), nodes: slices.Clone(f.nodes), routes: newRouteMemo()}
 }
+
+func newRouteMemo() memo.Cache[routeKey, *routes] { return memo.New[routeKey, *routes](routeMemoCap) }
 
 // String renders the fault population, e.g. "faults{links:3,17 nodes:5}".
 func (f *FaultSet) String() string {
@@ -194,38 +198,20 @@ func (t *Topology) SurvivingPaths(src, dst NodeID, max int, fs *FaultSet) ([]Pat
 // sequence (what Path.Links resolves), memoized with the paths and as
 // immutable.
 func (t *Topology) SurvivingRoutes(src, dst NodeID, max int, fs *FaultSet) ([]Path, [][]LinkID, error) {
-	key := routeKey{t, src, dst, max}
-	if fs.Empty() { // every empty set is the fault-free machine, under one key
-		if cached, ok := t.routes.Load(key); ok {
-			r := cached.(*routes)
-			return r.paths, r.links, nil
-		}
-		paths, _ := t.walk(src, dst, max, nil) // fault-free: never a NoRouteError
-		r := t.resolve(paths)
-		// Reserve a place under the cap before storing, and give it back
-		// when the cap is reached or a concurrent caller stored first.
-		if t.nroutes.Add(1) > routeMemoCap {
-			t.nroutes.Add(-1)
-		} else if cached, loaded := t.routes.LoadOrStore(key, r); loaded {
-			t.nroutes.Add(-1)
-			r = cached.(*routes)
-		}
-		return r.paths, r.links, nil
+	m := &t.routes
+	if !fs.Empty() { // every empty set is the fault-free machine, on t's memo
+		m = &fs.routes
 	}
-	if cached, ok := fs.routes.Load(key); ok {
-		if cached == nil {
-			return nil, nil, &NoRouteError{Src: src, Dst: dst, Faults: fs.String()}
+	r, _, err := m.Get(routeKey{t, src, dst, max}, func() (*routes, error) {
+		paths, err := t.walk(src, dst, max, fs)
+		if err != nil {
+			return nil, err
 		}
-		r := cached.(*routes)
-		return r.paths, r.links, nil
-	}
-	out, err := t.walk(src, dst, max, fs)
+		return t.resolve(paths), nil
+	})
 	if err != nil {
-		fs.routes.Store(key, nil)
 		return nil, nil, err
 	}
-	r := t.resolve(out)
-	fs.routes.Store(key, r)
 	return r.paths, r.links, nil
 }
 

@@ -100,10 +100,7 @@ func TestMemoizedLinksMatchPathLinks(t *testing.T) {
 }
 
 // memoLen counts a FaultSet's memoized enumerations.
-func memoLen(m *sync.Map) (n int) {
-	m.Range(func(_, _ any) bool { n++; return true })
-	return n
-}
+func memoLen(fs *FaultSet) int { return fs.routes.Stats().Len }
 
 // TestRouteMemoFreshFaultSetsLeaveTheTopologyAlone pins the leak where
 // it lived: enumerations around a fault used to be kept on the Topology
@@ -126,7 +123,7 @@ func TestRouteMemoFreshFaultSetsLeaveTheTopologyAlone(t *testing.T) {
 		if _, _, err := top.SurvivingRoutes(0, NodeID(1+i%(top.Nodes()-1)), 24, fs); err != nil {
 			t.Fatal(err)
 		}
-		if n := memoLen(&fs.routes); n != 1 {
+		if n := memoLen(fs); n != 1 {
 			t.Fatalf("call %d: the set memoized %d enumerations, want its own 1", i, n)
 		}
 	}
@@ -151,8 +148,8 @@ func TestRouteMemoLivesAndDiesWithItsFaultSet(t *testing.T) {
 		return paths
 	}
 	first := ask(fs)
-	if again := ask(fs); &again[0] != &first[0] || memoLen(&fs.routes) != 1 {
-		t.Fatalf("second call re-enumerated: %d entries, same slice %t", memoLen(&fs.routes), &again[0] == &first[0])
+	if again := ask(fs); &again[0] != &first[0] || memoLen(fs) != 1 {
+		t.Fatalf("second call re-enumerated: %d entries, same slice %t", memoLen(fs), &again[0] == &first[0])
 	}
 	for _, m := range []struct {
 		name   string
@@ -165,58 +162,72 @@ func TestRouteMemoLivesAndDiesWithItsFaultSet(t *testing.T) {
 	} {
 		ask(fs)
 		m.mutate()
-		if n := memoLen(&fs.routes); n != 0 {
+		if n := memoLen(fs); n != 0 {
 			t.Errorf("%d enumerations survived %s", n, m.name)
 		}
 	}
 	first = ask(fs)
 	cp := fs.Clone()
-	if n := memoLen(&cp.routes); n != 0 {
+	if n := memoLen(cp); n != 0 {
 		t.Fatalf("Clone copied %d enumerations", n)
 	}
 	if got := ask(cp); !reflect.DeepEqual(got, first) || &got[0] == &first[0] {
 		t.Errorf("the clone's enumeration is shared with, or differs from, the original's")
 	}
 	top.SurvivingPaths(0, 62, 24, cp)
-	if a, b := memoLen(&fs.routes), memoLen(&cp.routes); a != 1 || b != 2 {
+	if a, b := memoLen(fs), memoLen(cp); a != 1 || b != 2 {
 		t.Errorf("original holds %d enumerations and its clone %d, want 1 and 2", a, b)
 	}
 }
 
-// TestRouteMemoCapped: a Topology keeps its first routeMemoCap
-// fault-free enumerations and no more. Past the cap RouteMemoLen stops
-// growing, and what is handed out is computed as on a cold memo: equal
-// to a fresh machine's, a new slice each call.
+// TestRouteMemoCapped: a Topology holds at most routeMemoCap
+// fault-free enumerations. Past the bound the least recently used one
+// goes, the newest is held, and an evicted pair is walked again to the
+// rows a fresh machine gives.
 func TestRouteMemoCapped(t *testing.T) {
 	top, fresh := mustTorus(t, 16, 16), mustTorus(t, 16, 16)
 	n := NodeID(top.Nodes())
-	stored := func(i int) (src, dst NodeID, max int) {
+	key := func(i int) (src, dst NodeID, max int) {
 		return NodeID(i) % n, NodeID(i) / n % n, 2 + i/int(n*n)
 	}
+	held := func(i int) []Path { return top.ShortestPaths(key(i)) }
+	first := make([][]Path, 2)
 	for i := 0; i < routeMemoCap; i++ {
-		top.ShortestPaths(stored(i))
+		if p := held(i); i < len(first) {
+			first[i] = p
+		}
 	}
 	if got := top.RouteMemoLen(); got != routeMemoCap {
 		t.Fatalf("%d distinct enumerations asked for, %d memoized", routeMemoCap, got)
 	}
+	held(0) // 0 is now the most recent, 1 the least
 	for i := routeMemoCap; i < routeMemoCap+1000; i++ {
-		src, dst, max := stored(i)
-		paths, links, _ := top.SurvivingRoutes(src, dst, max, nil)
-		again, _, _ := top.SurvivingRoutes(src, dst, max, nil)
-		wantPaths, wantLinks, _ := fresh.SurvivingRoutes(src, dst, max, nil)
-		if !reflect.DeepEqual(paths, wantPaths) || !reflect.DeepEqual(links, wantLinks) || !reflect.DeepEqual(again, wantPaths) {
-			t.Fatalf("%d->%d max %d past the cap: %v, a fresh machine %v", src, dst, max, paths, wantPaths)
+		newest := held(i)
+		if got := top.RouteMemoLen(); got > routeMemoCap {
+			t.Fatalf("RouteMemoLen %d past the bound of %d", got, routeMemoCap)
 		}
-		if &again[0] == &paths[0] {
-			t.Fatalf("%d->%d max %d past the cap: the enumeration was kept", src, dst, max)
+		if again := held(i); &again[0] != &newest[0] {
+			t.Fatalf("enumeration %d past the bound was not held", i)
+		}
+		if i == routeMemoCap {
+			if again := held(0); &again[0] != &first[0][0] {
+				t.Fatal("the most recently used enumeration was evicted")
+			}
+			if st := top.routes.Stats(); st.Evictions != 1 {
+				t.Fatalf("%d evictions after one enumeration past the bound, want 1", st.Evictions)
+			}
+			src, dst, max := key(1)
+			paths, links, _ := top.SurvivingRoutes(src, dst, max, nil)
+			wantPaths, wantLinks, _ := fresh.SurvivingRoutes(src, dst, max, nil)
+			if &paths[0] == &first[1][0] {
+				t.Fatal("the least recently used enumeration was kept")
+			}
+			if !reflect.DeepEqual(paths, wantPaths) || !reflect.DeepEqual(links, wantLinks) {
+				t.Fatalf("%d->%d max %d after its eviction: %v, a fresh machine %v", src, dst, max, paths, wantPaths)
+			}
 		}
 	}
 	if got := top.RouteMemoLen(); got != routeMemoCap {
-		t.Errorf("RouteMemoLen %d after 1000 enumerations past the cap of %d", got, routeMemoCap)
-	}
-	// What was kept is still served from the memo.
-	first := top.ShortestPaths(stored(0))
-	if again := top.ShortestPaths(stored(0)); &again[0] != &first[0] {
-		t.Error("a memoized enumeration was computed again")
+		t.Errorf("RouteMemoLen %d after 1000 enumerations past the bound of %d", got, routeMemoCap)
 	}
 }

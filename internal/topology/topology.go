@@ -13,8 +13,8 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
-	"sync/atomic"
+
+	"schedroute/internal/memo"
 )
 
 // NodeID identifies a node; valid IDs are 0..Nodes()-1 and correspond to
@@ -86,17 +86,14 @@ type Topology struct {
 	// max), so repeated sweeps over one topology stop re-walking the
 	// shortest-path DAG; those around a fault live on the FaultSet.
 	// Entries are shared: callers must not mutate what they are handed.
-	// Nothing is evicted, but a machine outlives any one problem on it,
-	// so at most routeMemoCap are kept (nroutes counts them): past the
-	// cap an enumeration is computed and handed out, as on a cold memo,
-	// and not stored.
-	routes  sync.Map // routeKey -> *routes
-	nroutes atomic.Int64
+	routes memo.Cache[routeKey, *routes]
 }
 
-// routeMemoCap bounds a Topology's fault-free route memo: every (src,
-// dst) pair of a 128-node machine at one MaxPaths, or the pairs of
-// some hundreds of placements on a larger one.
+// routeMemoCap bounds each route memo, a Topology's and a FaultSet's:
+// every (src, dst) pair of a 128-node machine at one MaxPaths, or the
+// pairs of some hundreds of placements on a larger one. A machine
+// outlives any one problem on it; past the bound the least recently
+// used enumeration goes, to be walked again to the same rows.
 const routeMemoCap = 16384
 
 // maxNodes and maxLinks bound the machines build accepts. The link cap
@@ -118,8 +115,8 @@ type routeKey struct {
 
 // RouteMemoLen counts the fault-free enumerations t holds, at most
 // routeMemoCap: what a leak check or a dump of a long-lived Topology
-// reads. Exact while no enumeration is being stored.
-func (t *Topology) RouteMemoLen() int { return int(t.nroutes.Load()) }
+// reads.
+func (t *Topology) RouteMemoLen() int { return t.routes.Stats().Len }
 
 // routes is one memoized enumeration: the paths and, row for row, their
 // link sequences as windows of one slab, shared and immutable alike.
@@ -214,6 +211,7 @@ func build(kind Kind, radices []int) (*Topology, error) {
 		adj:     make([][]NodeID, n),
 		links:   make([]Link, 0, links),
 		hopOff:  make([]int, len(radices)),
+		routes:  newRouteMemo(),
 	}
 	stride := 1
 	for dim, m := range radices {

@@ -93,9 +93,10 @@ var requestTypes = []struct {
 
 // FuzzRequestDecode feeds arbitrary bytes through srschedd's strict
 // decode into every request type and on through the validation that
-// runs before a solver is involved. Nothing may panic, and every
-// refusal must be the client's fault by the errkind table — bad_input
-// or unknown_schema_version — never an unclassified (500) error.
+// runs before a solver is involved. Nothing may panic, a body Decode
+// accepts must be exactly one JSON value, and every refusal must be the
+// client's fault by the errkind table — bad_input or
+// unknown_schema_version — never an unclassified (500) error.
 func FuzzRequestDecode(f *testing.F) {
 	goldens, err := filepath.Glob("testdata/*.json")
 	if err != nil || len(goldens) == 0 {
@@ -130,6 +131,8 @@ func FuzzRequestDecode(f *testing.F) {
 		f.Add([]byte(`{"problem":` + string(w.Entries[0].Problem) + `}`))
 	}
 	f.Add([]byte(`{"type":"fault","links":["0-1"]}`))
+	f.Add([]byte(`{"type":"fault","links":["0-1"]} x`))
+	f.Add([]byte(`{"type":"fault","links":["0-1"]}{"type":"fault","links":["0-1"]}`))
 	f.Add([]byte(`{"problem":{"tfg":"/etc/hostname","topology":"cube:6"}}`))
 	f.Add([]byte(`{"items":[{"problem":{"tfg":"dvb:4","topology":"cube:6"}}]}`))
 	f.Add([]byte(`{"problem":{"tfg":"dvb:4","topology":"cube:6"},"axes":{"placement":{"anneal_seeds":[2],"anneal_steps":-5}}}`))
@@ -142,7 +145,11 @@ func FuzzRequestDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		for _, rt := range requestTypes {
 			decode := func(into any) error {
-				return service.Decode(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data)), into)
+				err := service.Decode(httptest.NewRequest(http.MethodPost, "/", bytes.NewReader(data)), into)
+				if err == nil && !json.Valid(data) {
+					t.Errorf("%s: accepted %q, which is not one JSON value", rt.name, data)
+				}
+				return err
 			}
 			for _, err := range rt.check(decode) {
 				if err == nil {
