@@ -11,8 +11,6 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
-	"strings"
 
 	"schedroute/internal/cliutil"
 	"schedroute/internal/dvb"
@@ -45,25 +43,9 @@ func main() {
 	case "stencil":
 		g, err = tfg.Stencil(*n, *ops, *bytes, *bytes/4)
 	case "random", "layered":
-		var widths []int
-		for _, part := range strings.Split(*layers, ",") {
-			part = strings.TrimSpace(part)
-			w, rep := part, 1
-			if ws, rs, ok := strings.Cut(part, "*"); ok {
-				w = strings.TrimSpace(ws)
-				r, perr := strconv.Atoi(strings.TrimSpace(rs))
-				if perr != nil || r < 1 {
-					cliutil.Fatal("tfggen", fmt.Errorf("bad layer repeat %q", part))
-				}
-				rep = r
-			}
-			v, perr := strconv.Atoi(w)
-			if perr != nil {
-				cliutil.Fatal("tfggen", perr)
-			}
-			for i := 0; i < rep; i++ {
-				widths = append(widths, v)
-			}
+		widths, perr := tfg.ParseWidths(*layers)
+		if perr != nil {
+			cliutil.Fatal("tfggen", fmt.Errorf("-layers: %v", perr))
 		}
 		g, err = tfg.RandomLayered(*seed, widths, 400, 1925, 192, 3200, *density)
 	default:

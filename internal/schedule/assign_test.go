@@ -78,7 +78,7 @@ func TestAssignPathsDeterministic(t *testing.T) {
 
 func TestAssignPathsImprovesOnLSD(t *testing.T) {
 	lsd, cands, top, ws, act := assignFixture(t, 141)
-	lsdU := ComputeUtilization(top, lsd, ws, act)
+	lsdU := computeUtilizationReference(top, lsd, ws, act, nil)
 	res := AssignPaths(lsd, cands, top, ws, act, 1, 6, 60)
 	if res.Util.Peak > lsdU.Peak+1e-9 {
 		t.Fatalf("AssignPaths %g worse than LSD %g", res.Util.Peak, lsdU.Peak)

@@ -32,13 +32,12 @@ func (s bitset) forEach(fn func(i int)) {
 // and a per-link peak score. ApplyReroute updates only the links a
 // reroute actually changes — O(|changed links| × (K + messages on
 // link)) instead of the O(M × L × K) full recompute — and every stored
-// float is recomputed from exact integer state in the same order a
-// from-scratch ComputeUtilization would sum it, so the incremental
-// peaks are bit-identical to full evaluation and Apply followed by
-// Undo restores the state exactly. This is what turns the Fig. 4
-// AssignPaths hill-climb from quadratic re-evaluation into cheap delta
-// scoring; ComputeUtilization remains as the one-shot reference and
-// debug cross-check.
+// float is recomputed from exact integer state by the one link scorer
+// (linkScore) in a fixed order, so the incremental peaks are
+// bit-identical to a from-scratch build and Apply followed by Undo
+// restores the state exactly. This is what turns the Fig. 4 AssignPaths
+// hill-climb from quadratic re-evaluation into cheap delta scoring;
+// ComputeUtilization is a fresh state's Utilization.
 type LoadState struct {
 	ws  []Window
 	act *Activity
@@ -59,9 +58,9 @@ type LoadState struct {
 
 	// Members: lists[j] places link j's member list — the messages using
 	// it, ascending — in slab. The list is the membership record that
-	// lets a changed link's load be recomputed exactly: partial sums over
-	// it reproduce the float-summation order of a from-scratch
-	// ComputeUtilization bit for bit. fill lays the lists out by link
+	// lets a changed link's load be recomputed exactly: summed over it,
+	// the transmission times come out as a from-scratch build sums them,
+	// bit for bit. fill lays the lists out by link
 	// with headroom (memberRoom); a list that outgrows its region moves
 	// to the slab's tail, and a move that would take the slab past twice
 	// the nmem memberships lays every list out afresh instead.
@@ -433,48 +432,89 @@ func (ls *LoadState) repairTopK() {
 }
 
 // recomputeLink refreshes link j's derived floats from the exact
-// integer state and member list. The transmission sum iterates members in
-// ascending message order and the active length iterates intervals in
-// ascending order — the exact summation orders of ComputeUtilization —
-// so the derived values carry no incremental drift.
+// integer state and member list (linkScore as the link stands), so they
+// carry no incremental drift.
 func (ls *LoadState) recomputeLink(j int) {
-	sum := 0.0
-	for _, i := range ls.members(j) {
-		sum += ls.ws[i].Xmit
-	}
-	ls.xmit[j] = sum
+	ls.xmit[j], ls.activeLen[j], ls.score[j], ls.scoreK[j] = ls.linkScore(j, 0, 0)
+}
 
-	base := j * ls.K
+// linkScore is the one place a link is scored (Definitions 5.1-5.2): it
+// returns link l's transmission sum, active length, score
+// max(U_l, max_k U_lk) and the interval attaining it (-1 for U_l) — as
+// the link stands when delta is 0, or as if message msg were added to it
+// (delta +1) or removed from it (delta -1). It mutates nothing. The sum
+// runs over the members ascending, msg spliced in or skipped at its
+// sorted position, and the active length over the intervals ascending
+// with msg's count delta applied inline: term for term the sums the
+// state would hold after a real ApplyReroute, hence bit-identical to
+// them. The reduction is strict first maximum over U_l, then the
+// intervals ascending.
+func (ls *LoadState) linkScore(l, msg int, delta int32) (sum, al, score float64, scoreK int32) {
+	// Lists are short: the members below msg are summed as they are
+	// scanned for its position.
+	list, at := ls.members(l), 0
+	switch {
+	case delta == 0:
+		for _, i := range list {
+			sum += ls.ws[i].Xmit
+		}
+	case delta > 0:
+		for ; at < len(list) && int(list[at]) < msg; at++ {
+			sum += ls.ws[list[at]].Xmit
+		}
+		sum += ls.ws[msg].Xmit
+		for _, i := range list[at:] {
+			sum += ls.ws[i].Xmit
+		}
+	default: // msg is a member
+		for ; int(list[at]) != msg; at++ {
+			sum += ls.ws[list[at]].Xmit
+		}
+		for _, i := range list[at+1:] {
+			sum += ls.ws[i].Xmit
+		}
+	}
+
+	var row []bool // msg's activity, nil when the link stands
+	spotDelta := int32(0)
+	if delta != 0 {
+		row = ls.act.Active[msg]
+		if ls.noSlack[msg] {
+			spotDelta = delta
+		}
+	}
+	base := l * ls.K
 	cnt := ls.cnt[base : base+ls.K]
 	spot := ls.spot[base : base+ls.K]
-	al := 0.0
 	maxSpot, maxSpotK := int32(0), int32(-1)
-	for k := 0; k < ls.K; k++ {
-		if cnt[k] > 0 {
+	for k := range cnt {
+		c, s := cnt[k], spot[k]
+		if row != nil && row[k] {
+			c += delta
+			s += spotDelta
+		}
+		if c > 0 {
 			al += ls.lenK[k]
 		}
-		if spot[k] > maxSpot {
-			maxSpot, maxSpotK = spot[k], int32(k)
+		if s > maxSpot {
+			maxSpot, maxSpotK = s, int32(k)
 		}
 	}
-	ls.activeLen[j] = al
 
-	u := 0.0
+	// Equivalent to scanning spots ascending with strict improvement
+	// over a running best seeded at U_l: the winner is the first
+	// interval attaining the maximum spot count, when that exceeds U_l.
+	score, scoreK = 0, -1
 	if al > 0 {
-		u = sum / al
+		score = sum / al
 		if ls.linkCap != nil {
-			u /= ls.linkCap[j]
+			score /= ls.linkCap[l]
 		}
 	}
-	// Equivalent to scanning spots ascending with strict improvement
-	// over a running best seeded at u: the winner is the first interval
-	// attaining the maximum spot count, when that exceeds u.
-	best, bestK := u, int32(-1)
-	if s := float64(maxSpot); s > best {
-		best, bestK = s, maxSpotK
+	if s := float64(maxSpot); s > score {
+		score, scoreK = s, maxSpotK
 	}
-	ls.score[j] = best
-	ls.scoreK[j] = bestK
+	return sum, al, score, scoreK
 }
 
 // diffLinks lists in ls.changed the links of a reroute's symmetric
@@ -576,17 +616,15 @@ func (ls *LoadState) EvalReroute(msg tfg.MessageID, oldLinks, newLinks []topolog
 }
 
 // tentative leaves in tentScore/tentK the score of link l as if msg were
-// added to (or removed from) it — from the memo when the slot holds
-// exactly that question for the current generation, computed otherwise.
-// The computation mutates no accumulator: the transmission sum iterates
-// members ascending with msg spliced in (or skipped) at its sorted
-// position, and the interval scans apply the count delta inline —
-// term-for-term the sums recomputeLink would produce after a real
-// ApplyReroute, hence bit-identical.
+// added to (or removed from) it: from the memo when the slot holds
+// exactly that question for the current generation, from linkScore
+// otherwise.
 func (ls *LoadState) tentative(l, msg int, add bool) {
 	key := uint64(ls.gen)<<32 | uint64(msg)<<1
+	delta := int32(-1)
 	if add {
 		key |= 1
+		delta = 1
 	}
 	if ls.memo[l] == key {
 		ls.tentReused++
@@ -594,67 +632,7 @@ func (ls *LoadState) tentative(l, msg int, add bool) {
 	}
 	ls.memo[l] = key
 	ls.tentComputed++
-
-	w := &ls.ws[msg]
-	noSlack := ls.noSlack[msg]
-	row := ls.act.Active[msg]
-	list := ls.members(l)
-	sum := 0.0
-	if add {
-		at := 0
-		for ; at < len(list) && int(list[at]) < msg; at++ {
-			sum += ls.ws[list[at]].Xmit
-		}
-		sum += w.Xmit
-		for _, i := range list[at:] {
-			sum += ls.ws[i].Xmit
-		}
-	} else {
-		for _, i := range list {
-			if int(i) != msg {
-				sum += ls.ws[i].Xmit
-			}
-		}
-	}
-
-	delta := int32(1)
-	if !add {
-		delta = -1
-	}
-	base := l * ls.K
-	cnt := ls.cnt[base : base+ls.K]
-	spot := ls.spot[base : base+ls.K]
-	al := 0.0
-	maxSpot, maxSpotK := int32(0), int32(-1)
-	for k := 0; k < ls.K; k++ {
-		c, s := cnt[k], spot[k]
-		if row[k] {
-			c += delta
-			if noSlack {
-				s += delta
-			}
-		}
-		if c > 0 {
-			al += ls.lenK[k]
-		}
-		if s > maxSpot {
-			maxSpot, maxSpotK = s, int32(k)
-		}
-	}
-	u := 0.0
-	if al > 0 {
-		u = sum / al
-		if ls.linkCap != nil {
-			u /= ls.linkCap[l]
-		}
-	}
-	// Same strict-first-maximum reduction as recomputeLink.
-	best, bestK := u, int32(-1)
-	if s := float64(maxSpot); s > best {
-		best, bestK = s, maxSpotK
-	}
-	ls.tentScore[l] = best
-	ls.tentK[l] = bestK
+	_, _, ls.tentScore[l], ls.tentK[l] = ls.linkScore(l, msg, delta)
 }
 
 // peakWithTentative returns the peak over all links with the current
@@ -695,18 +673,20 @@ func (ls *LoadState) peakWithTentative() (float64, topology.LinkID, int) {
 	return peak, link, int(interval)
 }
 
-// PeakPosition returns the current peak and where it sits, with the
-// same enumeration order (link ascending; link utilization before the
-// link's hot-spots; intervals ascending; strict improvement) as
-// ComputeUtilization, so ties break identically.
+// PeakPosition returns the current peak and where it sits: of the
+// links attaining a positive maximum score, the smallest, with its
+// scoring interval — the enumeration order (link ascending; link
+// utilization before the link's hot-spots; intervals ascending; strict
+// improvement) of Definitions 5.1-5.2. That is the head of the peak
+// cache, whose (score desc, link asc) order is this tie-break and which
+// leads the order over every touched link; an untouched link scores 0.
 func (ls *LoadState) PeakPosition() (float64, topology.LinkID, int) {
-	peak, link, interval := 0.0, topology.LinkID(0), int32(-1)
-	for j := 0; j < ls.nl; j++ {
-		if ls.score[j] > peak {
-			peak, link, interval = ls.score[j], topology.LinkID(j), ls.scoreK[j]
+	if len(ls.topk) > 0 {
+		if j := ls.topk[0]; ls.score[j] > 0 {
+			return ls.score[j], topology.LinkID(j), int(ls.scoreK[j])
 		}
 	}
-	return peak, link, int(interval)
+	return 0, 0, -1
 }
 
 // Peak returns the current peak utilization.
@@ -716,10 +696,11 @@ func (ls *LoadState) Peak() float64 {
 }
 
 // Utilization materializes the full Section 5.1 measures of the
-// current state; the result equals ComputeUtilization on the same
-// assignment bit for bit. LinkU stays the raw fraction of the physical
-// link's bandwidth (the quantity reservations are made in); only the
-// peak score is capacity-relative when a LinkCap is in effect.
+// current state, bit for bit those of a fresh state of the same
+// assignment (what ComputeUtilization returns). LinkU stays the raw
+// fraction of the physical link's bandwidth (the quantity reservations
+// are made in); only the peak score is capacity-relative when a LinkCap
+// is in effect.
 func (ls *LoadState) Utilization() *Utilization {
 	peak, link, interval := ls.PeakPosition()
 	return &Utilization{LinkU: ls.linkU(), Peak: peak, PeakLink: link, PeakInterval: interval}

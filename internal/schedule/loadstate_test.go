@@ -24,15 +24,21 @@ func checkLoadState(t *testing.T, ls *LoadState, top *topology.Topology, pa *Pat
 }
 
 // loadStateDiff is the first difference between the incremental state
-// and pa: its Utilization against ComputeUtilization, bit for bit, and
-// every link's member list against the messages pa routes over it. It
-// also fails a member slab longer than twice the memberships.
+// and pa: its Utilization against computeUtilizationReference under the
+// state's own LinkCap, bit for bit, its PeakPosition against a scan of
+// every link's score, and every link's member list against the messages
+// pa routes over it. It also fails a member slab longer than twice the
+// memberships.
 func loadStateDiff(ls *LoadState, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity) error {
-	want := ComputeUtilization(top, pa, ws, act)
+	want := computeUtilizationReference(top, pa, ws, act, ls.linkCap)
 	got := ls.Utilization()
-	if got.Peak != want.Peak || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
+	if !samePeakBits(got.Peak, want.Peak) || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
 		return fmt.Errorf("peak (%v, link %v, interval %v) != full recompute (%v, link %v, interval %v)",
 			got.Peak, got.PeakLink, got.PeakInterval, want.Peak, want.PeakLink, want.PeakInterval)
+	}
+	if p, l, k := peakScan(ls); !samePeakBits(p, got.Peak) || l != got.PeakLink || k != got.PeakInterval {
+		return fmt.Errorf("PeakPosition (%v, link %v, interval %v) != a scan of every link (%v, link %v, interval %v)",
+			got.Peak, got.PeakLink, got.PeakInterval, p, l, k)
 	}
 	for j := range want.LinkU {
 		if got.LinkU[j] != want.LinkU[j] {
@@ -59,6 +65,86 @@ func loadStateDiff(ls *LoadState, top *topology.Topology, pa *PathAssignment, ws
 		return fmt.Errorf("member slab of %d for %d memberships (the state counts %d)", len(ls.slab), nmem, ls.nmem)
 	}
 	return nil
+}
+
+func samePeakBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// peakScan is PeakPosition as a scan of every link's score, strict
+// improvement from 0 in link order, the peak cache left unread.
+func peakScan(ls *LoadState) (float64, topology.LinkID, int) {
+	peak, link, interval := 0.0, topology.LinkID(0), int32(-1)
+	for j := 0; j < ls.nl; j++ {
+		if ls.score[j] > peak {
+			peak, link, interval = ls.score[j], topology.LinkID(j), ls.scoreK[j]
+		}
+	}
+	return peak, link, int(interval)
+}
+
+// computeUtilizationReference is the dense Section 5.1 pass every
+// LoadState answer is held to: per link, the transmission sum over the
+// messages routed on it in message order, the active length over the
+// intervals in which any is active, U_j = sum / active length, and the
+// no-slack count U_jk of each interval; the peak is the strict first
+// maximum over the links ascending, U_j before the link's hot-spots,
+// intervals ascending. Under a per-link capacity vector (see
+// Options.LinkCap) LinkU stays the raw fraction of each physical link's
+// bandwidth while the peak takes U_j / linkCap[j]; nil is the whole
+// machine.
+func computeUtilizationReference(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *Utilization {
+	nl := top.Links()
+	K := act.Intervals.K()
+	xmitOnLink, activeLen := make([]float64, nl), make([]float64, nl)
+	linkInterval := make([]bool, nl*K) // any message active on flat cell j*K+k
+	spot := make([]int32, nl*K)        // no-slack count on flat cell j*K+k
+	for i := range ws {
+		if ws[i].Local || len(pa.Links[i]) == 0 {
+			continue
+		}
+		noSlack := ws[i].NoSlack()
+		row := act.Active[i]
+		for _, l := range pa.Links[i] {
+			xmitOnLink[l] += ws[i].Xmit
+			base := int(l) * K
+			for k := 0; k < K; k++ {
+				if row[k] {
+					linkInterval[base+k] = true
+					if noSlack {
+						spot[base+k]++
+					}
+				}
+			}
+		}
+	}
+	u := &Utilization{LinkU: make([]float64, nl), PeakInterval: -1}
+	for j := 0; j < nl; j++ {
+		base := j * K
+		for k := 0; k < K; k++ {
+			if linkInterval[base+k] {
+				activeLen[j] += act.Intervals.Length(k)
+			}
+		}
+		if activeLen[j] > 0 {
+			u.LinkU[j] = xmitOnLink[j] / activeLen[j]
+		}
+		score := u.LinkU[j]
+		if linkCap != nil && activeLen[j] > 0 {
+			score /= linkCap[j]
+		}
+		if score > u.Peak {
+			u.Peak = score
+			u.PeakLink = topology.LinkID(j)
+			u.PeakInterval = -1
+		}
+		for k := 0; k < K; k++ {
+			if s := float64(spot[base+k]); s > u.Peak {
+				u.Peak = s
+				u.PeakLink = topology.LinkID(j)
+				u.PeakInterval = k
+			}
+		}
+	}
+	return u
 }
 
 // loadStateFixture derives the DVB workload's windows, activity, LSD
@@ -113,8 +199,12 @@ func routeFixture(t *testing.T, p Problem, fs *topology.FaultSet) (*PathAssignme
 // TestLoadStateMatchesFullRecompute drives randomized reroute /
 // eval / undo sequences over the DVB workload on the 6-cube and the
 // 8x8 torus, perfect and with a failed link, asserting after every
-// operation that the incremental accumulators equal ComputeUtilization
-// exactly.
+// operation that the incremental accumulators equal
+// computeUtilizationReference exactly and that PeakPosition, the head
+// of the peak cache, equals a scan of every link. Two more walks reach
+// the ends of the score range: on the torus with uneven link shares and
+// none at all on one link, which scores +Inf while it carries traffic, and on DVB placed on one node of the 6-cube, where every
+// message is local and the peak cache stays empty.
 func TestLoadStateMatchesFullRecompute(t *testing.T) {
 	topos := []struct {
 		name  string
@@ -135,46 +225,115 @@ func TestLoadStateMatchesFullRecompute(t *testing.T) {
 					t.Fatal(err)
 				}
 				pa, ws, act, cands, multi := loadStateFixture(t, top, faulted)
-
-				ls := NewLoadStateCap(top, pa, ws, act, nil)
-				checkLoadState(t, ls, top, pa, ws, act, "initial")
-
-				rng := rand.New(rand.NewSource(7))
-				for step := 0; step < 200; step++ {
-					mi := multi[rng.Intn(len(multi))]
-					c := routesOf(cands, mi)[rng.Intn(len(cands.PathsOf[mi]))]
-					old := pa.Links[mi]
-					switch rng.Intn(3) {
-					case 0: // apply and keep
-						ls.ApplyReroute(mi, old, c.links)
-						pa.SetPath(mi, c.path, c.links)
-						checkLoadState(t, ls, top, pa, ws, act, "apply")
-					case 1: // apply then undo
-						ls.ApplyReroute(mi, old, c.links)
-						ls.Undo(mi, old, c.links)
-						checkLoadState(t, ls, top, pa, ws, act, "undo")
-					default: // pure what-if: peak must equal a cloned full eval
-						peak, link, interval := ls.EvalReroute(mi, old, c.links, math.Inf(1))
-						trial := pa.Clone()
-						trial.SetPath(mi, c.path, c.links)
-						want := ComputeUtilization(top, trial, ws, act)
-						if peak != want.Peak || link != want.PeakLink || interval != want.PeakInterval {
-							t.Fatalf("eval: (%v, %v, %v) != full trial recompute (%v, %v, %v)",
-								peak, link, interval, want.Peak, want.PeakLink, want.PeakInterval)
-						}
-						checkLoadState(t, ls, top, pa, ws, act, "eval")
-					}
-				}
-
-				// Reset onto a scrambled assignment must equal a fresh build.
-				randomize(pa, cands, rng)
-				ls.Reset(pa)
-				checkLoadState(t, ls, top, pa, ws, act, "reset")
-
+				loadStateWalk(t, top, pa, ws, act, nil, cands, multi)
 				checkLoadStateMemo(t, top, pa, ws, act, cands, multi, exactEval)
 			})
 		}
 	}
+	t.Run("torus88-zero-share", func(t *testing.T) {
+		top, err := topology.NewTorus(8, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pa, ws, act, cands, multi := loadStateFixture(t, top, false)
+		rng := rand.New(rand.NewSource(5))
+		linkCap := make([]float64, top.Links())
+		for j := range linkCap {
+			linkCap[j] = 0.25 + 0.75*rng.Float64()
+		}
+		// No share on a link that one multi-path message alone crosses:
+		// the walk moves traffic on and off it.
+		users := make([][]tfg.MessageID, top.Links())
+		for i, links := range pa.Links {
+			for _, l := range links {
+				users[l] = append(users[l], tfg.MessageID(i))
+			}
+		}
+		for l, u := range users {
+			if len(u) == 1 && len(cands.PathsOf[u[0]]) > 1 {
+				linkCap[l] = 0
+				break
+			}
+		}
+		inf, finite := loadStateWalk(t, top, pa, ws, act, linkCap, cands, multi)
+		t.Logf("%d checked states at an infinite peak, %d at a finite one", inf, finite)
+		if inf == 0 || finite == 0 {
+			t.Fatal("the walk needs both")
+		}
+	})
+	t.Run("6cube-all-local", func(t *testing.T) {
+		p := dvbProblem(t, sixCube(t), 64, gridTauIn(4))
+		p.Assignment = &alloc.Assignment{NodeOf: make([]topology.NodeID, p.Graph.NumTasks())}
+		ws, err := ComputeWindowsFromStarts(p.Graph, p.Timing, p.TauIn, p.Timing.TauC(), p.Graph.PipelinedStart(p.Timing, p.Timing.TauC()), func(tfg.Message) bool { return true })
+		if err != nil {
+			t.Fatal(err)
+		}
+		act := BuildActivity(ws, BuildIntervals(ws, p.TauIn))
+		pa, err := LSDAssignment(p.Graph, p.Topology, p.Assignment, ws)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cands := &Candidates{PathsOf: make([][]topology.Path, len(ws)), LinksOf: make([][][]topology.LinkID, len(ws))}
+		ls := NewLoadStateCap(p.Topology, pa, ws, act, nil)
+		if len(ls.topk) != 0 || ls.Peak() != 0 {
+			t.Fatalf("all-local: peak cache %v, peak %v; want an empty cache and 0", ls.topk, ls.Peak())
+		}
+		loadStateWalk(t, p.Topology, pa, ws, act, nil, cands, nil)
+	})
+}
+
+// loadStateWalk is one seeded walk of TestLoadStateMatchesFullRecompute
+// under linkCap: 200 random applies, apply-undo pairs and evals of the
+// multi-path messages (none when multi is empty), each checked against
+// a full recompute, then a Reset onto a scrambled assignment. It counts
+// the checked states whose peak is infinite and those whose peak is
+// finite.
+func loadStateWalk(t *testing.T, top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64, cands *Candidates, multi []tfg.MessageID) (inf, finite int) {
+	t.Helper()
+	ls := NewLoadStateCap(top, pa, ws, act, linkCap)
+	check := func(step string) {
+		t.Helper()
+		checkLoadState(t, ls, top, pa, ws, act, step)
+		if math.IsInf(ls.Peak(), 1) {
+			inf++
+		} else {
+			finite++
+		}
+	}
+	check("initial")
+
+	rng := rand.New(rand.NewSource(7))
+	for step := 0; step < 200 && len(multi) > 0; step++ {
+		mi := multi[rng.Intn(len(multi))]
+		c := routesOf(cands, mi)[rng.Intn(len(cands.PathsOf[mi]))]
+		old := pa.Links[mi]
+		switch rng.Intn(3) {
+		case 0: // apply and keep
+			ls.ApplyReroute(mi, old, c.links)
+			pa.SetPath(mi, c.path, c.links)
+			check("apply")
+		case 1: // apply then undo
+			ls.ApplyReroute(mi, old, c.links)
+			ls.Undo(mi, old, c.links)
+			check("undo")
+		default: // pure what-if: peak must equal a cloned full eval
+			peak, link, interval := ls.EvalReroute(mi, old, c.links, math.Inf(1))
+			trial := pa.Clone()
+			trial.SetPath(mi, c.path, c.links)
+			want := computeUtilizationReference(top, trial, ws, act, linkCap)
+			if !samePeakBits(peak, want.Peak) || link != want.PeakLink || interval != want.PeakInterval {
+				t.Fatalf("eval: (%v, %v, %v) != full trial recompute (%v, %v, %v)",
+					peak, link, interval, want.Peak, want.PeakLink, want.PeakInterval)
+			}
+			check("eval")
+		}
+	}
+
+	// Reset onto a scrambled assignment must equal a fresh build.
+	randomize(pa, cands, rng)
+	ls.Reset(pa)
+	check("reset")
+	return inf, finite
 }
 
 // checkLoadStateMemo is the memo property: under random interleavings of
@@ -210,6 +369,9 @@ func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment
 		wp, wl, wk := ref.PeakPosition()
 		if gp != wp || gl != wl || gk != wk {
 			t.Fatalf("memo/%s: peak (%v, %v, %v) != reference (%v, %v, %v)", step, gp, gl, gk, wp, wl, wk)
+		}
+		if sp, sl, sk := peakScan(ls); sp != gp || sl != gl || sk != gk {
+			t.Fatalf("memo/%s: peak (%v, %v, %v) != a scan of every link (%v, %v, %v)", step, gp, gl, gk, sp, sl, sk)
 		}
 	}
 	for step := 0; step < 400; step++ {
@@ -263,7 +425,7 @@ func checkLoadStateMemo(t *testing.T, top *topology.Topology, pa *PathAssignment
 		}
 	}
 	b := bindings[cur]
-	want := computeUtilization(top, pa, b.ws, b.act, b.linkCap)
+	want := computeUtilizationReference(top, pa, b.ws, b.act, b.linkCap)
 	got := ls.Utilization()
 	if got.Peak != want.Peak || got.PeakLink != want.PeakLink || got.PeakInterval != want.PeakInterval {
 		t.Fatalf("memo/final: peak (%v, %v, %v) != full recompute (%v, %v, %v)",
@@ -404,7 +566,7 @@ search:
 }
 
 // TestAssignPathsCrossCheck holds the incremental LoadState to a full
-// ComputeUtilization at the end of every restart of the hill-climb, on
+// computeUtilizationReference at the end of every restart of the hill-climb, on
 // one worker and on two and four: for maxOuter = 1…6, every restart's
 // final state must describe that restart's own assignment, member lists
 // included, in a member slab at most twice the memberships. DVB on the
@@ -436,7 +598,7 @@ func TestAssignPathsCrossCheck(t *testing.T) {
 		{"layered/torus8x8", Problem{Graph: g, Timing: tm, Topology: top, Assignment: as, TauIn: 150}},
 	} {
 		pa, ws, act, cands, _ := routeFixture(t, f.p, nil)
-		lsd := ComputeUtilization(f.p.Topology, pa, ws, act).Peak
+		lsd := computeUtilizationReference(f.p.Topology, pa, ws, act, nil).Peak
 		for _, workers := range []int{1, 2, 4} {
 			for maxOuter := 1; maxOuter <= 6; maxOuter++ {
 				step := fmt.Sprintf("%s workers %d maxOuter %d", f.name, workers, maxOuter)
@@ -669,9 +831,14 @@ func peakCacheWalk(t *testing.T, seed int64, f walkFixture, eval evalFunc) peakC
 	var n peakCacheCounts
 	step, op := 0, "initial"
 	// check compares the cache with a rebuild and then puts it back, so
-	// the walk goes on from what the repairs left.
+	// the walk goes on from what the repairs left, and PeakPosition, the
+	// cache's head, with a scan of every link.
 	check := func() {
 		t.Helper()
+		gp, gl, gk := ls.PeakPosition()
+		if sp, sl, sk := peakScan(ls); !samePeakBits(gp, sp) || gl != sl || gk != sk {
+			t.Fatalf("seed %d step %d %s: PeakPosition (%v, %v, %v) != a scan of every link (%v, %v, %v)", seed, step, op, gp, gl, gk, sp, sl, sk)
+		}
 		got, all := slices.Clone(ls.topk), ls.topkAll
 		ls.rebuildTopK()
 		touched := 0
@@ -833,4 +1000,23 @@ func routesOf(c *Candidates, mi tfg.MessageID) []testRoute {
 		out[k] = testRoute{p, c.LinksOf[mi][k]}
 	}
 	return out
+}
+
+// TestComputeUtilizationMatchesReference holds ComputeUtilization, a
+// pooled LoadState's read, to the dense reference bit for bit — LinkU,
+// the peak and its position — on the LSD baseline and the AssignPaths
+// assignment of every compile_lp pool entry and standard-grid point.
+func TestComputeUtilizationMatchesReference(t *testing.T) {
+	pool, opt := compileLPPool(t)
+	n := 0
+	for _, e := range append(pool, standardGrid(t)...) {
+		lsd, ws, act, cands, _ := routeFixture(t, e.p, nil)
+		top := e.p.Topology
+		climbed := AssignPaths(lsd, cands, top, ws, act, opt.Seed, 6, 60)
+		for _, pa := range []*PathAssignment{lsd, climbed.Assignment} {
+			sameUtilization(t, e.id, ComputeUtilization(top, pa, ws, act), computeUtilizationReference(top, pa, ws, act, nil))
+			n++
+		}
+	}
+	t.Logf("%d assignments", n)
 }

@@ -578,9 +578,11 @@ func Explore(ctx context.Context, p Problem, opt Options, spec ExploreSpec) (*Pa
 // bisect finds the smallest feasible x in [lo, hi] to within tol, for a
 // probe that is monotone (infeasible below some threshold, feasible
 // above). It probes lo, then hi, then keeps lo infeasible and hi
-// feasible until they are tol apart and returns the feasible end; ok is
-// false when even hi is infeasible. The last feasible probe is always
-// at the returned x. A probe error aborts the search.
+// feasible until they are tol apart, or adjacent floats with no
+// midpoint strictly between them (a tol below their spacing), and
+// returns the feasible end; ok is false when even hi is infeasible. The
+// last feasible probe is always at the returned x. A probe error aborts
+// the search.
 func bisect(lo, hi, tol float64, probe func(x float64) (bool, error)) (x float64, ok bool, err error) {
 	if ok, err = probe(lo); ok || err != nil {
 		return lo, ok, err
@@ -590,6 +592,9 @@ func bisect(lo, hi, tol float64, probe func(x float64) (bool, error)) (x float64
 	}
 	for hi-lo > tol {
 		mid := lo + (hi-lo)/2
+		if mid <= lo || mid >= hi {
+			break
+		}
 		if ok, err = probe(mid); err != nil {
 			return 0, false, err
 		}

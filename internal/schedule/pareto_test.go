@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -307,6 +308,23 @@ func TestBisect(t *testing.T) {
 		if v <= 10 || v >= 20 {
 			t.Errorf("probe %g outside the open bracket (10, 20)", v)
 		}
+	}
+
+	// A tolerance below the floats' spacing: the bracket closes to two
+	// adjacent floats, whose midpoint is one of them, and the search
+	// stops there rather than probing that midpoint forever. A float64
+	// has 52 fraction bits, so [1, 5] halves at most 2+52 times before
+	// that; past 64 bisection probes the probe itself ends the search.
+	probed = nil
+	tooMany := errors.New("bisection still probing")
+	x, ok, err = bisect(1, 5, 1e-300, func(x float64) (bool, error) {
+		if probed = append(probed, x); len(probed) > 2+64 {
+			return false, tooMany
+		}
+		return x >= math.Pi, nil
+	})
+	if err != nil || !ok || x != math.Pi {
+		t.Errorf("tolerance below the float spacing: got (%v, %t, %v) after %d probes, want (π, true, nil)", x, ok, err, len(probed))
 	}
 
 	boom := errors.New("boom")

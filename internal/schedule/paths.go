@@ -167,73 +167,13 @@ type Utilization struct {
 }
 
 // ComputeUtilization evaluates an assignment against the activity
-// structure and message windows.
+// structure and message windows: the Utilization of a pooled arena's
+// LoadState built for it, as reserveOf reads one, so a warm call
+// allocates the LinkU slice and the Utilization and nothing else.
 func ComputeUtilization(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity) *Utilization {
-	return computeUtilization(top, pa, ws, act, nil)
-}
-
-// computeUtilization is ComputeUtilization against a per-link capacity
-// vector (see Options.LinkCap): LinkU stays the raw fraction of each
-// physical link's bandwidth, while the peak — the feasibility measure —
-// is taken relative to the link's share, U_j / linkCap[j]. A nil vector
-// is the whole machine. It is the dense reference a LoadState's
-// incremental sums are held to.
-func computeUtilization(top *topology.Topology, pa *PathAssignment, ws []Window, act *Activity, linkCap []float64) *Utilization {
-	nl := top.Links()
-	K := act.Intervals.K()
-	xmitOnLink, activeLen := make([]float64, nl), make([]float64, nl)
-	linkInterval := make([]bool, nl*K) // any message active on flat cell j*K+k
-	spot := make([]int32, nl*K)        // no-slack count on flat cell j*K+k
-	for i := range ws {
-		if ws[i].Local || len(pa.Links[i]) == 0 {
-			continue
-		}
-		noSlack := ws[i].NoSlack()
-		row := act.Active[i]
-		for _, l := range pa.Links[i] {
-			xmitOnLink[l] += ws[i].Xmit
-			base := int(l) * K
-			for k := 0; k < K; k++ {
-				if row[k] {
-					linkInterval[base+k] = true
-					if noSlack {
-						spot[base+k]++
-					}
-				}
-			}
-		}
-	}
-	u := &Utilization{LinkU: make([]float64, nl), PeakInterval: -1}
-	for j := 0; j < nl; j++ {
-		base := j * K
-		for k := 0; k < K; k++ {
-			if linkInterval[base+k] {
-				activeLen[j] += act.Intervals.Length(k)
-			}
-		}
-		if activeLen[j] > 0 {
-			u.LinkU[j] = xmitOnLink[j] / activeLen[j]
-		}
-		// Score relative to the link's capacity share; the stored LinkU
-		// stays raw (reservations are fractions of the physical link).
-		score := u.LinkU[j]
-		if linkCap != nil && activeLen[j] > 0 {
-			score /= linkCap[j]
-		}
-		if score > u.Peak {
-			u.Peak = score
-			u.PeakLink = topology.LinkID(j)
-			u.PeakInterval = -1
-		}
-		for k := 0; k < K; k++ {
-			if s := float64(spot[base+k]); s > u.Peak {
-				u.Peak = s
-				u.PeakLink = topology.LinkID(j)
-				u.PeakInterval = k
-			}
-		}
-	}
-	return u
+	a := arenaPool.Get().(*solveArena)
+	defer arenaPool.Put(a)
+	return a.loadState(top, pa, ws, act, nil).Utilization()
 }
 
 // peakLowerBound is a node-degree lower bound on the peak of every

@@ -130,8 +130,17 @@ func EncodeSolverSnapshot(w io.Writer, s *Solver, structureKey string) error {
 		Faults:        faultsSig(s.p.Faults),
 	}
 
-	s.validated.Each(func(level bool, _ struct{}) { sj.Validated = append(sj.Validated, level) })
-	s.lsd.Each(func(_ struct{}, pa *PathAssignment) { sj.LSD = assignToSnap(pa) })
+	// Only passing verdicts are written: a refusal is rebuilt on demand.
+	s.validated.Each(func(level bool, verdict error) {
+		if verdict == nil {
+			sj.Validated = append(sj.Validated, level)
+		}
+	})
+	s.lsd.Each(func(_ struct{}, v baselineVerdict) {
+		if v.err == nil {
+			sj.LSD = assignToSnap(v.pa)
+		}
+	})
 	s.starts.Each(func(window float64, st []float64) {
 		sj.Starts = append(sj.Starts, startsSnapJSON{Window: window, Starts: st})
 	})
@@ -233,7 +242,7 @@ func DecodeSolverSnapshot(r io.Reader, p Problem, structureKey string) (*Solver,
 
 	s := NewSolver(p)
 	for _, level := range sj.Validated {
-		s.validated.Put(level, struct{}{})
+		s.validated.Put(level, nil)
 	}
 	for _, st := range sj.Starts {
 		if len(st.Starts) != sj.Tasks {
@@ -266,7 +275,7 @@ func DecodeSolverSnapshot(r io.Reader, p Problem, structureKey string) (*Solver,
 			pa.Paths[i] = path
 			pa.Links[i] = links
 		}
-		s.lsd.Put(struct{}{}, pa)
+		s.lsd.Put(struct{}{}, baselineVerdict{pa: pa})
 	}
 	for _, cj := range sj.Candidates {
 		if cj.MaxPaths < 1 {

@@ -57,14 +57,16 @@ type Solver struct {
 	// starts caches PipelinedStart per window length; sharedStarts
 	// caches PipelinedStartShared per (window, τin) since AP-sharing
 	// layouts depend on the period too; cands caches
-	// BuildCandidatesFault per MaxPaths; validated caches a passed
-	// Assignment.Validate per strictness; lsd caches the
-	// FaultRouteAssignment baseline under its one key.
+	// BuildCandidatesFault per MaxPaths; validated caches
+	// Assignment.Validate's verdict per strictness; lsd caches the
+	// FaultRouteAssignment baseline's verdict under its one key. A
+	// verdict is kept whether it passes or refuses: neither build takes
+	// a context, so a refusal is the structure's answer, not a caller's.
 	starts       memo.Cache[float64, []float64]
 	sharedStarts memo.Cache[[2]float64, []float64]
 	cands        memo.Cache[int, *Candidates]
-	validated    memo.Cache[bool, struct{}]
-	lsd          memo.Cache[struct{}, *PathAssignment]
+	validated    memo.Cache[bool, error]
+	lsd          memo.Cache[struct{}, baselineVerdict]
 
 	// solves counts Solve calls; the memos count their own builds as
 	// misses. Both are kept out of Result on purpose — which Solve call
@@ -87,8 +89,8 @@ const (
 type SolverCacheStats struct {
 	// Solves is the number of Solve calls completed or started.
 	Solves int64
-	// BaselineBuilds counts FaultRouteAssignment runs (1 once one
-	// succeeds: a failed build is not kept).
+	// BaselineBuilds counts FaultRouteAssignment runs (1: its verdict,
+	// a refusal included, is kept).
 	BaselineBuilds int64
 	// CandidateBuilds counts BuildCandidatesFault runs (one per distinct
 	// MaxPaths).
@@ -97,7 +99,7 @@ type SolverCacheStats struct {
 	// distinct window length, or per (window, τin) with AP sharing).
 	StartsBuilds int64
 	// ValidateBuilds counts Assignment.Validate runs (one per
-	// strictness level that passes; a failure is not kept).
+	// strictness level: its verdict, a refusal included, is kept).
 	ValidateBuilds int64
 }
 
@@ -128,8 +130,8 @@ func NewSolver(p Problem) *Solver {
 		starts:       memo.New[float64, []float64](solverStartTables),
 		sharedStarts: memo.New[[2]float64, []float64](solverStartTables),
 		cands:        memo.New[int, *Candidates](solverCandidateSets),
-		validated:    memo.New[bool, struct{}](2),
-		lsd:          memo.New[struct{}, *PathAssignment](1),
+		validated:    memo.New[bool, error](2),
+		lsd:          memo.New[struct{}, baselineVerdict](1),
 	}
 }
 
@@ -145,12 +147,12 @@ func Compute(p Problem, o Options) (*Result, error) {
 	return NewSolver(p).Solve(context.Background(), p.TauIn, o)
 }
 
-// validate caches a passed Assignment.Validate per strictness level.
+// validate caches Assignment.Validate's verdict per strictness level.
 func (s *Solver) validate(exclusive bool) error {
-	_, _, err := s.validated.Get(exclusive, func() (struct{}, error) {
-		return struct{}{}, s.p.Assignment.Validate(s.p.Graph, s.p.Topology, exclusive)
+	verdict, _, _ := s.validated.Get(exclusive, func() (error, error) {
+		return s.p.Assignment.Validate(s.p.Graph, s.p.Topology, exclusive), nil
 	})
-	return err
+	return verdict
 }
 
 // taskStarts returns the static task start times for the given window,
@@ -174,18 +176,27 @@ func (s *Solver) taskStarts(window, tauIn float64, shared bool) (starts []float6
 	return starts, err
 }
 
+// baselineVerdict is what FaultRouteAssignment answered for a Solver's
+// structure: the baseline, or the error it refused with (a
+// *topology.NoRouteError on a disconnected machine).
+type baselineVerdict struct {
+	pa  *PathAssignment
+	err error
+}
+
 // lsdBaseline returns the fault-aware deterministic assignment, built
 // once: FaultRouteAssignment reads the windows only through the Local
-// flags, which depend on the placement alone, so the baseline is the
-// same for every period and window. A failed build is not kept: each
-// Solve on a disconnected machine re-walks to its NoRouteError.
+// flags, which depend on the placement alone, so the baseline — or its
+// refusal, which every later Solve on a disconnected machine returns
+// without a re-walk — is the same for every period and window.
 // The boolean reports whether this call performed the build (false on a
 // cache hit), feeding the trace span's "cached" attribute.
 func (s *Solver) lsdBaseline(ws []Window) (*PathAssignment, bool, error) {
-	pa, hit, err := s.lsd.Get(struct{}{}, func() (*PathAssignment, error) {
-		return FaultRouteAssignment(s.p.Graph, s.p.Topology, s.p.Assignment, ws, s.p.Faults)
+	v, hit, _ := s.lsd.Get(struct{}{}, func() (baselineVerdict, error) {
+		pa, err := FaultRouteAssignment(s.p.Graph, s.p.Topology, s.p.Assignment, ws, s.p.Faults)
+		return baselineVerdict{pa, err}, nil
 	})
-	return pa, !hit, err
+	return v.pa, !hit, v.err
 }
 
 // candidates returns the per-message equivalent-path sets, built once

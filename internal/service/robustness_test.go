@@ -257,6 +257,24 @@ func TestEndpointRobustness(t *testing.T) {
 		})
 	}
 
+	// A Pareto bisection tolerance below the float spacing of the period
+	// stops where the bracket stops shrinking: a whole answer, not a
+	// worker slot held until the deadline (here 5 s; a request's own is
+	// RequestTimeout) and then a 503.
+	t.Run("explore/pareto tolerance below the float spacing", func(t *testing.T) {
+		raw, err := json.Marshal(schedroute.ExploreRequest{Problem: testProblem(0), Objectives: []string{"tau_in"}, Tolerance: 1e-300})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/explore", bytes.NewReader(raw)).WithContext(ctx))
+		if er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes()); rec.Code != http.StatusOK {
+			t.Fatalf("status %d %+v, want 200", rec.Code, er.ErrorEnvelope)
+		}
+	})
+
 	// Nor does a simplex of half a minute outlive its request: the
 	// instance (one of bench/known_slow.json's) spends some 30 s in the
 	// allocation LP to answer infeasible, and every endpoint that solves

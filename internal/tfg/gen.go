@@ -3,6 +3,8 @@ package tfg
 import (
 	"fmt"
 	"math/rand"
+	"strconv"
+	"strings"
 )
 
 // Chain builds a linear pipeline of n tasks with uniform ops and message
@@ -110,6 +112,37 @@ func Stencil(width int, ops, bytes, haloBytes int64) (*Graph, error) {
 		b.AddMessage(fmt.Sprintf("out%d", i), c, sink, bytes)
 	}
 	return b.Build()
+}
+
+// ParseWidths reads RandomLayered's layer widths from a comma-separated
+// list in which "64*14" repeats the width 64 fourteen times. Spaces
+// around a field and either side of its '*' are ignored. A width or a
+// repeat that is not an integer, a repeat below 1 and an empty field
+// are refused, the error naming the field; a caller adds its own prefix.
+func ParseWidths(s string) ([]int, error) {
+	var widths []int
+	for _, part := range strings.Split(s, ",") {
+		part = strings.TrimSpace(part)
+		w, rep := part, 1
+		if ws, rs, ok := strings.Cut(part, "*"); ok {
+			w = strings.TrimSpace(ws)
+			var err error
+			if rep, err = strconv.Atoi(strings.TrimSpace(rs)); err != nil {
+				return nil, fmt.Errorf("repeat %q: %v", part, err)
+			}
+			if rep < 1 {
+				return nil, fmt.Errorf("repeat %q must be >= 1", part)
+			}
+		}
+		v, err := strconv.Atoi(w)
+		if err != nil {
+			return nil, fmt.Errorf("width %q: %v", part, err)
+		}
+		for range rep {
+			widths = append(widths, v)
+		}
+	}
+	return widths, nil
 }
 
 // RandomLayered builds a random layered DAG: layers of the given widths,

@@ -1,6 +1,7 @@
 package tfg
 
 import (
+	"slices"
 	"testing"
 )
 
@@ -102,5 +103,58 @@ func TestStencilShape(t *testing.T) {
 func TestStencilRejectsNarrow(t *testing.T) {
 	if _, err := Stencil(2, 10, 64, 8); err == nil {
 		t.Error("width 2 should fail")
+	}
+}
+
+// TestParseWidths: repeats expand in place, spaces around fields and
+// either side of '*' are ignored, and a zero or non-integer repeat and
+// an empty field are refused naming the field. The layered specs of the
+// repository benchmark's compile_lp and compile_large pools parse to the
+// layers their graphs have always been built from.
+func TestParseWidths(t *testing.T) {
+	rep := func(w, n int) []int {
+		out := make([]int, n)
+		for i := range out {
+			out[i] = w
+		}
+		return out
+	}
+	join := func(parts ...[]int) []int {
+		var out []int
+		for _, p := range parts {
+			out = append(out, p...)
+		}
+		return out
+	}
+	for _, c := range []struct {
+		in   string
+		want []int
+		err  string
+	}{
+		{in: "2,4,4,2", want: []int{2, 4, 4, 2}},
+		{in: "64*14", want: rep(64, 14)},
+		{in: "8,3*2,8", want: []int{8, 3, 3, 8}},
+		{in: " 8 , 3 * 2 ,8 ", want: []int{8, 3, 3, 8}},
+		{in: "5*1", want: []int{5}},
+		// compile_lp's layered:3,16,16*6,16,… and layered:3,8,8*5,8,…,
+		// layered:5,16,32*6,16,… and compile_large's layered:7,32,64*6,32,…
+		{in: "16,16*6,16", want: rep(16, 8)},
+		{in: "8,8*5,8", want: rep(8, 7)},
+		{in: "16,32*6,16", want: join([]int{16}, rep(32, 6), []int{16})},
+		{in: "32,64*6,32", want: join([]int{32}, rep(64, 6), []int{32})},
+		{in: "8,4*0,8", err: `repeat "4*0" must be >= 1`},
+		{in: "4*-2", err: `repeat "4*-2" must be >= 1`},
+		{in: "8,4*x", err: `repeat "4*x": strconv.Atoi: parsing "x": invalid syntax`},
+		{in: "8,,8", err: `width "": strconv.Atoi: parsing "": invalid syntax`},
+		{in: "", err: `width "": strconv.Atoi: parsing "": invalid syntax`},
+		{in: "x*2", err: `width "x*2": strconv.Atoi: parsing "x": invalid syntax`},
+	} {
+		got, err := ParseWidths(c.in)
+		switch {
+		case c.err != "" && (err == nil || err.Error() != c.err):
+			t.Errorf("ParseWidths(%q) = %v, %v; want the error %q", c.in, got, err, c.err)
+		case c.err == "" && (err != nil || !slices.Equal(got, c.want)):
+			t.Errorf("ParseWidths(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
 	}
 }

@@ -178,7 +178,8 @@ func LoadGraph(spec string) (*tfg.Graph, error) {
 // deterministic tfg.RandomLayered graph (the large-scale benchmark
 // workload): the first field is the generator seed, the last — the only
 // one containing a '.' — is the extra-edge density, and the fields in
-// between are layer widths, where "64*14" repeats a width 14 times.
+// between are layer widths (tfg.ParseWidths: "64*14" repeats a width 14
+// times).
 // Ops and bytes ranges are fixed to the tfggen defaults (400-1925 ops,
 // 192-3200 bytes) so a spec names exactly one graph.
 func parseLayered(spec, rest string) (*tfg.Graph, error) {
@@ -198,27 +199,10 @@ func parseLayered(spec, rest string) (*tfg.Graph, error) {
 	if err != nil {
 		return nil, errkind.BadInput("graph spec %q: density: %v", spec, err)
 	}
-	var widths []int
-	for _, part := range parts[1 : len(parts)-1] {
-		part = strings.TrimSpace(part)
-		w, rep := part, 1
-		if ws, rs, ok := strings.Cut(part, "*"); ok {
-			w = strings.TrimSpace(ws)
-			rep, err = strconv.Atoi(strings.TrimSpace(rs))
-			if err != nil {
-				return nil, errkind.BadInput("graph spec %q: repeat %q: %v", spec, part, err)
-			}
-			if rep < 1 {
-				return nil, errkind.BadInput("graph spec %q: repeat %q must be >= 1", spec, part)
-			}
-		}
-		v, err := strconv.Atoi(w)
-		if err != nil {
-			return nil, errkind.BadInput("graph spec %q: width %q: %v", spec, part, err)
-		}
-		for i := 0; i < rep; i++ {
-			widths = append(widths, v)
-		}
+	// The widths are the fields between the seed and the density.
+	widths, err := tfg.ParseWidths(rest[strings.IndexByte(rest, ',')+1 : strings.LastIndexByte(rest, ',')])
+	if err != nil {
+		return nil, errkind.BadInput("graph spec %q: %v", spec, err)
 	}
 	g, err := tfg.RandomLayered(seed, widths, 400, 1925, 192, 3200, density)
 	if err != nil {
