@@ -13,6 +13,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
 	"log/slog"
 	"math"
@@ -930,27 +931,44 @@ func BenchmarkSolveAlternatingShapes(b *testing.B) {
 // a solver-cache miss of the repository benchmark's svc_churn workload
 // costs without HTTP. One op is NewProblem, NewSolver and the first
 // Solve of one of the 12 random placements (alloc_seed 1..12, each at
-// its own load point) of dvb:4 on torus:8,8 at B=128, in turn, under
-// the workload's (default) options. Placements after the first find
-// their machine already interned, as the daemon's do.
+// its own load point) on torus:8,8 at B=128, in turn, under the
+// workload's (default) options. Placements after the first find their
+// machine already interned, as the daemon's do. shared-graph places
+// dvb:4, svc_churn's one graph, which after the first op is interned
+// too; fresh-graph places a layered graph of the same size under a seed
+// no op used before, so every op builds and interns a graph: the traffic
+// without the sharing the graph intern serves, and the intern's own cost.
 func BenchmarkStructureMiss(b *testing.B) {
 	ctx := context.Background()
 	opts, err := api.Options{}.ToSchedule()
 	if err != nil {
 		b.Fatal(err)
 	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		seed := int64(i%12 + 1)
-		built, err := api.NewProblem(api.Problem{TFG: "dvb:4", Topology: "torus:8,8", Bandwidth: 128,
-			Allocator: "random", AllocSeed: seed, TauIn: 50 + 200*float64(seed-1)/11})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := schedule.NewSolver(built.ScheduleProblem()).Solve(ctx, built.TauIn, opts); err != nil {
-			b.Fatal(err)
+	miss := func(b *testing.B, graph func(i int) string) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			seed := int64(i%12 + 1)
+			built, err := api.NewProblem(api.Problem{TFG: graph(i), Topology: "torus:8,8", Bandwidth: 128,
+				Allocator: "random", AllocSeed: seed, TauIn: 50 + 200*float64(seed-1)/11})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := schedule.NewSolver(built.ScheduleProblem()).Solve(ctx, built.TauIn, opts); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
+	b.Run("shared-graph", func(b *testing.B) { miss(b, func(int) string { return "dvb:4" }) })
+	fresh := 0 // the layered seeds used so far, across b.N rounds
+	b.Run("fresh-graph", func(b *testing.B) {
+		specs := make([]string, b.N)
+		for i := range specs {
+			fresh++
+			specs[i] = fmt.Sprintf("layered:%d,2,4,4,3,2,0.2", fresh)
+		}
+		b.ResetTimer()
+		miss(b, func(i int) string { return specs[i] })
+	})
 }
 
 // BenchmarkAllocationLPGHC448 is Section 5.2 interval allocation alone,

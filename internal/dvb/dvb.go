@@ -57,6 +57,9 @@ func New(n int) (*tfg.Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("dvb: need at least one object model, got %d", n)
 	}
+	if n > (tfg.MaxTasks-7)/2 { // 7 fixed tasks, two per model
+		return nil, fmt.Errorf("dvb: %d object models exceed %d tasks", n, tfg.MaxTasks)
+	}
 	b := tfg.NewBuilder(fmt.Sprintf("dvb-%d", n))
 
 	input := b.AddTask("input", OpsHeavy)

@@ -37,7 +37,8 @@ type entry[K comparable, V any] struct {
 // Stats are a Cache's counters: Gets by whether the key had an entry,
 // built or still building, when they looked it up; entries pushed out
 // at the bound (one dropped for its failed build is not an eviction);
-// and the entries held, those still building included.
+// and the entries held, those still building included — so, for as long
+// as builds are running, up to that many past the bound.
 type Stats struct {
 	Hits, Misses, Evictions int64
 	Len                     int
@@ -59,7 +60,9 @@ func New[K comparable, V any](bound int) Cache[K, V] {
 // A failed build goes to its caller and nothing of it is kept: the
 // entry leaves the Cache, and a Get that was waiting on it runs its own
 // build — a build closes over its caller's context, so one caller's
-// cancellation must not become another's answer.
+// cancellation must not become another's answer. Nor does it push out
+// anything: the bound is enforced as a build succeeds, so a refused key
+// leaves the Cache as it found it.
 func (c *Cache[K, V]) Get(key K, build func() (V, error)) (v V, hit bool, err error) {
 	c.mu.Lock()
 	e, ok := c.ent[key]
@@ -70,7 +73,7 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (v V, hit bool, err er
 	} else {
 		c.st.Misses++
 		e = &entry[K, V]{key: key}
-		c.insert(e)
+		c.link(e)
 	}
 	c.mu.Unlock()
 
@@ -92,12 +95,15 @@ func (c *Cache[K, V]) Get(key K, build func() (V, error)) (v V, hit bool, err er
 	}
 	e.v = v
 	e.ready.Store(true)
+	c.mu.Lock()
+	c.trim()
+	c.mu.Unlock()
 	return v, false, nil
 }
 
-// insert makes e its key's entry and the most recently used, then
-// evicts past the bound; under c.mu, as are the three below.
-func (c *Cache[K, V]) insert(e *entry[K, V]) {
+// link makes e its key's entry and the most recently used; under c.mu,
+// as are the four below.
+func (c *Cache[K, V]) link(e *entry[K, V]) {
 	if c.ent == nil {
 		c.ent = map[K]*entry[K, V]{}
 		c.root.prev, c.root.next = &c.root, &c.root
@@ -107,6 +113,10 @@ func (c *Cache[K, V]) insert(e *entry[K, V]) {
 	}
 	c.ent[e.key] = e
 	c.front(e)
+}
+
+// trim evicts the least recently used entries past the bound.
+func (c *Cache[K, V]) trim() {
 	for len(c.ent) > c.cap {
 		c.remove(c.root.prev)
 		c.st.Evictions++
@@ -132,7 +142,8 @@ func (c *Cache[K, V]) Put(key K, v V) {
 	e.ready.Store(true)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.insert(e)
+	c.link(e)
+	c.trim()
 }
 
 // Each calls fn for every built entry, most recent first. It walks a

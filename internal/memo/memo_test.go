@@ -122,6 +122,18 @@ func TestFailedBuildIsNotKept(t *testing.T) {
 	if v, hit, err := c.Get("k", func() (int, error) { return 8, nil }); v != 8 || hit || err != nil {
 		t.Fatalf("Get after a failure = %d, hit %t, %v; want a fresh build of 8", v, hit, err)
 	}
+	// At the bound, a failed build pushes nothing out.
+	if _, _, err := c.Get("j", func() (int, error) { return 6, nil }); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := c.Get("x", func() (int, error) { return 0, boom }); err != boom {
+		t.Fatal(err)
+	}
+	var held []string
+	c.Each(func(k string, _ int) { held = append(held, k) })
+	if st := c.Stats(); st.Len != 2 || st.Evictions != 0 || !slices.Equal(held, []string{"j", "k"}) {
+		t.Fatalf("a failed build at the bound left %+v holding %v, want [j k] and no eviction", st, held)
+	}
 
 	entered, fail := make(chan struct{}), make(chan struct{})
 	done := make(chan error)

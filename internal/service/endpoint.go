@@ -206,10 +206,10 @@ func (s *Server) writeError(w http.ResponseWriter, c *call, err error) int {
 }
 
 // structureKey validates the wire problem and computes its StructureKey
-// — a seven-verb Sprintf — on first use: the tenant check, the cache
-// lookup and the flight key all read this one copy, so nothing is looked
-// up under the key of a problem that was never checked (a cache hit and
-// an admitted tenant never reach NewProblem's own check).
+// on first use: the tenant check, the cache lookup and the flight key
+// all read this one copy, so nothing is looked up under the key of a
+// problem that was never checked (a cache hit and an admitted tenant
+// never reach NewProblem's own check).
 func (c *call) structureKey(p schedroute.Problem) (string, error) {
 	if c.key == "" {
 		if err := p.Validate(); err != nil {

@@ -50,6 +50,7 @@ var (
 	mGoroutines      = row("srschedd_goroutines", "gauge", "Goroutines in the process at scrape time, solves' AssignPaths helpers included.")
 	mTopologies      = row("srschedd_topologies", "gauge", "Machines interned at scrape time: every problem structure on one shares its Topology.")
 	mTopologyRoutes  = row("srschedd_topology_routes", "gauge", "Fault-free route enumerations memoized on the interned machines at scrape time.")
+	mGraphs          = row("srschedd_graphs", "gauge", "Task flow graphs interned at scrape time: every problem structure naming one shares its Graph.")
 	mTenants         = row("srschedd_tenants", "gauge", "Admitted tenants on the daemon's one fabric.")
 	mAdmissions      = row("srschedd_admissions_total", "counter", "Tenant admission attempts by ladder outcome.", "outcome")
 	mTenantEvictions = row("srschedd_tenant_evictions_total", "counter", "Tenants preempted by higher-priority admissions.")
@@ -133,6 +134,7 @@ func newMetrics() *Metrics {
 	m.bind(mGoroutines, func() int64 { return int64(runtime.NumGoroutine()) })
 	m.bind(mTopologies, func() int64 { n, _ := schedroute.InternedMachines(); return int64(n) })
 	m.bind(mTopologyRoutes, func() int64 { _, n := schedroute.InternedMachines(); return int64(n) })
+	m.bind(mGraphs, func() int64 { return int64(schedroute.InternedGraphs()) })
 	return m
 }
 

@@ -86,7 +86,7 @@ func TestMetricTableNaming(t *testing.T) {
 			t.Errorf("%s: %d labels, a labelKey holds %d", s.name, len(s.labels), len(labelKey{}))
 		}
 	}
-	if len(metricTable) != 28 {
+	if len(metricTable) != 29 {
 		t.Errorf("%d series; adding or retiring one is a documented decision (README Metrics, DESIGN §6)", len(metricTable))
 	}
 }
@@ -137,10 +137,11 @@ func TestGoroutinesGauge(t *testing.T) {
 }
 
 // TestTopologyGauges holds srschedd_topologies and
-// srschedd_topology_routes to the machine intern at scrape time, in the
-// value and in the exposition: a structure's machine is among those
-// counted, with the routes its solve enumerated, and a second placement
-// on the same machine adds no machine.
+// srschedd_topology_routes to the machine intern and srschedd_graphs to
+// the graph intern at scrape time, in the value and in the exposition: a
+// structure's machine is among those counted, with the routes its solve
+// enumerated, and a second placement of the same graph on the same
+// machine adds no machine and no graph.
 func TestTopologyGauges(t *testing.T) {
 	srv, ts := newTestServer(t, Config{Workers: 1})
 	scraped := func(name string) (n int) {
@@ -154,18 +155,19 @@ func TestTopologyGauges(t *testing.T) {
 		}
 		return n
 	}
-	check := func() (machines, routes int) {
+	check := func() (machines, routes, graphs int) {
 		t.Helper()
 		machines, routes = schedroute.InternedMachines()
+		graphs = schedroute.InternedGraphs()
 		for _, g := range []struct {
 			name string
 			want int
-		}{{"srschedd_topologies", machines}, {"srschedd_topology_routes", routes}} {
+		}{{"srschedd_topologies", machines}, {"srschedd_topology_routes", routes}, {"srschedd_graphs", graphs}} {
 			if v, s := srv.metrics.value(g.name), scraped(g.name); v != int64(g.want) || s != g.want {
 				t.Errorf("%s reads %d, scrapes %d; the intern holds %d", g.name, v, s, g.want)
 			}
 		}
-		return machines, routes
+		return machines, routes, graphs
 	}
 	problem := func(seed int64) schedroute.Problem {
 		return schedroute.Problem{TFG: "dvb:4", Topology: "torus:6,6", Bandwidth: 128, Allocator: "random", AllocSeed: seed}
@@ -178,7 +180,7 @@ func TestTopologyGauges(t *testing.T) {
 	}
 	check()
 	solve(1)
-	m1, r1 := check()
+	m1, r1, g1 := check()
 	b, err := schedroute.NewProblem(problem(1))
 	if err != nil {
 		t.Fatal(err)
@@ -186,8 +188,11 @@ func TestTopologyGauges(t *testing.T) {
 	if own := b.Topology.RouteMemoLen(); m1 < 1 || own == 0 || own > r1 {
 		t.Fatalf("after a structure on torus:6,6: %d machines holding %d routes, torus:6,6 alone %d", m1, r1, own)
 	}
+	if g1 < 1 {
+		t.Fatalf("after a structure of dvb:4: %d graphs", g1)
+	}
 	solve(2)
-	if m2, r2 := check(); m2 != m1 || r2 < r1 {
-		t.Errorf("after a second placement on torus:6,6: %d machines, %d routes; %d and %d before", m2, r2, m1, r1)
+	if m2, r2, g2 := check(); m2 != m1 || r2 < r1 || g2 != g1 {
+		t.Errorf("after a second placement on torus:6,6: %d machines, %d routes, %d graphs; %d, %d and %d before", m2, r2, g2, m1, r1, g1)
 	}
 }

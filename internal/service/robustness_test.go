@@ -207,20 +207,30 @@ func TestEndpointRobustness(t *testing.T) {
 
 	// Forty bytes of spec do not make the daemon allocate gigabytes: a
 	// GHC of 1024×1024 has 2^20 nodes, within the node cap, and 1.07e9
-	// links, which the builder refuses from their count alone.
-	t.Run("schedule/oversized machine", func(t *testing.T) {
-		raw := []byte(`{"problem":{"tfg":"dvb:4","topology":"ghc:1024,1024"}}`)
-		start := time.Now()
-		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(raw)))
-		took := time.Since(start)
-		if er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes()); rec.Code != http.StatusBadRequest || er.Kind != "bad_input" || !strings.Contains(er.Error, "links") {
-			t.Fatalf("status %d %+v, want 400 bad_input naming the link count", rec.Code, er.ErrorEnvelope)
-		}
-		if took > 100*time.Millisecond {
-			t.Errorf("refused after %v, want under 100ms", took)
-		}
-	})
+	// links, which the builder refuses from their count alone; and every
+	// built-in graph generator refuses more than tfg.MaxTasks tasks
+	// before it builds one.
+	for _, c := range []struct{ name, tfg, topology, want string }{
+		{"oversized machine", "dvb:4", "ghc:1024,1024", "links"},
+		{"oversized graph/chain:2000000", "chain:2000000", "cube:6", "1048576"},
+		{"oversized graph/layered:1,1*2000000,0.1", "layered:1,1*2000000,0.1", "cube:6", "1048576"},
+	} {
+		t.Run("schedule/"+c.name, func(t *testing.T) {
+			ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+			defer cancel()
+			raw := []byte(`{"problem":{"tfg":"` + c.tfg + `","topology":"` + c.topology + `"}}`)
+			start := time.Now()
+			rec := httptest.NewRecorder()
+			srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/schedule", bytes.NewReader(raw)).WithContext(ctx))
+			took := time.Since(start)
+			if er := checkWhole(t, rec.Code, rec.Header(), rec.Body.Bytes()); rec.Code != http.StatusBadRequest || er.Kind != "bad_input" || !strings.Contains(er.Error, c.want) {
+				t.Fatalf("status %d %+v, want 400 bad_input naming %s", rec.Code, er.ErrorEnvelope, c.want)
+			}
+			if took > 100*time.Millisecond {
+				t.Errorf("refused after %v, want under 100ms", took)
+			}
+		})
+	}
 
 	// An annealer budget of hours does not outlive its client: the search
 	// polls the request context, in grid and in Pareto mode alike.

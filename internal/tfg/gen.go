@@ -7,11 +7,20 @@ import (
 	"strings"
 )
 
+// MaxTasks bounds the tasks a generator builds, as topology bounds a
+// machine's nodes: a generous multiple of the largest graph the
+// experiments use, and small enough that a short spec cannot make a
+// generator allocate without limit.
+const MaxTasks = 1 << 20
+
 // Chain builds a linear pipeline of n tasks with uniform ops and message
 // bytes; useful as the simplest pipelined workload.
 func Chain(n int, ops, bytes int64) (*Graph, error) {
 	if n < 1 {
 		return nil, fmt.Errorf("tfg: chain needs at least 1 task")
+	}
+	if n > MaxTasks {
+		return nil, fmt.Errorf("tfg: chain of %d tasks exceeds %d", n, MaxTasks)
 	}
 	b := NewBuilder(fmt.Sprintf("chain-%d", n))
 	prev := b.AddTask("t0", ops)
@@ -29,6 +38,9 @@ func Chain(n int, ops, bytes int64) (*Graph, error) {
 func FanOutIn(width int, ops, bytes int64) (*Graph, error) {
 	if width < 1 {
 		return nil, fmt.Errorf("tfg: fan width must be positive")
+	}
+	if width > MaxTasks-2 {
+		return nil, fmt.Errorf("tfg: fan width %d exceeds %d tasks", width, MaxTasks)
 	}
 	b := NewBuilder(fmt.Sprintf("fan-%d", width))
 	src := b.AddTask("src", ops)
@@ -94,6 +106,9 @@ func Stencil(width int, ops, bytes, haloBytes int64) (*Graph, error) {
 	if width < 3 {
 		return nil, fmt.Errorf("tfg: stencil width %d < 3", width)
 	}
+	if width > (MaxTasks-2)/2 {
+		return nil, fmt.Errorf("tfg: stencil width %d exceeds %d tasks", width, MaxTasks)
+	}
 	b := NewBuilder(fmt.Sprintf("stencil-%d", width))
 	src := b.AddTask("scatter", ops)
 	sink := b.AddTask("gather", ops)
@@ -119,8 +134,11 @@ func Stencil(width int, ops, bytes, haloBytes int64) (*Graph, error) {
 // around a field and either side of its '*' are ignored. A width or a
 // repeat that is not an integer, a repeat below 1 and an empty field
 // are refused, the error naming the field; a caller adds its own prefix.
+// So is a list of more than MaxTasks tasks, before it is expanded: a
+// width below 1, which RandomLayered refuses, counts as one.
 func ParseWidths(s string) ([]int, error) {
 	var widths []int
+	tasks := 0
 	for _, part := range strings.Split(s, ",") {
 		part = strings.TrimSpace(part)
 		w, rep := part, 1
@@ -138,6 +156,10 @@ func ParseWidths(s string) ([]int, error) {
 		if err != nil {
 			return nil, fmt.Errorf("width %q: %v", part, err)
 		}
+		if max(v, 1) > (MaxTasks-tasks)/rep {
+			return nil, fmt.Errorf("widths %q: more than %d tasks", part, MaxTasks)
+		}
+		tasks += max(v, 1) * rep
 		for range rep {
 			widths = append(widths, v)
 		}
@@ -149,10 +171,29 @@ func ParseWidths(s string) ([]int, error) {
 // every task getting at least one incoming message from the previous
 // layer, with extra edges added with probability density. Ops are drawn
 // uniformly from [minOps, maxOps] and bytes from [minBytes, maxBytes].
-// The generator is deterministic for a given seed.
+// The generator is deterministic for a given seed. Widths below 1, more
+// than MaxTasks tasks in all, and more than MaxTasks pairs of tasks in
+// adjacent layers — each pair takes a draw, and at density 1 a message
+// — are refused before anything is built.
 func RandomLayered(seed int64, widths []int, minOps, maxOps, minBytes, maxBytes int64, density float64) (*Graph, error) {
 	if len(widths) == 0 {
 		return nil, fmt.Errorf("tfg: no layers")
+	}
+	tasks, pairs := 0, 0
+	for li, w := range widths {
+		if w < 1 {
+			return nil, fmt.Errorf("tfg: layer %d width %d < 1", li, w)
+		}
+		if w > MaxTasks-tasks {
+			return nil, fmt.Errorf("tfg: layer %d takes the graph past %d tasks", li, MaxTasks)
+		}
+		tasks += w
+		if li > 0 {
+			pairs += widths[li-1] * w // at most 2^40: no overflow
+			if pairs > MaxTasks {
+				return nil, fmt.Errorf("tfg: layer %d takes the graph past %d candidate messages", li, MaxTasks)
+			}
+		}
 	}
 	rng := rand.New(rand.NewSource(seed))
 	b := NewBuilder(fmt.Sprintf("rand-%d", seed))
@@ -164,9 +205,6 @@ func RandomLayered(seed int64, widths []int, minOps, maxOps, minBytes, maxBytes 
 	}
 	var layers [][]TaskID
 	for li, w := range widths {
-		if w < 1 {
-			return nil, fmt.Errorf("tfg: layer %d width %d < 1", li, w)
-		}
 		var layer []TaskID
 		for i := 0; i < w; i++ {
 			layer = append(layer, b.AddTask(fmt.Sprintf("l%dt%d", li, i), ri(minOps, maxOps)))

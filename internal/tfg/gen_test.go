@@ -108,7 +108,8 @@ func TestStencilRejectsNarrow(t *testing.T) {
 
 // TestParseWidths: repeats expand in place, spaces around fields and
 // either side of '*' are ignored, and a zero or non-integer repeat and
-// an empty field are refused naming the field. The layered specs of the
+// an empty field are refused naming the field, and so is the field that
+// takes the list past MaxTasks tasks. The layered specs of the
 // repository benchmark's compile_lp and compile_large pools parse to the
 // layers their graphs have always been built from.
 func TestParseWidths(t *testing.T) {
@@ -148,6 +149,13 @@ func TestParseWidths(t *testing.T) {
 		{in: "8,,8", err: `width "": strconv.Atoi: parsing "": invalid syntax`},
 		{in: "", err: `width "": strconv.Atoi: parsing "": invalid syntax`},
 		{in: "x*2", err: `width "x*2": strconv.Atoi: parsing "x": invalid syntax`},
+		// MaxTasks, checked on the running total before a field expands.
+		{in: "1048575, 1", want: []int{1048575, 1}},
+		{in: "1048575,2", err: `widths "2": more than 1048576 tasks`},
+		{in: "1*2000000", err: `widths "1*2000000": more than 1048576 tasks`},
+		{in: "2000000", err: `widths "2000000": more than 1048576 tasks`},
+		{in: "8,1000*2000", err: `widths "1000*2000": more than 1048576 tasks`},
+		{in: "1024*1023,0*1024,1", err: `widths "1": more than 1048576 tasks`},
 	} {
 		got, err := ParseWidths(c.in)
 		switch {
@@ -155,6 +163,26 @@ func TestParseWidths(t *testing.T) {
 			t.Errorf("ParseWidths(%q) = %v, %v; want the error %q", c.in, got, err, c.err)
 		case c.err == "" && (err != nil || !slices.Equal(got, c.want)):
 			t.Errorf("ParseWidths(%q) = %v, %v; want %v", c.in, got, err, c.want)
+		}
+	}
+}
+
+// TestGeneratorsRefuseMoreThanMaxTasks: every generator with a size
+// parameter refuses one that would take the graph past MaxTasks tasks —
+// or, for RandomLayered, past MaxTasks pairs of tasks in adjacent
+// layers — before it adds a task.
+func TestGeneratorsRefuseMoreThanMaxTasks(t *testing.T) {
+	for name, build := range map[string]func() (*Graph, error){
+		"chain":          func() (*Graph, error) { return Chain(MaxTasks+1, 1, 1) },
+		"fan":            func() (*Graph, error) { return FanOutIn(MaxTasks-1, 1, 1) },
+		"stencil":        func() (*Graph, error) { return Stencil(MaxTasks/2, 1, 1, 1) },
+		"layered":        func() (*Graph, error) { return RandomLayered(1, []int{MaxTasks, 1}, 1, 1, 1, 1, 0) },
+		"layered, wide":  func() (*Graph, error) { return RandomLayered(1, []int{MaxTasks + 1}, 1, 1, 1, 1, 0) },
+		"layered, dense": func() (*Graph, error) { return RandomLayered(1, []int{1, 1024, 1025}, 1, 1, 1, 1, 0) },
+	} {
+		var err error
+		if n := testing.AllocsPerRun(1, func() { _, err = build() }); err == nil || n > 8 {
+			t.Errorf("%s: %v after %v allocations; want a refusal before any task", name, err, n)
 		}
 	}
 }

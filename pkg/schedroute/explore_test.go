@@ -105,6 +105,14 @@ func TestRefusedParametersAreBadInput(t *testing.T) {
 		{"more tasks than nodes", with(func(p *Problem) { p.Topology = "cube:2" }), Options{}, "15 tasks exceed 4 nodes"},
 		{"more tasks than nodes, greedy", with(func(p *Problem) { p.Topology, p.Allocator = "cube:2", "greedy" }), Options{}, "15 tasks exceed 4 nodes"},
 		{"graph generator out of range", with(func(p *Problem) { p.TFG = "dvb:0" }), Options{}, "at least one object model"},
+		{"chain past the task cap", with(func(p *Problem) { p.TFG = "chain:2000000" }), Options{}, "chain of 2000000 tasks exceeds 1048576"},
+		{"fan past the task cap", with(func(p *Problem) { p.TFG = "fan:1048575" }), Options{}, "fan width 1048575 exceeds 1048576 tasks"},
+		{"stencil past the task cap", with(func(p *Problem) { p.TFG = "stencil:600000" }), Options{}, "stencil width 600000 exceeds 1048576 tasks"},
+		{"dvb past the task cap", with(func(p *Problem) { p.TFG = "dvb:600000" }), Options{}, "600000 object models exceed 1048576 tasks"},
+		{"layer widths past the task cap", with(func(p *Problem) { p.TFG = "layered:1,1*2000000,0.1" }), Options{}, `widths "1*2000000": more than 1048576 tasks`},
+		{"one layer past the task cap", with(func(p *Problem) { p.TFG = "layered:1,8,2000000,0.1" }), Options{}, `widths "2000000": more than 1048576 tasks`},
+		{"adjacent layers past the message cap", with(func(p *Problem) { p.TFG = "layered:1,2048,2048,0.01" }), Options{}, "past 1048576 candidate messages"},
+		{"an inline graph's identity is no graph spec", with(func(p *Problem) { p.TFG = "inline:00" }), Options{}, `tfg "inline:00" names no generator`},
 		{"a file's name is no graph spec", with(func(p *Problem) { p.TFG = "testdata/explore_request.golden.json" }), Options{}, `unknown graph spec "testdata/explore_request.golden.json"`},
 		{"inline document that is no graph", with(func(p *Problem) { p.TFG, p.TFGInline = "", json.RawMessage(`{"not":"a graph"}`) }), Options{}, "tfg_inline: tfg:"},
 	} {

@@ -1,7 +1,6 @@
 package schedroute
 
 import (
-	"fmt"
 	"strconv"
 	"strings"
 
@@ -47,8 +46,10 @@ func parseMachine(spec string) (machine, error) {
 	if !ok {
 		return machine{}, errkind.BadInput("topology spec %q: want kind:radices", spec)
 	}
-	var radices []int
-	for _, part := range strings.Split(rest, ",") {
+	radices := make([]int, 0, 4) // room for every machine in use: one allocation
+	for more := true; more; {
+		var part string
+		part, rest, more = strings.Cut(rest, ",")
 		v, err := strconv.Atoi(strings.TrimSpace(part))
 		if err != nil {
 			return machine{}, errkind.BadInput("topology spec %q: %v", spec, err)
@@ -68,7 +69,17 @@ func parseMachine(spec string) (machine, error) {
 }
 
 // key is the machine's canonical spelling, e.g. "torus[8 8]".
-func (m machine) key() string { return fmt.Sprint(m.kind, m.radices) }
+func (m machine) key() string {
+	var buf [64]byte
+	b := append(append(buf[:0], m.kind...), '[')
+	for i, r := range m.radices {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = strconv.AppendInt(b, int64(r), 10)
+	}
+	return string(append(b, ']'))
+}
 
 func (m machine) build() (*topology.Topology, error) {
 	var top *topology.Topology
@@ -141,9 +152,12 @@ func ParseAllocator(name string, g *tfg.Graph, top *topology.Topology, seed int6
 
 // LoadGraph builds a TFG from a built-in generator spec ("dvb:4",
 // "chain:8", "fan:6", "fft:3", "stencil:4",
-// "layered:seed,widths...,density"). It opens no file — the service
-// resolves client-supplied strings through it; the CLIs read a graph
-// file themselves and send it as Problem.TFGInline (internal/cliutil).
+// "layered:seed,widths...,density"), refusing more than tfg.MaxTasks
+// tasks before building any. It opens no file — the service resolves
+// client-supplied strings through it; the CLIs read a graph file
+// themselves and send it as Problem.TFGInline (internal/cliutil). Every
+// call builds afresh; NewProblem shares one Graph per spec instead
+// (internGraph).
 func LoadGraph(spec string) (*tfg.Graph, error) {
 	if kind, rest, ok := strings.Cut(spec, ":"); ok {
 		if kind == "layered" {
